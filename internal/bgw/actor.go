@@ -32,12 +32,25 @@ import (
 // sequences deterministic. Only operations that reveal data (Open,
 // OpenVec, AdditiveShares, Stats) synchronize the caller with the
 // actors; everything else pipelines.
+//
+// Commands travel in batches. Scalar local gates (see actorOp.queues)
+// only append to the current batch; every other command — anything with
+// a vector, a batch, a frame or a reply — is appended and then flushes
+// the batch with one channel send per party, so a planned local gate
+// costs an append, not P channel operations. Vector commands flush at
+// once because the parties' sharing work must overlap the caller's next
+// quantise/noise step (DESIGN.md "Per-gate cost" has the measurement).
 type ActorEngine struct {
 	p, t    int
 	latency time.Duration
 	mesh    transport.Mesh
 	parties []*actorParty
 	wg      sync.WaitGroup
+
+	// queue is the unsent tail of the current command chunk: dispatch
+	// hands the parties queue[:len] (capacity clipped) and keeps writing
+	// behind it, so sent commands are never touched again.
+	queue []actorCmd
 
 	nextSc, nextVec int
 	rounds          int64
@@ -119,7 +132,10 @@ func NewActorEngine(cfg Config, mesh transport.Mesh) (*ActorEngine, error) {
 			rng:     root.Fork(),
 			weights: weights,
 			conn:    mesh.Conn(i),
-			cmds:    make(chan *actorCmd, 256),
+			// 256 batches in flight: a vector command is a batch of its
+			// own, so covariance sessions keep the pipelining depth they
+			// had when the channel carried single commands.
+			cmds:    make(chan []actorCmd, 256),
 			workers: cfg.Workers,
 		}
 		e.parties = append(e.parties, pa)
@@ -168,7 +184,7 @@ func (e *ActorEngine) AdvanceRound() {
 // Party gate computations carry no randomness, so shares — and
 // therefore opened outputs — are identical for every setting.
 func (e *ActorEngine) SetWorkers(n int) int {
-	e.dispatch(&actorCmd{op: opSetWorkers, k: n})
+	e.dispatch(actorCmd{op: opSetWorkers, c: int64(n)})
 	return effectiveWorkers(n)
 }
 
@@ -199,12 +215,14 @@ func (e *ActorEngine) ResetStats() {
 }
 
 // Close shuts the party actors down and tears down the mesh. Parties
-// blocked mid-round are unblocked by the mesh teardown.
+// blocked mid-round are unblocked by the mesh teardown. Scalar gates
+// still queued are dropped: nothing can observe their results any more.
 func (e *ActorEngine) Close() error {
 	if e.closed {
 		return nil
 	}
 	e.closed = true
+	e.queue = nil
 	e.mesh.Close()
 	for _, pa := range e.parties {
 		close(pa.cmds)
@@ -213,24 +231,52 @@ func (e *ActorEngine) Close() error {
 	return nil
 }
 
-// dispatch broadcasts one command to every party; reports false when
-// the engine is failed or closed (the command must then be skipped).
-func (e *ActorEngine) dispatch(c *actorCmd) bool {
+// cmdChunk is the capacity of one command chunk, and so the longest run
+// of scalar gates the caller records before the parties start on them.
+const cmdChunk = 256
+
+// dispatch issues one command to every party, in issue order; reports
+// false when the engine is failed or closed (the command must then be
+// skipped). Scalar gates wait in the queue for the next command that
+// flushes or for the chunk to fill.
+func (e *ActorEngine) dispatch(c actorCmd) bool {
 	if e.err != nil || e.closed {
 		return false
 	}
-	for _, pa := range e.parties {
-		pa.cmds <- c
+	if len(e.queue) == cap(e.queue) {
+		e.queue = make([]actorCmd, 0, cmdChunk)
+	}
+	e.queue = append(e.queue, c)
+	if !c.op.queues() || len(e.queue) == cap(e.queue) {
+		n := len(e.queue)
+		batch := e.queue[:n:n]
+		for _, pa := range e.parties {
+			pa.cmds <- batch
+		}
+		e.queue = e.queue[n:]
 	}
 	return true
 }
 
+// call dispatches a synchronizing command and collects the parties'
+// replies; ok is false when the engine was already failed or closed.
+func (e *ActorEngine) call(c actorCmd) (replies []actorReply, ok bool) {
+	if c.x == nil {
+		c.x = &cmdPayload{}
+	}
+	c.x.reply = make(chan actorReply, e.p)
+	if !e.dispatch(c) {
+		return nil, false
+	}
+	return e.await(c.x.reply), true
+}
+
 // await collects exactly one reply per party and latches the first
 // error into the engine's sticky failure state.
-func (e *ActorEngine) await(c *actorCmd) []actorReply {
+func (e *ActorEngine) await(reply chan actorReply) []actorReply {
 	replies := make([]actorReply, e.p)
 	for i := 0; i < e.p; i++ {
-		r := <-c.reply
+		r := <-reply
 		if r.err != nil && e.err == nil {
 			e.err = r.err
 			if e.rec != nil {
@@ -243,10 +289,24 @@ func (e *ActorEngine) await(c *actorCmd) []actorReply {
 	return replies
 }
 
-func (e *ActorEngine) newSc() int {
-	r := e.nextSc
+// newShared issues the handle of the next scalar slot.
+func (e *ActorEngine) newShared() *ActorShared {
+	h := &ActorShared{eng: e, ref: e.nextSc}
 	e.nextSc++
-	return r
+	return h
+}
+
+// newSharedN issues the handles of the next n scalar slots out of one
+// allocation (the outputs of a batched command).
+func (e *ActorEngine) newSharedN(n int) []Val {
+	hs := make([]ActorShared, n)
+	out := make([]Val, n)
+	for i := range hs {
+		hs[i] = ActorShared{eng: e, ref: e.nextSc}
+		e.nextSc++
+		out[i] = &hs[i]
+	}
+	return out
 }
 
 func (e *ActorEngine) newVec() int {
@@ -281,12 +341,12 @@ func (e *ActorEngine) checkParty(i int) {
 // field-operation counters; with telemetry enabled the per-party totals
 // are published as bgw.party.<i>.fieldops gauges.
 func (e *ActorEngine) collectOps() int64 {
-	c := &actorCmd{op: opBarrier, reply: make(chan actorReply, e.p)}
-	if !e.dispatch(c) {
+	replies, ok := e.call(actorCmd{op: opBarrier})
+	if !ok {
 		return e.baseOps
 	}
 	var sum int64
-	for i, r := range e.await(c) {
+	for i, r := range replies {
 		sum += r.ops
 		if e.rec != nil {
 			e.partyGauges[i].Set(float64(r.ops))
@@ -300,21 +360,39 @@ func (e *ActorEngine) collectOps() int64 {
 
 // ---- Evaluator operations ----
 
+// local dispatches a command that fills the next scalar slot without a
+// reply and returns the slot's handle.
+func (e *ActorEngine) local(c actorCmd) Val {
+	h := e.newShared()
+	e.dispatch(c)
+	return h
+}
+
 // Input has party owner secret-share the signed value v; one real
 // message per receiving party crosses the transport.
 func (e *ActorEngine) Input(owner int, v int64) Val {
 	e.checkParty(owner)
-	ref := e.newSc()
-	e.dispatch(&actorCmd{op: opInput, owner: owner, c: v})
-	return &ActorShared{eng: e, ref: ref}
+	return e.local(actorCmd{op: opInput, a: owner, c: v})
 }
 
 // InputElem has party owner secret-share a raw field element.
 func (e *ActorEngine) InputElem(owner int, el field.Elem) Val {
 	e.checkParty(owner)
-	ref := e.newSc()
-	e.dispatch(&actorCmd{op: opInputElem, owner: owner, elem: el})
-	return &ActorShared{eng: e, ref: ref}
+	return e.local(actorCmd{op: opInputElem, a: owner, c: int64(el)})
+}
+
+// InputBatch has every owner share its items in item order and send
+// each peer one frame carrying all of them.
+func (e *ActorEngine) InputBatch(items []InputItem) []Val {
+	if len(items) == 0 {
+		return []Val{}
+	}
+	for _, it := range items {
+		e.checkParty(it.Owner)
+	}
+	out := e.newSharedN(len(items))
+	e.dispatch(actorCmd{op: opInputBatch, x: &cmdPayload{inputs: append([]InputItem(nil), items...)}})
+	return out
 }
 
 // InputVec has party owner secret-share the signed vector vs; one
@@ -322,58 +400,47 @@ func (e *ActorEngine) InputElem(owner int, el field.Elem) Val {
 func (e *ActorEngine) InputVec(owner int, vs []int64) Vec {
 	e.checkParty(owner)
 	ref := e.newVec()
-	ints := append([]int64(nil), vs...)
-	e.dispatch(&actorCmd{op: opInputVec, owner: owner, ints: ints})
+	e.dispatch(actorCmd{op: opInputVec, a: owner, x: &cmdPayload{ints: append([]int64(nil), vs...)}})
 	return &ActorVec{eng: e, ref: ref, n: len(vs)}
 }
 
 // Zero returns a trivial sharing of 0; local.
-func (e *ActorEngine) Zero() Val {
-	ref := e.newSc()
-	e.dispatch(&actorCmd{op: opZero})
-	return &ActorShared{eng: e, ref: ref}
-}
+func (e *ActorEngine) Zero() Val { return e.local(actorCmd{op: opZero}) }
 
 // Add returns a sharing of a + b; local.
 func (e *ActorEngine) Add(a, b Val) Val {
-	ra, rb := e.scRef(a), e.scRef(b)
-	ref := e.newSc()
-	e.dispatch(&actorCmd{op: opAdd, a: ra, b: rb})
-	return &ActorShared{eng: e, ref: ref}
+	return e.local(actorCmd{op: opAdd, a: e.scRef(a), b: e.scRef(b)})
 }
 
 // Sub returns a sharing of a − b; local.
 func (e *ActorEngine) Sub(a, b Val) Val {
-	ra, rb := e.scRef(a), e.scRef(b)
-	ref := e.newSc()
-	e.dispatch(&actorCmd{op: opSub, a: ra, b: rb})
-	return &ActorShared{eng: e, ref: ref}
+	return e.local(actorCmd{op: opSub, a: e.scRef(a), b: e.scRef(b)})
 }
 
 // AddConst returns a sharing of a + c; local.
 func (e *ActorEngine) AddConst(a Val, c int64) Val {
-	ra := e.scRef(a)
-	ref := e.newSc()
-	e.dispatch(&actorCmd{op: opAddConst, a: ra, c: c})
-	return &ActorShared{eng: e, ref: ref}
+	return e.local(actorCmd{op: opAddConst, a: e.scRef(a), c: c})
 }
 
 // MulConst returns a sharing of c·a; local.
 func (e *ActorEngine) MulConst(a Val, c int64) Val {
-	ra := e.scRef(a)
-	ref := e.newSc()
-	e.dispatch(&actorCmd{op: opMulConst, a: ra, c: c})
-	return &ActorShared{eng: e, ref: ref}
+	return e.local(actorCmd{op: opMulConst, a: e.scRef(a), c: c})
 }
 
 // Mul returns a sharing of a·b: every party multiplies its shares
 // locally and the actors run one degree-reduction resharing round over
 // the transport.
 func (e *ActorEngine) Mul(a, b Val) Val {
-	ra, rb := e.scRef(a), e.scRef(b)
-	ref := e.newSc()
-	e.dispatch(&actorCmd{op: opMul, a: ra, b: rb})
-	return &ActorShared{eng: e, ref: ref}
+	return e.local(actorCmd{op: opMul, a: e.scRef(a), b: e.scRef(b)})
+}
+
+// scRefs resolves a list of scalar handles to their slots.
+func (e *ActorEngine) scRefs(vs []Val) []int {
+	refs := make([]int, len(vs))
+	for i, v := range vs {
+		refs[i] = e.scRef(v)
+	}
+	return refs
 }
 
 // InnerProduct returns a sharing of Σ_k a[k]·b[k] with the fused gate:
@@ -382,15 +449,7 @@ func (e *ActorEngine) InnerProduct(as, bs []Val) Val {
 	if len(as) != len(bs) {
 		panic(invariant.Violation("bgw: InnerProduct length mismatch"))
 	}
-	refs := make([]int, len(as))
-	refs2 := make([]int, len(bs))
-	for i := range as {
-		refs[i] = e.scRef(as[i])
-		refs2[i] = e.scRef(bs[i])
-	}
-	ref := e.newSc()
-	e.dispatch(&actorCmd{op: opInnerProduct, refs: refs, refs2: refs2})
-	return &ActorShared{eng: e, ref: ref}
+	return e.local(actorCmd{op: opInnerProduct, x: &cmdPayload{refs: e.scRefs(as), refs2: e.scRefs(bs)}})
 }
 
 // AdditiveShares converts the Shamir sharing to an additive sharing:
@@ -400,18 +459,14 @@ func (e *ActorEngine) AdditiveShares(s Val, weights []field.Elem) []field.Elem {
 	if len(weights) != e.p {
 		panic(invariant.Violation("bgw: AdditiveShares weight count mismatch"))
 	}
-	ref := e.scRef(s)
-	w := append([]field.Elem(nil), weights...)
-	c := &actorCmd{op: opAdditive, a: ref, weights: w, reply: make(chan actorReply, e.p)}
 	out := make([]field.Elem, e.p)
-	if !e.dispatch(c) {
+	replies, ok := e.call(actorCmd{op: opAdditive, a: e.scRef(s),
+		x: &cmdPayload{weights: append([]field.Elem(nil), weights...)}})
+	if !ok || e.err != nil {
 		return out
 	}
-	for i, r := range e.await(c) {
+	for i, r := range replies {
 		out[i] = r.elem
-	}
-	if e.err != nil {
-		return make([]field.Elem, e.p)
 	}
 	return out
 }
@@ -420,13 +475,8 @@ func (e *ActorEngine) AdditiveShares(s Val, weights []field.Elem) []field.Elem {
 // over the transport, each reconstructs, and party 0 reports the value
 // to the caller. Returns 0 after a transport failure (see Err).
 func (e *ActorEngine) Open(s Val) int64 {
-	ref := e.scRef(s)
-	c := &actorCmd{op: opOpen, a: ref, reply: make(chan actorReply, e.p)}
-	if !e.dispatch(c) {
-		return 0
-	}
-	replies := e.await(c)
-	if e.err != nil {
+	replies, ok := e.call(actorCmd{op: opOpen, a: e.scRef(s)})
+	if !ok || e.err != nil {
 		return 0
 	}
 	return replies[0].val
@@ -438,9 +488,7 @@ func (e *ActorEngine) At(v Vec, k int) Val {
 	if k < 0 || k >= v.Len() {
 		panic(invariant.Violation("bgw: vector index out of range"))
 	}
-	ref := e.newSc()
-	e.dispatch(&actorCmd{op: opAt, a: rv, k: k})
-	return &ActorShared{eng: e, ref: ref}
+	return e.local(actorCmd{op: opAt, a: rv, b: k})
 }
 
 // AddVec returns the element-wise sum a + b; local.
@@ -450,7 +498,7 @@ func (e *ActorEngine) AddVec(a, b Vec) Vec {
 		panic(invariant.Violation("bgw: vector length mismatch"))
 	}
 	ref := e.newVec()
-	e.dispatch(&actorCmd{op: opAddVec, a: ra, b: rb})
+	e.dispatch(actorCmd{op: opAddVec, a: ra, b: rb})
 	return &ActorVec{eng: e, ref: ref, n: a.Len()}
 }
 
@@ -460,9 +508,7 @@ func (e *ActorEngine) Dot(a, b Vec) Val {
 	if a.Len() != b.Len() {
 		panic(invariant.Violation("bgw: vector length mismatch"))
 	}
-	ref := e.newSc()
-	e.dispatch(&actorCmd{op: opDot, a: ra, b: rb})
-	return &ActorShared{eng: e, ref: ref}
+	return e.local(actorCmd{op: opDot, a: ra, b: rb})
 }
 
 // DotBatch evaluates many fused inner products in one batched resharing
@@ -471,9 +517,8 @@ func (e *ActorEngine) Dot(a, b Vec) Val {
 // concurrent actors.
 func (e *ActorEngine) DotBatch(pairs []VecPair, workers int) []Val {
 	_ = workers
-	out := make([]Val, len(pairs))
 	if len(pairs) == 0 {
-		return out
+		return []Val{}
 	}
 	refs := make([]int, len(pairs))
 	refs2 := make([]int, len(pairs))
@@ -484,10 +529,8 @@ func (e *ActorEngine) DotBatch(pairs []VecPair, workers int) []Val {
 			panic(invariant.Violation("bgw: vector length mismatch"))
 		}
 	}
-	for i := range out {
-		out[i] = &ActorShared{eng: e, ref: e.newSc()}
-	}
-	e.dispatch(&actorCmd{op: opDotBatch, refs: refs, refs2: refs2})
+	out := e.newSharedN(len(pairs))
+	e.dispatch(actorCmd{op: opDotBatch, x: &cmdPayload{refs: refs, refs2: refs2}})
 	return out
 }
 
@@ -496,9 +539,8 @@ func (e *ActorEngine) DotBatch(pairs []VecPair, workers int) []Val {
 // degree-2t values, then one reshare exchange carries every sub-share
 // in one frame per ordered party pair.
 func (e *ActorEngine) MulBatch(items []MulItem) []Val {
-	out := make([]Val, len(items))
 	if len(items) == 0 {
-		return out
+		return []Val{}
 	}
 	muls := make([]mulDesc, len(items))
 	for i, it := range items {
@@ -509,13 +551,7 @@ func (e *ActorEngine) MulBatch(items []MulItem) []Val {
 			if len(it.As) != len(it.Bs) {
 				panic(invariant.Violation("bgw: MulBatch inner-product length mismatch"))
 			}
-			refs := make([]int, len(it.As))
-			refs2 := make([]int, len(it.Bs))
-			for k := range it.As {
-				refs[k] = e.scRef(it.As[k])
-				refs2[k] = e.scRef(it.Bs[k])
-			}
-			muls[i] = mulDesc{kind: MulInner, refs: refs, refs2: refs2}
+			muls[i] = mulDesc{kind: MulInner, refs: e.scRefs(it.As), refs2: e.scRefs(it.Bs)}
 		case MulDot:
 			if it.VA.Len() != it.VB.Len() {
 				panic(invariant.Violation("bgw: vector length mismatch"))
@@ -525,57 +561,40 @@ func (e *ActorEngine) MulBatch(items []MulItem) []Val {
 			panic(invariant.Violation("bgw: unknown MulKind %d", it.Kind))
 		}
 	}
-	for i := range out {
-		out[i] = &ActorShared{eng: e, ref: e.newSc()}
-	}
-	e.dispatch(&actorCmd{op: opMulBatch, muls: muls})
+	out := e.newSharedN(len(items))
+	e.dispatch(actorCmd{op: opMulBatch, x: &cmdPayload{muls: muls}})
 	return out
 }
 
 // OpenBatch reveals many shared scalars in one batched opening round;
 // party 0 reports the values to the caller.
 func (e *ActorEngine) OpenBatch(vals []Val) []int64 {
-	out := make([]int64, len(vals))
 	if len(vals) == 0 {
-		return out
+		return []int64{}
 	}
-	refs := make([]int, len(vals))
-	for i, v := range vals {
-		refs[i] = e.scRef(v)
-	}
-	c := &actorCmd{op: opOpenBatch, refs: refs, reply: make(chan actorReply, e.p)}
-	if !e.dispatch(c) {
-		return out
-	}
-	replies := e.await(c)
-	if e.err != nil || replies[0].vals == nil {
-		return make([]int64, len(vals))
+	return e.openVals(actorCmd{op: opOpenBatch, x: &cmdPayload{refs: e.scRefs(vals)}}, len(vals))
+}
+
+// openVals runs a batched opening command and returns party 0's n
+// values, or zeros after a failure.
+func (e *ActorEngine) openVals(c actorCmd, n int) []int64 {
+	replies, ok := e.call(c)
+	if !ok || e.err != nil || replies[0].vals == nil {
+		return make([]int64, n)
 	}
 	return replies[0].vals
 }
 
 // FromScalars packs scalar shares into a vector; local.
 func (e *ActorEngine) FromScalars(xs []Val) Vec {
-	refs := make([]int, len(xs))
-	for i := range xs {
-		refs[i] = e.scRef(xs[i])
-	}
+	refs := e.scRefs(xs)
 	ref := e.newVec()
-	e.dispatch(&actorCmd{op: opFromScalars, refs: refs})
+	e.dispatch(actorCmd{op: opFromScalars, x: &cmdPayload{refs: refs}})
 	return &ActorVec{eng: e, ref: ref, n: len(xs)}
 }
 
 // OpenVec reveals every element as one batched opening (one message per
 // ordered party pair carrying all elements).
 func (e *ActorEngine) OpenVec(v Vec) []int64 {
-	ref := e.vecRef(v)
-	c := &actorCmd{op: opOpenVec, a: ref, reply: make(chan actorReply, e.p)}
-	if !e.dispatch(c) {
-		return make([]int64, v.Len())
-	}
-	replies := e.await(c)
-	if e.err != nil || replies[0].vals == nil {
-		return make([]int64, v.Len())
-	}
-	return replies[0].vals
+	return e.openVals(actorCmd{op: opOpenVec, a: e.vecRef(v)}, v.Len())
 }

@@ -20,6 +20,7 @@ const (
 	opInput actorOp = iota
 	opInputElem
 	opInputVec
+	opInputBatch
 	opZero
 	opAdd
 	opSub
@@ -41,6 +42,18 @@ const (
 	opSetWorkers
 )
 
+// queues reports whether the command may wait in the facade's queue:
+// only the scalar local gates, which cost the parties a few nanoseconds
+// each and nothing on the wire. Everything else flushes the queue the
+// moment it is issued (see ActorEngine).
+func (op actorOp) queues() bool {
+	switch op {
+	case opZero, opAdd, opSub, opAddConst, opMulConst, opAt:
+		return true
+	}
+	return false
+}
+
 // mulDesc is the wire form of one MulBatch item: operand slots resolved
 // facade-side so the parties only index their share arrays.
 type mulDesc struct {
@@ -50,18 +63,21 @@ type mulDesc struct {
 	refs2 []int // MulInner operand list B
 }
 
-// actorCmd is one broadcast command. Operand fields are interpreted per
-// opcode; refs/refs2 carry operand lists for the fused gates. The
-// payload is read-only for the parties — the facade never mutates a
-// command after dispatch.
+// actorCmd is one broadcast command, passed by value inside a batch.
+// Operand fields are interpreted per opcode. Batches are read-only for
+// the parties — the facade never touches a command after it is sent.
 type actorCmd struct {
-	op      actorOp
-	a, b    int          // scalar or vector slot operands
-	k       int          // element index (opAt)
-	c       int64        // public constant or signed input (opInput, opAddConst, opMulConst)
-	elem    field.Elem   // raw field input (opInputElem)
-	owner   int          // input owner (opInput*, also used by opInputVec)
+	op   actorOp
+	a, b int         // slot operands; a is the owner of opInput*, b the element index of opAt
+	c    int64       // public constant, signed input, raw field input (opInputElem) or pool bound (opSetWorkers)
+	x    *cmdPayload // set on commands that carry a list or await a reply
+}
+
+// cmdPayload holds what does not fit the scalar command: operand lists,
+// input vectors and the reply channel of synchronizing commands.
+type cmdPayload struct {
 	ints    []int64      // signed input vector (opInputVec)
+	inputs  []InputItem  // scalar inputs (opInputBatch)
 	refs    []int        // operand list A (opInnerProduct, opDotBatch, opFromScalars, opOpenBatch)
 	refs2   []int        // operand list B
 	muls    []mulDesc    // gate list (opMulBatch)
@@ -81,13 +97,13 @@ type actorReply struct {
 
 // actorParty is one BGW party: it owns its share slots and its private
 // randomness, and talks to its peers only through the transport. The
-// run loop consumes facade commands until the channel closes.
+// run loop consumes facade command batches until the channel closes.
 type actorParty struct {
 	id, p, t int
 	rng      *randx.RNG
 	weights  []field.Elem
 	conn     transport.PartyConn
-	cmds     chan *actorCmd
+	cmds     chan []actorCmd
 	workers  int // per-party pool bound for batched local arithmetic
 
 	sc       []field.Elem   // scalar share slots, indexed by facade refs
@@ -98,22 +114,29 @@ type actorParty struct {
 }
 
 func (a *actorParty) run() {
-	for cmd := range a.cmds {
-		if a.err != nil {
-			if cmd.reply != nil {
-				cmd.reply <- actorReply{party: a.id, err: a.err}
-			}
-			continue
+	for batch := range a.cmds {
+		for i := range batch {
+			a.step(&batch[i])
 		}
-		if err := a.exec(cmd); err != nil {
-			a.err = fmt.Errorf("bgw: party %d: %w", a.id, err)
-			// Tear down our endpoint so peers blocked on our traffic
-			// fail fast instead of hanging mid-round.
-			a.conn.Close()
-			if cmd.reply != nil {
-				cmd.reply <- actorReply{party: a.id, err: a.err}
-			}
+	}
+}
+
+// step executes one command; after the first failure every later
+// command is skipped, and synchronizing ones are answered with the
+// sticky error.
+func (a *actorParty) step(cmd *actorCmd) {
+	if a.err == nil {
+		err := a.exec(cmd)
+		if err == nil {
+			return
 		}
+		a.err = fmt.Errorf("bgw: party %d: %w", a.id, err)
+		// Tear down our endpoint so peers blocked on our traffic
+		// fail fast instead of hanging mid-round.
+		a.conn.Close()
+	}
+	if cmd.x != nil && cmd.x.reply != nil {
+		cmd.x.reply <- actorReply{party: a.id, err: a.err}
 	}
 }
 
@@ -122,11 +145,13 @@ func (a *actorParty) run() {
 func (a *actorParty) exec(c *actorCmd) error {
 	switch c.op {
 	case opInput:
-		return a.input(c.owner, field.FromInt64(c.c))
+		return a.inputBatch([]InputItem{{Owner: c.a, Elem: field.FromInt64(c.c)}})
 	case opInputElem:
-		return a.input(c.owner, c.elem)
+		return a.inputBatch([]InputItem{{Owner: c.a, Elem: field.Elem(c.c)}})
 	case opInputVec:
-		return a.inputVec(c.owner, c.ints)
+		return a.inputVec(c.a, c.x.ints)
+	case opInputBatch:
+		return a.inputBatch(c.x.inputs)
 	case opZero:
 		a.sc = append(a.sc, 0)
 	case opAdd:
@@ -147,11 +172,12 @@ func (a *actorParty) exec(c *actorCmd) error {
 		}
 		a.sc = append(a.sc, out[0])
 	case opInnerProduct:
+		refs, refs2 := c.x.refs, c.x.refs2
 		var acc field.Elem
-		for i := range c.refs {
-			acc = field.Add(acc, field.Mul(a.sc[c.refs[i]], a.sc[c.refs2[i]]))
+		for i := range refs {
+			acc = field.Add(acc, field.Mul(a.sc[refs[i]], a.sc[refs2[i]]))
 		}
-		a.fieldOps += int64(len(c.refs))
+		a.fieldOps += int64(len(refs))
 		out, err := a.reshare([]field.Elem{acc})
 		if err != nil {
 			return err
@@ -167,13 +193,14 @@ func (a *actorParty) exec(c *actorCmd) error {
 		}
 		a.sc = append(a.sc, out[0])
 	case opDotBatch:
-		accs := make([]field.Elem, len(c.refs))
-		for m := range c.refs {
-			a.fieldOps += int64(len(a.vc[c.refs[m]]))
+		refs, refs2 := c.x.refs, c.x.refs2
+		accs := make([]field.Elem, len(refs))
+		for m := range refs {
+			a.fieldOps += int64(len(a.vc[refs[m]]))
 		}
-		parallelChunks(len(c.refs), clampWorkers(a.workers, len(c.refs)), func(_, start, end int) {
+		parallelChunks(len(refs), clampWorkers(a.workers, len(refs)), func(_, start, end int) {
 			for m := start; m < end; m++ {
-				accs[m] = field.DotAcc(0, a.vc[c.refs[m]], a.vc[c.refs2[m]])
+				accs[m] = field.DotAcc(0, a.vc[refs[m]], a.vc[refs2[m]])
 			}
 		})
 		out, err := a.reshare(accs)
@@ -182,15 +209,15 @@ func (a *actorParty) exec(c *actorCmd) error {
 		}
 		a.sc = append(a.sc, out...)
 	case opAt:
-		a.sc = append(a.sc, a.vc[c.a][c.k])
+		a.sc = append(a.sc, a.vc[c.a][c.b])
 	case opAddVec:
 		va, vb := a.vc[c.a], a.vc[c.b]
 		out := make([]field.Elem, len(va))
 		field.AddVec(out, va, vb)
 		a.vc = append(a.vc, out)
 	case opFromScalars:
-		out := make([]field.Elem, len(c.refs))
-		for k, r := range c.refs {
+		out := make([]field.Elem, len(c.x.refs))
+		for k, r := range c.x.refs {
 			out[k] = a.sc[r]
 		}
 		a.vc = append(a.vc, out)
@@ -199,26 +226,15 @@ func (a *actorParty) exec(c *actorCmd) error {
 		if err != nil {
 			return err
 		}
-		c.reply <- actorReply{party: a.id, val: field.ToInt64(vals[0])}
+		c.x.reply <- actorReply{party: a.id, val: field.ToInt64(vals[0])}
 	case opOpenVec:
-		vals, err := a.openValues(a.vc[c.a])
-		if err != nil {
-			return err
-		}
-		r := actorReply{party: a.id}
-		if a.id == 0 {
-			out := make([]int64, len(vals))
-			for k, v := range vals {
-				out[k] = field.ToInt64(v)
-			}
-			r.vals = out
-		}
-		c.reply <- r
+		return a.openAndReply(c, a.vc[c.a])
 	case opMulBatch:
 		// Validation and op metering run serially (shape-only); the
 		// per-gate arithmetic splits across the worker pool. Gates have
 		// no randomness, so every worker count computes identical highs.
-		for _, d := range c.muls {
+		muls := c.x.muls
+		for _, d := range muls {
 			switch d.kind {
 			case MulScalar:
 				a.fieldOps++
@@ -230,10 +246,10 @@ func (a *actorParty) exec(c *actorCmd) error {
 				return fmt.Errorf("unknown mul kind %d", d.kind)
 			}
 		}
-		highs := make([]field.Elem, len(c.muls))
-		parallelChunks(len(c.muls), clampWorkers(a.workers, len(c.muls)), func(_, start, end int) {
+		highs := make([]field.Elem, len(muls))
+		parallelChunks(len(muls), clampWorkers(a.workers, len(muls)), func(_, start, end int) {
 			for m := start; m < end; m++ {
-				switch d := c.muls[m]; d.kind {
+				switch d := muls[m]; d.kind {
 				case MulScalar:
 					highs[m] = field.Mul(a.sc[d.a], a.sc[d.b])
 				case MulInner:
@@ -253,110 +269,150 @@ func (a *actorParty) exec(c *actorCmd) error {
 		}
 		a.sc = append(a.sc, out...)
 	case opOpenBatch:
-		mine := make([]field.Elem, len(c.refs))
-		for m, r := range c.refs {
+		mine := make([]field.Elem, len(c.x.refs))
+		for m, r := range c.x.refs {
 			mine[m] = a.sc[r]
 		}
-		vals, err := a.openValues(mine)
-		if err != nil {
-			return err
-		}
-		r := actorReply{party: a.id}
-		if a.id == 0 {
-			out := make([]int64, len(vals))
-			for k, v := range vals {
-				out[k] = field.ToInt64(v)
-			}
-			r.vals = out
-		}
-		c.reply <- r
+		return a.openAndReply(c, mine)
 	case opAdditive:
-		c.reply <- actorReply{party: a.id, elem: field.Mul(c.weights[a.id], a.sc[c.a])}
+		c.x.reply <- actorReply{party: a.id, elem: field.Mul(c.x.weights[a.id], a.sc[c.a])}
 	case opBarrier:
-		c.reply <- actorReply{party: a.id, ops: a.fieldOps}
+		c.x.reply <- actorReply{party: a.id, ops: a.fieldOps}
 	case opSetWorkers:
-		a.workers = c.k
+		a.workers = int(c.c)
 	default:
 		return fmt.Errorf("unknown opcode %d", c.op)
 	}
 	return nil
 }
 
-// input runs one sharing round: the owner Shamir-shares the value and
-// sends each peer its share; everyone else receives theirs.
-func (a *actorParty) input(owner int, v field.Elem) error {
-	if owner == a.id {
-		sh := shamir.Share(v, a.t, a.p, a.rng)
-		a.fieldOps += int64(a.p * (a.t + 1))
-		for j := 0; j < a.p; j++ {
-			if j == a.id {
-				continue
-			}
-			buf := transport.GetPayload(8)
-			putElem(buf, sh[j])
-			if err := a.conn.Send(j, buf); err != nil {
-				return err
-			}
-		}
-		a.sc = append(a.sc, sh[a.id])
-		return nil
-	}
-	buf, err := a.conn.Recv(owner)
+// openAndReply opens a batch of this party's shares and answers the
+// command; only party 0 decodes the values for the caller.
+func (a *actorParty) openAndReply(c *actorCmd, mine []field.Elem) error {
+	vals, err := a.openValues(mine)
 	if err != nil {
 		return err
 	}
-	if len(buf) != 8 {
-		return fmt.Errorf("bad share payload from party %d: %d bytes", owner, len(buf))
+	r := actorReply{party: a.id}
+	if a.id == 0 {
+		out := make([]int64, len(vals))
+		for k, v := range vals {
+			out[k] = field.ToInt64(v)
+		}
+		r.vals = out
 	}
-	a.sc = append(a.sc, getElem(buf))
+	c.x.reply <- r
 	return nil
+}
+
+// shareOut Shamir-shares elems in order from this party's stream, sends
+// every peer one frame carrying its share of each, and replaces elems
+// with this party's own shares.
+func (a *actorParty) shareOut(elems []field.Elem) error {
+	n := len(elems)
+	bufs := make([][]byte, a.p)
+	for j := range bufs {
+		if j != a.id {
+			bufs[j] = transport.GetPayload(8 * n)
+		}
+	}
+	for k, v := range elems {
+		for j, s := range shamir.Share(v, a.t, a.p, a.rng) {
+			if j == a.id {
+				elems[k] = s
+			} else {
+				putElem(bufs[j][8*k:], s)
+			}
+		}
+	}
+	a.fieldOps += int64(n * a.p * (a.t + 1))
+	for j, buf := range bufs {
+		if j == a.id {
+			continue
+		}
+		if err := a.conn.SendN(j, buf, n); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// recvElems takes the owner's frame of n shares.
+func (a *actorParty) recvElems(owner, n int) ([]byte, error) {
+	buf, err := a.conn.Recv(owner)
+	if err != nil {
+		return nil, err
+	}
+	if len(buf) != 8*n {
+		return nil, fmt.Errorf("bad input payload from party %d: %d bytes for %d values", owner, len(buf), n)
+	}
+	return buf, nil
 }
 
 // inputVec shares a whole vector in one batched message per peer.
 func (a *actorParty) inputVec(owner int, vs []int64) error {
-	n := len(vs)
+	mine := make([]field.Elem, len(vs))
 	if owner == a.id {
-		mine := make([]field.Elem, n)
-		bufs := make([][]byte, a.p)
-		for j := range bufs {
-			if j != a.id {
-				bufs[j] = transport.GetPayload(8 * n)
-			}
-		}
 		for k, v := range vs {
-			sh := shamir.Share(field.FromInt64(v), a.t, a.p, a.rng)
-			for j := 0; j < a.p; j++ {
-				if j == a.id {
-					mine[k] = sh[j]
-				} else {
-					putElem(bufs[j][8*k:], sh[j])
-				}
-			}
+			mine[k] = field.FromInt64(v)
 		}
-		a.fieldOps += int64(n * a.p * (a.t + 1))
-		for j := 0; j < a.p; j++ {
-			if j == a.id {
-				continue
-			}
-			if err := a.conn.SendN(j, bufs[j], n); err != nil {
-				return err
-			}
+		if err := a.shareOut(mine); err != nil {
+			return err
 		}
-		a.vc = append(a.vc, mine)
-		return nil
-	}
-	buf, err := a.conn.Recv(owner)
-	if err != nil {
-		return err
-	}
-	if len(buf) != 8*n {
-		return fmt.Errorf("bad vector payload from party %d: %d bytes for %d elems", owner, len(buf), n)
-	}
-	mine := make([]field.Elem, n)
-	for k := range mine {
-		mine[k] = getElem(buf[8*k:])
+	} else {
+		buf, err := a.recvElems(owner, len(vs))
+		if err != nil {
+			return err
+		}
+		for k := range mine {
+			mine[k] = getElem(buf[8*k:])
+		}
 	}
 	a.vc = append(a.vc, mine)
+	return nil
+}
+
+// inputBatch runs one sharing round for scalars: this party shares the
+// items it owns, in item order, into one frame per peer, then takes one
+// frame from every other owner. Sends never block, so sending first
+// cannot deadlock; frames from different peers may be held together
+// under the transport ownership rule.
+func (a *actorParty) inputBatch(items []InputItem) error {
+	counts := make([]int, a.p)
+	for _, it := range items {
+		counts[it.Owner]++
+	}
+	own := make([]field.Elem, 0, counts[a.id])
+	for _, it := range items {
+		if it.Owner == a.id {
+			own = append(own, it.Elem)
+		}
+	}
+	if len(own) > 0 {
+		if err := a.shareOut(own); err != nil {
+			return err
+		}
+	}
+	bufs := make([][]byte, a.p)
+	for owner, n := range counts {
+		if owner == a.id || n == 0 {
+			continue
+		}
+		buf, err := a.recvElems(owner, n)
+		if err != nil {
+			return err
+		}
+		bufs[owner] = buf
+	}
+	for _, it := range items {
+		if it.Owner == a.id {
+			a.sc = append(a.sc, own[0])
+			own = own[1:]
+		} else {
+			a.sc = append(a.sc, getElem(bufs[it.Owner]))
+			bufs[it.Owner] = bufs[it.Owner][8:]
+		}
+	}
 	return nil
 }
 

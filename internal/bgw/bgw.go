@@ -187,13 +187,7 @@ type Shared struct {
 // (one share to each other party) are metered; callers batch all inputs
 // of a phase into one round via AdvanceRound.
 func (e *Engine) Input(owner int, v int64) *Shared {
-	e.checkParty(owner)
-	sh := shamir.Share(field.FromInt64(v), e.t, e.p, e.rngs[owner])
-	e.stats.Frames += int64(e.p - 1)
-	e.stats.Messages += int64(e.p - 1)
-	e.stats.Bytes += 8 * int64(e.p-1)
-	e.stats.FieldOps += int64(e.p * (e.t + 1))
-	return &Shared{eng: e, shares: sh}
+	return e.InputElem(owner, field.FromInt64(v))
 }
 
 // InputElem has party owner secret-share a raw field element. Used by

@@ -47,6 +47,14 @@ type MulItem struct {
 	VA, VB Vec   // MulDot operands
 }
 
+// InputItem names one scalar of a batched input round: party Owner
+// secret-shares the field element Elem (field.FromInt64 of a signed
+// input).
+type InputItem struct {
+	Owner int
+	Elem  field.Elem
+}
+
 // Evaluator is the abstract MPC backend the SQM protocols run against.
 // It captures exactly the share operations the paper's circuits need:
 // input sharing, local linear algebra, degree-reduction multiplication,
@@ -127,6 +135,12 @@ type Evaluator interface {
 	// OpenBatch reveals many shared scalars in one batched opening
 	// round (one frame per ordered party pair carrying every share).
 	OpenBatch(vals []Val) []int64
+	// InputBatch shares a whole input round of scalars: each owner
+	// shares its items in item order and sends every peer one frame
+	// carrying all of them, so the round costs (#distinct owners)·(P−1)
+	// frames while messages and bytes equal per-scalar Input. Results
+	// are returned in item order.
+	InputBatch(items []InputItem) []Val
 	// FromScalars packs scalar shares into a vector; local.
 	FromScalars(xs []Val) Vec
 	// OpenVec reveals every element as one batched opening.
@@ -189,6 +203,23 @@ func (m monoEval) DotBatch(pairs []VecPair, workers int) []Val {
 	out := make([]Val, len(shared))
 	for i, s := range shared {
 		out[i] = s
+	}
+	return out
+}
+
+// InputBatch shares every item from its owner's private stream in item
+// order. An owner's first item pays the (P−1) frames of the round; each
+// further one rides in them.
+func (m monoEval) InputBatch(items []InputItem) []Val {
+	e := m.e
+	out := make([]Val, len(items))
+	seen := make([]bool, e.p)
+	for i, it := range items {
+		out[i] = e.InputElem(it.Owner, it.Elem)
+		if seen[it.Owner] {
+			e.stats.Frames -= int64(e.p - 1)
+		}
+		seen[it.Owner] = true
 	}
 	return out
 }

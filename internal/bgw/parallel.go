@@ -29,7 +29,7 @@ func (e *Engine) DotBatch(pairs []DotPair, workers int) []*Shared {
 	w := clampWorkers(workers, len(pairs))
 	if w <= 1 {
 		for i, p := range pairs {
-			out[i] = e.DotSubset(p.A, p.B, nil)
+			out[i] = e.Dot(p.A, p.B)
 		}
 		return out
 	}

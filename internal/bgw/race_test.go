@@ -134,6 +134,13 @@ func TestActorCloseNoGoroutineLeak(t *testing.T) {
 			t.Fatalf("Close: %v", err)
 		}
 	}
+	waitGoroutines(t, base)
+}
+
+// waitGoroutines fails the test unless the goroutine count settles back
+// to base within five seconds.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		n := runtime.NumGoroutine()

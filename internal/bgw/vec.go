@@ -59,93 +59,16 @@ func (e *Engine) AddVec(a, b *SharedVec) *SharedVec {
 	return out
 }
 
-// SubVec returns a − b; purely local.
-func (e *Engine) SubVec(a, b *SharedVec) *SharedVec {
-	e.checkSameVec(a, b)
-	out := e.zeroVec(a.Len())
-	for i := 0; i < e.p; i++ {
-		field.SubVec(out.shares[i], a.shares[i], b.shares[i])
-	}
-	return out
-}
-
-// MulConstVec returns c·a; purely local.
-func (e *Engine) MulConstVec(a *SharedVec, c int64) *SharedVec {
-	ce := field.FromInt64(c)
-	out := e.zeroVec(a.Len())
-	for i := 0; i < e.p; i++ {
-		field.MulConstVec(out.shares[i], a.shares[i], ce)
-	}
-	e.stats.FieldOps += int64(e.p * a.Len())
-	return out
-}
-
-// AddConstVec returns a + c (the same constant added to every element);
-// purely local.
-func (e *Engine) AddConstVec(a *SharedVec, c int64) *SharedVec {
-	ce := field.FromInt64(c)
-	out := e.zeroVec(a.Len())
-	for i := 0; i < e.p; i++ {
-		field.AddConstVec(out.shares[i], a.shares[i], ce)
-	}
-	return out
-}
-
-// LinComb returns Σ_j coefs[j]·vecs[j], a local operation since the
-// coefficients are public (this is how the LR protocol folds the public
-// weight vector into the shared features without any resharing).
-func (e *Engine) LinComb(vecs []*SharedVec, coefs []int64) *SharedVec {
-	if len(vecs) == 0 || len(vecs) != len(coefs) {
-		panic(invariant.Violation("bgw: LinComb needs matching non-empty vecs/coefs"))
-	}
-	n := vecs[0].Len()
-	out := e.zeroVec(n)
-	for j, v := range vecs {
-		e.checkVec(v)
-		if v.Len() != n {
-			panic(invariant.Violation("bgw: LinComb length mismatch"))
-		}
-		c := field.FromInt64(coefs[j])
-		if c == 0 {
-			continue
-		}
-		for i := 0; i < e.p; i++ {
-			field.MulAddVec(out.shares[i], v.shares[i], c)
-		}
-		e.stats.FieldOps += int64(e.p * n)
-	}
-	return out
-}
-
-// DotSubset returns a sharing of Σ_{k∈idx} a[k]·b[k] with the fused
-// inner-product gate (one resharing regardless of |idx|). A nil idx
-// means all elements.
-func (e *Engine) DotSubset(a, b *SharedVec, idx []int) *Shared {
+// Dot returns a sharing of the inner product ⟨a, b⟩ with the fused
+// inner-product gate (one resharing regardless of length).
+func (e *Engine) Dot(a, b *SharedVec) *Shared {
 	e.checkSameVec(a, b)
 	acc := make([]field.Elem, e.p)
-	if idx == nil {
-		n := a.Len()
-		for i := 0; i < e.p; i++ {
-			acc[i] = field.DotAcc(0, a.shares[i], b.shares[i])
-		}
-		e.stats.FieldOps += int64(e.p * n)
-	} else {
-		for i := 0; i < e.p; i++ {
-			ai, bi := a.shares[i], b.shares[i]
-			var s field.Elem
-			for _, k := range idx {
-				s = field.Add(s, field.Mul(ai[k], bi[k]))
-			}
-			acc[i] = s
-		}
-		e.stats.FieldOps += int64(e.p * len(idx))
+	for i := 0; i < e.p; i++ {
+		acc[i] = field.DotAcc(0, a.shares[i], b.shares[i])
 	}
+	e.stats.FieldOps += int64(e.p * a.Len())
 	return e.reshare(acc)
-}
-
-// Dot returns a sharing of the full inner product ⟨a, b⟩.
-func (e *Engine) Dot(a, b *SharedVec) *Shared {
-	return e.DotSubset(a, b, nil)
 }
 
 // OpenVec reveals every element; metered as one batched opening.

@@ -19,6 +19,7 @@
 package circuit
 
 import (
+	"math"
 	"time"
 
 	"sqm/internal/bgw"
@@ -67,6 +68,10 @@ func (k nodeKind) isInput() bool {
 	return false
 }
 
+// isScalarInput reports whether the node is a scalar input leaf, which
+// the planned executor shares in the plan's one InputBatch.
+func (k nodeKind) isScalarInput() bool { return k == kInput || k == kInputElem || k == kInputParam }
+
 // isVec reports whether the node produces a vector handle.
 func (k nodeKind) isVec() bool {
 	switch k {
@@ -76,38 +81,37 @@ func (k nodeKind) isVec() bool {
 	return false
 }
 
-// node is one IR operation. Operand fields are interpreted per kind.
+// node is one IR operation: 40 pointer-free bytes, so a plan of tens of
+// thousands of gates is one flat allocation the garbage collector never
+// scans. Operand fields are interpreted per kind; operand lists and
+// literal vectors live in the builder's side arenas.
 type node struct {
 	kind  nodeKind
-	a, b  int        // operand node ids
-	k     int        // element index (kAt)
-	c     int64      // public constant (kInput, kAddConst, kMulConst)
-	elem  field.Elem // raw field input (kInputElem)
-	owner int        // input owner party
-	param int        // parameter slot (const/input/ext params)
-	ints  []int64    // literal input vector (kInputVec)
-	args  []int      // operand list A (kInner, kFromScalars)
-	args2 []int      // operand list B (kInner)
-	n     int        // vector length of vector-producing nodes
-	level int        // multiplicative level, assigned by Compile
+	level int32 // multiplicative level, assigned by Compile
+	a, b  int32 // operand node ids; b is the element index of kAt; a is the args offset of kInner/kFromScalars operands and the lits index of a kInputVec literal
+	owner int32 // input owner party
+	param int32 // parameter slot (const/input/ext params)
+	n     int32 // vector length of vector-producing nodes; operand count of kInner (list B follows list A in args)
+	c     int64 // public constant (kInput, kAddConst, kMulConst) or raw field input (kInputElem)
 }
 
 // Val is a handle to one recorded scalar node; it is passed around as a
-// bgw.Val so recorded protocols run unchanged against the Builder.
+// bgw.Val (by pointer into the builder's handle arena) so recorded
+// protocols run unchanged against the Builder.
 type Val struct {
 	b  *Builder
-	id int
+	id int32
 }
 
 // Vec is a handle to one recorded vector node.
 type Vec struct {
 	b  *Builder
-	id int
+	id int32
 	n  int
 }
 
 // Len returns the recorded vector length.
-func (v Vec) Len() int { return v.n }
+func (v *Vec) Len() int { return v.n }
 
 // ConstID names one public-constant parameter of a plan.
 type ConstID int
@@ -116,14 +120,22 @@ type ConstID int
 // implements bgw.Evaluator, so protocol code written against the
 // engines records unchanged; operations that would reveal values (Open,
 // OpenVec) record an output gate and return zeros — real values come
-// from Result.Opened after execution.
+// from Result.Opened after execution. Compile hands the recording to
+// the plan: the Builder is spent afterwards and records no more.
 type Builder struct {
 	p, t  int
 	nodes []node
+	args  []int32      // operand lists of kInner and kFromScalars
+	lits  [][]int64    // kInputVec literals, one private copy each
+	vals  []Val        // current chunk of the scalar-handle arena
 	rec   obs.Recorder // optional; surfaced through Recorder()
 
+	limit    int  // largest id, offset or length the IR's int32 fields hold
+	overflow bool // something exceeded limit; Compile reports it
+	spent    bool // Compile has taken the nodes
+
 	nConsts, nInputs, nInputVecs, nExt, nExtVecs int
-	opens, openVecs                              []int // node ids in record order
+	opens, openVecs                              []int32 // node ids in record order
 }
 
 // NewBuilder starts recording a circuit for a P-party deployment with
@@ -132,35 +144,88 @@ func NewBuilder(parties, threshold int) *Builder {
 	if threshold == 0 {
 		threshold = (parties - 1) / 2
 	}
-	return &Builder{p: parties, t: threshold}
+	return &Builder{p: parties, t: threshold, limit: math.MaxInt32}
 }
 
-func (b *Builder) add(n node) int {
-	id := len(b.nodes)
+// i32 narrows an id, arena offset or length to the IR's field width. A
+// value that does not fit poisons the builder instead of wrapping.
+func (b *Builder) i32(v int) int32 {
+	if v > b.limit {
+		b.overflow = true
+		return 0
+	}
+	return int32(v)
+}
+
+func (b *Builder) add(n node) int32 {
+	if b.spent {
+		panic(invariant.Violation("circuit: recording into a compiled builder"))
+	}
+	id := b.i32(len(b.nodes))
 	b.nodes = append(b.nodes, n)
 	return id
 }
 
-func (b *Builder) val(x bgw.Val) int {
-	v, ok := x.(Val)
+// handleChunk is how many scalar handles one arena chunk holds.
+const handleChunk = 1024
+
+// scalar records a scalar-producing node and returns its handle. The
+// handle is a pointer into a chunk, so boxing it into a bgw.Val does not
+// allocate per gate.
+func (b *Builder) scalar(n node) bgw.Val {
+	id := b.add(n)
+	if len(b.vals) == cap(b.vals) {
+		b.vals = make([]Val, 0, handleChunk)
+	}
+	b.vals = append(b.vals, Val{b: b, id: id})
+	return &b.vals[len(b.vals)-1]
+}
+
+// vector records a vector-producing node of length n.
+func (b *Builder) vector(nd node, n int) bgw.Vec {
+	nd.n = b.i32(n)
+	return &Vec{b: b, id: b.add(nd), n: n}
+}
+
+func (b *Builder) val(x bgw.Val) int32 {
+	v, ok := x.(*Val)
 	if !ok || v.b != b {
 		panic(invariant.Violation("circuit: value handle from a different builder"))
 	}
 	return v.id
 }
 
-func (b *Builder) vec(x bgw.Vec) Vec {
-	v, ok := x.(Vec)
+func (b *Builder) vec(x bgw.Vec) *Vec {
+	v, ok := x.(*Vec)
 	if !ok || v.b != b {
 		panic(invariant.Violation("circuit: vector handle from a different builder"))
 	}
 	return v
 }
 
-func (b *Builder) checkParty(i int) {
+// operands appends a scalar operand list to the args arena and returns
+// its offset; the list's end must fit the id space too.
+func (b *Builder) operands(xs []bgw.Val) int32 {
+	off := len(b.args)
+	for _, x := range xs {
+		b.args = append(b.args, b.val(x))
+	}
+	b.i32(len(b.args))
+	return b.i32(off)
+}
+
+func (b *Builder) checkParty(i int) int32 {
 	if i < 0 || i >= b.p {
 		panic(invariant.Violation("circuit: party %d out of range [0,%d)", i, b.p))
 	}
+	return int32(i)
+}
+
+func (b *Builder) checkConst(c ConstID) int32 {
+	if int(c) >= b.nConsts {
+		panic(invariant.Violation("circuit: undeclared const param %d", c))
+	}
+	return b.i32(int(c))
 }
 
 // ---- plan parameters ----
@@ -177,19 +242,17 @@ func (b *Builder) ConstParam() ConstID {
 // InputParam declares a per-execution secret scalar input owned by
 // party owner, bound via Bindings.Inputs in declaration order.
 func (b *Builder) InputParam(owner int) bgw.Val {
-	b.checkParty(owner)
-	p := b.nInputs
+	nd := node{kind: kInputParam, owner: b.checkParty(owner), param: b.i32(b.nInputs)}
 	b.nInputs++
-	return Val{b: b, id: b.add(node{kind: kInputParam, owner: owner, param: p})}
+	return b.scalar(nd)
 }
 
 // InputVecParam declares a per-execution secret vector input of length
 // n owned by party owner, bound via Bindings.InputVecs.
 func (b *Builder) InputVecParam(owner, n int) bgw.Vec {
-	b.checkParty(owner)
-	p := b.nInputVecs
+	nd := node{kind: kInputVecParam, owner: b.checkParty(owner), param: b.i32(b.nInputVecs)}
 	b.nInputVecs++
-	return Vec{b: b, id: b.add(node{kind: kInputVecParam, owner: owner, param: p, n: n}), n: n}
+	return b.vector(nd, n)
 }
 
 // ExtVal declares a scalar that already lives inside the executing
@@ -197,33 +260,25 @@ func (b *Builder) InputVecParam(owner, n int) bgw.Vec {
 // Bindings.Ext. External values join the DAG at level 0 without
 // costing the input round.
 func (b *Builder) ExtVal() bgw.Val {
-	p := b.nExt
 	b.nExt++
-	return Val{b: b, id: b.add(node{kind: kExtVal, param: p})}
+	return b.scalar(node{kind: kExtVal, param: b.i32(b.nExt - 1)})
 }
 
 // ExtVec declares an engine-resident vector of length n, bound via
 // Bindings.ExtVecs.
 func (b *Builder) ExtVec(n int) bgw.Vec {
-	p := b.nExtVecs
 	b.nExtVecs++
-	return Vec{b: b, id: b.add(node{kind: kExtVec, param: p, n: n}), n: n}
+	return b.vector(node{kind: kExtVec, param: b.i32(b.nExtVecs - 1)}, n)
 }
 
 // AddConstP returns a sharing of a + c for the constant parameter c.
 func (b *Builder) AddConstP(a bgw.Val, c ConstID) bgw.Val {
-	if int(c) >= b.nConsts {
-		panic(invariant.Violation("circuit: undeclared const param %d", c))
-	}
-	return Val{b: b, id: b.add(node{kind: kAddConstP, a: b.val(a), param: int(c)})}
+	return b.scalar(node{kind: kAddConstP, a: b.val(a), param: b.checkConst(c)})
 }
 
 // MulConstP returns a sharing of c·a for the constant parameter c.
 func (b *Builder) MulConstP(a bgw.Val, c ConstID) bgw.Val {
-	if int(c) >= b.nConsts {
-		panic(invariant.Violation("circuit: undeclared const param %d", c))
-	}
-	return Val{b: b, id: b.add(node{kind: kMulConstP, a: b.val(a), param: int(c)})}
+	return b.scalar(node{kind: kMulConstP, a: b.val(a), param: b.checkConst(c)})
 }
 
 // OpenIdx records an output gate for v and returns its index into
@@ -238,7 +293,7 @@ func (b *Builder) OpenIdx(v bgw.Val) int {
 // Result.OpenedVec.
 func (b *Builder) OpenVecIdx(v bgw.Vec) int {
 	cv := b.vec(v)
-	b.openVecs = append(b.openVecs, b.add(node{kind: kOpenVec, a: cv.id, n: cv.n}))
+	b.openVecs = append(b.openVecs, b.add(node{kind: kOpenVec, a: cv.id, n: b.i32(cv.n)}))
 	return len(b.openVecs) - 1
 }
 
@@ -282,49 +337,57 @@ func (b *Builder) Close() error { return nil }
 
 // Input records a literal secret input.
 func (b *Builder) Input(owner int, v int64) bgw.Val {
-	b.checkParty(owner)
-	return Val{b: b, id: b.add(node{kind: kInput, owner: owner, c: v})}
+	return b.scalar(node{kind: kInput, owner: b.checkParty(owner), c: v})
 }
 
 // InputElem records a literal raw-field input.
 func (b *Builder) InputElem(owner int, e field.Elem) bgw.Val {
-	b.checkParty(owner)
-	return Val{b: b, id: b.add(node{kind: kInputElem, owner: owner, elem: e})}
+	return b.scalar(node{kind: kInputElem, owner: b.checkParty(owner), c: int64(e)})
+}
+
+// InputBatch records the items individually; the scheduler gathers all
+// scalar inputs of a plan into one batched round anyway.
+func (b *Builder) InputBatch(items []bgw.InputItem) []bgw.Val {
+	out := make([]bgw.Val, len(items))
+	for i, it := range items {
+		out[i] = b.InputElem(it.Owner, it.Elem)
+	}
+	return out
 }
 
 // InputVec records a literal secret vector input.
 func (b *Builder) InputVec(owner int, vs []int64) bgw.Vec {
-	b.checkParty(owner)
-	ints := append([]int64(nil), vs...)
-	return Vec{b: b, id: b.add(node{kind: kInputVec, owner: owner, ints: ints, n: len(vs)}), n: len(vs)}
+	nd := node{kind: kInputVec, owner: b.checkParty(owner), a: b.i32(len(b.lits))}
+	b.lits = append(b.lits, append([]int64(nil), vs...))
+	return b.vector(nd, len(vs))
 }
 
 // Zero records a trivial sharing of 0.
-func (b *Builder) Zero() bgw.Val { return Val{b: b, id: b.add(node{kind: kZero})} }
+func (b *Builder) Zero() bgw.Val { return b.scalar(node{kind: kZero}) }
 
 // Add records a + b.
 func (b *Builder) Add(a, c bgw.Val) bgw.Val {
-	return Val{b: b, id: b.add(node{kind: kAdd, a: b.val(a), b: b.val(c)})}
+	return b.scalar(node{kind: kAdd, a: b.val(a), b: b.val(c)})
 }
 
 // Sub records a − b.
 func (b *Builder) Sub(a, c bgw.Val) bgw.Val {
-	return Val{b: b, id: b.add(node{kind: kSub, a: b.val(a), b: b.val(c)})}
+	return b.scalar(node{kind: kSub, a: b.val(a), b: b.val(c)})
 }
 
 // AddConst records a + c.
 func (b *Builder) AddConst(a bgw.Val, c int64) bgw.Val {
-	return Val{b: b, id: b.add(node{kind: kAddConst, a: b.val(a), c: c})}
+	return b.scalar(node{kind: kAddConst, a: b.val(a), c: c})
 }
 
 // MulConst records c·a.
 func (b *Builder) MulConst(a bgw.Val, c int64) bgw.Val {
-	return Val{b: b, id: b.add(node{kind: kMulConst, a: b.val(a), c: c})}
+	return b.scalar(node{kind: kMulConst, a: b.val(a), c: c})
 }
 
 // Mul records the multiplicative gate a·b.
 func (b *Builder) Mul(a, c bgw.Val) bgw.Val {
-	return Val{b: b, id: b.add(node{kind: kMul, a: b.val(a), b: b.val(c)})}
+	return b.scalar(node{kind: kMul, a: b.val(a), b: b.val(c)})
 }
 
 // InnerProduct records the fused gate Σ_k as[k]·bs[k].
@@ -332,13 +395,9 @@ func (b *Builder) InnerProduct(as, bs []bgw.Val) bgw.Val {
 	if len(as) != len(bs) {
 		panic(invariant.Violation("circuit: InnerProduct length mismatch"))
 	}
-	args := make([]int, len(as))
-	args2 := make([]int, len(bs))
-	for i := range as {
-		args[i] = b.val(as[i])
-		args2[i] = b.val(bs[i])
-	}
-	return Val{b: b, id: b.add(node{kind: kInner, args: args, args2: args2})}
+	off := b.operands(as)
+	b.operands(bs)
+	return b.scalar(node{kind: kInner, a: off, n: b.i32(len(as))})
 }
 
 // AdditiveShares cannot be recorded — the conversion reveals engine
@@ -362,25 +421,28 @@ func (b *Builder) At(v bgw.Vec, k int) bgw.Val {
 	if k < 0 || k >= cv.n {
 		panic(invariant.Violation("circuit: vector index out of range"))
 	}
-	return Val{b: b, id: b.add(node{kind: kAt, a: cv.id, k: k})}
+	return b.scalar(node{kind: kAt, a: cv.id, b: b.i32(k)})
+}
+
+// sameLen resolves two vector handles that must agree in length.
+func (b *Builder) sameLen(a, c bgw.Vec) (ca, cc *Vec) {
+	ca, cc = b.vec(a), b.vec(c)
+	if ca.n != cc.n {
+		panic(invariant.Violation("circuit: vector length mismatch"))
+	}
+	return ca, cc
 }
 
 // AddVec records the element-wise sum a + b.
 func (b *Builder) AddVec(a, c bgw.Vec) bgw.Vec {
-	ca, cc := b.vec(a), b.vec(c)
-	if ca.n != cc.n {
-		panic(invariant.Violation("circuit: vector length mismatch"))
-	}
-	return Vec{b: b, id: b.add(node{kind: kAddVec, a: ca.id, b: cc.id, n: ca.n}), n: ca.n}
+	ca, cc := b.sameLen(a, c)
+	return b.vector(node{kind: kAddVec, a: ca.id, b: cc.id}, ca.n)
 }
 
 // Dot records the fused inner product ⟨a, b⟩.
 func (b *Builder) Dot(a, c bgw.Vec) bgw.Val {
-	ca, cc := b.vec(a), b.vec(c)
-	if ca.n != cc.n {
-		panic(invariant.Violation("circuit: vector length mismatch"))
-	}
-	return Val{b: b, id: b.add(node{kind: kDot, a: ca.id, b: cc.id})}
+	ca, cc := b.sameLen(a, c)
+	return b.scalar(node{kind: kDot, a: ca.id, b: cc.id})
 }
 
 // DotBatch records one Dot gate per pair; the scheduler re-batches all
@@ -429,11 +491,7 @@ func (b *Builder) OpenVec(v bgw.Vec) []int64 {
 
 // FromScalars records the packing of scalars into a vector.
 func (b *Builder) FromScalars(xs []bgw.Val) bgw.Vec {
-	args := make([]int, len(xs))
-	for i := range xs {
-		args[i] = b.val(xs[i])
-	}
-	return Vec{b: b, id: b.add(node{kind: kFromScalars, args: args, n: len(xs)}), n: len(xs)}
+	return b.vector(node{kind: kFromScalars, a: b.operands(xs)}, len(xs))
 }
 
 var _ bgw.Evaluator = (*Builder)(nil)

@@ -203,14 +203,16 @@ func TestBatchedLevelIsOneFrameExchange(t *testing.T) {
 	if eRounds != int64(plan.EagerRounds()) {
 		t.Errorf("eager rounds = %d, want %d", eRounds, plan.EagerRounds())
 	}
-	// Planned frames: n input frames of (p−1) each… inputs are per-owner
-	// sends, then one reshare exchange, then one batched opening.
-	wantPlanned := int64(n*(p-1) + p*(p-1) + p*(p-1))
+	// Planned frames: every level is one frame per link. The n scalar
+	// inputs share in one InputBatch — each of the p owners sends p−1
+	// frames — then one reshare exchange, then one batched opening.
+	const owners = p // n ≥ p inputs dealt round-robin: every party owns some
+	wantPlanned := int64(owners*(p-1) + p*(p-1) + p*(p-1))
 	if pFrames != wantPlanned {
 		t.Errorf("planned frames = %d, want %d", pFrames, wantPlanned)
 	}
-	// Eager frames: one reshare exchange per gate, one opening exchange
-	// per output.
+	// Eager frames: one Input per scalar, one reshare exchange per gate,
+	// one opening exchange per output.
 	wantEager := int64(n*(p-1) + n*p*(p-1) + n*p*(p-1))
 	if eFrames != wantEager {
 		t.Errorf("eager frames = %d, want %d", eFrames, wantEager)

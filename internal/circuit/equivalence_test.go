@@ -7,13 +7,18 @@ import (
 	"testing"
 
 	"sqm/internal/bgw"
+	"sqm/internal/field"
 	"sqm/internal/transport"
 )
 
 // randomCircuit records a random DAG into b: literal inputs, the full
 // linear gate surface, scalar and fused multiplications, and a few
-// opened outputs. The shape is fully determined by rng, so the same
-// seed rebuilds the same circuit for every backend.
+// opened outputs. Scalar inputs (signed and raw) and input vectors keep
+// arriving between the gates, so the executor's hoisting of every scalar
+// input into one leading InputBatch — ahead of locals and InputVecs
+// recorded before it — is exercised on every seed. The shape is fully
+// determined by rng, so the same seed rebuilds the same circuit for
+// every backend.
 func randomCircuit(b *Builder, rng *rand.Rand) {
 	const p = 4
 	vals := []bgw.Val{b.Zero()}
@@ -40,7 +45,7 @@ func randomCircuit(b *Builder, rng *rand.Rand) {
 		return v1, cands[rng.Intn(len(cands))]
 	}
 	for i, ops := 0, 5+rng.Intn(20); i < ops; i++ {
-		switch rng.Intn(10) {
+		switch rng.Intn(13) {
 		case 0:
 			vals = append(vals, b.Add(pick(), pick()))
 		case 1:
@@ -73,6 +78,16 @@ func randomCircuit(b *Builder, rng *rand.Rand) {
 				xs[k] = pick()
 			}
 			vecs = append(vecs, b.FromScalars(xs))
+		case 10:
+			vals = append(vals, b.Input(rng.Intn(p), int64(rng.Intn(2001)-1000)))
+		case 11:
+			vals = append(vals, b.InputElem(rng.Intn(p), field.FromInt64(int64(rng.Intn(2001)-1000))))
+		case 12:
+			vs := make([]int64, vecs[rng.Intn(len(vecs))].Len())
+			for k := range vs {
+				vs[k] = int64(rng.Intn(201) - 100)
+			}
+			vecs = append(vecs, b.InputVec(rng.Intn(p), vs))
 		}
 	}
 	for i, n := 0, 1+rng.Intn(3); i < n; i++ {
@@ -168,6 +183,13 @@ func checkEquivalence(t *testing.T, seed int64) {
 		} else if frames != actorFrames {
 			t.Errorf("seed %d: %s frames = %d, serial executor sent %d", seed, name, frames, actorFrames)
 		}
+	}
+
+	// The monolithic engine counts frames by formula, the actor engine
+	// measures them on the mesh: one frame per link and level, the
+	// batched input level included, or the two disagree.
+	if monoFrames != actorFrames {
+		t.Errorf("seed %d: planned frames: mono counted %d, actor mesh carried %d", seed, monoFrames, actorFrames)
 	}
 
 	eager, err := bgw.NewEngine(bgw.Config{Parties: 4, Seed: uint64(seed) ^ 0x2c85})

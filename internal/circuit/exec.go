@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"sqm/internal/bgw"
+	"sqm/internal/field"
 	"sqm/internal/invariant"
 	"sqm/internal/obs"
 )
@@ -58,7 +59,7 @@ func (r *Result) OpenedVec(k int) []int64 { return r.openedVecs[k] }
 // ValOf returns the engine handle the execution produced for a
 // recorded scalar, for use as an ExtVal binding of a later plan.
 func (r *Result) ValOf(h bgw.Val) bgw.Val {
-	v, ok := h.(Val)
+	v, ok := h.(*Val)
 	if !ok {
 		panic(invariant.Violation("circuit: ValOf needs a circuit handle"))
 	}
@@ -67,7 +68,7 @@ func (r *Result) ValOf(h bgw.Val) bgw.Val {
 
 // VecOf returns the engine handle for a recorded vector.
 func (r *Result) VecOf(h bgw.Vec) bgw.Vec {
-	v, ok := h.(Vec)
+	v, ok := h.(*Vec)
 	if !ok {
 		panic(invariant.Violation("circuit: VecOf needs a circuit handle"))
 	}
@@ -95,9 +96,11 @@ func (p *Plan) validate(bind Bindings) error {
 }
 
 // Execute runs the plan against eng with level batching: all inputs
-// share in one round, each multiplicative level runs as one batched
-// degree-reduction round, and all outputs open in one batched round —
-// Stats.Rounds advances by exactly Plan.Rounds().
+// share in one round (every scalar input in one InputBatch, one frame
+// per owner and peer; one frame per peer for each input vector), each
+// multiplicative level runs as one batched degree-reduction round, and
+// all outputs open in one batched round — Stats.Rounds advances by
+// exactly Plan.Rounds().
 func (p *Plan) Execute(eng bgw.Evaluator, bind Bindings) (*Result, error) {
 	return p.ExecuteOpts(eng, bind, ExecOptions{})
 }
@@ -130,7 +133,25 @@ func (p *Plan) ExecuteOpts(eng bgw.Evaluator, bind Bindings, opts ExecOptions) (
 		vals: make([]bgw.Val, len(p.nodes)),
 		vecs: make([]bgw.Vec, len(p.nodes)),
 	}
-	// Level 0: inputs, external bindings and their linear closure.
+	// Level 0: the scalar inputs first — they depend on nothing, so they
+	// share as one batch (eager execution keeps one Input per gate) —
+	// then the input vectors, external bindings and the linear closure.
+	if opts.Eager {
+		for _, id := range p.inputs {
+			if err := p.evalLocal(eng, bind, r, id); err != nil {
+				return nil, err
+			}
+		}
+	} else if len(p.inputs) > 0 {
+		items := make([]bgw.InputItem, len(p.inputs))
+		for i, id := range p.inputs {
+			n := &p.nodes[id]
+			items[i] = bgw.InputItem{Owner: int(n.owner), Elem: p.inputElem(n, bind)}
+		}
+		for i, out := range eng.InputBatch(items) {
+			r.vals[p.inputs[i]] = out
+		}
+	}
 	for _, id := range p.locals[0] {
 		if err := p.evalLocal(eng, bind, r, id); err != nil {
 			return nil, err
@@ -163,7 +184,7 @@ func (p *Plan) ExecuteOpts(eng bgw.Evaluator, bind Bindings, opts ExecOptions) (
 				case kMul:
 					r.vals[id] = eng.Mul(r.vals[n.a], r.vals[n.b])
 				case kInner:
-					as, bs := gather(r.vals, n.args), gather(r.vals, n.args2)
+					as, bs := p.innerOperands(r, n)
 					r.vals[id] = eng.InnerProduct(as, bs)
 				case kDot:
 					r.vals[id] = eng.Dot(r.vecs[n.a], r.vecs[n.b])
@@ -178,7 +199,8 @@ func (p *Plan) ExecuteOpts(eng bgw.Evaluator, bind Bindings, opts ExecOptions) (
 				case kMul:
 					items[i] = bgw.MulItem{Kind: bgw.MulScalar, A: r.vals[n.a], B: r.vals[n.b]}
 				case kInner:
-					items[i] = bgw.MulItem{Kind: bgw.MulInner, As: gather(r.vals, n.args), Bs: gather(r.vals, n.args2)}
+					as, bs := p.innerOperands(r, n)
+					items[i] = bgw.MulItem{Kind: bgw.MulInner, As: as, Bs: bs}
 				case kDot:
 					items[i] = bgw.MulItem{Kind: bgw.MulDot, VA: r.vecs[n.a], VB: r.vecs[n.b]}
 				}
@@ -221,26 +243,37 @@ func (p *Plan) ExecuteOpts(eng bgw.Evaluator, bind Bindings, opts ExecOptions) (
 	return r, nil
 }
 
+// inputElem returns the field element a scalar input leaf shares.
+func (p *Plan) inputElem(n *node, bind Bindings) field.Elem {
+	switch n.kind {
+	case kInputElem:
+		return field.Elem(n.c)
+	case kInputParam:
+		return field.FromInt64(bind.Inputs[n.param])
+	}
+	return field.FromInt64(n.c)
+}
+
 // evalLocal materializes one leaf or linear node on the engine.
-func (p *Plan) evalLocal(eng bgw.Evaluator, bind Bindings, r *Result, id int) error {
+func (p *Plan) evalLocal(eng bgw.Evaluator, bind Bindings, r *Result, id int32) error {
 	n := &p.nodes[id]
 	switch n.kind {
 	case kZero:
 		r.vals[id] = eng.Zero()
 	case kInput:
-		r.vals[id] = eng.Input(n.owner, n.c)
-	case kInputElem:
-		r.vals[id] = eng.InputElem(n.owner, n.elem)
-	case kInputVec:
-		r.vecs[id] = eng.InputVec(n.owner, n.ints)
+		r.vals[id] = eng.Input(int(n.owner), n.c)
 	case kInputParam:
-		r.vals[id] = eng.Input(n.owner, bind.Inputs[n.param])
+		r.vals[id] = eng.Input(int(n.owner), bind.Inputs[n.param])
+	case kInputElem:
+		r.vals[id] = eng.InputElem(int(n.owner), field.Elem(n.c))
+	case kInputVec:
+		r.vecs[id] = eng.InputVec(int(n.owner), p.lits[n.a])
 	case kInputVecParam:
 		vs := bind.InputVecs[n.param]
-		if len(vs) != n.n {
+		if len(vs) != int(n.n) {
 			return fmt.Errorf("circuit: input-vec param %d has %d elements, plan wants %d", n.param, len(vs), n.n)
 		}
-		r.vecs[id] = eng.InputVec(n.owner, vs)
+		r.vecs[id] = eng.InputVec(int(n.owner), vs)
 	case kExtVal:
 		if bind.Ext[n.param] == nil {
 			return fmt.Errorf("circuit: external value %d unbound", n.param)
@@ -251,7 +284,7 @@ func (p *Plan) evalLocal(eng bgw.Evaluator, bind Bindings, r *Result, id int) er
 		if v == nil {
 			return fmt.Errorf("circuit: external vector %d unbound", n.param)
 		}
-		if v.Len() != n.n {
+		if v.Len() != int(n.n) {
 			return fmt.Errorf("circuit: external vector %d has %d elements, plan wants %d", n.param, v.Len(), n.n)
 		}
 		r.vecs[id] = v
@@ -268,18 +301,23 @@ func (p *Plan) evalLocal(eng bgw.Evaluator, bind Bindings, r *Result, id int) er
 	case kMulConstP:
 		r.vals[id] = eng.MulConst(r.vals[n.a], bind.Consts[n.param])
 	case kAt:
-		r.vals[id] = eng.At(r.vecs[n.a], n.k)
+		r.vals[id] = eng.At(r.vecs[n.a], int(n.b))
 	case kAddVec:
 		r.vecs[id] = eng.AddVec(r.vecs[n.a], r.vecs[n.b])
 	case kFromScalars:
-		r.vecs[id] = eng.FromScalars(gather(r.vals, n.args))
+		r.vecs[id] = eng.FromScalars(gather(r.vals, p.operands(n.a, n.n)))
 	default:
 		return fmt.Errorf("circuit: node %d kind %d is not local", id, n.kind)
 	}
 	return nil
 }
 
-func gather(vals []bgw.Val, ids []int) []bgw.Val {
+// innerOperands gathers the two operand lists of a kInner gate.
+func (p *Plan) innerOperands(r *Result, n *node) (as, bs []bgw.Val) {
+	return gather(r.vals, p.operands(n.a, n.n)), gather(r.vals, p.operands(n.a+n.n, n.n))
+}
+
+func gather(vals []bgw.Val, ids []int32) []bgw.Val {
 	out := make([]bgw.Val, len(ids))
 	for i, id := range ids {
 		out[i] = vals[id]

@@ -30,10 +30,10 @@ func (p *Plan) Plain(bind Bindings) (*Result, error) {
 		case kInput:
 			vals[id] = field.FromInt64(n.c)
 		case kInputElem:
-			vals[id] = n.elem
+			vals[id] = field.Elem(n.c)
 		case kInputVec:
-			v := make([]field.Elem, len(n.ints))
-			for k, x := range n.ints {
+			v := make([]field.Elem, n.n)
+			for k, x := range p.lits[n.a] {
 				v[k] = field.FromInt64(x)
 			}
 			vecs[id] = v
@@ -41,7 +41,7 @@ func (p *Plan) Plain(bind Bindings) (*Result, error) {
 			vals[id] = field.FromInt64(bind.Inputs[n.param])
 		case kInputVecParam:
 			vs := bind.InputVecs[n.param]
-			if len(vs) != n.n {
+			if len(vs) != int(n.n) {
 				return nil, fmt.Errorf("circuit: input-vec param %d has %d elements, plan wants %d", n.param, len(vs), n.n)
 			}
 			v := make([]field.Elem, len(vs))
@@ -64,9 +64,10 @@ func (p *Plan) Plain(bind Bindings) (*Result, error) {
 		case kMul:
 			vals[id] = field.Mul(vals[n.a], vals[n.b])
 		case kInner:
+			as, bs := p.operands(n.a, n.n), p.operands(n.a+n.n, n.n)
 			var acc field.Elem
-			for i := range n.args {
-				acc = field.Add(acc, field.Mul(vals[n.args[i]], vals[n.args2[i]]))
+			for i := range as {
+				acc = field.Add(acc, field.Mul(vals[as[i]], vals[bs[i]]))
 			}
 			vals[id] = acc
 		case kDot:
@@ -77,7 +78,7 @@ func (p *Plan) Plain(bind Bindings) (*Result, error) {
 			}
 			vals[id] = acc
 		case kAt:
-			vals[id] = vecs[n.a][n.k]
+			vals[id] = vecs[n.a][n.b]
 		case kAddVec:
 			va, vb := vecs[n.a], vecs[n.b]
 			out := make([]field.Elem, len(va))
@@ -86,8 +87,8 @@ func (p *Plan) Plain(bind Bindings) (*Result, error) {
 			}
 			vecs[id] = out
 		case kFromScalars:
-			out := make([]field.Elem, len(n.args))
-			for k, op := range n.args {
+			out := make([]field.Elem, n.n)
+			for k, op := range p.operands(n.a, n.n) {
 				out[k] = vals[op]
 			}
 			vecs[id] = out

@@ -13,16 +13,22 @@ import (
 type Plan struct {
 	p, t  int
 	nodes []node
+	args  []int32   // operand-list arena (see node)
+	lits  [][]int64 // literal input vectors (see node)
 
 	depth    int
-	muls     [][]int // muls[L] = multiplicative gates of level L+1, id order
-	locals   [][]int // locals[L] = non-mul compute nodes of level L, id order
-	opens    []int   // kOpen ids in record order
-	openVecs []int   // kOpenVec ids in record order
+	inputs   []int32   // level-0 scalar input leaves, id order: one InputBatch
+	muls     [][]int32 // muls[L] = multiplicative gates of level L+1, id order
+	locals   [][]int32 // locals[L] = other compute nodes of level L, id order
+	opens    []int32   // kOpen ids in record order
+	openVecs []int32   // kOpenVec ids in record order
 
 	nConsts, nInputs, nInputVecs, nExt, nExtVecs int
 	hasInputs                                    bool
 }
+
+// operands returns the n-element operand list at offset off.
+func (p *Plan) operands(off, n int32) []int32 { return p.args[off : off+n] }
 
 // Compile levels the recorded DAG by multiplicative depth and returns
 // the execution plan. The leveling rule: inputs, external bindings and
@@ -30,21 +36,31 @@ type Plan struct {
 // maximum level of their operands; multiplicative gates (Mul,
 // InnerProduct, Dot) take the maximum operand level plus one. All
 // gates of a level are independent by construction and execute as one
-// batched communication round.
+// batched communication round; the scalar inputs, which depend on
+// nothing, are listed apart so they share in one batched round too.
+//
+// The plan takes the recording over instead of copying it: the Builder
+// is spent, and recording into it again is an invariant violation.
 func (b *Builder) Compile() (*Plan, error) {
+	if b.spent {
+		return nil, fmt.Errorf("circuit: builder already compiled")
+	}
+	if b.overflow {
+		return nil, fmt.Errorf("circuit: recording exceeds the IR's %d-entry id space", b.limit)
+	}
 	p := &Plan{
 		p: b.p, t: b.t,
-		nodes:    append([]node(nil), b.nodes...),
-		opens:    append([]int(nil), b.opens...),
-		openVecs: append([]int(nil), b.openVecs...),
-		nConsts:  b.nConsts, nInputs: b.nInputs, nInputVecs: b.nInputVecs,
+		nodes: b.nodes, args: b.args, lits: b.lits,
+		opens: b.opens, openVecs: b.openVecs,
+		nConsts: b.nConsts, nInputs: b.nInputs, nInputVecs: b.nInputVecs,
 		nExt: b.nExt, nExtVecs: b.nExtVecs,
 	}
+	b.spent, b.nodes, b.args, b.lits, b.vals = true, nil, nil, nil, nil
 	for id := range p.nodes {
 		n := &p.nodes[id]
-		lvl := 0
-		max := func(op int) {
-			if op < 0 || op >= id {
+		var lvl int32
+		max := func(op int32) {
+			if op < 0 || int(op) >= id {
 				// Record order is topological; a forward reference is a
 				// corrupted handle.
 				panic(invariant.Violation("circuit: node %d references %d out of order", id, op))
@@ -61,11 +77,12 @@ func (b *Builder) Compile() (*Plan, error) {
 			max(n.b)
 		case kAddConst, kMulConst, kAddConstP, kMulConstP, kAt, kOpen, kOpenVec:
 			max(n.a)
-		case kInner, kFromScalars:
-			for _, op := range n.args {
+		case kInner:
+			for _, op := range p.operands(n.a, 2*n.n) {
 				max(op)
 			}
-			for _, op := range n.args2 {
+		case kFromScalars:
+			for _, op := range p.operands(n.a, n.n) {
 				max(op)
 			}
 		default:
@@ -78,21 +95,44 @@ func (b *Builder) Compile() (*Plan, error) {
 		if n.kind.isInput() {
 			p.hasInputs = true
 		}
-		if lvl > p.depth {
-			p.depth = lvl
+		if int(lvl) > p.depth {
+			p.depth = int(lvl)
 		}
 	}
-	p.muls = make([][]int, p.depth)
-	p.locals = make([][]int, p.depth+1)
+	// One counting pass sizes every schedule list, a second fills them.
+	// Outputs run in the final opening round and are already listed.
+	nMuls := make([]int, p.depth)
+	nLocals := make([]int, p.depth+1)
+	nInputs := 0
 	for id := range p.nodes {
-		n := &p.nodes[id]
-		switch {
+		switch n := &p.nodes[id]; {
 		case n.kind == kOpen || n.kind == kOpenVec:
-			// outputs run in the final opening round, already listed
+		case n.kind.isScalarInput():
+			nInputs++
 		case n.kind.isMul():
-			p.muls[n.level-1] = append(p.muls[n.level-1], id)
+			nMuls[n.level-1]++
 		default:
-			p.locals[n.level] = append(p.locals[n.level], id)
+			nLocals[n.level]++
+		}
+	}
+	p.inputs = make([]int32, 0, nInputs)
+	p.muls = make([][]int32, p.depth)
+	for l, n := range nMuls {
+		p.muls[l] = make([]int32, 0, n)
+	}
+	p.locals = make([][]int32, p.depth+1)
+	for l, n := range nLocals {
+		p.locals[l] = make([]int32, 0, n)
+	}
+	for id := range p.nodes {
+		switch n := &p.nodes[id]; {
+		case n.kind == kOpen || n.kind == kOpenVec:
+		case n.kind.isScalarInput():
+			p.inputs = append(p.inputs, int32(id))
+		case n.kind.isMul():
+			p.muls[n.level-1] = append(p.muls[n.level-1], int32(id))
+		default:
+			p.locals[n.level] = append(p.locals[n.level], int32(id))
 		}
 	}
 	return p, nil

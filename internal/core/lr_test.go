@@ -272,3 +272,25 @@ func BenchmarkLRGradientBGW(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkGradientPlanBuild records and compiles the lr_chan-shaped
+// gradient circuit (B = 200 records, d = 50 features, one client per
+// column: ~36 k nodes), the per-new-batch-size cost of an LR session.
+// ns/op divided by the reported nodes/op is the per-gate recording cost.
+func BenchmarkGradientPlanBuild(b *testing.B) {
+	const batch, d = 200, 50
+	x, y := lrTestData(batch, d, 1)
+	lr, err := NewLRProtocol(x, y, Params{Gamma: 18, Mu: 1e4, Engine: EngineBGW, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer lr.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var nodes int
+	for i := 0; i < b.N; i++ {
+		delete(lr.plans, batch)
+		nodes = lr.gradientPlan(batch).plan.Gates()
+	}
+	b.ReportMetric(float64(nodes), "nodes/op")
+}

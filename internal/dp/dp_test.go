@@ -335,6 +335,31 @@ func TestCalibrateSkellamMuMeetsTarget(t *testing.T) {
 	}
 }
 
+// TestCalibrateSkellamMuPinnedOnBenchmarkLR pins μ bit for bit on the two
+// LR configurations benchmark/ calibrates inside every session (ε = 1,
+// δ = 1e-5): the mathx.LogFactorial table must not move a single ulp.
+// Sensitivities are the bits logreg.Sensitivities(18, 50) and
+// core.LR3Protocol.Sensitivity (γ = 8, d = 20) return.
+func TestCalibrateSkellamMuPinnedOnBenchmarkLR(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		d1, d2, wantMu uint64
+		q              float64
+		rounds         int
+	}{
+		{"lr_chan", 0x410981bdf02e2dc4, 0x40dcdb8f482f1a02, 0x41d80c553a558f2a, 0.1, 10},
+		{"lr3_tcp", 0x41b28e42d4420904, 0x419098c33cf0cbe2, 0x4333e4e1a20df8c6, 0.05, 20},
+	} {
+		mu, err := CalibrateSkellamMu(1, 1e-5, math.Float64frombits(tc.d1), math.Float64frombits(tc.d2), tc.q, tc.rounds)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := math.Float64bits(mu); got != tc.wantMu {
+			t.Errorf("%s: mu = %v (%#x), pinned %#x", tc.name, mu, got, tc.wantMu)
+		}
+	}
+}
+
 func TestCalibratedSkellamMatchesGaussianVariance(t *testing.T) {
 	// Headline claim: with negligible Delta1 overhead, the calibrated
 	// Skellam variance 2mu approaches the calibrated Gaussian sigma^2.

@@ -90,6 +90,18 @@ func TestLogFactorialSmall(t *testing.T) {
 	}
 }
 
+// TestLogFactorialTableIsLgamma: the table is a cache of math.Lgamma, not
+// an approximation of it — every entry and the first values past the
+// table equal the direct call bit for bit.
+func TestLogFactorialTableIsLgamma(t *testing.T) {
+	for n := 0; n <= logFactMax+8; n++ {
+		want, _ := math.Lgamma(float64(n) + 1)
+		if got := LogFactorial(n); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("LogFactorial(%d) = %v, Lgamma gives %v", n, got, want)
+		}
+	}
+}
+
 func TestLogBinomialPascalProperty(t *testing.T) {
 	// C(n,k) = C(n-1,k-1) + C(n-1,k) for 1 <= k <= n-1.
 	for n := 2; n <= 60; n++ {

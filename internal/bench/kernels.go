@@ -22,7 +22,7 @@ import (
 
 // kernelVecN is the vector length of the micro-benchmarks: large enough
 // to amortize call overhead, small enough to stay in cache (the hot
-// path's share slabs are this shape).
+// path's share vectors are this shape).
 const kernelVecN = 4096
 
 // KernelBaseline is the machine-readable record sqmbench -baseline

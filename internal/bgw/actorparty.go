@@ -6,7 +6,6 @@ import (
 
 	"sqm/internal/field"
 	"sqm/internal/randx"
-	"sqm/internal/shamir"
 	"sqm/internal/transport"
 )
 
@@ -109,6 +108,7 @@ type actorParty struct {
 	sc       []field.Elem   // scalar share slots, indexed by facade refs
 	vc       [][]field.Elem // vector share slots
 	dec      []field.Elem   // decode scratch, reused across rounds
+	sh       shareScratch   // working memory of shareOut and reshare
 	fieldOps int64
 	err      error
 }
@@ -198,7 +198,7 @@ func (a *actorParty) exec(c *actorCmd) error {
 		for m := range refs {
 			a.fieldOps += int64(len(a.vc[refs[m]]))
 		}
-		parallelChunks(len(refs), clampWorkers(a.workers, len(refs)), func(_, start, end int) {
+		parallelChunks(len(refs), a.workers, func(start, end int) {
 			for m := start; m < end; m++ {
 				accs[m] = field.DotAcc(0, a.vc[refs[m]], a.vc[refs2[m]])
 			}
@@ -247,7 +247,7 @@ func (a *actorParty) exec(c *actorCmd) error {
 			}
 		}
 		highs := make([]field.Elem, len(muls))
-		parallelChunks(len(muls), clampWorkers(a.workers, len(muls)), func(_, start, end int) {
+		parallelChunks(len(muls), a.workers, func(start, end int) {
 			for m := start; m < end; m++ {
 				switch d := muls[m]; d.kind {
 				case MulScalar:
@@ -309,28 +309,23 @@ func (a *actorParty) openAndReply(c *actorCmd, mine []field.Elem) error {
 // every peer one frame carrying its share of each, and replaces elems
 // with this party's own shares.
 func (a *actorParty) shareOut(elems []field.Elem) error {
-	n := len(elems)
-	bufs := make([][]byte, a.p)
-	for j := range bufs {
-		if j != a.id {
-			bufs[j] = transport.GetPayload(8 * n)
-		}
-	}
-	for k, v := range elems {
-		for j, s := range shamir.Share(v, a.t, a.p, a.rng) {
-			if j == a.id {
-				elems[k] = s
-			} else {
-				putElem(bufs[j][8*k:], s)
-			}
-		}
-	}
-	a.fieldOps += int64(n * a.p * (a.t + 1))
-	for j, buf := range bufs {
+	rows := a.sh.share(elems, a.p, a.t, a.rng)
+	a.fieldOps += int64(len(elems) * a.p * (a.t + 1))
+	copy(elems, rows[a.id])
+	return a.sendRows(rows)
+}
+
+// sendRows sends every peer j one pooled frame carrying rows[j].
+func (a *actorParty) sendRows(rows [][]field.Elem) error {
+	for j, row := range rows {
 		if j == a.id {
 			continue
 		}
-		if err := a.conn.SendN(j, buf, n); err != nil {
+		buf := transport.GetPayload(8 * len(row))
+		for k, s := range row {
+			putElem(buf[8*k:], s)
+		}
+		if err := a.conn.SendN(j, buf, len(row)); err != nil {
 			return err
 		}
 	}
@@ -426,27 +421,12 @@ func (a *actorParty) inputBatch(items []InputItem) error {
 // rule.
 func (a *actorParty) reshare(highs []field.Elem) ([]field.Elem, error) {
 	n := len(highs)
-	subs := make([][]field.Elem, n)
-	for m, h := range highs {
-		subs[m] = shamir.Share(h, a.t, a.p, a.rng)
-	}
-	for j := 0; j < a.p; j++ {
-		if j == a.id {
-			continue
-		}
-		buf := transport.GetPayload(8 * n)
-		for m := range subs {
-			putElem(buf[8*m:], subs[m][j])
-		}
-		if err := a.conn.SendN(j, buf, n); err != nil {
-			return nil, err
-		}
+	rows := a.sh.share(highs, a.p, a.t, a.rng)
+	if err := a.sendRows(rows); err != nil {
+		return nil, err
 	}
 	out := make([]field.Elem, n)
-	wi := a.weights[a.id]
-	for m := range out {
-		out[m] = field.Mul(wi, subs[m][a.id])
-	}
+	field.MulConstVec(out, rows[a.id], a.weights[a.id])
 	a.dec = growElems(a.dec, n)
 	for j := 0; j < a.p; j++ {
 		if j == a.id {

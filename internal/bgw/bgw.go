@@ -44,11 +44,10 @@ type Config struct {
 	// 0 keeps receives blocking (the trusted-simulation default).
 	RecvTimeout time.Duration
 	// Workers bounds the worker pool that parallelizes the local share
-	// arithmetic of batched rounds (MulBatch, DotBatch, reshare folds).
+	// arithmetic of batched rounds (MulBatch and DotBatch products).
 	// 0 means runtime.NumCPU(); 1 forces the serial path; explicit
-	// values are honored as given so a pinned pool size chunks — and
-	// draws randomness — identically on every machine. Worker count
-	// never changes opened outputs (see WorkerTunable).
+	// values are honored as given. Worker count changes neither shares
+	// nor opened outputs (see WorkerTunable).
 	Workers int
 }
 
@@ -78,8 +77,8 @@ type Engine struct {
 	rngs    []*randx.RNG // party i's private randomness
 	weights []field.Elem // Lagrange weights at 0 for points 1..P
 	stats   Stats
-	workers int      // configured pool bound; see SetWorkers
-	scratch elemSlab // recycled P-width accumulators for batched rounds
+	workers int          // configured pool bound; see SetWorkers
+	sh      shareScratch // working memory of InputVec and reshareBatch
 
 	rec          obs.Recorder // nil when telemetry is disabled
 	roundHist    *obs.Histogram
@@ -104,15 +103,13 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if lat == 0 {
 		lat = DefaultLatency
 	}
-	e := &Engine{p: cfg.Parties, t: t, latency: lat, workers: cfg.Workers,
-		scratch: elemSlab{width: cfg.Parties}}
+	e := &Engine{p: cfg.Parties, t: t, latency: lat, workers: cfg.Workers}
 	if rec := cfg.Recorder; rec != nil && rec.Metrics() != nil {
 		e.rec = rec
 		e.roundHist = rec.Metrics().Histogram("bgw.round.seconds")
 		e.opsGauge = rec.Metrics().Gauge("bgw.fieldops")
 		e.workersGauge = rec.Metrics().Gauge("bgw.workers")
 		e.workersGauge.Set(float64(effectiveWorkers(e.workers)))
-		e.scratch.counter = rec.Metrics().Counter("bgw.pool.reused")
 		e.lastRound = time.Now()
 	}
 	root := randx.New(cfg.Seed)
@@ -137,7 +134,7 @@ func (e *Engine) Stats() Stats { return e.stats }
 
 // SetWorkers implements WorkerTunable: it bounds the pool that
 // parallelizes batched share arithmetic and returns the effective
-// bound. Opened outputs are identical for every setting.
+// bound. Shares and opened outputs are identical for every setting.
 func (e *Engine) SetWorkers(n int) int {
 	e.workers = n
 	eff := effectiveWorkers(n)
@@ -283,56 +280,34 @@ func (e *Engine) Mul(a, b *Shared) *Shared {
 // re-shares its value high[i] and the parties linearly combine the
 // sub-shares with the Lagrange weights.
 func (e *Engine) reshare(high []field.Elem) *Shared {
-	return e.reshareBatch([][]field.Elem{high})[0]
+	return e.reshareBatch(high, 1)[0]
 }
 
-// reshareBatch runs one degree-reduction round for a batch of degree-2t
-// values (highs[m][i] is party i's value of batch item m): every party
-// re-shares all of its values and sends each peer a single frame
-// carrying all sub-shares, so a level of independent multiplications
-// costs one frame per ordered party pair regardless of batch size.
-//
-// With one worker, each party consumes its private stream value-major
-// (item 0, 1, …), matching both the eager per-gate order and the actor
-// parties. With more, the batch splits into contiguous item chunks and
-// each chunk reshares with per-chunk forks of the party streams, taken
-// serially in chunk order so the randomness is deterministic for a
-// fixed worker count. The two disciplines draw different sub-share
-// polynomials, but BGW computes exactly — the reconstructed secrets
-// cancel the resharing randomness — so opened outputs are bit-identical
-// either way.
-func (e *Engine) reshareBatch(highs [][]field.Elem) []*Shared {
-	n := len(highs)
-	outs := make([]*Shared, n)
-	for m := range outs {
-		outs[m] = &Shared{eng: e, shares: make([]field.Elem, e.p)}
+// reshareBatch runs one degree-reduction round for a batch of n
+// degree-2t values, party-major (highs[i*n+m] is party i's value of
+// batch item m): every party re-shares all of its values and sends each
+// peer a single frame carrying all sub-shares, so a level of
+// independent multiplications costs one frame per ordered party pair
+// regardless of batch size. Each party consumes its private stream
+// value-major (item 0, 1, …), matching both the eager per-gate order
+// and the actor parties. The n results share one backing array.
+func (e *Engine) reshareBatch(highs []field.Elem, n int) []*Shared {
+	acc := make([]field.Elem, e.p*n) // acc[j*n+m]: party j's new share of item m
+	for i := 0; i < e.p; i++ {
+		for j, sub := range e.sh.share(highs[i*n:(i+1)*n], e.p, e.t, e.rngs[i]) {
+			field.MulAddVec(acc[j*n:(j+1)*n], sub, e.weights[i])
+		}
 	}
-	if w := clampWorkers(e.workers, n); w <= 1 {
-		for i := 0; i < e.p; i++ {
-			wi := e.weights[i]
-			for m := range highs {
-				sub := shamir.Share(highs[m][i], e.t, e.p, e.rngs[i])
-				field.MulAddVec(outs[m].shares, sub, wi)
-			}
+	vals := make([]Shared, n)
+	shares := make([]field.Elem, n*e.p)
+	outs := make([]*Shared, n)
+	for m := range vals {
+		sh := shares[m*e.p : (m+1)*e.p : (m+1)*e.p]
+		for j := range sh {
+			sh[j] = acc[j*n+m]
 		}
-	} else {
-		chunkRngs := make([][]*randx.RNG, w)
-		for c := 0; c < w; c++ {
-			chunkRngs[c] = make([]*randx.RNG, e.p)
-			for i := 0; i < e.p; i++ {
-				chunkRngs[c][i] = e.rngs[i].Fork()
-			}
-		}
-		parallelChunks(n, w, func(chunk, start, end int) {
-			rngs := chunkRngs[chunk]
-			for i := 0; i < e.p; i++ {
-				wi := e.weights[i]
-				for m := start; m < end; m++ {
-					sub := shamir.Share(highs[m][i], e.t, e.p, rngs[i])
-					field.MulAddVec(outs[m].shares, sub, wi)
-				}
-			}
-		})
+		vals[m] = Shared{eng: e, shares: sh}
+		outs[m] = &vals[m]
 	}
 	e.stats.Frames += int64(e.p * (e.p - 1))
 	e.stats.Messages += int64(n * e.p * (e.p - 1))

@@ -227,13 +227,14 @@ func (m monoEval) InputBatch(items []InputItem) []Val {
 // MulBatch computes every item's local degree-2t value and restores
 // degree t with a single batched resharing round. Validation and stats
 // run serially up front (the counts depend only on batch shape); the
-// share arithmetic then splits across the worker pool with slab-pooled
-// accumulators, each item writing its own slot so the merge order is
+// share arithmetic then splits across the worker pool, each item
+// writing its own column of the party-major highs, so the merge order is
 // the item order regardless of scheduling.
 func (m monoEval) MulBatch(items []MulItem) []Val {
 	e := m.e
-	out := make([]Val, len(items))
-	if len(items) == 0 {
+	n := len(items)
+	out := make([]Val, n)
+	if n == 0 {
 		return out
 	}
 	for _, it := range items {
@@ -252,34 +253,32 @@ func (m monoEval) MulBatch(items []MulItem) []Val {
 			e.stats.FieldOps += int64(e.p * a.Len())
 		}
 	}
-	highs := make([][]field.Elem, len(items))
-	for idx := range highs {
-		highs[idx] = e.scratch.get()
-	}
-	parallelChunks(len(items), clampWorkers(e.workers, len(items)), func(_, start, end int) {
+	highs := make([]field.Elem, e.p*n) // highs[i*n+idx]: party i's value of item idx
+	parallelChunks(n, e.workers, func(start, end int) {
 		for idx := start; idx < end; idx++ {
-			it := items[idx]
-			acc := highs[idx] // zeroed by the slab
-			switch it.Kind {
+			switch it := items[idx]; it.Kind {
 			case MulScalar:
-				field.MulVec(acc, it.A.(*Shared).shares, it.B.(*Shared).shares)
+				a, b := it.A.(*Shared).shares, it.B.(*Shared).shares
+				for i := range a {
+					highs[i*n+idx] = field.Mul(a[i], b[i])
+				}
 			case MulInner:
 				for k := range it.As {
-					field.MulAccVec(acc, it.As[k].(*Shared).shares, it.Bs[k].(*Shared).shares)
+					a, b := it.As[k].(*Shared).shares, it.Bs[k].(*Shared).shares
+					for i := range a {
+						highs[i*n+idx] = field.Add(highs[i*n+idx], field.Mul(a[i], b[i]))
+					}
 				}
 			case MulDot:
-				a, b := it.VA.(*SharedVec), it.VB.(*SharedVec)
-				for i := 0; i < e.p; i++ {
-					acc[i] = field.DotAcc(0, a.shares[i], b.shares[i])
+				a, b := it.VA.(*SharedVec).shares, it.VB.(*SharedVec).shares
+				for i := range a {
+					highs[i*n+idx] = field.DotAcc(0, a[i], b[i])
 				}
 			}
 		}
 	})
-	for i, s := range e.reshareBatch(highs) {
+	for i, s := range e.reshareBatch(highs, n) {
 		out[i] = s
-	}
-	for _, h := range highs {
-		e.scratch.put(h)
 	}
 	return out
 }

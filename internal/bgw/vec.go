@@ -7,8 +7,9 @@ import (
 )
 
 // SharedVec is a vector of secret-shared values stored party-major:
-// shares[i][k] is party i's share of element k. Bulk layout keeps the
-// hot loops of the Gram-matrix and gradient protocols allocation-free.
+// shares[i][k] is party i's share of element k, so the hot loops of the
+// Gram-matrix and gradient protocols run the batch kernels over whole
+// rows.
 type SharedVec struct {
 	eng    *Engine
 	shares [][]field.Elem // [party][element]
@@ -22,17 +23,13 @@ func (v *SharedVec) Len() int { return len(v.shares[0]) }
 // message per element.
 func (e *Engine) InputVec(owner int, vs []int64) *SharedVec {
 	e.checkParty(owner)
-	out := &SharedVec{eng: e, shares: make([][]field.Elem, e.p)}
-	for i := range out.shares {
-		out.shares[i] = make([]field.Elem, len(vs))
-	}
-	rng := e.rngs[owner]
+	out := e.zeroVec(len(vs))
+	buf := e.sh.elems((e.t + 1) * len(vs))
+	secrets := buf[:len(vs)]
 	for k, v := range vs {
-		sh := shamir.Share(field.FromInt64(v), e.t, e.p, rng)
-		for i := 0; i < e.p; i++ {
-			out.shares[i][k] = sh[i]
-		}
+		secrets[k] = field.FromInt64(v)
 	}
+	shamir.ShareVec(out.shares, secrets, e.t, e.rngs[owner], buf[len(vs):])
 	e.stats.Frames += int64(e.p - 1)
 	e.stats.Messages += int64(len(vs) * (e.p - 1))
 	e.stats.Bytes += 8 * int64(len(vs)*(e.p-1))

@@ -5,18 +5,18 @@ import (
 	"sync"
 
 	"sqm/internal/field"
-	"sqm/internal/obs"
+	"sqm/internal/randx"
+	"sqm/internal/shamir"
 )
 
 // WorkerTunable is the optional engine surface for tuning the bounded
 // worker pool that parallelizes the local share arithmetic of batched
-// rounds (MulBatch, DotBatch, reshare folds). Both BGW engines
+// rounds (MulBatch and DotBatch products). Both BGW engines
 // implement it; the circuit executor uses it to apply
-// ExecOptions.Workers. Worker count only affects wall-clock and —
-// through per-chunk resharing randomness — the private share values;
-// opened outputs are bit-identical for every setting because BGW
-// computes exactly and reconstructed secrets never depend on the
-// resharing randomness.
+// ExecOptions.Workers. Worker count only affects wall-clock: the pool
+// runs randomness-free arithmetic (share products, inner products), and
+// every sharing draws serially from the party's own stream, so shares
+// and opened outputs are the same for every setting.
 type WorkerTunable interface {
 	// SetWorkers bounds the per-level worker pool: n <= 0 restores the
 	// default (runtime.NumCPU()); explicit positive values are honored
@@ -27,8 +27,8 @@ type WorkerTunable interface {
 
 // effectiveWorkers resolves a configured pool bound: n <= 0 means
 // runtime.NumCPU() (the NumCPU-capped default); explicit positive
-// values pass through so a pinned pool size means the same chunking —
-// and the same per-chunk randomness — on every machine.
+// values pass through so a pinned pool size means the same chunking on
+// every machine.
 func effectiveWorkers(n int) int {
 	if n <= 0 {
 		return runtime.NumCPU()
@@ -50,71 +50,64 @@ func clampWorkers(n, jobs int) int {
 	return n
 }
 
-// parallelChunks splits [0, n) into workers contiguous chunks and runs
-// fn(chunk, start, end) for each, concurrently when workers > 1. Chunk
-// boundaries depend only on (n, workers), so the work assignment — and
-// therefore any per-chunk randomness — is deterministic for a fixed
-// pool size. Writers must target disjoint index ranges; the merge order
-// is the slot order, not the completion order.
-func parallelChunks(n, workers int, fn func(chunk, start, end int)) {
+// parallelChunks splits [0, n) into contiguous chunks, one per worker
+// of the configured bound (clamped to n), and runs fn(start, end) for
+// each, concurrently when there is more than one. Writers must target
+// disjoint index ranges; fn must not draw randomness.
+func parallelChunks(n, workers int, fn func(start, end int)) {
 	if n <= 0 {
 		return
 	}
-	if workers <= 1 || n == 1 {
-		fn(0, 0, n)
+	workers = clampWorkers(workers, n)
+	if workers <= 1 {
+		fn(0, n)
 		return
 	}
 	var wg sync.WaitGroup
 	for c := 0; c < workers; c++ {
-		start, end := c*n/workers, (c+1)*n/workers
-		if start >= end {
-			continue
-		}
 		wg.Add(1)
-		go func(c, s, e int) {
+		go func(s, e int) {
 			defer wg.Done()
-			fn(c, s, e)
-		}(c, start, end)
+			fn(s, e)
+		}(c*n/workers, (c+1)*n/workers)
 	}
 	wg.Wait()
 }
 
-// elemSlab recycles fixed-width []field.Elem scratch slices within one
-// engine session — the share-slab pool that keeps batched rounds from
-// allocating a fresh accumulator per gate. It is intentionally not
-// synchronized: each engine (and each actor party) owns its own slab
-// and touches it only from its driving goroutine. Slices handed out by
-// get are zeroed; put recycles a slice whose contents are dead.
-type elemSlab struct {
-	width   int
-	free    [][]field.Elem
-	reused  int64        // pooled allocations avoided
-	counter *obs.Counter // pooled-alloc telemetry; nil disables
+// shareScratch is the grow-only working memory of the sharing sites of
+// one engine or one actor party, touched only from its driving
+// goroutine: sharing a vector allocates nothing once the scratch has
+// seen the session's largest batch.
+type shareScratch struct {
+	buf  []field.Elem
+	rows [][]field.Elem
 }
 
-func (s *elemSlab) get() []field.Elem {
-	if n := len(s.free); n > 0 {
-		b := s.free[n-1]
-		s.free = s.free[:n-1]
-		s.reused++
-		if s.counter != nil {
-			s.counter.Add(1)
-		}
-		clear(b)
-		return b
+// elems returns n scratch elements with arbitrary contents, valid until
+// the next call on s.
+func (s *shareScratch) elems(n int) []field.Elem {
+	s.buf = growElems(s.buf, n)
+	return s.buf
+}
+
+// share Shamir-shares secrets among p parties from rng and returns the
+// party-major sub-share rows (rows[j][k] is party j's share of
+// secrets[k]), valid until the next call on s.
+func (s *shareScratch) share(secrets []field.Elem, p, t int, rng *randx.RNG) [][]field.Elem {
+	n := len(secrets)
+	buf := s.elems((p + t) * n)
+	if s.rows == nil {
+		s.rows = make([][]field.Elem, p)
 	}
-	return make([]field.Elem, s.width)
-}
-
-func (s *elemSlab) put(b []field.Elem) {
-	if len(b) == s.width {
-		s.free = append(s.free, b)
+	for j := range s.rows {
+		s.rows[j] = buf[j*n : (j+1)*n]
 	}
+	shamir.ShareVec(s.rows, secrets, t, rng, buf[p*n:])
+	return s.rows
 }
 
-// grow returns scratch resized to at least n elements, reusing the
-// backing array when it already fits — the single-buffer variant of the
-// slab for per-call scratch whose size tracks the batch shape.
+// growElems returns scratch resized to at least n elements, reusing the
+// backing array when it already fits.
 func growElems(scratch []field.Elem, n int) []field.Elem {
 	if cap(scratch) >= n {
 		return scratch[:n]

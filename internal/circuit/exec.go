@@ -32,10 +32,10 @@ type ExecOptions struct {
 	// level's independent gates (applied via bgw.WorkerTunable when the
 	// engine supports it; ignored otherwise). 0 keeps the engine's own
 	// setting; negative forces the engine default (runtime.NumCPU());
-	// explicit positive values are honored as given. Outputs are
-	// bit-identical for every value — the pool only splits
-	// value-independent local arithmetic, and resharing randomness never
-	// reaches opened values.
+	// explicit positive values are honored as given. Shares and outputs
+	// are bit-identical for every value — the pool only splits
+	// randomness-free local arithmetic; every sharing draws serially
+	// from its party's own stream.
 	Workers int
 }
 

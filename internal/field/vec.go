@@ -126,22 +126,55 @@ func MulAccVec(dst, a, b []Elem) {
 	}
 }
 
+// MulConstAddVec sets dst[i] = c · a[i] + b[i] mod p for every element —
+// one Horner step of a polynomial evaluated at c over a whole vector of
+// polynomials (shamir.ShareVec). Product halves and addend sum to less
+// than 3p, so one more Mersenne fold (2^61 ≡ 1) and a single conditional
+// subtraction reach canonical form.
+func MulConstAddVec(dst, a []Elem, c Elem, b []Elem) {
+	checkLen2("MulConstAddVec", len(dst), len(a), len(b))
+	cu := uint64(c)
+	for i := range dst {
+		hi, lo := bits.Mul64(uint64(a[i]), cu)
+		v := (lo & Modulus) + (hi<<3 | lo>>61) + uint64(b[i])
+		v = (v & Modulus) + v>>61
+		v -= Modulus & (((v - Modulus) >> 63) - 1)
+		dst[i] = Elem(v)
+	}
+}
+
+// dotBlock is how many products DotAcc sums before it reduces. A
+// product of canonical elements is below 2^122, so 16 of them plus a
+// carried-in canonical sum stay below 2^127 and fit the 128-bit
+// accumulator.
+const dotBlock = 16
+
 // DotAcc returns acc + Σ_i a[i]·b[i] mod p — the fused inner-product
-// kernel. Each product is reduced before it joins the running sum, so
-// the accumulator stays canonical at every step and the result is
-// bit-identical to folding Add(acc, Mul(a[i], b[i])) left to right.
+// kernel. Full 128-bit products are summed dotBlock at a time and folded
+// once per block: with the sum hi·2^64 + lo and hi = hh·2^58 + hl,
+// 2^122 ≡ 1 and 2^64 ≡ 8 give hh + 8·hl + (lo >> 61) + (lo & p), which
+// with the running sum stays below 2^63. The result is the canonical
+// element that folding Add(acc, Mul(a[i], b[i])) left to right yields.
 func DotAcc(acc Elem, a, b []Elem) Elem {
 	if len(a) != len(b) {
 		panic(invariant.Violation("field: DotAcc length mismatch (a %d, b %d)", len(a), len(b)))
 	}
 	s := uint64(acc)
-	for i := range a {
-		hi, lo := bits.Mul64(uint64(a[i]), uint64(b[i]))
-		v := (lo & Modulus) + (hi<<3 | lo>>61)
+	for len(a) > 0 {
+		n := min(len(a), dotBlock)
+		var hi, lo uint64
+		bb := b[:n]
+		for i, x := range a[:n] {
+			h, l := bits.Mul64(uint64(x), uint64(bb[i]))
+			var carry uint64
+			lo, carry = bits.Add64(lo, l, 0)
+			hi += h + carry
+		}
+		a, b = a[n:], b[n:]
+		v := (lo & Modulus) + ((hi&(1<<58-1))<<3 | lo>>61) + hi>>58 + s
+		v = (v & Modulus) + v>>61
 		v -= Modulus & (((v - Modulus) >> 63) - 1)
-		v -= Modulus & (((v - Modulus) >> 63) - 1)
-		s += v
-		s -= Modulus & (((s - Modulus) >> 63) - 1)
+		s = v
 	}
 	return Elem(s)
 }

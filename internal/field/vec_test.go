@@ -34,6 +34,12 @@ func refDot(acc Elem, a, b []Elem) Elem {
 	return Elem(s.Uint64())
 }
 
+// refMulConstAdd computes c·a[i] + b[i] with math/big.
+func refMulConstAdd(a []Elem, c Elem, b []Elem) []Elem {
+	cb := new(big.Int).SetUint64(uint64(c))
+	return refBinop(a, b, func(z, x, y *big.Int) *big.Int { return z.Add(x.Mul(x, cb), y) })
+}
+
 // boundaryElems are the values where the branchless reductions are most
 // likely to break: zero, one, both sides of p/2 (the signed-embedding
 // split) and both sides of the modulus.
@@ -110,8 +116,29 @@ func TestVecKernelsMatchBigInt(t *testing.T) {
 		}
 		eqVec(t, "MulAccVec", dst, want)
 
+		MulConstAddVec(dst, a, c, b)
+		eqVec(t, "MulConstAddVec", dst, refMulConstAdd(a, c, b))
+
 		if got, ref := DotAcc(acc, a, b), refDot(acc, a, b); got != ref {
 			t.Fatalf("DotAcc = %d, want %d (n=%d)", got, ref, n)
+		}
+	}
+}
+
+// TestDotAccBlockEdges feeds DotAcc the largest products there are,
+// at lengths around its block size and with a carried-in accumulator: a
+// block sum that outgrows 128 bits, or a fold that keeps too few carry
+// bits, shows up here first.
+func TestDotAccBlockEdges(t *testing.T) {
+	for _, n := range []int{15, 16, 17, 32, 33, 1000} {
+		a := make([]Elem, n)
+		for i := range a {
+			a[i] = Elem(Modulus - 1)
+		}
+		for _, acc := range []Elem{0, 1, Elem(Modulus - 1)} {
+			if got, want := DotAcc(acc, a, a), refDot(acc, a, a); got != want {
+				t.Fatalf("DotAcc(%d, all p-1, n=%d) = %d, want %d", acc, n, got, want)
+			}
 		}
 	}
 }
@@ -161,6 +188,15 @@ func TestVecKernelsAliasing(t *testing.T) {
 	got = append([]Elem(nil), b...)
 	AddVec(got, a, got)
 	eqVec(t, "AddVec aliased", got, want)
+
+	// The Horner shape of shamir.ShareVec: dst is the running operand a.
+	MulConstAddVec(want, a, 5, b)
+	got = append([]Elem(nil), a...)
+	MulConstAddVec(got, got, 5, b)
+	eqVec(t, "MulConstAddVec aliased to a", got, want)
+	got = append([]Elem(nil), b...)
+	MulConstAddVec(got, a, 5, got)
+	eqVec(t, "MulConstAddVec aliased to b", got, want)
 }
 
 // TestVecKernelsZeroLength pins the no-op contract for empty slices.
@@ -172,6 +208,7 @@ func TestVecKernelsZeroLength(t *testing.T) {
 	AddConstVec(nil, nil, 3)
 	MulAddVec(nil, nil, 3)
 	MulAccVec(nil, nil, nil)
+	MulConstAddVec(nil, nil, 3, nil)
 	if got := DotAcc(17, nil, nil); got != 17 {
 		t.Fatalf("DotAcc over empty vectors = %d, want the accumulator back", got)
 	}
@@ -180,14 +217,15 @@ func TestVecKernelsZeroLength(t *testing.T) {
 // TestVecKernelsLengthMismatchPanics pins the invariant panics.
 func TestVecKernelsLengthMismatchPanics(t *testing.T) {
 	cases := map[string]func(){
-		"AddVec":      func() { AddVec(make([]Elem, 2), make([]Elem, 3), make([]Elem, 3)) },
-		"SubVec":      func() { SubVec(make([]Elem, 3), make([]Elem, 2), make([]Elem, 3)) },
-		"MulVec":      func() { MulVec(make([]Elem, 3), make([]Elem, 3), make([]Elem, 2)) },
-		"MulConstVec": func() { MulConstVec(make([]Elem, 1), make([]Elem, 2), 1) },
-		"AddConstVec": func() { AddConstVec(make([]Elem, 1), make([]Elem, 2), 1) },
-		"MulAddVec":   func() { MulAddVec(make([]Elem, 1), make([]Elem, 2), 1) },
-		"MulAccVec":   func() { MulAccVec(make([]Elem, 2), make([]Elem, 2), make([]Elem, 3)) },
-		"DotAcc":      func() { DotAcc(0, make([]Elem, 1), make([]Elem, 2)) },
+		"AddVec":         func() { AddVec(make([]Elem, 2), make([]Elem, 3), make([]Elem, 3)) },
+		"SubVec":         func() { SubVec(make([]Elem, 3), make([]Elem, 2), make([]Elem, 3)) },
+		"MulVec":         func() { MulVec(make([]Elem, 3), make([]Elem, 3), make([]Elem, 2)) },
+		"MulConstVec":    func() { MulConstVec(make([]Elem, 1), make([]Elem, 2), 1) },
+		"AddConstVec":    func() { AddConstVec(make([]Elem, 1), make([]Elem, 2), 1) },
+		"MulAddVec":      func() { MulAddVec(make([]Elem, 1), make([]Elem, 2), 1) },
+		"MulAccVec":      func() { MulAccVec(make([]Elem, 2), make([]Elem, 2), make([]Elem, 3)) },
+		"MulConstAddVec": func() { MulConstAddVec(make([]Elem, 2), make([]Elem, 2), 1, make([]Elem, 3)) },
+		"DotAcc":         func() { DotAcc(0, make([]Elem, 1), make([]Elem, 2)) },
 	}
 	for name, fn := range cases {
 		func() {
@@ -250,8 +288,27 @@ func FuzzFieldVecKernels(f *testing.F) {
 			}
 		}
 
+		MulConstAddVec(dst, a, c, b)
+		eqVec(t, "MulConstAddVec", dst, refMulConstAdd(a, c, b))
+
 		if got, want := DotAcc(c, a, b), refDot(c, a, b); got != want {
 			t.Fatalf("DotAcc = %d, want %d", got, want)
 		}
 	})
+}
+
+// dotSink keeps BenchmarkDotAcc1000's result live.
+var dotSink Elem
+
+// BenchmarkDotAcc1000 times the fused inner product at the covariance
+// sessions' column length (m = 1000 rows).
+func BenchmarkDotAcc1000(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	x, y := randVec(rng, 1000), randVec(rng, 1000)
+	b.ReportAllocs()
+	b.SetBytes(8 * 1000)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dotSink = DotAcc(dotSink, x, y)
+	}
 }

@@ -23,6 +23,10 @@ import (
 // delta = 1e-5 regime of the experiments (see DESIGN.md, substitution 2).
 const PoissonExactMax = float64(1 << 51)
 
+// ptrsMin is the mean at which Poisson sampling switches from
+// sequential inversion to the PTRS rejection sampler.
+const ptrsMin = 30
+
 // RNG is a seeded random source. The zero value is not usable; construct
 // with New.
 type RNG struct {
@@ -109,7 +113,7 @@ func (g *RNG) Poisson(mu float64) int64 {
 		panic(invariant.Violation("randx: Poisson mean must be non-negative"))
 	case mathx.EqualWithin(mu, 0, 0):
 		return 0
-	case mu < 30:
+	case mu < ptrsMin:
 		return g.poissonInversion(mu)
 	case mu <= PoissonExactMax:
 		return g.poissonPTRS(mu)
@@ -142,21 +146,35 @@ func (g *RNG) poissonInversion(mu float64) int64 {
 	return k
 }
 
-// poissonPTRS samples Poisson(mu) with Hörmann's PTRS transformed
-// rejection sampler (W. Hörmann, 1993). Valid for mu >= 10; exact up to
-// floating-point evaluation of the acceptance test.
-func (g *RNG) poissonPTRS(mu float64) int64 {
-	logMu := math.Log(mu)
+// ptrs holds the constants of Hörmann's PTRS transformed rejection
+// sampler (W. Hörmann, 1993) for one mean: they cost a log, a square
+// root and two divisions, so a vector of draws at one mean builds them
+// once. Valid for mu >= 10.
+type ptrs struct {
+	mu, logMu, b, a, invAlpha, vr float64
+}
+
+func newPTRS(mu float64) ptrs {
 	b := 0.931 + 2.53*math.Sqrt(mu)
-	a := -0.059 + 0.02483*b
-	invAlpha := 1.1239 + 1.1328/(b-3.4)
-	vr := 0.9277 - 3.6224/(b-2)
+	return ptrs{
+		mu:       mu,
+		logMu:    math.Log(mu),
+		b:        b,
+		a:        -0.059 + 0.02483*b,
+		invAlpha: 1.1239 + 1.1328/(b-3.4),
+		vr:       0.9277 - 3.6224/(b-2),
+	}
+}
+
+// draw returns one Poisson(c.mu) sample from g; exact up to
+// floating-point evaluation of the acceptance test.
+func (c *ptrs) draw(g *RNG) int64 {
 	for {
 		u := g.r.Float64() - 0.5
 		v := g.r.Float64()
 		us := 0.5 - math.Abs(u)
-		kf := math.Floor((2*a/us+b)*u + mu + 0.43)
-		if us >= 0.07 && v <= vr {
+		kf := math.Floor((2*c.a/us+c.b)*u + c.mu + 0.43)
+		if us >= 0.07 && v <= c.vr {
 			return int64(kf)
 		}
 		if kf < 0 || (us < 0.013 && v > us) {
@@ -164,10 +182,16 @@ func (g *RNG) poissonPTRS(mu float64) int64 {
 		}
 		k := kf
 		lg, _ := math.Lgamma(k + 1)
-		if math.Log(v*invAlpha/(a/(us*us)+b)) <= k*logMu-mu-lg {
+		if math.Log(v*c.invAlpha/(c.a/(us*us)+c.b)) <= k*c.logMu-c.mu-lg {
 			return int64(kf)
 		}
 	}
+}
+
+// poissonPTRS samples Poisson(mu) with the PTRS sampler.
+func (g *RNG) poissonPTRS(mu float64) int64 {
+	c := newPTRS(mu)
+	return c.draw(g)
 }
 
 // Skellam returns a sample from the symmetric Skellam distribution
@@ -187,9 +211,18 @@ func (g *RNG) Skellam(mu float64) int64 {
 	}
 }
 
-// SkellamVec fills a length-n slice with iid Sk(mu) samples.
+// SkellamVec fills a length-n slice with iid Sk(mu) samples: the values
+// n calls of Skellam(mu) return, with the PTRS constants of a mean in
+// that sampler's range built once for all 2n Poisson draws.
 func (g *RNG) SkellamVec(n int, mu float64) []int64 {
 	v := make([]int64, n)
+	if mu >= ptrsMin && mu <= PoissonExactMax {
+		c := newPTRS(mu)
+		for i := range v {
+			v[i] = c.draw(g) - c.draw(g)
+		}
+		return v
+	}
 	for i := range v {
 		v[i] = g.Skellam(mu)
 	}

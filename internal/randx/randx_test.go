@@ -309,6 +309,27 @@ func TestSkellamVec(t *testing.T) {
 	}
 }
 
+// TestSkellamVecMatchesSkellamStream pins the one-stream rule: the MPC
+// path's SkellamVec and the plain engine's per-sample Skellam draw the
+// same values from equally seeded streams and leave them in the same
+// state, in every sampler regime (zero, inversion, both edges of PTRS,
+// Gaussian surrogate).
+func TestSkellamVecMatchesSkellamStream(t *testing.T) {
+	const n = 500
+	for _, mu := range []float64{0, 5, 29.9, 30, 1e3, PoissonExactMax, 2 * PoissonExactMax} {
+		vecRNG, refRNG := New(42), New(42)
+		got := vecRNG.SkellamVec(n, mu)
+		for i, g := range got {
+			if want := refRNG.Skellam(mu); g != want {
+				t.Fatalf("mu=%g: SkellamVec[%d] = %d, Skellam stream gives %d", mu, i, g, want)
+			}
+		}
+		if a, b := vecRNG.Uint64(), refRNG.Uint64(); a != b {
+			t.Fatalf("mu=%g: streams diverge after %d samples (%d vs %d)", mu, n, a, b)
+		}
+	}
+}
+
 func TestStochasticRoundUnbiased(t *testing.T) {
 	g := New(31)
 	for _, v := range []float64{0.25, -1.7, 3.0, 1234.5, -0.001} {
@@ -402,5 +423,19 @@ func BenchmarkSkellamLarge(b *testing.B) {
 	g := New(1)
 	for i := 0; i < b.N; i++ {
 		g.Skellam(1e12)
+	}
+}
+
+// skellamSink keeps BenchmarkSkellamVecPTRS's output live.
+var skellamSink []int64
+
+// BenchmarkSkellamVecPTRS draws one client's noise share vector of the
+// cov_mono workload (n(n+1)/2 entries at n = 120); ns/op ÷ 7260 compares
+// with BenchmarkSkellamLarge.
+func BenchmarkSkellamVecPTRS(b *testing.B) {
+	g := New(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		skellamSink = g.SkellamVec(7260, 1e12)
 	}
 }

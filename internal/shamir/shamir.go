@@ -31,6 +31,43 @@ func Share(secret field.Elem, t, n int, rng *randx.RNG) []field.Elem {
 	return shares
 }
 
+// ShareVec shares a whole vector at once, party-major and in place:
+// dst[i][k] becomes party i's share of secrets[k] (len(dst) parties,
+// every row as long as secrets and none aliasing it; 1 <= t < parties).
+// The random coefficients are drawn secret by secret, low order first —
+// Share's order — so the shares equal one Share call per secret and rng
+// is left in the same state. They are kept coefficient-major in scratch
+// (at least t·len(secrets) elements, dead on return), which turns each
+// party's row into t Horner steps over the whole vector.
+func ShareVec(dst [][]field.Elem, secrets []field.Elem, t int, rng *randx.RNG, scratch []field.Elem) {
+	n, m := len(dst), len(secrets)
+	if t < 1 || n <= t {
+		panic(invariant.Violation("shamir: invalid threshold t=%d for n=%d", t, n))
+	}
+	if len(scratch) < t*m {
+		panic(invariant.Violation("shamir: ShareVec scratch holds %d elements, needs %d", len(scratch), t*m))
+	}
+	for i, row := range dst {
+		if len(row) != m {
+			panic(invariant.Violation("shamir: ShareVec row %d has %d elements for %d secrets", i, len(row), m))
+		}
+	}
+	for k := 0; k < m; k++ {
+		for j := 0; j < t; j++ {
+			scratch[j*m+k] = field.Rand(rng)
+		}
+	}
+	for i, row := range dst {
+		x := field.Elem(uint64(i + 1))
+		acc := scratch[(t-1)*m : t*m]
+		for j := t - 1; j >= 1; j-- {
+			field.MulConstAddVec(row, acc, x, scratch[(j-1)*m:j*m])
+			acc = row
+		}
+		field.MulConstAddVec(row, acc, x, secrets)
+	}
+}
+
 // evalPoly evaluates the polynomial with the given coefficients (low
 // order first) at x by Horner's rule.
 func evalPoly(coefs []field.Elem, x field.Elem) field.Elem {

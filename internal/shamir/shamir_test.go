@@ -1,10 +1,12 @@
 package shamir
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
 	"sqm/internal/field"
+	"sqm/internal/invariant"
 	"sqm/internal/randx"
 )
 
@@ -169,10 +171,101 @@ func TestShareInvalidThresholdPanics(t *testing.T) {
 	Share(1, 3, 3, randx.New(1))
 }
 
+// shareRows returns n rows of m elements each.
+func shareRows(n, m int) [][]field.Elem {
+	rows := make([][]field.Elem, n)
+	for i := range rows {
+		rows[i] = make([]field.Elem, m)
+	}
+	return rows
+}
+
+// TestShareVecMatchesShare pins ShareVec to the scalar oracle: from
+// equally seeded streams it produces Share's shares element for element
+// and leaves the stream where Share does, so swapping one for the other
+// changes no share anywhere downstream.
+func TestShareVecMatchesShare(t *testing.T) {
+	for _, cfg := range []struct{ p, t int }{{3, 1}, {4, 1}, {5, 2}, {10, 4}, {10, 9}} {
+		for _, m := range []int{0, 1, 17, 1000} {
+			seed := uint64(100*cfg.p + cfg.t)
+			secrets := make([]field.Elem, m)
+			src := randx.New(seed + 1)
+			for k := range secrets {
+				secrets[k] = field.Rand(src)
+			}
+			vecRNG, refRNG := randx.New(seed), randx.New(seed)
+			got := shareRows(cfg.p, m)
+			ShareVec(got, secrets, cfg.t, vecRNG, make([]field.Elem, cfg.t*m))
+			for k, s := range secrets {
+				for i, want := range Share(s, cfg.t, cfg.p, refRNG) {
+					if got[i][k] != want {
+						t.Fatalf("P=%d t=%d len=%d: party %d share %d = %d, Share gives %d", cfg.p, cfg.t, m, i, k, got[i][k], want)
+					}
+				}
+			}
+			if a, b := vecRNG.Uint64(), refRNG.Uint64(); a != b {
+				t.Fatalf("P=%d t=%d len=%d: streams diverge after sharing (%d vs %d)", cfg.p, cfg.t, m, a, b)
+			}
+		}
+	}
+}
+
+func TestShareVecMisusePanics(t *testing.T) {
+	secrets := make([]field.Elem, 4)
+	cases := map[string]func(){
+		"t = 0":         func() { ShareVec(shareRows(3, 4), secrets, 0, randx.New(1), nil) },
+		"t = parties":   func() { ShareVec(shareRows(3, 4), secrets, 3, randx.New(1), make([]field.Elem, 12)) },
+		"short scratch": func() { ShareVec(shareRows(5, 4), secrets, 2, randx.New(1), make([]field.Elem, 7)) },
+		"ragged dst": func() {
+			ShareVec(append(shareRows(2, 4), make([]field.Elem, 3)), secrets, 1, randx.New(1), make([]field.Elem, 4))
+		},
+	}
+	for name, fn := range cases {
+		func() {
+			defer func() {
+				err, _ := recover().(error)
+				var v *invariant.Error
+				if !errors.As(err, &v) {
+					t.Errorf("%s: want an invariant.Violation panic, got %v", name, err)
+				}
+			}()
+			fn()
+		}()
+	}
+}
+
 func BenchmarkShare4Parties(b *testing.B) {
 	g := randx.New(1)
 	for i := 0; i < b.N; i++ {
 		Share(12345, 1, 4, g)
+	}
+}
+
+// shareVecSink keeps BenchmarkShareVec's output live.
+var shareVecSink [][]field.Elem
+
+// BenchmarkShareVec shares whole vectors at the two covariance
+// workloads' noise-vector shapes; ns/op ÷ len compares with
+// BenchmarkShare4Parties.
+func BenchmarkShareVec(b *testing.B) {
+	for _, cfg := range []struct {
+		name    string
+		p, t, m int
+	}{{"P4_t1_len7260", 4, 1, 7260}, {"P10_t4_len3240", 10, 4, 3240}} {
+		b.Run(cfg.name, func(b *testing.B) {
+			g := randx.New(1)
+			secrets := make([]field.Elem, cfg.m)
+			for k := range secrets {
+				secrets[k] = field.Rand(g)
+			}
+			dst, scratch := shareRows(cfg.p, cfg.m), make([]field.Elem, cfg.t*cfg.m)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ShareVec(dst, secrets, cfg.t, g, scratch)
+			}
+			shareVecSink = dst
+		})
 	}
 }
 

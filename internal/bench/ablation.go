@@ -72,7 +72,7 @@ func AblationNoiseTransport(o Options) *Table {
 		tbl.Notes = append(tbl.Notes, err.Error())
 		return tbl
 	}
-	var acc *bgw.SharedVec
+	var acc bgw.Vec
 	for j, shares := range draw() {
 		v := eng.InputVec(j, shares)
 		if acc == nil {
@@ -372,7 +372,7 @@ func AblationFusedGates(o Options) *Table {
 		if err != nil {
 			return 0, 0, nil
 		}
-		cols := make([]*bgw.SharedVec, n)
+		cols := make([]bgw.Vec, n)
 		for j := 0; j < n; j++ {
 			cols[j] = eng.InputVec(j%parties, qd.Col(j))
 		}
@@ -386,7 +386,7 @@ func AblationFusedGates(o Options) *Table {
 				}
 				acc := eng.Zero()
 				for i := 0; i < m; i++ {
-					acc = eng.Add(acc, eng.Mul(cols[a].At(i), cols[b].At(i)))
+					acc = eng.Add(acc, eng.Mul(eng.At(cols[a], i), eng.At(cols[b], i)))
 				}
 				out = append(out, eng.Open(acc))
 			}

@@ -11,14 +11,16 @@ import (
 	"sqm/internal/circuit"
 	"sqm/internal/field"
 	"sqm/internal/randx"
+	"sqm/internal/transport"
 )
 
-// The kernels experiment measures the two layers Issue 10 parallelized:
-// the branchless field vector kernels against the scalar helpers they
-// replaced, and the level executor's worker pool on the lr3 cube
-// circuit against its own serial path. Every parallel execution is
-// differentially checked against the serial openings before its
-// throughput is reported — a faster wrong answer fails the run.
+// The kernels experiment measures two layers of the hot path: the
+// branchless field vector kernels against the scalar helpers they
+// replaced, and level execution of the lr3 cube circuit on the inline
+// engine, which splits each level's products over its own pool. The
+// execution is differentially checked against serial parties' openings
+// before its throughput is reported — a faster wrong answer fails the
+// run.
 
 // kernelVecN is the vector length of the micro-benchmarks: large enough
 // to amortize call overhead, small enough to stay in cache (the hot
@@ -86,11 +88,11 @@ func Kernels(o Options) (*Table, map[string]float64) {
 	metrics := map[string]float64{}
 	tbl := &Table{
 		ID:     "kernels",
-		Title:  "batched field kernels and parallel level execution (Issue 10 hot path)",
+		Title:  "batched field kernels and inline level execution (hot path)",
 		Header: []string{"benchmark", "n", "workers", "throughput", "unit", "speedup", "outputs"},
 		Notes: []string{
-			fmt.Sprintf("num_cpu=%d gomaxprocs=%d; worker speedups need that many physical cores", runtime.NumCPU(), runtime.GOMAXPROCS(0)),
-			"every parallel execution is checked bit-identical against the serial openings before timing counts",
+			fmt.Sprintf("num_cpu=%d gomaxprocs=%d; the inline engine splits each level's products over gomaxprocs goroutines", runtime.NumCPU(), runtime.GOMAXPROCS(0)),
+			"the lr3 execution is checked bit-identical against serial parties' openings before timing counts",
 		},
 	}
 
@@ -136,17 +138,20 @@ func Kernels(o Options) (*Table, map[string]float64) {
 	dotAcc := measureOps(o, kernelVecN, func() { dst[0] = field.DotAcc(0, a, b) })
 	row("field.dotacc", "field.DotAcc", nStr, "-", dotAcc, dotScalar, "Melem/s", "-")
 
-	// Layer 2: lr3 level execution across worker-pool sizes on the
-	// monolithic engine — pure local arithmetic, no transport noise.
+	// Layer 2: lr3 level execution on the inline engine at its own pool
+	// width — pure local arithmetic, no transport noise — checked against
+	// goroutine parties over a channel mesh, which run the products
+	// serially.
 	const parties, d, B = 4, 3, 32
 	plan := cubePlan(parties, d, B, int64(o.Seed))
 	gates := int64(plan.MulGates())
-	exec := func(workers int) ([]int64, error) {
-		eng, err := bgw.NewEngine(bgw.Config{Parties: parties, Seed: o.Seed ^ 0xbe, Workers: workers})
-		if err != nil {
-			return nil, err
+	cfg := bgw.Config{Parties: parties, Seed: o.Seed ^ 0xbe}
+	exec := func(eng *bgw.Engine) ([]int64, error) {
+		defer eng.Close()
+		res, err := plan.Execute(eng, circuit.Bindings{})
+		if err == nil {
+			err = eng.Err()
 		}
-		res, err := plan.ExecuteOpts(bgw.Eval(eng), circuit.Bindings{}, circuit.ExecOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -156,45 +161,47 @@ func Kernels(o Options) (*Table, map[string]float64) {
 		}
 		return outs, nil
 	}
+	inline := func() ([]int64, error) {
+		eng, err := bgw.NewEngine(cfg)
+		if err != nil {
+			return nil, err
+		}
+		return exec(eng)
+	}
 
-	serialOut, err := exec(1)
+	serialEng, err := bgw.NewActorEngine(cfg, transport.NewChanMesh(parties))
+	if err != nil {
+		tbl.Notes = append(tbl.Notes, fmt.Sprintf("lr3 serial engine failed: %v", err))
+		return tbl, metrics
+	}
+	serialOut, err := exec(serialEng)
 	if err != nil {
 		tbl.Notes = append(tbl.Notes, fmt.Sprintf("lr3 serial execution failed: %v", err))
 		return tbl, metrics
 	}
-	sweep := []int{1, 2, 4}
-	if n := runtime.NumCPU(); n > 4 {
-		sweep = append(sweep, n)
+	outs, err := inline()
+	if err != nil {
+		tbl.Notes = append(tbl.Notes, fmt.Sprintf("lr3 execution failed: %v", err))
+		return tbl, metrics
 	}
-	var serialRate float64
-	for _, w := range sweep {
-		outs, err := exec(w)
-		if err != nil {
-			tbl.Notes = append(tbl.Notes, fmt.Sprintf("lr3 w=%d execution failed: %v", w, err))
-			continue
+	match := "identical"
+	for i := range serialOut {
+		if outs[i] != serialOut[i] {
+			match = "MISMATCH"
 		}
-		match := "identical"
-		for i := range serialOut {
-			if outs[i] != serialOut[i] {
-				match = "MISMATCH"
-			}
-		}
-		var execErr error
-		rate := measureOps(o, gates, func() {
-			if _, err := exec(w); err != nil && execErr == nil {
-				execErr = err
-			}
-		})
-		if execErr != nil {
-			tbl.Notes = append(tbl.Notes, fmt.Sprintf("lr3 w=%d timing failed: %v", w, execErr))
-			continue
-		}
-		if w == 1 {
-			serialRate = rate
-		}
-		row(fmt.Sprintf("lr3.exec.w%d", w), "lr3 level exec", fmt.Sprintf("B=%d", B),
-			fmt.Sprint(w), rate, serialRate, "Mgate/s", match)
 	}
+	var execErr error
+	rate := measureOps(o, gates, func() {
+		if _, err := inline(); err != nil && execErr == nil {
+			execErr = err
+		}
+	})
+	if execErr != nil {
+		tbl.Notes = append(tbl.Notes, fmt.Sprintf("lr3 timing failed: %v", execErr))
+		return tbl, metrics
+	}
+	row("lr3.exec", "lr3 level exec", fmt.Sprintf("B=%d", B),
+		fmt.Sprint(runtime.GOMAXPROCS(0)), rate, 0, "Mgate/s", match)
 	return tbl, metrics
 }
 

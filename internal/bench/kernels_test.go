@@ -9,7 +9,7 @@ import (
 
 // TestKernelsSmoke: the experiment must produce a row per benchmark,
 // a metric per row, and — the part that matters — no output mismatch
-// between the parallel executions and the serial baseline.
+// between the inline execution and the serial parties.
 func TestKernelsSmoke(t *testing.T) {
 	tbl, metrics := Kernels(Options{Runs: 1, Seed: 7})
 	if len(tbl.Rows) == 0 {
@@ -28,7 +28,7 @@ func TestKernelsSmoke(t *testing.T) {
 			t.Errorf("metric %s has non-positive throughput %g", id, rate)
 		}
 	}
-	for _, want := range []string{"field.mulvec", "field.dotacc", "lr3.exec.w1", "lr3.exec.w2"} {
+	for _, want := range []string{"field.mulvec", "field.dotacc", "lr3.exec"} {
 		if _, ok := metrics[want]; !ok {
 			t.Errorf("metric %s missing", want)
 		}

@@ -46,7 +46,7 @@ func evalProgram(t *testing.T, ev Evaluator) []int64 {
 	return out
 }
 
-func newActorChan(t *testing.T, cfg Config) *ActorEngine {
+func newActorChan(t *testing.T, cfg Config) *Engine {
 	t.Helper()
 	eng, err := NewActorEngine(cfg, transport.NewChanMesh(cfg.Parties))
 	if err != nil {
@@ -56,7 +56,7 @@ func newActorChan(t *testing.T, cfg Config) *ActorEngine {
 	return eng
 }
 
-func newActorTCP(t *testing.T, cfg Config) *ActorEngine {
+func newActorTCP(t *testing.T, cfg Config) *Engine {
 	t.Helper()
 	mesh, err := transport.NewTCPMesh(cfg.Parties)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"sqm/internal/field"
+	"sqm/internal/invariant"
 	"sqm/internal/shamir"
 )
 
@@ -116,8 +117,8 @@ func TestDeepMultiplicationChain(t *testing.T) {
 
 func TestInnerProduct(t *testing.T) {
 	e := newTestEngine(t, 4)
-	as := []*Shared{e.Input(0, 1), e.Input(0, 2), e.Input(1, 3)}
-	bs := []*Shared{e.Input(2, 4), e.Input(2, 5), e.Input(3, 6)}
+	as := []Val{e.Input(0, 1), e.Input(0, 2), e.Input(1, 3)}
+	bs := []Val{e.Input(2, 4), e.Input(2, 5), e.Input(3, 6)}
 	if got := e.Open(e.InnerProduct(as, bs)); got != 32 {
 		t.Fatalf("InnerProduct = %d", got)
 	}
@@ -125,7 +126,7 @@ func TestInnerProduct(t *testing.T) {
 
 func TestInnerProductSingleResharing(t *testing.T) {
 	e := newTestEngine(t, 4)
-	var as, bs []*Shared
+	var as, bs []Val
 	for i := 0; i < 10; i++ {
 		as = append(as, e.Input(0, int64(i)))
 		bs = append(bs, e.Input(1, int64(i)))
@@ -182,9 +183,9 @@ func TestSharesLookRandom(t *testing.T) {
 	const secret = 424242
 	hits := 0
 	for trial := 0; trial < 200; trial++ {
-		s := e.Input(0, secret)
-		for i := 0; i < 4; i++ {
-			if s.shares[i] == 424242 {
+		ref := e.scRef(e.Input(0, secret))
+		for _, pa := range e.parties {
+			if pa.sc[ref] == 424242 {
 				hits++
 			}
 		}
@@ -212,7 +213,7 @@ func TestInputVecOpenVec(t *testing.T) {
 func TestVecAtMatchesScalar(t *testing.T) {
 	e := newTestEngine(t, 3)
 	v := e.InputVec(0, []int64{9, -4})
-	if got := e.Open(v.At(1)); got != -4 {
+	if got := e.Open(e.At(v, 1)); got != -4 {
 		t.Fatalf("At(1) = %d", got)
 	}
 }
@@ -240,7 +241,7 @@ func TestDotAndDotSubset(t *testing.T) {
 
 func TestFromScalars(t *testing.T) {
 	e := newTestEngine(t, 3)
-	xs := []*Shared{e.Input(0, 7), e.Input(1, -2)}
+	xs := []Val{e.Input(0, 7), e.Input(1, -2)}
 	v := e.FromScalars(xs)
 	got := e.OpenVec(v)
 	if got[0] != 7 || got[1] != -2 {
@@ -271,7 +272,7 @@ func TestNoisyAggregateCircuit(t *testing.T) {
 func TestDotBatchMatchesSequential(t *testing.T) {
 	e := newTestEngine(t, 4)
 	const vecs, length = 9, 50
-	vs := make([]*SharedVec, vecs)
+	vs := make([]Vec, vecs)
 	raw := make([][]int64, vecs)
 	for i := range vs {
 		raw[i] = make([]int64, length)
@@ -280,11 +281,11 @@ func TestDotBatchMatchesSequential(t *testing.T) {
 		}
 		vs[i] = e.InputVec(i%4, raw[i])
 	}
-	var pairs []DotPair
+	var pairs []VecPair
 	var want []int64
 	for a := 0; a < vecs; a++ {
 		for b := a; b < vecs; b++ {
-			pairs = append(pairs, DotPair{A: vs[a], B: vs[b]})
+			pairs = append(pairs, VecPair{A: vs[a], B: vs[b]})
 			var dot int64
 			for k := 0; k < length; k++ {
 				dot += raw[a][k] * raw[b][k]
@@ -292,12 +293,12 @@ func TestDotBatchMatchesSequential(t *testing.T) {
 			want = append(want, dot)
 		}
 	}
-	for _, workers := range []int{0, 1, 3, 16} {
-		got := e.DotBatch(pairs, workers)
-		for i := range got {
-			if v := e.Open(got[i]); v != want[i] {
-				t.Fatalf("workers=%d pair %d: %d != %d", workers, i, v, want[i])
-			}
+	// One batched round opens what one Dot per pair opens. (The pool
+	// width sweep lives in TestMonoWorkerPoolDifferentialRace.)
+	got := e.OpenBatch(e.DotBatch(pairs, 0))
+	for i, pr := range pairs {
+		if v := e.Open(e.Dot(pr.A, pr.B)); v != want[i] || got[i] != want[i] {
+			t.Fatalf("pair %d: Dot %d, DotBatch %d, want %d", i, v, got[i], want[i])
 		}
 	}
 }
@@ -317,7 +318,7 @@ func TestDotBatchMetersLikeSequential(t *testing.T) {
 	e.Dot(a, b)
 	seq := e.Stats()
 	e.ResetStats()
-	e.DotBatch([]DotPair{{A: a, B: b}}, 4)
+	e.DotBatch([]VecPair{{A: a, B: b}}, 4)
 	par := e.Stats()
 	if seq.Messages != par.Messages || seq.FieldOps != par.FieldOps {
 		t.Fatalf("metering differs: seq %+v vs par %+v", seq, par)
@@ -329,8 +330,12 @@ func TestInputElemOpenElemRoundTrip(t *testing.T) {
 	// Raw field elements beyond the signed embedding range must survive.
 	big := field.Elem(field.Modulus - 3)
 	s := e.InputElem(1, big)
-	if got := e.OpenElem(s); got != big {
-		t.Fatalf("OpenElem = %d, want %d", got, big)
+	var got field.Elem
+	for _, a := range e.AdditiveShares(s, lagrangeWeightsForTest(4)) {
+		got = field.Add(got, a)
+	}
+	if got != big {
+		t.Fatalf("raw element = %d, want %d", got, big)
 	}
 }
 
@@ -338,7 +343,7 @@ func TestAdditiveSharesConversion(t *testing.T) {
 	e := newTestEngine(t, 4)
 	s := e.Input(0, 9876)
 	w := shamir.LagrangeAtZero(shamir.PartyPoints(4))
-	add := s.AdditiveShares(w)
+	add := e.AdditiveShares(s, w)
 	var sum field.Elem
 	for _, a := range add {
 		sum = field.Add(sum, a)
@@ -356,20 +361,58 @@ func TestAdditiveSharesWeightMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	s.AdditiveShares(make([]field.Elem, 2))
+	e.AdditiveShares(s, make([]field.Elem, 2))
 }
 
+// TestForeignSharePanics: every operation that takes a handle refuses
+// one issued by another engine, and At refuses an index out of range,
+// with an invariant.Violation rather than computing on foreign slots or
+// a raw runtime panic.
 func TestForeignSharePanics(t *testing.T) {
 	e1 := newTestEngine(t, 3)
 	e2 := newTestEngine(t, 3)
-	a := e1.Input(0, 1)
-	b := e2.Input(0, 2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for cross-engine shares")
-		}
-	}()
-	e1.Add(a, b)
+	a, av := e1.Input(0, 1), e1.InputVec(0, []int64{1, 2})
+	b, bv := e2.Input(0, 2), e2.InputVec(0, []int64{3, 4})
+	w := lagrangeWeightsForTest(3)
+	for name, op := range map[string]func(){
+		"Add":            func() { e1.Add(a, b) },
+		"Sub":            func() { e1.Sub(b, a) },
+		"Mul":            func() { e1.Mul(a, b) },
+		"AddConst":       func() { e1.AddConst(b, 1) },
+		"MulConst":       func() { e1.MulConst(b, 2) },
+		"InnerProduct":   func() { e1.InnerProduct([]Val{a}, []Val{b}) },
+		"AdditiveShares": func() { e1.AdditiveShares(b, w) },
+		"FromScalars":    func() { e1.FromScalars([]Val{a, b}) },
+		"Open":           func() { e1.Open(b) },
+		"OpenBatch":      func() { e1.OpenBatch([]Val{a, b}) },
+		"At":             func() { e1.At(bv, 0) },
+		"AddVec":         func() { e1.AddVec(av, bv) },
+		"Dot":            func() { e1.Dot(bv, av) },
+		"OpenVec":        func() { e1.OpenVec(bv) },
+		"At index = len": func() { e1.At(av, 2) },
+		"At index = -1":  func() { e1.At(av, -1) },
+		"nil scalar":     func() { e1.Add(a, nil) },
+		"foreign type":   func() { e1.Add(a, 7) },
+	} {
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Errorf("%s: expected a panic", name)
+				} else if _, ok := r.(*invariant.Error); !ok {
+					t.Errorf("%s: panicked with %T (%v), want an invariant violation", name, r, r)
+				}
+			}()
+			op()
+		}()
+	}
+	// Nothing above reached the parties: both engines still work.
+	if got := e1.Open(e1.Add(a, e1.At(av, 1))); got != 3 {
+		t.Fatalf("e1 after refused operations opened %d, want 3", got)
+	}
+	if err := e1.Err(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestMoreParties(t *testing.T) {

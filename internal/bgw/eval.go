@@ -1,18 +1,72 @@
+// Package bgw implements the BGW protocol (Ben-Or, Goldwasser, Wigderson
+// 1988) for semi-honest parties over the field of package field, as used
+// by SQM (§II and Appendix B of the paper):
+//
+//  1. each party secret-shares its private inputs with Shamir's scheme,
+//  2. addition and scaling are local; each multiplication takes the
+//     pointwise product of shares (a degree-2t sharing) followed by a
+//     degree-reduction resharing round,
+//  3. outputs are opened by exchanging shares and interpolating at 0.
+//
+// There is one implementation of a party (actorParty) and one Engine
+// that drives P of them, inline in the caller's goroutine or as
+// goroutines behind a transport mesh. Either way the share arithmetic
+// is performed faithfully (so outputs are bit-exact with the plaintext
+// computation) and the communication is metered: traffic is counted
+// where a row is sent, every resharing or opening round advances a
+// round counter, and simulated network time is rounds × Latency,
+// matching the paper's experimental setup of a fixed 0.1 s
+// message-passing cost.
 package bgw
 
 import (
 	"time"
 
 	"sqm/internal/field"
-	"sqm/internal/invariant"
 	"sqm/internal/obs"
-	"sqm/internal/shamir"
 )
 
-// Val is an opaque handle to one secret-shared scalar. Each Evaluator
-// implementation issues its own handle type (*Shared for the monolithic
-// engine, *ActorShared for the party-actor engine); handles must only
-// be passed back to the evaluator that issued them.
+// DefaultLatency is the per-round message-passing cost used by the
+// paper's simulation (§VI).
+const DefaultLatency = 100 * time.Millisecond
+
+// Config describes a BGW deployment.
+type Config struct {
+	Parties   int           // P >= 2*Threshold + 1
+	Threshold int           // t; 0 means floor((P-1)/2)
+	Latency   time.Duration // per communication round; 0 means DefaultLatency
+	Seed      uint64        // seeds the per-party private randomness
+	Recorder  obs.Recorder  // telemetry sink; nil disables at zero cost
+	// RecvTimeout bounds every blocking receive of parties behind a
+	// mesh: a peer that stays silent past the deadline surfaces as a
+	// transport.ErrTimeout party failure instead of a hung protocol.
+	// 0 keeps receives blocking (the trusted-simulation default).
+	// Inline parties never block and ignore it.
+	RecvTimeout time.Duration
+}
+
+// Stats meters the protocol execution. Frames and Messages separate
+// physical sends from logical traffic: a batched round folds the
+// independent messages of a whole level into one frame per ordered
+// party pair, so Frames drops with batching while Messages — the
+// protocol-defined traffic — stays put.
+type Stats struct {
+	Rounds   int64 // communication rounds
+	Frames   int64 // physical point-to-point sends (batched frames count once)
+	Messages int64 // logical point-to-point messages
+	Bytes    int64 // payload bytes (8 per field element per message)
+	FieldOps int64 // local field multiplications (cost-model input)
+}
+
+// NetTime returns the simulated network time for the metered rounds at
+// the given per-round latency.
+func (s Stats) NetTime(latency time.Duration) time.Duration {
+	return time.Duration(s.Rounds) * latency
+}
+
+// Val is an opaque handle to one secret-shared scalar (*Shared for the
+// engine of this package; recording evaluators issue their own).
+// Handles must only be passed back to the evaluator that issued them.
 type Val interface{}
 
 // Vec is an opaque handle to a secret-shared vector.
@@ -58,10 +112,11 @@ type InputItem struct {
 // Evaluator is the abstract MPC backend the SQM protocols run against.
 // It captures exactly the share operations the paper's circuits need:
 // input sharing, local linear algebra, degree-reduction multiplication,
-// fused inner products and openings. Backends: the monolithic in-process
-// engine (Eval), the party-actor engine over a pluggable transport
-// (NewActorEngine), and — because BGW computes exactly — the plaintext
-// engine in internal/core that bypasses sharing entirely.
+// fused inner products and openings. Backends: the Engine of this
+// package with inline parties (NewEngine) or with party goroutines over
+// a pluggable transport (NewActorEngine), and — because BGW computes
+// exactly — the plaintext engine in internal/core that bypasses sharing
+// entirely.
 //
 // All operations follow the semi-honest, synchronized-round model of the
 // concrete engines: structured protocols batch the independent messages
@@ -125,7 +180,8 @@ type Evaluator interface {
 	// Dot returns a sharing of the inner product ⟨a, b⟩ (fused gate).
 	Dot(a, b Vec) Val
 	// DotBatch evaluates many fused inner products belonging to the
-	// same communication round.
+	// same communication round. workers is ignored: no backend takes a
+	// pool width from its caller.
 	DotBatch(pairs []VecPair, workers int) []Val
 	// MulBatch evaluates one whole level of independent multiplicative
 	// gates (scalar products, fused inner products, vector dots) in a
@@ -147,167 +203,7 @@ type Evaluator interface {
 	OpenVec(v Vec) []int64
 }
 
-// Eval adapts the monolithic engine to the Evaluator interface. The
-// engine's concrete API stays available for callers that want it; the
-// adapter only translates handle types.
-func Eval(e *Engine) Evaluator { return monoEval{e} }
-
-type monoEval struct{ e *Engine }
-
-func (m monoEval) Parties() int           { return m.e.Parties() }
-func (m monoEval) Threshold() int         { return m.e.Threshold() }
-func (m monoEval) Latency() time.Duration { return m.e.Latency() }
-func (m monoEval) Stats() Stats           { return m.e.Stats() }
-func (m monoEval) ResetStats()            { m.e.ResetStats() }
-func (m monoEval) AdvanceRound()          { m.e.AdvanceRound() }
-func (m monoEval) Recorder() obs.Recorder { return m.e.Recorder() }
-func (m monoEval) Err() error             { return nil }
-func (m monoEval) Close() error           { return nil }
-
-func (m monoEval) Input(owner int, v int64) Val          { return m.e.Input(owner, v) }
-func (m monoEval) InputElem(owner int, e field.Elem) Val { return m.e.InputElem(owner, e) }
-func (m monoEval) InputVec(owner int, vs []int64) Vec    { return m.e.InputVec(owner, vs) }
-func (m monoEval) Zero() Val                             { return m.e.Zero() }
-func (m monoEval) Add(a, b Val) Val                      { return m.e.Add(a.(*Shared), b.(*Shared)) }
-func (m monoEval) Sub(a, b Val) Val                      { return m.e.Sub(a.(*Shared), b.(*Shared)) }
-func (m monoEval) AddConst(a Val, c int64) Val           { return m.e.AddConst(a.(*Shared), c) }
-func (m monoEval) MulConst(a Val, c int64) Val           { return m.e.MulConst(a.(*Shared), c) }
-func (m monoEval) Mul(a, b Val) Val                      { return m.e.Mul(a.(*Shared), b.(*Shared)) }
-func (m monoEval) Open(s Val) int64                      { return m.e.Open(s.(*Shared)) }
-
-func (m monoEval) InnerProduct(as, bs []Val) Val {
-	ca := make([]*Shared, len(as))
-	cb := make([]*Shared, len(bs))
-	for i := range as {
-		ca[i] = as[i].(*Shared)
-		cb[i] = bs[i].(*Shared)
-	}
-	return m.e.InnerProduct(ca, cb)
-}
-
-func (m monoEval) AdditiveShares(s Val, weights []field.Elem) []field.Elem {
-	return s.(*Shared).AdditiveShares(weights)
-}
-
-func (m monoEval) At(v Vec, k int) Val   { return v.(*SharedVec).At(k) }
-func (m monoEval) AddVec(a, b Vec) Vec   { return m.e.AddVec(a.(*SharedVec), b.(*SharedVec)) }
-func (m monoEval) Dot(a, b Vec) Val      { return m.e.Dot(a.(*SharedVec), b.(*SharedVec)) }
-func (m monoEval) OpenVec(v Vec) []int64 { return m.e.OpenVec(v.(*SharedVec)) }
-
-func (m monoEval) DotBatch(pairs []VecPair, workers int) []Val {
-	dp := make([]DotPair, len(pairs))
-	for i, p := range pairs {
-		dp[i] = DotPair{A: p.A.(*SharedVec), B: p.B.(*SharedVec)}
-	}
-	shared := m.e.DotBatch(dp, workers)
-	out := make([]Val, len(shared))
-	for i, s := range shared {
-		out[i] = s
-	}
-	return out
-}
-
-// InputBatch shares every item from its owner's private stream in item
-// order. An owner's first item pays the (P−1) frames of the round; each
-// further one rides in them.
-func (m monoEval) InputBatch(items []InputItem) []Val {
-	e := m.e
-	out := make([]Val, len(items))
-	seen := make([]bool, e.p)
-	for i, it := range items {
-		out[i] = e.InputElem(it.Owner, it.Elem)
-		if seen[it.Owner] {
-			e.stats.Frames -= int64(e.p - 1)
-		}
-		seen[it.Owner] = true
-	}
-	return out
-}
-
-// MulBatch computes every item's local degree-2t value and restores
-// degree t with a single batched resharing round. Validation and stats
-// run serially up front (the counts depend only on batch shape); the
-// share arithmetic then splits across the worker pool, each item
-// writing its own column of the party-major highs, so the merge order is
-// the item order regardless of scheduling.
-func (m monoEval) MulBatch(items []MulItem) []Val {
-	e := m.e
-	n := len(items)
-	out := make([]Val, n)
-	if n == 0 {
-		return out
-	}
-	for _, it := range items {
-		switch it.Kind {
-		case MulScalar:
-			e.checkSame(it.A.(*Shared), it.B.(*Shared))
-			e.stats.FieldOps += int64(e.p)
-		case MulInner:
-			for k := range it.As {
-				e.checkSame(it.As[k].(*Shared), it.Bs[k].(*Shared))
-			}
-			e.stats.FieldOps += int64(e.p * len(it.As))
-		case MulDot:
-			a, b := it.VA.(*SharedVec), it.VB.(*SharedVec)
-			e.checkSameVec(a, b)
-			e.stats.FieldOps += int64(e.p * a.Len())
-		}
-	}
-	highs := make([]field.Elem, e.p*n) // highs[i*n+idx]: party i's value of item idx
-	parallelChunks(n, e.workers, func(start, end int) {
-		for idx := start; idx < end; idx++ {
-			switch it := items[idx]; it.Kind {
-			case MulScalar:
-				a, b := it.A.(*Shared).shares, it.B.(*Shared).shares
-				for i := range a {
-					highs[i*n+idx] = field.Mul(a[i], b[i])
-				}
-			case MulInner:
-				for k := range it.As {
-					a, b := it.As[k].(*Shared).shares, it.Bs[k].(*Shared).shares
-					for i := range a {
-						highs[i*n+idx] = field.Add(highs[i*n+idx], field.Mul(a[i], b[i]))
-					}
-				}
-			case MulDot:
-				a, b := it.VA.(*SharedVec).shares, it.VB.(*SharedVec).shares
-				for i := range a {
-					highs[i*n+idx] = field.DotAcc(0, a[i], b[i])
-				}
-			}
-		}
-	})
-	for i, s := range e.reshareBatch(highs, n) {
-		out[i] = s
-	}
-	return out
-}
-
-// OpenBatch reveals every value in one batched opening round.
-func (m monoEval) OpenBatch(vals []Val) []int64 {
-	e := m.e
-	out := make([]int64, len(vals))
-	if len(vals) == 0 {
-		return out
-	}
-	for k, v := range vals {
-		s := v.(*Shared)
-		if s.eng != e {
-			panic(invariant.Violation("bgw: foreign share"))
-		}
-		out[k] = field.ToInt64(shamir.ReconstructWithWeights(e.weights, s.shares))
-	}
-	e.stats.Frames += int64(e.p * (e.p - 1))
-	e.stats.Messages += int64(len(vals) * e.p * (e.p - 1))
-	e.stats.Bytes += 8 * int64(len(vals)*e.p*(e.p-1))
-	e.stats.FieldOps += int64(e.p * len(vals))
-	return out
-}
-
-func (m monoEval) FromScalars(xs []Val) Vec {
-	cx := make([]*Shared, len(xs))
-	for i := range xs {
-		cx[i] = xs[i].(*Shared)
-	}
-	return m.e.FromScalars(cx)
-}
+// Eval returns the engine as an Evaluator. It is the identity: Engine
+// implements the interface itself, and the function stays for callers
+// written when the inline engine needed an adapter.
+func Eval(e *Engine) Evaluator { return e }

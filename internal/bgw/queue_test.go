@@ -76,7 +76,7 @@ func TestActorFullBatchesMatchMonolithic(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := localGateProgram(Eval(mono), gates)
-	for name, eng := range map[string]*ActorEngine{
+	for name, eng := range map[string]*Engine{
 		"actor":     newActorChan(t, Config{Parties: 4, Seed: 21}),
 		"actor-net": newActorTCP(t, Config{Parties: 4, Seed: 21}),
 	} {

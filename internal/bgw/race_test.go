@@ -1,6 +1,7 @@
 package bgw
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -8,17 +9,20 @@ import (
 	"sqm/internal/transport"
 )
 
-// bigBatchOpens runs one large mixed MulBatch plus a DotBatch on the
-// monolithic engine with the given pool bound and opens everything —
-// wide enough that every worker owns several gates, so the chunked
-// reshare path is actually exercised (and raced) when workers > 1.
-func bigBatchOpens(t *testing.T, workers int) []int64 {
+// bigBatch runs one large mixed MulBatch plus a DotBatch on an inline
+// engine whose parties split their products over chunks goroutines, and
+// opens everything — wide enough that every chunk owns several gates,
+// so the chunked path is actually exercised (and raced) when chunks > 1.
+// It returns the engine and the opened values.
+func bigBatch(t *testing.T, chunks int) (*Engine, []int64) {
 	t.Helper()
-	eng, err := NewEngine(Config{Parties: 4, Seed: 99, Workers: workers})
+	ev, err := NewEngine(Config{Parties: 4, Seed: 99})
 	if err != nil {
-		t.Fatalf("NewEngine(workers=%d): %v", workers, err)
+		t.Fatalf("NewEngine: %v", err)
 	}
-	ev := Eval(eng)
+	for _, pa := range ev.parties {
+		pa.chunks = chunks
+	}
 
 	var scalars []Val
 	for i := 0; i < 8; i++ {
@@ -43,40 +47,72 @@ func bigBatchOpens(t *testing.T, workers int) []int64 {
 	}
 	outs := ev.MulBatch(items)
 	ev.AdvanceRound()
-	dots := ev.DotBatch([]VecPair{{A: u, B: v}, {A: u, B: u}, {A: v, B: v}}, workers)
+	dots := ev.DotBatch([]VecPair{{A: u, B: v}, {A: u, B: u}, {A: v, B: v}}, 0)
 	ev.AdvanceRound()
 
 	res := ev.OpenBatch(outs)
 	for _, d := range dots {
 		res = append(res, ev.Open(d))
 	}
-	return res
+	if err := ev.Err(); err != nil {
+		t.Fatalf("chunks=%d: %v", chunks, err)
+	}
+	return ev, res
 }
 
-// TestMonoWorkerPoolDifferentialRace: the monolithic engine's batched
-// rounds must open bit-identical values for every pool size. Workers=8
-// forces the chunked parallel path even on a single-CPU machine, so
-// -race sweeps the goroutine interleavings while the differential pins
-// the outputs to the serial baseline.
+// TestMonoWorkerPoolDifferentialRace: the pool width is the driver's
+// choice, not an option, so this sets the parties' chunk count from
+// inside the package. Every width must leave every party with the same
+// slots, element for element, and open the same values as the serial
+// run; 16 chunks force the concurrent path even on a single-CPU
+// machine, so -race sweeps the goroutine interleavings.
 func TestMonoWorkerPoolDifferentialRace(t *testing.T) {
-	want := bigBatchOpens(t, 1)
-	for _, w := range []int{2, 8} {
-		got := bigBatchOpens(t, w)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d opened %d values, serial %d", w, len(got), len(want))
+	serial, want := bigBatch(t, 1)
+	for _, chunks := range []int{2, 3, 16} {
+		eng, got := bigBatch(t, chunks)
+		if !equalInt64(got, want) {
+			t.Errorf("chunks=%d opened %v, serial %v", chunks, got, want)
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("workers=%d output %d = %d, serial %d", w, i, got[i], want[i])
-			}
+		if diff := slotDiff(serial, eng); diff != "" {
+			t.Errorf("chunks=%d: %s", chunks, diff)
+		}
+		if gs, ss := eng.Stats(), serial.Stats(); gs != ss {
+			t.Errorf("chunks=%d stats %+v, serial %+v", chunks, gs, ss)
 		}
 	}
 }
 
-// TestActorWorkerPoolChaosRace runs the full evaluator program on the
-// actor engine — per-party worker pools, pooled transport frames — over
-// a FaultMesh delaying every link, and demands the monolithic engine's
-// exact openings. The delay forwarders make frame lifetimes genuinely
+// slotDiff compares every party's scalar and vector share slots of two
+// engines element for element and describes the first difference.
+func slotDiff(a, b *Engine) string {
+	for i, pa := range a.parties {
+		pb := b.parties[i]
+		if len(pa.sc) != len(pb.sc) || len(pa.vc) != len(pb.vc) {
+			return fmt.Sprintf("party %d holds %d scalars / %d vectors vs %d / %d",
+				i, len(pa.sc), len(pa.vc), len(pb.sc), len(pb.vc))
+		}
+		for k := range pa.sc {
+			if pa.sc[k] != pb.sc[k] {
+				return fmt.Sprintf("party %d scalar slot %d differs", i, k)
+			}
+		}
+		for k := range pa.vc {
+			if len(pa.vc[k]) != len(pb.vc[k]) {
+				return fmt.Sprintf("party %d vector slot %d has %d vs %d elements", i, k, len(pa.vc[k]), len(pb.vc[k]))
+			}
+			for j := range pa.vc[k] {
+				if pa.vc[k][j] != pb.vc[k][j] {
+					return fmt.Sprintf("party %d vector slot %d element %d differs", i, k, j)
+				}
+			}
+		}
+	}
+	return ""
+}
+
+// TestActorWorkerPoolChaosRace runs the full evaluator program on
+// goroutine parties — pooled transport frames — over a FaultMesh
+// delaying every link, and demands the inline engine's exact openings. The delay forwarders make frame lifetimes genuinely
 // concurrent with the party goroutines, so -race catches any pooled
 // buffer recycled while still in flight.
 func TestActorWorkerPoolChaosRace(t *testing.T) {
@@ -90,7 +126,7 @@ func TestActorWorkerPoolChaosRace(t *testing.T) {
 		Seed: 5,
 		All:  transport.LinkFault{Delay: 50 * time.Microsecond},
 	})
-	eng, err := NewActorEngine(Config{Parties: 4, Seed: 123, Workers: 8}, mesh)
+	eng, err := NewActorEngine(Config{Parties: 4, Seed: 123}, mesh)
 	if err != nil {
 		t.Fatalf("NewActorEngine: %v", err)
 	}
@@ -122,7 +158,7 @@ func TestActorCloseNoGoroutineLeak(t *testing.T) {
 			Seed: uint64(iter),
 			All:  transport.LinkFault{Delay: 20 * time.Microsecond},
 		})
-		eng, err := NewActorEngine(Config{Parties: 4, Seed: uint64(iter), Workers: 4}, mesh)
+		eng, err := NewActorEngine(Config{Parties: 4, Seed: uint64(iter)}, mesh)
 		if err != nil {
 			t.Fatalf("NewActorEngine: %v", err)
 		}

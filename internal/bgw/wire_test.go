@@ -137,10 +137,10 @@ func (c *recConn) SendN(to int, payload []byte, msgs int) error {
 }
 
 // TestVectorSharingPinsSharesAndWire runs InputVec, InputVec, DotBatch,
-// OpenBatch on both engines and on the per-element reference: the
-// monolithic engine must hold exactly the reference's shares after the
-// input and after the resharing, and the actor parties must put exactly
-// the reference's bytes on every link, frame for frame.
+// OpenBatch under both drivers and on the per-element reference: the
+// inline parties must hold exactly the reference's shares after the
+// input and after the resharing, and the parties behind a mesh must put
+// exactly the reference's bytes on every link, frame for frame.
 func TestVectorSharingPinsSharesAndWire(t *testing.T) {
 	u := make([]int64, 37)
 	v := make([]int64, 37)
@@ -150,7 +150,7 @@ func TestVectorSharingPinsSharesAndWire(t *testing.T) {
 	}
 	for _, cfg := range []Config{
 		{Parties: 4, Threshold: 1, Seed: 0xfeed},
-		{Parties: 10, Threshold: 4, Seed: 0xfeed, Workers: 3},
+		{Parties: 10, Threshold: 4, Seed: 0xfeed},
 	} {
 		ref := newRefWire(cfg)
 		ru, rv := ref.inputVec(0, u), ref.inputVec(cfg.Parties-1, v)
@@ -167,15 +167,16 @@ func TestVectorSharingPinsSharesAndWire(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, b, dots, want := program(Eval(mono))
-		for i := 0; i < cfg.Parties; i++ {
+		a, b, dots, want := program(mono)
+		for i, pa := range mono.parties {
+			ua, ub := pa.vc[mono.vecRef(a)], pa.vc[mono.vecRef(b)]
 			for k := range u {
-				if a.(*SharedVec).shares[i][k] != ru[i][k] || b.(*SharedVec).shares[i][k] != rv[i][k] {
+				if ua[k] != ru[i][k] || ub[k] != rv[i][k] {
 					t.Fatalf("P=%d: InputVec share of element %d at party %d differs from per-element Share", cfg.Parties, k, i)
 				}
 			}
 			for m, d := range dots {
-				if d.(*Shared).shares[i] != rd[i][m] {
+				if pa.sc[mono.scRef(d)] != rd[i][m] {
 					t.Fatalf("P=%d: reshared dot %d at party %d differs from per-element Share", cfg.Parties, m, i)
 				}
 			}

@@ -1,9 +1,7 @@
 package circuit
 
 import (
-	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"sqm/internal/bgw"
@@ -133,63 +131,38 @@ func checkEquivalence(t *testing.T, seed int64) {
 		}
 	}
 
-	// Worker-pool sweep: the parallel level executor must be invisible
-	// in everything but wall-clock — bit-identical outputs and unchanged
-	// round/frame counts for every pool size, with workers=1 (the serial
-	// executor) as the baseline.
-	sweep := []int{1, 2, runtime.NumCPU()}
-
-	var monoFrames int64
-	for wi, w := range sweep {
-		name := fmt.Sprintf("mono-planned-w%d", w)
-		mono, err := bgw.NewEngine(bgw.Config{Parties: 4, Seed: uint64(seed) ^ 0x9e37, Workers: w})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mres, err := plan.ExecuteOpts(bgw.Eval(mono), Bindings{}, ExecOptions{Workers: w})
-		if err != nil {
-			t.Fatalf("seed %d: %s: %v", seed, name, err)
-		}
-		check(name, mres, mono.Stats().Rounds, plan.Rounds())
-		if wi == 0 {
-			monoFrames = mono.Stats().Frames
-		} else if f := mono.Stats().Frames; f != monoFrames {
-			t.Errorf("seed %d: %s frames = %d, serial executor sent %d", seed, name, f, monoFrames)
-		}
+	// Both drivers of the engine at their own pool widths (inline
+	// parties split a level's products over GOMAXPROCS chunks, parties
+	// behind a mesh run them serially; internal/bgw sweeps the width).
+	mono, err := bgw.NewEngine(bgw.Config{Parties: 4, Seed: uint64(seed) ^ 0x9e37})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	var actorFrames int64
-	for wi, w := range sweep {
-		name := fmt.Sprintf("actor-planned-w%d", w)
-		ares, rounds, frames := func() (*Result, int64, int64) {
-			actor, err := bgw.NewActorEngine(bgw.Config{Parties: 4, Seed: uint64(seed) ^ 0x51f1, Workers: w}, transport.NewChanMesh(4))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer actor.Close()
-			res, err := plan.ExecuteOpts(actor, Bindings{}, ExecOptions{Workers: w})
-			if err != nil {
-				t.Fatalf("seed %d: %s: %v", seed, name, err)
-			}
-			if err := actor.Err(); err != nil {
-				t.Fatalf("seed %d: %s engine: %v", seed, name, err)
-			}
-			s := actor.Stats()
-			return res, s.Rounds, s.Frames
-		}()
-		check(name, ares, rounds, plan.Rounds())
-		if wi == 0 {
-			actorFrames = frames
-		} else if frames != actorFrames {
-			t.Errorf("seed %d: %s frames = %d, serial executor sent %d", seed, name, frames, actorFrames)
-		}
+	mres, err := plan.Execute(mono, Bindings{})
+	if err != nil {
+		t.Fatalf("seed %d: mono-planned: %v", seed, err)
 	}
+	check("mono-planned", mres, mono.Stats().Rounds, plan.Rounds())
 
-	// The monolithic engine counts frames by formula, the actor engine
-	// measures them on the mesh: one frame per link and level, the
+	actor, err := bgw.NewActorEngine(bgw.Config{Parties: 4, Seed: uint64(seed) ^ 0x51f1}, transport.NewChanMesh(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer actor.Close()
+	ares, err := plan.Execute(actor, Bindings{})
+	if err != nil {
+		t.Fatalf("seed %d: actor-planned: %v", seed, err)
+	}
+	if err := actor.Err(); err != nil {
+		t.Fatalf("seed %d: actor-planned engine: %v", seed, err)
+	}
+	check("actor-planned", ares, actor.Stats().Rounds, plan.Rounds())
+
+	// The inline parties' link counts frames where a row is handed over,
+	// the mesh where a frame is sent: one frame per link and level, the
 	// batched input level included, or the two disagree.
-	if monoFrames != actorFrames {
-		t.Errorf("seed %d: planned frames: mono counted %d, actor mesh carried %d", seed, monoFrames, actorFrames)
+	if mf, af := mono.Stats().Frames, actor.Stats().Frames; mf != af {
+		t.Errorf("seed %d: planned frames: inline link counted %d, actor mesh carried %d", seed, mf, af)
 	}
 
 	eager, err := bgw.NewEngine(bgw.Config{Parties: 4, Seed: uint64(seed) ^ 0x2c85})

@@ -28,15 +28,6 @@ type ExecOptions struct {
 	// its own dispatch and its own communication round, reproducing the
 	// pre-scheduler behaviour for comparison benchmarks.
 	Eager bool
-	// Workers bounds the worker pool engines use to parallelize each
-	// level's independent gates (applied via bgw.WorkerTunable when the
-	// engine supports it; ignored otherwise). 0 keeps the engine's own
-	// setting; negative forces the engine default (runtime.NumCPU());
-	// explicit positive values are honored as given. Shares and outputs
-	// are bit-identical for every value — the pool only splits
-	// randomness-free local arithmetic; every sharing draws serially
-	// from its party's own stream.
-	Workers int
 }
 
 // Result holds one execution's outputs: the opened values in gate
@@ -115,11 +106,6 @@ func (p *Plan) Execute(eng bgw.Evaluator, bind Bindings) (*Result, error) {
 func (p *Plan) ExecuteOpts(eng bgw.Evaluator, bind Bindings, opts ExecOptions) (*Result, error) {
 	if err := p.validate(bind); err != nil {
 		return nil, err
-	}
-	if opts.Workers != 0 {
-		if wt, ok := eng.(bgw.WorkerTunable); ok {
-			wt.SetWorkers(opts.Workers)
-		}
 	}
 	rec := eng.Recorder()
 	exec := obs.StartTracedSpan(rec, "circuit.exec", 0,

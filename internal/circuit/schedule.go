@@ -7,9 +7,9 @@ import (
 )
 
 // Plan is a compiled, level-scheduled circuit. It is immutable and
-// engine-agnostic: the same plan executes against the monolithic
-// engine, the actor engine, or the plain interpreter, with outputs
-// bit-identical across all of them.
+// engine-agnostic: the same plan executes against the BGW engine under
+// either driver or the plain interpreter, with outputs bit-identical
+// across all of them.
 type Plan struct {
 	p, t  int
 	nodes []node

@@ -47,13 +47,13 @@ const (
 	// BGW computes exactly, the output distribution is identical to
 	// the MPC engines; this is the fast path for utility experiments.
 	EnginePlain EngineKind = iota
-	// EngineBGW runs the secret-shared protocol with the monolithic
-	// engine that simulates all parties in one goroutine and models
-	// the communication counters.
+	// EngineBGW runs the secret-shared protocol with the parties of
+	// the BGW engine inline in the caller's goroutine; shares change
+	// hands in memory and are counted where they are handed over.
 	EngineBGW
-	// EngineActorBGW runs the secret-shared protocol with one actor
-	// goroutine per party exchanging shares over an in-memory channel
-	// mesh; messages and bytes are measured from real traffic.
+	// EngineActorBGW runs the same parties as one goroutine each,
+	// exchanging framed shares over an in-memory channel mesh; messages
+	// and bytes are the mesh's counters.
 	EngineActorBGW
 	// EngineActorBGWNet is EngineActorBGW with the share traffic
 	// carried over localhost TCP sockets using the session layer's

@@ -32,7 +32,7 @@ var AnalyzerCTBranch = &Analyzer{
 		Invariant: "Control flow must be data-oblivious with respect to shares: conditions, switch tags, case expressions, and map/slice index operands may not depend on share-typed values or values derived from them, except inside the open/reconstruct packages (bgw, shamir, secagg) where revealing is the point. Secret-dependent branches leak through timing and trace side channels.",
 		Sources: []string{
 			"share-typed values (the sharetaint type table) used as values, not presence checks",
-			"values derived from share material, e.g. (bgw.Shared).AdditiveShares elements, through any call depth",
+			"values derived from share material, e.g. (bgw.Engine).AdditiveShares elements, through any call depth",
 		},
 		Sinks: []string{
 			"if / for / switch conditions, switch tags, case expressions",
@@ -42,7 +42,7 @@ var AnalyzerCTBranch = &Analyzer{
 			"sanctioned opens (same registry as sharetaint): opened values are public outputs and may steer control flow",
 			"nil-comparisons (presence checks) and len/cap (public shape) never count as value reads",
 		},
-		Example: `vote.go:21:5: ctbranch: control flow conditioned on secret-derived value [source (bgw.Shared).AdditiveShares (vote.go:12) → param shs of leakBit (vote.go:17) → result 0 of leakBit (vote.go:18) → condition (vote.go:21)]`,
+		Example: `vote.go:21:5: ctbranch: control flow conditioned on secret-derived value [source (bgw.Engine).AdditiveShares (vote.go:12) → param shs of leakBit (vote.go:17) → result 0 of leakBit (vote.go:18) → condition (vote.go:21)]`,
 	},
 }
 

@@ -15,8 +15,8 @@ func leakBit(shs []field.Elem) bool {
 }
 
 // Bad branches on a value derived from share material two hops away.
-func Bad(s *bgw.Shared, w []field.Elem, table []string) string {
-	shs := s.AdditiveShares(w)
+func Bad(e *bgw.Engine, s *bgw.Shared, w []field.Elem, table []string) string {
+	shs := e.AdditiveShares(s, w)
 	if leakBit(shs) { // want "control flow conditioned on secret-derived value"
 		return "one"
 	}
@@ -45,8 +45,8 @@ func GoodShape(shs []field.Elem) string {
 }
 
 // Suppressed shows a reviewed escape hatch.
-func Suppressed(s *bgw.Shared, w []field.Elem) string {
-	shs := s.AdditiveShares(w)
+func Suppressed(e *bgw.Engine, s *bgw.Shared, w []field.Elem) string {
+	shs := e.AdditiveShares(s, w)
 	//lint:ignore ctbranch fixture demonstrating a reviewed suppression
 	if leakBit(shs) {
 		return "one"

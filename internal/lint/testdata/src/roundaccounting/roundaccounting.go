@@ -18,14 +18,9 @@ func BadEvaluator(eng bgw.Evaluator) {
 	eng.AdvanceRound() // want "manual AdvanceRound on bgw.Evaluator"
 }
 
-// BadEngine does the same on the concrete monolithic engine.
+// BadEngine does the same on the concrete engine.
 func BadEngine(e *bgw.Engine) {
 	e.AdvanceRound() // want "manual AdvanceRound on bgw.Engine"
-}
-
-// BadActor does the same on the party-actor engine.
-func BadActor(e *bgw.ActorEngine) {
-	e.AdvanceRound() // want "manual AdvanceRound on bgw.ActorEngine"
 }
 
 // Suppressed shows a reviewed escape hatch.

@@ -54,6 +54,9 @@ const (
 	kFromScalars
 	kOpen
 	kOpenVec
+	kInputSum    // one dealer's folded scalar inputs (see foldSums)
+	kInputVecSum // one dealer's folded vector inputs
+	kFolded      // removed by foldSums; computes nothing
 )
 
 // isMul reports whether the node costs a degree-reduction resharing.
@@ -62,7 +65,7 @@ func (k nodeKind) isMul() bool { return k == kMul || k == kInner || k == kDot }
 // isInput reports whether the node costs the input sharing round.
 func (k nodeKind) isInput() bool {
 	switch k {
-	case kInput, kInputElem, kInputVec, kInputParam, kInputVecParam:
+	case kInput, kInputElem, kInputVec, kInputParam, kInputVecParam, kInputSum, kInputVecSum:
 		return true
 	}
 	return false
@@ -70,12 +73,14 @@ func (k nodeKind) isInput() bool {
 
 // isScalarInput reports whether the node is a scalar input leaf, which
 // the planned executor shares in the plan's one InputBatch.
-func (k nodeKind) isScalarInput() bool { return k == kInput || k == kInputElem || k == kInputParam }
+func (k nodeKind) isScalarInput() bool {
+	return k == kInput || k == kInputElem || k == kInputParam || k == kInputSum
+}
 
 // isVec reports whether the node produces a vector handle.
 func (k nodeKind) isVec() bool {
 	switch k {
-	case kInputVec, kInputVecParam, kExtVec, kAddVec, kFromScalars:
+	case kInputVec, kInputVecParam, kInputVecSum, kExtVec, kAddVec, kFromScalars:
 		return true
 	}
 	return false
@@ -86,13 +91,14 @@ func (k nodeKind) isVec() bool {
 // scans. Operand fields are interpreted per kind; operand lists and
 // literal vectors live in the builder's side arenas.
 type node struct {
-	kind  nodeKind
-	level int32 // multiplicative level, assigned by Compile
-	a, b  int32 // operand node ids; b is the element index of kAt; a is the args offset of kInner/kFromScalars operands and the lits index of a kInputVec literal
-	owner int32 // input owner party
-	param int32 // parameter slot (const/input/ext params)
-	n     int32 // vector length of vector-producing nodes; operand count of kInner (list B follows list A in args)
-	c     int64 // public constant (kInput, kAddConst, kMulConst) or raw field input (kInputElem)
+	kind   nodeKind
+	folded bool  // foldSums changed what the node computes: the handle recorded for it must not resolve
+	level  int32 // multiplicative level, assigned by Compile
+	a, b   int32 // operand node ids; b is the element index of kAt; a is the args offset of kInner/kFromScalars operands and the lits index of a kInputVec literal; args[a:a+b] are the parameter slots a kInputSum/kInputVecSum adds
+	owner  int32 // input owner party
+	param  int32 // parameter slot (const/input/ext params); lits index of a kInputVecSum's summed literals, −1 for none
+	n      int32 // vector length of vector-producing nodes; operand count of kInner (list B follows list A in args)
+	c      int64 // public constant (kInput, kAddConst, kMulConst) or raw field input (kInputElem, and the summed literals of a kInputSum)
 }
 
 // Val is a handle to one recorded scalar node; it is passed around as a
@@ -125,7 +131,7 @@ type ConstID int
 type Builder struct {
 	p, t  int
 	nodes []node
-	args  []int32      // operand lists of kInner and kFromScalars
+	args  []int32      // operand lists of kInner and kFromScalars (and, compiled, of the folded input sums)
 	lits  [][]int64    // kInputVec literals, one private copy each
 	vals  []Val        // current chunk of the scalar-handle arena
 	rec   obs.Recorder // optional; surfaced through Recorder()
@@ -240,7 +246,9 @@ func (b *Builder) ConstParam() ConstID {
 }
 
 // InputParam declares a per-execution secret scalar input owned by
-// party owner, bound via Bindings.Inputs in declaration order.
+// party owner, bound via Bindings.Inputs in declaration order. It folds
+// under the rule stated on Input; the bound values are then summed per
+// dealer at execution.
 func (b *Builder) InputParam(owner int) bgw.Val {
 	nd := node{kind: kInputParam, owner: b.checkParty(owner), param: b.i32(b.nInputs)}
 	b.nInputs++
@@ -248,7 +256,8 @@ func (b *Builder) InputParam(owner int) bgw.Val {
 }
 
 // InputVecParam declares a per-execution secret vector input of length
-// n owned by party owner, bound via Bindings.InputVecs.
+// n owned by party owner, bound via Bindings.InputVecs. It folds under
+// the rule stated on Input.
 func (b *Builder) InputVecParam(owner, n int) bgw.Vec {
 	nd := node{kind: kInputVecParam, owner: b.checkParty(owner), param: b.i32(b.nInputVecs)}
 	b.nInputVecs++
@@ -336,11 +345,21 @@ func (b *Builder) Err() error { return nil }
 func (b *Builder) Close() error { return nil }
 
 // Input records a literal secret input.
+//
+// The fold rule, for every Input* leaf: Compile shares the sum of what a
+// dealer deals. A leaf whose only consumer is an Add/AddVec gate of a sum
+// tree is merged with the same owner's other such leaves of that tree into
+// one sharing of their sum, so it — and every partial sum over it — no
+// longer exists on its own: Result.ValOf / VecOf on those handles is an
+// invariant violation. A leaf with no consumer (shared to be read back
+// through ValOf / VecOf) or with two or more consumers is never folded,
+// and the root of a sum tree keeps its handle and its value.
 func (b *Builder) Input(owner int, v int64) bgw.Val {
 	return b.scalar(node{kind: kInput, owner: b.checkParty(owner), c: v})
 }
 
-// InputElem records a literal raw-field input.
+// InputElem records a literal raw-field input. It folds under the rule
+// stated on Input.
 func (b *Builder) InputElem(owner int, e field.Elem) bgw.Val {
 	return b.scalar(node{kind: kInputElem, owner: b.checkParty(owner), c: int64(e)})
 }
@@ -355,7 +374,8 @@ func (b *Builder) InputBatch(items []bgw.InputItem) []bgw.Val {
 	return out
 }
 
-// InputVec records a literal secret vector input.
+// InputVec records a literal secret vector input. It folds under the
+// rule stated on Input.
 func (b *Builder) InputVec(owner int, vs []int64) bgw.Vec {
 	nd := node{kind: kInputVec, owner: b.checkParty(owner), a: b.i32(len(b.lits))}
 	b.lits = append(b.lits, append([]int64(nil), vs...))

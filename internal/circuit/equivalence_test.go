@@ -14,11 +14,14 @@ import (
 // opened outputs. Scalar inputs (signed and raw) and input vectors keep
 // arriving between the gates, so the executor's hoisting of every scalar
 // input into one leading InputBatch — ahead of locals and InputVecs
-// recorded before it — is exercised on every seed. The shape is fully
+// recorded before it — is exercised on every seed. Sum trees over inputs
+// that few owners deal (sumTree, sumTreeVec) arrive too, so Compile's
+// fold pass has something to rewrite on most seeds. The shape is fully
 // determined by rng, so the same seed rebuilds the same circuit for
-// every backend.
-func randomCircuit(b *Builder, rng *rand.Rand) {
+// every backend; the returned bindings fill the trees' parameter leaves.
+func randomCircuit(b *Builder, rng *rand.Rand) Bindings {
 	const p = 4
+	var bind Bindings
 	vals := []bgw.Val{b.Zero()}
 	var vecs []bgw.Vec
 	for i, n := 0, 2+rng.Intn(4); i < n; i++ {
@@ -43,7 +46,7 @@ func randomCircuit(b *Builder, rng *rand.Rand) {
 		return v1, cands[rng.Intn(len(cands))]
 	}
 	for i, ops := 0, 5+rng.Intn(20); i < ops; i++ {
-		switch rng.Intn(13) {
+		switch rng.Intn(15) {
 		case 0:
 			vals = append(vals, b.Add(pick(), pick()))
 		case 1:
@@ -86,29 +89,126 @@ func randomCircuit(b *Builder, rng *rand.Rand) {
 				vs[k] = int64(rng.Intn(201) - 100)
 			}
 			vecs = append(vecs, b.InputVec(rng.Intn(p), vs))
+		case 13:
+			vals = append(vals, sumTree(b, rng, &bind, pick)...)
+		case 14:
+			vecs = append(vecs, sumTreeVec(b, rng, &bind, vecs[rng.Intn(len(vecs))]))
 		}
 	}
 	for i, n := 0, 1+rng.Intn(3); i < n; i++ {
 		b.OpenIdx(pick())
 	}
 	b.OpenVecIdx(vecs[rng.Intn(len(vecs))])
+	return bind
+}
+
+// sumTree records a sum of 2–7 scalar leaves dealt by at most two
+// owners — literal, raw and parameter inputs mixed, now and then a Zero
+// or an arbitrary earlier value among them — combined in random order, so
+// chains and bushy trees both occur. It returns the handles the rest of
+// the circuit may go on to use: always the root (which a later gate may
+// consume twice over), sometimes a partial sum (which then has a second
+// consumer and roots its own tree), and sometimes the product of one leaf
+// with an earlier value, a second consumer that must keep that leaf out
+// of the fold.
+func sumTree(b *Builder, rng *rand.Rand, bind *Bindings, pick func() bgw.Val) []bgw.Val {
+	owners := [2]int{rng.Intn(4), rng.Intn(4)}
+	var out []bgw.Val
+	terms := make([]bgw.Val, 2+rng.Intn(6))
+	for i := range terms {
+		owner, v := owners[rng.Intn(2)], int64(rng.Intn(2001)-1000)
+		switch rng.Intn(8) {
+		case 0:
+			terms[i] = b.Zero()
+			continue
+		case 1:
+			terms[i] = pick()
+			continue
+		case 2, 3:
+			terms[i] = b.Input(owner, v)
+		case 4:
+			terms[i] = b.InputElem(owner, field.FromInt64(v))
+		default:
+			terms[i] = b.InputParam(owner)
+			bind.Inputs = append(bind.Inputs, v)
+		}
+		if rng.Intn(6) == 0 {
+			out = append(out, b.Mul(terms[i], pick()))
+		}
+	}
+	for len(terms) > 1 {
+		i := rng.Intn(len(terms) - 1)
+		sum := b.Add(terms[i], terms[i+1])
+		if len(terms) > 2 && rng.Intn(8) == 0 {
+			out = append(out, sum)
+		}
+		terms = append(append(terms[:i:i], sum), terms[i+2:]...)
+	}
+	return append(out, terms[0])
+}
+
+// sumTreeVec is sumTree's vector counterpart: a chain of AddVec gates
+// over 2–5 literal and parameter input vectors of like's length from at
+// most two owners, like itself sometimes among the addends.
+func sumTreeVec(b *Builder, rng *rand.Rand, bind *Bindings, like bgw.Vec) bgw.Vec {
+	owners := [2]int{rng.Intn(4), rng.Intn(4)}
+	var acc bgw.Vec
+	for i, n := 0, 2+rng.Intn(4); i < n; i++ {
+		vs := make([]int64, like.Len())
+		for k := range vs {
+			vs[k] = int64(rng.Intn(201) - 100)
+		}
+		var term bgw.Vec
+		switch owner := owners[rng.Intn(2)]; rng.Intn(5) {
+		case 0:
+			term = like
+		case 1, 2:
+			term = b.InputVecParam(owner, len(vs))
+			bind.InputVecs = append(bind.InputVecs, vs)
+		default:
+			term = b.InputVec(owner, vs)
+		}
+		if acc == nil {
+			acc = term
+		} else {
+			acc = b.AddVec(acc, term)
+		}
+	}
+	return acc
+}
+
+// compileUnfolded schedules the recording exactly as recorded, without
+// Compile's fold pass: the reference the folded plans are held to.
+func compileUnfolded(t *testing.T, b *Builder) *Plan {
+	t.Helper()
+	p, err := b.take()
+	if err == nil {
+		err = p.schedule()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 // checkEquivalence compiles the seed's random circuit and demands
 // bit-identical opened outputs from every execution strategy: the
-// plain interpreter (the oracle), the planned executor on the
-// monolithic and actor engines, and eager gate-by-gate execution.
-// Measured rounds must equal the plan's predictions.
+// plain interpreter over the circuit as recorded (the oracle), then the
+// compiled — folded — plan on the plain interpreter, the planned
+// executor on the monolithic and actor engines, and eager gate-by-gate
+// execution. Measured rounds must equal the plan's predictions.
 func checkEquivalence(t *testing.T, seed int64) {
 	t.Helper()
+	ub := NewBuilder(4, 0)
+	bind := randomCircuit(ub, rand.New(rand.NewSource(seed)))
+	want, err := compileUnfolded(t, ub).Plain(bind)
+	if err != nil {
+		t.Fatalf("seed %d: plain, as recorded: %v", seed, err)
+	}
+
 	b := NewBuilder(4, 0)
 	randomCircuit(b, rand.New(rand.NewSource(seed)))
 	plan := b.MustCompile()
-
-	want, err := plan.Plain(Bindings{})
-	if err != nil {
-		t.Fatalf("seed %d: plain: %v", seed, err)
-	}
 
 	check := func(name string, res *Result, rounds int64, wantRounds int) {
 		if len(res.opened) != len(want.opened) {
@@ -131,6 +231,12 @@ func checkEquivalence(t *testing.T, seed int64) {
 		}
 	}
 
+	pres, err := plan.Plain(bind)
+	if err != nil {
+		t.Fatalf("seed %d: plain: %v", seed, err)
+	}
+	check("plain", pres, int64(plan.Rounds()), plan.Rounds())
+
 	// Both drivers of the engine at their own pool widths (inline
 	// parties split a level's products over GOMAXPROCS chunks, parties
 	// behind a mesh run them serially; internal/bgw sweeps the width).
@@ -138,7 +244,7 @@ func checkEquivalence(t *testing.T, seed int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mres, err := plan.Execute(mono, Bindings{})
+	mres, err := plan.Execute(mono, bind)
 	if err != nil {
 		t.Fatalf("seed %d: mono-planned: %v", seed, err)
 	}
@@ -149,7 +255,7 @@ func checkEquivalence(t *testing.T, seed int64) {
 		t.Fatal(err)
 	}
 	defer actor.Close()
-	ares, err := plan.Execute(actor, Bindings{})
+	ares, err := plan.Execute(actor, bind)
 	if err != nil {
 		t.Fatalf("seed %d: actor-planned: %v", seed, err)
 	}
@@ -169,7 +275,7 @@ func checkEquivalence(t *testing.T, seed int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eres, err := plan.ExecuteOpts(bgw.Eval(eager), Bindings{}, ExecOptions{Eager: true})
+	eres, err := plan.ExecuteOpts(bgw.Eval(eager), bind, ExecOptions{Eager: true})
 	if err != nil {
 		t.Fatalf("seed %d: eager: %v", seed, err)
 	}

@@ -48,22 +48,33 @@ func (r *Result) Opened(k int) int64 { return r.opened[k] }
 func (r *Result) OpenedVec(k int) []int64 { return r.openedVecs[k] }
 
 // ValOf returns the engine handle the execution produced for a
-// recorded scalar, for use as an ExtVal binding of a later plan.
+// recorded scalar, for use as an ExtVal binding of a later plan. A
+// handle Compile folded into its dealer's sum (see Builder.Input) has no
+// sharing of its own: asking for it is an invariant violation.
 func (r *Result) ValOf(h bgw.Val) bgw.Val {
 	v, ok := h.(*Val)
 	if !ok {
 		panic(invariant.Violation("circuit: ValOf needs a circuit handle"))
 	}
+	r.plan.checkUnfolded(v.id)
 	return r.vals[v.id]
 }
 
-// VecOf returns the engine handle for a recorded vector.
+// VecOf returns the engine handle for a recorded vector, under ValOf's
+// rule for folded handles.
 func (r *Result) VecOf(h bgw.Vec) bgw.Vec {
 	v, ok := h.(*Vec)
 	if !ok {
 		panic(invariant.Violation("circuit: VecOf needs a circuit handle"))
 	}
+	r.plan.checkUnfolded(v.id)
 	return r.vecs[v.id]
+}
+
+func (p *Plan) checkUnfolded(id int32) {
+	if p.nodes[id].folded {
+		panic(invariant.Violation("circuit: node %d was folded into its dealer's input sum by Compile and has no sharing of its own; give the leaf a second consumer or read the sum tree's root", id))
+	}
 }
 
 // validate checks the bindings against the plan's parameter counts.
@@ -109,7 +120,7 @@ func (p *Plan) ExecuteOpts(eng bgw.Evaluator, bind Bindings, opts ExecOptions) (
 	}
 	rec := eng.Recorder()
 	exec := obs.StartTracedSpan(rec, "circuit.exec", 0,
-		obs.Int("depth", p.depth), obs.Int("nodes", len(p.nodes)), obs.Bool("eager", opts.Eager))
+		obs.Int("depth", p.depth), obs.Int("nodes", p.live), obs.Int("folded_inputs", p.folded), obs.Bool("eager", opts.Eager))
 	var prev bgw.Stats
 	if exec.Active() {
 		prev = eng.Stats()
@@ -236,8 +247,46 @@ func (p *Plan) inputElem(n *node, bind Bindings) field.Elem {
 		return field.Elem(n.c)
 	case kInputParam:
 		return field.FromInt64(bind.Inputs[n.param])
+	case kInputSum:
+		e := field.Elem(n.c)
+		for _, slot := range p.operands(n.a, n.b) {
+			e = field.Add(e, field.FromInt64(bind.Inputs[slot]))
+		}
+		return e
 	}
 	return field.FromInt64(n.c)
+}
+
+// inputVecSum returns the vector a folded input leaf shares: its summed
+// literals plus the bound vectors of its parameter slots, element-wise in
+// the field.
+func (p *Plan) inputVecSum(n *node, bind Bindings) ([]field.Elem, error) {
+	sum := make([]field.Elem, n.n)
+	if n.param >= 0 {
+		for k, x := range p.lits[n.param] {
+			sum[k] = field.FromInt64(x)
+		}
+	}
+	for _, slot := range p.operands(n.a, n.b) {
+		vs, err := p.boundVec(slot, n.n, bind)
+		if err != nil {
+			return nil, err
+		}
+		for k, x := range vs {
+			sum[k] = field.Add(sum[k], field.FromInt64(x))
+		}
+	}
+	return sum, nil
+}
+
+// boundVec returns the binding of input-vec parameter slot, checked
+// against the recorded length.
+func (p *Plan) boundVec(slot, n int32, bind Bindings) ([]int64, error) {
+	vs := bind.InputVecs[slot]
+	if len(vs) != int(n) {
+		return nil, fmt.Errorf("circuit: input-vec param %d has %d elements, plan wants %d", slot, len(vs), n)
+	}
+	return vs, nil
 }
 
 // evalLocal materializes one leaf or linear node on the engine.
@@ -246,18 +295,29 @@ func (p *Plan) evalLocal(eng bgw.Evaluator, bind Bindings, r *Result, id int32) 
 	switch n.kind {
 	case kZero:
 		r.vals[id] = eng.Zero()
-	case kInput:
-		r.vals[id] = eng.Input(int(n.owner), n.c)
-	case kInputParam:
-		r.vals[id] = eng.Input(int(n.owner), bind.Inputs[n.param])
-	case kInputElem:
-		r.vals[id] = eng.InputElem(int(n.owner), field.Elem(n.c))
+	case kInput, kInputElem, kInputParam, kInputSum:
+		r.vals[id] = eng.InputElem(int(n.owner), p.inputElem(n, bind))
 	case kInputVec:
 		r.vecs[id] = eng.InputVec(int(n.owner), p.lits[n.a])
 	case kInputVecParam:
-		vs := bind.InputVecs[n.param]
-		if len(vs) != int(n.n) {
-			return fmt.Errorf("circuit: input-vec param %d has %d elements, plan wants %d", n.param, len(vs), n.n)
+		vs, err := p.boundVec(n.param, n.n, bind)
+		if err != nil {
+			return err
+		}
+		r.vecs[id] = eng.InputVec(int(n.owner), vs)
+	case kInputVecSum:
+		if n.b == 0 {
+			// All literals: summed at compile time.
+			r.vecs[id] = eng.InputVec(int(n.owner), p.lits[n.param])
+			break
+		}
+		sum, err := p.inputVecSum(n, bind)
+		if err != nil {
+			return err
+		}
+		vs := make([]int64, len(sum))
+		for k, e := range sum {
+			vs[k] = field.ToInt64(e)
 		}
 		r.vecs[id] = eng.InputVec(int(n.owner), vs)
 	case kExtVal:

@@ -25,28 +25,30 @@ func (p *Plan) Plain(bind Bindings) (*Result, error) {
 	for id := range p.nodes {
 		n := &p.nodes[id]
 		switch n.kind {
-		case kZero:
+		case kZero, kFolded:
 			vals[id] = 0
-		case kInput:
-			vals[id] = field.FromInt64(n.c)
-		case kInputElem:
-			vals[id] = field.Elem(n.c)
+		case kInput, kInputElem, kInputParam, kInputSum:
+			vals[id] = p.inputElem(n, bind)
 		case kInputVec:
 			v := make([]field.Elem, n.n)
 			for k, x := range p.lits[n.a] {
 				v[k] = field.FromInt64(x)
 			}
 			vecs[id] = v
-		case kInputParam:
-			vals[id] = field.FromInt64(bind.Inputs[n.param])
 		case kInputVecParam:
-			vs := bind.InputVecs[n.param]
-			if len(vs) != int(n.n) {
-				return nil, fmt.Errorf("circuit: input-vec param %d has %d elements, plan wants %d", n.param, len(vs), n.n)
+			vs, err := p.boundVec(n.param, n.n, bind)
+			if err != nil {
+				return nil, err
 			}
 			v := make([]field.Elem, len(vs))
 			for k, x := range vs {
 				v[k] = field.FromInt64(x)
+			}
+			vecs[id] = v
+		case kInputVecSum:
+			v, err := p.inputVecSum(n, bind)
+			if err != nil {
+				return nil, err
 			}
 			vecs[id] = v
 		case kAdd:

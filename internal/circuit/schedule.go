@@ -17,6 +17,8 @@ type Plan struct {
 	lits  [][]int64 // literal input vectors (see node)
 
 	depth    int
+	live     int       // nodes that compute something (all but kFolded)
+	folded   int       // input leaves foldSums removed
 	inputs   []int32   // level-0 scalar input leaves, id order: one InputBatch
 	muls     [][]int32 // muls[L] = multiplicative gates of level L+1, id order
 	locals   [][]int32 // locals[L] = other compute nodes of level L, id order
@@ -30,23 +32,38 @@ type Plan struct {
 // operands returns the n-element operand list at offset off.
 func (p *Plan) operands(off, n int32) []int32 { return p.args[off : off+n] }
 
-// Compile levels the recorded DAG by multiplicative depth and returns
-// the execution plan. The leveling rule: inputs, external bindings and
-// constants sit at level 0; local (linear) operations inherit the
-// maximum level of their operands; multiplicative gates (Mul,
-// InnerProduct, Dot) take the maximum operand level plus one. All
-// gates of a level are independent by construction and execute as one
-// batched communication round; the scalar inputs, which depend on
-// nothing, are listed apart so they share in one batched round too.
+// Compile folds same-dealer inputs of sums (foldSums), levels the
+// recorded DAG by multiplicative depth and returns the execution plan.
 //
 // The plan takes the recording over instead of copying it: the Builder
 // is spent, and recording into it again is an invariant violation.
 func (b *Builder) Compile() (*Plan, error) {
+	p, err := b.take()
+	if err != nil {
+		return nil, err
+	}
+	if err := p.foldSums(b.limit); err != nil {
+		return nil, err
+	}
+	if err := p.schedule(); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// errIDSpace reports a recording whose ids, offsets or lengths outgrew
+// the IR's int32 fields.
+func errIDSpace(limit int) error {
+	return fmt.Errorf("circuit: recording exceeds the IR's %d-entry id space", limit)
+}
+
+// take moves the recording into a fresh, unscheduled plan.
+func (b *Builder) take() (*Plan, error) {
 	if b.spent {
 		return nil, fmt.Errorf("circuit: builder already compiled")
 	}
 	if b.overflow {
-		return nil, fmt.Errorf("circuit: recording exceeds the IR's %d-entry id space", b.limit)
+		return nil, errIDSpace(b.limit)
 	}
 	p := &Plan{
 		p: b.p, t: b.t,
@@ -56,22 +73,29 @@ func (b *Builder) Compile() (*Plan, error) {
 		nExt: b.nExt, nExtVecs: b.nExtVecs,
 	}
 	b.spent, b.nodes, b.args, b.lits, b.vals = true, nil, nil, nil, nil
+	return p, nil
+}
+
+// schedule assigns levels and lists every level's gates. The leveling
+// rule: inputs, external bindings and constants sit at level 0; local
+// (linear) operations inherit the maximum level of their operands;
+// multiplicative gates (Mul, InnerProduct, Dot) take the maximum operand
+// level plus one. All gates of a level are independent by construction
+// and execute as one batched communication round; the scalar inputs,
+// which depend on nothing, are listed apart so they share in one batched
+// round too.
+func (p *Plan) schedule() error {
 	for id := range p.nodes {
 		n := &p.nodes[id]
 		var lvl int32
 		max := func(op int32) {
-			if op < 0 || int(op) >= id {
-				// Record order is topological; a forward reference is a
-				// corrupted handle.
-				panic(invariant.Violation("circuit: node %d references %d out of order", id, op))
-			}
 			if l := p.nodes[op].level; l > lvl {
 				lvl = l
 			}
 		}
 		switch n.kind {
-		case kZero, kInput, kInputElem, kInputVec, kInputParam, kInputVecParam, kExtVal, kExtVec:
-			// leaves: level 0
+		case kZero, kInput, kInputElem, kInputVec, kInputParam, kInputVecParam, kInputSum, kInputVecSum, kExtVal, kExtVec, kFolded:
+			// leaves (and removed nodes): level 0
 		case kAdd, kSub, kAddVec, kMul, kDot:
 			max(n.a)
 			max(n.b)
@@ -86,7 +110,7 @@ func (b *Builder) Compile() (*Plan, error) {
 				max(op)
 			}
 		default:
-			return nil, fmt.Errorf("circuit: unknown node kind %d", n.kind)
+			return fmt.Errorf("circuit: unknown node kind %d", n.kind)
 		}
 		if n.kind.isMul() {
 			lvl++
@@ -106,6 +130,8 @@ func (b *Builder) Compile() (*Plan, error) {
 	nInputs := 0
 	for id := range p.nodes {
 		switch n := &p.nodes[id]; {
+		case n.kind == kFolded:
+			continue
 		case n.kind == kOpen || n.kind == kOpenVec:
 		case n.kind.isScalarInput():
 			nInputs++
@@ -114,6 +140,7 @@ func (b *Builder) Compile() (*Plan, error) {
 		default:
 			nLocals[n.level]++
 		}
+		p.live++
 	}
 	p.inputs = make([]int32, 0, nInputs)
 	p.muls = make([][]int32, p.depth)
@@ -126,7 +153,7 @@ func (b *Builder) Compile() (*Plan, error) {
 	}
 	for id := range p.nodes {
 		switch n := &p.nodes[id]; {
-		case n.kind == kOpen || n.kind == kOpenVec:
+		case n.kind == kFolded || n.kind == kOpen || n.kind == kOpenVec:
 		case n.kind.isScalarInput():
 			p.inputs = append(p.inputs, int32(id))
 		case n.kind.isMul():
@@ -135,7 +162,7 @@ func (b *Builder) Compile() (*Plan, error) {
 			p.locals[n.level] = append(p.locals[n.level], int32(id))
 		}
 	}
-	return p, nil
+	return nil
 }
 
 // MustCompile is Compile for statically known-good circuits.
@@ -150,8 +177,8 @@ func (b *Builder) MustCompile() *Plan {
 // Depth returns the circuit's multiplicative depth.
 func (p *Plan) Depth() int { return p.depth }
 
-// Gates returns the total node count of the IR.
-func (p *Plan) Gates() int { return len(p.nodes) }
+// Gates returns the node count of the IR the plan executes.
+func (p *Plan) Gates() int { return p.live }
 
 // MulGates returns the number of multiplicative gates (each costs one
 // degree-reduction resharing; eager execution pays one round per gate).

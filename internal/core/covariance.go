@@ -160,8 +160,10 @@ func plainCovariance(qd *quant.IntMatrix, clientRNGs []*randx.RNG, mu float64, p
 // selected Evaluator backend, recorded as a level-scheduled plan: one
 // input round (data + noise), one batched inner-product round (all
 // fused gates in a single reshare exchange), one batched opening
-// round. Noise shares enter during the input round and are aggregated
-// locally.
+// round. Noise shares enter during the input round: each party deals one
+// sharing of the sum of the shares its clients sampled (circuit.Compile
+// folds the recorded per-client inputs per dealer), and the parties add
+// the sharings locally.
 func mpcCovariance(qd *quant.IntMatrix, clientRNGs []*randx.RNG, p *Params, pairs int, tr *Trace) ([]int64, error) {
 	n := qd.Cols
 	b := circuit.NewBuilder(p.Parties, p.Threshold)
@@ -169,8 +171,12 @@ func mpcCovariance(qd *quant.IntMatrix, clientRNGs []*randx.RNG, p *Params, pair
 	for j := 0; j < n; j++ {
 		cols[j] = b.InputVec(p.partyOf(p.clientOf(j, n)), qd.Col(j))
 	}
-	// Noise: every client samples and inputs its share vector; the
-	// aggregation is local addition of share vectors.
+	// Noise: every client samples its share vector and hands it to the
+	// party hosting it. The recording below still names every client's
+	// vector; Compile folds the leaves one party deals into that sum
+	// tree into a single InputVec of their field sum, so a party hosting
+	// n/P clients shares once, not n/P times — and with one client per
+	// party nothing folds. The opened integers are the same either way.
 	noiseStart := time.Now()
 	share := p.Mu / float64(len(clientRNGs))
 	var noiseAcc bgw.Vec

@@ -256,7 +256,9 @@ func (lr *LRProtocol) gradientPlan(B int) *lrPlan {
 		labs[bi] = b.ExtVal()
 	}
 
-	// Per-client noise share parameters, coordinate-major.
+	// Per-client noise share parameters, coordinate-major. Compile folds
+	// the parameters one party deals into a coordinate's sum into one
+	// input, summed from the bindings at execution.
 	noiseShared := make([]bgw.Val, lr.d)
 	for t := 0; t < lr.d; t++ {
 		acc := b.Zero()

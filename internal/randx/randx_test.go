@@ -1,6 +1,7 @@
 package randx
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -437,5 +438,99 @@ func BenchmarkSkellamVecPTRS(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		skellamSink = g.SkellamVec(7260, 1e12)
+	}
+}
+
+// skellamPMF returns P(X − Y = d) for independent X, Y ~ Poisson(lambda),
+// summed term by term from the two Poisson mass functions — the
+// Poisson-difference construction itself, sharing no code with the
+// samplers under test.
+func skellamPMF(lambda float64, d int) float64 {
+	logPois := func(k int) float64 {
+		lg, _ := math.Lgamma(float64(k) + 1)
+		return float64(k)*math.Log(lambda) - lambda - lg
+	}
+	span := 12*math.Sqrt(lambda) + 12
+	var p float64
+	for j := int(math.Max(0, lambda-span)); j <= int(lambda+span); j++ {
+		if j+d >= 0 {
+			p += math.Exp(logPois(j) + logPois(j+d))
+		}
+	}
+	return p
+}
+
+// checkSkellam holds samples to Skellam(lambda): mean 0 and variance 2λ
+// within six standard errors, and a χ² over every value within 1.5σ of
+// the centre plus the two tails within six standard deviations of its
+// degrees of freedom.
+func checkSkellam(t *testing.T, what string, samples []int64, lambda float64) {
+	t.Helper()
+	n := float64(len(samples))
+	sigma2 := 2 * lambda
+	c := int(math.Ceil(1.5 * math.Sqrt(sigma2)))
+	counts := make([]float64, 2*c+3) // [0] left tail, [1..2c+1] values −c..c, [2c+2] right tail
+	var sum, sumsq float64
+	for _, s := range samples {
+		x := float64(s)
+		sum += x
+		sumsq += x * x
+		bin := int(s) + c + 1
+		if bin < 1 {
+			bin = 0
+		} else if bin > 2*c+1 {
+			bin = 2*c + 2
+		}
+		counts[bin]++
+	}
+	mean := sum / n
+	variance := sumsq/n - mean*mean
+	if math.Abs(mean) > 6*math.Sqrt(sigma2/n) {
+		t.Errorf("%s: mean %v, want 0 for Skellam(%v)", what, mean, lambda)
+	}
+	// The fourth central moment of Skellam(λ) is 2λ + 3(2λ)².
+	if se := math.Sqrt((sigma2 + 2*sigma2*sigma2) / n); math.Abs(variance-sigma2) > 6*se {
+		t.Errorf("%s: variance %v, want %v ± %v", what, variance, sigma2, 6*se)
+	}
+	var chi2, central float64
+	for d := -c; d <= c; d++ {
+		p := skellamPMF(lambda, d)
+		central += p
+		e := n * p
+		chi2 += (counts[d+c+1] - e) * (counts[d+c+1] - e) / e
+	}
+	tail := n * (1 - central) / 2
+	chi2 += (counts[0]-tail)*(counts[0]-tail)/tail + (counts[2*c+2]-tail)*(counts[2*c+2]-tail)/tail
+	dof := float64(2*c + 2)
+	if chi2 > dof+6*math.Sqrt(2*dof) {
+		t.Errorf("%s: χ² = %.1f over %d bins against Skellam(%v), want about %.0f", what, chi2, 2*c+3, lambda, dof)
+	}
+}
+
+// TestHostedSkellamSumsAreTheAccountedDistribution: with n clients hosted
+// on P parties a party shares the sum of its n/P clients' SkellamVec(·,
+// μ/n) vectors, and the circuit opens the sum over all n. The accountant
+// priced Skellam(μ); by closure the party's quantity must be
+// Skellam(μ·(n/P)/n) and the total Skellam(μ), for per-client means on
+// both sides of the inversion / PTRS switch at ptrsMin.
+func TestHostedSkellamSumsAreTheAccountedDistribution(t *testing.T) {
+	const clients, parties, samples = 12, 4, 40000
+	for _, share := range []float64{0.4 * ptrsMin, ptrsMin - 0.5, ptrsMin, ptrsMin + 11} {
+		root := New(uint64(1000 * share))
+		perParty := make([][]int64, parties)
+		for p := range perParty {
+			perParty[p] = make([]int64, samples)
+		}
+		total := make([]int64, samples)
+		for j := 0; j < clients; j++ {
+			for i, z := range root.Fork().SkellamVec(samples, share) {
+				perParty[j%parties][i] += z
+				total[i] += z
+			}
+		}
+		for p, sum := range perParty {
+			checkSkellam(t, fmt.Sprintf("share %v, party %d's folded input", share, p), sum, share*clients/parties)
+		}
+		checkSkellam(t, fmt.Sprintf("share %v, opened noise", share), total, share*clients)
 	}
 }

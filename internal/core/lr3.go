@@ -189,15 +189,24 @@ func (lr *LR3Protocol) coefficients(w []float64) (wq, wc []int64, qHalf, labelCo
 }
 
 // Sensitivity returns a conservative L2/L1 bound on one record's
-// contribution to the scaled gradient sum, from the quantized-domain
-// worst case over ‖x‖₂ ≤ 1 and y ∈ {0, 1}.
+// contribution to the scaled gradient sum: LR3Sensitivity at the
+// protocol's (γ, d, k).
 func (lr *LR3Protocol) Sensitivity() (delta2, delta1 float64) {
-	g := lr.p.Gamma
-	sd := math.Sqrt(float64(lr.d))
-	k3 := float64(lr.k * lr.k * lr.k)
+	return LR3Sensitivity(lr.p.Gamma, lr.d, lr.k)
+}
+
+// LR3Sensitivity is the order-3 protocol's sensitivity bound at scale
+// gamma, d features and precision k >= 1: the quantized-domain worst
+// case over ‖x‖₂ ≤ 1 and y ∈ {0, 1}. It reads no data, so a trainer
+// calibrates μ before it builds — and shares the data of — a protocol.
+func LR3Sensitivity(gamma float64, d int, precision int64) (delta2, delta1 float64) {
+	g, k := gamma, float64(precision)
+	beta := math.Cbrt(g / 48)
+	sd := math.Sqrt(float64(d))
+	k3 := float64(precision * precision * precision)
 	xNorm := g + sd // ‖x̂‖₂ ≤ γ‖x‖ + √d
 	s2 := (k3*g*g*g/4 + sd) * xNorm
-	c := (float64(lr.k)*lr.beta + sd) * xNorm
+	c := (k*beta + sd) * xNorm
 	u := k3*g*g*g*g/2 + 1 + s2 + c*c*c + k3*g*g*g*(g+1)
 	delta2 = xNorm * u
 	delta1 = math.Min(delta2*delta2, sd*delta2)

@@ -205,6 +205,55 @@ func TestLR3SensitivityDominatesLeadingTerm(t *testing.T) {
 	}
 }
 
+// TestLR3SensitivityFunctionIsTheMethod holds the data-free bound to the
+// protocol's method bit for bit, and both to the bits the method returned
+// before the bound moved out of it (the first row is the lr3_tcp shape
+// dp.TestCalibrateSkellamMuPinnedOnBenchmarkLR calibrates on).
+func TestLR3SensitivityFunctionIsTheMethod(t *testing.T) {
+	for _, tc := range []struct {
+		gamma          float64
+		d              int
+		k              int64
+		delta2, delta1 uint64
+	}{
+		{8, 20, 8, 0x419098c33cf0cbe2, 0x41b28e42d4420904},
+		{128, 8, 8, 0x42bd8e4acc4c6a7d, 0x42d4e62d2fae6a63},
+		{16, 1, 2, 0x41709f4e388b9b1f, 0x41709f4e388b9b1f},
+		{256, 50, 1, 0x42932f929110579a, 0x42c0f541ff222f89},
+		{64, 7, 3, 0x422ae6441800d0c4, 0x4241cad639bfb951},
+	} {
+		x, y := lrTestData(5, tc.d, 10)
+		lr, err := NewLR3Protocol(x, y, Params{Gamma: tc.gamma}, tc.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m2, m1 := lr.Sensitivity()
+		f2, f1 := LR3Sensitivity(tc.gamma, tc.d, tc.k)
+		for _, v := range []struct {
+			name      string
+			got, want uint64
+		}{
+			{"method Δ₂", math.Float64bits(m2), tc.delta2}, {"method Δ₁", math.Float64bits(m1), tc.delta1},
+			{"function Δ₂", math.Float64bits(f2), tc.delta2}, {"function Δ₁", math.Float64bits(f1), tc.delta1},
+		} {
+			if v.got != v.want {
+				t.Errorf("γ=%v d=%d k=%d: %s = %#x, want %#x", tc.gamma, tc.d, tc.k, v.name, v.got, v.want)
+			}
+		}
+	}
+	// Precision 0 is the constructor's default.
+	x, y := lrTestData(5, 20, 10)
+	lr, err := NewLR3Protocol(x, y, Params{Gamma: 8}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, m1 := lr.Sensitivity()
+	f2, f1 := LR3Sensitivity(8, 20, DefaultLR3Precision)
+	if math.Float64bits(m2) != math.Float64bits(f2) || math.Float64bits(m1) != math.Float64bits(f1) {
+		t.Fatalf("default precision: method (%v, %v), function (%v, %v)", m2, m1, f2, f1)
+	}
+}
+
 // TestLR3PlannedRoundsIndependentOfBatch is the scheduler's acceptance
 // gate on the cube circuit: for any batch size B, planned execution
 // over the actor engine must run exactly five wire rounds (input,

@@ -72,12 +72,18 @@ func (a *Accountant) Releases() int {
 	return a.releases
 }
 
-// record adds one release's RDP curve. The ledger emission happens
-// after the mutex is released because the ε conversion re-locks.
+// record adds one release's RDP curve. The curve — caller-supplied, and
+// O(α²) work for a subsampled release — is evaluated before the mutex is
+// taken; the ledger emission happens after it is released because the ε
+// conversion re-locks.
 func (a *Accountant) record(curve Curve) {
+	taus := make([]float64, a.maxAlpha-1)
+	for i := range taus {
+		taus[i] = curve(i + 2)
+	}
 	a.mu.Lock()
-	for i := range a.taus {
-		a.taus[i] += curve(i + 2)
+	for i, t := range taus {
+		a.taus[i] += t
 	}
 	a.releases++
 	release := a.releases
@@ -114,12 +120,7 @@ func (a *Accountant) AddSkellam(delta1, delta2, mu float64) {
 // Skellam mechanism (Lemma 7's server-side accounting).
 func (a *Accountant) AddSubsampledSkellam(delta1, delta2, mu, q float64, rounds int) {
 	base := func(l int) float64 { return SkellamRDP(l, delta1, delta2, mu) }
-	a.record(func(alpha int) float64 {
-		if q >= 1 {
-			return float64(rounds) * base(alpha)
-		}
-		return float64(rounds) * SubsampledRDP(alpha, q, base)
-	})
+	a.record(amplify(q, rounds, a.maxAlpha, base, nil).at)
 }
 
 // AddGaussian records one Gaussian-mechanism release.
@@ -131,12 +132,7 @@ func (a *Accountant) AddGaussian(delta2, sigma float64) {
 // (DPSGD-style).
 func (a *Accountant) AddSubsampledGaussian(delta2, sigma, q float64, rounds int) {
 	base := func(l int) float64 { return GaussianRDP(float64(l), delta2, sigma) }
-	a.record(func(alpha int) float64 {
-		if q >= 1 {
-			return float64(rounds) * base(alpha)
-		}
-		return float64(rounds) * SubsampledRDP(alpha, q, base)
-	})
+	a.record(amplify(q, rounds, a.maxAlpha, base, nil).at)
 }
 
 // AddRDP records an arbitrary mechanism by its RDP curve.

@@ -133,6 +133,64 @@ func TestAccountantConcurrentUse(t *testing.T) {
 	}
 }
 
+func TestAccountantSubsampledReleaseIsTheDirectCurve(t *testing.T) {
+	// The ledger evaluates a subsampled release on the kernel the direct
+	// accountants use, so one release converts to the same bits.
+	for _, maxAlpha := range []int{32, 0} {
+		a := NewAccountant(maxAlpha)
+		a.AddSubsampledSkellam(1e6, 1e3, 1e12, 0.001, 2000)
+		got, gotAlpha := a.Epsilon(1e-5)
+		want, wantAlpha := SkellamEpsilon(1e6, 1e3, 1e12, 0.001, 2000, 1e-5, maxAlpha)
+		if math.Float64bits(got) != math.Float64bits(want) || gotAlpha != wantAlpha {
+			t.Fatalf("maxAlpha=%d Skellam: ledger %v at α=%d, direct %v at α=%d", maxAlpha, got, gotAlpha, want, wantAlpha)
+		}
+		g := NewAccountant(maxAlpha)
+		g.AddSubsampledGaussian(1, 3, 0.01, 500)
+		got, gotAlpha = g.Epsilon(1e-5)
+		want, wantAlpha = GaussianEpsilon(1, 3, 0.01, 500, 1e-5, maxAlpha)
+		if math.Float64bits(got) != math.Float64bits(want) || gotAlpha != wantAlpha {
+			t.Fatalf("maxAlpha=%d Gaussian: ledger %v at α=%d, direct %v at α=%d", maxAlpha, got, gotAlpha, want, wantAlpha)
+		}
+	}
+}
+
+func TestAccountantConcurrentSubsampledUse(t *testing.T) {
+	// Subsampled releases evaluate their O(α²) curve outside the mutex:
+	// writers, readers and the ledger's own re-conversion interleave
+	// (run under -race) and the total is the sum in any order.
+	rec := newLedgerRecorder()
+	a := NewAccountant(48)
+	a.Observe(rec, 1e-5)
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if i%2 == 0 {
+				a.AddSubsampledSkellam(100, 100, 1e6, 0.01, 10)
+			} else {
+				a.AddSubsampledGaussian(1, 20, 0.05, 10)
+			}
+			a.Epsilon(1e-5)
+			a.Delta(1)
+		}(i)
+	}
+	wg.Wait()
+	if a.Releases() != 8 {
+		t.Fatalf("releases = %d", a.Releases())
+	}
+	serial := NewAccountant(48)
+	for i := 0; i < 4; i++ {
+		serial.AddSubsampledSkellam(100, 100, 1e6, 0.01, 10)
+		serial.AddSubsampledGaussian(1, 20, 0.05, 10)
+	}
+	got, _ := a.Epsilon(1e-5)
+	want, _ := serial.Epsilon(1e-5)
+	if math.Abs(got-want) > 1e-12*want {
+		t.Fatalf("concurrent total %v vs serial %v", got, want)
+	}
+}
+
 // ledgerRecorder captures events in order for the ledger tests while
 // carrying a real metrics registry.
 type ledgerRecorder struct {

@@ -155,34 +155,116 @@ func Compose(taus ...float64) float64 {
 //	τ' = 1/(α−1) · log( (1−q)^{α−1}(αq−q+1)
 //	       + Σ_{l=2}^{α} C(α,l)(1−q)^{α−l} q^l e^{(l−1)τ_l} ).
 //
-// The sum is evaluated in log space so large τ_l cannot overflow.
+// The sum is evaluated in log space so large τ_l cannot overflow; a
+// caller that wants more than one order of the same (q, tau) builds the
+// curve once (see amplifier).
 func SubsampledRDP(alpha int, q float64, tau func(l int) float64) float64 {
 	if alpha < 2 {
 		panic(invariant.Violation("dp: SubsampledRDP needs integer alpha >= 2"))
 	}
-	if q < 0 || q > 1 {
+	if q > 1 {
 		panic(invariant.Violation("dp: sampling rate must be in [0, 1]"))
 	}
-	if mathx.EqualWithin(q, 0, 0) {
+	return amplify(q, 1, alpha, tau, nil).at(alpha)
+}
+
+// amplifier is the one evaluator of Lemma 11: the RDP curve of `rounds`
+// adaptive invocations (Lemma 10) of one base mechanism under Poisson
+// subsampling at rate q. With the l = 0 and l = 1 terms written like the
+// rest (their exponent (l−1)·τ_l read as 0), the logarithm of term l of
+// the lemma's sum is
+//
+//	L_l = log C(α,l) + (α−l)·log(1−q) + e_l,   e_l = l·log q + (l−1)·τ_l,
+//
+// and e_l does not depend on α: amplify computes it once per (q, base
+// curve) — one base-curve call per l — and rdp gets each order's bound
+// as one max-shifted log-sum-exp over L_0..L_α. It is a value with value
+// receivers so that it, its scratch and the base closure can all stay on
+// a caller's stack.
+type amplifier struct {
+	q, rounds float64
+	base      Curve
+	log1q     float64   // log(1−q)
+	e         []float64 // e[l], l = 0..maxAlpha
+	terms     []float64 // one order's L_l
+}
+
+// amplify prepares orders 2..maxAlpha of the composition (maxAlpha < 2
+// means DefaultMaxAlpha, as for BestEpsilon). q = 0 samples nothing (the
+// curve is 0), q >= 1 composes the base curve as it is, and q < 0 is a
+// violation. scratch, when it holds 2·(maxAlpha+1) values, backs the
+// evaluator (a calibration hands the same array to every probe);
+// otherwise amplify allocates.
+func amplify(q float64, rounds, maxAlpha int, base Curve, scratch []float64) amplifier {
+	if q < 0 {
+		panic(invariant.Violation("dp: sampling rate must be in [0, 1]"))
+	}
+	if maxAlpha < 2 {
+		maxAlpha = DefaultMaxAlpha
+	}
+	s := amplifier{q: q, rounds: float64(rounds), base: base}
+	if q >= 1 || mathx.EqualWithin(q, 0, 0) {
+		return s
+	}
+	n := maxAlpha + 1
+	if len(scratch) < 2*n {
+		scratch = make([]float64, 2*n)
+	}
+	s.e, s.terms = scratch[:n], scratch[n:2*n]
+	s.log1q = math.Log1p(-q)
+	logq := math.Log(q)
+	s.e[0], s.e[1] = 0, logq
+	for l := 2; l < n; l++ {
+		s.e[l] = float64(l)*logq + float64(l-1)*base(l)
+	}
+	return s
+}
+
+// at is the composition's RDP curve: rounds times the per-round bound
+// at order alpha <= maxAlpha.
+func (s amplifier) at(alpha int) float64 {
+	switch {
+	case s.q >= 1:
+		return s.rounds * s.base(alpha)
+	case mathx.EqualWithin(s.q, 0, 0):
 		return 0
 	}
-	if mathx.EqualWithin(q, 1, 0) {
-		return tau(alpha)
-	}
-	a := float64(alpha)
-	logq := math.Log(q)
-	log1q := math.Log1p(-q)
-	// l = 0 and l = 1 terms collapse into (1-q)^{α-1}(αq - q + 1).
-	acc := (a-1)*log1q + math.Log(a*q-q+1)
-	for l := 2; l <= alpha; l++ {
-		tl := tau(l)
-		if math.IsInf(tl, 1) {
-			return math.Inf(1)
+	return s.rounds * s.rdp(alpha)
+}
+
+// lseCut is how far below the largest term, in nats, a term of the
+// log-sum-exp may sit before it is skipped: e^-50 < 2e-22 of the sum.
+const lseCut = 50
+
+// rdp returns Lemma 11's bound at order alpha <= maxAlpha, for
+// 0 < q < 1, as (M + log(1 + Σ_{l≠top} e^{L_l − M})) / (α−1) with
+// M = L_top the largest term: no exponent is positive, so no τ_l can
+// overflow, and the largest term enters exactly. τ_l = +Inf for some
+// l <= alpha gives +Inf; NaN propagates.
+func (s amplifier) rdp(alpha int) float64 {
+	terms := s.terms[:alpha+1]
+	m, top := math.Inf(-1), 0
+	lfa := mathx.LogFactorial(alpha)
+	for l := range terms {
+		// log C(α,l), as mathx.LogBinomial rounds it.
+		logC := lfa - mathx.LogFactorial(l) - mathx.LogFactorial(alpha-l)
+		t := logC + float64(alpha-l)*s.log1q + s.e[l]
+		terms[l] = t
+		if t > m {
+			m, top = t, l
 		}
-		term := mathx.LogBinomial(alpha, l) + float64(alpha-l)*log1q + float64(l)*logq + float64(l-1)*tl
-		acc = mathx.LogAdd(acc, term)
 	}
-	v := acc / (a - 1)
+	if math.IsInf(m, 1) {
+		return m
+	}
+	var rest float64
+	for l, t := range terms {
+		// A NaN term fails the comparison and stays in the sum.
+		if x := t - m; l != top && !(x < -lseCut) {
+			rest += math.Exp(x)
+		}
+	}
+	v := (m + math.Log1p(rest)) / float64(alpha-1)
 	if v < 0 {
 		// The bound is a divergence; tiny negative values are
 		// floating-point artifacts of the log-space sum.
@@ -227,10 +309,17 @@ var ErrCalibration = errors.New("dp: calibration target unreachable in search br
 // epsAt(s) must return the converted ε for scale s. The search runs over
 // the multiplicative bracket [lo, hi].
 func CalibrateNoise(targetEps float64, epsAt func(scale float64) float64, lo, hi float64) (float64, error) {
+	return bisectScale(func(s float64) bool { return epsAt(s) <= targetEps }, lo, hi)
+}
+
+// bisectScale returns the smallest scale in [lo, hi] that meets a
+// monotone predicate (false below some scale, true from it on), bisecting
+// log(scale) for 60 iterations.
+func bisectScale(meets func(scale float64) bool, lo, hi float64) (float64, error) {
 	if lo <= 0 || hi <= lo {
 		return 0, fmt.Errorf("dp: invalid bracket [%v, %v]", lo, hi)
 	}
-	pred := func(logS float64) bool { return epsAt(math.Exp(logS)) <= targetEps }
+	pred := func(logS float64) bool { return meets(math.Exp(logS)) }
 	logS, ok := mathx.BisectMonotone(pred, math.Log(lo), math.Log(hi), 60)
 	if !ok {
 		return 0, ErrCalibration
@@ -238,22 +327,43 @@ func CalibrateNoise(targetEps float64, epsAt func(scale float64) float64, lo, hi
 	return math.Exp(logS), nil
 }
 
+// calibrate is CalibrateNoise for `rounds` q-subsampled invocations of
+// the mechanism whose base curve at a noise scale is baseAt(scale, ·),
+// bisecting on the predicate calibration needs — some order 2..
+// DefaultMaxAlpha converts to at most targetEps — instead of on the
+// minimum over all of them. A probe tries the order that satisfied the
+// last one first and returns at the first order that meets the target, so
+// a satisfied probe usually evaluates one order; an unsatisfied one
+// evaluates them all, as the minimum would. min_α ε_α <= target exactly
+// when some ε_α <= target (BestEpsilon skips the +Inf and NaN orders the
+// comparison rejects), so every decision, and with it the result, is the
+// one bisecting SkellamEpsilon / GaussianEpsilon makes.
+func calibrate(targetEps, delta, q float64, rounds int, baseAt func(scale float64, l int) float64, lo, hi float64) (float64, error) {
+	var scratch [2 * (DefaultMaxAlpha + 1)]float64
+	witness := 2
+	return bisectScale(func(scale float64) bool {
+		amp := amplify(q, rounds, DefaultMaxAlpha, func(l int) float64 { return baseAt(scale, l) }, scratch[:])
+		meets := func(a int) bool { return RDPToDP(a, amp.at(a), delta) <= targetEps }
+		if meets(witness) {
+			return true
+		}
+		for a := 2; a <= DefaultMaxAlpha; a++ {
+			if a != witness && meets(a) {
+				witness = a
+				return true
+			}
+		}
+		return false
+	}, lo, hi)
+}
+
 // SkellamEpsilon is the server-observed (ε, δ) of R adaptive invocations
 // of the Skellam mechanism with Poisson subsampling rate q (q = 1 or
 // rounds without subsampling compose directly). It is the accountant
 // behind Lemma 7's τ_server.
 func SkellamEpsilon(delta1, delta2, mu, q float64, rounds int, delta float64, maxAlpha int) (float64, int) {
-	base := func(l int) float64 { return SkellamRDP(l, delta1, delta2, mu) }
-	curve := func(a int) float64 {
-		var perRound float64
-		if q >= 1 {
-			perRound = base(a)
-		} else {
-			perRound = SubsampledRDP(a, q, base)
-		}
-		return float64(rounds) * perRound
-	}
-	return BestEpsilon(curve, delta, maxAlpha)
+	amp := amplify(q, rounds, maxAlpha, func(l int) float64 { return SkellamRDP(l, delta1, delta2, mu) }, nil)
+	return BestEpsilon(amp.at, delta, maxAlpha)
 }
 
 // SkellamClientEpsilon is the client-observed (ε, δ) over R rounds
@@ -270,37 +380,22 @@ func SkellamClientEpsilon(delta1, delta2, mu float64, numClients, rounds int, de
 // server-observed ε (with subsampling rate q over the given rounds) is
 // at most targetEps at privacy parameter delta.
 func CalibrateSkellamMu(targetEps, delta, delta1, delta2, q float64, rounds int) (float64, error) {
-	epsAt := func(mu float64) float64 {
-		e, _ := SkellamEpsilon(delta1, delta2, mu, q, rounds, delta, DefaultMaxAlpha)
-		return e
-	}
-	return CalibrateNoise(targetEps, epsAt, 1e-9, 1e40)
+	base := func(mu float64, l int) float64 { return SkellamRDP(l, delta1, delta2, mu) }
+	return calibrate(targetEps, delta, q, rounds, base, 1e-9, 1e40)
 }
 
 // GaussianEpsilon is the (ε, δ) of R rounds of the (optionally
 // subsampled) Gaussian mechanism — the accountant used for DPSGD.
 func GaussianEpsilon(delta2, sigma, q float64, rounds int, delta float64, maxAlpha int) (float64, int) {
-	base := func(l int) float64 { return GaussianRDP(float64(l), delta2, sigma) }
-	curve := func(a int) float64 {
-		var perRound float64
-		if q >= 1 {
-			perRound = base(a)
-		} else {
-			perRound = SubsampledRDP(a, q, base)
-		}
-		return float64(rounds) * perRound
-	}
-	return BestEpsilon(curve, delta, maxAlpha)
+	amp := amplify(q, rounds, maxAlpha, func(l int) float64 { return GaussianRDP(float64(l), delta2, sigma) }, nil)
+	return BestEpsilon(amp.at, delta, maxAlpha)
 }
 
 // CalibrateGaussianSigma returns the minimal σ for the (subsampled,
 // composed) Gaussian mechanism meeting (targetEps, delta).
 func CalibrateGaussianSigma(targetEps, delta, delta2, q float64, rounds int) (float64, error) {
-	epsAt := func(sigma float64) float64 {
-		e, _ := GaussianEpsilon(delta2, sigma, q, rounds, delta, DefaultMaxAlpha)
-		return e
-	}
-	return CalibrateNoise(targetEps, epsAt, 1e-9, 1e30)
+	base := func(sigma float64, l int) float64 { return GaussianRDP(float64(l), delta2, sigma) }
+	return calibrate(targetEps, delta, q, rounds, base, 1e-9, 1e30)
 }
 
 // AnalyticGaussianSigma returns the minimal σ such that adding

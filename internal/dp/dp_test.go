@@ -3,7 +3,34 @@ package dp
 import (
 	"math"
 	"testing"
+
+	"sqm/internal/mathx"
 )
+
+// subsampledRDPChained is Lemma 11 as this package evaluated it before
+// the amplifier: one order at a time, the α−1 terms folded into the
+// running sum by a chain of mathx.LogAdd. It is the oracle the kernel is
+// held to (lemma11_test.go); q must lie strictly between 0 and 1.
+func subsampledRDPChained(alpha int, q float64, tau func(l int) float64) float64 {
+	a := float64(alpha)
+	logq := math.Log(q)
+	log1q := math.Log1p(-q)
+	// l = 0 and l = 1 terms collapse into (1-q)^{α-1}(αq - q + 1).
+	acc := (a-1)*log1q + math.Log(a*q-q+1)
+	for l := 2; l <= alpha; l++ {
+		tl := tau(l)
+		if math.IsInf(tl, 1) {
+			return math.Inf(1)
+		}
+		term := mathx.LogBinomial(alpha, l) + float64(alpha-l)*log1q + float64(l)*logq + float64(l-1)*tl
+		acc = mathx.LogAdd(acc, term)
+	}
+	v := acc / (a - 1)
+	if v < 0 {
+		return 0
+	}
+	return v
+}
 
 func TestSkellamRDPLeadingTermMatchesGaussian(t *testing.T) {
 	// For large mu the Skellam RDP approaches the Gaussian RDP with

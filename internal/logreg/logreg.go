@@ -286,31 +286,19 @@ func TrainSQMOrder3(x *linalg.Matrix, y []float64, cfg Config) (*Model, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	proto, err := core.NewLR3Protocol(x, y, core.Params{
-		Gamma:   cfg.Gamma,
-		Engine:  cfg.Engine,
-		Parties: cfg.Parties,
-		Seed:    cfg.Seed,
-	}, 0)
-	// (The sensitivity probe above runs without telemetry; only the
-	// calibrated run below reports.)
-	if err != nil {
-		return nil, err
-	}
-	d2, d1 := proto.Sensitivity()
+	d2, d1 := core.LR3Sensitivity(cfg.Gamma, x.Cols, core.DefaultLR3Precision)
 	mu, err := dp.CalibrateSkellamMu(cfg.Eps, cfg.Delta, d1, d2, cfg.SampleRate, cfg.Rounds())
-	proto.Close()
 	if err != nil {
 		return nil, err
 	}
-	// Meter the run as one subsampled composition at the probe's
+	// Meter the run as one subsampled composition at the protocol's
 	// conservative order-3 sensitivities.
 	if cfg.Acct != nil {
 		cfg.Acct.AddSubsampledSkellam(d1, d2, mu, cfg.SampleRate, cfg.Rounds())
 	}
-	// Rebuild with the calibrated noise (the protocol state is cheap to
-	// reconstruct and the seeds keep the quantization identical).
-	proto, err = core.NewLR3Protocol(x, y, core.Params{
+	// The sensitivity bound reads (γ, d, k) only, so the data is
+	// quantized and shared once, at the calibrated noise.
+	proto, err := core.NewLR3Protocol(x, y, core.Params{
 		Gamma:    cfg.Gamma,
 		Mu:       mu,
 		Engine:   cfg.Engine,
@@ -319,7 +307,7 @@ func TrainSQMOrder3(x *linalg.Matrix, y []float64, cfg Config) (*Model, error) {
 		Recorder: cfg.Recorder,
 		Trace:    cfg.Trace,
 		Fault:    cfg.Fault,
-	}, 0)
+	}, core.DefaultLR3Precision)
 	if err != nil {
 		return nil, err
 	}

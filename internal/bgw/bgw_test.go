@@ -365,8 +365,9 @@ func TestAdditiveSharesWeightMismatchPanics(t *testing.T) {
 }
 
 // TestForeignSharePanics: every operation that takes a handle refuses
-// one issued by another engine, and At refuses an index out of range,
-// with an invariant.Violation rather than computing on foreign slots or
+// one issued by another engine, At and Gather refuse an index out of
+// range and LinComb refuses terms that do not line up, with an
+// invariant.Violation rather than computing on foreign slots or
 // a raw runtime panic.
 func TestForeignSharePanics(t *testing.T) {
 	e1 := newTestEngine(t, 3)
@@ -375,24 +376,30 @@ func TestForeignSharePanics(t *testing.T) {
 	b, bv := e2.Input(0, 2), e2.InputVec(0, []int64{3, 4})
 	w := lagrangeWeightsForTest(3)
 	for name, op := range map[string]func(){
-		"Add":            func() { e1.Add(a, b) },
-		"Sub":            func() { e1.Sub(b, a) },
-		"Mul":            func() { e1.Mul(a, b) },
-		"AddConst":       func() { e1.AddConst(b, 1) },
-		"MulConst":       func() { e1.MulConst(b, 2) },
-		"InnerProduct":   func() { e1.InnerProduct([]Val{a}, []Val{b}) },
-		"AdditiveShares": func() { e1.AdditiveShares(b, w) },
-		"FromScalars":    func() { e1.FromScalars([]Val{a, b}) },
-		"Open":           func() { e1.Open(b) },
-		"OpenBatch":      func() { e1.OpenBatch([]Val{a, b}) },
-		"At":             func() { e1.At(bv, 0) },
-		"AddVec":         func() { e1.AddVec(av, bv) },
-		"Dot":            func() { e1.Dot(bv, av) },
-		"OpenVec":        func() { e1.OpenVec(bv) },
-		"At index = len": func() { e1.At(av, 2) },
-		"At index = -1":  func() { e1.At(av, -1) },
-		"nil scalar":     func() { e1.Add(a, nil) },
-		"foreign type":   func() { e1.Add(a, 7) },
+		"Add":                func() { e1.Add(a, b) },
+		"Sub":                func() { e1.Sub(b, a) },
+		"Mul":                func() { e1.Mul(a, b) },
+		"AddConst":           func() { e1.AddConst(b, 1) },
+		"MulConst":           func() { e1.MulConst(b, 2) },
+		"InnerProduct":       func() { e1.InnerProduct([]Val{a}, []Val{b}) },
+		"AdditiveShares":     func() { e1.AdditiveShares(b, w) },
+		"FromScalars":        func() { e1.FromScalars([]Val{a, b}) },
+		"Open":               func() { e1.Open(b) },
+		"OpenBatch":          func() { e1.OpenBatch([]Val{a, b}) },
+		"At":                 func() { e1.At(bv, 0) },
+		"AddVec":             func() { e1.AddVec(av, bv) },
+		"Dot":                func() { e1.Dot(bv, av) },
+		"OpenVec":            func() { e1.OpenVec(bv) },
+		"Gather":             func() { e1.Gather(bv, []int{0}) },
+		"LinComb":            func() { e1.LinComb([]Vec{av, bv}, []int64{1, 1}, 0) },
+		"At index = len":     func() { e1.At(av, 2) },
+		"At index = -1":      func() { e1.At(av, -1) },
+		"Gather index = len": func() { e1.Gather(av, []int{0, 2}) },
+		"Gather index = -1":  func() { e1.Gather(av, []int{-1}) },
+		"LinComb lengths":    func() { e1.LinComb([]Vec{av, e1.InputVec(0, []int64{1})}, []int64{1, 1}, 0) },
+		"LinComb term count": func() { e1.LinComb([]Vec{av}, []int64{1, 1}, 0) },
+		"nil scalar":         func() { e1.Add(a, nil) },
+		"foreign type":       func() { e1.Add(a, 7) },
 	} {
 		func() {
 			defer func() {

@@ -601,6 +601,48 @@ func (e *Engine) AddVec(a, b Vec) Vec {
 	return out
 }
 
+// Gather returns the vector v[idx[k]]; local. Like every vector command
+// it reaches the parties at once.
+func (e *Engine) Gather(v Vec, idx []int) Vec {
+	rv := e.vecRef(v)
+	for _, i := range idx {
+		if i < 0 || i >= v.Len() {
+			panic(invariant.Violation("bgw: gather index %d out of range [0,%d)", i, v.Len()))
+		}
+	}
+	if e.mesh != nil {
+		// As in InputBatch: party goroutines need their own copy.
+		idx = append([]int(nil), idx...)
+	}
+	out := e.newVec(len(idx))
+	e.dispatch(actorCmd{op: opGather, a: rv, x: &cmdPayload{refs: idx}})
+	return out
+}
+
+// LinComb returns c0 + Σ_k cs[k]·vs[k] element-wise; local, one command
+// whatever the number of terms.
+func (e *Engine) LinComb(vs []Vec, cs []int64, c0 int64) Vec {
+	if len(vs) != len(cs) {
+		panic(invariant.Violation("bgw: LinComb has %d vectors for %d coefficients", len(vs), len(cs)))
+	}
+	refs := make([]int, len(vs))
+	n := 0
+	for k, v := range vs {
+		refs[k] = e.vecRef(v)
+		if k == 0 {
+			n = v.Len()
+		} else if v.Len() != n {
+			panic(invariant.Violation("bgw: vector length mismatch"))
+		}
+	}
+	if e.mesh != nil {
+		cs = append([]int64(nil), cs...)
+	}
+	out := e.newVec(n)
+	e.dispatch(actorCmd{op: opLinComb, a: n, c: c0, x: &cmdPayload{refs: refs, ints: cs}})
+	return out
+}
+
 // FromScalars packs scalar shares into a vector; local.
 func (e *Engine) FromScalars(xs []Val) Vec {
 	refs := e.scRefs(xs)

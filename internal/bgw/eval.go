@@ -111,12 +111,14 @@ type InputItem struct {
 
 // Evaluator is the abstract MPC backend the SQM protocols run against.
 // It captures exactly the share operations the paper's circuits need:
-// input sharing, local linear algebra, degree-reduction multiplication,
-// fused inner products and openings. Backends: the Engine of this
-// package with inline parties (NewEngine) or with party goroutines over
-// a pluggable transport (NewActorEngine), and — because BGW computes
-// exactly — the plaintext engine in internal/core that bypasses sharing
-// entirely.
+// input sharing, local linear algebra — scalar gates and the vector
+// gates AddVec, Gather and LinComb, which carry a whole column of a
+// vertically partitioned batch as one command — degree-reduction
+// multiplication, fused inner products and openings. Backends: the
+// Engine of this package with inline parties (NewEngine) or with party
+// goroutines over a pluggable transport (NewActorEngine), and — because
+// BGW computes exactly — the plaintext engine in internal/core that
+// bypasses sharing entirely.
 //
 // All operations follow the semi-honest, synchronized-round model of the
 // concrete engines: structured protocols batch the independent messages
@@ -177,6 +179,16 @@ type Evaluator interface {
 	At(v Vec, k int) Val
 	// AddVec returns the element-wise sum a + b; local.
 	AddVec(a, b Vec) Vec
+	// Gather returns the vector whose element k is v[idx[k]]; local, no
+	// field operations. Indices may repeat; the result has len(idx)
+	// elements.
+	Gather(v Vec, idx []int) Vec
+	// LinComb returns c0 + Σ_k cs[k]·vs[k] element-wise over vectors of
+	// one length: a single fused affine gate, local. It is metered as
+	// the scalar MulConst gates it stands for — len(vs)·n field
+	// operations per party — and the constant is free, as AddConst is.
+	// With no terms the result is the empty vector.
+	LinComb(vs []Vec, cs []int64, c0 int64) Vec
 	// Dot returns a sharing of the inner product ⟨a, b⟩ (fused gate).
 	Dot(a, b Vec) Val
 	// DotBatch evaluates many fused inner products belonging to the

@@ -25,6 +25,8 @@ const (
 	opMulConst
 	opAt
 	opAddVec
+	opGather
+	opLinComb
 	opFromScalars
 	opMulBatch
 	opOpenBatch
@@ -59,7 +61,7 @@ type mulDesc struct {
 // parties — the engine never touches a command after it is issued.
 type actorCmd struct {
 	op   actorOp
-	a, b int         // slot operands; a is the owner of opInputVec, b the element index of opAt
+	a, b int         // slot operands; a is the owner of opInputVec and the length of opLinComb, b the element index of opAt
 	c    int64       // public constant
 	x    *cmdPayload // set on commands that carry a list or await a reply
 }
@@ -67,9 +69,9 @@ type actorCmd struct {
 // cmdPayload holds what does not fit the scalar command: operand lists,
 // input vectors and the reply channel of synchronizing commands.
 type cmdPayload struct {
-	ints    []int64      // signed input vector (opInputVec)
+	ints    []int64      // signed input vector (opInputVec), coefficients (opLinComb)
 	inputs  []InputItem  // scalar inputs (opInputBatch)
-	refs    []int        // scalar slots (opFromScalars, opOpenBatch)
+	refs    []int        // scalar slots (opFromScalars, opOpenBatch), element indices (opGather), vector slots (opLinComb)
 	muls    []mulDesc    // gate list (opMulBatch)
 	weights []field.Elem // Lagrange weights (opAdditive)
 	reply   chan actorReply
@@ -203,6 +205,26 @@ func (a *actorParty) send(c *actorCmd) error {
 		out := make([]field.Elem, len(va))
 		field.AddVec(out, va, vb)
 		a.vc = append(a.vc, out)
+	case opGather:
+		src := a.vc[c.a]
+		out := make([]field.Elem, len(c.x.refs))
+		for k, i := range c.x.refs {
+			out[k] = src[i]
+		}
+		a.vc = append(a.vc, out)
+	case opLinComb:
+		// c0 + Σ_k cs[k]·vs[k] on this party's shares: the constant is the
+		// constant polynomial, added to every share as opAddConst adds it.
+		out := make([]field.Elem, c.a)
+		c0 := field.FromInt64(c.c)
+		for k := range out {
+			out[k] = c0
+		}
+		for k, r := range c.x.refs {
+			field.MulAddVec(out, a.vc[r], field.FromInt64(c.x.ints[k]))
+		}
+		a.vc = append(a.vc, out)
+		a.fieldOps += int64(len(c.x.refs) * c.a)
 	case opFromScalars:
 		a.vc = append(a.vc, a.gather(c.x.refs))
 	case opMulBatch:

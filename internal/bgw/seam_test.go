@@ -11,8 +11,9 @@ import (
 )
 
 // seamProgram runs a seeded random program over every command that has
-// two halves or fills a slot: scalar and vector inputs, local gates, two
-// MulBatch levels of all three kinds, an OpenBatch and an OpenVec.
+// two halves or fills a slot: scalar and vector inputs, local gates
+// (vector ones keep length 11: Gather draws 11 indices), two MulBatch
+// levels of all three kinds, an OpenBatch and an OpenVec.
 func seamProgram(ev *Engine, seed uint64) []int64 {
 	g := randx.New(seed)
 	p := ev.Parties()
@@ -36,7 +37,7 @@ func seamProgram(ev *Engine, seed uint64) []int64 {
 	pickVec := func() Vec { return vecs[g.IntN(len(vecs))] }
 	for level := 0; level < 2; level++ {
 		for i := 0; i < 30; i++ {
-			switch g.IntN(6) {
+			switch g.IntN(8) {
 			case 0:
 				vals = append(vals, ev.Add(pick(), pick()))
 			case 1:
@@ -49,6 +50,20 @@ func seamProgram(ev *Engine, seed uint64) []int64 {
 				vals = append(vals, ev.At(pickVec(), g.IntN(11)))
 			case 5:
 				vecs = append(vecs, ev.AddVec(pickVec(), pickVec()))
+			case 6:
+				idx := make([]int, 11)
+				for k := range idx {
+					idx[k] = g.IntN(11)
+				}
+				vecs = append(vecs, ev.Gather(pickVec(), idx))
+				clear(idx) // the caller's list is its own again: parties behind a mesh hold a copy
+			case 7:
+				vs, cs := make([]Vec, g.IntN(4)+1), make([]int64, 4)
+				for k := range vs {
+					vs[k], cs[k] = pickVec(), int64(g.IntN(7))-3
+				}
+				vecs = append(vecs, ev.LinComb(vs, cs[:len(vs)], small()))
+				clear(cs)
 			}
 		}
 		muls := make([]MulItem, 1+g.IntN(12))

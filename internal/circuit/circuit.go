@@ -51,6 +51,8 @@ const (
 	kDot
 	kAt
 	kAddVec
+	kGather
+	kLinComb
 	kFromScalars
 	kOpen
 	kOpenVec
@@ -80,7 +82,7 @@ func (k nodeKind) isScalarInput() bool {
 // isVec reports whether the node produces a vector handle.
 func (k nodeKind) isVec() bool {
 	switch k {
-	case kInputVec, kInputVecParam, kInputVecSum, kExtVec, kAddVec, kFromScalars:
+	case kInputVec, kInputVecParam, kInputVecSum, kExtVec, kAddVec, kGather, kLinComb, kFromScalars:
 		return true
 	}
 	return false
@@ -94,11 +96,11 @@ type node struct {
 	kind   nodeKind
 	folded bool  // foldSums changed what the node computes: the handle recorded for it must not resolve
 	level  int32 // multiplicative level, assigned by Compile
-	a, b   int32 // operand node ids; b is the element index of kAt; a is the args offset of kInner/kFromScalars operands and the lits index of a kInputVec literal; args[a:a+b] are the parameter slots a kInputSum/kInputVecSum adds
+	a, b   int32 // operand node ids; b is the element index of kAt; a is the args offset of kInner/kFromScalars operands and the lits index of a kInputVec literal; args[a:a+b] are the parameter slots a kInputSum/kInputVecSum adds and the operands of a kLinComb
 	owner  int32 // input owner party
-	param  int32 // parameter slot (const/input/ext params); lits index of a kInputVecSum's summed literals, −1 for none
+	param  int32 // parameter slot (const/input/ext params); lits index of a kInputVecSum's summed literals, −1 for none, and of a kLinComb's coefficients; args offset of a kGather's n element indices
 	n      int32 // vector length of vector-producing nodes; operand count of kInner (list B follows list A in args)
-	c      int64 // public constant (kInput, kAddConst, kMulConst) or raw field input (kInputElem, and the summed literals of a kInputSum)
+	c      int64 // public constant (kInput, kAddConst, kMulConst, kLinComb's c0) or raw field input (kInputElem, and the summed literals of a kInputSum)
 }
 
 // Val is a handle to one recorded scalar node; it is passed around as a
@@ -131,8 +133,8 @@ type ConstID int
 type Builder struct {
 	p, t  int
 	nodes []node
-	args  []int32      // operand lists of kInner and kFromScalars (and, compiled, of the folded input sums)
-	lits  [][]int64    // kInputVec literals, one private copy each
+	args  []int32      // operand lists of kInner, kFromScalars and kLinComb, index lists of kGather (and, compiled, the folded input sums' slots)
+	lits  [][]int64    // kInputVec literals and kLinComb coefficients, one private copy each
 	vals  []Val        // current chunk of the scalar-handle arena
 	rec   obs.Recorder // optional; surfaced through Recorder()
 
@@ -457,6 +459,43 @@ func (b *Builder) sameLen(a, c bgw.Vec) (ca, cc *Vec) {
 func (b *Builder) AddVec(a, c bgw.Vec) bgw.Vec {
 	ca, cc := b.sameLen(a, c)
 	return b.vector(node{kind: kAddVec, a: ca.id, b: cc.id}, ca.n)
+}
+
+// Gather records the vector v[idx[k]].
+func (b *Builder) Gather(v bgw.Vec, idx []int) bgw.Vec {
+	cv := b.vec(v)
+	off := len(b.args)
+	for _, i := range idx {
+		if i < 0 || i >= cv.n {
+			panic(invariant.Violation("circuit: gather index %d out of range [0,%d)", i, cv.n))
+		}
+		b.args = append(b.args, int32(i))
+	}
+	b.i32(len(b.args))
+	return b.vector(node{kind: kGather, a: cv.id, param: b.i32(off)}, len(idx))
+}
+
+// LinComb records the fused affine gate c0 + Σ_k cs[k]·vs[k]. The
+// coefficients are literals: a circuit whose coefficients change is
+// recorded again.
+func (b *Builder) LinComb(vs []bgw.Vec, cs []int64, c0 int64) bgw.Vec {
+	if len(vs) != len(cs) {
+		panic(invariant.Violation("circuit: LinComb has %d vectors for %d coefficients", len(vs), len(cs)))
+	}
+	off, n := len(b.args), 0
+	for k, v := range vs {
+		cv := b.vec(v)
+		if k == 0 {
+			n = cv.n
+		} else if cv.n != n {
+			panic(invariant.Violation("circuit: vector length mismatch"))
+		}
+		b.args = append(b.args, cv.id)
+	}
+	b.i32(len(b.args))
+	nd := node{kind: kLinComb, a: b.i32(off), b: b.i32(len(vs)), param: b.i32(len(b.lits)), c: c0}
+	b.lits = append(b.lits, append([]int64(nil), cs...))
+	return b.vector(nd, n)
 }
 
 // Dot records the fused inner product ⟨a, b⟩.

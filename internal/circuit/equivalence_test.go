@@ -10,8 +10,8 @@ import (
 )
 
 // randomCircuit records a random DAG into b: literal inputs, the full
-// linear gate surface, scalar and fused multiplications, and a few
-// opened outputs. Scalar inputs (signed and raw) and input vectors keep
+// linear gate surface — the vector gates Gather and LinComb included —
+// scalar and fused multiplications, and a few opened outputs. Scalar inputs (signed and raw) and input vectors keep
 // arriving between the gates, so the executor's hoisting of every scalar
 // input into one leading InputBatch — ahead of locals and InputVecs
 // recorded before it — is exercised on every seed. Sum trees over inputs
@@ -35,18 +35,21 @@ func randomCircuit(b *Builder, rng *rand.Rand) Bindings {
 		vecs = append(vecs, b.InputVec(rng.Intn(p), vs))
 	}
 	pick := func() bgw.Val { return vals[rng.Intn(len(vals))] }
-	pickVecPair := func() (bgw.Vec, bgw.Vec) {
-		v1 := vecs[rng.Intn(len(vecs))]
+	pickVecLike := func(v1 bgw.Vec) bgw.Vec {
 		var cands []bgw.Vec
 		for _, v2 := range vecs {
 			if v2.Len() == v1.Len() {
 				cands = append(cands, v2)
 			}
 		}
-		return v1, cands[rng.Intn(len(cands))]
+		return cands[rng.Intn(len(cands))]
+	}
+	pickVecPair := func() (bgw.Vec, bgw.Vec) {
+		v1 := vecs[rng.Intn(len(vecs))]
+		return v1, pickVecLike(v1)
 	}
 	for i, ops := 0, 5+rng.Intn(20); i < ops; i++ {
-		switch rng.Intn(15) {
+		switch rng.Intn(17) {
 		case 0:
 			vals = append(vals, b.Add(pick(), pick()))
 		case 1:
@@ -93,6 +96,24 @@ func randomCircuit(b *Builder, rng *rand.Rand) Bindings {
 			vals = append(vals, sumTree(b, rng, &bind, pick)...)
 		case 14:
 			vecs = append(vecs, sumTreeVec(b, rng, &bind, vecs[rng.Intn(len(vecs))]))
+		case 15:
+			v := vecs[rng.Intn(len(vecs))]
+			idx := make([]int, rng.Intn(5))
+			for k := range idx {
+				idx[k] = rng.Intn(v.Len())
+			}
+			// An empty Gather is recorded and executed but not kept: every
+			// later pick may index or open its vector.
+			if g := b.Gather(v, idx); len(idx) > 0 {
+				vecs = append(vecs, g)
+			}
+		case 16:
+			vs, cs := make([]bgw.Vec, 1+rng.Intn(3)), make([]int64, 3)
+			like := vecs[rng.Intn(len(vecs))]
+			for k := range vs {
+				vs[k], cs[k] = pickVecLike(like), int64(rng.Intn(21)-10)
+			}
+			vecs = append(vecs, b.LinComb(vs, cs[:len(vs)], int64(rng.Intn(101)-50)))
 		}
 	}
 	for i, n := 0, 1+rng.Intn(3); i < n; i++ {
@@ -290,10 +311,39 @@ func TestPlanEquivalenceRandomCircuits(t *testing.T) {
 	}
 }
 
+// fuzzSeeds is FuzzPlanEquivalence's seed corpus. 19, 43 and 51 are
+// there for the vector gates: each records Gather (an empty one too) and
+// LinComb several times over.
+var fuzzSeeds = []int64{0, 1, 2, 3, 4, 5, 6, 7, 19, 43, 51}
+
+// TestFuzzCorpusReachesVectorGates keeps the corpus honest when
+// randomCircuit's draws shift: its seeds must still record a Gather, a
+// Gather of nothing and a LinComb of several terms.
+func TestFuzzCorpusReachesVectorGates(t *testing.T) {
+	var gathers, empty, combs int
+	for _, seed := range fuzzSeeds {
+		b := NewBuilder(4, 0)
+		randomCircuit(b, rand.New(rand.NewSource(seed)))
+		for _, n := range b.nodes {
+			switch {
+			case n.kind == kGather && n.n == 0:
+				empty++
+			case n.kind == kGather:
+				gathers++
+			case n.kind == kLinComb && n.b > 1:
+				combs++
+			}
+		}
+	}
+	if gathers == 0 || empty == 0 || combs == 0 {
+		t.Fatalf("corpus records %d Gather, %d empty Gather, %d multi-term LinComb gates; want each", gathers, empty, combs)
+	}
+}
+
 // FuzzPlanEquivalence lets the fuzzer hunt for circuit shapes where
 // the scheduler, the batched executor, and the eager path disagree.
 func FuzzPlanEquivalence(f *testing.F) {
-	for seed := int64(0); seed < 8; seed++ {
+	for _, seed := range fuzzSeeds {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {

@@ -350,6 +350,18 @@ func (p *Plan) evalLocal(eng bgw.Evaluator, bind Bindings, r *Result, id int32) 
 		r.vals[id] = eng.At(r.vecs[n.a], int(n.b))
 	case kAddVec:
 		r.vecs[id] = eng.AddVec(r.vecs[n.a], r.vecs[n.b])
+	case kGather:
+		idx := make([]int, n.n)
+		for k, i := range p.operands(n.param, n.n) {
+			idx[k] = int(i)
+		}
+		r.vecs[id] = eng.Gather(r.vecs[n.a], idx)
+	case kLinComb:
+		vs := make([]bgw.Vec, n.b)
+		for k, op := range p.operands(n.a, n.b) {
+			vs[k] = r.vecs[op]
+		}
+		r.vecs[id] = eng.LinComb(vs, p.lits[n.param], n.c)
 	case kFromScalars:
 		r.vecs[id] = eng.FromScalars(gather(r.vals, p.operands(n.a, n.n)))
 	default:

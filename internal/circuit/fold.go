@@ -63,8 +63,12 @@ func (p *Plan) foldSums(limit int) error {
 		case kSub, kMul, kDot:
 			f.consume(int32(id), n.a, false)
 			f.consume(int32(id), n.b, false)
-		case kAddConst, kMulConst, kAddConstP, kMulConstP, kAt, kOpen, kOpenVec:
+		case kAddConst, kMulConst, kAddConstP, kMulConstP, kAt, kGather, kOpen, kOpenVec:
 			f.consume(int32(id), n.a, false)
+		case kLinComb:
+			for _, op := range p.operands(n.a, n.b) {
+				f.consume(int32(id), op, false)
+			}
 		case kInner:
 			for _, op := range p.operands(n.a, 2*n.n) {
 				f.consume(int32(id), op, false)

@@ -144,6 +144,40 @@ func TestSharedLeavesNeverFold(t *testing.T) {
 	mustNameTheFold(t, "ValOf a folded sibling", func() { res.ValOf(s2) })
 }
 
+// TestVectorGateOperandsNeverFold: Gather and LinComb read their operands
+// as any consumer does, so an input vector one of them reads beside an
+// AddVec keeps its own sharing — were the gate's read not counted, the
+// leaf would fold into its dealer's sum and the gate read a removed node —
+// while the same dealer's other leaves of that sum still fold.
+func TestVectorGateOperandsNeverFold(t *testing.T) {
+	b := NewBuilder(4, 0)
+	gathered := b.InputVec(2, []int64{1, 2, 3})
+	combined := b.InputVecParam(2, 3)
+	s1, s2 := b.InputVec(2, []int64{10, 20, 30}), b.InputVec(2, []int64{100, 200, 300})
+	sum := b.AddVec(b.AddVec(b.AddVec(gathered, s1), combined), s2)
+	b.OpenVecIdx(sum)
+	b.OpenVecIdx(b.Gather(gathered, []int{2, 2, 0}))
+	b.OpenVecIdx(b.LinComb([]bgw.Vec{combined, sum}, []int64{-2, 1}, 5))
+	plan := b.MustCompile()
+	if plan.folded != 1 {
+		t.Fatalf("folded %d input leaves, want 1 (s2 into s1)", plan.folded)
+	}
+	bind := Bindings{InputVecs: [][]int64{{7, 8, 9}}}
+	res, _ := runInline(t, plan, bind)
+	for k, want := range [][]int64{{118, 230, 342}, {3, 3, 1}, {109, 219, 329}} {
+		if got := res.OpenedVec(k); !reflect.DeepEqual(got, want) {
+			t.Errorf("output %d opened %v, want %v", k, got, want)
+		}
+	}
+	if res.VecOf(gathered) == nil || res.VecOf(combined) == nil {
+		t.Fatal("a leaf a vector gate reads no longer resolves")
+	}
+	mustNameTheFold(t, "VecOf a folded sibling", func() { res.VecOf(s2) })
+	if pres, err := plan.Plain(bind); err != nil || !sameOpened(pres, res) {
+		t.Fatalf("plain interpreter disagrees with the engine (%v)", err)
+	}
+}
+
 // TestFoldShapes walks the rewrites prune has to get right — a root that
 // becomes the sum leaf, a root that takes over an interior gate, Zero as
 // the identity, a root with two consumers, a bushy tree, parameter and

@@ -101,6 +101,25 @@ func TestBuilderIsSpentAfterCompile(t *testing.T) {
 	}
 }
 
+// TestVectorGatesAreCheckedWhenRecorded: the Builder refuses what the
+// engine would — a Gather index outside the vector, LinComb terms of
+// unlike lengths or without a coefficient each, a foreign handle — at
+// the call that records it.
+func TestVectorGatesAreCheckedWhenRecorded(t *testing.T) {
+	b, other := NewBuilder(4, 0), NewBuilder(4, 0)
+	v, w := b.InputVec(0, []int64{1, 2, 3}), b.InputVec(1, []int64{4, 5})
+	foreign := other.InputVec(0, []int64{1, 2, 3})
+	mustViolate(t, "Gather index = len", func() { b.Gather(v, []int{0, 3}) })
+	mustViolate(t, "Gather index = -1", func() { b.Gather(v, []int{-1}) })
+	mustViolate(t, "Gather of a foreign vector", func() { b.Gather(foreign, []int{0}) })
+	mustViolate(t, "LinComb of unlike lengths", func() { b.LinComb([]bgw.Vec{v, w}, []int64{1, 1}, 0) })
+	mustViolate(t, "LinComb short of coefficients", func() { b.LinComb([]bgw.Vec{v, v}, []int64{1}, 0) })
+	mustViolate(t, "LinComb of a foreign vector", func() { b.LinComb([]bgw.Vec{v, foreign}, []int64{1, 1}, 0) })
+	if n := b.LinComb(nil, nil, 9).Len(); n != 0 {
+		t.Fatalf("LinComb of no terms records %d elements, want the empty vector", n)
+	}
+}
+
 // TestIDSpaceOverflowIsAnError: ids, arena offsets and lengths are 32
 // bits wide; a recording that outgrows them must fail Compile, never
 // wrap an id. The limit is lowered so the test does not need 2³¹ nodes.
@@ -123,6 +142,15 @@ func TestIDSpaceOverflowIsAnError(t *testing.T) {
 			b.InnerProduct(xs, xs) // 24 operands end past the limit; 13 nodes do not
 		}},
 		{"vector length", func(b *Builder) { b.InputVec(0, make([]int64, 17)) }},
+		{"gather index list", func(b *Builder) { b.Gather(b.InputVec(0, []int64{1}), make([]int, 17)) }},
+		{"lincomb operand list", func(b *Builder) {
+			v := b.InputVec(0, []int64{1})
+			vs := make([]bgw.Vec, 17)
+			for i := range vs {
+				vs[i] = v
+			}
+			b.LinComb(vs, make([]int64, 17), 0)
+		}},
 	} {
 		b := NewBuilder(4, 0)
 		b.limit = 16

@@ -88,6 +88,26 @@ func (p *Plan) Plain(bind Bindings) (*Result, error) {
 				out[k] = field.Add(va[k], vb[k])
 			}
 			vecs[id] = out
+		case kGather:
+			src := vecs[n.a]
+			out := make([]field.Elem, n.n)
+			for k, i := range p.operands(n.param, n.n) {
+				out[k] = src[i]
+			}
+			vecs[id] = out
+		case kLinComb:
+			out := make([]field.Elem, n.n)
+			c0 := field.FromInt64(n.c)
+			for k := range out {
+				out[k] = c0
+			}
+			for k, op := range p.operands(n.a, n.b) {
+				ck := field.FromInt64(p.lits[n.param][k])
+				for e, x := range vecs[op] {
+					out[e] = field.Add(out[e], field.Mul(ck, x))
+				}
+			}
+			vecs[id] = out
 		case kFromScalars:
 			out := make([]field.Elem, n.n)
 			for k, op := range p.operands(n.a, n.n) {

@@ -99,8 +99,12 @@ func (p *Plan) schedule() error {
 		case kAdd, kSub, kAddVec, kMul, kDot:
 			max(n.a)
 			max(n.b)
-		case kAddConst, kMulConst, kAddConstP, kMulConstP, kAt, kOpen, kOpenVec:
+		case kAddConst, kMulConst, kAddConstP, kMulConstP, kAt, kGather, kOpen, kOpenVec:
 			max(n.a)
+		case kLinComb:
+			for _, op := range p.operands(n.a, n.b) {
+				max(op)
+			}
 		case kInner:
 			for _, op := range p.operands(n.a, 2*n.n) {
 				max(op)

@@ -35,22 +35,55 @@ type LRProtocol struct {
 	feat *quant.IntMatrix // m × d quantized features
 	lab  []int64          // γ·y (exact for y ∈ {0,1})
 
-	// MPC engine state (nil for EnginePlain).
-	eng        bgw.Evaluator
-	featShares []bgw.Vec
-	labShares  bgw.Vec
+	mpc        *lrShares // MPC engine state; nil for EnginePlain
 	setupStats bgw.Stats
-
-	// Compiled gradient plans keyed by batch size: the circuit shape
-	// depends only on |batch| and d, so each shape compiles once and
-	// re-executes every round with fresh bindings.
-	plans map[int]*lrPlan
 }
 
-// lrPlan is one compiled gradient circuit plus its output indices.
-type lrPlan struct {
-	plan   *circuit.Plan
-	outIdx []int
+// lrShares is the MPC side of both logistic-regression protocols: the
+// engine, the columns its parties hold shares of, and the engine's
+// counters as the last step left them.
+type lrShares struct {
+	eng  bgw.Evaluator
+	cols []bgw.Vec // the d feature columns, then the label column; m elements each
+	// last is the counters after set-up or the previous step, so a step
+	// reads them once: every read is a barrier that drains the parties'
+	// command pipeline, and nothing else drives this engine in between.
+	last bgw.Stats
+}
+
+// shareColumns starts an engine and has every column's client share it:
+// the one-time data-sharing phase, a single-round plan of its own. The
+// column handles persist inside the engine and feed every gradient
+// circuit through external bindings.
+func shareColumns(p *Params, feat *quant.IntMatrix, lab []int64, seedXor uint64) (*lrShares, error) {
+	eng, err := p.newEvaluator(seedXor)
+	if err != nil {
+		return nil, err
+	}
+	d := feat.Cols
+	sb := circuit.NewBuilder(p.Parties, p.Threshold).SetRecorder(p.Recorder)
+	hs := make([]bgw.Vec, d+1)
+	for j := 0; j < d; j++ {
+		hs[j] = sb.InputVec(p.partyOf(p.clientOf(j, d+1)), feat.Col(j))
+	}
+	hs[d] = sb.InputVec(p.partyOf(p.clientOf(d, d+1)), lab)
+	plan, err := sb.Compile()
+	var res *circuit.Result
+	if err == nil {
+		res, err = plan.Execute(eng, circuit.Bindings{})
+	}
+	if err == nil {
+		err = eng.Err()
+	}
+	if err != nil {
+		eng.Close()
+		return nil, err
+	}
+	cols := make([]bgw.Vec, d+1)
+	for j, h := range hs {
+		cols[j] = res.VecOf(h)
+	}
+	return &lrShares{eng: eng, cols: cols, last: eng.Stats()}, nil
 }
 
 // NewLRProtocol quantizes and (for EngineBGW) shares the training data.
@@ -82,41 +115,11 @@ func NewLRProtocol(features *linalg.Matrix, labels []float64, p Params) (*LRProt
 	}
 
 	if p.Engine.IsMPC() {
-		eng, err := p.newEvaluator(0x17a3)
+		mpc, err := shareColumns(&lr.p, lr.feat, lr.lab, 0x17a3)
 		if err != nil {
 			return nil, err
 		}
-		lr.eng = eng
-		lr.plans = make(map[int]*lrPlan)
-		// The one-time data-sharing phase is its own single-round plan;
-		// the column handles it produces persist inside the engine and
-		// feed every gradient plan through external bindings.
-		sb := circuit.NewBuilder(p.Parties, p.Threshold).SetRecorder(p.Recorder)
-		featH := make([]bgw.Vec, lr.d)
-		for j := 0; j < lr.d; j++ {
-			featH[j] = sb.InputVec(p.partyOf(p.clientOf(j, lr.d+1)), lr.feat.Col(j))
-		}
-		labH := sb.InputVec(p.partyOf(labelClient), lr.lab)
-		setupPlan, err := sb.Compile()
-		if err != nil {
-			eng.Close()
-			return nil, err
-		}
-		sres, err := setupPlan.Execute(eng, circuit.Bindings{})
-		if err != nil {
-			eng.Close()
-			return nil, err
-		}
-		lr.featShares = make([]bgw.Vec, lr.d)
-		for j := 0; j < lr.d; j++ {
-			lr.featShares[j] = sres.VecOf(featH[j])
-		}
-		lr.labShares = sres.VecOf(labH)
-		lr.setupStats = eng.Stats()
-		if err := eng.Err(); err != nil {
-			eng.Close()
-			return nil, err
-		}
+		lr.mpc, lr.setupStats = mpc, mpc.last
 	}
 	return lr, nil
 }
@@ -124,8 +127,8 @@ func NewLRProtocol(features *linalg.Matrix, labels []float64, p Params) (*LRProt
 // Close releases the MPC backend (party goroutines, sockets); no-op for
 // the plain engine. The protocol is unusable afterwards.
 func (lr *LRProtocol) Close() error {
-	if lr.eng != nil {
-		return lr.eng.Close()
+	if lr.mpc != nil {
+		return lr.mpc.eng.Close()
 	}
 	return nil
 }
@@ -145,6 +148,9 @@ func (lr *LRProtocol) SampleBatch(q float64) []int {
 func (lr *LRProtocol) GradientSum(w []float64, batch []int) ([]float64, *Trace, error) {
 	if len(w) != lr.d {
 		return nil, nil, fmt.Errorf("core: weight dim %d != %d", len(w), lr.d)
+	}
+	if err := checkBatch(batch, lr.m); err != nil {
+		return nil, nil, err
 	}
 	start := time.Now()
 	p := lr.p
@@ -188,6 +194,17 @@ func (lr *LRProtocol) GradientSum(w []float64, batch []int) ([]float64, *Trace, 
 	return est, tr, nil
 }
 
+// checkBatch rejects a record index outside [0, m): the batch is caller
+// input, and every engine refuses it the same way.
+func checkBatch(batch []int, m int) error {
+	for _, i := range batch {
+		if i < 0 || i >= m {
+			return fmt.Errorf("core: batch index %d out of range [0,%d)", i, m)
+		}
+	}
+	return nil
+}
+
 // checkBound statically verifies that the scaled gradient sum plus the
 // noise tail fits the signed field range.
 func (lr *LRProtocol) checkBound(wq []int64, qHalf int64, batch int) error {
@@ -226,127 +243,81 @@ func (lr *LRProtocol) plainGradient(wq []int64, qHalf int64, batch []int, noise 
 	return grad
 }
 
-// gradientPlan compiles (and caches) the gradient circuit for a batch
-// of B records: the public coefficients enter as const parameters, the
-// batch's feature and label shares as external bindings, the per-client
-// noise shares as input parameters. Depth 1 (one fused inner product
-// per coordinate), so the plan runs in exactly three wire rounds —
-// noise input, batched resharing, batched output — for any B.
-func (lr *LRProtocol) gradientPlan(B int) *lrPlan {
-	if pl, ok := lr.plans[B]; ok {
-		return pl
-	}
-	p := lr.p
-	b := circuit.NewBuilder(p.Parties, p.Threshold).SetRecorder(p.Recorder)
-	wqP := make([]circuit.ConstID, lr.d)
-	for j := range wqP {
-		wqP[j] = b.ConstParam()
-	}
-	qHalfP := b.ConstParam()
-
-	// External bindings, in batch order: d feature shares then the
-	// label share of each record.
-	feats := make([][]bgw.Val, B)
-	labs := make([]bgw.Val, B)
-	for bi := 0; bi < B; bi++ {
-		feats[bi] = make([]bgw.Val, lr.d)
-		for j := 0; j < lr.d; j++ {
-			feats[bi][j] = b.ExtVal()
-		}
-		labs[bi] = b.ExtVal()
-	}
-
-	// Per-client noise share parameters, coordinate-major. Compile folds
-	// the parameters one party deals into a coordinate's sum into one
-	// input, summed from the bindings at execution.
-	noiseShared := make([]bgw.Val, lr.d)
-	for t := 0; t < lr.d; t++ {
-		acc := b.Zero()
-		for j := 0; j < p.NumClients; j++ {
-			acc = b.Add(acc, b.InputParam(p.partyOf(j)))
-		}
-		noiseShared[t] = acc
-	}
-
-	// u_i = qHalf + Σ_j ŵ_j x̂_{ij} − γ·ŷ_i, local per record.
-	us := make([]bgw.Val, B)
-	for bi := 0; bi < B; bi++ {
-		acc := b.Zero()
-		for j := 0; j < lr.d; j++ {
-			acc = b.Add(acc, b.MulConstP(feats[bi][j], wqP[j]))
-		}
-		acc = b.Sub(acc, b.MulConst(labs[bi], lr.gammaInt))
-		us[bi] = b.AddConstP(acc, qHalfP)
-	}
-
-	outIdx := make([]int, lr.d)
-	xs := make([]bgw.Val, B)
-	for t := 0; t < lr.d; t++ {
-		for bi := 0; bi < B; bi++ {
-			xs[bi] = feats[bi][t]
-		}
-		outIdx[t] = b.OpenIdx(b.Add(b.InnerProduct(xs, us), noiseShared[t]))
-	}
-	pl := &lrPlan{plan: b.MustCompile(), outIdx: outIdx}
-	lr.plans[B] = pl
-	return pl
+// mpcGradient runs one SGD round over secret shares. The data is
+// vertically partitioned, so the gradient sum is X_Bᵀ·u with
+// u = qHalf + Σ_j ŵ_j·X_B[:,j] − γ·y_B: the public weights fold in as one
+// affine vector gate and each coordinate is one fused inner product.
+func (lr *LRProtocol) mpcGradient(wq []int64, qHalf int64, batch []int, noise [][]int64, tr *Trace) ([]int64, error) {
+	cs := append(append(make([]int64, 0, lr.d+1), wq...), -lr.gammaInt)
+	return lr.mpc.gradient(&lr.p, batch, noise, tr, func(b *circuit.Builder, cols []bgw.Vec) bgw.Vec {
+		return b.LinComb(cols, cs, qHalf)
+	})
 }
 
-// mpcGradient runs one SGD round over secret shares by executing the
-// compiled gradient plan: the public weights fold in locally, all fused
-// inner products reshare in a single batched round, and the round count
-// derives from the plan's depth.
-func (lr *LRProtocol) mpcGradient(wq []int64, qHalf int64, batch []int, noise [][]int64, tr *Trace) ([]int64, error) {
-	eng := lr.eng
-	before := eng.Stats()
-	pl := lr.gradientPlan(len(batch))
-
-	consts := make([]int64, 0, lr.d+1)
-	consts = append(consts, wq...)
-	consts = append(consts, qHalf)
-
-	// Gather the batch's feature and label handles; element extraction
-	// is local, so this costs no wire traffic.
-	ext := make([]bgw.Val, 0, len(batch)*(lr.d+1))
-	for _, i := range batch {
-		for j := 0; j < lr.d; j++ {
-			ext = append(ext, eng.At(lr.featShares[j], i))
-		}
-		ext = append(ext, eng.At(lr.labShares, i))
+// gradient evaluates X_Bᵀ·u + noise for the batch B on the resident
+// shares and opens it: the batch's rows of every column are gathered on
+// the engine and bound to the step's circuit as its external vectors.
+// The wire rounds are the input round, one resharing round per
+// multiplicative level of u plus the inner products', and the opening.
+func (s *lrShares) gradient(p *Params, batch []int, noise [][]int64, tr *Trace, u uGate) ([]int64, error) {
+	eng := s.eng
+	ext := make([]bgw.Vec, len(s.cols))
+	for j, col := range s.cols {
+		ext[j] = eng.Gather(col, batch)
 	}
-
-	noiseStart := time.Now()
-	inputs := make([]int64, 0, lr.d*len(noise))
-	for t := 0; t < lr.d; t++ {
-		for _, shares := range noise {
-			inputs = append(inputs, shares[t])
-		}
+	plan, outIdx, err := recordGradient(p, len(s.cols)-1, len(batch), noise, u)
+	if err != nil {
+		return nil, err
 	}
-	tr.NoiseCompute += time.Since(noiseStart)
 	tr.NoiseRounds++
-
-	res, err := pl.plan.Execute(eng, circuit.Bindings{Consts: consts, Inputs: inputs, Ext: ext})
+	res, err := plan.Execute(eng, circuit.Bindings{ExtVecs: ext})
 	if err != nil {
 		return nil, err
 	}
 	if err := eng.Err(); err != nil {
 		return nil, err
 	}
-
-	scaled := make([]int64, lr.d)
-	for t := range scaled {
-		scaled[t] = res.Opened(pl.outIdx[t])
-	}
-
 	after := eng.Stats()
 	tr.Stats = bgw.Stats{
-		Rounds:   after.Rounds - before.Rounds,
-		Frames:   after.Frames - before.Frames,
-		Messages: after.Messages - before.Messages,
-		Bytes:    after.Bytes - before.Bytes,
-		FieldOps: after.FieldOps - before.FieldOps,
+		Rounds:   after.Rounds - s.last.Rounds,
+		Frames:   after.Frames - s.last.Frames,
+		Messages: after.Messages - s.last.Messages,
+		Bytes:    after.Bytes - s.last.Bytes,
+		FieldOps: after.FieldOps - s.last.FieldOps,
 	}
-	return scaled, nil
+	s.last = after
+	return res.OpenedVec(outIdx), nil
+}
+
+// uGate records a gradient circuit's vector u from the batch's columns:
+// the d feature columns, then the label column.
+type uGate func(b *circuit.Builder, cols []bgw.Vec) bgw.Vec
+
+// recordGradient records and compiles one step's circuit over d+1
+// external vectors of B elements: dots[t] = ⟨cols[t], u⟩, and every
+// client's noise share vector an input its party deals — Compile folds
+// the vectors one party deals into one sharing of their sum — added to
+// the packed dots and opened. That is 2d + 2·parties nodes or so after
+// folding, recorded every step: the vector lengths are the realised
+// Poisson batch size, which rarely repeats, so there is nothing to cache.
+func recordGradient(p *Params, d, B int, noise [][]int64, u uGate) (plan *circuit.Plan, outIdx int, err error) {
+	b := circuit.NewBuilder(p.Parties, p.Threshold).SetRecorder(p.Recorder)
+	cols := make([]bgw.Vec, d+1)
+	for j := range cols {
+		cols[j] = b.ExtVec(B)
+	}
+	uv := u(b, cols)
+	dots := make([]bgw.Val, d)
+	for t := range dots {
+		dots[t] = b.Dot(cols[t], uv)
+	}
+	sum := b.FromScalars(dots)
+	for j, shares := range noise {
+		sum = b.AddVec(sum, b.InputVec(p.partyOf(j), shares))
+	}
+	outIdx = b.OpenVecIdx(sum)
+	plan, err = b.Compile()
+	return plan, outIdx, err
 }
 
 // SetupStats returns the protocol counters of the one-time data-sharing

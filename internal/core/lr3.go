@@ -9,6 +9,7 @@ import (
 	"sqm/internal/circuit"
 	"sqm/internal/linalg"
 	"sqm/internal/mathx"
+	"sqm/internal/quant"
 	"sqm/internal/randx"
 )
 
@@ -38,45 +39,10 @@ type LR3Protocol struct {
 	pub        *randx.RNG
 	clientRNGs []*randx.RNG
 
-	feat *IntMatrixView
+	feat *quant.IntMatrix
 	lab  []int64
 
-	eng        bgw.Evaluator
-	featShares []bgw.Vec
-	labShares  bgw.Vec
-
-	// Compiled gradient plans keyed by batch size (see LRProtocol).
-	plans map[int]*lrPlan
-}
-
-// IntMatrixView aliases the quantized feature storage to avoid exposing
-// internal/quant in this file's signatures.
-type IntMatrixView = intMatrix
-
-type intMatrix struct {
-	Rows, Cols int
-	Data       []int64
-}
-
-func (m *intMatrix) Row(i int) []int64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
-func (m *intMatrix) Col(j int) []int64 {
-	c := make([]int64, m.Rows)
-	for i := range c {
-		c[i] = m.Data[i*m.Cols+j]
-	}
-	return c
-}
-func (m *intMatrix) MaxAbs() int64 {
-	var s int64
-	for _, v := range m.Data {
-		if v < 0 {
-			v = -v
-		}
-		if v > s {
-			s = v
-		}
-	}
-	return s
+	mpc *lrShares // nil for EnginePlain
 }
 
 // DefaultLR3Precision is the default k.
@@ -106,8 +72,7 @@ func NewLR3Protocol(features *linalg.Matrix, labels []float64, p Params, precisi
 		k: precision, beta: math.Cbrt(p.Gamma / 48), gammaInt: int64(p.Gamma),
 	}
 	lr.pub, lr.clientRNGs = rngFamily(p.Seed, p.NumClients)
-	q := quantizeByClient(features, p, lr.clientRNGs)
-	lr.feat = &intMatrix{Rows: q.Rows, Cols: q.Cols, Data: q.Data}
+	lr.feat = quantizeByClient(features, p, lr.clientRNGs)
 
 	labelClient := p.clientOf(features.Cols, features.Cols+1)
 	g := lr.clientRNGs[labelClient]
@@ -119,35 +84,8 @@ func NewLR3Protocol(features *linalg.Matrix, labels []float64, p Params, precisi
 		lr.lab[i] = g.StochasticRound(p.Gamma * y)
 	}
 	if p.Engine.IsMPC() {
-		eng, err := p.newEvaluator(0x3c91)
-		if err != nil {
-			return nil, err
-		}
-		lr.eng = eng
-		lr.plans = make(map[int]*lrPlan)
-		sb := circuit.NewBuilder(p.Parties, p.Threshold)
-		featH := make([]bgw.Vec, lr.d)
-		for j := 0; j < lr.d; j++ {
-			featH[j] = sb.InputVec(p.partyOf(p.clientOf(j, lr.d+1)), lr.feat.Col(j))
-		}
-		labH := sb.InputVec(p.partyOf(labelClient), lr.lab)
-		setupPlan, err := sb.Compile()
-		if err != nil {
-			eng.Close()
-			return nil, err
-		}
-		sres, err := setupPlan.Execute(eng, circuit.Bindings{})
-		if err != nil {
-			eng.Close()
-			return nil, err
-		}
-		lr.featShares = make([]bgw.Vec, lr.d)
-		for j := 0; j < lr.d; j++ {
-			lr.featShares[j] = sres.VecOf(featH[j])
-		}
-		lr.labShares = sres.VecOf(labH)
-		if err := eng.Err(); err != nil {
-			eng.Close()
+		var err error
+		if lr.mpc, err = shareColumns(&lr.p, lr.feat, lr.lab, 0x3c91); err != nil {
 			return nil, err
 		}
 	}
@@ -156,8 +94,8 @@ func NewLR3Protocol(features *linalg.Matrix, labels []float64, p Params, precisi
 
 // Close releases the MPC backend; no-op for the plain engine.
 func (lr *LR3Protocol) Close() error {
-	if lr.eng != nil {
-		return lr.eng.Close()
+	if lr.mpc != nil {
+		return lr.mpc.eng.Close()
 	}
 	return nil
 }
@@ -218,6 +156,9 @@ func LR3Sensitivity(gamma float64, d int, precision int64) (delta2, delta1 float
 func (lr *LR3Protocol) GradientSum(w []float64, batch []int) ([]float64, *Trace, error) {
 	if len(w) != lr.d {
 		return nil, nil, fmt.Errorf("core: weight dim %d != %d", len(w), lr.d)
+	}
+	if err := checkBatch(batch, lr.m); err != nil {
+		return nil, nil, err
 	}
 	start := time.Now()
 	wq, wc, qHalf, labelCoef := lr.coefficients(w)
@@ -280,126 +221,27 @@ func (lr *LR3Protocol) plainGradient(wq, wc []int64, qHalf, labelCoef int64, bat
 	return grad
 }
 
-// gradientPlan compiles (and caches) the order-3 gradient circuit for
-// a batch of B records. The cube c³ gives multiplicative depth 3
-// (square, cube, fused inner product), so the plan always runs in five
-// wire rounds — input, three batched resharing levels, output —
-// independent of B.
-func (lr *LR3Protocol) gradientPlan(B int) *lrPlan {
-	if pl, ok := lr.plans[B]; ok {
-		return pl
-	}
-	p := lr.p
-	b := circuit.NewBuilder(p.Parties, p.Threshold)
-	wqP := make([]circuit.ConstID, lr.d)
-	wcP := make([]circuit.ConstID, lr.d)
-	for j := 0; j < lr.d; j++ {
-		wqP[j] = b.ConstParam()
-	}
-	for j := 0; j < lr.d; j++ {
-		wcP[j] = b.ConstParam()
-	}
-	qHalfP := b.ConstParam()
-	// labelCoef = k³γ³ depends only on protocol parameters, so it is a
-	// literal rather than a parameter.
-	labelCoef := int64(float64(lr.k*lr.k*lr.k) * math.Pow(lr.p.Gamma, 3))
-
-	feats := make([][]bgw.Val, B)
-	labs := make([]bgw.Val, B)
-	for bi := 0; bi < B; bi++ {
-		feats[bi] = make([]bgw.Val, lr.d)
-		for j := 0; j < lr.d; j++ {
-			feats[bi][j] = b.ExtVal()
-		}
-		labs[bi] = b.ExtVal()
-	}
-
-	noiseShared := make([]bgw.Val, lr.d)
-	for t := 0; t < lr.d; t++ {
-		acc := b.Zero()
-		for j := 0; j < p.NumClients; j++ {
-			acc = b.Add(acc, b.InputParam(p.partyOf(j)))
-		}
-		noiseShared[t] = acc
-	}
-
-	// u_i = qHalf + Σ_j ŵ_j x̂_{ij} − c_i³ − k³γ³·ŷ_i with
-	// c_i = Σ_j ŵc_j x̂_{ij}; the linear parts fold locally, the cube
-	// costs two multiplication levels.
-	us := make([]bgw.Val, B)
-	for bi := 0; bi < B; bi++ {
-		s2 := b.Zero()
-		c := b.Zero()
-		for j := 0; j < lr.d; j++ {
-			s2 = b.Add(s2, b.MulConstP(feats[bi][j], wqP[j]))
-			c = b.Add(c, b.MulConstP(feats[bi][j], wcP[j]))
-		}
-		lin := b.AddConstP(b.Sub(s2, b.MulConst(labs[bi], labelCoef)), qHalfP)
-		cube := b.Mul(b.Mul(c, c), c)
-		us[bi] = b.Sub(lin, cube)
-	}
-
-	outIdx := make([]int, lr.d)
-	xs := make([]bgw.Val, B)
-	for t := 0; t < lr.d; t++ {
-		for bi := 0; bi < B; bi++ {
-			xs[bi] = feats[bi][t]
-		}
-		outIdx[t] = b.OpenIdx(b.Add(b.InnerProduct(xs, us), noiseShared[t]))
-	}
-	pl := &lrPlan{plan: b.MustCompile(), outIdx: outIdx}
-	lr.plans[B] = pl
-	return pl
-}
-
+// mpcGradient runs one order-3 round over secret shares:
+// u = qHalf + Σ_j ŵ_j·X_B[:,j] − k³γ³·y_B − c³ with c = Σ_j ŵc_j·X_B[:,j].
+// The linear parts are two affine vector gates; the cube costs two
+// multiplication levels on the B entries of c, taken out as scalars. The
+// circuit records −c, because (−c)³ = −c³ joins u by an addition and the
+// gate surface has no vector subtraction. With the inner products that
+// is multiplicative depth 3: five wire rounds for any batch.
 func (lr *LR3Protocol) mpcGradient(wq, wc []int64, qHalf, labelCoef int64, batch []int, noise [][]int64, tr *Trace) ([]int64, error) {
-	_ = labelCoef // baked into the plan as a protocol-level literal
-	eng := lr.eng
-	before := eng.Stats()
-	pl := lr.gradientPlan(len(batch))
-
-	consts := make([]int64, 0, 2*lr.d+1)
-	consts = append(consts, wq...)
-	consts = append(consts, wc...)
-	consts = append(consts, qHalf)
-
-	ext := make([]bgw.Val, 0, len(batch)*(lr.d+1))
-	for _, i := range batch {
-		for j := 0; j < lr.d; j++ {
-			ext = append(ext, eng.At(lr.featShares[j], i))
+	linCs := append(append(make([]int64, 0, lr.d+1), wq...), -labelCoef)
+	negWc := make([]int64, lr.d)
+	for j, v := range wc {
+		negWc[j] = -v
+	}
+	return lr.mpc.gradient(&lr.p, batch, noise, tr, func(b *circuit.Builder, cols []bgw.Vec) bgw.Vec {
+		lin := b.LinComb(cols, linCs, qHalf)
+		negC := b.LinComb(cols[:lr.d], negWc, 0)
+		cubes := make([]bgw.Val, len(batch))
+		for i := range cubes {
+			ci := b.At(negC, i)
+			cubes[i] = b.Mul(b.Mul(ci, ci), ci)
 		}
-		ext = append(ext, eng.At(lr.labShares, i))
-	}
-
-	noiseStart := time.Now()
-	inputs := make([]int64, 0, lr.d*len(noise))
-	for t := 0; t < lr.d; t++ {
-		for _, shares := range noise {
-			inputs = append(inputs, shares[t])
-		}
-	}
-	tr.NoiseCompute += time.Since(noiseStart)
-	tr.NoiseRounds++
-
-	res, err := pl.plan.Execute(eng, circuit.Bindings{Consts: consts, Inputs: inputs, Ext: ext})
-	if err != nil {
-		return nil, err
-	}
-	if err := eng.Err(); err != nil {
-		return nil, err
-	}
-
-	scaled := make([]int64, lr.d)
-	for t := range scaled {
-		scaled[t] = res.Opened(pl.outIdx[t])
-	}
-	after := eng.Stats()
-	tr.Stats = bgw.Stats{
-		Rounds:   after.Rounds - before.Rounds,
-		Frames:   after.Frames - before.Frames,
-		Messages: after.Messages - before.Messages,
-		Bytes:    after.Bytes - before.Bytes,
-		FieldOps: after.FieldOps - before.FieldOps,
-	}
-	return scaled, nil
+		return b.AddVec(lin, b.FromScalars(cubes))
+	})
 }

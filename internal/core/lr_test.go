@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"sqm/internal/bgw"
+	"sqm/internal/circuit"
 	"sqm/internal/linalg"
 	"sqm/internal/randx"
 )
@@ -275,22 +277,29 @@ func BenchmarkLRGradientBGW(b *testing.B) {
 
 // BenchmarkGradientPlanBuild records and compiles the lr_chan-shaped
 // gradient circuit (B = 200 records, d = 50 features, one client per
-// column: ~36 k nodes), the per-new-batch-size cost of an LR session.
-// ns/op divided by the reported nodes/op is the per-gate recording cost.
+// column), which every step of an LR session does: 3d + clients nodes
+// or so whatever B is, where the per-record circuit it replaced was
+// ~36 k. ns/op divided by the reported nodes/op is the per-node cost.
 func BenchmarkGradientPlanBuild(b *testing.B) {
 	const batch, d = 200, 50
-	x, y := lrTestData(batch, d, 1)
-	lr, err := NewLRProtocol(x, y, Params{Gamma: 18, Mu: 1e4, Engine: EngineBGW, Seed: 1})
-	if err != nil {
+	p := Params{Gamma: 18, Mu: 1e4, Engine: EngineBGW, Seed: 1}
+	if err := p.normalize(d + 1); err != nil {
 		b.Fatal(err)
 	}
-	defer lr.Close()
+	_, clientRNGs := rngFamily(p.Seed, p.NumClients)
+	noise := sampleNoiseShares(clientRNGs, d, p.Mu)
+	cs := make([]int64, d+1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var nodes int
 	for i := 0; i < b.N; i++ {
-		delete(lr.plans, batch)
-		nodes = lr.gradientPlan(batch).plan.Gates()
+		plan, _, err := recordGradient(&p, d, batch, noise, func(cb *circuit.Builder, cols []bgw.Vec) bgw.Vec {
+			return cb.LinComb(cols, cs, 1)
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		nodes = plan.Gates()
 	}
 	b.ReportMetric(float64(nodes), "nodes/op")
 }

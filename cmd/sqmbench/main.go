@@ -1,6 +1,9 @@
 // Command sqmbench regenerates the tables and figures of the paper's
-// evaluation section. Every experiment id maps to one runner in
-// internal/bench; see EXPERIMENTS.md for the paper-vs-measured record.
+// evaluation section, plus the ablations, profile and chaos experiments.
+// Every experiment id (bench.IDs) maps to one runner in internal/bench;
+// see EXPERIMENTS.md for the paper-vs-measured record. How fast the stack
+// runs is recorded elsewhere: whole sessions and per-layer throughput by
+// benchmark/ (BENCHMARK.json), single kernels by go test -bench.
 //
 // Usage:
 //
@@ -14,7 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"sqm/internal/bench"
@@ -38,7 +40,7 @@ type runReport struct {
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment id: fig2, fig3, fig4, fig5, table1..table5, plans, chaos, kernels, all")
+		exp     = flag.String("exp", "all", "experiment id: "+bench.IDs)
 		runs    = flag.Int("runs", 3, "repeats per cell (paper: 20)")
 		full    = flag.Bool("full", false, "paper-scale dataset shapes (slow)")
 		budget  = flag.Int64("bgw-budget", 2e8, "max field ops executed by the real BGW engine per timing cell; larger cells are extrapolated and marked '*'")
@@ -48,33 +50,16 @@ func main() {
 		chaos   = flag.Bool("chaos", false, "run the fault-injection experiment (shorthand for -exp chaos)")
 		timeout = flag.Duration("timeout", 0, "per-receive deadline in the chaos experiment (0: 50ms)")
 		retries = flag.Int("retries", 0, "per-peer receive attempt budget in the chaos experiment (0: 3)")
-
-		baseline       = flag.String("baseline", "", "kernels baseline JSON (BENCH_10.json): written when missing, compared otherwise; a throughput regression beyond 25% exits with code 3 (implies -exp kernels)")
-		updateBaseline = flag.Bool("update-baseline", false, "rewrite the -baseline file with this run's numbers instead of comparing")
 	)
 	flag.Parse()
 
 	if *chaos {
 		*exp = "chaos"
 	}
-	if *baseline != "" {
-		*exp = "kernels"
-	}
 	start := time.Now()
 	o := bench.Options{Runs: *runs, Full: *full, RealBGWBudget: *budget, Seed: *seed,
 		RecvTimeout: *timeout, Retries: *retries}
-	var (
-		tables        []*bench.Table
-		kernelMetrics map[string]float64
-		err           error
-	)
-	if strings.EqualFold(*exp, "kernels") {
-		var t *bench.Table
-		t, kernelMetrics = bench.Kernels(o)
-		tables = []*bench.Table{t}
-	} else {
-		tables, err = bench.ByID(*exp, o)
-	}
+	tables, err := bench.ByID(*exp, o)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -127,37 +112,4 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "sqmbench: wrote run report to %s\n", *report)
 	}
-	if *baseline != "" {
-		gateBaseline(*baseline, *updateBaseline, kernelMetrics)
-	}
-}
-
-// gateBaseline implements the -baseline contract: write the file when
-// it is missing (or -update-baseline), otherwise compare and exit with
-// code 3 on any >25% throughput regression.
-func gateBaseline(path string, update bool, metrics map[string]float64) {
-	base, err := bench.LoadKernelBaseline(path)
-	if update || os.IsNotExist(err) {
-		if err := bench.WriteKernelBaseline(path, metrics); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "sqmbench: wrote kernels baseline to %s\n", path)
-		return
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	regressions, notes := bench.CompareKernelBaseline(base, metrics, 0.25)
-	for _, n := range notes {
-		fmt.Fprintf(os.Stderr, "sqmbench: baseline: %s\n", n)
-	}
-	if len(regressions) > 0 {
-		for _, r := range regressions {
-			fmt.Fprintf(os.Stderr, "sqmbench: REGRESSION %s\n", r)
-		}
-		os.Exit(3)
-	}
-	fmt.Fprintf(os.Stderr, "sqmbench: kernels throughput within 25%% of %s\n", path)
 }

@@ -128,18 +128,20 @@ func (o Options) Defaults() Options {
 	return o
 }
 
-// All runs every experiment in paper order.
+// All runs the paper's figures and tables in paper order.
 func All(o Options) []*Table {
 	var out []*Table
 	out = append(out, Figure2(o)...)
 	out = append(out, Figure3(o), Figure4(o), Figure5(o))
 	out = append(out, Table1(), Table2(o), Table3(), Table4(o), Table5(o))
-	out = append(out, Plans(o))
 	return out
 }
 
-// ByID returns the runner output for one experiment id ("fig2", "fig3",
-// "fig4", "fig5", "table1".."table5", "all").
+// IDs lists the experiment ids ByID accepts: the paper's figures and
+// tables (what "all" runs), then the experiments beyond the paper.
+const IDs = "fig2, fig3, fig4, fig5, table1, table2, table3, table4, table5, all, ablations, profile, chaos"
+
+// ByID returns the runner output for one experiment id of IDs.
 func ByID(id string, o Options) ([]*Table, error) {
 	switch strings.ToLower(id) {
 	case "fig2", "figure2":
@@ -160,21 +162,16 @@ func ByID(id string, o Options) ([]*Table, error) {
 		return []*Table{Table4(o)}, nil
 	case "table5":
 		return []*Table{Table5(o)}, nil
-	case "plans":
-		return []*Table{Plans(o)}, nil
+	case "all":
+		return All(o), nil
 	case "ablations":
 		return Ablations(o), nil
 	case "profile":
 		return []*Table{Profile(o)}, nil
 	case "chaos":
 		return []*Table{Chaos(o)}, nil
-	case "kernels":
-		t, _ := Kernels(o)
-		return []*Table{t}, nil
-	case "all":
-		return All(o), nil
 	default:
-		return nil, fmt.Errorf("bench: unknown experiment %q", id)
+		return nil, fmt.Errorf("bench: unknown experiment %q (valid ids: %s)", id, IDs)
 	}
 }
 

@@ -8,10 +8,13 @@
 // pair), and the round count derives from the plan's structure instead
 // of hand-placed AdvanceRound calls.
 //
-// Protocols build their plan once and re-execute it per epoch or batch
-// with fresh bindings: public constants (ConstParam), per-run secret
-// inputs (InputParam/InputVecParam) and pre-existing engine shares
-// (ExtVal/ExtVec) are plan parameters filled in at execution time.
+// A plan runs one way — Plan.Execute — and Plan.Plain interprets it
+// without an engine as the differential oracle. A plan that is
+// re-executed takes fresh bindings: public constants (ConstParam),
+// per-run secret scalars (InputParam) and pre-existing engine shares
+// (ExtVal/ExtVec) are plan parameters filled in at execution time;
+// vectors are literals, so a circuit whose input vectors change is
+// recorded again.
 //
 // Because BGW computes exactly, opened values are bit-identical across
 // gate orderings and batchings — the plan executor is free to reorder
@@ -37,7 +40,6 @@ const (
 	kInputElem
 	kInputVec
 	kInputParam
-	kInputVecParam
 	kExtVal
 	kExtVec
 	kAdd
@@ -67,7 +69,7 @@ func (k nodeKind) isMul() bool { return k == kMul || k == kInner || k == kDot }
 // isInput reports whether the node costs the input sharing round.
 func (k nodeKind) isInput() bool {
 	switch k {
-	case kInput, kInputElem, kInputVec, kInputParam, kInputVecParam, kInputSum, kInputVecSum:
+	case kInput, kInputElem, kInputVec, kInputParam, kInputSum, kInputVecSum:
 		return true
 	}
 	return false
@@ -82,7 +84,7 @@ func (k nodeKind) isScalarInput() bool {
 // isVec reports whether the node produces a vector handle.
 func (k nodeKind) isVec() bool {
 	switch k {
-	case kInputVec, kInputVecParam, kInputVecSum, kExtVec, kAddVec, kGather, kLinComb, kFromScalars:
+	case kInputVec, kInputVecSum, kExtVec, kAddVec, kGather, kLinComb, kFromScalars:
 		return true
 	}
 	return false
@@ -96,9 +98,9 @@ type node struct {
 	kind   nodeKind
 	folded bool  // foldSums changed what the node computes: the handle recorded for it must not resolve
 	level  int32 // multiplicative level, assigned by Compile
-	a, b   int32 // operand node ids; b is the element index of kAt; a is the args offset of kInner/kFromScalars operands and the lits index of a kInputVec literal; args[a:a+b] are the parameter slots a kInputSum/kInputVecSum adds and the operands of a kLinComb
+	a, b   int32 // operand node ids; b is the element index of kAt; a is the args offset of kInner/kFromScalars operands and the lits index of a kInputVec literal; args[a:a+b] are the parameter slots a kInputSum adds and the operands of a kLinComb
 	owner  int32 // input owner party
-	param  int32 // parameter slot (const/input/ext params); lits index of a kInputVecSum's summed literals, −1 for none, and of a kLinComb's coefficients; args offset of a kGather's n element indices
+	param  int32 // parameter slot (const/input/ext params); lits index of a kInputVecSum's summed literals and of a kLinComb's coefficients; args offset of a kGather's n element indices
 	n      int32 // vector length of vector-producing nodes; operand count of kInner (list B follows list A in args)
 	c      int64 // public constant (kInput, kAddConst, kMulConst, kLinComb's c0) or raw field input (kInputElem, and the summed literals of a kInputSum)
 }
@@ -142,8 +144,8 @@ type Builder struct {
 	overflow bool // something exceeded limit; Compile reports it
 	spent    bool // Compile has taken the nodes
 
-	nConsts, nInputs, nInputVecs, nExt, nExtVecs int
-	opens, openVecs                              []int32 // node ids in record order
+	nConsts, nInputs, nExt, nExtVecs int
+	opens, openVecs                  []int32 // node ids in record order
 }
 
 // NewBuilder starts recording a circuit for a P-party deployment with
@@ -255,15 +257,6 @@ func (b *Builder) InputParam(owner int) bgw.Val {
 	nd := node{kind: kInputParam, owner: b.checkParty(owner), param: b.i32(b.nInputs)}
 	b.nInputs++
 	return b.scalar(nd)
-}
-
-// InputVecParam declares a per-execution secret vector input of length
-// n owned by party owner, bound via Bindings.InputVecs. It folds under
-// the rule stated on Input.
-func (b *Builder) InputVecParam(owner, n int) bgw.Vec {
-	nd := node{kind: kInputVecParam, owner: b.checkParty(owner), param: b.i32(b.nInputVecs)}
-	b.nInputVecs++
-	return b.vector(nd, n)
 }
 
 // ExtVal declares a scalar that already lives inside the executing

@@ -119,7 +119,7 @@ func TestParamsRebindAcrossExecutions(t *testing.T) {
 	b := NewBuilder(4, 0)
 	c := b.ConstParam()
 	x := b.InputParam(0)
-	v := b.InputVecParam(1, 3)
+	v := b.InputVec(1, []int64{1, 2, 3})
 	d := b.Dot(v, v)
 	b.OpenIdx(b.AddConstP(b.Mul(x, d), c))
 	plan := b.MustCompile()
@@ -131,20 +131,19 @@ func TestParamsRebindAcrossExecutions(t *testing.T) {
 	ev := bgw.Eval(eng)
 	for i, tc := range []struct {
 		c, x  int64
-		vs    []int64
 		wants int64
 	}{
-		{c: 10, x: 2, vs: []int64{1, 2, 3}, wants: 2*14 + 10},
-		{c: -4, x: -3, vs: []int64{0, 5, -1}, wants: -3*26 - 4},
+		{c: 10, x: 2, wants: 2*14 + 10},
+		{c: -4, x: -3, wants: -3*14 - 4},
 	} {
-		res, err := plan.Execute(ev, Bindings{Consts: []int64{tc.c}, Inputs: []int64{tc.x}, InputVecs: [][]int64{tc.vs}})
+		res, err := plan.Execute(ev, Bindings{Consts: []int64{tc.c}, Inputs: []int64{tc.x}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := res.Opened(0); got != tc.wants {
 			t.Fatalf("run %d: got %d, want %d", i, got, tc.wants)
 		}
-		pr, err := plan.Plain(Bindings{Consts: []int64{tc.c}, Inputs: []int64{tc.x}, InputVecs: [][]int64{tc.vs}})
+		pr, err := plan.Plain(Bindings{Consts: []int64{tc.c}, Inputs: []int64{tc.x}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,13 +175,13 @@ func TestBatchedLevelIsOneFrameExchange(t *testing.T) {
 		t.Fatalf("depth %d mulgates %d, want 1 and %d", plan.Depth(), plan.MulGates(), n)
 	}
 
-	run := func(eager bool) (rounds, frames int64, opened []int64) {
+	run := func(exec func(bgw.Evaluator, Bindings) (*Result, error)) (rounds, frames int64, opened []int64) {
 		eng, err := bgw.NewActorEngine(bgw.Config{Parties: p, Seed: 99}, transport.NewChanMesh(p))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer eng.Close()
-		res, err := plan.ExecuteOpts(eng, Bindings{}, ExecOptions{Eager: eager})
+		res, err := exec(eng, Bindings{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,8 +193,8 @@ func TestBatchedLevelIsOneFrameExchange(t *testing.T) {
 		return st.Rounds, st.Frames, opened
 	}
 
-	pRounds, pFrames, pVals := run(false)
-	eRounds, eFrames, eVals := run(true)
+	pRounds, pFrames, pVals := run(plan.Execute)
+	eRounds, eFrames, eVals := run(plan.runEager)
 
 	if pRounds != int64(plan.Rounds()) {
 		t.Errorf("planned rounds = %d, want %d", pRounds, plan.Rounds())

@@ -11,14 +11,16 @@ import (
 
 // randomCircuit records a random DAG into b: literal inputs, the full
 // linear gate surface — the vector gates Gather and LinComb included —
-// scalar and fused multiplications, and a few opened outputs. Scalar inputs (signed and raw) and input vectors keep
-// arriving between the gates, so the executor's hoisting of every scalar
-// input into one leading InputBatch — ahead of locals and InputVecs
-// recorded before it — is exercised on every seed. Sum trees over inputs
+// scalar and fused multiplications, and a few opened outputs. Scalar
+// inputs (signed and raw) and input vectors keep arriving between the
+// gates, so the executor's hoisting of every scalar input into one
+// leading InputBatch — ahead of locals and InputVecs recorded before
+// it — is exercised on every seed. Sum trees over inputs
 // that few owners deal (sumTree, sumTreeVec) arrive too, so Compile's
 // fold pass has something to rewrite on most seeds. The shape is fully
 // determined by rng, so the same seed rebuilds the same circuit for
-// every backend; the returned bindings fill the trees' parameter leaves.
+// every backend; the returned bindings fill the scalar trees' parameter
+// leaves.
 func randomCircuit(b *Builder, rng *rand.Rand) Bindings {
 	const p = 4
 	var bind Bindings
@@ -95,7 +97,7 @@ func randomCircuit(b *Builder, rng *rand.Rand) Bindings {
 		case 13:
 			vals = append(vals, sumTree(b, rng, &bind, pick)...)
 		case 14:
-			vecs = append(vecs, sumTreeVec(b, rng, &bind, vecs[rng.Intn(len(vecs))]))
+			vecs = append(vecs, sumTreeVec(b, rng, vecs[rng.Intn(len(vecs))]))
 		case 15:
 			v := vecs[rng.Intn(len(vecs))]
 			idx := make([]int, rng.Intn(5))
@@ -169,9 +171,9 @@ func sumTree(b *Builder, rng *rand.Rand, bind *Bindings, pick func() bgw.Val) []
 }
 
 // sumTreeVec is sumTree's vector counterpart: a chain of AddVec gates
-// over 2–5 literal and parameter input vectors of like's length from at
-// most two owners, like itself sometimes among the addends.
-func sumTreeVec(b *Builder, rng *rand.Rand, bind *Bindings, like bgw.Vec) bgw.Vec {
+// over 2–5 literal input vectors of like's length from at most two
+// owners, like itself sometimes among the addends.
+func sumTreeVec(b *Builder, rng *rand.Rand, like bgw.Vec) bgw.Vec {
 	owners := [2]int{rng.Intn(4), rng.Intn(4)}
 	var acc bgw.Vec
 	for i, n := 0, 2+rng.Intn(4); i < n; i++ {
@@ -180,13 +182,9 @@ func sumTreeVec(b *Builder, rng *rand.Rand, bind *Bindings, like bgw.Vec) bgw.Ve
 			vs[k] = int64(rng.Intn(201) - 100)
 		}
 		var term bgw.Vec
-		switch owner := owners[rng.Intn(2)]; rng.Intn(5) {
-		case 0:
+		if owner := owners[rng.Intn(2)]; rng.Intn(5) == 0 {
 			term = like
-		case 1, 2:
-			term = b.InputVecParam(owner, len(vs))
-			bind.InputVecs = append(bind.InputVecs, vs)
-		default:
+		} else {
 			term = b.InputVec(owner, vs)
 		}
 		if acc == nil {
@@ -216,8 +214,8 @@ func compileUnfolded(t *testing.T, b *Builder) *Plan {
 // bit-identical opened outputs from every execution strategy: the
 // plain interpreter over the circuit as recorded (the oracle), then the
 // compiled — folded — plan on the plain interpreter, the planned
-// executor on the monolithic and actor engines, and eager gate-by-gate
-// execution. Measured rounds must equal the plan's predictions.
+// executor on the monolithic and actor engines, and gate-by-gate
+// execution (runEager). Measured rounds must equal the plan's predictions.
 func checkEquivalence(t *testing.T, seed int64) {
 	t.Helper()
 	ub := NewBuilder(4, 0)
@@ -296,7 +294,7 @@ func checkEquivalence(t *testing.T, seed int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eres, err := plan.ExecuteOpts(bgw.Eval(eager), bind, ExecOptions{Eager: true})
+	eres, err := plan.runEager(bgw.Eval(eager), bind)
 	if err != nil {
 		t.Fatalf("seed %d: eager: %v", seed, err)
 	}
@@ -341,7 +339,8 @@ func TestFuzzCorpusReachesVectorGates(t *testing.T) {
 }
 
 // FuzzPlanEquivalence lets the fuzzer hunt for circuit shapes where
-// the scheduler, the batched executor, and the eager path disagree.
+// the scheduler, the batched executor, and the gate-by-gate reference
+// disagree.
 func FuzzPlanEquivalence(f *testing.F) {
 	for _, seed := range fuzzSeeds {
 		f.Add(seed)

@@ -11,23 +11,13 @@ import (
 
 // Bindings supplies a plan's parameters for one execution, each slice
 // indexed by declaration order: Consts for ConstParam, Inputs for
-// InputParam, InputVecs for InputVecParam, Ext/ExtVecs for engine
-// handles declared with ExtVal/ExtVec (they must come from the engine
-// the plan executes on).
+// InputParam, Ext/ExtVecs for engine handles declared with
+// ExtVal/ExtVec (they must come from the engine the plan executes on).
 type Bindings struct {
-	Consts    []int64
-	Inputs    []int64
-	InputVecs [][]int64
-	Ext       []bgw.Val
-	ExtVecs   []bgw.Vec
-}
-
-// ExecOptions tunes one execution.
-type ExecOptions struct {
-	// Eager disables level batching: every multiplicative gate runs as
-	// its own dispatch and its own communication round, reproducing the
-	// pre-scheduler behaviour for comparison benchmarks.
-	Eager bool
+	Consts  []int64
+	Inputs  []int64
+	Ext     []bgw.Val
+	ExtVecs []bgw.Vec
 }
 
 // Result holds one execution's outputs: the opened values in gate
@@ -85,9 +75,6 @@ func (p *Plan) validate(bind Bindings) error {
 	if len(bind.Inputs) != p.nInputs {
 		return fmt.Errorf("circuit: plan wants %d input params, got %d", p.nInputs, len(bind.Inputs))
 	}
-	if len(bind.InputVecs) != p.nInputVecs {
-		return fmt.Errorf("circuit: plan wants %d input-vec params, got %d", p.nInputVecs, len(bind.InputVecs))
-	}
 	if len(bind.Ext) != p.nExt {
 		return fmt.Errorf("circuit: plan wants %d external values, got %d", p.nExt, len(bind.Ext))
 	}
@@ -103,24 +90,20 @@ func (p *Plan) validate(bind Bindings) error {
 // multiplicative level runs as one batched degree-reduction round, and
 // all outputs open in one batched round — Stats.Rounds advances by
 // exactly Plan.Rounds().
+//
+// When the engine's recorder admits debug events, the execution is
+// traced: one "circuit.exec" span for the whole run with one
+// "circuit.level" child per batched multiplication round and a
+// "circuit.open" child for the output round, each carrying gate counts
+// and the engine's frame/round deltas. Disabled telemetry skips all of
+// it (the spans are inert and Stats is never read).
 func (p *Plan) Execute(eng bgw.Evaluator, bind Bindings) (*Result, error) {
-	return p.ExecuteOpts(eng, bind, ExecOptions{})
-}
-
-// ExecuteOpts runs the plan with explicit options. When the engine's
-// recorder admits debug events, the execution is traced: one
-// "circuit.exec" span for the whole run with one "circuit.level" child
-// per batched multiplication round and a "circuit.open" child for the
-// output round, each carrying gate counts and the engine's frame/round
-// deltas. Disabled telemetry skips all of it (the spans are inert and
-// Stats is never read).
-func (p *Plan) ExecuteOpts(eng bgw.Evaluator, bind Bindings, opts ExecOptions) (*Result, error) {
 	if err := p.validate(bind); err != nil {
 		return nil, err
 	}
 	rec := eng.Recorder()
 	exec := obs.StartTracedSpan(rec, "circuit.exec", 0,
-		obs.Int("depth", p.depth), obs.Int("nodes", p.live), obs.Int("folded_inputs", p.folded), obs.Bool("eager", opts.Eager))
+		obs.Int("depth", p.depth), obs.Int("nodes", p.live), obs.Int("folded_inputs", p.folded))
 	var prev bgw.Stats
 	if exec.Active() {
 		prev = eng.Stats()
@@ -131,15 +114,9 @@ func (p *Plan) ExecuteOpts(eng bgw.Evaluator, bind Bindings, opts ExecOptions) (
 		vecs: make([]bgw.Vec, len(p.nodes)),
 	}
 	// Level 0: the scalar inputs first — they depend on nothing, so they
-	// share as one batch (eager execution keeps one Input per gate) —
-	// then the input vectors, external bindings and the linear closure.
-	if opts.Eager {
-		for _, id := range p.inputs {
-			if err := p.evalLocal(eng, bind, r, id); err != nil {
-				return nil, err
-			}
-		}
-	} else if len(p.inputs) > 0 {
+	// share as one batch — then the input vectors, external bindings and
+	// the linear closure.
+	if len(p.inputs) > 0 {
 		items := make([]bgw.InputItem, len(p.inputs))
 		for i, id := range p.inputs {
 			n := &p.nodes[id]
@@ -174,39 +151,23 @@ func (p *Plan) ExecuteOpts(eng bgw.Evaluator, bind Bindings, opts ExecOptions) (
 		gates := p.muls[lvl-1]
 		sp := obs.StartTracedSpan(rec, "circuit.level", exec.ID(),
 			obs.Int("level", lvl), obs.Int("gates", len(gates)))
-		if opts.Eager {
-			for _, id := range gates {
-				n := &p.nodes[id]
-				switch n.kind {
-				case kMul:
-					r.vals[id] = eng.Mul(r.vals[n.a], r.vals[n.b])
-				case kInner:
-					as, bs := p.innerOperands(r, n)
-					r.vals[id] = eng.InnerProduct(as, bs)
-				case kDot:
-					r.vals[id] = eng.Dot(r.vecs[n.a], r.vecs[n.b])
-				}
-				eng.AdvanceRound()
+		items := make([]bgw.MulItem, len(gates))
+		for i, id := range gates {
+			n := &p.nodes[id]
+			switch n.kind {
+			case kMul:
+				items[i] = bgw.MulItem{Kind: bgw.MulScalar, A: r.vals[n.a], B: r.vals[n.b]}
+			case kInner:
+				as, bs := p.innerOperands(r, n)
+				items[i] = bgw.MulItem{Kind: bgw.MulInner, As: as, Bs: bs}
+			case kDot:
+				items[i] = bgw.MulItem{Kind: bgw.MulDot, VA: r.vecs[n.a], VB: r.vecs[n.b]}
 			}
-		} else {
-			items := make([]bgw.MulItem, len(gates))
-			for i, id := range gates {
-				n := &p.nodes[id]
-				switch n.kind {
-				case kMul:
-					items[i] = bgw.MulItem{Kind: bgw.MulScalar, A: r.vals[n.a], B: r.vals[n.b]}
-				case kInner:
-					as, bs := p.innerOperands(r, n)
-					items[i] = bgw.MulItem{Kind: bgw.MulInner, As: as, Bs: bs}
-				case kDot:
-					items[i] = bgw.MulItem{Kind: bgw.MulDot, VA: r.vecs[n.a], VB: r.vecs[n.b]}
-				}
-			}
-			for i, out := range eng.MulBatch(items) {
-				r.vals[gates[i]] = out
-			}
-			eng.AdvanceRound()
 		}
+		for i, out := range eng.MulBatch(items) {
+			r.vals[gates[i]] = out
+		}
+		eng.AdvanceRound()
 		levelDelta(sp)
 		for _, id := range p.locals[lvl] {
 			if err := p.evalLocal(eng, bind, r, id); err != nil {
@@ -217,12 +178,7 @@ func (p *Plan) ExecuteOpts(eng bgw.Evaluator, bind Bindings, opts ExecOptions) (
 	if p.hasOpens() {
 		sp := obs.StartTracedSpan(rec, "circuit.open", exec.ID(),
 			obs.Int("opens", len(p.opens)), obs.Int("open_vecs", len(p.openVecs)))
-		if opts.Eager {
-			r.opened = make([]int64, len(p.opens))
-			for i, id := range p.opens {
-				r.opened[i] = eng.Open(r.vals[p.nodes[id].a])
-			}
-		} else if len(p.opens) > 0 {
+		if len(p.opens) > 0 {
 			vals := make([]bgw.Val, len(p.opens))
 			for i, id := range p.opens {
 				vals[i] = r.vals[p.nodes[id].a]
@@ -257,69 +213,18 @@ func (p *Plan) inputElem(n *node, bind Bindings) field.Elem {
 	return field.FromInt64(n.c)
 }
 
-// inputVecSum returns the vector a folded input leaf shares: its summed
-// literals plus the bound vectors of its parameter slots, element-wise in
-// the field.
-func (p *Plan) inputVecSum(n *node, bind Bindings) ([]field.Elem, error) {
-	sum := make([]field.Elem, n.n)
-	if n.param >= 0 {
-		for k, x := range p.lits[n.param] {
-			sum[k] = field.FromInt64(x)
-		}
-	}
-	for _, slot := range p.operands(n.a, n.b) {
-		vs, err := p.boundVec(slot, n.n, bind)
-		if err != nil {
-			return nil, err
-		}
-		for k, x := range vs {
-			sum[k] = field.Add(sum[k], field.FromInt64(x))
-		}
-	}
-	return sum, nil
-}
-
-// boundVec returns the binding of input-vec parameter slot, checked
-// against the recorded length.
-func (p *Plan) boundVec(slot, n int32, bind Bindings) ([]int64, error) {
-	vs := bind.InputVecs[slot]
-	if len(vs) != int(n) {
-		return nil, fmt.Errorf("circuit: input-vec param %d has %d elements, plan wants %d", slot, len(vs), n)
-	}
-	return vs, nil
-}
-
-// evalLocal materializes one leaf or linear node on the engine.
+// evalLocal materializes one vector leaf, external binding or linear
+// node on the engine (scalar input leaves share in Execute's InputBatch).
 func (p *Plan) evalLocal(eng bgw.Evaluator, bind Bindings, r *Result, id int32) error {
 	n := &p.nodes[id]
 	switch n.kind {
 	case kZero:
 		r.vals[id] = eng.Zero()
-	case kInput, kInputElem, kInputParam, kInputSum:
-		r.vals[id] = eng.InputElem(int(n.owner), p.inputElem(n, bind))
 	case kInputVec:
 		r.vecs[id] = eng.InputVec(int(n.owner), p.lits[n.a])
-	case kInputVecParam:
-		vs, err := p.boundVec(n.param, n.n, bind)
-		if err != nil {
-			return err
-		}
-		r.vecs[id] = eng.InputVec(int(n.owner), vs)
 	case kInputVecSum:
-		if n.b == 0 {
-			// All literals: summed at compile time.
-			r.vecs[id] = eng.InputVec(int(n.owner), p.lits[n.param])
-			break
-		}
-		sum, err := p.inputVecSum(n, bind)
-		if err != nil {
-			return err
-		}
-		vs := make([]int64, len(sum))
-		for k, e := range sum {
-			vs[k] = field.ToInt64(e)
-		}
-		r.vecs[id] = eng.InputVec(int(n.owner), vs)
+		// Summed at compile time.
+		r.vecs[id] = eng.InputVec(int(n.owner), p.lits[n.param])
 	case kExtVal:
 		if bind.Ext[n.param] == nil {
 			return fmt.Errorf("circuit: external value %d unbound", n.param)

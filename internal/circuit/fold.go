@@ -35,10 +35,11 @@ type folder struct {
 // interior gates have exactly one consumer — groups the tree's input
 // leaves that have exactly one consumer by owner, and replaces each group
 // of two or more by one kInputSum / kInputVecSum leaf sharing the group's
-// sum: literals summed here, parameters at execution, always in field
-// arithmetic. Additions left with one operand forward it, kZero operands
-// of a rewritten tree drop out as the identity, and removed nodes become
-// kFolded. The root keeps its id and its value, so consumers never move.
+// sum: literals summed here, scalar parameters at execution, always in
+// field arithmetic. Additions left with one operand forward it, kZero
+// operands of a rewritten tree drop out as the identity, and removed nodes
+// become kFolded. The root keeps its id and its value, so consumers never
+// move.
 //
 // The opened outputs are unchanged (Shamir sharing is linear: the sum of
 // the sharings and a sharing of the sum reconstruct to the same element).
@@ -164,7 +165,7 @@ func (f *folder) group(owner int32) error {
 			lit = field.Add(lit, field.FromInt64(n.c))
 		case kInputElem:
 			lit = field.Add(lit, field.Elem(n.c))
-		case kInputParam, kInputVecParam:
+		case kInputParam:
 			p.args = append(p.args, n.param)
 		case kInputVec:
 			if sum.param < 0 {

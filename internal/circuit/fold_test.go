@@ -99,14 +99,14 @@ func TestFoldedHandlesFailLoudly(t *testing.T) {
 // — have no consumer and stay one sharing each, same owner or not.
 func TestUnconsumedLeavesNeverFold(t *testing.T) {
 	b := NewBuilder(4, 0)
-	cols := []bgw.Vec{b.InputVec(1, []int64{4, -2}), b.InputVec(1, []int64{7, 7}), b.InputVecParam(1, 2)}
+	cols := []bgw.Vec{b.InputVec(1, []int64{4, -2}), b.InputVec(1, []int64{7, 7}), b.InputVec(1, []int64{1, 1})}
 	xs := []bgw.Val{b.Input(2, 9), b.Input(2, 11)}
 	recorded := append([]node(nil), b.nodes...)
 	plan := b.MustCompile()
 	if plan.folded != 0 || !reflect.DeepEqual(plan.nodes, recorded) {
 		t.Fatalf("a plan of unconsumed leaves was rewritten (%d folded)", plan.folded)
 	}
-	res, _ := runInline(t, plan, Bindings{InputVecs: [][]int64{{1, 1}}})
+	res, _ := runInline(t, plan, Bindings{})
 	for i, c := range cols {
 		if res.VecOf(c) == nil {
 			t.Errorf("column %d does not resolve", i)
@@ -152,7 +152,7 @@ func TestSharedLeavesNeverFold(t *testing.T) {
 func TestVectorGateOperandsNeverFold(t *testing.T) {
 	b := NewBuilder(4, 0)
 	gathered := b.InputVec(2, []int64{1, 2, 3})
-	combined := b.InputVecParam(2, 3)
+	combined := b.InputVec(2, []int64{7, 8, 9})
 	s1, s2 := b.InputVec(2, []int64{10, 20, 30}), b.InputVec(2, []int64{100, 200, 300})
 	sum := b.AddVec(b.AddVec(b.AddVec(gathered, s1), combined), s2)
 	b.OpenVecIdx(sum)
@@ -162,8 +162,7 @@ func TestVectorGateOperandsNeverFold(t *testing.T) {
 	if plan.folded != 1 {
 		t.Fatalf("folded %d input leaves, want 1 (s2 into s1)", plan.folded)
 	}
-	bind := Bindings{InputVecs: [][]int64{{7, 8, 9}}}
-	res, _ := runInline(t, plan, bind)
+	res, _ := runInline(t, plan, Bindings{})
 	for k, want := range [][]int64{{118, 230, 342}, {3, 3, 1}, {109, 219, 329}} {
 		if got := res.OpenedVec(k); !reflect.DeepEqual(got, want) {
 			t.Errorf("output %d opened %v, want %v", k, got, want)
@@ -173,15 +172,15 @@ func TestVectorGateOperandsNeverFold(t *testing.T) {
 		t.Fatal("a leaf a vector gate reads no longer resolves")
 	}
 	mustNameTheFold(t, "VecOf a folded sibling", func() { res.VecOf(s2) })
-	if pres, err := plan.Plain(bind); err != nil || !sameOpened(pres, res) {
+	if pres, err := plan.Plain(Bindings{}); err != nil || !sameOpened(pres, res) {
 		t.Fatalf("plain interpreter disagrees with the engine (%v)", err)
 	}
 }
 
 // TestFoldShapes walks the rewrites prune has to get right — a root that
 // becomes the sum leaf, a root that takes over an interior gate, Zero as
-// the identity, a root with two consumers, a bushy tree, parameter and
-// literal vectors mixed — and holds each to the circuit as recorded.
+// the identity, a root with two consumers, a bushy tree, a vector chain
+// two dealers share — and holds each to the circuit as recorded.
 func TestFoldShapes(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -215,14 +214,14 @@ func TestFoldShapes(t *testing.T) {
 			r := b.Add(b.Input(1, 100), b.Input(0, 1000))
 			b.OpenIdx(b.Add(l, r))
 		}, Bindings{}},
-		{"vectors, literal and parameter", 3, 4, func(b *Builder) {
+		{"vectors, two dealers", 3, 4, func(b *Builder) {
 			acc := b.InputVec(2, []int64{1, 2, 3})
-			acc = b.AddVec(acc, b.InputVecParam(2, 3))
+			acc = b.AddVec(acc, b.InputVec(2, []int64{10, 20, 30}))
 			acc = b.AddVec(acc, b.InputVec(0, []int64{7, 7, 7}))
-			acc = b.AddVec(acc, b.InputVecParam(2, 3))
+			acc = b.AddVec(acc, b.InputVec(2, []int64{100, 200, 300}))
 			acc = b.AddVec(acc, b.InputVec(2, []int64{-1, -1, -1}))
 			b.OpenVecIdx(acc)
-		}, Bindings{InputVecs: [][]int64{{10, 20, 30}, {100, 200, 300}}}},
+		}, Bindings{}},
 	} {
 		ub := NewBuilder(4, 0)
 		tc.record(ub)

@@ -30,27 +30,9 @@ func (p *Plan) Plain(bind Bindings) (*Result, error) {
 		case kInput, kInputElem, kInputParam, kInputSum:
 			vals[id] = p.inputElem(n, bind)
 		case kInputVec:
-			v := make([]field.Elem, n.n)
-			for k, x := range p.lits[n.a] {
-				v[k] = field.FromInt64(x)
-			}
-			vecs[id] = v
-		case kInputVecParam:
-			vs, err := p.boundVec(n.param, n.n, bind)
-			if err != nil {
-				return nil, err
-			}
-			v := make([]field.Elem, len(vs))
-			for k, x := range vs {
-				v[k] = field.FromInt64(x)
-			}
-			vecs[id] = v
+			vecs[id] = embed(p.lits[n.a])
 		case kInputVecSum:
-			v, err := p.inputVecSum(n, bind)
-			if err != nil {
-				return nil, err
-			}
-			vecs[id] = v
+			vecs[id] = embed(p.lits[n.param])
 		case kAdd:
 			vals[id] = field.Add(vals[n.a], vals[n.b])
 		case kSub:
@@ -128,4 +110,13 @@ func (p *Plan) Plain(bind Bindings) (*Result, error) {
 		}
 	}
 	return r, nil
+}
+
+// embed maps a literal vector into the field.
+func embed(xs []int64) []field.Elem {
+	out := make([]field.Elem, len(xs))
+	for k, x := range xs {
+		out[k] = field.FromInt64(x)
+	}
+	return out
 }

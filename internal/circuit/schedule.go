@@ -25,8 +25,8 @@ type Plan struct {
 	opens    []int32   // kOpen ids in record order
 	openVecs []int32   // kOpenVec ids in record order
 
-	nConsts, nInputs, nInputVecs, nExt, nExtVecs int
-	hasInputs                                    bool
+	nConsts, nInputs, nExt, nExtVecs int
+	hasInputs                        bool
 }
 
 // operands returns the n-element operand list at offset off.
@@ -69,8 +69,7 @@ func (b *Builder) take() (*Plan, error) {
 		p: b.p, t: b.t,
 		nodes: b.nodes, args: b.args, lits: b.lits,
 		opens: b.opens, openVecs: b.openVecs,
-		nConsts: b.nConsts, nInputs: b.nInputs, nInputVecs: b.nInputVecs,
-		nExt: b.nExt, nExtVecs: b.nExtVecs,
+		nConsts: b.nConsts, nInputs: b.nInputs, nExt: b.nExt, nExtVecs: b.nExtVecs,
 	}
 	b.spent, b.nodes, b.args, b.lits, b.vals = true, nil, nil, nil, nil
 	return p, nil
@@ -94,7 +93,7 @@ func (p *Plan) schedule() error {
 			}
 		}
 		switch n.kind {
-		case kZero, kInput, kInputElem, kInputVec, kInputParam, kInputVecParam, kInputSum, kInputVecSum, kExtVal, kExtVec, kFolded:
+		case kZero, kInput, kInputElem, kInputVec, kInputParam, kInputSum, kInputVecSum, kExtVal, kExtVec, kFolded:
 			// leaves (and removed nodes): level 0
 		case kAdd, kSub, kAddVec, kMul, kDot:
 			max(n.a)
@@ -184,16 +183,6 @@ func (p *Plan) Depth() int { return p.depth }
 // Gates returns the node count of the IR the plan executes.
 func (p *Plan) Gates() int { return p.live }
 
-// MulGates returns the number of multiplicative gates (each costs one
-// degree-reduction resharing; eager execution pays one round per gate).
-func (p *Plan) MulGates() int {
-	n := 0
-	for _, lvl := range p.muls {
-		n += len(lvl)
-	}
-	return n
-}
-
 // Opens returns the number of scalar output gates.
 func (p *Plan) Opens() int { return len(p.opens) }
 
@@ -208,20 +197,6 @@ func (p *Plan) hasOpens() bool { return len(p.opens) > 0 || len(p.openVecs) > 0 
 // gate count.
 func (p *Plan) Rounds() int {
 	r := p.depth
-	if p.hasInputs {
-		r++
-	}
-	if p.hasOpens() {
-		r++
-	}
-	return r
-}
-
-// EagerRounds returns the wire rounds of gate-by-gate execution (one
-// round per multiplicative gate), the baseline the scheduler improves
-// on.
-func (p *Plan) EagerRounds() int {
-	r := p.MulGates()
 	if p.hasInputs {
 		r++
 	}

@@ -32,8 +32,9 @@ type LRProtocol struct {
 	clientRNGs []*randx.RNG
 
 	// Plain engine state.
-	feat *quant.IntMatrix // m × d quantized features
-	lab  []int64          // γ·y (exact for y ∈ {0,1})
+	feat    *quant.IntMatrix // m × d quantized features
+	maxFeat float64          // feat.MaxAbs(), fixed at construction: checkBound reads it every step
+	lab     []int64          // γ·y (exact for y ∈ {0,1})
 
 	mpc        *lrShares // MPC engine state; nil for EnginePlain
 	setupStats bgw.Stats
@@ -103,6 +104,7 @@ func NewLRProtocol(features *linalg.Matrix, labels []float64, p Params) (*LRProt
 	lr := &LRProtocol{p: p, m: features.Rows, d: features.Cols, gammaInt: int64(p.Gamma)}
 	lr.pub, lr.clientRNGs = rngFamily(p.Seed, p.NumClients)
 	lr.feat = quantizeByClient(features, p, lr.clientRNGs)
+	lr.maxFeat = float64(lr.feat.MaxAbs())
 
 	labelClient := p.clientOf(features.Cols, features.Cols+1)
 	g := lr.clientRNGs[labelClient]
@@ -208,7 +210,7 @@ func checkBatch(batch []int, m int) error {
 // checkBound statically verifies that the scaled gradient sum plus the
 // noise tail fits the signed field range.
 func (lr *LRProtocol) checkBound(wq []int64, qHalf int64, batch int) error {
-	maxFeat := float64(lr.feat.MaxAbs())
+	maxFeat := lr.maxFeat
 	var wAbs float64
 	for _, v := range wq {
 		wAbs += math.Abs(float64(v))

@@ -40,16 +40,6 @@ func AddVec(dst, a, b []Elem) {
 	}
 }
 
-// SubVec sets dst[i] = a[i] − b[i] mod p for every element.
-func SubVec(dst, a, b []Elem) {
-	checkLen2("SubVec", len(dst), len(a), len(b))
-	for i := range dst {
-		v := uint64(a[i]) + Modulus - uint64(b[i])
-		v -= Modulus & (((v - Modulus) >> 63) - 1)
-		dst[i] = Elem(v)
-	}
-}
-
 // MulVec sets dst[i] = a[i] · b[i] mod p for every element — the
 // pointwise share product that opens every multiplicative BGW gate.
 func MulVec(dst, a, b []Elem) {
@@ -78,19 +68,6 @@ func MulConstVec(dst, a []Elem, c Elem) {
 	}
 }
 
-// AddConstVec sets dst[i] = a[i] + c mod p for every element.
-func AddConstVec(dst, a []Elem, c Elem) {
-	if len(dst) != len(a) {
-		panic(invariant.Violation("field: AddConstVec length mismatch (dst %d, a %d)", len(dst), len(a)))
-	}
-	cu := uint64(c)
-	for i := range dst {
-		v := uint64(a[i]) + cu
-		v -= Modulus & (((v - Modulus) >> 63) - 1)
-		dst[i] = Elem(v)
-	}
-}
-
 // MulAddVec sets dst[i] += c · a[i] mod p for every element — the axpy
 // kernel of the Lagrange fold: resharing and opening both accumulate
 // weight-scaled sub-shares into a running vector.
@@ -101,22 +78,6 @@ func MulAddVec(dst, a []Elem, c Elem) {
 	cu := uint64(c)
 	for i := range dst {
 		hi, lo := bits.Mul64(uint64(a[i]), cu)
-		v := (lo & Modulus) + (hi<<3 | lo>>61)
-		v -= Modulus & (((v - Modulus) >> 63) - 1)
-		v -= Modulus & (((v - Modulus) >> 63) - 1)
-		v += uint64(dst[i])
-		v -= Modulus & (((v - Modulus) >> 63) - 1)
-		dst[i] = Elem(v)
-	}
-}
-
-// MulAccVec sets dst[i] += a[i] · b[i] mod p for every element — the
-// pointwise multiply-accumulate that folds one operand pair of a fused
-// inner-product gate into the per-party accumulator.
-func MulAccVec(dst, a, b []Elem) {
-	checkLen2("MulAccVec", len(dst), len(a), len(b))
-	for i := range dst {
-		hi, lo := bits.Mul64(uint64(a[i]), uint64(b[i]))
 		v := (lo & Modulus) + (hi<<3 | lo>>61)
 		v -= Modulus & (((v - Modulus) >> 63) - 1)
 		v -= Modulus & (((v - Modulus) >> 63) - 1)

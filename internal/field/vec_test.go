@@ -83,9 +83,6 @@ func TestVecKernelsMatchBigInt(t *testing.T) {
 		AddVec(dst, a, b)
 		eqVec(t, "AddVec", dst, refBinop(a, b, func(z, x, y *big.Int) *big.Int { return z.Add(x, y) }))
 
-		SubVec(dst, a, b)
-		eqVec(t, "SubVec", dst, refBinop(a, b, func(z, x, y *big.Int) *big.Int { return z.Sub(x, y) }))
-
 		MulVec(dst, a, b)
 		eqVec(t, "MulVec", dst, refBinop(a, b, func(z, x, y *big.Int) *big.Int { return z.Mul(x, y) }))
 
@@ -96,9 +93,6 @@ func TestVecKernelsMatchBigInt(t *testing.T) {
 		MulConstVec(dst, a, c)
 		eqVec(t, "MulConstVec", dst, refBinop(a, cs, func(z, x, y *big.Int) *big.Int { return z.Mul(x, y) }))
 
-		AddConstVec(dst, a, c)
-		eqVec(t, "AddConstVec", dst, refBinop(a, cs, func(z, x, y *big.Int) *big.Int { return z.Add(x, y) }))
-
 		// MulAddVec: dst starts as b, accumulates c·a.
 		copy(dst, b)
 		MulAddVec(dst, a, c)
@@ -107,14 +101,6 @@ func TestVecKernelsMatchBigInt(t *testing.T) {
 			want[i] = Add(b[i], Mul(c, a[i]))
 		}
 		eqVec(t, "MulAddVec", dst, want)
-
-		// MulAccVec: dst starts as cs, accumulates a·b pointwise.
-		copy(dst, cs)
-		MulAccVec(dst, a, b)
-		for i := range want {
-			want[i] = Add(cs[i], Mul(a[i], b[i]))
-		}
-		eqVec(t, "MulAccVec", dst, want)
 
 		MulConstAddVec(dst, a, c, b)
 		eqVec(t, "MulConstAddVec", dst, refMulConstAdd(a, c, b))
@@ -202,12 +188,9 @@ func TestVecKernelsAliasing(t *testing.T) {
 // TestVecKernelsZeroLength pins the no-op contract for empty slices.
 func TestVecKernelsZeroLength(t *testing.T) {
 	AddVec(nil, nil, nil)
-	SubVec(nil, nil, nil)
 	MulVec(nil, nil, nil)
 	MulConstVec(nil, nil, 3)
-	AddConstVec(nil, nil, 3)
 	MulAddVec(nil, nil, 3)
-	MulAccVec(nil, nil, nil)
 	MulConstAddVec(nil, nil, 3, nil)
 	if got := DotAcc(17, nil, nil); got != 17 {
 		t.Fatalf("DotAcc over empty vectors = %d, want the accumulator back", got)
@@ -218,12 +201,9 @@ func TestVecKernelsZeroLength(t *testing.T) {
 func TestVecKernelsLengthMismatchPanics(t *testing.T) {
 	cases := map[string]func(){
 		"AddVec":         func() { AddVec(make([]Elem, 2), make([]Elem, 3), make([]Elem, 3)) },
-		"SubVec":         func() { SubVec(make([]Elem, 3), make([]Elem, 2), make([]Elem, 3)) },
 		"MulVec":         func() { MulVec(make([]Elem, 3), make([]Elem, 3), make([]Elem, 2)) },
 		"MulConstVec":    func() { MulConstVec(make([]Elem, 1), make([]Elem, 2), 1) },
-		"AddConstVec":    func() { AddConstVec(make([]Elem, 1), make([]Elem, 2), 1) },
 		"MulAddVec":      func() { MulAddVec(make([]Elem, 1), make([]Elem, 2), 1) },
-		"MulAccVec":      func() { MulAccVec(make([]Elem, 2), make([]Elem, 2), make([]Elem, 3)) },
 		"MulConstAddVec": func() { MulConstAddVec(make([]Elem, 2), make([]Elem, 2), 1, make([]Elem, 3)) },
 		"DotAcc":         func() { DotAcc(0, make([]Elem, 1), make([]Elem, 2)) },
 	}
@@ -269,22 +249,11 @@ func FuzzFieldVecKernels(f *testing.F) {
 		AddVec(dst, a, b)
 		eqVec(t, "AddVec", dst, refBinop(a, b, func(z, x, y *big.Int) *big.Int { return z.Add(x, y) }))
 
-		SubVec(dst, a, b)
-		eqVec(t, "SubVec", dst, refBinop(a, b, func(z, x, y *big.Int) *big.Int { return z.Sub(x, y) }))
-
 		copy(dst, b)
 		MulAddVec(dst, a, c)
 		for i := range dst {
 			if want := Add(b[i], Mul(c, a[i])); dst[i] != want {
 				t.Fatalf("MulAddVec[%d] = %d, want %d", i, dst[i], want)
-			}
-		}
-
-		copy(dst, a)
-		MulAccVec(dst, a, b)
-		for i := range dst {
-			if want := Add(a[i], Mul(a[i], b[i])); dst[i] != want {
-				t.Fatalf("MulAccVec[%d] = %d, want %d", i, dst[i], want)
 			}
 		}
 

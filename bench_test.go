@@ -4,7 +4,6 @@ import (
 	"os"
 	"sync"
 	"testing"
-	"time"
 
 	"sqm"
 	"sqm/internal/bgw"
@@ -109,7 +108,7 @@ func benchDot(b *testing.B, mk func() (bgw.Evaluator, error)) {
 // in-memory channel mesh — the overhead of real message passing versus
 // array indexing for the same arithmetic.
 func BenchmarkDotTransport(b *testing.B) {
-	cfg := bgw.Config{Parties: 4, Seed: 5, Latency: time.Nanosecond}
+	cfg := bgw.Config{Parties: 4, Seed: 5}
 	b.Run("monolithic", func(b *testing.B) {
 		benchDot(b, func() (bgw.Evaluator, error) {
 			eng, err := bgw.NewEngine(cfg)

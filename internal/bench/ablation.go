@@ -72,7 +72,10 @@ func AblationNoiseTransport(o Options) *Table {
 
 	// sumInputs has client j's host, party j mod parties, input its
 	// shares and adds the inputs up.
-	sumInputs := func(ev bgw.Evaluator, parties int) bgw.Vec {
+	sumInputs := func(ev interface {
+		InputVec(owner int, vs []int64) bgw.Vec
+		AddVec(a, b bgw.Vec) bgw.Vec
+	}, parties int) bgw.Vec {
 		var acc bgw.Vec
 		for j, shares := range draw() {
 			v := ev.InputVec(j%parties, shares)

@@ -32,9 +32,6 @@ func TestNewEngineValidation(t *testing.T) {
 	if e.Threshold() != 2 {
 		t.Fatalf("default threshold = %d, want 2", e.Threshold())
 	}
-	if e.Latency() != DefaultLatency {
-		t.Fatalf("default latency = %v", e.Latency())
-	}
 }
 
 func TestInputOpenRoundTrip(t *testing.T) {

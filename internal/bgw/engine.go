@@ -43,7 +43,6 @@ import (
 // the measurement).
 type Engine struct {
 	p, t    int
-	latency time.Duration
 	mesh    transport.Mesh // nil when the parties run inline
 	hub     *memHub        // the inline parties' exchange; nil behind a mesh
 	parties []*actorParty
@@ -113,11 +112,7 @@ func newEngine(cfg Config, mesh transport.Mesh) (*Engine, error) {
 	if t < 1 || cfg.Parties < 2*t+1 {
 		return nil, fmt.Errorf("bgw: threshold %d invalid for %d parties (need P >= 2t+1, t >= 1)", t, cfg.Parties)
 	}
-	lat := cfg.Latency
-	if lat == 0 {
-		lat = DefaultLatency
-	}
-	e := &Engine{p: cfg.Parties, t: t, latency: lat, mesh: mesh}
+	e := &Engine{p: cfg.Parties, t: t, mesh: mesh}
 	if mesh == nil {
 		e.hub = &memHub{p: cfg.Parties, box: make([]memRow, cfg.Parties*cfg.Parties)}
 	} else {
@@ -168,9 +163,6 @@ func (e *Engine) Parties() int { return e.p }
 
 // Threshold returns t.
 func (e *Engine) Threshold() int { return e.t }
-
-// Latency returns the per-round latency.
-func (e *Engine) Latency() time.Duration { return e.latency }
 
 // Recorder returns the engine's telemetry sink (never nil).
 func (e *Engine) Recorder() obs.Recorder { return obs.Or(e.rec) }

@@ -14,9 +14,9 @@
 // is performed faithfully (so outputs are bit-exact with the plaintext
 // computation) and the communication is metered: traffic is counted
 // where a row is sent, every resharing or opening round advances a
-// round counter, and simulated network time is rounds × Latency,
-// matching the paper's experimental setup of a fixed 0.1 s
-// message-passing cost.
+// round counter, and simulated network time is rounds × a per-round
+// latency the caller holds (Stats.NetTime), matching the paper's
+// experimental setup of a fixed 0.1 s message-passing cost.
 package bgw
 
 import (
@@ -32,11 +32,10 @@ const DefaultLatency = 100 * time.Millisecond
 
 // Config describes a BGW deployment.
 type Config struct {
-	Parties   int           // P >= 2*Threshold + 1
-	Threshold int           // t; 0 means floor((P-1)/2)
-	Latency   time.Duration // per communication round; 0 means DefaultLatency
-	Seed      uint64        // seeds the per-party private randomness
-	Recorder  obs.Recorder  // telemetry sink; nil disables at zero cost
+	Parties   int          // P >= 2*Threshold + 1
+	Threshold int          // t; 0 means floor((P-1)/2)
+	Seed      uint64       // seeds the per-party private randomness
+	Recorder  obs.Recorder // telemetry sink; nil disables at zero cost
 	// RecvTimeout bounds every blocking receive of parties behind a
 	// mesh: a peer that stays silent past the deadline surfaces as a
 	// transport.ErrTimeout party failure instead of a hung protocol.
@@ -128,8 +127,6 @@ type Evaluator interface {
 	Parties() int
 	// Threshold returns t.
 	Threshold() int
-	// Latency returns the per-round latency used for simulated time.
-	Latency() time.Duration
 	// Stats returns a snapshot of the execution counters. For
 	// transport-backed evaluators the message/byte counts are measured
 	// from real traffic, not modeled.

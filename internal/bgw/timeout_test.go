@@ -21,7 +21,6 @@ func TestActorRecvTimeoutSurfacesAsPartyFailure(t *testing.T) {
 	})
 	eng, err := NewActorEngine(Config{
 		Parties:     3,
-		Latency:     time.Nanosecond,
 		Seed:        7,
 		RecvTimeout: 50 * time.Millisecond,
 	}, mesh)
@@ -48,7 +47,6 @@ func TestActorRecvTimeoutHarmlessWhenHealthy(t *testing.T) {
 	mesh := transport.NewChanMesh(3)
 	eng, err := NewActorEngine(Config{
 		Parties:     3,
-		Latency:     time.Nanosecond,
 		Seed:        7,
 		RecvTimeout: 5 * time.Second,
 	}, mesh)
@@ -79,7 +77,6 @@ func TestActorCutWithQueuedGatesLatchesErr(t *testing.T) {
 	})
 	eng, err := NewActorEngine(Config{
 		Parties:     3,
-		Latency:     time.Nanosecond,
 		Seed:        7,
 		RecvTimeout: 50 * time.Millisecond,
 	}, mesh)

@@ -1,12 +1,12 @@
 // Package circuit compiles SQM protocols to level-scheduled execution
-// plans. A recording Builder implements the bgw.Evaluator gate surface
-// but captures every operation into a DAG IR instead of executing it;
-// Compile levels the DAG by multiplicative depth; the resulting Plan
-// executes against any real bgw.Evaluator, running each level as ONE
-// batched communication round — all of a level's degree reductions
-// travel in a single reshare exchange (one frame per ordered party
-// pair), and the round count derives from the plan's structure instead
-// of hand-placed AdvanceRound calls.
+// plans. A recording Builder has the gates of bgw.Evaluator under the
+// same names but captures every operation into a DAG IR instead of
+// executing it; Compile levels the DAG by multiplicative depth; the
+// resulting Plan executes against any real bgw.Evaluator, running each
+// level as ONE batched communication round — all of a level's degree
+// reductions travel in a single reshare exchange (one frame per ordered
+// party pair), and the round count derives from the plan's structure
+// instead of hand-placed AdvanceRound calls.
 //
 // A plan runs one way — Plan.Execute — and Plan.Plain interprets it
 // without an engine as the differential oracle. A plan that is
@@ -23,7 +23,6 @@ package circuit
 
 import (
 	"math"
-	"time"
 
 	"sqm/internal/bgw"
 	"sqm/internal/field"
@@ -126,12 +125,13 @@ func (v *Vec) Len() int { return v.n }
 // ConstID names one public-constant parameter of a plan.
 type ConstID int
 
-// Builder records the gate stream of one protocol run into a DAG. It
-// implements bgw.Evaluator, so protocol code written against the
-// engines records unchanged; operations that would reveal values (Open,
-// OpenVec) record an output gate and return zeros — real values come
-// from Result.Opened after execution. Compile hands the recording to
-// the plan: the Builder is spent afterwards and records no more.
+// Builder records the gate stream of one protocol run into a DAG. Its
+// gates carry the names and signatures of bgw.Evaluator's, so a circuit
+// reads the same recorded or run; it is not an engine — it holds no
+// shares, counts nothing and opens nothing. OpenIdx / OpenVecIdx record
+// an output gate, and the values come from Result.Opened / OpenedVec
+// after execution. Compile hands the recording to the plan: the Builder
+// is spent afterwards and records no more.
 type Builder struct {
 	p, t  int
 	nodes []node
@@ -301,30 +301,10 @@ func (b *Builder) OpenVecIdx(v bgw.Vec) int {
 	return len(b.openVecs) - 1
 }
 
-// ---- bgw.Evaluator surface (recording) ----
-
-// Parties returns P.
-func (b *Builder) Parties() int { return b.p }
-
-// Threshold returns t.
-func (b *Builder) Threshold() int { return b.t }
-
-// Latency returns 0: the Builder never communicates.
-func (b *Builder) Latency() time.Duration { return 0 }
-
-// Stats returns zeros: recording costs nothing.
-func (b *Builder) Stats() bgw.Stats { return bgw.Stats{} }
-
-// ResetStats is a no-op.
-func (b *Builder) ResetStats() {}
-
-// AdvanceRound is a no-op: rounds derive from the compiled plan's
-// levels, not from caller bookkeeping.
-func (b *Builder) AdvanceRound() {}
+// ---- the gate surface of bgw.Evaluator, recorded ----
 
 // SetRecorder attaches a telemetry recorder to the Builder (and to the
-// plans it compiles, through the recorded Evaluator surface). Returns
-// the Builder for construction chaining.
+// plans it compiles). Returns the Builder for construction chaining.
 func (b *Builder) SetRecorder(rec obs.Recorder) *Builder {
 	b.rec = rec
 	return b
@@ -332,12 +312,6 @@ func (b *Builder) SetRecorder(rec obs.Recorder) *Builder {
 
 // Recorder returns the attached recorder, or the no-op sink.
 func (b *Builder) Recorder() obs.Recorder { return obs.Or(b.rec) }
-
-// Err always reports healthy.
-func (b *Builder) Err() error { return nil }
-
-// Close is a no-op.
-func (b *Builder) Close() error { return nil }
 
 // Input records a literal secret input.
 //
@@ -357,16 +331,6 @@ func (b *Builder) Input(owner int, v int64) bgw.Val {
 // stated on Input.
 func (b *Builder) InputElem(owner int, e field.Elem) bgw.Val {
 	return b.scalar(node{kind: kInputElem, owner: b.checkParty(owner), c: int64(e)})
-}
-
-// InputBatch records the items individually; the scheduler gathers all
-// scalar inputs of a plan into one batched round anyway.
-func (b *Builder) InputBatch(items []bgw.InputItem) []bgw.Val {
-	out := make([]bgw.Val, len(items))
-	for i, it := range items {
-		out[i] = b.InputElem(it.Owner, it.Elem)
-	}
-	return out
 }
 
 // InputVec records a literal secret vector input. It folds under the
@@ -413,21 +377,6 @@ func (b *Builder) InnerProduct(as, bs []bgw.Val) bgw.Val {
 	off := b.operands(as)
 	b.operands(bs)
 	return b.scalar(node{kind: kInner, a: off, n: b.i32(len(as))})
-}
-
-// AdditiveShares cannot be recorded — the conversion reveals engine
-// share state the Builder does not have. It returns zero addends; run
-// the compiled plan and use Result.ValOf with the real engine instead.
-func (b *Builder) AdditiveShares(s bgw.Val, weights []field.Elem) []field.Elem {
-	b.val(s)
-	return make([]field.Elem, b.p)
-}
-
-// Open records an output gate and returns 0 — recorded circuits never
-// see real values. Use OpenIdx to keep the index into Result.Opened.
-func (b *Builder) Open(s bgw.Val) int64 {
-	b.OpenIdx(s)
-	return 0
 }
 
 // At records the element extraction v[k].
@@ -508,42 +457,7 @@ func (b *Builder) DotBatch(pairs []bgw.VecPair, workers int) []bgw.Val {
 	return out
 }
 
-// MulBatch records the constituent gates individually.
-func (b *Builder) MulBatch(items []bgw.MulItem) []bgw.Val {
-	out := make([]bgw.Val, len(items))
-	for i, it := range items {
-		switch it.Kind {
-		case bgw.MulScalar:
-			out[i] = b.Mul(it.A, it.B)
-		case bgw.MulInner:
-			out[i] = b.InnerProduct(it.As, it.Bs)
-		case bgw.MulDot:
-			out[i] = b.Dot(it.VA, it.VB)
-		default:
-			panic(invariant.Violation("circuit: unknown MulKind %d", it.Kind))
-		}
-	}
-	return out
-}
-
-// OpenBatch records one output gate per value and returns zeros.
-func (b *Builder) OpenBatch(vals []bgw.Val) []int64 {
-	for _, v := range vals {
-		b.OpenIdx(v)
-	}
-	return make([]int64, len(vals))
-}
-
-// OpenVec records a vector output gate and returns zeros. Use
-// OpenVecIdx to keep the index into Result.OpenedVec.
-func (b *Builder) OpenVec(v bgw.Vec) []int64 {
-	b.OpenVecIdx(v)
-	return make([]int64, b.vec(v).n)
-}
-
 // FromScalars records the packing of scalars into a vector.
 func (b *Builder) FromScalars(xs []bgw.Val) bgw.Vec {
 	return b.vector(node{kind: kFromScalars, a: b.operands(xs)}, len(xs))
 }
-
-var _ bgw.Evaluator = (*Builder)(nil)

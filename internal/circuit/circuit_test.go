@@ -167,7 +167,9 @@ func TestBatchedLevelIsOneFrameExchange(t *testing.T) {
 		for i := range xs {
 			prods[i] = b.Mul(xs[i], xs[(i+1)%n])
 		}
-		b.OpenBatch(prods)
+		for _, v := range prods {
+			b.OpenIdx(v)
+		}
 		return b.MustCompile()
 	}
 	plan := build()

@@ -10,7 +10,6 @@ import (
 	"sqm/internal/circuit"
 	"sqm/internal/linalg"
 	"sqm/internal/quant"
-	"sqm/internal/randx"
 )
 
 // CovarianceSensitivities returns Lemma 5's L2/L1 sensitivities of the
@@ -35,72 +34,33 @@ func Covariance(x *linalg.Matrix, p Params) (*linalg.Matrix, *Trace, error) {
 	if err := p.normalize(x.Cols); err != nil {
 		return nil, nil, err
 	}
-	// Meter the release at Lemma 5's closed form for unit-norm records.
-	if p.Acct != nil {
-		d2, d1 := CovarianceSensitivities(p.Gamma, 1, x.Cols)
-		p.Acct.AddSkellam(d1, d2, p.Mu)
-	}
-	start := time.Now()
 	_, clientRNGs := rngFamily(p.Seed, p.NumClients)
-	qd := quantizeByClient(x, p, clientRNGs)
-
-	n := x.Cols
-	pairs := n * (n + 1) / 2
-
-	// Static overflow check: each Gram entry is at most m·maxAbs² plus
-	// the noise tail.
+	r := p.begin(clientRNGs)
+	qd := quantizeByClient(x, &p, clientRNGs)
+	// Each Gram entry is at most m·maxAbs².
 	maxAbs := float64(qd.MaxAbs())
-	if err := checkFieldBound(maxAbs*maxAbs*float64(x.Rows) + noiseMargin(p.Mu)); err != nil {
-		return nil, nil, err
-	}
-
-	tr := &Trace{Scale: p.Gamma * p.Gamma, Lat: p.Latency}
-	var upper []int64
-	var err error
-	switch {
-	case p.Engine == EnginePlain:
-		upper, err = plainCovariance(qd, clientRNGs, p.Mu, pairs, tr)
-	case p.Engine.IsMPC():
-		upper, err = mpcCovariance(qd, clientRNGs, &p, pairs, tr)
-	default:
-		err = errUnknownEngine(p.Engine)
-	}
+	upper, err := r.evaluate(maxAbs*maxAbs*float64(x.Rows),
+		func() ([]int64, error) {
+			upper := make([]int64, x.Cols*(x.Cols+1)/2)
+			accumulateGram(qd, upper)
+			r.drawNoiseOnto(upper)
+			return upper, nil
+		},
+		func() ([]int64, error) { return r.mpcCovariance(qd) })
 	if err != nil {
 		return nil, nil, err
 	}
-
-	// Unpack the upper triangle into the symmetric estimate C̃/γ².
-	out := linalg.NewMatrix(n, n)
-	idx := 0
-	inv := 1 / tr.Scale
-	for a := 0; a < n; a++ {
-		for b := a; b < n; b++ {
-			v := float64(upper[idx]) * inv
-			out.Set(a, b, v)
-			out.Set(b, a, v)
-			idx++
-		}
-	}
-	tr.Compute = time.Since(start)
+	out, tr := r.finishGram(upper, x.Cols)
 	return out, tr, nil
 }
 
-func errUnknownEngine(k EngineKind) error {
-	return &engineError{kind: k}
-}
-
-type engineError struct{ kind EngineKind }
-
-func (e *engineError) Error() string { return "core: unknown engine " + e.kind.String() }
-
-// plainCovariance computes the upper triangle of X̂ᵀX̂ plus aggregated
-// noise with direct integer arithmetic.
-func plainCovariance(qd *quant.IntMatrix, clientRNGs []*randx.RNG, mu float64, pairs int, tr *Trace) ([]int64, error) {
+// accumulateGram adds the upper triangle of dataᵀ·data onto upper with
+// direct integer arithmetic. Row-major accumulation over records keeps
+// the inner loop cache friendly; large inputs split across workers with
+// exact int64 partial sums, so the result is independent of the
+// schedule.
+func accumulateGram(qd *quant.IntMatrix, upper []int64) {
 	n := qd.Cols
-	upper := make([]int64, pairs)
-	// Row-major accumulation over records keeps the inner loop cache
-	// friendly; large inputs split across workers with exact int64
-	// partial sums, so the result is independent of the schedule.
 	accumulate := func(lo, hi int, dst []int64) {
 		for i := lo; i < hi; i++ {
 			row := qd.Row(i)
@@ -119,7 +79,7 @@ func plainCovariance(qd *quant.IntMatrix, clientRNGs []*randx.RNG, mu float64, p
 		}
 	}
 	const parallelThreshold = 1 << 22 // ~4M multiply-adds
-	if work := qd.Rows * pairs; work >= parallelThreshold && qd.Rows >= 4 {
+	if work := qd.Rows * len(upper); work >= parallelThreshold && qd.Rows >= 4 {
 		workers := runtime.GOMAXPROCS(0)
 		if workers > qd.Rows {
 			workers = qd.Rows
@@ -129,7 +89,7 @@ func plainCovariance(qd *quant.IntMatrix, clientRNGs []*randx.RNG, mu float64, p
 		for w := 0; w < workers; w++ {
 			lo := w * qd.Rows / workers
 			hi := (w + 1) * qd.Rows / workers
-			partials[w] = make([]int64, pairs)
+			partials[w] = make([]int64, len(upper))
 			wg.Add(1)
 			go func(lo, hi int, dst []int64) {
 				defer wg.Done()
@@ -145,15 +105,21 @@ func plainCovariance(qd *quant.IntMatrix, clientRNGs []*randx.RNG, mu float64, p
 	} else {
 		accumulate(0, qd.Rows, upper)
 	}
-	noiseStart := time.Now()
-	share := mu / float64(len(clientRNGs))
-	for _, g := range clientRNGs {
+}
+
+// drawNoiseOnto is the plain engine's covariance noise injection: every
+// client's Sk(μ/n) draws added onto the triangle in place, in the order
+// SkellamVec would produce them. Materialising the share vectors first,
+// as addNoise wants them, is n(n+1)/2 integers per client — tens of GB
+// at the paper's n = 2 500.
+func (r *release) drawNoiseOnto(upper []int64) {
+	defer r.noiseTime(time.Now())
+	share := r.noiseShare()
+	for _, g := range r.rngs {
 		for k := range upper {
 			upper[k] += g.Skellam(share)
 		}
 	}
-	tr.NoiseCompute += time.Since(noiseStart)
-	return upper, nil
 }
 
 // mpcCovariance runs the same computation over secret shares with the
@@ -161,35 +127,21 @@ func plainCovariance(qd *quant.IntMatrix, clientRNGs []*randx.RNG, mu float64, p
 // input round (data + noise), one batched inner-product round (all
 // fused gates in a single reshare exchange), one batched opening
 // round. Noise shares enter during the input round: each party deals one
-// sharing of the sum of the shares its clients sampled (circuit.Compile
-// folds the recorded per-client inputs per dealer), and the parties add
-// the sharings locally.
-func mpcCovariance(qd *quant.IntMatrix, clientRNGs []*randx.RNG, p *Params, pairs int, tr *Trace) ([]int64, error) {
-	n := qd.Cols
+// sharing of the sum of the shares its clients sampled (inputNoise), and
+// the parties add the sharings locally.
+func (r *release) mpcCovariance(qd *quant.IntMatrix) ([]int64, error) {
+	p, n := r.p, qd.Cols
+	pairs := n * (n + 1) / 2
 	b := circuit.NewBuilder(p.Parties, p.Threshold)
-	cols := make([]bgw.Vec, n)
-	for j := 0; j < n; j++ {
-		cols[j] = b.InputVec(p.partyOf(p.clientOf(j, n)), qd.Col(j))
-	}
-	// Noise: every client samples its share vector and hands it to the
-	// party hosting it. The recording below still names every client's
-	// vector; Compile folds the leaves one party deals into that sum
-	// tree into a single InputVec of their field sum, so a party hosting
-	// n/P clients shares once, not n/P times — and with one client per
-	// party nothing folds. The opened integers are the same either way.
+	cols := p.inputColumns(b, qd, n)
+	// Drawn and recorded client by client: the recording keeps its own
+	// copy, so only one client's draw is live besides it.
 	noiseStart := time.Now()
-	share := p.Mu / float64(len(clientRNGs))
 	var noiseAcc bgw.Vec
-	for j, g := range clientRNGs {
-		v := b.InputVec(p.partyOf(j), g.SkellamVec(pairs, share))
-		if noiseAcc == nil {
-			noiseAcc = v
-		} else {
-			noiseAcc = b.AddVec(noiseAcc, v)
-		}
+	for j, g := range r.rngs {
+		noiseAcc = p.inputNoise(b, noiseAcc, j, g.SkellamVec(pairs, r.noiseShare()))
 	}
-	tr.NoiseCompute += time.Since(noiseStart)
-	tr.NoiseRounds++
+	r.noiseTime(noiseStart)
 
 	pairList := make([]bgw.VecPair, pairs)
 	idx := 0
@@ -201,23 +153,33 @@ func mpcCovariance(qd *quant.IntMatrix, clientRNGs []*randx.RNG, p *Params, pair
 	}
 	dots := b.DotBatch(pairList, 0)
 	outIdx := b.OpenVecIdx(b.AddVec(b.FromScalars(dots), noiseAcc))
-	plan, err := b.Compile()
+	res, err := r.runOnce(b, 0x51c0)
 	if err != nil {
 		return nil, err
 	}
-
-	eng, err := p.newEvaluator(0x51c0)
-	if err != nil {
-		return nil, err
-	}
-	defer eng.Close()
-	res, err := plan.Execute(eng, circuit.Bindings{})
-	if err != nil {
-		return nil, err
-	}
-	if err := eng.Err(); err != nil {
-		return nil, err
-	}
-	tr.Stats = eng.Stats()
 	return res.OpenedVec(outIdx), nil
+}
+
+// finishGram is the server's side of both covariance entry points: the
+// release is metered at Lemma 5's closed form for unit-norm records, and
+// the opened upper triangle is down-scaled by γ² and mirrored into the
+// symmetric estimate C̃/γ². The down-scaling multiplies by 1/γ² where
+// Trace.estimate divides: the two differ in the last bit when γ is not a
+// power of two, and this one is the expression callers' outputs are
+// compared against bit for bit.
+func (r *release) finishGram(upper []int64, n int) (*linalg.Matrix, *Trace) {
+	r.p.meter(CovarianceSensitivities(r.p.Gamma, 1, n))
+	tr := r.finish(upper, r.p.Gamma*r.p.Gamma)
+	out := linalg.NewMatrix(n, n)
+	inv := 1 / tr.Scale
+	idx := 0
+	for a := 0; a < n; a++ {
+		for b := a; b < n; b++ {
+			v := float64(upper[idx]) * inv
+			out.Set(a, b, v)
+			out.Set(b, a, v)
+			idx++
+		}
+	}
+	return out, tr
 }

@@ -287,7 +287,7 @@ func BenchmarkGradientPlanBuild(b *testing.B) {
 		b.Fatal(err)
 	}
 	_, clientRNGs := rngFamily(p.Seed, p.NumClients)
-	noise := sampleNoiseShares(clientRNGs, d, p.Mu)
+	noise := p.begin(clientRNGs).sampleNoise(d)
 	cs := make([]int64, d+1)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -11,7 +11,6 @@ import (
 	"sqm/internal/linalg"
 	"sqm/internal/poly"
 	"sqm/internal/quant"
-	"sqm/internal/randx"
 )
 
 // EvaluatePolynomialSum runs Algorithm 3: it estimates
@@ -26,48 +25,17 @@ func EvaluatePolynomialSum(f *poly.Multi, x *linalg.Matrix, p Params) ([]float64
 	if err := p.normalize(x.Cols); err != nil {
 		return nil, nil, err
 	}
-	start := time.Now()
 	pub, clientRNGs := rngFamily(p.Seed, p.NumClients)
-
+	r := p.begin(clientRNGs)
 	q, err := f.Quantize(p.Gamma, pub)
 	if err != nil {
 		return nil, nil, err
 	}
-	// Meter the release: one Skellam mechanism at Lemma 4's generic
-	// sensitivity for unit-norm records. Tighter application-level
-	// bounds account at their own layer with Acct left nil here.
-	if p.Acct != nil {
-		d2, d1 := q.SensitivityBound(1)
-		p.Acct.AddSkellam(d1, d2, p.Mu)
-	}
-	qd := quantizeByClient(x, p, clientRNGs)
-
-	noiseStart := time.Now()
-	noise := sampleNoiseShares(clientRNGs, f.OutDim(), p.Mu)
-	noiseSample := time.Since(noiseStart)
-
-	tr := &Trace{Scale: q.Scale(), Lat: p.Latency}
-	var scaled []int64
-	switch {
-	case p.Engine == EnginePlain:
-		scaled, err = plainPolySum(q, qd, noise, tr)
-	case p.Engine.IsMPC():
-		scaled, err = mpcPolySum(q, qd, noise, &p, tr)
-	default:
-		err = errUnknownEngine(p.Engine)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	tr.Scaled = scaled
-	tr.NoiseCompute += noiseSample
-	tr.Compute = time.Since(start)
-
-	est := make([]float64, len(scaled))
-	for t, v := range scaled {
-		est[t] = float64(v) / tr.Scale
-	}
-	return est, tr, nil
+	// Lemma 4's generic sensitivity for unit-norm records. Tighter
+	// application-level bounds account at their own layer with Acct left
+	// nil here.
+	p.meter(q.SensitivityBound(1))
+	return r.polySum(q, x, q.Scale())
 }
 
 // EvaluateMonomialSum runs Algorithm 1 for a single one-dimensional
@@ -85,76 +53,45 @@ func EvaluateMonomialSum(m poly.Monomial, x *linalg.Matrix, p Params) (float64, 
 	if err := p.normalize(x.Cols); err != nil {
 		return 0, nil, err
 	}
-	start := time.Now()
 	_, clientRNGs := rngFamily(p.Seed, p.NumClients)
-	qd := quantizeByClient(x, p, clientRNGs)
+	r := p.begin(clientRNGs)
+	// A single degree-λ monomial with unit coefficient bounds one
+	// quantized record by (γ+1)^λ (Lemma 4 with d = 1, so Δ₁ = Δ₂).
+	d2 := math.Pow(p.Gamma+1, float64(lambda))
+	p.meter(d2, d2)
 
-	// Meter the release: a single degree-λ monomial with unit
-	// coefficient bounds one quantized record by (γ+1)^λ (Lemma 4 with
-	// d = 1, so Δ₁ = Δ₂).
-	if p.Acct != nil {
-		d2 := math.Pow(p.Gamma+1, float64(lambda))
-		p.Acct.AddSkellam(d2, d2, p.Mu)
-	}
-
-	noiseStart := time.Now()
-	noise := sampleNoiseShares(clientRNGs, 1, p.Mu)
-	noiseSample := time.Since(noiseStart)
-
-	// Evaluate with unit coefficient: reuse the quantized-poly machinery
-	// with an identity coefficient (degree gap zero ⇒ scale γ^λ, not
-	// γ^{λ+1}).
+	// Algorithm 3 with an identity coefficient: no degree gap to fill, so
+	// the scale is γ^λ, not γ^{λ+1}.
 	unit := poly.MustMulti(poly.MustPolynomial(x.Cols, poly.Monomial{Coef: 1, Exps: m.Exps}))
 	q := &poly.Quantized{Source: unit, Gamma: 1, Lambda: 0, Coefs: [][]int64{{1}}}
-
-	tr := &Trace{Scale: math.Pow(p.Gamma, float64(lambda)), Lat: p.Latency}
-	var scaled []int64
-	var err error
-	switch {
-	case p.Engine == EnginePlain:
-		scaled, err = plainPolySum(q, qd, noise, tr)
-	case p.Engine.IsMPC():
-		scaled, err = mpcPolySum(q, qd, noise, &p, tr)
-	default:
-		err = errUnknownEngine(p.Engine)
-	}
+	_, tr, err := r.polySum(q, x, math.Pow(p.Gamma, float64(lambda)))
 	if err != nil {
 		return 0, nil, err
 	}
-	tr.Scaled = scaled
-	tr.NoiseCompute += noiseSample
-	tr.Compute = time.Since(start)
-	return m.Coef * float64(scaled[0]) / tr.Scale, tr, nil
+	return m.Coef * float64(tr.Scaled[0]) / tr.Scale, tr, nil
 }
 
-// quantizeByClient runs Algorithm 2 on every column using the owning
-// client's private randomness.
-func quantizeByClient(x *linalg.Matrix, p Params, clientRNGs []*randx.RNG) *quant.IntMatrix {
-	out := quant.NewIntMatrix(x.Rows, x.Cols)
-	for j := 0; j < x.Cols; j++ {
-		g := clientRNGs[p.clientOf(j, x.Cols)]
-		for i := 0; i < x.Rows; i++ {
-			out.Set(i, j, g.StochasticRound(p.Gamma*x.At(i, j)))
-		}
-	}
-	return out
-}
-
-// plainPolySum evaluates the quantized polynomial sum directly and adds
-// the aggregated noise. Output-identical to the BGW engine.
-func plainPolySum(q *poly.Quantized, data *quant.IntMatrix, noise [][]int64, tr *Trace) ([]int64, error) {
-	sum, err := q.EvalIntSum(data)
+// polySum is Algorithm 3 from the quantized coefficients on: the clients
+// quantize their columns and draw their noise shares, the selected
+// engine evaluates Σ_x q(x̂) plus the noise, and the server divides by
+// scale.
+func (r *release) polySum(q *poly.Quantized, x *linalg.Matrix, scale float64) ([]float64, *Trace, error) {
+	qd := quantizeByClient(x, r.p, r.rngs)
+	noise := r.sampleNoise(q.Source.OutDim())
+	scaled, err := r.evaluate(polyBound(q, qd),
+		func() ([]int64, error) {
+			sum, err := q.EvalIntSum(qd)
+			if err == nil {
+				r.addNoise(sum, noise)
+			}
+			return sum, err
+		},
+		func() ([]int64, error) { return r.mpcPolySum(q, qd, noise) })
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	noiseStart := time.Now()
-	for _, shares := range noise {
-		for t, z := range shares {
-			sum[t] += z
-		}
-	}
-	tr.NoiseCompute += time.Since(noiseStart)
-	return sum, nil
+	tr := r.finish(scaled, scale)
+	return tr.estimate(), tr, nil
 }
 
 // mpcPolySum evaluates the quantized polynomial over secret shares with
@@ -163,18 +100,13 @@ func plainPolySum(q *poly.Quantized, data *quant.IntMatrix, noise [][]int64, tr 
 // every multiplication level runs as one batched degree-reduction
 // round, and the outputs open in one batched round — rounds derive from
 // the compiled depth, not hand bookkeeping.
-func mpcPolySum(q *poly.Quantized, data *quant.IntMatrix, noise [][]int64, p *Params, tr *Trace) ([]int64, error) {
-	if err := checkPolyBound(q, data, p.Mu); err != nil {
-		return nil, err
-	}
+func (r *release) mpcPolySum(q *poly.Quantized, data *quant.IntMatrix, noise [][]int64) ([]int64, error) {
+	p := r.p
 	n, m := data.Cols, data.Rows
 	b := circuit.NewBuilder(p.Parties, p.Threshold)
-	cols := make([]bgw.Vec, n)
-	for j := 0; j < n; j++ {
-		owner := p.partyOf(p.clientOf(j, n))
-		cols[j] = b.InputVec(owner, data.Col(j))
-	}
-	// Per-client noise shares are inputs of the same round.
+	cols := p.inputColumns(b, data, n)
+	// Per-client noise shares are scalar inputs of the same round, one
+	// chain per output dimension.
 	noiseStart := time.Now()
 	d := q.Source.OutDim()
 	noiseShared := make([]bgw.Val, d)
@@ -185,8 +117,7 @@ func mpcPolySum(q *poly.Quantized, data *quant.IntMatrix, noise [][]int64, p *Pa
 		}
 		noiseShared[t] = acc
 	}
-	tr.NoiseCompute += time.Since(noiseStart)
-	tr.NoiseRounds++ // the noise inputs share the input round; attribute one round to DP
+	r.noiseTime(noiseStart)
 
 	// Pre-compute column sums (local) for degree-1 monomials.
 	var colSum []bgw.Val
@@ -241,34 +172,20 @@ func mpcPolySum(q *poly.Quantized, data *quant.IntMatrix, noise [][]int64, p *Pa
 		}
 		outIdx[t] = b.OpenIdx(b.Add(acc, noiseShared[t]))
 	}
-	plan, err := b.Compile()
+	res, err := r.runOnce(b, 0xb6d5)
 	if err != nil {
-		return nil, err
-	}
-
-	eng, err := p.newEvaluator(0xb6d5)
-	if err != nil {
-		return nil, err
-	}
-	defer eng.Close()
-	res, err := plan.Execute(eng, circuit.Bindings{})
-	if err != nil {
-		return nil, err
-	}
-	if err := eng.Err(); err != nil {
 		return nil, err
 	}
 	scaled := make([]int64, d)
 	for t := range scaled {
 		scaled[t] = res.Opened(outIdx[t])
 	}
-	tr.Stats = eng.Stats()
 	return scaled, nil
 }
 
-// checkPolyBound statically bounds the aggregate against the field's
-// signed range using the per-record monomial bounds and the noise tail.
-func checkPolyBound(q *poly.Quantized, data *quant.IntMatrix, mu float64) error {
+// polyBound statically bounds the noiseless aggregate from the
+// per-record monomial bounds.
+func polyBound(q *poly.Quantized, data *quant.IntMatrix) float64 {
 	maxAbs := float64(data.MaxAbs())
 	var worst float64
 	for t, pol := range q.Source.Dims {
@@ -280,8 +197,7 @@ func checkPolyBound(q *poly.Quantized, data *quant.IntMatrix, mu float64) error 
 			worst = bt
 		}
 	}
-	bound := worst*float64(data.Rows) + noiseMargin(mu)
-	return checkFieldBound(bound)
+	return worst * float64(data.Rows)
 }
 
 func singleVar(exps []int) int {

@@ -3,25 +3,34 @@
 // polynomial aggregates over a vertically partitioned database without
 // any trusted party.
 //
-// The mechanism (Algorithms 1 and 3):
+// The mechanism (Algorithms 1 and 3) is written once; the polynomial
+// sum, the covariance (one-shot and streamed) and the logistic-regression
+// gradient are instantiations that plug their aggregate into it:
 //
 //  1. every client quantizes its private column with Algorithm 2
-//     (up-scale by γ, stochastic rounding) — package quant;
+//     (up-scale by γ, stochastic rounding) — quantizeByClient, package
+//     quant;
 //  2. the public polynomial's coefficients are pre-processed so that
 //     every monomial carries the same overall factor γ^{λ+1} — package
-//     poly;
+//     poly, or the gradient protocol's link;
 //  3. every client privately samples a share Sk(μ/n) of the Skellam
-//     noise — package randx;
-//  4. the clients run an MPC protocol to compute the quantized aggregate
-//     plus the aggregated noise — either the real BGW engine (package
-//     bgw) or a plaintext integer engine that is output-identical
-//     because BGW computes exactly;
-//  5. the server down-scales the opened result by γ^{λ+1} (γ^λ for the
-//     coefficient-1 monomials of Algorithm 1).
+//     noise — release.sampleNoise, package randx;
+//  4. the static bound on the aggregate is checked against the field,
+//     and only then is the engine selected — release.evaluate, the one
+//     place Params.Engine forks. The plaintext integer engine adds the
+//     shares onto the aggregate (release.addNoise); the BGW engines
+//     (package bgw) record the columns and the per-client noise vectors
+//     as inputs their parties deal (Params.inputColumns, inputNoise) and
+//     run the compiled plan on a fresh engine (release.runOnce). The two
+//     are output-identical because BGW computes exactly;
+//  5. the Trace is closed (release.finish) and the server down-scales
+//     the opened result by γ^{λ+1}, or γ^λ for the coefficient-1
+//     monomials of Algorithm 1 (Trace.estimate).
 //
-// Specialized protocols for the two applications of §V — the covariance
-// matrix for PCA and the Taylor-approximated logistic-regression
-// gradient — live in covariance.go and lr.go.
+// Params.meter books a release with the accountant. The specialized
+// protocols of §V — the covariance matrix for PCA and the
+// Taylor-approximated logistic-regression gradient — live in
+// covariance.go, stream.go and lr.go.
 package core
 
 import (
@@ -31,9 +40,12 @@ import (
 	"time"
 
 	"sqm/internal/bgw"
+	"sqm/internal/circuit"
 	"sqm/internal/dp"
 	"sqm/internal/field"
+	"sqm/internal/linalg"
 	"sqm/internal/obs"
+	"sqm/internal/quant"
 	"sqm/internal/randx"
 	"sqm/internal/retry"
 	"sqm/internal/transport"
@@ -187,6 +199,15 @@ func (p *Params) partyOf(client int) int {
 	return client % p.Parties
 }
 
+// meter books one Skellam release at the given L2/L1 sensitivities — the
+// order every sensitivity function of this repository returns them in —
+// when the caller attached an accountant.
+func (p *Params) meter(delta2, delta1 float64) {
+	if p.Acct != nil {
+		p.Acct.AddSkellam(delta1, delta2, p.Mu)
+	}
+}
+
 // newEvaluator constructs the MPC backend selected by p.Engine. The
 // seed perturbation keeps each protocol's share randomness on its own
 // stream, as before the backends became pluggable. The caller owns the
@@ -199,7 +220,7 @@ func (p *Params) newEvaluator(seedXor uint64) (bgw.Evaluator, error) {
 		rec = p.Trace.Coordinator().Wrap(rec)
 	}
 	cfg := bgw.Config{
-		Parties: p.Parties, Threshold: p.Threshold, Latency: p.Latency,
+		Parties: p.Parties, Threshold: p.Threshold,
 		Seed: p.Seed ^ seedXor, Recorder: rec, RecvTimeout: p.Fault.RecvTimeout,
 	}
 	meshOpts := []transport.Option{transport.WithRecorder(rec)}
@@ -233,6 +254,10 @@ func (p *Params) newEvaluator(seedXor uint64) (bgw.Evaluator, error) {
 	return nil, errUnknownEngine(p.Engine)
 }
 
+func errUnknownEngine(k EngineKind) error {
+	return fmt.Errorf("core: unknown engine %v", k)
+}
+
 // Trace reports diagnostics of one SQM invocation: the scaled integer
 // output, the applied down-scaling, and the cost model inputs used by
 // the timing experiments (Tables II, IV, V).
@@ -259,6 +284,141 @@ func (t *Trace) NoiseTime() time.Duration {
 	return t.NoiseCompute + time.Duration(t.NoiseRounds)*t.Lat
 }
 
+// release is one SQM invocation in flight, from the clients' quantized
+// columns to the server's estimate. Its methods are the stages every
+// instantiation shares; the package comment lists them.
+type release struct {
+	p     *Params
+	rngs  []*randx.RNG // the clients' private streams
+	tr    *Trace
+	start time.Time
+}
+
+// begin starts the clock of one release over the clients' streams.
+func (p *Params) begin(rngs []*randx.RNG) *release {
+	return &release{p: p, rngs: rngs, tr: &Trace{Lat: p.Latency}, start: time.Now()}
+}
+
+// noiseTime books the time since t0 as spent enforcing DP.
+func (r *release) noiseTime(t0 time.Time) { r.tr.NoiseCompute += time.Since(t0) }
+
+// noiseShare is the Skellam parameter of one client's share, μ/n: the n
+// shares sum to the Sk(μ) the accountant is told about.
+func (r *release) noiseShare() float64 { return r.p.Mu / float64(len(r.rngs)) }
+
+// sampleNoise draws every client's share of the noise on dims outputs:
+// out[j][t] ~ Sk(μ/n), client j drawing from its own private stream.
+func (r *release) sampleNoise(dims int) [][]int64 {
+	defer r.noiseTime(time.Now())
+	out := make([][]int64, len(r.rngs))
+	for j, g := range r.rngs {
+		out[j] = g.SkellamVec(dims, r.noiseShare())
+	}
+	return out
+}
+
+// evaluate runs the aggregate on the engine Params selects. bound is the
+// static bound on the noiseless aggregate: it is checked with the noise
+// tail against the field's signed range before the engine is looked at,
+// so every engine refuses the same Params.
+func (r *release) evaluate(bound float64, plain, mpc func() ([]int64, error)) ([]int64, error) {
+	if err := checkFieldBound(bound + noiseMargin(r.p.Mu)); err != nil {
+		return nil, err
+	}
+	switch {
+	case r.p.Engine == EnginePlain:
+		return plain()
+	case r.p.Engine.IsMPC():
+		r.tr.NoiseRounds++ // the noise inputs share the input round; attribute one round to DP
+		return mpc()
+	}
+	return nil, errUnknownEngine(r.p.Engine)
+}
+
+// addNoise is the plain engine's noise injection: every client's share
+// vector added onto the aggregate.
+func (r *release) addNoise(sum []int64, noise [][]int64) {
+	defer r.noiseTime(time.Now())
+	for _, shares := range noise {
+		for t, z := range shares {
+			sum[t] += z
+		}
+	}
+}
+
+// inputColumns records every column of data as an input vector dealt by
+// the party hosting the column's client, in a partition of total columns
+// (the LR label column is one more than data holds).
+func (p *Params) inputColumns(b *circuit.Builder, data *quant.IntMatrix, total int) []bgw.Vec {
+	cols := make([]bgw.Vec, data.Cols)
+	for j := range cols {
+		cols[j] = b.InputVec(p.partyOf(p.clientOf(j, total)), data.Col(j))
+	}
+	return cols
+}
+
+// inputNoise records client j's noise share vector as an input the party
+// hosting it deals, added onto acc (nil starts the chain). The recording
+// names every client's vector; Compile folds the leaves one party deals
+// into that sum tree into a single InputVec of their field sum, so a
+// party hosting n/P clients shares once, not n/P times — and with one
+// client per party nothing folds. The opened integers are the same either
+// way.
+func (p *Params) inputNoise(b *circuit.Builder, acc bgw.Vec, j int, shares []int64) bgw.Vec {
+	v := b.InputVec(p.partyOf(j), shares)
+	if acc == nil {
+		return v
+	}
+	return b.AddVec(acc, v)
+}
+
+// execute runs a plan on eng and returns its result with the engine's
+// counters as the run left them.
+func execute(eng bgw.Evaluator, plan *circuit.Plan, bind circuit.Bindings) (*circuit.Result, bgw.Stats, error) {
+	res, err := plan.Execute(eng, bind)
+	if err == nil {
+		err = eng.Err()
+	}
+	if err != nil {
+		return nil, bgw.Stats{}, err
+	}
+	return res, eng.Stats(), nil
+}
+
+// runOnce compiles what b recorded and executes it on a fresh engine of
+// the selected kind, whose counters become the Trace's.
+func (r *release) runOnce(b *circuit.Builder, seedXor uint64) (*circuit.Result, error) {
+	plan, err := b.Compile()
+	if err != nil {
+		return nil, err
+	}
+	eng, err := r.p.newEvaluator(seedXor)
+	if err != nil {
+		return nil, err
+	}
+	defer eng.Close()
+	res, stats, err := execute(eng, plan, circuit.Bindings{})
+	r.tr.Stats = stats
+	return res, err
+}
+
+// finish closes the Trace on the server's side: it keeps the opened
+// integers and the divisor, and stops the clock.
+func (r *release) finish(scaled []int64, scale float64) *Trace {
+	r.tr.Scaled, r.tr.Scale = scaled, scale
+	r.tr.Compute = time.Since(r.start)
+	return r.tr
+}
+
+// estimate is the server's down-scaling: ŷ/Scale per output.
+func (t *Trace) estimate() []float64 {
+	est := make([]float64, len(t.Scaled))
+	for i, v := range t.Scaled {
+		est[i] = float64(v) / t.Scale
+	}
+	return est
+}
+
 // ErrFieldOverflow reports that the statically bounded aggregate cannot
 // be embedded into the BGW field without wrap-around — the caller must
 // lower γ or μ. Detecting this *before* running the protocol is what
@@ -283,19 +443,6 @@ func checkFieldBound(bound float64) error {
 	return nil
 }
 
-// sampleNoiseShares draws the per-client Skellam shares: out[j][t] ~
-// Sk(mu/n) for client j and output dimension t. Each client uses its own
-// private stream.
-func sampleNoiseShares(clientRNGs []*randx.RNG, dims int, mu float64) [][]int64 {
-	n := len(clientRNGs)
-	out := make([][]int64, n)
-	share := mu / float64(n)
-	for j := range out {
-		out[j] = clientRNGs[j].SkellamVec(dims, share)
-	}
-	return out
-}
-
 // rngFamily derives the root, public-coin and per-client private
 // streams for one invocation.
 func rngFamily(seed uint64, clients int) (pub *randx.RNG, clientRNGs []*randx.RNG) {
@@ -306,4 +453,17 @@ func rngFamily(seed uint64, clients int) (pub *randx.RNG, clientRNGs []*randx.RN
 		clientRNGs[j] = root.Fork()
 	}
 	return pub, clientRNGs
+}
+
+// quantizeByClient runs Algorithm 2 on every column using the owning
+// client's private randomness.
+func quantizeByClient(x *linalg.Matrix, p *Params, clientRNGs []*randx.RNG) *quant.IntMatrix {
+	out := quant.NewIntMatrix(x.Rows, x.Cols)
+	for j := 0; j < x.Cols; j++ {
+		g := clientRNGs[p.clientOf(j, x.Cols)]
+		for i := 0; i < x.Rows; i++ {
+			out.Set(i, j, g.StochasticRound(p.Gamma*x.At(i, j)))
+		}
+	}
+	return out
 }

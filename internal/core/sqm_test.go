@@ -243,12 +243,25 @@ func TestPlainBGWEquivalenceProperty(t *testing.T) {
 	}
 }
 
+// TestFieldOverflowDetectedBeforeBGW: the static bound is checked before
+// the engine is selected, so all four kinds refuse the same Params — the
+// plain engine included, which could have answered (in int64) what the
+// field cannot hold.
 func TestFieldOverflowDetectedBeforeBGW(t *testing.T) {
 	x := randMatrix(4, 2, 1, 9)
-	f := poly.MustMulti(poly.MustPolynomial(2, poly.Monomial{Coef: 1, Exps: []int{1, 1}}))
-	p := Params{Gamma: 4, Mu: 1e38, Engine: EngineBGW, Seed: 1} // noise tail breaks the bound
-	if _, _, err := EvaluatePolynomialSum(f, x, p); err != ErrFieldOverflow {
-		t.Fatalf("err = %v, want ErrFieldOverflow", err)
+	mono := poly.Monomial{Coef: 1, Exps: []int{1, 1}}
+	f := poly.MustMulti(poly.MustPolynomial(2, mono))
+	for _, e := range allEngines() {
+		// The noise tail breaks the polynomial's bound; the aggregate
+		// itself, 4·(2³⁰)², the monomial's.
+		p := Params{Gamma: 4, Mu: 1e38, Engine: e.kind, Parties: e.parties, Seed: 1}
+		if _, _, err := EvaluatePolynomialSum(f, x, p); err != ErrFieldOverflow {
+			t.Errorf("%s polynomial: err = %v, want ErrFieldOverflow", e.name, err)
+		}
+		p = Params{Gamma: 1 << 30, Engine: e.kind, Parties: e.parties, Seed: 1}
+		if _, _, err := EvaluateMonomialSum(mono, x, p); err != ErrFieldOverflow {
+			t.Errorf("%s monomial: err = %v, want ErrFieldOverflow", e.name, err)
+		}
 	}
 }
 

@@ -2,10 +2,8 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"sqm/internal/linalg"
-	"sqm/internal/randx"
 )
 
 // CovarianceStream accumulates the quantized covariance over record
@@ -13,20 +11,20 @@ import (
 // beyond) can be processed in passes: each batch is quantized with the
 // owning clients' randomness, folded into the integer Gram accumulator,
 // and discarded. Finalize injects the per-client Skellam shares and
-// applies the server's down-scaling — the one-shot Covariance and the
-// streamed version are distribution-identical, and bit-identical when
-// the same records arrive in the same order.
+// applies the server's down-scaling with the stages Covariance's plain
+// path runs — the one-shot and the streamed version are
+// distribution-identical, leave the same ledger entry, and are
+// bit-identical when the same records arrive in the same order.
 //
 // The plaintext engine only: streaming the BGW variant would require
 // retaining shares of every batch, which defeats the purpose.
 type CovarianceStream struct {
-	p          Params
-	n          int
-	rows       int
-	upper      []int64
-	clientRNGs []*randx.RNG
-	start      time.Time
-	done       bool
+	p     Params
+	r     *release // clocked from construction
+	n     int
+	rows  int
+	upper []int64
+	done  bool
 }
 
 // NewCovarianceStream prepares an accumulator for n attributes.
@@ -40,8 +38,9 @@ func NewCovarianceStream(n int, p Params) (*CovarianceStream, error) {
 	if p.Engine != EnginePlain {
 		return nil, fmt.Errorf("core: streaming covariance supports the plain engine only")
 	}
-	s := &CovarianceStream{p: p, n: n, upper: make([]int64, n*(n+1)/2), start: time.Now()}
-	_, s.clientRNGs = rngFamily(p.Seed, p.NumClients)
+	s := &CovarianceStream{p: p, n: n, upper: make([]int64, n*(n+1)/2)}
+	_, clientRNGs := rngFamily(p.Seed, p.NumClients)
+	s.r = s.p.begin(clientRNGs)
 	return s, nil
 }
 
@@ -53,27 +52,13 @@ func (s *CovarianceStream) Add(x *linalg.Matrix) error {
 	if x.Cols != s.n {
 		return fmt.Errorf("core: batch has %d columns, want %d", x.Cols, s.n)
 	}
-	qd := quantizeByClient(x, s.p, s.clientRNGs)
+	qd := quantizeByClient(x, &s.p, s.r.rngs)
 	maxAbs := float64(qd.MaxAbs())
 	newRows := s.rows + x.Rows
 	if err := checkFieldBound(maxAbs*maxAbs*float64(newRows) + noiseMargin(s.p.Mu)); err != nil {
 		return err
 	}
-	for i := 0; i < qd.Rows; i++ {
-		row := qd.Row(i)
-		idx := 0
-		for a := 0; a < s.n; a++ {
-			va := row[a]
-			if va == 0 {
-				idx += s.n - a
-				continue
-			}
-			for b := a; b < s.n; b++ {
-				s.upper[idx] += va * row[b]
-				idx++
-			}
-		}
-	}
+	accumulateGram(qd, s.upper)
 	s.rows = newRows
 	return nil
 }
@@ -88,26 +73,7 @@ func (s *CovarianceStream) Finalize() (*linalg.Matrix, *Trace, error) {
 		return nil, nil, fmt.Errorf("core: stream already finalized")
 	}
 	s.done = true
-	tr := &Trace{Scale: s.p.Gamma * s.p.Gamma, Lat: s.p.Latency}
-	noiseStart := time.Now()
-	share := s.p.Mu / float64(len(s.clientRNGs))
-	for _, g := range s.clientRNGs {
-		for k := range s.upper {
-			s.upper[k] += g.Skellam(share)
-		}
-	}
-	tr.NoiseCompute = time.Since(noiseStart)
-	out := linalg.NewMatrix(s.n, s.n)
-	inv := 1 / tr.Scale
-	idx := 0
-	for a := 0; a < s.n; a++ {
-		for b := a; b < s.n; b++ {
-			v := float64(s.upper[idx]) * inv
-			out.Set(a, b, v)
-			out.Set(b, a, v)
-			idx++
-		}
-	}
-	tr.Compute = time.Since(s.start)
+	s.r.drawNoiseOnto(s.upper)
+	out, tr := s.r.finishGram(s.upper, s.n)
 	return out, tr, nil
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"math"
 	"testing"
 
+	"sqm/internal/dp"
 	"sqm/internal/linalg"
 )
 
@@ -41,6 +43,38 @@ func TestStreamMatchesOneShotExactly(t *testing.T) {
 	}
 	if tr.Scale != 64*64 {
 		t.Fatalf("Scale = %v", tr.Scale)
+	}
+}
+
+// TestStreamLedgerMatchesOneShot: the streamed release is the one-shot
+// release, so with the same Params both leave the accountant the same
+// entry.
+func TestStreamLedgerMatchesOneShot(t *testing.T) {
+	x := randMatrix(60, 6, 0.6, 30)
+	ledger := func(run func(p Params) error) float64 {
+		p := Params{Gamma: 64, Mu: 1e6, NumClients: 6, Seed: 31, Acct: dp.NewAccountant(0)}
+		if err := run(p); err != nil {
+			t.Fatal(err)
+		}
+		eps, _ := p.Acct.Epsilon(1e-5)
+		return eps
+	}
+	oneShot := ledger(func(p Params) error {
+		_, _, err := Covariance(x, p)
+		return err
+	})
+	streamed := ledger(func(p Params) error {
+		s, err := NewCovarianceStream(6, p)
+		if err == nil {
+			err = s.Add(x)
+		}
+		if err == nil {
+			_, _, err = s.Finalize()
+		}
+		return err
+	})
+	if oneShot != streamed || math.IsInf(oneShot, 0) || oneShot <= 0 {
+		t.Fatalf("ledger: one-shot eps = %v, streamed eps = %v", oneShot, streamed)
 	}
 }
 

@@ -29,18 +29,15 @@ var shareFuncSources = map[string]bool{
 // results are public by protocol design (the opened value is the
 // output the parties agreed to reveal), so taint stops there.
 var shareSanitizers = map[string]bool{
-	"(sqm/internal/bgw.Engine).Open":           true,
-	"(sqm/internal/bgw.Engine).OpenBatch":      true,
-	"(sqm/internal/bgw.Engine).OpenVec":        true,
-	"(sqm/internal/bgw.Evaluator).Open":        true,
-	"(sqm/internal/bgw.Evaluator).OpenBatch":   true,
-	"(sqm/internal/bgw.Evaluator).OpenVec":     true,
-	"(sqm/internal/circuit.Builder).Open":      true,
-	"(sqm/internal/circuit.Builder).OpenBatch": true,
-	"(sqm/internal/circuit.Builder).OpenVec":   true,
-	"(sqm/internal/circuit.Result).Opened":     true,
-	"(sqm/internal/circuit.Result).OpenedVec":  true,
-	"(sqm/internal/beaver.Engine).Open":        true,
+	"(sqm/internal/bgw.Engine).Open":          true,
+	"(sqm/internal/bgw.Engine).OpenBatch":     true,
+	"(sqm/internal/bgw.Engine).OpenVec":       true,
+	"(sqm/internal/bgw.Evaluator).Open":       true,
+	"(sqm/internal/bgw.Evaluator).OpenBatch":  true,
+	"(sqm/internal/bgw.Evaluator).OpenVec":    true,
+	"(sqm/internal/circuit.Result).Opened":    true,
+	"(sqm/internal/circuit.Result).OpenedVec": true,
+	"(sqm/internal/beaver.Engine).Open":       true,
 	// Vec.Len is a shape accessor on the share-vector interface: the
 	// element count is public protocol metadata (it is checked against
 	// the plan and sent in headers), not share material.
@@ -112,7 +109,7 @@ var AnalyzerShareTaint = &Analyzer{
 			"transport Send/SendN payloads outside bgw, secagg, shamir, transport",
 		},
 		Sanitizers: []string{
-			"sanctioned opens: (bgw.Engine).Open/OpenBatch/OpenVec, Evaluator/circuit.Builder open surfaces, shamir.Reconstruct*, secagg Aggregate*",
+			"sanctioned opens: (bgw.Engine).Open/OpenBatch/OpenVec, the Evaluator open surface, circuit.Result.Opened*, shamir.Reconstruct*, secagg Aggregate*",
 		},
 		Example: `bgw.go:12:3: sharetaint: secret share material flows to fmt sink [sqm/internal/bgw.Shared param s of describe (fix.go:9) → param v of render (fix.go:14) → sink (fix.go:5)]`,
 	},

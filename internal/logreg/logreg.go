@@ -180,14 +180,9 @@ func initWeights(d int, g *randx.RNG) []float64 {
 }
 
 // Sensitivities returns Lemma 7's L2/L1 sensitivities of the quantized
-// per-round gradient sum:
-//
-//	Δ₂ = √((¾γ³)² + 9γ⁵·d + 36γ⁴),  Δ₁ = min(Δ₂², √d·Δ₂).
+// per-round gradient sum, core.LRSensitivity.
 func Sensitivities(gamma float64, d int) (delta2, delta1 float64) {
-	g3 := gamma * gamma * gamma
-	delta2 = math.Sqrt(0.75*0.75*g3*g3 + 9*math.Pow(gamma, 5)*float64(d) + 36*math.Pow(gamma, 4))
-	delta1 = math.Min(delta2*delta2, math.Sqrt(float64(d))*delta2)
-	return delta2, delta1
+	return core.LRSensitivity(gamma, d)
 }
 
 // SensitivityOverhead is Figure 4's relative L2 overhead of
@@ -232,22 +227,47 @@ func CentralNoiseStd(cfg Config) (float64, error) {
 	return calibrateCentral(cfg)
 }
 
-// TrainSQM fits the model under distributed DP in the VFL setting.
+// TrainSQM fits the model under distributed DP in the VFL setting, with
+// the degree-2 Taylor gradient of Eq. (9) at Lemma 7's sensitivities —
+// the curve CalibrateMu solves for.
 func TrainSQM(x *linalg.Matrix, y []float64, cfg Config) (*Model, error) {
+	d2, d1 := Sensitivities(cfg.Gamma, x.Cols)
+	return trainSQM(x, y, cfg, 0x5e4d, d2, d1, func(p core.Params) (*core.LRProtocol, error) {
+		return core.NewLRProtocol(x, y, p)
+	})
+}
+
+// TrainSQMOrder3 fits the model with the order-3 Taylor sigmoid
+// σ(u) ≈ ½ + u/4 − u³/48 — the "more delicate approximation" extension
+// of §V-C, implemented by core.LR3Protocol. Its degree-4 polynomial
+// amplifies by γ⁵, so γ must stay moderate (≲ 2⁹ for unit-norm rows);
+// the sensitivity bound is the protocol's conservative quantized-domain
+// worst case.
+func TrainSQMOrder3(x *linalg.Matrix, y []float64, cfg Config) (*Model, error) {
+	d2, d1 := core.LR3Sensitivity(cfg.Gamma, x.Cols, core.DefaultLR3Precision)
+	return trainSQM(x, y, cfg, 0x5e4e, d2, d1, func(p core.Params) (*core.LRProtocol, error) {
+		return core.NewLR3Protocol(x, y, p, core.DefaultLR3Precision)
+	})
+}
+
+// trainSQM is the SQM training loop at either Taylor order. The
+// sensitivities read (γ, d) only, so μ is calibrated first and build
+// quantizes and shares the data once, at the calibrated noise.
+func trainSQM(x *linalg.Matrix, y []float64, cfg Config, trainerSeed uint64, delta2, delta1 float64,
+	build func(core.Params) (*core.LRProtocol, error)) (*Model, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	mu, err := CalibrateMu(cfg, x.Cols)
+	mu, err := dp.CalibrateSkellamMu(cfg.Eps, cfg.Delta, delta1, delta2, cfg.SampleRate, cfg.Rounds())
 	if err != nil {
 		return nil, err
 	}
-	// Meter the full training run as one subsampled composition at
-	// Lemma 7's sensitivities — the same curve CalibrateMu solved for.
+	// Meter the full training run as one subsampled composition at the
+	// sensitivities μ was calibrated for.
 	if cfg.Acct != nil {
-		d2, d1 := Sensitivities(cfg.Gamma, x.Cols)
-		cfg.Acct.AddSubsampledSkellam(d1, d2, mu, cfg.SampleRate, cfg.Rounds())
+		cfg.Acct.AddSubsampledSkellam(delta1, delta2, mu, cfg.SampleRate, cfg.Rounds())
 	}
-	proto, err := core.NewLRProtocol(x, y, core.Params{
+	proto, err := build(core.Params{
 		Gamma:    cfg.Gamma,
 		Mu:       mu,
 		Engine:   cfg.Engine,
@@ -261,59 +281,7 @@ func TrainSQM(x *linalg.Matrix, y []float64, cfg Config) (*Model, error) {
 		return nil, err
 	}
 	defer proto.Close()
-	g := randx.New(cfg.Seed ^ 0x5e4d)
-	w := initWeights(x.Cols, g)
-	expBatch := cfg.SampleRate * float64(x.Rows)
-	for r := 0; r < cfg.Rounds(); r++ {
-		batch := proto.SampleBatch(cfg.SampleRate)
-		grad, _, err := proto.GradientSum(w, batch)
-		if err != nil {
-			return nil, err
-		}
-		linalg.Axpy(-cfg.LearnRate/expBatch, grad, w)
-		linalg.ClipNorm(w, 1)
-	}
-	return &Model{W: w}, nil
-}
-
-// TrainSQMOrder3 fits the model with the order-3 Taylor sigmoid
-// σ(u) ≈ ½ + u/4 − u³/48 — the "more delicate approximation" extension
-// of §V-C, implemented by core.LR3Protocol. Its degree-4 polynomial
-// amplifies by γ⁵, so γ must stay moderate (≲ 2⁹ for unit-norm rows);
-// the sensitivity bound is the protocol's conservative quantized-domain
-// worst case.
-func TrainSQMOrder3(x *linalg.Matrix, y []float64, cfg Config) (*Model, error) {
-	if err := cfg.normalize(); err != nil {
-		return nil, err
-	}
-	d2, d1 := core.LR3Sensitivity(cfg.Gamma, x.Cols, core.DefaultLR3Precision)
-	mu, err := dp.CalibrateSkellamMu(cfg.Eps, cfg.Delta, d1, d2, cfg.SampleRate, cfg.Rounds())
-	if err != nil {
-		return nil, err
-	}
-	// Meter the run as one subsampled composition at the protocol's
-	// conservative order-3 sensitivities.
-	if cfg.Acct != nil {
-		cfg.Acct.AddSubsampledSkellam(d1, d2, mu, cfg.SampleRate, cfg.Rounds())
-	}
-	// The sensitivity bound reads (γ, d, k) only, so the data is
-	// quantized and shared once, at the calibrated noise.
-	proto, err := core.NewLR3Protocol(x, y, core.Params{
-		Gamma:    cfg.Gamma,
-		Mu:       mu,
-		Engine:   cfg.Engine,
-		Parties:  cfg.Parties,
-		Seed:     cfg.Seed,
-		Recorder: cfg.Recorder,
-		Trace:    cfg.Trace,
-		Fault:    cfg.Fault,
-	}, core.DefaultLR3Precision)
-	if err != nil {
-		return nil, err
-	}
-	defer proto.Close()
-	g := randx.New(cfg.Seed ^ 0x5e4e)
-	w := initWeights(x.Cols, g)
+	w := initWeights(x.Cols, randx.New(cfg.Seed^trainerSeed))
 	expBatch := cfg.SampleRate * float64(x.Rows)
 	for r := 0; r < cfg.Rounds(); r++ {
 		batch := proto.SampleBatch(cfg.SampleRate)

@@ -26,30 +26,6 @@ func LogAdd(a, b float64) float64 {
 	return a + math.Log1p(math.Exp(b-a))
 }
 
-// LogSub returns log(exp(a) - exp(b)) for a >= b, computed stably.
-// It returns NegInf when a == b and NaN when a < b.
-func LogSub(a, b float64) float64 {
-	if math.IsInf(b, -1) {
-		return a
-	}
-	if EqualWithin(a, b, 0) {
-		return NegInf
-	}
-	if a < b {
-		return math.NaN()
-	}
-	return a + math.Log1p(-math.Exp(b-a))
-}
-
-// LogSum returns log(Σ exp(xs[i])) computed stably.
-func LogSum(xs []float64) float64 {
-	s := NegInf
-	for _, x := range xs {
-		s = LogAdd(s, x)
-	}
-	return s
-}
-
 // logFactTable holds log(n!) for n <= logFactMax. The RDP accountant
 // reads it ~2 M times per calibration (dp's Lemma 11 kernel forms ~1 M
 // log-binomial terms, two look-ups each), all at orders far below the
@@ -89,12 +65,6 @@ func LogBinomial(n, k int) float64 {
 		return NegInf
 	}
 	return LogFactorial(n) - LogFactorial(k) - LogFactorial(n-k)
-}
-
-// Binomial returns (n choose k) as a float64. Large results saturate to
-// +Inf rather than overflowing silently.
-func Binomial(n, k int) float64 {
-	return math.Exp(LogBinomial(n, k))
 }
 
 // ErrNoRoot is returned by Bisect when the bracket does not straddle a
@@ -165,20 +135,6 @@ func EqualWithin(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol
 }
 
-// Clamp limits v to the closed interval [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
 // Erfc is the complementary error function (re-exported for callers that
 // otherwise would not import math directly).
 func Erfc(x float64) float64 { return math.Erfc(x) }
-
-// Sqr returns x*x.
-func Sqr(x float64) float64 { return x * x }

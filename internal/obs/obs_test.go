@@ -51,7 +51,7 @@ func TestNopPathAllocationFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Add(1)
 		h.ObserveSince(time.Time{})
-		sp := StartSpan(rec, "bgw.round")
+		sp := StartTracedSpan(rec, "bgw.round", 0)
 		sp.End()
 	})
 	if allocs != 0 {
@@ -200,7 +200,7 @@ func TestSnapshotSortedAndTyped(t *testing.T) {
 func TestSpanRecordsDurationAndEvent(t *testing.T) {
 	var buf bytes.Buffer
 	r := NewLog(&buf, "json", LevelDebug)
-	sp := StartSpan(r, "proto.round", Int("round", 2))
+	sp := StartTracedSpan(r, "proto.round", 0, Int("round", 2))
 	time.Sleep(2 * time.Millisecond)
 	sp.End(Int("msgs", 9))
 	var ev map[string]any
@@ -218,7 +218,7 @@ func TestSpanRecordsDurationAndEvent(t *testing.T) {
 		t.Fatalf("span histogram not observed: %+v", s)
 	}
 	// Spans against a disabled recorder are inert.
-	sp2 := StartSpan(NewLog(&bytes.Buffer{}, "text", LevelInfo), "x")
+	sp2 := StartTracedSpan(NewLog(&bytes.Buffer{}, "text", LevelInfo), "x", 0)
 	sp2.End()
 }
 

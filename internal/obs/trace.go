@@ -320,9 +320,17 @@ func TraceOf(rec Recorder) *PartyTrace {
 	return nil
 }
 
-// TracedSpan is a Span that additionally carries span/parent
-// identifiers when the recorder is trace-wrapped. The zero span (from a
-// disabled recorder) is inert.
+// TracedSpan measures one timed region — a plan execution, a circuit
+// level, a session phase — against a monotonic clock (time.Since uses
+// the runtime's monotonic reading), and carries span/parent identifiers
+// when the recorder is trace-wrapped. Spans are plain values: a disabled
+// recorder yields the zero span whose End is a no-op, so the pattern
+//
+//	sp := obs.StartTracedSpan(rec, "circuit.level", parent, obs.Int("level", l))
+//	... work ...
+//	sp.End()
+//
+// costs one branch when telemetry is off.
 type TracedSpan struct {
 	rec    Recorder
 	name   string
@@ -333,9 +341,9 @@ type TracedSpan struct {
 	hist   *Histogram
 }
 
-// StartTracedSpan opens a span on rec. With an untraced recorder it
-// degrades to StartSpan semantics (no identifiers); with a disabled
-// recorder it returns the inert zero span.
+// StartTracedSpan opens a span on rec; parent 0 makes it a root. With an
+// untraced recorder the span carries no identifiers; with a disabled
+// recorder it is the inert zero span.
 func StartTracedSpan(rec Recorder, name string, parent SpanID, attrs ...Attr) TracedSpan {
 	if rec == nil || !rec.Enabled(LevelDebug) {
 		return TracedSpan{}

@@ -219,9 +219,9 @@ func TestPCATimingRealAndExtrapolated(t *testing.T) {
 	if real.extrapolated || real.total <= 0 {
 		t.Fatalf("small cell should run real BGW: %+v", real)
 	}
-	// Simulated latency floor: 3 rounds x 100 ms.
-	if real.total.Seconds() < 0.3 {
-		t.Fatalf("total %v below the 3-round latency floor", real.total)
+	// Simulated latency floor: 2 rounds (input, opening) x 100 ms.
+	if real.total.Seconds() < 0.2 {
+		t.Fatalf("total %v below the 2-round latency floor", real.total)
 	}
 	o.RealBGWBudget = 1e5
 	ex := pcaTiming(o, 50, 32, 4)

@@ -21,31 +21,45 @@ import (
 // the paper's model (measured compute + rounds × latency); measured is
 // the raw wall-clock the protocol actually ran for on this machine (the
 // calibration run's wall-clock for extrapolated cells), reported
-// alongside so modeled and measured time can be compared directly.
+// alongside so modeled and measured time can be compared directly, and
+// rounds is the wire rounds the modeled latency charges (the protocol's
+// structure: the same at every scale, so never extrapolated).
 type timingResult struct {
 	total, noise time.Duration
 	measured     time.Duration
+	rounds       int64
 	extrapolated bool
 }
 
-func (r timingResult) cells() (string, string, string) {
+// cells renders the result as the timing tables' value columns: overall,
+// noise injection, measured, rounds.
+func (r timingResult) cells() []string {
 	mark := ""
 	if r.extrapolated {
 		mark = "*"
 	}
-	return fmt.Sprintf("%.2f%s", r.total.Seconds(), mark),
+	return []string{
+		fmt.Sprintf("%.2f%s", r.total.Seconds(), mark),
 		fmt.Sprintf("%.2f%s", r.noise.Seconds(), mark),
-		fmt.Sprintf("%.3f", r.measured.Seconds())
+		fmt.Sprintf("%.3f", r.measured.Seconds()),
+		fmt.Sprint(r.rounds),
+	}
 }
 
+// timingHeader is the timing tables' header after the task and the
+// swept parameter.
+var timingHeader = []string{"overall (s)", "noise injection (s)", "measured (s)", "rounds"}
+
 // estimatePCAOps mirrors the bgw package's FieldOps metering for the
-// covariance protocol.
+// covariance protocol: input and noise sharings, the Gram products —
+// which are the terminal level, so no resharing is metered — and one
+// multiplication per opened element.
 func estimatePCAOps(m, n, parties, threshold, clients int) (total, noise int64) {
 	p, t := int64(parties), int64(threshold)
 	pairs := int64(n) * int64(n+1) / 2
 	inputs := int64(m) * int64(n) * p * (t + 1)
 	noiseOps := pairs * int64(clients) * p * (t + 1)
-	dots := pairs * (p*int64(m) + p*(p+t+1))
+	dots := pairs * p * int64(m)
 	open := p * pairs
 	return inputs + noiseOps + dots + open, noiseOps
 }
@@ -57,7 +71,7 @@ func estimateLROps(m, d, parties, threshold, clients int) (total, noise int64) {
 	setup := int64(m) * int64(d+1) * p * (t + 1)
 	fold := int64(m) * int64(d+1) * p
 	noiseOps := int64(clients) * int64(d) * p * (t + 1)
-	inner := int64(d) * (int64(m)*p + p*(p+t+1))
+	inner := int64(d) * int64(m) * p
 	open := p * int64(d)
 	return setup + fold + noiseOps + inner + open, noiseOps
 }
@@ -80,7 +94,7 @@ func pcaTiming(o Options, m, n, parties int) timingResult {
 		if err != nil {
 			return timingResult{}
 		}
-		return timingResult{total: tr.TotalTime(), noise: tr.NoiseTime(), measured: tr.Compute}
+		return timingResult{total: tr.TotalTime(), noise: tr.NoiseTime(), measured: tr.Compute, rounds: tr.Stats.Rounds}
 	}
 	// Calibration run: shrink n until the predicted ops fit a slice of
 	// the budget, then scale the measured per-op cost up.
@@ -102,7 +116,7 @@ func pcaTiming(o Options, m, n, parties int) timingResult {
 	total := time.Duration(float64(est)*secPerOp*float64(time.Second)) + lat
 	noise := time.Duration(float64(estNoise)*noiseSecPerOp*float64(time.Second)) +
 		time.Duration(tr.NoiseRounds)*tr.Lat
-	return timingResult{total: total, noise: noise, measured: tr.Compute, extrapolated: true}
+	return timingResult{total: total, noise: noise, measured: tr.Compute, rounds: tr.Stats.Rounds, extrapolated: true}
 }
 
 func estNoiseOpsPCA(m, n, parties, threshold int) int64 {
@@ -126,14 +140,16 @@ func lrTiming(o Options, m, n, parties int) timingResult {
 	if err != nil {
 		return timingResult{}
 	}
-	run := func(feat *linalg.Matrix, labels []float64) (*core.Trace, time.Duration, error) {
+	// run returns the step's trace, the set-up's wall-clock and the wire
+	// rounds of set-up and step together.
+	run := func(feat *linalg.Matrix, labels []float64) (*core.Trace, time.Duration, int64, error) {
 		start := time.Now()
 		proto, err := core.NewLRProtocol(feat, labels, core.Params{
 			Gamma: 18, Mu: 1e6, NumClients: parties,
 			Engine: core.EngineBGW, Parties: parties, Threshold: threshold, Seed: o.Seed,
 		})
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, 0, err
 		}
 		defer proto.Close()
 		setup := time.Since(start)
@@ -144,17 +160,17 @@ func lrTiming(o Options, m, n, parties int) timingResult {
 		w := randx.New(o.Seed).GaussianVec(feat.Cols, 0.2)
 		_, tr, err := proto.GradientSum(w, batch)
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, 0, err
 		}
-		setupLat := time.Duration(proto.SetupStats().Rounds) * tr.Lat
-		return tr, setup + setupLat, err
+		return tr, setup, proto.SetupStats().Rounds + tr.Stats.Rounds, err
 	}
 	if est <= o.RealBGWBudget {
-		tr, setup, err := run(ds.X, ds.Labels)
+		tr, setup, rounds, err := run(ds.X, ds.Labels)
 		if err != nil {
 			return timingResult{}
 		}
-		return timingResult{total: tr.TotalTime() + setup, noise: tr.NoiseTime(), measured: tr.Compute + setup}
+		measured := tr.Compute + setup
+		return timingResult{total: measured + time.Duration(rounds)*tr.Lat, noise: tr.NoiseTime(), measured: measured, rounds: rounds}
 	}
 	// Extrapolate from a narrower feature set.
 	calD := d
@@ -168,7 +184,7 @@ func lrTiming(o Options, m, n, parties int) timingResult {
 	for i := 0; i < m; i++ {
 		copy(calX.Row(i), ds.X.Row(i)[:calD])
 	}
-	tr, setup, err := run(calX, ds.Labels)
+	tr, setup, rounds, err := run(calX, ds.Labels)
 	if err != nil || tr.Stats.FieldOps == 0 {
 		return timingResult{}
 	}
@@ -176,10 +192,9 @@ func lrTiming(o Options, m, n, parties int) timingResult {
 	scale := float64(est) / float64(calOps)
 	_, wantNoise := estimateLROps(m, d, parties, threshold, parties)
 	noiseScale := float64(wantNoise) / float64(maxI64(calNoise, 1))
-	lat := tr.Stats.NetTime(tr.Lat)
-	total := time.Duration(float64(tr.Compute+setup)*scale) + lat
+	total := time.Duration(float64(tr.Compute+setup)*scale) + time.Duration(rounds)*tr.Lat
 	noise := time.Duration(float64(tr.NoiseCompute)*noiseScale) + time.Duration(tr.NoiseRounds)*tr.Lat
-	return timingResult{total: total, noise: noise, measured: tr.Compute + setup, extrapolated: true}
+	return timingResult{total: total, noise: noise, measured: tr.Compute + setup, rounds: rounds, extrapolated: true}
 }
 
 func maxI64(a, b int64) int64 {
@@ -200,18 +215,14 @@ func Table2(o Options) *Table {
 	tbl := &Table{
 		ID:     "table2",
 		Title:  fmt.Sprintf("SQM time costs via BGW (m=%d records, P=4 clients, gamma=18)", m),
-		Header: []string{"task", "n", "overall (s)", "noise injection (s)", "measured (s)"},
+		Header: append([]string{"task", "n"}, timingHeader...),
 		Notes:  []string{"'*' marks cells extrapolated from a calibrated per-op cost (DESIGN.md substitution 3)"},
 	}
 	for _, n := range ns {
-		r := pcaTiming(o, m, n, 4)
-		total, noise, measured := r.cells()
-		tbl.Rows = append(tbl.Rows, []string{"PCA", fmt.Sprint(n), total, noise, measured})
+		tbl.Rows = append(tbl.Rows, append([]string{"PCA", fmt.Sprint(n)}, pcaTiming(o, m, n, 4).cells()...))
 	}
 	for _, n := range ns {
-		r := lrTiming(o, m, n, 4)
-		total, noise, measured := r.cells()
-		tbl.Rows = append(tbl.Rows, []string{"LR", fmt.Sprint(n), total, noise, measured})
+		tbl.Rows = append(tbl.Rows, append([]string{"LR", fmt.Sprint(n)}, lrTiming(o, m, n, 4).cells()...))
 	}
 	return tbl
 }
@@ -226,18 +237,14 @@ func Table4(o Options) *Table {
 	tbl := &Table{
 		ID:     "table4",
 		Title:  fmt.Sprintf("SQM time costs via BGW (n=%d attributes, P=4 clients, gamma=18)", n),
-		Header: []string{"task", "m", "overall (s)", "noise injection (s)", "measured (s)"},
+		Header: append([]string{"task", "m"}, timingHeader...),
 		Notes:  []string{"noise-injection time should be flat in m; '*' marks extrapolated cells"},
 	}
 	for _, m := range ms {
-		r := pcaTiming(o, m, n, 4)
-		total, noise, measured := r.cells()
-		tbl.Rows = append(tbl.Rows, []string{"PCA", fmt.Sprint(m), total, noise, measured})
+		tbl.Rows = append(tbl.Rows, append([]string{"PCA", fmt.Sprint(m)}, pcaTiming(o, m, n, 4).cells()...))
 	}
 	for _, m := range ms {
-		r := lrTiming(o, m, n, 4)
-		total, noise, measured := r.cells()
-		tbl.Rows = append(tbl.Rows, []string{"LR", fmt.Sprint(m), total, noise, measured})
+		tbl.Rows = append(tbl.Rows, append([]string{"LR", fmt.Sprint(m)}, lrTiming(o, m, n, 4).cells()...))
 	}
 	return tbl
 }
@@ -253,18 +260,14 @@ func Table5(o Options) *Table {
 	tbl := &Table{
 		ID:     "table5",
 		Title:  fmt.Sprintf("SQM time costs via BGW (m=%d, n=%d, gamma=18, sweeping clients P)", m, n),
-		Header: []string{"task", "P", "overall (s)", "noise injection (s)", "measured (s)"},
+		Header: append([]string{"task", "P"}, timingHeader...),
 		Notes:  []string{"both columns grow with P; '*' marks extrapolated cells"},
 	}
 	for _, p := range ps {
-		r := pcaTiming(o, m, n, p)
-		total, noise, measured := r.cells()
-		tbl.Rows = append(tbl.Rows, []string{"PCA", fmt.Sprint(p), total, noise, measured})
+		tbl.Rows = append(tbl.Rows, append([]string{"PCA", fmt.Sprint(p)}, pcaTiming(o, m, n, p).cells()...))
 	}
 	for _, p := range ps {
-		r := lrTiming(o, m, n, p)
-		total, noise, measured := r.cells()
-		tbl.Rows = append(tbl.Rows, []string{"LR", fmt.Sprint(p), total, noise, measured})
+		tbl.Rows = append(tbl.Rows, append([]string{"LR", fmt.Sprint(p)}, lrTiming(o, m, n, p).cells()...))
 	}
 	return tbl
 }

@@ -136,6 +136,8 @@ func TestInnerProductSingleResharing(t *testing.T) {
 	}
 }
 
+// TestStatsMetering drives Mul and Open gate by gate, and a bare Mul
+// always reduces: 3 rounds, whatever a plan would make of the level.
 func TestStatsMetering(t *testing.T) {
 	e := newTestEngine(t, 4)
 	e.ResetStats()
@@ -158,6 +160,43 @@ func TestStatsMetering(t *testing.T) {
 	}
 	if st.FieldOps == 0 {
 		t.Fatal("FieldOps not metered")
+	}
+}
+
+// TestUnreducedLevelMetering: MulBatchUnreduced moves nothing and draws
+// nothing — no frame, no message, the sharing streams where they were —
+// meters the products alone, and the opening that follows charges each
+// party one multiplication per element and reveals the products.
+func TestUnreducedLevelMetering(t *testing.T) {
+	e := newTestEngine(t, 4)
+	a, b := e.Input(0, 6), e.Input(1, -7)
+	v := e.InputVec(2, []int64{1, 2, 3})
+	e.ResetStats()
+	outs := e.MulBatchUnreduced([]MulItem{
+		{Kind: MulScalar, A: a, B: b},
+		{Kind: MulInner, As: []Val{a, b}, Bs: []Val{a, b}},
+		{Kind: MulDot, VA: v, VB: v},
+	})
+	if st := e.Stats(); st != (Stats{FieldOps: 4 * (1 + 2 + 3)}) {
+		t.Fatalf("unreduced level metered %+v, want only 4·6 field operations", st)
+	}
+	got := e.OpenBatch(outs)
+	if want := []int64{-42, 36 + 49, 14}; !equalInt64(got, want) {
+		t.Fatalf("opened %v, want %v", got, want)
+	}
+	if st := e.Stats(); st != (Stats{Frames: 12, Messages: 36, Bytes: 288, FieldOps: 4*6 + 4*3}) {
+		t.Fatalf("after the opening %+v", st)
+	}
+	// A reduced product of the same inputs draws from the sharing streams
+	// at the position two Input calls and an InputVec left them at.
+	ref := newTestEngine(t, 4)
+	ra, rb := ref.Input(0, 6), ref.Input(1, -7)
+	ref.InputVec(2, []int64{1, 2, 3})
+	c, rc := e.Mul(a, b), ref.Mul(ra, rb)
+	for i := range e.parties {
+		if e.parties[i].sc[e.scRef(c)] != ref.parties[i].sc[ref.scRef(rc)] {
+			t.Fatalf("party %d: the unreduced level moved a sharing stream", i)
+		}
 	}
 }
 

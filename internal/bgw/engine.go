@@ -136,8 +136,19 @@ func newEngine(cfg Config, mesh transport.Mesh) (*Engine, error) {
 	weights := shamir.LagrangeAtZero(shamir.PartyPoints(cfg.Parties))
 	root := randx.New(cfg.Seed)
 	for i := 0; i < cfg.Parties; i++ {
-		pa := &actorParty{id: i, p: cfg.Parties, t: t, rng: root.Fork(), weights: weights}
+		pa := &actorParty{id: i, p: cfg.Parties, t: t, rng: root.Fork(), weights: weights,
+			pair: make([]*randx.RNG, cfg.Parties)}
 		e.parties = append(e.parties, pa)
+	}
+	// The pairwise mask streams of the openings are keyed after every
+	// party's fork, so the sharing streams sit where they always have.
+	for i, pa := range e.parties {
+		for j := i + 1; j < cfg.Parties; j++ {
+			key := root.Uint64()
+			pa.pair[j], e.parties[j].pair[i] = randx.New(key), randx.New(key)
+		}
+	}
+	for i, pa := range e.parties {
 		if mesh == nil {
 			pa.link = memLink{hub: e.hub, id: i}
 			pa.chunks = runtime.GOMAXPROCS(0)
@@ -495,7 +506,21 @@ func (e *Engine) scRefs(vs []Val) []int {
 // single batched degree-reduction round: every party computes all local
 // degree-2t values, then one reshare exchange carries every sub-share
 // in one frame per ordered party pair.
-func (e *Engine) MulBatch(items []MulItem) []Val {
+func (e *Engine) MulBatch(items []MulItem) []Val { return e.mulBatch(opMulBatch, items) }
+
+// MulBatchUnreduced evaluates one level of multiplicative gates and
+// stops before the degree reduction: every party keeps its local
+// degree-2t value, nothing is sent and no round passes. The handles may
+// flow through linear gates into an opening and nowhere else — a second
+// multiplication would leave the P points an opening interpolates over
+// (circuit.Plan issues this for a terminal level and refuses to hand
+// such a handle out).
+func (e *Engine) MulBatchUnreduced(items []MulItem) []Val {
+	return e.mulBatch(opMulUnreduced, items)
+}
+
+// mulBatch resolves a level's operands to slots and issues it as op.
+func (e *Engine) mulBatch(op actorOp, items []MulItem) []Val {
 	if len(items) == 0 {
 		return []Val{}
 	}
@@ -519,7 +544,7 @@ func (e *Engine) MulBatch(items []MulItem) []Val {
 		}
 	}
 	out := e.newSharedN(len(items))
-	e.dispatch(actorCmd{op: opMulBatch, x: &cmdPayload{muls: muls}})
+	e.dispatch(actorCmd{op: op, x: &cmdPayload{muls: muls}})
 	return out
 }
 
@@ -548,8 +573,10 @@ func (e *Engine) AdditiveShares(s Val, weights []field.Elem) []field.Elem {
 func (e *Engine) Open(s Val) int64 { return e.OpenBatch([]Val{s})[0] }
 
 // OpenBatch reveals many shared scalars in one batched opening round:
-// the parties exchange shares pairwise, each reconstructs, and party 0
-// reports the values to the caller.
+// every party publishes its additive share of each under the pairwise
+// zero mask (actorParty.publish), each sums the rows, and party 0
+// reports the values to the caller. The sharings may be of degree t or,
+// out of MulBatchUnreduced, 2t.
 func (e *Engine) OpenBatch(vals []Val) []int64 {
 	if len(vals) == 0 {
 		return []int64{}

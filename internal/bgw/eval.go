@@ -5,8 +5,13 @@
 //  1. each party secret-shares its private inputs with Shamir's scheme,
 //  2. addition and scaling are local; each multiplication takes the
 //     pointwise product of shares (a degree-2t sharing) followed by a
-//     degree-reduction resharing round,
-//  3. outputs are opened by exchanging shares and interpolating at 0.
+//     degree-reduction resharing round — except on a level nothing
+//     multiplies after, which keeps its degree-2t values
+//     (MulBatchUnreduced) and saves the round,
+//  3. outputs are opened by interpolating at 0 over all P points, which
+//     2t < P makes right at either degree: every party publishes its
+//     Lagrange-weighted share under a pairwise zero mask and sums the
+//     published rows (PRIVACY.md "Open the degree you hold").
 //
 // There is one implementation of a party (actorParty) and one Engine
 // that drives P of them, inline in the caller's goroutine or as
@@ -54,7 +59,12 @@ type Stats struct {
 	Frames   int64 // physical point-to-point sends (batched frames count once)
 	Messages int64 // logical point-to-point messages
 	Bytes    int64 // payload bytes (8 per field element per message)
-	FieldOps int64 // local field multiplications (cost-model input)
+	// FieldOps counts local field multiplications (the cost-model
+	// input). The count is exact for products, affine gates and
+	// openings — an opening is one λ_i·s_i per element and party, the
+	// rows are summed — and a model for sharings: P·(t+1) per dealt
+	// element, P+t+1 per reshared product and party.
+	FieldOps int64
 }
 
 // NetTime returns the simulated network time for the metered rounds at
@@ -197,6 +207,12 @@ type Evaluator interface {
 	// single degree-reduction round: all sub-shares travel in one frame
 	// per ordered party pair. Results are returned in item order.
 	MulBatch(items []MulItem) []Val
+	// MulBatchUnreduced evaluates one level of multiplicative gates
+	// without the degree reduction: no traffic, no round. The results
+	// are degree-2t sharings, good for linear gates and openings only;
+	// circuit.Plan.Execute issues it for a level nothing multiplies
+	// after.
+	MulBatchUnreduced(items []MulItem) []Val
 	// OpenBatch reveals many shared scalars in one batched opening
 	// round (one frame per ordered party pair carrying every share).
 	OpenBatch(vals []Val) []int64

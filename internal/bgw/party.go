@@ -29,6 +29,7 @@ const (
 	opLinComb
 	opFromScalars
 	opMulBatch
+	opMulUnreduced
 	opOpenBatch
 	opOpenVec
 	opAdditive
@@ -72,7 +73,7 @@ type cmdPayload struct {
 	ints    []int64      // signed input vector (opInputVec), coefficients (opLinComb)
 	inputs  []InputItem  // scalar inputs (opInputBatch)
 	refs    []int        // scalar slots (opFromScalars, opOpenBatch), element indices (opGather), vector slots (opLinComb)
-	muls    []mulDesc    // gate list (opMulBatch)
+	muls    []mulDesc    // gate list (opMulBatch, opMulUnreduced)
 	weights []field.Elem // Lagrange weights (opAdditive)
 	reply   chan actorReply
 }
@@ -89,16 +90,25 @@ type actorReply struct {
 // actorParty is one BGW party: it owns its share slots and its private
 // randomness, and talks to its peers only through its link. Every
 // command has a sending half (local arithmetic, sharing, the rows that
-// leave) and a receiving half (the rows that arrive, the Lagrange fold,
-// the slots filled, the reply). A party goroutine runs the halves back
-// to back; the inline driver runs the first half on every party and
-// then the second on every party.
+// leave) and a receiving half (the rows that arrive, the Lagrange fold
+// of a resharing or the sum of an opening, the slots filled, the reply).
+// A party goroutine runs the halves back to back; the inline driver runs
+// the first half on every party and then the second on every party.
 type actorParty struct {
 	id, p, t int
 	rng      *randx.RNG
 	weights  []field.Elem
 	link     link
 	cmds     chan []actorCmd // command batches of a party goroutine; nil inline
+	// pair[j] is this party's end of the mask stream it shares with peer
+	// j (nil at its own index): both ends are seeded alike, once, and
+	// advance together because every party opens the same elements in
+	// the same order. A deployment keys them from a pairwise key
+	// agreement at dial time; here they come from Config.Seed.
+	pair []*randx.RNG
+	// bare publishes an opening without its zero mask. Test-only: the
+	// negative control of the simulator test.
+	bare bool
 	// chunks is how many goroutines a MulBatch's products split over.
 	// The driver that builds the party decides: inline parties run one
 	// after another and take every core, parties behind a mesh already
@@ -109,6 +119,8 @@ type actorParty struct {
 	vc       [][]field.Elem // vector share slots
 	pend     []field.Elem   // this party's own row, kept between the halves
 	sh       shareScratch   // working memory of the sharing sites
+	pub      []field.Elem   // the row an OpenVec publishes (grow-only)
+	acc      []field.Elem   // the sum of an opening's rows (grow-only)
 	fieldOps int64
 	err      error
 }
@@ -230,48 +242,83 @@ func (a *actorParty) send(c *actorCmd) error {
 	case opMulBatch:
 		// One degree-reduction round: the local degree-2t value of every
 		// gate, Shamir-shared from this party's stream in gate order, one
-		// row of sub-shares to each peer. Op metering runs serially
-		// (shape-only); the products split into chunks and carry no
-		// randomness, so every chunk count computes identical highs.
-		muls := c.x.muls
-		for _, d := range muls {
-			switch d.kind {
-			case MulScalar:
-				a.fieldOps++
-			case MulInner:
-				a.fieldOps += int64(len(d.refs))
-			case MulDot:
-				a.fieldOps += int64(len(a.vc[d.a]))
-			}
-		}
-		highs := make([]field.Elem, len(muls))
-		parallelChunks(len(muls), a.chunks, func(start, end int) {
-			for m := start; m < end; m++ {
-				switch d := muls[m]; d.kind {
-				case MulScalar:
-					highs[m] = field.Mul(a.sc[d.a], a.sc[d.b])
-				case MulInner:
-					var acc field.Elem
-					for i := range d.refs {
-						acc = field.Add(acc, field.Mul(a.sc[d.refs[i]], a.sc[d.refs2[i]]))
-					}
-					highs[m] = acc
-				case MulDot:
-					highs[m] = field.DotAcc(0, a.vc[d.a], a.vc[d.b])
-				}
-			}
-		})
+		// row of sub-shares to each peer.
+		highs := make([]field.Elem, len(c.x.muls))
+		a.products(highs, c.x.muls)
 		rows := a.sh.share(highs, a.p, a.t, a.rng)
 		a.pend = rows[a.id]
 		return a.sendRows(rows)
+	case opMulUnreduced:
+		// The same local values, kept: the slots hold this party's point
+		// of a degree-2t sharing, no randomness is drawn and nothing is
+		// sent. Only linear gates and openings may read them.
+		base := len(a.sc)
+		a.sc = append(a.sc, make([]field.Elem, len(c.x.muls))...)
+		a.products(a.sc[base:], c.x.muls)
 	case opOpenBatch:
-		a.pend = a.gather(c.x.refs)
+		row := a.gather(c.x.refs)
+		a.pend = a.publish(row, row)
 		return a.broadcast(a.pend)
 	case opOpenVec:
-		a.pend = a.vc[c.a]
+		a.pub = growElems(a.pub, len(a.vc[c.a]))
+		a.pend = a.publish(a.pub, a.vc[c.a])
 		return a.broadcast(a.pend)
 	}
 	return nil
+}
+
+// products leaves in highs the local product of every gate: this
+// party's point of the degree-2t sharing of each. Op metering runs
+// serially (shape-only); the products split into chunks and carry no
+// randomness, so every chunk count computes identical highs.
+func (a *actorParty) products(highs []field.Elem, muls []mulDesc) {
+	for _, d := range muls {
+		switch d.kind {
+		case MulScalar:
+			a.fieldOps++
+		case MulInner:
+			a.fieldOps += int64(len(d.refs))
+		case MulDot:
+			a.fieldOps += int64(len(a.vc[d.a]))
+		}
+	}
+	parallelChunks(len(muls), a.chunks, func(start, end int) {
+		for m := start; m < end; m++ {
+			switch d := muls[m]; d.kind {
+			case MulScalar:
+				highs[m] = field.Mul(a.sc[d.a], a.sc[d.b])
+			case MulInner:
+				var acc field.Elem
+				for i := range d.refs {
+					acc = field.Add(acc, field.Mul(a.sc[d.refs[i]], a.sc[d.refs2[i]]))
+				}
+				highs[m] = acc
+			case MulDot:
+				highs[m] = field.DotAcc(0, a.vc[d.a], a.vc[d.b])
+			}
+		}
+	})
+}
+
+// publish leaves in dst (which may be shares itself) the row this party
+// contributes to an opening: its additive share λ_i·s_i of every secret
+// — the Lagrange weights span all P points, so a sharing of any degree
+// up to P−1 ≥ 2t opens — plus its share ζ_i of zero, the telescoping
+// pairwise mask. The rows of all parties sum to the secrets, and to
+// whoever lacks the stream two of the parties share, those two rows are
+// uniform subject to that sum (PRIVACY.md "Open the degree you hold").
+func (a *actorParty) publish(dst, shares []field.Elem) []field.Elem {
+	field.MulConstVec(dst, shares, a.weights[a.id])
+	a.fieldOps += int64(len(dst))
+	if a.bare {
+		return dst
+	}
+	for j, stream := range a.pair {
+		if j != a.id {
+			field.PairMask(dst, a.id, j, stream)
+		}
+	}
+	return dst
 }
 
 // recv is the receiving half. Commands carrying a reply channel send
@@ -328,12 +375,21 @@ func (a *actorParty) recv(c *actorCmd) error {
 		// This party's slice of the resharing cost model.
 		a.fieldOps += int64(n * (a.p + a.t + 1))
 	case opOpenBatch, opOpenVec:
-		// Every party reconstructs; only party 0 decodes for the caller.
-		vals := make([]field.Elem, len(a.pend))
-		if err := a.fold(vals, a.pend); err != nil {
-			return err
+		// Every party reconstructs — the published rows sum to the
+		// secrets — and only party 0 decodes for the caller.
+		a.acc = growElems(a.acc, len(a.pend))
+		vals := a.acc
+		copy(vals, a.pend)
+		for j := 0; j < a.p; j++ {
+			if j == a.id {
+				continue
+			}
+			row, err := a.link.recv(j, len(vals))
+			if err != nil {
+				return err
+			}
+			field.AddVec(vals, vals, row)
 		}
-		a.fieldOps += int64(len(vals))
 		r := actorReply{party: a.id}
 		if a.id == 0 {
 			r.vals = make([]int64, len(vals))
@@ -397,9 +453,9 @@ func (a *actorParty) broadcast(row []field.Elem) error {
 
 // fold takes one row of len(dst) elements from every peer and leaves in
 // dst the Lagrange combination at zero of those rows and mine, this
-// party's own: the new degree-t shares after a resharing, the secrets
-// after an opening. Sends never block, so the all-send-then-all-receive
-// shape of both rounds cannot deadlock.
+// party's own: the new degree-t shares after a resharing. Sends never
+// block, so the all-send-then-all-receive shape of a round cannot
+// deadlock.
 func (a *actorParty) fold(dst, mine []field.Elem) error {
 	field.MulConstVec(dst, mine, a.weights[a.id])
 	for j := 0; j < a.p; j++ {

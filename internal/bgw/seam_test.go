@@ -12,8 +12,9 @@ import (
 
 // seamProgram runs a seeded random program over every command that has
 // two halves or fills a slot: scalar and vector inputs, local gates
-// (vector ones keep length 11: Gather draws 11 indices), two MulBatch
-// levels of all three kinds, an OpenBatch and an OpenVec.
+// (vector ones keep length 11: Gather draws 11 indices), a MulBatch and
+// a MulBatchUnreduced level of all three kinds, an OpenBatch and an
+// OpenVec.
 func seamProgram(ev *Engine, seed uint64) []int64 {
 	g := randx.New(seed)
 	p := ev.Parties()
@@ -77,13 +78,17 @@ func seamProgram(ev *Engine, seed uint64) []int64 {
 				muls[i] = MulItem{Kind: MulDot, VA: pickVec(), VB: pickVec()}
 			}
 		}
-		outs := ev.MulBatch(muls)
-		ev.AdvanceRound()
 		if level == 1 {
+			// The last level as Plan.Execute issues a terminal one: kept at
+			// degree 2t, through a linear gate, opened.
+			outs := ev.MulBatchUnreduced(muls)
+			outs[0] = ev.Add(outs[0], pick())
 			opened := append(ev.OpenBatch(outs), ev.OpenVec(ev.AddVec(pickVec(), pickVec()))...)
 			ev.AdvanceRound()
 			return opened
 		}
+		outs := ev.MulBatch(muls)
+		ev.AdvanceRound()
 		// The second level multiplies the first one's outputs.
 		vals = append(vals, outs...)
 		packed := make([]Val, 11)

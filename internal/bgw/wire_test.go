@@ -20,7 +20,8 @@ type refWire struct {
 	p, t    int
 	rngs    []*randx.RNG
 	weights []field.Elem
-	frames  [][][][]byte // frames[from][to]: payloads in send order
+	pair    [][]*randx.RNG // pair[i][j]: party i's end of the mask stream it shares with j
+	frames  [][][][]byte   // frames[from][to]: payloads in send order
 }
 
 func newRefWire(cfg Config) *refWire {
@@ -29,6 +30,13 @@ func newRefWire(cfg Config) *refWire {
 	root := randx.New(cfg.Seed) // the engines' seed derivation
 	for i := 0; i < r.p; i++ {
 		r.rngs = append(r.rngs, root.Fork())
+		r.pair = append(r.pair, make([]*randx.RNG, r.p))
+	}
+	for i := 0; i < r.p; i++ {
+		for j := i + 1; j < r.p; j++ {
+			key := root.Uint64()
+			r.pair[i][j], r.pair[j][i] = randx.New(key), randx.New(key)
+		}
 	}
 	r.frames = linkFrames(r.p)
 	return r
@@ -100,12 +108,28 @@ func (r *refWire) dotBatch(pairs [][2][][]field.Elem) [][]field.Elem {
 	return out
 }
 
-// open has every party broadcast its shares.
+// open has every party broadcast its additive shares λ_i·s_i under the
+// telescoping mask: peer by peer, element by element, the pair's stream
+// added by the smaller index and subtracted by the larger.
 func (r *refWire) open(shares [][]field.Elem) {
 	for i := 0; i < r.p; i++ {
+		row := make([]field.Elem, len(shares[i]))
+		for k, s := range shares[i] {
+			row[k] = field.Mul(r.weights[i], s)
+		}
+		for j := 0; j < r.p; j++ {
+			for k := range row {
+				switch {
+				case i < j:
+					row[k] = field.Add(row[k], field.Rand(r.pair[i][j]))
+				case i > j:
+					row[k] = field.Sub(row[k], field.Rand(r.pair[i][j]))
+				}
+			}
+		}
 		for j := 0; j < r.p; j++ {
 			if j != i {
-				r.send(i, j, shares[i])
+				r.send(i, j, row)
 			}
 		}
 	}

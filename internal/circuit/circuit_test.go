@@ -2,6 +2,7 @@ package circuit
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"sqm/internal/bgw"
@@ -30,9 +31,10 @@ func TestCompileLevels(t *testing.T) {
 	if plan.MulGates() != 2 {
 		t.Fatalf("mul gates = %d, want 2", plan.MulGates())
 	}
-	// input round + 2 levels + output round
-	if plan.Rounds() != 4 {
-		t.Fatalf("rounds = %d, want 4", plan.Rounds())
+	// input round + level 1's reduction + output round: level 2 feeds
+	// only the Sub and the opening, so it is terminal and costs no round.
+	if plan.Rounds() != 3 {
+		t.Fatalf("rounds = %d, want 3", plan.Rounds())
 	}
 	if plan.EagerRounds() != 4 {
 		t.Fatalf("eager rounds = %d, want 4", plan.EagerRounds())
@@ -86,10 +88,13 @@ func TestExecuteMatchesPlainAcrossEngines(t *testing.T) {
 }
 
 // TestExecuteEmitsLevelSpans pins the executor's instrumentation: with
-// a debug-level recorder on the engine, every batched level and the
-// open round produce spans, observed in the recorder's registry.
+// a debug-level recorder on the engine, every multiplicative level and
+// the open round produce spans, observed in the recorder's registry —
+// Depth() level spans still, the terminal one saying that it did not
+// reduce and moved nothing.
 func TestExecuteEmitsLevelSpans(t *testing.T) {
-	rec := obs.NewLog(&bytes.Buffer{}, "json", obs.LevelDebug)
+	var log bytes.Buffer
+	rec := obs.NewLog(&log, "json", obs.LevelDebug)
 	b := NewBuilder(4, 0).SetRecorder(rec)
 	if b.Recorder() != obs.Recorder(rec) {
 		t.Fatal("SetRecorder not surfaced through Recorder()")
@@ -112,6 +117,25 @@ func TestExecuteEmitsLevelSpans(t *testing.T) {
 	}
 	if got := m.Histogram("circuit.open.seconds").Snapshot().Count; got != 1 {
 		t.Fatalf("circuit.open spans = %d, want 1", got)
+	}
+	var reduced []bool
+	for _, line := range bytes.Split(log.Bytes(), []byte("\n")) {
+		var ev struct {
+			Msg     string
+			Reduced bool
+			Frames  int64
+			Rounds  int64
+		}
+		if json.Unmarshal(line, &ev) != nil || ev.Msg != "circuit.level" {
+			continue
+		}
+		reduced = append(reduced, ev.Reduced)
+		if !ev.Reduced && (ev.Frames != 0 || ev.Rounds != 0) {
+			t.Errorf("unreduced level span carries %d frames and %d rounds, want none", ev.Frames, ev.Rounds)
+		}
+	}
+	if len(reduced) != 2 || !reduced[0] || reduced[1] {
+		t.Fatalf("circuit.level spans reduced = %v, want [true false]", reduced)
 	}
 }
 
@@ -154,7 +178,8 @@ func TestParamsRebindAcrossExecutions(t *testing.T) {
 }
 
 // TestBatchedLevelIsOneFrameExchange: N independent muls of one level
-// must cost one reshare exchange — P(P−1) frames — regardless of N.
+// must cost one reshare exchange — P(P−1) frames — regardless of N, and
+// the N muls of the terminal level above it none.
 func TestBatchedLevelIsOneFrameExchange(t *testing.T) {
 	const p, n = 4, 9
 	build := func() *Plan {
@@ -163,18 +188,14 @@ func TestBatchedLevelIsOneFrameExchange(t *testing.T) {
 		for i := range xs {
 			xs[i] = b.Input(i%p, int64(i+1))
 		}
-		prods := make([]bgw.Val, n)
 		for i := range xs {
-			prods[i] = b.Mul(xs[i], xs[(i+1)%n])
-		}
-		for _, v := range prods {
-			b.OpenIdx(v)
+			b.OpenIdx(b.Mul(b.Mul(xs[i], xs[(i+1)%n]), xs[i]))
 		}
 		return b.MustCompile()
 	}
 	plan := build()
-	if plan.Depth() != 1 || plan.MulGates() != n {
-		t.Fatalf("depth %d mulgates %d, want 1 and %d", plan.Depth(), plan.MulGates(), n)
+	if plan.Depth() != 2 || plan.MulGates() != 2*n {
+		t.Fatalf("depth %d mulgates %d, want 2 and %d", plan.Depth(), plan.MulGates(), 2*n)
 	}
 
 	run := func(exec func(bgw.Evaluator, Bindings) (*Result, error)) (rounds, frames int64, opened []int64) {
@@ -204,9 +225,10 @@ func TestBatchedLevelIsOneFrameExchange(t *testing.T) {
 	if eRounds != int64(plan.EagerRounds()) {
 		t.Errorf("eager rounds = %d, want %d", eRounds, plan.EagerRounds())
 	}
-	// Planned frames: every level is one frame per link. The n scalar
+	// Planned frames: every round is one frame per link. The n scalar
 	// inputs share in one InputBatch — each of the p owners sends p−1
-	// frames — then one reshare exchange, then one batched opening.
+	// frames — then one reshare exchange for level 1, none for level 2,
+	// which is opened at the degree it has, then one batched opening.
 	const owners = p // n ≥ p inputs dealt round-robin: every party owns some
 	wantPlanned := int64(owners*(p-1) + p*(p-1) + p*(p-1))
 	if pFrames != wantPlanned {
@@ -214,7 +236,7 @@ func TestBatchedLevelIsOneFrameExchange(t *testing.T) {
 	}
 	// Eager frames: one Input per scalar, one reshare exchange per gate,
 	// one opening exchange per output.
-	wantEager := int64(n*(p-1) + n*p*(p-1) + n*p*(p-1))
+	wantEager := int64(n*(p-1) + 2*n*p*(p-1) + n*p*(p-1))
 	if eFrames != wantEager {
 		t.Errorf("eager frames = %d, want %d", eFrames, wantEager)
 	}

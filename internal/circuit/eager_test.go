@@ -7,7 +7,9 @@ import "sqm/internal/bgw"
 // drove an engine before plans existed — one InputElem per scalar input,
 // one Mul / InnerProduct / Dot and one wire round per multiplicative
 // gate, one Open per scalar output. BGW computes exactly, so it must open
-// what Execute opens, bit for bit, in EagerRounds rounds.
+// what Execute opens, bit for bit, in EagerRounds rounds. It reduces
+// after every gate, the last level's too: the oracle for the terminal
+// level Execute leaves unreduced.
 func (p *Plan) runEager(eng bgw.Evaluator, bind Bindings) (*Result, error) {
 	if err := p.validate(bind); err != nil {
 		return nil, err
@@ -66,7 +68,15 @@ func (p *Plan) MulGates() int {
 }
 
 // EagerRounds returns the wire rounds of runEager, the gate-by-gate
-// baseline the scheduler improves on.
+// baseline the scheduler improves on: the input round, one per
+// multiplicative gate, the opening round.
 func (p *Plan) EagerRounds() int {
-	return p.Rounds() - p.depth + p.MulGates()
+	r := p.MulGates()
+	if p.hasInputs {
+		r++
+	}
+	if p.hasOpens() {
+		r++
+	}
+	return r
 }

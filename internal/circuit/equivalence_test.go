@@ -17,10 +17,11 @@ import (
 // leading InputBatch — ahead of locals and InputVecs recorded before
 // it — is exercised on every seed. Sum trees over inputs
 // that few owners deal (sumTree, sumTreeVec) arrive too, so Compile's
-// fold pass has something to rewrite on most seeds. The shape is fully
-// determined by rng, so the same seed rebuilds the same circuit for
-// every backend; the returned bindings fill the scalar trees' parameter
-// leaves.
+// fold pass has something to rewrite on most seeds. Half the seeds end
+// in a terminalTail, which decides whether the last multiplicative level
+// is opened unreduced. The shape is fully determined by rng, so the same
+// seed rebuilds the same circuit for every backend; the returned
+// bindings fill the scalar trees' parameter leaves.
 func randomCircuit(b *Builder, rng *rand.Rand) Bindings {
 	const p = 4
 	var bind Bindings
@@ -122,7 +123,39 @@ func randomCircuit(b *Builder, rng *rand.Rand) Bindings {
 		b.OpenIdx(pick())
 	}
 	b.OpenVecIdx(vecs[rng.Intn(len(vecs))])
+	// Drawn last, so a seed records the gates above whatever the tail is.
+	if tail := rng.Intn(4); tail >= 2 {
+		terminalTail(b, rng, vals, vecs, tail == 3)
+	}
 	return bind
+}
+
+// terminalTail puts one more multiplicative level on top of everything
+// recorded. The sum of every scalar and of one element of every vector
+// sits at the circuit's deepest level, so its products with earlier
+// values are alone on the level above. They flow through linear gates —
+// a fresh degree-t input vector among them, as the noise of an SQM
+// release is — into a scalar and a vector opening: mul → linear → open,
+// the shape whose level Compile marks terminal. With dangling, one more
+// linear gate reads a product and nothing reads the gate: a handle a
+// later plan could bind, which must keep the level reduced.
+func terminalTail(b *Builder, rng *rand.Rand, vals []bgw.Val, vecs []bgw.Vec, dangling bool) {
+	top := vals[0]
+	for _, v := range vals[1:] {
+		top = b.Add(top, v)
+	}
+	for _, v := range vecs {
+		top = b.Add(top, b.At(v, rng.Intn(v.Len())))
+	}
+	pick := func() bgw.Val { return vals[rng.Intn(len(vals))] }
+	m1 := b.Mul(top, pick())
+	m2 := b.InnerProduct([]bgw.Val{top, pick()}, []bgw.Val{pick(), top})
+	b.OpenIdx(b.AddConst(b.Sub(m1, m2), int64(rng.Intn(101)-50)))
+	noise := b.InputVec(rng.Intn(4), []int64{int64(rng.Intn(201) - 100), int64(rng.Intn(201) - 100)})
+	b.OpenVecIdx(b.AddVec(b.FromScalars([]bgw.Val{m1, m2}), noise))
+	if dangling {
+		b.MulConst(m1, 3)
+	}
 }
 
 // sumTree records a sum of 2–7 scalar leaves dealt by at most two
@@ -313,6 +346,31 @@ func TestPlanEquivalenceRandomCircuits(t *testing.T) {
 // there for the vector gates: each records Gather (an empty one too) and
 // LinComb several times over.
 var fuzzSeeds = []int64{0, 1, 2, 3, 4, 5, 6, 7, 19, 43, 51}
+
+// TestFuzzCorpusReachesTerminalShapes keeps the corpus honest about the
+// last multiplicative level: its seeds must compile plans that leave it
+// unreduced (mul → linear → open), plans that reduce it because a
+// top-level handle dangles beside the opening, and plans without a tail.
+func TestFuzzCorpusReachesTerminalShapes(t *testing.T) {
+	var terminal, dangling, plain int
+	for _, seed := range fuzzSeeds {
+		b := NewBuilder(4, 0)
+		randomCircuit(b, rand.New(rand.NewSource(seed)))
+		last := b.nodes[len(b.nodes)-1].kind
+		plan := b.MustCompile()
+		switch {
+		case plan.terminal:
+			terminal++
+		case last == kMulConst && plan.depth > 0:
+			dangling++
+		default:
+			plain++
+		}
+	}
+	if terminal == 0 || dangling == 0 || plain == 0 {
+		t.Fatalf("corpus compiles %d terminal plans, %d with a dangling top-level handle, %d others; want each", terminal, dangling, plain)
+	}
+}
 
 // TestFuzzCorpusReachesVectorGates keeps the corpus honest when
 // randomCircuit's draws shift: its seeds must still record a Gather, a

@@ -38,32 +38,39 @@ func (r *Result) Opened(k int) int64 { return r.opened[k] }
 func (r *Result) OpenedVec(k int) []int64 { return r.openedVecs[k] }
 
 // ValOf returns the engine handle the execution produced for a
-// recorded scalar, for use as an ExtVal binding of a later plan. A
-// handle Compile folded into its dealer's sum (see Builder.Input) has no
-// sharing of its own: asking for it is an invariant violation.
+// recorded scalar, for use as an ExtVal binding of a later plan. Two
+// kinds of handle do not resolve, and asking for one is an invariant
+// violation: a handle Compile folded into its dealer's sum (see
+// Builder.Input) has no sharing of its own, and a node of a terminal
+// level (see Plan.schedule) holds a degree-2t sharing that only an
+// opening may consume.
 func (r *Result) ValOf(h bgw.Val) bgw.Val {
 	v, ok := h.(*Val)
 	if !ok {
 		panic(invariant.Violation("circuit: ValOf needs a circuit handle"))
 	}
-	r.plan.checkUnfolded(v.id)
+	r.plan.checkReadable(v.id)
 	return r.vals[v.id]
 }
 
 // VecOf returns the engine handle for a recorded vector, under ValOf's
-// rule for folded handles.
+// rule for folded and terminal-level handles.
 func (r *Result) VecOf(h bgw.Vec) bgw.Vec {
 	v, ok := h.(*Vec)
 	if !ok {
 		panic(invariant.Violation("circuit: VecOf needs a circuit handle"))
 	}
-	r.plan.checkUnfolded(v.id)
+	r.plan.checkReadable(v.id)
 	return r.vecs[v.id]
 }
 
-func (p *Plan) checkUnfolded(id int32) {
-	if p.nodes[id].folded {
+func (p *Plan) checkReadable(id int32) {
+	n := &p.nodes[id]
+	if n.folded {
 		panic(invariant.Violation("circuit: node %d was folded into its dealer's input sum by Compile and has no sharing of its own; give the leaf a second consumer or read the sum tree's root", id))
+	}
+	if p.terminal && int(n.level) == p.depth {
+		panic(invariant.Violation("circuit: node %d sits on the plan's terminal level, which Execute left unreduced: its sharing has degree 2t and may only be opened; record a handle nothing consumes at that level to keep the level reduced", id))
 	}
 }
 
@@ -87,16 +94,18 @@ func (p *Plan) validate(bind Bindings) error {
 // Execute runs the plan against eng with level batching: all inputs
 // share in one round (every scalar input in one InputBatch, one frame
 // per owner and peer; one frame per peer for each input vector), each
-// multiplicative level runs as one batched degree-reduction round, and
-// all outputs open in one batched round — Stats.Rounds advances by
-// exactly Plan.Rounds().
+// multiplicative level runs as one batched degree-reduction round —
+// except a terminal level, whose products stay at degree 2t in their
+// slots at the cost of no traffic and no round — and all outputs open in
+// one batched round: Stats.Rounds advances by exactly Plan.Rounds().
 //
 // When the engine's recorder admits debug events, the execution is
 // traced: one "circuit.exec" span for the whole run with one
-// "circuit.level" child per batched multiplication round and a
-// "circuit.open" child for the output round, each carrying gate counts
-// and the engine's frame/round deltas. Disabled telemetry skips all of
-// it (the spans are inert and Stats is never read).
+// "circuit.level" child per multiplicative level (reduced=false and no
+// frames on a terminal one) and a "circuit.open" child for the output
+// round, each carrying gate counts and the engine's frame/round deltas.
+// Disabled telemetry skips all of it (the spans are inert and Stats is
+// never read).
 func (p *Plan) Execute(eng bgw.Evaluator, bind Bindings) (*Result, error) {
 	if err := p.validate(bind); err != nil {
 		return nil, err
@@ -149,8 +158,9 @@ func (p *Plan) Execute(eng bgw.Evaluator, bind Bindings) (*Result, error) {
 	}
 	for lvl := 1; lvl <= p.depth; lvl++ {
 		gates := p.muls[lvl-1]
+		reduce := lvl < p.depth || !p.terminal
 		sp := obs.StartTracedSpan(rec, "circuit.level", exec.ID(),
-			obs.Int("level", lvl), obs.Int("gates", len(gates)))
+			obs.Int("level", lvl), obs.Int("gates", len(gates)), obs.Bool("reduced", reduce))
 		items := make([]bgw.MulItem, len(gates))
 		for i, id := range gates {
 			n := &p.nodes[id]
@@ -164,10 +174,16 @@ func (p *Plan) Execute(eng bgw.Evaluator, bind Bindings) (*Result, error) {
 				items[i] = bgw.MulItem{Kind: bgw.MulDot, VA: r.vecs[n.a], VB: r.vecs[n.b]}
 			}
 		}
-		for i, out := range eng.MulBatch(items) {
+		var outs []bgw.Val
+		if reduce {
+			outs = eng.MulBatch(items)
+			eng.AdvanceRound()
+		} else {
+			outs = eng.MulBatchUnreduced(items)
+		}
+		for i, out := range outs {
 			r.vals[gates[i]] = out
 		}
-		eng.AdvanceRound()
 		levelDelta(sp)
 		for _, id := range p.locals[lvl] {
 			if err := p.evalLocal(eng, bind, r, id); err != nil {

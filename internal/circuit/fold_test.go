@@ -313,7 +313,10 @@ func TestFoldExactCounts(t *testing.T) {
 		t.Fatalf("one leaf per owner: Compile rewrote the recording (%d folded, %d of %d nodes)", plan.folded, plan.Gates(), len(recorded))
 	}
 	_, got := runInline(t, plan, Bindings{})
-	// Measured on this circuit at the parent commit (b55dcf1).
+	// Measured on this circuit at the commit before the pass (b55dcf1).
+	// The unreduced terminal level moves none of it: the circuit has no
+	// multiplicative level (2 rounds), and an opening still charges one
+	// field operation per element and party.
 	want := bgw.Stats{Rounds: 2, Frames: 48, Messages: 72, Bytes: 576, FieldOps: 108}
 	if got != want {
 		t.Fatalf("one leaf per owner: counters %+v, before the pass %+v", got, want)

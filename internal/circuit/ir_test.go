@@ -96,7 +96,9 @@ func TestBuilderIsSpentAfterCompile(t *testing.T) {
 	if got := res.Opened(0); got != 42 {
 		t.Fatalf("opened %d, want 42", got)
 	}
-	if res.ValOf(prod) == nil {
+	// x, not prod: the product sits on the terminal level and does not
+	// resolve (TestTerminalLevelHandlesDoNotResolve).
+	if res.ValOf(x) == nil {
 		t.Fatal("handle of a spent builder no longer resolves")
 	}
 }

@@ -16,7 +16,11 @@ type Plan struct {
 	args  []int32   // operand-list arena (see node)
 	lits  [][]int64 // literal input vectors (see node)
 
-	depth    int
+	depth int
+	// terminal: nothing multiplies after the last multiplicative level —
+	// every node of level depth flows through linear gates into an
+	// opening — so Execute leaves that level unreduced (see schedule).
+	terminal bool
 	live     int       // nodes that compute something (all but kFolded)
 	folded   int       // input leaves foldSums removed
 	inputs   []int32   // level-0 scalar input leaves, id order: one InputBatch
@@ -83,11 +87,22 @@ func (b *Builder) take() (*Plan, error) {
 // and execute as one batched communication round; the scalar inputs,
 // which depend on nothing, are listed apart so they share in one batched
 // round too.
+//
+// The last multiplicative level is terminal when every node of that
+// level has a consumer: a consumer of a top-level node is a linear gate
+// of the same level or an opening (a multiplication would sit one level
+// up), so every path out of the level's products ends in an opening and
+// the degree reduction would prepare for a multiplication that never
+// comes. A top-level node nobody consumes keeps the level reduced: its
+// handle may be read back through Result.ValOf / VecOf and bound into a
+// later plan, which may multiply it.
 func (p *Plan) schedule() error {
+	used := make([]bool, len(p.nodes))
 	for id := range p.nodes {
 		n := &p.nodes[id]
 		var lvl int32
 		max := func(op int32) {
+			used[op] = true
 			if l := p.nodes[op].level; l > lvl {
 				lvl = l
 			}
@@ -131,11 +146,16 @@ func (p *Plan) schedule() error {
 	nMuls := make([]int, p.depth)
 	nLocals := make([]int, p.depth+1)
 	nInputs := 0
+	p.terminal = p.depth > 0
 	for id := range p.nodes {
-		switch n := &p.nodes[id]; {
-		case n.kind == kFolded:
+		n := &p.nodes[id]
+		if n.kind == kFolded {
 			continue
+		}
+		p.live++
+		switch {
 		case n.kind == kOpen || n.kind == kOpenVec:
+			continue
 		case n.kind.isScalarInput():
 			nInputs++
 		case n.kind.isMul():
@@ -143,7 +163,9 @@ func (p *Plan) schedule() error {
 		default:
 			nLocals[n.level]++
 		}
-		p.live++
+		if int(n.level) == p.depth && !used[id] {
+			p.terminal = false
+		}
 	}
 	p.inputs = make([]int32, 0, nInputs)
 	p.muls = make([][]int32, p.depth)
@@ -190,11 +212,12 @@ func (p *Plan) Opens() int { return len(p.opens) }
 func (p *Plan) hasOpens() bool { return len(p.opens) > 0 || len(p.openVecs) > 0 }
 
 // Rounds returns the wire rounds of one planned execution: one input
-// round (when the plan shares fresh inputs), one batched round per
-// multiplicative level, and one batched opening round (when the plan
-// reveals outputs). This is the quantity the paper's cost model charges
-// 0.1 s for — planned execution makes it a function of depth, not of
-// gate count.
+// round (when the plan shares fresh inputs), one batched degree-reduction
+// round per multiplicative level — less the terminal level's, which is
+// opened at the degree it has — and one batched opening round (when the
+// plan reveals outputs): depth + inputs + opens − terminal. This is the
+// quantity the paper's cost model charges 0.1 s for — planned execution
+// makes it a function of depth, not of gate count.
 func (p *Plan) Rounds() int {
 	r := p.depth
 	if p.hasInputs {
@@ -202,6 +225,9 @@ func (p *Plan) Rounds() int {
 	}
 	if p.hasOpens() {
 		r++
+	}
+	if p.terminal {
+		r--
 	}
 	return r
 }

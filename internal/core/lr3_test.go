@@ -145,9 +145,10 @@ func TestLR3PlainAndBGWAgree(t *testing.T) {
 			t.Fatalf("coord %d: plain %d vs BGW %d", t2, tr1.Scaled[t2], tr2.Scaled[t2])
 		}
 	}
-	// Two cube rounds + noise + fused mult + output.
-	if tr2.Stats.Rounds != 5 {
-		t.Fatalf("rounds = %d, want 5", tr2.Stats.Rounds)
+	// Noise input + two cube rounds + output: the fused inner products
+	// are the terminal level and are opened unreduced.
+	if tr2.Stats.Rounds != 4 {
+		t.Fatalf("rounds = %d, want 4", tr2.Stats.Rounds)
 	}
 }
 
@@ -300,8 +301,8 @@ func TestLR3PlannedRoundsIndependentOfBatch(t *testing.T) {
 			t.Errorf("B=6 dim %d: actor %d != plain %d", d, actorLarge[d], plainLarge[d])
 		}
 	}
-	if stSmall.Rounds != 5 || stLarge.Rounds != 5 {
-		t.Errorf("rounds: B=2 %d, B=6 %d, want 5 and 5", stSmall.Rounds, stLarge.Rounds)
+	if stSmall.Rounds != 4 || stLarge.Rounds != 4 {
+		t.Errorf("rounds: B=2 %d, B=6 %d, want 4 and 4", stSmall.Rounds, stLarge.Rounds)
 	}
 	if stSmall.Frames != stLarge.Frames {
 		t.Errorf("frames depend on batch size: B=2 %d, B=6 %d", stSmall.Frames, stLarge.Frames)

@@ -76,14 +76,18 @@ func TestGradientStepBitIdenticalAtBatchEdges(t *testing.T) {
 // which benchmark/replica.go still executes and compares from outside.
 // With o = min(clients, P) dealing parties, every step moves
 //
-//	frames   o·(P−1) + (levels+1)·P·(P−1)
+//	frames   o·(P−1) + levels·P·(P−1)
 //	messages (d·o + muls·P + d·P)·(P−1), 8 bytes each
 //
-// where levels = 1 and muls = d for LR, levels = 3 and muls = 2B + d for
-// LR3 (the cube's two levels of B products), and rounds = levels + 2.
-// FieldOps sums, over the parties, the affine gates' terms·B, the noise
-// sharings' d·P·(t+1) per dealer, every product's operand count plus
-// P+t+1 for its resharing, and d for the opening.
+// in levels + 1 rounds, where levels is the multiplicative depth — 1 for
+// LR, 3 for LR3 (the cube's two levels of B products under the d inner
+// products) — and the last level, the inner products', is terminal: it
+// is opened unreduced, so the levels·P·(P−1) frames are levels − 1
+// reshare exchanges and the opening, and muls counts only the products
+// below it, 0 for LR and 2B for LR3. FieldOps sums, over the parties,
+// the affine gates' terms·B, the noise sharings' d·P·(t+1) per dealer,
+// every product's operand count, P+t+1 for each reshared product, and d
+// for the opening.
 func TestGradientStepCountersClosedForm(t *testing.T) {
 	for _, c := range []struct{ m, d, B, clients, P, t int }{
 		{40, 5, 8, 4, 4, 1},
@@ -104,8 +108,8 @@ func TestGradientStepCountersClosedForm(t *testing.T) {
 		want := func(levels, muls, linTerms, mulOps int64) bgw.Stats {
 			msgs := (d*int64(o) + muls*P + d*P) * (P - 1)
 			return bgw.Stats{
-				Rounds:   levels + 2,
-				Frames:   int64(o)*(P-1) + (levels+1)*P*(P-1),
+				Rounds:   levels + 1,
+				Frames:   int64(o)*(P-1) + levels*P*(P-1),
 				Messages: msgs,
 				Bytes:    8 * msgs,
 				FieldOps: P*linTerms*B + int64(o)*d*P*(th+1) + P*(mulOps+muls*reshare) + P*d,
@@ -118,9 +122,9 @@ func TestGradientStepCountersClosedForm(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				exp := want(1, d, d+1, d*B)
+				exp := want(1, 0, d+1, d*B)
 				if order3 {
-					exp = want(3, 2*B+d, 2*d+1, 2*B+d*B)
+					exp = want(3, 2*B, 2*d+1, 2*B+d*B)
 				}
 				// Two steps: the second one's baseline is the first one's end.
 				for step := 0; step < 2; step++ {

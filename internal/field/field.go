@@ -119,6 +119,26 @@ func Rand(rng *randx.RNG) Elem {
 	}
 }
 
+// PairMask draws len(dst) uniform elements from stream — the mask stream
+// the pair {self, peer} shares — and folds them into dst in place: added
+// when self is the smaller index, subtracted when it is the larger. It
+// is the one telescoping-mask kernel in the tree (Bonawitz et al.):
+// when every member of a group applies it once per peer, from streams
+// that agree pairwise, the group's vectors keep their sum while any
+// proper subset of them is uniformly masked. secagg.Group.Mask and the
+// BGW engine's opening both call it; it allocates nothing.
+func PairMask(dst []Elem, self, peer int, stream *randx.RNG) {
+	if self < peer {
+		for k := range dst {
+			dst[k] = Add(dst[k], Rand(stream))
+		}
+		return
+	}
+	for k := range dst {
+		dst[k] = Sub(dst[k], Rand(stream))
+	}
+}
+
 // MaxSignedValue is the largest |v| representable by the signed
 // embedding, p/2 (rounded down).
 const MaxSignedValue = int64(Modulus / 2)

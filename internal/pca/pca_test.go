@@ -201,8 +201,9 @@ func TestSQMWithBGWEngineMatchesPlain(t *testing.T) {
 	if math.Abs(plain.Utility-mpc.Utility) > 1e-9*(1+plain.Utility) {
 		t.Fatalf("plain %v vs BGW %v", plain.Utility, mpc.Utility)
 	}
-	if mpc.Trace.Stats.Rounds != 3 {
-		t.Fatalf("BGW rounds = %d", mpc.Trace.Stats.Rounds)
+	// Input and opening (the Gram level is terminal).
+	if mpc.Trace.Stats.Rounds != 2 {
+		t.Fatalf("BGW rounds = %d, want 2", mpc.Trace.Stats.Rounds)
 	}
 }
 

@@ -28,16 +28,21 @@ const PoissonExactMax = float64(1 << 51)
 const ptrsMin = 30
 
 // RNG is a seeded random source. The zero value is not usable; construct
-// with New.
+// with New. An RNG is used through its pointer and never copied: r draws
+// from pcg by address.
 type RNG struct {
-	r *rand.Rand
+	r   rand.Rand
+	pcg rand.PCG // New's source; in place, so an RNG is one allocation
 }
 
 // New returns an RNG seeded deterministically from seed. The PCG
 // stream is statistically strong but predictable; experiments use it
 // for reproducibility.
 func New(seed uint64) *RNG {
-	return &RNG{r: rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))}
+	g := &RNG{}
+	g.pcg.Seed(seed, seed^0x9e3779b97f4a7c15)
+	g.r = *rand.New(&g.pcg)
+	return g
 }
 
 // NewSecure returns an RNG driven by the ChaCha8 cryptographic stream
@@ -46,7 +51,7 @@ func New(seed uint64) *RNG {
 // a predictable stream would let an adversary strip the shares and
 // reconstruct the secrets.
 func NewSecure(key [32]byte) *RNG {
-	return &RNG{r: rand.New(rand.NewChaCha8(key))}
+	return &RNG{r: *rand.New(rand.NewChaCha8(key))}
 }
 
 // NewFromOS returns a ChaCha8 RNG keyed from the operating system's

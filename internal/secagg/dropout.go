@@ -136,23 +136,10 @@ func (g *TolerantGroup) AggregateDropout(round uint64, masked [][]field.Elem) ([
 			if j == d || !alive[j] {
 				continue
 			}
-			lo, hi := j, d
-			if d < j {
-				lo, hi = d, j
-			}
-			seed := g.recoverSeed(lo, hi, alive)
-			m := maskFromSeed(uint64(seed), round, g.length)
-			if j < d {
-				// Alive j added the (j, d) stream; subtract it back out.
-				for k := range acc {
-					acc[k] = field.Sub(acc[k], m[k])
-				}
-			} else {
-				// Alive j subtracted the (d, j) stream; add it back.
-				for k := range acc {
-					acc[k] = field.Add(acc[k], m[k])
-				}
-			}
+			seed := g.recoverSeed(min(j, d), max(j, d), alive)
+			// Applied as d would have applied it, the stream cancels what
+			// alive j folded in with the sign of its own side.
+			field.PairMask(acc, d, j, pairStream(uint64(seed), round))
 		}
 	}
 	out := make([]int64, g.length)
@@ -160,18 +147,6 @@ func (g *TolerantGroup) AggregateDropout(round uint64, masked [][]field.Elem) ([
 		out[k] = field.ToInt64(v)
 	}
 	return out, nil
-}
-
-// maskFromSeed derives one pair's round mask directly from its seed —
-// the same stream Group.maskStream produces, exposed for recovery where
-// the seed was reconstructed rather than looked up.
-func maskFromSeed(seed, round uint64, length int) []field.Elem {
-	rng := randx.New(seed ^ (round * 0x9e3779b97f4a7c15))
-	out := make([]field.Elem, length)
-	for k := range out {
-		out[k] = field.Rand(rng)
-	}
-	return out
 }
 
 // Contribute masks client j's values for the round and sends them to

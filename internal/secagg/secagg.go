@@ -55,15 +55,11 @@ func NewGroup(n, length int, seed uint64) (*Group, error) {
 	return g, nil
 }
 
-// maskStream derives the shared mask vector of pair (i, j), i < j, for
-// the given round.
-func (g *Group) maskStream(i, j int, round uint64) []field.Elem {
-	rng := randx.New(g.pairSeed[i][j] ^ (round * 0x9e3779b97f4a7c15))
-	out := make([]field.Elem, g.length)
-	for k := range out {
-		out[k] = field.Rand(rng)
-	}
-	return out
+// pairStream returns the mask stream a pair keyed by seed shares in the
+// given round, at its start: both members (and a server that recovered
+// the seed) draw the same elements from it through field.PairMask.
+func pairStream(seed, round uint64) *randx.RNG {
+	return randx.New(seed ^ (round * 0x9e3779b97f4a7c15))
 }
 
 // Mask produces client i's masked contribution for one round: the
@@ -81,18 +77,8 @@ func (g *Group) Mask(client int, round uint64, values []int64) ([]field.Elem, er
 		out[k] = field.FromInt64(v)
 	}
 	for other := 0; other < g.n; other++ {
-		switch {
-		case other == client:
-		case client < other:
-			m := g.maskStream(client, other, round)
-			for k := range out {
-				out[k] = field.Add(out[k], m[k])
-			}
-		default:
-			m := g.maskStream(other, client, round)
-			for k := range out {
-				out[k] = field.Sub(out[k], m[k])
-			}
+		if other != client {
+			field.PairMask(out, client, other, pairStream(g.pairSeed[min(client, other)][max(client, other)], round))
 		}
 	}
 	g.messages.Add(1)

@@ -51,14 +51,15 @@ func (r timingResult) cells() []string {
 var timingHeader = []string{"overall (s)", "noise injection (s)", "measured (s)", "rounds"}
 
 // estimatePCAOps mirrors the bgw package's FieldOps metering for the
-// covariance protocol: input and noise sharings, the Gram products —
+// covariance protocol: the input sharings, the noise — unshared, one
+// λ⁻¹·x per element at each party that holds some — the Gram products —
 // which are the terminal level, so no resharing is metered — and one
 // multiplication per opened element.
 func estimatePCAOps(m, n, parties, threshold, clients int) (total, noise int64) {
 	p, t := int64(parties), int64(threshold)
 	pairs := int64(n) * int64(n+1) / 2
 	inputs := int64(m) * int64(n) * p * (t + 1)
-	noiseOps := pairs * int64(clients) * p * (t + 1)
+	noiseOps := pairs * int64(min(clients, parties))
 	dots := pairs * p * int64(m)
 	open := p * pairs
 	return inputs + noiseOps + dots + open, noiseOps
@@ -70,7 +71,7 @@ func estimateLROps(m, d, parties, threshold, clients int) (total, noise int64) {
 	p, t := int64(parties), int64(threshold)
 	setup := int64(m) * int64(d+1) * p * (t + 1)
 	fold := int64(m) * int64(d+1) * p
-	noiseOps := int64(clients) * int64(d) * p * (t + 1)
+	noiseOps := int64(min(clients, parties)) * int64(d)
 	inner := int64(d) * int64(m) * p
 	open := p * int64(d)
 	return setup + fold + noiseOps + inner + open, noiseOps
@@ -114,8 +115,7 @@ func pcaTiming(o Options, m, n, parties int) timingResult {
 	noiseSecPerOp := tr.NoiseCompute.Seconds() / float64(calNoiseOps)
 	lat := tr.Stats.NetTime(tr.Lat)
 	total := time.Duration(float64(est)*secPerOp*float64(time.Second)) + lat
-	noise := time.Duration(float64(estNoise)*noiseSecPerOp*float64(time.Second)) +
-		time.Duration(tr.NoiseRounds)*tr.Lat
+	noise := time.Duration(float64(estNoise) * noiseSecPerOp * float64(time.Second))
 	return timingResult{total: total, noise: noise, measured: tr.Compute, rounds: tr.Stats.Rounds, extrapolated: true}
 }
 
@@ -193,7 +193,7 @@ func lrTiming(o Options, m, n, parties int) timingResult {
 	_, wantNoise := estimateLROps(m, d, parties, threshold, parties)
 	noiseScale := float64(wantNoise) / float64(maxI64(calNoise, 1))
 	total := time.Duration(float64(tr.Compute+setup)*scale) + time.Duration(rounds)*tr.Lat
-	noise := time.Duration(float64(tr.NoiseCompute)*noiseScale) + time.Duration(tr.NoiseRounds)*tr.Lat
+	noise := time.Duration(float64(tr.NoiseCompute) * noiseScale)
 	return timingResult{total: total, noise: noise, measured: tr.Compute + setup, rounds: rounds, extrapolated: true}
 }
 

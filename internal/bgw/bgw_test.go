@@ -1,6 +1,7 @@
 package bgw
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -136,8 +137,9 @@ func TestInnerProductSingleResharing(t *testing.T) {
 	}
 }
 
-// TestStatsMetering drives Mul and Open gate by gate, and a bare Mul
-// always reduces: 3 rounds, whatever a plan would make of the level.
+// TestStatsMetering drives Input, Mul and Open gate by gate: a bare Input
+// always shares and a bare Mul always reduces — 3 rounds, whatever a plan
+// would make of the leaves and the level.
 func TestStatsMetering(t *testing.T) {
 	e := newTestEngine(t, 4)
 	e.ResetStats()
@@ -194,8 +196,123 @@ func TestUnreducedLevelMetering(t *testing.T) {
 	ref.InputVec(2, []int64{1, 2, 3})
 	c, rc := e.Mul(a, b), ref.Mul(ra, rb)
 	for i := range e.parties {
-		if e.parties[i].sc[e.scRef(c)] != ref.parties[i].sc[ref.scRef(rc)] {
+		if e.parties[i].sc[e.shared(c).ref] != ref.parties[i].sc[ref.shared(rc).ref] {
 			t.Fatalf("party %d: the unreduced level moved a sharing stream", i)
+		}
+	}
+}
+
+// TestUnsharedInputMetering: InputUnshared moves nothing and draws
+// nothing — no frame, no message, no round, the sharing streams where
+// they were — and meters one multiplication per element, at the owner.
+// The owner's slot holds x/λ_owner and every other slot 0; the opening
+// that follows reveals x, alone and through linear gates over a shared
+// vector.
+func TestUnsharedInputMetering(t *testing.T) {
+	e := newTestEngine(t, 4)
+	v := e.InputVec(2, []int64{1, 2, 3})
+	e.ResetStats()
+	xs := []int64{-5, 0, 1 << 40}
+	u := e.InputUnshared(1, xs)
+	if st := e.Stats(); st != (Stats{FieldOps: 3}) {
+		t.Fatalf("unshared input metered %+v, want only 3 field operations", st)
+	}
+	ref := e.sharedVec(u).ref
+	for i, pa := range e.parties {
+		for k, x := range xs {
+			want := field.Elem(0)
+			if i == 1 {
+				want = field.Mul(field.FromInt64(x), field.Inv(pa.weights[1]))
+			}
+			if pa.vc[ref][k] != want {
+				t.Fatalf("party %d element %d holds %d, want %d", i, k, pa.vc[ref][k], want)
+			}
+		}
+	}
+	if got := e.OpenVec(u); !equalInt64(got, xs) {
+		t.Fatalf("opened %v, want %v", got, xs)
+	}
+	mixed := e.LinComb([]Vec{v, e.AddVec(u, v)}, []int64{2, -3}, 7)
+	if got, want := e.OpenVec(mixed), []int64{7 + 2 - 3*(-5+1), 7 + 4 - 3*2, 7 + 6 - 3*(1<<40+3)}; !equalInt64(got, want) {
+		t.Fatalf("opened %v through linear gates, want %v", got, want)
+	}
+	if got := e.Open(e.AddConst(e.At(u, 0), 9)); got != 4 {
+		t.Fatalf("opened %d through At and AddConst, want 4", got)
+	}
+	// A sharing dealt afterwards draws from the stream at the position the
+	// InputVec left it at.
+	other := newTestEngine(t, 4)
+	other.InputVec(2, []int64{1, 2, 3})
+	a, ra := e.Input(0, 6), other.Input(0, 6)
+	for i := range e.parties {
+		if e.parties[i].sc[e.shared(a).ref] != other.parties[i].sc[other.shared(ra).ref] {
+			t.Fatalf("party %d: the unshared input moved a sharing stream", i)
+		}
+	}
+}
+
+// TestOpenOnlyOperandsFailTheEngine: a sharing of degree above t — an
+// unreduced product, an unshared input, or any linear gate over one —
+// must not be multiplied or converted to additive shares: the engine
+// fails with ErrOpenOnly instead of computing a wrong value, on both
+// drivers, and opens zeros from then on. Linear gates and openings take
+// the same handles without complaint.
+func TestOpenOnlyOperandsFailTheEngine(t *testing.T) {
+	type env struct {
+		e    *Engine
+		x    Val // degree t
+		v    Vec // degree t, 3 elements
+		high Val // open-only
+		hvec Vec // open-only, 3 elements
+	}
+	sources := map[string]func(e *Engine, x Val, v Vec) (Val, Vec){
+		"unreduced product": func(e *Engine, x Val, v Vec) (Val, Vec) {
+			outs := e.MulBatchUnreduced([]MulItem{{Kind: MulScalar, A: x, B: x}, {Kind: MulDot, VA: v, VB: v}})
+			return outs[0], e.FromScalars([]Val{outs[1], x, x})
+		},
+		"unshared input": func(e *Engine, x Val, v Vec) (Val, Vec) {
+			u := e.InputUnshared(1, []int64{4, 5, 6})
+			return e.At(u, 2), u
+		},
+		"linear gates over one": func(e *Engine, x Val, v Vec) (Val, Vec) {
+			u := e.InputUnshared(0, []int64{4, 5, 6})
+			s := e.MulConst(e.AddConst(e.Sub(e.Add(x, e.At(u, 0)), x), 3), 2)
+			return s, e.LinComb([]Vec{v, e.Gather(e.AddVec(u, v), []int{2, 1, 0})}, []int64{1, 1}, 0)
+		},
+	}
+	gates := map[string]func(c env){
+		"Mul":          func(c env) { c.e.Mul(c.x, c.high) },
+		"InnerProduct": func(c env) { c.e.InnerProduct([]Val{c.x, c.high}, []Val{c.x, c.x}) },
+		"Dot":          func(c env) { c.e.Dot(c.hvec, c.v) },
+		"DotBatch":     func(c env) { c.e.DotBatch([]VecPair{{A: c.v, B: c.v}, {A: c.v, B: c.hvec}}, 0) },
+		"MulBatch": func(c env) {
+			c.e.MulBatch([]MulItem{{Kind: MulScalar, A: c.x, B: c.x}, {Kind: MulScalar, A: c.high, B: c.x}})
+		},
+		"MulBatchUnreduced": func(c env) { c.e.MulBatchUnreduced([]MulItem{{Kind: MulDot, VA: c.hvec, VB: c.hvec}}) },
+		"AdditiveShares":    func(c env) { c.e.AdditiveShares(c.high, make([]field.Elem, 4)) },
+	}
+	for _, mesh := range []bool{false, true} {
+		for sname, source := range sources {
+			for gname, gate := range gates {
+				e := newTestEngine(t, 4)
+				if mesh {
+					e = newActorChan(t, Config{Parties: 4, Seed: 3})
+				}
+				c := env{e: e, x: e.Input(0, 6), v: e.InputVec(2, []int64{1, 2, 3})}
+				c.high, c.hvec = source(e, c.x, c.v)
+				// Linear gates and openings are what such a handle is for.
+				e.OpenVec(e.AddVec(c.hvec, c.v))
+				if got := e.Open(c.x); e.Err() != nil || got != 6 {
+					t.Fatalf("mesh=%v %s: before the gate: opened %d, err %v", mesh, sname, got, e.Err())
+				}
+				gate(c)
+				if err := e.Err(); !errors.Is(err, ErrOpenOnly) {
+					t.Errorf("mesh=%v %s into %s: engine error %v, want ErrOpenOnly", mesh, sname, gname, err)
+				}
+				if got := e.Open(c.x); got != 0 {
+					t.Errorf("mesh=%v %s into %s: a failed engine opened %d", mesh, sname, gname, got)
+				}
+			}
 		}
 	}
 }
@@ -219,7 +336,7 @@ func TestSharesLookRandom(t *testing.T) {
 	const secret = 424242
 	hits := 0
 	for trial := 0; trial < 200; trial++ {
-		ref := e.scRef(e.Input(0, secret))
+		ref := e.shared(e.Input(0, secret)).ref
 		for _, pa := range e.parties {
 			if pa.sc[ref] == 424242 {
 				hits++

@@ -1,6 +1,7 @@
 package bgw
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -74,14 +75,26 @@ type Engine struct {
 type Shared struct {
 	eng *Engine
 	ref int
+	// openOnly: the slots hold a sharing of degree above t — an unreduced
+	// product, an unshared input, or a linear gate over one. The P points
+	// still interpolate to the secret, so linear gates and openings take
+	// it; a multiplication would not, and is refused (ErrOpenOnly).
+	openOnly bool
 }
 
 // SharedVec is an opaque handle to a secret-shared vector.
 type SharedVec struct {
-	eng *Engine
-	ref int
-	n   int
+	eng      *Engine
+	ref      int
+	n        int
+	openOnly bool // as Shared.openOnly
 }
+
+// ErrOpenOnly is the engine failure (see Err) of a multiplicative gate or
+// an AdditiveShares handed an open-only sharing: the result of
+// MulBatchUnreduced or InputUnshared, or of a linear gate over one. Only
+// linear gates and openings may consume those.
+var ErrOpenOnly = errors.New("bgw: open-only sharing where a degree-t sharing is required")
 
 // Len returns the number of shared elements.
 func (v *SharedVec) Len() int { return v.n }
@@ -137,7 +150,7 @@ func newEngine(cfg Config, mesh transport.Mesh) (*Engine, error) {
 	root := randx.New(cfg.Seed)
 	for i := 0; i < cfg.Parties; i++ {
 		pa := &actorParty{id: i, p: cfg.Parties, t: t, rng: root.Fork(), weights: weights,
-			pair: make([]*randx.RNG, cfg.Parties)}
+			ownInv: field.Inv(weights[i]), pair: make([]*randx.RNG, cfg.Parties)}
 		e.parties = append(e.parties, pa)
 	}
 	// The pairwise mask streams of the openings are keyed after every
@@ -319,11 +332,11 @@ func (e *Engine) await(reply chan actorReply) []actorReply {
 
 // newSharedN issues the handles of the next n scalar slots out of one
 // allocation (the outputs of a batched command).
-func (e *Engine) newSharedN(n int) []Val {
+func (e *Engine) newSharedN(n int, openOnly bool) []Val {
 	hs := make([]Shared, n)
 	out := make([]Val, n)
 	for i := range hs {
-		hs[i] = Shared{eng: e, ref: e.nextSc}
+		hs[i] = Shared{eng: e, ref: e.nextSc, openOnly: openOnly}
 		e.nextSc++
 		out[i] = &hs[i]
 	}
@@ -331,25 +344,35 @@ func (e *Engine) newSharedN(n int) []Val {
 }
 
 // newVec issues the handle of the next vector slot.
-func (e *Engine) newVec(n int) *SharedVec {
+func (e *Engine) newVec(n int, openOnly bool) *SharedVec {
 	e.nextVec++
-	return &SharedVec{eng: e, ref: e.nextVec - 1, n: n}
+	return &SharedVec{eng: e, ref: e.nextVec - 1, n: n, openOnly: openOnly}
 }
 
-func (e *Engine) scRef(v Val) int {
+// shared resolves a scalar handle this engine issued.
+func (e *Engine) shared(v Val) *Shared {
 	s, ok := v.(*Shared)
 	if !ok || s.eng != e {
 		panic(invariant.Violation("bgw: share from a different engine"))
 	}
-	return s.ref
+	return s
 }
 
-func (e *Engine) vecRef(v Vec) int {
+// sharedVec resolves a vector handle this engine issued.
+func (e *Engine) sharedVec(v Vec) *SharedVec {
 	s, ok := v.(*SharedVec)
 	if !ok || s.eng != e {
 		panic(invariant.Violation("bgw: vector from a different engine"))
 	}
-	return s.ref
+	return s
+}
+
+// refuseOpenOnly fails the engine: gate was handed an open-only sharing
+// and would compute a wrong value from it.
+func (e *Engine) refuseOpenOnly(gate string) {
+	if e.err == nil {
+		e.err = fmt.Errorf("%w (%s)", ErrOpenOnly, gate)
+	}
 }
 
 func (e *Engine) checkParty(i int) {
@@ -382,9 +405,10 @@ func (e *Engine) collectOps() int64 {
 // ---- Evaluator operations ----
 
 // local dispatches a command that fills the next scalar slot without a
-// reply and returns the slot's handle.
-func (e *Engine) local(c actorCmd) Val {
-	h := &Shared{eng: e, ref: e.nextSc}
+// reply and returns the slot's handle; the result of a linear gate is
+// open-only when an operand is.
+func (e *Engine) local(c actorCmd, openOnly bool) Val {
+	h := &Shared{eng: e, ref: e.nextSc, openOnly: openOnly}
 	e.nextSc++
 	e.dispatch(c)
 	return h
@@ -417,46 +441,66 @@ func (e *Engine) InputBatch(items []InputItem) []Val {
 		// inline parties are done with items when dispatch returns.
 		items = append([]InputItem(nil), items...)
 	}
-	out := e.newSharedN(len(items))
+	out := e.newSharedN(len(items), false)
 	e.dispatch(actorCmd{op: opInputBatch, x: &cmdPayload{inputs: items}})
 	return out
 }
 
 // InputVec has party owner secret-share the signed vector vs; one
 // batched message per receiving party.
-func (e *Engine) InputVec(owner int, vs []int64) Vec {
+func (e *Engine) InputVec(owner int, vs []int64) Vec { return e.inputVec(opInputVec, owner, vs) }
+
+// InputUnshared enters party owner's signed vector vs without sharing
+// it: the owner keeps λ_owner⁻¹·vs in the slot and every other party 0,
+// so the slots interpolate to vs over the P points — a sharing of degree
+// up to P−1 — while no randomness is drawn, nothing is sent and no round
+// passes. The handle may flow through linear gates into an opening and
+// nowhere else: there the owner's published row carries vs under the
+// opening's zero mask, which hides it as the sharing would have
+// (PRIVACY.md "Add what only you know at the opening"). circuit.Plan
+// issues this for an input leaf that reaches nothing but openings.
+func (e *Engine) InputUnshared(owner int, vs []int64) Vec {
+	return e.inputVec(opInputUnshared, owner, vs)
+}
+
+// inputVec issues owner's vector as op: shared, or kept (open-only).
+func (e *Engine) inputVec(op actorOp, owner int, vs []int64) Vec {
 	e.checkParty(owner)
 	if e.mesh != nil {
 		// As in InputBatch: inline, the caller's vector passes through.
 		vs = append([]int64(nil), vs...)
 	}
-	out := e.newVec(len(vs))
-	e.dispatch(actorCmd{op: opInputVec, a: owner, x: &cmdPayload{ints: vs}})
+	out := e.newVec(len(vs), op == opInputUnshared)
+	e.dispatch(actorCmd{op: op, a: owner, x: &cmdPayload{ints: vs}})
 	return out
 }
 
 // Zero returns a trivial sharing of 0; local.
-func (e *Engine) Zero() Val { return e.local(actorCmd{op: opZero}) }
+func (e *Engine) Zero() Val { return e.local(actorCmd{op: opZero}, false) }
 
 // Add returns a sharing of a + b; local.
 func (e *Engine) Add(a, b Val) Val {
-	return e.local(actorCmd{op: opAdd, a: e.scRef(a), b: e.scRef(b)})
+	sa, sb := e.shared(a), e.shared(b)
+	return e.local(actorCmd{op: opAdd, a: sa.ref, b: sb.ref}, sa.openOnly || sb.openOnly)
 }
 
 // Sub returns a sharing of a − b; local.
 func (e *Engine) Sub(a, b Val) Val {
-	return e.local(actorCmd{op: opSub, a: e.scRef(a), b: e.scRef(b)})
+	sa, sb := e.shared(a), e.shared(b)
+	return e.local(actorCmd{op: opSub, a: sa.ref, b: sb.ref}, sa.openOnly || sb.openOnly)
 }
 
 // AddConst returns a sharing of a + c; local (the constant polynomial c
 // added to every share).
 func (e *Engine) AddConst(a Val, c int64) Val {
-	return e.local(actorCmd{op: opAddConst, a: e.scRef(a), c: c})
+	sa := e.shared(a)
+	return e.local(actorCmd{op: opAddConst, a: sa.ref, c: c}, sa.openOnly)
 }
 
 // MulConst returns a sharing of c·a; local.
 func (e *Engine) MulConst(a Val, c int64) Val {
-	return e.local(actorCmd{op: opMulConst, a: e.scRef(a), c: c})
+	sa := e.shared(a)
+	return e.local(actorCmd{op: opMulConst, a: sa.ref, c: c}, sa.openOnly)
 }
 
 // Mul returns a sharing of a·b: every party multiplies its shares
@@ -493,13 +537,15 @@ func (e *Engine) DotBatch(pairs []VecPair, workers int) []Val {
 	return e.MulBatch(items)
 }
 
-// scRefs resolves a list of scalar handles to their slots.
-func (e *Engine) scRefs(vs []Val) []int {
-	refs := make([]int, len(vs))
+// scRefs resolves a list of scalar handles to their slots and reports
+// whether any of them is open-only.
+func (e *Engine) scRefs(vs []Val) (refs []int, openOnly bool) {
+	refs = make([]int, len(vs))
 	for i, v := range vs {
-		refs[i] = e.scRef(v)
+		s := e.shared(v)
+		refs[i], openOnly = s.ref, openOnly || s.openOnly
 	}
-	return refs
+	return refs, openOnly
 }
 
 // MulBatch evaluates one level of independent multiplicative gates in a
@@ -510,40 +556,54 @@ func (e *Engine) MulBatch(items []MulItem) []Val { return e.mulBatch(opMulBatch,
 
 // MulBatchUnreduced evaluates one level of multiplicative gates and
 // stops before the degree reduction: every party keeps its local
-// degree-2t value, nothing is sent and no round passes. The handles may
-// flow through linear gates into an opening and nowhere else — a second
-// multiplication would leave the P points an opening interpolates over
+// degree-2t value, nothing is sent and no round passes. The handles are
+// open-only: they may flow through linear gates into an opening and
+// nowhere else — a second multiplication would leave the P points an
+// opening interpolates over, and fails the engine with ErrOpenOnly
 // (circuit.Plan issues this for a terminal level and refuses to hand
 // such a handle out).
 func (e *Engine) MulBatchUnreduced(items []MulItem) []Val {
 	return e.mulBatch(opMulUnreduced, items)
 }
 
-// mulBatch resolves a level's operands to slots and issues it as op.
+// mulBatch resolves a level's operands to slots and issues it as op. An
+// open-only operand fails the engine instead: the handles are still
+// returned, and every opening from here on reports zeros.
 func (e *Engine) mulBatch(op actorOp, items []MulItem) []Val {
 	if len(items) == 0 {
 		return []Val{}
 	}
 	muls := make([]mulDesc, len(items))
+	openOnly := false
 	for i, it := range items {
 		switch it.Kind {
 		case MulScalar:
-			muls[i] = mulDesc{kind: MulScalar, a: e.scRef(it.A), b: e.scRef(it.B)}
+			a, b := e.shared(it.A), e.shared(it.B)
+			muls[i] = mulDesc{kind: MulScalar, a: a.ref, b: b.ref}
+			openOnly = openOnly || a.openOnly || b.openOnly
 		case MulInner:
 			if len(it.As) != len(it.Bs) {
 				panic(invariant.Violation("bgw: inner-product length mismatch"))
 			}
-			muls[i] = mulDesc{kind: MulInner, refs: e.scRefs(it.As), refs2: e.scRefs(it.Bs)}
+			as, oa := e.scRefs(it.As)
+			bs, ob := e.scRefs(it.Bs)
+			muls[i] = mulDesc{kind: MulInner, refs: as, refs2: bs}
+			openOnly = openOnly || oa || ob
 		case MulDot:
-			muls[i] = mulDesc{kind: MulDot, a: e.vecRef(it.VA), b: e.vecRef(it.VB)}
-			if it.VA.Len() != it.VB.Len() {
+			a, b := e.sharedVec(it.VA), e.sharedVec(it.VB)
+			if a.n != b.n {
 				panic(invariant.Violation("bgw: vector length mismatch"))
 			}
+			muls[i] = mulDesc{kind: MulDot, a: a.ref, b: b.ref}
+			openOnly = openOnly || a.openOnly || b.openOnly
 		default:
 			panic(invariant.Violation("bgw: unknown MulKind %d", it.Kind))
 		}
 	}
-	out := e.newSharedN(len(items))
+	if openOnly {
+		e.refuseOpenOnly("multiplicative gate")
+	}
+	out := e.newSharedN(len(items), op == opMulUnreduced)
 	e.dispatch(actorCmd{op: op, x: &cmdPayload{muls: muls}})
 	return out
 }
@@ -553,12 +613,17 @@ func (e *Engine) mulBatch(op actorOp, items []MulItem) []Val {
 // equals the secret (a local computation; the collection is engine-side
 // synchronization, not protocol traffic).
 func (e *Engine) AdditiveShares(s Val, weights []field.Elem) []field.Elem {
-	ref := e.scRef(s)
+	sh := e.shared(s)
 	if len(weights) != e.p {
 		panic(invariant.Violation("bgw: AdditiveShares weight count mismatch"))
 	}
 	out := make([]field.Elem, e.p)
-	replies, ok := e.call(actorCmd{op: opAdditive, a: ref, x: &cmdPayload{weights: weights}})
+	if sh.openOnly {
+		// The caller's weights interpolate a degree-t sharing.
+		e.refuseOpenOnly("AdditiveShares")
+		return out
+	}
+	replies, ok := e.call(actorCmd{op: opAdditive, a: sh.ref, x: &cmdPayload{weights: weights}})
 	if !ok || e.err != nil {
 		return out
 	}
@@ -576,18 +641,19 @@ func (e *Engine) Open(s Val) int64 { return e.OpenBatch([]Val{s})[0] }
 // every party publishes its additive share of each under the pairwise
 // zero mask (actorParty.publish), each sums the rows, and party 0
 // reports the values to the caller. The sharings may be of degree t or,
-// out of MulBatchUnreduced, 2t.
+// out of MulBatchUnreduced or InputUnshared, of any degree up to P−1.
 func (e *Engine) OpenBatch(vals []Val) []int64 {
 	if len(vals) == 0 {
 		return []int64{}
 	}
-	return e.openVals(actorCmd{op: opOpenBatch, x: &cmdPayload{refs: e.scRefs(vals)}}, len(vals))
+	refs, _ := e.scRefs(vals)
+	return e.openVals(actorCmd{op: opOpenBatch, x: &cmdPayload{refs: refs}}, len(vals))
 }
 
 // OpenVec reveals every element as one batched opening (one message per
 // ordered party pair carrying all elements).
 func (e *Engine) OpenVec(v Vec) []int64 {
-	return e.openVals(actorCmd{op: opOpenVec, a: e.vecRef(v), x: &cmdPayload{}}, v.Len())
+	return e.openVals(actorCmd{op: opOpenVec, a: e.sharedVec(v).ref, x: &cmdPayload{}}, v.Len())
 }
 
 // openVals runs a batched opening command and returns party 0's n
@@ -602,39 +668,39 @@ func (e *Engine) openVals(c actorCmd, n int) []int64 {
 
 // At extracts element k of a vector as a scalar; local.
 func (e *Engine) At(v Vec, k int) Val {
-	rv := e.vecRef(v)
-	if k < 0 || k >= v.Len() {
+	sv := e.sharedVec(v)
+	if k < 0 || k >= sv.n {
 		panic(invariant.Violation("bgw: vector index out of range"))
 	}
-	return e.local(actorCmd{op: opAt, a: rv, b: k})
+	return e.local(actorCmd{op: opAt, a: sv.ref, b: k}, sv.openOnly)
 }
 
 // AddVec returns the element-wise sum a + b; local.
 func (e *Engine) AddVec(a, b Vec) Vec {
-	ra, rb := e.vecRef(a), e.vecRef(b)
-	if a.Len() != b.Len() {
+	sa, sb := e.sharedVec(a), e.sharedVec(b)
+	if sa.n != sb.n {
 		panic(invariant.Violation("bgw: vector length mismatch"))
 	}
-	out := e.newVec(a.Len())
-	e.dispatch(actorCmd{op: opAddVec, a: ra, b: rb})
+	out := e.newVec(sa.n, sa.openOnly || sb.openOnly)
+	e.dispatch(actorCmd{op: opAddVec, a: sa.ref, b: sb.ref})
 	return out
 }
 
 // Gather returns the vector v[idx[k]]; local. Like every vector command
 // it reaches the parties at once.
 func (e *Engine) Gather(v Vec, idx []int) Vec {
-	rv := e.vecRef(v)
+	sv := e.sharedVec(v)
 	for _, i := range idx {
-		if i < 0 || i >= v.Len() {
-			panic(invariant.Violation("bgw: gather index %d out of range [0,%d)", i, v.Len()))
+		if i < 0 || i >= sv.n {
+			panic(invariant.Violation("bgw: gather index %d out of range [0,%d)", i, sv.n))
 		}
 	}
 	if e.mesh != nil {
 		// As in InputBatch: party goroutines need their own copy.
 		idx = append([]int(nil), idx...)
 	}
-	out := e.newVec(len(idx))
-	e.dispatch(actorCmd{op: opGather, a: rv, x: &cmdPayload{refs: idx}})
+	out := e.newVec(len(idx), sv.openOnly)
+	e.dispatch(actorCmd{op: opGather, a: sv.ref, x: &cmdPayload{refs: idx}})
 	return out
 }
 
@@ -645,27 +711,28 @@ func (e *Engine) LinComb(vs []Vec, cs []int64, c0 int64) Vec {
 		panic(invariant.Violation("bgw: LinComb has %d vectors for %d coefficients", len(vs), len(cs)))
 	}
 	refs := make([]int, len(vs))
-	n := 0
+	n, openOnly := 0, false
 	for k, v := range vs {
-		refs[k] = e.vecRef(v)
+		sv := e.sharedVec(v)
+		refs[k], openOnly = sv.ref, openOnly || sv.openOnly
 		if k == 0 {
-			n = v.Len()
-		} else if v.Len() != n {
+			n = sv.n
+		} else if sv.n != n {
 			panic(invariant.Violation("bgw: vector length mismatch"))
 		}
 	}
 	if e.mesh != nil {
 		cs = append([]int64(nil), cs...)
 	}
-	out := e.newVec(n)
+	out := e.newVec(n, openOnly)
 	e.dispatch(actorCmd{op: opLinComb, a: n, c: c0, x: &cmdPayload{refs: refs, ints: cs}})
 	return out
 }
 
 // FromScalars packs scalar shares into a vector; local.
 func (e *Engine) FromScalars(xs []Val) Vec {
-	refs := e.scRefs(xs)
-	out := e.newVec(len(xs))
+	refs, openOnly := e.scRefs(xs)
+	out := e.newVec(len(xs), openOnly)
 	e.dispatch(actorCmd{op: opFromScalars, x: &cmdPayload{refs: refs}})
 	return out
 }

@@ -2,7 +2,10 @@
 // 1988) for semi-honest parties over the field of package field, as used
 // by SQM (§II and Appendix B of the paper):
 //
-//  1. each party secret-shares its private inputs with Shamir's scheme,
+//  1. each party secret-shares its private inputs with Shamir's scheme —
+//     except an input that reaches nothing but openings, which its owner
+//     keeps (InputUnshared: no randomness, no traffic, no round) and adds
+//     under the mask of step 3,
 //  2. addition and scaling are local; each multiplication takes the
 //     pointwise product of shares (a degree-2t sharing) followed by a
 //     degree-reduction resharing round — except on a level nothing
@@ -60,10 +63,11 @@ type Stats struct {
 	Messages int64 // logical point-to-point messages
 	Bytes    int64 // payload bytes (8 per field element per message)
 	// FieldOps counts local field multiplications (the cost-model
-	// input). The count is exact for products, affine gates and
-	// openings — an opening is one λ_i·s_i per element and party, the
-	// rows are summed — and a model for sharings: P·(t+1) per dealt
-	// element, P+t+1 per reshared product and party.
+	// input). The count is exact for products, affine gates, unshared
+	// inputs — one x/λ_owner per element, at the owner — and openings —
+	// one λ_i·s_i per element and party, the rows are summed — and a
+	// model for sharings: P·(t+1) per dealt element, P+t+1 per reshared
+	// product and party.
 	FieldOps int64
 }
 
@@ -161,6 +165,12 @@ type Evaluator interface {
 	InputElem(owner int, e field.Elem) Val
 	// InputVec has party owner secret-share the signed vector vs.
 	InputVec(owner int, vs []int64) Vec
+	// InputUnshared enters party owner's signed vector vs without a
+	// sharing: no randomness, no traffic, no round. The result is good
+	// for linear gates and openings only, where the owner's published row
+	// carries vs under the opening's zero mask; circuit.Plan.Execute
+	// issues it for an input leaf that reaches nothing but openings.
+	InputUnshared(owner int, vs []int64) Vec
 	// Zero returns a trivial sharing of 0.
 	Zero() Val
 	// Add returns a sharing of a + b; local.

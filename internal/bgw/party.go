@@ -17,6 +17,7 @@ type actorOp uint8
 
 const (
 	opInputVec actorOp = iota
+	opInputUnshared
 	opInputBatch
 	opZero
 	opAdd
@@ -62,7 +63,7 @@ type mulDesc struct {
 // parties — the engine never touches a command after it is issued.
 type actorCmd struct {
 	op   actorOp
-	a, b int         // slot operands; a is the owner of opInputVec and the length of opLinComb, b the element index of opAt
+	a, b int         // slot operands; a is the owner of opInputVec / opInputUnshared and the length of opLinComb, b the element index of opAt
 	c    int64       // public constant
 	x    *cmdPayload // set on commands that carry a list or await a reply
 }
@@ -70,7 +71,7 @@ type actorCmd struct {
 // cmdPayload holds what does not fit the scalar command: operand lists,
 // input vectors and the reply channel of synchronizing commands.
 type cmdPayload struct {
-	ints    []int64      // signed input vector (opInputVec), coefficients (opLinComb)
+	ints    []int64      // signed input vector (opInputVec, opInputUnshared), coefficients (opLinComb)
 	inputs  []InputItem  // scalar inputs (opInputBatch)
 	refs    []int        // scalar slots (opFromScalars, opOpenBatch), element indices (opGather), vector slots (opLinComb)
 	muls    []mulDesc    // gate list (opMulBatch, opMulUnreduced)
@@ -98,6 +99,7 @@ type actorParty struct {
 	id, p, t int
 	rng      *randx.RNG
 	weights  []field.Elem
+	ownInv   field.Elem // 1/weights[id]: what publish's λ_id cancels on an unshared input
 	link     link
 	cmds     chan []actorCmd // command batches of a party goroutine; nil inline
 	// pair[j] is this party's end of the mask stream it shares with peer
@@ -179,6 +181,19 @@ func (a *actorParty) send(c *actorCmd) error {
 		}
 		a.vc = append(a.vc, mine)
 		return a.shareOut(mine)
+	case opInputUnshared:
+		// No sharing: the owner's point is x/λ_owner and every other point
+		// 0, which the Lagrange weights over all P points interpolate to x.
+		// No randomness is drawn and nothing is sent; only linear gates and
+		// openings may read the slot.
+		mine := make([]field.Elem, len(c.x.ints))
+		if c.a == a.id {
+			for k, v := range c.x.ints {
+				mine[k] = field.Mul(field.FromInt64(v), a.ownInv)
+			}
+			a.fieldOps += int64(len(mine))
+		}
+		a.vc = append(a.vc, mine)
 	case opInputBatch:
 		// This party shares the items it owns, in item order, into one
 		// frame per peer.
@@ -303,8 +318,9 @@ func (a *actorParty) products(highs []field.Elem, muls []mulDesc) {
 // publish leaves in dst (which may be shares itself) the row this party
 // contributes to an opening: its additive share λ_i·s_i of every secret
 // — the Lagrange weights span all P points, so a sharing of any degree
-// up to P−1 ≥ 2t opens — plus its share ζ_i of zero, the telescoping
-// pairwise mask. The rows of all parties sum to the secrets, and to
+// up to P−1 ≥ 2t opens, an unshared input's x/λ_owner coming out as x in
+// its owner's row — plus its share ζ_i of zero, the telescoping pairwise
+// mask. The rows of all parties sum to the secrets, and to
 // whoever lacks the stream two of the parties share, those two rows are
 // uniform subject to that sum (PRIVACY.md "Open the degree you hold").
 func (a *actorParty) publish(dst, shares []field.Elem) []field.Elem {

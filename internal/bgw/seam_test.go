@@ -13,8 +13,8 @@ import (
 // seamProgram runs a seeded random program over every command that has
 // two halves or fills a slot: scalar and vector inputs, local gates
 // (vector ones keep length 11: Gather draws 11 indices), a MulBatch and
-// a MulBatchUnreduced level of all three kinds, an OpenBatch and an
-// OpenVec.
+// a MulBatchUnreduced level of all three kinds, an unshared input, an
+// OpenBatch and an OpenVec.
 func seamProgram(ev *Engine, seed uint64) []int64 {
 	g := randx.New(seed)
 	p := ev.Parties()
@@ -80,10 +80,17 @@ func seamProgram(ev *Engine, seed uint64) []int64 {
 		}
 		if level == 1 {
 			// The last level as Plan.Execute issues a terminal one: kept at
-			// degree 2t, through a linear gate, opened.
+			// degree 2t, through a linear gate, opened — and an unshared
+			// input added to the vector that is opened beside it.
 			outs := ev.MulBatchUnreduced(muls)
 			outs[0] = ev.Add(outs[0], pick())
-			opened := append(ev.OpenBatch(outs), ev.OpenVec(ev.AddVec(pickVec(), pickVec()))...)
+			noise := make([]int64, 11)
+			for k := range noise {
+				noise[k] = small()
+			}
+			sum := ev.AddVec(ev.AddVec(pickVec(), pickVec()), ev.InputUnshared(g.IntN(p), noise))
+			clear(noise) // as Gather's list: parties behind a mesh hold a copy
+			opened := append(ev.OpenBatch(outs), ev.OpenVec(sum)...)
 			ev.AdvanceRound()
 			return opened
 		}

@@ -46,10 +46,9 @@ func lagrangeAt(nodes []field.Elem, x field.Elem) []field.Elem {
 	return w
 }
 
-// terminalOpenView runs the circuit for honest inputs (a, b) on a fresh
-// inline engine and returns what the coalition sees of the opening — the
-// rows the honest parties publish — and coalitionGuess's answer for a.
-func terminalOpenView(t *testing.T, cfg Config, coalition []int, a, b int64, bare bool) (rows []field.Elem, guess field.Elem) {
+// viewEngine starts a fresh inline engine whose parties publish with or
+// without the zero mask, and lists the parties outside the coalition.
+func viewEngine(t *testing.T, cfg Config, coalition []int, bare bool) (e *Engine, honest []int) {
 	t.Helper()
 	e, err := NewEngine(cfg)
 	if err != nil {
@@ -59,13 +58,21 @@ func terminalOpenView(t *testing.T, cfg Config, coalition []int, a, b int64, bar
 	for _, c := range coalition {
 		in[c] = true
 	}
-	var honest []int
 	for i, pa := range e.parties {
 		pa.bare = bare
 		if !in[i] {
 			honest = append(honest, i)
 		}
 	}
+	return e, honest
+}
+
+// terminalOpenView runs the circuit for honest inputs (a, b) on a fresh
+// inline engine and returns what the coalition sees of the opening — the
+// rows the honest parties publish — and coalitionGuess's answer for a.
+func terminalOpenView(t *testing.T, cfg Config, coalition []int, a, b int64, bare bool) (rows []field.Elem, guess field.Elem) {
+	t.Helper()
+	e, honest := viewEngine(t, cfg, coalition, bare)
 	// What Plan.Execute issues for a terminal level: the inputs, the
 	// products unreduced, the linear gate, the opening.
 	dealer := coalition[0]
@@ -101,7 +108,7 @@ func coalitionGuess(e *Engine, coalition, honest []int, ins []Val) field.Elem {
 	for _, c := range coalition {
 		nodes = append(nodes, points[c])
 	}
-	slot := func(party int, v Val) field.Elem { return e.parties[party].sc[e.scRef(v)] }
+	slot := func(party int, v Val) field.Elem { return e.parties[party].sc[e.shared(v).ref] }
 	var f1, f2, k [2]field.Elem
 	for i, h := range honest[:2] {
 		w := lagrangeAt(nodes, points[h])
@@ -175,6 +182,96 @@ func TestTerminalOpenViewIsSimulatedFromTheOutput(t *testing.T) {
 			for _, g := range guessA {
 				if g != 4 {
 					t.Fatalf("P=%d coalition %v: bare opening, the coalition guessed a = %d, want 4", c.parties, c.coalition, g)
+				}
+			}
+		}
+	}
+}
+
+// The simulator test of the unshared input (PRIVACY.md "Add what only
+// you know at the opening"). Two honest parties each hold an addend η
+// that reaches nothing but the opening, so neither shares it: it goes
+// into the row its owner publishes. Two honest assignments give the same
+// output, (η₁, η₂) = (5, 1) and (2, 4), in two circuits: y = a·c + η₁ +
+// η₂, the release shape at its smallest — the coalition deals a = 3 and
+// c = 2, so it knows every party's point of the unreduced product — and
+// the pure masked sum y = η₀ + η₁ + η₂ with η₀ = 7 the coalition's own.
+//
+// The coalition's attack is a subtraction: an honest row less that
+// party's point of what the coalition dealt is η + ζ. Under the mask that
+// is uniform in both worlds; with the mask switched off it is η itself.
+
+// unsharedOpenView runs one of the two circuits for honest addends
+// (eta1, eta2) on a fresh inline engine and returns the rows the honest
+// parties publish and the coalition's guess for η₁.
+func unsharedOpenView(t *testing.T, cfg Config, coalition []int, eta1, eta2 int64, product, bare bool) (rows []field.Elem, guess field.Elem) {
+	t.Helper()
+	e, honest := viewEngine(t, cfg, coalition, bare)
+	// What Plan.Execute issues: the coalition's part — two shared inputs
+	// and their unreduced product, or its own unshared addend — the honest
+	// addends unshared, the linear gates, the opening.
+	dealer, h := coalition[0], e.parties[honest[0]]
+	var base Val
+	var known field.Elem // λ_h times honest[0]'s point of the coalition's part
+	own := int64(7)
+	if product {
+		ins := e.InputBatch([]InputItem{{Owner: dealer, Elem: 3}, {Owner: dealer, Elem: 2}})
+		base = e.MulBatchUnreduced([]MulItem{{Kind: MulScalar, A: ins[0], B: ins[1]}})[0]
+		// The sub-shares the dealer sent honest[0]: its own doing.
+		known = field.Mul(h.weights[h.id], field.Mul(h.sc[e.shared(ins[0]).ref], h.sc[e.shared(ins[1]).ref]))
+		own = 6
+	} else {
+		base = e.At(e.InputUnshared(dealer, []int64{own}), 0)
+	}
+	n1 := e.At(e.InputUnshared(honest[0], []int64{eta1}), 0)
+	n2 := e.At(e.InputUnshared(honest[1], []int64{eta2}), 0)
+	if got := e.Open(e.Add(e.Add(base, n1), n2)); got != own+eta1+eta2 {
+		t.Fatalf("opened %d, want %d", got, own+eta1+eta2)
+	}
+	for _, i := range honest {
+		rows = append(rows, e.parties[i].pend[0])
+	}
+	return rows, field.Sub(rows[0], known)
+}
+
+func TestUnsharedInputViewIsSimulatedFromTheOutput(t *testing.T) {
+	const seeds = 500
+	limit := 15 + 6*math.Sqrt(2*15)
+	for _, c := range []struct {
+		parties   int
+		coalition []int
+	}{
+		{3, []int{0}}, {3, []int{1}}, {3, []int{2}},
+		{5, []int{1, 3}}, {5, []int{0, 4}},
+	} {
+		for _, product := range []bool{true, false} {
+			for _, bare := range []bool{false, true} {
+				var rowsA, rowsB, guessA, guessB []field.Elem
+				for s := uint64(0); s < seeds; s++ {
+					cfg := Config{Parties: c.parties, Seed: 0x7a11 + s}
+					ra, ga := unsharedOpenView(t, cfg, c.coalition, 5, 1, product, bare)
+					cfg.Seed += seeds
+					rb, gb := unsharedOpenView(t, cfg, c.coalition, 2, 4, product, bare)
+					rowsA, rowsB = append(rowsA, ra...), append(rowsB, rb...)
+					guessA, guessB = append(guessA, ga), append(guessB, gb)
+				}
+				rows, guess := twoSampleChi2(rowsA, rowsB), twoSampleChi2(guessA, guessB)
+				if !bare {
+					if rows > limit || guess > limit {
+						t.Errorf("P=%d coalition %v product=%v: χ² of the published rows %.1f, of the coalition's guess %.1f between two assignments with one output; want below %.1f",
+							c.parties, c.coalition, product, rows, guess, limit)
+					}
+					continue
+				}
+				// The negative control: without the zero mask the coalition
+				// reads the addend off the row.
+				if guess <= limit {
+					t.Errorf("P=%d coalition %v product=%v: the mask is off and χ² of the guess is %.1f: the test cannot see the leak it is there for", c.parties, c.coalition, product, guess)
+				}
+				for _, g := range guessA {
+					if g != 5 {
+						t.Fatalf("P=%d coalition %v product=%v: bare opening, the coalition read η₁ = %d, want 5", c.parties, c.coalition, product, g)
+					}
 				}
 			}
 		}

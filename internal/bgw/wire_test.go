@@ -193,14 +193,14 @@ func TestVectorSharingPinsSharesAndWire(t *testing.T) {
 		}
 		a, b, dots, want := program(mono)
 		for i, pa := range mono.parties {
-			ua, ub := pa.vc[mono.vecRef(a)], pa.vc[mono.vecRef(b)]
+			ua, ub := pa.vc[mono.sharedVec(a).ref], pa.vc[mono.sharedVec(b).ref]
 			for k := range u {
 				if ua[k] != ru[i][k] || ub[k] != rv[i][k] {
 					t.Fatalf("P=%d: InputVec share of element %d at party %d differs from per-element Share", cfg.Parties, k, i)
 				}
 			}
 			for m, d := range dots {
-				if pa.sc[mono.scRef(d)] != rd[i][m] {
+				if pa.sc[mono.shared(d).ref] != rd[i][m] {
 					t.Fatalf("P=%d: reshared dot %d at party %d differs from per-element Share", cfg.Parties, m, i)
 				}
 			}

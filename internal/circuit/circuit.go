@@ -74,8 +74,9 @@ func (k nodeKind) isInput() bool {
 	return false
 }
 
-// isScalarInput reports whether the node is a scalar input leaf, which
-// the planned executor shares in the plan's one InputBatch.
+// isScalarInput reports whether the node is a scalar input leaf: the
+// planned executor shares those in the plan's one InputBatch, or enters
+// the open-only ones as one unshared vector per owner.
 func (k nodeKind) isScalarInput() bool {
 	return k == kInput || k == kInputElem || k == kInputParam || k == kInputSum
 }
@@ -95,13 +96,17 @@ func (k nodeKind) isVec() bool {
 // literal vectors live in the builder's side arenas.
 type node struct {
 	kind   nodeKind
-	folded bool  // foldSums changed what the node computes: the handle recorded for it must not resolve
-	level  int32 // multiplicative level, assigned by Compile
-	a, b   int32 // operand node ids; b is the element index of kAt; a is the args offset of kInner/kFromScalars operands and the lits index of a kInputVec literal; args[a:a+b] are the parameter slots a kInputSum adds and the operands of a kLinComb
-	owner  int32 // input owner party
-	param  int32 // parameter slot (const/input/ext params); lits index of a kInputVecSum's summed literals and of a kLinComb's coefficients; args offset of a kGather's n element indices
-	n      int32 // vector length of vector-producing nodes; operand count of kInner (list B follows list A in args)
-	c      int64 // public constant (kInput, kAddConst, kMulConst, kLinComb's c0) or raw field input (kInputElem, and the summed literals of a kInputSum)
+	folded bool // foldSums changed what the node computes: the handle recorded for it must not resolve
+	// openOnly: only an opening may consume the sharing Execute leaves
+	// here (schedule). On an input leaf it means the leaf is not shared at
+	// all; on any node, that its handle must not resolve.
+	openOnly bool
+	level    int32 // multiplicative level, assigned by Compile
+	a, b     int32 // operand node ids; b is the element index of kAt; a is the args offset of kInner/kFromScalars operands and the lits index of a kInputVec literal; args[a:a+b] are the parameter slots a kInputSum adds and the operands of a kLinComb
+	owner    int32 // input owner party
+	param    int32 // parameter slot (const/input/ext params); lits index of a kInputVecSum's summed literals and of a kLinComb's coefficients; args offset of a kGather's n element indices
+	n        int32 // vector length of vector-producing nodes; operand count of kInner (list B follows list A in args)
+	c        int64 // public constant (kInput, kAddConst, kMulConst, kLinComb's c0) or raw field input (kInputElem, and the summed literals of a kInputSum)
 }
 
 // Val is a handle to one recorded scalar node; it is passed around as a

@@ -8,16 +8,19 @@ import "sqm/internal/bgw"
 // one Mul / InnerProduct / Dot and one wire round per multiplicative
 // gate, one Open per scalar output. BGW computes exactly, so it must open
 // what Execute opens, bit for bit, in EagerRounds rounds. It reduces
-// after every gate, the last level's too: the oracle for the terminal
-// level Execute leaves unreduced.
+// after every gate, the last level's too, and it shares every input leaf
+// — it finds them in the nodes, not in the plan's list of the shared ones
+// — so it is the oracle for the terminal level Execute leaves unreduced
+// and for the open-only leaves Execute does not share.
 func (p *Plan) runEager(eng bgw.Evaluator, bind Bindings) (*Result, error) {
 	if err := p.validate(bind); err != nil {
 		return nil, err
 	}
 	r := &Result{plan: p, vals: make([]bgw.Val, len(p.nodes)), vecs: make([]bgw.Vec, len(p.nodes))}
-	for _, id := range p.inputs {
-		n := &p.nodes[id]
-		r.vals[id] = eng.InputElem(int(n.owner), p.inputElem(n, bind))
+	for id := range p.nodes {
+		if n := &p.nodes[id]; n.kind.isScalarInput() {
+			r.vals[id] = eng.InputElem(int(n.owner), p.inputElem(n, bind))
+		}
 	}
 	for lvl, locals := range p.locals {
 		if lvl > 0 {
@@ -35,11 +38,13 @@ func (p *Plan) runEager(eng bgw.Evaluator, bind Bindings) (*Result, error) {
 			}
 		}
 		for _, id := range locals {
-			if err := p.evalLocal(eng, bind, r, id); err != nil {
+			if n := &p.nodes[id]; n.kind == kInputVec || n.kind == kInputVecSum {
+				r.vecs[id] = eng.InputVec(int(n.owner), p.inputLit(n))
+			} else if err := p.evalLocal(eng, bind, r, id); err != nil {
 				return nil, err
 			}
 		}
-		if lvl == 0 && p.hasInputs {
+		if lvl == 0 && p.anyInput() {
 			eng.AdvanceRound()
 		}
 	}
@@ -67,12 +72,16 @@ func (p *Plan) MulGates() int {
 	return n
 }
 
+// anyInput reports whether the plan has an input leaf, shared or not:
+// runEager shares them all and pays the input round for any.
+func (p *Plan) anyInput() bool { return p.hasInputs || p.nUnshared > 0 }
+
 // EagerRounds returns the wire rounds of runEager, the gate-by-gate
 // baseline the scheduler improves on: the input round, one per
 // multiplicative gate, the opening round.
 func (p *Plan) EagerRounds() int {
 	r := p.MulGates()
-	if p.hasInputs {
+	if p.anyInput() {
 		r++
 	}
 	if p.hasOpens() {

@@ -19,12 +19,15 @@ import (
 // that few owners deal (sumTree, sumTreeVec) arrive too, so Compile's
 // fold pass has something to rewrite on most seeds. Half the seeds end
 // in a terminalTail, which decides whether the last multiplicative level
-// is opened unreduced. The shape is fully determined by rng, so the same
-// seed rebuilds the same circuit for every backend; the returned
-// bindings fill the scalar trees' parameter leaves.
-func randomCircuit(b *Builder, rng *rand.Rand) Bindings {
+// is opened unreduced, and three in four in an unsharedTail after it,
+// which decides whether one more input leaf is shared. The shape is fully
+// determined by rng, so the same seed rebuilds the same circuit for every
+// backend; the returned bindings fill the scalar trees' parameter leaves,
+// and the tails say what the seed ended in.
+func randomCircuit(b *Builder, rng *rand.Rand) (Bindings, circuitTails) {
 	const p = 4
 	var bind Bindings
+	var tails circuitTails
 	vals := []bgw.Val{b.Zero()}
 	var vecs []bgw.Vec
 	for i, n := 0, 2+rng.Intn(4); i < n; i++ {
@@ -123,12 +126,31 @@ func randomCircuit(b *Builder, rng *rand.Rand) Bindings {
 		b.OpenIdx(pick())
 	}
 	b.OpenVecIdx(vecs[rng.Intn(len(vecs))])
-	// Drawn last, so a seed records the gates above whatever the tail is.
+	// Drawn last, so a seed records the gates above whatever the tails are.
 	if tail := rng.Intn(4); tail >= 2 {
-		terminalTail(b, rng, vals, vecs, tail == 3)
+		tails.dangling = tail == 3
+		terminalTail(b, rng, vals, vecs, tails.dangling)
 	}
-	return bind
+	if tails.unshared = rng.Intn(4); tails.unshared != noUnsharedTail {
+		tails.leaf = unsharedTail(b, rng, tails.unshared)
+	}
+	return bind, tails
 }
+
+// circuitTails is what randomCircuit ended a seed's circuit in.
+type circuitTails struct {
+	dangling bool  // a terminalTail with its dangling handle
+	unshared int   // the unsharedTail's shape, or noUnsharedTail
+	leaf     int32 // the unsharedTail's input leaf
+}
+
+// The shapes of an unsharedTail.
+const (
+	noUnsharedTail = iota
+	openOnlyTail   // input → linear → open: the leaf must be unshared
+	multipliedTail // the same input also feeds a multiplication: shared
+	readableTail   // the same with a linear handle nothing consumes: shared
+)
 
 // terminalTail puts one more multiplicative level on top of everything
 // recorded. The sum of every scalar and of one element of every vector
@@ -156,6 +178,39 @@ func terminalTail(b *Builder, rng *rand.Rand, vals []bgw.Val, vecs []bgw.Vec, da
 	if dangling {
 		b.MulConst(m1, 3)
 	}
+}
+
+// unsharedTail records one more input leaf — a scalar or a vector — and
+// opens a linear gate over it: input → linear → open, the shape whose
+// leaf Compile leaves unshared. In a multipliedTail the same leaf is also
+// squared and the square opened (consumed, so it leaves a terminal level
+// terminal); in a readableTail a second linear gate reads the first and
+// nothing reads the gate, a handle a later plan could bind and multiply.
+// Either must keep the leaf a degree-t sharing. It returns the leaf's id.
+func unsharedTail(b *Builder, rng *rand.Rand, shape int) int32 {
+	owner, c := rng.Intn(4), int64(rng.Intn(21)-10)
+	if rng.Intn(2) == 0 {
+		x := b.Input(owner, int64(rng.Intn(2001)-1000))
+		lin := b.AddConst(b.MulConst(x, c), 7)
+		b.OpenIdx(lin)
+		switch shape {
+		case multipliedTail:
+			b.OpenIdx(b.Mul(x, x))
+		case readableTail:
+			b.MulConst(lin, 3)
+		}
+		return x.(*Val).id
+	}
+	v := b.InputVec(owner, []int64{int64(rng.Intn(201) - 100), int64(rng.Intn(201) - 100)})
+	lin := b.LinComb([]bgw.Vec{v}, []int64{c}, 7)
+	b.OpenVecIdx(lin)
+	switch shape {
+	case multipliedTail:
+		b.OpenIdx(b.Dot(v, v))
+	case readableTail:
+		b.Gather(lin, []int{1, 0})
+	}
+	return v.(*Vec).id
 }
 
 // sumTree records a sum of 2–7 scalar leaves dealt by at most two
@@ -252,7 +307,7 @@ func compileUnfolded(t *testing.T, b *Builder) *Plan {
 func checkEquivalence(t *testing.T, seed int64) {
 	t.Helper()
 	ub := NewBuilder(4, 0)
-	bind := randomCircuit(ub, rand.New(rand.NewSource(seed)))
+	bind, _ := randomCircuit(ub, rand.New(rand.NewSource(seed)))
 	want, err := compileUnfolded(t, ub).Plain(bind)
 	if err != nil {
 		t.Fatalf("seed %d: plain, as recorded: %v", seed, err)
@@ -355,13 +410,12 @@ func TestFuzzCorpusReachesTerminalShapes(t *testing.T) {
 	var terminal, dangling, plain int
 	for _, seed := range fuzzSeeds {
 		b := NewBuilder(4, 0)
-		randomCircuit(b, rand.New(rand.NewSource(seed)))
-		last := b.nodes[len(b.nodes)-1].kind
+		_, tails := randomCircuit(b, rand.New(rand.NewSource(seed)))
 		plan := b.MustCompile()
 		switch {
 		case plan.terminal:
 			terminal++
-		case last == kMulConst && plan.depth > 0:
+		case tails.dangling:
 			dangling++
 		default:
 			plain++
@@ -369,6 +423,32 @@ func TestFuzzCorpusReachesTerminalShapes(t *testing.T) {
 	}
 	if terminal == 0 || dangling == 0 || plain == 0 {
 		t.Fatalf("corpus compiles %d terminal plans, %d with a dangling top-level handle, %d others; want each", terminal, dangling, plain)
+	}
+}
+
+// TestFuzzCorpusReachesUnsharedShapes keeps the corpus honest about the
+// input leaves: its seeds must end in a leaf that reaches nothing but an
+// opening and is left unshared, in one that is also multiplied and in one
+// with a readable linear handle over it, both of which must stay shared —
+// and in plans with no such tail.
+func TestFuzzCorpusReachesUnsharedShapes(t *testing.T) {
+	var count [4]int
+	for _, seed := range fuzzSeeds {
+		b := NewBuilder(4, 0)
+		_, tails := randomCircuit(b, rand.New(rand.NewSource(seed)))
+		plan := b.MustCompile()
+		count[tails.unshared]++
+		if tails.unshared == noUnsharedTail {
+			continue
+		}
+		if got, want := plan.nodes[tails.leaf].openOnly, tails.unshared == openOnlyTail; got != want {
+			t.Errorf("seed %d: tail shape %d left its leaf unshared=%v, want %v", seed, tails.unshared, got, want)
+		}
+	}
+	for shape, n := range count {
+		if n == 0 {
+			t.Fatalf("corpus ends in %v plans per tail shape; shape %d is missing", count, shape)
+		}
 	}
 }
 

@@ -41,8 +41,9 @@ func (r *Result) OpenedVec(k int) []int64 { return r.openedVecs[k] }
 // recorded scalar, for use as an ExtVal binding of a later plan. Two
 // kinds of handle do not resolve, and asking for one is an invariant
 // violation: a handle Compile folded into its dealer's sum (see
-// Builder.Input) has no sharing of its own, and a node of a terminal
-// level (see Plan.schedule) holds a degree-2t sharing that only an
+// Builder.Input) has no sharing of its own, and an open-only node (see
+// Plan.schedule) — on a terminal level, or downstream of an input the
+// plan did not share — holds a sharing of degree above t that only an
 // opening may consume.
 func (r *Result) ValOf(h bgw.Val) bgw.Val {
 	v, ok := h.(*Val)
@@ -54,7 +55,7 @@ func (r *Result) ValOf(h bgw.Val) bgw.Val {
 }
 
 // VecOf returns the engine handle for a recorded vector, under ValOf's
-// rule for folded and terminal-level handles.
+// rule for folded and open-only handles.
 func (r *Result) VecOf(h bgw.Vec) bgw.Vec {
 	v, ok := h.(*Vec)
 	if !ok {
@@ -69,8 +70,8 @@ func (p *Plan) checkReadable(id int32) {
 	if n.folded {
 		panic(invariant.Violation("circuit: node %d was folded into its dealer's input sum by Compile and has no sharing of its own; give the leaf a second consumer or read the sum tree's root", id))
 	}
-	if p.terminal && int(n.level) == p.depth {
-		panic(invariant.Violation("circuit: node %d sits on the plan's terminal level, which Execute left unreduced: its sharing has degree 2t and may only be opened; record a handle nothing consumes at that level to keep the level reduced", id))
+	if n.openOnly {
+		panic(invariant.Violation("circuit: node %d sits on the plan's terminal level, which Execute left unreduced, or downstream of an input leaf Execute did not share: its sharing has degree above t and may only be opened; record a handle nothing consumes over it to keep the level reduced and the leaf shared", id))
 	}
 }
 
@@ -91,13 +92,15 @@ func (p *Plan) validate(bind Bindings) error {
 	return nil
 }
 
-// Execute runs the plan against eng with level batching: all inputs
-// share in one round (every scalar input in one InputBatch, one frame
-// per owner and peer; one frame per peer for each input vector), each
-// multiplicative level runs as one batched degree-reduction round —
+// Execute runs the plan against eng with level batching: all shared
+// inputs share in one round (every scalar input in one InputBatch, one
+// frame per owner and peer; one frame per peer for each input vector),
+// each multiplicative level runs as one batched degree-reduction round —
 // except a terminal level, whose products stay at degree 2t in their
 // slots at the cost of no traffic and no round — and all outputs open in
-// one batched round: Stats.Rounds advances by exactly Plan.Rounds().
+// one batched round: Stats.Rounds advances by exactly Plan.Rounds(). The
+// open-only input leaves (see schedule) enter unshared, at the cost of no
+// traffic and — when the plan shares no other leaf — no round.
 //
 // When the engine's recorder admits debug events, the execution is
 // traced: one "circuit.exec" span for the whole run with one
@@ -112,7 +115,8 @@ func (p *Plan) Execute(eng bgw.Evaluator, bind Bindings) (*Result, error) {
 	}
 	rec := eng.Recorder()
 	exec := obs.StartTracedSpan(rec, "circuit.exec", 0,
-		obs.Int("depth", p.depth), obs.Int("nodes", p.live), obs.Int("folded_inputs", p.folded))
+		obs.Int("depth", p.depth), obs.Int("nodes", p.live), obs.Int("folded_inputs", p.folded),
+		obs.Int("unshared_inputs", p.nUnshared))
 	var prev bgw.Stats
 	if exec.Active() {
 		prev = eng.Stats()
@@ -123,8 +127,9 @@ func (p *Plan) Execute(eng bgw.Evaluator, bind Bindings) (*Result, error) {
 		vecs: make([]bgw.Vec, len(p.nodes)),
 	}
 	// Level 0: the scalar inputs first — they depend on nothing, so they
-	// share as one batch — then the input vectors, external bindings and
-	// the linear closure.
+	// share as one batch, and the open-only ones enter as one unshared
+	// vector per owner — then the input vectors, external bindings and the
+	// linear closure.
 	if len(p.inputs) > 0 {
 		items := make([]bgw.InputItem, len(p.inputs))
 		for i, id := range p.inputs {
@@ -134,6 +139,9 @@ func (p *Plan) Execute(eng bgw.Evaluator, bind Bindings) (*Result, error) {
 		for i, out := range eng.InputBatch(items) {
 			r.vals[p.inputs[i]] = out
 		}
+	}
+	if len(p.unshared) > 0 {
+		p.enterUnsharedScalars(eng, bind, r)
 	}
 	for _, id := range p.locals[0] {
 		if err := p.evalLocal(eng, bind, r, id); err != nil {
@@ -229,6 +237,40 @@ func (p *Plan) inputElem(n *node, bind Bindings) field.Elem {
 	return field.FromInt64(n.c)
 }
 
+// enterUnsharedScalars enters the open-only scalar leaves without a
+// sharing: every owner's, in id order, as one unshared vector that At
+// takes apart again — one command per owner, metered per element like
+// an unshared vector leaf.
+func (p *Plan) enterUnsharedScalars(eng bgw.Evaluator, bind Bindings, r *Result) {
+	for owner := int32(0); int(owner) < p.p; owner++ {
+		var own []int64
+		for _, id := range p.unshared {
+			if n := &p.nodes[id]; n.owner == owner {
+				own = append(own, field.ToInt64(p.inputElem(n, bind)))
+			}
+		}
+		if len(own) == 0 {
+			continue
+		}
+		v, k := eng.InputUnshared(int(owner), own), 0
+		for _, id := range p.unshared {
+			if p.nodes[id].owner == owner {
+				r.vals[id] = eng.At(v, k)
+				k++
+			}
+		}
+	}
+}
+
+// inputLit returns the literal a vector input leaf deals: its own, or the
+// sum foldSums left for its dealer.
+func (p *Plan) inputLit(n *node) []int64 {
+	if n.kind == kInputVecSum {
+		return p.lits[n.param]
+	}
+	return p.lits[n.a]
+}
+
 // evalLocal materializes one vector leaf, external binding or linear
 // node on the engine (scalar input leaves share in Execute's InputBatch).
 func (p *Plan) evalLocal(eng bgw.Evaluator, bind Bindings, r *Result, id int32) error {
@@ -236,11 +278,12 @@ func (p *Plan) evalLocal(eng bgw.Evaluator, bind Bindings, r *Result, id int32) 
 	switch n.kind {
 	case kZero:
 		r.vals[id] = eng.Zero()
-	case kInputVec:
-		r.vecs[id] = eng.InputVec(int(n.owner), p.lits[n.a])
-	case kInputVecSum:
-		// Summed at compile time.
-		r.vecs[id] = eng.InputVec(int(n.owner), p.lits[n.param])
+	case kInputVec, kInputVecSum:
+		if n.openOnly {
+			r.vecs[id] = eng.InputUnshared(int(n.owner), p.inputLit(n))
+		} else {
+			r.vecs[id] = eng.InputVec(int(n.owner), p.inputLit(n))
+		}
 	case kExtVal:
 		if bind.Ext[n.param] == nil {
 			return fmt.Errorf("circuit: external value %d unbound", n.param)

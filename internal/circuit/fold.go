@@ -55,30 +55,13 @@ func (p *Plan) foldSums(limit int) error {
 	for i := range f.use {
 		f.use[i] = useNone
 	}
-	for id := range p.nodes {
-		n := &p.nodes[id]
-		switch n.kind {
-		case kAdd, kAddVec:
-			f.consume(int32(id), n.a, true)
-			f.consume(int32(id), n.b, true)
-		case kSub, kMul, kDot:
-			f.consume(int32(id), n.a, false)
-			f.consume(int32(id), n.b, false)
-		case kAddConst, kMulConst, kAddConstP, kMulConstP, kAt, kGather, kOpen, kOpenVec:
-			f.consume(int32(id), n.a, false)
-		case kLinComb:
-			for _, op := range p.operands(n.a, n.b) {
-				f.consume(int32(id), op, false)
-			}
-		case kInner:
-			for _, op := range p.operands(n.a, 2*n.n) {
-				f.consume(int32(id), op, false)
-			}
-		case kFromScalars:
-			for _, op := range p.operands(n.a, n.n) {
-				f.consume(int32(id), op, false)
-			}
-		}
+	var id int32
+	byAdd := false
+	consume := func(op int32) { f.consume(id, op, byAdd) }
+	for i := range p.nodes {
+		n := &p.nodes[i]
+		id, byAdd = int32(i), n.kind == kAdd || n.kind == kAddVec
+		p.eachOperand(n, consume)
 	}
 	for id := range p.nodes {
 		if k := p.nodes[id].kind; (k == kAdd || k == kAddVec) && f.use[id] < 0 {

@@ -41,23 +41,30 @@ func sameOpened(a, b *Result) bool {
 	return len(a.opened) == 0 || reflect.DeepEqual(a.opened, b.opened)
 }
 
-// mustNameTheFold runs fn and demands an invariant.Violation that says
-// the handle was folded.
-func mustNameTheFold(t *testing.T, what string, fn func()) {
+// mustViolateNaming runs fn and demands an invariant.Violation whose
+// message contains reason.
+func mustViolateNaming(t *testing.T, what, reason string, fn func()) {
 	t.Helper()
 	defer func() {
 		r := recover()
-		if e, ok := r.(*invariant.Error); !ok || !strings.Contains(e.Error(), "folded") {
-			t.Errorf("%s: recovered %v, want an invariant.Violation naming the fold", what, r)
+		if e, ok := r.(*invariant.Error); !ok || !strings.Contains(e.Error(), reason) {
+			t.Errorf("%s: recovered %v, want an invariant.Violation saying %q", what, r, reason)
 		}
 	}()
 	fn()
 }
 
+// mustNameTheFold demands the violation of a folded handle.
+func mustNameTheFold(t *testing.T, what string, fn func()) {
+	t.Helper()
+	mustViolateNaming(t, what, "folded", fn)
+}
+
 // TestFoldedHandlesFailLoudly: a leaf folded into its dealer's sum and a
 // partial sum over one have no sharing of their own, so their handles
 // must not resolve — to nil or to anything else. The root keeps both its
-// handle and its value.
+// handle and its value. (Both roots are also multiplied: a sum that only
+// reached its opening would not be shared at all, and refused for that.)
 func TestFoldedHandlesFailLoudly(t *testing.T) {
 	b := NewBuilder(4, 0)
 	a1 := b.Input(0, 3)
@@ -72,9 +79,10 @@ func TestFoldedHandlesFailLoudly(t *testing.T) {
 	vroot := b.AddVec(vpart, v2)
 	b.OpenIdx(root)
 	b.OpenVecIdx(vroot)
+	b.OpenIdx(b.Mul(root, b.Dot(vroot, vroot)))
 	plan := b.MustCompile()
-	if plan.folded != 2 {
-		t.Fatalf("folded %d input leaves, want 2", plan.folded)
+	if plan.folded != 2 || plan.nUnshared != 0 {
+		t.Fatalf("folded %d input leaves and left %d unshared, want 2 and 0", plan.folded, plan.nUnshared)
 	}
 	res, _ := runInline(t, plan, Bindings{Inputs: []int64{40}})
 	if got := res.Opened(0); got != 143 {
@@ -129,14 +137,14 @@ func TestSharedLeavesNeverFold(t *testing.T) {
 	s1, s2 := b.Input(0, 10), b.Input(0, 20)
 	sum := b.Add(b.Add(b.Add(b.Add(shared, s1), twice), s2), twice)
 	b.OpenIdx(sum)
-	b.OpenIdx(b.Mul(shared, shared))
+	b.OpenIdx(b.Mul(shared, sum)) // the sum is multiplied, so its leaves are shared
 	plan := b.MustCompile()
 	if plan.folded != 1 {
 		t.Fatalf("folded %d input leaves, want 1 (s2 into s1)", plan.folded)
 	}
 	res, _ := runInline(t, plan, Bindings{})
-	if res.Opened(0) != 40 || res.Opened(1) != 36 {
-		t.Fatalf("opened %d and %d, want 40 and 36", res.Opened(0), res.Opened(1))
+	if res.Opened(0) != 40 || res.Opened(1) != 240 {
+		t.Fatalf("opened %d and %d, want 40 and 240", res.Opened(0), res.Opened(1))
 	}
 	if res.ValOf(shared) == nil || res.ValOf(twice) == nil {
 		t.Fatal("a leaf with two consumers no longer resolves")
@@ -158,6 +166,7 @@ func TestVectorGateOperandsNeverFold(t *testing.T) {
 	b.OpenVecIdx(sum)
 	b.OpenVecIdx(b.Gather(gathered, []int{2, 2, 0}))
 	b.OpenVecIdx(b.LinComb([]bgw.Vec{combined, sum}, []int64{-2, 1}, 5))
+	b.OpenIdx(b.Dot(sum, sum)) // multiplied, so the sum's leaves are shared
 	plan := b.MustCompile()
 	if plan.folded != 1 {
 		t.Fatalf("folded %d input leaves, want 1 (s2 into s1)", plan.folded)
@@ -274,9 +283,10 @@ func sumOf(b *Builder, k, o int, val func(i int) int64, spoil bool) {
 
 // TestFoldExactCounts: k leaves dealt by o owners into one sum put
 // exactly the traffic of a hand-written o-leaf circuit on the wire, and
-// when every owner deals one leaf (o = k) Compile changes nothing: the
-// nodes are the recording and the counters are those the same circuit
-// measured before the pass existed.
+// when every owner deals one leaf (o = k) the fold pass changes nothing:
+// the nodes are the recording but for the open-only flag schedule sets —
+// a pure sum into an opening shares no leaf — and the counters are those
+// of one masked-sum round.
 func TestFoldExactCounts(t *testing.T) {
 	const k = 12
 	val := func(i int) int64 { return int64(3*i - 7) }
@@ -309,17 +319,26 @@ func TestFoldExactCounts(t *testing.T) {
 	sumOf(b, 4, 4, val, false)
 	recorded := append([]node(nil), b.nodes...)
 	plan := b.MustCompile()
-	if plan.folded != 0 || plan.Gates() != len(recorded) || !reflect.DeepEqual(plan.nodes, recorded) {
+	asRecorded := append([]node(nil), plan.nodes...)
+	for i := range asRecorded {
+		asRecorded[i].openOnly = false
+	}
+	if plan.folded != 0 || plan.Gates() != len(recorded) || !reflect.DeepEqual(asRecorded, recorded) {
 		t.Fatalf("one leaf per owner: Compile rewrote the recording (%d folded, %d of %d nodes)", plan.folded, plan.Gates(), len(recorded))
 	}
+	if plan.nUnshared != 8 || plan.Rounds() != 1 {
+		t.Fatalf("one leaf per owner: %d unshared leaves in %d rounds, want all 8 in the opening round", plan.nUnshared, plan.Rounds())
+	}
 	_, got := runInline(t, plan, Bindings{})
-	// Measured on this circuit at the commit before the pass (b55dcf1).
-	// The unreduced terminal level moves none of it: the circuit has no
-	// multiplicative level (2 rounds), and an opening still charges one
-	// field operation per element and party.
-	want := bgw.Stats{Rounds: 2, Frames: 48, Messages: 72, Bytes: 576, FieldOps: 108}
+	// Before the leaves went unshared this circuit measured {2, 48, 72,
+	// 576, 108}: the input round with its 24 frames, 36 messages and
+	// 12·P·(t+1) = 96 sharing operations is gone. What is left is the
+	// opening exchange of one scalar and one 2-vector — 2·P(P−1) frames,
+	// 3 elements to every peer, one field operation per element and party
+	// — and one λ⁻¹·x per input element at its owner.
+	want := bgw.Stats{Rounds: 1, Frames: 24, Messages: 36, Bytes: 288, FieldOps: 24}
 	if got != want {
-		t.Fatalf("one leaf per owner: counters %+v, before the pass %+v", got, want)
+		t.Fatalf("one leaf per owner: counters %+v, want %+v", got, want)
 	}
 }
 

@@ -29,10 +29,8 @@ func (p *Plan) Plain(bind Bindings) (*Result, error) {
 			vals[id] = 0
 		case kInput, kInputElem, kInputParam, kInputSum:
 			vals[id] = p.inputElem(n, bind)
-		case kInputVec:
-			vecs[id] = embed(p.lits[n.a])
-		case kInputVecSum:
-			vecs[id] = embed(p.lits[n.param])
+		case kInputVec, kInputVecSum:
+			vecs[id] = embed(p.inputLit(n))
 		case kAdd:
 			vals[id] = field.Add(vals[n.a], vals[n.b])
 		case kSub:

@@ -23,14 +23,16 @@ type Plan struct {
 	terminal bool
 	live     int       // nodes that compute something (all but kFolded)
 	folded   int       // input leaves foldSums removed
-	inputs   []int32   // level-0 scalar input leaves, id order: one InputBatch
+	inputs   []int32   // level-0 scalar input leaves Execute shares, id order: one InputBatch
+	unshared []int32   // level-0 scalar input leaves Execute does not share (see schedule), id order
 	muls     [][]int32 // muls[L] = multiplicative gates of level L+1, id order
 	locals   [][]int32 // locals[L] = other compute nodes of level L, id order
 	opens    []int32   // kOpen ids in record order
 	openVecs []int32   // kOpenVec ids in record order
 
 	nConsts, nInputs, nExt, nExtVecs int
-	hasInputs                        bool
+	nUnshared                        int  // input leaves, scalar and vector, Execute does not share
+	hasInputs                        bool // some input leaf is shared: the plan pays the input round
 }
 
 // operands returns the n-element operand list at offset off.
@@ -79,6 +81,33 @@ func (b *Builder) take() (*Plan, error) {
 	return p, nil
 }
 
+// eachOperand calls visit with every node id n reads, in operand order,
+// and reports whether n's kind is known.
+func (p *Plan) eachOperand(n *node, visit func(op int32)) bool {
+	var list []int32
+	switch n.kind {
+	case kZero, kInput, kInputElem, kInputVec, kInputParam, kInputSum, kInputVecSum, kExtVal, kExtVec, kFolded:
+		// leaves (and removed nodes)
+	case kAdd, kSub, kAddVec, kMul, kDot:
+		visit(n.a)
+		visit(n.b)
+	case kAddConst, kMulConst, kAddConstP, kMulConstP, kAt, kGather, kOpen, kOpenVec:
+		visit(n.a)
+	case kLinComb:
+		list = p.operands(n.a, n.b)
+	case kInner:
+		list = p.operands(n.a, 2*n.n)
+	case kFromScalars:
+		list = p.operands(n.a, n.n)
+	default:
+		return false
+	}
+	for _, op := range list {
+		visit(op)
+	}
+	return true
+}
+
 // schedule assigns levels and lists every level's gates. The leveling
 // rule: inputs, external bindings and constants sit at level 0; local
 // (linear) operations inherit the maximum level of their operands;
@@ -96,57 +125,71 @@ func (b *Builder) take() (*Plan, error) {
 // comes. A top-level node nobody consumes keeps the level reduced: its
 // handle may be read back through Result.ValOf / VecOf and bound into a
 // later plan, which may multiply it.
+//
+// An input leaf is open-only under the same rule, asked of the leaf: a
+// backward sweep marks every node something needs as a degree-t sharing
+// — the operands of a multiplication, a node nothing consumes (readable,
+// as above), and the operands of a linear gate so marked. A leaf left
+// unmarked reaches nothing but openings, through linear gates only, and
+// Execute does not share it (bgw.Evaluator.InputUnshared): its owner adds
+// it under the opening's zero mask, which costs no frame and — when no
+// leaf of the plan is shared — no input round. foldSums has run, so that
+// is one leaf per dealer and sum.
+//
+// Both cases set the one flag Result.ValOf / VecOf refuse: node.openOnly
+// starts at the products of a terminal level and at the unshared leaves
+// and follows every linear gate forward.
 func (p *Plan) schedule() error {
 	used := make([]bool, len(p.nodes))
+	var lvl int32
+	maxLevel := func(op int32) {
+		used[op] = true
+		if l := p.nodes[op].level; l > lvl {
+			lvl = l
+		}
+	}
 	for id := range p.nodes {
 		n := &p.nodes[id]
-		var lvl int32
-		max := func(op int32) {
-			used[op] = true
-			if l := p.nodes[op].level; l > lvl {
-				lvl = l
-			}
-		}
-		switch n.kind {
-		case kZero, kInput, kInputElem, kInputVec, kInputParam, kInputSum, kInputVecSum, kExtVal, kExtVec, kFolded:
-			// leaves (and removed nodes): level 0
-		case kAdd, kSub, kAddVec, kMul, kDot:
-			max(n.a)
-			max(n.b)
-		case kAddConst, kMulConst, kAddConstP, kMulConstP, kAt, kGather, kOpen, kOpenVec:
-			max(n.a)
-		case kLinComb:
-			for _, op := range p.operands(n.a, n.b) {
-				max(op)
-			}
-		case kInner:
-			for _, op := range p.operands(n.a, 2*n.n) {
-				max(op)
-			}
-		case kFromScalars:
-			for _, op := range p.operands(n.a, n.n) {
-				max(op)
-			}
-		default:
+		lvl = 0
+		if !p.eachOperand(n, maxLevel) {
 			return fmt.Errorf("circuit: unknown node kind %d", n.kind)
 		}
 		if n.kind.isMul() {
 			lvl++
 		}
 		n.level = lvl
-		if n.kind.isInput() {
-			p.hasInputs = true
-		}
 		if int(lvl) > p.depth {
 			p.depth = int(lvl)
 		}
 	}
-	// One counting pass sizes every schedule list, a second fills them.
-	// Outputs run in the final opening round and are already listed.
+	// Backward: who needs a degree-t sharing, and whether anything on the
+	// last level does.
+	strict := make([]bool, len(p.nodes))
+	need := func(op int32) { strict[op] = true }
+	p.terminal = p.depth > 0
+	for id := len(p.nodes) - 1; id >= 0; id-- {
+		n := &p.nodes[id]
+		if n.kind == kFolded || n.kind == kOpen || n.kind == kOpenVec {
+			continue
+		}
+		if !used[id] {
+			strict[id] = true
+			if int(n.level) == p.depth {
+				p.terminal = false
+			}
+		}
+		if strict[id] || n.kind.isMul() {
+			p.eachOperand(n, need)
+		}
+	}
+	// Forward again: the open-only flag, and one counting pass that sizes
+	// every schedule list; a last pass fills them. Outputs run in the final
+	// opening round and are already listed.
 	nMuls := make([]int, p.depth)
 	nLocals := make([]int, p.depth+1)
-	nInputs := 0
-	p.terminal = p.depth > 0
+	nInputs, nUnsharedScalars := 0, 0
+	openOnly := false
+	inherit := func(op int32) { openOnly = openOnly || p.nodes[op].openOnly }
 	for id := range p.nodes {
 		n := &p.nodes[id]
 		if n.kind == kFolded {
@@ -156,6 +199,23 @@ func (p *Plan) schedule() error {
 		switch {
 		case n.kind == kOpen || n.kind == kOpenVec:
 			continue
+		case n.kind.isInput():
+			n.openOnly = !strict[id]
+			if n.openOnly {
+				p.nUnshared++
+			} else {
+				p.hasInputs = true
+			}
+		case n.kind.isMul():
+			n.openOnly = p.terminal && int(n.level) == p.depth
+		default:
+			openOnly = false
+			p.eachOperand(n, inherit)
+			n.openOnly = openOnly
+		}
+		switch {
+		case n.kind.isScalarInput() && n.openOnly:
+			nUnsharedScalars++
 		case n.kind.isScalarInput():
 			nInputs++
 		case n.kind.isMul():
@@ -163,11 +223,9 @@ func (p *Plan) schedule() error {
 		default:
 			nLocals[n.level]++
 		}
-		if int(n.level) == p.depth && !used[id] {
-			p.terminal = false
-		}
 	}
 	p.inputs = make([]int32, 0, nInputs)
+	p.unshared = make([]int32, 0, nUnsharedScalars)
 	p.muls = make([][]int32, p.depth)
 	for l, n := range nMuls {
 		p.muls[l] = make([]int32, 0, n)
@@ -179,6 +237,8 @@ func (p *Plan) schedule() error {
 	for id := range p.nodes {
 		switch n := &p.nodes[id]; {
 		case n.kind == kFolded || n.kind == kOpen || n.kind == kOpenVec:
+		case n.kind.isScalarInput() && n.openOnly:
+			p.unshared = append(p.unshared, int32(id))
 		case n.kind.isScalarInput():
 			p.inputs = append(p.inputs, int32(id))
 		case n.kind.isMul():
@@ -212,10 +272,11 @@ func (p *Plan) Opens() int { return len(p.opens) }
 func (p *Plan) hasOpens() bool { return len(p.opens) > 0 || len(p.openVecs) > 0 }
 
 // Rounds returns the wire rounds of one planned execution: one input
-// round (when the plan shares fresh inputs), one batched degree-reduction
-// round per multiplicative level — less the terminal level's, which is
-// opened at the degree it has — and one batched opening round (when the
-// plan reveals outputs): depth + inputs + opens − terminal. This is the
+// round (when the plan shares fresh inputs — an open-only leaf is not
+// shared and does not count), one batched degree-reduction round per
+// multiplicative level — less the terminal level's, which is opened at
+// the degree it has — and one batched opening round (when the plan
+// reveals outputs): depth + shared inputs + opens − terminal. This is the
 // quantity the paper's cost model charges 0.1 s for — planned execution
 // makes it a function of depth, not of gate count.
 func (p *Plan) Rounds() int {

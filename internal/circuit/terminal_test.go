@@ -8,7 +8,8 @@ import (
 )
 
 // releaseShape records the shape of every SQM release: inner products of
-// shared columns, packed, a degree-t noise vector added, one vector
+// shared columns, packed, a noise vector added — which reaches nothing
+// but the opening, so its owner keeps it unshared — and one vector
 // opening. It returns the handles of one product and of the packed
 // vector, both on the last multiplicative level.
 func releaseShape(b *Builder) (prod bgw.Val, packed bgw.Vec) {
@@ -61,11 +62,12 @@ func TestTerminalLevelIsOpenedUnreduced(t *testing.T) {
 				t.Errorf("%s: element %d opened %d, plain %d", name, k, got, w)
 			}
 		}
-		// Three dealing parties' input frames and one opening exchange; the
-		// 4 + 4 + 3 input elements and the 3 opened ones to every peer.
+		// The two column dealers' input frames and one opening exchange; the
+		// 4 + 4 column elements and the 3 opened ones to every peer. The
+		// noise costs nothing on the wire.
 		st := eng.Stats()
-		if st.Rounds != 2 || st.Frames != 3*(p-1)+p*(p-1) || st.Messages != (11+3*p)*(p-1) {
-			t.Errorf("%s: %d rounds, %d frames, %d messages; want 2, %d, %d", name, st.Rounds, st.Frames, st.Messages, 3*(p-1)+p*(p-1), (11+3*p)*(p-1))
+		if st.Rounds != 2 || st.Frames != 2*(p-1)+p*(p-1) || st.Messages != (8+3*p)*(p-1) {
+			t.Errorf("%s: %d rounds, %d frames, %d messages; want 2, %d, %d", name, st.Rounds, st.Frames, st.Messages, 2*(p-1)+p*(p-1), (8+3*p)*(p-1))
 		}
 	}
 
@@ -93,9 +95,9 @@ func TestTerminalLevelIsOpenedUnreduced(t *testing.T) {
 func TestTerminalLevelHandlesDoNotResolve(t *testing.T) {
 	b := NewBuilder(4, 0)
 	x := b.Input(0, 6)
-	low := b.MulConst(x, 2) // level 0: still a degree-t sharing
+	low := b.MulConst(x, 2) // level 0, and squared below: still a degree-t sharing
 	prod, packed := releaseShape(b)
-	b.OpenIdx(b.Add(prod, low))
+	b.OpenIdx(b.Add(prod, b.Mul(low, low)))
 	plan := b.MustCompile()
 	if !plan.terminal {
 		t.Fatal("level is not terminal")

@@ -124,11 +124,11 @@ func (r *release) drawNoiseOnto(upper []int64) {
 
 // mpcCovariance runs the same computation over secret shares with the
 // selected Evaluator backend, recorded as a level-scheduled plan: one
-// input round (data + noise), one batched inner-product round (all
-// fused gates in a single reshare exchange), one batched opening
-// round. Noise shares enter during the input round: each party deals one
-// sharing of the sum of the shares its clients sampled (inputNoise), and
-// the parties add the sharings locally.
+// input round for the data columns and one batched opening round. The
+// inner products are the plan's terminal level — every party keeps its
+// local products, nothing is reshared — and the noise enters at the
+// opening: each party adds the sum of the shares its clients sampled
+// (inputNoise) to the row it publishes, under the opening's zero mask.
 func (r *release) mpcCovariance(qd *quant.IntMatrix) ([]int64, error) {
 	p, n := r.p, qd.Cols
 	pairs := n * (n + 1) / 2

@@ -91,7 +91,9 @@ func TestCovariancePlainAndBGWAgreeExactly(t *testing.T) {
 			t.Fatalf("entry %d differs: %v vs %v", i, c1.Data[i], c2.Data[i])
 		}
 	}
-	// Input and opening: the Gram products are opened unreduced.
+	// Input and opening: the Gram products are opened unreduced. The noise
+	// is not shared, but the data columns are — they are multiplied — so
+	// the input round stays.
 	if tr2.Stats.Rounds != 2 {
 		t.Fatalf("covariance protocol should take 2 rounds, got %d", tr2.Stats.Rounds)
 	}

@@ -57,16 +57,21 @@ func sessionStats(t *testing.T, clients int) (cov, lr, lr3 bgw.Stats) {
 // multiplicative level is opened unreduced, that level's resharing: one
 // round, P(P−1) = 12 frames, muls·P(P−1) messages and P·muls·(P+t+1)
 // field operations, with muls = 21 Gram entries, 5 and 5 gradient
-// coordinates.
+// coordinates — and less, since the noise reaches nothing but the opening
+// and no party shares it, the noise sharing of the same muls elements per
+// dealer: P(P−1) = 12 frames, muls·P(P−1) messages, and P·muls·(P(t+1) − 1)
+// field operations (one λ⁻¹·x per element stays). The gradient steps
+// share nothing else, so their input round goes with it; the covariance
+// keeps its round for the data columns.
 func TestOneClientPerPartyIsAFixedPoint(t *testing.T) {
 	cov, lr, lr3 := sessionStats(t, 4)
 	for _, c := range []struct {
 		name      string
 		got, want bgw.Stats
 	}{
-		{"covariance", cov, bgw.Stats{Rounds: 3 - 1, Frames: 54 - 12, Messages: 1296 - 252, Bytes: 10368 - 2016, FieldOps: 5220 - 504}},
-		{"lr", lr, bgw.Stats{Rounds: 3 - 1, Frames: 36 - 12, Messages: 180 - 60, Bytes: 1440 - 480, FieldOps: 652 - 120}},
-		{"lr3", lr3, bgw.Stats{Rounds: 5 - 1, Frames: 60 - 12, Messages: 372 - 60, Bytes: 2976 - 480, FieldOps: 1260 - 120}},
+		{"covariance", cov, bgw.Stats{Rounds: 3 - 1, Frames: 54 - 12 - 12, Messages: 1296 - 252 - 252, Bytes: 10368 - 2016 - 2016, FieldOps: 5220 - 504 - 588}},
+		{"lr", lr, bgw.Stats{Rounds: 3 - 1 - 1, Frames: 36 - 12 - 12, Messages: 180 - 60 - 60, Bytes: 1440 - 480 - 480, FieldOps: 652 - 120 - 140}},
+		{"lr3", lr3, bgw.Stats{Rounds: 5 - 1 - 1, Frames: 60 - 12 - 12, Messages: 372 - 60 - 60, Bytes: 2976 - 480 - 480, FieldOps: 1260 - 120 - 140}},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s: counters %+v, want %+v", c.name, c.got, c.want)
@@ -75,8 +80,9 @@ func TestOneClientPerPartyIsAFixedPoint(t *testing.T) {
 }
 
 // TestHostedClientsCostOneSharingPerParty: with six clients hosted on
-// four parties the noise of the two doubly-loaded parties folds, and the
-// session puts on the wire exactly what one client per party does.
+// four parties the noise of the two doubly-loaded parties folds into one
+// (unshared) addend each, and the session puts on the wire — and meters —
+// exactly what one client per party does.
 func TestHostedClientsCostOneSharingPerParty(t *testing.T) {
 	hc, hl, hl3 := sessionStats(t, 6)
 	c, l, l3 := sessionStats(t, 4)

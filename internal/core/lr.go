@@ -23,9 +23,9 @@ import (
 // Taylor polynomial of the sigmoid the protocol's link fixes: Eq. (9)'s
 // ½ + u/4 (NewLRProtocol) or the order-3 ½ + u/4 − u³/48
 // (NewLR3Protocol). Because the weight vector is public, folding it in
-// is a local linear combination; the resharings are the cube's two
-// multiplication levels at order 3 and one fused inner product per
-// output coordinate.
+// is a local linear combination; the only resharings are the cube's two
+// multiplication levels at order 3 — the fused inner product per output
+// coordinate is opened at the degree it has.
 type LRProtocol struct {
 	p    Params
 	m, d int
@@ -157,7 +157,8 @@ func (c coefs) u(row []int64, lab int64) int64 {
 // levels on its B entries, taken out as scalars; the circuit records −c,
 // because (−c)³ = −c³ joins u by an addition and the gate surface has no
 // vector subtraction. With the inner products that is multiplicative
-// depth 3: five wire rounds for any batch.
+// depth 3 and, the last level being opened unreduced, three wire rounds
+// for any batch: the cube's two resharings and the opening.
 func (c coefs) gate(b *circuit.Builder, cols []bgw.Vec) bgw.Vec {
 	d := len(c.lin)
 	u := b.LinComb(cols, append(append(make([]int64, 0, d+1), c.lin...), -c.label), c.half)
@@ -381,8 +382,9 @@ func checkBatch(batch []int, m int) error {
 // gradient evaluates X_Bᵀ·u + noise for the batch B on the resident
 // shares and opens it: the batch's rows of every column are gathered on
 // the engine and bound to the step's circuit as its external vectors.
-// The wire rounds are the input round, one resharing round per
-// multiplicative level of u plus the inner products', and the opening.
+// The wire rounds are one resharing round per multiplicative level of u
+// and the opening: the inner products are opened unreduced, and the noise
+// is an input no party shares (inputNoise), so a step has no input round.
 func (s *lrShares) gradient(r *release, batch []int, noise [][]int64, u uGate) ([]int64, error) {
 	ext := make([]bgw.Vec, len(s.cols))
 	for j, col := range s.cols {
@@ -413,7 +415,7 @@ type uGate func(b *circuit.Builder, cols []bgw.Vec) bgw.Vec
 
 // recordGradient records and compiles one step's circuit over d+1
 // external vectors of B elements: dots[t] = ⟨cols[t], u⟩, and every
-// client's noise share vector an input its party deals (inputNoise),
+// client's noise share vector an input its party holds (inputNoise),
 // added to the packed dots and opened. That is 2d + 2·parties nodes or
 // so after folding, recorded every step: the vector lengths are the
 // realised Poisson batch size, which rarely repeats, so there is nothing

@@ -145,10 +145,11 @@ func TestLR3PlainAndBGWAgree(t *testing.T) {
 			t.Fatalf("coord %d: plain %d vs BGW %d", t2, tr1.Scaled[t2], tr2.Scaled[t2])
 		}
 	}
-	// Noise input + two cube rounds + output: the fused inner products
-	// are the terminal level and are opened unreduced.
-	if tr2.Stats.Rounds != 4 {
-		t.Fatalf("rounds = %d, want 4", tr2.Stats.Rounds)
+	// Two cube rounds + output: the fused inner products are the terminal
+	// level and are opened unreduced, and the noise rides the opening
+	// unshared.
+	if tr2.Stats.Rounds != 3 {
+		t.Fatalf("rounds = %d, want 3", tr2.Stats.Rounds)
 	}
 }
 
@@ -301,8 +302,8 @@ func TestLR3PlannedRoundsIndependentOfBatch(t *testing.T) {
 			t.Errorf("B=6 dim %d: actor %d != plain %d", d, actorLarge[d], plainLarge[d])
 		}
 	}
-	if stSmall.Rounds != 4 || stLarge.Rounds != 4 {
-		t.Errorf("rounds: B=2 %d, B=6 %d, want 4 and 4", stSmall.Rounds, stLarge.Rounds)
+	if stSmall.Rounds != 3 || stLarge.Rounds != 3 {
+		t.Errorf("rounds: B=2 %d, B=6 %d, want 3 and 3", stSmall.Rounds, stLarge.Rounds)
 	}
 	if stSmall.Frames != stLarge.Frames {
 		t.Errorf("frames depend on batch size: B=2 %d, B=6 %d", stSmall.Frames, stLarge.Frames)

@@ -180,9 +180,10 @@ func TestLRPlainAndBGWAgreeExactly(t *testing.T) {
 			t.Fatalf("coord %d: plain %d vs BGW %d", t2, tr1.Scaled[t2], tr2.Scaled[t2])
 		}
 	}
-	// Noise input and opening; the d dot products are opened unreduced.
-	if tr2.Stats.Rounds != 2 {
-		t.Fatalf("one SGD round should cost 2 communication rounds, got %d", tr2.Stats.Rounds)
+	// The opening alone: the d dot products are opened unreduced and the
+	// noise rides the opening unshared.
+	if tr2.Stats.Rounds != 1 {
+		t.Fatalf("one SGD round should cost 1 communication round, got %d", tr2.Stats.Rounds)
 	}
 	if lr2.SetupStats().Rounds != 1 {
 		t.Fatalf("setup should cost 1 round, got %d", lr2.SetupStats().Rounds)

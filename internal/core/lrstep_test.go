@@ -74,20 +74,22 @@ func TestGradientStepBitIdenticalAtBatchEdges(t *testing.T) {
 // closed form in the batch size B, the features d, the clients, the
 // parties P and the threshold t — the scalar per-record circuit's cost,
 // which benchmark/replica.go still executes and compares from outside.
-// With o = min(clients, P) dealing parties, every step moves
+// Every step moves
 //
-//	frames   o·(P−1) + levels·P·(P−1)
-//	messages (d·o + muls·P + d·P)·(P−1), 8 bytes each
+//	frames   levels·P·(P−1)
+//	messages (muls·P + d·P)·(P−1), 8 bytes each
 //
-// in levels + 1 rounds, where levels is the multiplicative depth — 1 for
-// LR, 3 for LR3 (the cube's two levels of B products under the d inner
-// products) — and the last level, the inner products', is terminal: it
-// is opened unreduced, so the levels·P·(P−1) frames are levels − 1
-// reshare exchanges and the opening, and muls counts only the products
-// below it, 0 for LR and 2B for LR3. FieldOps sums, over the parties,
-// the affine gates' terms·B, the noise sharings' d·P·(t+1) per dealer,
-// every product's operand count, P+t+1 for each reshared product, and d
-// for the opening.
+// in levels rounds, where levels is the multiplicative depth — 1 for LR,
+// 3 for LR3 (the cube's two levels of B products under the d inner
+// products). The noise reaches nothing but the opening, so no party
+// shares it: there is no input round and no input frame, and an LR step
+// is the opening round alone. The last level, the inner products', is
+// terminal: it is opened unreduced, so the levels·P·(P−1) frames are
+// levels − 1 reshare exchanges and the opening, and muls counts only the
+// products below it, 0 for LR and 2B for LR3. FieldOps sums, over the
+// parties, the affine gates' terms·B, one λ⁻¹·x per noise element at each
+// of the o = min(clients, P) parties that hold some, every product's
+// operand count, P+t+1 for each reshared product, and d for the opening.
 func TestGradientStepCountersClosedForm(t *testing.T) {
 	for _, c := range []struct{ m, d, B, clients, P, t int }{
 		{40, 5, 8, 4, 4, 1},
@@ -106,13 +108,13 @@ func TestGradientStepCountersClosedForm(t *testing.T) {
 		P, d, B, th := int64(c.P), int64(c.d), int64(c.B), int64(c.t)
 		reshare := P + th + 1
 		want := func(levels, muls, linTerms, mulOps int64) bgw.Stats {
-			msgs := (d*int64(o) + muls*P + d*P) * (P - 1)
+			msgs := (muls*P + d*P) * (P - 1)
 			return bgw.Stats{
-				Rounds:   levels + 1,
-				Frames:   int64(o)*(P-1) + levels*P*(P-1),
+				Rounds:   levels,
+				Frames:   levels * P * (P - 1),
 				Messages: msgs,
 				Bytes:    8 * msgs,
-				FieldOps: P*linTerms*B + int64(o)*d*P*(th+1) + P*(mulOps+muls*reshare) + P*d,
+				FieldOps: P*linTerms*B + int64(o)*d + P*(mulOps+muls*reshare) + P*d,
 			}
 		}
 		for _, kind := range []EngineKind{EngineBGW, EngineActorBGW} {

@@ -96,17 +96,20 @@ func (r *release) polySum(q *poly.Quantized, x *linalg.Matrix, scale float64) ([
 
 // mpcPolySum evaluates the quantized polynomial over secret shares with
 // whichever Evaluator backend p.Engine selects. The circuit is recorded
-// into a level-scheduled plan: all columns share in one input round,
-// every multiplication level runs as one batched degree-reduction
-// round, and the outputs open in one batched round — rounds derive from
-// the compiled depth, not hand bookkeeping.
+// into a level-scheduled plan: the columns some monomial multiplies share
+// in one input round, every multiplication level but the last runs as one
+// batched degree-reduction round, and the outputs open in one batched
+// round — rounds derive from the compiled depth, not hand bookkeeping.
+// The noise, and a column only degree-1 monomials read, reach nothing but
+// the opening and are added there unshared: a purely linear release is
+// one masked-sum round.
 func (r *release) mpcPolySum(q *poly.Quantized, data *quant.IntMatrix, noise [][]int64) ([]int64, error) {
 	p := r.p
 	n, m := data.Cols, data.Rows
 	b := circuit.NewBuilder(p.Parties, p.Threshold)
 	cols := p.inputColumns(b, data, n)
-	// Per-client noise shares are scalar inputs of the same round, one
-	// chain per output dimension.
+	// Per-client noise shares are scalar inputs, one chain per output
+	// dimension.
 	noiseStart := time.Now()
 	d := q.Source.OutDim()
 	noiseShared := make([]bgw.Val, d)

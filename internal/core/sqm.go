@@ -19,10 +19,11 @@
 //     and only then is the engine selected — release.evaluate, the one
 //     place Params.Engine forks. The plaintext integer engine adds the
 //     shares onto the aggregate (release.addNoise); the BGW engines
-//     (package bgw) record the columns and the per-client noise vectors
-//     as inputs their parties deal (Params.inputColumns, inputNoise) and
-//     run the compiled plan on a fresh engine (release.runOnce). The two
-//     are output-identical because BGW computes exactly;
+//     (package bgw) record the columns as inputs their parties deal and
+//     the per-client noise vectors as inputs their parties add at the
+//     opening (Params.inputColumns, inputNoise) and run the compiled plan
+//     on a fresh engine (release.runOnce). The two are output-identical
+//     because BGW computes exactly;
 //  5. the Trace is closed (release.finish) and the server down-scales
 //     the opened result by γ^{λ+1}, or γ^λ for the coefficient-1
 //     monomials of Algorithm 1 (Trace.estimate).
@@ -269,7 +270,6 @@ type Trace struct {
 
 	Compute      time.Duration // wall-clock of the full evaluation
 	NoiseCompute time.Duration // wall-clock of noise sampling + aggregation
-	NoiseRounds  int64         // communication rounds attributable to DP
 }
 
 // TotalTime is the modeled end-to-end cost: measured computation plus
@@ -279,10 +279,11 @@ func (t *Trace) TotalTime() time.Duration {
 	return t.Compute + time.Duration(t.Stats.Rounds)*t.Lat
 }
 
-// NoiseTime is the part of TotalTime attributable to enforcing DP.
-func (t *Trace) NoiseTime() time.Duration {
-	return t.NoiseCompute + time.Duration(t.NoiseRounds)*t.Lat
-}
+// NoiseTime is the part of TotalTime attributable to enforcing DP: the
+// clients' sampling. It has no latency term — the noise is an input that
+// reaches nothing but the opening, so no party shares it and it costs no
+// round (circuit.Plan.schedule).
+func (t *Trace) NoiseTime() time.Duration { return t.NoiseCompute }
 
 // release is one SQM invocation in flight, from the clients' quantized
 // columns to the server's estimate. Its methods are the stages every
@@ -329,7 +330,6 @@ func (r *release) evaluate(bound float64, plain, mpc func() ([]int64, error)) ([
 	case r.p.Engine == EnginePlain:
 		return plain()
 	case r.p.Engine.IsMPC():
-		r.tr.NoiseRounds++ // the noise inputs share the input round; attribute one round to DP
 		return mpc()
 	}
 	return nil, errUnknownEngine(r.p.Engine)
@@ -357,13 +357,15 @@ func (p *Params) inputColumns(b *circuit.Builder, data *quant.IntMatrix, total i
 	return cols
 }
 
-// inputNoise records client j's noise share vector as an input the party
-// hosting it deals, added onto acc (nil starts the chain). The recording
-// names every client's vector; Compile folds the leaves one party deals
-// into that sum tree into a single InputVec of their field sum, so a
-// party hosting n/P clients shares once, not n/P times — and with one
-// client per party nothing folds. The opened integers are the same either
-// way.
+// inputNoise records client j's noise share vector as an input of the
+// party hosting it, added onto acc (nil starts the chain). The recording
+// names every client's vector; Compile folds the leaves one party holds
+// in that sum tree into their field sum (with one client per party
+// nothing folds), and because the chain reaches nothing but the release's
+// opening, no party shares what is left: each adds its sum to the row it
+// publishes, under the opening's zero mask (PRIVACY.md "Add what only you
+// know at the opening"). The noise costs no frame and no round, and the
+// opened integers are the same as if every vector had been shared.
 func (p *Params) inputNoise(b *circuit.Builder, acc bgw.Vec, j int, shares []int64) bgw.Vec {
 	v := b.InputVec(p.partyOf(j), shares)
 	if acc == nil {

@@ -279,7 +279,7 @@ func TestTraceTimeModel(t *testing.T) {
 	if tr.NoiseTime() > tr.TotalTime() {
 		t.Fatal("noise time cannot exceed total time")
 	}
-	if tr.NoiseRounds < 1 {
-		t.Fatal("DP must account at least one round")
+	if tr.NoiseTime() != tr.NoiseCompute {
+		t.Fatal("DP costs no round: the noise rides the opening unshared, so its time is its computation")
 	}
 }

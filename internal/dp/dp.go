@@ -44,16 +44,38 @@ func SkellamRDP(alpha int, delta1, delta2, mu float64) float64 {
 	return lead + math.Min(t1, t2)
 }
 
+// EffectiveMu prices absent noise: of the n shares Sk(μ/n) that sum to
+// Sk(μ), absent are missing from what protects the release — dropped
+// before the opening, or known to the adversary, which a distributed
+// mechanism cannot count on (Wu et al. 2016) — and what is left is
+// Sk(μ·(n − absent)/n). With nothing left it is 0, which SkellamRDP
+// answers with +Inf.
+func EffectiveMu(mu float64, n, absent int) float64 {
+	if absent >= n {
+		return 0
+	}
+	return mu * float64(n-absent) / float64(n)
+}
+
 // SkellamRDPClient returns the client-observed RDP bound (Lemmas 3/4).
 // A curious client knows its own local noise, so the effective noise is
 // Sk((n−1)/n · μ); and because the record count is public to clients,
 // neighboring databases replace a record, doubling both sensitivities.
 func SkellamRDPClient(alpha int, delta1, delta2, mu float64, numClients int) float64 {
-	if numClients < 2 {
+	return SkellamRDP(alpha, 2*delta1, 2*delta2, EffectiveMu(mu, numClients, 1))
+}
+
+// SkellamRDPCoalition is the client-observed bound under the BGW layer's
+// own threat model: t colluding parties out of P. A party samples — and
+// so knows — the shares of every client it hosts, up to ⌈n/P⌉ of them, so
+// the coalition's view is protected by Sk(μ·(n − t·⌈n/P⌉)/n) only. With
+// one client per party and t = 1 it is SkellamRDPClient.
+func SkellamRDPCoalition(alpha int, delta1, delta2, mu float64, numClients, parties, t int) float64 {
+	if parties < 1 {
 		return math.Inf(1)
 	}
-	effMu := mu * float64(numClients-1) / float64(numClients)
-	return SkellamRDP(alpha, 2*delta1, 2*delta2, effMu)
+	hosted := (numClients + parties - 1) / parties
+	return SkellamRDP(alpha, 2*delta1, 2*delta2, EffectiveMu(mu, numClients, t*hosted))
 }
 
 // GaussianRDP returns the RDP of the Gaussian mechanism at order alpha

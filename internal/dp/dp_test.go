@@ -99,6 +99,48 @@ func TestSkellamRDPClient(t *testing.T) {
 	}
 }
 
+// TestCoalitionViewPricesHostedShares: one function prices absent noise.
+// At cov_mono's shape — 120 clients hosted on 4 parties, t = 1 — a
+// curious party knows the 30 shares it sampled, so its view is protected
+// by 0.75 μ where the one-curious-client bound assumes 119/120 μ, and the
+// coalition-view ε is strictly above SkellamClientEpsilon; with one client
+// per party and t = 1 the two are the same number, bit for bit.
+func TestCoalitionViewPricesHostedShares(t *testing.T) {
+	const n, mu, delta = 120, 1e6, 1e-5
+	if got := EffectiveMu(mu, n, 30); got != 0.75*mu {
+		t.Fatalf("EffectiveMu(μ, 120, 30) = %v, want 0.75 μ", got)
+	}
+	if got, want := EffectiveMu(mu, n, 1), mu*119/120; got != want {
+		t.Fatalf("EffectiveMu(μ, 120, 1) = %v, want %v", got, want)
+	}
+	if EffectiveMu(mu, 4, 4) != 0 || EffectiveMu(mu, 4, 9) != 0 {
+		t.Fatal("no share left must price as no noise")
+	}
+	d2 := 50.0
+	coalition := func(parties, th int) float64 {
+		eps, _ := BestEpsilon(func(a int) float64 { return SkellamRDPCoalition(a, d2, d2, mu, n, parties, th) }, delta, DefaultMaxAlpha)
+		return eps
+	}
+	client, _ := SkellamClientEpsilon(d2, d2, mu, n, 1, delta, DefaultMaxAlpha)
+	if hosted := coalition(4, 1); hosted <= client {
+		t.Fatalf("120 clients on 4 parties, t = 1: coalition-view ε %v is not above the client-view ε %v", hosted, client)
+	}
+	if own := coalition(n, 1); own != client {
+		t.Fatalf("one client per party, t = 1: coalition-view ε %v, client-view ε %v; want equal", own, client)
+	}
+	if coalition(4, 2) <= coalition(4, 1) {
+		t.Fatal("a larger coalition must not see more noise")
+	}
+	if !math.IsInf(SkellamRDPCoalition(2, 1, 1, mu, n, 4, 4), 1) {
+		t.Fatal("a coalition hosting every client has no distributed protection")
+	}
+	for _, a := range []int{2, 7, 64} {
+		if SkellamRDPCoalition(a, 3, 3, 10, 5, 5, 1) != SkellamRDPClient(a, 3, 3, 10, 5) {
+			t.Fatalf("α = %d: one client per party, t = 1 is not the client bound", a)
+		}
+	}
+}
+
 func TestClientWeakerThanServer(t *testing.T) {
 	for _, n := range []int{2, 5, 50} {
 		s := SkellamRDP(4, 10, 10, 1e4)

@@ -20,14 +20,18 @@ var shareTypes = map[string][]string{
 // whatever their types say: additive reshares, the products a terminal
 // level keeps at degree 2t (handles, so tainted by type as well; the rows
 // say that the unreduced command is a source like any other gate and
-// never a sanctioned open) and the secagg pair stream the telescoping
-// masks are drawn from. The row a party publishes in an opening stays
-// inside bgw, which may put share material on the wire.
+// never a sanctioned open), the unshared input — its owner's slot holds
+// the input itself, scaled by a public constant — and the secagg pair
+// stream the telescoping masks are drawn from. The row a party publishes
+// in an opening stays inside bgw, which may put share material on the
+// wire.
 var shareFuncSources = map[string]bool{
 	"(sqm/internal/bgw.Engine).AdditiveShares":       true,
 	"(sqm/internal/bgw.Evaluator).AdditiveShares":    true,
 	"(sqm/internal/bgw.Engine).MulBatchUnreduced":    true,
 	"(sqm/internal/bgw.Evaluator).MulBatchUnreduced": true,
+	"(sqm/internal/bgw.Engine).InputUnshared":        true,
+	"(sqm/internal/bgw.Evaluator).InputUnshared":     true,
 	"sqm/internal/secagg.pairStream":                 true,
 }
 
@@ -107,7 +111,7 @@ var AnalyzerShareTaint = &Analyzer{
 		Invariant: "A single party's view must stay share-only: no secret share, Beaver triple, secagg mask stream, or value derived from one may reach a formatting, logging, telemetry, or out-of-protocol transport sink, at any call depth. Logs and metrics are aggregation channels the privacy proof does not account for.",
 		Sources: []string{
 			"values of type bgw.Shared, bgw.SharedVec, bgw.Val, bgw.Vec, beaver.Triple, beaver.Share (directly or inside containers/structs)",
-			"results of (bgw.Engine).AdditiveShares, (bgw.Evaluator).AdditiveShares, (bgw.Engine).MulBatchUnreduced, (bgw.Evaluator).MulBatchUnreduced and secagg.pairStream",
+			"results of (bgw.Engine).AdditiveShares, (bgw.Evaluator).AdditiveShares, (bgw.Engine).MulBatchUnreduced, (bgw.Evaluator).MulBatchUnreduced, (bgw.Engine).InputUnshared, (bgw.Evaluator).InputUnshared and secagg.pairStream",
 		},
 		Sinks: []string{
 			"any call into fmt, log, log/slog, or sqm/internal/obs",

@@ -201,7 +201,8 @@ func TestSQMWithBGWEngineMatchesPlain(t *testing.T) {
 	if math.Abs(plain.Utility-mpc.Utility) > 1e-9*(1+plain.Utility) {
 		t.Fatalf("plain %v vs BGW %v", plain.Utility, mpc.Utility)
 	}
-	// Input and opening (the Gram level is terminal).
+	// Input and opening (the Gram level is terminal). The noise is not
+	// shared, but the input round stays: it carries the data columns.
 	if mpc.Trace.Stats.Rounds != 2 {
 		t.Fatalf("BGW rounds = %d, want 2", mpc.Trace.Stats.Rounds)
 	}

@@ -1,5 +1,5 @@
 // Command sqmbench regenerates the tables and figures of the paper's
-// evaluation section, plus the ablations, profile and chaos experiments.
+// evaluation section, plus the ablations and profile experiments.
 // Every experiment id (bench.IDs) maps to one runner in internal/bench;
 // see EXPERIMENTS.md for the paper-vs-measured record. How fast the stack
 // runs is recorded elsewhere: whole sessions and per-layer throughput by
@@ -40,25 +40,18 @@ type runReport struct {
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment id: "+bench.IDs)
-		runs    = flag.Int("runs", 3, "repeats per cell (paper: 20)")
-		full    = flag.Bool("full", false, "paper-scale dataset shapes (slow)")
-		budget  = flag.Int64("bgw-budget", 2e8, "max field ops executed by the real BGW engine per timing cell; larger cells are extrapolated and marked '*'")
-		seed    = flag.Uint64("seed", 42, "reproducibility seed")
-		format  = flag.String("format", "text", "output format: text, csv or json")
-		report  = flag.String("report", "", "also write a JSON run report to this file")
-		chaos   = flag.Bool("chaos", false, "run the fault-injection experiment (shorthand for -exp chaos)")
-		timeout = flag.Duration("timeout", 0, "per-receive deadline in the chaos experiment (0: 50ms)")
-		retries = flag.Int("retries", 0, "per-peer receive attempt budget in the chaos experiment (0: 3)")
+		exp    = flag.String("exp", "all", "experiment id: "+bench.IDs)
+		runs   = flag.Int("runs", 3, "repeats per cell (paper: 20)")
+		full   = flag.Bool("full", false, "paper-scale dataset shapes (slow)")
+		budget = flag.Int64("bgw-budget", 2e8, "max field ops executed by the real BGW engine per timing cell; larger cells are extrapolated and marked '*'")
+		seed   = flag.Uint64("seed", 42, "reproducibility seed")
+		format = flag.String("format", "text", "output format: text, csv or json")
+		report = flag.String("report", "", "also write a JSON run report to this file")
 	)
 	flag.Parse()
 
-	if *chaos {
-		*exp = "chaos"
-	}
 	start := time.Now()
-	o := bench.Options{Runs: *runs, Full: *full, RealBGWBudget: *budget, Seed: *seed,
-		RecvTimeout: *timeout, Retries: *retries}
+	o := bench.Options{Runs: *runs, Full: *full, RealBGWBudget: *budget, Seed: *seed}
 	tables, err := bench.ByID(*exp, o)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

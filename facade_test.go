@@ -224,7 +224,7 @@ func TestFacadeRemainingWrappers(t *testing.T) {
 	if tau := sqm.SkellamRDP(4, 10, 10, 1e5); tau <= 0 {
 		t.Fatal("SkellamRDP wrapper")
 	}
-	if tabs, err := sqm.RunExperiment("ablations", sqm.ExperimentOptions{Runs: 1, Seed: 39}); err != nil || len(tabs) != 8 {
+	if tabs, err := sqm.RunExperiment("ablations", sqm.ExperimentOptions{Runs: 1, Seed: 39}); err != nil || len(tabs) != 7 {
 		t.Fatalf("ablations via facade: %d tables, %v", len(tabs), err)
 	}
 }

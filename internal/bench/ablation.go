@@ -4,21 +4,18 @@ import (
 	"fmt"
 	"math"
 
-	"sqm/internal/beaver"
 	"sqm/internal/bgw"
 	"sqm/internal/circuit"
 	"sqm/internal/dataset"
 	"sqm/internal/dp"
-	"sqm/internal/field"
 	"sqm/internal/linalg"
 	"sqm/internal/logreg"
 	"sqm/internal/quant"
 	"sqm/internal/randx"
-	"sqm/internal/secagg"
 	"time"
 )
 
-// Ablations runs the four design-decision studies called out in
+// Ablations runs the design-decision studies called out in
 // DESIGN.md. They are not paper figures; they quantify why SQM is built
 // the way it is.
 func Ablations(o Options) []*Table {
@@ -29,21 +26,18 @@ func Ablations(o Options) []*Table {
 		AblationRounding(o),
 		AblationSkellamVsGaussian(o),
 		AblationTaylorOrder(o),
-		AblationMPCEngines(o),
 		AblationSparseGram(o),
 		AblationNoiseTransport(o),
 	}
 }
 
-// AblationNoiseTransport compares four ways of aggregating the clients'
+// AblationNoiseTransport compares three ways of aggregating the clients'
 // Skellam shares: through BGW inputs with every client its own party (the
 // paper's Algorithm 3), through BGW inputs when fewer parties host the
-// clients and each shares the sum of its clients' vectors once, as the
+// clients and each shares the sum of its clients' vectors once, and as the
 // compiled plan enters them — unshared addends every party puts into the
-// row it publishes, under the opening's own zero mask — and through the
-// pairwise-mask secure aggregation of the paper's reference [45]. The
-// noise sum is linear, so the cheap transports suffice and the results
-// agree exactly.
+// row it publishes, under the opening's own zero mask. The noise sum is
+// linear, so the cheap transports suffice and the results agree exactly.
 func AblationNoiseTransport(o Options) *Table {
 	const (
 		clients = 6
@@ -53,10 +47,10 @@ func AblationNoiseTransport(o Options) *Table {
 	)
 	tbl := &Table{
 		ID:     "abl-transport",
-		Title:  fmt.Sprintf("Noise aggregation transports: BGW inputs vs pairwise-mask secagg (%d clients, %d coords)", clients, length),
+		Title:  fmt.Sprintf("Noise aggregation transports: BGW inputs vs unshared addends (%d clients, %d coords)", clients, length),
 		Header: []string{"transport", "messages", "bytes", "aggregate matches"},
 	}
-	// Identical per-client noise draws for both transports.
+	// Identical per-client noise draws for every transport.
 	draw := func() [][]int64 {
 		root := randx.New(o.Seed + 99)
 		out := make([][]int64, clients)
@@ -146,32 +140,8 @@ func AblationNoiseTransport(o Options) *Table {
 		fmt.Sprintf("unshared addends under the release's zero mask, %d hosting parties", hosts),
 		fmt.Sprint(ust.Messages), fmt.Sprint(ust.Bytes), equalInt64(res.OpenedVec(out), want),
 	})
-
-	// Secagg transport.
-	grp, err := secagg.NewGroup(clients, length, o.Seed)
-	if err != nil {
-		tbl.Notes = append(tbl.Notes, err.Error())
-		return tbl
-	}
-	masked := make([][]field.Elem, clients)
-	for j, shares := range draw() {
-		masked[j], err = grp.Mask(j, 0, shares)
-		if err != nil {
-			tbl.Notes = append(tbl.Notes, err.Error())
-			return tbl
-		}
-	}
-	sa, err := grp.Aggregate(masked)
-	if err != nil {
-		tbl.Notes = append(tbl.Notes, err.Error())
-		return tbl
-	}
-	saMatch := equalInt64(sa, want)
-	tbl.Rows = append(tbl.Rows, []string{
-		"secagg masks", fmt.Sprint(grp.Messages()), fmt.Sprint(grp.Messages() * int64(length) * 8), saMatch,
-	})
 	tbl.Notes = append(tbl.Notes,
-		"secagg sends one masked vector per client to the server and shows the server the noise sum; BGW inputs send one share vector per dealer and peer (per client pair when every client is a party, per hosting-party pair when a party deals the sum of the clients it hosts) and open the sum only inside the release; the unshared addend sends nothing of its own — its messages are the release's opening, which is itself a pairwise-masked sum, so the noise total stays inside the release at secagg's price")
+		"BGW inputs send one share vector per dealer and peer (per client pair when every client is a party, per hosting-party pair when a party deals the sum of the clients it hosts) and open the sum only inside the release; the unshared addend sends nothing of its own — its messages are the release's opening, which is itself a pairwise-masked sum (Bonawitz et al.), so the noise total stays inside the release at the price of one masked vector per party")
 	return tbl
 }
 
@@ -218,96 +188,6 @@ func AblationSparseGram(o Options) *Table {
 		fmt.Sprintf("nnz density %.2f%%; identical results, ~%.0fx faster on this shape",
 			100*float64(s.NNZ())/float64(m*n), denseMS/math.Max(sparseMS, 1e-6)))
 	return tbl
-}
-
-// AblationMPCEngines compares BGW against the additive-sharing engine
-// with Beaver triples on the same noisy inner-product workload: SQM is
-// MPC-agnostic (§II), and the offline/online split moves almost all
-// multiplication cost out of the latency-critical path.
-func AblationMPCEngines(o Options) *Table {
-	const (
-		parties = 4
-		length  = 200
-	)
-	tbl := &Table{
-		ID:     "abl-engine",
-		Title:  fmt.Sprintf("BGW vs additive+Beaver on a %d-element noisy inner product (P=%d)", length, parties),
-		Header: []string{"engine", "online messages", "online field ops", "offline messages", "result"},
-	}
-	g := randx.New(o.Seed)
-	xs := make([]int64, length)
-	ys := make([]int64, length)
-	for i := range xs {
-		xs[i] = int64(g.IntN(1000)) - 500
-		ys[i] = int64(g.IntN(1000)) - 500
-	}
-	var want int64
-	for i := range xs {
-		want += xs[i] * ys[i]
-	}
-
-	// BGW: fused inner product, one resharing.
-	bgwEng, err := bgw.NewEngine(bgw.Config{Parties: parties, Seed: o.Seed})
-	if err != nil {
-		tbl.Notes = append(tbl.Notes, err.Error())
-		return tbl
-	}
-	xv := bgwEng.InputVec(0, xs)
-	yv := bgwEng.InputVec(1, ys)
-	bgwEng.ResetStats()
-	bgwGot := bgwEng.Open(bgwEng.Dot(xv, yv))
-	bst := bgwEng.Stats()
-	tbl.Rows = append(tbl.Rows, []string{
-		"BGW (fused gate)", fmt.Sprint(bst.Messages), fmt.Sprint(bst.FieldOps), "0", verdict(bgwGot, want),
-	})
-
-	// Beaver: one triple per product, offline from the BGW source.
-	offline, err := bgw.NewEngine(bgw.Config{Parties: parties, Seed: o.Seed ^ 1})
-	if err != nil {
-		tbl.Notes = append(tbl.Notes, err.Error())
-		return tbl
-	}
-	bv, err := beaver.NewEngine(beaver.Config{Parties: parties, Seed: o.Seed, Source: beaver.NewBGWSource(bgw.Eval(offline), o.Seed)})
-	if err != nil {
-		tbl.Notes = append(tbl.Notes, err.Error())
-		return tbl
-	}
-	if err := bv.Precompute(length); err != nil {
-		tbl.Notes = append(tbl.Notes, err.Error())
-		return tbl
-	}
-	bvXs := make([]*beaver.Share, length)
-	bvYs := make([]*beaver.Share, length)
-	for i := range xs {
-		bvXs[i] = bv.Input(0, xs[i])
-		bvYs[i] = bv.Input(1, ys[i])
-	}
-	bv.ResetStats()
-	acc := bv.Zero()
-	for i := range xs {
-		prod, err := bv.Mul(bvXs[i], bvYs[i])
-		if err != nil {
-			tbl.Notes = append(tbl.Notes, err.Error())
-			return tbl
-		}
-		acc = bv.Add(acc, prod)
-	}
-	beaverGot := bv.Open(acc)
-	vst := bv.Stats()
-	tbl.Rows = append(tbl.Rows, []string{
-		"additive + Beaver", fmt.Sprint(vst.Messages), fmt.Sprint(vst.FieldOps),
-		fmt.Sprint(offline.Stats().Messages), verdict(beaverGot, want),
-	})
-	tbl.Notes = append(tbl.Notes,
-		"BGW's fused gate wins when products can batch into one resharing; Beaver wins per isolated multiplication once triples are precomputed offline")
-	return tbl
-}
-
-func verdict(got, want int64) string {
-	if got == want {
-		return "exact"
-	}
-	return fmt.Sprintf("WRONG (%d != %d)", got, want)
 }
 
 // AblationTaylorOrder compares the order-1 and order-3 Taylor sigmoid

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 )
 
 // Table is a printable experiment result.
@@ -100,12 +99,6 @@ type Options struct {
 	TinyLR bool
 	// Seed makes every experiment reproducible.
 	Seed uint64
-	// RecvTimeout bounds each chaos-mesh receive attempt in the chaos
-	// experiment (0: 50ms).
-	RecvTimeout time.Duration
-	// Retries is the chaos aggregator's per-peer receive attempt budget
-	// (0: 3).
-	Retries int
 }
 
 // Defaults fills the zero values.
@@ -118,12 +111,6 @@ func (o Options) Defaults() Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = 42
-	}
-	if o.RecvTimeout == 0 {
-		o.RecvTimeout = 50 * time.Millisecond
-	}
-	if o.Retries == 0 {
-		o.Retries = 3
 	}
 	return o
 }
@@ -139,7 +126,7 @@ func All(o Options) []*Table {
 
 // IDs lists the experiment ids ByID accepts: the paper's figures and
 // tables (what "all" runs), then the experiments beyond the paper.
-const IDs = "fig2, fig3, fig4, fig5, table1, table2, table3, table4, table5, all, ablations, profile, chaos"
+const IDs = "fig2, fig3, fig4, fig5, table1, table2, table3, table4, table5, all, ablations, profile"
 
 // ByID returns the runner output for one experiment id of IDs.
 func ByID(id string, o Options) ([]*Table, error) {
@@ -168,8 +155,6 @@ func ByID(id string, o Options) ([]*Table, error) {
 		return Ablations(o), nil
 	case "profile":
 		return []*Table{Profile(o)}, nil
-	case "chaos":
-		return []*Table{Chaos(o)}, nil
 	default:
 		return nil, fmt.Errorf("bench: unknown experiment %q (valid ids: %s)", id, IDs)
 	}

@@ -314,10 +314,13 @@ func TestFastAblations(t *testing.T) {
 		}
 		prev = premium
 	}
-	engines := AblationMPCEngines(o)
-	for _, row := range engines.Rows {
-		if row[len(row)-1] != "exact" {
-			t.Fatalf("engine ablation result not exact: %v", row)
+	transport := AblationNoiseTransport(o)
+	if len(transport.Rows) != 3 {
+		t.Fatalf("transport ablation rows = %d, want 3: %v", len(transport.Rows), transport.Notes)
+	}
+	for _, row := range transport.Rows {
+		if row[len(row)-1] != "yes" {
+			t.Fatalf("transport ablation aggregate differs: %v", row)
 		}
 	}
 	sparse := AblationSparseGram(o)

@@ -37,9 +37,10 @@ func Covariance(x *linalg.Matrix, p Params) (*linalg.Matrix, *Trace, error) {
 	_, clientRNGs := rngFamily(p.Seed, p.NumClients)
 	r := p.begin(clientRNGs)
 	qd := quantizeByClient(x, &p, clientRNGs)
-	// Each Gram entry is at most m·maxAbs².
+	// Each Gram entry is at most m·maxAbs²; the release is metered at
+	// Lemma 5's closed form for unit-norm records.
 	maxAbs := float64(qd.MaxAbs())
-	upper, err := r.evaluate(maxAbs*maxAbs*float64(x.Rows),
+	upper, err := r.evaluate(maxAbs*maxAbs*float64(x.Rows), sens(CovarianceSensitivities(p.Gamma, 1, x.Cols)),
 		func() ([]int64, error) {
 			upper := make([]int64, x.Cols*(x.Cols+1)/2)
 			accumulateGram(qd, upper)
@@ -161,14 +162,12 @@ func (r *release) mpcCovariance(qd *quant.IntMatrix) ([]int64, error) {
 }
 
 // finishGram is the server's side of both covariance entry points: the
-// release is metered at Lemma 5's closed form for unit-norm records, and
-// the opened upper triangle is down-scaled by γ² and mirrored into the
+// opened upper triangle is down-scaled by γ² and mirrored into the
 // symmetric estimate C̃/γ². The down-scaling multiplies by 1/γ² where
 // Trace.estimate divides: the two differ in the last bit when γ is not a
 // power of two, and this one is the expression callers' outputs are
 // compared against bit for bit.
 func (r *release) finishGram(upper []int64, n int) (*linalg.Matrix, *Trace) {
-	r.p.meter(CovarianceSensitivities(r.p.Gamma, 1, n))
 	tr := r.finish(upper, r.p.Gamma*r.p.Gamma)
 	out := linalg.NewMatrix(n, n)
 	inv := 1 / tr.Scale

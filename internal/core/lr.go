@@ -346,7 +346,7 @@ func (lr *LRProtocol) GradientSum(w []float64, batch []int) ([]float64, *Trace, 
 	r := lr.p.begin(lr.clientRNGs)
 	co := lr.link.coefficients(lr.pub, w)
 	noise := r.sampleNoise(lr.d)
-	scaled, err := r.evaluate(lr.link.bound(co, lr.maxFeat, len(batch)),
+	scaled, err := r.evaluate(lr.link.bound(co, lr.maxFeat, len(batch)), nil,
 		func() ([]int64, error) {
 			// grad_t = Σ_{i∈batch} x̂_it·u_i.
 			grad := make([]int64, lr.d)

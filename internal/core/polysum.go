@@ -34,8 +34,7 @@ func EvaluatePolynomialSum(f *poly.Multi, x *linalg.Matrix, p Params) ([]float64
 	// Lemma 4's generic sensitivity for unit-norm records. Tighter
 	// application-level bounds account at their own layer with Acct left
 	// nil here.
-	p.meter(q.SensitivityBound(1))
-	return r.polySum(q, x, q.Scale())
+	return r.polySum(q, x, q.Scale(), sens(q.SensitivityBound(1)))
 }
 
 // EvaluateMonomialSum runs Algorithm 1 for a single one-dimensional
@@ -58,13 +57,12 @@ func EvaluateMonomialSum(m poly.Monomial, x *linalg.Matrix, p Params) (float64, 
 	// A single degree-λ monomial with unit coefficient bounds one
 	// quantized record by (γ+1)^λ (Lemma 4 with d = 1, so Δ₁ = Δ₂).
 	d2 := math.Pow(p.Gamma+1, float64(lambda))
-	p.meter(d2, d2)
 
 	// Algorithm 3 with an identity coefficient: no degree gap to fill, so
 	// the scale is γ^λ, not γ^{λ+1}.
 	unit := poly.MustMulti(poly.MustPolynomial(x.Cols, poly.Monomial{Coef: 1, Exps: m.Exps}))
 	q := &poly.Quantized{Source: unit, Gamma: 1, Lambda: 0, Coefs: [][]int64{{1}}}
-	_, tr, err := r.polySum(q, x, math.Pow(p.Gamma, float64(lambda)))
+	_, tr, err := r.polySum(q, x, math.Pow(p.Gamma, float64(lambda)), sens(d2, d2))
 	if err != nil {
 		return 0, nil, err
 	}
@@ -74,11 +72,11 @@ func EvaluateMonomialSum(m poly.Monomial, x *linalg.Matrix, p Params) (float64, 
 // polySum is Algorithm 3 from the quantized coefficients on: the clients
 // quantize their columns and draw their noise shares, the selected
 // engine evaluates Σ_x q(x̂) plus the noise, and the server divides by
-// scale.
-func (r *release) polySum(q *poly.Quantized, x *linalg.Matrix, scale float64) ([]float64, *Trace, error) {
+// scale. s is what evaluate books.
+func (r *release) polySum(q *poly.Quantized, x *linalg.Matrix, scale float64, s *sensitivities) ([]float64, *Trace, error) {
 	qd := quantizeByClient(x, r.p, r.rngs)
 	noise := r.sampleNoise(q.Source.OutDim())
-	scaled, err := r.evaluate(polyBound(q, qd),
+	scaled, err := r.evaluate(polyBound(q, qd), s,
 		func() ([]int64, error) {
 			sum, err := q.EvalIntSum(qd)
 			if err == nil {

@@ -28,10 +28,10 @@
 //     the opened result by γ^{λ+1}, or γ^λ for the coefficient-1
 //     monomials of Algorithm 1 (Trace.estimate).
 //
-// Params.meter books a release with the accountant. The specialized
-// protocols of §V — the covariance matrix for PCA and the
-// Taylor-approximated logistic-regression gradient — live in
-// covariance.go, stream.go and lr.go.
+// Params.meter books a release with the accountant when an engine starts
+// (release.evaluate). The specialized protocols of §V — the covariance
+// matrix for PCA and the Taylor-approximated logistic-regression gradient
+// — live in covariance.go, stream.go and lr.go.
 package core
 
 import (
@@ -209,6 +209,12 @@ func (p *Params) meter(delta2, delta1 float64) {
 	}
 }
 
+// chanMesh builds EngineActorBGW's mesh. A variable so the fault tests can
+// wrap it in a transport.FaultMesh.
+var chanMesh = func(parties int, opts ...transport.Option) transport.Mesh {
+	return transport.NewChanMesh(parties, opts...)
+}
+
 // newEvaluator constructs the MPC backend selected by p.Engine. The
 // seed perturbation keeps each protocol's share randomness on its own
 // stream, as before the backends became pluggable. The caller owns the
@@ -236,7 +242,7 @@ func (p *Params) newEvaluator(seedXor uint64) (bgw.Evaluator, error) {
 		}
 		return bgw.Eval(eng), nil
 	case EngineActorBGW:
-		return bgw.NewActorEngine(cfg, transport.NewChanMesh(cfg.Parties, meshOpts...))
+		return bgw.NewActorEngine(cfg, chanMesh(cfg.Parties, meshOpts...))
 	case EngineActorBGWNet:
 		meshOpts = append(meshOpts, transport.WithDialRetry(retry.Policy{
 			Attempts: p.Fault.DialRetries,
@@ -318,13 +324,26 @@ func (r *release) sampleNoise(dims int) [][]int64 {
 	return out
 }
 
+// sensitivities are a release's L2/L1 bounds, as meter takes them.
+type sensitivities struct{ delta2, delta1 float64 }
+
+func sens(delta2, delta1 float64) *sensitivities { return &sensitivities{delta2, delta1} }
+
 // evaluate runs the aggregate on the engine Params selects. bound is the
 // static bound on the noiseless aggregate: it is checked with the noise
 // tail against the field's signed range before the engine is looked at,
-// so every engine refuses the same Params.
-func (r *release) evaluate(bound float64, plain, mpc func() ([]int64, error)) ([]int64, error) {
+// so every engine refuses the same Params. The ledger is charged between
+// the two: refused parameters cost nothing, and once an engine starts the
+// release is booked whether or not the session completes — a session cut
+// in its opening round has shown up to P−1 parties the output. A nil s is
+// a release its caller booked before any engine started (the LR trainers'
+// subsampled composition).
+func (r *release) evaluate(bound float64, s *sensitivities, plain, mpc func() ([]int64, error)) ([]int64, error) {
 	if err := checkFieldBound(bound + noiseMargin(r.p.Mu)); err != nil {
 		return nil, err
+	}
+	if s != nil {
+		r.p.meter(s.delta2, s.delta1)
 	}
 	switch {
 	case r.p.Engine == EnginePlain:

@@ -73,6 +73,9 @@ func (s *CovarianceStream) Finalize() (*linalg.Matrix, *Trace, error) {
 		return nil, nil, fmt.Errorf("core: stream already finalized")
 	}
 	s.done = true
+	// Every batch passed Add's field-bound check: booked like Covariance,
+	// before the noise is drawn.
+	s.p.meter(CovarianceSensitivities(s.p.Gamma, 1, s.n))
 	s.r.drawNoiseOnto(s.upper)
 	out, tr := s.r.finishGram(s.upper, s.n)
 	return out, tr, nil

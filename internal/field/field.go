@@ -125,8 +125,8 @@ func Rand(rng *randx.RNG) Elem {
 // is the one telescoping-mask kernel in the tree (Bonawitz et al.):
 // when every member of a group applies it once per peer, from streams
 // that agree pairwise, the group's vectors keep their sum while any
-// proper subset of them is uniformly masked. secagg.Group.Mask and the
-// BGW engine's opening both call it; it allocates nothing.
+// proper subset of them is uniformly masked. The BGW engine's opening
+// calls it; it allocates nothing.
 func PairMask(dst []Elem, self, peer int, stream *randx.RNG) {
 	if self < peer {
 		for k := range dst {

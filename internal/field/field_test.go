@@ -192,3 +192,57 @@ func BenchmarkInv(b *testing.B) {
 		Inv(x + 1)
 	}
 }
+
+// TestPairMaskTelescopes: when every party of a group folds PairMask into
+// its vector once per peer, from streams the two ends of a pair derive
+// alike, the masks cancel in the sum and in nothing smaller — the
+// property the BGW opening publishes its rows under.
+func TestPairMaskTelescopes(t *testing.T) {
+	const length = 16
+	pairStream := func(i, j int) *randx.RNG {
+		if i > j {
+			i, j = j, i
+		}
+		return randx.New(uint64(1000*i + j))
+	}
+	for _, parties := range []int{2, 3, 5, 10} {
+		masked := make([][]Elem, parties)
+		for i := range masked {
+			masked[i] = make([]Elem, length)
+			for j := 0; j < parties; j++ {
+				if j != i {
+					PairMask(masked[i], i, j, pairStream(i, j))
+				}
+			}
+		}
+		sum := func(rows [][]Elem) []Elem {
+			acc := make([]Elem, length)
+			for _, row := range rows {
+				for k, v := range row {
+					acc[k] = Add(acc[k], v)
+				}
+			}
+			return acc
+		}
+		for k, v := range sum(masked) {
+			if v != 0 {
+				t.Fatalf("P=%d: masks leave residue %d at element %d", parties, v, k)
+			}
+		}
+		residue := false
+		for _, v := range sum(masked[1:]) {
+			residue = residue || v != 0
+		}
+		if !residue {
+			t.Fatalf("P=%d: the sum without party 0 is unmasked", parties)
+		}
+	}
+	// The convention: the smaller index adds the stream, the larger
+	// subtracts it.
+	low, high, want := make([]Elem, 1), make([]Elem, 1), Rand(pairStream(0, 1))
+	PairMask(low, 0, 1, pairStream(0, 1))
+	PairMask(high, 1, 0, pairStream(0, 1))
+	if low[0] != want || high[0] != Neg(want) {
+		t.Fatalf("PairMask(0,1) = %d, PairMask(1,0) = %d, want %d and its negation", low[0], high[0], want)
+	}
+}

@@ -11,8 +11,8 @@ const transportPkg = "sqm/internal/transport"
 
 // AnalyzerBlockingRecv enforces the fault-tolerance layer's liveness
 // rule: a PartyConn.Recv with no receive deadline anywhere in scope
-// blocks forever when the peer dies silently, turning a recoverable
-// dropout into a hung protocol. A package that calls SetRecvTimeout
+// blocks forever when the peer dies silently, turning a typed abort
+// into a hung protocol. A package that calls SetRecvTimeout
 // is considered deadline-aware — its receives are bounded by whatever
 // policy the package arms (possibly "blocking by configuration", e.g.
 // the trusted-simulation default) — so the check is package-scoped:

@@ -13,8 +13,6 @@ import (
 var ctExemptPkgs = map[string]bool{
 	"sqm/internal/bgw":    true,
 	"sqm/internal/shamir": true,
-	"sqm/internal/secagg": true,
-	"sqm/internal/beaver": true,
 }
 
 // AnalyzerCTBranch enforces the constant-time control-flow invariant:
@@ -29,7 +27,7 @@ var AnalyzerCTBranch = &Analyzer{
 	Severity:  SeverityError,
 	RunModule: runCTBranch,
 	Explain: &Explanation{
-		Invariant: "Control flow must be data-oblivious with respect to shares: conditions, switch tags, case expressions, and map/slice index operands may not depend on share-typed values or values derived from them, except inside the open/reconstruct packages (bgw, shamir, secagg) where revealing is the point. Secret-dependent branches leak through timing and trace side channels.",
+		Invariant: "Control flow must be data-oblivious with respect to shares: conditions, switch tags, case expressions, and map/slice index operands may not depend on share-typed values or values derived from them, except inside the open/reconstruct packages (bgw, shamir) where revealing is the point. Secret-dependent branches leak through timing and trace side channels.",
 		Sources: []string{
 			"share-typed values (the sharetaint type table) used as values, not presence checks",
 			"values derived from share material, e.g. (bgw.Engine).AdditiveShares elements, through any call depth",

@@ -5,19 +5,17 @@ import (
 	"strings"
 )
 
-// dpNoiseSources are the DP mechanism draws and noisy openings of the
-// paper's distributed mechanism: every value derived from one is a
-// privacy release in the making. (The continuous Gaussian samplers are
+// dpNoiseSources are the DP mechanism draws of the paper's distributed
+// mechanism: every value derived from one is a privacy release in the
+// making. (The continuous Gaussian samplers are
 // deliberately absent — they are dual-use: weight init, synthetic data,
 // and power iteration draw from the same RNG surface.)
 var dpNoiseSources = map[string]bool{
-	"(sqm/internal/randx.RNG).Skellam":               true,
-	"(sqm/internal/randx.RNG).SkellamVec":            true,
-	"(sqm/internal/randx.RNG).DiscreteGaussian":      true,
-	"(sqm/internal/randx.RNG).DiscreteGaussianVec":   true,
-	"(sqm/internal/randx.RNG).DiscreteLaplace":       true,
-	"(sqm/internal/secagg.Group).AggregateNoise":     true,
-	"(sqm/internal/secagg.Group).AggregateNoiseOver": true,
+	"(sqm/internal/randx.RNG).Skellam":             true,
+	"(sqm/internal/randx.RNG).SkellamVec":          true,
+	"(sqm/internal/randx.RNG).DiscreteGaussian":    true,
+	"(sqm/internal/randx.RNG).DiscreteGaussianVec": true,
+	"(sqm/internal/randx.RNG).DiscreteLaplace":     true,
 }
 
 // dpPrintSinks are the fmt functions that write (Sprint* only formats;
@@ -37,12 +35,10 @@ var dpSinkPkgs = map[string]bool{
 	"sqm/internal/modelio": true,
 }
 
-// dpExemptPkgs implement the mechanism itself: inside secagg the freshly
-// drawn noise is masked and crosses the wire as part of the aggregation
-// protocol, which is the release the *caller* must account for.
+// dpExemptPkgs implement the samplers themselves: the release is what the
+// *caller* makes of a draw, and the caller must account for it.
 var dpExemptPkgs = map[string]bool{
-	"sqm/internal/secagg": true,
-	"sqm/internal/randx":  true,
+	"sqm/internal/randx": true,
 }
 
 // dpEgressPkgs are the public API boundary: a noise-derived value
@@ -62,14 +58,13 @@ const accountantPkg = "sqm/internal/dp"
 // sees, which voids the composition theorem the deployment relies on.
 var AnalyzerDPBudget = &Analyzer{
 	Name:      "dpbudget",
-	Doc:       "DP noise draws and noisy aggregates escaping via transport/obs/CLI output or exported returns without dp.Accountant on the call path",
+	Doc:       "DP noise draws escaping via transport/obs/CLI output or exported returns without dp.Accountant on the call path",
 	Severity:  SeverityError,
 	RunModule: runDPBudget,
 	Explain: &Explanation{
-		Invariant: "Every DP release must be metered: a value derived from a Skellam/discrete-Gaussian/discrete-Laplace draw or a noisy secagg aggregate may only escape the party (transport, obs, printed output, results files, exported facade returns) if a function on its dataflow path calls the dp.Accountant. Unaccounted releases spend privacy budget the ledger never records.",
+		Invariant: "Every DP release must be metered: a value derived from a Skellam/discrete-Gaussian/discrete-Laplace draw may only escape the party (transport, obs, printed output, results files, exported facade returns) if a function on its dataflow path calls the dp.Accountant. Unaccounted releases spend privacy budget the ledger never records.",
 		Sources: []string{
 			"(randx.RNG).Skellam/SkellamVec/DiscreteGaussian/DiscreteGaussianVec/DiscreteLaplace",
-			"(secagg.Group).AggregateNoise/AggregateNoiseOver (noisy opened aggregates)",
 		},
 		Sinks: []string{
 			"fmt.Print*/Fprint*, log, log/slog, sqm/internal/obs",

@@ -22,7 +22,7 @@ const (
 // the counters) and internal/circuit (whose executor is the designated
 // round driver), protocols must record into a circuit.Builder and let
 // the plan's levels define the rounds. Other packages' own
-// AdvanceRound methods (e.g. the Beaver engine's) are not affected.
+// AdvanceRound methods are not affected.
 var AnalyzerRoundAccounting = &Analyzer{
 	Name:     "roundaccounting",
 	Doc:      "manual AdvanceRound on a BGW evaluator outside internal/bgw and internal/circuit; rounds must derive from compiled plans",

@@ -12,17 +12,15 @@ import (
 // these values must never be rendered into logs, errors, telemetry, or
 // ad-hoc transport payloads.
 var shareTypes = map[string][]string{
-	"sqm/internal/bgw":    {"Shared", "SharedVec", "Val", "Vec", "VecPair"},
-	"sqm/internal/beaver": {"Triple", "Share"},
+	"sqm/internal/bgw": {"Shared", "SharedVec", "Val", "Vec", "VecPair"},
 }
 
 // shareFuncSources are functions whose results are share material
 // whatever their types say: additive reshares, the products a terminal
 // level keeps at degree 2t (handles, so tainted by type as well; the rows
 // say that the unreduced command is a source like any other gate and
-// never a sanctioned open), the unshared input — its owner's slot holds
-// the input itself, scaled by a public constant — and the secagg pair
-// stream the telescoping masks are drawn from. The row a party publishes
+// never a sanctioned open) and the unshared input — its owner's slot holds
+// the input itself, scaled by a public constant. The row a party publishes
 // in an opening stays inside bgw, which may put share material on the
 // wire.
 var shareFuncSources = map[string]bool{
@@ -32,7 +30,6 @@ var shareFuncSources = map[string]bool{
 	"(sqm/internal/bgw.Evaluator).MulBatchUnreduced": true,
 	"(sqm/internal/bgw.Engine).InputUnshared":        true,
 	"(sqm/internal/bgw.Evaluator).InputUnshared":     true,
-	"sqm/internal/secagg.pairStream":                 true,
 }
 
 // shareSanitizers are the sanctioned open/reconstruct points: their
@@ -47,19 +44,12 @@ var shareSanitizers = map[string]bool{
 	"(sqm/internal/bgw.Evaluator).OpenVec":    true,
 	"(sqm/internal/circuit.Result).Opened":    true,
 	"(sqm/internal/circuit.Result).OpenedVec": true,
-	"(sqm/internal/beaver.Engine).Open":       true,
 	// Vec.Len is a shape accessor on the share-vector interface: the
 	// element count is public protocol metadata (it is checked against
 	// the plan and sent in headers), not share material.
-	"(sqm/internal/bgw.Vec).Len":                               true,
-	"sqm/internal/shamir.Reconstruct":                          true,
-	"sqm/internal/shamir.ReconstructWithWeights":               true,
-	"(sqm/internal/secagg.Group).Aggregate":                    true,
-	"(sqm/internal/secagg.Group).AggregateOver":                true,
-	"(sqm/internal/secagg.Group).AggregateNoise":               true,
-	"(sqm/internal/secagg.Group).AggregateNoiseOver":           true,
-	"(sqm/internal/secagg.TolerantGroup).AggregateDropout":     true,
-	"(sqm/internal/secagg.TolerantGroup).AggregateDropoutOver": true,
+	"(sqm/internal/bgw.Vec).Len":                 true,
+	"sqm/internal/shamir.Reconstruct":            true,
+	"sqm/internal/shamir.ReconstructWithWeights": true,
 }
 
 // sinkPkgs are the packages whose calls render arguments into
@@ -83,20 +73,18 @@ var attrTypes = map[string][]string{
 }
 
 // transportExemptPkgs may put share material on the wire: carrying
-// shares between parties is exactly what the BGW/secagg protocol cores
-// do. Everything else that serializes a share into a transport payload
+// shares between parties is exactly what the BGW protocol core does. Everything else that serializes a share into a transport payload
 // is exfiltrating it past the protocol's accounting.
 var transportExemptPkgs = map[string]bool{
 	"sqm/internal/bgw":       true,
-	"sqm/internal/secagg":    true,
 	"sqm/internal/shamir":    true,
 	"sqm/internal/transport": true,
 }
 
 // AnalyzerShareTaint enforces the share-confidentiality invariant of
 // the distributed-DP threat model interprocedurally: Shamir/BGW shares
-// and Beaver triples are information-theoretically useless alone but
-// catastrophic in aggregate, and a debug log line is an aggregation
+// are information-theoretically useless alone but catastrophic in
+// aggregate, and a debug log line is an aggregation
 // channel the protocol does not account for. Share-typed values — and
 // values derived from them through any call depth — reaching fmt, log,
 // slog, obs, Attr-returning helpers, or transport Send payloads
@@ -104,22 +92,22 @@ var transportExemptPkgs = map[string]bool{
 // witness. It supersedes the local-only secretleak analyzer of PR 3.
 var AnalyzerShareTaint = &Analyzer{
 	Name:      "sharetaint",
-	Doc:       "secret share material (bgw/beaver types and derived values) reaching fmt/log/slog/obs or transport payloads through any call depth",
+	Doc:       "secret share material (bgw share types and derived values) reaching fmt/log/slog/obs or transport payloads through any call depth",
 	Severity:  SeverityError,
 	RunModule: runShareTaint,
 	Explain: &Explanation{
-		Invariant: "A single party's view must stay share-only: no secret share, Beaver triple, secagg mask stream, or value derived from one may reach a formatting, logging, telemetry, or out-of-protocol transport sink, at any call depth. Logs and metrics are aggregation channels the privacy proof does not account for.",
+		Invariant: "A single party's view must stay share-only: no secret share or value derived from one may reach a formatting, logging, telemetry, or out-of-protocol transport sink, at any call depth. Logs and metrics are aggregation channels the privacy proof does not account for.",
 		Sources: []string{
-			"values of type bgw.Shared, bgw.SharedVec, bgw.Val, bgw.Vec, beaver.Triple, beaver.Share (directly or inside containers/structs)",
-			"results of (bgw.Engine).AdditiveShares, (bgw.Evaluator).AdditiveShares, (bgw.Engine).MulBatchUnreduced, (bgw.Evaluator).MulBatchUnreduced, (bgw.Engine).InputUnshared, (bgw.Evaluator).InputUnshared and secagg.pairStream",
+			"values of type bgw.Shared, bgw.SharedVec, bgw.Val, bgw.Vec, bgw.VecPair (directly or inside containers/structs)",
+			"results of (bgw.Engine).AdditiveShares, (bgw.Evaluator).AdditiveShares, (bgw.Engine).MulBatchUnreduced, (bgw.Evaluator).MulBatchUnreduced, (bgw.Engine).InputUnshared and (bgw.Evaluator).InputUnshared",
 		},
 		Sinks: []string{
 			"any call into fmt, log, log/slog, or sqm/internal/obs",
 			"any function returning obs.Attr (attribute constructors are telemetry)",
-			"transport Send/SendN payloads outside bgw, secagg, shamir, transport",
+			"transport Send/SendN payloads outside bgw, shamir, transport",
 		},
 		Sanitizers: []string{
-			"sanctioned opens: (bgw.Engine).Open/OpenBatch/OpenVec, the Evaluator open surface, circuit.Result.Opened*, shamir.Reconstruct*, secagg Aggregate*",
+			"sanctioned opens: (bgw.Engine).Open/OpenBatch/OpenVec, the Evaluator open surface, circuit.Result.Opened*, shamir.Reconstruct*",
 		},
 		Example: `bgw.go:12:3: sharetaint: secret share material flows to fmt sink [sqm/internal/bgw.Shared param s of describe (fix.go:9) → param v of render (fix.go:14) → sink (fix.go:5)]`,
 	},
@@ -142,7 +130,7 @@ func runShareTaint(mp *ModulePass) {
 			if ok && tv.Type != nil {
 				if name, leak := containsNamedType(tv.Type, shareTypes); leak {
 					if label == "transport payload" {
-						mp.Reportf(arg.Pos(), "secret share value of type %s written to a transport payload outside the protocol cores; shares cross the wire only inside bgw/secagg/shamir", name)
+						mp.Reportf(arg.Pos(), "secret share value of type %s written to a transport payload outside the protocol cores; shares cross the wire only inside bgw/shamir", name)
 					} else {
 						mp.Reportf(arg.Pos(), "secret share value of type %s reaches a formatting/telemetry sink; shares must never be logged", name)
 					}

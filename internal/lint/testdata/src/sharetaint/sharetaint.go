@@ -10,7 +10,6 @@ import (
 	"log"
 	"log/slog"
 
-	"sqm/internal/beaver"
 	"sqm/internal/bgw"
 	"sqm/internal/obs"
 )
@@ -22,10 +21,10 @@ type wrapper struct {
 }
 
 // Bad leaks shares through every sink family.
-func Bad(s bgw.Shared, v bgw.SharedVec, t beaver.Triple, w wrapper) {
+func Bad(s bgw.Shared, v bgw.SharedVec, t bgw.VecPair, w wrapper) {
 	fmt.Println(s)                             // want "secret share value of type sqm/internal/bgw.Shared"
 	fmt.Printf("%v\n", v)                      // want "secret share value of type sqm/internal/bgw.SharedVec"
-	_ = fmt.Sprintf("%+v", t)                  // want "secret share value of type sqm/internal/beaver.Triple"
+	_ = fmt.Sprintf("%+v", t)                  // want "secret share value of type sqm/internal/bgw.VecPair"
 	log.Println(w)                             // want "secret share value of type sqm/internal/bgw.Shared"
 	slog.Info("debug", "sh", s)                // want "secret share value of type sqm/internal/bgw.Shared"
 	_ = fmt.Errorf("bad: %v", []bgw.Shared{s}) // want "secret share value of type sqm/internal/bgw.Shared"

@@ -11,14 +11,6 @@ import (
 	"sqm/internal/obs"
 )
 
-// ErrQuorumLoss reports that more clients failed mid-session than the
-// configured dropout tolerance allows: the coordinator cannot complete
-// the session from the survivors and must abandon it. Returned (wrapped)
-// by RunSession / RunSessionTCP; callers test errors.Is(err, ErrQuorumLoss)
-// to tell an unrecoverable cohort collapse from an ordinary protocol
-// error.
-var ErrQuorumLoss = errors.New("protocol: dropout tolerance exhausted, session quorum lost")
-
 // abortTimeout bounds how long the coordinator waits for best-effort
 // abort notifications to dead or wedged peers before tearing the
 // connections down anyway. A variable so tests can shorten the bound.
@@ -41,10 +33,6 @@ type SessionOutcome struct {
 	Results    []Result
 	Err        error
 	Commitment [32]byte
-	// Dropped marks a client the coordinator excluded mid-session under
-	// WithDropoutTolerance: its link died or its deadline expired, the
-	// session completed without it.
-	Dropped bool
 }
 
 // RunSession executes a complete SQM session lifecycle over in-memory
@@ -145,37 +133,22 @@ func (c deadlineConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// sessionRun is the coordinator's mutable view of one running session:
-// which clients are still live, how many more it may lose, and where to
-// report the losses.
+// sessionRun is the coordinator's view of one running session.
 type sessionRun struct {
 	servers  []*ServerSession
-	srvConns []net.Conn
 	outcomes []SessionOutcome
-	live     []bool
-	nLive    int
-	tolerant bool
-	budget   int // dropouts still affordable
-	dropped  int
 	so       *sessionObs
-	onDrop   func(client int, err error)
 }
 
-// forAllLive runs op against every live server session concurrently
-// (net.Pipe is synchronous, so sequential execution would deadlock
-// against clients that are mid-write). Without dropout tolerance every
-// per-session error is collected and joined, so a multi-client failure
-// reports every broken session, not just the first. With tolerance,
-// failed sessions are dropped from the cohort while the budget lasts —
-// the session degrades instead of dying — and only a failure beyond the
-// budget is fatal, wrapped to match ErrQuorumLoss.
+// forAllLive runs op against every server session concurrently (net.Pipe
+// is synchronous, so sequential execution would deadlock against clients
+// that are mid-write). Every per-session error is collected and joined,
+// so a multi-client failure reports every broken session, not just the
+// first; any failure is fatal to the session.
 func (r *sessionRun) forAllLive(op func(*ServerSession) error) error {
 	errs := make([]error, len(r.servers))
 	var wg sync.WaitGroup
 	for i, s := range r.servers {
-		if !r.live[i] {
-			continue
-		}
 		wg.Add(1)
 		go func(i int, s *ServerSession) {
 			defer wg.Done()
@@ -185,46 +158,7 @@ func (r *sessionRun) forAllLive(op func(*ServerSession) error) error {
 		}(i, s)
 	}
 	wg.Wait()
-	var fatal []error
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		if r.tolerant && r.budget > 0 {
-			r.budget--
-			r.drop(i, err)
-			continue
-		}
-		fatal = append(fatal, err)
-	}
-	if len(fatal) == 0 {
-		return nil
-	}
-	if r.tolerant {
-		return fmt.Errorf("%w (%d dropped earlier, %d tolerated): %w",
-			ErrQuorumLoss, r.dropped, r.dropped+r.budget, errors.Join(fatal...))
-	}
-	return errors.Join(fatal...)
-}
-
-// drop excludes client i from the rest of the session: its connection
-// is closed (unblocking both ends), its outcome is marked Dropped, and
-// the degradation is reported through telemetry and the onDrop hook.
-func (r *sessionRun) drop(i int, cause error) {
-	r.live[i] = false
-	r.nLive--
-	r.dropped++
-	r.outcomes[i].Dropped = true
-	_ = r.srvConns[i].Close()
-	r.so.event(obs.LevelWarn, "session.degraded",
-		obs.Int("client", i), obs.Int("live", r.nLive),
-		obs.Int("dropped", r.dropped), obs.String("err", cause.Error()))
-	if r.so != nil {
-		r.so.dropouts.Add(1)
-	}
-	if r.onDrop != nil {
-		r.onDrop(i, cause)
-	}
+	return errors.Join(errs...)
 }
 
 // runSession drives the lifecycle over pre-established connection pairs
@@ -240,18 +174,11 @@ func runSession(p Params, hooks []ClientHooks, evaluate func(round uint32) ([]in
 	n := len(hooks)
 	r := &sessionRun{
 		servers:  make([]*ServerSession, n),
-		srvConns: srvConns,
 		outcomes: make([]SessionOutcome, n),
-		live:     make([]bool, n),
-		nLive:    n,
-		tolerant: o.maxDropouts > 0,
-		budget:   o.maxDropouts,
 		so:       so,
-		onDrop:   o.onDrop,
 	}
 	var clientWG sync.WaitGroup
 	for i := 0; i < n; i++ {
-		r.live[i] = true
 		srvT := net.Conn(srvConns[i])
 		if o.timeout > 0 {
 			srvT = deadlineConn{Conn: srvT, d: o.timeout}
@@ -303,7 +230,7 @@ func runSession(p Params, hooks []ClientHooks, evaluate func(round uint32) ([]in
 		}
 		if so != nil {
 			so.phaseHist["hello"].ObserveSince(phase)
-			so.event(obs.LevelDebug, "session.hello", obs.Int("clients", r.nLive))
+			so.event(obs.LevelDebug, "session.hello", obs.Int("clients", n))
 			phase = time.Now()
 		}
 		if err := r.forAllLive(func(s *ServerSession) error { return s.SendParams(p) }); err != nil {
@@ -311,7 +238,7 @@ func runSession(p Params, hooks []ClientHooks, evaluate func(round uint32) ([]in
 		}
 		if so != nil {
 			so.phaseHist["params"].ObserveSince(phase)
-			so.event(obs.LevelDebug, "session.params", obs.Int("clients", r.nLive))
+			so.event(obs.LevelDebug, "session.params", obs.Int("clients", n))
 		}
 		for round := uint32(0); round < p.Rounds; round++ {
 			start := time.Now()
@@ -356,8 +283,7 @@ func runSession(p Params, hooks []ClientHooks, evaluate func(round uint32) ([]in
 	}
 	if coordErr == nil {
 		so.event(obs.LevelInfo, "session.done",
-			obs.Int("clients", n), obs.Int("live", r.nLive),
-			obs.Int("dropped", r.dropped), obs.Int("rounds", int(p.Rounds)))
+			obs.Int("clients", n), obs.Int("rounds", int(p.Rounds)))
 	}
 	// The flight recorders dump on every exit path — an aborted session
 	// leaves its black box behind, which is the whole point of one.
@@ -372,16 +298,13 @@ func runSession(p Params, hooks []ClientHooks, evaluate func(round uint32) ([]in
 	return r.outcomes, coordErr
 }
 
-// abortLive sends a best-effort abort to every live client. A dead or
+// abortLive sends a best-effort abort to every client. A dead or
 // wedged peer cannot stall the coordinator: each Abort runs on its own
 // goroutine and the wait is bounded by abortTimeout — the connections
 // are torn down right after, which unblocks any straggling writer.
 func (r *sessionRun) abortLive(reason string) {
 	var wg sync.WaitGroup
-	for i, s := range r.servers {
-		if !r.live[i] {
-			continue
-		}
+	for _, s := range r.servers {
 		wg.Add(1)
 		go func(s *ServerSession) {
 			defer wg.Done()
@@ -408,28 +331,8 @@ func WithContext(ctx context.Context) SessionOption {
 
 // WithTimeout bounds every coordinator-side read and write with a fresh
 // deadline of d, so one silent client costs at most d per operation
-// instead of hanging the session. Combine with WithDropoutTolerance to
-// turn those expiries into dropouts instead of session failures. d <= 0
-// leaves I/O unbounded.
+// instead of hanging the session: the expiry fails the phase and the
+// session aborts. d <= 0 leaves I/O unbounded.
 func WithTimeout(d time.Duration) SessionOption {
 	return func(o *sessionOptions) { o.timeout = d }
-}
-
-// WithDropoutTolerance lets the session survive up to max client
-// failures: a client whose link dies or whose deadline expires is
-// excluded from the remaining phases (its outcome is marked Dropped, a
-// session.degraded event is emitted) and the session completes from the
-// survivors. Failure max+1 aborts with an error matching ErrQuorumLoss.
-// max <= 0 disables tolerance — any failure is fatal, the pre-existing
-// strict behavior.
-func WithDropoutTolerance(max int) SessionOption {
-	return func(o *sessionOptions) { o.maxDropouts = max }
-}
-
-// WithDropoutNotify registers fn to be called (on the coordinator
-// goroutine, before the next phase starts) for every client dropped
-// under WithDropoutTolerance. Evaluate callbacks use it to exclude the
-// dead client's shares from the round's reconstruction.
-func WithDropoutNotify(fn func(client int, err error)) SessionOption {
-	return func(o *sessionOptions) { o.onDrop = fn }
 }

@@ -1,16 +1,14 @@
 package protocol
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"net"
+	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"sqm/internal/obs"
 )
 
 func sessionParams(n, rounds int) Params {
@@ -28,112 +26,52 @@ func okHooks(n int) []ClientHooks {
 	return hooks
 }
 
-// TestSessionTimeoutDropsHungClient: a client that stalls mid-round is
-// detected by the coordinator's I/O deadline and excluded; the session
-// completes degraded with full telemetry instead of hanging.
-func TestSessionTimeoutDropsHungClient(t *testing.T) {
-	const n = 3
-	hooks := okHooks(n)
-	hooks[1].OnEvalRequest = func(uint32) error {
-		time.Sleep(500 * time.Millisecond) // far past the 50ms deadline
-		return nil
-	}
-	var log bytes.Buffer
-	rec := obs.NewLog(&log, "json", obs.LevelDebug)
-	var notified atomic.Int64
-	outcomes, err := RunSession(sessionParams(n, 1), hooks,
-		func(uint32) ([]int64, error) { return []int64{7}, nil },
-		WithRecorder(rec),
-		WithTimeout(50*time.Millisecond),
-		WithDropoutTolerance(1),
-		WithDropoutNotify(func(client int, err error) {
-			notified.Add(1)
-			if client != 1 {
-				t.Errorf("dropped client %d, want 1", client)
+// TestSessionTimeoutAbortsOnHungClient: a client that stalls mid-round
+// trips the coordinator's I/O deadline and the session aborts — nothing
+// is evaluated, no client holds a result, every outcome carries an
+// error, over the pipe and the socket entry point alike. RunSession joins
+// the client goroutines, so it returns when the stalled hook does; the
+// coordinator itself gave up one deadline in.
+func TestSessionTimeoutAbortsOnHungClient(t *testing.T) {
+	const (
+		n        = 3
+		deadline = 50 * time.Millisecond
+		hang     = 300 * time.Millisecond
+	)
+	type runner func(Params, []ClientHooks, func(uint32) ([]int64, error), ...SessionOption) ([]SessionOutcome, error)
+	for name, run := range map[string]runner{"pipe": RunSession, "tcp": RunSessionTCP} {
+		t.Run(name, func(t *testing.T) {
+			hooks := okHooks(n)
+			hooks[1].OnEvalRequest = func(uint32) error {
+				time.Sleep(hang)
+				return nil
 			}
-		}),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !outcomes[1].Dropped {
-		t.Fatal("client 1 not marked Dropped")
-	}
-	for _, i := range []int{0, 2} {
-		if outcomes[i].Dropped || outcomes[i].Err != nil {
-			t.Fatalf("survivor %d: %+v", i, outcomes[i])
-		}
-		if len(outcomes[i].Results) != 1 || outcomes[i].Results[0].Scaled[0] != 7 {
-			t.Fatalf("survivor %d results = %+v", i, outcomes[i].Results)
-		}
-	}
-	if notified.Load() != 1 {
-		t.Fatalf("onDrop called %d times, want 1", notified.Load())
-	}
-	if got := rec.Metrics().Counter("session.dropouts").Value(); got != 1 {
-		t.Fatalf("session.dropouts = %d, want 1", got)
-	}
-	if !strings.Contains(log.String(), "session.degraded") {
-		t.Fatal("JSON log missing session.degraded event")
+			var evaluated atomic.Int64
+			start := time.Now()
+			outcomes, err := run(sessionParams(n, 1), hooks,
+				func(uint32) ([]int64, error) { evaluated.Add(1); return []int64{7}, nil },
+				WithTimeout(deadline),
+			)
+			if elapsed := time.Since(start); elapsed > hang+time.Second {
+				t.Fatalf("session took %v to abort on a %v deadline", elapsed, deadline)
+			}
+			if !errors.Is(err, os.ErrDeadlineExceeded) || !strings.Contains(err.Error(), "session 2") {
+				t.Fatalf("err = %v, want client 1's deadline expiry", err)
+			}
+			if evaluated.Load() != 0 {
+				t.Fatal("evaluate ran although a client never finished its round")
+			}
+			for i, out := range outcomes {
+				if out.Err == nil || len(out.Results) != 0 {
+					t.Fatalf("client %d: %+v, want an error and no results", i, out)
+				}
+			}
+		})
 	}
 }
 
-// TestSessionDropoutToleranceSurvivesFailedClient: a client whose own
-// hook fails (it tears down its link) is dropped, not fatal.
-func TestSessionDropoutToleranceSurvivesFailedClient(t *testing.T) {
-	const n = 3
-	hooks := okHooks(n)
-	boom := errors.New("local noise sampling failed")
-	hooks[2].OnParams = func(Params) ([]byte, error) { return nil, boom }
-	outcomes, err := RunSession(sessionParams(n, 2), hooks,
-		func(uint32) ([]int64, error) { return []int64{1}, nil },
-		WithDropoutTolerance(1),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !outcomes[2].Dropped || !errors.Is(outcomes[2].Err, boom) {
-		t.Fatalf("outcome 2 = %+v, want Dropped with the hook error", outcomes[2])
-	}
-	for _, i := range []int{0, 1} {
-		if len(outcomes[i].Results) != 2 {
-			t.Fatalf("survivor %d got %d results, want 2", i, len(outcomes[i].Results))
-		}
-	}
-}
-
-// TestSessionQuorumLossIsTyped: one failure past the budget yields an
-// error matching ErrQuorumLoss, promptly — never a hang.
-func TestSessionQuorumLossIsTyped(t *testing.T) {
-	const n = 3
-	hooks := okHooks(n)
-	boom := errors.New("dead")
-	hooks[1].OnParams = func(Params) ([]byte, error) { return nil, boom }
-	hooks[2].OnParams = func(Params) ([]byte, error) { return nil, boom }
-	type result struct {
-		err error
-	}
-	done := make(chan result, 1)
-	go func() {
-		_, err := RunSession(sessionParams(n, 1), hooks,
-			func(uint32) ([]int64, error) { return []int64{1}, nil },
-			WithDropoutTolerance(1),
-		)
-		done <- result{err}
-	}()
-	select {
-	case r := <-done:
-		if !errors.Is(r.err, ErrQuorumLoss) {
-			t.Fatalf("err = %v, want errors.Is(err, ErrQuorumLoss)", r.err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("session hung on quorum loss")
-	}
-}
-
-// TestSessionStrictModeUnchanged: without WithDropoutTolerance a single
-// failure is fatal and not wrapped in ErrQuorumLoss — the pre-existing
-// strict contract.
+// TestSessionStrictModeUnchanged: a single client failure is fatal to
+// the session.
 func TestSessionStrictModeUnchanged(t *testing.T) {
 	const n = 2
 	hooks := okHooks(n)
@@ -143,9 +81,6 @@ func TestSessionStrictModeUnchanged(t *testing.T) {
 		func(uint32) ([]int64, error) { return []int64{1}, nil })
 	if err == nil {
 		t.Fatal("strict session with a failed client returned nil error")
-	}
-	if errors.Is(err, ErrQuorumLoss) {
-		t.Fatal("strict failure must not claim quorum loss")
 	}
 }
 
@@ -191,42 +126,11 @@ func TestAbortBoundedUnderDeadPeer(t *testing.T) {
 	defer cli.Close() // never read from: writes to srv block forever
 	r := &sessionRun{
 		servers:  []*ServerSession{{ID: 1, Transport: srv}},
-		srvConns: []net.Conn{srv},
 		outcomes: make([]SessionOutcome, 1),
-		live:     []bool{true},
-		nLive:    1,
 	}
 	start := time.Now()
 	r.abortLive("test abort")
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("abortLive blocked for %v under a dead peer", elapsed)
-	}
-}
-
-// TestSessionTCPDropoutTolerance pins that the fault options flow
-// through the real-socket entry point too: RunSessionTCP shares
-// runSession, so deadlines and dropout tolerance behave identically
-// over TCP framing.
-func TestSessionTCPDropoutTolerance(t *testing.T) {
-	const n = 3
-	hooks := okHooks(n)
-	hooks[2].OnEvalRequest = func(uint32) error {
-		return errors.New("tcp client died")
-	}
-	outcomes, err := RunSessionTCP(sessionParams(n, 2), hooks,
-		func(uint32) ([]int64, error) { return []int64{3}, nil },
-		WithTimeout(2*time.Second),
-		WithDropoutTolerance(1),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !outcomes[2].Dropped {
-		t.Fatal("client 2 not marked Dropped over TCP")
-	}
-	for _, i := range []int{0, 1} {
-		if outcomes[i].Dropped || outcomes[i].Err != nil || len(outcomes[i].Results) != 2 {
-			t.Fatalf("survivor %d: %+v", i, outcomes[i])
-		}
 	}
 }

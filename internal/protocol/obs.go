@@ -11,13 +11,11 @@ import (
 type SessionOption func(*sessionOptions)
 
 type sessionOptions struct {
-	rec         obs.Recorder
-	timeout     time.Duration
-	maxDropouts int
-	onDrop      func(client int, err error)
-	ctx         context.Context
-	trace       *obs.TraceContext
-	traceDir    string
+	rec      obs.Recorder
+	timeout  time.Duration
+	ctx      context.Context
+	trace    *obs.TraceContext
+	traceDir string
 }
 
 // WithRecorder attaches an observability recorder to the session run:
@@ -68,7 +66,6 @@ func applySessionOptions(opts []SessionOption) sessionOptions {
 type sessionObs struct {
 	rec       obs.Recorder
 	roundHist *obs.Histogram
-	dropouts  *obs.Counter
 	phaseHist map[string]*obs.Histogram
 }
 
@@ -80,7 +77,6 @@ func newSessionObs(rec obs.Recorder) *sessionObs {
 	return &sessionObs{
 		rec:       rec,
 		roundHist: m.Histogram("session.round.seconds"),
-		dropouts:  m.Counter("session.dropouts"),
 		phaseHist: map[string]*obs.Histogram{
 			"hello":  m.Histogram("session.hello.seconds"),
 			"params": m.Histogram("session.params.seconds"),

@@ -1,10 +1,9 @@
 // Package retry implements deterministic retry with exponential backoff
-// and seeded jitter for the fault-tolerance layer: TCP dials that race a
-// peer's listener, transient session-setup failures, and per-peer
-// receive attempts during dropout detection. Determinism matters here as
-// much as in the samplers — the backoff schedule is derived from an
-// explicit seed through internal/randx, so a chaos run replays
-// identically and flaky-looking behaviour can always be reproduced.
+// and seeded jitter for the TCP mesh's pair dials, which race the peer's
+// listener. Determinism matters here as much as in the samplers — the
+// backoff schedule is derived from an explicit seed through
+// internal/randx, so a fault-injection run replays identically and
+// flaky-looking behaviour can always be reproduced.
 package retry
 
 import (
@@ -49,28 +48,6 @@ type Policy struct {
 	Sleep func(time.Duration)
 }
 
-// Permanent marks err as non-retryable: Do returns it immediately
-// without consuming further attempts.
-func Permanent(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &permanentError{cause: err}
-}
-
-type permanentError struct{ cause error }
-
-func (e *permanentError) Error() string { return e.cause.Error() }
-
-// Unwrap exposes the wrapped error to errors.Is/As.
-func (e *permanentError) Unwrap() error { return e.cause }
-
-// IsPermanent reports whether err was marked with Permanent.
-func IsPermanent(err error) bool {
-	var pe *permanentError
-	return errors.As(err, &pe)
-}
-
 // attempts returns the effective budget.
 func (p Policy) attempts() int {
 	if p.Attempts < 1 {
@@ -109,8 +86,7 @@ func (p Policy) Backoff(retry int, rng *randx.RNG) time.Duration {
 	return d
 }
 
-// Do runs op until it succeeds, returns a Permanent error, or the
-// attempt budget is exhausted. op receives the 0-based attempt number.
+// Do runs op until it succeeds or the attempt budget is exhausted. op receives the 0-based attempt number.
 // On exhaustion the returned error matches both ErrBudgetExhausted and
 // the final attempt's error.
 func (p Policy) Do(op func(attempt int) error) error {
@@ -138,10 +114,6 @@ func (p Policy) Do(op func(attempt int) error) error {
 		count("attempts")
 		if err = op(attempt); err == nil {
 			return nil
-		}
-		var pe *permanentError
-		if errors.As(err, &pe) {
-			return pe.cause
 		}
 		if attempt == budget-1 {
 			break

@@ -2,7 +2,6 @@ package retry
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"testing"
 	"time"
@@ -107,34 +106,6 @@ func TestDoJitterSeededAndReproducible(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds produced identical jitter")
-	}
-}
-
-func TestPermanentShortCircuits(t *testing.T) {
-	sentinel := errors.New("auth rejected")
-	calls := 0
-	p := Policy{Attempts: 5, Sleep: func(time.Duration) {}}
-	err := p.Do(func(int) error {
-		calls++
-		return Permanent(fmt.Errorf("wrapped: %w", sentinel))
-	})
-	if calls != 1 {
-		t.Fatalf("calls = %d, want 1 (permanent must not retry)", calls)
-	}
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v, want to match the sentinel", err)
-	}
-	if errors.Is(err, ErrBudgetExhausted) {
-		t.Fatal("permanent failure must not claim budget exhaustion")
-	}
-	if !IsPermanent(Permanent(sentinel)) {
-		t.Fatal("IsPermanent(Permanent(err)) = false")
-	}
-	if IsPermanent(sentinel) {
-		t.Fatal("IsPermanent(plain err) = true")
-	}
-	if Permanent(nil) != nil {
-		t.Fatal("Permanent(nil) != nil")
 	}
 }
 

@@ -12,10 +12,10 @@ import (
 // TestConformanceClosedErr pins the close-error contract across every
 // mesh implementation: no matter how a link dies — whole-mesh close,
 // peer close, own close, before or during a blocked receive — the
-// failing operation must satisfy errors.Is(err, ErrClosed). The
-// fault-tolerant layers branch on exactly this predicate to tell a dead
-// peer from a slow one, so a mesh that leaks a raw EOF or io.ErrClosedPipe
-// here silently disables dropout recovery.
+// failing operation must satisfy errors.Is(err, ErrClosed). Callers
+// branch on exactly this predicate to tell a dead peer from a slow one,
+// so a mesh that leaks a raw EOF or io.ErrClosedPipe here turns a typed
+// abort into an untyped one.
 func TestConformanceClosedErr(t *testing.T) {
 	const p = 3
 	paths := []struct {

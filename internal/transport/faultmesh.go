@@ -56,9 +56,9 @@ type FaultStats struct {
 
 // FaultMesh decorates any Mesh with deterministic, seeded fault
 // injection: per-link delay, probabilistic drop, link cut after N
-// messages, and party crash — the chaos harness that exercises every
-// recovery path (recv deadlines, retry, dropout-tolerant
-// reconstruction) in ordinary unit tests. Fault decisions depend only
+// messages, and party crash — the test double that exercises every
+// abort path (recv deadlines, dial retry, a closed peer) in ordinary
+// unit tests. Fault decisions depend only
 // on the profile and per-link message indices, never on wall-clock or
 // goroutine interleaving, so a failing chaos run reproduces from its
 // seed.
@@ -135,8 +135,8 @@ func (m *FaultMesh) Injected() FaultStats {
 // Crash kills party i now: its endpoint is torn down, its pending
 // delayed deliveries are discarded, and every subsequent operation on
 // its conn fails with ErrClosed. Peers blocked on its traffic fail
-// (ErrClosed) or time out, which is exactly the signal the
-// dropout-tolerant layers recover from. Idempotent.
+// (ErrClosed) or time out, which is the signal the engine aborts on.
+// Idempotent.
 func (m *FaultMesh) Crash(party int) {
 	if party < 0 || party >= len(m.conns) {
 		panic(invariant.Violation("transport: crash of party %d out of range [0,%d)", party, len(m.conns)))

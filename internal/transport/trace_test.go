@@ -139,7 +139,7 @@ func TestTracerPartyMismatch(t *testing.T) {
 	}
 }
 
-// TestFlightDumpSurvivesChaos pins the obs-under-chaos contract: with
+// TestFlightDumpSurvivesChaos pins the obs-under-faults contract: with
 // drops and a mid-session crash injected, every survivor's flight
 // recorder still dumps a complete, parseable JSONL stream containing
 // its send/recv events, and the injected faults appear as events on the

@@ -15,10 +15,10 @@
 //
 // Failure semantics are uniform across implementations: peer-teardown
 // errors satisfy errors.Is(err, ErrClosed) and deadline expiries satisfy
-// errors.Is(err, ErrTimeout) on every mesh, so recovery code — retry,
-// dropout exclusion — never needs to know which fabric it runs over.
+// errors.Is(err, ErrTimeout) on every mesh, so the code that aborts a
+// session never needs to know which fabric it runs over.
 // NewFaultMesh wraps any Mesh with seeded, reproducible fault injection
-// (delay, drop, link cut, party crash) for chaos testing.
+// (delay, drop, link cut, party crash) for fault testing.
 package transport
 
 import (
@@ -32,9 +32,8 @@ var ErrClosed = errors.New("transport: connection closed")
 // ErrTimeout reports a Recv whose deadline expired before a message
 // from the requested peer arrived. The connection itself stays usable
 // for the channel mesh; for socket meshes a timeout that interrupts a
-// partially read frame desynchronizes that link, so callers should
-// treat a timed-out peer as lost and exclude it (the dropout-tolerant
-// reconstruction path) rather than resume reading from it.
+// partially read frame desynchronizes that link, so callers treat a
+// timed-out peer as lost and abort rather than resume reading from it.
 var ErrTimeout = errors.New("transport: receive deadline exceeded")
 
 // PartyConn is one party's endpoint in a P-party mesh. It is driven by

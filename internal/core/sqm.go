@@ -115,12 +115,12 @@ type Params struct {
 	Mu         float64       // aggregate Skellam parameter μ; clients sample Sk(μ/n)
 	NumClients int           // n, the noise-contributing clients; 0 means one per column
 	Engine     EngineKind    // evaluation backend
-	Parties    int           // BGW parties P (EngineBGW); 0 means 4
+	Parties    int           // parties P of every MPC engine; 0 means 4
 	Threshold  int           // BGW threshold t; 0 means floor((P-1)/2)
 	Latency    time.Duration // per-round message latency; 0 means 100 ms
 	Seed       uint64        // reproducibility seed
 	Recorder   obs.Recorder  // telemetry sink for engine and mesh; nil disables
-	Fault      FaultConfig   // fault-tolerance knobs (zero value: fail-stop off)
+	Fault      FaultConfig   // deadlines and dial budget of the abort model (zero value: none)
 	// Trace attaches distributed tracing: the engine's events are
 	// stamped into the coordinator stream's flight recorder, and — when
 	// the context carries one stream per party — the mesh propagates
@@ -135,9 +135,11 @@ type Params struct {
 	Acct *dp.Accountant
 }
 
-// FaultConfig bundles the fault-tolerance knobs the CLIs thread down to
-// the engines and meshes. The zero value preserves the trusting
-// defaults: blocking receives, single dial attempts.
+// FaultConfig holds the deadlines and the dial budget the CLIs thread
+// down to the engines and meshes. There is one failure model, abort: a
+// session that loses a participant fails, and these decide how soon it
+// notices. The zero value is the trusting default: blocking receives,
+// single dial attempts.
 type FaultConfig struct {
 	// RecvTimeout bounds every party-to-party receive of the actor
 	// engines; a silent peer surfaces as transport.ErrTimeout instead of

@@ -200,9 +200,9 @@ func SubsampledRDP(alpha int, q float64, tau func(l int) float64) float64 {
 //
 // and e_l does not depend on α: amplify computes it once per (q, base
 // curve) — one base-curve call per l — and rdp gets each order's bound
-// as one max-shifted log-sum-exp over L_0..L_α. It is a value with value
-// receivers so that it, its scratch and the base closure can all stay on
-// a caller's stack.
+// as one max-shifted log-sum-exp over L_0..L_α; floor bounds it from
+// below by L_α = e_α alone. It is a value with value receivers so that
+// it, its scratch and the base closure can all stay on a caller's stack.
 type amplifier struct {
 	q, rounds float64
 	base      Curve
@@ -215,8 +215,9 @@ type amplifier struct {
 // means DefaultMaxAlpha, as for BestEpsilon). q = 0 samples nothing (the
 // curve is 0), q >= 1 composes the base curve as it is, and q < 0 is a
 // violation. scratch, when it holds 2·(maxAlpha+1) values, backs the
-// evaluator (a calibration hands the same array to every probe);
-// otherwise amplify allocates.
+// evaluator (a calibration hands the same array to every probe, and the
+// largest order still live as maxAlpha, so the base curve is called for
+// the live range only); otherwise amplify allocates.
 func amplify(q float64, rounds, maxAlpha int, base Curve, scratch []float64) amplifier {
 	if q < 0 {
 		panic(invariant.Violation("dp: sampling rate must be in [0, 1]"))
@@ -295,6 +296,24 @@ func (s amplifier) rdp(alpha int) float64 {
 	return v
 }
 
+// floor is a lower bound of at(alpha) read off the l = α term alone, or 0
+// when that term gives none (q outside (0, 1); e_α non-positive or NaN).
+// L_α is e_α exactly — log C(α,α) and (α−α)·log(1−q) are 0.0 in rdp's own
+// arithmetic — and every step rdp and at take from there (the max, + log1p
+// of a sum >= 0, / (α−1), × rounds) is monotone in floating point, so
+// at(alpha) >= floor(alpha) as floats, +Inf included, or at(alpha) is NaN:
+// an order whose floor already converts above a target does too, and is
+// rejected without forming a term.
+func (s amplifier) floor(alpha int) float64 {
+	if s.e == nil {
+		return 0
+	}
+	if x := s.e[alpha] / float64(alpha-1); x > 0 {
+		return s.rounds * x
+	}
+	return 0
+}
+
 // Curve is an RDP curve: tau as a function of the integer order alpha.
 type Curve func(alpha int) float64
 
@@ -353,29 +372,46 @@ func bisectScale(meets func(scale float64) bool, lo, hi float64) (float64, error
 // the mechanism whose base curve at a noise scale is baseAt(scale, ·),
 // bisecting on the predicate calibration needs — some order 2..
 // DefaultMaxAlpha converts to at most targetEps — instead of on the
-// minimum over all of them. A probe tries the order that satisfied the
-// last one first and returns at the first order that meets the target, so
-// a satisfied probe usually evaluates one order; an unsatisfied one
-// evaluates them all, as the minimum would. min_α ε_α <= target exactly
-// when some ε_α <= target (BestEpsilon skips the +Inf and NaN orders the
-// comparison rejects), so every decision, and with it the result, is the
-// one bisecting SkellamEpsilon / GaussianEpsilon makes.
+// minimum over all of them. min_α ε_α <= target exactly when some
+// ε_α <= target (BestEpsilon skips the +Inf and NaN orders the comparison
+// rejects), so every decision, and with it the result, is the one
+// bisecting SkellamEpsilon / GaussianEpsilon makes.
+//
+// Precondition: baseAt(·, l) is non-increasing in the scale for every l
+// (more noise, less divergence), and with it every order's ε. A satisfied
+// probe moves the bisection down, so an order that fails at a satisfied
+// probe fails at every later one. Invariant: [aLo, aHi] is a superset of
+// the orders that can still meet the target. A probe scans up from aLo —
+// the order that satisfied the last satisfied probe — and stops at the
+// first order that meets; a satisfied probe then drops the failing
+// orders it scanned and those that fail from aHi down (orders in between
+// are not evaluated and stay); only orders up to aHi are amplified. The
+// predicate answers true only with an order it evaluated, as the full
+// scan would, so were the precondition ever broken by an ulp the result
+// could only be larger: more noise.
 func calibrate(targetEps, delta, q float64, rounds int, baseAt func(scale float64, l int) float64, lo, hi float64) (float64, error) {
 	var scratch [2 * (DefaultMaxAlpha + 1)]float64
-	witness := 2
+	aLo, aHi := 2, DefaultMaxAlpha
 	return bisectScale(func(scale float64) bool {
-		amp := amplify(q, rounds, DefaultMaxAlpha, func(l int) float64 { return baseAt(scale, l) }, scratch[:])
-		meets := func(a int) bool { return RDPToDP(a, amp.at(a), delta) <= targetEps }
-		if meets(witness) {
-			return true
-		}
-		for a := 2; a <= DefaultMaxAlpha; a++ {
-			if a != witness && meets(a) {
-				witness = a
-				return true
+		amp := amplify(q, rounds, aHi, func(l int) float64 { return baseAt(scale, l) }, scratch[:])
+		meets := func(a int) bool {
+			if f := amp.floor(a); f > 0 && RDPToDP(a, f, delta) > targetEps {
+				return false
 			}
+			return RDPToDP(a, amp.at(a), delta) <= targetEps
 		}
-		return false
+		a := aLo
+		for a <= aHi && !meets(a) {
+			a++
+		}
+		if a > aHi {
+			return false
+		}
+		aLo = a
+		for aHi > aLo && !meets(aHi) {
+			aHi--
+		}
+		return true
 	}, lo, hi)
 }
 

@@ -334,6 +334,111 @@ func TestCalibrateGaussianSigmaContract(t *testing.T) {
 	}
 }
 
+// fullMinimumMu and fullMinimumSigma are the calibrators by definition:
+// bisect the minimum of ε over all orders, every order evaluated in full
+// at every probe.
+func fullMinimumMu(eps, delta, d1, d2, q float64, rounds int) (float64, error) {
+	return CalibrateNoise(eps, func(s float64) float64 {
+		e, _ := SkellamEpsilon(d1, d2, s, q, rounds, delta, DefaultMaxAlpha)
+		return e
+	}, 1e-9, 1e40)
+}
+
+func fullMinimumSigma(eps, delta, d2, q float64, rounds int) (float64, error) {
+	return CalibrateNoise(eps, func(s float64) float64 {
+		e, _ := GaussianEpsilon(d2, s, q, rounds, delta, DefaultMaxAlpha)
+		return e
+	}, 1e-9, 1e30)
+}
+
+// sameCalibration reports whether a calibrator and its definition agree:
+// the same bits and the same error.
+func sameCalibration(got float64, gotErr error, want float64, wantErr error) bool {
+	return gotErr == wantErr && math.Float64bits(got) == math.Float64bits(want)
+}
+
+// matchFullMinimum holds CalibrateSkellamMu at (Δ₁, Δ₂) = (d1, d2) and
+// CalibrateGaussianSigma at Δ₂ = gaussD2 to their definitions.
+func matchFullMinimum(t testing.TB, eps, delta, d1, d2, gaussD2, q float64, rounds int) {
+	t.Helper()
+	mu, err := CalibrateSkellamMu(eps, delta, d1, d2, q, rounds)
+	full, fullErr := fullMinimumMu(eps, delta, d1, d2, q, rounds)
+	if !sameCalibration(mu, err, full, fullErr) {
+		t.Errorf("skellam ε=%v δ=%v Δ=(%v,%v) q=%v R=%d: μ = %v (%#x, err %v), full minimum μ = %v (%#x, err %v)",
+			eps, delta, d1, d2, q, rounds, mu, math.Float64bits(mu), err, full, math.Float64bits(full), fullErr)
+	}
+	sigma, err := CalibrateGaussianSigma(eps, delta, gaussD2, q, rounds)
+	full, fullErr = fullMinimumSigma(eps, delta, gaussD2, q, rounds)
+	if !sameCalibration(sigma, err, full, fullErr) {
+		t.Errorf("gaussian ε=%v δ=%v Δ₂=%v q=%v R=%d: σ = %v (%#x, err %v), full minimum σ = %v (%#x, err %v)",
+			eps, delta, gaussD2, q, rounds, sigma, math.Float64bits(sigma), err, full, math.Float64bits(full), fullErr)
+	}
+}
+
+// TestCalibrateMatchesFullMinimumOnGrid holds the live interval and the
+// one-term rejection to the definition's bits, error status included,
+// over targets, rates and round counts around the ones the trainers use.
+// Every grid point calibrates σ and one μ, the three sensitivities taking
+// turns, which keeps the definition's 62 × 255 full orders per point
+// within a few seconds.
+func TestCalibrateMatchesFullMinimumOnGrid(t *testing.T) {
+	// (Δ₁, Δ₂): the two benchmark shapes and core.LRSensitivity(1, 50).
+	g1 := math.Sqrt(0.75*0.75 + 9*50 + 36)
+	sens := [][2]float64{
+		{benchmarkLRShapes[0].d1, benchmarkLRShapes[0].d2},
+		{benchmarkLRShapes[1].d1, benchmarkLRShapes[1].d2},
+		{math.Sqrt(50) * g1, g1},
+	}
+	point := 0
+	for _, eps := range []float64{0.1, 1, 8} {
+		for _, delta := range []float64{1e-5, 1e-8} {
+			for _, q := range []float64{1e-3, 0.05, 0.1, 0.9, 1} {
+				for _, rounds := range []int{1, 10, 20, 1000} {
+					d := sens[point%len(sens)]
+					matchFullMinimum(t, eps, delta, d[0], d[1], 0.75, q, rounds)
+					point++
+				}
+			}
+		}
+	}
+	// Below every order's conversion constant: ErrCalibration from the
+	// calibrators, and so from the definitions.
+	for _, q := range []float64{0.1, 1} {
+		matchFullMinimum(t, 1e-6, 1e-5, sens[0][0], sens[0][1], 0.75, q, 10)
+		_, muErr := CalibrateSkellamMu(1e-6, 1e-5, sens[0][0], sens[0][1], q, 10)
+		_, sigmaErr := CalibrateGaussianSigma(1e-6, 1e-5, 0.75, q, 10)
+		if muErr != ErrCalibration || sigmaErr != ErrCalibration {
+			t.Errorf("q=%v: unreachable target: errs = %v, %v, want ErrCalibration", q, muErr, sigmaErr)
+		}
+	}
+}
+
+// FuzzCalibrateMatchesFullMinimum is the grid's statement on inputs
+// nobody chose: both calibrators return the definition's bits and error
+// anywhere in their documented domain.
+func FuzzCalibrateMatchesFullMinimum(f *testing.F) {
+	for _, tc := range skellamContract {
+		f.Add(1.0, 1e-5, tc.d1, tc.d2, tc.q, tc.rounds)
+	}
+	for _, tc := range gaussianContract {
+		f.Add(tc.eps, 1e-5, tc.d2, tc.d2, tc.q, tc.rounds)
+	}
+	for _, tc := range benchmarkLRShapes {
+		f.Add(1.0, 1e-5, tc.d1, tc.d2, tc.q, tc.rounds)
+	}
+	f.Add(1e-6, 1e-5, 1.0, 1.0, 0.1, 10) // unreachable
+	f.Fuzz(func(t *testing.T, eps, delta, d1, d2, q float64, rounds int) {
+		if !(eps >= 1e-6 && eps <= 100) || !(delta >= 1e-12 && delta <= 0.5) ||
+			!(d1 > 0 && d1 <= 1e12) || !(d2 > 0 && d2 <= 1e12) || !(q >= 0 && q <= 1) {
+			t.Skip()
+		}
+		if rounds < 0 {
+			rounds = -(rounds + 1)
+		}
+		matchFullMinimum(t, eps, delta, d1, d2, d2, q, 1+rounds%10000)
+	})
+}
+
 func TestCalibrateUnreachableTarget(t *testing.T) {
 	// ε below the δ-conversion floor of every order: no μ in the bracket.
 	if _, err := CalibrateSkellamMu(1e-6, 1e-5, 1, 1, 0.1, 10); err != ErrCalibration {

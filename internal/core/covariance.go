@@ -109,17 +109,15 @@ func accumulateGram(qd *quant.IntMatrix, upper []int64) {
 }
 
 // drawNoiseOnto is the plain engine's covariance noise injection: every
-// client's Sk(μ/n) draws added onto the triangle in place, in the order
-// SkellamVec would produce them. Materialising the share vectors first,
-// as addNoise wants them, is n(n+1)/2 integers per client — tens of GB
-// at the paper's n = 2 500.
+// client's Sk(μ/n) draws added onto the triangle in place, client by
+// client (randx.AddSkellam, one set of PTRS constants per client), the
+// values sampleNoise would add. Drawing them onto a noise vector first
+// would hold a second n(n+1)/2 triangle — GBs at the paper's n = 2 500.
 func (r *release) drawNoiseOnto(upper []int64) {
 	defer r.noiseTime(time.Now())
 	share := r.noiseShare()
 	for _, g := range r.rngs {
-		for k := range upper {
-			upper[k] += g.Skellam(share)
-		}
+		upper = g.AddSkellam(upper, share)
 	}
 }
 
@@ -128,21 +126,18 @@ func (r *release) drawNoiseOnto(upper []int64) {
 // input round for the data columns and one batched opening round. The
 // inner products are the plan's terminal level — every party keeps its
 // local products, nothing is reshared — and the noise enters at the
-// opening: each party adds the sum of the shares its clients sampled
-// (inputNoise) to the row it publishes, under the opening's zero mask.
+// opening: each party adds the vector its clients drew their shares onto
+// (sampleNoise, inputNoise) to the row it publishes, under the opening's
+// zero mask.
 func (r *release) mpcCovariance(qd *quant.IntMatrix) ([]int64, error) {
 	p, n := r.p, qd.Cols
 	pairs := n * (n + 1) / 2
 	b := circuit.NewBuilder(p.Parties, p.Threshold)
 	cols := p.inputColumns(b, qd, n)
-	// Drawn and recorded client by client: the recording keeps its own
-	// copy, so only one client's draw is live besides it.
-	noiseStart := time.Now()
-	var noiseAcc bgw.Vec
-	for j, g := range r.rngs {
-		noiseAcc = p.inputNoise(b, noiseAcc, j, g.SkellamVec(pairs, r.noiseShare()))
+	var noise bgw.Vec
+	for h, v := range r.sampleNoise(pairs) {
+		noise = p.inputNoise(b, noise, h, v)
 	}
-	r.noiseTime(noiseStart)
 
 	pairList := make([]bgw.VecPair, pairs)
 	idx := 0
@@ -153,7 +148,7 @@ func (r *release) mpcCovariance(qd *quant.IntMatrix) ([]int64, error) {
 		}
 	}
 	dots := b.DotBatch(pairList, 0)
-	outIdx := b.OpenVecIdx(b.AddVec(b.FromScalars(dots), noiseAcc))
+	outIdx := b.OpenVecIdx(b.AddVec(b.FromScalars(dots), noise))
 	res, err := r.runOnce(b, 0x51c0)
 	if err != nil {
 		return nil, err

@@ -80,9 +80,9 @@ func TestOneClientPerPartyIsAFixedPoint(t *testing.T) {
 }
 
 // TestHostedClientsCostOneSharingPerParty: with six clients hosted on
-// four parties the noise of the two doubly-loaded parties folds into one
-// (unshared) addend each, and the session puts on the wire — and meters —
-// exactly what one client per party does.
+// four parties the two doubly-loaded parties draw their clients' noise
+// onto one (unshared) addend each, and the session puts on the wire — and
+// meters — exactly what one client per party does.
 func TestHostedClientsCostOneSharingPerParty(t *testing.T) {
 	hc, hl, hl3 := sessionStats(t, 6)
 	c, l, l3 := sessionStats(t, 4)
@@ -93,7 +93,7 @@ func TestHostedClientsCostOneSharingPerParty(t *testing.T) {
 
 // TestCapacityBoundIsTightWhenHosted is the numeric edge of the static
 // overflow check on a hosted shape (six clients on four parties, so the
-// noise a party shares is a folded sum): for random row counts and noise
+// noise a party adds is a sum of shares): for random row counts and noise
 // levels, with a column of ones driving one Gram entry to m·γ², the
 // largest γ the bound admits runs and equals Engine: plain bit for bit
 // while γ + 1 is refused with ErrFieldOverflow — and the admitted run

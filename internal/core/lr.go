@@ -415,11 +415,10 @@ type uGate func(b *circuit.Builder, cols []bgw.Vec) bgw.Vec
 
 // recordGradient records and compiles one step's circuit over d+1
 // external vectors of B elements: dots[t] = ⟨cols[t], u⟩, and every
-// client's noise share vector an input its party holds (inputNoise),
-// added to the packed dots and opened. That is 2d + 2·parties nodes or
-// so after folding, recorded every step: the vector lengths are the
-// realised Poisson batch size, which rarely repeats, so there is nothing
-// to cache.
+// party's noise vector an input it holds (inputNoise), added to the
+// packed dots and opened. That is 2d + 2·parties nodes or so, recorded
+// every step: the vector lengths are the realised Poisson batch size,
+// which rarely repeats, so there is nothing to cache.
 func recordGradient(p *Params, d, B int, noise [][]int64, u uGate) (plan *circuit.Plan, outIdx int, err error) {
 	b := circuit.NewBuilder(p.Parties, p.Threshold).SetRecorder(p.Recorder)
 	cols := make([]bgw.Vec, d+1)
@@ -432,8 +431,8 @@ func recordGradient(p *Params, d, B int, noise [][]int64, u uGate) (plan *circui
 		dots[t] = b.Dot(cols[t], uv)
 	}
 	sum := b.FromScalars(dots)
-	for j, shares := range noise {
-		sum = p.inputNoise(b, sum, j, shares)
+	for h, v := range noise {
+		sum = p.inputNoise(b, sum, h, v)
 	}
 	outIdx = b.OpenVecIdx(sum)
 	plan, err = b.Compile()

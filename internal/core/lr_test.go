@@ -279,7 +279,7 @@ func BenchmarkLRGradientBGW(b *testing.B) {
 
 // BenchmarkGradientPlanBuild records and compiles the lr_chan-shaped
 // gradient circuit (B = 200 records, d = 50 features, one client per
-// column), which every step of an LR session does: 3d + clients nodes
+// column), which every step of an LR session does: 3d + parties nodes
 // or so whatever B is, where the per-record circuit it replaced was
 // ~36 k. ns/op divided by the reported nodes/op is the per-node cost.
 func BenchmarkGradientPlanBuild(b *testing.B) {

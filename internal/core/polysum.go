@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"sqm/internal/bgw"
 	"sqm/internal/circuit"
@@ -70,9 +69,9 @@ func EvaluateMonomialSum(m poly.Monomial, x *linalg.Matrix, p Params) (float64, 
 }
 
 // polySum is Algorithm 3 from the quantized coefficients on: the clients
-// quantize their columns and draw their noise shares, the selected
-// engine evaluates Σ_x q(x̂) plus the noise, and the server divides by
-// scale. s is what evaluate books.
+// quantize their columns and draw their noise shares onto their noise
+// holders' vectors, the selected engine evaluates Σ_x q(x̂) plus the
+// noise, and the server divides by scale. s is what evaluate books.
 func (r *release) polySum(q *poly.Quantized, x *linalg.Matrix, scale float64, s *sensitivities) ([]float64, *Trace, error) {
 	qd := quantizeByClient(x, r.p, r.rngs)
 	noise := r.sampleNoise(q.Source.OutDim())
@@ -106,19 +105,16 @@ func (r *release) mpcPolySum(q *poly.Quantized, data *quant.IntMatrix, noise [][
 	n, m := data.Cols, data.Rows
 	b := circuit.NewBuilder(p.Parties, p.Threshold)
 	cols := p.inputColumns(b, data, n)
-	// Per-client noise shares are scalar inputs, one chain per output
-	// dimension.
-	noiseStart := time.Now()
+	// Every party's noise is one scalar input per output dimension.
 	d := q.Source.OutDim()
 	noiseShared := make([]bgw.Val, d)
 	for t := 0; t < d; t++ {
 		acc := b.Zero()
-		for j, shares := range noise {
-			acc = b.Add(acc, b.Input(p.partyOf(j), shares[t]))
+		for h, v := range noise {
+			acc = b.Add(acc, b.Input(h, v[t]))
 		}
 		noiseShared[t] = acc
 	}
-	r.noiseTime(noiseStart)
 
 	// Pre-compute column sums (local) for degree-1 monomials.
 	var colSum []bgw.Val

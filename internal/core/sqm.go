@@ -14,15 +14,17 @@
 //     every monomial carries the same overall factor γ^{λ+1} — package
 //     poly, or the gradient protocol's link;
 //  3. every client privately samples a share Sk(μ/n) of the Skellam
-//     noise — release.sampleNoise, package randx;
+//     noise, drawn onto the one vector of the noise holder hosting it —
+//     its party on the BGW engines, the evaluator on the plaintext one
+//     (release.sampleNoise, randx.AddSkellam);
 //  4. the static bound on the aggregate is checked against the field,
 //     and only then is the engine selected — release.evaluate, the one
 //     place Params.Engine forks. The plaintext integer engine adds the
-//     shares onto the aggregate (release.addNoise); the BGW engines
+//     noise onto the aggregate (release.addNoise); the BGW engines
 //     (package bgw) record the columns as inputs their parties deal and
-//     the per-client noise vectors as inputs their parties add at the
-//     opening (Params.inputColumns, inputNoise) and run the compiled plan
-//     on a fresh engine (release.runOnce). The two are output-identical
+//     every party's noise vector as an input it adds at the opening
+//     (Params.inputColumns, inputNoise) and run the compiled plan on a
+//     fresh engine (release.runOnce). The two are output-identical
 //     because BGW computes exactly;
 //  5. the Trace is closed (release.finish) and the server down-scales
 //     the opened result by γ^{λ+1}, or γ^λ for the coefficient-1
@@ -315,13 +317,27 @@ func (r *release) noiseTime(t0 time.Time) { r.tr.NoiseCompute += time.Since(t0) 
 // shares sum to the Sk(μ) the accountant is told about.
 func (r *release) noiseShare() float64 { return r.p.Mu / float64(len(r.rngs)) }
 
-// sampleNoise draws every client's share of the noise on dims outputs:
-// out[j][t] ~ Sk(μ/n), client j drawing from its own private stream.
+// sampleNoise draws every client's share of the noise on dims outputs
+// onto the vector of the noise holder hosting the client: out[h] is the
+// sum of the Sk(μ/n) shares of party h's clients on an MPC engine (one
+// vector per party that hosts a client), and of all n on the plaintext
+// engine (one vector). Clients draw in client order, each from its own
+// private stream, so the sums are those of the per-client vectors.
 func (r *release) sampleNoise(dims int) [][]int64 {
 	defer r.noiseTime(time.Now())
-	out := make([][]int64, len(r.rngs))
+	holders := 1
+	if r.p.Engine.IsMPC() {
+		holders = min(len(r.rngs), r.p.Parties)
+	}
+	flat := make([]int64, holders*dims)
+	out := make([][]int64, holders)
+	for h := range out {
+		out[h] = flat[h*dims : (h+1)*dims : (h+1)*dims]
+	}
+	share := r.noiseShare()
 	for j, g := range r.rngs {
-		out[j] = g.SkellamVec(dims, r.noiseShare())
+		h := r.p.partyOf(j)
+		out[h] = g.AddSkellam(out[h], share)
 	}
 	return out
 }
@@ -356,8 +372,8 @@ func (r *release) evaluate(bound float64, s *sensitivities, plain, mpc func() ([
 	return nil, errUnknownEngine(r.p.Engine)
 }
 
-// addNoise is the plain engine's noise injection: every client's share
-// vector added onto the aggregate.
+// addNoise is the plain engine's noise injection: the noise vector
+// sampleNoise drew added onto the aggregate.
 func (r *release) addNoise(sum []int64, noise [][]int64) {
 	defer r.noiseTime(time.Now())
 	for _, shares := range noise {
@@ -378,17 +394,15 @@ func (p *Params) inputColumns(b *circuit.Builder, data *quant.IntMatrix, total i
 	return cols
 }
 
-// inputNoise records client j's noise share vector as an input of the
-// party hosting it, added onto acc (nil starts the chain). The recording
-// names every client's vector; Compile folds the leaves one party holds
-// in that sum tree into their field sum (with one client per party
-// nothing folds), and because the chain reaches nothing but the release's
-// opening, no party shares what is left: each adds its sum to the row it
-// publishes, under the opening's zero mask (PRIVACY.md "Add what only you
-// know at the opening"). The noise costs no frame and no round, and the
-// opened integers are the same as if every vector had been shared.
-func (p *Params) inputNoise(b *circuit.Builder, acc bgw.Vec, j int, shares []int64) bgw.Vec {
-	v := b.InputVec(p.partyOf(j), shares)
+// inputNoise records party h's noise vector — the sum of the shares its
+// clients drew (sampleNoise) — as an input of h, added onto acc (nil
+// starts the chain). The chain reaches nothing but the release's opening,
+// so no party shares its vector: each adds it to the row it publishes,
+// under the opening's zero mask (PRIVACY.md "Add what only you know at
+// the opening"). The noise costs no frame and no round, and the opened
+// integers are the same as if every client's vector had been shared.
+func (p *Params) inputNoise(b *circuit.Builder, acc bgw.Vec, h int, noise []int64) bgw.Vec {
+	v := b.InputVec(h, noise)
 	if acc == nil {
 		return v
 	}

@@ -13,6 +13,7 @@ import (
 var dpNoiseSources = map[string]bool{
 	"(sqm/internal/randx.RNG).Skellam":             true,
 	"(sqm/internal/randx.RNG).SkellamVec":          true,
+	"(sqm/internal/randx.RNG).AddSkellam":          true,
 	"(sqm/internal/randx.RNG).DiscreteGaussian":    true,
 	"(sqm/internal/randx.RNG).DiscreteGaussianVec": true,
 	"(sqm/internal/randx.RNG).DiscreteLaplace":     true,
@@ -64,7 +65,7 @@ var AnalyzerDPBudget = &Analyzer{
 	Explain: &Explanation{
 		Invariant: "Every DP release must be metered: a value derived from a Skellam/discrete-Gaussian/discrete-Laplace draw may only escape the party (transport, obs, printed output, results files, exported facade returns) if a function on its dataflow path calls the dp.Accountant. Unaccounted releases spend privacy budget the ledger never records.",
 		Sources: []string{
-			"(randx.RNG).Skellam/SkellamVec/DiscreteGaussian/DiscreteGaussianVec/DiscreteLaplace",
+			"(randx.RNG).Skellam/SkellamVec/AddSkellam/DiscreteGaussian/DiscreteGaussianVec/DiscreteLaplace",
 		},
 		Sinks: []string{
 			"fmt.Print*/Fprint*, log, log/slog, sqm/internal/obs",

@@ -42,6 +42,25 @@ func Suppressed(g *randx.RNG) {
 	fmt.Println(v)
 }
 
+// fillNoise draws the noise onto the caller's vector in place; the slice
+// AddSkellam returns is that vector, carrying the draws.
+func fillNoise(g *randx.RNG, dst []int64) []int64 {
+	return g.AddSkellam(dst, 8)
+}
+
+// BadVec releases a vector the noise was drawn onto, unmetered.
+func BadVec(g *randx.RNG) {
+	v := fillNoise(g, make([]int64, 4))
+	fmt.Println(v) // want "DP-noisy value escapes via fmt.Println"
+}
+
+// AccountedVec meters the same release before printing it.
+func AccountedVec(g *randx.RNG, acct *dp.Accountant) {
+	v := fillNoise(g, make([]int64, 4))
+	acct.AddSkellam(8, 8, 8)
+	fmt.Println(v)
+}
+
 // Good prints only noise-free values.
 func Good(rounds int) {
 	fmt.Printf("finished %d rounds\n", rounds)

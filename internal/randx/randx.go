@@ -33,6 +33,9 @@ const ptrsMin = 30
 type RNG struct {
 	r   rand.Rand
 	pcg rand.PCG // New's source; in place, so an RNG is one allocation
+	// onPCG marks r as drawing from pcg, which Float64 then calls
+	// directly instead of through the rand.Source interface.
+	onPCG bool
 }
 
 // New returns an RNG seeded deterministically from seed. The PCG
@@ -42,6 +45,7 @@ func New(seed uint64) *RNG {
 	g := &RNG{}
 	g.pcg.Seed(seed, seed^0x9e3779b97f4a7c15)
 	g.r = *rand.New(&g.pcg)
+	g.onPCG = true
 	return g
 }
 
@@ -73,8 +77,15 @@ func (g *RNG) Fork() *RNG {
 // Uint64 returns a uniform 64-bit value.
 func (g *RNG) Uint64() uint64 { return g.r.Uint64() }
 
-// Float64 returns a uniform value in [0, 1).
-func (g *RNG) Float64() float64 { return g.r.Float64() }
+// Float64 returns a uniform value in [0, 1): rand.Rand.Float64's bits,
+// taken from the in-place PCG without the interface call when New built
+// g.
+func (g *RNG) Float64() float64 {
+	if g.onPCG {
+		return float64(g.pcg.Uint64()<<11>>11) / (1 << 53)
+	}
+	return g.r.Float64()
+}
 
 // IntN returns a uniform value in [0, n).
 func (g *RNG) IntN(n int) int { return g.r.IntN(n) }
@@ -90,7 +101,7 @@ func (g *RNG) Bernoulli(p float64) bool {
 	if p >= 1 {
 		return true
 	}
-	return g.r.Float64() < p
+	return g.Float64() < p
 }
 
 // Gaussian returns a normal sample with the given mean and standard
@@ -134,7 +145,7 @@ func (g *RNG) Poisson(mu float64) int64 {
 // poissonInversion samples Poisson(mu) by sequential inversion of the
 // CDF. Exact; O(mu) time, used only for small means.
 func (g *RNG) poissonInversion(mu float64) int64 {
-	u := g.r.Float64()
+	u := g.Float64()
 	p := math.Exp(-mu)
 	cum := p
 	var k int64
@@ -172,11 +183,12 @@ func newPTRS(mu float64) ptrs {
 }
 
 // draw returns one Poisson(c.mu) sample from g; exact up to
-// floating-point evaluation of the acceptance test.
-func (c *ptrs) draw(g *RNG) int64 {
+// floating-point evaluation of the acceptance test. m, when non-nil,
+// memoises the test's log k!.
+func (c *ptrs) draw(g *RNG, m *lgammaMemo) int64 {
 	for {
-		u := g.r.Float64() - 0.5
-		v := g.r.Float64()
+		u := g.Float64() - 0.5
+		v := g.Float64()
 		us := 0.5 - math.Abs(u)
 		kf := math.Floor((2*c.a/us+c.b)*u + c.mu + 0.43)
 		if us >= 0.07 && v <= c.vr {
@@ -186,8 +198,7 @@ func (c *ptrs) draw(g *RNG) int64 {
 			continue
 		}
 		k := kf
-		lg, _ := math.Lgamma(k + 1)
-		if math.Log(v*c.invAlpha/(c.a/(us*us)+c.b)) <= k*c.logMu-c.mu-lg {
+		if math.Log(v*c.invAlpha/(c.a/(us*us)+c.b)) <= k*c.logMu-c.mu-m.lgamma(k) {
 			return int64(kf)
 		}
 	}
@@ -196,7 +207,42 @@ func (c *ptrs) draw(g *RNG) int64 {
 // poissonPTRS samples Poisson(mu) with the PTRS sampler.
 func (g *RNG) poissonPTRS(mu float64) int64 {
 	c := newPTRS(mu)
-	return c.draw(g)
+	return c.draw(g, nil)
+}
+
+// memoSize is the window of k an lgammaMemo covers: ±1024 around the
+// mean, past where PTRS reaches its log k! test at the cov_mono share
+// μ ≈ 13 442 (σ ≈ 116). 16 KB, cleared once per vector.
+const memoSize = 2048
+
+// memoMinLen is the shortest vector AddSkellam memoises log k! for: at
+// about one test per two Poisson draws, shorter vectors (LR's 20–50
+// coordinates) would spend more clearing the window than it saves.
+const memoMinLen = 256
+
+// lgammaMemo caches math.Lgamma(k+1) for the integers k in [lo,
+// lo+memoSize). An entry holds the value Lgamma returned, so a memoised
+// test decides as the computed one does; 0 marks it unfilled, which no
+// k >= 2 has (log k! > 0), and lo >= 2.
+type lgammaMemo struct {
+	lo float64
+	v  [memoSize]float64
+}
+
+// lgamma returns log k! for an integral k >= 0: memoised inside the
+// window, computed outside it or when m is nil.
+func (m *lgammaMemo) lgamma(k float64) float64 {
+	if m != nil {
+		if i := k - m.lo; i >= 0 && i < memoSize {
+			e := &m.v[int(i)]
+			if mathx.EqualWithin(*e, 0, 0) {
+				*e, _ = math.Lgamma(k + 1)
+			}
+			return *e
+		}
+	}
+	lg, _ := math.Lgamma(k + 1)
+	return lg
 }
 
 // Skellam returns a sample from the symmetric Skellam distribution
@@ -216,22 +262,33 @@ func (g *RNG) Skellam(mu float64) int64 {
 	}
 }
 
-// SkellamVec fills a length-n slice with iid Sk(mu) samples: the values
-// n calls of Skellam(mu) return, with the PTRS constants of a mean in
-// that sampler's range built once for all 2n Poisson draws.
+// SkellamVec returns a length-n slice of iid Sk(mu) samples: AddSkellam
+// onto zeros.
 func (g *RNG) SkellamVec(n int, mu float64) []int64 {
-	v := make([]int64, n)
-	if mu >= ptrsMin && mu <= PoissonExactMax {
-		c := newPTRS(mu)
-		for i := range v {
-			v[i] = c.draw(g) - c.draw(g)
+	return g.AddSkellam(make([]int64, n), mu)
+}
+
+// AddSkellam adds iid Sk(mu) samples onto dst and returns it: the values
+// len(dst) calls of Skellam(mu) return, in order, with the PTRS
+// constants of a mean in that sampler's range built once for all
+// 2·len(dst) Poisson draws and, on vectors of at least memoMinLen
+// entries, log k! memoised around the mean. It allocates nothing.
+func (g *RNG) AddSkellam(dst []int64, mu float64) []int64 {
+	if !(mu >= ptrsMin && mu <= PoissonExactMax) {
+		for i := range dst {
+			dst[i] += g.Skellam(mu)
 		}
-		return v
+		return dst
 	}
-	for i := range v {
-		v[i] = g.Skellam(mu)
+	c := newPTRS(mu)
+	var m *lgammaMemo // on the stack: draw does not keep it
+	if len(dst) >= memoMinLen {
+		m = &lgammaMemo{lo: math.Max(2, math.Floor(mu)-memoSize/2)}
 	}
-	return v
+	for i := range dst {
+		dst[i] += c.draw(g, m) - c.draw(g, m)
+	}
+	return dst
 }
 
 // StochasticRound rounds v to one of its two nearest integers so that

@@ -3,6 +3,7 @@ package randx
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"testing"
 )
 
@@ -311,22 +312,60 @@ func TestSkellamVec(t *testing.T) {
 }
 
 // TestSkellamVecMatchesSkellamStream pins the one-stream rule: the MPC
-// path's SkellamVec and the plain engine's per-sample Skellam draw the
-// same values from equally seeded streams and leave them in the same
-// state, in every sampler regime (zero, inversion, both edges of PTRS,
-// Gaussian surrogate).
+// path's SkellamVec, AddSkellam onto a non-zero vector and the plain
+// engine's per-sample Skellam draw the same values from equally seeded
+// streams and leave them in the same state, in every sampler regime
+// (zero, inversion, both edges of PTRS, the cov_mono share inside the
+// log k! memo's window and a mean whose σ dwarfs it, the Gaussian
+// surrogate). 500 draws are past memoMinLen, 100 short of it.
 func TestSkellamVecMatchesSkellamStream(t *testing.T) {
-	const n = 500
-	for _, mu := range []float64{0, 5, 29.9, 30, 1e3, PoissonExactMax, 2 * PoissonExactMax} {
-		vecRNG, refRNG := New(42), New(42)
-		got := vecRNG.SkellamVec(n, mu)
-		for i, g := range got {
-			if want := refRNG.Skellam(mu); g != want {
-				t.Fatalf("mu=%g: SkellamVec[%d] = %d, Skellam stream gives %d", mu, i, g, want)
+	for _, n := range []int{500, 100} {
+		for _, mu := range []float64{0, 5, 29.9, 30, 1e3, cov120Share, 3.16e7, PoissonExactMax, 2 * PoissonExactMax} {
+			vecRNG, addRNG, refRNG := New(42), New(42), New(42)
+			got := vecRNG.SkellamVec(n, mu)
+			base := make([]int64, n)
+			for i := range base {
+				base[i] = int64(i*i) - 7*int64(n)
+			}
+			added := addRNG.AddSkellam(append([]int64(nil), base...), mu)
+			for i, g := range got {
+				want := refRNG.Skellam(mu)
+				if g != want {
+					t.Fatalf("n=%d mu=%g: SkellamVec[%d] = %d, Skellam stream gives %d", n, mu, i, g, want)
+				}
+				if added[i] != base[i]+want {
+					t.Fatalf("n=%d mu=%g: AddSkellam[%d] = %d onto %d, Skellam stream gives %d", n, mu, i, added[i], base[i], want)
+				}
+			}
+			a, b, c := vecRNG.Uint64(), addRNG.Uint64(), refRNG.Uint64()
+			if a != c || b != c {
+				t.Fatalf("n=%d mu=%g: streams diverge after %d samples (%d, %d vs %d)", n, mu, n, a, b, c)
 			}
 		}
-		if a, b := vecRNG.Uint64(), refRNG.Uint64(); a != b {
-			t.Fatalf("mu=%g: streams diverge after %d samples (%d vs %d)", mu, n, a, b)
+	}
+}
+
+// TestAddSkellamAllocatesNothing: the memo window lives on the stack.
+func TestAddSkellamAllocatesNothing(t *testing.T) {
+	g := New(3)
+	for _, n := range []int{40, 7260} {
+		dst := make([]int64, n)
+		if a := testing.AllocsPerRun(5, func() { g.AddSkellam(dst, cov120Share) }); a != 0 {
+			t.Errorf("AddSkellam over %d entries: %v allocations", n, a)
+		}
+	}
+}
+
+// TestFloat64MatchesPCG: New's RNG reads its in-place PCG directly, and
+// must give the bits rand.Rand.Float64 gives over the same source.
+func TestFloat64MatchesPCG(t *testing.T) {
+	for seed := uint64(0); seed < 200; seed++ {
+		g := New(seed * 0x9e3779b97f4a7c15)
+		ref := rand.New(rand.NewPCG(seed*0x9e3779b97f4a7c15, seed*0x9e3779b97f4a7c15^0x9e3779b97f4a7c15))
+		for i := 0; i < 50; i++ {
+			if a, b := g.Float64(), ref.Float64(); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("seed %d draw %d: Float64 %v, rand.Rand over PCG %v", seed, i, a, b)
+			}
 		}
 	}
 }
@@ -430,14 +469,20 @@ func BenchmarkSkellamLarge(b *testing.B) {
 // skellamSink keeps BenchmarkSkellamVecPTRS's output live.
 var skellamSink []int64
 
-// BenchmarkSkellamVecPTRS draws one client's noise share vector of the
-// cov_mono workload (n(n+1)/2 entries at n = 120); ns/op ÷ 7260 compares
-// with BenchmarkSkellamLarge.
+// cov120Share is one client's Skellam share on the cov_mono workload:
+// μ = 1.613 08e6 split over its n = 120 clients.
+const cov120Share = 1.61308e6 / 120
+
+// BenchmarkSkellamVecPTRS draws one client's noise share of the cov_mono
+// workload onto its party's vector: n(n+1)/2 entries at n = 120, each
+// Sk(μ/n). ns/op ÷ 7260 is the per-entry cost.
 func BenchmarkSkellamVecPTRS(b *testing.B) {
 	g := New(1)
+	skellamSink = make([]int64, 7260)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		skellamSink = g.SkellamVec(7260, 1e12)
+		g.AddSkellam(skellamSink, cov120Share)
 	}
 }
 

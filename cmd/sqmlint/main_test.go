@@ -50,27 +50,31 @@ func TestMissingPackageIsLoadError(t *testing.T) {
 
 func TestExplainPrintsTheInvariantCard(t *testing.T) {
 	var out, errb bytes.Buffer
-	if code := run([]string{"-explain", "sharetaint"}, &out, &errb); code != 0 {
+	if code := run([]string{"-explain", "dpbudget"}, &out, &errb); code != 0 {
 		t.Fatalf("-explain exit code = %d, stderr: %s", code, errb.String())
 	}
 	got := out.String()
 	for _, frag := range []string{
-		"sharetaint —",
+		"dpbudget —",
 		"Invariant:",
 		"Sources:",
 		"Sinks:",
 		"Sanitizers:",
 		"Example finding:",
-		"//lint:ignore sharetaint",
+		"//lint:ignore dpbudget",
 	} {
 		if !strings.Contains(got, frag) {
-			t.Errorf("-explain sharetaint output missing %q:\n%s", frag, got)
+			t.Errorf("-explain dpbudget output missing %q:\n%s", frag, got)
 		}
 	}
 }
 
 func TestExplainCoversEveryDataflowCheck(t *testing.T) {
-	for _, name := range []string{"sharetaint", "dpbudget", "ctbranch"} {
+	for _, a := range lint.All() {
+		if a.RunModule == nil {
+			continue
+		}
+		name := a.Name
 		var out, errb bytes.Buffer
 		if code := run([]string{"-explain", name}, &out, &errb); code != 0 {
 			t.Fatalf("-explain %s exit code = %d, stderr: %s", name, code, errb.String())

@@ -3,8 +3,6 @@ package bgw
 import (
 	"testing"
 
-	"sqm/internal/field"
-	"sqm/internal/shamir"
 	"sqm/internal/transport"
 )
 
@@ -220,23 +218,6 @@ func TestActorAbortTCP(t *testing.T) {
 	}
 }
 
-// TestActorAdditiveShares: the additive conversion must reconstruct the
-// secret, matching the monolithic semantics.
-func TestActorAdditiveShares(t *testing.T) {
-	cfg := Config{Parties: 3, Seed: 5}
-	eng := newActorChan(t, cfg)
-	s := eng.InputElem(0, field.FromInt64(12345))
-	weights := lagrangeWeightsForTest(cfg.Parties)
-	adds := eng.AdditiveShares(s, weights)
-	var sum field.Elem
-	for _, x := range adds {
-		sum = field.Add(sum, x)
-	}
-	if got := field.ToInt64(sum); got != 12345 {
-		t.Errorf("sum of additive shares = %d, want 12345", got)
-	}
-}
-
 // TestActorCloseIdempotent: Close twice, then verify operations after
 // close return zero values without hanging.
 func TestActorCloseIdempotent(t *testing.T) {
@@ -258,10 +239,6 @@ func TestActorCloseIdempotent(t *testing.T) {
 	if got := eng.Open(eng.Input(0, 9)); got != 0 {
 		t.Errorf("Open after Close = %d, want 0", got)
 	}
-}
-
-func lagrangeWeightsForTest(p int) []field.Elem {
-	return shamir.LagrangeAtZero(shamir.PartyPoints(p))
 }
 
 func equalInt64(a, b []int64) bool {

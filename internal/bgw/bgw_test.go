@@ -2,6 +2,7 @@ package bgw
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -253,8 +254,7 @@ func TestUnsharedInputMetering(t *testing.T) {
 
 // TestOpenOnlyOperandsFailTheEngine: a sharing of degree above t — an
 // unreduced product, an unshared input, or any linear gate over one —
-// must not be multiplied or converted to additive shares: the engine
-// fails with ErrOpenOnly instead of computing a wrong value, on both
+// must not be multiplied: the engine fails with ErrOpenOnly instead of computing a wrong value, on both
 // drivers, and opens zeros from then on. Linear gates and openings take
 // the same handles without complaint.
 func TestOpenOnlyOperandsFailTheEngine(t *testing.T) {
@@ -289,7 +289,6 @@ func TestOpenOnlyOperandsFailTheEngine(t *testing.T) {
 			c.e.MulBatch([]MulItem{{Kind: MulScalar, A: c.x, B: c.x}, {Kind: MulScalar, A: c.high, B: c.x}})
 		},
 		"MulBatchUnreduced": func(c env) { c.e.MulBatchUnreduced([]MulItem{{Kind: MulDot, VA: c.hvec, VB: c.hvec}}) },
-		"AdditiveShares":    func(c env) { c.e.AdditiveShares(c.high, make([]field.Elem, 4)) },
 	}
 	for _, mesh := range []bool{false, true} {
 		for sname, source := range sources {
@@ -482,39 +481,71 @@ func TestInputElemOpenElemRoundTrip(t *testing.T) {
 	e := newTestEngine(t, 4)
 	// Raw field elements beyond the signed embedding range must survive.
 	big := field.Elem(field.Modulus - 3)
-	s := e.InputElem(1, big)
-	var got field.Elem
-	for _, a := range e.AdditiveShares(s, lagrangeWeightsForTest(4)) {
-		got = field.Add(got, a)
-	}
-	if got != big {
+	if got := reconstructForTest(e, e.InputElem(1, big)); got != big {
 		t.Fatalf("raw element = %d, want %d", got, big)
 	}
 }
 
-func TestAdditiveSharesConversion(t *testing.T) {
-	e := newTestEngine(t, 4)
-	s := e.Input(0, 9876)
-	w := shamir.LagrangeAtZero(shamir.PartyPoints(4))
-	add := e.AdditiveShares(s, w)
-	var sum field.Elem
-	for _, a := range add {
-		sum = field.Add(sum, a)
+// reconstructForTest interpolates a scalar handle of an inline engine from
+// every party's slot: a window onto the raw element, which no exported
+// method hands out (Open decodes to a signed int64).
+func reconstructForTest(e *Engine, v Val) field.Elem {
+	ref := e.shared(v).ref
+	shares := make([]field.Elem, e.p)
+	for i, pa := range e.parties {
+		shares[i] = pa.sc[ref]
 	}
-	if field.ToInt64(sum) != 9876 {
-		t.Fatalf("additive conversion sums to %d", field.ToInt64(sum))
+	return shamir.Reconstruct(shamir.PartyPoints(e.p), shares)
+}
+
+// TestEngineExportsNoShareMaterial: a party's share leaves the package
+// only inside an opening. No exported method of the engine or of
+// Evaluator returns a field element, bare or inside a slice, map, array,
+// pointer or struct, and the handles expose nothing but their methods.
+func TestEngineExportsNoShareMaterial(t *testing.T) {
+	elem := reflect.TypeOf(field.Elem(0))
+	for _, typ := range []reflect.Type{reflect.TypeOf((*Engine)(nil)), reflect.TypeOf((*Evaluator)(nil)).Elem()} {
+		for i := 0; i < typ.NumMethod(); i++ {
+			m := typ.Method(i)
+			for j := 0; j < m.Type.NumOut(); j++ {
+				if containsTypeForTest(m.Type.Out(j), elem, map[reflect.Type]bool{}) {
+					t.Errorf("%v.%s returns %v, which carries %v", typ, m.Name, m.Type.Out(j), elem)
+				}
+			}
+		}
+	}
+	for _, typ := range []reflect.Type{reflect.TypeOf(Shared{}), reflect.TypeOf(SharedVec{})} {
+		for i := 0; i < typ.NumField(); i++ {
+			if f := typ.Field(i); f.IsExported() {
+				t.Errorf("%v exports field %s", typ, f.Name)
+			}
+		}
 	}
 }
 
-func TestAdditiveSharesWeightMismatchPanics(t *testing.T) {
-	e := newTestEngine(t, 4)
-	s := e.Input(0, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+// containsTypeForTest reports whether t is want or holds one through
+// pointers, slices, arrays, maps, channels or struct fields.
+func containsTypeForTest(t, want reflect.Type, seen map[reflect.Type]bool) bool {
+	if t == want {
+		return true
+	}
+	if seen[t] {
+		return false
+	}
+	seen[t] = true
+	switch t.Kind() {
+	case reflect.Pointer, reflect.Slice, reflect.Array, reflect.Chan:
+		return containsTypeForTest(t.Elem(), want, seen)
+	case reflect.Map:
+		return containsTypeForTest(t.Key(), want, seen) || containsTypeForTest(t.Elem(), want, seen)
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if containsTypeForTest(t.Field(i).Type, want, seen) {
+				return true
+			}
 		}
-	}()
-	e.AdditiveShares(s, make([]field.Elem, 2))
+	}
+	return false
 }
 
 // TestForeignSharePanics: every operation that takes a handle refuses
@@ -527,7 +558,6 @@ func TestForeignSharePanics(t *testing.T) {
 	e2 := newTestEngine(t, 3)
 	a, av := e1.Input(0, 1), e1.InputVec(0, []int64{1, 2})
 	b, bv := e2.Input(0, 2), e2.InputVec(0, []int64{3, 4})
-	w := lagrangeWeightsForTest(3)
 	for name, op := range map[string]func(){
 		"Add":                func() { e1.Add(a, b) },
 		"Sub":                func() { e1.Sub(b, a) },
@@ -535,7 +565,6 @@ func TestForeignSharePanics(t *testing.T) {
 		"AddConst":           func() { e1.AddConst(b, 1) },
 		"MulConst":           func() { e1.MulConst(b, 2) },
 		"InnerProduct":       func() { e1.InnerProduct([]Val{a}, []Val{b}) },
-		"AdditiveShares":     func() { e1.AdditiveShares(b, w) },
 		"FromScalars":        func() { e1.FromScalars([]Val{a, b}) },
 		"Open":               func() { e1.Open(b) },
 		"OpenBatch":          func() { e1.OpenBatch([]Val{a, b}) },

@@ -31,7 +31,7 @@ import (
 // The engine is driven by a single caller goroutine. Commands reach
 // every party in issue order, which keeps the per-party RNG streams and
 // the pairwise message sequences deterministic. Behind a mesh only
-// operations that reveal data (Open*, AdditiveShares, Stats)
+// operations that reveal data (Open*, Stats)
 // synchronize the caller with the parties; everything else pipelines.
 //
 // Behind a mesh commands travel in batches. Scalar local gates (see
@@ -90,8 +90,8 @@ type SharedVec struct {
 	openOnly bool // as Shared.openOnly
 }
 
-// ErrOpenOnly is the engine failure (see Err) of a multiplicative gate or
-// an AdditiveShares handed an open-only sharing: the result of
+// ErrOpenOnly is the engine failure (see Err) of a multiplicative gate
+// handed an open-only sharing: the result of
 // MulBatchUnreduced or InputUnshared, or of a linear gate over one. Only
 // linear gates and openings may consume those.
 var ErrOpenOnly = errors.New("bgw: open-only sharing where a degree-t sharing is required")
@@ -605,31 +605,6 @@ func (e *Engine) mulBatch(op actorOp, items []MulItem) []Val {
 	}
 	out := e.newSharedN(len(items), op == opMulUnreduced)
 	e.dispatch(actorCmd{op: op, x: &cmdPayload{muls: muls}})
-	return out
-}
-
-// AdditiveShares converts the Shamir sharing to an additive sharing:
-// with Lagrange weights λ, party i reports λ_i·share_i and Σ_i λ_i·s_i
-// equals the secret (a local computation; the collection is engine-side
-// synchronization, not protocol traffic).
-func (e *Engine) AdditiveShares(s Val, weights []field.Elem) []field.Elem {
-	sh := e.shared(s)
-	if len(weights) != e.p {
-		panic(invariant.Violation("bgw: AdditiveShares weight count mismatch"))
-	}
-	out := make([]field.Elem, e.p)
-	if sh.openOnly {
-		// The caller's weights interpolate a degree-t sharing.
-		e.refuseOpenOnly("AdditiveShares")
-		return out
-	}
-	replies, ok := e.call(actorCmd{op: opAdditive, a: sh.ref, x: &cmdPayload{weights: weights}})
-	if !ok || e.err != nil {
-		return out
-	}
-	for i, r := range replies {
-		out[i] = r.elem
-	}
 	return out
 }
 

@@ -186,9 +186,6 @@ type Evaluator interface {
 	// InnerProduct returns a sharing of Σ_k a[k]·b[k] with the fused
 	// gate (one resharing total).
 	InnerProduct(as, bs []Val) Val
-	// AdditiveShares converts the Shamir sharing to an additive sharing
-	// locally: party i's addend is weights[i]·share_i.
-	AdditiveShares(s Val, weights []field.Elem) []field.Elem
 	// Open reveals the signed secret to all parties.
 	Open(s Val) int64
 

@@ -33,7 +33,6 @@ const (
 	opMulUnreduced
 	opOpenBatch
 	opOpenVec
-	opAdditive
 	opBarrier
 )
 
@@ -71,19 +70,17 @@ type actorCmd struct {
 // cmdPayload holds what does not fit the scalar command: operand lists,
 // input vectors and the reply channel of synchronizing commands.
 type cmdPayload struct {
-	ints    []int64      // signed input vector (opInputVec, opInputUnshared), coefficients (opLinComb)
-	inputs  []InputItem  // scalar inputs (opInputBatch)
-	refs    []int        // scalar slots (opFromScalars, opOpenBatch), element indices (opGather), vector slots (opLinComb)
-	muls    []mulDesc    // gate list (opMulBatch, opMulUnreduced)
-	weights []field.Elem // Lagrange weights (opAdditive)
-	reply   chan actorReply
+	ints   []int64     // signed input vector (opInputVec, opInputUnshared), coefficients (opLinComb)
+	inputs []InputItem // scalar inputs (opInputBatch)
+	refs   []int       // scalar slots (opFromScalars, opOpenBatch), element indices (opGather), vector slots (opLinComb)
+	muls   []mulDesc   // gate list (opMulBatch, opMulUnreduced)
+	reply  chan actorReply
 }
 
 // actorReply is one party's answer to a synchronizing command.
 type actorReply struct {
 	party int
 	vals  []int64
-	elem  field.Elem
 	ops   int64
 	err   error
 }
@@ -414,8 +411,6 @@ func (a *actorParty) recv(c *actorCmd) error {
 			}
 		}
 		c.x.reply <- r
-	case opAdditive:
-		c.x.reply <- actorReply{party: a.id, elem: field.Mul(c.x.weights[a.id], a.sc[c.a])}
 	case opBarrier:
 		c.x.reply <- actorReply{party: a.id, ops: a.fieldOps}
 	}

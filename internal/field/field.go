@@ -22,7 +22,8 @@ type Elem uint64
 // branchless conditional subtraction: v − Modulus keeps its top bit
 // clear exactly when v >= Modulus (v < 2^63), so the borrow bit selects
 // the mask. Field elements carry share and noise material, so the
-// reduction must not branch on the value (see the ctbranch lint check).
+// reduction does not branch on the value (a convention: no test or
+// check pins it).
 func reduce(v uint64) Elem {
 	v -= Modulus & (((v - Modulus) >> 63) - 1)
 	return Elem(v)

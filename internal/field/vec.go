@@ -12,9 +12,9 @@ import (
 // These kernels are the one sanctioned way to run those loops: the
 // Mersenne fold is inlined so the reduction pipelines across iterations
 // instead of paying a call per element, and every kernel is branchless
-// in the element values (the ctbranch requirement: field elements carry
-// share and noise material, so control flow must not depend on them —
-// only on public lengths and indices).
+// in the element values (a convention no test or check pins: field
+// elements carry share and noise material, so control flow depends only
+// on public lengths and indices).
 //
 // Conventions shared by all kernels:
 //   - dst may alias a or b (in-place updates are the common case).

@@ -117,8 +117,11 @@ func directiveEndLine(p *Package, f *ast.File, line int) int {
 }
 
 // applyIgnores splits diagnostics into kept and suppressed according
-// to the directives.
+// to the directives. A well-formed directive that suppressed nothing is
+// itself kept as a "lint" diagnostic, as a malformed one is: a stale
+// suppression would hide the next real finding on its lines.
 func applyIgnores(diags []Diagnostic, directives []ignoreDirective) (kept, suppressed []Diagnostic) {
+	used := make([]bool, len(directives))
 	for _, d := range diags {
 		ignored := false
 		for i := range directives {
@@ -127,14 +130,23 @@ func applyIgnores(diags []Diagnostic, directives []ignoreDirective) (kept, suppr
 				continue
 			}
 			if d.Pos.Line >= dir.pos.Line && d.Pos.Line <= dir.endLine {
-				ignored = true
-				break
+				ignored, used[i] = true, true
 			}
 		}
 		if ignored {
 			suppressed = append(suppressed, d)
 		} else {
 			kept = append(kept, d)
+		}
+	}
+	for i, dir := range directives {
+		if !used[i] {
+			kept = append(kept, Diagnostic{
+				Check:    "lint",
+				Severity: SeverityError,
+				Pos:      dir.pos,
+				Message:  "//lint:ignore " + strings.Join(dir.checks, ",") + " suppresses no finding; delete the stale directive",
+			})
 		}
 	}
 	return kept, suppressed

@@ -2,12 +2,15 @@
 // SQM repository, built on the standard library's go/parser, go/ast,
 // go/types and go/token only (no x/tools, matching the repo's
 // zero-dependency rule). It exists because SQM's correctness claims
-// rest on invariants the Go compiler cannot check: all randomness must
-// flow through the seeded samplers in internal/randx, secret shares
-// must never reach a formatter or telemetry sink, modular arithmetic
-// on field.Elem must route through internal/field's Mersenne
-// reduction, floating-point calibration code must not compare with ==,
-// and panics are reserved for designated invariant helpers.
+// rest on invariants the Go compiler cannot check and no test catches
+// when they break: all randomness must flow through the seeded samplers
+// in internal/randx, a DP noise draw must not leave the party unless
+// the accountant was consulted on its way, modular arithmetic on
+// field.Elem must route through internal/field's Mersenne reduction,
+// floating-point calibration code must not compare with ==, and panics
+// are reserved for designated invariant helpers. Share secrecy is not
+// among them: the bgw package boundary keeps every share inside a party
+// (see TestEngineExportsNoShareMaterial).
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis at
 // a fraction of the surface: an Analyzer holds a name, a doc string
@@ -31,9 +34,6 @@ type Severity string
 const (
 	// SeverityError marks a violation of a hard repo invariant.
 	SeverityError Severity = "error"
-	// SeverityWarning marks a finding that merits review but does not
-	// break an invariant on its own.
-	SeverityWarning Severity = "warning"
 )
 
 // Diagnostic is one finding, positioned in the loaded file set.
@@ -140,14 +140,10 @@ func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
 func All() []*Analyzer {
 	as := []*Analyzer{
 		AnalyzerRandDet,
-		AnalyzerBlockingRecv,
 		AnalyzerFieldOps,
-		AnalyzerShareTaint,
 		AnalyzerDPBudget,
-		AnalyzerCTBranch,
 		AnalyzerFloatEq,
 		AnalyzerPanicPolicy,
-		AnalyzerRoundAccounting,
 	}
 	sort.Slice(as, func(i, j int) bool { return as[i].Name < as[j].Name })
 	return as

@@ -9,10 +9,10 @@ import (
 
 func TestRegistryHasTheInvariantSuite(t *testing.T) {
 	as := All()
-	if len(as) < 5 {
-		t.Fatalf("registry has %d analyzers, want at least 5", len(as))
+	if len(as) != 5 {
+		t.Fatalf("registry has %d analyzers, want 5", len(as))
 	}
-	want := []string{"fieldops", "floateq", "panicpolicy", "randdet", "sharetaint", "dpbudget", "ctbranch"}
+	want := []string{"dpbudget", "fieldops", "floateq", "panicpolicy", "randdet"}
 	seen := make(map[string]bool)
 	for _, a := range as {
 		if a.Name == "" || a.Doc == "" || (a.Run == nil && a.RunModule == nil) {
@@ -132,15 +132,15 @@ func TestSortAndDedupDiagnostics(t *testing.T) {
 	ds := []Diagnostic{
 		mk("b.go", 2, 1, "floateq", "x"),
 		mk("a.go", 9, 1, "floateq", "x"),
-		mk("a.go", 3, 7, "sharetaint", "y"),
+		mk("a.go", 3, 7, "randdet", "y"),
 		mk("a.go", 3, 7, "dpbudget", "z"),
-		mk("a.go", 3, 7, "sharetaint", "y"), // exact duplicate
+		mk("a.go", 3, 7, "randdet", "y"), // exact duplicate
 	}
 	sortDiagnostics(ds)
 	ds = dedupDiagnostics(ds)
 	want := []Diagnostic{
 		mk("a.go", 3, 7, "dpbudget", "z"),
-		mk("a.go", 3, 7, "sharetaint", "y"),
+		mk("a.go", 3, 7, "randdet", "y"),
 		mk("a.go", 9, 1, "floateq", "x"),
 		mk("b.go", 2, 1, "floateq", "x"),
 	}

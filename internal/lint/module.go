@@ -11,10 +11,10 @@ import (
 // This file is the interprocedural half of the framework: a whole-module
 // view of every loaded package, with a call graph and a flow-insensitive
 // assignment graph over variables, parameters, results, and struct
-// fields. The taint analyzers (sharetaint, dpbudget, ctbranch) run over
-// this graph instead of a single package's AST, so a secret share that
-// passes through two helper functions before hitting fmt.Sprintf is
-// still caught, with the full call path reported in the diagnostic.
+// fields. The dpbudget analyzer runs over this graph instead of a single
+// package's AST, so a noise draw that passes through two helper
+// functions before hitting fmt.Sprintf is still caught, with the full
+// call path reported in the diagnostic.
 //
 // The design balances soundness against the precision a lint gate needs
 // to stay quiet on clean code:
@@ -23,8 +23,9 @@ import (
 //     identified by its types.Object (results of unnamed tuples reuse
 //     the anonymous vars the type-checker allocates); struct fields get
 //     one node per field *object* (field-based, not per-instance), so
-//     reading w.Round off a share-holding wrapper does not inherit the
-//     wrapper's taint unless something tainted was stored into Round;
+//     reading w.Round off a wrapper that also holds noise does not
+//     inherit the wrapper's taint unless something tainted was stored
+//     into Round;
 //   - assignments, returns, range clauses, channel sends, and composite
 //     expressions add edges between the "leaves" of the right-hand side
 //     and the written object (writes through an index or star taint the
@@ -45,10 +46,9 @@ import (
 //     results are wired up when the literal is invoked directly, and
 //     captured variables flow for free because the objects are shared.
 //
-// Known under-approximations, documented in the analyzers' Explain
-// entries: no per-instance heap model (two instances of the same struct
-// type share field nodes), and whole-struct copies do not transfer
-// field-node taint (the root-object edge still flows).
+// Known approximations: no per-instance heap model (two instances of
+// the same struct type share field nodes), and whole-struct copies do
+// not transfer field-node taint (the root-object edge still flows).
 
 // Module is the whole-program view handed to RunModule analyzers.
 type Module struct {
@@ -60,9 +60,6 @@ type Module struct {
 	Funcs map[*types.Func]*FuncInfo
 	// Calls lists every static call site in deterministic order.
 	Calls []*CallSite
-	// Conds lists every branch condition and container-index operand,
-	// the sink sites of the ctbranch analyzer.
-	Conds []*CondSite
 	// Returns lists the return statements of exported functions, the
 	// egress sites of the dpbudget exported-return rule.
 	Returns []*ReturnSite
@@ -104,17 +101,6 @@ type CallSite struct {
 	// Callee is the statically resolved callee, nil for dynamic calls
 	// (function values, direct literal invocations).
 	Callee *types.Func
-}
-
-// CondSite is one value position that steers control flow or memory
-// addressing: an if/for condition, a switch tag or case expression, or
-// the index operand of a map/slice/array access.
-type CondSite struct {
-	Fn   *types.Func
-	Pkg  *Package
-	Expr ast.Expr
-	// Kind is "if", "for", "switch", "case", or "index".
-	Kind string
 }
 
 // ReturnSite is one result expression of an exported function.
@@ -463,39 +449,9 @@ func (m *Module) walk(pkg *Package, fn *types.Func, body ast.Node, rets []*node)
 			}
 		case *ast.CallExpr:
 			m.callEdges(pkg, fn, x)
-		case *ast.IfStmt:
-			m.Conds = append(m.Conds, &CondSite{Fn: fn, Pkg: pkg, Expr: x.Cond, Kind: "if"})
-		case *ast.ForStmt:
-			if x.Cond != nil {
-				m.Conds = append(m.Conds, &CondSite{Fn: fn, Pkg: pkg, Expr: x.Cond, Kind: "for"})
-			}
-		case *ast.SwitchStmt:
-			if x.Tag != nil {
-				m.Conds = append(m.Conds, &CondSite{Fn: fn, Pkg: pkg, Expr: x.Tag, Kind: "switch"})
-			}
-		case *ast.CaseClause:
-			for _, e := range x.List {
-				m.Conds = append(m.Conds, &CondSite{Fn: fn, Pkg: pkg, Expr: e, Kind: "case"})
-			}
-		case *ast.IndexExpr:
-			if tv, ok := pkg.Info.Types[x.X]; ok && tv.Type != nil && isContainer(tv.Type) {
-				m.Conds = append(m.Conds, &CondSite{Fn: fn, Pkg: pkg, Expr: x.Index, Kind: "index"})
-			}
 		}
 		return true
 	})
-}
-
-// isContainer reports whether t indexes into data (as opposed to a
-// generic instantiation, whose IndexExpr has a function or type X).
-func isContainer(t types.Type) bool {
-	switch types.Unalias(t).Underlying().(type) {
-	case *types.Map, *types.Slice, *types.Array, *types.Pointer:
-		return true
-	case *types.Basic:
-		return true // strings
-	}
-	return false
 }
 
 // enterLit wires up a function literal: parameter and result nodes are

@@ -16,7 +16,8 @@ type Result struct {
 // through //lint:ignore directives, and returns both kept and
 // suppressed diagnostics in deterministic order. Malformed directives
 // surface as "lint" diagnostics so a typo cannot silently disable a
-// suppression.
+// suppression, and so do directives that suppressed none of the
+// analyzers' findings.
 func Run(pkgs []*Package, analyzers []*Analyzer) Result {
 	var raw []Diagnostic
 	for _, pkg := range pkgs {

@@ -10,11 +10,6 @@ import (
 // The graph itself is kind-agnostic; each analyzer supplies its own
 // sources and sanitizers and interprets sinks over the result.
 type TaintSpec struct {
-	// TypeSources taints every node whose object type is, or
-	// structurally contains, one of the named types
-	// (package path -> type names). Struct field nodes seed by the
-	// field's own declared type.
-	TypeSources map[string][]string
 	// FuncSources taints the results of calls to these functions,
 	// keyed by FuncKey ("pkg.Fn" or "(pkg.Type).Method").
 	FuncSources map[string]bool
@@ -43,7 +38,7 @@ type TaintResult struct {
 //     mutated inputs) are computed to a fixed point, so flow *through*
 //     a callee only surfaces at call sites whose own arguments are
 //     tainted;
-//  2. a generative phase propagates source- and type-seeds without
+//  2. a generative phase propagates source seeds without
 //     entering callees through argument edges; a result node tainted
 //     here is tainted independent of any caller, so it fans out to
 //     every call site of its function;
@@ -129,18 +124,11 @@ func (m *Module) Propagate(spec TaintSpec) *TaintResult {
 		if blocked(n) {
 			continue
 		}
-		var why string
-		if owner := m.resultOwner[n]; owner != nil && spec.FuncSources[FuncKey(owner)] {
-			why = "source " + shortFuncName(owner)
-		} else if n.obj != nil && spec.TypeSources != nil {
-			if name, ok := containsNamedType(n.obj.Type(), spec.TypeSources); ok {
-				why = name + " " + n.desc
-			}
-		}
-		if why == "" {
+		owner := m.resultOwner[n]
+		if owner == nil || !spec.FuncSources[FuncKey(owner)] {
 			continue
 		}
-		res.seed[n] = why
+		res.seed[n] = "source " + shortFuncName(owner)
 		res.parent[n] = tEdge{}
 		queue = append(queue, n)
 	}
@@ -303,8 +291,7 @@ func (r *TaintResult) pathTo(n *node) []*node {
 
 // PathFuncs returns the declared functions traversed by the witness
 // path into n, including the seed's and n's own enclosing functions and
-// every callee a summary hop collapsed. dpbudget uses this for
-// accountant-coverage checks.
+// every callee a summary hop collapsed.
 func (r *TaintResult) PathFuncs(n *node) []*types.Func {
 	var fns []*types.Func
 	seen := make(map[*types.Func]bool)
@@ -326,7 +313,7 @@ func (r *TaintResult) PathFuncs(n *node) []*types.Func {
 
 // Witness renders the call-path witness into n:
 //
-//	share enters at var s (bgw.go:12) → param v of cli.render (run.go:30) → sink
+//	source (randx.RNG).Skellam (draw.go:9) → result 0 of draw (draw.go:9) → var v (run.go:70)
 //
 // Hops that stay inside one function are collapsed; every call-boundary
 // crossing is kept so the interprocedural route is visible.

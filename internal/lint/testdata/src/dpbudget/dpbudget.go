@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"sqm/internal/dp"
+	"sqm/internal/obs"
 	"sqm/internal/randx"
 )
 
@@ -41,6 +42,23 @@ func Suppressed(g *randx.RNG) {
 	//lint:ignore dpbudget fixture demonstrating a reviewed suppression
 	fmt.Println(v)
 }
+
+// SuppressedMultiline shows one directive covering a call spread over
+// several lines: diagnostics anchor at the argument positions, and the
+// directive's range extends over the whole statement.
+func SuppressedMultiline(g *randx.RNG) {
+	v, w := draw(g, 8), draw(g, 8)
+	//lint:ignore dpbudget fixture demonstrating a multi-line suppression
+	fmt.Println(
+		v,
+		w,
+	)
+}
+
+// noiseAttrs is an attribute constructor outside obs: its result holds
+// obs.Attr values, so a call into it from another package is a
+// telemetry sink.
+func noiseAttrs(v int64) []obs.Attr { return []obs.Attr{obs.Int64("z", v)} }
 
 // fillNoise draws the noise onto the caller's vector in place; the slice
 // AddSkellam returns is that vector, carrying the draws.

@@ -530,7 +530,6 @@ type ModelEnvelope = modelio.Envelope
 // SaveLogRegModel persists a trained logistic model with its privacy
 // provenance.
 func SaveLogRegModel(w io.Writer, m *LRModel, prov ModelProvenance) error {
-	//lint:ignore dpbudget m.W is a post-release artifact: its budget was recorded by the trainer and is carried here as provenance; the field-level taint is the engine's documented cross-instance smear
 	return modelio.SaveWeights(w, modelio.KindLogReg, m.W, prov)
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"sqm/internal/field"
 	"sqm/internal/invariant"
+	"sqm/internal/randx"
 	"sqm/internal/shamir"
 )
 
@@ -455,6 +456,88 @@ func TestDotBatchMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestGramBatchTakesWinogradPairs opens a Gram batch — all pairs of 9
+// columns of odd length 101, the covariance's shape — and an LR-shaped
+// batch — d dots of d columns with one shared vector, no reuse to speak
+// of — on both drivers, reduced and unreduced. Every opened value is the
+// plain inner product; only the Gram batch lists its columns for the
+// parties' pair products; and either batch meters the FieldOps of the
+// same dots issued one at a time, where every dot is a DotAcc.
+func TestGramBatchTakesWinogradPairs(t *testing.T) {
+	const cols, length = 9, 101
+	raw := make([][]int64, cols+1)
+	for i := range raw {
+		raw[i] = make([]int64, length)
+		for k := range raw[i] {
+			raw[i][k] = int64((i+2)*(k+5)%89) - 44
+		}
+	}
+	dot := func(a, b int) int64 {
+		var s int64
+		for k := range raw[a] {
+			s += raw[a][k] * raw[b][k]
+		}
+		return s
+	}
+	var gram, lr [][2]int
+	for a := 0; a < cols; a++ {
+		for b := a; b < cols; b++ {
+			gram = append(gram, [2]int{a, b})
+		}
+		lr = append(lr, [2]int{a, cols})
+	}
+	for _, shape := range []struct {
+		name     string
+		pairs    [][2]int
+		winograd bool
+	}{{"gram", gram, true}, {"lr", lr, false}} {
+		for _, unreduced := range []bool{false, true} {
+			for name, e := range vecGateEngines(t) {
+				vs := make([]Vec, len(raw))
+				for i := range vs {
+					vs[i] = e.InputVec(i%e.Parties(), raw[i])
+				}
+				items := make([]MulItem, len(shape.pairs))
+				for i, pr := range shape.pairs {
+					items[i] = MulItem{Kind: MulDot, VA: vs[pr[0]], VB: vs[pr[1]]}
+				}
+				before := e.Stats()
+				batch := e.MulBatch
+				if unreduced {
+					batch = e.MulBatchUnreduced
+				}
+				got := e.OpenBatch(batch(items))
+				batchOps := e.Stats().FieldOps - before.FieldOps
+				// Stats synchronised with the parties: their scratch is
+				// readable, and only pair products fill it.
+				for i, pa := range e.parties {
+					if paired := pa.pairs != nil; paired != shape.winograd {
+						t.Fatalf("%s/%s: party %d computed pair products: %v, want %v", shape.name, name, i, paired, shape.winograd)
+					}
+				}
+				before = e.Stats()
+				for _, it := range items {
+					batch([]MulItem{it})
+				}
+				// The batch was also opened: one λ_i·s_i per element and party.
+				singles := e.Stats().FieldOps - before.FieldOps + int64(e.Parties()*len(items))
+				if batchOps != singles {
+					t.Errorf("%s/%s unreduced=%v: batch and opening metered %d field ops, one dot at a time %d", shape.name, name, unreduced, batchOps, singles)
+				}
+				for i, pr := range shape.pairs {
+					if want := dot(pr[0], pr[1]); got[i] != want {
+						t.Fatalf("%s/%s unreduced=%v: dot %d = %d, want %d", shape.name, name, unreduced, i, got[i], want)
+					}
+				}
+				if err := e.Err(); err != nil {
+					t.Fatalf("%s/%s: %v", shape.name, name, err)
+				}
+				e.Close()
+			}
+		}
+	}
+}
+
 func TestDotBatchEmpty(t *testing.T) {
 	e := newTestEngine(t, 3)
 	if got := e.DotBatch(nil, 4); len(got) != 0 {
@@ -625,6 +708,35 @@ func BenchmarkMul4Parties(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Mul(x, y)
+	}
+}
+
+// BenchmarkGramDotBatch is cov_mono's terminal level on the inline
+// engine: the 7 260 dots of all pairs of 120 columns of 1 000 shares, on
+// 4 parties, kept unreduced. Every party computes 120 pair products and
+// 7 260 Winograd dots per op.
+func BenchmarkGramDotBatch(b *testing.B) {
+	const cols, length = 120, 1000
+	e, _ := NewEngine(Config{Parties: 4, Seed: 1})
+	g := randx.New(2)
+	vs := make([]Vec, cols)
+	for i := range vs {
+		col := make([]int64, length)
+		for k := range col {
+			col[k] = int64(g.IntN(1 << 16))
+		}
+		vs[i] = e.InputVec(i%4, col)
+	}
+	var items []MulItem
+	for a := 0; a < cols; a++ {
+		for c := a; c < cols; c++ {
+			items = append(items, MulItem{Kind: MulDot, VA: vs[a], VB: vs[c]})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.MulBatchUnreduced(items)
 	}
 }
 

@@ -53,6 +53,9 @@ type Engine struct {
 	// hands the parties queue[:len] (capacity clipped) and keeps writing
 	// behind it, so sent commands are never touched again.
 	queue []actorCmd
+	// seen marks vector slots while reusedDotSlots scans a level; all
+	// false between levels (grow-only).
+	seen []bool
 
 	nextSc, nextVec int
 	rounds          int64
@@ -604,8 +607,55 @@ func (e *Engine) mulBatch(op actorOp, items []MulItem) []Val {
 		e.refuseOpenOnly("multiplicative gate")
 	}
 	out := e.newSharedN(len(items), op == opMulUnreduced)
-	e.dispatch(actorCmd{op: op, x: &cmdPayload{muls: muls}})
+	e.dispatch(actorCmd{op: op, x: &cmdPayload{muls: muls, refs: e.reusedDotSlots(muls)}})
 	return out
+}
+
+// reusedDotSlots returns the distinct vector slots of the level's MulDot
+// items when there are fewer of them than dots — the columns a Gram batch
+// pairs over and over — and nil otherwise. With the list the parties
+// compute every listed vector's pair products once and each dot by
+// Winograd's pairing (actorParty.products), at half the multiplications;
+// without it every dot is a DotAcc. An LR step's d dots over d + 1
+// vectors stay on DotAcc.
+func (e *Engine) reusedDotSlots(muls []mulDesc) []int {
+	if cap(e.seen) < e.nextVec {
+		e.seen = make([]bool, 2*e.nextVec)
+	}
+	seen := e.seen[:e.nextVec]
+	dots, distinct := 0, 0
+	for _, d := range muls {
+		if d.kind != MulDot {
+			continue
+		}
+		dots++
+		for _, s := range [2]int{d.a, d.b} {
+			if !seen[s] {
+				seen[s] = true
+				distinct++
+			}
+		}
+	}
+	var slots []int
+	if distinct < dots {
+		slots = make([]int, 0, distinct)
+	}
+	// A second pass lists the slots in first-use order and leaves seen
+	// cleared for the next level.
+	for _, d := range muls {
+		if d.kind != MulDot {
+			continue
+		}
+		for _, s := range [2]int{d.a, d.b} {
+			if seen[s] {
+				seen[s] = false
+				if slots != nil {
+					slots = append(slots, s)
+				}
+			}
+		}
+	}
+	return slots
 }
 
 // Open reveals the signed secret to all parties: an OpenBatch of one.

@@ -63,11 +63,15 @@ type Stats struct {
 	Messages int64 // logical point-to-point messages
 	Bytes    int64 // payload bytes (8 per field element per message)
 	// FieldOps counts local field multiplications (the cost-model
-	// input). The count is exact for products, affine gates, unshared
-	// inputs — one x/λ_owner per element, at the owner — and openings —
-	// one λ_i·s_i per element and party, the rows are summed — and a
-	// model for sharings: P·(t+1) per dealt element, P+t+1 per reshared
-	// product and party.
+	// input). The count is exact for scalar products and MulInner's
+	// lists, affine gates, unshared inputs — one x/λ_owner per element, at the
+	// owner — and openings — one λ_i·s_i per element and party, the rows
+	// are summed — and a model for sharings: P·(t+1) per dealt element,
+	// P+t+1 per reshared product and party. A dot counts one
+	// multiplication per element, which is also a model: in a batch that
+	// reuses its vectors (a Gram matrix) the parties pair the elements by
+	// Winograd's identity and multiply about half as often, while the
+	// count stays the shape's.
 	FieldOps int64
 }
 

@@ -72,7 +72,7 @@ type actorCmd struct {
 type cmdPayload struct {
 	ints   []int64     // signed input vector (opInputVec, opInputUnshared), coefficients (opLinComb)
 	inputs []InputItem // scalar inputs (opInputBatch)
-	refs   []int       // scalar slots (opFromScalars, opOpenBatch), element indices (opGather), vector slots (opLinComb)
+	refs   []int       // scalar slots (opFromScalars, opOpenBatch), element indices (opGather), vector slots (opLinComb; the reused dot operands of opMulBatch, opMulUnreduced)
 	muls   []mulDesc   // gate list (opMulBatch, opMulUnreduced)
 	reply  chan actorReply
 }
@@ -114,12 +114,17 @@ type actorParty struct {
 	// run P at a time and stay serial (DESIGN.md "Worker pools").
 	chunks int
 
-	sc       []field.Elem   // scalar share slots, indexed by handle refs
-	vc       [][]field.Elem // vector share slots
-	pend     []field.Elem   // this party's own row, kept between the halves
-	sh       shareScratch   // working memory of the sharing sites
-	pub      []field.Elem   // the row an OpenVec publishes (grow-only)
-	acc      []field.Elem   // the sum of an opening's rows (grow-only)
+	sc []field.Elem // scalar share slots, indexed by handle refs
+	// vc holds the vector share slots. No command writes a slot after the
+	// one that fills it, so slots may share backing arrays: every
+	// non-owner's slot of an unshared input is a view of zeros.
+	vc       [][]field.Elem
+	zeros    []field.Elem // never written (grow-only)
+	pairs    []field.Elem // PairProd of the vector slots a Gram batch reuses, by slot (grow-only)
+	pend     []field.Elem // this party's own row, kept between the halves
+	sh       shareScratch // working memory of the sharing sites
+	pub      []field.Elem // the row an OpenVec publishes (grow-only)
+	acc      []field.Elem // the sum of an opening's rows (grow-only)
 	fieldOps int64
 	err      error
 }
@@ -183,13 +188,17 @@ func (a *actorParty) send(c *actorCmd) error {
 		// 0, which the Lagrange weights over all P points interpolate to x.
 		// No randomness is drawn and nothing is sent; only linear gates and
 		// openings may read the slot.
-		mine := make([]field.Elem, len(c.x.ints))
-		if c.a == a.id {
-			for k, v := range c.x.ints {
-				mine[k] = field.Mul(field.FromInt64(v), a.ownInv)
-			}
-			a.fieldOps += int64(len(mine))
+		n := len(c.x.ints)
+		if c.a != a.id {
+			a.zeros = growElems(a.zeros, n)
+			a.vc = append(a.vc, a.zeros[:n:n])
+			return nil
 		}
+		mine := make([]field.Elem, n)
+		for k, v := range c.x.ints {
+			mine[k] = field.Mul(field.FromInt64(v), a.ownInv)
+		}
+		a.fieldOps += int64(n)
 		a.vc = append(a.vc, mine)
 	case opInputBatch:
 		// This party shares the items it owns, in item order, into one
@@ -256,7 +265,7 @@ func (a *actorParty) send(c *actorCmd) error {
 		// gate, Shamir-shared from this party's stream in gate order, one
 		// row of sub-shares to each peer.
 		highs := make([]field.Elem, len(c.x.muls))
-		a.products(highs, c.x.muls)
+		a.products(highs, c.x.muls, c.x.refs)
 		rows := a.sh.share(highs, a.p, a.t, a.rng)
 		a.pend = rows[a.id]
 		return a.sendRows(rows)
@@ -266,7 +275,7 @@ func (a *actorParty) send(c *actorCmd) error {
 		// sent. Only linear gates and openings may read them.
 		base := len(a.sc)
 		a.sc = append(a.sc, make([]field.Elem, len(c.x.muls))...)
-		a.products(a.sc[base:], c.x.muls)
+		a.products(a.sc[base:], c.x.muls, c.x.refs)
 	case opOpenBatch:
 		row := a.gather(c.x.refs)
 		a.pend = a.publish(row, row)
@@ -282,8 +291,18 @@ func (a *actorParty) send(c *actorCmd) error {
 // products leaves in highs the local product of every gate: this
 // party's point of the degree-2t sharing of each. Op metering runs
 // serially (shape-only); the products split into chunks and carry no
-// randomness, so every chunk count computes identical highs.
-func (a *actorParty) products(highs []field.Elem, muls []mulDesc) {
+// randomness, so every chunk count computes identical highs. reused
+// lists the vector slots the level's dots share (Engine.reusedDotSlots):
+// when it is set, every listed slot's pair products are computed once,
+// serially, and every dot is a DotWinograd — the same element DotAcc
+// gives, from half the multiplications.
+func (a *actorParty) products(highs []field.Elem, muls []mulDesc, reused []int) {
+	if reused != nil {
+		a.pairs = growElems(a.pairs, len(a.vc))
+		for _, s := range reused {
+			a.pairs[s] = field.PairProd(a.vc[s])
+		}
+	}
 	for _, d := range muls {
 		switch d.kind {
 		case MulScalar:
@@ -306,7 +325,11 @@ func (a *actorParty) products(highs []field.Elem, muls []mulDesc) {
 				}
 				highs[m] = acc
 			case MulDot:
-				highs[m] = field.DotAcc(0, a.vc[d.a], a.vc[d.b])
+				if reused != nil {
+					highs[m] = field.DotWinograd(a.pairs[d.a], a.pairs[d.b], a.vc[d.a], a.vc[d.b])
+				} else {
+					highs[m] = field.DotAcc(0, a.vc[d.a], a.vc[d.b])
+				}
 			}
 		}
 	})

@@ -78,6 +78,125 @@ func TestGatherAndLinCombMatchPlaintext(t *testing.T) {
 	}
 }
 
+// TestUnsharedZerosStayZero runs random programs of unshared and shared
+// input vectors under the vector gates — AddVec, Gather, LinComb, a dot
+// of shared columns, openings — on both drivers. Every opening matches
+// integer arithmetic, and afterwards every party's zero buffer, whose
+// views are the non-owners' slots of every unshared input, still holds
+// nothing but zeros: no command wrote a slot after filling it.
+func TestUnsharedZerosStayZero(t *testing.T) {
+	type vec struct {
+		h        Vec
+		plain    []int64
+		unshared bool
+	}
+	for seed := uint64(1); seed <= 4; seed++ {
+		for name, e := range vecGateEngines(t) {
+			g := randx.New(seed)
+			randVec := func() []int64 {
+				vs := make([]int64, 1+g.IntN(8))
+				for k := range vs {
+					vs[k] = int64(g.IntN(201) - 100)
+				}
+				return vs
+			}
+			var vecs []vec
+			like := func(n int) []vec {
+				var out []vec
+				for _, v := range vecs {
+					if len(v.plain) == n {
+						out = append(out, v)
+					}
+				}
+				return out
+			}
+			check := func(v vec) {
+				t.Helper()
+				got := e.OpenVec(v.h)
+				for k, want := range v.plain {
+					if got[k] != want {
+						t.Fatalf("seed %d %s: element %d opened %d, want %d", seed, name, k, got[k], want)
+					}
+				}
+			}
+			for op := 0; op < 60; op++ {
+				switch r := g.IntN(6); {
+				case r <= 1 || len(vecs) == 0:
+					vs := randVec()
+					if r == 0 {
+						vecs = append(vecs, vec{e.InputUnshared(g.IntN(e.Parties()), vs), vs, true})
+					} else {
+						vecs = append(vecs, vec{e.InputVec(g.IntN(e.Parties()), vs), vs, false})
+					}
+				case r == 2:
+					a := vecs[g.IntN(len(vecs))]
+					cands := like(len(a.plain))
+					b := cands[g.IntN(len(cands))]
+					sum := make([]int64, len(a.plain))
+					for k := range sum {
+						sum[k] = a.plain[k] + b.plain[k]
+					}
+					vecs = append(vecs, vec{e.AddVec(a.h, b.h), sum, a.unshared || b.unshared})
+				case r == 3:
+					a := vecs[g.IntN(len(vecs))]
+					idx := make([]int, 1+g.IntN(6))
+					out := make([]int64, len(idx))
+					for k := range idx {
+						idx[k] = g.IntN(len(a.plain))
+						out[k] = a.plain[idx[k]]
+					}
+					vecs = append(vecs, vec{e.Gather(a.h, idx), out, a.unshared})
+				case r == 4:
+					a := vecs[g.IntN(len(vecs))]
+					cands := like(len(a.plain))
+					terms := []vec{a, cands[g.IntN(len(cands))]}
+					cs, c0 := []int64{int64(g.IntN(11) - 5), int64(g.IntN(11) - 5)}, int64(g.IntN(21)-10)
+					out := make([]int64, len(a.plain))
+					for k := range out {
+						out[k] = c0 + cs[0]*terms[0].plain[k] + cs[1]*terms[1].plain[k]
+					}
+					vecs = append(vecs, vec{e.LinComb([]Vec{terms[0].h, terms[1].h}, cs, c0), out, a.unshared || terms[1].unshared})
+				case r == 5:
+					a := vecs[g.IntN(len(vecs))]
+					var shared []vec
+					for _, v := range like(len(a.plain)) {
+						if !v.unshared {
+							shared = append(shared, v)
+						}
+					}
+					if len(shared) == 0 {
+						check(a)
+						continue
+					}
+					x, y := shared[g.IntN(len(shared))], shared[g.IntN(len(shared))]
+					var want int64
+					for k := range x.plain {
+						want += x.plain[k] * y.plain[k]
+					}
+					if got := e.Open(e.Dot(x.h, y.h)); got != want {
+						t.Fatalf("seed %d %s: dot opened %d, want %d", seed, name, got, want)
+					}
+				}
+			}
+			for _, v := range vecs {
+				check(v)
+			}
+			if err := e.Err(); err != nil {
+				t.Fatalf("seed %d %s: %v", seed, name, err)
+			}
+			e.Stats() // a barrier: the parties' buffers are readable
+			for i, pa := range e.parties {
+				for k, z := range pa.zeros[:cap(pa.zeros)] {
+					if z != 0 {
+						t.Fatalf("seed %d %s: party %d's zero buffer holds %d at %d", seed, name, i, z, k)
+					}
+				}
+			}
+			e.Close()
+		}
+	}
+}
+
 // TestGatherAndLinCombMetering: LinComb costs every party one field
 // operation per term and element — what the MulConst gates it stands for
 // cost — whatever the coefficients; Gather costs none; neither moves a

@@ -134,7 +134,34 @@ func randomCircuit(b *Builder, rng *rand.Rand) (Bindings, circuitTails) {
 	if tails.unshared = rng.Intn(4); tails.unshared != noUnsharedTail {
 		tails.leaf = unsharedTail(b, rng, tails.unshared)
 	}
+	if tails.gram = rng.Intn(3) == 0; tails.gram {
+		gramTail(b, rng)
+	}
 	return bind, tails
+}
+
+// gramTail records an all-pairs DotBatch over 3–5 fresh columns of one
+// length, 1–7 elements: the covariance's shape. Its c(c+1)/2 dots over c
+// columns leave the level they land on at least three dots more than
+// distinct operand vectors whatever other dots share it, so the engine's
+// parties take Winograd's pairing there. Every dot is opened.
+func gramTail(b *Builder, rng *rand.Rand) {
+	n := 1 + rng.Intn(7)
+	cols := make([]bgw.Vec, 3+rng.Intn(3))
+	for i := range cols {
+		vs := make([]int64, n)
+		for k := range vs {
+			vs[k] = int64(rng.Intn(2001) - 1000)
+		}
+		cols[i] = b.InputVec(rng.Intn(4), vs)
+	}
+	var pairs []bgw.VecPair
+	for i := range cols {
+		for j := i; j < len(cols); j++ {
+			pairs = append(pairs, bgw.VecPair{A: cols[i], B: cols[j]})
+		}
+	}
+	b.OpenVecIdx(b.FromScalars(b.DotBatch(pairs, 0)))
 }
 
 // circuitTails is what randomCircuit ended a seed's circuit in.
@@ -142,6 +169,7 @@ type circuitTails struct {
 	dangling bool  // a terminalTail with its dangling handle
 	unshared int   // the unsharedTail's shape, or noUnsharedTail
 	leaf     int32 // the unsharedTail's input leaf
+	gram     bool  // a gramTail
 }
 
 // The shapes of an unsharedTail.
@@ -394,6 +422,22 @@ func checkEquivalence(t *testing.T, seed int64) {
 func TestPlanEquivalenceRandomCircuits(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		checkEquivalence(t, seed)
+	}
+}
+
+// TestRandomCircuitsReachGramTails keeps TestPlanEquivalenceRandomCircuits
+// honest about the engine's Winograd path: some of its seeds must end in
+// a gramTail, which holds that path to the same bits on the inline
+// parties' chunked products and the serial ones behind the mesh.
+func TestRandomCircuitsReachGramTails(t *testing.T) {
+	grams := 0
+	for seed := int64(0); seed < 25; seed++ {
+		if _, tails := randomCircuit(NewBuilder(4, 0), rand.New(rand.NewSource(seed))); tails.gram {
+			grams++
+		}
+	}
+	if grams == 0 {
+		t.Fatal("no seed ends in a gramTail")
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"sqm/internal/circuit"
 	"sqm/internal/linalg"
 	"sqm/internal/quant"
+	"sqm/internal/randx"
 )
 
 // CovarianceSensitivities returns Lemma 5's L2/L1 sensitivities of the
@@ -110,14 +111,16 @@ func accumulateGram(qd *quant.IntMatrix, upper []int64) {
 
 // drawNoiseOnto is the plain engine's covariance noise injection: every
 // client's Sk(μ/n) draws added onto the triangle in place, client by
-// client (randx.AddSkellam, one set of PTRS constants per client), the
-// values sampleNoise would add. Drawing them onto a noise vector first
-// would hold a second n(n+1)/2 triangle — GBs at the paper's n = 2 500.
+// client from its own stream through the release's one sampler
+// (randx.SkellamSampler: one set of PTRS constants and one acceptance
+// table, on the stack), the values sampleNoise would add. Drawing them
+// onto a noise vector first would hold a second n(n+1)/2 triangle — GBs
+// at the paper's n = 2 500.
 func (r *release) drawNoiseOnto(upper []int64) {
 	defer r.noiseTime(time.Now())
-	share := r.noiseShare()
+	s := randx.NewSkellamSampler(r.noiseShare())
 	for _, g := range r.rngs {
-		upper = g.AddSkellam(upper, share)
+		upper = s.Add(g, upper)
 	}
 }
 

@@ -75,6 +75,25 @@ func TestNoiseHolderSums(t *testing.T) {
 	}
 }
 
+// TestSampleNoiseAllocatesOnlyItsVectors: the release's one sampler, its
+// acceptance table included, lives on sampleNoise's stack; the holder
+// vectors and the slice of them are all it allocates, at an LR step's
+// length and at a covariance triangle's (randx's
+// TestAddSkellamAllocatesNothing holds the sampler itself to zero).
+func TestSampleNoiseAllocatesOnlyItsVectors(t *testing.T) {
+	for _, dims := range []int{50, 7260} {
+		p := Params{Gamma: 1, Mu: 1.61308e6, NumClients: 12, Engine: EngineBGW, Parties: 4, Seed: 5}
+		if err := p.normalize(p.NumClients); err != nil {
+			t.Fatal(err)
+		}
+		_, rngs := rngFamily(p.Seed, p.NumClients)
+		r := p.begin(rngs)
+		if a := testing.AllocsPerRun(3, func() { r.sampleNoise(dims) }); a > 2 {
+			t.Errorf("sampleNoise(%d): %v allocations, want at most 2", dims, a)
+		}
+	}
+}
+
 // goldenScaled are scaledDigest of every release shape below, recorded at
 // 991df84, before a party drew its clients' noise onto one vector. Every
 // engine must open the same integers; the noise shares are Sk(μ/n) on

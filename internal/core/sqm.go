@@ -14,9 +14,10 @@
 //     every monomial carries the same overall factor γ^{λ+1} — package
 //     poly, or the gradient protocol's link;
 //  3. every client privately samples a share Sk(μ/n) of the Skellam
-//     noise, drawn onto the one vector of the noise holder hosting it —
-//     its party on the BGW engines, the evaluator on the plaintext one
-//     (release.sampleNoise, randx.AddSkellam);
+//     noise from its own stream, drawn onto the one vector of the noise
+//     holder hosting it — its party on the BGW engines, the evaluator on
+//     the plaintext one — through the release's one sampler
+//     (release.sampleNoise, randx.SkellamSampler);
 //  4. the static bound on the aggregate is checked against the field,
 //     and only then is the engine selected — release.evaluate, the one
 //     place Params.Engine forks. The plaintext integer engine adds the
@@ -322,7 +323,9 @@ func (r *release) noiseShare() float64 { return r.p.Mu / float64(len(r.rngs)) }
 // sum of the Sk(μ/n) shares of party h's clients on an MPC engine (one
 // vector per party that hosts a client), and of all n on the plaintext
 // engine (one vector). Clients draw in client order, each from its own
-// private stream, so the sums are those of the per-client vectors.
+// private stream, through one sampler of Sk(μ/n) — one PTRS acceptance
+// table per release, on the stack — so the sums are those of the
+// per-client vectors.
 func (r *release) sampleNoise(dims int) [][]int64 {
 	defer r.noiseTime(time.Now())
 	holders := 1
@@ -334,10 +337,10 @@ func (r *release) sampleNoise(dims int) [][]int64 {
 	for h := range out {
 		out[h] = flat[h*dims : (h+1)*dims : (h+1)*dims]
 	}
-	share := r.noiseShare()
+	s := randx.NewSkellamSampler(r.noiseShare())
 	for j, g := range r.rngs {
 		h := r.p.partyOf(j)
-		out[h] = g.AddSkellam(out[h], share)
+		out[h] = s.Add(g, out[h])
 	}
 	return out
 }

@@ -139,3 +139,62 @@ func DotAcc(acc Elem, a, b []Elem) Elem {
 	}
 	return Elem(s)
 }
+
+// pairBlock is how many pair products DotWinograd sums before it reduces.
+// A pair sum of canonical elements is below 2^62, so a product of two is
+// below 2^124 and 8 of them stay below 2^127.
+const pairBlock = 8
+
+// PairProd returns Σ_j a[2j]·a[2j+1] mod p over the len(a)/2 adjacent
+// pairs (a trailing odd element is left out): the per-vector correction
+// DotWinograd subtracts, computed once for a vector every inner product
+// of a batch reuses.
+func PairProd(a []Elem) Elem {
+	var s Elem
+	for i := 1; i < len(a); i += 2 {
+		s = Add(s, Mul(a[i-1], a[i]))
+	}
+	return s
+}
+
+// DotWinograd returns Σ_i a[i]·b[i] mod p by Winograd's (1968) pairing,
+// given pa = PairProd(a) and pb = PairProd(b):
+//
+//	Σ_j (a[2j] + b[2j+1])·(a[2j+1] + b[2j]) − pa − pb
+//
+// plus a[n−1]·b[n−1] when the length n is odd. Each bracket expands to
+// a[2j]·b[2j] + a[2j+1]·b[2j+1] plus the two pair products pa and pb
+// remove, so the identity holds exactly in the field and the result is
+// the element DotAcc(0, a, b) returns, in one multiplication per pair
+// instead of two. The pair sums are taken unreduced (below 2^62), and
+// the products are summed pairBlock at a time and folded as DotAcc
+// folds them.
+func DotWinograd(pa, pb Elem, a, b []Elem) Elem {
+	if len(a) != len(b) {
+		panic(invariant.Violation("field: DotWinograd length mismatch (a %d, b %d)", len(a), len(b)))
+	}
+	r := Sub(Neg(pa), pb)
+	if len(a)&1 == 1 {
+		last := len(a) - 1
+		r = Add(r, Mul(a[last], b[last]))
+		a, b = a[:last], b[:last]
+	}
+	s := uint64(r)
+	for len(a) > 0 {
+		n := min(len(a), 2*pairBlock)
+		var hi, lo uint64
+		aa, bb := a[:n], b[:n]
+		for i := 1; i < n; i += 2 {
+			h, l := bits.Mul64(uint64(aa[i-1])+uint64(bb[i]), uint64(aa[i])+uint64(bb[i-1]))
+			var carry uint64
+			lo, carry = bits.Add64(lo, l, 0)
+			hi += h + carry
+		}
+		a, b = a[n:], b[n:]
+		v := (lo & Modulus) + ((hi&(1<<58-1))<<3 | lo>>61) + hi>>58 + s
+		v = (v & Modulus) + v>>61
+		v -= Modulus & (((v - Modulus) >> 63) - 1)
+		s = v
+	}
+	return Elem(s)
+}

@@ -34,6 +34,31 @@ func refDot(acc Elem, a, b []Elem) Elem {
 	return Elem(s.Uint64())
 }
 
+// refPairProd computes Σ_j a[2j]·a[2j+1] with math/big.
+func refPairProd(a []Elem) Elem {
+	var even, odd []Elem
+	for i := 1; i < len(a); i += 2 {
+		even, odd = append(even, a[i-1]), append(odd, a[i])
+	}
+	return refDot(0, even, odd)
+}
+
+// checkWinograd holds PairProd and DotWinograd over a and b to the
+// math/big oracle: the pair products, and the inner product they correct.
+func checkWinograd(t *testing.T, a, b []Elem) {
+	t.Helper()
+	pa, pb := PairProd(a), PairProd(b)
+	if want := refPairProd(a); pa != want {
+		t.Fatalf("PairProd = %d, want %d (n=%d)", pa, want, len(a))
+	}
+	if want := refPairProd(b); pb != want {
+		t.Fatalf("PairProd = %d, want %d (n=%d)", pb, want, len(b))
+	}
+	if got, want := DotWinograd(pa, pb, a, b), refDot(0, a, b); got != want {
+		t.Fatalf("DotWinograd = %d, want %d (n=%d)", got, want, len(a))
+	}
+}
+
 // refMulConstAdd computes c·a[i] + b[i] with math/big.
 func refMulConstAdd(a []Elem, c Elem, b []Elem) []Elem {
 	cb := new(big.Int).SetUint64(uint64(c))
@@ -108,6 +133,7 @@ func TestVecKernelsMatchBigInt(t *testing.T) {
 		if got, ref := DotAcc(acc, a, b), refDot(acc, a, b); got != ref {
 			t.Fatalf("DotAcc = %d, want %d (n=%d)", got, ref, n)
 		}
+		checkWinograd(t, a, b)
 	}
 }
 
@@ -126,6 +152,24 @@ func TestDotAccBlockEdges(t *testing.T) {
 				t.Fatalf("DotAcc(%d, all p-1, n=%d) = %d, want %d", acc, n, got, want)
 			}
 		}
+	}
+}
+
+// TestDotWinogradBlockEdges does the same for the Winograd pairing, whose
+// pair sums reach 2^62 − 4 and whose products are summed eight at a time:
+// all-(p−1) vectors at every length through two blocks and a bit, odd and
+// even, and at the covariance column length with one element either way.
+func TestDotWinogradBlockEdges(t *testing.T) {
+	lengths := []int{1000, 1001}
+	for n := 0; n <= 35; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		a := make([]Elem, n)
+		for i := range a {
+			a[i] = Elem(Modulus - 1)
+		}
+		checkWinograd(t, a, a)
 	}
 }
 
@@ -195,6 +239,12 @@ func TestVecKernelsZeroLength(t *testing.T) {
 	if got := DotAcc(17, nil, nil); got != 17 {
 		t.Fatalf("DotAcc over empty vectors = %d, want the accumulator back", got)
 	}
+	if got := PairProd(nil); got != 0 {
+		t.Fatalf("PairProd of the empty vector = %d, want 0", got)
+	}
+	if got := DotWinograd(0, 0, nil, nil); got != 0 {
+		t.Fatalf("DotWinograd over empty vectors = %d, want 0", got)
+	}
 }
 
 // TestVecKernelsLengthMismatchPanics pins the invariant panics.
@@ -206,6 +256,7 @@ func TestVecKernelsLengthMismatchPanics(t *testing.T) {
 		"MulAddVec":      func() { MulAddVec(make([]Elem, 1), make([]Elem, 2), 1) },
 		"MulConstAddVec": func() { MulConstAddVec(make([]Elem, 2), make([]Elem, 2), 1, make([]Elem, 3)) },
 		"DotAcc":         func() { DotAcc(0, make([]Elem, 1), make([]Elem, 2)) },
+		"DotWinograd":    func() { DotWinograd(0, 0, make([]Elem, 3), make([]Elem, 2)) },
 	}
 	for name, fn := range cases {
 		func() {
@@ -263,6 +314,7 @@ func FuzzFieldVecKernels(f *testing.F) {
 		if got, want := DotAcc(c, a, b), refDot(c, a, b); got != want {
 			t.Fatalf("DotAcc = %d, want %d", got, want)
 		}
+		checkWinograd(t, a, b)
 	})
 }
 
@@ -279,5 +331,20 @@ func BenchmarkDotAcc1000(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dotSink = DotAcc(dotSink, x, y)
+	}
+}
+
+// BenchmarkDotWinograd1000 times the Winograd pairing at the same length,
+// its two pair products given (a Gram batch computes them once per
+// column).
+func BenchmarkDotWinograd1000(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	x, y := randVec(rng, 1000), randVec(rng, 1000)
+	px, py := PairProd(x), PairProd(y)
+	b.ReportAllocs()
+	b.SetBytes(8 * 1000)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dotSink = Add(dotSink, DotWinograd(px, py, x, y))
 	}
 }

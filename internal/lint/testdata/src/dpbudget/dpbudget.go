@@ -79,6 +79,27 @@ func AccountedVec(g *randx.RNG, acct *dp.Accountant) {
 	fmt.Println(v)
 }
 
+// fillShared draws the noise onto the caller's vector through a sampler
+// shared by every stream of a release; the slice Add returns carries the
+// draws.
+func fillShared(g *randx.RNG, dst []int64) []int64 {
+	s := randx.NewSkellamSampler(8)
+	return s.Add(g, dst)
+}
+
+// BadSampler releases a vector a sampler drew onto, unmetered.
+func BadSampler(g *randx.RNG) {
+	v := fillShared(g, make([]int64, 4))
+	fmt.Println(v) // want "DP-noisy value escapes via fmt.Println"
+}
+
+// AccountedSampler meters the same release before printing it.
+func AccountedSampler(g *randx.RNG, acct *dp.Accountant) {
+	v := fillShared(g, make([]int64, 4))
+	acct.AddSkellam(8, 8, 8)
+	fmt.Println(v)
+}
+
 // Good prints only noise-free values.
 func Good(rounds int) {
 	fmt.Printf("finished %d rounds\n", rounds)

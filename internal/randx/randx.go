@@ -165,7 +165,7 @@ func (g *RNG) poissonInversion(mu float64) int64 {
 // ptrs holds the constants of Hörmann's PTRS transformed rejection
 // sampler (W. Hörmann, 1993) for one mean: they cost a log, a square
 // root and two divisions, so a vector of draws at one mean builds them
-// once. Valid for mu >= 10.
+// once. draw is valid for mu >= 10; addSkellam checks the range.
 type ptrs struct {
 	mu, logMu, b, a, invAlpha, vr float64
 }
@@ -183,9 +183,10 @@ func newPTRS(mu float64) ptrs {
 }
 
 // draw returns one Poisson(c.mu) sample from g; exact up to
-// floating-point evaluation of the acceptance test. m, when non-nil,
-// memoises the test's log k!.
-func (c *ptrs) draw(g *RNG, m *lgammaMemo) int64 {
+// floating-point evaluation of the acceptance test, which t, when
+// non-nil, decides from its table wherever that gives the computed
+// test's answer (acceptTable.accepts).
+func (c *ptrs) draw(g *RNG, t *acceptTable) int64 {
 	for {
 		u := g.Float64() - 0.5
 		v := g.Float64()
@@ -197,11 +198,17 @@ func (c *ptrs) draw(g *RNG, m *lgammaMemo) int64 {
 		if kf < 0 || (us < 0.013 && v > us) {
 			continue
 		}
-		k := kf
-		if math.Log(v*c.invAlpha/(c.a/(us*us)+c.b)) <= k*c.logMu-c.mu-m.lgamma(k) {
+		if t.accepts(c, kf, v*c.invAlpha/(c.a/(us*us)+c.b)) {
 			return int64(kf)
 		}
 	}
+}
+
+// logPMF is the bound R(k) = k·log μ − μ − log k! the acceptance test
+// holds log L to, for an integral k >= 0.
+func (c *ptrs) logPMF(k float64) float64 {
+	lg, _ := math.Lgamma(k + 1)
+	return k*c.logMu - c.mu - lg
 }
 
 // poissonPTRS samples Poisson(mu) with the PTRS sampler.
@@ -210,39 +217,55 @@ func (g *RNG) poissonPTRS(mu float64) int64 {
 	return c.draw(g, nil)
 }
 
-// memoSize is the window of k an lgammaMemo covers: ±1024 around the
-// mean, past where PTRS reaches its log k! test at the cov_mono share
-// μ ≈ 13 442 (σ ≈ 116). 16 KB, cleared once per vector.
-const memoSize = 2048
+// tableSize is the window of k an acceptTable covers: ±1024 around the
+// mean, past where PTRS reaches its acceptance test at the cov_mono
+// share μ ≈ 13 442 (σ ≈ 116). 16 KB.
+const tableSize = 2048
 
-// memoMinLen is the shortest vector AddSkellam memoises log k! for: at
+// tableBand is the relative margin around T(k) inside which the table
+// does not decide. A decision by the table is the computed log test's
+// decision when log L and exp R(k) are each within a few ulps: with
+// |log L| ≲ 710 wherever T(k) is normal, that is an error below 1e-13,
+// four orders under the band.
+const tableBand = 1e-9
+
+// memoMinLen is the shortest vector AddSkellam builds a table for: at
 // about one test per two Poisson draws, shorter vectors (LR's 20–50
 // coordinates) would spend more clearing the window than it saves.
 const memoMinLen = 256
 
-// lgammaMemo caches math.Lgamma(k+1) for the integers k in [lo,
-// lo+memoSize). An entry holds the value Lgamma returned, so a memoised
-// test decides as the computed one does; 0 marks it unfilled, which no
-// k >= 2 has (log k! > 0), and lo >= 2.
-type lgammaMemo struct {
+// acceptTable holds T(k) = exp R(k), the Poisson(μ) mass, for the
+// integers k in [lo, lo+tableSize), filled as the tests reach them; 0
+// marks an entry unfilled (or underflowed, which the test never trusts).
+// It lets PTRS compare its test value L against T(k) in place of
+// log L against R(k), where the two must decide alike.
+type acceptTable struct {
 	lo float64
-	v  [memoSize]float64
+	t  [tableSize]float64
 }
 
-// lgamma returns log k! for an integral k >= 0: memoised inside the
-// window, computed outside it or when m is nil.
-func (m *lgammaMemo) lgamma(k float64) float64 {
-	if m != nil {
-		if i := k - m.lo; i >= 0 && i < memoSize {
-			e := &m.v[int(i)]
+// accepts is PTRS's acceptance test of k at the test value L: log L <=
+// R(k). With a table the answer comes from T(k) whenever L is outside
+// T(k)'s band and T(k) is a normal number; inside the band, outside the
+// window, or on a nil table it is the computed log test itself.
+func (t *acceptTable) accepts(c *ptrs, k, l float64) bool {
+	if t != nil {
+		if i := k - t.lo; i >= 0 && i < tableSize {
+			e := &t.t[int(i)]
 			if mathx.EqualWithin(*e, 0, 0) {
-				*e, _ = math.Lgamma(k + 1)
+				*e = math.Exp(c.logPMF(k))
 			}
-			return *e
+			if tk := *e; tk >= 0x1p-1022 {
+				if l <= tk*(1-tableBand) {
+					return true
+				}
+				if l >= tk*(1+tableBand) {
+					return false
+				}
+			}
 		}
 	}
-	lg, _ := math.Lgamma(k + 1)
-	return lg
+	return math.Log(l) <= c.logPMF(k)
 }
 
 // Skellam returns a sample from the symmetric Skellam distribution
@@ -269,24 +292,54 @@ func (g *RNG) SkellamVec(n int, mu float64) []int64 {
 }
 
 // AddSkellam adds iid Sk(mu) samples onto dst and returns it: the values
-// len(dst) calls of Skellam(mu) return, in order, with the PTRS
-// constants of a mean in that sampler's range built once for all
-// 2·len(dst) Poisson draws and, on vectors of at least memoMinLen
-// entries, log k! memoised around the mean. It allocates nothing.
+// len(dst) calls of Skellam(mu) return, in order. It is a
+// SkellamSampler's Add on one stream, with an acceptance table only on
+// vectors of at least memoMinLen entries, and allocates nothing.
 func (g *RNG) AddSkellam(dst []int64, mu float64) []int64 {
-	if !(mu >= ptrsMin && mu <= PoissonExactMax) {
+	if len(dst) >= memoMinLen {
+		s := NewSkellamSampler(mu) // on the stack: Add does not keep it
+		return s.Add(g, dst)
+	}
+	c := newPTRS(mu)
+	return c.addSkellam(g, dst, nil)
+}
+
+// SkellamSampler draws Sk(μ) onto vectors from any number of streams:
+// the PTRS constants of μ built once, and one acceptance table, shared by
+// every stream that draws through the sampler, in place of the test's
+// log. A release that draws its n clients' shares at one μ/n builds one
+// and fills its table once instead of n times. The draws are those of
+// per-sample Skellam on each stream. 16 KB; a value that does not
+// escape stays on its builder's stack.
+type SkellamSampler struct {
+	c   ptrs
+	tab acceptTable
+}
+
+// NewSkellamSampler returns a sampler of Sk(mu).
+func NewSkellamSampler(mu float64) SkellamSampler {
+	return SkellamSampler{c: newPTRS(mu), tab: acceptTable{lo: math.Max(0, math.Floor(mu)-tableSize/2)}}
+}
+
+// Add adds iid Sk(μ) samples drawn from g onto dst and returns it: the
+// values len(dst) calls of g.Skellam(μ) return, in order. It allocates
+// nothing.
+func (s *SkellamSampler) Add(g *RNG, dst []int64) []int64 {
+	return s.c.addSkellam(g, dst, &s.tab)
+}
+
+// addSkellam is the one draw loop of the vector samplers: with c.mu in
+// PTRS's range every Poisson draw goes through c and t (nil is the exact
+// test), any other mean draws per sample.
+func (c *ptrs) addSkellam(g *RNG, dst []int64, t *acceptTable) []int64 {
+	if !(c.mu >= ptrsMin && c.mu <= PoissonExactMax) {
 		for i := range dst {
-			dst[i] += g.Skellam(mu)
+			dst[i] += g.Skellam(c.mu)
 		}
 		return dst
 	}
-	c := newPTRS(mu)
-	var m *lgammaMemo // on the stack: draw does not keep it
-	if len(dst) >= memoMinLen {
-		m = &lgammaMemo{lo: math.Max(2, math.Floor(mu)-memoSize/2)}
-	}
 	for i := range dst {
-		dst[i] += c.draw(g, m) - c.draw(g, m)
+		dst[i] += c.draw(g, t) - c.draw(g, t)
 	}
 	return dst
 }

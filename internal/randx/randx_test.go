@@ -341,17 +341,86 @@ func TestSkellamVecMatchesSkellamStream(t *testing.T) {
 			if a != c || b != c {
 				t.Fatalf("n=%d mu=%g: streams diverge after %d samples (%d, %d vs %d)", n, mu, n, a, b, c)
 			}
+
+			// One sampler, and so one acceptance table, shared by three
+			// streams drawing onto one vector: the sum of what each stream's
+			// per-sample Skellam gives.
+			s := NewSkellamSampler(mu)
+			shared := append([]int64(nil), base...)
+			want := append([]int64(nil), base...)
+			for seed := uint64(7); seed < 10; seed++ {
+				g, ref := New(seed), New(seed)
+				shared = s.Add(g, shared)
+				for i := range want {
+					want[i] += ref.Skellam(mu)
+				}
+				if a, b := g.Uint64(), ref.Uint64(); a != b {
+					t.Fatalf("n=%d mu=%g: shared sampler leaves stream %d diverged (%d vs %d)", n, mu, seed, a, b)
+				}
+			}
+			for i := range want {
+				if shared[i] != want[i] {
+					t.Fatalf("n=%d mu=%g: shared sampler [%d] = %d, per-stream Skellam sums give %d", n, mu, i, shared[i], want[i])
+				}
+			}
 		}
 	}
 }
 
-// TestAddSkellamAllocatesNothing: the memo window lives on the stack.
+// TestPTRSTableDecidesLikeLog: wherever the table decides, it gives the
+// computed log test's answer — at L = T(k) and one ulp either side, just
+// outside the band, at L = 0, on entries whose T(k) is subnormal or has
+// underflowed to 0, and past the window.
+func TestPTRSTableDecidesLikeLog(t *testing.T) {
+	var subnormal, zero, outside int
+	for _, mu := range []float64{ptrsMin, 1e3, cov120Share} {
+		c := newPTRS(mu)
+		s := NewSkellamSampler(mu)
+		for k := math.Max(0, s.tab.lo-3); k < s.tab.lo+tableSize+3; k++ {
+			tk := math.Exp(c.logPMF(k))
+			switch {
+			case k < s.tab.lo || k >= s.tab.lo+tableSize:
+				outside++
+			case tk == 0:
+				zero++
+			case tk < 0x1p-1022:
+				subnormal++
+			}
+			for _, l := range []float64{
+				tk, math.Nextafter(tk, 0), math.Nextafter(tk, 1),
+				tk * (1 - 2*tableBand), tk * (1 + 2*tableBand),
+				0, 0x1p-1074, 1,
+			} {
+				want := math.Log(l) <= c.logPMF(k)
+				if got := s.tab.accepts(&c, k, l); got != want {
+					t.Fatalf("mu=%g k=%g T=%g L=%g: table decides %v, log test %v", mu, k, tk, l, got, want)
+				}
+				if got := (*acceptTable)(nil).accepts(&c, k, l); got != want {
+					t.Fatalf("mu=%g k=%g L=%g: nil table decides %v, log test %v", mu, k, l, got, want)
+				}
+			}
+		}
+	}
+	if subnormal == 0 || zero == 0 || outside == 0 {
+		t.Fatalf("windows reach %d subnormal, %d zero entries and %d k outside; want each", subnormal, zero, outside)
+	}
+}
+
+// TestAddSkellamAllocatesNothing: the acceptance table lives on the
+// stack, whether AddSkellam builds it or the caller's sampler holds it.
 func TestAddSkellamAllocatesNothing(t *testing.T) {
 	g := New(3)
 	for _, n := range []int{40, 7260} {
 		dst := make([]int64, n)
 		if a := testing.AllocsPerRun(5, func() { g.AddSkellam(dst, cov120Share) }); a != 0 {
 			t.Errorf("AddSkellam over %d entries: %v allocations", n, a)
+		}
+		if a := testing.AllocsPerRun(5, func() {
+			s := NewSkellamSampler(cov120Share)
+			s.Add(g, dst)
+			s.Add(g, dst)
+		}); a != 0 {
+			t.Errorf("SkellamSampler.Add over %d entries: %v allocations", n, a)
 		}
 	}
 }
@@ -483,6 +552,26 @@ func BenchmarkSkellamVecPTRS(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.AddSkellam(skellamSink, cov120Share)
+	}
+}
+
+// BenchmarkSkellamSamplerShared draws a whole cov_mono release's noise
+// the way release.sampleNoise does: one sampler for the release, its 120
+// clients' streams drawing their 7 260 shares each onto one vector.
+// ns/op ÷ (120 · 7260) is the per-entry cost.
+func BenchmarkSkellamSamplerShared(b *testing.B) {
+	streams := make([]*RNG, 120)
+	for j := range streams {
+		streams[j] = New(uint64(j))
+	}
+	skellamSink = make([]int64, 7260)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := NewSkellamSampler(cov120Share)
+		for _, g := range streams {
+			s.Add(g, skellamSink)
+		}
 	}
 }
 

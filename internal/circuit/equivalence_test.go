@@ -134,7 +134,7 @@ func randomCircuit(b *Builder, rng *rand.Rand) (Bindings, circuitTails) {
 	if tails.unshared = rng.Intn(4); tails.unshared != noUnsharedTail {
 		tails.leaf = unsharedTail(b, rng, tails.unshared)
 	}
-	if tails.gram = rng.Intn(3) == 0; tails.gram {
+	if rng.Intn(3) == 0 {
 		gramTail(b, rng)
 	}
 	return bind, tails
@@ -142,9 +142,12 @@ func randomCircuit(b *Builder, rng *rand.Rand) (Bindings, circuitTails) {
 
 // gramTail records an all-pairs DotBatch over 3–5 fresh columns of one
 // length, 1–7 elements: the covariance's shape. Its c(c+1)/2 dots over c
-// columns leave the level they land on at least three dots more than
-// distinct operand vectors whatever other dots share it, so the engine's
-// parties take Winograd's pairing there. Every dot is opened.
+// columns are at least three more than their operand vectors, which
+// makes the engine's parties take Winograd's pairing — unless the other
+// dots the scheduler batches into the same level, each adding one dot
+// and up to two vectors, make up the difference.
+// TestRandomCircuitsReachGramTails checks that some seeds still hand the
+// engine a level whose dots reuse their vectors. Every dot is opened.
 func gramTail(b *Builder, rng *rand.Rand) {
 	n := 1 + rng.Intn(7)
 	cols := make([]bgw.Vec, 3+rng.Intn(3))
@@ -169,7 +172,6 @@ type circuitTails struct {
 	dangling bool  // a terminalTail with its dangling handle
 	unshared int   // the unsharedTail's shape, or noUnsharedTail
 	leaf     int32 // the unsharedTail's input leaf
-	gram     bool  // a gramTail
 }
 
 // The shapes of an unsharedTail.
@@ -425,19 +427,63 @@ func TestPlanEquivalenceRandomCircuits(t *testing.T) {
 	}
 }
 
-// TestRandomCircuitsReachGramTails keeps TestPlanEquivalenceRandomCircuits
-// honest about the engine's Winograd path: some of its seeds must end in
-// a gramTail, which holds that path to the same bits on the inline
-// parties' chunked products and the serial ones behind the mesh.
-func TestRandomCircuitsReachGramTails(t *testing.T) {
-	grams := 0
-	for seed := int64(0); seed < 25; seed++ {
-		if _, tails := randomCircuit(NewBuilder(4, 0), rand.New(rand.NewSource(seed))); tails.gram {
-			grams++
+// dotReuse passes every gate to the engine it wraps and counts the
+// multiplicative levels whose dots name fewer distinct vector handles
+// than there are dots. A handle is one slot, so on such a level the
+// engine has fewer distinct slots than dots and lists them for the
+// parties' pair products (TestGramBatchTakesWinogradPairs in
+// internal/bgw holds a listed level to the Winograd path).
+type dotReuse struct {
+	bgw.Evaluator
+	levels int
+}
+
+func (d *dotReuse) count(items []bgw.MulItem) {
+	seen := make(map[bgw.Vec]bool)
+	dots := 0
+	for _, it := range items {
+		if it.Kind == bgw.MulDot {
+			dots++
+			seen[it.VA], seen[it.VB] = true, true
 		}
 	}
-	if grams == 0 {
-		t.Fatal("no seed ends in a gramTail")
+	if len(seen) < dots {
+		d.levels++
+	}
+}
+
+func (d *dotReuse) MulBatch(items []bgw.MulItem) []bgw.Val {
+	d.count(items)
+	return d.Evaluator.MulBatch(items)
+}
+
+func (d *dotReuse) MulBatchUnreduced(items []bgw.MulItem) []bgw.Val {
+	d.count(items)
+	return d.Evaluator.MulBatchUnreduced(items)
+}
+
+// TestRandomCircuitsReachGramTails keeps TestPlanEquivalenceRandomCircuits
+// honest about the engine's Winograd path: executed on the engine, some
+// of its seeds must hand it a level whose dots reuse their vectors, which
+// holds that path to the same bits on the inline parties' chunked
+// products and the serial ones behind the mesh.
+func TestRandomCircuitsReachGramTails(t *testing.T) {
+	reused := 0
+	for seed := int64(0); seed < 25; seed++ {
+		b := NewBuilder(4, 0)
+		bind, _ := randomCircuit(b, rand.New(rand.NewSource(seed)))
+		eng, err := bgw.NewEngine(bgw.Config{Parties: 4, Seed: uint64(seed)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev := &dotReuse{Evaluator: eng}
+		if _, err := b.MustCompile().Execute(ev, bind); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		reused += ev.levels
+	}
+	if reused == 0 {
+		t.Fatal("no seed hands the engine a level of dots that reuse their vectors")
 	}
 }
 

@@ -60,28 +60,9 @@ func SuppressedMultiline(g *randx.RNG) {
 // telemetry sink.
 func noiseAttrs(v int64) []obs.Attr { return []obs.Attr{obs.Int64("z", v)} }
 
-// fillNoise draws the noise onto the caller's vector in place; the slice
-// AddSkellam returns is that vector, carrying the draws.
-func fillNoise(g *randx.RNG, dst []int64) []int64 {
-	return g.AddSkellam(dst, 8)
-}
-
-// BadVec releases a vector the noise was drawn onto, unmetered.
-func BadVec(g *randx.RNG) {
-	v := fillNoise(g, make([]int64, 4))
-	fmt.Println(v) // want "DP-noisy value escapes via fmt.Println"
-}
-
-// AccountedVec meters the same release before printing it.
-func AccountedVec(g *randx.RNG, acct *dp.Accountant) {
-	v := fillNoise(g, make([]int64, 4))
-	acct.AddSkellam(8, 8, 8)
-	fmt.Println(v)
-}
-
-// fillShared draws the noise onto the caller's vector through a sampler
-// shared by every stream of a release; the slice Add returns carries the
-// draws.
+// fillShared draws the noise onto the caller's vector in place through a
+// sampler shared by every stream of a release; the slice Add returns is
+// that vector, carrying the draws.
 func fillShared(g *randx.RNG, dst []int64) []int64 {
 	s := randx.NewSkellamSampler(8)
 	return s.Add(g, dst)

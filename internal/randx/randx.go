@@ -165,7 +165,7 @@ func (g *RNG) poissonInversion(mu float64) int64 {
 // ptrs holds the constants of Hörmann's PTRS transformed rejection
 // sampler (W. Hörmann, 1993) for one mean: they cost a log, a square
 // root and two divisions, so a vector of draws at one mean builds them
-// once. draw is valid for mu >= 10; addSkellam checks the range.
+// once. draw is valid for mu >= 10; SkellamSampler.Add checks the range.
 type ptrs struct {
 	mu, logMu, b, a, invAlpha, vr float64
 }
@@ -229,11 +229,6 @@ const tableSize = 2048
 // four orders under the band.
 const tableBand = 1e-9
 
-// memoMinLen is the shortest vector AddSkellam builds a table for: at
-// about one test per two Poisson draws, shorter vectors (LR's 20–50
-// coordinates) would spend more clearing the window than it saves.
-const memoMinLen = 256
-
 // acceptTable holds T(k) = exp R(k), the Poisson(μ) mass, for the
 // integers k in [lo, lo+tableSize), filled as the tests reach them; 0
 // marks an entry unfilled (or underflowed, which the test never trusts).
@@ -285,23 +280,12 @@ func (g *RNG) Skellam(mu float64) int64 {
 	}
 }
 
-// SkellamVec returns a length-n slice of iid Sk(mu) samples: AddSkellam
-// onto zeros.
+// SkellamVec returns a length-n slice of iid Sk(mu) samples: the values n
+// calls of Skellam(mu) return, in order, drawn through a SkellamSampler
+// on this one stream.
 func (g *RNG) SkellamVec(n int, mu float64) []int64 {
-	return g.AddSkellam(make([]int64, n), mu)
-}
-
-// AddSkellam adds iid Sk(mu) samples onto dst and returns it: the values
-// len(dst) calls of Skellam(mu) return, in order. It is a
-// SkellamSampler's Add on one stream, with an acceptance table only on
-// vectors of at least memoMinLen entries, and allocates nothing.
-func (g *RNG) AddSkellam(dst []int64, mu float64) []int64 {
-	if len(dst) >= memoMinLen {
-		s := NewSkellamSampler(mu) // on the stack: Add does not keep it
-		return s.Add(g, dst)
-	}
-	c := newPTRS(mu)
-	return c.addSkellam(g, dst, nil)
+	s := NewSkellamSampler(mu) // on the stack: Add does not keep it
+	return s.Add(g, make([]int64, n))
 }
 
 // SkellamSampler draws Sk(μ) onto vectors from any number of streams:
@@ -322,16 +306,11 @@ func NewSkellamSampler(mu float64) SkellamSampler {
 }
 
 // Add adds iid Sk(μ) samples drawn from g onto dst and returns it: the
-// values len(dst) calls of g.Skellam(μ) return, in order. It allocates
-// nothing.
+// values len(dst) calls of g.Skellam(μ) return, in order. With μ in
+// PTRS's range every Poisson draw goes through the sampler's constants
+// and table; any other mean draws per sample. It allocates nothing.
 func (s *SkellamSampler) Add(g *RNG, dst []int64) []int64 {
-	return s.c.addSkellam(g, dst, &s.tab)
-}
-
-// addSkellam is the one draw loop of the vector samplers: with c.mu in
-// PTRS's range every Poisson draw goes through c and t (nil is the exact
-// test), any other mean draws per sample.
-func (c *ptrs) addSkellam(g *RNG, dst []int64, t *acceptTable) []int64 {
+	c := &s.c
 	if !(c.mu >= ptrsMin && c.mu <= PoissonExactMax) {
 		for i := range dst {
 			dst[i] += g.Skellam(c.mu)
@@ -339,7 +318,7 @@ func (c *ptrs) addSkellam(g *RNG, dst []int64, t *acceptTable) []int64 {
 		return dst
 	}
 	for i := range dst {
-		dst[i] += c.draw(g, t) - c.draw(g, t)
+		dst[i] += c.draw(g, &s.tab) - c.draw(g, &s.tab)
 	}
 	return dst
 }

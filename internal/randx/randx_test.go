@@ -311,15 +311,16 @@ func TestSkellamVec(t *testing.T) {
 	}
 }
 
-// TestSkellamVecMatchesSkellamStream pins the one-stream rule: the MPC
-// path's SkellamVec, AddSkellam onto a non-zero vector and the plain
-// engine's per-sample Skellam draw the same values from equally seeded
-// streams and leave them in the same state, in every sampler regime
-// (zero, inversion, both edges of PTRS, the cov_mono share inside the
-// log k! memo's window and a mean whose σ dwarfs it, the Gaussian
-// surrogate). 500 draws are past memoMinLen, 100 short of it.
+// TestSkellamVecMatchesSkellamStream pins the one-stream rule: the
+// replica's SkellamVec, a SkellamSampler's Add onto a non-zero vector and
+// the plain engine's per-sample Skellam draw the same values from equally
+// seeded streams and leave them in the same state, in every sampler
+// regime (zero, inversion, both edges of PTRS, the cov_mono share inside
+// the acceptance table's window and a mean whose σ dwarfs it, the
+// Gaussian surrogate), on a vector as long as an LR step's and a longer
+// one.
 func TestSkellamVecMatchesSkellamStream(t *testing.T) {
-	for _, n := range []int{500, 100} {
+	for _, n := range []int{500, 40} {
 		for _, mu := range []float64{0, 5, 29.9, 30, 1e3, cov120Share, 3.16e7, PoissonExactMax, 2 * PoissonExactMax} {
 			vecRNG, addRNG, refRNG := New(42), New(42), New(42)
 			got := vecRNG.SkellamVec(n, mu)
@@ -327,14 +328,15 @@ func TestSkellamVecMatchesSkellamStream(t *testing.T) {
 			for i := range base {
 				base[i] = int64(i*i) - 7*int64(n)
 			}
-			added := addRNG.AddSkellam(append([]int64(nil), base...), mu)
+			one := NewSkellamSampler(mu)
+			added := one.Add(addRNG, append([]int64(nil), base...))
 			for i, g := range got {
 				want := refRNG.Skellam(mu)
 				if g != want {
 					t.Fatalf("n=%d mu=%g: SkellamVec[%d] = %d, Skellam stream gives %d", n, mu, i, g, want)
 				}
 				if added[i] != base[i]+want {
-					t.Fatalf("n=%d mu=%g: AddSkellam[%d] = %d onto %d, Skellam stream gives %d", n, mu, i, added[i], base[i], want)
+					t.Fatalf("n=%d mu=%g: SkellamSampler.Add[%d] = %d onto %d, Skellam stream gives %d", n, mu, i, added[i], base[i], want)
 				}
 			}
 			a, b, c := vecRNG.Uint64(), addRNG.Uint64(), refRNG.Uint64()
@@ -406,14 +408,15 @@ func TestPTRSTableDecidesLikeLog(t *testing.T) {
 	}
 }
 
-// TestAddSkellamAllocatesNothing: the acceptance table lives on the
-// stack, whether AddSkellam builds it or the caller's sampler holds it.
+// TestAddSkellamAllocatesNothing: a sampler's acceptance table lives on
+// its builder's stack, and SkellamVec allocates only the vector it
+// returns.
 func TestAddSkellamAllocatesNothing(t *testing.T) {
 	g := New(3)
 	for _, n := range []int{40, 7260} {
 		dst := make([]int64, n)
-		if a := testing.AllocsPerRun(5, func() { g.AddSkellam(dst, cov120Share) }); a != 0 {
-			t.Errorf("AddSkellam over %d entries: %v allocations", n, a)
+		if a := testing.AllocsPerRun(5, func() { skellamSink = g.SkellamVec(n, cov120Share) }); a != 1 {
+			t.Errorf("SkellamVec over %d entries: %v allocations, want the vector's 1", n, a)
 		}
 		if a := testing.AllocsPerRun(5, func() {
 			s := NewSkellamSampler(cov120Share)
@@ -551,7 +554,8 @@ func BenchmarkSkellamVecPTRS(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.AddSkellam(skellamSink, cov120Share)
+		s := NewSkellamSampler(cov120Share)
+		s.Add(g, skellamSink)
 	}
 }
 

@@ -10,8 +10,8 @@
 // Results go to stdout as CSV (use -out to write a file).
 //
 // -engine selects the evaluation backend (plain, bgw, actor,
-// actor-net); -v, -log-format and -debug-addr turn on structured
-// telemetry, a /metrics + pprof endpoint and a privacy-budget ledger.
+// actor-net); -v and -log-format turn on structured telemetry and a
+// privacy-budget ledger, -debug-addr serves the pprof profiles.
 // See README.md for the full flag reference. The logic lives in
 // internal/cli.
 package main

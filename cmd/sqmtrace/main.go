@@ -1,9 +1,10 @@
 // Command sqmtrace merges the per-party flight-recorder dumps a traced
 // session leaves behind (sqmrun -trace-dir, protocol.WithTraceDir) into
 // one causally ordered timeline: events sorted by Lamport stamp,
-// cross-party send/recv pairs matched by (link, lclock), per-link
-// latency and straggler stats, and the privacy ledger's budget events
-// flagged inline.
+// cross-party send/recv pairs matched by (link, lclock), per-link bytes,
+// messages, latency and straggler stats, count / total / mean / max
+// seconds per span name, and the privacy ledger's budget events flagged
+// inline.
 //
 // Usage:
 //

@@ -1,8 +1,8 @@
 // A complete VFL session over the wire protocol: three clients and a
 // coordinator exchange versioned binary frames through the session
-// layer — hello, parameter commitment (each client quantizes its column
-// and samples its Skellam shares *before* any evaluation round, as the
-// DP analysis requires), then two evaluation rounds whose opened
+// layer — hello, parameters and their ack (each client quantizes its
+// column and samples its Skellam shares *before* any evaluation round,
+// as the DP analysis requires), then two evaluation rounds whose opened
 // results are broadcast back to every client.
 //
 // Everything crosses real sockets: the session frames travel over
@@ -10,11 +10,11 @@
 // runs the party-actor BGW engine whose share messages travel over
 // their own TCP mesh (EngineActorBGWNet).
 //
-// The run is fully instrumented: a telemetry recorder captures the
-// session lifecycle events, the BGW round spans and the mesh traffic
-// counters on stderr, a privacy-budget ledger reports the running ε(δ)
-// after each noise release, and the final metrics registry is dumped at
-// the end.
+// The run is instrumented: a telemetry recorder writes the session
+// lifecycle events on stderr, a privacy-budget ledger reports the
+// running ε(δ) after each noise release, and each round's MPC cost —
+// rounds, frames and bytes from the engine's own counters — is printed
+// at the end.
 //
 // Run with: go run ./examples/vflsession
 //
@@ -69,10 +69,9 @@ func main() {
 		Gamma: gamma, Mu: mu, NumClients: 3, OutDim: 1, Rounds: 2, Seed: 11,
 	}
 
-	// Telemetry: structured events on stderr plus a metrics registry
-	// shared by the session coordinator, the BGW engines and the TCP
-	// meshes. The accountant ledger reports the running ε(δ) after each
-	// of the two per-round Skellam releases.
+	// Telemetry: structured events on stderr from the session
+	// coordinator and the BGW engines. The accountant ledger reports the
+	// running ε(δ) after each of the two per-round Skellam releases.
 	var rec sqm.Recorder = sqm.NewLogRecorder(os.Stderr, "text", sqm.LevelInfo)
 
 	// One trace context spans the whole run: the session coordinator
@@ -94,9 +93,9 @@ func main() {
 	for i := range hooks {
 		id := i
 		hooks[i] = sqm.SessionClientHooks{
-			OnParams: func(p sqm.SessionParams) ([]byte, error) {
+			OnParams: func(p sqm.SessionParams) error {
 				fmt.Printf("client %d: committed quantization (γ=%g) and noise share Sk(μ/3)\n", id, p.Gamma)
-				return []byte(fmt.Sprintf("noise-of-client-%d", id)), nil
+				return nil
 			},
 			OnEvalRequest: func(round uint32) error {
 				fmt.Printf("client %d: contributed shares for round %d\n", id, round)
@@ -106,6 +105,7 @@ func main() {
 	}
 
 	var scale float64
+	var costs []*sqm.Trace
 	outcomes, err := sqm.RunVFLSessionTCP(params, hooks, func(round uint32) ([]int64, error) {
 		_, tr, err := sqm.EvaluatePolynomialSum(f, x, sqm.Params{
 			Gamma: params.Gamma, Mu: params.Mu, NumClients: 3,
@@ -120,6 +120,7 @@ func main() {
 		// One Skellam release per round enters the privacy ledger.
 		acct.AddSkellam(delta2*1.8, delta2, params.Mu)
 		scale = tr.Scale
+		costs = append(costs, tr)
 		return tr.Scaled, nil
 	}, sqm.WithSessionRecorder(rec), sqm.WithSessionTrace(tc), sqm.WithSessionTraceDir(*traceDir))
 	if err != nil {
@@ -138,11 +139,12 @@ func main() {
 		fmt.Println()
 	}
 	fmt.Println("\nevery client saw the identical DP-protected aggregate; the session layer")
-	fmt.Println("enforces that noise commitment precedes every evaluation round.")
+	fmt.Println("enforces that every client samples its noise before any evaluation round.")
 
 	eps, alpha := acct.Epsilon(delta)
 	fmt.Printf("\nprivacy ledger: eps(delta=%g) = %.4f @ alpha=%d over %d release(s)\n",
 		delta, eps, alpha, acct.Releases())
-	fmt.Fprintln(os.Stderr, "\nfinal metrics:")
-	rec.Metrics().WriteTo(os.Stderr)
+	for r, tr := range costs {
+		fmt.Printf("round %d MPC: %d rounds, %d frames, %d bytes\n", r, tr.Stats.Rounds, tr.Stats.Frames, tr.Stats.Bytes)
+	}
 }

@@ -64,13 +64,10 @@ type Engine struct {
 
 	baseRounds, baseFrames, baseMsgs, baseBytes, baseOps int64
 
-	rec         obs.Recorder // nil when telemetry is disabled
-	roundHist   *obs.Histogram
-	opsGauge    *obs.Gauge
-	partyGauges []*obs.Gauge // per-party cumulative field ops
-	lastRound   time.Time
-	lastFrames  int64 // frame counter at the previous round boundary
-	lastMsgs    int64 // message counter at the previous round boundary
+	rec        obs.Recorder // never nil
+	lastRound  time.Time
+	lastFrames int64 // frame counter at the previous round boundary
+	lastMsgs   int64 // message counter at the previous round boundary
 }
 
 // Shared is an opaque handle to one secret-shared scalar: the slot in
@@ -128,7 +125,7 @@ func newEngine(cfg Config, mesh transport.Mesh) (*Engine, error) {
 	if t < 1 || cfg.Parties < 2*t+1 {
 		return nil, fmt.Errorf("bgw: threshold %d invalid for %d parties (need P >= 2t+1, t >= 1)", t, cfg.Parties)
 	}
-	e := &Engine{p: cfg.Parties, t: t, mesh: mesh}
+	e := &Engine{p: cfg.Parties, t: t, mesh: mesh, rec: obs.Or(cfg.Recorder)}
 	if mesh == nil {
 		e.hub = &memHub{p: cfg.Parties, box: make([]memRow, cfg.Parties*cfg.Parties)}
 	} else {
@@ -139,14 +136,7 @@ func newEngine(cfg Config, mesh transport.Mesh) (*Engine, error) {
 			mesh.SetRecvTimeout(cfg.RecvTimeout)
 		}
 	}
-	if rec := cfg.Recorder; rec != nil && rec.Metrics() != nil {
-		e.rec = rec
-		e.roundHist = rec.Metrics().Histogram("bgw.round.seconds")
-		e.opsGauge = rec.Metrics().Gauge("bgw.fieldops")
-		e.partyGauges = make([]*obs.Gauge, cfg.Parties)
-		for i := range e.partyGauges {
-			e.partyGauges[i] = rec.Metrics().Gauge(fmt.Sprintf("bgw.party.%d.fieldops", i))
-		}
+	if e.rec.Enabled(obs.LevelDebug) {
 		e.lastRound = time.Now()
 	}
 	weights := shamir.LagrangeAtZero(shamir.PartyPoints(cfg.Parties))
@@ -192,7 +182,7 @@ func (e *Engine) Parties() int { return e.p }
 func (e *Engine) Threshold() int { return e.t }
 
 // Recorder returns the engine's telemetry sink (never nil).
-func (e *Engine) Recorder() obs.Recorder { return obs.Or(e.rec) }
+func (e *Engine) Recorder() obs.Recorder { return e.rec }
 
 // traffic returns the frames, messages and bytes sent so far: the
 // mesh's counters, or the in-memory hub's for inline parties.
@@ -203,16 +193,15 @@ func (e *Engine) traffic() (frames, msgs, bytes int64) {
 	return e.hub.frames, e.hub.msgs, e.hub.bytes
 }
 
-// AdvanceRound accounts one communication round; with telemetry enabled
-// the wall-clock since the previous boundary becomes one bgw.round span
-// carrying the frame/message deltas for the round.
+// AdvanceRound accounts one communication round; when the recorder admits
+// debug events, the wall-clock since the previous boundary becomes one
+// bgw.round event carrying "seconds" and the round's frame/message deltas.
 func (e *Engine) AdvanceRound() {
 	e.rounds++
-	if e.rec != nil {
+	if e.rec.Enabled(obs.LevelDebug) {
 		now := time.Now()
 		secs := now.Sub(e.lastRound).Seconds()
 		e.lastRound = now
-		e.roundHist.Observe(secs)
 		frames, msgs, _ := e.traffic()
 		e.rec.Event(obs.LevelDebug, "bgw.round",
 			obs.Int64("round", e.rounds), obs.Float64("seconds", secs),
@@ -323,7 +312,7 @@ func (e *Engine) await(reply chan actorReply) []actorReply {
 		r := <-reply
 		if r.err != nil && e.err == nil {
 			e.err = r.err
-			if e.rec != nil {
+			if e.rec.Enabled(obs.LevelWarn) {
 				e.rec.Event(obs.LevelWarn, "bgw.party.failed",
 					obs.Int("party", r.party), obs.String("err", r.err.Error()))
 			}
@@ -385,22 +374,15 @@ func (e *Engine) checkParty(i int) {
 }
 
 // collectOps runs a barrier and sums the parties' cumulative local
-// field-operation counters; with telemetry enabled the per-party totals
-// are published as bgw.party.<i>.fieldops gauges.
+// field-operation counters.
 func (e *Engine) collectOps() int64 {
 	replies, ok := e.call(actorCmd{op: opBarrier, x: &cmdPayload{}})
 	if !ok {
 		return e.baseOps
 	}
 	var sum int64
-	for i, r := range replies {
+	for _, r := range replies {
 		sum += r.ops
-		if e.rec != nil {
-			e.partyGauges[i].Set(float64(r.ops))
-		}
-	}
-	if e.rec != nil {
-		e.opsGauge.Set(float64(sum))
 	}
 	return sum
 }

@@ -1,10 +1,13 @@
 package bgw
 
 import (
+	"bytes"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
+	"sqm/internal/obs"
 	"sqm/internal/transport"
 )
 
@@ -19,10 +22,14 @@ func TestActorRecvTimeoutSurfacesAsPartyFailure(t *testing.T) {
 		Seed:  1,
 		Links: map[[2]int]transport.LinkFault{{0, 1}: {DropProb: 1}},
 	})
+	// An info-level recorder: the engine's debug events stay off, its
+	// failure event does not.
+	var log bytes.Buffer
 	eng, err := NewActorEngine(Config{
 		Parties:     3,
 		Seed:        7,
 		RecvTimeout: 50 * time.Millisecond,
+		Recorder:    obs.NewLog(&log, "text", obs.LevelInfo),
 	}, mesh)
 	if err != nil {
 		t.Fatal(err)
@@ -38,6 +45,13 @@ func TestActorRecvTimeoutSurfacesAsPartyFailure(t *testing.T) {
 	}
 	if err := eng.Err(); !errors.Is(err, transport.ErrTimeout) {
 		t.Fatalf("engine error = %v, want errors.Is(err, transport.ErrTimeout)", err)
+	}
+	// The expiry is counted where it is latched: one bgw.party.failed.
+	if got := strings.Count(log.String(), "bgw.party.failed"); got != 1 || !strings.Contains(log.String(), transport.ErrTimeout.Error()) {
+		t.Fatalf("log has %d bgw.party.failed events, want 1 naming the timeout:\n%s", got, log.String())
+	}
+	if strings.Contains(log.String(), "bgw.round") {
+		t.Fatalf("debug-level bgw.round reached an info-level recorder:\n%s", log.String())
 	}
 }
 
@@ -75,10 +89,14 @@ func TestActorCutWithQueuedGatesLatchesErr(t *testing.T) {
 		Seed:  1,
 		Links: map[[2]int]transport.LinkFault{{0, 1}: {CutAfter: 1}},
 	})
+	// An info-level recorder: the engine's debug events stay off, its
+	// failure event does not.
+	var log bytes.Buffer
 	eng, err := NewActorEngine(Config{
 		Parties:     3,
 		Seed:        7,
 		RecvTimeout: 50 * time.Millisecond,
+		Recorder:    obs.NewLog(&log, "text", obs.LevelInfo),
 	}, mesh)
 	if err != nil {
 		t.Fatal(err)

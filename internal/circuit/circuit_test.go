@@ -3,6 +3,8 @@ package circuit
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
+	"strings"
 	"testing"
 
 	"sqm/internal/bgw"
@@ -89,9 +91,9 @@ func TestExecuteMatchesPlainAcrossEngines(t *testing.T) {
 
 // TestExecuteEmitsLevelSpans pins the executor's instrumentation: with
 // a debug-level recorder on the engine, every multiplicative level and
-// the open round produce spans, observed in the recorder's registry —
-// Depth() level spans still, the terminal one saying that it did not
-// reduce and moved nothing.
+// the open round produce span events carrying their "seconds" — Depth()
+// level spans still, the terminal one saying that it did not reduce and
+// moved nothing.
 func TestExecuteEmitsLevelSpans(t *testing.T) {
 	var log bytes.Buffer
 	rec := obs.NewLog(&log, "json", obs.LevelDebug)
@@ -108,16 +110,7 @@ func TestExecuteEmitsLevelSpans(t *testing.T) {
 	if _, err := plan.Execute(bgw.Eval(eng), Bindings{}); err != nil {
 		t.Fatal(err)
 	}
-	m := rec.Metrics()
-	if got := m.Histogram("circuit.exec.seconds").Snapshot().Count; got != 1 {
-		t.Fatalf("circuit.exec spans = %d, want 1", got)
-	}
-	if got := m.Histogram("circuit.level.seconds").Snapshot().Count; got != int64(plan.Depth()) {
-		t.Fatalf("circuit.level spans = %d, want %d", got, plan.Depth())
-	}
-	if got := m.Histogram("circuit.open.seconds").Snapshot().Count; got != 1 {
-		t.Fatalf("circuit.open spans = %d, want 1", got)
-	}
+	spans := map[string]int{}
 	var reduced []bool
 	for _, line := range bytes.Split(log.Bytes(), []byte("\n")) {
 		var ev struct {
@@ -125,14 +118,25 @@ func TestExecuteEmitsLevelSpans(t *testing.T) {
 			Reduced bool
 			Frames  int64
 			Rounds  int64
+			Seconds *float64
 		}
-		if json.Unmarshal(line, &ev) != nil || ev.Msg != "circuit.level" {
+		if json.Unmarshal(line, &ev) != nil || !strings.HasPrefix(ev.Msg, "circuit.") {
+			continue
+		}
+		if ev.Seconds == nil || *ev.Seconds < 0 {
+			t.Errorf("%s span event carries no seconds", ev.Msg)
+		}
+		spans[ev.Msg]++
+		if ev.Msg != "circuit.level" {
 			continue
 		}
 		reduced = append(reduced, ev.Reduced)
 		if !ev.Reduced && (ev.Frames != 0 || ev.Rounds != 0) {
 			t.Errorf("unreduced level span carries %d frames and %d rounds, want none", ev.Frames, ev.Rounds)
 		}
+	}
+	if want := map[string]int{"circuit.exec": 1, "circuit.level": plan.Depth(), "circuit.open": 1}; !maps.Equal(spans, want) {
+		t.Fatalf("span events = %v, want %v", spans, want)
 	}
 	if len(reduced) != 2 || !reduced[0] || reduced[1] {
 		t.Fatalf("circuit.level spans reduced = %v, want [true false]", reduced)

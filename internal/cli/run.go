@@ -10,6 +10,7 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 
 	"sqm/internal/core"
@@ -49,7 +50,7 @@ func Run(cmd string, args []string, stdout, stderr io.Writer) error {
 
 		verbose   = fs.Bool("v", false, "debug-level telemetry on stderr (implies -log-format text)")
 		logFormat = fs.String("log-format", "", "structured telemetry on stderr: text or json")
-		debugAddr = fs.String("debug-addr", "", "serve /metrics and /debug/pprof on this address")
+		debugAddr = fs.String("debug-addr", "", "serve the runtime profiles (net/http/pprof, /debug/pprof/) on this address")
 		traceDir  = fs.String("trace-dir", "", "dump per-party flight-recorder traces (JSONL) into this directory; merge with sqmtrace")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -58,11 +59,12 @@ func Run(cmd string, args []string, stdout, stderr io.Writer) error {
 	if *logFormat != "" && *logFormat != "text" && *logFormat != "json" {
 		return fmt.Errorf("-log-format must be text or json, got %q", *logFormat)
 	}
-	// Telemetry is on when any observability flag is set. -v lowers the
-	// level to debug; -debug-addr alone keeps logging quiet (warn+) but
-	// still collects metrics for the HTTP endpoint.
+	// Telemetry is on when -v or -log-format is set; -v lowers the level
+	// to debug. -debug-addr serves the runtime profiles only: every
+	// number a run reports is an event on stderr or in the -trace-dir
+	// dumps.
 	var rec obs.Recorder
-	if *verbose || *logFormat != "" || *debugAddr != "" {
+	if *verbose || *logFormat != "" {
 		format := *logFormat
 		if format == "" {
 			format = "text"
@@ -70,8 +72,6 @@ func Run(cmd string, args []string, stdout, stderr io.Writer) error {
 		min := obs.LevelInfo
 		if *verbose {
 			min = obs.LevelDebug
-		} else if *logFormat == "" {
-			min = obs.LevelWarn
 		}
 		rec = obs.NewLog(stderr, format, min)
 	}
@@ -80,10 +80,10 @@ func Run(cmd string, args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("-debug-addr: %w", err)
 		}
-		srv := &http.Server{Handler: obs.NewDebugMux(rec.Metrics())}
+		srv := &http.Server{Handler: debugMux()}
 		go srv.Serve(ln)
 		defer srv.Close()
-		fmt.Fprintf(stderr, "sqmrun: debug endpoint at http://%s/metrics\n", ln.Addr())
+		fmt.Fprintf(stderr, "sqmrun: debug endpoint at http://%s/debug/pprof/\n", ln.Addr())
 	}
 	kind, err := core.ParseEngineKind(*engine)
 	if err != nil {
@@ -248,4 +248,16 @@ func Run(cmd string, args []string, stdout, stderr io.Writer) error {
 	default:
 		return fmt.Errorf("unknown command %q", cmd)
 	}
+}
+
+// debugMux mounts net/http/pprof under /debug/pprof/ — diagnostics for
+// a loopback or firewalled port, not a public API.
+func debugMux() *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }

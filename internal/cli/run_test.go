@@ -2,6 +2,7 @@ package cli
 
 import (
 	"bytes"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -217,5 +218,23 @@ func TestRunRejectsBadLogFormat(t *testing.T) {
 	err := Run("covariance", []string{"-data", data, "-header", "-log-format", "yaml"}, &out, &errBuf)
 	if err == nil || !strings.Contains(err.Error(), "log-format") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestDebugMux: -debug-addr serves the runtime profiles and nothing
+// else — there is no metrics endpoint.
+func TestDebugMux(t *testing.T) {
+	mux := debugMux()
+	rw := httptest.NewRecorder()
+	mux.ServeHTTP(rw, httptest.NewRequest("GET", "/debug/pprof/", nil))
+	if rw.Code != 200 || !strings.Contains(rw.Body.String(), "goroutine") {
+		t.Fatalf("pprof index missing: %d", rw.Code)
+	}
+	for _, path := range []string{"/metrics", "/metrics.json"} {
+		rw = httptest.NewRecorder()
+		mux.ServeHTTP(rw, httptest.NewRequest("GET", path, nil))
+		if rw.Code != 404 {
+			t.Fatalf("%s status %d, want 404", path, rw.Code)
+		}
 	}
 }

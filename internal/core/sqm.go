@@ -235,7 +235,7 @@ func (p *Params) newEvaluator(seedXor uint64) (bgw.Evaluator, error) {
 		Parties: p.Parties, Threshold: p.Threshold,
 		Seed: p.Seed ^ seedXor, Recorder: rec, RecvTimeout: p.Fault.RecvTimeout,
 	}
-	meshOpts := []transport.Option{transport.WithRecorder(rec)}
+	var meshOpts []transport.Option
 	if p.Trace != nil && p.Trace.Parties() == p.Parties {
 		meshOpts = append(meshOpts, transport.WithTracer(p.Trace))
 	}

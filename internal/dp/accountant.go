@@ -26,26 +26,20 @@ type Accountant struct {
 	// Ledger state (Observe/SetBudget): every release re-converts the
 	// cumulative curve and reports the running ε(δ).
 	rec         obs.Recorder
-	epsGauge    *obs.Gauge
 	ledgerDelta float64
 	budgetEps   float64 // 0 means no budget threshold
 }
 
 // Observe attaches a telemetry recorder: after every recorded release
-// the accountant emits a "dp.release" event carrying the running ε at
-// the given δ and refreshes the "dp.epsilon" gauge. Pair with SetBudget
-// to get a "dp.budget_exceeded" warning the moment the cumulative cost
-// crosses the budget. A nil recorder (or one without metrics) disables
-// the ledger.
+// the accountant emits an info-level "dp.release" event carrying the
+// running ε at the given δ ("eps"). Pair with SetBudget to get a
+// "dp.budget_exceeded" warning the moment the cumulative cost crosses the
+// budget. The ledger converts only for a recorder whose Enabled admits
+// the event: a nil or no-op recorder leaves it off.
 func (a *Accountant) Observe(rec obs.Recorder, delta float64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if rec == nil || rec.Metrics() == nil {
-		a.rec, a.epsGauge = nil, nil
-		return
-	}
 	a.rec = rec
-	a.epsGauge = rec.Metrics().Gauge("dp.epsilon")
 	a.ledgerDelta = delta
 }
 
@@ -87,23 +81,26 @@ func (a *Accountant) record(curve Curve) {
 	}
 	a.releases++
 	release := a.releases
-	rec, gauge := a.rec, a.epsGauge
+	rec := a.rec
 	delta, budget := a.ledgerDelta, a.budgetEps
 	a.mu.Unlock()
 
-	if rec == nil {
+	// The warning is the ledger's loudest event: a recorder that refuses
+	// it refuses dp.release too, and the conversion is skipped.
+	if rec == nil || !rec.Enabled(obs.LevelWarn) {
 		return
 	}
 	eps, alpha := a.Epsilon(delta)
-	gauge.Set(eps)
-	attrs := []obs.Attr{
-		obs.Int("release", release), obs.Float64("eps", eps),
-		obs.Int("alpha", alpha), obs.Float64("delta", delta),
+	if rec.Enabled(obs.LevelInfo) {
+		attrs := []obs.Attr{
+			obs.Int("release", release), obs.Float64("eps", eps),
+			obs.Int("alpha", alpha), obs.Float64("delta", delta),
+		}
+		if budget > 0 {
+			attrs = append(attrs, obs.Float64("remaining", budget-eps))
+		}
+		rec.Event(obs.LevelInfo, "dp.release", attrs...)
 	}
-	if budget > 0 {
-		attrs = append(attrs, obs.Float64("remaining", budget-eps))
-	}
-	rec.Event(obs.LevelInfo, "dp.release", attrs...)
 	if budget > 0 && eps > budget {
 		rec.Event(obs.LevelWarn, "dp.budget_exceeded",
 			obs.Float64("eps", eps), obs.Float64("budget", budget),

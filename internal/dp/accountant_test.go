@@ -1,6 +1,7 @@
 package dp
 
 import (
+	"bytes"
 	"math"
 	"strings"
 	"sync"
@@ -191,21 +192,16 @@ func TestAccountantConcurrentSubsampledUse(t *testing.T) {
 	}
 }
 
-// ledgerRecorder captures events in order for the ledger tests while
-// carrying a real metrics registry.
+// ledgerRecorder captures events in order for the ledger tests.
 type ledgerRecorder struct {
-	metrics *obs.Metrics
-	mu      sync.Mutex
-	names   []string
-	attrs   []map[string]any
+	mu    sync.Mutex
+	names []string
+	attrs []map[string]any
 }
 
-func newLedgerRecorder() *ledgerRecorder {
-	return &ledgerRecorder{metrics: obs.NewMetrics()}
-}
+func newLedgerRecorder() *ledgerRecorder { return &ledgerRecorder{} }
 
 func (r *ledgerRecorder) Enabled(obs.Level) bool { return true }
-func (r *ledgerRecorder) Metrics() *obs.Metrics  { return r.metrics }
 func (r *ledgerRecorder) Event(_ obs.Level, name string, attrs ...obs.Attr) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -235,10 +231,10 @@ func TestAccountantLedgerEmissionOrder(t *testing.T) {
 			t.Fatalf("event %d release attr = %v", i, got)
 		}
 	}
-	// The gauge mirrors the last emitted eps.
+	// The last release's eps attr is the running total.
 	eps, _ := a.Epsilon(1e-5)
-	if g := rec.metrics.Gauge("dp.epsilon").Value(); math.Abs(g-eps) > 1e-12 {
-		t.Fatalf("gauge %v vs eps %v", g, eps)
+	if got := rec.attrs[2]["eps"]; got != eps {
+		t.Fatalf("last dp.release eps = %v, want %v", got, eps)
 	}
 }
 
@@ -297,9 +293,27 @@ func TestAccountantLedgerEpsilonMonotone(t *testing.T) {
 
 func TestAccountantObserveNopRecorderDisables(t *testing.T) {
 	a := NewAccountant(32)
-	a.Observe(obs.Nop(), 1e-5) // no metrics registry -> ledger off
+	a.Observe(obs.Nop(), 1e-5) // Enabled says no -> ledger off
 	a.AddGaussian(1, 20)       // must not panic or emit
 	if a.Releases() != 1 {
 		t.Fatalf("releases = %d", a.Releases())
+	}
+	// An info-level log recorder gets the ledger; a warn-level one gets
+	// only the budget warning.
+	var info, warn bytes.Buffer
+	for _, c := range []struct {
+		buf   *bytes.Buffer
+		level obs.Level
+	}{{&info, obs.LevelInfo}, {&warn, obs.LevelWarn}} {
+		b := NewAccountant(32)
+		b.Observe(obs.NewLog(c.buf, "text", c.level), 1e-5)
+		b.SetBudget(1e-9)
+		b.AddGaussian(1, 20)
+	}
+	if !strings.Contains(info.String(), "dp.release") || !strings.Contains(info.String(), "dp.budget_exceeded") {
+		t.Fatalf("info-level ledger = %q, want dp.release and dp.budget_exceeded", info.String())
+	}
+	if strings.Contains(warn.String(), "dp.release") || !strings.Contains(warn.String(), "dp.budget_exceeded") {
+		t.Fatalf("warn-level ledger = %q, want dp.budget_exceeded only", warn.String())
 	}
 }

@@ -37,7 +37,7 @@ type flightEntry struct {
 
 // FlightRecorder is a bounded ring buffer of events — the crash-durable
 // core of the tracing system. It implements Recorder (Enabled answers
-// true for every level, Metrics is nil) and never blocks, never grows
+// true for every level) and never blocks, never grows
 // past its capacity, and survives chaos: a crashed party's ring still
 // holds its last events for the post-mortem dump.
 type FlightRecorder struct {
@@ -61,9 +61,6 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 // Enabled answers true for every level: the ring is the last line of
 // diagnosis and must capture debug events even when logging is quiet.
 func (f *FlightRecorder) Enabled(Level) bool { return f != nil }
-
-// Metrics returns nil: the ring records events only.
-func (f *FlightRecorder) Metrics() *Metrics { return nil }
 
 // Event appends one event, evicting the oldest when full. The
 // attributes are copied, so callers may reuse their slices.

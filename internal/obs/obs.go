@@ -1,18 +1,18 @@
 // Package obs is the repository's zero-dependency observability layer:
-// structured events, monotonic span timers, and a metrics registry of
-// counters, gauges and histograms. Every subsystem that does real work
-// — the transport meshes, the BGW engines, the session layer, the DP
-// accountant — reports through a Recorder so a run can be understood
-// from the outside: where the time went, how many bytes crossed each
-// link, and how much (ε, δ) budget the composition has consumed.
+// one stream of structured events. Every subsystem that does real work
+// — the BGW engines, the session layer, the DP accountant, and on a
+// traced run the transport meshes — reports through it, and every number
+// is an attribute of the event that caused it: a duration is a
+// TracedSpan (its end event carries "seconds") or an event's "seconds"
+// attribute, a count is an attribute of the event that counted it. The
+// engines' own counters (mesh traffic, bgw.Stats) are the totals; the
+// flight recorders and cmd/sqmtrace turn a traced run's events into
+// per-link bytes, per-span durations and the privacy ledger.
 //
-// Two implementations ship: a slog-backed recorder (text or JSON lines)
-// and a no-op recorder. The disabled path is allocation-free by
-// construction: hot paths never build attribute slices without first
-// checking Enabled, and the metric handle types (*Counter, *Gauge,
-// *Histogram) are nil-receiver safe, so instrumented code resolves its
-// handles once at construction and unconditionally calls Add/Set/
-// Observe — a nil handle is a single branch, no allocation, no atomic.
+// Two recorders ship: a slog-backed one (text or JSON lines) and a
+// no-op one; the flight recorder of a trace context is a third. The
+// disabled path is allocation-free: instrumented code asks Enabled
+// before it reads a clock or builds an attribute.
 package obs
 
 import (
@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"time"
 )
 
@@ -127,24 +128,23 @@ func (a Attr) slogAttr() slog.Attr {
 // String renders the attribute as key=value.
 func (a Attr) String() string { return fmt.Sprintf("%s=%v", a.Key, a.Value()) }
 
+func floatBits(v float64) uint64 { return math.Float64bits(v) }
+
+func floatFrom(b uint64) float64 { return math.Float64frombits(b) }
+
 // Recorder receives the structured telemetry of one run. Implementations
 // must be safe for concurrent use: party actors, the writer pumps and
 // the coordinator all report from their own goroutines.
 //
-// Hot paths must call Enabled before building attributes, and should
-// prefer pre-resolved metric handles (Metrics().Counter(...) once at
-// construction) over events for per-message accounting.
+// Enabled is the one switch: instrumented code asks it before reading a
+// clock or building attributes, so a recorder that would drop the event
+// costs one call.
 type Recorder interface {
 	// Enabled reports whether events at the level would be recorded.
-	// The no-op recorder answers false for every level, which lets
-	// instrumented code skip timestamping and attribute construction.
+	// The no-op recorder answers false for every level.
 	Enabled(level Level) bool
 	// Event records one structured event.
 	Event(level Level, name string, attrs ...Attr)
-	// Metrics returns the run's metric registry; nil for the no-op
-	// recorder (all registry lookups on a nil registry return nil
-	// handles, whose methods are no-ops).
-	Metrics() *Metrics
 }
 
 // nop is the disabled recorder.
@@ -152,10 +152,9 @@ type nop struct{}
 
 func (nop) Enabled(Level) bool           { return false }
 func (nop) Event(Level, string, ...Attr) {}
-func (nop) Metrics() *Metrics            { return nil }
 
-// Nop returns the no-op recorder. Every operation on it (and on the nil
-// metric handles it hands out) is allocation-free.
+// Nop returns the no-op recorder. Every operation on it is
+// allocation-free.
 func Nop() Recorder { return nop{} }
 
 // Or returns r, or the no-op recorder when r is nil — the idiom for
@@ -168,11 +167,10 @@ func Or(r Recorder) Recorder {
 }
 
 // LogRecorder is the slog-backed Recorder: events become structured log
-// lines (text or JSON), metrics accumulate in an owned registry.
+// lines (text or JSON).
 type LogRecorder struct {
-	logger  *slog.Logger
-	min     Level
-	metrics *Metrics
+	logger *slog.Logger
+	min    Level
 }
 
 // NewLog builds a LogRecorder writing to w. format is "text" or "json"
@@ -190,7 +188,7 @@ func NewLog(w io.Writer, format string, min Level) *LogRecorder {
 
 // NewLogger wraps an existing slog.Logger.
 func NewLogger(l *slog.Logger, min Level) *LogRecorder {
-	return &LogRecorder{logger: l, min: min, metrics: NewMetrics()}
+	return &LogRecorder{logger: l, min: min}
 }
 
 // Enabled reports whether the level clears the recorder's minimum.
@@ -207,6 +205,3 @@ func (r *LogRecorder) Event(level Level, name string, attrs ...Attr) {
 	}
 	r.logger.LogAttrs(context.Background(), slog.Level(level), name, sa...)
 }
-
-// Metrics returns the recorder's registry.
-func (r *LogRecorder) Metrics() *Metrics { return r.metrics }

@@ -60,13 +60,11 @@ func (s SpanID) String() string { return fmt.Sprintf("%016x", uint64(s)) }
 const CoordParty = -1
 
 // TraceContext is the shared tracing state of one session: the id, one
-// PartyTrace per mesh party, one for the coordinator, and a metrics
-// registry that backs trace-only runs (no user recorder attached).
+// PartyTrace per mesh party and one for the coordinator.
 type TraceContext struct {
 	id      TraceID
 	coord   *PartyTrace
 	parties []*PartyTrace
-	metrics *Metrics
 }
 
 // NewTraceContext builds the tracing state for a session of the given
@@ -76,7 +74,7 @@ func NewTraceContext(id TraceID, parties int) *TraceContext {
 	if parties < 0 {
 		parties = 0
 	}
-	tc := &TraceContext{id: id, metrics: NewMetrics()}
+	tc := &TraceContext{id: id}
 	tc.coord = &PartyTrace{tc: tc, party: CoordParty, flight: NewFlightRecorder(DefaultFlightCapacity)}
 	tc.parties = make([]*PartyTrace, parties)
 	for i := range tc.parties {
@@ -266,9 +264,6 @@ func (pt *PartyTrace) NextSpanID() SpanID {
 // event is stamped with (trace, party, lclock), captured by the flight
 // recorder regardless of level, and forwarded to inner if inner's level
 // admits it. A nil inner is valid — tracing alone enables telemetry.
-// Metrics() prefers inner's registry and falls back to the trace
-// context's own, so metric-gated instrumentation (engines, meshes)
-// activates under tracing even without a user recorder.
 func (pt *PartyTrace) Wrap(inner Recorder) Recorder {
 	if pt == nil {
 		return Or(inner)
@@ -300,15 +295,6 @@ func (r tracedRecorder) Event(level Level, name string, attrs ...Attr) {
 	}
 }
 
-// Metrics returns the wrapped recorder's registry, or the trace
-// context's own when the wrapped recorder has none.
-func (r tracedRecorder) Metrics() *Metrics {
-	if m := r.inner.Metrics(); m != nil {
-		return m
-	}
-	return r.pt.tc.metrics
-}
-
 // TraceOf returns the PartyTrace a recorder was wrapped with, or nil
 // for untraced recorders — the hook span instrumentation uses to attach
 // span/parent identifiers, and wiring code uses to avoid double
@@ -337,9 +323,15 @@ type TracedSpan struct {
 	start  time.Time
 	id     SpanID
 	parent SpanID
-	attrs  []Attr
-	hist   *Histogram
+	// attrs holds the start attributes, with room for End's: the span
+	// copies them, so a caller's attribute list never outlives the call
+	// and a disabled span allocates nothing.
+	attrs []Attr
 }
+
+// spanEndAttrs is the room a span reserves for End: the caller's
+// attributes plus span, parent and seconds.
+const spanEndAttrs = 6
 
 // StartTracedSpan opens a span on rec; parent 0 makes it a root. With an
 // untraced recorder the span carries no identifiers; with a disabled
@@ -353,8 +345,7 @@ func StartTracedSpan(rec Recorder, name string, parent SpanID, attrs ...Attr) Tr
 		name:   name,
 		start:  time.Now(),
 		parent: parent,
-		attrs:  attrs,
-		hist:   rec.Metrics().Histogram(name + ".seconds"),
+		attrs:  append(make([]Attr, 0, len(attrs)+spanEndAttrs), attrs...),
 	}
 	if pt := TraceOf(rec); pt != nil {
 		s.id = pt.NextSpanID()
@@ -370,18 +361,15 @@ func (s TracedSpan) Active() bool { return s.rec != nil }
 // use as a child span's parent.
 func (s TracedSpan) ID() SpanID { return s.id }
 
-// End closes the span: the histogram "<name>.seconds" observes the
-// duration and a debug event carries the start attributes, the extra
-// attributes, span/parent identifiers, and "seconds".
+// End closes the span with one debug event carrying the start
+// attributes, the extra attributes, span/parent identifiers, and the
+// duration as "seconds".
 func (s TracedSpan) End(attrs ...Attr) {
 	if s.rec == nil {
 		return
 	}
 	secs := time.Since(s.start).Seconds()
-	s.hist.Observe(secs)
-	all := make([]Attr, 0, len(s.attrs)+len(attrs)+3)
-	all = append(all, s.attrs...)
-	all = append(all, attrs...)
+	all := append(s.attrs, attrs...)
 	if s.id != 0 {
 		all = append(all, String("span", s.id.String()))
 	}

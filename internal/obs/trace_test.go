@@ -97,27 +97,11 @@ func TestWrapStampsAndTees(t *testing.T) {
 	if !strings.Contains(out, "loud") || !strings.Contains(out, "lclock") {
 		t.Fatalf("info event missing from inner recorder: %s", out)
 	}
-	if rec.Metrics() != inner.Metrics() {
-		t.Fatal("traced recorder must expose the inner registry")
-	}
 	if TraceOf(rec) != pt {
 		t.Fatal("TraceOf must recover the wrapped PartyTrace")
 	}
 	if TraceOf(inner) != nil || TraceOf(Nop()) != nil {
 		t.Fatal("TraceOf must be nil for untraced recorders")
-	}
-}
-
-func TestWrapNilInnerStillHasMetrics(t *testing.T) {
-	tc := NewTraceContext(DeriveTraceID(3), 1)
-	rec := tc.Party(0).Wrap(nil)
-	m := rec.Metrics()
-	if m == nil {
-		t.Fatal("trace-only runs need the context's registry so engines self-instrument")
-	}
-	m.Counter("c").Add(2)
-	if got := m.Counter("c").Value(); got != 2 {
-		t.Fatalf("context registry counter = %d", got)
 	}
 }
 

@@ -20,23 +20,20 @@ var abortTimeout = 2 * time.Second
 // lifecycle step (quantization/noise at commit, its protocol share of
 // each round).
 type ClientHooks struct {
-	// OnParams performs quantization and noise sampling; the returned
-	// bytes feed the noise commitment (may be nil).
-	OnParams      func(Params) ([]byte, error)
+	// OnParams performs quantization and noise sampling.
+	OnParams      func(Params) error
 	OnEvalRequest func(round uint32) error
 }
 
-// SessionOutcome reports one client's view after a full session, plus
-// the noise commitment the coordinator recorded for it.
+// SessionOutcome reports one client's view after a full session.
 type SessionOutcome struct {
-	Client     int
-	Results    []Result
-	Err        error
-	Commitment [32]byte
+	Client  int
+	Results []Result
+	Err     error
 }
 
 // RunSession executes a complete SQM session lifecycle over in-memory
-// connections: hello, parameter commitment, p.Rounds evaluation rounds,
+// connections: hello, parameters and their ack, p.Rounds evaluation rounds,
 // and result broadcast. evaluate runs on the coordinator after every
 // client finished its round work and returns the opened scaled values
 // (in a deployment this is where the MPC opening happens). Every
@@ -137,7 +134,6 @@ func (c deadlineConn) Write(p []byte) (int, error) {
 type sessionRun struct {
 	servers  []*ServerSession
 	outcomes []SessionOutcome
-	so       *sessionObs
 }
 
 // forAllLive runs op against every server session concurrently (net.Pipe
@@ -170,12 +166,11 @@ func runSession(p Params, hooks []ClientHooks, evaluate func(round uint32) ([]in
 	if o.trace != nil && obs.TraceOf(o.rec) == nil {
 		o.rec = o.trace.Coordinator().Wrap(o.rec)
 	}
-	so := newSessionObs(o.rec)
+	rec := obs.Or(o.rec)
 	n := len(hooks)
 	r := &sessionRun{
 		servers:  make([]*ServerSession, n),
 		outcomes: make([]SessionOutcome, n),
-		so:       so,
 	}
 	var clientWG sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -220,26 +215,23 @@ func runSession(p Params, hooks []ClientHooks, evaluate func(round uint32) ([]in
 		}()
 	}
 
-	so.event(obs.LevelInfo, "session.start",
-		obs.Int("clients", n), obs.Int("rounds", int(p.Rounds)),
-		obs.Float64("gamma", p.Gamma), obs.Float64("mu", p.Mu))
+	if rec.Enabled(obs.LevelInfo) {
+		rec.Event(obs.LevelInfo, "session.start",
+			obs.Int("clients", n), obs.Int("rounds", int(p.Rounds)),
+			obs.Float64("gamma", p.Gamma), obs.Float64("mu", p.Mu))
+	}
 	coordErr := func() error {
-		phase := time.Now()
+		// The two set-up phases are spans: their events carry "seconds".
+		sp := obs.StartTracedSpan(rec, "session.hello", 0)
 		if err := r.forAllLive((*ServerSession).AwaitHello); err != nil {
 			return err
 		}
-		if so != nil {
-			so.phaseHist["hello"].ObserveSince(phase)
-			so.event(obs.LevelDebug, "session.hello", obs.Int("clients", n))
-			phase = time.Now()
-		}
+		sp.End(obs.Int("clients", n))
+		sp = obs.StartTracedSpan(rec, "session.params", 0)
 		if err := r.forAllLive(func(s *ServerSession) error { return s.SendParams(p) }); err != nil {
 			return err
 		}
-		if so != nil {
-			so.phaseHist["params"].ObserveSince(phase)
-			so.event(obs.LevelDebug, "session.params", obs.Int("clients", n))
-		}
+		sp.End(obs.Int("clients", n))
 		for round := uint32(0); round < p.Rounds; round++ {
 			start := time.Now()
 			if err := r.forAllLive((*ServerSession).RunRound); err != nil {
@@ -248,8 +240,10 @@ func runSession(p Params, hooks []ClientHooks, evaluate func(round uint32) ([]in
 			scaled, err := evaluate(round)
 			if err != nil {
 				r.abortLive(err.Error())
-				so.event(obs.LevelWarn, "session.abort",
-					obs.Int("round", int(round)), obs.String("err", err.Error()))
+				if rec.Enabled(obs.LevelWarn) {
+					rec.Event(obs.LevelWarn, "session.abort",
+						obs.Int("round", int(round)), obs.String("err", err.Error()))
+				}
 				return err
 			}
 			res := Result{Round: round, Scaled: scaled}
@@ -257,12 +251,10 @@ func runSession(p Params, hooks []ClientHooks, evaluate func(round uint32) ([]in
 			if err := r.forAllLive(func(s *ServerSession) error { return s.SendResult(res, final) }); err != nil {
 				return err
 			}
-			if so != nil {
-				secs := time.Since(start).Seconds()
-				so.roundHist.Observe(secs)
-				so.event(obs.LevelInfo, "session.round",
+			if rec.Enabled(obs.LevelInfo) {
+				rec.Event(obs.LevelInfo, "session.round",
 					obs.Int("round", int(round)), obs.Int("outputs", len(scaled)),
-					obs.Float64("seconds", secs))
+					obs.Float64("seconds", time.Since(start).Seconds()))
 			}
 		}
 		return nil
@@ -275,23 +267,22 @@ func runSession(p Params, hooks []ClientHooks, evaluate func(round uint32) ([]in
 		c.Close()
 	}
 	clientWG.Wait()
-	for i, s := range r.servers {
-		r.outcomes[i].Commitment = s.Commitment
-	}
 	if o.ctx != nil && o.ctx.Err() != nil && coordErr != nil {
 		coordErr = errors.Join(coordErr, o.ctx.Err())
 	}
-	if coordErr == nil {
-		so.event(obs.LevelInfo, "session.done",
+	if coordErr == nil && rec.Enabled(obs.LevelInfo) {
+		rec.Event(obs.LevelInfo, "session.done",
 			obs.Int("clients", n), obs.Int("rounds", int(p.Rounds)))
 	}
 	// The flight recorders dump on every exit path — an aborted session
 	// leaves its black box behind, which is the whole point of one.
 	if o.trace != nil && o.traceDir != "" {
 		if paths, derr := o.trace.DumpAll(o.traceDir); derr != nil {
-			so.event(obs.LevelWarn, "session.trace_dump_failed", obs.String("err", derr.Error()))
-		} else {
-			so.event(obs.LevelInfo, "session.trace_dump",
+			if rec.Enabled(obs.LevelWarn) {
+				rec.Event(obs.LevelWarn, "session.trace_dump_failed", obs.String("err", derr.Error()))
+			}
+		} else if rec.Enabled(obs.LevelInfo) {
+			rec.Event(obs.LevelInfo, "session.trace_dump",
 				obs.String("dir", o.traceDir), obs.Int("files", len(paths)))
 		}
 	}

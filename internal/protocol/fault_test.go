@@ -19,7 +19,7 @@ func okHooks(n int) []ClientHooks {
 	hooks := make([]ClientHooks, n)
 	for i := range hooks {
 		hooks[i] = ClientHooks{
-			OnParams:      func(Params) ([]byte, error) { return []byte("noise"), nil },
+			OnParams:      func(Params) error { return nil },
 			OnEvalRequest: func(uint32) error { return nil },
 		}
 	}
@@ -76,7 +76,7 @@ func TestSessionStrictModeUnchanged(t *testing.T) {
 	const n = 2
 	hooks := okHooks(n)
 	boom := errors.New("dead")
-	hooks[1].OnParams = func(Params) ([]byte, error) { return nil, boom }
+	hooks[1].OnParams = func(Params) error { return boom }
 	_, err := RunSession(sessionParams(n, 1), hooks,
 		func(uint32) ([]int64, error) { return []int64{1}, nil })
 	if err == nil {

@@ -150,7 +150,7 @@ func TestServeRejectsRoundMismatch(t *testing.T) {
 // TestRunSessionJoinsAllFailures: when several clients fail, the
 // coordinator error must name every broken session, not just the first.
 func TestRunSessionJoinsAllFailures(t *testing.T) {
-	fail := func(protocol.Params) ([]byte, error) { return nil, errors.New("commit refused") }
+	fail := func(protocol.Params) error { return errors.New("commit refused") }
 	hooks := []protocol.ClientHooks{{OnParams: fail}, {OnParams: fail}}
 	p := protocol.Params{NumClients: 2, OutDim: 1, Rounds: 1}
 	_, err := protocol.RunSession(p, hooks, func(uint32) ([]int64, error) { return []int64{0}, nil })

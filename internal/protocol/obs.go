@@ -19,10 +19,10 @@ type sessionOptions struct {
 }
 
 // WithRecorder attaches an observability recorder to the session run:
-// the coordinator emits lifecycle events (session.start, session.hello,
-// session.params, session.round, session.result, session.done or
-// session.abort) and times every phase into the recorder's metric
-// registry. A nil recorder disables telemetry at zero cost.
+// the coordinator emits lifecycle events — session.start,
+// session.hello and session.params (debug spans), session.round (with
+// its "seconds"), then session.done or session.abort — at the levels
+// the recorder admits. A nil recorder disables telemetry at zero cost.
 func WithRecorder(rec obs.Recorder) SessionOption {
 	return func(o *sessionOptions) { o.rec = rec }
 }
@@ -59,34 +59,4 @@ func applySessionOptions(opts []SessionOption) sessionOptions {
 		opt(&o)
 	}
 	return o
-}
-
-// sessionObs carries the coordinator's telemetry handles; a nil
-// *sessionObs makes every method a no-op.
-type sessionObs struct {
-	rec       obs.Recorder
-	roundHist *obs.Histogram
-	phaseHist map[string]*obs.Histogram
-}
-
-func newSessionObs(rec obs.Recorder) *sessionObs {
-	if rec == nil || rec.Metrics() == nil {
-		return nil
-	}
-	m := rec.Metrics()
-	return &sessionObs{
-		rec:       rec,
-		roundHist: m.Histogram("session.round.seconds"),
-		phaseHist: map[string]*obs.Histogram{
-			"hello":  m.Histogram("session.hello.seconds"),
-			"params": m.Histogram("session.params.seconds"),
-		},
-	}
-}
-
-func (o *sessionObs) event(level obs.Level, name string, attrs ...obs.Attr) {
-	if o == nil {
-		return
-	}
-	o.rec.Event(level, name, attrs...)
 }

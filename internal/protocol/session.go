@@ -1,8 +1,6 @@
 package protocol
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -61,29 +59,13 @@ type ClientSession struct {
 	ID        uint32
 	Transport io.ReadWriter
 	// OnParams must quantize the local column and sample all noise
-	// shares for the announced parameters, before any round runs. The
-	// returned bytes (if any) are hashed with the session id into the
-	// noise commitment carried by ParamsAck — serialize the sampled
-	// noise shares so the commitment binds them.
-	OnParams func(Params) ([]byte, error)
+	// shares for the announced parameters, before any round runs; the
+	// ParamsAck it precedes tells the coordinator the client is ready.
+	OnParams func(Params) error
 	// OnEvalRequest must execute the client's part of round r.
 	OnEvalRequest func(round uint32) error
 
 	state State
-}
-
-// Commit derives the noise commitment sent in ParamsAck: SHA-256 over
-// the session id and the serialized noise. A client that later claims
-// different noise shares can be caught against this value.
-func Commit(session uint32, noise []byte) [32]byte {
-	h := sha256.New()
-	var sid [4]byte
-	binary.BigEndian.PutUint32(sid[:], session)
-	h.Write(sid[:])
-	h.Write(noise)
-	var out [32]byte
-	copy(out[:], h.Sum(nil))
-	return out
 }
 
 // State returns the current lifecycle position.
@@ -127,16 +109,13 @@ func (c *ClientSession) Serve() ([]Result, error) {
 				return results, err
 			}
 			want = p.Rounds
-			var noise []byte
 			if c.OnParams != nil {
-				noise, err = c.OnParams(p)
-				if err != nil {
+				if err := c.OnParams(p); err != nil {
 					c.state = StateAborted
 					return results, err
 				}
 			}
-			commit := Commit(c.ID, noise)
-			if err := WriteMessage(c.Transport, Message{Type: MsgParamsAck, Session: c.ID, Payload: commit[:]}); err != nil {
+			if err := WriteMessage(c.Transport, Message{Type: MsgParamsAck, Session: c.ID}); err != nil {
 				return results, err
 			}
 			c.state = StateCommitted
@@ -190,10 +169,6 @@ type ServerSession struct {
 	ID        uint32
 	Transport io.ReadWriter
 
-	// Commitment is the client's noise commitment from ParamsAck; an
-	// auditor can later demand the noise opening and check it.
-	Commitment [32]byte
-
 	state State
 }
 
@@ -216,7 +191,7 @@ func (s *ServerSession) AwaitHello() error {
 	return nil
 }
 
-// SendParams announces parameters and waits for the commitment ack.
+// SendParams announces parameters and waits for the client's ack.
 func (s *ServerSession) SendParams(p Params) error {
 	if s.state != StateHelloed {
 		return fmt.Errorf("%w: SendParams in %v", ErrBadTransition, s.state)
@@ -231,10 +206,6 @@ func (s *ServerSession) SendParams(p Params) error {
 	if m.Type != MsgParamsAck {
 		return fmt.Errorf("protocol: expected ParamsAck, got %v", m.Type)
 	}
-	if len(m.Payload) != 32 {
-		return fmt.Errorf("protocol: ParamsAck must carry a 32-byte noise commitment, got %d bytes", len(m.Payload))
-	}
-	copy(s.Commitment[:], m.Payload)
 	s.state = StateCommitted
 	return nil
 }

@@ -44,7 +44,7 @@ func serveClient(t testing.TB, script []byte) (*ClientSession, []Result, error) 
 	cs := &ClientSession{
 		ID:            1,
 		Transport:     &scriptRW{r: bytes.NewReader(script)},
-		OnParams:      func(Params) ([]byte, error) { return []byte("n"), nil },
+		OnParams:      func(Params) error { return nil },
 		OnEvalRequest: func(uint32) error { return nil },
 	}
 	if err := cs.Start(); err != nil {
@@ -178,7 +178,7 @@ func FuzzClientServe(f *testing.F) {
 		cs := &ClientSession{
 			ID:            1,
 			Transport:     &scriptRW{r: bytes.NewReader(data)},
-			OnParams:      func(Params) ([]byte, error) { return []byte("n"), nil },
+			OnParams:      func(Params) error { return nil },
 			OnEvalRequest: func(uint32) error { return nil },
 		}
 		if err := cs.Start(); err != nil {

@@ -3,7 +3,7 @@
 // length-prefixed binary messages for the protocol lifecycle —
 // parameter negotiation, per-round evaluation requests, scaled results
 // and errors — plus client/server session state machines that enforce
-// the message order the DP analysis assumes (noise is committed before
+// the message order the DP analysis assumes (noise is sampled before
 // any evaluation round, results only flow after every client acked the
 // parameters).
 //
@@ -33,7 +33,7 @@ const (
 	MsgHello MsgType = iota + 1
 	// MsgParams announces the agreed mechanism parameters: server -> clients.
 	MsgParams
-	// MsgParamsAck confirms quantization + noise commitment: client -> server.
+	// MsgParamsAck confirms quantization and noise sampling: client -> server.
 	MsgParamsAck
 	// MsgEvalRequest starts one evaluation round: server -> clients.
 	MsgEvalRequest

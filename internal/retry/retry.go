@@ -38,9 +38,9 @@ type Policy struct {
 	// Seed keys the jitter stream; the same seed replays the same
 	// schedule.
 	Seed uint64
-	// Recorder receives per-attempt telemetry: <name>.attempts,
-	// <name>.retries and <name>.giveups counters plus <name>.retry
-	// events. Nil disables telemetry at zero cost.
+	// Recorder receives one warn-level <name>.retry event per failed
+	// attempt that is retried (attempt, backoff, err); a give-up is the
+	// returned ErrBudgetExhausted. Nil disables telemetry at zero cost.
 	Recorder obs.Recorder
 	// Name prefixes the telemetry; "" means "retry".
 	Name string
@@ -99,19 +99,9 @@ func (p Policy) Do(op func(attempt int) error) error {
 	if name == "" {
 		name = "retry"
 	}
-	var m *obs.Metrics
-	if p.Recorder != nil {
-		m = p.Recorder.Metrics()
-	}
-	count := func(suffix string) {
-		if m != nil {
-			m.Counter(name + "." + suffix).Add(1)
-		}
-	}
 	budget := p.attempts()
 	var err error
 	for attempt := 0; attempt < budget; attempt++ {
-		count("attempts")
 		if err = op(attempt); err == nil {
 			return nil
 		}
@@ -119,14 +109,12 @@ func (p Policy) Do(op func(attempt int) error) error {
 			break
 		}
 		backoff := p.Backoff(attempt, rng)
-		count("retries")
-		if p.Recorder != nil {
+		if p.Recorder != nil && p.Recorder.Enabled(obs.LevelWarn) {
 			p.Recorder.Event(obs.LevelWarn, name+".retry",
 				obs.Int("attempt", attempt+1), obs.Duration("backoff", backoff),
 				obs.String("err", err.Error()))
 		}
 		sleep(backoff)
 	}
-	count("giveups")
 	return fmt.Errorf("%w after %d attempt(s): %w", ErrBudgetExhausted, budget, err)
 }

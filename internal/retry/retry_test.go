@@ -2,7 +2,6 @@ package retry
 
 import (
 	"errors"
-	"io"
 	"testing"
 	"time"
 
@@ -118,27 +117,27 @@ func TestExhaustionWrapsLastError(t *testing.T) {
 	}
 }
 
+// TestCounters: what a policy did is counted from its events — one
+// <name>.retry per retried attempt, numbered from 1 — and a give-up is
+// the returned ErrBudgetExhausted, not a counter.
 func TestCounters(t *testing.T) {
-	rec := obs.NewLog(io.Discard, "text", obs.LevelInfo)
+	rec := obs.NewFlightRecorder(16)
 	p := Policy{Attempts: 3, Recorder: rec, Name: "dial", Sleep: func(time.Duration) {}}
-	p.Do(func(int) error { return errors.New("x") })
-	m := rec.Metrics()
-	if got := m.Counter("dial.attempts").Value(); got != 3 {
-		t.Fatalf("dial.attempts = %d, want 3", got)
+	if err := p.Do(func(int) error { return errors.New("x") }); !errors.Is(err, ErrBudgetExhausted) {
+		t.Fatalf("err = %v, want ErrBudgetExhausted", err)
 	}
-	if got := m.Counter("dial.retries").Value(); got != 2 {
-		t.Fatalf("dial.retries = %d, want 2", got)
-	}
-	if got := m.Counter("dial.giveups").Value(); got != 1 {
-		t.Fatalf("dial.giveups = %d, want 1", got)
-	}
-	// Success consumes attempts but no giveup.
+	// Success on the first attempt retries nothing.
 	p2 := Policy{Attempts: 3, Recorder: rec, Name: "ok"}
-	p2.Do(func(int) error { return nil })
-	if got := m.Counter("ok.attempts").Value(); got != 1 {
-		t.Fatalf("ok.attempts = %d, want 1", got)
+	if err := p2.Do(func(int) error { return nil }); err != nil {
+		t.Fatal(err)
 	}
-	if got := m.Counter("ok.giveups").Value(); got != 0 {
-		t.Fatalf("ok.giveups = %d, want 0", got)
+	evs := rec.Events()
+	if len(evs) != 2 {
+		t.Fatalf("recorded %d events, want 2 dial.retry: %v", len(evs), evs)
+	}
+	for i, ev := range evs {
+		if ev.Name != "dial.retry" || ev.Attrs["attempt"] != int64(i+1) {
+			t.Fatalf("event %d = %s %v, want dial.retry attempt=%d", i, ev.Name, ev.Attrs, i+1)
+		}
 	}
 }

@@ -13,8 +13,10 @@ import (
 // tracing stack: run a 3-party logistic-regression gradient session
 // over the TCP mesh with a shared trace context, dump every party's
 // flight recorder, and rebuild the timeline. Every cross-party
-// send/recv pair must match by (trace, lclock) and the per-party round
-// counters must appear in causal order.
+// send/recv pair must match by (trace, lclock), the per-party round
+// counters must appear in causal order, and the two surfaces must agree:
+// the bytes the timeline sums per link are the bytes the engine's own
+// counters report for the set-up and the two steps.
 func TestE2ETimelineFromTCPLogregSession(t *testing.T) {
 	const rows, cols, parties = 18, 3, 3
 	feat := linalg.NewMatrix(rows, cols)
@@ -40,11 +42,14 @@ func TestE2ETimelineFromTCPLogregSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := []float64{0.2, -0.1, 0.4}
+	counted := proto.SetupStats().Bytes
 	for round := 0; round < 2; round++ {
-		if _, _, err := proto.GradientSum(w, nil); err != nil {
+		_, tr, err := proto.GradientSum(w, nil)
+		if err != nil {
 			proto.Close()
 			t.Fatalf("gradient round %d: %v", round, err)
 		}
+		counted += tr.Stats.Bytes
 	}
 	if err := proto.Close(); err != nil {
 		t.Fatal(err)
@@ -90,6 +95,22 @@ func TestE2ETimelineFromTCPLogregSession(t *testing.T) {
 	for p := 0; p < parties; p++ {
 		if !seen[p] {
 			t.Fatalf("party %d missing from merged timeline (parties seen: %v)", p, seen)
+		}
+	}
+	var linked int64
+	for _, ls := range tl.Match.Links {
+		linked += ls.Bytes
+	}
+	if linked == 0 || linked != counted {
+		t.Fatalf("links carry %d bytes, engine counters %d (set-up + two steps)", linked, counted)
+	}
+	spans := map[string]SpanStat{}
+	for _, st := range tl.Spans {
+		spans[st.Name] = st
+	}
+	for _, name := range []string{"circuit.level", "circuit.open"} {
+		if st, ok := spans[name]; !ok || st.Count == 0 || st.Total <= 0 {
+			t.Fatalf("timeline spans %v lack %s", tl.Spans, name)
 		}
 	}
 }

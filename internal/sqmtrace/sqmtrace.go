@@ -5,7 +5,9 @@
 // a valid causal order because e happens-before f implies
 // lclock(e) < lclock(f). Cross-party edges are recovered by pairing
 // each transport.recv's remote_lclock with the transport.send that
-// carried the same stamp over the same directed link.
+// carried the same stamp over the same directed link. The events are
+// the run's only telemetry, so the timeline is also where its numbers
+// are summed: bytes and messages per link, count and seconds per span.
 package sqmtrace
 
 import (
@@ -143,12 +145,16 @@ func Merge(events []Event) []Event {
 	return out
 }
 
-// LinkStat summarizes the matched traffic of one directed link.
+// LinkStat summarizes the matched traffic of one directed link: frames,
+// the payload bytes and logical messages their sends carried, and the
+// send→recv wall-clock (same-host dumps).
 type LinkStat struct {
 	From, To int     `json:"-"`
 	Link     string  `json:"link"`
 	Matched  int     `json:"matched"`
-	MeanMS   float64 `json:"mean_ms"` // send→recv wall-clock (same-host dumps)
+	Bytes    int64   `json:"bytes"`
+	Messages int64   `json:"messages"`
+	MeanMS   float64 `json:"mean_ms"`
 	MaxMS    float64 `json:"max_ms"`
 }
 
@@ -177,9 +183,9 @@ func MatchSendRecv(events []Event) MatchReport {
 	sends := make(map[sendKey]Event)
 	var r MatchReport
 	type linkAgg struct {
-		n     int
-		sumNS int64
-		maxNS int64
+		n            int
+		bytes, msgs  int64
+		sumNS, maxNS int64
 	}
 	links := make(map[[2]int]*linkAgg)
 	for _, ev := range events {
@@ -216,6 +222,10 @@ func MatchSendRecv(events []Event) MatchReport {
 			links[lk] = agg
 		}
 		agg.n++
+		b, _ := attrInt(send.Attrs, "bytes")
+		m, _ := attrInt(send.Attrs, "msgs")
+		agg.bytes += b
+		agg.msgs += m
 		if d := ev.WallNS - send.WallNS; d > 0 {
 			agg.sumNS += d
 			if d > agg.maxNS {
@@ -233,10 +243,12 @@ func MatchSendRecv(events []Event) MatchReport {
 	for lk, agg := range links {
 		ls := LinkStat{
 			From: lk[0], To: lk[1],
-			Link:    fmt.Sprintf("%d->%d", lk[0], lk[1]),
-			Matched: agg.n,
-			MeanMS:  float64(agg.sumNS) / float64(agg.n) / 1e6,
-			MaxMS:   float64(agg.maxNS) / 1e6,
+			Link:     fmt.Sprintf("%d->%d", lk[0], lk[1]),
+			Matched:  agg.n,
+			Bytes:    agg.bytes,
+			Messages: agg.msgs,
+			MeanMS:   float64(agg.sumNS) / float64(agg.n) / 1e6,
+			MaxMS:    float64(agg.maxNS) / 1e6,
 		}
 		r.Links = append(r.Links, ls)
 		if ls.MeanMS > worst {
@@ -277,6 +289,43 @@ func Rounds(merged []Event) []RoundStat {
 		rs.Messages, _ = attrInt(ev.Attrs, "messages")
 		out = append(out, rs)
 	}
+	return out
+}
+
+// SpanStat summarizes every event of one name that carries a "seconds"
+// attribute: the TracedSpans (circuit.exec|level|open, session.hello|
+// params) and the timed boundaries (bgw.round, session.round).
+type SpanStat struct {
+	Name  string  `json:"name"`
+	Count int     `json:"count"`
+	Total float64 `json:"total_s"`
+	Mean  float64 `json:"mean_s"`
+	Max   float64 `json:"max_s"`
+}
+
+// Spans groups the timed events by name, sorted by name.
+func Spans(events []Event) []SpanStat {
+	byName := make(map[string]*SpanStat)
+	for _, ev := range events {
+		secs, ok := ev.Attrs["seconds"].(float64)
+		if !ok {
+			continue
+		}
+		st := byName[ev.Name]
+		if st == nil {
+			st = &SpanStat{Name: ev.Name}
+			byName[ev.Name] = st
+		}
+		st.Count++
+		st.Total += secs
+		st.Max = max(st.Max, secs)
+	}
+	out := make([]SpanStat, 0, len(byName))
+	for _, st := range byName {
+		st.Mean = st.Total / float64(st.Count)
+		out = append(out, *st)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
@@ -344,6 +393,7 @@ type Timeline struct {
 	Events        []Event       `json:"events"`
 	Match         MatchReport   `json:"match"`
 	Rounds        []RoundStat   `json:"rounds,omitempty"`
+	Spans         []SpanStat    `json:"spans,omitempty"`
 	Budget        []BudgetEvent `json:"budget,omitempty"`
 	CausalOrderOK bool          `json:"causal_order_ok"`
 }
@@ -352,6 +402,7 @@ type Timeline struct {
 func Build(events []Event, files []string) *Timeline {
 	merged := Merge(events)
 	tl := &Timeline{Files: files, Events: merged, Match: MatchSendRecv(merged), Rounds: Rounds(merged)}
+	tl.Spans = Spans(merged)
 	tl.Budget = BudgetEvents(merged)
 	_, tl.CausalOrderOK = CheckRoundOrder(merged)
 	seen := make(map[int]bool)
@@ -383,10 +434,18 @@ func (tl *Timeline) WriteText(w io.Writer) error {
 	fmt.Fprintf(bw, "send/recv: %d matched, %d unmatched sends, %d unmatched recvs\n",
 		tl.Match.Matched, len(tl.Match.UnmatchedSends), len(tl.Match.UnmatchedRecvs))
 	for _, ls := range tl.Match.Links {
-		fmt.Fprintf(bw, "  link %-8s %5d frames  mean %.3fms  max %.3fms\n", ls.Link, ls.Matched, ls.MeanMS, ls.MaxMS)
+		fmt.Fprintf(bw, "  link %-8s %5d frames %10d bytes %7d msgs  mean %.3fms  max %.3fms\n",
+			ls.Link, ls.Matched, ls.Bytes, ls.Messages, ls.MeanMS, ls.MaxMS)
 	}
 	if tl.Match.Straggler != "" {
 		fmt.Fprintf(bw, "  straggler: %s\n", tl.Match.Straggler)
+	}
+	if len(tl.Spans) > 0 {
+		fmt.Fprintf(bw, "spans:\n")
+	}
+	for _, st := range tl.Spans {
+		fmt.Fprintf(bw, "  %-16s %5d  total %.3fms  mean %.3fms  max %.3fms\n",
+			st.Name, st.Count, st.Total*1e3, st.Mean*1e3, st.Max*1e3)
 	}
 	if !tl.CausalOrderOK {
 		fmt.Fprintf(bw, "WARNING: round counters regress within the merged order\n")

@@ -29,10 +29,10 @@ func TestMergeSortsByLamportThenParty(t *testing.T) {
 
 func TestMatchSendRecvPairsAndOrphans(t *testing.T) {
 	events := []Event{
-		ev(0, 3, "transport.send", map[string]any{"peer": float64(1)}),
+		ev(0, 3, "transport.send", map[string]any{"peer": float64(1), "bytes": float64(40), "msgs": float64(5)}),
 		ev(1, 4, "transport.recv", map[string]any{"peer": float64(0), "remote_lclock": float64(3)}),
 		// A dropped frame: sent but never received.
-		ev(0, 7, "transport.send", map[string]any{"peer": float64(2)}),
+		ev(0, 7, "transport.send", map[string]any{"peer": float64(2), "bytes": float64(8), "msgs": float64(1)}),
 		// A receive whose sender dump was lost.
 		ev(2, 9, "transport.recv", map[string]any{"peer": float64(1), "remote_lclock": float64(8)}),
 	}
@@ -46,8 +46,26 @@ func TestMatchSendRecvPairsAndOrphans(t *testing.T) {
 	if len(r.UnmatchedRecvs) != 1 || r.UnmatchedRecvs[0].LClock != 9 {
 		t.Fatalf("unmatched recvs = %v", r.UnmatchedRecvs)
 	}
-	if len(r.Links) != 1 || r.Links[0].Link != "0->1" {
-		t.Fatalf("links = %v", r.Links)
+	// Only matched sends count toward a link's traffic.
+	if len(r.Links) != 1 || r.Links[0].Link != "0->1" || r.Links[0].Bytes != 40 || r.Links[0].Messages != 5 {
+		t.Fatalf("links = %+v", r.Links)
+	}
+}
+
+func TestSpansSummarizeSeconds(t *testing.T) {
+	events := []Event{
+		ev(0, 1, "circuit.level", map[string]any{"seconds": 0.25}),
+		ev(1, 2, "circuit.level", map[string]any{"seconds": 0.75}),
+		ev(-1, 3, "bgw.round", map[string]any{"seconds": 0.5, "round": float64(1)}),
+		ev(0, 4, "transport.send", map[string]any{"peer": float64(1)}),
+	}
+	got := Spans(events)
+	want := []SpanStat{
+		{Name: "bgw.round", Count: 1, Total: 0.5, Mean: 0.5, Max: 0.5},
+		{Name: "circuit.level", Count: 2, Total: 1, Mean: 0.5, Max: 0.75},
+	}
+	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("spans = %+v, want %+v", got, want)
 	}
 }
 

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -23,7 +22,6 @@ type ChanMesh struct {
 	messages atomic.Int64
 	bytes    atomic.Int64
 	closed   atomic.Bool
-	obs      *meshObs // nil when telemetry is disabled
 }
 
 // queue is an unbounded FIFO with close semantics.
@@ -94,7 +92,6 @@ func (q *queue) close() {
 }
 
 // NewChanMesh builds a fully connected in-memory mesh of p parties.
-// Pass WithRecorder to meter per-link traffic and send→recv latency.
 func NewChanMesh(p int, opts ...Option) *ChanMesh {
 	if p < 2 {
 		panic(invariant.Violation("transport: mesh needs at least 2 parties, got %d", p))
@@ -104,7 +101,6 @@ func NewChanMesh(p int, opts ...Option) *ChanMesh {
 		panic(invariant.Violation("transport: tracer has %d party streams, mesh has %d", o.trace.Parties(), p))
 	}
 	m := &ChanMesh{p: p, queues: make([][]*queue, p), conns: make([]*chanConn, p)}
-	m.obs = newMeshObs(p, "transport.chan", o.rec)
 	for i := 0; i < p; i++ {
 		m.queues[i] = make([]*queue, p)
 		for j := 0; j < p; j++ {
@@ -198,7 +194,6 @@ func (c *chanConn) SendN(to int, payload []byte, msgs int) error {
 	c.mesh.frames.Add(1)
 	c.mesh.messages.Add(int64(msgs))
 	c.mesh.bytes.Add(int64(len(payload)))
-	c.mesh.obs.onSend(c.id, to, len(payload), msgs)
 	c.tr.sent(lc, to, len(payload), msgs)
 	return nil
 }
@@ -208,19 +203,15 @@ func (c *chanConn) Recv(from int) ([]byte, error) {
 		return nil, fmt.Errorf("transport: party %d cannot receive from %d", c.id, from)
 	}
 	b, err := c.mesh.queues[from][c.id].popWait(time.Duration(c.timeout.Load()))
-	switch {
-	case err == nil:
-		c.mesh.obs.onRecv(from, c.id)
-		// The previous frame from this peer is dead by the Recv
-		// contract; recycle its wire buffer before stashing the new one
-		// (stashed whole, before the trace header is stripped).
-		recycle(c.prev[from])
-		c.prev[from] = b
-		b = c.tr.received(from, b)
-	case errors.Is(err, ErrTimeout):
-		c.mesh.obs.onTimeout(from, c.id)
+	if err != nil {
+		return nil, err
 	}
-	return b, err
+	// The previous frame from this peer is dead by the Recv contract;
+	// recycle its wire buffer before stashing the new one (stashed whole,
+	// before the trace header is stripped).
+	recycle(c.prev[from])
+	c.prev[from] = b
+	return c.tr.received(from, b), nil
 }
 
 // Close tears down every queue touching this party, so peers blocked on

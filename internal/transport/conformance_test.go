@@ -2,11 +2,8 @@ package transport
 
 import (
 	"errors"
-	"io"
 	"testing"
 	"time"
-
-	"sqm/internal/obs"
 )
 
 // TestConformanceClosedErr pins the close-error contract across every
@@ -162,31 +159,30 @@ func TestConformanceRecvTimeout(t *testing.T) {
 	}
 }
 
-// TestRecvTimeoutCounter verifies that expired deadlines are metered
-// under <prefix>.recv.timeouts for both mesh kinds.
+// TestRecvTimeoutCounter: an expired receive deadline is an error, not
+// traffic. The mesh's counters (what bgw.Stats reads) do not move, and a
+// frame sent after the expiry is delivered and counted once.
 func TestRecvTimeoutCounter(t *testing.T) {
-	for name, prefix := range map[string]string{"chan": "transport.chan", "tcp": "transport.net"} {
+	for name, mesh := range meshes(t, 2) {
 		t.Run(name, func(t *testing.T) {
-			rec := obs.NewLog(io.Discard, "text", obs.LevelInfo)
-			var mesh Mesh
-			if name == "chan" {
-				mesh = NewChanMesh(2, WithRecorder(rec))
-			} else {
-				m, err := NewTCPMesh(2, WithRecorder(rec))
-				if err != nil {
-					t.Fatal(err)
-				}
-				mesh = m
-			}
 			defer mesh.Close()
 			conn := mesh.Conn(0)
 			conn.SetRecvTimeout(5 * time.Millisecond)
-			before := rec.Metrics().Counter(prefix + ".recv.timeouts").Value()
 			if _, err := conn.Recv(1); !errors.Is(err, ErrTimeout) {
 				t.Fatalf("got %v, want ErrTimeout", err)
 			}
-			if got := rec.Metrics().Counter(prefix + ".recv.timeouts").Value(); got != before+1 {
-				t.Fatalf("%s.recv.timeouts = %d, want %d", prefix, got, before+1)
+			if f, m, b := mesh.Counters(); f != 0 || m != 0 || b != 0 {
+				t.Fatalf("counters after a timeout = (%d, %d, %d), want zeros", f, m, b)
+			}
+			if err := mesh.Conn(1).Send(0, []byte("late")); err != nil {
+				t.Fatal(err)
+			}
+			conn.SetRecvTimeout(0)
+			if got, err := conn.Recv(1); err != nil || string(got) != "late" {
+				t.Fatalf("Recv = %q, %v; want \"late\", nil", got, err)
+			}
+			if f, m, b := mesh.Counters(); f != 1 || m != 1 || b != 4 {
+				t.Fatalf("counters = (%d, %d, %d), want (1, 1, 4)", f, m, b)
 			}
 		})
 	}

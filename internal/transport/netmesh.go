@@ -31,7 +31,6 @@ type NetMesh struct {
 	messages atomic.Int64
 	bytes    atomic.Int64
 	closed   atomic.Bool
-	obs      *meshObs // nil when telemetry is disabled
 }
 
 // netConn is one party's endpoint: links[j] is the connection to party
@@ -101,7 +100,6 @@ func NewNetMesh(p int, pair, peer [][]net.Conn, opts ...Option) (*NetMesh, error
 		return nil, fmt.Errorf("transport: tracer has %d party streams, mesh has %d", o.trace.Parties(), p)
 	}
 	m := &NetMesh{p: p, conns: make([]*netConn, p)}
-	m.obs = newMeshObs(p, "transport.net", o.rec)
 	for i := 0; i < p; i++ {
 		m.conns[i] = &netConn{mesh: m, id: i, links: make([]*link, p), tr: newConnTrace(o.trace, i)}
 	}
@@ -283,7 +281,6 @@ func (c *netConn) SendN(to int, payload []byte, msgs int) error {
 	c.mesh.frames.Add(1)
 	c.mesh.messages.Add(int64(msgs))
 	c.mesh.bytes.Add(int64(len(payload)))
-	c.mesh.obs.onSend(c.id, to, len(payload), msgs)
 	c.tr.sent(lc, to, len(payload), msgs)
 	return nil
 }
@@ -309,11 +306,7 @@ func (c *netConn) Recv(from int) ([]byte, error) {
 	m, rbuf, err := protocol.ReadMessageInto(conn, l.rbuf)
 	l.rbuf = rbuf
 	if err != nil {
-		err = wrapFailure(err)
-		if isTimeoutErr(err) {
-			c.mesh.obs.onTimeout(from, c.id)
-		}
-		return nil, err
+		return nil, wrapFailure(err)
 	}
 	if m.Type != protocol.MsgShare {
 		return nil, fmt.Errorf("transport: party %d expected share frame from %d, got %v", c.id, from, m.Type)
@@ -321,7 +314,6 @@ func (c *netConn) Recv(from int) ([]byte, error) {
 	if m.Session != uint32(from) {
 		return nil, fmt.Errorf("transport: party %d expected sender %d, frame claims %d", c.id, from, m.Session)
 	}
-	c.mesh.obs.onRecv(from, c.id)
 	return c.tr.received(from, m.Payload), nil
 }
 

@@ -60,8 +60,7 @@ func unwrapTraceFrame(b []byte) (id obs.TraceID, from int, lclock uint64, rest [
 }
 
 // connTrace is one endpoint's tracing state. A nil *connTrace (tracing
-// disabled) makes every method a single-branch no-op, mirroring the
-// meshObs pattern.
+// disabled) makes every method a single-branch no-op.
 type connTrace struct {
 	pt *obs.PartyTrace
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"sync"
 	"testing"
@@ -213,46 +214,31 @@ func TestMeshCountersMeasureBytes(t *testing.T) {
 	}
 }
 
-// obsMeshes returns one instrumented instance of every Mesh
-// implementation plus the recorder that observed it.
-func obsMeshes(t *testing.T, p int) map[string]struct {
-	mesh Mesh
-	rec  obs.Recorder
-} {
-	t.Helper()
-	out := make(map[string]struct {
-		mesh Mesh
-		rec  obs.Recorder
-	})
-	chRec := obs.NewLog(io.Discard, "text", obs.LevelInfo)
-	out["chan"] = struct {
-		mesh Mesh
-		rec  obs.Recorder
-	}{NewChanMesh(p, WithRecorder(chRec)), chRec}
-	tcpRec := obs.NewLog(io.Discard, "text", obs.LevelInfo)
-	tcp, err := NewTCPMesh(p, WithRecorder(tcpRec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["tcp"] = struct {
-		mesh Mesh
-		rec  obs.Recorder
-	}{tcp, tcpRec}
-	return out
-}
-
+// TestMeshTelemetry: on a traced mesh the per-link traffic is the
+// transport.send events of the sender's stream (peer, bytes, msgs), and
+// summed over the links it is the mesh's own Counters.
 func TestMeshTelemetry(t *testing.T) {
-	prefix := map[string]string{"chan": "transport.chan", "tcp": "transport.net"}
-	for name, im := range obsMeshes(t, 3) {
+	const p = 3
+	for _, name := range []string{"chan", "tcp"} {
 		t.Run(name, func(t *testing.T) {
-			mesh, m := im.mesh, im.rec.Metrics()
+			tc := obs.NewTraceContext(obs.DeriveTraceID(9), p)
+			var mesh Mesh
+			if name == "chan" {
+				mesh = NewChanMesh(p, WithTracer(tc))
+			} else {
+				m, err := NewTCPMesh(p, WithTracer(tc))
+				if err != nil {
+					t.Fatal(err)
+				}
+				mesh = m
+			}
 			defer mesh.Close()
 			for k := 0; k < 5; k++ {
 				if err := mesh.Conn(0).Send(1, make([]byte, 24)); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if err := mesh.Conn(2).Send(0, make([]byte, 8)); err != nil {
+			if err := mesh.Conn(2).SendN(0, make([]byte, 8), 3); err != nil {
 				t.Fatal(err)
 			}
 			for k := 0; k < 5; k++ {
@@ -263,28 +249,31 @@ func TestMeshTelemetry(t *testing.T) {
 			if _, err := mesh.Conn(0).Recv(2); err != nil {
 				t.Fatal(err)
 			}
-			pre := prefix[name]
-			if got := m.Counter(pre + ".messages").Value(); got != 6 {
-				t.Fatalf("%s.messages = %d, want 6", pre, got)
+			type link struct{ frames, msgs, bytes int64 }
+			links := map[[2]int]link{}
+			for from := 0; from < p; from++ {
+				for _, ev := range tc.Party(from).Flight().Events() {
+					if ev.Name != "transport.send" {
+						continue
+					}
+					k := [2]int{from, int(attr(t, ev, "peer"))}
+					l := links[k]
+					l.frames++
+					l.msgs += attr(t, ev, "msgs")
+					l.bytes += attr(t, ev, "bytes")
+					links[k] = l
+				}
 			}
-			if got := m.Counter(pre + ".bytes").Value(); got != 5*24+8 {
-				t.Fatalf("%s.bytes = %d, want 128", pre, got)
+			want := map[[2]int]link{{0, 1}: {5, 5, 5 * 24}, {2, 0}: {1, 3, 8}}
+			if !maps.Equal(links, want) {
+				t.Fatalf("per-link sends = %v, want %v", links, want)
 			}
-			if got := m.Counter(pre + ".link.0_1.messages").Value(); got != 5 {
-				t.Fatalf("link 0->1 messages = %d, want 5", got)
+			var sum link
+			for _, l := range links {
+				sum = link{sum.frames + l.frames, sum.msgs + l.msgs, sum.bytes + l.bytes}
 			}
-			if got := m.Counter(pre + ".link.2_0.bytes").Value(); got != 8 {
-				t.Fatalf("link 2->0 bytes = %d, want 8", got)
-			}
-			if got := m.Counter(pre + ".link.1_0.messages").Value(); got != 0 {
-				t.Fatalf("unused link counted %d messages", got)
-			}
-			lat := m.Histogram(pre + ".send_recv.seconds").Snapshot()
-			if lat.Count != 6 {
-				t.Fatalf("latency observations = %d, want 6", lat.Count)
-			}
-			if lat.Max <= 0 {
-				t.Fatalf("latency max = %g, want > 0", lat.Max)
+			if f, m, b := mesh.Counters(); (link{f, m, b}) != sum {
+				t.Fatalf("Counters = (%d, %d, %d), events sum to %+v", f, m, b, sum)
 			}
 		})
 	}

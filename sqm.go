@@ -190,14 +190,12 @@ func NewAccountant(maxAlpha int) *Accountant { return dp.NewAccountant(maxAlpha)
 
 // ---- Observability ----
 
-// Recorder is the telemetry sink threaded through the engines, meshes
-// and sessions: structured events plus a metrics registry of counters,
-// gauges and histograms. Attach one via Params.Recorder or
+// Recorder is the telemetry sink threaded through the engines and
+// sessions: one stream of structured events (Enabled, Event), whose
+// attributes carry every number — a span's "seconds", a round's frame
+// deltas, a release's ε. Attach one via Params.Recorder or
 // WithSessionRecorder; a nil Recorder disables telemetry at zero cost.
 type Recorder = obs.Recorder
-
-// RecorderMetrics is the registry a Recorder carries.
-type RecorderMetrics = obs.Metrics
 
 // Log levels accepted by NewLogRecorder.
 const (
@@ -207,14 +205,13 @@ const (
 )
 
 // NewLogRecorder builds a slog-backed recorder writing structured
-// events to w ("json" or "text" format) at or above min, with a fresh
-// metrics registry attached.
+// events to w ("json" or "text" format) at or above min.
 func NewLogRecorder(w io.Writer, format string, min obs.Level) *obs.LogRecorder {
 	return obs.NewLog(w, format, min)
 }
 
-// NopRecorder is the disabled recorder: events vanish and no metrics
-// registry is attached.
+// NopRecorder is the disabled recorder: Enabled answers false and
+// events vanish.
 func NopRecorder() Recorder { return obs.Nop() }
 
 // TraceID identifies one distributed trace (a whole session across
@@ -469,7 +466,7 @@ func AuditEpsilon(onX, onNeighbor AuditSampler, cfg AuditConfig) (*AuditResult, 
 type SessionParams = protocol.Params
 
 // SessionClientHooks is the work one client performs at each lifecycle
-// step (quantize + commit noise on params, then its share of each
+// step (quantize and sample noise on params, then its share of each
 // round).
 type SessionClientHooks = protocol.ClientHooks
 
@@ -484,8 +481,8 @@ type SessionOption = protocol.SessionOption
 
 // WithSessionRecorder attaches a telemetry recorder to the session run:
 // the coordinator emits structured lifecycle events (session.start,
-// session.round, session.done, ...) and times every phase into the
-// recorder's metrics registry.
+// session.hello / session.params spans, session.round with its
+// "seconds", session.done or session.abort).
 func WithSessionRecorder(rec Recorder) SessionOption { return protocol.WithRecorder(rec) }
 
 // WithSessionTrace attaches a distributed-tracing context: every
@@ -502,7 +499,7 @@ func WithSessionTrace(tc *TraceContext) SessionOption { return protocol.WithTrac
 func WithSessionTraceDir(dir string) SessionOption { return protocol.WithTraceDir(dir) }
 
 // RunVFLSession executes the full SQM session lifecycle — hello,
-// parameter commitment, evaluation rounds, result broadcast — over the
+// parameters and their ack, evaluation rounds, result broadcast — over the
 // versioned wire protocol (in-memory transport; a deployment would use
 // TLS connections). evaluate runs on the coordinator once per round
 // after every client finished its protocol work.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"runtime"
 	"sync"
 	"time"
 
@@ -58,9 +57,10 @@ func Covariance(x *linalg.Matrix, p Params) (*linalg.Matrix, *Trace, error) {
 
 // accumulateGram adds the upper triangle of dataᵀ·data onto upper with
 // direct integer arithmetic. Row-major accumulation over records keeps
-// the inner loop cache friendly; large inputs split across workers with
-// exact int64 partial sums, so the result is independent of the
-// schedule.
+// the inner loop cache friendly; large inputs split their records across
+// the cores (forChunks), each worker summing its own partial triangle,
+// and the exact int64 partials are added in whatever order the workers
+// finish, so the result is independent of the schedule.
 func accumulateGram(qd *quant.IntMatrix, upper []int64) {
 	n := qd.Cols
 	accumulate := func(lo, hi int, dst []int64) {
@@ -81,41 +81,31 @@ func accumulateGram(qd *quant.IntMatrix, upper []int64) {
 		}
 	}
 	const parallelThreshold = 1 << 22 // ~4M multiply-adds
-	if work := qd.Rows * len(upper); work >= parallelThreshold && qd.Rows >= 4 {
-		workers := runtime.GOMAXPROCS(0)
-		if workers > qd.Rows {
-			workers = qd.Rows
-		}
-		partials := make([][]int64, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := w * qd.Rows / workers
-			hi := (w + 1) * qd.Rows / workers
-			partials[w] = make([]int64, len(upper))
-			wg.Add(1)
-			go func(lo, hi int, dst []int64) {
-				defer wg.Done()
-				accumulate(lo, hi, dst)
-			}(lo, hi, partials[w])
-		}
-		wg.Wait()
-		for _, p := range partials {
-			for k, v := range p {
-				upper[k] += v
-			}
-		}
-	} else {
+	if qd.Rows*len(upper) < parallelThreshold || qd.Rows < 4 {
 		accumulate(0, qd.Rows, upper)
+		return
 	}
+	var mu sync.Mutex
+	forChunks(qd.Rows, func(lo, hi int) {
+		partial := make([]int64, len(upper))
+		accumulate(lo, hi, partial)
+		mu.Lock()
+		defer mu.Unlock()
+		for k, v := range partial {
+			upper[k] += v
+		}
+	})
 }
 
 // drawNoiseOnto is the plain engine's covariance noise injection: every
 // client's Sk(μ/n) draws added onto the triangle in place, client by
 // client from its own stream through the release's one sampler
 // (randx.SkellamSampler: one set of PTRS constants and one acceptance
-// table, on the stack), the values sampleNoise would add. Drawing them
-// onto a noise vector first would hold a second n(n+1)/2 triangle — GBs
-// at the paper's n = 2 500.
+// table, on the stack), the values sampleNoise would add. It stays on
+// the caller's goroutine: sampleNoise splits the noise holders across
+// the cores, and the plain engine has one holder, whose one vector is
+// the triangle. Drawing the shares onto a noise vector first would hold
+// a second n(n+1)/2 triangle — GBs at the paper's n = 2 500.
 func (r *release) drawNoiseOnto(upper []int64) {
 	defer r.noiseTime(time.Now())
 	s := randx.NewSkellamSampler(r.noiseShare())

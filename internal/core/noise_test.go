@@ -2,7 +2,12 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
+	"math"
+	"runtime"
+	"slices"
+	"sync"
 	"testing"
 
 	"sqm/internal/linalg"
@@ -75,24 +80,183 @@ func TestNoiseHolderSums(t *testing.T) {
 	}
 }
 
-// TestSampleNoiseAllocatesOnlyItsVectors: the release's one sampler, its
-// acceptance table included, lives on sampleNoise's stack; the holder
-// vectors and the slice of them are all it allocates, at an LR step's
-// length and at a covariance triangle's (randx's
-// TestAddSkellamAllocatesNothing holds the sampler itself to zero).
-func TestSampleNoiseAllocatesOnlyItsVectors(t *testing.T) {
-	for _, dims := range []int{50, 7260} {
-		p := Params{Gamma: 1, Mu: 1.61308e6, NumClients: 12, Engine: EngineBGW, Parties: 4, Seed: 5}
-		if err := p.normalize(p.NumClients); err != nil {
+// TestClientStagesIndependentOfGOMAXPROCS: quantizeByClient and
+// sampleNoise split the clients across the cores, and at every core count
+// they return exactly what the serial loops return — the quantized
+// matrix, every holder vector, and every client's stream left where
+// rounding its columns and then drawing its share leave it — for one
+// client, fewer clients than workers, and more, on the plaintext
+// engine's one holder and the BGW engines' one per party.
+func TestClientStagesIndependentOfGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	const dims = 40
+	x := randMatrix(7, 130, 0.9, 13)
+	for _, c := range []struct {
+		engine           EngineKind
+		parties, clients int
+	}{
+		{EnginePlain, 0, 1}, {EngineBGW, 4, 1}, {EngineBGW, 4, 3}, {EnginePlain, 0, 12},
+		{EngineBGW, 4, 12}, {EngineBGW, 10, 12}, {EnginePlain, 0, 120}, {EngineBGW, 4, 120},
+	} {
+		p := Params{Gamma: 64, Mu: 1.61308e6, NumClients: c.clients, Engine: c.engine, Parties: c.parties, Seed: 9}
+		if err := p.normalize(x.Cols); err != nil {
 			t.Fatal(err)
 		}
-		_, rngs := rngFamily(p.Seed, p.NumClients)
-		r := p.begin(rngs)
-		if a := testing.AllocsPerRun(3, func() { r.sampleNoise(dims) }); a > 2 {
-			t.Errorf("sampleNoise(%d): %v allocations, want at most 2", dims, a)
+		_, ref := rngFamily(p.Seed, p.NumClients)
+		wantQ := make([]int64, x.Rows*x.Cols)
+		for j := 0; j < x.Cols; j++ {
+			g := ref[p.clientOf(j, x.Cols)]
+			for i := 0; i < x.Rows; i++ {
+				wantQ[i*x.Cols+j] = g.StochasticRound(p.Gamma * x.At(i, j))
+			}
+		}
+		wantNoise := make([][]int64, 1)
+		if c.engine.IsMPC() {
+			wantNoise = make([][]int64, min(c.clients, c.parties))
+		}
+		for h := range wantNoise {
+			wantNoise[h] = make([]int64, dims)
+		}
+		for j, g := range ref {
+			for k, z := range g.SkellamVec(dims, p.Mu/float64(p.NumClients)) {
+				wantNoise[p.partyOf(j)][k] += z
+			}
+		}
+		wantNext := make([]uint64, len(ref))
+		for j, g := range ref {
+			wantNext[j] = g.Uint64()
+		}
+
+		for _, procs := range []int{1, 2, 3, 8} {
+			runtime.GOMAXPROCS(procs)
+			name := fmt.Sprintf("%v P=%d n=%d GOMAXPROCS=%d", c.engine, c.parties, c.clients, procs)
+			_, rngs := rngFamily(p.Seed, p.NumClients)
+			q := quantizeByClient(x, &p, rngs)
+			if !slices.Equal(q.Data, wantQ) {
+				t.Errorf("%s: quantized matrix differs from the serial loop's", name)
+			}
+			noise := p.begin(rngs).sampleNoise(dims)
+			if len(noise) != len(wantNoise) {
+				t.Fatalf("%s: %d noise vectors, want %d", name, len(noise), len(wantNoise))
+			}
+			for h := range noise {
+				if !slices.Equal(noise[h], wantNoise[h]) {
+					t.Errorf("%s: holder %d's vector differs from its clients' serial draws", name, h)
+				}
+			}
+			for j, g := range rngs {
+				if got := g.Uint64(); got != wantNext[j] {
+					t.Errorf("%s: client %d's stream continues with %#x, serially %#x", name, j, got, wantNext[j])
+				}
+			}
 		}
 	}
 }
+
+// TestSampleNoiseAllocatesOnlyItsVectors: each worker's sampler, its
+// acceptance table included, lives on the worker's stack, so what a call
+// allocates besides the holder vectors is the fan-out's bookkeeping: the
+// count is the same at 12 and 120 clients and at an LR step's length and
+// a covariance triangle's, and the heap bytes stay below the vectors'
+// (as the allocator rounds them) plus 4 KB, which one 16 KB table on the
+// heap would exceed (randx's TestAddSkellamAllocatesNothing holds the
+// sampler itself to zero). GOMAXPROCS is pinned at 4 so that the four
+// holders run on four workers, three of them goroutines, whatever the
+// machine.
+func TestSampleNoiseAllocatesOnlyItsVectors(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	fillGoroutineFreeLists()
+	const parties, runs = 4, 10
+	var count []uint64
+	for _, clients := range []int{12, 120} {
+		for _, dims := range []int{50, 7260} {
+			p := Params{Gamma: 1, Mu: 1.61308e6, NumClients: clients, Engine: EngineBGW, Parties: parties, Seed: 5}
+			if err := p.normalize(p.NumClients); err != nil {
+				t.Fatal(err)
+			}
+			_, rngs := rngFamily(p.Seed, p.NumClients)
+			r := p.begin(rngs)
+			r.sampleNoise(dims)
+			allocs, bytes := uint64(math.MaxUint64), uint64(math.MaxUint64)
+			for range 3 {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for range runs {
+					r.sampleNoise(dims)
+				}
+				runtime.ReadMemStats(&after)
+				allocs = min(allocs, (after.Mallocs-before.Mallocs)/runs)
+				bytes = min(bytes, (after.TotalAlloc-before.TotalAlloc)/runs)
+			}
+			if limit := vectorBytes(parties*dims) + 4096; bytes >= limit {
+				t.Errorf("sampleNoise(%d) over %d clients: %d heap bytes, want below %d", dims, clients, bytes, limit)
+			}
+			count = append(count, allocs)
+		}
+	}
+	for _, a := range count[1:] {
+		if a != count[0] {
+			t.Errorf("sampleNoise allocations at (12, 50), (12, 7260), (120, 50), (120, 7260): %v, want one count", count)
+			break
+		}
+	}
+}
+
+// fillGoroutineFreeLists parks a thousand goroutines at once and lets
+// them exit. A worker that exits on another processor than the one
+// that started it leaves its goroutine descriptor on that processor's
+// free list, so until those lists overflow into the scheduler's global
+// one the caller allocates a fresh descriptor per worker it starts — a
+// count that depends on how a loaded machine schedules, not on the
+// code under test.
+func fillGoroutineFreeLists() {
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for range 1024 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+		}()
+	}
+	close(start)
+	wg.Wait()
+}
+
+// vectorSink keeps vectorBytes's allocation live.
+var vectorSink []int64
+
+// vectorBytes is the heap a make([]int64, n) takes: n·8 rounded up to the
+// allocator's size class or page.
+func vectorBytes(n int) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	vectorSink = make([]int64, n)
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// BenchmarkSampleNoise draws a whole cov_mono release's noise the way its
+// MPC covariance does: 120 clients' Sk(μ/n) shares on the 7 260 entries
+// of the n = 120 triangle, onto the vectors of P = 4 holders split across
+// GOMAXPROCS workers. ns/op ÷ (120 · 7260) is the per-entry wall-clock
+// cost; with -cpu 1 it is randx's BenchmarkSkellamSamplerShared.
+func BenchmarkSampleNoise(b *testing.B) {
+	p := Params{Gamma: 1, Mu: 1.61308e6, NumClients: 120, Engine: EngineBGW, Parties: 4, Seed: 5}
+	if err := p.normalize(p.NumClients); err != nil {
+		b.Fatal(err)
+	}
+	_, rngs := rngFamily(p.Seed, p.NumClients)
+	r := p.begin(rngs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		noiseSink = r.sampleNoise(7260)
+	}
+}
+
+// noiseSink keeps BenchmarkSampleNoise's vectors live.
+var noiseSink [][]int64
 
 // goldenScaled are scaledDigest of every release shape below, recorded at
 // 991df84, before a party drew its clients' noise onto one vector. Every

@@ -9,15 +9,16 @@
 //
 //  1. every client quantizes its private column with Algorithm 2
 //     (up-scale by γ, stochastic rounding) — quantizeByClient, package
-//     quant;
+//     quant — the clients split across the cores (forChunks);
 //  2. the public polynomial's coefficients are pre-processed so that
 //     every monomial carries the same overall factor γ^{λ+1} — package
 //     poly, or the gradient protocol's link;
 //  3. every client privately samples a share Sk(μ/n) of the Skellam
 //     noise from its own stream, drawn onto the one vector of the noise
 //     holder hosting it — its party on the BGW engines, the evaluator on
-//     the plaintext one — through the release's one sampler
-//     (release.sampleNoise, randx.SkellamSampler);
+//     the plaintext one — the holders split across the cores, each
+//     worker drawing through its own sampler (release.sampleNoise,
+//     randx.SkellamSampler);
 //  4. the static bound on the aggregate is checked against the field,
 //     and only then is the engine selected — release.evaluate, the one
 //     place Params.Engine forks. The plaintext integer engine adds the
@@ -41,6 +42,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 	"time"
 
 	"sqm/internal/bgw"
@@ -322,10 +325,11 @@ func (r *release) noiseShare() float64 { return r.p.Mu / float64(len(r.rngs)) }
 // onto the vector of the noise holder hosting the client: out[h] is the
 // sum of the Sk(μ/n) shares of party h's clients on an MPC engine (one
 // vector per party that hosts a client), and of all n on the plaintext
-// engine (one vector). Clients draw in client order, each from its own
-// private stream, through one sampler of Sk(μ/n) — one PTRS acceptance
-// table per release, on the stack — so the sums are those of the
-// per-client vectors.
+// engine (one vector). The holders are split across the cores
+// (forChunks); each worker draws its holders' clients in client order,
+// each from its own private stream, through its own sampler of Sk(μ/n) —
+// one PTRS acceptance table per worker, on the worker's stack — so the
+// sums are those of the per-client vectors whatever the core count.
 func (r *release) sampleNoise(dims int) [][]int64 {
 	defer r.noiseTime(time.Now())
 	holders := 1
@@ -337,11 +341,15 @@ func (r *release) sampleNoise(dims int) [][]int64 {
 	for h := range out {
 		out[h] = flat[h*dims : (h+1)*dims : (h+1)*dims]
 	}
-	s := randx.NewSkellamSampler(r.noiseShare())
-	for j, g := range r.rngs {
-		h := r.p.partyOf(j)
-		out[h] = s.Add(g, out[h])
-	}
+	mu := r.noiseShare()
+	forChunks(holders, func(lo, hi int) {
+		s := randx.NewSkellamSampler(mu)
+		for j, g := range r.rngs {
+			if h := r.p.partyOf(j); h >= lo && h < hi {
+				out[h] = s.Add(g, out[h])
+			}
+		}
+	})
 	return out
 }
 
@@ -496,14 +504,48 @@ func rngFamily(seed uint64, clients int) (pub *randx.RNG, clientRNGs []*randx.RN
 }
 
 // quantizeByClient runs Algorithm 2 on every column using the owning
-// client's private randomness.
+// client's private randomness. The clients are split across the cores
+// (forChunks); a client's columns are rounded from its own stream in
+// column order, rows in order, so the integers and every stream's state
+// afterwards are the same whatever the core count.
 func quantizeByClient(x *linalg.Matrix, p *Params, clientRNGs []*randx.RNG) *quant.IntMatrix {
 	out := quant.NewIntMatrix(x.Rows, x.Cols)
-	for j := 0; j < x.Cols; j++ {
-		g := clientRNGs[p.clientOf(j, x.Cols)]
-		for i := 0; i < x.Rows; i++ {
-			out.Set(i, j, g.StochasticRound(p.Gamma*x.At(i, j)))
+	forChunks(len(clientRNGs), func(lo, hi int) {
+		for j := 0; j < x.Cols; j++ {
+			c := p.clientOf(j, x.Cols)
+			if c < lo || c >= hi {
+				continue
+			}
+			g := clientRNGs[c]
+			for i := 0; i < x.Rows; i++ {
+				out.Set(i, j, g.StochasticRound(p.Gamma*x.At(i, j)))
+			}
 		}
-	}
+	})
 	return out
+}
+
+// forChunks splits [0, n) into min(n, GOMAXPROCS) contiguous chunks,
+// whose bounds depend only on n and their number, and runs fn(lo, hi) on
+// each: every chunk but the last on a goroutine of its own, the last on
+// the caller's, and returns when all have. As with bgw.parallelChunks,
+// writers must target disjoint ranges; fn may draw only from streams its
+// chunk owns, so what it computes does not depend on the schedule or on
+// the number of cores.
+func forChunks(n int, fn func(lo, hi int)) {
+	chunks := min(n, runtime.GOMAXPROCS(0))
+	if chunks < 1 {
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(chunks - 1)
+	for c := 0; c < chunks-1; c++ {
+		lo, hi := c*n/chunks, (c+1)*n/chunks
+		go func() {
+			defer wg.Done()
+			fn(lo, hi)
+		}()
+	}
+	fn((chunks-1)*n/chunks, n)
+	wg.Wait()
 }

@@ -7,6 +7,7 @@ package dpbudgetfixture
 
 import (
 	"fmt"
+	"sync"
 
 	"sqm/internal/dp"
 	"sqm/internal/obs"
@@ -79,6 +80,39 @@ func AccountedSampler(g *randx.RNG, acct *dp.Accountant) {
 	v := fillShared(g, make([]int64, 4))
 	acct.AddSkellam(8, 8, 8)
 	fmt.Println(v)
+}
+
+// drawParallel draws every holder's vector on a goroutine of its own,
+// each through a sampler of its own, and joins: a worker's draws reach
+// the caller through the vector it wrote.
+func drawParallel(gs []*randx.RNG) [][]int64 {
+	out := make([][]int64, len(gs))
+	var wg sync.WaitGroup
+	for h, g := range gs {
+		out[h] = make([]int64, 4)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := randx.NewSkellamSampler(8)
+			out[h] = s.Add(g, out[h])
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
+// BadParallelSampler releases a vector drawn on a worker goroutine after
+// the join, unmetered.
+func BadParallelSampler(gs []*randx.RNG) {
+	out := drawParallel(gs)
+	fmt.Println(out[0][0]) // want "DP-noisy value escapes via fmt.Println"
+}
+
+// AccountedParallelSampler meters the same release before printing it.
+func AccountedParallelSampler(gs []*randx.RNG, acct *dp.Accountant) {
+	out := drawParallel(gs)
+	acct.AddSkellam(8, 8, 8)
+	fmt.Println(out[0][0])
 }
 
 // Good prints only noise-free values.

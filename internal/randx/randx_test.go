@@ -560,9 +560,10 @@ func BenchmarkSkellamVecPTRS(b *testing.B) {
 }
 
 // BenchmarkSkellamSamplerShared draws a whole cov_mono release's noise
-// the way release.sampleNoise does: one sampler for the release, its 120
-// clients' streams drawing their 7 260 shares each onto one vector.
-// ns/op ÷ (120 · 7260) is the per-entry cost.
+// through one sampler on one core, as release.sampleNoise does at
+// GOMAXPROCS=1: its 120 clients' streams drawing their 7 260 shares each
+// onto one vector. ns/op ÷ (120 · 7260) is the per-entry cost; core's
+// BenchmarkSampleNoise is the release split across the cores.
 func BenchmarkSkellamSamplerShared(b *testing.B) {
 	streams := make([]*RNG, 120)
 	for j := range streams {

@@ -38,10 +38,13 @@ import (
 // actorOp.queues) only append to the current batch; every other command
 // — anything with a vector, a batch, a frame or a reply — is appended
 // and then flushes the batch with one channel send per party, so a
-// planned local gate costs an append, not P channel operations. Vector
-// commands flush at once because the parties' sharing work must overlap
-// the caller's next quantise/noise step (DESIGN.md "Per-gate cost" has
-// the measurement).
+// planned local gate costs an append, not P channel operations.
+//
+// Input vectors travel as one round. InputVec adds its vector to the
+// open round, and the engine's next command of any other kind, or the
+// round's boundary (AdvanceRound), issues the round as one command
+// (issueRound): every party deals all the vectors it owns before it
+// waits on a peer's, so no party's dealing waits on another's.
 type Engine struct {
 	p, t    int
 	mesh    transport.Mesh // nil when the parties run inline
@@ -49,6 +52,9 @@ type Engine struct {
 	parties []*actorParty
 	wg      sync.WaitGroup
 
+	// round is the open input round: the vectors InputVec took since the
+	// last command was issued.
+	round []vecInput
 	// queue is the unsent tail of the current command chunk: dispatch
 	// hands the parties queue[:len] (capacity clipped) and keeps writing
 	// behind it, so sent commands are never touched again.
@@ -127,7 +133,7 @@ func newEngine(cfg Config, mesh transport.Mesh) (*Engine, error) {
 	}
 	e := &Engine{p: cfg.Parties, t: t, mesh: mesh, rec: obs.Or(cfg.Recorder)}
 	if mesh == nil {
-		e.hub = &memHub{p: cfg.Parties, box: make([]memRow, cfg.Parties*cfg.Parties)}
+		e.hub = newMemHub(cfg.Parties)
 	} else {
 		if mesh.Parties() != cfg.Parties {
 			return nil, fmt.Errorf("bgw: mesh has %d endpoints for %d parties", mesh.Parties(), cfg.Parties)
@@ -162,9 +168,9 @@ func newEngine(cfg Config, mesh transport.Mesh) (*Engine, error) {
 		}
 		pa.link = &wireLink{conn: mesh.Conn(i)}
 		pa.chunks = 1
-		// 256 batches in flight: a vector command is a batch of its
-		// own, so covariance sessions keep the pipelining depth they
-		// had when the channel carried single commands.
+		// 256 batches in flight: every command that is not a scalar local
+		// gate ends a batch, so the parties fall behind the caller by at
+		// most that many.
 		pa.cmds = make(chan []actorCmd, 256)
 		e.wg.Add(1)
 		go func() {
@@ -193,10 +199,12 @@ func (e *Engine) traffic() (frames, msgs, bytes int64) {
 	return e.hub.frames, e.hub.msgs, e.hub.bytes
 }
 
-// AdvanceRound accounts one communication round; when the recorder admits
-// debug events, the wall-clock since the previous boundary becomes one
-// bgw.round event carrying "seconds" and the round's frame/message deltas.
+// AdvanceRound accounts one communication round, after issuing the open
+// input round; when the recorder admits debug events, the wall-clock
+// since the previous boundary becomes one bgw.round event carrying
+// "seconds" and the round's frame/message deltas.
 func (e *Engine) AdvanceRound() {
+	e.issueRound()
 	e.rounds++
 	if e.rec.Enabled(obs.LevelDebug) {
 		now := time.Now()
@@ -238,13 +246,15 @@ func (e *Engine) ResetStats() {
 
 // Close ends the engine; closing twice is harmless. Behind a mesh it
 // joins the party goroutines and tears the mesh down: parties blocked
-// mid-round are unblocked by the teardown, and scalar gates still
-// queued are dropped — nothing can observe their results any more.
+// mid-round are unblocked by the teardown. An input round still open
+// and scalar gates still queued are dropped — nothing can observe their
+// results any more.
 func (e *Engine) Close() error {
 	if e.closed {
 		return nil
 	}
 	e.closed = true
+	e.round = nil
 	if e.mesh == nil {
 		return nil
 	}
@@ -261,15 +271,35 @@ func (e *Engine) Close() error {
 // of scalar gates the caller records before the parties start on them.
 const cmdChunk = 256
 
-// dispatch issues one command to every party, in issue order; reports
-// false when the engine is failed or closed (the command must then be
-// skipped). Inline parties run it now, half by half. Behind a mesh,
-// scalar gates wait in the queue for the next command that flushes or
-// for the chunk to fill.
+// dispatch issues one command to every party, after the open input
+// round, in issue order; reports false when the engine is failed or
+// closed (the command must then be skipped).
 func (e *Engine) dispatch(c actorCmd) bool {
+	e.issueRound()
 	if e.err != nil || e.closed {
 		return false
 	}
+	e.issue(c)
+	return true
+}
+
+// issueRound issues the open input round, if there is one, as one
+// opInputVecs command; a failed or closed engine drops it.
+func (e *Engine) issueRound() {
+	if len(e.round) == 0 {
+		return
+	}
+	c := actorCmd{op: opInputVecs, x: &cmdPayload{vecs: e.round}}
+	e.round = nil
+	if e.err == nil && !e.closed {
+		e.issue(c)
+	}
+}
+
+// issue hands one command to every party. Inline parties run it now,
+// half by half. Behind a mesh, scalar gates wait in the queue for the
+// next command that flushes or for the chunk to fill.
+func (e *Engine) issue(c actorCmd) {
 	if e.mesh == nil {
 		for _, pa := range e.parties {
 			pa.begin(&c)
@@ -277,7 +307,7 @@ func (e *Engine) dispatch(c actorCmd) bool {
 		for _, pa := range e.parties {
 			pa.finish(&c)
 		}
-		return true
+		return
 	}
 	if len(e.queue) == cap(e.queue) {
 		e.queue = make([]actorCmd, 0, cmdChunk)
@@ -291,7 +321,6 @@ func (e *Engine) dispatch(c actorCmd) bool {
 		}
 		e.queue = e.queue[n:]
 	}
-	return true
 }
 
 // call dispatches a synchronizing command and collects the parties'
@@ -431,9 +460,25 @@ func (e *Engine) InputBatch(items []InputItem) []Val {
 	return out
 }
 
-// InputVec has party owner secret-share the signed vector vs; one
-// batched message per receiving party.
-func (e *Engine) InputVec(owner int, vs []int64) Vec { return e.inputVec(opInputVec, owner, vs) }
+// InputVec has party owner secret-share the signed vector vs, one frame
+// per peer, as part of the open input round: the engine issues the
+// vectors InputVec takes between two of its other commands as one
+// command (see Engine). vs is the caller's again when InputVec returns.
+func (e *Engine) InputVec(owner int, vs []int64) Vec {
+	e.round = append(e.round, e.embed(owner, vs))
+	return e.newVec(len(vs), false)
+}
+
+// embed embeds owner's signed vector in the field, into the slot the
+// owner keeps, so that vs is the caller's again at once.
+func (e *Engine) embed(owner int, vs []int64) vecInput {
+	e.checkParty(owner)
+	elems := make([]field.Elem, len(vs))
+	for k, v := range vs {
+		elems[k] = field.FromInt64(v)
+	}
+	return vecInput{owner: owner, elems: elems}
+}
 
 // InputUnshared enters party owner's signed vector vs without sharing
 // it: the owner keeps λ_owner⁻¹·vs in the slot and every other party 0,
@@ -445,18 +490,9 @@ func (e *Engine) InputVec(owner int, vs []int64) Vec { return e.inputVec(opInput
 // (PRIVACY.md "Add what only you know at the opening"). circuit.Plan
 // issues this for an input leaf that reaches nothing but openings.
 func (e *Engine) InputUnshared(owner int, vs []int64) Vec {
-	return e.inputVec(opInputUnshared, owner, vs)
-}
-
-// inputVec issues owner's vector as op: shared, or kept (open-only).
-func (e *Engine) inputVec(op actorOp, owner int, vs []int64) Vec {
-	e.checkParty(owner)
-	if e.mesh != nil {
-		// As in InputBatch: inline, the caller's vector passes through.
-		vs = append([]int64(nil), vs...)
-	}
-	out := e.newVec(len(vs), op == opInputUnshared)
-	e.dispatch(actorCmd{op: op, a: owner, x: &cmdPayload{ints: vs}})
+	in := e.embed(owner, vs)
+	out := e.newVec(len(vs), true)
+	e.dispatch(actorCmd{op: opInputUnshared, x: &cmdPayload{vecs: []vecInput{in}}})
 	return out
 }
 

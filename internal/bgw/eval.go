@@ -167,7 +167,9 @@ type Evaluator interface {
 	Input(owner int, v int64) Val
 	// InputElem has party owner secret-share a raw field element.
 	InputElem(owner int, e field.Elem) Val
-	// InputVec has party owner secret-share the signed vector vs.
+	// InputVec has party owner secret-share the signed vector vs. The
+	// vectors of consecutive calls are one input round: every owner
+	// deals all of its vectors before any party waits on a peer's.
 	InputVec(owner int, vs []int64) Vec
 	// InputUnshared enters party owner's signed vector vs without a
 	// sharing: no randomness, no traffic, no round. The result is good

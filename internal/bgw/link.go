@@ -9,18 +9,24 @@ import (
 )
 
 // link is how one party exchanges rows of field elements with its
-// peers. Sends never block. A sent row must stay untouched until the
-// peer has taken it, which the wire link meets by encoding at once and
-// the in-memory link by the inline driver's lockstep (every party
-// sends, then every party receives, before anyone shares again).
+// peers. Sends never block, and the rows of one ordered pair arrive in
+// the order they were sent. A row comes in two kinds. A sent row is the
+// peer's to read until its next receive, so the sender must leave it
+// untouched until then, which the wire link meets by encoding at once
+// and the in-memory link by the inline driver's lockstep (every party
+// sends, then every party receives, before anyone sends again). A dealt
+// row — an input sharing's — the sender may overwrite at once: an
+// owner deals every vector of an input round before any peer receives,
+// so the in-memory link hands the peer a copy, which the peer may keep.
 type link interface {
 	send(to int, row []field.Elem) error
+	deal(to int, row []field.Elem) error
 	// recv takes the next row from the peer, which must hold n elements.
 	// The row is read-only and valid until the next receive on the link.
 	recv(from, n int) ([]field.Elem, error)
-	// recvInto takes the next row from the peer, which must hold
-	// len(dst) elements, into dst: for a row the caller keeps.
-	recvInto(from int, dst []field.Elem) error
+	// take takes the next row from the peer, a dealt one of n elements,
+	// as a row the caller keeps.
+	take(from, n int) ([]field.Elem, error)
 	// close tears this party's end down so that peers waiting on it
 	// fail instead of hanging.
 	close()
@@ -28,8 +34,8 @@ type link interface {
 
 // wireLink frames rows over a transport endpoint: 8 big-endian bytes
 // per element in a pooled payload the transport owns after the send.
-// Received payloads are decoded — into dec, or into the caller's row —
-// before the next Recv, per the transport ownership rule.
+// Received payloads are decoded — into dec, or into a row the caller
+// keeps — before the next Recv, per the transport ownership rule.
 type wireLink struct {
 	conn transport.PartyConn
 	dec  []field.Elem
@@ -43,9 +49,22 @@ func (l *wireLink) send(to int, row []field.Elem) error {
 	return l.conn.SendN(to, buf, len(row))
 }
 
+// deal is send: the row is encoded before SendN returns.
+func (l *wireLink) deal(to int, row []field.Elem) error { return l.send(to, row) }
+
 func (l *wireLink) recv(from, n int) ([]field.Elem, error) {
 	l.dec = growElems(l.dec, n)
 	return l.dec, l.recvInto(from, l.dec)
+}
+
+// take makes the row before it waits, so the decode follows the frame's
+// arrival at once instead of an allocation and a copy.
+func (l *wireLink) take(from, n int) ([]field.Elem, error) {
+	row := make([]field.Elem, n)
+	if err := l.recvInto(from, row); err != nil {
+		return nil, err
+	}
+	return row, nil
 }
 
 func (l *wireLink) recvInto(from int, dst []field.Elem) error {
@@ -68,22 +87,27 @@ func putElem(b []byte, e field.Elem) { binary.BigEndian.PutUint64(b, uint64(e)) 
 
 func getElem(b []byte) field.Elem { return field.Elem(binary.BigEndian.Uint64(b)) }
 
-// memHub is the exchange of the inline driver's parties: one mailbox
-// per ordered pair, and the traffic counters a mesh would keep — one
-// frame, len(row) messages and 8 bytes per element for every send.
+// memHub is the exchange of the inline driver's parties: one FIFO of
+// rows per ordered pair, and the traffic counters a mesh would keep —
+// one frame, len(row) messages and 8 bytes per element for every send.
 type memHub struct {
 	p                   int
-	box                 []memRow // box[from*p+to]
+	box                 []memQueue // box[from*p+to]
 	frames, msgs, bytes int64
 }
 
-type memRow struct {
-	row  []field.Elem
-	full bool
+func newMemHub(p int) *memHub { return &memHub{p: p, box: make([]memQueue, p*p)} }
+
+// memQueue is one ordered pair's rows in send order, rows[head] the next
+// to take. Every command receives what it sends, so a queue is empty
+// between commands and starts over in the same memory.
+type memQueue struct {
+	rows [][]field.Elem
+	head int
 }
 
-// memLink is one party's end of a memHub. It hands the sender's row
-// over by reference.
+// memLink is one party's end of a memHub. It hands a sent row over by
+// reference and a dealt one as a copy.
 type memLink struct {
 	hub *memHub
 	id  int
@@ -91,32 +115,37 @@ type memLink struct {
 
 func (l memLink) send(to int, row []field.Elem) error {
 	h := l.hub
-	h.box[l.id*h.p+to] = memRow{row: row, full: true}
+	q := &h.box[l.id*h.p+to]
+	q.rows = append(q.rows, row)
 	h.frames++
 	h.msgs += int64(len(row))
 	h.bytes += 8 * int64(len(row))
 	return nil
 }
 
+func (l memLink) deal(to int, row []field.Elem) error {
+	return l.send(to, append([]field.Elem(nil), row...))
+}
+
 func (l memLink) recv(from, n int) ([]field.Elem, error) {
-	slot := &l.hub.box[from*l.hub.p+l.id]
-	got := *slot
-	*slot = memRow{}
-	if !got.full {
+	q := &l.hub.box[from*l.hub.p+l.id]
+	if q.head == len(q.rows) {
 		return nil, fmt.Errorf("no row from party %d", from)
 	}
-	if len(got.row) != n {
-		return nil, fmt.Errorf("bad row from party %d: %d values for %d", from, len(got.row), n)
+	row := q.rows[q.head]
+	q.rows[q.head] = nil
+	if q.head++; q.head == len(q.rows) {
+		q.rows, q.head = q.rows[:0], 0
 	}
-	return got.row, nil
+	if len(row) != n {
+		return nil, fmt.Errorf("bad row from party %d: %d values for %d", from, len(row), n)
+	}
+	return row, nil
 }
 
-func (l memLink) recvInto(from int, dst []field.Elem) error {
-	row, err := l.recv(from, len(dst))
-	copy(dst, row)
-	return err
-}
+// take is recv: a dealt row is the peer's copy already.
+func (l memLink) take(from, n int) ([]field.Elem, error) { return l.recv(from, n) }
 
 // close is a no-op: a failed party sends nothing more, so its peers'
-// next recv finds the mailbox empty.
+// next recv finds its queue empty.
 func (l memLink) close() {}

@@ -12,11 +12,12 @@ import (
 // which keeps share slot indices and RNG streams aligned across parties
 // without any coordination messages. There is no opcode for a gate that
 // a batch of one expresses: Input, Mul, InnerProduct, Dot and Open are
-// opInputBatch, opMulBatch and opOpenBatch of one.
+// opInputBatch, opMulBatch and opOpenBatch of one, and every InputVec
+// joins an opInputVecs (Engine.issueRound).
 type actorOp uint8
 
 const (
-	opInputVec actorOp = iota
+	opInputVecs actorOp = iota
 	opInputUnshared
 	opInputBatch
 	opZero
@@ -62,7 +63,7 @@ type mulDesc struct {
 // parties — the engine never touches a command after it is issued.
 type actorCmd struct {
 	op   actorOp
-	a, b int         // slot operands; a is the owner of opInputVec / opInputUnshared and the length of opLinComb, b the element index of opAt
+	a, b int         // slot operands; a is the length of opLinComb, b the element index of opAt
 	c    int64       // public constant
 	x    *cmdPayload // set on commands that carry a list or await a reply
 }
@@ -70,11 +71,20 @@ type actorCmd struct {
 // cmdPayload holds what does not fit the scalar command: operand lists,
 // input vectors and the reply channel of synchronizing commands.
 type cmdPayload struct {
-	ints   []int64     // signed input vector (opInputVec, opInputUnshared), coefficients (opLinComb)
+	ints   []int64     // coefficients (opLinComb)
+	vecs   []vecInput  // the input round's vectors (opInputVecs), the unshared vector (opInputUnshared)
 	inputs []InputItem // scalar inputs (opInputBatch)
 	refs   []int       // scalar slots (opFromScalars, opOpenBatch), element indices (opGather), vector slots (opLinComb; the reused dot operands of opMulBatch, opMulUnreduced)
 	muls   []mulDesc   // gate list (opMulBatch, opMulUnreduced)
 	reply  chan actorReply
+}
+
+// vecInput is one input vector, embedded in the field. elems is the
+// owner's: it shares them — or scales them, unshared — in place and keeps
+// them as its slot; the other parties read only the length.
+type vecInput struct {
+	owner int
+	elems []field.Elem
 }
 
 // actorReply is one party's answer to a synchronizing command.
@@ -173,33 +183,35 @@ func (a *actorParty) fail(err error) {
 // this party puts on its link. Local gates complete here.
 func (a *actorParty) send(c *actorCmd) error {
 	switch c.op {
-	case opInputVec:
-		if c.a != a.id {
-			return nil
+	case opInputVecs:
+		// The input round: this party deals every vector it owns, in item
+		// order and from its one stream, one frame per vector and peer,
+		// before it waits on any peer's (recv takes those).
+		base := len(a.vc)
+		a.vc = append(a.vc, make([][]field.Elem, len(c.x.vecs))...)
+		for i, in := range c.x.vecs {
+			if in.owner == a.id {
+				a.vc[base+i] = in.elems
+				if err := a.shareOut(in.elems); err != nil {
+					return err
+				}
+			}
 		}
-		mine := make([]field.Elem, len(c.x.ints))
-		for k, v := range c.x.ints {
-			mine[k] = field.FromInt64(v)
-		}
-		a.vc = append(a.vc, mine)
-		return a.shareOut(mine)
 	case opInputUnshared:
 		// No sharing: the owner's point is x/λ_owner and every other point
 		// 0, which the Lagrange weights over all P points interpolate to x.
 		// No randomness is drawn and nothing is sent; only linear gates and
 		// openings may read the slot.
-		n := len(c.x.ints)
-		if c.a != a.id {
+		in := c.x.vecs[0]
+		n := len(in.elems)
+		if in.owner != a.id {
 			a.zeros = growElems(a.zeros, n)
 			a.vc = append(a.vc, a.zeros[:n:n])
 			return nil
 		}
-		mine := make([]field.Elem, n)
-		for k, v := range c.x.ints {
-			mine[k] = field.Mul(field.FromInt64(v), a.ownInv)
-		}
+		field.MulConstVec(in.elems, in.elems, a.ownInv)
 		a.fieldOps += int64(n)
-		a.vc = append(a.vc, mine)
+		a.vc = append(a.vc, in.elems)
 	case opInputBatch:
 		// This party shares the items it owns, in item order, into one
 		// frame per peer.
@@ -361,16 +373,19 @@ func (a *actorParty) publish(dst, shares []field.Elem) []field.Elem {
 // exactly one reply on success; on error finish replies.
 func (a *actorParty) recv(c *actorCmd) error {
 	switch c.op {
-	case opInputVec:
-		if c.a == a.id {
-			return nil
+	case opInputVecs:
+		// The peers' rows in item order, each kept as the slot it fills.
+		base := len(a.vc) - len(c.x.vecs)
+		for i, in := range c.x.vecs {
+			if in.owner == a.id {
+				continue
+			}
+			row, err := a.link.take(in.owner, len(in.elems))
+			if err != nil {
+				return err
+			}
+			a.vc[base+i] = row
 		}
-		// The slot is made before the wait, not after the row is in.
-		mine := make([]field.Elem, len(c.x.ints))
-		if err := a.link.recvInto(c.a, mine); err != nil {
-			return err
-		}
-		a.vc = append(a.vc, mine)
 	case opInputBatch:
 		// One row from every owner, in owner order, spread over the
 		// items' slots; this party's own row is the one it kept.
@@ -449,14 +464,22 @@ func (a *actorParty) gather(refs []int) []field.Elem {
 	return out
 }
 
-// shareOut Shamir-shares elems in order from this party's stream, sends
+// shareOut Shamir-shares elems in order from this party's stream, deals
 // every peer one row carrying its share of each, and replaces elems
 // with this party's own shares.
 func (a *actorParty) shareOut(elems []field.Elem) error {
 	rows := a.sh.share(elems, a.p, a.t, a.rng)
 	a.fieldOps += int64(len(elems) * a.p * (a.t + 1))
 	copy(elems, rows[a.id])
-	return a.sendRows(rows)
+	for j, row := range rows {
+		if j == a.id {
+			continue
+		}
+		if err := a.link.deal(j, row); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // sendRows sends every peer j the row rows[j].

@@ -1,0 +1,146 @@
+package bgw
+
+import (
+	"errors"
+	"fmt"
+	"sync"
+	"testing"
+	"time"
+
+	"sqm/internal/transport"
+)
+
+// holdMesh holds back every frame party 0 sends until party P−1 has sent
+// release frames of its own; then it sends party 0's frames, in order,
+// and lets the later ones through.
+type holdMesh struct {
+	transport.Mesh
+	release int
+
+	mu   sync.Mutex
+	sent int // party P−1's frames so far
+	open bool
+	held []heldFrame
+}
+
+type heldFrame struct {
+	to      int
+	payload []byte
+	msgs    int
+}
+
+type holdConn struct {
+	transport.PartyConn
+	m *holdMesh
+}
+
+func (m *holdMesh) Conn(party int) transport.PartyConn {
+	return &holdConn{PartyConn: m.Mesh.Conn(party), m: m}
+}
+
+func (c *holdConn) Send(to int, payload []byte) error { return c.SendN(to, payload, 1) }
+
+func (c *holdConn) SendN(to int, payload []byte, msgs int) error {
+	m := c.m
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	switch c.ID() {
+	case 0:
+		if !m.open {
+			m.held = append(m.held, heldFrame{to, payload, msgs})
+			return nil
+		}
+	case m.Parties() - 1:
+		if err := c.PartyConn.SendN(to, payload, msgs); err != nil {
+			return err
+		}
+		if m.sent++; m.sent == m.release {
+			m.open = true
+			for _, f := range m.held {
+				if err := m.Mesh.Conn(0).SendN(f.to, f.payload, f.msgs); err != nil {
+					return err
+				}
+			}
+			m.held = nil
+		}
+		return nil
+	}
+	return c.PartyConn.SendN(to, payload, msgs)
+}
+
+// TestInputRoundDealsBeforeItWaits: party 0's frames are held back until
+// party P−1 has sent all its rows of the input round. Dealt column by
+// column — each InputVec a command of its own, as before the round — P−1
+// waits on party 0's first column before it deals one of its own, so
+// the session deadlocks and fails through RecvTimeout. Dealt as one
+// round, every party deals all it owns before it waits, P−1's rows free
+// party 0's, and the round opens the right values. On both meshes.
+func TestInputRoundDealsBeforeItWaits(t *testing.T) {
+	const parties, perParty, n = 4, 2, 5
+	cols := make([][]int64, parties*perParty)
+	for j := range cols {
+		cols[j] = make([]int64, n)
+		for k := range cols[j] {
+			cols[j][k] = int64(100*j + k)
+		}
+	}
+	meshes := []struct {
+		name string
+		new  func() (transport.Mesh, error)
+	}{
+		{"chan", func() (transport.Mesh, error) { return transport.NewChanMesh(parties), nil }},
+		{"tcp", func() (transport.Mesh, error) { return transport.NewTCPMesh(parties) }},
+	}
+	for _, m := range meshes {
+		for _, perColumn := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/per-column=%v", m.name, perColumn), func(t *testing.T) {
+				inner, err := m.new()
+				if err != nil {
+					t.Fatal(err)
+				}
+				mesh := &holdMesh{Mesh: inner, release: perParty * (parties - 1)}
+				eng, err := NewActorEngine(Config{Parties: parties, Seed: 5, RecvTimeout: 300 * time.Millisecond}, mesh)
+				if err != nil {
+					t.Fatal(err)
+				}
+				vecs := make([]Vec, len(cols))
+				for j, col := range cols {
+					vecs[j] = eng.InputVec(j%parties, col) // columns dealt round-robin, as core places them
+					if perColumn {
+						eng.AdvanceRound() // issues the column as a command of its own
+					}
+				}
+				eng.AdvanceRound()
+				sum := vecs[0]
+				for _, v := range vecs[1:] {
+					sum = eng.AddVec(sum, v)
+				}
+				got := eng.OpenVec(sum)
+				engErr := eng.Err()
+				eng.Close()
+				if perColumn {
+					timedOut := false
+					for _, pa := range eng.parties {
+						timedOut = timedOut || errors.Is(pa.err, transport.ErrTimeout)
+					}
+					if engErr == nil || !timedOut {
+						t.Fatalf("column-by-column dealing ran past the held frames: engine error %v, a party timed out: %v", engErr, timedOut)
+					}
+					return
+				}
+				if engErr != nil {
+					t.Fatalf("the input round waited on a held frame: %v", engErr)
+				}
+				for k := range got {
+					var want int64
+					for _, col := range cols {
+						want += col[k]
+					}
+					if got[k] != want {
+						t.Fatalf("element %d opened %d, want %d", k, got[k], want)
+					}
+				}
+			})
+		}
+	}
+}

@@ -141,7 +141,7 @@ func TestInlineAndMeshPartiesHoldTheSameSlots(t *testing.T) {
 	}
 }
 
-// faultyLink tampers with what one party sends to one peer: it drops
+// faultyLink tampers with what one party deals to one peer: it drops
 // the row, or cuts its last element off.
 type faultyLink struct {
 	link
@@ -149,12 +149,12 @@ type faultyLink struct {
 	truncate bool
 }
 
-func (l faultyLink) send(to int, row []field.Elem) error {
+func (l faultyLink) deal(to int, row []field.Elem) error {
 	if to != l.to {
-		return l.link.send(to, row)
+		return l.link.deal(to, row)
 	}
 	if l.truncate {
-		return l.link.send(to, row[:len(row)-1])
+		return l.link.deal(to, row[:len(row)-1])
 	}
 	return nil
 }
@@ -164,7 +164,7 @@ func (l faultyLink) send(to int, row []field.Elem) error {
 // the refusal is a party failure that latches in Err and turns later
 // openings into zeros, as a transport failure does on a mesh.
 func TestMemLinkRefusesUnmatchedRecv(t *testing.T) {
-	hub := &memHub{p: 3, box: make([]memRow, 9)}
+	hub := newMemHub(3)
 	a, b := memLink{hub: hub, id: 0}, memLink{hub: hub, id: 1}
 	if _, err := b.recv(0, 2); err == nil || !strings.Contains(err.Error(), "no row") {
 		t.Fatalf("recv without a send: err = %v", err)

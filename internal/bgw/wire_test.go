@@ -2,6 +2,7 @@ package bgw
 
 import (
 	"bytes"
+	"slices"
 	"sync"
 	"testing"
 
@@ -160,43 +161,81 @@ func (c *recConn) SendN(to int, payload []byte, msgs int) error {
 	return c.PartyConn.SendN(to, payload, msgs)
 }
 
-// TestVectorSharingPinsSharesAndWire runs InputVec, InputVec, DotBatch,
-// OpenBatch under both drivers and on the per-element reference: the
-// inline parties must hold exactly the reference's shares after the
-// input and after the resharing, and the parties behind a mesh must put
-// exactly the reference's bytes on every link, frame for frame.
+// nextDraws returns the next Uint64 of every party's sharing stream and
+// of every party's end of each mask stream, in party order.
+func nextDraws(rngs []*randx.RNG, pair [][]*randx.RNG) []uint64 {
+	var out []uint64
+	for i, g := range rngs {
+		out = append(out, g.Uint64())
+		for j, m := range pair[i] {
+			if j != i {
+				out = append(out, m.Uint64())
+			}
+		}
+	}
+	return out
+}
+
+// partyDraws is nextDraws over an engine's parties; behind a mesh the
+// engine must be closed, so that its party goroutines have ended.
+func partyDraws(e *Engine) []uint64 {
+	rngs := make([]*randx.RNG, len(e.parties))
+	pair := make([][]*randx.RNG, len(e.parties))
+	for i, pa := range e.parties {
+		rngs[i], pair[i] = pa.rng, pa.pair
+	}
+	return nextDraws(rngs, pair)
+}
+
+// TestVectorSharingPinsSharesAndWire runs one input round of three
+// vectors — party 0 deals two of them, P−1 the one between — then
+// DotBatch and OpenBatch, under both drivers and on the per-element
+// reference, which deals the vectors one after another. The inline
+// parties must hold exactly the reference's shares after the round and
+// after the resharing, the parties behind a mesh must put exactly the
+// reference's bytes on every link, frame for frame, and every stream of
+// either engine must continue where the reference's does.
 func TestVectorSharingPinsSharesAndWire(t *testing.T) {
 	u := make([]int64, 37)
 	v := make([]int64, 37)
+	w := make([]int64, 37)
 	for k := range u {
 		u[k] = int64(k*k) - 400
 		v[k] = 1<<20 - int64(7*k)
+		w[k] = int64(k) - 1<<30
 	}
 	for _, cfg := range []Config{
 		{Parties: 4, Threshold: 1, Seed: 0xfeed},
 		{Parties: 10, Threshold: 4, Seed: 0xfeed},
 	} {
+		last := cfg.Parties - 1
 		ref := newRefWire(cfg)
-		ru, rv := ref.inputVec(0, u), ref.inputVec(cfg.Parties-1, v)
-		rd := ref.dotBatch([][2][][]field.Elem{{ru, rv}, {ru, ru}, {rv, rv}})
+		ru, rv, rw := ref.inputVec(0, u), ref.inputVec(last, v), ref.inputVec(0, w)
+		rd := ref.dotBatch([][2][][]field.Elem{{ru, rv}, {ru, rw}, {rv, rv}})
 		ref.open(rd)
+		wantDraws := nextDraws(ref.rngs, ref.pair)
 
-		program := func(ev Evaluator) (Vec, Vec, []Val, []int64) {
-			a, b := ev.InputVec(0, u), ev.InputVec(cfg.Parties-1, v)
-			dots := ev.DotBatch([]VecPair{{A: a, B: b}, {A: a, B: a}, {A: b, B: b}}, 0)
-			return a, b, dots, ev.OpenBatch(dots)
+		program := func(e *Engine) ([]Vec, []Val, []int64) {
+			ins := []Vec{e.InputVec(0, u), e.InputVec(last, v), e.InputVec(0, w)}
+			if len(e.round) != len(ins) {
+				t.Fatalf("P=%d: %d vectors in the open round, want %d", cfg.Parties, len(e.round), len(ins))
+			}
+			dots := e.DotBatch([]VecPair{{A: ins[0], B: ins[1]}, {A: ins[0], B: ins[2]}, {A: ins[1], B: ins[1]}}, 0)
+			return ins, dots, e.OpenBatch(dots)
 		}
 
 		mono, err := NewEngine(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, b, dots, want := program(mono)
+		ins, dots, want := program(mono)
 		for i, pa := range mono.parties {
-			ua, ub := pa.vc[mono.sharedVec(a).ref], pa.vc[mono.sharedVec(b).ref]
-			for k := range u {
-				if ua[k] != ru[i][k] || ub[k] != rv[i][k] {
-					t.Fatalf("P=%d: InputVec share of element %d at party %d differs from per-element Share", cfg.Parties, k, i)
+			for n, rs := range [][][]field.Elem{ru, rv, rw} {
+				got := pa.vc[mono.sharedVec(ins[n]).ref]
+				for k := range u {
+					if got[k] != rs[i][k] {
+						t.Fatalf("P=%d: share of element %d of input %d at party %d differs from per-element Share", cfg.Parties, k, n, i)
+					}
 				}
 			}
 			for m, d := range dots {
@@ -205,18 +244,24 @@ func TestVectorSharingPinsSharesAndWire(t *testing.T) {
 				}
 			}
 		}
+		if got := partyDraws(mono); !slices.Equal(got, wantDraws) {
+			t.Fatalf("P=%d: inline streams continue with %x, the reference's with %x", cfg.Parties, got, wantDraws)
+		}
 
 		rec := &recMesh{Mesh: transport.NewChanMesh(cfg.Parties), frames: linkFrames(cfg.Parties)}
 		actor, err := NewActorEngine(cfg, rec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, _, got := program(actor)
+		_, _, got := program(actor)
 		if err := actor.Close(); err != nil {
 			t.Fatal(err)
 		}
 		if !equalInt64(got, want) {
 			t.Fatalf("P=%d: actor opened %v, monolithic %v", cfg.Parties, got, want)
+		}
+		if got := partyDraws(actor); !slices.Equal(got, wantDraws) {
+			t.Fatalf("P=%d: mesh parties' streams continue with %x, the reference's with %x", cfg.Parties, got, wantDraws)
 		}
 		for i := range ref.frames {
 			for j := range ref.frames[i] {

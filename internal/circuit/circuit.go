@@ -11,10 +11,12 @@
 // A plan runs one way — Plan.Execute — and Plan.Plain interprets it
 // without an engine as the differential oracle. A plan that is
 // re-executed takes fresh bindings: public constants (ConstParam),
-// per-run secret scalars (InputParam) and pre-existing engine shares
-// (ExtVal/ExtVec) are plan parameters filled in at execution time;
-// vectors are literals, so a circuit whose input vectors change is
-// recorded again.
+// per-run secret scalars (InputParam) and vectors (InputVecParam) and
+// pre-existing engine shares (ExtVal/ExtVec) are plan parameters filled
+// in at execution time. A vector parameter's values may still be in the
+// making when the plan starts: Execute asks for them when it first needs
+// one, which for a leaf only an opening consumes is after the last
+// multiplicative level.
 //
 // Because BGW computes exactly, opened values are bit-identical across
 // gate orderings and batchings — the plan executor is free to reorder
@@ -39,6 +41,7 @@ const (
 	kInputElem
 	kInputVec
 	kInputParam
+	kInputVecParam
 	kExtVal
 	kExtVec
 	kAdd
@@ -68,11 +71,16 @@ func (k nodeKind) isMul() bool { return k == kMul || k == kInner || k == kDot }
 // isInput reports whether the node costs the input sharing round.
 func (k nodeKind) isInput() bool {
 	switch k {
-	case kInput, kInputElem, kInputVec, kInputParam, kInputSum, kInputVecSum:
+	case kInput, kInputElem, kInputVec, kInputParam, kInputVecParam, kInputSum, kInputVecSum:
 		return true
 	}
 	return false
 }
+
+// folds reports whether foldSums may merge an input leaf of the kind into
+// its dealer's sum: any but a vector parameter, whose values reach the
+// plan only at execution and enter the engine as they are.
+func (k nodeKind) folds() bool { return k.isInput() && k != kInputVecParam }
 
 // isScalarInput reports whether the node is a scalar input leaf: the
 // planned executor shares those in the plan's one InputBatch, or enters
@@ -84,7 +92,7 @@ func (k nodeKind) isScalarInput() bool {
 // isVec reports whether the node produces a vector handle.
 func (k nodeKind) isVec() bool {
 	switch k {
-	case kInputVec, kInputVecSum, kExtVec, kAddVec, kGather, kLinComb, kFromScalars:
+	case kInputVec, kInputVecParam, kInputVecSum, kExtVec, kAddVec, kGather, kLinComb, kFromScalars:
 		return true
 	}
 	return false
@@ -104,7 +112,7 @@ type node struct {
 	level    int32 // multiplicative level, assigned by Compile
 	a, b     int32 // operand node ids; b is the element index of kAt; a is the args offset of kInner/kFromScalars operands and the lits index of a kInputVec literal; args[a:a+b] are the parameter slots a kInputSum adds and the operands of a kLinComb
 	owner    int32 // input owner party
-	param    int32 // parameter slot (const/input/ext params); lits index of a kInputVecSum's summed literals and of a kLinComb's coefficients; args offset of a kGather's n element indices
+	param    int32 // parameter slot (const/input/vector/ext params); lits index of a kInputVecSum's summed literals and of a kLinComb's coefficients; args offset of a kGather's n element indices
 	n        int32 // vector length of vector-producing nodes; operand count of kInner (list B follows list A in args)
 	c        int64 // public constant (kInput, kAddConst, kMulConst, kLinComb's c0) or raw field input (kInputElem, and the summed literals of a kInputSum)
 }
@@ -149,8 +157,8 @@ type Builder struct {
 	overflow bool // something exceeded limit; Compile reports it
 	spent    bool // Compile has taken the nodes
 
-	nConsts, nInputs, nExt, nExtVecs int
-	opens, openVecs                  []int32 // node ids in record order
+	nConsts, nInputs, nVecParams, nExt, nExtVecs int
+	opens, openVecs                              []int32 // node ids in record order
 }
 
 // NewBuilder starts recording a circuit for a P-party deployment with
@@ -264,6 +272,15 @@ func (b *Builder) InputParam(owner int) bgw.Val {
 	return b.scalar(nd)
 }
 
+// InputVecParam declares a per-execution secret vector of n elements
+// owned by party owner, bound via Bindings.InputVecs in declaration
+// order. It is never folded (see Input).
+func (b *Builder) InputVecParam(owner, n int) bgw.Vec {
+	nd := node{kind: kInputVecParam, owner: b.checkParty(owner), param: b.i32(b.nVecParams)}
+	b.nVecParams++
+	return b.vector(nd, n)
+}
+
 // ExtVal declares a scalar that already lives inside the executing
 // engine (e.g. a share produced by an earlier plan), bound via
 // Bindings.Ext. External values join the DAG at level 0 without
@@ -320,14 +337,15 @@ func (b *Builder) Recorder() obs.Recorder { return obs.Or(b.rec) }
 
 // Input records a literal secret input.
 //
-// The fold rule, for every Input* leaf: Compile shares the sum of what a
-// dealer deals. A leaf whose only consumer is an Add/AddVec gate of a sum
-// tree is merged with the same owner's other such leaves of that tree into
-// one sharing of their sum, so it — and every partial sum over it — no
-// longer exists on its own: Result.ValOf / VecOf on those handles is an
-// invariant violation. A leaf with no consumer (shared to be read back
-// through ValOf / VecOf) or with two or more consumers is never folded,
-// and the root of a sum tree keeps its handle and its value.
+// The fold rule, for every Input* leaf but InputVecParam: Compile shares
+// the sum of what a dealer deals. A leaf whose only consumer is an
+// Add/AddVec gate of a sum tree is merged with the same owner's other
+// such leaves of that tree into one sharing of their sum, so it — and
+// every partial sum over it — no longer exists on its own: Result.ValOf /
+// VecOf on those handles is an invariant violation. A leaf with no
+// consumer (shared to be read back through ValOf / VecOf) or with two or
+// more consumers is never folded, and the root of a sum tree keeps its
+// handle and its value.
 func (b *Builder) Input(owner int, v int64) bgw.Val {
 	return b.scalar(node{kind: kInput, owner: b.checkParty(owner), c: v})
 }

@@ -4,22 +4,30 @@ import "sqm/internal/bgw"
 
 // runEager is the reference Plan.Execute is held to: the plan's own
 // schedule driven through the engine's singleton gates, the way protocols
-// drove an engine before plans existed — one InputElem per scalar input,
-// one Mul / InnerProduct / Dot and one wire round per multiplicative
-// gate, one Open per scalar output. BGW computes exactly, so it must open
-// what Execute opens, bit for bit, in EagerRounds rounds. It reduces
-// after every gate, the last level's too, and it shares every input leaf
-// — it finds them in the nodes, not in the plan's list of the shared ones
-// — so it is the oracle for the terminal level Execute leaves unreduced
-// and for the open-only leaves Execute does not share.
+// drove an engine before plans existed — one InputElem per scalar input
+// and one InputVec per vector, all up front, one Mul / InnerProduct / Dot
+// and one wire round per multiplicative gate, one Open per scalar output.
+// BGW computes exactly, so it must open what Execute opens, bit for bit,
+// in EagerRounds rounds. It reduces after every gate, the last level's
+// too, and it shares every input leaf — it finds them in the nodes, not
+// in the plan's lists of the shared ones — so it is the oracle for the
+// terminal level Execute leaves unreduced and for the open-only leaves
+// Execute does not share.
 func (p *Plan) runEager(eng bgw.Evaluator, bind Bindings) (*Result, error) {
 	if err := p.validate(bind); err != nil {
 		return nil, err
 	}
 	r := &Result{plan: p, vals: make([]bgw.Val, len(p.nodes)), vecs: make([]bgw.Vec, len(p.nodes))}
 	for id := range p.nodes {
-		if n := &p.nodes[id]; n.kind.isScalarInput() {
+		switch n := &p.nodes[id]; {
+		case n.kind.isScalarInput():
 			r.vals[id] = eng.InputElem(int(n.owner), p.inputElem(n, bind))
+		case n.kind.isInput():
+			vs, err := p.inputLit(n, bind, r)
+			if err != nil {
+				return nil, err
+			}
+			r.vecs[id] = eng.InputVec(int(n.owner), vs)
 		}
 	}
 	for lvl, locals := range p.locals {
@@ -38,14 +46,19 @@ func (p *Plan) runEager(eng bgw.Evaluator, bind Bindings) (*Result, error) {
 			}
 		}
 		for _, id := range locals {
-			if n := &p.nodes[id]; n.kind == kInputVec || n.kind == kInputVecSum {
-				r.vecs[id] = eng.InputVec(int(n.owner), p.inputLit(n))
-			} else if err := p.evalLocal(eng, bind, r, id); err != nil {
+			if err := p.evalLocal(eng, bind, r, id); err != nil {
 				return nil, err
 			}
 		}
 		if lvl == 0 && p.anyInput() {
 			eng.AdvanceRound()
+		}
+	}
+	for _, id := range p.late {
+		if !p.nodes[id].kind.isInput() {
+			if err := p.evalLocal(eng, bind, r, id); err != nil {
+				return nil, err
+			}
 		}
 	}
 	if p.hasOpens() {

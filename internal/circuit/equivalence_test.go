@@ -20,10 +20,11 @@ import (
 // fold pass has something to rewrite on most seeds. Half the seeds end
 // in a terminalTail, which decides whether the last multiplicative level
 // is opened unreduced, and three in four in an unsharedTail after it,
-// which decides whether one more input leaf is shared. The shape is fully
-// determined by rng, so the same seed rebuilds the same circuit for every
-// backend; the returned bindings fill the scalar trees' parameter leaves,
-// and the tails say what the seed ended in.
+// which decides whether one more input leaf is shared; last come a
+// gramTail on one seed in three and a lowTail on two in three. The shape
+// is fully determined by rng, so the same seed rebuilds the same circuit
+// for every backend; the returned bindings fill the scalar trees' and the
+// lowTail's parameter leaves, and the tails say what the seed ended in.
 func randomCircuit(b *Builder, rng *rand.Rand) (Bindings, circuitTails) {
 	const p = 4
 	var bind Bindings
@@ -137,7 +138,46 @@ func randomCircuit(b *Builder, rng *rand.Rand) (Bindings, circuitTails) {
 	if rng.Intn(3) == 0 {
 		gramTail(b, rng)
 	}
+	if rng.Intn(3) != 0 {
+		tails.low = lowTail(b, rng, &bind, vecs[0])
+	}
 	return bind, tails
+}
+
+// lowTail records 1–3 input vectors of low's length, each a vector
+// parameter or a literal, and adds each to low (a level-0 input, maybe
+// below the circuit's top) and opens the sum: an open-only leaf whose
+// linear gate sits below the top level, which Execute must still enter
+// after the last one. One in three leaves also gets a Gather nothing
+// reads, a handle a later plan could bind, so it stays shared. The
+// parameters' values go into bind.InputVecs. It returns how many leaves
+// it left open-only.
+func lowTail(b *Builder, rng *rand.Rand, bind *Bindings, low bgw.Vec) int {
+	var params [][]int64
+	openOnly := 0
+	for i, n := 0, 1+rng.Intn(3); i < n; i++ {
+		vs := make([]int64, low.Len())
+		for k := range vs {
+			vs[k] = int64(rng.Intn(201) - 100)
+		}
+		var leaf bgw.Vec
+		if rng.Intn(3) != 0 {
+			leaf = b.InputVecParam(rng.Intn(4), len(vs))
+			params = append(params, vs)
+		} else {
+			leaf = b.InputVec(rng.Intn(4), vs)
+		}
+		b.OpenVecIdx(b.AddVec(low, leaf))
+		if rng.Intn(3) == 0 {
+			b.Gather(leaf, []int{0})
+		} else {
+			openOnly++
+		}
+	}
+	if params != nil {
+		bind.InputVecs = func() [][]int64 { return params }
+	}
+	return openOnly
 }
 
 // gramTail records an all-pairs DotBatch over 3–5 fresh columns of one
@@ -172,6 +212,7 @@ type circuitTails struct {
 	dangling bool  // a terminalTail with its dangling handle
 	unshared int   // the unsharedTail's shape, or noUnsharedTail
 	leaf     int32 // the unsharedTail's input leaf
+	low      int   // the lowTail's open-only leaves
 }
 
 // The shapes of an unsharedTail.

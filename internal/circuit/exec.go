@@ -13,11 +13,15 @@ import (
 // indexed by declaration order: Consts for ConstParam, Inputs for
 // InputParam, Ext/ExtVecs for engine handles declared with
 // ExtVal/ExtVec (they must come from the engine the plan executes on).
+// InputVecs returns the vectors of InputVecParam, one per declaration:
+// an execution calls it once, when it first needs one of them, so what
+// it returns may still be computed while the plan runs.
 type Bindings struct {
-	Consts  []int64
-	Inputs  []int64
-	Ext     []bgw.Val
-	ExtVecs []bgw.Vec
+	Consts    []int64
+	Inputs    []int64
+	InputVecs func() [][]int64
+	Ext       []bgw.Val
+	ExtVecs   []bgw.Vec
 }
 
 // Result holds one execution's outputs: the opened values in gate
@@ -27,6 +31,7 @@ type Result struct {
 	plan       *Plan
 	vals       []bgw.Val
 	vecs       []bgw.Vec
+	vecArgs    [][]int64 // what Bindings.InputVecs returned; nil until asked
 	opened     []int64
 	openedVecs [][]int64
 }
@@ -83,6 +88,9 @@ func (p *Plan) validate(bind Bindings) error {
 	if len(bind.Inputs) != p.nInputs {
 		return fmt.Errorf("circuit: plan wants %d input params, got %d", p.nInputs, len(bind.Inputs))
 	}
+	if p.nVecParams > 0 && bind.InputVecs == nil {
+		return fmt.Errorf("circuit: plan wants %d input vectors, Bindings.InputVecs is nil", p.nVecParams)
+	}
 	if len(bind.Ext) != p.nExt {
 		return fmt.Errorf("circuit: plan wants %d external values, got %d", p.nExt, len(bind.Ext))
 	}
@@ -94,13 +102,15 @@ func (p *Plan) validate(bind Bindings) error {
 
 // Execute runs the plan against eng with level batching: all shared
 // inputs share in one round (every scalar input in one InputBatch, one
-// frame per owner and peer; one frame per peer for each input vector),
-// each multiplicative level runs as one batched degree-reduction round —
-// except a terminal level, whose products stay at degree 2t in their
-// slots at the cost of no traffic and no round — and all outputs open in
-// one batched round: Stats.Rounds advances by exactly Plan.Rounds(). The
-// open-only input leaves (see schedule) enter unshared, at the cost of no
-// traffic and — when the plan shares no other leaf — no round.
+// frame per owner and peer; every input vector an InputVec of the
+// engine's one input round, one frame per peer), each multiplicative
+// level runs as one batched degree-reduction round — except a terminal
+// level, whose products stay at degree 2t in their slots at the cost of
+// no traffic and no round — and all outputs open in one batched round:
+// Stats.Rounds advances by exactly Plan.Rounds(). The open-only input
+// leaves (see schedule) enter unshared, at the cost of no traffic and —
+// when the plan shares no other leaf — no round, after the last
+// multiplicative level with the linear gates over them.
 //
 // When the engine's recorder admits debug events, the execution is
 // traced: one "circuit.exec" span for the whole run with one
@@ -126,10 +136,9 @@ func (p *Plan) Execute(eng bgw.Evaluator, bind Bindings) (*Result, error) {
 		vals: make([]bgw.Val, len(p.nodes)),
 		vecs: make([]bgw.Vec, len(p.nodes)),
 	}
-	// Level 0: the scalar inputs first — they depend on nothing, so they
-	// share as one batch, and the open-only ones enter as one unshared
-	// vector per owner — then the input vectors, external bindings and the
-	// linear closure.
+	// Level 0: the shared inputs, which depend on nothing — the scalars as
+	// one batch, then the vectors, which the engine deals as one round —
+	// then external bindings and the linear closure.
 	if len(p.inputs) > 0 {
 		items := make([]bgw.InputItem, len(p.inputs))
 		for i, id := range p.inputs {
@@ -140,8 +149,13 @@ func (p *Plan) Execute(eng bgw.Evaluator, bind Bindings) (*Result, error) {
 			r.vals[p.inputs[i]] = out
 		}
 	}
-	if len(p.unshared) > 0 {
-		p.enterUnsharedScalars(eng, bind, r)
+	for _, id := range p.vecInputs {
+		n := &p.nodes[id]
+		vs, err := p.inputLit(n, bind, r)
+		if err != nil {
+			return nil, err
+		}
+		r.vecs[id] = eng.InputVec(int(n.owner), vs)
 	}
 	for _, id := range p.locals[0] {
 		if err := p.evalLocal(eng, bind, r, id); err != nil {
@@ -197,6 +211,17 @@ func (p *Plan) Execute(eng bgw.Evaluator, bind Bindings) (*Result, error) {
 			if err := p.evalLocal(eng, bind, r, id); err != nil {
 				return nil, err
 			}
+		}
+	}
+	// What only the opening consumes: the unshared leaves — a scalar
+	// owner's as one vector, taken apart with At — and the linear gates
+	// over them.
+	if len(p.unshared) > 0 {
+		p.enterUnsharedScalars(eng, bind, r)
+	}
+	for _, id := range p.late {
+		if err := p.evalLocal(eng, bind, r, id); err != nil {
+			return nil, err
 		}
 	}
 	if p.hasOpens() {
@@ -262,28 +287,42 @@ func (p *Plan) enterUnsharedScalars(eng bgw.Evaluator, bind Bindings, r *Result)
 	}
 }
 
-// inputLit returns the literal a vector input leaf deals: its own, or the
-// sum foldSums left for its dealer.
-func (p *Plan) inputLit(n *node) []int64 {
-	if n.kind == kInputVecSum {
-		return p.lits[n.param]
+// inputLit returns the vector an input leaf deals: its literal, the sum
+// foldSums left for its dealer, or its binding — the first time the
+// execution r needs one, it asks Bindings.InputVecs for all of them.
+func (p *Plan) inputLit(n *node, bind Bindings, r *Result) ([]int64, error) {
+	switch n.kind {
+	case kInputVecSum:
+		return p.lits[n.param], nil
+	case kInputVec:
+		return p.lits[n.a], nil
 	}
-	return p.lits[n.a]
+	if r.vecArgs == nil {
+		r.vecArgs = bind.InputVecs()
+		if len(r.vecArgs) != p.nVecParams {
+			return nil, fmt.Errorf("circuit: Bindings.InputVecs returned %d vectors, plan wants %d", len(r.vecArgs), p.nVecParams)
+		}
+	}
+	if vs := r.vecArgs[n.param]; len(vs) == int(n.n) {
+		return vs, nil
+	}
+	return nil, fmt.Errorf("circuit: input vector %d has %d elements, plan wants %d", n.param, len(r.vecArgs[n.param]), n.n)
 }
 
-// evalLocal materializes one vector leaf, external binding or linear
-// node on the engine (scalar input leaves share in Execute's InputBatch).
+// evalLocal materializes one unshared vector leaf, external binding or
+// linear node on the engine (the shared input leaves enter in Execute's
+// input round).
 func (p *Plan) evalLocal(eng bgw.Evaluator, bind Bindings, r *Result, id int32) error {
 	n := &p.nodes[id]
 	switch n.kind {
 	case kZero:
 		r.vals[id] = eng.Zero()
-	case kInputVec, kInputVecSum:
-		if n.openOnly {
-			r.vecs[id] = eng.InputUnshared(int(n.owner), p.inputLit(n))
-		} else {
-			r.vecs[id] = eng.InputVec(int(n.owner), p.inputLit(n))
+	case kInputVec, kInputVecParam, kInputVecSum:
+		vs, err := p.inputLit(n, bind, r)
+		if err != nil {
+			return err
 		}
+		r.vecs[id] = eng.InputUnshared(int(n.owner), vs)
 	case kExtVal:
 		if bind.Ext[n.param] == nil {
 			return fmt.Errorf("circuit: external value %d unbound", n.param)

@@ -107,7 +107,7 @@ func (f *folder) tree(root int32) error {
 			case f.use[c] < 0:
 			case n.kind == kind:
 				f.stack = append(f.stack, c)
-			case n.kind.isInput():
+			case n.kind.folds():
 				f.leaves = append(f.leaves, c)
 				f.count[n.owner]++
 				fold = fold || f.count[n.owner] > 1

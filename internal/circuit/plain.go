@@ -29,8 +29,12 @@ func (p *Plan) Plain(bind Bindings) (*Result, error) {
 			vals[id] = 0
 		case kInput, kInputElem, kInputParam, kInputSum:
 			vals[id] = p.inputElem(n, bind)
-		case kInputVec, kInputVecSum:
-			vecs[id] = embed(p.inputLit(n))
+		case kInputVec, kInputVecParam, kInputVecSum:
+			vs, err := p.inputLit(n, bind, r)
+			if err != nil {
+				return nil, err
+			}
+			vecs[id] = embed(vs)
 		case kAdd:
 			vals[id] = field.Add(vals[n.a], vals[n.b])
 		case kSub:

@@ -20,19 +20,21 @@ type Plan struct {
 	// terminal: nothing multiplies after the last multiplicative level —
 	// every node of level depth flows through linear gates into an
 	// opening — so Execute leaves that level unreduced (see schedule).
-	terminal bool
-	live     int       // nodes that compute something (all but kFolded)
-	folded   int       // input leaves foldSums removed
-	inputs   []int32   // level-0 scalar input leaves Execute shares, id order: one InputBatch
-	unshared []int32   // level-0 scalar input leaves Execute does not share (see schedule), id order
-	muls     [][]int32 // muls[L] = multiplicative gates of level L+1, id order
-	locals   [][]int32 // locals[L] = other compute nodes of level L, id order
-	opens    []int32   // kOpen ids in record order
-	openVecs []int32   // kOpenVec ids in record order
+	terminal  bool
+	live      int       // nodes that compute something (all but kFolded)
+	folded    int       // input leaves foldSums removed
+	inputs    []int32   // level-0 scalar input leaves Execute shares, id order: one InputBatch
+	vecInputs []int32   // level-0 vector input leaves Execute shares, id order: one input round
+	unshared  []int32   // scalar input leaves Execute does not share (see schedule), id order
+	muls      [][]int32 // muls[L] = multiplicative gates of level L+1, id order
+	locals    [][]int32 // locals[L] = other compute nodes of level L that are not open-only, id order
+	late      []int32   // the other open-only nodes but the products: entered after the last level, id order
+	opens     []int32   // kOpen ids in record order
+	openVecs  []int32   // kOpenVec ids in record order
 
-	nConsts, nInputs, nExt, nExtVecs int
-	nUnshared                        int  // input leaves, scalar and vector, Execute does not share
-	hasInputs                        bool // some input leaf is shared: the plan pays the input round
+	nConsts, nInputs, nVecParams, nExt, nExtVecs int
+	nUnshared                                    int  // input leaves, scalar and vector, Execute does not share
+	hasInputs                                    bool // some input leaf is shared: the plan pays the input round
 }
 
 // operands returns the n-element operand list at offset off.
@@ -75,7 +77,7 @@ func (b *Builder) take() (*Plan, error) {
 		p: b.p, t: b.t,
 		nodes: b.nodes, args: b.args, lits: b.lits,
 		opens: b.opens, openVecs: b.openVecs,
-		nConsts: b.nConsts, nInputs: b.nInputs, nExt: b.nExt, nExtVecs: b.nExtVecs,
+		nConsts: b.nConsts, nInputs: b.nInputs, nVecParams: b.nVecParams, nExt: b.nExt, nExtVecs: b.nExtVecs,
 	}
 	b.spent, b.nodes, b.args, b.lits, b.vals = true, nil, nil, nil, nil
 	return p, nil
@@ -86,7 +88,7 @@ func (b *Builder) take() (*Plan, error) {
 func (p *Plan) eachOperand(n *node, visit func(op int32)) bool {
 	var list []int32
 	switch n.kind {
-	case kZero, kInput, kInputElem, kInputVec, kInputParam, kInputSum, kInputVecSum, kExtVal, kExtVec, kFolded:
+	case kZero, kInput, kInputElem, kInputVec, kInputParam, kInputVecParam, kInputSum, kInputVecSum, kExtVal, kExtVec, kFolded:
 		// leaves (and removed nodes)
 	case kAdd, kSub, kAddVec, kMul, kDot:
 		visit(n.a)
@@ -113,9 +115,9 @@ func (p *Plan) eachOperand(n *node, visit func(op int32)) bool {
 // (linear) operations inherit the maximum level of their operands;
 // multiplicative gates (Mul, InnerProduct, Dot) take the maximum operand
 // level plus one. All gates of a level are independent by construction
-// and execute as one batched communication round; the scalar inputs,
-// which depend on nothing, are listed apart so they share in one batched
-// round too.
+// and execute as one batched communication round; the shared input
+// leaves, which depend on nothing, are listed apart so they share in one
+// batched round too.
 //
 // The last multiplicative level is terminal when every node of that
 // level has a consumer: a consumer of a top-level node is a linear gate
@@ -138,7 +140,12 @@ func (p *Plan) eachOperand(n *node, visit func(op int32)) bool {
 //
 // Both cases set the one flag Result.ValOf / VecOf refuse: node.openOnly
 // starts at the products of a terminal level and at the unshared leaves
-// and follows every linear gate forward.
+// and follows every linear gate forward. Nothing but an opening consumes
+// an open-only node, so the open-only nodes but the products — the
+// unshared leaves and the linear gates over them — are listed apart and
+// Execute enters them after the last multiplicative level, whatever
+// their level: an owner may still be computing an unshared vector while
+// the engine multiplies (Bindings.InputVecs).
 func (p *Plan) schedule() error {
 	used := make([]bool, len(p.nodes))
 	var lvl int32
@@ -187,7 +194,7 @@ func (p *Plan) schedule() error {
 	// opening round and are already listed.
 	nMuls := make([]int, p.depth)
 	nLocals := make([]int, p.depth+1)
-	nInputs, nUnsharedScalars := 0, 0
+	nInputs, nVecInputs, nUnsharedScalars, nLate := 0, 0, 0, 0
 	openOnly := false
 	inherit := func(op int32) { openOnly = openOnly || p.nodes[op].openOnly }
 	for id := range p.nodes {
@@ -220,12 +227,18 @@ func (p *Plan) schedule() error {
 			nInputs++
 		case n.kind.isMul():
 			nMuls[n.level-1]++
+		case n.openOnly:
+			nLate++
+		case n.kind.isInput():
+			nVecInputs++
 		default:
 			nLocals[n.level]++
 		}
 	}
 	p.inputs = make([]int32, 0, nInputs)
+	p.vecInputs = make([]int32, 0, nVecInputs)
 	p.unshared = make([]int32, 0, nUnsharedScalars)
+	p.late = make([]int32, 0, nLate)
 	p.muls = make([][]int32, p.depth)
 	for l, n := range nMuls {
 		p.muls[l] = make([]int32, 0, n)
@@ -243,6 +256,10 @@ func (p *Plan) schedule() error {
 			p.inputs = append(p.inputs, int32(id))
 		case n.kind.isMul():
 			p.muls[n.level-1] = append(p.muls[n.level-1], int32(id))
+		case n.openOnly:
+			p.late = append(p.late, int32(id))
+		case n.kind.isInput():
+			p.vecInputs = append(p.vecInputs, int32(id))
 		default:
 			p.locals[n.level] = append(p.locals[n.level], int32(id))
 		}

@@ -35,12 +35,16 @@ func Covariance(x *linalg.Matrix, p Params) (*linalg.Matrix, *Trace, error) {
 		return nil, nil, err
 	}
 	_, clientRNGs := rngFamily(p.Seed, p.NumClients)
-	r := p.begin(clientRNGs)
-	qd := quantizeByClient(x, &p, clientRNGs)
+	return p.begin(clientRNGs).covariance(x)
+}
+
+// covariance is Covariance over the release's clients.
+func (r *release) covariance(x *linalg.Matrix) (*linalg.Matrix, *Trace, error) {
+	qd := quantizeByClient(x, r.p, r.rngs)
 	// Each Gram entry is at most m·maxAbs²; the release is metered at
 	// Lemma 5's closed form for unit-norm records.
 	maxAbs := float64(qd.MaxAbs())
-	upper, err := r.evaluate(maxAbs*maxAbs*float64(x.Rows), sens(CovarianceSensitivities(p.Gamma, 1, x.Cols)),
+	upper, err := r.evaluate(maxAbs*maxAbs*float64(x.Rows), sens(CovarianceSensitivities(r.p.Gamma, 1, x.Cols)),
 		func() ([]int64, error) {
 			upper := make([]int64, x.Cols*(x.Cols+1)/2)
 			accumulateGram(qd, upper)
@@ -115,21 +119,37 @@ func (r *release) drawNoiseOnto(upper []int64) {
 }
 
 // mpcCovariance runs the same computation over secret shares with the
-// selected Evaluator backend, recorded as a level-scheduled plan: one
-// input round for the data columns and one batched opening round. The
-// inner products are the plan's terminal level — every party keeps its
-// local products, nothing is reshared — and the noise enters at the
-// opening: each party adds the vector its clients drew their shares onto
-// (sampleNoise, inputNoise) to the row it publishes, under the opening's
-// zero mask.
+// selected Evaluator backend (recordCovariance). The draw starts here,
+// once the field bound is checked, and runs while the plan is recorded
+// and the engine deals and multiplies: the plan asks for the noise only
+// after its last multiplicative level.
 func (r *release) mpcCovariance(qd *quant.IntMatrix) ([]int64, error) {
-	p, n := r.p, qd.Cols
+	draw := r.drawNoise(qd.Cols * (qd.Cols + 1) / 2)
+	defer draw.join()
+	b, outIdx := r.p.recordCovariance(qd, draw.holders)
+	res, err := r.runOnce(b, 0x51c0, circuit.Bindings{InputVecs: draw.join})
+	if err != nil {
+		return nil, err
+	}
+	return res.OpenedVec(outIdx), nil
+}
+
+// recordCovariance records the covariance over qd's columns as a
+// level-scheduled plan: one input round for the data columns and one
+// batched opening round. The inner products are the plan's terminal
+// level — every party keeps its local products, nothing is reshared —
+// and the noise enters at the opening: each of the holders adds the
+// vector its clients draw their shares onto (inputNoise) to the row it
+// publishes, under the opening's zero mask. It returns the builder and
+// the index of the opened upper triangle.
+func (p *Params) recordCovariance(qd *quant.IntMatrix, holders int) (*circuit.Builder, int) {
+	n := qd.Cols
 	pairs := n * (n + 1) / 2
 	b := circuit.NewBuilder(p.Parties, p.Threshold)
 	cols := p.inputColumns(b, qd, n)
 	var noise bgw.Vec
-	for h, v := range r.sampleNoise(pairs) {
-		noise = p.inputNoise(b, noise, h, v)
+	for h := range holders {
+		noise = p.inputNoise(b, noise, h, pairs)
 	}
 
 	pairList := make([]bgw.VecPair, pairs)
@@ -141,12 +161,7 @@ func (r *release) mpcCovariance(qd *quant.IntMatrix) ([]int64, error) {
 		}
 	}
 	dots := b.DotBatch(pairList, 0)
-	outIdx := b.OpenVecIdx(b.AddVec(b.FromScalars(dots), noise))
-	res, err := r.runOnce(b, 0x51c0)
-	if err != nil {
-		return nil, err
-	}
-	return res.OpenedVec(outIdx), nil
+	return b, b.OpenVecIdx(b.AddVec(b.FromScalars(dots), noise))
 }
 
 // finishGram is the server's side of both covariance entry points: the

@@ -345,7 +345,8 @@ func (lr *LRProtocol) GradientSum(w []float64, batch []int) ([]float64, *Trace, 
 	}
 	r := lr.p.begin(lr.clientRNGs)
 	co := lr.link.coefficients(lr.pub, w)
-	noise := r.sampleNoise(lr.d)
+	noise := r.drawNoise(lr.d)
+	defer noise.join()
 	scaled, err := r.evaluate(lr.link.bound(co, lr.maxFeat, len(batch)), nil,
 		func() ([]int64, error) {
 			// grad_t = Σ_{i∈batch} x̂_it·u_i.
@@ -357,7 +358,7 @@ func (lr *LRProtocol) GradientSum(w []float64, batch []int) ([]float64, *Trace, 
 					grad[t] += xt * u
 				}
 			}
-			r.addNoise(grad, noise)
+			r.addNoise(grad, noise.join())
 			return grad, nil
 		},
 		func() ([]int64, error) { return lr.mpc.gradient(r, batch, noise, co.gate) })
@@ -384,17 +385,18 @@ func checkBatch(batch []int, m int) error {
 // the engine and bound to the step's circuit as its external vectors.
 // The wire rounds are one resharing round per multiplicative level of u
 // and the opening: the inner products are opened unreduced, and the noise
-// is an input no party shares (inputNoise), so a step has no input round.
-func (s *lrShares) gradient(r *release, batch []int, noise [][]int64, u uGate) ([]int64, error) {
+// is an input no party shares (inputNoise), so a step has no input round;
+// the circuit joins the draw only after its last multiplicative level.
+func (s *lrShares) gradient(r *release, batch []int, noise *noiseDraw, u uGate) ([]int64, error) {
 	ext := make([]bgw.Vec, len(s.cols))
 	for j, col := range s.cols {
 		ext[j] = s.eng.Gather(col, batch)
 	}
-	plan, outIdx, err := recordGradient(r.p, len(s.cols)-1, len(batch), noise, u)
+	plan, outIdx, err := recordGradient(r.p, len(s.cols)-1, len(batch), noise.holders, u)
 	if err != nil {
 		return nil, err
 	}
-	res, after, err := execute(s.eng, plan, circuit.Bindings{ExtVecs: ext})
+	res, after, err := execute(s.eng, plan, circuit.Bindings{ExtVecs: ext, InputVecs: noise.join})
 	if err != nil {
 		return nil, err
 	}
@@ -414,12 +416,12 @@ func (s *lrShares) gradient(r *release, batch []int, noise [][]int64, u uGate) (
 type uGate func(b *circuit.Builder, cols []bgw.Vec) bgw.Vec
 
 // recordGradient records and compiles one step's circuit over d+1
-// external vectors of B elements: dots[t] = ⟨cols[t], u⟩, and every
-// party's noise vector an input it holds (inputNoise), added to the
-// packed dots and opened. That is 2d + 2·parties nodes or so, recorded
-// every step: the vector lengths are the realised Poisson batch size,
-// which rarely repeats, so there is nothing to cache.
-func recordGradient(p *Params, d, B int, noise [][]int64, u uGate) (plan *circuit.Plan, outIdx int, err error) {
+// external vectors of B elements: dots[t] = ⟨cols[t], u⟩, and the noise
+// vector of each of the holders an input it holds (inputNoise), added to
+// the packed dots and opened. That is 2d + 2·parties nodes or so,
+// recorded every step: the vector lengths are the realised Poisson batch
+// size, which rarely repeats, so there is nothing to cache.
+func recordGradient(p *Params, d, B, holders int, u uGate) (plan *circuit.Plan, outIdx int, err error) {
 	b := circuit.NewBuilder(p.Parties, p.Threshold).SetRecorder(p.Recorder)
 	cols := make([]bgw.Vec, d+1)
 	for j := range cols {
@@ -431,8 +433,8 @@ func recordGradient(p *Params, d, B int, noise [][]int64, u uGate) (plan *circui
 		dots[t] = b.Dot(cols[t], uv)
 	}
 	sum := b.FromScalars(dots)
-	for h, v := range noise {
-		sum = p.inputNoise(b, sum, h, v)
+	for h := range holders {
+		sum = p.inputNoise(b, sum, h, d)
 	}
 	outIdx = b.OpenVecIdx(sum)
 	plan, err = b.Compile()

@@ -289,13 +289,13 @@ func BenchmarkGradientPlanBuild(b *testing.B) {
 		b.Fatal(err)
 	}
 	_, clientRNGs := rngFamily(p.Seed, p.NumClients)
-	noise := p.begin(clientRNGs).sampleNoise(d)
+	holders := p.begin(clientRNGs).holders()
 	cs := make([]int64, d+1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var nodes int
 	for i := 0; i < b.N; i++ {
-		plan, _, err := recordGradient(&p, d, batch, noise, func(cb *circuit.Builder, cols []bgw.Vec) bgw.Vec {
+		plan, _, err := recordGradient(&p, d, batch, holders, func(cb *circuit.Builder, cols []bgw.Vec) bgw.Vec {
 			return cb.LinComb(cols, cs, 1)
 		})
 		if err != nil {

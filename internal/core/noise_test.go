@@ -86,7 +86,10 @@ func TestNoiseHolderSums(t *testing.T) {
 // matrix, every holder vector, and every client's stream left where
 // rounding its columns and then drawing its share leave it — for one
 // client, fewer clients than workers, and more, on the plaintext
-// engine's one holder and the BGW engines' one per party.
+// engine's one holder and the BGW engines' one per party. The noise is
+// drawn as a release draws it, started early (drawNoise) and joined only
+// after the caller has rounded another matrix from streams of its own on
+// every core meanwhile, as an engine computes beside the draw.
 func TestClientStagesIndependentOfGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	const dims = 40
@@ -135,7 +138,14 @@ func TestClientStagesIndependentOfGOMAXPROCS(t *testing.T) {
 			if !slices.Equal(q.Data, wantQ) {
 				t.Errorf("%s: quantized matrix differs from the serial loop's", name)
 			}
-			noise := p.begin(rngs).sampleNoise(dims)
+			r := p.begin(rngs)
+			draw := r.drawNoise(dims)
+			_, others := rngFamily(p.Seed+1, p.NumClients)
+			quantizeByClient(x, &p, others)
+			noise := draw.join()
+			if r.tr.NoiseCompute <= 0 {
+				t.Errorf("%s: the join booked no noise time", name)
+			}
 			if len(noise) != len(wantNoise) {
 				t.Fatalf("%s: %d noise vectors, want %d", name, len(noise), len(wantNoise))
 			}
@@ -154,15 +164,16 @@ func TestClientStagesIndependentOfGOMAXPROCS(t *testing.T) {
 }
 
 // TestSampleNoiseAllocatesOnlyItsVectors: each worker's sampler, its
-// acceptance table included, lives on the worker's stack, so what a call
-// allocates besides the holder vectors is the fan-out's bookkeeping: the
-// count is the same at 12 and 120 clients and at an LR step's length and
-// a covariance triangle's, and the heap bytes stay below the vectors'
+// acceptance table included, lives on the worker's stack, so what a
+// release's draw — started early, then joined (drawNoise) — allocates
+// besides the holder vectors is the draw's and the fan-out's bookkeeping:
+// the count is the same at 12 and 120 clients and at an LR step's length
+// and a covariance triangle's, and the heap bytes stay below the vectors'
 // (as the allocator rounds them) plus 4 KB, which one 16 KB table on the
 // heap would exceed (randx's TestAddSkellamAllocatesNothing holds the
 // sampler itself to zero). GOMAXPROCS is pinned at 4 so that the four
-// holders run on four workers, three of them goroutines, whatever the
-// machine.
+// holders run on four workers, all of them goroutines beside the caller,
+// whatever the machine.
 func TestSampleNoiseAllocatesOnlyItsVectors(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	fillGoroutineFreeLists()
@@ -176,27 +187,27 @@ func TestSampleNoiseAllocatesOnlyItsVectors(t *testing.T) {
 			}
 			_, rngs := rngFamily(p.Seed, p.NumClients)
 			r := p.begin(rngs)
-			r.sampleNoise(dims)
+			r.drawNoise(dims).join()
 			allocs, bytes := uint64(math.MaxUint64), uint64(math.MaxUint64)
 			for range 3 {
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
 				for range runs {
-					r.sampleNoise(dims)
+					r.drawNoise(dims).join()
 				}
 				runtime.ReadMemStats(&after)
 				allocs = min(allocs, (after.Mallocs-before.Mallocs)/runs)
 				bytes = min(bytes, (after.TotalAlloc-before.TotalAlloc)/runs)
 			}
 			if limit := vectorBytes(parties*dims) + 4096; bytes >= limit {
-				t.Errorf("sampleNoise(%d) over %d clients: %d heap bytes, want below %d", dims, clients, bytes, limit)
+				t.Errorf("drawNoise(%d) over %d clients: %d heap bytes, want below %d", dims, clients, bytes, limit)
 			}
 			count = append(count, allocs)
 		}
 	}
 	for _, a := range count[1:] {
 		if a != count[0] {
-			t.Errorf("sampleNoise allocations at (12, 50), (12, 7260), (120, 50), (120, 7260): %v, want one count", count)
+			t.Errorf("drawNoise allocations at (12, 50), (12, 7260), (120, 50), (120, 7260): %v, want one count", count)
 			break
 		}
 	}

@@ -74,7 +74,9 @@ func EvaluateMonomialSum(m poly.Monomial, x *linalg.Matrix, p Params) (float64, 
 // noise, and the server divides by scale. s is what evaluate books.
 func (r *release) polySum(q *poly.Quantized, x *linalg.Matrix, scale float64, s *sensitivities) ([]float64, *Trace, error) {
 	qd := quantizeByClient(x, r.p, r.rngs)
-	noise := r.sampleNoise(q.Source.OutDim())
+	// The circuit takes the noise as scalar literals (mpcPolySum), so the
+	// draw is joined at once.
+	noise := r.drawNoise(q.Source.OutDim()).join()
 	scaled, err := r.evaluate(polyBound(q, qd), s,
 		func() ([]int64, error) {
 			sum, err := q.EvalIntSum(qd)
@@ -169,7 +171,7 @@ func (r *release) mpcPolySum(q *poly.Quantized, data *quant.IntMatrix, noise [][
 		}
 		outIdx[t] = b.OpenIdx(b.Add(acc, noiseShared[t]))
 	}
-	res, err := r.runOnce(b, 0xb6d5)
+	res, err := r.runOnce(b, 0xb6d5, circuit.Bindings{})
 	if err != nil {
 		return nil, err
 	}

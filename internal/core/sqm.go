@@ -18,7 +18,12 @@
 //     holder hosting it — its party on the BGW engines, the evaluator on
 //     the plaintext one — the holders split across the cores, each
 //     worker drawing through its own sampler (release.sampleNoise,
-//     randx.SkellamSampler);
+//     randx.SkellamSampler). The draw runs beside the rest of the release
+//     (release.drawNoise, span core.noise): the noise reaches nothing but
+//     the opening, so the covariance and the gradient step join it only
+//     when their plan enters the noise, after its last multiplicative
+//     level, while the polynomial sum and the plaintext engine join it
+//     at once;
 //  4. the static bound on the aggregate is checked against the field,
 //     and only then is the engine selected — release.evaluate, the one
 //     place Params.Engine forks. The plaintext integer engine adds the
@@ -26,8 +31,9 @@
 //     (package bgw) record the columns as inputs their parties deal and
 //     every party's noise vector as an input it adds at the opening
 //     (Params.inputColumns, inputNoise) and run the compiled plan on a
-//     fresh engine (release.runOnce). The two are output-identical
-//     because BGW computes exactly;
+//     fresh engine (release.runOnce): the parties deal the columns in one
+//     input round, multiply, and only then take the noise. The two are
+//     output-identical because BGW computes exactly;
 //  5. the Trace is closed (release.finish) and the server down-scales
 //     the opened result by γ^{λ+1}, or γ^λ for the coefficient-1
 //     monomials of Algorithm 1 (Trace.estimate).
@@ -223,17 +229,23 @@ var chanMesh = func(parties int, opts ...transport.Option) transport.Mesh {
 	return transport.NewChanMesh(parties, opts...)
 }
 
+// recorder is the sink of a release's engine and of its own spans:
+// Params.Recorder, wrapped to stamp the coordinator stream when Trace is
+// set. Both run on the coordinator goroutine, so their events land on
+// that stream, stamped and flight-recorded.
+func (p *Params) recorder() obs.Recorder {
+	if p.Trace != nil && obs.TraceOf(p.Recorder) == nil {
+		return p.Trace.Coordinator().Wrap(p.Recorder)
+	}
+	return p.Recorder
+}
+
 // newEvaluator constructs the MPC backend selected by p.Engine. The
 // seed perturbation keeps each protocol's share randomness on its own
 // stream, as before the backends became pluggable. The caller owns the
 // evaluator and must Close it.
 func (p *Params) newEvaluator(seedXor uint64) (bgw.Evaluator, error) {
-	rec := p.Recorder
-	if p.Trace != nil && obs.TraceOf(rec) == nil {
-		// The engine runs on the coordinator goroutine: its events land
-		// on the coordinator stream, stamped and flight-recorded.
-		rec = p.Trace.Coordinator().Wrap(rec)
-	}
+	rec := p.recorder()
 	cfg := bgw.Config{
 		Parties: p.Parties, Threshold: p.Threshold,
 		Seed: p.Seed ^ seedXor, Recorder: rec, RecvTimeout: p.Fault.RecvTimeout,
@@ -282,8 +294,11 @@ type Trace struct {
 	Stats  bgw.Stats     // protocol counters (zero for EnginePlain)
 	Lat    time.Duration // per-round latency used for simulated time
 
-	Compute      time.Duration // wall-clock of the full evaluation
-	NoiseCompute time.Duration // wall-clock of noise sampling + aggregation
+	Compute time.Duration // wall-clock of the full evaluation
+	// NoiseCompute is the wall-clock of noise sampling + aggregation. The
+	// sampling runs beside the engine (release.drawNoise), so on the BGW
+	// engines it overlaps the rest of Compute instead of adding to it.
+	NoiseCompute time.Duration
 }
 
 // TotalTime is the modeled end-to-end cost: measured computation plus
@@ -296,7 +311,8 @@ func (t *Trace) TotalTime() time.Duration {
 // NoiseTime is the part of TotalTime attributable to enforcing DP: the
 // clients' sampling. It has no latency term — the noise is an input that
 // reaches nothing but the opening, so no party shares it and it costs no
-// round (circuit.Plan.schedule).
+// round (circuit.Plan.schedule) — and on the BGW engines it overlaps the
+// rest of Compute (NoiseCompute).
 func (t *Trace) NoiseTime() time.Duration { return t.NoiseCompute }
 
 // release is one SQM invocation in flight, from the clients' quantized
@@ -321,21 +337,25 @@ func (r *release) noiseTime(t0 time.Time) { r.tr.NoiseCompute += time.Since(t0) 
 // shares sum to the Sk(μ) the accountant is told about.
 func (r *release) noiseShare() float64 { return r.p.Mu / float64(len(r.rngs)) }
 
+// holders is the number of noise vectors a release draws: one per party
+// that hosts a client on an MPC engine, one on the plaintext engine.
+func (r *release) holders() int {
+	if r.p.Engine.IsMPC() {
+		return min(len(r.rngs), r.p.Parties)
+	}
+	return 1
+}
+
 // sampleNoise draws every client's share of the noise on dims outputs
 // onto the vector of the noise holder hosting the client: out[h] is the
-// sum of the Sk(μ/n) shares of party h's clients on an MPC engine (one
-// vector per party that hosts a client), and of all n on the plaintext
-// engine (one vector). The holders are split across the cores
+// sum of the Sk(μ/n) shares of party h's clients on an MPC engine, and of
+// all n on the plaintext engine. The holders are split across the cores
 // (forChunks); each worker draws its holders' clients in client order,
 // each from its own private stream, through its own sampler of Sk(μ/n) —
 // one PTRS acceptance table per worker, on the worker's stack — so the
 // sums are those of the per-client vectors whatever the core count.
 func (r *release) sampleNoise(dims int) [][]int64 {
-	defer r.noiseTime(time.Now())
-	holders := 1
-	if r.p.Engine.IsMPC() {
-		holders = min(len(r.rngs), r.p.Parties)
-	}
+	holders := r.holders()
 	flat := make([]int64, holders*dims)
 	out := make([][]int64, holders)
 	for h := range out {
@@ -351,6 +371,52 @@ func (r *release) sampleNoise(dims int) [][]int64 {
 		}
 	})
 	return out
+}
+
+// noiseDraw is sampleNoise running beside the rest of a release
+// (release.drawNoise).
+type noiseDraw struct {
+	r       *release
+	holders int
+	span    obs.TracedSpan
+	done    chan struct{}
+	out     [][]int64     // the holders' vectors, set before done closes
+	took    time.Duration // the draw's wall-clock, set before done closes
+	joined  bool
+}
+
+// drawNoise starts sampleNoise(dims) on a goroutine of its own, which
+// splits the holders across the cores as sampleNoise always does. The
+// noise reaches nothing
+// but the opening, so whatever the release does before its opening —
+// record and compile its plan, build the engine, deal the columns,
+// multiply — overlaps the draw, if the noise leaves are bound to join
+// (inputNoise). The caller must join the draw on every path: the
+// clients' streams are the draw's until then.
+func (r *release) drawNoise(dims int) *noiseDraw {
+	d := &noiseDraw{r: r, holders: r.holders(), done: make(chan struct{})}
+	d.span = obs.StartTracedSpan(r.p.recorder(), "core.noise", 0, obs.Int("holders", d.holders), obs.Int("dims", dims))
+	go func() {
+		defer close(d.done)
+		start := time.Now()
+		d.out = r.sampleNoise(dims)
+		d.took = time.Since(start)
+	}()
+	return d
+}
+
+// join waits for the draw and returns the holders' vectors, and so does
+// every later call. The first books the draw's wall-clock in the
+// release's Trace.NoiseCompute and ends the core.noise span, which runs
+// from the draw's start to here, on the caller's goroutine.
+func (d *noiseDraw) join() [][]int64 {
+	if !d.joined {
+		<-d.done
+		d.joined = true
+		d.r.tr.NoiseCompute += d.took
+		d.span.End(obs.Float64("draw_seconds", d.took.Seconds()))
+	}
+	return d.out
 }
 
 // sensitivities are a release's L2/L1 bounds, as meter takes them.
@@ -396,24 +462,32 @@ func (r *release) addNoise(sum []int64, noise [][]int64) {
 
 // inputColumns records every column of data as an input vector dealt by
 // the party hosting the column's client, in a partition of total columns
-// (the LR label column is one more than data holds).
+// (the LR label column is one more than data holds). The columns pass
+// through one buffer: the builder keeps a copy of each.
 func (p *Params) inputColumns(b *circuit.Builder, data *quant.IntMatrix, total int) []bgw.Vec {
 	cols := make([]bgw.Vec, data.Cols)
+	col := make([]int64, data.Rows)
 	for j := range cols {
-		cols[j] = b.InputVec(p.partyOf(p.clientOf(j, total)), data.Col(j))
+		for i := range col {
+			col[i] = data.At(i, j)
+		}
+		cols[j] = b.InputVec(p.partyOf(p.clientOf(j, total)), col)
 	}
 	return cols
 }
 
-// inputNoise records party h's noise vector — the sum of the shares its
-// clients drew (sampleNoise) — as an input of h, added onto acc (nil
-// starts the chain). The chain reaches nothing but the release's opening,
-// so no party shares its vector: each adds it to the row it publishes,
-// under the opening's zero mask (PRIVACY.md "Add what only you know at
-// the opening"). The noise costs no frame and no round, and the opened
-// integers are the same as if every client's vector had been shared.
-func (p *Params) inputNoise(b *circuit.Builder, acc bgw.Vec, h int, noise []int64) bgw.Vec {
-	v := b.InputVec(h, noise)
+// inputNoise records party h's noise vector of n entries — the sum of
+// the shares its clients draw (drawNoise) — as a vector parameter of h,
+// added onto acc (nil starts the chain); the plan's Bindings.InputVecs is
+// the draw's join, with the holders declared in order. The chain reaches
+// nothing but the release's opening, so no party shares its vector: each
+// adds it to the row it publishes, under the opening's zero mask
+// (PRIVACY.md "Add what only you know at the opening"), and Execute
+// enters it after the last multiplicative level, which the draw overlaps.
+// The noise costs no frame and no round, and the opened integers are the
+// same as if every client's vector had been shared.
+func (p *Params) inputNoise(b *circuit.Builder, acc bgw.Vec, h, n int) bgw.Vec {
+	v := b.InputVecParam(h, n)
 	if acc == nil {
 		return v
 	}
@@ -433,9 +507,9 @@ func execute(eng bgw.Evaluator, plan *circuit.Plan, bind circuit.Bindings) (*cir
 	return res, eng.Stats(), nil
 }
 
-// runOnce compiles what b recorded and executes it on a fresh engine of
-// the selected kind, whose counters become the Trace's.
-func (r *release) runOnce(b *circuit.Builder, seedXor uint64) (*circuit.Result, error) {
+// runOnce compiles what b recorded and executes it with bind on a fresh
+// engine of the selected kind, whose counters become the Trace's.
+func (r *release) runOnce(b *circuit.Builder, seedXor uint64, bind circuit.Bindings) (*circuit.Result, error) {
 	plan, err := b.Compile()
 	if err != nil {
 		return nil, err
@@ -445,7 +519,7 @@ func (r *release) runOnce(b *circuit.Builder, seedXor uint64) (*circuit.Result, 
 		return nil, err
 	}
 	defer eng.Close()
-	res, stats, err := execute(eng, plan, circuit.Bindings{})
+	res, stats, err := execute(eng, plan, bind)
 	r.tr.Stats = stats
 	return res, err
 }

@@ -20,7 +20,9 @@ func TestNopIsDisabledAndNilSafe(t *testing.T) {
 
 // TestNopPathAllocationFree pins the contract the hot resharing path
 // relies on: disabled telemetry performs zero allocations — an event on
-// the no-op recorder, and a span that the recorder's Enabled refused.
+// the no-op recorder, a span that the recorder's Enabled refused, and a
+// span on a nil recorder (a release's core.noise when Params.Recorder is
+// unset).
 func TestNopPathAllocationFree(t *testing.T) {
 	rec := Nop()
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -30,6 +32,11 @@ func TestNopPathAllocationFree(t *testing.T) {
 			t.Fatal("span on the nop recorder must be inert")
 		}
 		sp.End(Int("frames", 2))
+		noise := StartTracedSpan(nil, "core.noise", 0, Int("holders", 4), Int("dims", 7260))
+		if noise.Active() {
+			t.Fatal("span on a nil recorder must be inert")
+		}
+		noise.End(Float64("draw_seconds", 0.02))
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled path allocates %v per op, want 0", allocs)

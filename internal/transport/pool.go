@@ -28,8 +28,11 @@ import (
 // poolClasses are the frame-buffer size classes. Share traffic is 8
 // bytes per element, so the classes cover single scalars (with or
 // without the 20-byte trace header) through whole-level batches; frames
-// beyond the largest class fall back to plain allocation.
-var poolClasses = [...]int{64, 256, 1024, 4096, 16384, 65536, 262144}
+// beyond the largest class fall back to plain allocation. They double,
+// so a frame fills more than half of its buffer: an input round queues
+// every row a party deals at once, and with classes four times apart a
+// 1 000-element row (8 016 bytes framed) would hold a 16 KB buffer.
+var poolClasses = [...]int{64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768, 65536, 131072, 262144}
 
 var framePools [len(poolClasses)]sync.Pool
 

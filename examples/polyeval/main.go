@@ -76,6 +76,10 @@ func main() {
 
 	fmt.Printf("true aggregate : (%.4f, %.4f)\n", truth[0], truth[1])
 	fmt.Printf("SQM estimate   : (%.4f, %.4f)   at ε=%.1f, δ=%g\n", est[0], est[1], eps, delta)
+	// Two rounds: the columns' input round and the opening. f has degree
+	// 2, so its products are opened at degree 2t, never reshared; a
+	// degree-3 monomial would keep that count at P = 4, t = 1, where 3t
+	// is P − 1, and add a resharing round at P = 3.
 	fmt.Printf("protocol cost  : %d rounds, %d messages, %d field ops, simulated time %v\n",
 		trace.Stats.Rounds, trace.Stats.Messages, trace.Stats.FieldOps, trace.TotalTime().Round(1e6))
 

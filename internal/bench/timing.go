@@ -53,7 +53,7 @@ var timingHeader = []string{"overall (s)", "noise injection (s)", "measured (s)"
 // estimatePCAOps mirrors the bgw package's FieldOps metering for the
 // covariance protocol: the input sharings, the noise — unshared, one
 // λ⁻¹·x per element at each party that holds some — the Gram products —
-// which are the terminal level, so no resharing is metered — and one
+// which only the opening reads, so no resharing is metered — and one
 // multiplication per opened element.
 func estimatePCAOps(m, n, parties, threshold, clients int) (total, noise int64) {
 	p, t := int64(parties), int64(threshold)

@@ -2,6 +2,7 @@ package bgw
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -253,68 +254,172 @@ func TestUnsharedInputMetering(t *testing.T) {
 	}
 }
 
-// TestOpenOnlyOperandsFailTheEngine: a sharing of degree above t — an
-// unreduced product, an unshared input, or any linear gate over one —
-// must not be multiplied: the engine fails with ErrOpenOnly instead of computing a wrong value, on both
-// drivers, and opens zeros from then on. Linear gates and openings take
-// the same handles without complaint.
+// TestOpenOnlyOperandsFailTheEngine: a multiplication whose operand
+// degrees sum above P−1 would leave the P points an opening or a
+// resharing interpolates over, so the engine fails with ErrOpenOnly
+// instead of computing a wrong value, on both drivers, and opens zeros
+// from then on; one within P−1 is computed. The matrix: an unreduced
+// product (degree 2t), or a linear gate over one, times a degree-t share
+// is refused at P = 3, t = 1 and at P = 5, t = 2 and accepted at P = 4,
+// t = 1 and at P = 7, t = 2, where it opens right, a MulBatch of it is a
+// readable degree-t handle and an unreduced one, at degree P−1, refuses
+// one more share; the product times itself is refused at every one of
+// them; an unshared input (degree P−1), or a linear gate over one, is
+// refused at every P. Linear gates and openings take every handle.
 func TestOpenOnlyOperandsFailTheEngine(t *testing.T) {
 	type env struct {
 		e    *Engine
-		x    Val // degree t
-		v    Vec // degree t, 3 elements
-		high Val // open-only
-		hvec Vec // open-only, 3 elements
+		x    Val // degree t, 6
+		v    Vec // degree t, [1 2 3]
+		high Val // the source's scalar
+		hvec Vec // the source's vector, 3 elements
 	}
-	sources := map[string]func(e *Engine, x Val, v Vec) (Val, Vec){
-		"unreduced product": func(e *Engine, x Val, v Vec) (Val, Vec) {
+	type source struct {
+		make func(e *Engine, x Val, v Vec) (Val, Vec)
+		val  int64   // what high opens to
+		vec  []int64 // what hvec opens to
+		deg  func(p, t int) int
+	}
+	product := func(p, t int) int { return 2 * t }
+	unshared := func(p, t int) int { return p - 1 }
+	sources := map[string]source{
+		"unreduced product": {func(e *Engine, x Val, v Vec) (Val, Vec) {
 			outs := e.MulBatchUnreduced([]MulItem{{Kind: MulScalar, A: x, B: x}, {Kind: MulDot, VA: v, VB: v}})
 			return outs[0], e.FromScalars([]Val{outs[1], x, x})
-		},
-		"unshared input": func(e *Engine, x Val, v Vec) (Val, Vec) {
+		}, 36, []int64{14, 6, 6}, product},
+		"linear gates over an unreduced product": {func(e *Engine, x Val, v Vec) (Val, Vec) {
+			sq := e.MulBatchUnreduced([]MulItem{{Kind: MulScalar, A: x, B: x}})[0]
+			s := e.MulConst(e.AddConst(e.Sub(e.Add(x, sq), x), 3), 2)
+			return s, e.LinComb([]Vec{v, e.Gather(e.FromScalars([]Val{sq, x, s}), []int{2, 1, 0})}, []int64{1, 1}, 0)
+		}, 78, []int64{79, 8, 39}, product},
+		"unshared input": {func(e *Engine, x Val, v Vec) (Val, Vec) {
 			u := e.InputUnshared(1, []int64{4, 5, 6})
 			return e.At(u, 2), u
-		},
-		"linear gates over one": func(e *Engine, x Val, v Vec) (Val, Vec) {
+		}, 6, []int64{4, 5, 6}, unshared},
+		"linear gates over one": {func(e *Engine, x Val, v Vec) (Val, Vec) {
 			u := e.InputUnshared(0, []int64{4, 5, 6})
 			s := e.MulConst(e.AddConst(e.Sub(e.Add(x, e.At(u, 0)), x), 3), 2)
 			return s, e.LinComb([]Vec{v, e.Gather(e.AddVec(u, v), []int{2, 1, 0})}, []int64{1, 1}, 0)
-		},
+		}, 14, []int64{10, 9, 8}, unshared},
 	}
-	gates := map[string]func(c env){
-		"Mul":          func(c env) { c.e.Mul(c.x, c.high) },
-		"InnerProduct": func(c env) { c.e.InnerProduct([]Val{c.x, c.high}, []Val{c.x, c.x}) },
-		"Dot":          func(c env) { c.e.Dot(c.hvec, c.v) },
-		"DotBatch":     func(c env) { c.e.DotBatch([]VecPair{{A: c.v, B: c.v}, {A: c.v, B: c.hvec}}, 0) },
-		"MulBatch": func(c env) {
-			c.e.MulBatch([]MulItem{{Kind: MulScalar, A: c.x, B: c.x}, {Kind: MulScalar, A: c.high, B: c.x}})
-		},
-		"MulBatchUnreduced": func(c env) { c.e.MulBatchUnreduced([]MulItem{{Kind: MulDot, VA: c.hvec, VB: c.hvec}}) },
+	dot := func(a, b []int64) (s int64) {
+		for k := range a {
+			s += a[k] * b[k]
+		}
+		return s
 	}
-	for _, mesh := range []bool{false, true} {
-		for sname, source := range sources {
-			for gname, gate := range gates {
-				e := newTestEngine(t, 4)
-				if mesh {
-					e = newActorChan(t, Config{Parties: 4, Seed: 3})
-				}
-				c := env{e: e, x: e.Input(0, 6), v: e.InputVec(2, []int64{1, 2, 3})}
-				c.high, c.hvec = source(e, c.x, c.v)
-				// Linear gates and openings are what such a handle is for.
-				e.OpenVec(e.AddVec(c.hvec, c.v))
-				if got := e.Open(c.x); e.Err() != nil || got != 6 {
-					t.Fatalf("mesh=%v %s: before the gate: opened %d, err %v", mesh, sname, got, e.Err())
-				}
-				gate(c)
-				if err := e.Err(); !errors.Is(err, ErrOpenOnly) {
-					t.Errorf("mesh=%v %s into %s: engine error %v, want ErrOpenOnly", mesh, sname, gname, err)
-				}
-				if got := e.Open(c.x); got != 0 {
-					t.Errorf("mesh=%v %s into %s: a failed engine opened %d", mesh, sname, gname, got)
+	v := []int64{1, 2, 3}
+	// Each gate multiplies the source by a degree-t share — or, square, by
+	// itself — and returns the handle and what it opens to.
+	gates := map[string]struct {
+		square, reduced bool
+		run             func(c env, s source) (Val, int64)
+	}{
+		"Mul": {false, true, func(c env, s source) (Val, int64) { return c.e.Mul(c.x, c.high), 6 * s.val }},
+		"InnerProduct": {false, true, func(c env, s source) (Val, int64) {
+			return c.e.InnerProduct([]Val{c.x, c.high}, []Val{c.x, c.x}), 36 + 6*s.val
+		}},
+		"Dot": {false, true, func(c env, s source) (Val, int64) { return c.e.Dot(c.hvec, c.v), dot(s.vec, v) }},
+		"DotBatch": {false, true, func(c env, s source) (Val, int64) {
+			return c.e.DotBatch([]VecPair{{A: c.v, B: c.v}, {A: c.v, B: c.hvec}}, 0)[1], dot(s.vec, v)
+		}},
+		"MulBatch": {false, true, func(c env, s source) (Val, int64) {
+			return c.e.MulBatch([]MulItem{{Kind: MulScalar, A: c.x, B: c.x}, {Kind: MulScalar, A: c.high, B: c.x}})[1], 6 * s.val
+		}},
+		"MulBatchUnreduced": {false, false, func(c env, s source) (Val, int64) {
+			return c.e.MulBatchUnreduced([]MulItem{{Kind: MulDot, VA: c.hvec, VB: c.v}})[0], dot(s.vec, v)
+		}},
+		"MulBatchUnreduced of two": {true, false, func(c env, s source) (Val, int64) {
+			return c.e.MulBatchUnreduced([]MulItem{{Kind: MulDot, VA: c.hvec, VB: c.hvec}})[0], dot(s.vec, s.vec)
+		}},
+	}
+	for _, pt := range []struct{ p, t int }{{3, 1}, {4, 1}, {5, 2}, {7, 2}} {
+		cfg := Config{Parties: pt.p, Threshold: pt.t, Seed: 3}
+		for _, mesh := range []bool{false, true} {
+			for sname, src := range sources {
+				for gname, gate := range gates {
+					name := fmt.Sprintf("P=%d t=%d mesh=%v %s into %s", pt.p, pt.t, mesh, sname, gname)
+					var e *Engine
+					if mesh {
+						e = newActorChan(t, cfg)
+					} else {
+						var err error
+						if e, err = NewEngine(cfg); err != nil {
+							t.Fatal(err)
+						}
+					}
+					c := env{e: e, x: e.Input(0, 6), v: e.InputVec(2, v)}
+					c.high, c.hvec = src.make(e, c.x, c.v)
+					// Linear gates and openings are what such a handle is for.
+					if got := e.OpenVec(e.AddVec(c.hvec, c.v)); e.Err() != nil || got[0] != src.vec[0]+1 || got[2] != src.vec[2]+3 {
+						t.Fatalf("%s: before the gate: opened %v, err %v", name, got, e.Err())
+					}
+					deg := src.deg(pt.p, pt.t)
+					other := pt.t
+					if gate.square {
+						other = deg
+					}
+					accept := deg+other <= pt.p-1
+					if sname == "unreduced product" && !gate.square && accept != (pt.p == 4 || pt.p == 7) {
+						t.Fatalf("%s: accepted %v, the matrix says otherwise", name, accept)
+					}
+					h, want := gate.run(c, src)
+					if !accept {
+						if err := e.Err(); !errors.Is(err, ErrOpenOnly) {
+							t.Errorf("%s: engine error %v, want ErrOpenOnly", name, err)
+						}
+						if got := e.Open(c.x); got != 0 {
+							t.Errorf("%s: a failed engine opened %d", name, got)
+						}
+						continue
+					}
+					hdeg := e.shared(h).deg
+					if got := e.Open(h); e.Err() != nil || got != want {
+						t.Errorf("%s: opened %d, err %v; want %d", name, got, e.Err(), want)
+						continue
+					}
+					if !mesh && sharesDegree(e, h) > hdeg {
+						t.Errorf("%s: the shares lie on a polynomial of degree %d, the handle says %d", name, sharesDegree(e, h), hdeg)
+					}
+					if gate.reduced {
+						// Readable: a degree-t sharing, good for any product.
+						if got := e.Open(e.Mul(h, h)); hdeg != pt.t || e.Err() != nil || got != want*want {
+							t.Errorf("%s: degree %d, squared to %d, err %v; want degree %d and %d", name, hdeg, got, e.Err(), pt.t, want*want)
+						}
+						continue
+					}
+					if hdeg != pt.p-1 {
+						t.Errorf("%s: unreduced at degree %d, want P−1 = %d", name, hdeg, pt.p-1)
+					}
+					if e.Mul(h, c.x); !errors.Is(e.Err(), ErrOpenOnly) {
+						t.Errorf("%s: a share times the degree-(P−1) product: engine error %v, want ErrOpenOnly", name, e.Err())
+					}
 				}
 			}
 		}
 	}
+}
+
+// sharesDegree returns the degree of the polynomial an inline engine's
+// shares of v lie on: the least d whose first d+1 points interpolate
+// every other.
+func sharesDegree(e *Engine, v Val) int {
+	points := shamir.PartyPoints(e.p)
+	ref := e.shared(v).ref
+	for d := 0; d < e.p-1; d++ {
+		on := true
+		for j := d + 1; j < e.p && on; j++ {
+			var y field.Elem
+			for i, w := range lagrangeAt(points[:d+1], points[j]) {
+				y = field.Add(y, field.Mul(w, e.parties[i].sc[ref]))
+			}
+			on = y == e.parties[j].sc[ref]
+		}
+		if on {
+			return d
+		}
+	}
+	return e.p - 1
 }
 
 func TestBytesMetering(t *testing.T) {

@@ -81,26 +81,31 @@ type Engine struct {
 type Shared struct {
 	eng *Engine
 	ref int
-	// openOnly: the slots hold a sharing of degree above t — an unreduced
-	// product, an unshared input, or a linear gate over one. The P points
-	// still interpolate to the secret, so linear gates and openings take
-	// it; a multiplication would not, and is refused (ErrOpenOnly).
-	openOnly bool
+	// deg is the degree of the sharing the slots hold: t for an input or
+	// a reshared product, deg(a)+deg(b) for an unreduced product, P−1 for
+	// an unshared input, 0 for Zero, and the largest operand's for a
+	// linear gate. Any degree up to P−1 interpolates to the secret over
+	// the P points, so linear gates and openings take every handle; a
+	// multiplication takes it only while its operand degrees sum to at
+	// most P−1 (ErrOpenOnly), and only a handle of degree at most t is
+	// the degree-t sharing a later multiplication may assume.
+	deg int
 }
 
 // SharedVec is an opaque handle to a secret-shared vector.
 type SharedVec struct {
-	eng      *Engine
-	ref      int
-	n        int
-	openOnly bool // as Shared.openOnly
+	eng *Engine
+	ref int
+	n   int
+	deg int // as Shared.deg
 }
 
 // ErrOpenOnly is the engine failure (see Err) of a multiplicative gate
-// handed an open-only sharing: the result of
-// MulBatchUnreduced or InputUnshared, or of a linear gate over one. Only
-// linear gates and openings may consume those.
-var ErrOpenOnly = errors.New("bgw: open-only sharing where a degree-t sharing is required")
+// whose operand degrees sum above P−1: its local products would leave
+// the P points an opening or a resharing interpolates over. An operand
+// out of InputUnshared (degree P−1) is refused with any other; an
+// unreduced product (degree 2t) is refused unless 3t ≤ P−1.
+var ErrOpenOnly = errors.New("bgw: product of degree above P−1: an operand's sharing is of too high a degree")
 
 // Len returns the number of shared elements.
 func (v *SharedVec) Len() int { return v.n }
@@ -351,13 +356,12 @@ func (e *Engine) await(reply chan actorReply) []actorReply {
 	return replies
 }
 
-// newSharedN issues the handles of the next n scalar slots out of one
-// allocation (the outputs of a batched command).
-func (e *Engine) newSharedN(n int, openOnly bool) []Val {
-	hs := make([]Shared, n)
-	out := make([]Val, n)
+// issueShared gives the handles hs — whose degrees the caller set — the
+// next len(hs) scalar slots (the outputs of a batched command).
+func (e *Engine) issueShared(hs []Shared) []Val {
+	out := make([]Val, len(hs))
 	for i := range hs {
-		hs[i] = Shared{eng: e, ref: e.nextSc, openOnly: openOnly}
+		hs[i].eng, hs[i].ref = e, e.nextSc
 		e.nextSc++
 		out[i] = &hs[i]
 	}
@@ -365,9 +369,9 @@ func (e *Engine) newSharedN(n int, openOnly bool) []Val {
 }
 
 // newVec issues the handle of the next vector slot.
-func (e *Engine) newVec(n int, openOnly bool) *SharedVec {
+func (e *Engine) newVec(n, deg int) *SharedVec {
 	e.nextVec++
-	return &SharedVec{eng: e, ref: e.nextVec - 1, n: n, openOnly: openOnly}
+	return &SharedVec{eng: e, ref: e.nextVec - 1, n: n, deg: deg}
 }
 
 // shared resolves a scalar handle this engine issued.
@@ -388,11 +392,11 @@ func (e *Engine) sharedVec(v Vec) *SharedVec {
 	return s
 }
 
-// refuseOpenOnly fails the engine: gate was handed an open-only sharing
-// and would compute a wrong value from it.
-func (e *Engine) refuseOpenOnly(gate string) {
+// refuseOpenOnly fails the engine: a multiplicative gate would take its
+// local products to degree deg, above P−1, and compute a wrong value.
+func (e *Engine) refuseOpenOnly(deg int) {
 	if e.err == nil {
-		e.err = fmt.Errorf("%w (%s)", ErrOpenOnly, gate)
+		e.err = fmt.Errorf("%w (degree %d at P = %d)", ErrOpenOnly, deg, e.p)
 	}
 }
 
@@ -419,10 +423,10 @@ func (e *Engine) collectOps() int64 {
 // ---- Evaluator operations ----
 
 // local dispatches a command that fills the next scalar slot without a
-// reply and returns the slot's handle; the result of a linear gate is
-// open-only when an operand is.
-func (e *Engine) local(c actorCmd, openOnly bool) Val {
-	h := &Shared{eng: e, ref: e.nextSc, openOnly: openOnly}
+// reply and returns the slot's handle, a sharing of degree deg: a linear
+// gate's is its largest operand's.
+func (e *Engine) local(c actorCmd, deg int) Val {
+	h := &Shared{eng: e, ref: e.nextSc, deg: deg}
 	e.nextSc++
 	e.dispatch(c)
 	return h
@@ -455,7 +459,11 @@ func (e *Engine) InputBatch(items []InputItem) []Val {
 		// inline parties are done with items when dispatch returns.
 		items = append([]InputItem(nil), items...)
 	}
-	out := e.newSharedN(len(items), false)
+	hs := make([]Shared, len(items))
+	for i := range hs {
+		hs[i].deg = e.t
+	}
+	out := e.issueShared(hs)
 	e.dispatch(actorCmd{op: opInputBatch, x: &cmdPayload{inputs: items}})
 	return out
 }
@@ -466,7 +474,7 @@ func (e *Engine) InputBatch(items []InputItem) []Val {
 // command (see Engine). vs is the caller's again when InputVec returns.
 func (e *Engine) InputVec(owner int, vs []int64) Vec {
 	e.round = append(e.round, e.embed(owner, vs))
-	return e.newVec(len(vs), false)
+	return e.newVec(len(vs), e.t)
 }
 
 // embed embeds owner's signed vector in the field, into the slot the
@@ -483,45 +491,47 @@ func (e *Engine) embed(owner int, vs []int64) vecInput {
 // InputUnshared enters party owner's signed vector vs without sharing
 // it: the owner keeps λ_owner⁻¹·vs in the slot and every other party 0,
 // so the slots interpolate to vs over the P points — a sharing of degree
-// up to P−1 — while no randomness is drawn, nothing is sent and no round
+// P−1 — while no randomness is drawn, nothing is sent and no round
 // passes. The handle may flow through linear gates into an opening and
-// nowhere else: there the owner's published row carries vs under the
+// nowhere else (a multiplication by anything of degree above 0 would
+// pass P−1: ErrOpenOnly): there the owner's published row carries vs under the
 // opening's zero mask, which hides it as the sharing would have
 // (PRIVACY.md "Add what only you know at the opening"). circuit.Plan
 // issues this for an input leaf that reaches nothing but openings.
 func (e *Engine) InputUnshared(owner int, vs []int64) Vec {
 	in := e.embed(owner, vs)
-	out := e.newVec(len(vs), true)
+	out := e.newVec(len(vs), e.p-1)
 	e.dispatch(actorCmd{op: opInputUnshared, x: &cmdPayload{vecs: []vecInput{in}}})
 	return out
 }
 
-// Zero returns a trivial sharing of 0; local.
-func (e *Engine) Zero() Val { return e.local(actorCmd{op: opZero}, false) }
+// Zero returns a trivial sharing of 0, the constant polynomial (degree
+// 0); local.
+func (e *Engine) Zero() Val { return e.local(actorCmd{op: opZero}, 0) }
 
 // Add returns a sharing of a + b; local.
 func (e *Engine) Add(a, b Val) Val {
 	sa, sb := e.shared(a), e.shared(b)
-	return e.local(actorCmd{op: opAdd, a: sa.ref, b: sb.ref}, sa.openOnly || sb.openOnly)
+	return e.local(actorCmd{op: opAdd, a: sa.ref, b: sb.ref}, max(sa.deg, sb.deg))
 }
 
 // Sub returns a sharing of a − b; local.
 func (e *Engine) Sub(a, b Val) Val {
 	sa, sb := e.shared(a), e.shared(b)
-	return e.local(actorCmd{op: opSub, a: sa.ref, b: sb.ref}, sa.openOnly || sb.openOnly)
+	return e.local(actorCmd{op: opSub, a: sa.ref, b: sb.ref}, max(sa.deg, sb.deg))
 }
 
 // AddConst returns a sharing of a + c; local (the constant polynomial c
 // added to every share).
 func (e *Engine) AddConst(a Val, c int64) Val {
 	sa := e.shared(a)
-	return e.local(actorCmd{op: opAddConst, a: sa.ref, c: c}, sa.openOnly)
+	return e.local(actorCmd{op: opAddConst, a: sa.ref, c: c}, sa.deg)
 }
 
 // MulConst returns a sharing of c·a; local.
 func (e *Engine) MulConst(a Val, c int64) Val {
 	sa := e.shared(a)
-	return e.local(actorCmd{op: opMulConst, a: sa.ref, c: c}, sa.openOnly)
+	return e.local(actorCmd{op: opMulConst, a: sa.ref, c: c}, sa.deg)
 }
 
 // Mul returns a sharing of a·b: every party multiplies its shares
@@ -558,73 +568,83 @@ func (e *Engine) DotBatch(pairs []VecPair, workers int) []Val {
 	return e.MulBatch(items)
 }
 
-// scRefs resolves a list of scalar handles to their slots and reports
-// whether any of them is open-only.
-func (e *Engine) scRefs(vs []Val) (refs []int, openOnly bool) {
+// scRefs resolves a list of scalar handles to their slots and returns
+// the largest degree among them.
+func (e *Engine) scRefs(vs []Val) (refs []int, deg int) {
 	refs = make([]int, len(vs))
 	for i, v := range vs {
 		s := e.shared(v)
-		refs[i], openOnly = s.ref, openOnly || s.openOnly
+		refs[i], deg = s.ref, max(deg, s.deg)
 	}
-	return refs, openOnly
+	return refs, deg
 }
 
 // MulBatch evaluates one level of independent multiplicative gates in a
 // single batched degree-reduction round: every party computes all local
-// degree-2t values, then one reshare exchange carries every sub-share
-// in one frame per ordered party pair.
+// products, then one reshare exchange carries every sub-share in one
+// frame per ordered party pair. Every product of degree up to P−1
+// reduces, and the handles are degree-t sharings.
 func (e *Engine) MulBatch(items []MulItem) []Val { return e.mulBatch(opMulBatch, items) }
 
 // MulBatchUnreduced evaluates one level of multiplicative gates and
 // stops before the degree reduction: every party keeps its local
-// degree-2t value, nothing is sent and no round passes. The handles are
-// open-only: they may flow through linear gates into an opening and
-// nowhere else — a second multiplication would leave the P points an
-// opening interpolates over, and fails the engine with ErrOpenOnly
-// (circuit.Plan issues this for a terminal level and refuses to hand
-// such a handle out).
+// product, nothing is sent and no round passes. A handle's degree is the
+// sum of its operands' (the largest pair's, for an inner product): it
+// may flow through linear gates into an opening, into a MulBatch that
+// reduces it, or into another product while the degrees still sum to at
+// most P−1 — beyond that the engine fails with ErrOpenOnly.
+// circuit.Plan issues this for every product no later gate needs at
+// degree t.
 func (e *Engine) MulBatchUnreduced(items []MulItem) []Val {
 	return e.mulBatch(opMulUnreduced, items)
 }
 
 // mulBatch resolves a level's operands to slots and issues it as op. An
-// open-only operand fails the engine instead: the handles are still
-// returned, and every opening from here on reports zeros.
+// item whose operand degrees sum above P−1 fails the engine instead: the
+// handles are still returned, and every opening from here on reports
+// zeros.
 func (e *Engine) mulBatch(op actorOp, items []MulItem) []Val {
 	if len(items) == 0 {
 		return []Val{}
 	}
 	muls := make([]mulDesc, len(items))
-	openOnly := false
+	hs := make([]Shared, len(items))
 	for i, it := range items {
+		deg := 0
 		switch it.Kind {
 		case MulScalar:
 			a, b := e.shared(it.A), e.shared(it.B)
 			muls[i] = mulDesc{kind: MulScalar, a: a.ref, b: b.ref}
-			openOnly = openOnly || a.openOnly || b.openOnly
+			deg = a.deg + b.deg
 		case MulInner:
 			if len(it.As) != len(it.Bs) {
 				panic(invariant.Violation("bgw: inner-product length mismatch"))
 			}
-			as, oa := e.scRefs(it.As)
-			bs, ob := e.scRefs(it.Bs)
+			as, bs := make([]int, len(it.As)), make([]int, len(it.Bs))
+			for k := range as {
+				a, b := e.shared(it.As[k]), e.shared(it.Bs[k])
+				as[k], bs[k], deg = a.ref, b.ref, max(deg, a.deg+b.deg)
+			}
 			muls[i] = mulDesc{kind: MulInner, refs: as, refs2: bs}
-			openOnly = openOnly || oa || ob
 		case MulDot:
 			a, b := e.sharedVec(it.VA), e.sharedVec(it.VB)
 			if a.n != b.n {
 				panic(invariant.Violation("bgw: vector length mismatch"))
 			}
 			muls[i] = mulDesc{kind: MulDot, a: a.ref, b: b.ref}
-			openOnly = openOnly || a.openOnly || b.openOnly
+			deg = a.deg + b.deg
 		default:
 			panic(invariant.Violation("bgw: unknown MulKind %d", it.Kind))
 		}
+		if deg > e.p-1 {
+			e.refuseOpenOnly(deg)
+		}
+		hs[i].deg = e.t
+		if op == opMulUnreduced {
+			hs[i].deg = deg
+		}
 	}
-	if openOnly {
-		e.refuseOpenOnly("multiplicative gate")
-	}
-	out := e.newSharedN(len(items), op == opMulUnreduced)
+	out := e.issueShared(hs)
 	e.dispatch(actorCmd{op: op, x: &cmdPayload{muls: muls, refs: e.reusedDotSlots(muls)}})
 	return out
 }
@@ -683,8 +703,8 @@ func (e *Engine) Open(s Val) int64 { return e.OpenBatch([]Val{s})[0] }
 // OpenBatch reveals many shared scalars in one batched opening round:
 // every party publishes its additive share of each under the pairwise
 // zero mask (actorParty.publish), each sums the rows, and party 0
-// reports the values to the caller. The sharings may be of degree t or,
-// out of MulBatchUnreduced or InputUnshared, of any degree up to P−1.
+// reports the values to the caller. The sharings may be of any degree up
+// to P−1 — out of MulBatchUnreduced or InputUnshared as well as degree t.
 func (e *Engine) OpenBatch(vals []Val) []int64 {
 	if len(vals) == 0 {
 		return []int64{}
@@ -715,7 +735,7 @@ func (e *Engine) At(v Vec, k int) Val {
 	if k < 0 || k >= sv.n {
 		panic(invariant.Violation("bgw: vector index out of range"))
 	}
-	return e.local(actorCmd{op: opAt, a: sv.ref, b: k}, sv.openOnly)
+	return e.local(actorCmd{op: opAt, a: sv.ref, b: k}, sv.deg)
 }
 
 // AddVec returns the element-wise sum a + b; local.
@@ -724,7 +744,7 @@ func (e *Engine) AddVec(a, b Vec) Vec {
 	if sa.n != sb.n {
 		panic(invariant.Violation("bgw: vector length mismatch"))
 	}
-	out := e.newVec(sa.n, sa.openOnly || sb.openOnly)
+	out := e.newVec(sa.n, max(sa.deg, sb.deg))
 	e.dispatch(actorCmd{op: opAddVec, a: sa.ref, b: sb.ref})
 	return out
 }
@@ -742,7 +762,7 @@ func (e *Engine) Gather(v Vec, idx []int) Vec {
 		// As in InputBatch: party goroutines need their own copy.
 		idx = append([]int(nil), idx...)
 	}
-	out := e.newVec(len(idx), sv.openOnly)
+	out := e.newVec(len(idx), sv.deg)
 	e.dispatch(actorCmd{op: opGather, a: sv.ref, x: &cmdPayload{refs: idx}})
 	return out
 }
@@ -754,10 +774,10 @@ func (e *Engine) LinComb(vs []Vec, cs []int64, c0 int64) Vec {
 		panic(invariant.Violation("bgw: LinComb has %d vectors for %d coefficients", len(vs), len(cs)))
 	}
 	refs := make([]int, len(vs))
-	n, openOnly := 0, false
+	n, deg := 0, 0
 	for k, v := range vs {
 		sv := e.sharedVec(v)
-		refs[k], openOnly = sv.ref, openOnly || sv.openOnly
+		refs[k], deg = sv.ref, max(deg, sv.deg)
 		if k == 0 {
 			n = sv.n
 		} else if sv.n != n {
@@ -767,15 +787,15 @@ func (e *Engine) LinComb(vs []Vec, cs []int64, c0 int64) Vec {
 	if e.mesh != nil {
 		cs = append([]int64(nil), cs...)
 	}
-	out := e.newVec(n, openOnly)
+	out := e.newVec(n, deg)
 	e.dispatch(actorCmd{op: opLinComb, a: n, c: c0, x: &cmdPayload{refs: refs, ints: cs}})
 	return out
 }
 
 // FromScalars packs scalar shares into a vector; local.
 func (e *Engine) FromScalars(xs []Val) Vec {
-	refs, openOnly := e.scRefs(xs)
-	out := e.newVec(len(xs), openOnly)
+	refs, deg := e.scRefs(xs)
+	out := e.newVec(len(xs), deg)
 	e.dispatch(actorCmd{op: opFromScalars, x: &cmdPayload{refs: refs}})
 	return out
 }

@@ -7,12 +7,15 @@
 //     keeps (InputUnshared: no randomness, no traffic, no round) and adds
 //     under the mask of step 3,
 //  2. addition and scaling are local; each multiplication takes the
-//     pointwise product of shares (a degree-2t sharing) followed by a
-//     degree-reduction resharing round — except on a level nothing
-//     multiplies after, which keeps its degree-2t values
-//     (MulBatchUnreduced) and saves the round,
+//     pointwise product of shares, a sharing whose degree is the sum of
+//     its operands', and every handle carries that degree. A product is
+//     reduced to degree t by a resharing round (MulBatch) — the
+//     Gennaro–Rabin–Rabin reduction, which takes any degree up to P−1 —
+//     or kept as it is at the cost of nothing (MulBatchUnreduced) while
+//     whatever multiplies it stays within P−1 (ErrOpenOnly; PRIVACY.md
+//     "Multiply the degree you hold"),
 //  3. outputs are opened by interpolating at 0 over all P points, which
-//     2t < P makes right at either degree: every party publishes its
+//     is right at any degree up to P−1: every party publishes its
 //     Lagrange-weighted share under a pairwise zero mask and sums the
 //     published rows (PRIVACY.md "Open the degree you hold").
 //
@@ -172,8 +175,8 @@ type Evaluator interface {
 	// deals all of its vectors before any party waits on a peer's.
 	InputVec(owner int, vs []int64) Vec
 	// InputUnshared enters party owner's signed vector vs without a
-	// sharing: no randomness, no traffic, no round. The result is good
-	// for linear gates and openings only, where the owner's published row
+	// sharing: no randomness, no traffic, no round. The result has degree
+	// P−1 and is good for linear gates and openings only, where the owner's published row
 	// carries vs under the opening's zero mask; circuit.Plan.Execute
 	// issues it for an input leaf that reaches nothing but openings.
 	InputUnshared(owner int, vs []int64) Vec
@@ -187,7 +190,8 @@ type Evaluator interface {
 	AddConst(a Val, c int64) Val
 	// MulConst returns a sharing of c·a; local.
 	MulConst(a Val, c int64) Val
-	// Mul returns a sharing of a·b via degree-reduction resharing.
+	// Mul returns a degree-t sharing of a·b via degree-reduction
+	// resharing.
 	Mul(a, b Val) Val
 	// InnerProduct returns a sharing of Σ_k a[k]·b[k] with the fused
 	// gate (one resharing total).
@@ -221,10 +225,11 @@ type Evaluator interface {
 	// per ordered party pair. Results are returned in item order.
 	MulBatch(items []MulItem) []Val
 	// MulBatchUnreduced evaluates one level of multiplicative gates
-	// without the degree reduction: no traffic, no round. The results
-	// are degree-2t sharings, good for linear gates and openings only;
-	// circuit.Plan.Execute issues it for a level nothing multiplies
-	// after.
+	// without the degree reduction: no traffic, no round. A result's
+	// degree is the sum of its operands'; it is good for linear gates,
+	// openings, a MulBatch, and a further product while the degrees sum
+	// to at most P−1. circuit.Plan.Execute issues it for every product no
+	// later gate needs at degree t.
 	MulBatchUnreduced(items []MulItem) []Val
 	// OpenBatch reveals many shared scalars in one batched opening
 	// round (one frame per ordered party pair carrying every share).

@@ -277,3 +277,70 @@ func TestUnsharedInputViewIsSimulatedFromTheOutput(t *testing.T) {
 		}
 	}
 }
+
+// The simulator test of resharing a product above degree 2t (PRIVACY.md
+// "Multiply the degree you hold"). At P = 4, t = 1 the honest parties
+// deal a and b and the coalition deals c = 3; a·b is kept unreduced at
+// degree 2, and its product with c — degree 3 = P−1, every party's local
+// point — is reshared by MulBatch. What the coalition sees of that round
+// is one sub-share from every honest party, that party's point under a
+// fresh degree-t sharing, and the new share it folds from them. Two
+// honest inputs with one output, (a, b) = (4, 1) and (2, 2): a view that
+// depends on the output alone is the same distribution in both worlds.
+
+// resharedView runs the circuit for honest inputs (a, b) on a fresh
+// inline engine and returns the coalition's view of the resharing: the
+// sub-shares every honest party sent it, then its new shares.
+func resharedView(t *testing.T, cfg Config, coalition []int, a, b int64) []field.Elem {
+	t.Helper()
+	e, honest := viewEngine(t, cfg, coalition, false)
+	ins := e.InputBatch([]InputItem{
+		{Owner: honest[0], Elem: field.FromInt64(a)},
+		{Owner: honest[1], Elem: field.FromInt64(b)},
+		{Owner: coalition[0], Elem: 3},
+	})
+	ab := e.MulBatchUnreduced([]MulItem{{Kind: MulScalar, A: ins[0], B: ins[1]}})[0]
+	abc := e.MulBatch([]MulItem{{Kind: MulScalar, A: ab, B: ins[2]}})[0]
+	if e.shared(ab).deg+e.shared(ins[2]).deg != e.p-1 || e.Err() != nil {
+		t.Fatalf("reshared a point of degree %d, err %v; want P−1", e.shared(ab).deg+e.shared(ins[2]).deg, e.Err())
+	}
+	var view []field.Elem
+	for _, c := range coalition {
+		// The sub-shares are the rows the fold took: the new share is their
+		// Lagrange combination with every other party's, its own included.
+		pc := e.parties[c]
+		var fold field.Elem
+		for j, pj := range e.parties {
+			fold = field.Add(fold, field.Mul(pc.weights[j], pj.sh.rows[c][0]))
+		}
+		for _, h := range honest {
+			view = append(view, e.parties[h].sh.rows[c][0])
+		}
+		share := pc.sc[e.shared(abc).ref]
+		if fold != share {
+			t.Fatalf("party %d: the captured sub-shares fold to %d, its new share is %d", c, fold, share)
+		}
+		view = append(view, share)
+	}
+	if got := e.Open(abc); got != 3*a*b {
+		t.Fatalf("opened %d, want %d", got, 3*a*b)
+	}
+	return view
+}
+
+func TestResharedHighDegreeViewIsSimulatedFromTheOutput(t *testing.T) {
+	const seeds = 500
+	limit := 15 + 6*math.Sqrt(2*15)
+	for _, coalition := range [][]int{{0}, {1}, {3}} {
+		var viewA, viewB []field.Elem
+		for s := uint64(0); s < seeds; s++ {
+			cfg := Config{Parties: 4, Threshold: 1, Seed: 0x3e5a + s}
+			viewA = append(viewA, resharedView(t, cfg, coalition, 4, 1)...)
+			cfg.Seed += seeds
+			viewB = append(viewB, resharedView(t, cfg, coalition, 2, 2)...)
+		}
+		if chi2 := twoSampleChi2(viewA, viewB); chi2 > limit {
+			t.Errorf("coalition %v: χ² of the resharing's view %.1f between two inputs with one output; want below %.1f", coalition, chi2, limit)
+		}
+	}
+}

@@ -3,10 +3,11 @@
 // same names but captures every operation into a DAG IR instead of
 // executing it; Compile levels the DAG by multiplicative depth; the
 // resulting Plan executes against any real bgw.Evaluator, running each
-// level as ONE batched communication round — all of a level's degree
-// reductions travel in a single reshare exchange (one frame per ordered
-// party pair), and the round count derives from the plan's structure
-// instead of hand-placed AdvanceRound calls.
+// level as at most ONE batched communication round — all of a level's
+// degree reductions travel in a single reshare exchange (one frame per
+// ordered party pair), a product is reduced only when a later gate needs
+// it at a lower degree (Plan.assignDegrees), and the round count derives
+// from the plan's structure instead of hand-placed AdvanceRound calls.
 //
 // A plan runs one way — Plan.Execute — and Plan.Plain interprets it
 // without an engine as the differential oracle. A plan that is
@@ -105,16 +106,22 @@ func (k nodeKind) isVec() bool {
 type node struct {
 	kind   nodeKind
 	folded bool // foldSums changed what the node computes: the handle recorded for it must not resolve
-	// openOnly: only an opening may consume the sharing Execute leaves
-	// here (schedule). On an input leaf it means the leaf is not shared at
-	// all; on any node, that its handle must not resolve.
-	openOnly bool
-	level    int32 // multiplicative level, assigned by Compile
-	a, b     int32 // operand node ids; b is the element index of kAt; a is the args offset of kInner/kFromScalars operands and the lits index of a kInputVec literal; args[a:a+b] are the parameter slots a kInputSum adds and the operands of a kLinComb
-	owner    int32 // input owner party
-	param    int32 // parameter slot (const/input/vector/ext params); lits index of a kInputVecSum's summed literals and of a kLinComb's coefficients; args offset of a kGather's n element indices
-	n        int32 // vector length of vector-producing nodes; operand count of kInner (list B follows list A in args)
-	c        int64 // public constant (kInput, kAddConst, kMulConst, kLinComb's c0) or raw field input (kInputElem, and the summed literals of a kInputSum)
+	// reshare: a product Execute reduces to degree t (schedule); the
+	// others keep the degree of their local products.
+	reshare bool
+	// late: an input leaf Execute does not share, or a linear gate over
+	// one — entered after the last multiplicative level (schedule).
+	late  bool
+	level int32 // multiplicative level, assigned by Compile
+	a, b  int32 // operand node ids; b is the element index of kAt; a is the args offset of kInner/kFromScalars operands and the lits index of a kInputVec literal; args[a:a+b] are the parameter slots a kInputSum adds and the operands of a kLinComb
+	owner int32 // input owner party
+	param int32 // parameter slot (const/input/vector/ext params); lits index of a kInputVecSum's summed literals and of a kLinComb's coefficients; args offset of a kGather's n element indices
+	n     int32 // vector length of vector-producing nodes; operand count of kInner (list B follows list A in args)
+	// deg is the degree of the sharing Execute leaves here (schedule):
+	// above t, the node is open-only — its handle does not resolve, and
+	// on an input leaf it means the leaf is not shared at all.
+	deg int32
+	c   int64 // public constant (kInput, kAddConst, kMulConst, kLinComb's c0) or raw field input (kInputElem, and the summed literals of a kInputSum)
 }
 
 // Val is a handle to one recorded scalar node; it is passed around as a

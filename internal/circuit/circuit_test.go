@@ -24,22 +24,27 @@ func buildPoly(b *Builder) {
 }
 
 func TestCompileLevels(t *testing.T) {
-	b := NewBuilder(4, 0)
-	buildPoly(b)
-	plan := b.MustCompile()
-	if plan.Depth() != 2 {
-		t.Fatalf("depth = %d, want 2", plan.Depth())
-	}
-	if plan.MulGates() != 2 {
-		t.Fatalf("mul gates = %d, want 2", plan.MulGates())
-	}
-	// input round + level 1's reduction + output round: level 2 feeds
-	// only the Sub and the opening, so it is terminal and costs no round.
-	if plan.Rounds() != 3 {
-		t.Fatalf("rounds = %d, want 3", plan.Rounds())
-	}
-	if plan.EagerRounds() != 4 {
-		t.Fatalf("eager rounds = %d, want 4", plan.EagerRounds())
+	// Level 2 feeds only the Sub and the opening, so it keeps its degree
+	// and costs no round. Level 1's x·y has degree 2t, and level 2 takes
+	// it to 3t: at P = 3 that is above P−1 and level 1 reshares — input
+	// round, level 1's reduction, output round — while at P = 4 it fits
+	// and only the input and output rounds are left.
+	for _, c := range []struct{ parties, rounds int }{{3, 3}, {4, 2}} {
+		b := NewBuilder(c.parties, 0)
+		buildPoly(b)
+		plan := b.MustCompile()
+		if plan.Depth() != 2 {
+			t.Fatalf("P=%d: depth = %d, want 2", c.parties, plan.Depth())
+		}
+		if plan.MulGates() != 2 {
+			t.Fatalf("P=%d: mul gates = %d, want 2", c.parties, plan.MulGates())
+		}
+		if plan.Rounds() != c.rounds {
+			t.Fatalf("P=%d: rounds = %d, want %d", c.parties, plan.Rounds(), c.rounds)
+		}
+		if plan.EagerRounds() != 4 {
+			t.Fatalf("P=%d: eager rounds = %d, want 4", c.parties, plan.EagerRounds())
+		}
 	}
 }
 
@@ -92,18 +97,19 @@ func TestExecuteMatchesPlainAcrossEngines(t *testing.T) {
 // TestExecuteEmitsLevelSpans pins the executor's instrumentation: with
 // a debug-level recorder on the engine, every multiplicative level and
 // the open round produce span events carrying their "seconds" — Depth()
-// level spans still, the terminal one saying that it did not reduce and
-// moved nothing.
+// level spans still, one that reshares nothing saying that it did not
+// reduce and moved nothing. At P = 3 the poly's first level reshares and
+// its second does not (TestCompileLevels).
 func TestExecuteEmitsLevelSpans(t *testing.T) {
 	var log bytes.Buffer
 	rec := obs.NewLog(&log, "json", obs.LevelDebug)
-	b := NewBuilder(4, 0).SetRecorder(rec)
+	b := NewBuilder(3, 0).SetRecorder(rec)
 	if b.Recorder() != obs.Recorder(rec) {
 		t.Fatal("SetRecorder not surfaced through Recorder()")
 	}
 	buildPoly(b)
 	plan := b.MustCompile()
-	eng, err := bgw.NewEngine(bgw.Config{Parties: 4, Seed: 11, Recorder: rec})
+	eng, err := bgw.NewEngine(bgw.Config{Parties: 3, Seed: 11, Recorder: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,9 +189,11 @@ func TestParamsRebindAcrossExecutions(t *testing.T) {
 
 // TestBatchedLevelIsOneFrameExchange: N independent muls of one level
 // must cost one reshare exchange — P(P−1) frames — regardless of N, and
-// the N muls of the terminal level above it none.
+// the N muls of the level above it, which only the openings read, none.
+// At P = 3 the first level's products (degree 2t = P−1) must reshare
+// before the second multiplies them.
 func TestBatchedLevelIsOneFrameExchange(t *testing.T) {
-	const p, n = 4, 9
+	const p, n = 3, 9
 	build := func() *Plan {
 		b := NewBuilder(p, 0)
 		xs := make([]bgw.Val, n)

@@ -8,11 +8,11 @@ import "sqm/internal/bgw"
 // and one InputVec per vector, all up front, one Mul / InnerProduct / Dot
 // and one wire round per multiplicative gate, one Open per scalar output.
 // BGW computes exactly, so it must open what Execute opens, bit for bit,
-// in EagerRounds rounds. It reduces after every gate, the last level's
-// too, and it shares every input leaf — it finds them in the nodes, not
-// in the plan's lists of the shared ones — so it is the oracle for the
-// terminal level Execute leaves unreduced and for the open-only leaves
-// Execute does not share.
+// in EagerRounds rounds. It reduces after every gate, whatever degree
+// the plan leaves it at, and it shares every input leaf — it finds them
+// in the nodes, not in the plan's lists of the shared ones — so it is the
+// oracle for the products Execute keeps unreduced and for the unshared
+// leaves.
 func (p *Plan) runEager(eng bgw.Evaluator, bind Bindings) (*Result, error) {
 	if err := p.validate(bind); err != nil {
 		return nil, err
@@ -32,7 +32,8 @@ func (p *Plan) runEager(eng bgw.Evaluator, bind Bindings) (*Result, error) {
 	}
 	for lvl, locals := range p.locals {
 		if lvl > 0 {
-			for _, id := range p.muls[lvl-1] {
+			ml := p.muls[lvl-1]
+			for _, id := range append(append([]int32(nil), ml.reshare...), ml.keep...) {
 				switch n := &p.nodes[id]; n.kind {
 				case kMul:
 					r.vals[id] = eng.Mul(r.vals[n.a], r.vals[n.b])
@@ -79,8 +80,8 @@ func (p *Plan) runEager(eng bgw.Evaluator, bind Bindings) (*Result, error) {
 // degree-reduction resharing, and runEager pays one round for each.
 func (p *Plan) MulGates() int {
 	n := 0
-	for _, lvl := range p.muls {
-		n += len(lvl)
+	for _, ml := range p.muls {
+		n += len(ml.reshare) + len(ml.keep)
 	}
 	return n
 }

@@ -21,12 +21,13 @@ import (
 // in a terminalTail, which decides whether the last multiplicative level
 // is opened unreduced, and three in four in an unsharedTail after it,
 // which decides whether one more input leaf is shared; last come a
-// gramTail on one seed in three and a lowTail on two in three. The shape
-// is fully determined by rng, so the same seed rebuilds the same circuit
-// for every backend; the returned bindings fill the scalar trees' and the
-// lowTail's parameter leaves, and the tails say what the seed ended in.
+// gramTail on one seed in three, a lowTail on two in three and a
+// chainTail on one in two. The shape is fully determined by rng and the
+// builder's P, so the same seed rebuilds the same circuit for every
+// backend; the returned bindings fill the scalar trees' and the lowTail's
+// parameter leaves, and the tails say what the seed ended in.
 func randomCircuit(b *Builder, rng *rand.Rand) (Bindings, circuitTails) {
-	const p = 4
+	p := b.p
 	var bind Bindings
 	var tails circuitTails
 	vals := []bgw.Val{b.Zero()}
@@ -141,7 +142,38 @@ func randomCircuit(b *Builder, rng *rand.Rand) (Bindings, circuitTails) {
 	if rng.Intn(3) != 0 {
 		tails.low = lowTail(b, rng, &bind, vecs[0])
 	}
+	if rng.Intn(2) == 0 {
+		chainTail(b, rng, vals)
+	}
 	return bind, tails
+}
+
+// chainTail records a product chain over earlier values: 2 to P links,
+// each the chain so far times a pick — one link in four an inner product
+// with the chain in one term — and opens the last. The degree rule keeps
+// a link unreduced while the next one stays within P−1 (at P = 4, t = 1
+// a chain of two links over degree-t leaves is never reshared; at P = 7,
+// t = 2 neither is one of two), and a pick may itself be a product
+// another chain kept. One link in three is opened on its own, one in six
+// also gets a linear handle nothing reads, which must reshare what it
+// reads.
+func chainTail(b *Builder, rng *rand.Rand, vals []bgw.Val) {
+	pick := func() bgw.Val { return vals[rng.Intn(len(vals))] }
+	chain := pick()
+	for i, n := 0, 2+rng.Intn(b.p-1); i < n; i++ {
+		if rng.Intn(4) == 0 {
+			chain = b.InnerProduct([]bgw.Val{pick(), chain}, []bgw.Val{pick(), pick()})
+		} else {
+			chain = b.Mul(chain, pick())
+		}
+		switch rng.Intn(6) {
+		case 0:
+			b.AddConst(chain, 1)
+		case 1, 2:
+			b.OpenIdx(chain)
+		}
+	}
+	b.OpenIdx(chain)
 }
 
 // lowTail records 1–3 input vectors of low's length, each a vector
@@ -224,14 +256,14 @@ const (
 )
 
 // terminalTail puts one more multiplicative level on top of everything
-// recorded. The sum of every scalar and of one element of every vector
+// recorded before it. The sum of every scalar and of one element of every vector
 // sits at the circuit's deepest level, so its products with earlier
 // values are alone on the level above. They flow through linear gates —
 // a fresh degree-t input vector among them, as the noise of an SQM
 // release is — into a scalar and a vector opening: mul → linear → open,
-// the shape whose level Compile marks terminal. With dangling, one more
-// linear gate reads a product and nothing reads the gate: a handle a
-// later plan could bind, which must keep the level reduced.
+// the shape whose products keep the degree they have. With dangling, one
+// more linear gate reads a product and nothing reads the gate: a handle a
+// later plan could bind, which must have the product reshared.
 func terminalTail(b *Builder, rng *rand.Rand, vals []bgw.Val, vecs []bgw.Vec, dangling bool) {
 	top := vals[0]
 	for _, v := range vals[1:] {
@@ -254,8 +286,8 @@ func terminalTail(b *Builder, rng *rand.Rand, vals []bgw.Val, vecs []bgw.Vec, da
 // unsharedTail records one more input leaf — a scalar or a vector — and
 // opens a linear gate over it: input → linear → open, the shape whose
 // leaf Compile leaves unshared. In a multipliedTail the same leaf is also
-// squared and the square opened (consumed, so it leaves a terminal level
-// terminal); in a readableTail a second linear gate reads the first and
+// squared and the square opened (consumed, so the square keeps its
+// degree); in a readableTail a second linear gate reads the first and
 // nothing reads the gate, a handle a later plan could bind and multiply.
 // Either must keep the leaf a degree-t sharing. It returns the leaf's id.
 func unsharedTail(b *Builder, rng *rand.Rand, shape int) int32 {
@@ -369,102 +401,141 @@ func compileUnfolded(t *testing.T, b *Builder) *Plan {
 	return p
 }
 
-// checkEquivalence compiles the seed's random circuit and demands
-// bit-identical opened outputs from every execution strategy: the
-// plain interpreter over the circuit as recorded (the oracle), then the
-// compiled — folded — plan on the plain interpreter, the planned
-// executor on the monolithic and actor engines, and gate-by-gate
-// execution (runEager). Measured rounds must equal the plan's predictions.
-func checkEquivalence(t *testing.T, seed int64) {
+// oldRounds recomputes a plan's rounds under the rule the degree rule
+// replaced: every multiplicative level reshared but a terminal one, the
+// top level when something consumes every node on it — depth + shared
+// inputs + opens − terminal.
+func oldRounds(p *Plan) int {
+	consumed := make([]bool, len(p.nodes))
+	for id := range p.nodes {
+		p.eachOperand(&p.nodes[id], func(op int32) { consumed[op] = true })
+	}
+	terminal := p.depth > 0
+	for id, n := range p.nodes {
+		if n.kind != kFolded && n.kind != kOpen && n.kind != kOpenVec && !consumed[id] && int(n.level) == p.depth {
+			terminal = false
+		}
+	}
+	r := p.depth
+	if p.hasInputs {
+		r++
+	}
+	if p.hasOpens() {
+		r++
+	}
+	if terminal {
+		r--
+	}
+	return r
+}
+
+// checkEquivalence compiles the seed's random circuit for P parties and
+// threshold th and demands bit-identical opened outputs from every
+// execution strategy: the plain interpreter over the circuit as recorded
+// (the oracle), then the compiled — folded — plan on the plain
+// interpreter, the planned executor on the monolithic and actor engines,
+// neither of which may report an error, and gate-by-gate execution
+// (runEager). Measured rounds must equal the plan's predictions, which
+// may not exceed the rule the degree rule replaced.
+func checkEquivalence(t *testing.T, seed int64, P, th int) {
 	t.Helper()
-	ub := NewBuilder(4, 0)
+	ub := NewBuilder(P, th)
 	bind, _ := randomCircuit(ub, rand.New(rand.NewSource(seed)))
 	want, err := compileUnfolded(t, ub).Plain(bind)
 	if err != nil {
-		t.Fatalf("seed %d: plain, as recorded: %v", seed, err)
+		t.Fatalf("seed %d P=%d: plain, as recorded: %v", seed, P, err)
 	}
 
-	b := NewBuilder(4, 0)
+	b := NewBuilder(P, th)
 	randomCircuit(b, rand.New(rand.NewSource(seed)))
 	plan := b.MustCompile()
+	if old := oldRounds(plan); plan.Rounds() > old {
+		t.Errorf("seed %d P=%d: %d rounds, %d under the terminal-level rule", seed, P, plan.Rounds(), old)
+	}
 
 	check := func(name string, res *Result, rounds int64, wantRounds int) {
 		if len(res.opened) != len(want.opened) {
-			t.Fatalf("seed %d: %s opened %d values, plain %d", seed, name, len(res.opened), len(want.opened))
+			t.Fatalf("seed %d P=%d: %s opened %d values, plain %d", seed, P, name, len(res.opened), len(want.opened))
 		}
 		for i := range want.opened {
 			if res.opened[i] != want.opened[i] {
-				t.Errorf("seed %d: %s output %d = %d, plain %d", seed, name, i, res.opened[i], want.opened[i])
+				t.Errorf("seed %d P=%d: %s output %d = %d, plain %d", seed, P, name, i, res.opened[i], want.opened[i])
 			}
 		}
 		for i := range want.openedVecs {
 			for k := range want.openedVecs[i] {
 				if res.openedVecs[i][k] != want.openedVecs[i][k] {
-					t.Errorf("seed %d: %s vec %d[%d] = %d, plain %d", seed, name, i, k, res.openedVecs[i][k], want.openedVecs[i][k])
+					t.Errorf("seed %d P=%d: %s vec %d[%d] = %d, plain %d", seed, P, name, i, k, res.openedVecs[i][k], want.openedVecs[i][k])
 				}
 			}
 		}
 		if rounds != int64(wantRounds) {
-			t.Errorf("seed %d: %s rounds = %d, want %d", seed, name, rounds, wantRounds)
+			t.Errorf("seed %d P=%d: %s rounds = %d, want %d", seed, P, name, rounds, wantRounds)
 		}
 	}
 
 	pres, err := plan.Plain(bind)
 	if err != nil {
-		t.Fatalf("seed %d: plain: %v", seed, err)
+		t.Fatalf("seed %d P=%d: plain: %v", seed, P, err)
 	}
 	check("plain", pres, int64(plan.Rounds()), plan.Rounds())
 
 	// Both drivers of the engine at their own pool widths (inline
 	// parties split a level's products over GOMAXPROCS chunks, parties
 	// behind a mesh run them serially; internal/bgw sweeps the width).
-	mono, err := bgw.NewEngine(bgw.Config{Parties: 4, Seed: uint64(seed) ^ 0x9e37})
+	planned := func(name string, eng bgw.Evaluator) {
+		before := eng.Stats().Rounds
+		res, err := plan.Execute(eng, bind)
+		if err != nil {
+			t.Fatalf("seed %d P=%d: %s: %v", seed, P, name, err)
+		}
+		if err := eng.Err(); err != nil {
+			t.Fatalf("seed %d P=%d: %s engine: %v", seed, P, name, err)
+		}
+		check(name, res, eng.Stats().Rounds-before, plan.Rounds())
+	}
+	mono, err := bgw.NewEngine(bgw.Config{Parties: P, Threshold: th, Seed: uint64(seed) ^ 0x9e37})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mres, err := plan.Execute(mono, bind)
-	if err != nil {
-		t.Fatalf("seed %d: mono-planned: %v", seed, err)
-	}
-	check("mono-planned", mres, mono.Stats().Rounds, plan.Rounds())
-
-	actor, err := bgw.NewActorEngine(bgw.Config{Parties: 4, Seed: uint64(seed) ^ 0x51f1}, transport.NewChanMesh(4))
+	planned("mono-planned", mono)
+	actor, err := bgw.NewActorEngine(bgw.Config{Parties: P, Threshold: th, Seed: uint64(seed) ^ 0x51f1}, transport.NewChanMesh(P))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer actor.Close()
-	ares, err := plan.Execute(actor, bind)
-	if err != nil {
-		t.Fatalf("seed %d: actor-planned: %v", seed, err)
-	}
-	if err := actor.Err(); err != nil {
-		t.Fatalf("seed %d: actor-planned engine: %v", seed, err)
-	}
-	check("actor-planned", ares, actor.Stats().Rounds, plan.Rounds())
+	planned("actor-planned", actor)
 
 	// The inline parties' link counts frames where a row is handed over,
 	// the mesh where a frame is sent: one frame per link and level, the
 	// batched input level included, or the two disagree.
 	if mf, af := mono.Stats().Frames, actor.Stats().Frames; mf != af {
-		t.Errorf("seed %d: planned frames: inline link counted %d, actor mesh carried %d", seed, mf, af)
+		t.Errorf("seed %d P=%d: planned frames: inline link counted %d, actor mesh carried %d", seed, P, mf, af)
 	}
 
-	eager, err := bgw.NewEngine(bgw.Config{Parties: 4, Seed: uint64(seed) ^ 0x2c85})
+	eager, err := bgw.NewEngine(bgw.Config{Parties: P, Threshold: th, Seed: uint64(seed) ^ 0x2c85})
 	if err != nil {
 		t.Fatal(err)
 	}
 	eres, err := plan.runEager(bgw.Eval(eager), bind)
 	if err != nil {
-		t.Fatalf("seed %d: eager: %v", seed, err)
+		t.Fatalf("seed %d P=%d: eager: %v", seed, P, err)
 	}
 	check("mono-eager", eres, eager.Stats().Rounds, plan.EagerRounds())
 }
 
+// equivalenceShapes are the (P, t) the differential suite runs at: the
+// smallest deployment whose degree-2t products take one more factor
+// within P−1, and the same at t = 2.
+var equivalenceShapes = []struct{ P, t int }{{4, 1}, {7, 2}}
+
 // TestPlanEquivalenceRandomCircuits is the differential test: many
 // random DAGs, four execution strategies, all bit-identical.
 func TestPlanEquivalenceRandomCircuits(t *testing.T) {
-	for seed := int64(0); seed < 25; seed++ {
-		checkEquivalence(t, seed)
+	for _, sh := range equivalenceShapes {
+		for seed := int64(0); seed < 25; seed++ {
+			checkEquivalence(t, seed, sh.P, sh.t)
+		}
 	}
 }
 
@@ -534,9 +605,10 @@ func TestRandomCircuitsReachGramTails(t *testing.T) {
 var fuzzSeeds = []int64{0, 1, 2, 3, 4, 5, 6, 7, 19, 43, 51}
 
 // TestFuzzCorpusReachesTerminalShapes keeps the corpus honest about the
-// last multiplicative level: its seeds must compile plans that leave it
-// unreduced (mul → linear → open), plans that reduce it because a
-// top-level handle dangles beside the opening, and plans without a tail.
+// last multiplicative level: its seeds must compile plans that reshare
+// nothing on it (mul → linear → open), plans that reshare a product there
+// because a top-level handle dangles beside the opening, and plans
+// without a tail.
 func TestFuzzCorpusReachesTerminalShapes(t *testing.T) {
 	var terminal, dangling, plain int
 	for _, seed := range fuzzSeeds {
@@ -544,7 +616,7 @@ func TestFuzzCorpusReachesTerminalShapes(t *testing.T) {
 		_, tails := randomCircuit(b, rand.New(rand.NewSource(seed)))
 		plan := b.MustCompile()
 		switch {
-		case plan.terminal:
+		case plan.topKept():
 			terminal++
 		case tails.dangling:
 			dangling++
@@ -572,13 +644,46 @@ func TestFuzzCorpusReachesUnsharedShapes(t *testing.T) {
 		if tails.unshared == noUnsharedTail {
 			continue
 		}
-		if got, want := plan.nodes[tails.leaf].openOnly, tails.unshared == openOnlyTail; got != want {
+		if got, want := plan.nodes[tails.leaf].late, tails.unshared == openOnlyTail; got != want {
 			t.Errorf("seed %d: tail shape %d left its leaf unshared=%v, want %v", seed, tails.unshared, got, want)
 		}
 	}
 	for shape, n := range count {
 		if n == 0 {
 			t.Fatalf("corpus ends in %v plans per tail shape; shape %d is missing", count, shape)
+		}
+	}
+}
+
+// TestFuzzCorpusReachesUnreducedChains keeps the corpus honest about the
+// degree rule: at every (P, t) of the suite its seeds must compile a
+// product whose operand is a product left unreduced, itself kept at the
+// degree it has — a chain that stays unreduced — and a product reshared
+// below the top level.
+func TestFuzzCorpusReachesUnreducedChains(t *testing.T) {
+	for _, sh := range equivalenceShapes {
+		var chains, reshared int
+		for _, seed := range fuzzSeeds {
+			b := NewBuilder(sh.P, sh.t)
+			randomCircuit(b, rand.New(rand.NewSource(seed)))
+			plan := b.MustCompile()
+			for i := range plan.nodes {
+				n := &plan.nodes[i]
+				if !n.kind.isMul() {
+					continue
+				}
+				if n.reshare && int(n.level) < plan.depth {
+					reshared++
+				}
+				high := false
+				plan.eachPair(n, func(a, b int32) { high = high || max(plan.nodes[a].deg, plan.nodes[b].deg) > int32(sh.t) })
+				if high && !n.reshare {
+					chains++
+				}
+			}
+		}
+		if chains == 0 || reshared == 0 {
+			t.Fatalf("P=%d t=%d: corpus compiles %d unreduced products over unreduced products and %d reshared products below the top; want each", sh.P, sh.t, chains, reshared)
 		}
 	}
 }
@@ -615,6 +720,8 @@ func FuzzPlanEquivalence(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
-		checkEquivalence(t, seed)
+		for _, sh := range equivalenceShapes {
+			checkEquivalence(t, seed, sh.P, sh.t)
+		}
 	})
 }

@@ -46,10 +46,10 @@ func (r *Result) OpenedVec(k int) []int64 { return r.openedVecs[k] }
 // recorded scalar, for use as an ExtVal binding of a later plan. Two
 // kinds of handle do not resolve, and asking for one is an invariant
 // violation: a handle Compile folded into its dealer's sum (see
-// Builder.Input) has no sharing of its own, and an open-only node (see
-// Plan.schedule) — on a terminal level, or downstream of an input the
-// plan did not share — holds a sharing of degree above t that only an
-// opening may consume.
+// Builder.Input) has no sharing of its own, and an open-only node — a
+// product Execute did not reshare, an input it did not share, or a
+// linear gate over either (see Plan.assignDegrees) — holds a sharing of
+// degree above t, which a later plan's multiplication may not assume.
 func (r *Result) ValOf(h bgw.Val) bgw.Val {
 	v, ok := h.(*Val)
 	if !ok {
@@ -75,8 +75,8 @@ func (p *Plan) checkReadable(id int32) {
 	if n.folded {
 		panic(invariant.Violation("circuit: node %d was folded into its dealer's input sum by Compile and has no sharing of its own; give the leaf a second consumer or read the sum tree's root", id))
 	}
-	if n.openOnly {
-		panic(invariant.Violation("circuit: node %d sits on the plan's terminal level, which Execute left unreduced, or downstream of an input leaf Execute did not share: its sharing has degree above t and may only be opened; record a handle nothing consumes over it to keep the level reduced and the leaf shared", id))
+	if n.deg > int32(p.t) {
+		panic(invariant.Violation("circuit: node %d reads a product Execute did not reshare or an input leaf it did not share: its sharing has degree %d, above t = %d; record a handle nothing consumes over it to have the products reshared and the leaf shared", id, n.deg, p.t))
 	}
 }
 
@@ -104,18 +104,19 @@ func (p *Plan) validate(bind Bindings) error {
 // inputs share in one round (every scalar input in one InputBatch, one
 // frame per owner and peer; every input vector an InputVec of the
 // engine's one input round, one frame per peer), each multiplicative
-// level runs as one batched degree-reduction round — except a terminal
-// level, whose products stay at degree 2t in their slots at the cost of
-// no traffic and no round — and all outputs open in one batched round:
-// Stats.Rounds advances by exactly Plan.Rounds(). The open-only input
-// leaves (see schedule) enter unshared, at the cost of no traffic and —
-// when the plan shares no other leaf — no round, after the last
-// multiplicative level with the linear gates over them.
+// level reshares its reshared products in one batched degree-reduction
+// round (one MulBatch) and keeps the others at the degree of their local
+// products in their slots (one MulBatchUnreduced), at the cost of no
+// traffic and — when it reshares none — no round, and all outputs open
+// in one batched round: Stats.Rounds advances by exactly Plan.Rounds().
+// The unshared input leaves (see schedule) enter unshared, at the cost
+// of no traffic and — when the plan shares no other leaf — no round,
+// after the last multiplicative level with the linear gates over them.
 //
 // When the engine's recorder admits debug events, the execution is
 // traced: one "circuit.exec" span for the whole run with one
 // "circuit.level" child per multiplicative level (reduced=false and no
-// frames on a terminal one) and a "circuit.open" child for the output
+// frames on a level that reshares nothing) and a "circuit.open" child for the output
 // round, each carrying gate counts and the engine's frame/round deltas.
 // Disabled telemetry skips all of it (the spans are inert and Stats is
 // never read).
@@ -179,32 +180,15 @@ func (p *Plan) Execute(eng bgw.Evaluator, bind Bindings) (*Result, error) {
 		prev = s
 	}
 	for lvl := 1; lvl <= p.depth; lvl++ {
-		gates := p.muls[lvl-1]
-		reduce := lvl < p.depth || !p.terminal
+		ml := &p.muls[lvl-1]
 		sp := obs.StartTracedSpan(rec, "circuit.level", exec.ID(),
-			obs.Int("level", lvl), obs.Int("gates", len(gates)), obs.Bool("reduced", reduce))
-		items := make([]bgw.MulItem, len(gates))
-		for i, id := range gates {
-			n := &p.nodes[id]
-			switch n.kind {
-			case kMul:
-				items[i] = bgw.MulItem{Kind: bgw.MulScalar, A: r.vals[n.a], B: r.vals[n.b]}
-			case kInner:
-				as, bs := p.innerOperands(r, n)
-				items[i] = bgw.MulItem{Kind: bgw.MulInner, As: as, Bs: bs}
-			case kDot:
-				items[i] = bgw.MulItem{Kind: bgw.MulDot, VA: r.vecs[n.a], VB: r.vecs[n.b]}
-			}
-		}
-		var outs []bgw.Val
-		if reduce {
-			outs = eng.MulBatch(items)
+			obs.Int("level", lvl), obs.Int("gates", len(ml.reshare)+len(ml.keep)), obs.Bool("reduced", len(ml.reshare) > 0))
+		if len(ml.reshare) > 0 {
+			p.mulGates(r, ml.reshare, eng.MulBatch)
 			eng.AdvanceRound()
-		} else {
-			outs = eng.MulBatchUnreduced(items)
 		}
-		for i, out := range outs {
-			r.vals[gates[i]] = out
+		if len(ml.keep) > 0 {
+			p.mulGates(r, ml.keep, eng.MulBatchUnreduced)
 		}
 		levelDelta(sp)
 		for _, id := range p.locals[lvl] {
@@ -245,6 +229,27 @@ func (p *Plan) Execute(eng bgw.Evaluator, bind Bindings) (*Result, error) {
 	return r, nil
 }
 
+// mulGates issues the multiplicative gates as one batch through mul and
+// files the handles it returns.
+func (p *Plan) mulGates(r *Result, gates []int32, mul func([]bgw.MulItem) []bgw.Val) {
+	items := make([]bgw.MulItem, len(gates))
+	for i, id := range gates {
+		n := &p.nodes[id]
+		switch n.kind {
+		case kMul:
+			items[i] = bgw.MulItem{Kind: bgw.MulScalar, A: r.vals[n.a], B: r.vals[n.b]}
+		case kInner:
+			as, bs := p.innerOperands(r, n)
+			items[i] = bgw.MulItem{Kind: bgw.MulInner, As: as, Bs: bs}
+		case kDot:
+			items[i] = bgw.MulItem{Kind: bgw.MulDot, VA: r.vecs[n.a], VB: r.vecs[n.b]}
+		}
+	}
+	for i, out := range mul(items) {
+		r.vals[gates[i]] = out
+	}
+}
+
 // inputElem returns the field element a scalar input leaf shares.
 func (p *Plan) inputElem(n *node, bind Bindings) field.Elem {
 	switch n.kind {
@@ -262,7 +267,7 @@ func (p *Plan) inputElem(n *node, bind Bindings) field.Elem {
 	return field.FromInt64(n.c)
 }
 
-// enterUnsharedScalars enters the open-only scalar leaves without a
+// enterUnsharedScalars enters the unshared scalar leaves without a
 // sharing: every owner's, in id order, as one unshared vector that At
 // takes apart again — one command per owner, metered per element like
 // an unshared vector leaf.

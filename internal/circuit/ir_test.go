@@ -96,8 +96,8 @@ func TestBuilderIsSpentAfterCompile(t *testing.T) {
 	if got := res.Opened(0); got != 42 {
 		t.Fatalf("opened %d, want 42", got)
 	}
-	// x, not prod: the product sits on the terminal level and does not
-	// resolve (TestTerminalLevelHandlesDoNotResolve).
+	// x, not prod: only the opening reads the product, which keeps degree
+	// 2t and does not resolve (TestTerminalLevelHandlesDoNotResolve).
 	if res.ValOf(x) == nil {
 		t.Fatal("handle of a spent builder no longer resolves")
 	}

@@ -70,8 +70,8 @@ func TestOpenOnlyNodesEnterAfterTheLastLevel(t *testing.T) {
 	b := NewBuilder(4, 0)
 	noise := noisyRelease(b)
 	plan := b.MustCompile()
-	if plan.Depth() != 2 || !plan.terminal {
-		t.Fatalf("plan has depth %d, terminal %v; want a terminal second level", plan.Depth(), plan.terminal)
+	if plan.Depth() != 2 || !plan.topKept() {
+		t.Fatalf("plan has depth %d, top level kept %v; want a second level that reshares nothing", plan.Depth(), plan.topKept())
 	}
 	eng, err := bgw.NewEngine(bgw.Config{Parties: 4, Seed: 3})
 	if err != nil {
@@ -88,7 +88,9 @@ func TestOpenOnlyNodesEnterAfterTheLastLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"InputVec", "InputVec", "MulBatch", "MulBatchUnreduced",
+	// Level 1 reshares d1, which level 2 multiplies by d2 (2t + 2t is
+	// above P−1, t + 2t is not), and keeps d2; level 2 keeps its product.
+	want := []string{"InputVec", "InputVec", "MulBatch", "MulBatchUnreduced", "MulBatchUnreduced",
 		"Bindings.InputVecs", "InputUnshared", "InputUnshared", "InputUnshared", "OpenVec"}
 	if !slices.Equal(ev.calls, want) {
 		t.Fatalf("calls %v, want %v", ev.calls, want)
@@ -178,7 +180,7 @@ func TestRandomCircuitsReachLowTails(t *testing.T) {
 		}
 		for _, n := range plan.nodes {
 			switch {
-			case n.kind == kInputVecParam && n.openOnly:
+			case n.kind == kInputVecParam && n.late:
 				unsharedParams++
 			case n.kind == kInputVecParam:
 				sharedParams++

@@ -16,25 +16,27 @@ type Plan struct {
 	args  []int32   // operand-list arena (see node)
 	lits  [][]int64 // literal input vectors (see node)
 
-	depth int
-	// terminal: nothing multiplies after the last multiplicative level —
-	// every node of level depth flows through linear gates into an
-	// opening — so Execute leaves that level unreduced (see schedule).
-	terminal  bool
-	live      int       // nodes that compute something (all but kFolded)
-	folded    int       // input leaves foldSums removed
-	inputs    []int32   // level-0 scalar input leaves Execute shares, id order: one InputBatch
-	vecInputs []int32   // level-0 vector input leaves Execute shares, id order: one input round
-	unshared  []int32   // scalar input leaves Execute does not share (see schedule), id order
-	muls      [][]int32 // muls[L] = multiplicative gates of level L+1, id order
-	locals    [][]int32 // locals[L] = other compute nodes of level L that are not open-only, id order
-	late      []int32   // the other open-only nodes but the products: entered after the last level, id order
-	opens     []int32   // kOpen ids in record order
-	openVecs  []int32   // kOpenVec ids in record order
+	depth     int
+	live      int        // nodes that compute something (all but kFolded)
+	folded    int        // input leaves foldSums removed
+	inputs    []int32    // level-0 scalar input leaves Execute shares, id order: one InputBatch
+	vecInputs []int32    // level-0 vector input leaves Execute shares, id order: one input round
+	unshared  []int32    // scalar input leaves Execute does not share (see schedule), id order
+	muls      []mulLevel // muls[L] = multiplicative gates of level L+1
+	locals    [][]int32  // locals[L] = other compute nodes of level L that are not late, id order
+	late      []int32    // the unshared input leaves and the linear gates over them: entered after the last level, id order
+	opens     []int32    // kOpen ids in record order
+	openVecs  []int32    // kOpenVec ids in record order
 
 	nConsts, nInputs, nVecParams, nExt, nExtVecs int
 	nUnshared                                    int  // input leaves, scalar and vector, Execute does not share
 	hasInputs                                    bool // some input leaf is shared: the plan pays the input round
+}
+
+// mulLevel lists one multiplicative level's gates, id order in each.
+type mulLevel struct {
+	reshare []int32 // reduced to degree t: one MulBatch and the level's round
+	keep    []int32 // left at the degree of their products: one MulBatchUnreduced, no traffic
 }
 
 // operands returns the n-element operand list at offset off.
@@ -110,42 +112,30 @@ func (p *Plan) eachOperand(n *node, visit func(op int32)) bool {
 	return true
 }
 
-// schedule assigns levels and lists every level's gates. The leveling
-// rule: inputs, external bindings and constants sit at level 0; local
-// (linear) operations inherit the maximum level of their operands;
-// multiplicative gates (Mul, InnerProduct, Dot) take the maximum operand
-// level plus one. All gates of a level are independent by construction
-// and execute as one batched communication round; the shared input
-// leaves, which depend on nothing, are listed apart so they share in one
-// batched round too.
+// schedule assigns levels and degrees and lists every level's gates.
+// The leveling rule: inputs, external bindings and constants sit at
+// level 0; local (linear) operations inherit the maximum level of their
+// operands; multiplicative gates (Mul, InnerProduct, Dot) take the
+// maximum operand level plus one. All gates of a level are independent
+// by construction and execute as one batched communication round — or
+// none, when none of them is reshared (see assignDegrees); the shared
+// input leaves, which depend on nothing, are listed apart so they share
+// in one batched round too.
 //
-// The last multiplicative level is terminal when every node of that
-// level has a consumer: a consumer of a top-level node is a linear gate
-// of the same level or an opening (a multiplication would sit one level
-// up), so every path out of the level's products ends in an opening and
-// the degree reduction would prepare for a multiplication that never
-// comes. A top-level node nobody consumes keeps the level reduced: its
-// handle may be read back through Result.ValOf / VecOf and bound into a
-// later plan, which may multiply it.
-//
-// An input leaf is open-only under the same rule, asked of the leaf: a
-// backward sweep marks every node something needs as a degree-t sharing
-// — the operands of a multiplication, a node nothing consumes (readable,
-// as above), and the operands of a linear gate so marked. A leaf left
-// unmarked reaches nothing but openings, through linear gates only, and
-// Execute does not share it (bgw.Evaluator.InputUnshared): its owner adds
-// it under the opening's zero mask, which costs no frame and — when no
-// leaf of the plan is shared — no input round. foldSums has run, so that
-// is one leaf per dealer and sum.
-//
-// Both cases set the one flag Result.ValOf / VecOf refuse: node.openOnly
-// starts at the products of a terminal level and at the unshared leaves
-// and follows every linear gate forward. Nothing but an opening consumes
-// an open-only node, so the open-only nodes but the products — the
-// unshared leaves and the linear gates over them — are listed apart and
-// Execute enters them after the last multiplicative level, whatever
-// their level: an owner may still be computing an unshared vector while
-// the engine multiplies (Bindings.InputVecs).
+// An input leaf is shared when something needs it as a degree-t
+// sharing: a backward sweep marks the operands of a multiplication, a
+// node nothing consumes (its handle may be read back through
+// Result.ValOf / VecOf and bound into a later plan, which may multiply
+// it), and the operands of a linear gate so marked. A leaf left unmarked
+// reaches nothing but openings, through linear gates only, and Execute
+// does not share it (bgw.Evaluator.InputUnshared): its owner adds it
+// under the opening's zero mask, which costs no frame and — when no leaf
+// of the plan is shared — no input round. foldSums has run, so that is
+// one leaf per dealer and sum. Such a leaf and the linear gates over it
+// are late: nothing but an opening consumes them, so they are listed
+// apart and Execute enters them after the last multiplicative level,
+// whatever their level — an owner may still be computing an unshared
+// vector while the engine multiplies (Bindings.InputVecs).
 func (p *Plan) schedule() error {
 	used := make([]bool, len(p.nodes))
 	var lvl int32
@@ -169,11 +159,9 @@ func (p *Plan) schedule() error {
 			p.depth = int(lvl)
 		}
 	}
-	// Backward: who needs a degree-t sharing, and whether anything on the
-	// last level does.
+	// Backward: who needs a degree-t sharing of an input leaf.
 	strict := make([]bool, len(p.nodes))
 	need := func(op int32) { strict[op] = true }
-	p.terminal = p.depth > 0
 	for id := len(p.nodes) - 1; id >= 0; id-- {
 		n := &p.nodes[id]
 		if n.kind == kFolded || n.kind == kOpen || n.kind == kOpenVec {
@@ -181,22 +169,19 @@ func (p *Plan) schedule() error {
 		}
 		if !used[id] {
 			strict[id] = true
-			if int(n.level) == p.depth {
-				p.terminal = false
-			}
 		}
 		if strict[id] || n.kind.isMul() {
 			p.eachOperand(n, need)
 		}
 	}
-	// Forward again: the open-only flag, and one counting pass that sizes
-	// every schedule list; a last pass fills them. Outputs run in the final
-	// opening round and are already listed.
-	nMuls := make([]int, p.depth)
+	if err := p.assignDegrees(used, strict); err != nil {
+		return err
+	}
+	// One counting pass sizes every schedule list; a last pass fills
+	// them. Outputs run in the final opening round and are already listed.
+	nMuls := make([]int, 2*p.depth) // reshared, then kept, per level
 	nLocals := make([]int, p.depth+1)
 	nInputs, nVecInputs, nUnsharedScalars, nLate := 0, 0, 0, 0
-	openOnly := false
-	inherit := func(op int32) { openOnly = openOnly || p.nodes[op].openOnly }
 	for id := range p.nodes {
 		n := &p.nodes[id]
 		if n.kind == kFolded {
@@ -205,43 +190,36 @@ func (p *Plan) schedule() error {
 		p.live++
 		switch {
 		case n.kind == kOpen || n.kind == kOpenVec:
-			continue
-		case n.kind.isInput():
-			n.openOnly = !strict[id]
-			if n.openOnly {
-				p.nUnshared++
-			} else {
-				p.hasInputs = true
-			}
-		case n.kind.isMul():
-			n.openOnly = p.terminal && int(n.level) == p.depth
-		default:
-			openOnly = false
-			p.eachOperand(n, inherit)
-			n.openOnly = openOnly
-		}
-		switch {
-		case n.kind.isScalarInput() && n.openOnly:
+		case n.kind.isScalarInput() && n.late:
 			nUnsharedScalars++
 		case n.kind.isScalarInput():
 			nInputs++
+		case n.kind.isMul() && n.reshare:
+			nMuls[2*n.level-2]++
 		case n.kind.isMul():
-			nMuls[n.level-1]++
-		case n.openOnly:
+			nMuls[2*n.level-1]++
+		case n.late:
 			nLate++
 		case n.kind.isInput():
 			nVecInputs++
 		default:
 			nLocals[n.level]++
 		}
+		if n.kind.isInput() {
+			if n.late {
+				p.nUnshared++
+			} else {
+				p.hasInputs = true
+			}
+		}
 	}
 	p.inputs = make([]int32, 0, nInputs)
 	p.vecInputs = make([]int32, 0, nVecInputs)
 	p.unshared = make([]int32, 0, nUnsharedScalars)
 	p.late = make([]int32, 0, nLate)
-	p.muls = make([][]int32, p.depth)
-	for l, n := range nMuls {
-		p.muls[l] = make([]int32, 0, n)
+	p.muls = make([]mulLevel, p.depth)
+	for l := range p.muls {
+		p.muls[l] = mulLevel{reshare: make([]int32, 0, nMuls[2*l]), keep: make([]int32, 0, nMuls[2*l+1])}
 	}
 	p.locals = make([][]int32, p.depth+1)
 	for l, n := range nLocals {
@@ -250,13 +228,17 @@ func (p *Plan) schedule() error {
 	for id := range p.nodes {
 		switch n := &p.nodes[id]; {
 		case n.kind == kFolded || n.kind == kOpen || n.kind == kOpenVec:
-		case n.kind.isScalarInput() && n.openOnly:
+		case n.kind.isScalarInput() && n.late:
 			p.unshared = append(p.unshared, int32(id))
 		case n.kind.isScalarInput():
 			p.inputs = append(p.inputs, int32(id))
+		case n.kind.isMul() && n.reshare:
+			ml := &p.muls[n.level-1]
+			ml.reshare = append(ml.reshare, int32(id))
 		case n.kind.isMul():
-			p.muls[n.level-1] = append(p.muls[n.level-1], int32(id))
-		case n.openOnly:
+			ml := &p.muls[n.level-1]
+			ml.keep = append(ml.keep, int32(id))
+		case n.late:
 			p.late = append(p.late, int32(id))
 		case n.kind.isInput():
 			p.vecInputs = append(p.vecInputs, int32(id))
@@ -265,6 +247,158 @@ func (p *Plan) schedule() error {
 		}
 	}
 	return nil
+}
+
+// assignDegrees gives every node the degree of the sharing Execute
+// leaves there and decides, product by product, which products Execute
+// reshares. The degree rule: a shared input leaf and an external binding
+// have degree t, an unshared leaf P−1, Zero 0, a linear gate the largest
+// of its operands', a reshared product t and any other product the sum
+// of its operands' degrees (the largest pair's, for an inner product).
+// Every degree up to P−1 opens, so a product stays at the degree it has
+// unless
+//
+//   - a multiplication over it would go above P−1: the operand of lower
+//     degree is brought down to t if even t beside it would not fit, and
+//     else the other operand to what fits beside it; or
+//   - a node nothing consumes reads it through linear gates — a handle a
+//     later plan may bind and multiply, which must be of degree t.
+//
+// To bring an operand down to a degree is to reshare every product of
+// greater degree it reads through linear gates (lower). Resharing only
+// lowers degrees, so the walk in id order rewinds to the first product
+// it marks and goes on from there; it ends, because every rewind marks a
+// product that stays marked.
+func (p *Plan) assignDegrees(used, strict []bool) error {
+	t, top := int32(p.t), int32(p.p-1)
+	low := lowering{plan: p}
+	for id := 0; id < len(p.nodes); id++ {
+		n := &p.nodes[id]
+		switch {
+		case n.kind == kFolded || n.kind == kOpen || n.kind == kOpenVec:
+			continue
+		case n.kind.isInput():
+			n.deg, n.late = t, !strict[id]
+			if n.late {
+				n.deg = top
+			}
+		case n.kind == kExtVal || n.kind == kExtVec:
+			n.deg = t
+		case n.kind.isMul():
+			from, err := p.fitProduct(n, &low)
+			if err != nil {
+				return err
+			}
+			if from >= 0 {
+				id = int(from) - 1
+				continue
+			}
+			n.deg = t
+			if !n.reshare {
+				n.deg = 0
+				p.eachPair(n, func(a, b int32) { n.deg = max(n.deg, p.nodes[a].deg+p.nodes[b].deg) })
+			}
+		default:
+			n.deg, n.late = 0, false
+			p.eachOperand(n, func(op int32) {
+				o := &p.nodes[op]
+				n.deg, n.late = max(n.deg, o.deg), n.late || o.late
+			})
+		}
+		if !used[id] && n.deg > t {
+			if from := low.lower(int32(id), t); from >= 0 {
+				id = int(from) - 1
+			}
+		}
+	}
+	return nil
+}
+
+// fitProduct checks every operand pair of the product n against P−1
+// and, at the first that does not fit, lowers one operand (see
+// assignDegrees). It returns the first product it marked, where the
+// degree walk resumes, or −1 when every pair fits. Only a threshold with
+// 2t > P−1 leaves a pair nothing to reshare.
+func (p *Plan) fitProduct(n *node, low *lowering) (int32, error) {
+	t, top := int32(p.t), int32(p.p-1)
+	hi, lo := int32(-1), int32(-1)
+	p.eachPair(n, func(a, b int32) {
+		if hi < 0 && p.nodes[a].deg+p.nodes[b].deg > top {
+			hi, lo = a, b
+		}
+	})
+	if hi < 0 {
+		return -1, nil
+	}
+	if p.nodes[lo].deg > p.nodes[hi].deg {
+		hi, lo = lo, hi
+	}
+	from := int32(-1)
+	if d := p.nodes[lo].deg; d > top-t {
+		from = low.lower(lo, t)
+	} else {
+		from = low.lower(hi, top-d)
+	}
+	if from < 0 {
+		return -1, fmt.Errorf("circuit: nodes %d and %d multiply to degree %d, above P−1 = %d, with no product to reshare (t = %d)",
+			hi, lo, p.nodes[hi].deg+p.nodes[lo].deg, top, t)
+	}
+	return from, nil
+}
+
+// eachPair calls visit with the operand ids of every product the
+// multiplicative node n sums: one pair for Mul and Dot, one per term for
+// InnerProduct.
+func (p *Plan) eachPair(n *node, visit func(a, b int32)) {
+	if n.kind != kInner {
+		visit(n.a, n.b)
+		return
+	}
+	as, bs := p.operands(n.a, n.n), p.operands(n.a+n.n, n.n)
+	for k := range as {
+		visit(as[k], bs[k])
+	}
+}
+
+// lowering brings a node's degree down by resharing the products it
+// reads through linear gates.
+type lowering struct {
+	plan  *Plan
+	seen  []uint32 // the walk that last visited each node; nil until the first
+	walk  uint32
+	stack []int32
+}
+
+// lower marks for resharing every product of degree above limit that id
+// reads through linear gates (id itself, if it is one) and returns the
+// smallest id it marked, or −1. Nodes of degree at most limit read no
+// such product and are not entered.
+func (l *lowering) lower(id, limit int32) int32 {
+	p := l.plan
+	if l.seen == nil {
+		l.seen = make([]uint32, len(p.nodes))
+	}
+	l.walk++
+	first := int32(-1)
+	l.stack = append(l.stack[:0], id)
+	for len(l.stack) > 0 {
+		id := l.stack[len(l.stack)-1]
+		l.stack = l.stack[:len(l.stack)-1]
+		n := &p.nodes[id]
+		if l.seen[id] == l.walk || n.deg <= limit {
+			continue
+		}
+		l.seen[id] = l.walk
+		if !n.kind.isMul() {
+			p.eachOperand(n, func(op int32) { l.stack = append(l.stack, op) })
+			continue
+		}
+		n.reshare = true
+		if first < 0 || id < first {
+			first = id
+		}
+	}
+	return first
 }
 
 // MustCompile is Compile for statically known-good circuits.
@@ -289,23 +423,25 @@ func (p *Plan) Opens() int { return len(p.opens) }
 func (p *Plan) hasOpens() bool { return len(p.opens) > 0 || len(p.openVecs) > 0 }
 
 // Rounds returns the wire rounds of one planned execution: one input
-// round (when the plan shares fresh inputs — an open-only leaf is not
-// shared and does not count), one batched degree-reduction round per
-// multiplicative level — less the terminal level's, which is opened at
-// the degree it has — and one batched opening round (when the plan
-// reveals outputs): depth + shared inputs + opens − terminal. This is the
-// quantity the paper's cost model charges 0.1 s for — planned execution
-// makes it a function of depth, not of gate count.
+// round (when the plan shares fresh inputs — an unshared leaf does not
+// count), one batched degree-reduction round per multiplicative level
+// that reshares a product (see assignDegrees) — a level whose products
+// all keep their degree costs none — and one batched opening round (when
+// the plan reveals outputs). This is the quantity the paper's cost model
+// charges 0.1 s for — planned execution makes it a function of the
+// levels, not of gate count.
 func (p *Plan) Rounds() int {
-	r := p.depth
+	r := 0
+	for _, ml := range p.muls {
+		if len(ml.reshare) > 0 {
+			r++
+		}
+	}
 	if p.hasInputs {
 		r++
 	}
 	if p.hasOpens() {
 		r++
-	}
-	if p.terminal {
-		r--
 	}
 	return r
 }

@@ -22,6 +22,13 @@ func releaseShape(b *Builder) (prod bgw.Val, packed bgw.Vec) {
 	return dots[1], packed
 }
 
+// topKept reports whether the plan has a multiplicative level and its
+// last one reshares nothing: every product there is opened at the
+// degree it has.
+func (p *Plan) topKept() bool {
+	return p.depth > 0 && len(p.muls[p.depth-1].reshare) == 0
+}
+
 // TestTerminalLevelIsOpenedUnreduced: mul → linear → open costs the
 // input round and the opening round, and the frames of those two, on
 // both drivers — and opens what the plain interpreter and the
@@ -31,8 +38,8 @@ func TestTerminalLevelIsOpenedUnreduced(t *testing.T) {
 	b := NewBuilder(p, 0)
 	releaseShape(b)
 	plan := b.MustCompile()
-	if !plan.terminal || plan.Depth() != 1 || plan.Rounds() != 2 {
-		t.Fatalf("terminal %v depth %d rounds %d, want a terminal level of depth 1 in 2 rounds", plan.terminal, plan.Depth(), plan.Rounds())
+	if !plan.topKept() || plan.Depth() != 1 || plan.Rounds() != 2 {
+		t.Fatalf("top level kept %v, depth %d, rounds %d; want a kept level of depth 1 in 2 rounds", plan.topKept(), plan.Depth(), plan.Rounds())
 	}
 	want, err := plan.Plain(Bindings{})
 	if err != nil {
@@ -90,8 +97,8 @@ func TestTerminalLevelIsOpenedUnreduced(t *testing.T) {
 }
 
 // TestTerminalLevelHandlesDoNotResolve: a degree-2t sharing must not
-// leave the plan that made it. ValOf / VecOf refuse every node of a
-// terminal level and go on resolving the levels below.
+// leave the plan that made it. ValOf / VecOf refuse every node of a level
+// that reshares nothing and go on resolving the levels below.
 func TestTerminalLevelHandlesDoNotResolve(t *testing.T) {
 	b := NewBuilder(4, 0)
 	x := b.Input(0, 6)
@@ -99,8 +106,8 @@ func TestTerminalLevelHandlesDoNotResolve(t *testing.T) {
 	prod, packed := releaseShape(b)
 	b.OpenIdx(b.Add(prod, b.Mul(low, low)))
 	plan := b.MustCompile()
-	if !plan.terminal {
-		t.Fatal("level is not terminal")
+	if !plan.topKept() {
+		t.Fatal("the level reshares a product")
 	}
 	eng, err := bgw.NewEngine(bgw.Config{Parties: 4, Seed: 1})
 	if err != nil {
@@ -135,8 +142,8 @@ func TestDanglingTopLevelHandleKeepsTheLevelReduced(t *testing.T) {
 			b.OpenIdx(b.Mul(y, y))
 		}
 		plan := b.MustCompile()
-		if plan.terminal || plan.Rounds() != 3 {
-			t.Fatalf("linear=%v: terminal %v, rounds %d; want a reduced level and 3 rounds", linear, plan.terminal, plan.Rounds())
+		if plan.topKept() || plan.Rounds() != 3 {
+			t.Fatalf("linear=%v: top level kept %v, rounds %d; want a reduced level and 3 rounds", linear, plan.topKept(), plan.Rounds())
 		}
 		eng, err := bgw.NewEngine(bgw.Config{Parties: 4, Seed: 2})
 		if err != nil {
@@ -164,5 +171,79 @@ func TestDanglingTopLevelHandleKeepsTheLevelReduced(t *testing.T) {
 		if got := nres.Opened(0); got != want {
 			t.Fatalf("linear=%v: the later plan squared the handle to %d, want %d", linear, got, want)
 		}
+	}
+}
+
+// TestDegreeRuleResharesOnlyWhatOverflows pins the degree rule on product
+// chains over degree-t leaves: a product keeps its degree until the next
+// multiplication would take it above P−1, and then the operand of higher
+// degree — the lower one first, when even t beside it would not fit — is
+// reshared, and nothing else. Each plan opens Plain's value on the
+// engine, without an engine error, in Plan.Rounds() rounds.
+func TestDegreeRuleResharesOnlyWhatOverflows(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		p, t     int
+		record   func(b *Builder, x []bgw.Val) []bgw.Val // the products, in record order
+		reshared []bool
+		rounds   int
+	}{
+		{"x·y·z at P = 4", 4, 1, chain(3), []bool{false, false}, 2},
+		{"x·y·z at P = 3", 3, 1, chain(3), []bool{true, false}, 3},
+		{"x·y·z·w at P = 4", 4, 1, chain(4), []bool{false, true, false}, 3},
+		{"x·y·z at P = 7, t = 2", 7, 2, chain(3), []bool{false, false}, 2},
+		{"x·y·z·w at P = 7, t = 2", 7, 2, chain(4), []bool{false, true, false}, 3},
+		{"x·y·z at P = 5, t = 2", 5, 2, chain(3), []bool{true, false}, 3},
+		{"(x·y)·(z·w) at P = 4", 4, 1, func(b *Builder, x []bgw.Val) []bgw.Val {
+			xy, zw := b.Mul(x[0], x[1]), b.Mul(x[2], x[3])
+			return []bgw.Val{xy, zw, b.Mul(xy, zw)}
+		}, []bool{true, false, false}, 3},
+		{"(x·y)·(z·w) at P = 3", 3, 1, func(b *Builder, x []bgw.Val) []bgw.Val {
+			xy, zw := b.Mul(x[0], x[1]), b.Mul(x[2], x[3])
+			return []bgw.Val{xy, zw, b.Mul(xy, zw)}
+		}, []bool{true, true, false}, 3},
+		{"x·y read back at P = 4", 4, 1, func(b *Builder, x []bgw.Val) []bgw.Val {
+			xy := b.Mul(x[0], x[1])
+			b.AddConst(xy, 1)
+			return []bgw.Val{xy, b.Mul(xy, x[2])}
+		}, []bool{true, false}, 3},
+	} {
+		b := NewBuilder(c.p, c.t)
+		x := []bgw.Val{b.Input(0, 3), b.Input(1, -2), b.Input(2, 5), b.Input(0, 7)}
+		prods := c.record(b, x)
+		b.OpenIdx(prods[len(prods)-1])
+		plan := b.MustCompile()
+		for i, h := range prods {
+			if got := plan.nodes[h.(*Val).id].reshare; got != c.reshared[i] {
+				t.Errorf("%s: product %d reshared %v, want %v", c.name, i, got, c.reshared[i])
+			}
+		}
+		want, err := plan.Plain(Bindings{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := bgw.NewEngine(bgw.Config{Parties: c.p, Threshold: c.t, Seed: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := plan.Execute(eng, Bindings{})
+		if err != nil || eng.Err() != nil {
+			t.Fatalf("%s: %v, engine %v", c.name, err, eng.Err())
+		}
+		if res.Opened(0) != want.Opened(0) || plan.Rounds() != c.rounds || eng.Stats().Rounds != int64(c.rounds) {
+			t.Errorf("%s: opened %d in %d rounds (plan %d); want %d in %d", c.name, res.Opened(0), eng.Stats().Rounds, plan.Rounds(), want.Opened(0), c.rounds)
+		}
+	}
+}
+
+// chain records x[0]·x[1]·…·x[n−1] one factor at a time and returns the
+// n−1 products.
+func chain(n int) func(b *Builder, x []bgw.Val) []bgw.Val {
+	return func(b *Builder, x []bgw.Val) []bgw.Val {
+		prods := []bgw.Val{b.Mul(x[0], x[1])}
+		for _, f := range x[2:n] {
+			prods = append(prods, b.Mul(prods[len(prods)-1], f))
+		}
+		return prods
 	}
 }

@@ -126,11 +126,11 @@ func TestMultipliedOrReadableLeavesStayShared(t *testing.T) {
 		b.OpenIdx(b.Add(lin, other))
 		tc.extra(b, x, lin)
 		plan := b.MustCompile()
-		if n := &plan.nodes[x.(*Val).id]; n.openOnly {
+		if n := &plan.nodes[x.(*Val).id]; n.late {
 			t.Fatalf("%s: the leaf is unshared", tc.name)
 		}
-		if n := &plan.nodes[other.(*Val).id]; !n.openOnly || plan.nUnshared != 1 || !plan.hasInputs {
-			t.Fatalf("%s: the leaf beside it: unshared %v of %d, shared inputs %v; want it alone unshared", tc.name, n.openOnly, plan.nUnshared, plan.hasInputs)
+		if n := &plan.nodes[other.(*Val).id]; !n.late || plan.nUnshared != 1 || !plan.hasInputs {
+			t.Fatalf("%s: the leaf beside it: unshared %v of %d, shared inputs %v; want it alone unshared", tc.name, n.late, plan.nUnshared, plan.hasInputs)
 		}
 		res, st := runInline(t, plan, Bindings{})
 		if !reflect.DeepEqual(res.opened, tc.opened) || st.Rounds != int64(plan.Rounds()) {
@@ -142,15 +142,16 @@ func TestMultipliedOrReadableLeavesStayShared(t *testing.T) {
 	}
 }
 
-// mustNameTheOpening demands the violation of an open-only handle.
+// mustNameTheOpening demands the violation of an open-only handle: one
+// whose sharing has a degree above t.
 func mustNameTheOpening(t *testing.T, what string, fn func()) {
 	t.Helper()
-	mustViolateNaming(t, what, "may only be opened", fn)
+	mustViolateNaming(t, what, "above t", fn)
 }
 
 // TestUnsharedLeafHandlesDoNotResolve: a sharing of degree P−1 must not
 // leave the plan that made it. ValOf / VecOf refuse an unshared leaf and
-// everything downstream of it, as they refuse a terminal level, and go on
+// everything downstream of it, as they refuse an unreduced product, and go on
 // resolving what is shared. A dangling handle over the same leaf keeps it
 // shared, and a later plan multiplies it correctly.
 func TestUnsharedLeafHandlesDoNotResolve(t *testing.T) {

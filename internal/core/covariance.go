@@ -136,8 +136,9 @@ func (r *release) mpcCovariance(qd *quant.IntMatrix) ([]int64, error) {
 
 // recordCovariance records the covariance over qd's columns as a
 // level-scheduled plan: one input round for the data columns and one
-// batched opening round. The inner products are the plan's terminal
-// level — every party keeps its local products, nothing is reshared —
+// batched opening round. Only the opening reads the inner products, so
+// they keep degree 2t — every party keeps its local products, nothing is
+// reshared —
 // and the noise enters at the opening: each of the holders adds the
 // vector its clients draw their shares onto (inputNoise) to the row it
 // publishes, under the opening's zero mask. It returns the builder and

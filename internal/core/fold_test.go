@@ -62,8 +62,14 @@ func sessionStats(t *testing.T, clients int) (cov, lr, lr3 bgw.Stats) {
 // dealer: P(P−1) = 12 frames, muls·P(P−1) messages, and P·muls·(P(t+1) − 1)
 // field operations (one λ⁻¹·x per element stays). The gradient steps
 // share nothing else, so their input round goes with it; the covariance
-// keeps its round for the data columns.
+// keeps its round for the data columns. LR3 loses, besides, each level of
+// its cube the degree rule leaves unreshared at P = 4, t = 1
+// (lr3ReshareLevels; the square's, since its cube has degree 3t ≤ P−1):
+// one round, P(P−1) frames, B·P(P−1) messages and P·B·(P+t+1) field
+// operations per level for the B = 8 records of the batch.
 func TestOneClientPerPartyIsAFixedPoint(t *testing.T) {
+	const P, th, B = 4, 1, 8
+	kept := int64(2 - lr3ReshareLevels(P, th))
 	cov, lr, lr3 := sessionStats(t, 4)
 	for _, c := range []struct {
 		name      string
@@ -71,7 +77,13 @@ func TestOneClientPerPartyIsAFixedPoint(t *testing.T) {
 	}{
 		{"covariance", cov, bgw.Stats{Rounds: 3 - 1, Frames: 54 - 12 - 12, Messages: 1296 - 252 - 252, Bytes: 10368 - 2016 - 2016, FieldOps: 5220 - 504 - 588}},
 		{"lr", lr, bgw.Stats{Rounds: 3 - 1 - 1, Frames: 36 - 12 - 12, Messages: 180 - 60 - 60, Bytes: 1440 - 480 - 480, FieldOps: 652 - 120 - 140}},
-		{"lr3", lr3, bgw.Stats{Rounds: 5 - 1 - 1, Frames: 60 - 12 - 12, Messages: 372 - 60 - 60, Bytes: 2976 - 480 - 480, FieldOps: 1260 - 120 - 140}},
+		{"lr3", lr3, bgw.Stats{
+			Rounds:   5 - 1 - 1 - kept,
+			Frames:   60 - 12 - 12 - kept*P*(P-1),
+			Messages: 372 - 60 - 60 - kept*B*P*(P-1),
+			Bytes:    2976 - 480 - 480 - 8*kept*B*P*(P-1),
+			FieldOps: 1260 - 120 - 140 - kept*P*B*(P+th+1),
+		}},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s: counters %+v, want %+v", c.name, c.got, c.want)

@@ -157,8 +157,13 @@ func (c coefs) u(row []int64, lab int64) int64 {
 // levels on its B entries, taken out as scalars; the circuit records −c,
 // because (−c)³ = −c³ joins u by an addition and the gate surface has no
 // vector subtraction. With the inner products that is multiplicative
-// depth 3 and, the last level being opened unreduced, three wire rounds
-// for any batch: the cube's two resharings and the opening.
+// depth 3 and, for any batch, one wire round per level the degree rule
+// reshares and the opening (circuit.Plan.Rounds): the inner products are
+// opened at the degree they have, the cube — of degree 3t, or 2t over a
+// reshared square — reshares before its product with a degree-t column,
+// and the square c·c, of degree 2t, reshares only when the cube over it
+// would pass P−1. At the default P = 4, t = 1 that is two rounds, at
+// P = 5, t = 2 three.
 func (c coefs) gate(b *circuit.Builder, cols []bgw.Vec) bgw.Vec {
 	d := len(c.lin)
 	u := b.LinComb(cols, append(append(make([]int64, 0, d+1), c.lin...), -c.label), c.half)

@@ -145,11 +145,12 @@ func TestLR3PlainAndBGWAgree(t *testing.T) {
 			t.Fatalf("coord %d: plain %d vs BGW %d", t2, tr1.Scaled[t2], tr2.Scaled[t2])
 		}
 	}
-	// Two cube rounds + output: the fused inner products are the terminal
-	// level and are opened unreduced, and the noise rides the opening
-	// unshared.
-	if tr2.Stats.Rounds != 3 {
-		t.Fatalf("rounds = %d, want 3", tr2.Stats.Rounds)
+	// The cube levels the degree rule reshares at the default P = 4,
+	// t = 1 — the cube's alone, its square stays at 2t — and the output:
+	// the fused inner products are opened at the degree they have, and
+	// the noise rides the opening unshared.
+	if want := int64(1 + lr3ReshareLevels(4, 1)); tr2.Stats.Rounds != want || want != 2 {
+		t.Fatalf("rounds = %d, want %d (2)", tr2.Stats.Rounds, want)
 	}
 }
 
@@ -257,23 +258,23 @@ func TestLR3SensitivityFunctionIsTheMethod(t *testing.T) {
 }
 
 // TestLR3PlannedRoundsIndependentOfBatch is the scheduler's acceptance
-// gate on the cube circuit: for any batch size B, planned execution
-// over the actor engine must run exactly five wire rounds (input,
-// square, cube, fused inner product, output — i.e. multiplicative
-// depth plus input and output rounds) and the same number of frames,
-// because every level travels as one batched exchange. Outputs must
-// stay bit-identical to the plain engine.
+// gate on the cube circuit: for any batch size B, planned execution over
+// the actor engine must run the same wire rounds — the cube's levels the
+// degree rule reshares (lr3ReshareLevels: the cube's at P = 4, t = 1;
+// the square's and the cube's at P = 5, t = 2) and the output — and the
+// same number of frames, because every level travels as one batched
+// exchange. Outputs must stay bit-identical to the plain engine.
 func TestLR3PlannedRoundsIndependentOfBatch(t *testing.T) {
 	x, y := lrTestData(16, 3, 9)
 	base := Params{Gamma: 16, Mu: 20, Seed: 23}
 	g := randx.New(29)
 	w := g.GaussianVec(3, 0.3)
 
-	run := func(kind EngineKind, parties int, batch []int) ([]int64, bgw.Stats) {
+	run := func(kind EngineKind, parties, threshold int, batch []int) ([]int64, bgw.Stats) {
 		t.Helper()
 		p := base
 		p.Engine = kind
-		p.Parties = parties
+		p.Parties, p.Threshold = parties, threshold
 		proto, err := NewLR3Protocol(x, y, p, 2)
 		if err != nil {
 			t.Fatal(err)
@@ -289,29 +290,33 @@ func TestLR3PlannedRoundsIndependentOfBatch(t *testing.T) {
 	small := []int{1, 4}
 	large := []int{0, 2, 5, 7, 9, 11}
 
-	plainSmall, _ := run(EnginePlain, 0, small)
-	plainLarge, _ := run(EnginePlain, 0, large)
-	actorSmall, stSmall := run(EngineActorBGW, 4, small)
-	actorLarge, stLarge := run(EngineActorBGW, 4, large)
-
-	for d := range plainSmall {
-		if actorSmall[d] != plainSmall[d] {
-			t.Errorf("B=2 dim %d: actor %d != plain %d", d, actorSmall[d], plainSmall[d])
+	plainSmall, _ := run(EnginePlain, 0, 0, small)
+	plainLarge, _ := run(EnginePlain, 0, 0, large)
+	for _, c := range []struct{ P, t, rounds int }{{4, 1, 2}, {5, 2, 3}} {
+		if want := 1 + lr3ReshareLevels(c.P, c.t); want != c.rounds {
+			t.Fatalf("P=%d t=%d: the degree rule gives %d rounds, the table %d", c.P, c.t, want, c.rounds)
 		}
-		if actorLarge[d] != plainLarge[d] {
-			t.Errorf("B=6 dim %d: actor %d != plain %d", d, actorLarge[d], plainLarge[d])
+		actorSmall, stSmall := run(EngineActorBGW, c.P, c.t, small)
+		actorLarge, stLarge := run(EngineActorBGW, c.P, c.t, large)
+		for d := range plainSmall {
+			if actorSmall[d] != plainSmall[d] {
+				t.Errorf("P=%d t=%d B=2 dim %d: actor %d != plain %d", c.P, c.t, d, actorSmall[d], plainSmall[d])
+			}
+			if actorLarge[d] != plainLarge[d] {
+				t.Errorf("P=%d t=%d B=6 dim %d: actor %d != plain %d", c.P, c.t, d, actorLarge[d], plainLarge[d])
+			}
 		}
-	}
-	if stSmall.Rounds != 3 || stLarge.Rounds != 3 {
-		t.Errorf("rounds: B=2 %d, B=6 %d, want 3 and 3", stSmall.Rounds, stLarge.Rounds)
-	}
-	if stSmall.Frames != stLarge.Frames {
-		t.Errorf("frames depend on batch size: B=2 %d, B=6 %d", stSmall.Frames, stLarge.Frames)
-	}
-	if stSmall.Frames == 0 {
-		t.Error("frames not metered")
-	}
-	if stSmall.Messages >= stLarge.Messages {
-		t.Errorf("logical messages should grow with B: B=2 %d, B=6 %d", stSmall.Messages, stLarge.Messages)
+		if stSmall.Rounds != int64(c.rounds) || stLarge.Rounds != int64(c.rounds) {
+			t.Errorf("P=%d t=%d rounds: B=2 %d, B=6 %d, want %d and %d", c.P, c.t, stSmall.Rounds, stLarge.Rounds, c.rounds, c.rounds)
+		}
+		if stSmall.Frames != stLarge.Frames {
+			t.Errorf("P=%d t=%d frames depend on batch size: B=2 %d, B=6 %d", c.P, c.t, stSmall.Frames, stLarge.Frames)
+		}
+		if stSmall.Frames == 0 {
+			t.Errorf("P=%d t=%d: frames not metered", c.P, c.t)
+		}
+		if stSmall.Messages >= stLarge.Messages {
+			t.Errorf("P=%d t=%d: logical messages should grow with B: B=2 %d, B=6 %d", c.P, c.t, stSmall.Messages, stLarge.Messages)
+		}
 	}
 }

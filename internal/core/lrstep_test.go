@@ -79,17 +79,17 @@ func TestGradientStepBitIdenticalAtBatchEdges(t *testing.T) {
 //	frames   levels·P·(P−1)
 //	messages (muls·P + d·P)·(P−1), 8 bytes each
 //
-// in levels rounds, where levels is the multiplicative depth — 1 for LR,
-// 3 for LR3 (the cube's two levels of B products under the d inner
-// products). The noise reaches nothing but the opening, so no party
-// shares it: there is no input round and no input frame, and an LR step
-// is the opening round alone. The last level, the inner products', is
-// terminal: it is opened unreduced, so the levels·P·(P−1) frames are
-// levels − 1 reshare exchanges and the opening, and muls counts only the
-// products below it, 0 for LR and 2B for LR3. FieldOps sums, over the
-// parties, the affine gates' terms·B, one λ⁻¹·x per noise element at each
-// of the o = min(clients, P) parties that hold some, every product's
-// operand count, P+t+1 for each reshared product, and d for the opening.
+// in levels rounds: the levels that reshare a product, and the opening.
+// The noise reaches nothing but the opening, so no party shares it: there
+// is no input round and no input frame, and an LR step is the opening
+// round alone. The inner products, the last level, are opened at the
+// degree they have. LR3's cube puts two levels of B products under them,
+// and which of those reshare is the degree rule's (lr3ReshareLevels): muls
+// counts the reshared products, B per resharing level. FieldOps sums,
+// over the parties, the affine gates' terms·B, one λ⁻¹·x per noise
+// element at each of the o = min(clients, P) parties that hold some,
+// every product's operand count, P+t+1 for each reshared product, and d
+// for the opening.
 func TestGradientStepCountersClosedForm(t *testing.T) {
 	for _, c := range []struct{ m, d, B, clients, P, t int }{
 		{40, 5, 8, 4, 4, 1},
@@ -126,7 +126,8 @@ func TestGradientStepCountersClosedForm(t *testing.T) {
 				}
 				exp := want(1, 0, d+1, d*B)
 				if order3 {
-					exp = want(3, 2*B, 2*d+1, 2*B+d*B)
+					levels := int64(lr3ReshareLevels(c.P, c.t))
+					exp = want(1+levels, levels*B, 2*d+1, 2*B+d*B)
 				}
 				// Two steps: the second one's baseline is the first one's end.
 				for step := 0; step < 2; step++ {
@@ -142,6 +143,23 @@ func TestGradientStepCountersClosedForm(t *testing.T) {
 			}
 		}
 	}
+}
+
+// lr3ReshareLevels applies the degree rule (circuit.Plan's) to an
+// order-3 step's products at P parties and threshold t and returns how
+// many of the cube's two levels reshare: the rounds of a step but the
+// opening. The square c·c has degree 2t and reshares when the cube over
+// it, at 3t, would pass P−1; the cube, at 3t or — over a reshared square
+// — 2t, reshares when its inner product with a degree-t column would.
+func lr3ReshareLevels(P, t int) int {
+	levels, cube := 0, 3*t
+	if 3*t > P-1 {
+		levels, cube = 1, 2*t
+	}
+	if cube+t > P-1 {
+		levels++
+	}
+	return levels
 }
 
 // TestGradientSumRejectsBatchIndexOutOfRange: the batch is caller input,

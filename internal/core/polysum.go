@@ -96,9 +96,12 @@ func (r *release) polySum(q *poly.Quantized, x *linalg.Matrix, scale float64, s 
 // mpcPolySum evaluates the quantized polynomial over secret shares with
 // whichever Evaluator backend p.Engine selects. The circuit is recorded
 // into a level-scheduled plan: the columns some monomial multiplies share
-// in one input round, every multiplication level but the last runs as one
-// batched degree-reduction round, and the outputs open in one batched
-// round — rounds derive from the compiled depth, not hand bookkeeping.
+// in one input round, every multiplication level that reshares a product
+// runs as one batched degree-reduction round — a monomial's chain
+// reshares only where its next factor would take it above degree P−1, so
+// a degree-3 monomial at P = 4, t = 1 reshares nothing — and the outputs
+// open in one batched round: rounds derive from the compiled plan, not
+// hand bookkeeping.
 // The noise, and a column only degree-1 monomials read, reach nothing but
 // the opening and are added there unshared: a purely linear release is
 // one masked-sum round.

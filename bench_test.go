@@ -14,7 +14,7 @@ import (
 // while exercising every experiment end to end. Paper-scale runs go
 // through cmd/sqmbench -full.
 func benchOptions() sqm.ExperimentOptions {
-	return sqm.ExperimentOptions{Runs: 1, RealBGWBudget: 5e6, Seed: 7}
+	return sqm.ExperimentOptions{Runs: 1, Seed: 7}
 }
 
 var printOnce sync.Map

@@ -10,6 +10,9 @@
 //	sqmbench -exp fig3                       # one experiment, CI-scale
 //	sqmbench -exp all -full -runs 20         # paper-scale shapes, 20 repeats
 //	sqmbench -exp table2 -report run.json    # machine-readable run report
+//
+// Every timing cell (Tables II, IV and V) runs the real BGW protocol:
+// -exp table2 -full takes about 20 s and 2 GB peak RSS on 2 cores.
 package main
 
 import (
@@ -17,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"time"
 
 	"sqm/internal/bench"
@@ -25,15 +29,17 @@ import (
 // runReport is the machine-readable record of one sqmbench invocation:
 // the options it ran with, every produced table (whose timing columns
 // carry both the modeled time — measured compute + rounds × latency —
-// and the raw measured wall-clock), and the wall-clock of the whole
-// run.
+// and the raw measured wall-clock), the machine they were measured on,
+// and the wall-clock of the whole run.
 type runReport struct {
 	GeneratedAt      string         `json:"generated_at"`
 	Experiment       string         `json:"experiment"`
 	Runs             int            `json:"runs"`
 	Full             bool           `json:"full"`
-	RealBGWBudget    int64          `json:"real_bgw_budget"`
 	Seed             uint64         `json:"seed"`
+	GOMAXPROCS       int            `json:"gomaxprocs"`
+	NumCPU           int            `json:"num_cpu"`
+	GoVersion        string         `json:"go_version"`
 	WallClockSeconds float64        `json:"wall_clock_seconds"`
 	Tables           []*bench.Table `json:"tables"`
 }
@@ -43,7 +49,6 @@ func main() {
 		exp    = flag.String("exp", "all", "experiment id: "+bench.IDs)
 		runs   = flag.Int("runs", 3, "repeats per cell (paper: 20)")
 		full   = flag.Bool("full", false, "paper-scale dataset shapes (slow)")
-		budget = flag.Int64("bgw-budget", 2e8, "max field ops executed by the real BGW engine per timing cell; larger cells are extrapolated and marked '*'")
 		seed   = flag.Uint64("seed", 42, "reproducibility seed")
 		format = flag.String("format", "text", "output format: text, csv or json")
 		report = flag.String("report", "", "also write a JSON run report to this file")
@@ -51,7 +56,7 @@ func main() {
 	flag.Parse()
 
 	start := time.Now()
-	o := bench.Options{Runs: *runs, Full: *full, RealBGWBudget: *budget, Seed: *seed}
+	o := bench.Options{Runs: *runs, Full: *full, Seed: *seed}
 	tables, err := bench.ByID(*exp, o)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -62,8 +67,10 @@ func main() {
 		Experiment:       *exp,
 		Runs:             *runs,
 		Full:             *full,
-		RealBGWBudget:    *budget,
 		Seed:             *seed,
+		GOMAXPROCS:       runtime.GOMAXPROCS(0),
+		NumCPU:           runtime.NumCPU(),
+		GoVersion:        runtime.Version(),
 		WallClockSeconds: time.Since(start).Seconds(),
 		Tables:           tables,
 	}

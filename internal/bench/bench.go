@@ -88,12 +88,10 @@ type Options struct {
 	// Runs is the repeat count per cell (the paper averages 20).
 	Runs int
 	// Full switches to paper-scale dataset shapes (see DESIGN.md for
-	// the documented scale-downs that remain even at Full).
+	// the documented scale-downs that remain even at Full). Every timing
+	// cell runs the real BGW protocol, so Table II at Full takes about
+	// 20 s and 2 GB peak RSS on 2 cores.
 	Full bool
-	// RealBGWBudget caps the field operations executed by the real BGW
-	// engine in the timing tables; larger cells are extrapolated from a
-	// calibrated per-operation cost and marked with a trailing '*'.
-	RealBGWBudget int64
 	// TinyLR shrinks the logistic-regression shapes to unit-test scale
 	// (overridden by Full).
 	TinyLR bool
@@ -105,9 +103,6 @@ type Options struct {
 func (o Options) Defaults() Options {
 	if o.Runs == 0 {
 		o.Runs = 3
-	}
-	if o.RealBGWBudget == 0 {
-		o.RealBGWBudget = 2e8
 	}
 	if o.Seed == 0 {
 		o.Seed = 42

@@ -6,19 +6,16 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"sqm/internal/core"
-	"sqm/internal/dataset"
 )
 
 // tiny returns options small enough for unit tests.
 func tiny() Options {
-	return Options{Runs: 1, RealBGWBudget: 5e6, Seed: 7}
+	return Options{Runs: 1, Seed: 7}
 }
 
 func parse(t *testing.T, s string) float64 {
 	t.Helper()
-	v, err := strconv.ParseFloat(strings.TrimSuffix(s, "*"), 64)
+	v, err := strconv.ParseFloat(s, 64)
 	if err != nil {
 		t.Fatalf("cell %q is not numeric: %v", s, err)
 	}
@@ -41,7 +38,7 @@ func TestTableWriteTo(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.Defaults()
-	if o.Runs != 3 || o.RealBGWBudget != 2e8 || o.Seed != 42 {
+	if o.Runs != 3 || o.Seed != 42 {
 		t.Fatalf("defaults = %+v", o)
 	}
 	o2 := Options{Runs: 9}.Defaults()
@@ -155,111 +152,92 @@ func TestEpochsForMapping(t *testing.T) {
 	}
 }
 
-func TestEstimatorsGrowCorrectly(t *testing.T) {
-	// PCA ops grow quadratically in n, linearly in m and P.
-	a, _ := estimatePCAOps(100, 10, 4, 1, 4)
-	b, _ := estimatePCAOps(100, 20, 4, 1, 4)
-	if float64(b) < 3*float64(a) {
-		t.Fatalf("PCA ops should grow ~n²: %d -> %d", a, b)
-	}
-	c, _ := estimateLROps(100, 10, 4, 1, 4)
-	d, _ := estimateLROps(200, 10, 4, 1, 4)
-	if float64(d) < 1.8*float64(c) {
-		t.Fatalf("LR ops should grow ~m: %d -> %d", c, d)
-	}
-}
-
-// TestEstimatorsEqualTheEngineMetering: estimatePCAOps / estimateLROps
-// are what Tables II/IV/V extrapolate their starred cells from, so they
-// must be the engine's FieldOps exactly — for the covariance, and for LR
-// set-up plus one full-batch step — not merely grow like them.
-func TestEstimatorsEqualTheEngineMetering(t *testing.T) {
-	for _, s := range []struct{ m, n, parties int }{{50, 8, 4}, {100, 16, 4}, {40, 12, 10}} {
-		threshold := (s.parties - 1) / 2
-		params := core.Params{
-			Gamma: 18, Mu: 1e6, NumClients: s.parties,
-			Engine: core.EngineBGW, Parties: s.parties, Threshold: threshold, Seed: 1,
-		}
-		_, tr, err := core.Covariance(timingData(s.m, s.n, 1), params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if est, _ := estimatePCAOps(s.m, s.n, s.parties, threshold, s.parties); est != tr.Stats.FieldOps {
-			t.Errorf("covariance %+v: estimated %d FieldOps, engine metered %d", s, est, tr.Stats.FieldOps)
-		}
-
-		d := s.n - 1
-		ds, err := dataset.ACSIncomeLike("CA", s.m, 1, d, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		proto, err := core.NewLRProtocol(ds.X, ds.Labels, params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		batch := make([]int, s.m)
-		for i := range batch {
-			batch[i] = i
-		}
-		_, tr, err = proto.GradientSum(make([]float64, d), batch)
-		proto.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		metered := proto.SetupStats().FieldOps + tr.Stats.FieldOps
-		if est, _ := estimateLROps(s.m, d, s.parties, threshold, s.parties); est != metered {
-			t.Errorf("LR %+v: estimated %d FieldOps, engine metered %d", s, est, metered)
-		}
-	}
-}
-
-func TestPCATimingRealAndExtrapolated(t *testing.T) {
-	o := tiny()
-	real := pcaTiming(o, 50, 8, 4)
-	if real.extrapolated || real.total <= 0 {
-		t.Fatalf("small cell should run real BGW: %+v", real)
+func TestPCATimingRuns(t *testing.T) {
+	r, err := pcaTiming(tiny(), 50, 8, 4)
+	if err != nil || r.total <= 0 {
+		t.Fatalf("PCA timing = %+v, %v", r, err)
 	}
 	// Simulated latency floor: 2 rounds (input, opening) x 100 ms.
-	if real.total.Seconds() < 0.2 {
-		t.Fatalf("total %v below the 2-round latency floor", real.total)
-	}
-	o.RealBGWBudget = 1e5
-	ex := pcaTiming(o, 50, 32, 4)
-	if !ex.extrapolated || ex.total <= 0 {
-		t.Fatalf("large cell should extrapolate: %+v", ex)
-	}
-}
-
-func TestLRTimingExtrapolated(t *testing.T) {
-	o := tiny()
-	o.RealBGWBudget = 2e4 // force the calibration-and-scale path
-	r := lrTiming(o, 60, 40, 4)
-	if !r.extrapolated {
-		t.Fatal("tiny budget should force extrapolation")
-	}
-	if r.total <= 0 || r.noise <= 0 || r.noise >= r.total {
-		t.Fatalf("implausible extrapolated times: %+v", r)
+	if r.total.Seconds() < 0.2 {
+		t.Fatalf("total %v below the 2-round latency floor", r.total)
 	}
 }
 
 func TestLRTimingRuns(t *testing.T) {
-	o := tiny()
-	r := lrTiming(o, 40, 8, 4)
-	if r.extrapolated || r.total <= 0 || r.noise <= 0 {
-		t.Fatalf("LR timing = %+v", r)
+	r, err := lrTiming(tiny(), 40, 8, 4)
+	if err != nil || r.total <= 0 || r.noise <= 0 {
+		t.Fatalf("LR timing = %+v, %v", r, err)
 	}
 	if r.noise >= r.total {
 		t.Fatal("noise time must be below total time")
 	}
 }
 
+// TestRefusedCellReadsError: a cell whose session core refuses is an
+// error, not an instant run, and its row says so.
+func TestRefusedCellReadsError(t *testing.T) {
+	const refused = "BGW needs at least 3 parties"
+	if _, err := pcaTiming(tiny(), 50, 8, 2); err == nil || !strings.Contains(err.Error(), refused) {
+		t.Fatalf("pcaTiming at P = 2: err = %v, want %q", err, refused)
+	}
+	if _, err := lrTiming(tiny(), 50, 8, 2); err == nil || !strings.Contains(err.Error(), refused) {
+		t.Fatalf("lrTiming at P = 2: err = %v, want %q", err, refused)
+	}
+	tbl := timingTable(tiny(), "t", "refused", "P", "", []int{2}, func(p int) (int, int, int) { return 50, 8, p })
+	if len(tbl.Rows) != 2 {
+		t.Fatalf("rows = %v, want a PCA and an LR row", tbl.Rows)
+	}
+	for _, row := range tbl.Rows {
+		for _, c := range row[2:] {
+			if c != "error" {
+				t.Fatalf("refused row %v has value cell %q, want error", row, c)
+			}
+		}
+	}
+	if notes := strings.Join(tbl.Notes, "\n"); strings.Count(notes, refused) != 2 {
+		t.Fatalf("notes %q should carry both cells' errors", notes)
+	}
+}
+
+// timingTiny runs the three timing tables once at tiny() for the tests
+// that read them.
+var timingTiny = sync.OnceValue(func() []*Table {
+	o := tiny()
+	return []*Table{Table2(o), Table4(o), Table5(o)}
+})
+
+// TestTimingRowsFollowTheModel: every cell ran (measured > 0), overall
+// is measured plus the modeled 0.1 s per round to print rounding, no cell
+// is marked, and the notes name the machine.
+func TestTimingRowsFollowTheModel(t *testing.T) {
+	for _, tbl := range timingTiny() {
+		for _, row := range tbl.Rows {
+			for _, c := range row {
+				if strings.Contains(c, "*") {
+					t.Fatalf("%s: cell %q in %v is marked", tbl.ID, c, row)
+				}
+			}
+			overall, measured, rounds := parse(t, row[2]), parse(t, row[4]), parse(t, row[5])
+			if measured <= 0 {
+				t.Errorf("%s %v: measured %v, want > 0", tbl.ID, row, measured)
+			}
+			if gap := overall - measured - 0.1*rounds; gap < -0.01 || gap > 0.01 {
+				t.Errorf("%s %v: overall - measured - rounds x 0.1 s = %v", tbl.ID, row, gap)
+			}
+		}
+		if notes := strings.Join(tbl.Notes, "\n"); !strings.Contains(notes, "GOMAXPROCS=") || !strings.Contains(notes, "NumCPU=") || !strings.Contains(notes, "go1") {
+			t.Errorf("%s: notes %q do not name the machine", tbl.ID, notes)
+		}
+	}
+}
+
 func TestTable2ShapeSmall(t *testing.T) {
-	tbl := Table2(tiny())
+	tbl := timingTiny()[0]
 	if len(tbl.Rows) != 8 {
 		t.Fatalf("rows = %d, want 4 PCA + 4 LR", len(tbl.Rows))
 	}
 	// PCA time grows with n. Read the measured column: it prints
-	// milliseconds, and the modeled one rounds a 4 ms run at n = 64 onto
+	// tenths of a millisecond, and the modeled one rounds a 4 ms run at n = 64 onto
 	// the same 0.30 s latency floor as the run at n = 8.
 	first := parse(t, tbl.Rows[0][4])
 	last := parse(t, tbl.Rows[3][4])
@@ -269,7 +247,7 @@ func TestTable2ShapeSmall(t *testing.T) {
 }
 
 func TestTable4And5ShapeSmall(t *testing.T) {
-	t4 := Table4(tiny())
+	t4 := timingTiny()[1]
 	if len(t4.Rows) != 8 {
 		t.Fatalf("table4 rows = %d", len(t4.Rows))
 	}
@@ -279,7 +257,7 @@ func TestTable4And5ShapeSmall(t *testing.T) {
 	if last > first*2+0.05 {
 		t.Fatalf("LR noise time should be flat in m: %v -> %v", first, last)
 	}
-	t5 := Table5(tiny())
+	t5 := timingTiny()[2]
 	if len(t5.Rows) != 6 {
 		t.Fatalf("table5 rows = %d", len(t5.Rows))
 	}

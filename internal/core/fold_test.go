@@ -91,6 +91,58 @@ func TestOneClientPerPartyIsAFixedPoint(t *testing.T) {
 	}
 }
 
+// TestSessionFieldOpsClosedForm pins the engine's FieldOps metering of
+// the shapes Tables II, IV and V run (one client per party, threshold
+// ⌊(P−1)/2⌋), at P = 4 and P = 10 and at three covariance shapes. With
+// e = n(n+1)/2 Gram entries, a covariance over m records and n columns
+// meters, summed over the parties, the input sharings m·n·P·(t+1), one
+// λ⁻¹·x per noise element at each of the P parties e·P, the Gram's m
+// products per entry at every party e·m·P (unreduced: only the opening
+// reads them), and one multiplication per opened element P·e. LR set-up
+// over d features shares m·(d+1) values: m·(d+1)·P·(t+1); one full-batch
+// step meters the affine gates' (d+1)·m terms at every party, the noise
+// P·d, the inner products d·m·P and the opening P·d.
+func TestSessionFieldOpsClosedForm(t *testing.T) {
+	for _, s := range []struct{ m, n, parties int }{{50, 8, 4}, {100, 16, 4}, {40, 12, 10}} {
+		m, n, P := int64(s.m), int64(s.n), int64(s.parties)
+		th := (P - 1) / 2
+		params := Params{
+			Gamma: 18, Mu: 1e6, NumClients: s.parties,
+			Engine: EngineBGW, Parties: s.parties, Threshold: int(th), Seed: 1,
+		}
+		_, tr, err := Covariance(randMatrix(s.m, s.n, 0.3, 1), params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := n * (n + 1) / 2
+		if want := m*n*P*(th+1) + e*P + e*m*P + P*e; tr.Stats.FieldOps != want {
+			t.Errorf("covariance %+v: FieldOps %d, closed form %d", s, tr.Stats.FieldOps, want)
+		}
+
+		d := n - 1
+		x, y := lrTestData(s.m, int(d), 1)
+		proto, err := NewLRProtocol(x, y, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch := make([]int, s.m)
+		for i := range batch {
+			batch[i] = i
+		}
+		_, tr, err = proto.GradientSum(make([]float64, d), batch)
+		proto.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := proto.SetupStats().FieldOps, m*(d+1)*P*(th+1); got != want {
+			t.Errorf("LR set-up %+v: FieldOps %d, closed form %d", s, got, want)
+		}
+		if want := P*(d+1)*m + P*d + d*m*P + P*d; tr.Stats.FieldOps != want {
+			t.Errorf("LR step %+v: FieldOps %d, closed form %d", s, tr.Stats.FieldOps, want)
+		}
+	}
+}
+
 // TestHostedClientsCostOneSharingPerParty: with six clients hosted on
 // four parties the two doubly-loaded parties draw their clients' noise
 // onto one (unshared) addend each, and the session puts on the wire — and

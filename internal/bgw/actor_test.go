@@ -130,7 +130,8 @@ func TestActorFieldOpsMatchMonolithic(t *testing.T) {
 
 // TestActorStatsMeasured: the chan mesh counts real traffic; for the
 // simple ops the measured counts coincide with the monolithic model
-// (P−1 messages per input, P(P−1) per resharing and opening).
+// (P−1−t messages per input, P(P−1−t) per resharing, P(P−1) per
+// opening).
 func TestActorStatsMeasured(t *testing.T) {
 	cfg := Config{Parties: 3, Seed: 9}
 	eng := newActorChan(t, cfg)
@@ -140,8 +141,8 @@ func TestActorStatsMeasured(t *testing.T) {
 		t.Fatalf("Open(Mul) = %d, want 35", got)
 	}
 	st := eng.Stats()
-	p := int64(cfg.Parties)
-	wantMsgs := 2*(p-1) + p*(p-1) + p*(p-1) // 2 inputs + 1 resharing + 1 opening
+	p, unseeded := int64(cfg.Parties), int64(cfg.Parties-1-eng.Threshold())
+	wantMsgs := 2*unseeded + p*unseeded + p*(p-1) // 2 inputs + 1 resharing + 1 opening
 	if st.Messages != wantMsgs {
 		t.Errorf("Messages = %d, want %d", st.Messages, wantMsgs)
 	}

@@ -135,26 +135,29 @@ func TestInnerProductSingleResharing(t *testing.T) {
 	e.ResetStats()
 	e.InnerProduct(as, bs)
 	msgs := e.Stats().Messages
-	if want := int64(4 * 3); msgs != want {
+	// One resharing: each of the P dealers sends its P − 1 − t unseeded
+	// peers one message.
+	if want := int64(4 * (4 - 1 - 1)); msgs != want {
 		t.Fatalf("fused inner product used %d messages, want one resharing = %d", msgs, want)
 	}
 }
 
 // TestStatsMetering drives Input, Mul and Open gate by gate: a bare Input
 // always shares and a bare Mul always reduces — 3 rounds, whatever a plan
-// would make of the leaves and the level.
+// would make of the leaves and the level. At P = 4, t = 1 a dealing
+// sends P − 1 − t = 2 messages and an opening P(P−1) = 12.
 func TestStatsMetering(t *testing.T) {
 	e := newTestEngine(t, 4)
 	e.ResetStats()
-	a := e.Input(0, 2) // 3 messages
-	b := e.Input(1, 3) // 3 messages
+	a := e.Input(0, 2) // 2 messages
+	b := e.Input(1, 3) // 2 messages
 	e.AdvanceRound()   // input round
-	c := e.Mul(a, b)   // 12 messages
+	c := e.Mul(a, b)   // 4 dealers × 2 messages
 	e.AdvanceRound()   // multiplication round
 	e.Open(c)          // 12 messages
 	e.AdvanceRound()   // output round
 	st := e.Stats()
-	if st.Messages != 3+3+12+12 {
+	if st.Messages != 2+2+8+12 {
 		t.Fatalf("Messages = %d", st.Messages)
 	}
 	if st.Rounds != 3 {
@@ -425,11 +428,11 @@ func sharesDegree(e *Engine, v Val) int {
 func TestBytesMetering(t *testing.T) {
 	e := newTestEngine(t, 4)
 	e.ResetStats()
-	a := e.Input(0, 2)                   // 3 messages x 8 bytes
-	v := e.InputVec(1, []int64{1, 2, 3}) // 3 messages x 24 bytes
+	a := e.Input(0, 2)                   // P − 1 − t = 2 messages x 8 bytes
+	v := e.InputVec(1, []int64{1, 2, 3}) // 2 messages x 24 bytes
 	e.Open(a)                            // 12 messages x 8 bytes
 	e.OpenVec(v)                         // 12 messages x 24 bytes
-	want := int64(3*8 + 3*24 + 12*8 + 12*24)
+	want := int64(2*8 + 2*24 + 12*8 + 12*24)
 	if got := e.Stats().Bytes; got != want {
 		t.Fatalf("Bytes = %d, want %d", got, want)
 	}

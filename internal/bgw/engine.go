@@ -16,7 +16,8 @@ import (
 )
 
 // Engine runs the BGW protocol as P parties, each owning only its
-// shares and its private randomness, and drives them one of two ways.
+// shares and its ends of the pairwise streams, and drives them one of
+// two ways.
 // NewEngine runs them inline: no goroutines, every command runs on the
 // parties in turn in the caller's goroutine — first every party's
 // sending half, then every party's receiving half — and rows change
@@ -29,8 +30,8 @@ import (
 // bytes, and open the same values.
 //
 // The engine is driven by a single caller goroutine. Commands reach
-// every party in issue order, which keeps the per-party RNG streams and
-// the pairwise message sequences deterministic. Behind a mesh only
+// every party in issue order, which keeps the pairwise streams and the
+// pairwise message sequences deterministic. Behind a mesh only
 // operations that reveal data (Open*, Stats)
 // synchronize the caller with the parties; everything else pipelines.
 //
@@ -39,6 +40,12 @@ import (
 // — anything with a vector, a batch, a frame or a reply — is appended
 // and then flushes the batch with one channel send per party, so a
 // planned local gate costs an append, not P channel operations.
+//
+// Every sharing is a seeded dealing: the t parties after the dealer
+// draw their shares from a stream each shares with it (shamir.Dealing),
+// so a dealing sends only its P−1−t unseeded peers a row. The streams
+// are keyed at set-up from Config.Seed, after and apart from the
+// openings' pairwise mask streams.
 //
 // Input vectors travel as one round. InputVec adds its vector to the
 // open round, and the engine's next command of any other kind, or the
@@ -151,18 +158,29 @@ func newEngine(cfg Config, mesh transport.Mesh) (*Engine, error) {
 		e.lastRound = time.Now()
 	}
 	weights := shamir.LagrangeAtZero(shamir.PartyPoints(cfg.Parties))
-	root := randx.New(cfg.Seed)
+	dealings := shamir.NewDealings(cfg.Parties, t)
 	for i := 0; i < cfg.Parties; i++ {
-		pa := &actorParty{id: i, p: cfg.Parties, t: t, rng: root.Fork(), weights: weights,
-			ownInv: field.Inv(weights[i]), pair: make([]*randx.RNG, cfg.Parties)}
+		streams := make([]*randx.RNG, 3*cfg.Parties)
+		pa := &actorParty{id: i, p: cfg.Parties, t: t, weights: weights, ownInv: field.Inv(weights[i]),
+			dealing: &dealings[i], pair: streams[:cfg.Parties:cfg.Parties],
+			dealTo: streams[cfg.Parties : 2*cfg.Parties : 2*cfg.Parties], dealFrom: streams[2*cfg.Parties:]}
 		e.parties = append(e.parties, pa)
 	}
-	// The pairwise mask streams of the openings are keyed after every
-	// party's fork, so the sharing streams sit where they always have.
+	// The pairwise mask streams of the openings come first, then every
+	// dealer's stream toward each of its seeded peers: separate keys, so
+	// no mask stream is ever drawn by a dealing (PRIVACY.md "Seeded
+	// dealing").
+	root := randx.New(cfg.Seed)
 	for i, pa := range e.parties {
 		for j := i + 1; j < cfg.Parties; j++ {
 			key := root.Uint64()
 			pa.pair[j], e.parties[j].pair[i] = randx.New(key), randx.New(key)
+		}
+	}
+	for o, pa := range e.parties {
+		for _, j := range pa.dealing.Peers {
+			key := root.Uint64()
+			pa.dealTo[j], e.parties[j].dealFrom[o] = randx.New(key), randx.New(key)
 		}
 	}
 	for i, pa := range e.parties {
@@ -446,7 +464,8 @@ func (e *Engine) InputElem(owner int, el field.Elem) Val {
 }
 
 // InputBatch has every owner share its items in item order and send
-// each peer one frame carrying all of them.
+// each unseeded peer one frame carrying all of them; the owner's t
+// seeded peers draw theirs (see Engine).
 func (e *Engine) InputBatch(items []InputItem) []Val {
 	if len(items) == 0 {
 		return []Val{}
@@ -469,7 +488,7 @@ func (e *Engine) InputBatch(items []InputItem) []Val {
 }
 
 // InputVec has party owner secret-share the signed vector vs, one frame
-// per peer, as part of the open input round: the engine issues the
+// per unseeded peer, as part of the open input round: the engine issues the
 // vectors InputVec takes between two of its other commands as one
 // command (see Engine). vs is the caller's again when InputVec returns.
 func (e *Engine) InputVec(owner int, vs []int64) Vec {
@@ -582,7 +601,7 @@ func (e *Engine) scRefs(vs []Val) (refs []int, deg int) {
 // MulBatch evaluates one level of independent multiplicative gates in a
 // single batched degree-reduction round: every party computes all local
 // products, then one reshare exchange carries every sub-share in one
-// frame per ordered party pair. Every product of degree up to P−1
+// frame per party and unseeded peer. Every product of degree up to P−1
 // reduces, and the handles are degree-t sharings.
 func (e *Engine) MulBatch(items []MulItem) []Val { return e.mulBatch(opMulBatch, items) }
 

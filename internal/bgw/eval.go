@@ -45,7 +45,7 @@ const DefaultLatency = 100 * time.Millisecond
 type Config struct {
 	Parties   int          // P >= 2*Threshold + 1
 	Threshold int          // t; 0 means floor((P-1)/2)
-	Seed      uint64       // seeds the per-party private randomness
+	Seed      uint64       // keys the pairwise mask and dealing streams
 	Recorder  obs.Recorder // telemetry sink; nil disables at zero cost
 	// RecvTimeout bounds every blocking receive of parties behind a
 	// mesh: a peer that stays silent past the deadline surfaces as a
@@ -222,7 +222,7 @@ type Evaluator interface {
 	// MulBatch evaluates one whole level of independent multiplicative
 	// gates (scalar products, fused inner products, vector dots) in a
 	// single degree-reduction round: all sub-shares travel in one frame
-	// per ordered party pair. Results are returned in item order.
+	// per party and unseeded peer. Results are returned in item order.
 	MulBatch(items []MulItem) []Val
 	// MulBatchUnreduced evaluates one level of multiplicative gates
 	// without the degree reduction: no traffic, no round. A result's
@@ -235,10 +235,11 @@ type Evaluator interface {
 	// round (one frame per ordered party pair carrying every share).
 	OpenBatch(vals []Val) []int64
 	// InputBatch shares a whole input round of scalars: each owner
-	// shares its items in item order and sends every peer one frame
-	// carrying all of them, so the round costs (#distinct owners)·(P−1)
-	// frames while messages and bytes equal per-scalar Input. Results
-	// are returned in item order.
+	// shares its items in item order and sends each of its P−1−t
+	// unseeded peers one frame carrying all of them (the t seeded ones
+	// draw theirs), so the round costs (#distinct owners)·(P−1−t) frames
+	// while messages and bytes equal per-scalar Input. Results are
+	// returned in item order.
 	InputBatch(items []InputItem) []Val
 	// FromScalars packs scalar shares into a vector; local.
 	FromScalars(xs []Val) Vec

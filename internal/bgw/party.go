@@ -5,15 +5,16 @@ import (
 
 	"sqm/internal/field"
 	"sqm/internal/randx"
+	"sqm/internal/shamir"
 )
 
 // actorOp enumerates the commands the engine issues to its parties.
 // Every party executes the same command sequence in the same order,
-// which keeps share slot indices and RNG streams aligned across parties
-// without any coordination messages. There is no opcode for a gate that
-// a batch of one expresses: Input, Mul, InnerProduct, Dot and Open are
-// opInputBatch, opMulBatch and opOpenBatch of one, and every InputVec
-// joins an opInputVecs (Engine.issueRound).
+// which keeps share slot indices and the pairwise streams aligned across
+// parties without any coordination messages. There is no opcode for a
+// gate that a batch of one expresses: Input, Mul, InnerProduct, Dot and
+// Open are opInputBatch, opMulBatch and opOpenBatch of one, and every
+// InputVec joins an opInputVecs (Engine.issueRound).
 type actorOp uint8
 
 const (
@@ -95,20 +96,28 @@ type actorReply struct {
 	err   error
 }
 
-// actorParty is one BGW party: it owns its share slots and its private
-// randomness, and talks to its peers only through its link. Every
-// command has a sending half (local arithmetic, sharing, the rows that
+// actorParty is one BGW party: it owns its share slots and its ends of
+// the pairwise streams, and talks to its peers only through its link.
+// Every command has a sending half (local arithmetic, sharing, the rows that
 // leave) and a receiving half (the rows that arrive, the Lagrange fold
 // of a resharing or the sum of an opening, the slots filled, the reply).
 // A party goroutine runs the halves back to back; the inline driver runs
 // the first half on every party and then the second on every party.
 type actorParty struct {
 	id, p, t int
-	rng      *randx.RNG
 	weights  []field.Elem
 	ownInv   field.Elem // 1/weights[id]: what publish's λ_id cancels on an unshared input
 	link     link
 	cmds     chan []actorCmd // command batches of a party goroutine; nil inline
+	// dealing is this party's seeded sharing: the t peers after it draw
+	// their rows of every sharing it deals, the others are sent theirs.
+	// dealTo[j] is its end of the stream toward seeded peer j, dealFrom[j]
+	// its end of the stream from dealer j when it is one of j's seeded
+	// peers; both nil otherwise. Like pair, they advance together because
+	// every party runs the same commands in the same order, and they are
+	// keyed apart from the mask streams.
+	dealing          *shamir.Dealing
+	dealTo, dealFrom []*randx.RNG
 	// pair[j] is this party's end of the mask stream it shares with peer
 	// j (nil at its own index): both ends are seeded alike, once, and
 	// advance together because every party opens the same elements in
@@ -133,6 +142,7 @@ type actorParty struct {
 	pairs    []field.Elem // PairProd of the vector slots a Gram batch reuses, by slot (grow-only)
 	pend     []field.Elem // this party's own row, kept between the halves
 	sh       shareScratch // working memory of the sharing sites
+	drawn    []field.Elem // a seeded row drawn for a fold or a scalar input (grow-only)
 	pub      []field.Elem // the row an OpenVec publishes (grow-only)
 	acc      []field.Elem // the sum of an opening's rows (grow-only)
 	fieldOps int64
@@ -185,8 +195,8 @@ func (a *actorParty) send(c *actorCmd) error {
 	switch c.op {
 	case opInputVecs:
 		// The input round: this party deals every vector it owns, in item
-		// order and from its one stream, one frame per vector and peer,
-		// before it waits on any peer's (recv takes those).
+		// order, one frame per vector and unseeded peer, before it waits on
+		// any peer's (recv takes those).
 		base := len(a.vc)
 		a.vc = append(a.vc, make([][]field.Elem, len(c.x.vecs))...)
 		for i, in := range c.x.vecs {
@@ -214,7 +224,7 @@ func (a *actorParty) send(c *actorCmd) error {
 		a.vc = append(a.vc, in.elems)
 	case opInputBatch:
 		// This party shares the items it owns, in item order, into one
-		// frame per peer.
+		// frame per unseeded peer.
 		n := 0
 		for _, it := range c.x.inputs {
 			if it.Owner == a.id {
@@ -274,13 +284,12 @@ func (a *actorParty) send(c *actorCmd) error {
 		a.vc = append(a.vc, a.gather(c.x.refs))
 	case opMulBatch:
 		// One degree-reduction round: the local degree-2t value of every
-		// gate, Shamir-shared from this party's stream in gate order, one
-		// row of sub-shares to each peer.
+		// gate, dealt in gate order, one row of sub-shares to each unseeded
+		// peer; highs becomes this party's own row.
 		highs := make([]field.Elem, len(c.x.muls))
 		a.products(highs, c.x.muls, c.x.refs)
-		rows := a.sh.share(highs, a.p, a.t, a.rng)
-		a.pend = rows[a.id]
-		return a.sendRows(rows)
+		a.pend = highs
+		return a.sendRows(a.sh.share(highs, a.dealing, a.dealTo), a.link.send)
 	case opMulUnreduced:
 		// The same local values, kept: the slots hold this party's point
 		// of a degree-2t sharing, no randomness is drawn and nothing is
@@ -374,10 +383,18 @@ func (a *actorParty) publish(dst, shares []field.Elem) []field.Elem {
 func (a *actorParty) recv(c *actorCmd) error {
 	switch c.op {
 	case opInputVecs:
-		// The peers' rows in item order, each kept as the slot it fills.
+		// The peers' rows in item order, each kept as the slot it fills:
+		// drawn from the dealer's stream by a seeded peer, taken off the
+		// link by the others.
 		base := len(a.vc) - len(c.x.vecs)
 		for i, in := range c.x.vecs {
 			if in.owner == a.id {
+				continue
+			}
+			if s := a.dealFrom[in.owner]; s != nil {
+				row := make([]field.Elem, len(in.elems))
+				shamir.Draw(row, s)
+				a.vc[base+i] = row
 				continue
 			}
 			row, err := a.link.take(in.owner, len(in.elems))
@@ -405,7 +422,7 @@ func (a *actorParty) recv(c *actorCmd) error {
 			row := a.pend
 			if owner != a.id {
 				var err error
-				if row, err = a.link.recv(owner, n); err != nil {
+				if row, err = a.dealt(owner, n); err != nil {
 					return err
 				}
 			}
@@ -464,35 +481,39 @@ func (a *actorParty) gather(refs []int) []field.Elem {
 	return out
 }
 
-// shareOut Shamir-shares elems in order from this party's stream, deals
-// every peer one row carrying its share of each, and replaces elems
-// with this party's own shares.
+// shareOut Shamir-shares elems in order, deals every unseeded peer one
+// row carrying its share of each, and replaces elems with this party's
+// own shares. FieldOps meters the textbook sharing, P evaluations of a
+// degree-t polynomial per element.
 func (a *actorParty) shareOut(elems []field.Elem) error {
-	rows := a.sh.share(elems, a.p, a.t, a.rng)
 	a.fieldOps += int64(len(elems) * a.p * (a.t + 1))
-	copy(elems, rows[a.id])
+	return a.sendRows(a.sh.share(elems, a.dealing, a.dealTo), a.link.deal)
+}
+
+// sendRows hands every unseeded peer j the row rows[j] through put (the
+// link's send or deal); the seeded peers draw theirs.
+func (a *actorParty) sendRows(rows [][]field.Elem, put func(to int, row []field.Elem) error) error {
 	for j, row := range rows {
-		if j == a.id {
+		if j == a.id || a.dealTo[j] != nil {
 			continue
 		}
-		if err := a.link.deal(j, row); err != nil {
+		if err := put(j, row); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// sendRows sends every peer j the row rows[j].
-func (a *actorParty) sendRows(rows [][]field.Elem) error {
-	for j, row := range rows {
-		if j == a.id {
-			continue
-		}
-		if err := a.link.send(j, row); err != nil {
-			return err
-		}
+// dealt returns dealer j's next row of n elements for this party, valid
+// until the next call: drawn from the stream they share when this party
+// is one of j's seeded peers, else received.
+func (a *actorParty) dealt(j, n int) ([]field.Elem, error) {
+	if s := a.dealFrom[j]; s != nil {
+		a.drawn = growElems(a.drawn, n)
+		shamir.Draw(a.drawn, s)
+		return a.drawn, nil
 	}
-	return nil
+	return a.link.recv(j, n)
 }
 
 // broadcast sends every peer the same row.
@@ -508,18 +529,18 @@ func (a *actorParty) broadcast(row []field.Elem) error {
 	return nil
 }
 
-// fold takes one row of len(dst) elements from every peer and leaves in
-// dst the Lagrange combination at zero of those rows and mine, this
-// party's own: the new degree-t shares after a resharing. Sends never
-// block, so the all-send-then-all-receive shape of a round cannot
-// deadlock.
+// fold takes one row of len(dst) elements from every peer, drawn or
+// received (dealt), and leaves in dst the Lagrange combination at zero of
+// those rows and mine, this party's own: the new degree-t shares after a
+// resharing. Sends never block, so the all-send-then-all-receive shape
+// of a round cannot deadlock.
 func (a *actorParty) fold(dst, mine []field.Elem) error {
 	field.MulConstVec(dst, mine, a.weights[a.id])
 	for j := 0; j < a.p; j++ {
 		if j == a.id {
 			continue
 		}
-		row, err := a.link.recv(j, len(dst))
+		row, err := a.dealt(j, len(dst))
 		if err != nil {
 			return err
 		}

@@ -96,7 +96,7 @@ func TestActorFullBatchesMatchMonolithic(t *testing.T) {
 // TestInputBatchAcrossEngines is the cross-engine property of the
 // batched input round: for random owner assignments the monolithic,
 // channel-actor and TCP-actor engines agree on every counter, the round
-// costs one frame per (owner, peer) pair, messages/bytes/FieldOps equal
+// costs one frame per owner and unseeded peer, messages/bytes/FieldOps equal
 // the per-scalar Input path, and the opened values are the inputs.
 func TestInputBatchAcrossEngines(t *testing.T) {
 	const p = 5
@@ -128,6 +128,8 @@ func TestInputBatchAcrossEngines(t *testing.T) {
 			return map[string]Evaluator{"bgw": Eval(mono), "actor": newActorChan(t, cfg), "actor-net": newActorTCP(t, cfg)}
 		}
 
+		// At P = 5, t = 2 every dealing reaches P − 1 − t = 2 peers by frame.
+		const unseeded = p - 1 - 2
 		var ref Stats
 		for name, ev := range engines() {
 			got := ev.OpenBatch(ev.InputBatch(items))
@@ -138,8 +140,8 @@ func TestInputBatchAcrossEngines(t *testing.T) {
 				t.Fatalf("trial %d %s: opened %v, want %v", trial, name, got, want)
 			}
 			st := ev.Stats()
-			if wantFrames := int64(len(distinct)*(p-1) + p*(p-1)); st.Frames != wantFrames {
-				t.Errorf("trial %d %s: %d frames, want %d owners·(P−1) + P(P−1) = %d",
+			if wantFrames := int64(len(distinct)*unseeded + p*(p-1)); st.Frames != wantFrames {
+				t.Errorf("trial %d %s: %d frames, want %d owners·(P−1−t) + P(P−1) = %d",
 					trial, name, st.Frames, len(distinct), wantFrames)
 			}
 			if ref == (Stats{}) {
@@ -161,7 +163,7 @@ func TestInputBatchAcrossEngines(t *testing.T) {
 				t.Errorf("trial %d %s: per-scalar Input moved %d messages / %d bytes / %d field ops, InputBatch %d / %d / %d",
 					trial, name, st.Messages, st.Bytes, st.FieldOps, ref.Messages, ref.Bytes, ref.FieldOps)
 			}
-			if wantFrames := int64(len(items)*(p-1) + p*(p-1)); st.Frames != wantFrames {
+			if wantFrames := int64(len(items)*unseeded + p*(p-1)); st.Frames != wantFrames {
 				t.Errorf("trial %d %s: per-scalar Input sent %d frames, want %d", trial, name, st.Frames, wantFrames)
 			}
 		}

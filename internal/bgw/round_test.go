@@ -76,7 +76,10 @@ func (c *holdConn) SendN(to int, payload []byte, msgs int) error {
 // round, every party deals all it owns before it waits, P−1's rows free
 // party 0's, and the round opens the right values. On both meshes.
 func TestInputRoundDealsBeforeItWaits(t *testing.T) {
-	const parties, perParty, n = 4, 2, 5
+	// At P = 4, t = 1 party 0's seeded peer is 1, so the frames held are
+	// those to parties 2 and 3, and P−1 sends P − 1 − t = 2 frames per
+	// column, to parties 1 and 2 (party 0 draws P−1's rows).
+	const parties, threshold, perParty, n = 4, 1, 2, 5
 	cols := make([][]int64, parties*perParty)
 	for j := range cols {
 		cols[j] = make([]int64, n)
@@ -98,8 +101,8 @@ func TestInputRoundDealsBeforeItWaits(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				mesh := &holdMesh{Mesh: inner, release: perParty * (parties - 1)}
-				eng, err := NewActorEngine(Config{Parties: parties, Seed: 5, RecvTimeout: 300 * time.Millisecond}, mesh)
+				mesh := &holdMesh{Mesh: inner, release: perParty * (parties - 1 - threshold)}
+				eng, err := NewActorEngine(Config{Parties: parties, Threshold: threshold, Seed: 5, RecvTimeout: 300 * time.Millisecond}, mesh)
 				if err != nil {
 					t.Fatal(err)
 				}

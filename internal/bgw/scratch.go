@@ -42,19 +42,21 @@ type shareScratch struct {
 	rows [][]field.Elem
 }
 
-// share Shamir-shares secrets among p parties from rng and returns the
+// share deals secrets by d from the dealer's stream ends and returns the
 // party-major sub-share rows (rows[j][k] is party j's share of
-// secrets[k]), valid until the next call on s.
-func (s *shareScratch) share(secrets []field.Elem, p, t int, rng *randx.RNG) [][]field.Elem {
-	n := len(secrets)
-	s.buf = growElems(s.buf, (p+t)*n)
+// secrets[k]), valid until the next call on s; the dealer's own row is
+// secrets, overwritten with its shares.
+func (s *shareScratch) share(secrets []field.Elem, d *shamir.Dealing, streams []*randx.RNG) [][]field.Elem {
+	n, p := len(secrets), len(d.Weights)
+	s.buf = growElems(s.buf, p*n)
 	if s.rows == nil {
 		s.rows = make([][]field.Elem, p)
 	}
 	for j := range s.rows {
 		s.rows[j] = s.buf[j*n : (j+1)*n]
 	}
-	shamir.ShareVec(s.rows, secrets, t, rng, s.buf[p*n:])
+	s.rows[d.Dealer] = secrets
+	d.Share(s.rows, secrets, streams)
 	return s.rows
 }
 

@@ -194,8 +194,9 @@ func TestMemLinkRefusesUnmatchedRecv(t *testing.T) {
 		if got := eng.Open(eng.Mul(x, x)); got != 36 {
 			t.Fatalf("%s: healthy Open = %d, want 36", name, got)
 		}
-		eng.parties[0].link = faultyLink{link: eng.parties[0].link, to: 1, truncate: truncate}
-		y := eng.InputVec(0, []int64{1, 2, 3}) // party 1 is starved or short-changed
+		// At P = 3, t = 1 party 1 draws party 0's rows; party 2 is sent them.
+		eng.parties[0].link = faultyLink{link: eng.parties[0].link, to: 2, truncate: truncate}
+		y := eng.InputVec(0, []int64{1, 2, 3}) // party 2 is starved or short-changed
 		if got := eng.OpenVec(y); !equalInt64(got, []int64{0, 0, 0}) {
 			t.Errorf("%s: OpenVec after the fault = %v, want zeros", name, got)
 		}

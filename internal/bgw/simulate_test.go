@@ -344,3 +344,128 @@ func TestResharedHighDegreeViewIsSimulatedFromTheOutput(t *testing.T) {
 		}
 	}
 }
+
+// The rank test of seeded dealing (PRIVACY.md "Seeded dealing"). Dealer
+// o's sharing of a fixed secret is an affine function of its t seeded
+// draws: the seeded peers' shares are the draws, every other share is
+// Weights[i][0]·secret + Σ_m Weights[i][1+m]·draw_m. A coalition C of t
+// parties without o sees t of those shares; when the linear part of the
+// map from the draws to C's shares has full rank, it is a bijection, so
+// C's shares are uniform whatever the secret — computationally, since the
+// draws come from a PRG, as the opening's mask does.
+
+// dealingView returns the linear part of the map from the draws to the
+// shares of coalition: one row per member, one column per draw. seeds[m]
+// says which draws peer d.Peers[m]'s share is made of (a row of the
+// same width); a sound dealing gives peer m draw m alone.
+func dealingView(d *shamir.Dealing, coalition []int, seeds [][]field.Elem) [][]field.Elem {
+	view := make([][]field.Elem, len(coalition))
+	for r, c := range coalition {
+		view[r] = make([]field.Elem, len(seeds[0]))
+		for m, j := range d.Peers {
+			// Member c's share takes peer j's draw with coefficient 1 if c is
+			// j, and with its interpolation weight if c is interpolated.
+			coef := field.Elem(0)
+			switch {
+			case c == j:
+				coef = 1
+			case d.Weights[c] != nil:
+				coef = d.Weights[c][1+m]
+			}
+			for k, s := range seeds[m] {
+				view[r][k] = field.Add(view[r][k], field.Mul(coef, s))
+			}
+		}
+	}
+	return view
+}
+
+// fieldRank returns the rank of m over the field by Gaussian elimination;
+// m is overwritten.
+func fieldRank(m [][]field.Elem) int {
+	rank := 0
+	for col := 0; len(m) > 0 && col < len(m[0]) && rank < len(m); col++ {
+		pivot := -1
+		for r := rank; r < len(m); r++ {
+			if m[r][col] != 0 {
+				pivot = r
+				break
+			}
+		}
+		if pivot < 0 {
+			continue
+		}
+		m[rank], m[pivot] = m[pivot], m[rank]
+		inv := field.Inv(m[rank][col])
+		for r := range m {
+			if r == rank || m[r][col] == 0 {
+				continue
+			}
+			f := field.Mul(m[r][col], inv)
+			for k := col; k < len(m[r]); k++ {
+				m[r][k] = field.Sub(m[r][k], field.Mul(f, m[rank][k]))
+			}
+		}
+		rank++
+	}
+	return rank
+}
+
+// coalitionsWithout lists every t-subset of the p parties that leaves out
+// party o.
+func coalitionsWithout(p, t, o int) [][]int {
+	var out [][]int
+	var pick func(next int, c []int)
+	pick = func(next int, c []int) {
+		if len(c) == t {
+			out = append(out, append([]int(nil), c...))
+			return
+		}
+		for i := next; i < p; i++ {
+			if i != o {
+				pick(i+1, append(c, i))
+			}
+		}
+	}
+	pick(0, nil)
+	return out
+}
+
+func TestSeededDealingViewIsUniform(t *testing.T) {
+	for _, c := range []struct{ p, t int }{{3, 1}, {4, 1}, {5, 2}, {10, 4}} {
+		e, err := NewEngine(Config{Parties: c.p, Threshold: c.t, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		identity := make([][]field.Elem, c.t)
+		for m := range identity {
+			identity[m] = make([]field.Elem, c.t)
+			identity[m][m] = 1
+		}
+		for o, pa := range e.parties {
+			d := pa.dealing
+			if len(d.Peers) != c.t {
+				t.Fatalf("P=%d t=%d: dealer %d seeds %d peers", c.p, c.t, o, len(d.Peers))
+			}
+			for _, coalition := range coalitionsWithout(c.p, c.t, o) {
+				if r := fieldRank(dealingView(d, coalition, identity)); r != c.t {
+					t.Errorf("P=%d t=%d dealer %d coalition %v: the draws reach its shares with rank %d, want %d",
+						c.p, c.t, o, coalition, r, c.t)
+				}
+			}
+		}
+		if c.t != 2 {
+			continue
+		}
+		// Negative control: a dealing that hands both seeded peers draw 0
+		// leaves C's shares on a line, and the rank check must see it.
+		reused := [][]field.Elem{{1, 0}, {1, 0}}
+		for o, pa := range e.parties {
+			for _, coalition := range coalitionsWithout(c.p, c.t, o) {
+				if r := fieldRank(dealingView(pa.dealing, coalition, reused)); r == c.t {
+					t.Errorf("P=%d dealer %d coalition %v: a dealing that reuses a draw passed the rank check", c.p, o, coalition)
+				}
+			}
+		}
+	}
+}

@@ -83,11 +83,13 @@ func TestActorRecvTimeoutHarmlessWhenHealthy(t *testing.T) {
 // queued gates, new gates, every kind of opening — must return handles
 // and zeros without ever blocking the caller.
 func TestActorCutWithQueuedGatesLatchesErr(t *testing.T) {
-	// Link 0→1 carries one message (the first input share) and then
-	// black-holes: the second input's share never reaches party 1.
+	// Link 0→2 carries one message (the first input share) and then
+	// black-holes: the second input's share never reaches party 2. (At
+	// P = 3, t = 1 party 1 draws party 0's shares, so link 0→1 carries
+	// none.)
 	mesh := transport.NewFaultMesh(transport.NewChanMesh(3), transport.FaultProfile{
 		Seed:  1,
-		Links: map[[2]int]transport.LinkFault{{0, 1}: {CutAfter: 1}},
+		Links: map[[2]int]transport.LinkFault{{0, 2}: {CutAfter: 1}},
 	})
 	// An info-level recorder: the engine's debug events stay off, its
 	// failure event does not.

@@ -13,34 +13,78 @@ import (
 )
 
 // refWire is the per-element reference the vector sharing is pinned to:
-// it plays all P parties with one shamir.Share call per secret, drawing
-// from twins of the engines' party streams, and writes down every frame
-// each ordered link carries. It shares no code with the engines beyond
-// shamir.Share and the scalar field helpers.
+// it plays all P parties, dealing one secret at a time — each seeded
+// peer's share is the next draw of its end of the dealer's stream, the
+// dealer interpolates the others from its own ends' draws — and writes
+// down every frame each ordered link carries. It shares no code with the
+// engines beyond the scalar field helpers and lagrangeAt.
 type refWire struct {
 	p, t    int
-	rngs    []*randx.RNG
 	weights []field.Elem
 	pair    [][]*randx.RNG // pair[i][j]: party i's end of the mask stream it shares with j
-	frames  [][][][]byte   // frames[from][to]: payloads in send order
+	// dealTo[o][j]: dealer o's end of its stream toward seeded peer j;
+	// dealFrom[j][o]: j's end of it.
+	dealTo, dealFrom [][]*randx.RNG
+	frames           [][][][]byte // frames[from][to]: payloads in send order
 }
 
 func newRefWire(cfg Config) *refWire {
 	r := &refWire{p: cfg.Parties, t: cfg.Threshold,
 		weights: shamir.LagrangeAtZero(shamir.PartyPoints(cfg.Parties))}
-	root := randx.New(cfg.Seed) // the engines' seed derivation
-	for i := 0; i < r.p; i++ {
-		r.rngs = append(r.rngs, root.Fork())
-		r.pair = append(r.pair, make([]*randx.RNG, r.p))
+	streams := func() [][]*randx.RNG {
+		out := make([][]*randx.RNG, r.p)
+		for i := range out {
+			out[i] = make([]*randx.RNG, r.p)
+		}
+		return out
 	}
+	r.pair, r.dealTo, r.dealFrom = streams(), streams(), streams()
+	root := randx.New(cfg.Seed) // the engines' key derivation: masks, then dealings
 	for i := 0; i < r.p; i++ {
 		for j := i + 1; j < r.p; j++ {
 			key := root.Uint64()
 			r.pair[i][j], r.pair[j][i] = randx.New(key), randx.New(key)
 		}
 	}
+	for o := 0; o < r.p; o++ {
+		for m := 1; m <= r.t; m++ {
+			j := (o + m) % r.p
+			key := root.Uint64()
+			r.dealTo[o][j], r.dealFrom[j][o] = randx.New(key), randx.New(key)
+		}
+	}
 	r.frames = linkFrames(r.p)
 	return r
+}
+
+// share deals one secret from dealer o and returns every party's share.
+func (r *refWire) share(o int, secret field.Elem) []field.Elem {
+	points := shamir.PartyPoints(r.p)
+	nodes, vals := []field.Elem{0}, []field.Elem{secret}
+	shares := make([]field.Elem, r.p)
+	seeded := make([]bool, r.p)
+	for m := 1; m <= r.t; m++ {
+		j := (o + m) % r.p
+		nodes, vals = append(nodes, points[j]), append(vals, field.Rand(r.dealTo[o][j]))
+		shares[j], seeded[j] = field.Rand(r.dealFrom[j][o]), true
+	}
+	for i := range shares {
+		if !seeded[i] {
+			for n, w := range lagrangeAt(nodes, points[i]) {
+				shares[i] = field.Add(shares[i], field.Mul(w, vals[n]))
+			}
+		}
+	}
+	return shares
+}
+
+// sendUnseeded sends dealer o's row to every peer that does not draw it.
+func (r *refWire) sendUnseeded(o int, rows [][]field.Elem) {
+	for j := 0; j < r.p; j++ {
+		if d := (j - o + r.p) % r.p; d > r.t {
+			r.send(o, j, rows[j])
+		}
+	}
 }
 
 // linkFrames returns an empty frame log for every ordered link.
@@ -68,24 +112,21 @@ func (r *refWire) send(from, to int, elems []field.Elem) {
 	r.frames[from][to] = append(r.frames[from][to], buf)
 }
 
-// inputVec returns the party-major shares of vs, one Share per element.
+// inputVec returns the party-major shares of vs, dealt element by
+// element.
 func (r *refWire) inputVec(owner int, vs []int64) [][]field.Elem {
 	shares := r.rows(len(vs))
 	for k, v := range vs {
-		for i, s := range shamir.Share(field.FromInt64(v), r.t, r.p, r.rngs[owner]) {
+		for i, s := range r.share(owner, field.FromInt64(v)) {
 			shares[i][k] = s
 		}
 	}
-	for j := 0; j < r.p; j++ {
-		if j != owner {
-			r.send(owner, j, shares[j])
-		}
-	}
+	r.sendUnseeded(owner, shares)
 	return shares
 }
 
-// dotBatch reshares every pair's local inner product, pair by pair from
-// each party's stream, and returns the party-major degree-t shares.
+// dotBatch reshares every pair's local inner product, pair by pair, and
+// returns the party-major degree-t shares.
 func (r *refWire) dotBatch(pairs [][2][][]field.Elem) [][]field.Elem {
 	out := r.rows(len(pairs))
 	for i := 0; i < r.p; i++ {
@@ -95,16 +136,12 @@ func (r *refWire) dotBatch(pairs [][2][][]field.Elem) [][]field.Elem {
 			for k := range pr[0][i] {
 				high = field.Add(high, field.Mul(pr[0][i][k], pr[1][i][k]))
 			}
-			for j, s := range shamir.Share(high, r.t, r.p, r.rngs[i]) {
+			for j, s := range r.share(i, high) {
 				sub[j][m] = s
 				out[j][m] = field.Add(out[j][m], field.Mul(r.weights[i], s))
 			}
 		}
-		for j := 0; j < r.p; j++ {
-			if j != i {
-				r.send(i, j, sub[j])
-			}
-		}
+		r.sendUnseeded(i, sub)
 	}
 	return out
 }
@@ -161,15 +198,16 @@ func (c *recConn) SendN(to int, payload []byte, msgs int) error {
 	return c.PartyConn.SendN(to, payload, msgs)
 }
 
-// nextDraws returns the next Uint64 of every party's sharing stream and
-// of every party's end of each mask stream, in party order.
-func nextDraws(rngs []*randx.RNG, pair [][]*randx.RNG) []uint64 {
+// nextDraws returns the next Uint64 of every party's end of each mask
+// stream and of each dealing stream, toward and from, in party order.
+func nextDraws(pair, dealTo, dealFrom [][]*randx.RNG) []uint64 {
 	var out []uint64
-	for i, g := range rngs {
-		out = append(out, g.Uint64())
-		for j, m := range pair[i] {
-			if j != i {
-				out = append(out, m.Uint64())
+	for i := range pair {
+		for _, ends := range [][]*randx.RNG{pair[i], dealTo[i], dealFrom[i]} {
+			for _, g := range ends {
+				if g != nil {
+					out = append(out, g.Uint64())
+				}
 			}
 		}
 	}
@@ -179,12 +217,11 @@ func nextDraws(rngs []*randx.RNG, pair [][]*randx.RNG) []uint64 {
 // partyDraws is nextDraws over an engine's parties; behind a mesh the
 // engine must be closed, so that its party goroutines have ended.
 func partyDraws(e *Engine) []uint64 {
-	rngs := make([]*randx.RNG, len(e.parties))
-	pair := make([][]*randx.RNG, len(e.parties))
-	for i, pa := range e.parties {
-		rngs[i], pair[i] = pa.rng, pa.pair
+	var pair, dealTo, dealFrom [][]*randx.RNG
+	for _, pa := range e.parties {
+		pair, dealTo, dealFrom = append(pair, pa.pair), append(dealTo, pa.dealTo), append(dealFrom, pa.dealFrom)
 	}
-	return nextDraws(rngs, pair)
+	return nextDraws(pair, dealTo, dealFrom)
 }
 
 // TestVectorSharingPinsSharesAndWire runs one input round of three
@@ -193,8 +230,9 @@ func partyDraws(e *Engine) []uint64 {
 // reference, which deals the vectors one after another. The inline
 // parties must hold exactly the reference's shares after the round and
 // after the resharing, the parties behind a mesh must put exactly the
-// reference's bytes on every link, frame for frame, and every stream of
-// either engine must continue where the reference's does.
+// reference's bytes on every link, frame for frame — none on a link
+// whose receiver draws the row — and every stream of either engine must
+// continue where the reference's does.
 func TestVectorSharingPinsSharesAndWire(t *testing.T) {
 	u := make([]int64, 37)
 	v := make([]int64, 37)
@@ -213,7 +251,7 @@ func TestVectorSharingPinsSharesAndWire(t *testing.T) {
 		ru, rv, rw := ref.inputVec(0, u), ref.inputVec(last, v), ref.inputVec(0, w)
 		rd := ref.dotBatch([][2][][]field.Elem{{ru, rv}, {ru, rw}, {rv, rv}})
 		ref.open(rd)
-		wantDraws := nextDraws(ref.rngs, ref.pair)
+		wantDraws := nextDraws(ref.pair, ref.dealTo, ref.dealFrom)
 
 		program := func(e *Engine) ([]Vec, []Val, []int64) {
 			ins := []Vec{e.InputVec(0, u), e.InputVec(last, v), e.InputVec(0, w)}
@@ -234,13 +272,13 @@ func TestVectorSharingPinsSharesAndWire(t *testing.T) {
 				got := pa.vc[mono.sharedVec(ins[n]).ref]
 				for k := range u {
 					if got[k] != rs[i][k] {
-						t.Fatalf("P=%d: share of element %d of input %d at party %d differs from per-element Share", cfg.Parties, k, n, i)
+						t.Fatalf("P=%d: share of element %d of input %d at party %d differs from the per-element dealing", cfg.Parties, k, n, i)
 					}
 				}
 			}
 			for m, d := range dots {
 				if pa.sc[mono.shared(d).ref] != rd[i][m] {
-					t.Fatalf("P=%d: reshared dot %d at party %d differs from per-element Share", cfg.Parties, m, i)
+					t.Fatalf("P=%d: reshared dot %d at party %d differs from the per-element dealing", cfg.Parties, m, i)
 				}
 			}
 		}
@@ -270,7 +308,7 @@ func TestVectorSharingPinsSharesAndWire(t *testing.T) {
 				}
 				for f, wantFrame := range ref.frames[i][j] {
 					if !bytes.Equal(rec.frames[i][j][f], wantFrame) {
-						t.Fatalf("P=%d link %d→%d: frame %d differs from per-element sharing", cfg.Parties, i, j, f)
+						t.Fatalf("P=%d link %d→%d: frame %d differs from the per-element dealing", cfg.Parties, i, j, f)
 					}
 				}
 			}

@@ -5,7 +5,7 @@
 // resulting Plan executes against any real bgw.Evaluator, running each
 // level as at most ONE batched communication round — all of a level's
 // degree reductions travel in a single reshare exchange (one frame per
-// ordered party pair), a product is reduced only when a later gate needs
+// party and unseeded peer), a product is reduced only when a later gate needs
 // it at a lower degree (Plan.assignDegrees), and the round count derives
 // from the plan's structure instead of hand-placed AdvanceRound calls.
 //

@@ -188,12 +188,14 @@ func TestParamsRebindAcrossExecutions(t *testing.T) {
 }
 
 // TestBatchedLevelIsOneFrameExchange: N independent muls of one level
-// must cost one reshare exchange — P(P−1) frames — regardless of N, and
+// must cost one reshare exchange — P(P−1−t) frames, each dealer's to its
+// unseeded peers — regardless of N, and
 // the N muls of the level above it, which only the openings read, none.
 // At P = 3 the first level's products (degree 2t = P−1) must reshare
 // before the second multiplies them.
 func TestBatchedLevelIsOneFrameExchange(t *testing.T) {
 	const p, n = 3, 9
+	const unseeded = p - 1 - 1 // P − 1 − t peers take a dealer's row by frame
 	build := func() *Plan {
 		b := NewBuilder(p, 0)
 		xs := make([]bgw.Val, n)
@@ -237,18 +239,19 @@ func TestBatchedLevelIsOneFrameExchange(t *testing.T) {
 	if eRounds != int64(plan.EagerRounds()) {
 		t.Errorf("eager rounds = %d, want %d", eRounds, plan.EagerRounds())
 	}
-	// Planned frames: every round is one frame per link. The n scalar
-	// inputs share in one InputBatch — each of the p owners sends p−1
-	// frames — then one reshare exchange for level 1, none for level 2,
-	// which is opened at the degree it has, then one batched opening.
+	// Planned frames: a dealing is one frame per unseeded peer, an opening
+	// one per link. The n scalar inputs share in one InputBatch — each of
+	// the p owners deals once — then one reshare exchange for level 1, none
+	// for level 2, which is opened at the degree it has, then one batched
+	// opening.
 	const owners = p // n ≥ p inputs dealt round-robin: every party owns some
-	wantPlanned := int64(owners*(p-1) + p*(p-1) + p*(p-1))
+	wantPlanned := int64(owners*unseeded + p*unseeded + p*(p-1))
 	if pFrames != wantPlanned {
 		t.Errorf("planned frames = %d, want %d", pFrames, wantPlanned)
 	}
 	// Eager frames: one Input per scalar, one reshare exchange per gate,
 	// one opening exchange per output.
-	wantEager := int64(n*(p-1) + 2*n*p*(p-1) + n*p*(p-1))
+	wantEager := int64(n*unseeded + 2*n*p*unseeded + n*p*(p-1))
 	if eFrames != wantEager {
 		t.Errorf("eager frames = %d, want %d", eFrames, wantEager)
 	}

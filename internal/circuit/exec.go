@@ -102,13 +102,14 @@ func (p *Plan) validate(bind Bindings) error {
 
 // Execute runs the plan against eng with level batching: all shared
 // inputs share in one round (every scalar input in one InputBatch, one
-// frame per owner and peer; every input vector an InputVec of the
-// engine's one input round, one frame per peer), each multiplicative
-// level reshares its reshared products in one batched degree-reduction
-// round (one MulBatch) and keeps the others at the degree of their local
-// products in their slots (one MulBatchUnreduced), at the cost of no
-// traffic and — when it reshares none — no round, and all outputs open
-// in one batched round: Stats.Rounds advances by exactly Plan.Rounds().
+// frame per owner and unseeded peer; every input vector an InputVec of
+// the engine's one input round, one frame per unseeded peer), each
+// multiplicative level reshares its reshared products in one batched
+// degree-reduction round (one MulBatch) and keeps the others at the
+// degree of their local products in their slots (one MulBatchUnreduced),
+// at the cost of no traffic and — when it reshares none — no round, and
+// all outputs open in one batched round: Stats.Rounds advances by
+// exactly Plan.Rounds().
 // The unshared input leaves (see schedule) enter unshared, at the cost
 // of no traffic and — when the plan shares no other leaf — no round,
 // after the last multiplicative level with the linear gates over them.

@@ -69,12 +69,15 @@ func TestTerminalLevelIsOpenedUnreduced(t *testing.T) {
 				t.Errorf("%s: element %d opened %d, plain %d", name, k, got, w)
 			}
 		}
-		// The two column dealers' input frames and one opening exchange; the
-		// 4 + 4 column elements and the 3 opened ones to every peer. The
-		// noise costs nothing on the wire.
+		// The two column dealers' input frames, one to each of the
+		// P − 1 − t = 2 unseeded peers, and one opening exchange; the 4 + 4
+		// column elements to those peers and the 3 opened ones to every
+		// peer. The noise costs nothing on the wire.
 		st := eng.Stats()
-		if st.Rounds != 2 || st.Frames != 2*(p-1)+p*(p-1) || st.Messages != (8+3*p)*(p-1) {
-			t.Errorf("%s: %d rounds, %d frames, %d messages; want 2, %d, %d", name, st.Rounds, st.Frames, st.Messages, 2*(p-1)+p*(p-1), (8+3*p)*(p-1))
+		const unseeded = p - 1 - 1
+		wantFrames, wantMsgs := int64(2*unseeded+p*(p-1)), int64(8*unseeded+3*p*(p-1))
+		if st.Rounds != 2 || st.Frames != wantFrames || st.Messages != wantMsgs {
+			t.Errorf("%s: %d rounds, %d frames, %d messages; want 2, %d, %d", name, st.Rounds, st.Frames, st.Messages, wantFrames, wantMsgs)
 		}
 	}
 

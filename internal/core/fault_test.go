@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -77,29 +78,41 @@ func TestAbortIsTypedBookedAndLeakFree(t *testing.T) {
 	defer func(old func(int, ...transport.Option) transport.Mesh) { chanMesh = old }(chanMesh)
 	healthy := chanMesh
 
-	link01 := func(f transport.LinkFault) transport.FaultProfile {
-		return transport.FaultProfile{Seed: 1, Links: map[[2]int]transport.LinkFault{{0, 1}: f}}
+	// At P = 3, t = 1 party 1 draws party 0's rows of every dealing and
+	// party 2 is sent them, so the link faults sit on 0→2: it carries
+	// party 0's input and reshare rows, and last its row of the opening.
+	link02 := func(f transport.LinkFault) transport.FaultProfile {
+		return transport.FaultProfile{Seed: 1, Links: map[[2]int]transport.LinkFault{{0, 2}: f}}
 	}
-	// perLink is the number of frames a healthy run sends on each directed
-	// link; the last of them is the party's row of the opening.
+	// links[i][j] is the number of frames a healthy run sends on the
+	// directed link i→j; the last frame on every link is the sender's row
+	// of the opening.
 	positions := []struct {
 		name    string
 		reshare bool // only shapes with a resharing round
-		profile func(perLink int) transport.FaultProfile
+		profile func(links *linkFrames) transport.FaultProfile
 		hit     func(transport.FaultStats) bool
 	}{
 		{"input frame lost", false,
-			func(int) transport.FaultProfile { return link01(transport.LinkFault{DropProb: 1}) },
+			func(*linkFrames) transport.FaultProfile { return link02(transport.LinkFault{DropProb: 1}) },
 			func(s transport.FaultStats) bool { return s.Drops >= 1 }},
 		{"reshare frame lost", true,
-			func(n int) transport.FaultProfile { return link01(transport.LinkFault{CutAfter: n - 2}) },
+			func(l *linkFrames) transport.FaultProfile {
+				return link02(transport.LinkFault{CutAfter: l.frames[0][2] - 2})
+			},
 			func(s transport.FaultStats) bool { return s.Cuts >= 1 }},
 		{"opening row lost", false,
-			func(n int) transport.FaultProfile { return link01(transport.LinkFault{CutAfter: n - 1}) },
+			func(l *linkFrames) transport.FaultProfile {
+				return link02(transport.LinkFault{CutAfter: l.frames[0][2] - 1})
+			},
 			func(s transport.FaultStats) bool { return s.Cuts == 1 }},
 		{"party 2 crashes before the opening", false,
-			func(n int) transport.FaultProfile {
-				return transport.FaultProfile{CrashAfterSends: map[int]int{2: (parties - 1) * (n - 1)}}
+			func(l *linkFrames) transport.FaultProfile {
+				sends := 0
+				for _, n := range l.frames[2] {
+					sends += n
+				}
+				return transport.FaultProfile{CrashAfterSends: map[int]int{2: sends - (parties - 1)}}
 			},
 			func(s transport.FaultStats) bool { return s.Crashes == 1 }},
 	}
@@ -113,15 +126,20 @@ func TestAbortIsTypedBookedAndLeakFree(t *testing.T) {
 			}
 			return p
 		}
-		chanMesh = healthy
+		links := &linkFrames{frames: make([][]int, parties)}
+		for i := range links.frames {
+			links.frames[i] = make([]int, parties)
+		}
+		chanMesh = func(n int, opts ...transport.Option) transport.Mesh {
+			return &countingMesh{Mesh: healthy(n, opts...), links: links}
+		}
 		_, frames, err := shape.run(params())
 		if err != nil {
 			t.Fatalf("%s: healthy run: %v", shape.name, err)
 		}
-		if frames%(parties*(parties-1)) != 0 {
-			t.Fatalf("%s: %d frames do not split evenly over the links", shape.name, frames)
+		if got := links.total(); got != frames {
+			t.Fatalf("%s: the links carried %d frames, the run reports %d", shape.name, got, frames)
 		}
-		perLink := int(frames / (parties * (parties - 1)))
 
 		for _, pos := range positions {
 			if pos.reshare && !shape.reshare {
@@ -131,7 +149,7 @@ func TestAbortIsTypedBookedAndLeakFree(t *testing.T) {
 				base := runtime.NumGoroutine()
 				var mesh *transport.FaultMesh
 				chanMesh = func(n int, opts ...transport.Option) transport.Mesh {
-					mesh = transport.NewFaultMesh(transport.NewChanMesh(n, opts...), pos.profile(perLink))
+					mesh = transport.NewFaultMesh(transport.NewChanMesh(n, opts...), pos.profile(links))
 					return mesh
 				}
 				p := params()
@@ -157,7 +175,7 @@ func TestAbortIsTypedBookedAndLeakFree(t *testing.T) {
 					t.Fatal("an aborted release handed the caller an estimate or a Trace")
 				}
 				if !pos.hit(mesh.Injected()) {
-					t.Fatalf("fault missed its stage: injected %+v at %d frames per link", mesh.Injected(), perLink)
+					t.Fatalf("fault missed its stage: injected %+v at %v frames per link", mesh.Injected(), links.frames)
 				}
 				if shape.metered && p.Acct.Releases() != 1 {
 					t.Fatalf("ledger holds %d releases after an aborted session, want 1", p.Acct.Releases())
@@ -166,6 +184,47 @@ func TestAbortIsTypedBookedAndLeakFree(t *testing.T) {
 			})
 		}
 	}
+}
+
+// linkFrames counts the frames every directed link carries, over every
+// mesh a run builds.
+type linkFrames struct {
+	mu     sync.Mutex
+	frames [][]int // frames[from][to]
+}
+
+func (l *linkFrames) total() int64 {
+	var n int64
+	for _, row := range l.frames {
+		for _, f := range row {
+			n += int64(f)
+		}
+	}
+	return n
+}
+
+// countingMesh counts every frame its endpoints send into links.
+type countingMesh struct {
+	transport.Mesh
+	links *linkFrames
+}
+
+type countingConn struct {
+	transport.PartyConn
+	links *linkFrames
+}
+
+func (m *countingMesh) Conn(party int) transport.PartyConn {
+	return &countingConn{PartyConn: m.Mesh.Conn(party), links: m.links}
+}
+
+func (c *countingConn) Send(to int, payload []byte) error { return c.SendN(to, payload, 1) }
+
+func (c *countingConn) SendN(to int, payload []byte, msgs int) error {
+	c.links.mu.Lock()
+	c.links.frames[c.ID()][to]++
+	c.links.mu.Unlock()
+	return c.PartyConn.SendN(to, payload, msgs)
 }
 
 // TestRefusedParamsCostNothing: a Params the field-bound check refuses

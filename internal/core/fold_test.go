@@ -66,22 +66,34 @@ func sessionStats(t *testing.T, clients int) (cov, lr, lr3 bgw.Stats) {
 // its cube the degree rule leaves unreshared at P = 4, t = 1
 // (lr3ReshareLevels; the square's, since its cube has degree 3t ≤ P−1):
 // one round, P(P−1) frames, B·P(P−1) messages and P·B·(P+t+1) field
-// operations per level for the B = 8 records of the batch.
+// operations per level for the B = 8 records of the batch. Seeded dealing
+// takes, besides, the t of every remaining dealing's P − 1 rows that the
+// dealer's seeded peers draw instead of receive, and leaves FieldOps as
+// they are: the covariance's 6 data columns of 30 records lose 6·t frames
+// and 6·30·t messages, and each of LR3's lr3ReshareLevels resharings
+// P·t frames and B·P·t messages.
 func TestOneClientPerPartyIsAFixedPoint(t *testing.T) {
 	const P, th, B = 4, 1, 8
-	kept := int64(2 - lr3ReshareLevels(P, th))
+	reshared := int64(lr3ReshareLevels(P, th))
+	kept := 2 - reshared
 	cov, lr, lr3 := sessionStats(t, 4)
 	for _, c := range []struct {
 		name      string
 		got, want bgw.Stats
 	}{
-		{"covariance", cov, bgw.Stats{Rounds: 3 - 1, Frames: 54 - 12 - 12, Messages: 1296 - 252 - 252, Bytes: 10368 - 2016 - 2016, FieldOps: 5220 - 504 - 588}},
+		{"covariance", cov, bgw.Stats{
+			Rounds:   3 - 1,
+			Frames:   54 - 12 - 12 - 6*th,
+			Messages: 1296 - 252 - 252 - 6*30*th,
+			Bytes:    10368 - 2016 - 2016 - 8*6*30*th,
+			FieldOps: 5220 - 504 - 588,
+		}},
 		{"lr", lr, bgw.Stats{Rounds: 3 - 1 - 1, Frames: 36 - 12 - 12, Messages: 180 - 60 - 60, Bytes: 1440 - 480 - 480, FieldOps: 652 - 120 - 140}},
 		{"lr3", lr3, bgw.Stats{
 			Rounds:   5 - 1 - 1 - kept,
-			Frames:   60 - 12 - 12 - kept*P*(P-1),
-			Messages: 372 - 60 - 60 - kept*B*P*(P-1),
-			Bytes:    2976 - 480 - 480 - 8*kept*B*P*(P-1),
+			Frames:   60 - 12 - 12 - kept*P*(P-1) - reshared*P*th,
+			Messages: 372 - 60 - 60 - kept*B*P*(P-1) - reshared*B*P*th,
+			Bytes:    2976 - 480 - 480 - 8*kept*B*P*(P-1) - 8*reshared*B*P*th,
 			FieldOps: 1260 - 120 - 140 - kept*P*B*(P+th+1),
 		}},
 	} {

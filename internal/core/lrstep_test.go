@@ -76,10 +76,12 @@ func TestGradientStepBitIdenticalAtBatchEdges(t *testing.T) {
 // which benchmark/replica.go still executes and compares from outside.
 // Every step moves
 //
-//	frames   levels·P·(P−1)
-//	messages (muls·P + d·P)·(P−1), 8 bytes each
+//	frames   (levels−1)·P·(P−1−t) + P·(P−1)
+//	messages muls·P·(P−1−t) + d·P·(P−1), 8 bytes each
 //
-// in levels rounds: the levels that reshare a product, and the opening.
+// in levels rounds: the levels that reshare a product — every dealer
+// sends a row to its P−1−t unseeded peers, its t seeded peers draw theirs
+// — and the opening, a row over every link.
 // The noise reaches nothing but the opening, so no party shares it: there
 // is no input round and no input frame, and an LR step is the opening
 // round alone. The inner products, the last level, are opened at the
@@ -97,6 +99,7 @@ func TestGradientStepCountersClosedForm(t *testing.T) {
 		{30, 4, 1, 5, 5, 2},
 		{30, 4, 30, 2, 5, 1},
 		{20, 3, 11, 4, 3, 1},
+		{40, 5, 8, 10, 10, 4}, // cov_tcp_p10's parties and threshold: t > 1 seeded peers per dealer
 	} {
 		x, y := lrTestData(c.m, c.d, 4)
 		w := make([]float64, c.d)
@@ -108,10 +111,10 @@ func TestGradientStepCountersClosedForm(t *testing.T) {
 		P, d, B, th := int64(c.P), int64(c.d), int64(c.B), int64(c.t)
 		reshare := P + th + 1
 		want := func(levels, muls, linTerms, mulOps int64) bgw.Stats {
-			msgs := (muls*P + d*P) * (P - 1)
+			msgs := muls*P*(P-1-th) + d*P*(P-1)
 			return bgw.Stats{
 				Rounds:   levels,
-				Frames:   levels * P * (P - 1),
+				Frames:   (levels-1)*P*(P-1-th) + P*(P-1),
 				Messages: msgs,
 				Bytes:    8 * msgs,
 				FieldOps: P*linTerms*B + int64(o)*d + P*(mulOps+muls*reshare) + P*d,

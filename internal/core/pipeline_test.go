@@ -264,10 +264,11 @@ func TestAbortJoinsNoiseDraw(t *testing.T) {
 
 	var mesh *transport.FaultMesh
 	chanMesh = func(n int, opts ...transport.Option) transport.Mesh {
-		// Link 0→1 carries the set-up's input row and then nothing: the
-		// step's first resharing frame is lost.
+		// Link 0→2 carries the set-up's input row and then nothing: the
+		// step's first resharing frame is lost. (At P = 3, t = 1 party 1
+		// draws party 0's rows, so link 0→1 carries none of them.)
 		mesh = transport.NewFaultMesh(transport.NewChanMesh(n, opts...), transport.FaultProfile{
-			Seed: 1, Links: map[[2]int]transport.LinkFault{{0, 1}: {CutAfter: 1}}})
+			Seed: 1, Links: map[[2]int]transport.LinkFault{{0, 2}: {CutAfter: 1}}})
 		return mesh
 	}
 	np, got, err = step(true, lrParams(8), 1)

@@ -12,9 +12,10 @@ import (
 // t = 1 that is P−1, so nothing reshares and the release costs the input
 // round and the opening; at P = 3 the first product must reshare before
 // the second and the release pays a third round. Either way it opens the
-// plain engine's integers, and every round is one frame per link — the
-// three column owners' input frames to every peer, one exchange per
-// resharing level and the opening's.
+// plain engine's integers, and every dealing is one frame per unseeded
+// peer (P − 1 − t of them; t = 1 at both sizes) — the three column
+// owners' input frames and every party's in each resharing level — and
+// the opening one frame per link.
 func TestDegreeThreeMonomialKeepsItsProducts(t *testing.T) {
 	x := randMatrix(10, 3, 0.7, 13)
 	f := poly.MustMulti(poly.MustPolynomial(3, poly.Monomial{Coef: 0.7, Exps: []int{1, 1, 1}}))
@@ -37,7 +38,8 @@ func TestDegreeThreeMonomialKeepsItsProducts(t *testing.T) {
 			t.Errorf("P=%d: opened %d, plain %d", c.parties, tr.Scaled[0], want.Scaled[0])
 		}
 		P := int64(c.parties)
-		frames := 3*(P-1) + (c.rounds-1)*P*(P-1)
+		unseeded := P - 1 - 1
+		frames := 3*unseeded + (c.rounds-2)*P*unseeded + P*(P-1)
 		if tr.Stats.Rounds != c.rounds || tr.Stats.Frames != frames {
 			t.Errorf("P=%d: %d rounds and %d frames, want %d and %d", c.parties, tr.Stats.Rounds, tr.Stats.Frames, c.rounds, frames)
 		}

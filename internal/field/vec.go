@@ -87,23 +87,6 @@ func MulAddVec(dst, a []Elem, c Elem) {
 	}
 }
 
-// MulConstAddVec sets dst[i] = c · a[i] + b[i] mod p for every element —
-// one Horner step of a polynomial evaluated at c over a whole vector of
-// polynomials (shamir.ShareVec). Product halves and addend sum to less
-// than 3p, so one more Mersenne fold (2^61 ≡ 1) and a single conditional
-// subtraction reach canonical form.
-func MulConstAddVec(dst, a []Elem, c Elem, b []Elem) {
-	checkLen2("MulConstAddVec", len(dst), len(a), len(b))
-	cu := uint64(c)
-	for i := range dst {
-		hi, lo := bits.Mul64(uint64(a[i]), cu)
-		v := (lo & Modulus) + (hi<<3 | lo>>61) + uint64(b[i])
-		v = (v & Modulus) + v>>61
-		v -= Modulus & (((v - Modulus) >> 63) - 1)
-		dst[i] = Elem(v)
-	}
-}
-
 // dotBlock is how many products DotAcc sums before it reduces. A
 // product of canonical elements is below 2^122, so 16 of them plus a
 // carried-in canonical sum stay below 2^127 and fit the 128-bit

@@ -59,12 +59,6 @@ func checkWinograd(t *testing.T, a, b []Elem) {
 	}
 }
 
-// refMulConstAdd computes c·a[i] + b[i] with math/big.
-func refMulConstAdd(a []Elem, c Elem, b []Elem) []Elem {
-	cb := new(big.Int).SetUint64(uint64(c))
-	return refBinop(a, b, func(z, x, y *big.Int) *big.Int { return z.Add(x.Mul(x, cb), y) })
-}
-
 // boundaryElems are the values where the branchless reductions are most
 // likely to break: zero, one, both sides of p/2 (the signed-embedding
 // split) and both sides of the modulus.
@@ -126,9 +120,6 @@ func TestVecKernelsMatchBigInt(t *testing.T) {
 			want[i] = Add(b[i], Mul(c, a[i]))
 		}
 		eqVec(t, "MulAddVec", dst, want)
-
-		MulConstAddVec(dst, a, c, b)
-		eqVec(t, "MulConstAddVec", dst, refMulConstAdd(a, c, b))
 
 		if got, ref := DotAcc(acc, a, b), refDot(acc, a, b); got != ref {
 			t.Fatalf("DotAcc = %d, want %d (n=%d)", got, ref, n)
@@ -218,15 +209,6 @@ func TestVecKernelsAliasing(t *testing.T) {
 	got = append([]Elem(nil), b...)
 	AddVec(got, a, got)
 	eqVec(t, "AddVec aliased", got, want)
-
-	// The Horner shape of shamir.ShareVec: dst is the running operand a.
-	MulConstAddVec(want, a, 5, b)
-	got = append([]Elem(nil), a...)
-	MulConstAddVec(got, got, 5, b)
-	eqVec(t, "MulConstAddVec aliased to a", got, want)
-	got = append([]Elem(nil), b...)
-	MulConstAddVec(got, a, 5, got)
-	eqVec(t, "MulConstAddVec aliased to b", got, want)
 }
 
 // TestVecKernelsZeroLength pins the no-op contract for empty slices.
@@ -235,7 +217,6 @@ func TestVecKernelsZeroLength(t *testing.T) {
 	MulVec(nil, nil, nil)
 	MulConstVec(nil, nil, 3)
 	MulAddVec(nil, nil, 3)
-	MulConstAddVec(nil, nil, 3, nil)
 	if got := DotAcc(17, nil, nil); got != 17 {
 		t.Fatalf("DotAcc over empty vectors = %d, want the accumulator back", got)
 	}
@@ -250,13 +231,12 @@ func TestVecKernelsZeroLength(t *testing.T) {
 // TestVecKernelsLengthMismatchPanics pins the invariant panics.
 func TestVecKernelsLengthMismatchPanics(t *testing.T) {
 	cases := map[string]func(){
-		"AddVec":         func() { AddVec(make([]Elem, 2), make([]Elem, 3), make([]Elem, 3)) },
-		"MulVec":         func() { MulVec(make([]Elem, 3), make([]Elem, 3), make([]Elem, 2)) },
-		"MulConstVec":    func() { MulConstVec(make([]Elem, 1), make([]Elem, 2), 1) },
-		"MulAddVec":      func() { MulAddVec(make([]Elem, 1), make([]Elem, 2), 1) },
-		"MulConstAddVec": func() { MulConstAddVec(make([]Elem, 2), make([]Elem, 2), 1, make([]Elem, 3)) },
-		"DotAcc":         func() { DotAcc(0, make([]Elem, 1), make([]Elem, 2)) },
-		"DotWinograd":    func() { DotWinograd(0, 0, make([]Elem, 3), make([]Elem, 2)) },
+		"AddVec":      func() { AddVec(make([]Elem, 2), make([]Elem, 3), make([]Elem, 3)) },
+		"MulVec":      func() { MulVec(make([]Elem, 3), make([]Elem, 3), make([]Elem, 2)) },
+		"MulConstVec": func() { MulConstVec(make([]Elem, 1), make([]Elem, 2), 1) },
+		"MulAddVec":   func() { MulAddVec(make([]Elem, 1), make([]Elem, 2), 1) },
+		"DotAcc":      func() { DotAcc(0, make([]Elem, 1), make([]Elem, 2)) },
+		"DotWinograd": func() { DotWinograd(0, 0, make([]Elem, 3), make([]Elem, 2)) },
 	}
 	for name, fn := range cases {
 		func() {
@@ -307,9 +287,6 @@ func FuzzFieldVecKernels(f *testing.F) {
 				t.Fatalf("MulAddVec[%d] = %d, want %d", i, dst[i], want)
 			}
 		}
-
-		MulConstAddVec(dst, a, c, b)
-		eqVec(t, "MulConstAddVec", dst, refMulConstAdd(a, c, b))
 
 		if got, want := DotAcc(c, a, b), refDot(c, a, b); got != want {
 			t.Fatalf("DotAcc = %d, want %d", got, want)

@@ -33,8 +33,8 @@ const ptrsMin = 30
 type RNG struct {
 	r   rand.Rand
 	pcg rand.PCG // New's source; in place, so an RNG is one allocation
-	// onPCG marks r as drawing from pcg, which Float64 then calls
-	// directly instead of through the rand.Source interface.
+	// onPCG marks r as drawing from pcg, which Uint64 and Float64 then
+	// call directly instead of through the rand.Source interface.
 	onPCG bool
 }
 
@@ -74,8 +74,16 @@ func (g *RNG) Fork() *RNG {
 	return New(g.r.Uint64())
 }
 
-// Uint64 returns a uniform 64-bit value.
-func (g *RNG) Uint64() uint64 { return g.r.Uint64() }
+// Uint64 returns a uniform 64-bit value: rand.Rand.Uint64's, taken from
+// the in-place PCG without the interface call when New built g. Every
+// field.Rand draws through it — a seeded dealing's rows twice, once at
+// each end of the stream.
+func (g *RNG) Uint64() uint64 {
+	if g.onPCG {
+		return g.pcg.Uint64()
+	}
+	return g.r.Uint64()
+}
 
 // Float64 returns a uniform value in [0, 1): rand.Rand.Float64's bits,
 // taken from the in-place PCG without the interface call when New built

@@ -429,7 +429,8 @@ func TestAddSkellamAllocatesNothing(t *testing.T) {
 }
 
 // TestFloat64MatchesPCG: New's RNG reads its in-place PCG directly, and
-// must give the bits rand.Rand.Float64 gives over the same source.
+// must give the bits rand.Rand.Float64 and rand.Rand.Uint64 give over
+// the same source, interleaved.
 func TestFloat64MatchesPCG(t *testing.T) {
 	for seed := uint64(0); seed < 200; seed++ {
 		g := New(seed * 0x9e3779b97f4a7c15)
@@ -437,6 +438,9 @@ func TestFloat64MatchesPCG(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			if a, b := g.Float64(), ref.Float64(); math.Float64bits(a) != math.Float64bits(b) {
 				t.Fatalf("seed %d draw %d: Float64 %v, rand.Rand over PCG %v", seed, i, a, b)
+			}
+			if a, b := g.Uint64(), ref.Uint64(); a != b {
+				t.Fatalf("seed %d draw %d: Uint64 %d, rand.Rand over PCG %d", seed, i, a, b)
 			}
 		}
 	}

@@ -3,7 +3,10 @@
 // the paper). A secret s is hidden as the constant term of a random
 // degree-t polynomial; party i receives the evaluation at x = i. Any
 // t+1 shares reconstruct s by Lagrange interpolation at 0, while any t
-// shares are jointly uniform and carry no information about s.
+// shares are jointly uniform and carry no information about s. Share
+// draws the polynomial's t coefficients; Dealing, the BGW engine's one
+// vector sharing, fixes it by t pseudorandom points instead, which the
+// parties at those points draw for themselves.
 package shamir
 
 import (
@@ -31,40 +34,92 @@ func Share(secret field.Elem, t, n int, rng *randx.RNG) []field.Elem {
 	return shares
 }
 
-// ShareVec shares a whole vector at once, party-major and in place:
-// dst[i][k] becomes party i's share of secrets[k] (len(dst) parties,
-// every row as long as secrets and none aliasing it; 1 <= t < parties).
-// The random coefficients are drawn secret by secret, low order first —
-// Share's order — so the shares equal one Share call per secret and rng
-// is left in the same state. They are kept coefficient-major in scratch
-// (at least t·len(secrets) elements, dead on return), which turns each
-// party's row into t Horner steps over the whole vector.
-func ShareVec(dst [][]field.Elem, secrets []field.Elem, t int, rng *randx.RNG, scratch []field.Elem) {
-	n, m := len(dst), len(secrets)
-	if t < 1 || n <= t {
-		panic(invariant.Violation("shamir: invalid threshold t=%d for n=%d", t, n))
+// Dealing is one dealer's seeded Shamir sharing among p parties at
+// threshold t: pseudorandom secret sharing (Cramer, Damgård and Ishai,
+// TCC 2005). The t parties after the dealer, Peers = J(dealer) =
+// dealer+1, …, dealer+t mod p, take their shares from a stream each of
+// them shares with the dealer, so nothing is sent to them; the dealer
+// draws the same rows from its ends (Draw), and every other party's share
+// is the point of the degree-t polynomial through (0, secret) and those t
+// points, by Lagrange interpolation. Only the p − 1 − t rows of the
+// other peers leave the dealer.
+type Dealing struct {
+	Dealer int
+	Peers  []int // J(dealer), in the order their draws enter the weights
+	// Weights[i] interpolates party i's share over the nodes 0 and Peers:
+	// Weights[i][0] multiplies the secret and Weights[i][1+m] the draw of
+	// Peers[m]. It is nil for a seeded party.
+	Weights [][]field.Elem
+	// targets are the interpolated parties, the dealer last.
+	targets []int
+}
+
+// NewDealings returns every party's seeded sharing among p parties at
+// threshold t (1 <= t < p), dealer o's at index o.
+func NewDealings(p, t int) []Dealing {
+	if t < 1 || p <= t {
+		panic(invariant.Violation("shamir: invalid threshold t=%d for n=%d", t, p))
 	}
-	if len(scratch) < t*m {
-		panic(invariant.Violation("shamir: ShareVec scratch holds %d elements, needs %d", len(scratch), t*m))
+	ds := make([]Dealing, p)
+	parties := make([]int, p*p)
+	weights := make([][]field.Elem, p*p)
+	// One block holds, per dealer, the nodes 0, x_j (j in Peers) and every
+	// target's weights over them.
+	stride := (p - t + 1) * (t + 1)
+	block := make([]field.Elem, p*stride)
+	for o := range ds {
+		order := parties[o*p : (o+1)*p]
+		for k := range order {
+			order[k] = (o + 1 + k) % p // the dealer comes last
+		}
+		d := Dealing{Dealer: o, Peers: order[:t:t], targets: order[t:], Weights: weights[o*p : (o+1)*p : (o+1)*p]}
+		own := block[o*stride : (o+1)*stride]
+		nodes := own[:t+1]
+		for m, j := range d.Peers {
+			nodes[1+m] = field.Elem(uint64(j + 1))
+		}
+		for k, i := range d.targets {
+			w := own[(k+1)*(t+1) : (k+2)*(t+1)]
+			lagrangeAt(w, nodes, field.Elem(uint64(i+1)))
+			d.Weights[i] = w
+		}
+		ds[o] = d
 	}
-	for i, row := range dst {
-		if len(row) != m {
-			panic(invariant.Violation("shamir: ShareVec row %d has %d elements for %d secrets", i, len(row), m))
+	return ds
+}
+
+// Share deals secrets party-major: rows[i][k] becomes party i's share of
+// secrets[k] (len(rows) = p, every row as long as secrets). Each seeded
+// peer j's row is drawn from streams[j], the dealer's end of the stream
+// j holds the other end of; the other rows are interpolated, the
+// dealer's last, so rows[Dealer] may be secrets itself. No other row may
+// alias secrets. It allocates nothing.
+func (d *Dealing) Share(rows [][]field.Elem, secrets []field.Elem, streams []*randx.RNG) {
+	if len(rows) != len(d.Weights) {
+		panic(invariant.Violation("shamir: Share has %d rows for %d parties", len(rows), len(d.Weights)))
+	}
+	for i, row := range rows {
+		if len(row) != len(secrets) {
+			panic(invariant.Violation("shamir: Share row %d has %d elements for %d secrets", i, len(row), len(secrets)))
 		}
 	}
-	for k := 0; k < m; k++ {
-		for j := 0; j < t; j++ {
-			scratch[j*m+k] = field.Rand(rng)
+	for _, j := range d.Peers {
+		Draw(rows[j], streams[j])
+	}
+	for _, i := range d.targets {
+		w, row := d.Weights[i], rows[i]
+		field.MulConstVec(row, secrets, w[0])
+		for m, j := range d.Peers {
+			field.MulAddVec(row, rows[j], w[1+m])
 		}
 	}
-	for i, row := range dst {
-		x := field.Elem(uint64(i + 1))
-		acc := scratch[(t-1)*m : t*m]
-		for j := t - 1; j >= 1; j-- {
-			field.MulConstAddVec(row, acc, x, scratch[(j-1)*m:j*m])
-			acc = row
-		}
-		field.MulConstAddVec(row, acc, x, secrets)
+}
+
+// Draw fills row with the next len(row) uniform elements of stream: a
+// seeded party's shares, which the dealer draws alike from its end.
+func Draw(row []field.Elem, stream *randx.RNG) {
+	for k := range row {
+		row[k] = field.Rand(stream)
 	}
 }
 
@@ -83,19 +138,23 @@ func evalPoly(coefs []field.Elem, x field.Elem) field.Elem {
 // where xs are distinct non-zero evaluation points.
 func LagrangeAtZero(xs []field.Elem) []field.Elem {
 	w := make([]field.Elem, len(xs))
-	for i, xi := range xs {
-		num := field.Elem(1)
-		den := field.Elem(1)
-		for j, xj := range xs {
-			if i == j {
-				continue
+	lagrangeAt(w, xs, 0)
+	return w
+}
+
+// lagrangeAt leaves in w the weights L_i with f(x) = Σ_i L_i · f(nodes[i])
+// for any polynomial f of degree < len(nodes) (distinct nodes).
+func lagrangeAt(w, nodes []field.Elem, x field.Elem) {
+	for i, ni := range nodes {
+		num, den := field.Elem(1), field.Elem(1)
+		for j, nj := range nodes {
+			if j != i {
+				num = field.Mul(num, field.Sub(x, nj))
+				den = field.Mul(den, field.Sub(ni, nj))
 			}
-			num = field.Mul(num, xj)                // (0 - x_j) up to sign
-			den = field.Mul(den, field.Sub(xj, xi)) // (x_i - x_j) with matching sign
 		}
 		w[i] = field.Mul(num, field.Inv(den))
 	}
-	return w
 }
 
 // PartyPoints returns the canonical evaluation points 1..n used by

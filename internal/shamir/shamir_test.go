@@ -180,45 +180,84 @@ func shareRows(n, m int) [][]field.Elem {
 	return rows
 }
 
-// TestShareVecMatchesShare pins ShareVec to the scalar oracle: from
-// equally seeded streams it produces Share's shares element for element
-// and leaves the stream where Share does, so swapping one for the other
-// changes no share anywhere downstream.
-func TestShareVecMatchesShare(t *testing.T) {
+// TestDealingIsOneDegreeTPolynomial: for every dealer, the seeded peers'
+// rows are their twin streams' next draws, and all p rows — the dealer's
+// written over its secrets — are points of one polynomial of degree t
+// through (0, secret): any t+1 of them interpolate the secret and every
+// other row. Both ends of every stream stay in step.
+func TestDealingIsOneDegreeTPolynomial(t *testing.T) {
 	for _, cfg := range []struct{ p, t int }{{3, 1}, {4, 1}, {5, 2}, {10, 4}, {10, 9}} {
-		for _, m := range []int{0, 1, 17, 1000} {
-			seed := uint64(100*cfg.p + cfg.t)
-			secrets := make([]field.Elem, m)
-			src := randx.New(seed + 1)
-			for k := range secrets {
-				secrets[k] = field.Rand(src)
-			}
-			vecRNG, refRNG := randx.New(seed), randx.New(seed)
-			got := shareRows(cfg.p, m)
-			ShareVec(got, secrets, cfg.t, vecRNG, make([]field.Elem, cfg.t*m))
-			for k, s := range secrets {
-				for i, want := range Share(s, cfg.t, cfg.p, refRNG) {
-					if got[i][k] != want {
-						t.Fatalf("P=%d t=%d len=%d: party %d share %d = %d, Share gives %d", cfg.p, cfg.t, m, i, k, got[i][k], want)
+		points := PartyPoints(cfg.p)
+		for dealer := 0; dealer < cfg.p; dealer++ {
+			for _, m := range []int{0, 1, 17} {
+				seed := uint64(1000*cfg.p + 10*cfg.t + dealer)
+				src := randx.New(seed)
+				secrets := make([]field.Elem, m)
+				for k := range secrets {
+					secrets[k] = field.Rand(src)
+				}
+				want := append([]field.Elem(nil), secrets...)
+				d := &NewDealings(cfg.p, cfg.t)[dealer]
+				mine, theirs := make([]*randx.RNG, cfg.p), make([]*randx.RNG, cfg.p)
+				for _, j := range d.Peers {
+					mine[j], theirs[j] = randx.New(seed+uint64(j)+1), randx.New(seed+uint64(j)+1)
+				}
+				rows := shareRows(cfg.p, m)
+				rows[dealer] = secrets
+				d.Share(rows, secrets, mine)
+				for _, j := range d.Peers {
+					drawn := make([]field.Elem, m)
+					Draw(drawn, theirs[j])
+					for k := range drawn {
+						if rows[j][k] != drawn[k] {
+							t.Fatalf("P=%d t=%d dealer %d: seeded peer %d's share %d is not its stream's draw", cfg.p, cfg.t, dealer, j, k)
+						}
+					}
+					if a, b := mine[j].Uint64(), theirs[j].Uint64(); a != b {
+						t.Fatalf("P=%d t=%d dealer %d: the ends of peer %d's stream diverge", cfg.p, cfg.t, dealer, j)
 					}
 				}
-			}
-			if a, b := vecRNG.Uint64(), refRNG.Uint64(); a != b {
-				t.Fatalf("P=%d t=%d len=%d: streams diverge after sharing (%d vs %d)", cfg.p, cfg.t, m, a, b)
+				// Interpolate from the t+1 parties from dealer on, cyclically.
+				var xs []field.Elem
+				var base []int
+				for i := 0; i <= cfg.t; i++ {
+					base = append(base, (dealer+i)%cfg.p)
+					xs = append(xs, points[(dealer+i)%cfg.p])
+				}
+				for k := range want {
+					ys := make([]field.Elem, len(base))
+					for i, b := range base {
+						ys[i] = rows[b][k]
+					}
+					if got := Reconstruct(xs, ys); got != want[k] {
+						t.Fatalf("P=%d t=%d dealer %d: element %d reconstructs to %d, want %d", cfg.p, cfg.t, dealer, k, got, want[k])
+					}
+					for i := 0; i < cfg.p; i++ {
+						w := make([]field.Elem, len(xs))
+						lagrangeAt(w, xs, points[i])
+						var v field.Elem
+						for n := range ys {
+							v = field.Add(v, field.Mul(w[n], ys[n]))
+						}
+						if v != rows[i][k] {
+							t.Fatalf("P=%d t=%d dealer %d: party %d's share %d is off the degree-%d polynomial", cfg.p, cfg.t, dealer, i, k, cfg.t)
+						}
+					}
+				}
 			}
 		}
 	}
 }
 
-func TestShareVecMisusePanics(t *testing.T) {
+func TestDealingMisusePanics(t *testing.T) {
 	secrets := make([]field.Elem, 4)
+	streams := []*randx.RNG{randx.New(1), randx.New(2), randx.New(3)}
+	d := &NewDealings(3, 1)[0]
 	cases := map[string]func(){
-		"t = 0":         func() { ShareVec(shareRows(3, 4), secrets, 0, randx.New(1), nil) },
-		"t = parties":   func() { ShareVec(shareRows(3, 4), secrets, 3, randx.New(1), make([]field.Elem, 12)) },
-		"short scratch": func() { ShareVec(shareRows(5, 4), secrets, 2, randx.New(1), make([]field.Elem, 7)) },
-		"ragged dst": func() {
-			ShareVec(append(shareRows(2, 4), make([]field.Elem, 3)), secrets, 1, randx.New(1), make([]field.Elem, 4))
-		},
+		"t = 0":        func() { NewDealings(3, 0) },
+		"t = parties":  func() { NewDealings(3, 3) },
+		"too few rows": func() { d.Share(shareRows(2, 4), secrets, streams) },
+		"ragged rows":  func() { d.Share(append(shareRows(2, 4), make([]field.Elem, 3)), secrets, streams) },
 	}
 	for name, fn := range cases {
 		func() {
@@ -241,13 +280,13 @@ func BenchmarkShare4Parties(b *testing.B) {
 	}
 }
 
-// shareVecSink keeps BenchmarkShareVec's output live.
-var shareVecSink [][]field.Elem
+// dealingSink keeps BenchmarkDealingShare's output live.
+var dealingSink [][]field.Elem
 
-// BenchmarkShareVec shares whole vectors at the two covariance
-// workloads' noise-vector shapes; ns/op ÷ len compares with
-// BenchmarkShare4Parties.
-func BenchmarkShareVec(b *testing.B) {
+// BenchmarkDealingShare deals whole vectors at the two covariance
+// workloads' noise-vector shapes, party 0 dealing; ns/op ÷ len compares
+// with BenchmarkShare4Parties.
+func BenchmarkDealingShare(b *testing.B) {
 	for _, cfg := range []struct {
 		name    string
 		p, t, m int
@@ -258,13 +297,18 @@ func BenchmarkShareVec(b *testing.B) {
 			for k := range secrets {
 				secrets[k] = field.Rand(g)
 			}
-			dst, scratch := shareRows(cfg.p, cfg.m), make([]field.Elem, cfg.t*cfg.m)
+			d := &NewDealings(cfg.p, cfg.t)[0]
+			streams := make([]*randx.RNG, cfg.p)
+			for _, j := range d.Peers {
+				streams[j] = randx.New(uint64(j))
+			}
+			rows := shareRows(cfg.p, cfg.m)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ShareVec(dst, secrets, cfg.t, g, scratch)
+				d.Share(rows, secrets, streams)
 			}
-			shareVecSink = dst
+			dealingSink = rows
 		})
 	}
 }

@@ -9,7 +9,7 @@
 //
 //	sqmbench -exp fig3                       # one experiment, CI-scale
 //	sqmbench -exp all -full -runs 20         # paper-scale shapes, 20 repeats
-//	sqmbench -exp table2 -report run.json    # machine-readable run report
+//	sqmbench -exp table2 -format json        # machine-readable run report
 //
 // Every timing cell (Tables II, IV and V) runs the real BGW protocol:
 // -exp table2 -full takes about 20 s and 2 GB peak RSS on 2 cores.
@@ -50,8 +50,7 @@ func main() {
 		runs   = flag.Int("runs", 3, "repeats per cell (paper: 20)")
 		full   = flag.Bool("full", false, "paper-scale dataset shapes (slow)")
 		seed   = flag.Uint64("seed", 42, "reproducibility seed")
-		format = flag.String("format", "text", "output format: text, csv or json")
-		report = flag.String("report", "", "also write a JSON run report to this file")
+		format = flag.String("format", "text", "output format: text, csv or json (the run report)")
 	)
 	flag.Parse()
 
@@ -100,16 +99,5 @@ func main() {
 	default:
 		fmt.Fprintf(os.Stderr, "unknown format %q\n", *format)
 		os.Exit(1)
-	}
-	if *report != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*report, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "sqmbench: wrote run report to %s\n", *report)
 	}
 }

@@ -146,8 +146,10 @@ func Run(cmd string, args []string, stdout, stderr io.Writer) error {
 		w = f
 	}
 
-	// With telemetry on, an accountant ledger re-derives the run's
-	// privacy cost from the calibrated noise and prints the final ε(δ).
+	// With telemetry on, an accountant ledger books the run's privacy
+	// cost and prints the final ε(δ). The mechanisms that take an
+	// accountant book themselves; pca and ridge are booked here from the μ
+	// their result reports.
 	acct := dp.NewAccountant(0)
 	if rec != nil {
 		acct.Observe(rec, *delta)
@@ -184,12 +186,11 @@ func Run(cmd string, args []string, stdout, stderr io.Writer) error {
 		}
 		cov, _, err := core.Covariance(loaded.X, core.Params{
 			Gamma: *gamma, Mu: mu, Seed: *seed, Engine: kind, Parties: *nparty, Recorder: rec, Trace: tc, Fault: fault,
+			Acct: acct,
 		})
 		if err != nil {
 			return err
 		}
-		d2, d1 := pca.Sensitivities(*gamma, 1, loaded.X.Cols)
-		acct.AddSkellam(d1, d2, mu)
 		ledgerLine()
 		return csvio.Write(w, cov, loaded.Header)
 	case "lr":
@@ -198,20 +199,16 @@ func Run(cmd string, args []string, stdout, stderr io.Writer) error {
 				return fmt.Errorf("lr needs 0/1 labels; row %d has %v", i+1, y)
 			}
 		}
-		cfg := logreg.Config{
+		m, err := logreg.TrainSQM(loaded.X, loaded.Labels, logreg.Config{
 			Eps: *eps, Delta: *delta, Gamma: *gamma,
 			Epochs: *epochs, SampleRate: *q, Seed: *seed,
 			Engine: kind, Parties: *nparty, Recorder: rec, Trace: tc, Fault: fault,
-		}
-		m, err := logreg.TrainSQM(loaded.X, loaded.Labels, cfg)
+			Acct: acct,
+		})
 		if err != nil {
 			return err
 		}
-		if mu, err := logreg.CalibrateMu(cfg, loaded.X.Cols); err == nil {
-			d2, d1 := logreg.Sensitivities(*gamma, loaded.X.Cols)
-			acct.AddSubsampledSkellam(d1, d2, mu, cfg.SampleRate, cfg.Rounds())
-			ledgerLine()
-		}
+		ledgerLine()
 		fmt.Fprintf(stderr, "sqmrun: training accuracy %.4f at (eps=%g, delta=%g)\n",
 			logreg.Accuracy(m, loaded.X, loaded.Labels), *eps, *delta)
 		return csvio.WriteVector(w, m.W, "weight")
@@ -234,14 +231,11 @@ func Run(cmd string, args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		// Re-derive the calibrated mu of the augmented-matrix release
-		// (C = B = 1 means the augmented norm bound is √2).
-		cAug := math.Sqrt2
-		if mu, err := pca.CalibrateMu(*eps, *delta, *gamma, cAug, loaded.X.Cols+1); err == nil {
-			d2, d1 := pca.Sensitivities(*gamma, cAug, loaded.X.Cols+1)
-			acct.AddSkellam(d1, d2, mu)
-			ledgerLine()
-		}
+		// One covariance release over [X | y]: C = B = 1 makes the
+		// augmented norm bound √2.
+		d2, d1 := pca.Sensitivities(*gamma, math.Sqrt2, loaded.X.Cols+1)
+		acct.AddSkellam(d1, d2, m.Mu)
+		ledgerLine()
 		fmt.Fprintf(stderr, "sqmrun: training R^2 = %.4f at (eps=%g, delta=%g)\n",
 			linreg.R2(m, loaded.X, loaded.Labels), *eps, *delta)
 		return csvio.WriteVector(w, m.W, "weight")

@@ -2,6 +2,8 @@ package cli
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -10,7 +12,11 @@ import (
 
 	"sqm/internal/csvio"
 	"sqm/internal/dataset"
+	"sqm/internal/dp"
 	"sqm/internal/linalg"
+	"sqm/internal/linreg"
+	"sqm/internal/logreg"
+	"sqm/internal/pca"
 )
 
 // writeTask materializes a labeled CSV fixture.
@@ -41,6 +47,29 @@ func writeTask(t *testing.T, labeled bool) string {
 		t.Fatal(err)
 	}
 	return path
+}
+
+// load reads a fixture the way Run does: rows clipped to unit norm.
+func load(t *testing.T, path string, opts csvio.Options) *csvio.Loaded {
+	t.Helper()
+	loaded, err := csvio.Load(path, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	csvio.NormalizeRows(loaded.X, 1)
+	return loaded
+}
+
+// checkLedger asserts that Run printed the privacy-ledger line of want,
+// an accountant the test booked itself.
+func checkLedger(t *testing.T, stderr string, delta float64, want *dp.Accountant) {
+	t.Helper()
+	eps, alpha := want.Epsilon(delta)
+	line := fmt.Sprintf("sqmrun: privacy ledger: eps(delta=%g) = %.4f @ alpha=%d over %d release(s)",
+		delta, eps, alpha, want.Releases())
+	if !strings.Contains(stderr, line) {
+		t.Fatalf("stderr lacks %q:\n%s", line, stderr)
+	}
 }
 
 func TestCommands(t *testing.T) {
@@ -86,7 +115,7 @@ func TestRunPCA(t *testing.T) {
 func TestRunCovariance(t *testing.T) {
 	path := writeTask(t, false)
 	var out, errw bytes.Buffer
-	if err := Run("covariance", []string{"-data", path, "-header", "-eps", "4", "-gamma", "256"}, &out, &errw); err != nil {
+	if err := Run("covariance", []string{"-data", path, "-header", "-eps", "4", "-gamma", "256", "-log-format", "text"}, &out, &errw); err != nil {
 		t.Fatal(err)
 	}
 	got, err := csvio.Read(&out, csvio.Options{HasHeader: true})
@@ -96,13 +125,22 @@ func TestRunCovariance(t *testing.T) {
 	if got.X.Rows != 8 || got.X.Cols != 8 {
 		t.Fatalf("covariance shape %dx%d", got.X.Rows, got.X.Cols)
 	}
+	// One release at Lemma 5's sensitivities for unit-norm rows.
+	mu, err := pca.CalibrateMu(4, 1e-5, 256, 1, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := dp.NewAccountant(0)
+	d2, d1 := pca.Sensitivities(256, 1, 8)
+	want.AddSkellam(d1, d2, mu)
+	checkLedger(t, errw.String(), 1e-5, want)
 }
 
 func TestRunLR(t *testing.T) {
 	path := writeTask(t, true)
 	var out, errw bytes.Buffer
 	err := Run("lr", []string{"-data", path, "-header", "-label", "label",
-		"-eps", "4", "-gamma", "1024", "-epochs", "1", "-q", "0.05"}, &out, &errw)
+		"-eps", "4", "-gamma", "1024", "-epochs", "1", "-q", "0.05", "-log-format", "text"}, &out, &errw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,6 +154,18 @@ func TestRunLR(t *testing.T) {
 	if !strings.Contains(errw.String(), "training accuracy") {
 		t.Fatalf("diagnostics missing: %q", errw.String())
 	}
+	// The run is one subsampled composition at Lemma 7's sensitivities
+	// and the μ the trainer reports.
+	loaded := load(t, path, csvio.Options{HasHeader: true, LabelColumn: "label"})
+	cfg := logreg.Config{Eps: 4, Delta: 1e-5, Gamma: 1024, Epochs: 1, SampleRate: 0.05, Seed: 1}
+	m, err := logreg.TrainSQM(loaded.X, loaded.Labels, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := dp.NewAccountant(0)
+	d2, d1 := logreg.Sensitivities(1024, 8)
+	want.AddSubsampledSkellam(d1, d2, m.Mu, cfg.SampleRate, cfg.Rounds())
+	checkLedger(t, errw.String(), 1e-5, want)
 }
 
 func TestRunLRRejectsNonBinaryLabels(t *testing.T) {
@@ -159,7 +209,7 @@ func TestRunRidgeWithOutFile(t *testing.T) {
 	f.Close()
 	outPath := filepath.Join(dir, "weights.csv")
 	var out, errw bytes.Buffer
-	err = Run("ridge", []string{"-data", path, "-label", "6", "-eps", "4", "-gamma", "512", "-out", outPath}, &out, &errw)
+	err = Run("ridge", []string{"-data", path, "-label", "6", "-eps", "4", "-gamma", "512", "-out", outPath, "-log-format", "text"}, &out, &errw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,6 +223,17 @@ func TestRunRidgeWithOutFile(t *testing.T) {
 	if !strings.Contains(errw.String(), "clipped") {
 		t.Fatalf("label clipping diagnostic missing: %q", errw.String())
 	}
+	// One covariance release over [X | y] at the augmented bound
+	// √(C² + B²) = √2 and the μ the fit reports.
+	data := load(t, path, csvio.Options{LabelColumn: "6"})
+	m, err := linreg.SQM(data.X, data.Labels, linreg.Config{Eps: 4, Delta: 1e-5, C: 1, B: 1, Gamma: 512, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := dp.NewAccountant(0)
+	d2, d1 := pca.Sensitivities(512, math.Sqrt2, 7)
+	want.AddSkellam(d1, d2, m.Mu)
+	checkLedger(t, errw.String(), 1e-5, want)
 }
 
 func TestRunTelemetryFlags(t *testing.T) {

@@ -69,9 +69,15 @@ func (c *Config) lambda(m int) float64 {
 	return 0.1 * float64(m)
 }
 
-// Model is a fitted linear predictor ŷ = ⟨w, x⟩.
+// Model is a fitted linear predictor ŷ = ⟨w, x⟩. SQM also returns what
+// it ran, so nothing outside it re-derives it: Mu is the aggregate Skellam
+// parameter the release was calibrated at, and Trace the covariance
+// release's record (rounds, frames, bytes and clocks). The other fits
+// leave both zero.
 type Model struct {
-	W []float64
+	W     []float64
+	Mu    float64
+	Trace *core.Trace
 }
 
 // Predict returns ⟨w, x⟩.
@@ -178,7 +184,7 @@ func SQM(x *linalg.Matrix, y []float64, cfg Config) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	gram, _, err := core.Covariance(full, core.Params{
+	gram, tr, err := core.Covariance(full, core.Params{
 		Gamma:    cfg.Gamma,
 		Mu:       mu,
 		Engine:   cfg.Engine,
@@ -191,7 +197,12 @@ func SQM(x *linalg.Matrix, y []float64, cfg Config) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	return fromGram(gram, cfg.lambda(x.Rows))
+	m, err := fromGram(gram, cfg.lambda(x.Rows))
+	if err != nil {
+		return nil, err
+	}
+	m.Mu, m.Trace = mu, tr
+	return m, nil
 }
 
 // Central is the centralized sufficient-statistics-perturbation

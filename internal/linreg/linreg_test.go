@@ -145,6 +145,12 @@ func TestSQMPlainAndBGWAgree(t *testing.T) {
 			t.Fatalf("coord %d: %v vs %v", j, a.W[j], b.W[j])
 		}
 	}
+	// Both carry the one μ the augmented release was calibrated at, and
+	// the record of that release: the covariance's two rounds on BGW,
+	// none on plain.
+	if a.Mu != b.Mu || a.Mu <= 0 || a.Trace.Stats.Rounds != 0 || b.Trace.Stats.Rounds != 2 {
+		t.Fatalf("records: plain μ %v, %d rounds; bgw μ %v, %d rounds", a.Mu, a.Trace.Stats.Rounds, b.Mu, b.Trace.Stats.Rounds)
+	}
 }
 
 func TestSolveRidgeEscalatesLambda(t *testing.T) {

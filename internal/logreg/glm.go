@@ -5,8 +5,8 @@ import (
 	"math"
 
 	"sqm/internal/approx"
+	"sqm/internal/bgw"
 	"sqm/internal/core"
-	"sqm/internal/dp"
 	"sqm/internal/linalg"
 	"sqm/internal/mathx"
 	"sqm/internal/poly"
@@ -40,7 +40,6 @@ func TrainGLM(link *approx.Poly1, x *linalg.Matrix, y []float64, cfg Config) (*M
 	// One calibration pass: quantize the round polynomial at a
 	// representative w (coefficient magnitudes only enter through
 	// |w| <= 1, so the unit-norm worst case bounds every round).
-	g := randx.New(cfg.Seed ^ 0x91a7)
 	wProbe := make([]float64, d)
 	for j := range wProbe {
 		wProbe[j] = 1 / math.Sqrt(float64(d))
@@ -60,15 +59,9 @@ func TrainGLM(link *approx.Poly1, x *linalg.Matrix, y []float64, cfg Config) (*M
 	// structure — which is the quantifiable price of full generality
 	// (see TestGLMGeneralityPremium).
 	delta2, delta1 := qProbe.SensitivityBound(1)
-	mu, err := dp.CalibrateSkellamMu(cfg.Eps, cfg.Delta, delta1, delta2, cfg.SampleRate, cfg.Rounds())
+	mu, err := cfg.calibrate(delta2, delta1)
 	if err != nil {
 		return nil, err
-	}
-	// Meter the run as one subsampled composition at the probe's
-	// generic coordinate-wise bound; the per-round core calls keep
-	// their own meter disabled (Params.Acct stays nil below).
-	if cfg.Acct != nil {
-		cfg.Acct.AddSubsampledSkellam(delta1, delta2, mu, cfg.SampleRate, cfg.Rounds())
 	}
 
 	// Augment once: variables are (x_1..x_d, y).
@@ -78,13 +71,13 @@ func TrainGLM(link *approx.Poly1, x *linalg.Matrix, y []float64, cfg Config) (*M
 		full.Set(i, d, y[i])
 	}
 
-	w := initWeights(d, g)
-	expBatch := cfg.SampleRate * float64(x.Rows)
+	// Every round is a release of its own, on its own engine: there is no
+	// set-up to book, and an empty batch releases nothing.
 	coin := randx.New(cfg.Seed ^ 0x5e4f)
-	for r := 0; r < cfg.Rounds(); r++ {
+	return cfg.sgd(initWeights(d, randx.New(cfg.Seed^0x91a7)), x.Rows, mu, bgw.Stats{}, func(r int, w []float64) ([]float64, *core.Trace, error) {
 		batch := coin.BernoulliSubset(x.Rows, cfg.SampleRate)
 		if len(batch) == 0 {
-			continue
+			return nil, nil, nil
 		}
 		sub := linalg.NewMatrix(len(batch), d+1)
 		for bi, i := range batch {
@@ -92,9 +85,9 @@ func TrainGLM(link *approx.Poly1, x *linalg.Matrix, y []float64, cfg Config) (*M
 		}
 		f, err := glmGradientPoly(link, w, d)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		grad, _, err := core.EvaluatePolynomialSum(f, sub, core.Params{
+		return core.EvaluatePolynomialSum(f, sub, core.Params{
 			Gamma:      cfg.Gamma,
 			Mu:         mu,
 			NumClients: d + 1,
@@ -105,13 +98,7 @@ func TrainGLM(link *approx.Poly1, x *linalg.Matrix, y []float64, cfg Config) (*M
 			Trace:      cfg.Trace,
 			Fault:      cfg.Fault,
 		})
-		if err != nil {
-			return nil, err
-		}
-		linalg.Axpy(-cfg.LearnRate/expBatch, grad, w)
-		linalg.ClipNorm(w, 1)
-	}
-	return &Model{W: w}, nil
+	})
 }
 
 // glmGradientPoly expands (link(⟨w, x⟩) − y)·x_t into an explicit

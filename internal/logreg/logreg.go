@@ -18,6 +18,7 @@ import (
 	"math"
 	"sort"
 
+	"sqm/internal/bgw"
 	"sqm/internal/core"
 	"sqm/internal/dp"
 	"sqm/internal/linalg"
@@ -91,9 +92,16 @@ func (c *Config) Rounds() int {
 }
 
 // Model is a fitted weight vector with ‖w‖₂ <= 1 (the clipping the
-// paper applies after every update).
+// paper applies after every update). The SQM trainers also return what
+// they ran, so nothing outside them re-derives it: Mu is the aggregate
+// Skellam parameter the run was calibrated at and booked under, and Trace
+// is the session's record — the data-sharing set-up's counters plus every
+// step's Stats, Compute and NoiseCompute (Scaled and Scale belong to one
+// release and stay empty). The other trainers leave both zero.
 type Model struct {
-	W []float64
+	W     []float64
+	Mu    float64
+	Trace *core.Trace
 }
 
 // PredictProb returns σ(⟨w, x⟩).
@@ -250,22 +258,18 @@ func TrainSQMOrder3(x *linalg.Matrix, y []float64, cfg Config) (*Model, error) {
 	})
 }
 
-// trainSQM is the SQM training loop at either Taylor order. The
-// sensitivities read (γ, d) only, so μ is calibrated first and build
-// quantizes and shares the data once, at the calibrated noise.
+// trainSQM is the SQM trainer at either Taylor order. The sensitivities
+// read (γ, d) only, so μ is calibrated first and build quantizes and
+// shares the data once, at the calibrated noise; every round's batch is
+// drawn from the protocol's public coin.
 func trainSQM(x *linalg.Matrix, y []float64, cfg Config, trainerSeed uint64, delta2, delta1 float64,
 	build func(core.Params) (*core.LRProtocol, error)) (*Model, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	mu, err := dp.CalibrateSkellamMu(cfg.Eps, cfg.Delta, delta1, delta2, cfg.SampleRate, cfg.Rounds())
+	mu, err := cfg.calibrate(delta2, delta1)
 	if err != nil {
 		return nil, err
-	}
-	// Meter the full training run as one subsampled composition at the
-	// sensitivities μ was calibrated for.
-	if cfg.Acct != nil {
-		cfg.Acct.AddSubsampledSkellam(delta1, delta2, mu, cfg.SampleRate, cfg.Rounds())
 	}
 	proto, err := build(core.Params{
 		Gamma:    cfg.Gamma,
@@ -282,17 +286,62 @@ func trainSQM(x *linalg.Matrix, y []float64, cfg Config, trainerSeed uint64, del
 	}
 	defer proto.Close()
 	w := initWeights(x.Cols, randx.New(cfg.Seed^trainerSeed))
-	expBatch := cfg.SampleRate * float64(x.Rows)
-	for r := 0; r < cfg.Rounds(); r++ {
-		batch := proto.SampleBatch(cfg.SampleRate)
-		grad, _, err := proto.GradientSum(w, batch)
+	return cfg.sgd(w, x.Rows, mu, proto.SetupStats(), func(_ int, w []float64) ([]float64, *core.Trace, error) {
+		return proto.GradientSum(w, proto.SampleBatch(cfg.SampleRate))
+	})
+}
+
+// calibrate returns the μ at which R subsampled rounds at the
+// sensitivities (Δ₂, Δ₁) meet (ε, δ), and books the run under it, when
+// Acct is set, as one subsampled Skellam composition. The trainers
+// account here rather than per round, so core's per-release meter stays
+// disabled underneath them (Params.Acct is nil).
+func (c *Config) calibrate(delta2, delta1 float64) (float64, error) {
+	mu, err := dp.CalibrateSkellamMu(c.Eps, c.Delta, delta1, delta2, c.SampleRate, c.Rounds())
+	if err != nil {
+		return 0, err
+	}
+	if c.Acct != nil {
+		c.Acct.AddSubsampledSkellam(delta1, delta2, mu, c.SampleRate, c.Rounds())
+	}
+	return mu, nil
+}
+
+// sgd is the SQM trainers' loop: R rounds of projected SGD on m records
+// from w. Round r's step returns the noisy gradient sum at w and the trace
+// of its release, or a nil trace for a round that released nothing (the
+// GLM trainer's empty batch), which leaves w as it is. The model carries
+// μ and the session's record: setup plus every step.
+func (c *Config) sgd(w []float64, m int, mu float64, setup bgw.Stats,
+	step func(r int, w []float64) ([]float64, *core.Trace, error)) (*Model, error) {
+	rec := &core.Trace{Stats: setup}
+	expBatch := c.SampleRate * float64(m)
+	for r := 0; r < c.Rounds(); r++ {
+		grad, tr, err := step(r, w)
 		if err != nil {
 			return nil, err
 		}
-		linalg.Axpy(-cfg.LearnRate/expBatch, grad, w)
+		if tr == nil {
+			continue
+		}
+		addStep(rec, tr)
+		linalg.Axpy(-c.LearnRate/expBatch, grad, w)
 		linalg.ClipNorm(w, 1)
 	}
-	return &Model{W: w}, nil
+	return &Model{W: w, Mu: mu, Trace: rec}, nil
+}
+
+// addStep adds one step's counters and clocks to the session record.
+func addStep(rec, step *core.Trace) {
+	s, d := &rec.Stats, step.Stats
+	s.Rounds += d.Rounds
+	s.Frames += d.Frames
+	s.Messages += d.Messages
+	s.Bytes += d.Bytes
+	s.FieldOps += d.FieldOps
+	rec.Lat = step.Lat
+	rec.Compute += step.Compute
+	rec.NoiseCompute += step.NoiseCompute
 }
 
 // TrainDPSGD is the centralized baseline: true sigmoid gradients,

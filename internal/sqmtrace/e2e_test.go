@@ -5,18 +5,18 @@ import (
 
 	"sqm/internal/core"
 	"sqm/internal/linalg"
+	"sqm/internal/logreg"
 	"sqm/internal/obs"
 	"sqm/internal/randx"
 )
 
 // TestE2ETimelineFromTCPLogregSession is the acceptance test for the
-// tracing stack: run a 3-party logistic-regression gradient session
-// over the TCP mesh with a shared trace context, dump every party's
-// flight recorder, and rebuild the timeline. Every cross-party
-// send/recv pair must match by (trace, lclock), the per-party round
-// counters must appear in causal order, and the two surfaces must agree:
-// the bytes the timeline sums per link are the bytes the engine's own
-// counters report for the set-up and the two steps.
+// tracing stack: train a 3-party logistic-regression model over the TCP
+// mesh with a shared trace context, dump every party's flight recorder,
+// and rebuild the timeline. Every cross-party send/recv pair must match
+// by (trace, lclock), the per-party round counters must appear in causal
+// order, and the two surfaces must agree: the bytes the timeline sums per
+// link are the bytes of the trainer's record (set-up and two steps).
 func TestE2ETimelineFromTCPLogregSession(t *testing.T) {
 	const rows, cols, parties = 18, 3, 3
 	feat := linalg.NewMatrix(rows, cols)
@@ -30,30 +30,21 @@ func TestE2ETimelineFromTCPLogregSession(t *testing.T) {
 	}
 
 	tc := obs.NewTraceContext(obs.DeriveTraceID(17, parties), parties)
-	proto, err := core.NewLRProtocol(feat, labels, core.Params{
-		Gamma:   32,
-		Mu:      25,
-		Engine:  core.EngineActorBGWNet,
-		Parties: parties,
-		Seed:    17,
-		Trace:   tc,
+	model, err := logreg.TrainSQM(feat, labels, logreg.Config{
+		Eps:        1,
+		Delta:      1e-5,
+		Gamma:      32,
+		Epochs:     1,
+		SampleRate: 0.5,
+		Engine:     core.EngineActorBGWNet,
+		Parties:    parties,
+		Seed:       17,
+		Trace:      tc,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := []float64{0.2, -0.1, 0.4}
-	counted := proto.SetupStats().Bytes
-	for round := 0; round < 2; round++ {
-		_, tr, err := proto.GradientSum(w, nil)
-		if err != nil {
-			proto.Close()
-			t.Fatalf("gradient round %d: %v", round, err)
-		}
-		counted += tr.Stats.Bytes
-	}
-	if err := proto.Close(); err != nil {
-		t.Fatal(err)
-	}
+	counted := model.Trace.Stats.Bytes
 
 	dir := t.TempDir()
 	files, err := tc.DumpAll(dir)
@@ -102,7 +93,7 @@ func TestE2ETimelineFromTCPLogregSession(t *testing.T) {
 		linked += ls.Bytes
 	}
 	if linked == 0 || linked != counted {
-		t.Fatalf("links carry %d bytes, engine counters %d (set-up + two steps)", linked, counted)
+		t.Fatalf("links carry %d bytes, the trainer's record %d (set-up + two steps)", linked, counted)
 	}
 	spans := map[string]SpanStat{}
 	for _, st := range tl.Spans {

@@ -272,7 +272,11 @@ func PCALocal(x *Matrix, cfg PCAConfig) (*PCAResult, error) { return pca.Local(x
 // LRConfig parameterizes the private trainers.
 type LRConfig = logreg.Config
 
-// LRModel is a fitted model with ‖w‖₂ ≤ 1.
+// LRModel is a fitted model with ‖w‖₂ ≤ 1. The SQM trainers also
+// return what they ran: Mu is the μ the session was calibrated at and
+// booked under, and Trace its record — the data-sharing set-up's rounds,
+// frames and bytes plus every step's Stats, Compute and NoiseCompute.
+// Both are zero for the other trainers.
 type LRModel = logreg.Model
 
 // TrainLogRegSQM trains under distributed DP in the VFL setting.
@@ -379,7 +383,10 @@ func MinApproxDegree(f func(float64) float64, r, tol float64, maxDegree int) (*A
 // RidgeConfig parameterizes the private ridge-regression fits.
 type RidgeConfig = linreg.Config
 
-// RidgeModel is a fitted linear predictor.
+// RidgeModel is a fitted linear predictor. RidgeSQM also returns what it
+// ran: Mu is the μ its covariance release was calibrated at, and Trace
+// that release's rounds, frames, bytes and clocks. Both are zero for the
+// other fits.
 type RidgeModel = linreg.Model
 
 // RidgeExact is the non-private ridge fit.

@@ -335,6 +335,13 @@ func TestOpenOnlyOperandsFailTheEngine(t *testing.T) {
 		"MulBatchUnreduced of two": {true, false, func(c env, s source) (Val, int64) {
 			return c.e.MulBatchUnreduced([]MulItem{{Kind: MulDot, VA: c.hvec, VB: c.hvec}})[0], dot(s.vec, s.vec)
 		}},
+		// A Hadamard's vector, read through one element.
+		"Hadamard": {false, true, func(c env, s source) (Val, int64) {
+			return c.e.At(c.e.MulBatch([]MulItem{{Kind: MulHadamard, VA: c.hvec, VB: c.v}})[0].(Vec), 2), s.vec[2] * v[2]
+		}},
+		"Hadamard unreduced": {false, false, func(c env, s source) (Val, int64) {
+			return c.e.At(c.e.MulBatchUnreduced([]MulItem{{Kind: MulHadamard, VA: c.v, VB: c.hvec}})[0].(Vec), 1), v[1] * s.vec[1]
+		}},
 	}
 	for _, pt := range []struct{ p, t int }{{3, 1}, {4, 1}, {5, 2}, {7, 2}} {
 		cfg := Config{Parties: pt.p, Threshold: pt.t, Seed: 3}

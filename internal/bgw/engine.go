@@ -35,11 +35,14 @@ import (
 // operations that reveal data (Open*, Stats)
 // synchronize the caller with the parties; everything else pipelines.
 //
-// Behind a mesh commands travel in batches. Scalar local gates (see
-// actorOp.queues) only append to the current batch; every other command
-// — anything with a vector, a batch, a frame or a reply — is appended
-// and then flushes the batch with one channel send per party, so a
-// planned local gate costs an append, not P channel operations.
+// Behind a mesh every command reaches the parties the moment it is
+// issued, with one channel send per party: no gate waits for a later one.
+// The command itself is written into a slab of cmdChunk commands that
+// the parties read it from, so issuing one allocates nothing but, every
+// cmdChunk commands, the next slab. A workload's local gates are vector
+// gates (AddVec, Gather, LinComb) and its products level-wide batches —
+// a per-element product is a MulHadamard item — so the commands of a
+// session are counted in levels and columns, not in records.
 //
 // Every sharing is a seeded dealing: the t parties after the dealer
 // draw their shares from a stream each shares with it (shamir.Dealing),
@@ -62,10 +65,10 @@ type Engine struct {
 	// round is the open input round: the vectors InputVec took since the
 	// last command was issued.
 	round []vecInput
-	// queue is the unsent tail of the current command chunk: dispatch
-	// hands the parties queue[:len] (capacity clipped) and keeps writing
-	// behind it, so sent commands are never touched again.
-	queue []actorCmd
+	// slab is the current command chunk: issue writes a command behind
+	// the last and hands the parties a pointer to it, so a sent command
+	// is never touched again.
+	slab []actorCmd
 	// seen marks vector slots while reusedDotSlots scans a level; all
 	// false between levels (grow-only).
 	seen []bool
@@ -191,10 +194,8 @@ func newEngine(cfg Config, mesh transport.Mesh) (*Engine, error) {
 		}
 		pa.link = &wireLink{conn: mesh.Conn(i)}
 		pa.chunks = 1
-		// 256 batches in flight: every command that is not a scalar local
-		// gate ends a batch, so the parties fall behind the caller by at
-		// most that many.
-		pa.cmds = make(chan []actorCmd, 256)
+		// The parties fall behind the caller by at most 256 commands.
+		pa.cmds = make(chan *actorCmd, 256)
 		e.wg.Add(1)
 		go func() {
 			defer e.wg.Done()
@@ -269,9 +270,8 @@ func (e *Engine) ResetStats() {
 
 // Close ends the engine; closing twice is harmless. Behind a mesh it
 // joins the party goroutines and tears the mesh down: parties blocked
-// mid-round are unblocked by the teardown. An input round still open
-// and scalar gates still queued are dropped — nothing can observe their
-// results any more.
+// mid-round are unblocked by the teardown. An input round still open is
+// dropped — nothing can observe its results any more.
 func (e *Engine) Close() error {
 	if e.closed {
 		return nil
@@ -281,7 +281,7 @@ func (e *Engine) Close() error {
 	if e.mesh == nil {
 		return nil
 	}
-	e.queue = nil
+	e.slab = nil
 	e.mesh.Close()
 	for _, pa := range e.parties {
 		close(pa.cmds)
@@ -290,8 +290,7 @@ func (e *Engine) Close() error {
 	return nil
 }
 
-// cmdChunk is the capacity of one command chunk, and so the longest run
-// of scalar gates the caller records before the parties start on them.
+// cmdChunk is the capacity of one command slab.
 const cmdChunk = 256
 
 // dispatch issues one command to every party, after the open input
@@ -320,8 +319,8 @@ func (e *Engine) issueRound() {
 }
 
 // issue hands one command to every party. Inline parties run it now,
-// half by half. Behind a mesh, scalar gates wait in the queue for the
-// next command that flushes or for the chunk to fill.
+// half by half; party goroutines get it through their channels, written
+// into the slab (see Engine).
 func (e *Engine) issue(c actorCmd) {
 	if e.mesh == nil {
 		for _, pa := range e.parties {
@@ -332,17 +331,13 @@ func (e *Engine) issue(c actorCmd) {
 		}
 		return
 	}
-	if len(e.queue) == cap(e.queue) {
-		e.queue = make([]actorCmd, 0, cmdChunk)
+	if len(e.slab) == cap(e.slab) {
+		e.slab = make([]actorCmd, 0, cmdChunk)
 	}
-	e.queue = append(e.queue, c)
-	if !c.op.queues() || len(e.queue) == cap(e.queue) {
-		n := len(e.queue)
-		batch := e.queue[:n:n]
-		for _, pa := range e.parties {
-			pa.cmds <- batch
-		}
-		e.queue = e.queue[n:]
+	e.slab = append(e.slab, c)
+	sent := &e.slab[len(e.slab)-1]
+	for _, pa := range e.parties {
+		pa.cmds <- sent
 	}
 }
 
@@ -621,15 +616,19 @@ func (e *Engine) MulBatchUnreduced(items []MulItem) []Val {
 // mulBatch resolves a level's operands to slots and issues it as op. An
 // item whose operand degrees sum above P−1 fails the engine instead: the
 // handles are still returned, and every opening from here on reports
-// zeros.
+// zeros. The scalar-valued items take the next scalar slots in item
+// order, and the MulHadamard items the next vector slots; in the parties'
+// row every item takes its width in item order (mulDesc.at).
 func (e *Engine) mulBatch(op actorOp, items []MulItem) []Val {
 	if len(items) == 0 {
 		return []Val{}
 	}
 	muls := make([]mulDesc, len(items))
+	out := make([]Val, len(items))
 	hs := make([]Shared, len(items))
+	scalars, width := 0, 0
 	for i, it := range items {
-		deg := 0
+		deg, n := 0, 0
 		switch it.Kind {
 		case MulScalar:
 			a, b := e.shared(it.A), e.shared(it.B)
@@ -645,26 +644,35 @@ func (e *Engine) mulBatch(op actorOp, items []MulItem) []Val {
 				as[k], bs[k], deg = a.ref, b.ref, max(deg, a.deg+b.deg)
 			}
 			muls[i] = mulDesc{kind: MulInner, refs: as, refs2: bs}
-		case MulDot:
+		case MulDot, MulHadamard:
 			a, b := e.sharedVec(it.VA), e.sharedVec(it.VB)
 			if a.n != b.n {
 				panic(invariant.Violation("bgw: vector length mismatch"))
 			}
-			muls[i] = mulDesc{kind: MulDot, a: a.ref, b: b.ref}
-			deg = a.deg + b.deg
+			muls[i] = mulDesc{kind: it.Kind, a: a.ref, b: b.ref}
+			deg, n = a.deg+b.deg, a.n
 		default:
 			panic(invariant.Violation("bgw: unknown MulKind %d", it.Kind))
 		}
 		if deg > e.p-1 {
 			e.refuseOpenOnly(deg)
 		}
-		hs[i].deg = e.t
-		if op == opMulUnreduced {
-			hs[i].deg = deg
+		if op == opMulBatch {
+			deg = e.t
 		}
+		muls[i].at = width
+		if it.Kind == MulHadamard {
+			width += n
+			out[i] = e.newVec(n, deg)
+			continue
+		}
+		width++
+		hs[i] = Shared{eng: e, ref: e.nextSc, deg: deg}
+		out[i] = &hs[i]
+		e.nextSc++
+		scalars++
 	}
-	out := e.issueShared(hs)
-	e.dispatch(actorCmd{op: op, x: &cmdPayload{muls: muls, refs: e.reusedDotSlots(muls)}})
+	e.dispatch(actorCmd{op: op, a: width, b: scalars, x: &cmdPayload{muls: muls, refs: e.reusedDotSlots(muls)}})
 	return out
 }
 

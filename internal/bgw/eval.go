@@ -66,11 +66,12 @@ type Stats struct {
 	Messages int64 // logical point-to-point messages
 	Bytes    int64 // payload bytes (8 per field element per message)
 	// FieldOps counts local field multiplications (the cost-model
-	// input). The count is exact for scalar products and MulInner's
-	// lists, affine gates, unshared inputs — one x/λ_owner per element, at the
-	// owner — and openings — one λ_i·s_i per element and party, the rows
-	// are summed — and a model for sharings: P·(t+1) per dealt element,
-	// P+t+1 per reshared product and party. A dot counts one
+	// input). The count is exact for scalar products, MulInner's lists,
+	// MulHadamard's elements, affine gates, unshared inputs — one
+	// x/λ_owner per element, at the owner — and openings — one λ_i·s_i
+	// per element and party, the rows are summed — and a model for
+	// sharings: P·(t+1) per dealt element, P+t+1 per reshared product
+	// (a Hadamard element is one) and party. A dot counts one
 	// multiplication per element, which is also a model: in a batch that
 	// reuses its vectors (a Gram matrix) the parties pair the elements by
 	// Winograd's identity and multiply about half as often, while the
@@ -110,6 +111,15 @@ const (
 	// MulDot is one fused inner product ⟨VA, VB⟩ over vector handles
 	// (fields VA, VB).
 	MulDot
+	// MulHadamard is the element-wise product VA ⊙ VB of two vectors of
+	// one length (fields VA, VB). Its result is a vector: the Vec in the
+	// item's slot of what MulBatch or MulBatchUnreduced returns. Each of
+	// its n elements is one product in the level's exchange, as n
+	// MulScalar items over the elements would be — n elements in every
+	// reshare frame, n field multiplications and, reshared, n·(P+t+1)
+	// more in FieldOps' model — and the vector carries one degree, the
+	// sum of its operands'.
+	MulHadamard
 )
 
 // MulItem describes one multiplicative gate of a batched round. Only
@@ -118,7 +128,7 @@ type MulItem struct {
 	Kind   MulKind
 	A, B   Val   // MulScalar operands
 	As, Bs []Val // MulInner operand lists
-	VA, VB Vec   // MulDot operands
+	VA, VB Vec   // MulDot and MulHadamard operands
 }
 
 // InputItem names one scalar of a batched input round: party Owner
@@ -220,9 +230,11 @@ type Evaluator interface {
 	// pool width from its caller.
 	DotBatch(pairs []VecPair, workers int) []Val
 	// MulBatch evaluates one whole level of independent multiplicative
-	// gates (scalar products, fused inner products, vector dots) in a
-	// single degree-reduction round: all sub-shares travel in one frame
-	// per party and unseeded peer. Results are returned in item order.
+	// gates (scalar products, fused inner products, vector dots,
+	// element-wise vector products) in a single degree-reduction round:
+	// all sub-shares travel in one frame per party and unseeded peer.
+	// Results are returned in item order: a Val per scalar-valued item,
+	// and in a MulHadamard item's slot its vector, a Vec.
 	MulBatch(items []MulItem) []Val
 	// MulBatchUnreduced evaluates one level of multiplicative gates
 	// without the degree reduction: no traffic, no round. A result's

@@ -38,33 +38,27 @@ const (
 	opBarrier
 )
 
-// queues reports whether the command may wait in the engine's queue:
-// only the scalar local gates, which cost the parties a few nanoseconds
-// each and nothing on the wire. Everything else flushes the queue the
-// moment it is issued (see Engine).
-func (op actorOp) queues() bool {
-	switch op {
-	case opZero, opAdd, opSub, opAddConst, opMulConst, opAt:
-		return true
-	}
-	return false
-}
-
 // mulDesc is the party-side form of one MulBatch item: operand slots
 // resolved by the engine so the parties only index their share arrays.
 type mulDesc struct {
-	kind  MulKind
-	a, b  int   // scalar (MulScalar) or vector (MulDot) slots
+	kind MulKind
+	a, b int // scalar (MulScalar) or vector (MulDot, MulHadamard) slots
+	// at is where the item's products start in the level's row, which
+	// holds every item's in item order: one element, or a MulHadamard's n.
+	at    int
 	refs  []int // MulInner operand list A
 	refs2 []int // MulInner operand list B
 }
 
-// actorCmd is one command, passed by value inside a batch. Operand
-// fields are interpreted per opcode. Batches are read-only for the
+// actorCmd is one command, kept by value in the engine's slab. Operand
+// fields are interpreted per opcode. Commands are read-only for the
 // parties — the engine never touches a command after it is issued.
 type actorCmd struct {
-	op   actorOp
-	a, b int         // slot operands; a is the length of opLinComb, b the element index of opAt
+	op actorOp
+	// a, b are slot operands. a is also the length of opLinComb and the
+	// row length of a multiplicative level, b the element index of opAt
+	// and the level's scalar-valued items.
+	a, b int
 	c    int64       // public constant
 	x    *cmdPayload // set on commands that carry a list or await a reply
 }
@@ -108,7 +102,7 @@ type actorParty struct {
 	weights  []field.Elem
 	ownInv   field.Elem // 1/weights[id]: what publish's λ_id cancels on an unshared input
 	link     link
-	cmds     chan []actorCmd // command batches of a party goroutine; nil inline
+	cmds     chan *actorCmd // the commands of a party goroutine; nil inline
 	// dealing is this party's seeded sharing: the t peers after it draw
 	// their rows of every sharing it deals, the others are sent theirs.
 	// dealTo[j] is its end of the stream toward seeded peer j, dealFrom[j]
@@ -150,11 +144,9 @@ type actorParty struct {
 }
 
 func (a *actorParty) run() {
-	for batch := range a.cmds {
-		for i := range batch {
-			a.begin(&batch[i])
-			a.finish(&batch[i])
-		}
+	for c := range a.cmds {
+		a.begin(c)
+		a.finish(c)
 	}
 }
 
@@ -284,9 +276,9 @@ func (a *actorParty) send(c *actorCmd) error {
 		a.vc = append(a.vc, a.gather(c.x.refs))
 	case opMulBatch:
 		// One degree-reduction round: the local degree-2t value of every
-		// gate, dealt in gate order, one row of sub-shares to each unseeded
-		// peer; highs becomes this party's own row.
-		highs := make([]field.Elem, len(c.x.muls))
+		// product, dealt in row order (mulDesc.at), one row of sub-shares
+		// to each unseeded peer; highs becomes this party's own row.
+		highs := make([]field.Elem, c.a)
 		a.products(highs, c.x.muls, c.x.refs)
 		a.pend = highs
 		return a.sendRows(a.sh.share(highs, a.dealing, a.dealTo), a.link.send)
@@ -294,9 +286,10 @@ func (a *actorParty) send(c *actorCmd) error {
 		// The same local values, kept: the slots hold this party's point
 		// of a degree-2t sharing, no randomness is drawn and nothing is
 		// sent. Only linear gates and openings may read them.
-		base := len(a.sc)
-		a.sc = append(a.sc, make([]field.Elem, len(c.x.muls))...)
-		a.products(a.sc[base:], c.x.muls, c.x.refs)
+		return a.keep(c, func(row []field.Elem) error {
+			a.products(row, c.x.muls, c.x.refs)
+			return nil
+		})
 	case opOpenBatch:
 		row := a.gather(c.x.refs)
 		a.pend = a.publish(row, row)
@@ -330,7 +323,7 @@ func (a *actorParty) products(highs []field.Elem, muls []mulDesc, reused []int) 
 			a.fieldOps++
 		case MulInner:
 			a.fieldOps += int64(len(d.refs))
-		case MulDot:
+		case MulDot, MulHadamard:
 			a.fieldOps += int64(len(a.vc[d.a]))
 		}
 	}
@@ -338,22 +331,52 @@ func (a *actorParty) products(highs []field.Elem, muls []mulDesc, reused []int) 
 		for m := start; m < end; m++ {
 			switch d := muls[m]; d.kind {
 			case MulScalar:
-				highs[m] = field.Mul(a.sc[d.a], a.sc[d.b])
+				highs[d.at] = field.Mul(a.sc[d.a], a.sc[d.b])
 			case MulInner:
 				var acc field.Elem
 				for i := range d.refs {
 					acc = field.Add(acc, field.Mul(a.sc[d.refs[i]], a.sc[d.refs2[i]]))
 				}
-				highs[m] = acc
+				highs[d.at] = acc
 			case MulDot:
 				if reused != nil {
-					highs[m] = field.DotWinograd(a.pairs[d.a], a.pairs[d.b], a.vc[d.a], a.vc[d.b])
+					highs[d.at] = field.DotWinograd(a.pairs[d.a], a.pairs[d.b], a.vc[d.a], a.vc[d.b])
 				} else {
-					highs[m] = field.DotAcc(0, a.vc[d.a], a.vc[d.b])
+					highs[d.at] = field.DotAcc(0, a.vc[d.a], a.vc[d.b])
 				}
+			case MulHadamard:
+				va := a.vc[d.a]
+				field.MulVec(highs[d.at:d.at+len(va)], va, a.vc[d.b])
 			}
 		}
 	})
+}
+
+// keep gives the results of a multiplicative command their slots. fill
+// leaves the level's row — c.a elements, laid out by mulDesc.at — in the
+// slice it is handed; every scalar-valued result takes the next scalar
+// slot and every MulHadamard's elements a vector slot of their own. A
+// level of c.b scalar-valued items and nothing else is filled straight
+// into the scalar slots.
+func (a *actorParty) keep(c *actorCmd, fill func(row []field.Elem) error) error {
+	if c.b == len(c.x.muls) {
+		base := len(a.sc)
+		a.sc = append(a.sc, make([]field.Elem, c.b)...)
+		return fill(a.sc[base:])
+	}
+	row := make([]field.Elem, c.a)
+	if err := fill(row); err != nil {
+		return err
+	}
+	for _, d := range c.x.muls {
+		if d.kind != MulHadamard {
+			a.sc = append(a.sc, row[d.at])
+			continue
+		}
+		n := len(a.vc[d.a])
+		a.vc = append(a.vc, row[d.at:d.at+n:d.at+n])
+	}
+	return nil
 }
 
 // publish leaves in dst (which may be shares itself) the row this party
@@ -434,14 +457,11 @@ func (a *actorParty) recv(c *actorCmd) error {
 			}
 		}
 	case opMulBatch:
-		n := len(c.x.muls)
-		base := len(a.sc)
-		a.sc = append(a.sc, make([]field.Elem, n)...)
-		if err := a.fold(a.sc[base:], a.pend); err != nil {
+		if err := a.keep(c, func(row []field.Elem) error { return a.fold(row, a.pend) }); err != nil {
 			return err
 		}
 		// This party's slice of the resharing cost model.
-		a.fieldOps += int64(n * (a.p + a.t + 1))
+		a.fieldOps += int64(c.a * (a.p + a.t + 1))
 	case opOpenBatch, opOpenVec:
 		// Every party reconstructs — the published rows sum to the
 		// secrets — and only party 0 decodes for the caller.

@@ -9,9 +9,10 @@ import (
 	"sqm/internal/transport"
 )
 
-// TestActorCloseWithQueuedGates: Close on an engine whose queue still
-// holds scalar gates drops them and joins every party goroutine.
-func TestActorCloseWithQueuedGates(t *testing.T) {
+// TestActorCloseWithGatesInFlight: Close right after a run of scalar
+// gates, which the parties may still be working through, drops what is
+// left and joins every party goroutine.
+func TestActorCloseWithGatesInFlight(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for iter := 0; iter < 3; iter++ {
 		eng, err := NewActorEngine(Config{Parties: 4, Seed: uint64(iter)}, transport.NewChanMesh(4))
@@ -23,9 +24,6 @@ func TestActorCloseWithQueuedGates(t *testing.T) {
 		for i := 0; i < 10+iter; i++ {
 			acc = eng.Add(acc, a)
 		}
-		if len(eng.queue) == 0 {
-			t.Fatal("no gate left in the queue before Close")
-		}
 		if err := eng.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
 		}
@@ -36,10 +34,10 @@ func TestActorCloseWithQueuedGates(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// localGateProgram opens one value, records gates scalar local gates of
-// every queued kind, and opens the running results: with gates well
-// past three command chunks the parties consume several full batches
-// and a partial one between the two openings.
+// localGateProgram opens one value, issues gates scalar local gates of
+// every kind, and opens the running results: with gates well past three
+// command slabs the engine fills several slabs and starts another
+// between the two openings.
 func localGateProgram(ev Evaluator, gates int) []int64 {
 	a := ev.Input(0, 37)
 	b := ev.Input(1, -12)
@@ -66,9 +64,9 @@ func localGateProgram(ev Evaluator, gates int) []int64 {
 	return append(out, ev.OpenBatch([]Val{x, y, z})...)
 }
 
-// TestActorFullBatchesMatchMonolithic: the chunked command stream is
-// invisible in the outputs — several full batches of queued gates
-// between two openings open exactly what the monolithic engine opens.
+// TestActorFullBatchesMatchMonolithic: the slab the commands are written
+// into is invisible in the outputs — several full slabs of gates between
+// two openings open exactly what the monolithic engine opens.
 func TestActorFullBatchesMatchMonolithic(t *testing.T) {
 	const gates = 3*cmdChunk + 41
 	mono, err := NewEngine(Config{Parties: 4, Seed: 21})
@@ -171,8 +169,8 @@ func TestInputBatchAcrossEngines(t *testing.T) {
 }
 
 // BenchmarkActorLocalGates measures the cost of one planned scalar local
-// gate on the actor engine end to end: facade dispatch, queueing, and
-// all P parties executing it. One barrier per iteration batch keeps the
+// gate on the actor engine end to end: facade dispatch, one channel
+// send per party, and all P parties executing it. One barrier per iteration batch keeps the
 // parties from falling arbitrarily far behind the caller. Run it with a
 // fixed count (-benchtime 1000000x): party slot arrays only grow, so the
 // default ramp to ~10 M gates measures memory growth, not dispatch.

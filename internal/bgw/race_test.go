@@ -34,7 +34,7 @@ func bigBatch(t *testing.T, chunks int) (*Engine, []int64) {
 
 	var items []MulItem
 	for i := 0; i < 64; i++ {
-		switch i % 3 {
+		switch i % 4 {
 		case 0:
 			items = append(items, MulItem{Kind: MulScalar, A: scalars[i%8], B: scalars[(i+3)%8]})
 		case 1:
@@ -43,9 +43,19 @@ func bigBatch(t *testing.T, chunks int) (*Engine, []int64) {
 				Bs: []Val{scalars[(i+5)%8], scalars[(i+6)%8], scalars[(i+7)%8]}})
 		case 2:
 			items = append(items, MulItem{Kind: MulDot, VA: u, VB: v})
+		case 3:
+			items = append(items, MulItem{Kind: MulHadamard, VA: u, VB: v})
 		}
 	}
-	outs := ev.MulBatch(items)
+	var outs []Val
+	var hadamards []Vec
+	for _, out := range ev.MulBatch(items) {
+		if h, ok := out.(Vec); ok {
+			hadamards = append(hadamards, h)
+		} else {
+			outs = append(outs, out)
+		}
+	}
 	ev.AdvanceRound()
 	dots := ev.DotBatch([]VecPair{{A: u, B: v}, {A: u, B: u}, {A: v, B: v}}, 0)
 	ev.AdvanceRound()
@@ -53,6 +63,9 @@ func bigBatch(t *testing.T, chunks int) (*Engine, []int64) {
 	res := ev.OpenBatch(outs)
 	for _, d := range dots {
 		res = append(res, ev.Open(d))
+	}
+	for _, h := range hadamards {
+		res = append(res, ev.OpenVec(h)...)
 	}
 	if err := ev.Err(); err != nil {
 		t.Fatalf("chunks=%d: %v", chunks, err)

@@ -13,7 +13,7 @@ import (
 // seamProgram runs a seeded random program over every command that has
 // two halves or fills a slot: scalar and vector inputs, local gates
 // (vector ones keep length 11: Gather draws 11 indices), a MulBatch and
-// a MulBatchUnreduced level of all three kinds, an unshared input, an
+// a MulBatchUnreduced level of all four kinds, an unshared input, an
 // OpenBatch and an OpenVec.
 func seamProgram(ev *Engine, seed uint64) []int64 {
 	g := randx.New(seed)
@@ -67,34 +67,54 @@ func seamProgram(ev *Engine, seed uint64) []int64 {
 				clear(cs)
 			}
 		}
+		// The first item is scalar-valued: the terminal level adds to it.
 		muls := make([]MulItem, 1+g.IntN(12))
 		for i := range muls {
-			switch g.IntN(3) {
+			switch g.IntN(4) {
 			case 0:
 				muls[i] = MulItem{Kind: MulScalar, A: pick(), B: pick()}
 			case 1:
 				muls[i] = MulItem{Kind: MulInner, As: []Val{pick(), pick(), pick()}, Bs: []Val{pick(), pick(), pick()}}
 			case 2:
 				muls[i] = MulItem{Kind: MulDot, VA: pickVec(), VB: pickVec()}
+			case 3:
+				if i > 0 {
+					muls[i] = MulItem{Kind: MulHadamard, VA: pickVec(), VB: pickVec()}
+				} else {
+					muls[i] = MulItem{Kind: MulDot, VA: pickVec(), VB: pickVec()}
+				}
 			}
+		}
+		// split files a level's results: the Hadamards' vectors with the
+		// vectors, the rest returned.
+		split := func(outs []Val) []Val {
+			var scalars []Val
+			for _, out := range outs {
+				if h, ok := out.(Vec); ok {
+					vecs = append(vecs, h)
+				} else {
+					scalars = append(scalars, out)
+				}
+			}
+			return scalars
 		}
 		if level == 1 {
 			// The last level as Plan.Execute issues a terminal one: kept at
 			// degree 2t, through a linear gate, opened — and an unshared
 			// input added to the vector that is opened beside it.
-			outs := ev.MulBatchUnreduced(muls)
+			outs := split(ev.MulBatchUnreduced(muls))
 			outs[0] = ev.Add(outs[0], pick())
 			noise := make([]int64, 11)
 			for k := range noise {
 				noise[k] = small()
 			}
-			sum := ev.AddVec(ev.AddVec(pickVec(), pickVec()), ev.InputUnshared(g.IntN(p), noise))
+			sum := ev.AddVec(ev.AddVec(vecs[len(vecs)-1], pickVec()), ev.InputUnshared(g.IntN(p), noise))
 			clear(noise) // as Gather's list: parties behind a mesh hold a copy
 			opened := append(ev.OpenBatch(outs), ev.OpenVec(sum)...)
 			ev.AdvanceRound()
 			return opened
 		}
-		outs := ev.MulBatch(muls)
+		outs := split(ev.MulBatch(muls))
 		ev.AdvanceRound()
 		// The second level multiplies the first one's outputs.
 		vals = append(vals, outs...)

@@ -239,3 +239,134 @@ func TestGatherAndLinCombMetering(t *testing.T) {
 		}
 	}
 }
+
+// TestHadamardMetersAsItsScalarProducts holds a MulHadamard item to the
+// n MulScalar items over its elements that it replaces: on both drivers,
+// at P = 4, t = 1 and P = 5, t = 2, a level mixing Hadamards with the
+// other kinds opens the same integers and costs the same Stats — rounds,
+// frames, messages, bytes and FieldOps — reshared (MulBatch) and kept
+// (MulBatchUnreduced), and a kept Hadamard carries degree 2t into a later
+// product as a kept scalar product does.
+func TestHadamardMetersAsItsScalarProducts(t *testing.T) {
+	x := []int64{7, -3, 0, 1 << 20, -9, 4}
+	y := []int64{-1, 2, -4, 8, -16, 5}
+	for _, sh := range []struct{ P, t int }{{4, 1}, {5, 2}} {
+		cfg := Config{Parties: sh.P, Threshold: sh.t, Seed: 23}
+		// program issues the level with Hadamards (vector) or with the
+		// scalar products over At in their place, and opens everything.
+		program := func(e *Engine, vector bool) []int64 {
+			xv, yv := e.InputVec(0, x), e.InputVec(sh.P-1, y)
+			s := e.Input(1, 6)
+			e.AdvanceRound()
+			hadamard := func(a, b Vec) []MulItem {
+				if vector {
+					return []MulItem{{Kind: MulHadamard, VA: a, VB: b}}
+				}
+				items := make([]MulItem, a.Len())
+				for k := range items {
+					items[k] = MulItem{Kind: MulScalar, A: e.At(a, k), B: e.At(b, k)}
+				}
+				return items
+			}
+			// result takes the Hadamard at outs[at] back as a vector and
+			// returns where the next item's result is.
+			result := func(outs []Val, at int) (Vec, int) {
+				if vector {
+					return outs[at].(Vec), at + 1
+				}
+				return e.FromScalars(outs[at : at+len(x)]), at + len(x)
+			}
+			items := []MulItem{{Kind: MulScalar, A: s, B: s}, {Kind: MulDot, VA: xv, VB: yv}}
+			items = append(items, hadamard(xv, yv)...)
+			items = append(items, hadamard(yv, yv)...)
+			outs := e.MulBatch(items)
+			xy, at := result(outs, 2)
+			yy, _ := result(outs, at)
+			e.AdvanceRound()
+			opened := e.OpenBatch(outs[:2])
+			opened = append(opened, e.OpenVec(xy)...)
+			opened = append(opened, e.OpenVec(yy)...)
+			e.AdvanceRound()
+
+			// Kept at degree 2t, then — where 3t fits in P−1 — multiplied
+			// once more by a degree-t column.
+			kept, _ := result(e.MulBatchUnreduced(hadamard(xv, yv)), 0)
+			if sh.P-1 >= 3*sh.t {
+				opened = append(opened, e.OpenBatch(e.MulBatchUnreduced([]MulItem{{Kind: MulDot, VA: kept, VB: xv}}))...)
+			}
+			opened = append(opened, e.OpenVec(e.AddVec(kept, yv))...)
+			e.AdvanceRound()
+			return opened
+		}
+		var want []int64
+		want = append(want, 36, 0)
+		for k := range x {
+			want[1] += x[k] * y[k]
+		}
+		for k := range x {
+			want = append(want, x[k]*y[k])
+		}
+		for k := range y {
+			want = append(want, y[k]*y[k])
+		}
+		if sh.P-1 >= 3*sh.t {
+			var cube int64
+			for k := range x {
+				cube += x[k] * y[k] * x[k]
+			}
+			want = append(want, cube)
+		}
+		for k := range x {
+			want = append(want, x[k]*y[k]+y[k])
+		}
+		for _, driver := range []string{"inline", "mesh"} {
+			newEng := func() *Engine {
+				if driver == "mesh" {
+					return newActorChan(t, cfg)
+				}
+				e, err := NewEngine(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return e
+			}
+			vec, ref := newEng(), newEng()
+			got, scalar := program(vec, true), program(ref, false)
+			for name, e := range map[string]*Engine{"hadamard": vec, "scalar": ref} {
+				if err := e.Err(); err != nil {
+					t.Fatalf("P=%d %s %s: %v", sh.P, driver, name, err)
+				}
+			}
+			if !equalInt64(got, want) || !equalInt64(scalar, want) {
+				t.Errorf("P=%d %s: Hadamard opened %v, scalar products %v, want %v", sh.P, driver, got, scalar, want)
+			}
+			if vs, ss := vec.Stats(), ref.Stats(); vs != ss {
+				t.Errorf("P=%d %s: Hadamard stats %+v, scalar products %+v", sh.P, driver, vs, ss)
+			}
+		}
+	}
+}
+
+// TestEmptyHadamardTakesItsSlot: a Hadamard of two empty vectors — an LR
+// step over an empty batch — adds nothing to the level's row but still
+// fills a vector slot on every party, so the handles issued after it
+// name the slots the parties fill.
+func TestEmptyHadamardTakesItsSlot(t *testing.T) {
+	for name, e := range vecGateEngines(t) {
+		xv := e.InputVec(0, []int64{3, -1})
+		empty := e.Gather(xv, nil)
+		outs := e.MulBatch([]MulItem{{Kind: MulHadamard, VA: empty, VB: empty}, {Kind: MulDot, VA: xv, VB: xv}})
+		if h := outs[0].(Vec); h.Len() != 0 {
+			t.Errorf("%s: Hadamard of empty vectors has %d elements", name, h.Len())
+		}
+		if got := e.OpenVec(e.LinComb([]Vec{xv, xv}, []int64{2, 1}, 0)); !equalInt64(got, []int64{9, -3}) {
+			t.Errorf("%s: a vector after the empty Hadamard opened %v, want [9 -3]", name, got)
+		}
+		if got := e.Open(outs[1]); got != 10 {
+			t.Errorf("%s: the dot beside it opened %d, want 10", name, got)
+		}
+		if err := e.Err(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+}

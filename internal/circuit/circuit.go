@@ -54,6 +54,7 @@ const (
 	kMul
 	kInner
 	kDot
+	kHadamard
 	kAt
 	kAddVec
 	kGather
@@ -67,7 +68,7 @@ const (
 )
 
 // isMul reports whether the node costs a degree-reduction resharing.
-func (k nodeKind) isMul() bool { return k == kMul || k == kInner || k == kDot }
+func (k nodeKind) isMul() bool { return k == kMul || k == kInner || k == kDot || k == kHadamard }
 
 // isInput reports whether the node costs the input sharing round.
 func (k nodeKind) isInput() bool {
@@ -93,7 +94,7 @@ func (k nodeKind) isScalarInput() bool {
 // isVec reports whether the node produces a vector handle.
 func (k nodeKind) isVec() bool {
 	switch k {
-	case kInputVec, kInputVecParam, kInputVecSum, kExtVec, kAddVec, kGather, kLinComb, kFromScalars:
+	case kInputVec, kInputVecParam, kInputVecSum, kExtVec, kAddVec, kGather, kLinComb, kFromScalars, kHadamard:
 		return true
 	}
 	return false
@@ -474,6 +475,14 @@ func (b *Builder) LinComb(vs []bgw.Vec, cs []int64, c0 int64) bgw.Vec {
 func (b *Builder) Dot(a, c bgw.Vec) bgw.Val {
 	ca, cc := b.sameLen(a, c)
 	return b.scalar(node{kind: kDot, a: ca.id, b: cc.id})
+}
+
+// Hadamard records the element-wise product a ⊙ b, a vector: one
+// multiplicative gate however long, whose elements Execute reduces — or
+// keeps — together (bgw.MulHadamard).
+func (b *Builder) Hadamard(a, c bgw.Vec) bgw.Vec {
+	ca, cc := b.sameLen(a, c)
+	return b.vector(node{kind: kHadamard, a: ca.id, b: cc.id}, ca.n)
 }
 
 // DotBatch records one Dot gate per pair; the scheduler re-batches all

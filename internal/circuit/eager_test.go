@@ -6,7 +6,8 @@ import "sqm/internal/bgw"
 // schedule driven through the engine's singleton gates, the way protocols
 // drove an engine before plans existed — one InputElem per scalar input
 // and one InputVec per vector, all up front, one Mul / InnerProduct / Dot
-// and one wire round per multiplicative gate, one Open per scalar output.
+// — or a MulBatch of one Hadamard — and one wire round per
+// multiplicative gate, one Open per scalar output.
 // BGW computes exactly, so it must open what Execute opens, bit for bit,
 // in EagerRounds rounds. It reduces after every gate, whatever degree
 // the plan leaves it at, and it shares every input leaf — it finds them
@@ -42,6 +43,8 @@ func (p *Plan) runEager(eng bgw.Evaluator, bind Bindings) (*Result, error) {
 					r.vals[id] = eng.InnerProduct(as, bs)
 				case kDot:
 					r.vals[id] = eng.Dot(r.vecs[n.a], r.vecs[n.b])
+				case kHadamard:
+					r.vecs[id] = eng.MulBatch([]bgw.MulItem{{Kind: bgw.MulHadamard, VA: r.vecs[n.a], VB: r.vecs[n.b]}})[0].(bgw.Vec)
 				}
 				eng.AdvanceRound()
 			}

@@ -57,7 +57,7 @@ func randomCircuit(b *Builder, rng *rand.Rand) (Bindings, circuitTails) {
 		return v1, pickVecLike(v1)
 	}
 	for i, ops := 0, 5+rng.Intn(20); i < ops; i++ {
-		switch rng.Intn(17) {
+		switch rng.Intn(18) {
 		case 0:
 			vals = append(vals, b.Add(pick(), pick()))
 		case 1:
@@ -122,6 +122,9 @@ func randomCircuit(b *Builder, rng *rand.Rand) (Bindings, circuitTails) {
 				vs[k], cs[k] = pickVecLike(like), int64(rng.Intn(21)-10)
 			}
 			vecs = append(vecs, b.LinComb(vs, cs[:len(vs)], int64(rng.Intn(101)-50)))
+		case 17:
+			v1, v2 := pickVecPair()
+			vecs = append(vecs, b.Hadamard(v1, v2))
 		}
 	}
 	for i, n := 0, 1+rng.Intn(3); i < n; i++ {
@@ -690,9 +693,10 @@ func TestFuzzCorpusReachesUnreducedChains(t *testing.T) {
 
 // TestFuzzCorpusReachesVectorGates keeps the corpus honest when
 // randomCircuit's draws shift: its seeds must still record a Gather, a
-// Gather of nothing and a LinComb of several terms.
+// Gather of nothing, a LinComb of several terms, and Hadamard products —
+// compiled, one Execute reshares and one it keeps at its degree.
 func TestFuzzCorpusReachesVectorGates(t *testing.T) {
-	var gathers, empty, combs int
+	var gathers, empty, combs, reshared, kept int
 	for _, seed := range fuzzSeeds {
 		b := NewBuilder(4, 0)
 		randomCircuit(b, rand.New(rand.NewSource(seed)))
@@ -706,9 +710,18 @@ func TestFuzzCorpusReachesVectorGates(t *testing.T) {
 				combs++
 			}
 		}
+		for _, n := range b.MustCompile().nodes {
+			switch {
+			case n.kind == kHadamard && n.reshare:
+				reshared++
+			case n.kind == kHadamard:
+				kept++
+			}
+		}
 	}
-	if gathers == 0 || empty == 0 || combs == 0 {
-		t.Fatalf("corpus records %d Gather, %d empty Gather, %d multi-term LinComb gates; want each", gathers, empty, combs)
+	if gathers == 0 || empty == 0 || combs == 0 || reshared == 0 || kept == 0 {
+		t.Fatalf("corpus records %d Gather, %d empty Gather, %d multi-term LinComb gates, %d reshared and %d kept Hadamards; want each",
+			gathers, empty, combs, reshared, kept)
 	}
 }
 

@@ -244,10 +244,16 @@ func (p *Plan) mulGates(r *Result, gates []int32, mul func([]bgw.MulItem) []bgw.
 			items[i] = bgw.MulItem{Kind: bgw.MulInner, As: as, Bs: bs}
 		case kDot:
 			items[i] = bgw.MulItem{Kind: bgw.MulDot, VA: r.vecs[n.a], VB: r.vecs[n.b]}
+		case kHadamard:
+			items[i] = bgw.MulItem{Kind: bgw.MulHadamard, VA: r.vecs[n.a], VB: r.vecs[n.b]}
 		}
 	}
 	for i, out := range mul(items) {
-		r.vals[gates[i]] = out
+		if p.nodes[gates[i]].kind == kHadamard {
+			r.vecs[gates[i]] = out.(bgw.Vec)
+		} else {
+			r.vals[gates[i]] = out
+		}
 	}
 }
 

@@ -63,6 +63,10 @@ func (p *Plan) Plain(bind Bindings) (*Result, error) {
 				acc = field.Add(acc, field.Mul(va[k], vb[k]))
 			}
 			vals[id] = acc
+		case kHadamard:
+			out := make([]field.Elem, n.n)
+			field.MulVec(out, vecs[n.a], vecs[n.b])
+			vecs[id] = out
 		case kAt:
 			vals[id] = vecs[n.a][n.b]
 		case kAddVec:

@@ -92,7 +92,7 @@ func (p *Plan) eachOperand(n *node, visit func(op int32)) bool {
 	switch n.kind {
 	case kZero, kInput, kInputElem, kInputVec, kInputParam, kInputVecParam, kInputSum, kInputVecSum, kExtVal, kExtVec, kFolded:
 		// leaves (and removed nodes)
-	case kAdd, kSub, kAddVec, kMul, kDot:
+	case kAdd, kSub, kAddVec, kMul, kDot, kHadamard:
 		visit(n.a)
 		visit(n.b)
 	case kAddConst, kMulConst, kAddConstP, kMulConstP, kAt, kGather, kOpen, kOpenVec:
@@ -115,8 +115,8 @@ func (p *Plan) eachOperand(n *node, visit func(op int32)) bool {
 // schedule assigns levels and degrees and lists every level's gates.
 // The leveling rule: inputs, external bindings and constants sit at
 // level 0; local (linear) operations inherit the maximum level of their
-// operands; multiplicative gates (Mul, InnerProduct, Dot) take the
-// maximum operand level plus one. All gates of a level are independent
+// operands; multiplicative gates (Mul, InnerProduct, Dot, Hadamard) take
+// the maximum operand level plus one. All gates of a level are independent
 // by construction and execute as one batched communication round — or
 // none, when none of them is reshared (see assignDegrees); the shared
 // input leaves, which depend on nothing, are listed apart so they share
@@ -347,8 +347,8 @@ func (p *Plan) fitProduct(n *node, low *lowering) (int32, error) {
 }
 
 // eachPair calls visit with the operand ids of every product the
-// multiplicative node n sums: one pair for Mul and Dot, one per term for
-// InnerProduct.
+// multiplicative node n sums: one pair for Mul, Dot and Hadamard, one per
+// term for InnerProduct.
 func (p *Plan) eachPair(n *node, visit func(a, b int32)) {
 	if n.kind != kInner {
 		visit(n.a, n.b)

@@ -153,17 +153,17 @@ func (c coefs) u(row []int64, lab int64) int64 {
 
 // gate records u over the batch's shared columns (the d feature columns,
 // then the label column). The linear part is one affine vector gate. At
-// order 3, c is a second one and the cube costs two multiplication
-// levels on its B entries, taken out as scalars; the circuit records −c,
-// because (−c)³ = −c³ joins u by an addition and the gate surface has no
-// vector subtraction. With the inner products that is multiplicative
-// depth 3 and, for any batch, one wire round per level the degree rule
-// reshares and the opening (circuit.Plan.Rounds): the inner products are
-// opened at the degree they have, the cube — of degree 3t, or 2t over a
-// reshared square — reshares before its product with a degree-t column,
-// and the square c·c, of degree 2t, reshares only when the cube over it
-// would pass P−1. At the default P = 4, t = 1 that is two rounds, at
-// P = 5, t = 2 three.
+// order 3, c is a second one and the cube is two Hadamard products, one
+// multiplication level each, whatever the batch size; the circuit
+// records −c, because (−c)³ = −c³ joins u by an addition and the gate
+// surface has no vector subtraction. With the inner products that is
+// multiplicative depth 3 and, for any batch, one wire round per level the
+// degree rule reshares and the opening (circuit.Plan.Rounds): the inner
+// products are opened at the degree they have, the cube — of degree 3t,
+// or 2t over a reshared square — reshares before its product with a
+// degree-t column, and the square c·c, of degree 2t, reshares only when
+// the cube over it would pass P−1. At the default P = 4, t = 1 that is
+// two rounds, at P = 5, t = 2 three.
 func (c coefs) gate(b *circuit.Builder, cols []bgw.Vec) bgw.Vec {
 	d := len(c.lin)
 	u := b.LinComb(cols, append(append(make([]int64, 0, d+1), c.lin...), -c.label), c.half)
@@ -175,12 +175,7 @@ func (c coefs) gate(b *circuit.Builder, cols []bgw.Vec) bgw.Vec {
 		negWc[j] = -v
 	}
 	negC := b.LinComb(cols[:d], negWc, 0)
-	cubes := make([]bgw.Val, negC.Len())
-	for i := range cubes {
-		ci := b.At(negC, i)
-		cubes[i] = b.Mul(b.Mul(ci, ci), ci)
-	}
-	return b.AddVec(u, b.FromScalars(cubes))
+	return b.AddVec(u, b.Hadamard(b.Hadamard(negC, negC), negC))
 }
 
 // LRSensitivity returns Lemma 7's L2/L1 sensitivities of the quantized

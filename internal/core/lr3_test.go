@@ -320,3 +320,24 @@ func TestLR3PlannedRoundsIndependentOfBatch(t *testing.T) {
 		}
 	}
 }
+
+// TestLR3StepPlanSizeIndependentOfBatch: the order-3 step's circuit —
+// the cube two Hadamard gates, the gradient d dots — compiles to as many
+// nodes for a batch of 1 000 records as for one of 10.
+func TestLR3StepPlanSizeIndependentOfBatch(t *testing.T) {
+	const d = 20
+	p := Params{Gamma: 16, Mu: 1e4, Engine: EngineBGW, Seed: 1}
+	if err := p.normalize(d + 1); err != nil {
+		t.Fatal(err)
+	}
+	gates := func(batch int) int {
+		plan, _, err := recordGradient(&p, d, batch, p.Parties, testCoefs(d, true).gate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan.Gates()
+	}
+	if small, large := gates(10), gates(1000); small != large {
+		t.Errorf("an order-3 step compiles %d nodes at B = 10 and %d at B = 1 000", small, large)
+	}
+}

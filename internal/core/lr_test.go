@@ -4,8 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"sqm/internal/bgw"
-	"sqm/internal/circuit"
 	"sqm/internal/linalg"
 	"sqm/internal/randx"
 )
@@ -277,31 +275,54 @@ func BenchmarkLRGradientBGW(b *testing.B) {
 	}
 }
 
-// BenchmarkGradientPlanBuild records and compiles the lr_chan-shaped
-// gradient circuit (B = 200 records, d = 50 features, one client per
-// column), which every step of an LR session does: 3d + parties nodes
-// or so whatever B is, where the per-record circuit it replaced was
-// ~36 k. ns/op divided by the reported nodes/op is the per-node cost.
+// BenchmarkGradientPlanBuild records and compiles a gradient circuit,
+// which every step of an LR session does: order 1 at the lr_chan shape
+// (B = 200 records, d = 50 features, one client per column), 3d + parties
+// nodes or so whatever B is, where the per-record circuit it replaced was
+// ~36 k; order 3 at the lr3_tcp shape (B = 100, d = 20), whose cube is two
+// Hadamard gates whatever B is. ns/op divided by the reported nodes/op is
+// the per-node cost.
 func BenchmarkGradientPlanBuild(b *testing.B) {
-	const batch, d = 200, 50
-	p := Params{Gamma: 18, Mu: 1e4, Engine: EngineBGW, Seed: 1}
-	if err := p.normalize(d + 1); err != nil {
-		b.Fatal(err)
-	}
-	_, clientRNGs := rngFamily(p.Seed, p.NumClients)
-	holders := p.begin(clientRNGs).holders()
-	cs := make([]int64, d+1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var nodes int
-	for i := 0; i < b.N; i++ {
-		plan, _, err := recordGradient(&p, d, batch, holders, func(cb *circuit.Builder, cols []bgw.Vec) bgw.Vec {
-			return cb.LinComb(cols, cs, 1)
+	for _, c := range []struct {
+		name     string
+		batch, d int
+		order3   bool
+	}{{"order1", 200, 50, false}, {"order3", 100, 20, true}} {
+		b.Run(c.name, func(b *testing.B) {
+			p := Params{Gamma: 18, Mu: 1e4, Engine: EngineBGW, Seed: 1}
+			if err := p.normalize(c.d + 1); err != nil {
+				b.Fatal(err)
+			}
+			_, clientRNGs := rngFamily(p.Seed, p.NumClients)
+			holders := p.begin(clientRNGs).holders()
+			co := testCoefs(c.d, c.order3)
+			b.ReportAllocs()
+			b.ResetTimer()
+			var nodes int
+			for i := 0; i < b.N; i++ {
+				plan, _, err := recordGradient(&p, c.d, c.batch, holders, co.gate)
+				if err != nil {
+					b.Fatal(err)
+				}
+				nodes = plan.Gates()
+			}
+			b.ReportMetric(float64(nodes), "nodes/op")
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		nodes = plan.Gates()
 	}
-	b.ReportMetric(float64(nodes), "nodes/op")
+}
+
+// testCoefs returns coefficients of the shape an order-1 or order-3 step
+// records over d features; their values do not change the circuit.
+func testCoefs(d int, order3 bool) coefs {
+	c := coefs{lin: make([]int64, d), half: 1, label: 1}
+	if order3 {
+		c.cube = make([]int64, d)
+	}
+	for j := range c.lin {
+		c.lin[j] = int64(j + 1)
+		if order3 {
+			c.cube[j] = int64(d - j)
+		}
+	}
+	return c
 }

@@ -74,14 +74,13 @@ func EvaluateMonomialSum(m poly.Monomial, x *linalg.Matrix, p Params) (float64, 
 // noise, and the server divides by scale. s is what evaluate books.
 func (r *release) polySum(q *poly.Quantized, x *linalg.Matrix, scale float64, s *sensitivities) ([]float64, *Trace, error) {
 	qd := quantizeByClient(x, r.p, r.rngs)
-	// The circuit takes the noise as scalar literals (mpcPolySum), so the
-	// draw is joined at once.
-	noise := r.drawNoise(q.Source.OutDim()).join()
+	noise := r.drawNoise(q.Source.OutDim())
+	defer noise.join()
 	scaled, err := r.evaluate(polyBound(q, qd), s,
 		func() ([]int64, error) {
 			sum, err := q.EvalIntSum(qd)
 			if err == nil {
-				r.addNoise(sum, noise)
+				r.addNoise(sum, noise.join())
 			}
 			return sum, err
 		},
@@ -94,95 +93,83 @@ func (r *release) polySum(q *poly.Quantized, x *linalg.Matrix, scale float64, s 
 }
 
 // mpcPolySum evaluates the quantized polynomial over secret shares with
-// whichever Evaluator backend p.Engine selects. The circuit is recorded
-// into a level-scheduled plan: the columns some monomial multiplies share
-// in one input round, every multiplication level that reshares a product
-// runs as one batched degree-reduction round — a monomial's chain
-// reshares only where its next factor would take it above degree P−1, so
-// a degree-3 monomial at P = 4, t = 1 reshares nothing — and the outputs
-// open in one batched round: rounds derive from the compiled plan, not
-// hand bookkeeping.
-// The noise, and a column only degree-1 monomials read, reach nothing but
-// the opening and are added there unshared: a purely linear release is
-// one masked-sum round.
-func (r *release) mpcPolySum(q *poly.Quantized, data *quant.IntMatrix, noise [][]int64) ([]int64, error) {
+// whichever Evaluator backend p.Engine selects, recorded on vectors into
+// a level-scheduled plan. A monomial of degree k ≥ 2 is k − 2 Hadamard
+// products of its factor columns and a terminal Dot — one gate per
+// multiplication level, whatever the number of records — and the
+// scheduler batches every monomial's j-th level into one round, which
+// reshares only where the next factor would take a product above degree
+// P−1: a degree-3 monomial at P = 4, t = 1 reshares nothing. Only the
+// columns such a monomial reads are dealt, in one input round, and the
+// outputs open in one batched round. A degree-1 monomial's column sum is
+// its owner's own integer sum, and the noise is one vector per holder
+// (inputNoise): both reach nothing but the opening and are added there
+// unshared, so a purely linear release is one masked-sum round.
+func (r *release) mpcPolySum(q *poly.Quantized, data *quant.IntMatrix, noise *noiseDraw) ([]int64, error) {
 	p := r.p
 	n, m := data.Cols, data.Rows
+	owner := func(j int) int { return p.partyOf(p.clientOf(j, n)) }
 	b := circuit.NewBuilder(p.Parties, p.Threshold)
-	cols := p.inputColumns(b, data, n)
-	// Every party's noise is one scalar input per output dimension.
-	d := q.Source.OutDim()
-	noiseShared := make([]bgw.Val, d)
-	for t := 0; t < d; t++ {
-		acc := b.Zero()
-		for h, v := range noise {
-			acc = b.Add(acc, b.Input(h, v[t]))
+	cols := make([]bgw.Vec, n)
+	col := func(j int) bgw.Vec {
+		if cols[j] == nil {
+			cols[j] = b.InputVec(owner(j), data.Col(j))
 		}
-		noiseShared[t] = acc
+		return cols[j]
 	}
-
-	// Pre-compute column sums (local) for degree-1 monomials.
-	var colSum []bgw.Val
-	lazyColSum := func(j int) bgw.Val {
-		if colSum == nil {
-			colSum = make([]bgw.Val, n)
-		}
-		if colSum[j] == nil {
-			acc := b.Zero()
+	sums := make([]bgw.Val, n)
+	colSum := func(j int) bgw.Val {
+		if sums[j] == nil {
+			var s int64
 			for i := 0; i < m; i++ {
-				acc = b.Add(acc, b.At(cols[j], i))
+				s += data.At(i, j)
 			}
-			colSum[j] = acc
+			sums[j] = b.Input(owner(j), s)
 		}
-		return colSum[j]
+		return sums[j]
 	}
 
-	outIdx := make([]int, d)
+	d := q.Source.OutDim()
+	accs := make([]bgw.Val, d)
+	var factors []bgw.Vec
 	for t, pol := range q.Source.Dims {
 		acc := b.Zero()
 		for l, mono := range pol.Monomials {
 			coef := q.Coefs[t][l]
-			switch deg := mono.Degree(); {
-			case deg == 0:
+			var term bgw.Val
+			switch k := mono.Degree(); k {
+			case 0:
 				acc = b.AddConst(acc, coef*int64(m))
-			case deg == 1:
-				j := singleVar(mono.Exps)
-				acc = b.Add(acc, b.MulConst(lazyColSum(j), coef))
-			case deg == 2:
-				a, c := twoVars(mono.Exps)
-				acc = b.Add(acc, b.MulConst(b.Dot(cols[a], cols[c]), coef))
+				continue
+			case 1:
+				term = colSum(singleVar(mono.Exps))
 			default:
-				// General chain: per record, multiply the factors one
-				// level at a time; the scheduler batches every record's
-				// k-th multiplication into one round.
-				sum := b.Zero()
-				for i := 0; i < m; i++ {
-					var prod bgw.Val
-					for j, e := range mono.Exps {
-						for k := 0; k < e; k++ {
-							if prod == nil {
-								prod = b.At(cols[j], i)
-							} else {
-								prod = b.Mul(prod, b.At(cols[j], i))
-							}
-						}
+				factors = factors[:0]
+				for j, e := range mono.Exps {
+					for range e {
+						factors = append(factors, col(j))
 					}
-					sum = b.Add(sum, prod)
 				}
-				acc = b.Add(acc, b.MulConst(sum, coef))
+				prod := factors[0]
+				for _, f := range factors[1 : k-1] {
+					prod = b.Hadamard(prod, f)
+				}
+				term = b.Dot(prod, factors[k-1])
 			}
+			acc = b.Add(acc, b.MulConst(term, coef))
 		}
-		outIdx[t] = b.OpenIdx(b.Add(acc, noiseShared[t]))
+		accs[t] = acc
 	}
-	res, err := r.runOnce(b, 0xb6d5, circuit.Bindings{})
+	out := b.FromScalars(accs)
+	for h := range noise.holders {
+		out = p.inputNoise(b, out, h, d)
+	}
+	outIdx := b.OpenVecIdx(out)
+	res, err := r.runOnce(b, 0xb6d5, circuit.Bindings{InputVecs: noise.join})
 	if err != nil {
 		return nil, err
 	}
-	scaled := make([]int64, d)
-	for t := range scaled {
-		scaled[t] = res.Opened(outIdx[t])
-	}
-	return scaled, nil
+	return res.OpenedVec(outIdx), nil
 }
 
 // polyBound statically bounds the noiseless aggregate from the
@@ -209,23 +196,4 @@ func singleVar(exps []int) int {
 		}
 	}
 	panic(invariant.Violation("core: not a degree-1 monomial"))
-}
-
-// twoVars returns the (possibly equal) variable pair of a degree-2
-// monomial.
-func twoVars(exps []int) (int, int) {
-	first := -1
-	for j, e := range exps {
-		switch e {
-		case 1:
-			if first < 0 {
-				first = j
-			} else {
-				return first, j
-			}
-		case 2:
-			return j, j
-		}
-	}
-	panic(invariant.Violation("core: not a degree-2 monomial"))
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"sqm/internal/bgw"
 	"sqm/internal/poly"
 )
 
@@ -42,6 +43,63 @@ func TestDegreeThreeMonomialKeepsItsProducts(t *testing.T) {
 		frames := 3*unseeded + (c.rounds-2)*P*unseeded + P*(P-1)
 		if tr.Stats.Rounds != c.rounds || tr.Stats.Frames != frames {
 			t.Errorf("P=%d: %d rounds and %d frames, want %d and %d", c.parties, tr.Stats.Rounds, tr.Stats.Frames, c.rounds, frames)
+		}
+	}
+}
+
+// TestPolynomialSumMonomialDegreesMatchPlain is Algorithm 3's differential
+// test over monomials of every degree from 0 to 4 — a column sum, a dot,
+// Hadamard chains of one and two links before their dot, a square and a
+// fourth power of one column — in two output dimensions, with every column
+// read by a monomial of degree 2 or more. On both BGW drivers, at P = 4,
+// t = 1 and P = 5, t = 2, the opened integers are the plain engine's, and
+// the rounds, frames, messages and bytes are those the release cost when
+// it recorded every monomial per record as a chain of scalar products.
+func TestPolynomialSumMonomialDegreesMatchPlain(t *testing.T) {
+	x := randMatrix(12, 4, 0.6, 29)
+	f := poly.MustMulti(
+		poly.MustPolynomial(4,
+			poly.Monomial{Coef: 0.7, Exps: []int{0, 0, 0, 0}},
+			poly.Monomial{Coef: -0.3, Exps: []int{1, 0, 0, 0}},
+			poly.Monomial{Coef: 1.1, Exps: []int{0, 1, 1, 0}},
+			poly.Monomial{Coef: 0.5, Exps: []int{2, 0, 0, 1}},
+			poly.Monomial{Coef: -0.8, Exps: []int{1, 1, 1, 1}},
+		),
+		poly.MustPolynomial(4,
+			poly.Monomial{Coef: 0.2, Exps: []int{0, 0, 0, 1}},
+			poly.Monomial{Coef: 0.9, Exps: []int{0, 0, 2, 0}},
+			poly.Monomial{Coef: -0.6, Exps: []int{0, 4, 0, 0}},
+		),
+	)
+	base := Params{Gamma: 16, Mu: 30, NumClients: 4, Seed: 41}
+	_, plain, err := EvaluatePolynomialSum(f, x, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		parties, threshold int
+		want               bgw.Stats // FieldOps is not compared
+	}{
+		{4, 1, bgw.Stats{Rounds: 3, Frames: 28, Messages: 312, Bytes: 2496}},
+		{5, 2, bgw.Stats{Rounds: 4, Frames: 48, Messages: 736, Bytes: 5888}},
+	} {
+		for _, engine := range []EngineKind{EngineBGW, EngineActorBGW} {
+			p := base
+			p.Engine, p.Parties, p.Threshold = engine, c.parties, c.threshold
+			_, tr, err := EvaluatePolynomialSum(f, x, p)
+			if err != nil {
+				t.Fatalf("P=%d %v: %v", c.parties, engine, err)
+			}
+			for d := range plain.Scaled {
+				if tr.Scaled[d] != plain.Scaled[d] {
+					t.Errorf("P=%d %v: output %d opened %d, plain %d", c.parties, engine, d, tr.Scaled[d], plain.Scaled[d])
+				}
+			}
+			got := tr.Stats
+			got.FieldOps = 0
+			if got != c.want {
+				t.Errorf("P=%d %v: %+v, want %+v", c.parties, engine, got, c.want)
+			}
 		}
 	}
 }

@@ -20,10 +20,9 @@
 //     worker drawing through its own sampler (release.sampleNoise,
 //     randx.SkellamSampler). The draw runs beside the rest of the release
 //     (release.drawNoise, span core.noise): the noise reaches nothing but
-//     the opening, so the covariance and the gradient step join it only
-//     when their plan enters the noise, after its last multiplicative
-//     level, while the polynomial sum and the plaintext engine join it
-//     at once;
+//     the opening, so every plan joins it only when it enters the noise,
+//     after its last multiplicative level, while the plaintext engine
+//     joins it at once;
 //  4. the static bound on the aggregate is checked against the field,
 //     and only then is the engine selected — release.evaluate, the one
 //     place Params.Engine forks. The plaintext integer engine adds the

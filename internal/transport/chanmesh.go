@@ -24,11 +24,15 @@ type ChanMesh struct {
 	closed   atomic.Bool
 }
 
-// queue is an unbounded FIFO with close semantics.
+// queue is an unbounded FIFO with close semantics. items[head:] are
+// waiting; a pop clears the slot it takes, so a delivered frame is the
+// receiver's alone, and a queue drained empty starts over at the front
+// of the same array, so steady bursts reuse it instead of regrowing it.
 type queue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	items  [][]byte
+	head   int
 	closed bool
 }
 
@@ -43,6 +47,13 @@ func (q *queue) push(b []byte) error {
 	defer q.mu.Unlock()
 	if q.closed {
 		return ErrClosed
+	}
+	if q.head > 0 && len(q.items) == cap(q.items) {
+		// Full with taken slots at the front: move the waiting items
+		// down rather than grow.
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
 	}
 	q.items = append(q.items, b)
 	q.cond.Signal()
@@ -70,17 +81,20 @@ func (q *queue) popWait(d time.Duration) ([]byte, error) {
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(q.items) == 0 && !q.closed {
+	for q.head == len(q.items) && !q.closed {
 		if d > 0 && !time.Now().Before(deadline) {
 			return nil, ErrTimeout
 		}
 		q.cond.Wait()
 	}
-	if len(q.items) == 0 {
+	if q.head == len(q.items) {
 		return nil, ErrClosed
 	}
-	b := q.items[0]
-	q.items = q.items[1:]
+	b := q.items[q.head]
+	q.items[q.head] = nil
+	if q.head++; q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
 	return b, nil
 }
 

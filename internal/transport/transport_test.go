@@ -330,3 +330,67 @@ func TestWrapClosed(t *testing.T) {
 		t.Error("wrapClosed(nil) != nil")
 	}
 }
+
+// TestQueueReusesItsArrayAndDropsPoppedFrames: the FIFO behind ChanMesh
+// and the NetMesh writers keeps one backing array across bursts — a
+// burst drained empty starts the next at the front — and no slot of it
+// still holds a frame the receiver has taken. A queue that never drains
+// moves its waiting frames down instead of growing past them.
+func TestQueueReusesItsArrayAndDropsPoppedFrames(t *testing.T) {
+	q := newQueue()
+	const burst = 40
+	var first *[]byte
+	for round := 0; round < 5; round++ {
+		for i := 0; i < burst; i++ {
+			if err := q.push([]byte{byte(round), byte(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if round == 0 {
+			first = &q.items[:1][0]
+		} else if &q.items[:1][0] != first {
+			t.Fatalf("burst %d: the queue regrew its array", round)
+		}
+		for i := 0; i < burst; i++ {
+			b, err := q.pop()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b[0] != byte(round) || b[1] != byte(i) {
+				t.Fatalf("burst %d: popped %v, want [%d %d]", round, b, round, i)
+			}
+			for k, slot := range q.items[:q.head] {
+				if slot != nil {
+					t.Fatalf("burst %d: slot %d still holds a popped frame", round, k)
+				}
+			}
+		}
+		for k, slot := range q.items[:cap(q.items)] {
+			if slot != nil {
+				t.Fatalf("burst %d: drained queue's slot %d still holds a frame", round, k)
+			}
+		}
+	}
+
+	// A queue that never drains: three frames always waiting.
+	next, want := 0, 0
+	for ; next < 3; next++ {
+		q.push([]byte{byte(next)})
+	}
+	size := cap(q.items)
+	for i := 0; i < 10*size; i++ {
+		q.push([]byte{byte(next)})
+		next++
+		b, err := q.pop()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b[0] != byte(want) {
+			t.Fatalf("popped %d, want %d", b[0], byte(want))
+		}
+		want++
+	}
+	if cap(q.items) != size {
+		t.Errorf("three frames waiting, and the array grew from %d to %d", size, cap(q.items))
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"time"
 
+	"sqm/internal/bgw"
 	"sqm/internal/core"
 	"sqm/internal/dataset"
 	"sqm/internal/linalg"
@@ -92,7 +93,7 @@ func lrTiming(o Options, m, n, parties int) (timingResult, error) {
 	}
 	measured := tr.Compute + setup
 	rounds := proto.SetupStats().Rounds + tr.Stats.Rounds
-	return timingResult{total: measured + time.Duration(rounds)*tr.Lat, noise: tr.NoiseTime(), measured: measured, rounds: rounds}, nil
+	return timingResult{total: measured + time.Duration(rounds)*bgw.DefaultLatency, noise: tr.NoiseTime(), measured: measured, rounds: rounds}, nil
 }
 
 // timingTable runs a PCA and an LR cell for each swept value x, whose

@@ -268,7 +268,9 @@ func TestUnsharedInputMetering(t *testing.T) {
 // readable degree-t handle and an unreduced one, at degree P−1, refuses
 // one more share; the product times itself is refused at every one of
 // them; an unshared input (degree P−1), or a linear gate over one, is
-// refused at every P. Linear gates and openings take every handle.
+// refused at every P. An inner product takes its largest pair's degree:
+// InnerProduct([x, h], [h, x]) of an unreduced product h is accepted
+// where h times a share is. Linear gates and openings take every handle.
 func TestOpenOnlyOperandsFailTheEngine(t *testing.T) {
 	type env struct {
 		e    *Engine
@@ -321,6 +323,12 @@ func TestOpenOnlyOperandsFailTheEngine(t *testing.T) {
 		"Mul": {false, true, func(c env, s source) (Val, int64) { return c.e.Mul(c.x, c.high), 6 * s.val }},
 		"InnerProduct": {false, true, func(c env, s source) (Val, int64) {
 			return c.e.InnerProduct([]Val{c.x, c.high}, []Val{c.x, c.x}), 36 + 6*s.val
+		}},
+		// Crossed: every pair is the source times a share, so the degree
+		// is deg + t, while the sides packed for the dot would sum to
+		// 2·deg. The pairs' degree decides.
+		"InnerProduct crossed": {false, true, func(c env, s source) (Val, int64) {
+			return c.e.InnerProduct([]Val{c.x, c.high}, []Val{c.high, c.x}), 2 * 6 * s.val
 		}},
 		"Dot": {false, true, func(c env, s source) (Val, int64) { return c.e.Dot(c.hvec, c.v), dot(s.vec, v) }},
 		"DotBatch": {false, true, func(c env, s source) (Val, int64) {

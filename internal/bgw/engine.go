@@ -55,6 +55,12 @@ import (
 // round's boundary (AdvanceRound), issues the round as one command
 // (issueRound): every party deals all the vectors it owns before it
 // waits on a peer's, so no party's dealing waits on another's.
+//
+// The parties compute on vectors only (actorOp). The scalar gates are
+// lowerings onto the vector ones, with the shares, traffic and FieldOps
+// those had: Input is element 0 of an InputVec of one, a MulScalar or
+// MulInner item is a MulDot over its operands packed with FromScalars
+// (mulBatch), and OpenBatch is an OpenVec of the packed scalars.
 type Engine struct {
 	p, t    int
 	mesh    transport.Mesh // nil when the parties run inline
@@ -369,18 +375,6 @@ func (e *Engine) await(reply chan actorReply) []actorReply {
 	return replies
 }
 
-// issueShared gives the handles hs — whose degrees the caller set — the
-// next len(hs) scalar slots (the outputs of a batched command).
-func (e *Engine) issueShared(hs []Shared) []Val {
-	out := make([]Val, len(hs))
-	for i := range hs {
-		hs[i].eng, hs[i].ref = e, e.nextSc
-		e.nextSc++
-		out[i] = &hs[i]
-	}
-	return out
-}
-
 // newVec issues the handle of the next vector slot.
 func (e *Engine) newVec(n, deg int) *SharedVec {
 	e.nextVec++
@@ -445,41 +439,16 @@ func (e *Engine) local(c actorCmd, deg int) Val {
 	return h
 }
 
-// Input has party owner secret-share the signed value v: an InputBatch
-// of one.
+// Input has party owner secret-share the signed value v: element 0 of an
+// InputVec of one, which joins the open input round.
 func (e *Engine) Input(owner int, v int64) Val {
-	return e.InputElem(owner, field.FromInt64(v))
+	return e.At(e.InputVec(owner, []int64{v}), 0)
 }
 
-// InputElem has party owner secret-share a raw field element. Used by
-// preprocessing protocols (e.g. Beaver-triple generation) whose values
-// are uniform field elements rather than signed integers.
+// InputElem has party owner secret-share a raw field element, as Input
+// shares its signed representative.
 func (e *Engine) InputElem(owner int, el field.Elem) Val {
-	return e.InputBatch([]InputItem{{Owner: owner, Elem: el}})[0]
-}
-
-// InputBatch has every owner share its items in item order and send
-// each unseeded peer one frame carrying all of them; the owner's t
-// seeded peers draw theirs (see Engine).
-func (e *Engine) InputBatch(items []InputItem) []Val {
-	if len(items) == 0 {
-		return []Val{}
-	}
-	for _, it := range items {
-		e.checkParty(it.Owner)
-	}
-	if e.mesh != nil {
-		// Party goroutines run behind the caller and need their own copy;
-		// inline parties are done with items when dispatch returns.
-		items = append([]InputItem(nil), items...)
-	}
-	hs := make([]Shared, len(items))
-	for i := range hs {
-		hs[i].deg = e.t
-	}
-	out := e.issueShared(hs)
-	e.dispatch(actorCmd{op: opInputBatch, x: &cmdPayload{inputs: items}})
-	return out
+	return e.Input(owner, field.ToInt64(el))
 }
 
 // InputVec has party owner secret-share the signed vector vs, one frame
@@ -582,17 +551,6 @@ func (e *Engine) DotBatch(pairs []VecPair, workers int) []Val {
 	return e.MulBatch(items)
 }
 
-// scRefs resolves a list of scalar handles to their slots and returns
-// the largest degree among them.
-func (e *Engine) scRefs(vs []Val) (refs []int, deg int) {
-	refs = make([]int, len(vs))
-	for i, v := range vs {
-		s := e.shared(v)
-		refs[i], deg = s.ref, max(deg, s.deg)
-	}
-	return refs, deg
-}
-
 // MulBatch evaluates one level of independent multiplicative gates in a
 // single batched degree-reduction round: every party computes all local
 // products, then one reshare exchange carries every sub-share in one
@@ -619,31 +577,48 @@ func (e *Engine) MulBatchUnreduced(items []MulItem) []Val {
 // zeros. The scalar-valued items take the next scalar slots in item
 // order, and the MulHadamard items the next vector slots; in the parties'
 // row every item takes its width in item order (mulDesc.at).
+//
+// A MulScalar or MulInner item is a MulDot over its operands packed with
+// FromScalars. Its degree is still its largest pair's, not the packed
+// sides' sum: an inner product of a share and a product against the
+// product and the share is 3t, where the packed sides would be 4t. The
+// packing commands take vector slots, so they are issued before any of
+// the level's results is.
 func (e *Engine) mulBatch(op actorOp, items []MulItem) []Val {
 	if len(items) == 0 {
 		return []Val{}
 	}
 	muls := make([]mulDesc, len(items))
+	var pairDeg []int // each scalar item's largest pair degree; nil on a level without one
+	for i, it := range items {
+		as, bs := it.As, it.Bs
+		switch it.Kind {
+		case MulScalar:
+			as, bs = []Val{it.A}, []Val{it.B}
+		case MulInner:
+			if len(as) != len(bs) {
+				panic(invariant.Violation("bgw: inner-product length mismatch"))
+			}
+		default:
+			continue
+		}
+		if pairDeg == nil {
+			pairDeg = make([]int, len(items))
+		}
+		for k := range as {
+			pairDeg[i] = max(pairDeg[i], e.shared(as[k]).deg+e.shared(bs[k]).deg)
+		}
+		va, vb := e.sharedVec(e.FromScalars(as)), e.sharedVec(e.FromScalars(bs))
+		muls[i] = mulDesc{kind: MulDot, a: va.ref, b: vb.ref}
+	}
 	out := make([]Val, len(items))
 	hs := make([]Shared, len(items))
 	scalars, width := 0, 0
 	for i, it := range items {
 		deg, n := 0, 0
 		switch it.Kind {
-		case MulScalar:
-			a, b := e.shared(it.A), e.shared(it.B)
-			muls[i] = mulDesc{kind: MulScalar, a: a.ref, b: b.ref}
-			deg = a.deg + b.deg
-		case MulInner:
-			if len(it.As) != len(it.Bs) {
-				panic(invariant.Violation("bgw: inner-product length mismatch"))
-			}
-			as, bs := make([]int, len(it.As)), make([]int, len(it.Bs))
-			for k := range as {
-				a, b := e.shared(it.As[k]), e.shared(it.Bs[k])
-				as[k], bs[k], deg = a.ref, b.ref, max(deg, a.deg+b.deg)
-			}
-			muls[i] = mulDesc{kind: MulInner, refs: as, refs2: bs}
+		case MulScalar, MulInner:
+			deg = pairDeg[i]
 		case MulDot, MulHadamard:
 			a, b := e.sharedVec(it.VA), e.sharedVec(it.VB)
 			if a.n != b.n {
@@ -727,31 +702,26 @@ func (e *Engine) reusedDotSlots(muls []mulDesc) []int {
 // Returns 0 after a failure (see Err).
 func (e *Engine) Open(s Val) int64 { return e.OpenBatch([]Val{s})[0] }
 
-// OpenBatch reveals many shared scalars in one batched opening round:
-// every party publishes its additive share of each under the pairwise
-// zero mask (actorParty.publish), each sums the rows, and party 0
-// reports the values to the caller. The sharings may be of any degree up
-// to P−1 — out of MulBatchUnreduced or InputUnshared as well as degree t.
+// OpenBatch reveals many shared scalars in one batched opening round: an
+// OpenVec of the scalars packed with FromScalars. The sharings may be of
+// any degree up to P−1 — out of MulBatchUnreduced or InputUnshared as
+// well as degree t.
 func (e *Engine) OpenBatch(vals []Val) []int64 {
 	if len(vals) == 0 {
 		return []int64{}
 	}
-	refs, _ := e.scRefs(vals)
-	return e.openVals(actorCmd{op: opOpenBatch, x: &cmdPayload{refs: refs}}, len(vals))
+	return e.OpenVec(e.FromScalars(vals))
 }
 
-// OpenVec reveals every element as one batched opening (one message per
-// ordered party pair carrying all elements).
+// OpenVec reveals every element as one batched opening: every party
+// publishes its additive share of each under the pairwise zero mask
+// (actorParty.publish), one frame per ordered party pair, each sums the
+// rows, and party 0 reports the values to the caller. Returns zeros
+// after a failure (see Err).
 func (e *Engine) OpenVec(v Vec) []int64 {
-	return e.openVals(actorCmd{op: opOpenVec, a: e.sharedVec(v).ref, x: &cmdPayload{}}, v.Len())
-}
-
-// openVals runs a batched opening command and returns party 0's n
-// values, or zeros after a failure.
-func (e *Engine) openVals(c actorCmd, n int) []int64 {
-	replies, ok := e.call(c)
+	replies, ok := e.call(actorCmd{op: opOpenVec, a: e.sharedVec(v).ref, x: &cmdPayload{}})
 	if !ok || e.err != nil || replies[0].vals == nil {
-		return make([]int64, n)
+		return make([]int64, v.Len())
 	}
 	return replies[0].vals
 }
@@ -786,7 +756,8 @@ func (e *Engine) Gather(v Vec, idx []int) Vec {
 		}
 	}
 	if e.mesh != nil {
-		// As in InputBatch: party goroutines need their own copy.
+		// Party goroutines run behind the caller and need their own copy;
+		// inline parties are done with idx when dispatch returns.
 		idx = append([]int(nil), idx...)
 	}
 	out := e.newVec(len(idx), sv.deg)
@@ -819,9 +790,15 @@ func (e *Engine) LinComb(vs []Vec, cs []int64, c0 int64) Vec {
 	return out
 }
 
-// FromScalars packs scalar shares into a vector; local.
+// FromScalars packs scalar shares into a vector of the largest of their
+// degrees; local.
 func (e *Engine) FromScalars(xs []Val) Vec {
-	refs, deg := e.scRefs(xs)
+	refs := make([]int, len(xs))
+	deg := 0
+	for i, x := range xs {
+		s := e.shared(x)
+		refs[i], deg = s.ref, max(deg, s.deg)
+	}
 	out := e.newVec(len(xs), deg)
 	e.dispatch(actorCmd{op: opFromScalars, x: &cmdPayload{refs: refs}})
 	return out

@@ -21,7 +21,10 @@
 //
 // There is one implementation of a party (actorParty) and one Engine
 // that drives P of them, inline in the caller's goroutine or as
-// goroutines behind a transport mesh. Either way the share arithmetic
+// goroutines behind a transport mesh. The party computes on vectors
+// only — it deals vectors, multiplies dots and element-wise products,
+// and opens vectors — and the Engine lowers every scalar gate of the
+// Evaluator onto those shapes. Either way the share arithmetic
 // is performed faithfully (so outputs are bit-exact with the plaintext
 // computation) and the communication is metered: traffic is counted
 // where a row is sent, every resharing or opening round advances a
@@ -66,8 +69,9 @@ type Stats struct {
 	Messages int64 // logical point-to-point messages
 	Bytes    int64 // payload bytes (8 per field element per message)
 	// FieldOps counts local field multiplications (the cost-model
-	// input). The count is exact for scalar products, MulInner's lists,
-	// MulHadamard's elements, affine gates, unshared inputs — one
+	// input). The count is exact for products (one per element of a
+	// dot or a MulHadamard; a scalar product is a dot of one), affine
+	// gates, unshared inputs — one
 	// x/λ_owner per element, at the owner — and openings — one λ_i·s_i
 	// per element and party, the rows are summed — and a model for
 	// sharings: P·(t+1) per dealt element, P+t+1 per reshared product
@@ -103,10 +107,12 @@ type VecPair struct{ A, B Vec }
 type MulKind uint8
 
 const (
-	// MulScalar is one scalar product a·b (fields A, B).
+	// MulScalar is one scalar product a·b (fields A, B). The engine
+	// lowers it onto a MulDot of one-element vectors (FromScalars).
 	MulScalar MulKind = iota
 	// MulInner is one fused inner product Σ_k As[k]·Bs[k] over scalar
-	// handles (fields As, Bs).
+	// handles (fields As, Bs), lowered onto a MulDot of the two lists
+	// packed with FromScalars. Its degree is its largest pair's.
 	MulInner
 	// MulDot is one fused inner product ⟨VA, VB⟩ over vector handles
 	// (fields VA, VB).
@@ -131,14 +137,6 @@ type MulItem struct {
 	VA, VB Vec   // MulDot and MulHadamard operands
 }
 
-// InputItem names one scalar of a batched input round: party Owner
-// secret-shares the field element Elem (field.FromInt64 of a signed
-// input).
-type InputItem struct {
-	Owner int
-	Elem  field.Elem
-}
-
 // Evaluator is the abstract MPC backend the SQM protocols run against.
 // It captures exactly the share operations the paper's circuits need:
 // input sharing, local linear algebra — scalar gates and the vector
@@ -152,7 +150,10 @@ type InputItem struct {
 //
 // All operations follow the semi-honest, synchronized-round model of the
 // concrete engines: structured protocols batch the independent messages
-// of a phase into one round via AdvanceRound.
+// of a phase into one round via AdvanceRound. The scalar forms — Input,
+// InputElem, Mul, InnerProduct, Open, OpenBatch and the MulScalar and
+// MulInner items — are the vector ones with one- or many-element vectors
+// packed and taken apart locally, at the same traffic and FieldOps.
 type Evaluator interface {
 	// Parties returns P.
 	Parties() int
@@ -176,7 +177,8 @@ type Evaluator interface {
 	// Close releases backend resources (party goroutines, sockets).
 	Close() error
 
-	// Input has party owner secret-share the signed value v.
+	// Input has party owner secret-share the signed value v: an
+	// InputVec of one element, taken apart with At.
 	Input(owner int, v int64) Val
 	// InputElem has party owner secret-share a raw field element.
 	InputElem(owner int, e field.Elem) Val
@@ -244,15 +246,9 @@ type Evaluator interface {
 	// later gate needs at degree t.
 	MulBatchUnreduced(items []MulItem) []Val
 	// OpenBatch reveals many shared scalars in one batched opening
-	// round (one frame per ordered party pair carrying every share).
+	// round (one frame per ordered party pair carrying every share): an
+	// OpenVec of the scalars packed with FromScalars.
 	OpenBatch(vals []Val) []int64
-	// InputBatch shares a whole input round of scalars: each owner
-	// shares its items in item order and sends each of its P−1−t
-	// unseeded peers one frame carrying all of them (the t seeded ones
-	// draw theirs), so the round costs (#distinct owners)·(P−1−t) frames
-	// while messages and bytes equal per-scalar Input. Results are
-	// returned in item order.
-	InputBatch(items []InputItem) []Val
 	// FromScalars packs scalar shares into a vector; local.
 	FromScalars(xs []Val) Vec
 	// OpenVec reveals every element as one batched opening.

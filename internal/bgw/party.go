@@ -11,16 +11,19 @@ import (
 // actorOp enumerates the commands the engine issues to its parties.
 // Every party executes the same command sequence in the same order,
 // which keeps share slot indices and the pairwise streams aligned across
-// parties without any coordination messages. There is no opcode for a
-// gate that a batch of one expresses: Input, Mul, InnerProduct, Dot and
-// Open are opInputBatch, opMulBatch and opOpenBatch of one, and every
+// parties without any coordination messages. The parties compute on
+// vectors only: one opcode deals (opInputVecs; opInputUnshared keeps),
+// one multiplies a level (opMulBatch; opMulUnreduced keeps) and one
+// opens (opOpenVec). The engine lowers the scalar shapes onto them —
+// Input is an InputVec of one taken apart with opAt, Mul and
+// InnerProduct are MulDot items over operands packed with
+// opFromScalars, OpenBatch is an OpenVec of packed scalars — and every
 // InputVec joins an opInputVecs (Engine.issueRound).
 type actorOp uint8
 
 const (
 	opInputVecs actorOp = iota
 	opInputUnshared
-	opInputBatch
 	opZero
 	opAdd
 	opSub
@@ -33,7 +36,6 @@ const (
 	opFromScalars
 	opMulBatch
 	opMulUnreduced
-	opOpenBatch
 	opOpenVec
 	opBarrier
 )
@@ -41,13 +43,11 @@ const (
 // mulDesc is the party-side form of one MulBatch item: operand slots
 // resolved by the engine so the parties only index their share arrays.
 type mulDesc struct {
-	kind MulKind
-	a, b int // scalar (MulScalar) or vector (MulDot, MulHadamard) slots
+	kind MulKind // MulDot or MulHadamard
+	a, b int     // vector slots
 	// at is where the item's products start in the level's row, which
 	// holds every item's in item order: one element, or a MulHadamard's n.
-	at    int
-	refs  []int // MulInner operand list A
-	refs2 []int // MulInner operand list B
+	at int
 }
 
 // actorCmd is one command, kept by value in the engine's slab. Operand
@@ -66,12 +66,11 @@ type actorCmd struct {
 // cmdPayload holds what does not fit the scalar command: operand lists,
 // input vectors and the reply channel of synchronizing commands.
 type cmdPayload struct {
-	ints   []int64     // coefficients (opLinComb)
-	vecs   []vecInput  // the input round's vectors (opInputVecs), the unshared vector (opInputUnshared)
-	inputs []InputItem // scalar inputs (opInputBatch)
-	refs   []int       // scalar slots (opFromScalars, opOpenBatch), element indices (opGather), vector slots (opLinComb; the reused dot operands of opMulBatch, opMulUnreduced)
-	muls   []mulDesc   // gate list (opMulBatch, opMulUnreduced)
-	reply  chan actorReply
+	ints  []int64    // coefficients (opLinComb)
+	vecs  []vecInput // the input round's vectors (opInputVecs), the unshared vector (opInputUnshared)
+	refs  []int      // scalar slots (opFromScalars), element indices (opGather), vector slots (opLinComb; the reused dot operands of opMulBatch, opMulUnreduced)
+	muls  []mulDesc  // gate list (opMulBatch, opMulUnreduced)
+	reply chan actorReply
 }
 
 // vecInput is one input vector, embedded in the field. elems is the
@@ -136,7 +135,7 @@ type actorParty struct {
 	pairs    []field.Elem // PairProd of the vector slots a Gram batch reuses, by slot (grow-only)
 	pend     []field.Elem // this party's own row, kept between the halves
 	sh       shareScratch // working memory of the sharing sites
-	drawn    []field.Elem // a seeded row drawn for a fold or a scalar input (grow-only)
+	drawn    []field.Elem // a seeded row drawn for a fold (grow-only)
 	pub      []field.Elem // the row an OpenVec publishes (grow-only)
 	acc      []field.Elem // the sum of an opening's rows (grow-only)
 	fieldOps int64
@@ -214,26 +213,6 @@ func (a *actorParty) send(c *actorCmd) error {
 		field.MulConstVec(in.elems, in.elems, a.ownInv)
 		a.fieldOps += int64(n)
 		a.vc = append(a.vc, in.elems)
-	case opInputBatch:
-		// This party shares the items it owns, in item order, into one
-		// frame per unseeded peer.
-		n := 0
-		for _, it := range c.x.inputs {
-			if it.Owner == a.id {
-				n++
-			}
-		}
-		if n == 0 {
-			return nil
-		}
-		own := make([]field.Elem, 0, n)
-		for _, it := range c.x.inputs {
-			if it.Owner == a.id {
-				own = append(own, it.Elem)
-			}
-		}
-		a.pend = own
-		return a.shareOut(own)
 	case opZero:
 		a.sc = append(a.sc, 0)
 	case opAdd:
@@ -290,10 +269,6 @@ func (a *actorParty) send(c *actorCmd) error {
 			a.products(row, c.x.muls, c.x.refs)
 			return nil
 		})
-	case opOpenBatch:
-		row := a.gather(c.x.refs)
-		a.pend = a.publish(row, row)
-		return a.broadcast(a.pend)
 	case opOpenVec:
 		a.pub = growElems(a.pub, len(a.vc[c.a]))
 		a.pend = a.publish(a.pub, a.vc[c.a])
@@ -318,26 +293,11 @@ func (a *actorParty) products(highs []field.Elem, muls []mulDesc, reused []int) 
 		}
 	}
 	for _, d := range muls {
-		switch d.kind {
-		case MulScalar:
-			a.fieldOps++
-		case MulInner:
-			a.fieldOps += int64(len(d.refs))
-		case MulDot, MulHadamard:
-			a.fieldOps += int64(len(a.vc[d.a]))
-		}
+		a.fieldOps += int64(len(a.vc[d.a]))
 	}
 	parallelChunks(len(muls), a.chunks, func(start, end int) {
 		for m := start; m < end; m++ {
 			switch d := muls[m]; d.kind {
-			case MulScalar:
-				highs[d.at] = field.Mul(a.sc[d.a], a.sc[d.b])
-			case MulInner:
-				var acc field.Elem
-				for i := range d.refs {
-					acc = field.Add(acc, field.Mul(a.sc[d.refs[i]], a.sc[d.refs2[i]]))
-				}
-				highs[d.at] = acc
 			case MulDot:
 				if reused != nil {
 					highs[d.at] = field.DotWinograd(a.pairs[d.a], a.pairs[d.b], a.vc[d.a], a.vc[d.b])
@@ -426,43 +386,13 @@ func (a *actorParty) recv(c *actorCmd) error {
 			}
 			a.vc[base+i] = row
 		}
-	case opInputBatch:
-		// One row from every owner, in owner order, spread over the
-		// items' slots; this party's own row is the one it kept.
-		items := c.x.inputs
-		base := len(a.sc)
-		a.sc = append(a.sc, make([]field.Elem, len(items))...)
-		for owner := 0; owner < a.p; owner++ {
-			n := 0
-			for _, it := range items {
-				if it.Owner == owner {
-					n++
-				}
-			}
-			if n == 0 {
-				continue
-			}
-			row := a.pend
-			if owner != a.id {
-				var err error
-				if row, err = a.dealt(owner, n); err != nil {
-					return err
-				}
-			}
-			for i, it := range items {
-				if it.Owner == owner {
-					a.sc[base+i] = row[0]
-					row = row[1:]
-				}
-			}
-		}
 	case opMulBatch:
 		if err := a.keep(c, func(row []field.Elem) error { return a.fold(row, a.pend) }); err != nil {
 			return err
 		}
 		// This party's slice of the resharing cost model.
 		a.fieldOps += int64(c.a * (a.p + a.t + 1))
-	case opOpenBatch, opOpenVec:
+	case opOpenVec:
 		// Every party reconstructs — the published rows sum to the
 		// secrets — and only party 0 decodes for the caller.
 		a.acc = growElems(a.acc, len(a.pend))

@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"testing"
 
-	"sqm/internal/field"
 	"sqm/internal/randx"
 	"sqm/internal/transport"
 )
@@ -91,12 +90,13 @@ func TestActorFullBatchesMatchMonolithic(t *testing.T) {
 	}
 }
 
-// TestInputBatchAcrossEngines is the cross-engine property of the
-// batched input round: for random owner assignments the monolithic,
-// channel-actor and TCP-actor engines agree on every counter, the round
-// costs one frame per owner and unseeded peer, messages/bytes/FieldOps equal
-// the per-scalar Input path, and the opened values are the inputs.
-func TestInputBatchAcrossEngines(t *testing.T) {
+// TestOwnerScalarsDealtTogetherAcrossEngines is the cross-engine
+// property of an owner's scalars dealt as one InputVec and taken apart
+// with At: for random owner assignments the monolithic, channel-actor
+// and TCP-actor engines agree on every counter, the round costs one
+// frame per owner and unseeded peer, messages/bytes/FieldOps equal the
+// per-scalar Input path, and the opened values are the inputs.
+func TestOwnerScalarsDealtTogetherAcrossEngines(t *testing.T) {
 	const p = 5
 	g := randx.New(20250929)
 	for trial := 0; trial < 12; trial++ {
@@ -109,13 +109,13 @@ func TestInputBatchAcrossEngines(t *testing.T) {
 				}
 			}
 		}
-		items := make([]InputItem, 1+g.IntN(40))
-		want := make([]int64, len(items))
+		owners := make([]int, 1+g.IntN(40))
+		want := make([]int64, len(owners))
 		distinct := map[int]bool{}
-		for i := range items {
+		for i := range owners {
 			want[i] = int64(g.IntN(2_000_001)) - 1_000_000
-			items[i] = InputItem{Owner: pool[g.IntN(len(pool))], Elem: field.FromInt64(want[i])}
-			distinct[items[i].Owner] = true
+			owners[i] = pool[g.IntN(len(pool))]
+			distinct[owners[i]] = true
 		}
 		cfg := Config{Parties: p, Seed: uint64(trial)}
 		engines := func() map[string]Evaluator {
@@ -130,7 +130,8 @@ func TestInputBatchAcrossEngines(t *testing.T) {
 		const unseeded = p - 1 - 2
 		var ref Stats
 		for name, ev := range engines() {
-			got := ev.OpenBatch(ev.InputBatch(items))
+			vals := inputScalars(ev, owners, want)
+			got := ev.OpenBatch(vals)
 			if err := ev.Err(); err != nil {
 				t.Fatalf("trial %d %s: %v", trial, name, err)
 			}
@@ -149,23 +150,45 @@ func TestInputBatchAcrossEngines(t *testing.T) {
 			}
 		}
 		for name, ev := range engines() {
-			vals := make([]Val, len(items))
-			for i, it := range items {
-				vals[i] = ev.Input(it.Owner, want[i])
+			vals := make([]Val, len(owners))
+			for i, o := range owners {
+				vals[i] = ev.Input(o, want[i])
 			}
 			if got := ev.OpenBatch(vals); !equalInt64(got, want) {
 				t.Fatalf("trial %d %s: per-scalar Input opened %v, want %v", trial, name, got, want)
 			}
 			st := ev.Stats()
 			if st.Messages != ref.Messages || st.Bytes != ref.Bytes || st.FieldOps != ref.FieldOps {
-				t.Errorf("trial %d %s: per-scalar Input moved %d messages / %d bytes / %d field ops, InputBatch %d / %d / %d",
+				t.Errorf("trial %d %s: per-scalar Input moved %d messages / %d bytes / %d field ops, one vector per owner %d / %d / %d",
 					trial, name, st.Messages, st.Bytes, st.FieldOps, ref.Messages, ref.Bytes, ref.FieldOps)
 			}
-			if wantFrames := int64(len(items)*unseeded + p*(p-1)); st.Frames != wantFrames {
+			if wantFrames := int64(len(owners)*unseeded + p*(p-1)); st.Frames != wantFrames {
 				t.Errorf("trial %d %s: per-scalar Input sent %d frames, want %d", trial, name, st.Frames, wantFrames)
 			}
 		}
 	}
+}
+
+// inputScalars deals vs[i] from party owners[i], every owner's scalars
+// as one InputVec in item order, and returns them taken apart with At,
+// in item order: the shape Plan.Execute enters scalar leaves in.
+func inputScalars(ev Evaluator, owners []int, vs []int64) []Val {
+	own := make([][]int64, ev.Parties())
+	for i, o := range owners {
+		own[o] = append(own[o], vs[i])
+	}
+	vecs := make([]Vec, len(own))
+	for o, xs := range own {
+		if len(xs) > 0 {
+			vecs[o] = ev.InputVec(o, xs)
+		}
+	}
+	out, next := make([]Val, len(owners)), make([]int, len(own))
+	for i, o := range owners {
+		out[i] = ev.At(vecs[o], next[o])
+		next[o]++
+	}
+	return out
 }
 
 // BenchmarkActorLocalGates measures the cost of one planned scalar local

@@ -20,11 +20,12 @@ func seamProgram(ev *Engine, seed uint64) []int64 {
 	p := ev.Parties()
 	small := func() int64 { return int64(g.IntN(2001)) - 1000 }
 
-	items := make([]InputItem, 5+g.IntN(20))
-	for i := range items {
-		items[i] = InputItem{Owner: g.IntN(p), Elem: field.FromInt64(small())}
+	owners, ins := make([]int, 5+g.IntN(20)), []int64(nil)
+	for i := range owners {
+		owners[i] = g.IntN(p)
+		ins = append(ins, small())
 	}
-	vals := append(ev.InputBatch(items), ev.Input(g.IntN(p), small()), ev.Zero())
+	vals := append(inputScalars(ev, owners, ins), ev.Input(g.IntN(p), small()), ev.Zero())
 	var vecs []Vec
 	for i := 0; i < 3; i++ {
 		vs := make([]int64, 11)

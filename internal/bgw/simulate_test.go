@@ -76,12 +76,7 @@ func terminalOpenView(t *testing.T, cfg Config, coalition []int, a, b int64, bar
 	// What Plan.Execute issues for a terminal level: the inputs, the
 	// products unreduced, the linear gate, the opening.
 	dealer := coalition[0]
-	ins := e.InputBatch([]InputItem{
-		{Owner: honest[0], Elem: field.FromInt64(a)},
-		{Owner: honest[1], Elem: field.FromInt64(b)},
-		{Owner: dealer, Elem: 1},
-		{Owner: dealer, Elem: 2},
-	})
+	ins := inputScalars(e, []int{honest[0], honest[1], dealer, dealer}, []int64{a, b, 1, 2})
 	prods := e.MulBatchUnreduced([]MulItem{
 		{Kind: MulScalar, A: ins[0], B: ins[2]},
 		{Kind: MulScalar, A: ins[1], B: ins[3]},
@@ -215,7 +210,7 @@ func unsharedOpenView(t *testing.T, cfg Config, coalition []int, eta1, eta2 int6
 	var known field.Elem // λ_h times honest[0]'s point of the coalition's part
 	own := int64(7)
 	if product {
-		ins := e.InputBatch([]InputItem{{Owner: dealer, Elem: 3}, {Owner: dealer, Elem: 2}})
+		ins := inputScalars(e, []int{dealer, dealer}, []int64{3, 2})
 		base = e.MulBatchUnreduced([]MulItem{{Kind: MulScalar, A: ins[0], B: ins[1]}})[0]
 		// The sub-shares the dealer sent honest[0]: its own doing.
 		known = field.Mul(h.weights[h.id], field.Mul(h.sc[e.shared(ins[0]).ref], h.sc[e.shared(ins[1]).ref]))
@@ -294,11 +289,7 @@ func TestUnsharedInputViewIsSimulatedFromTheOutput(t *testing.T) {
 func resharedView(t *testing.T, cfg Config, coalition []int, a, b int64) []field.Elem {
 	t.Helper()
 	e, honest := viewEngine(t, cfg, coalition, false)
-	ins := e.InputBatch([]InputItem{
-		{Owner: honest[0], Elem: field.FromInt64(a)},
-		{Owner: honest[1], Elem: field.FromInt64(b)},
-		{Owner: coalition[0], Elem: 3},
-	})
+	ins := inputScalars(e, []int{honest[0], honest[1], coalition[0]}, []int64{a, b, 3})
 	ab := e.MulBatchUnreduced([]MulItem{{Kind: MulScalar, A: ins[0], B: ins[1]}})[0]
 	abc := e.MulBatch([]MulItem{{Kind: MulScalar, A: ab, B: ins[2]}})[0]
 	if e.shared(ab).deg+e.shared(ins[2]).deg != e.p-1 || e.Err() != nil {

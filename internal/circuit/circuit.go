@@ -85,8 +85,9 @@ func (k nodeKind) isInput() bool {
 func (k nodeKind) folds() bool { return k.isInput() && k != kInputVecParam }
 
 // isScalarInput reports whether the node is a scalar input leaf: the
-// planned executor shares those in the plan's one InputBatch, or enters
-// the open-only ones as one unshared vector per owner.
+// planned executor enters them as one vector per owner — shared in the
+// plan's input round, or unshared for the open-only ones — and takes
+// that vector apart with At.
 func (k nodeKind) isScalarInput() bool {
 	return k == kInput || k == kInputElem || k == kInputParam || k == kInputSum
 }

@@ -240,8 +240,8 @@ func TestBatchedLevelIsOneFrameExchange(t *testing.T) {
 		t.Errorf("eager rounds = %d, want %d", eRounds, plan.EagerRounds())
 	}
 	// Planned frames: a dealing is one frame per unseeded peer, an opening
-	// one per link. The n scalar inputs share in one InputBatch — each of
-	// the p owners deals once — then one reshare exchange for level 1, none
+	// one per link. The n scalar inputs share as one InputVec per owner —
+	// each of the p owners deals once — then one reshare exchange for level 1, none
 	// for level 2, which is opened at the degree it has, then one batched
 	// opening.
 	const owners = p // n ≥ p inputs dealt round-robin: every party owns some

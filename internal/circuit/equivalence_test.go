@@ -14,8 +14,8 @@ import (
 // scalar and fused multiplications, and a few opened outputs. Scalar
 // inputs (signed and raw) and input vectors keep arriving between the
 // gates, so the executor's hoisting of every scalar input into one
-// leading InputBatch — ahead of locals and InputVecs recorded before
-// it — is exercised on every seed. Sum trees over inputs
+// leading InputVec per owner — ahead of locals and InputVecs recorded
+// before it — is exercised on every seed. Sum trees over inputs
 // that few owners deal (sumTree, sumTreeVec) arrive too, so Compile's
 // fold pass has something to rewrite on most seeds. Half the seeds end
 // in a terminalTail, which decides whether the last multiplicative level

@@ -101,9 +101,9 @@ func (p *Plan) validate(bind Bindings) error {
 }
 
 // Execute runs the plan against eng with level batching: all shared
-// inputs share in one round (every scalar input in one InputBatch, one
-// frame per owner and unseeded peer; every input vector an InputVec of
-// the engine's one input round, one frame per unseeded peer), each
+// inputs share in the engine's one input round (every owner's scalar
+// inputs one InputVec, taken apart with At, and every input vector an
+// InputVec: one frame per vector and unseeded peer), each
 // multiplicative level reshares its reshared products in one batched
 // degree-reduction round (one MulBatch) and keeps the others at the
 // degree of their local products in their slots (one MulBatchUnreduced),
@@ -138,19 +138,11 @@ func (p *Plan) Execute(eng bgw.Evaluator, bind Bindings) (*Result, error) {
 		vals: make([]bgw.Val, len(p.nodes)),
 		vecs: make([]bgw.Vec, len(p.nodes)),
 	}
-	// Level 0: the shared inputs, which depend on nothing — the scalars as
-	// one batch, then the vectors, which the engine deals as one round —
-	// then external bindings and the linear closure.
-	if len(p.inputs) > 0 {
-		items := make([]bgw.InputItem, len(p.inputs))
-		for i, id := range p.inputs {
-			n := &p.nodes[id]
-			items[i] = bgw.InputItem{Owner: int(n.owner), Elem: p.inputElem(n, bind)}
-		}
-		for i, out := range eng.InputBatch(items) {
-			r.vals[p.inputs[i]] = out
-		}
-	}
+	// Level 0: the shared inputs, which depend on nothing — every owner's
+	// scalars as one vector, then the vector leaves, all one input round
+	// that the first At issues — then external bindings and the linear
+	// closure.
+	owned := p.enterScalars(eng, bind, p.inputs, eng.InputVec)
 	for _, id := range p.vecInputs {
 		n := &p.nodes[id]
 		vs, err := p.inputLit(n, bind, r)
@@ -159,6 +151,7 @@ func (p *Plan) Execute(eng bgw.Evaluator, bind Bindings) (*Result, error) {
 		}
 		r.vecs[id] = eng.InputVec(int(n.owner), vs)
 	}
+	p.takeApart(eng, r, p.inputs, owned)
 	for _, id := range p.locals[0] {
 		if err := p.evalLocal(eng, bind, r, id); err != nil {
 			return nil, err
@@ -201,9 +194,7 @@ func (p *Plan) Execute(eng bgw.Evaluator, bind Bindings) (*Result, error) {
 	// What only the opening consumes: the unshared leaves — a scalar
 	// owner's as one vector, taken apart with At — and the linear gates
 	// over them.
-	if len(p.unshared) > 0 {
-		p.enterUnsharedScalars(eng, bind, r)
-	}
+	p.takeApart(eng, r, p.unshared, p.enterScalars(eng, bind, p.unshared, eng.InputUnshared))
 	for _, id := range p.late {
 		if err := p.evalLocal(eng, bind, r, id); err != nil {
 			return nil, err
@@ -274,28 +265,42 @@ func (p *Plan) inputElem(n *node, bind Bindings) field.Elem {
 	return field.FromInt64(n.c)
 }
 
-// enterUnsharedScalars enters the unshared scalar leaves without a
-// sharing: every owner's, in id order, as one unshared vector that At
-// takes apart again — one command per owner, metered per element like
-// an unshared vector leaf.
-func (p *Plan) enterUnsharedScalars(eng bgw.Evaluator, bind Bindings, r *Result) {
-	for owner := int32(0); int(owner) < p.p; owner++ {
+// enterScalars enters the scalar input leaves ids through enter —
+// InputVec or InputUnshared — as one vector per owner, in owner order,
+// each holding the owner's leaves in id order, and returns the vectors
+// by owner (nil where an owner has none) for takeApart. Shared, an
+// owner's leaves are one dealing: one frame per unseeded peer whatever
+// their number.
+func (p *Plan) enterScalars(eng bgw.Evaluator, bind Bindings, ids []int32, enter func(int, []int64) bgw.Vec) []bgw.Vec {
+	if len(ids) == 0 {
+		return nil
+	}
+	owned := make([]bgw.Vec, p.p)
+	for owner := range owned {
 		var own []int64
-		for _, id := range p.unshared {
-			if n := &p.nodes[id]; n.owner == owner {
+		for _, id := range ids {
+			if n := &p.nodes[id]; int(n.owner) == owner {
 				own = append(own, field.ToInt64(p.inputElem(n, bind)))
 			}
 		}
-		if len(own) == 0 {
-			continue
+		if len(own) > 0 {
+			owned[owner] = enter(owner, own)
 		}
-		v, k := eng.InputUnshared(int(owner), own), 0
-		for _, id := range p.unshared {
-			if p.nodes[id].owner == owner {
-				r.vals[id] = eng.At(v, k)
-				k++
-			}
-		}
+	}
+	return owned
+}
+
+// takeApart files each leaf of ids, in id order, as its element of the
+// vector enterScalars entered for its owner.
+func (p *Plan) takeApart(eng bgw.Evaluator, r *Result, ids []int32, owned []bgw.Vec) {
+	if len(ids) == 0 {
+		return
+	}
+	next := make([]int, p.p)
+	for _, id := range ids {
+		o := p.nodes[id].owner
+		r.vals[id] = eng.At(owned[o], next[o])
+		next[o]++
 	}
 }
 

@@ -19,7 +19,7 @@ type Plan struct {
 	depth     int
 	live      int        // nodes that compute something (all but kFolded)
 	folded    int        // input leaves foldSums removed
-	inputs    []int32    // level-0 scalar input leaves Execute shares, id order: one InputBatch
+	inputs    []int32    // level-0 scalar input leaves Execute shares, id order: one InputVec per owner
 	vecInputs []int32    // level-0 vector input leaves Execute shares, id order: one input round
 	unshared  []int32    // scalar input leaves Execute does not share (see schedule), id order
 	muls      []mulLevel // muls[L] = multiplicative gates of level L+1

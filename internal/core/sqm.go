@@ -122,16 +122,15 @@ func ParseEngineKind(s string) (EngineKind, error) {
 
 // Params configures one SQM invocation.
 type Params struct {
-	Gamma      float64       // scaling parameter γ >= 1 (Algorithm 2)
-	Mu         float64       // aggregate Skellam parameter μ; clients sample Sk(μ/n)
-	NumClients int           // n, the noise-contributing clients; 0 means one per column
-	Engine     EngineKind    // evaluation backend
-	Parties    int           // parties P of every MPC engine; 0 means 4
-	Threshold  int           // BGW threshold t; 0 means floor((P-1)/2)
-	Latency    time.Duration // per-round message latency; 0 means 100 ms
-	Seed       uint64        // reproducibility seed
-	Recorder   obs.Recorder  // telemetry sink for engine and mesh; nil disables
-	Fault      FaultConfig   // deadlines and dial budget of the abort model (zero value: none)
+	Gamma      float64      // scaling parameter γ >= 1 (Algorithm 2)
+	Mu         float64      // aggregate Skellam parameter μ; clients sample Sk(μ/n)
+	NumClients int          // n, the noise-contributing clients; 0 means one per column
+	Engine     EngineKind   // evaluation backend
+	Parties    int          // parties P of every MPC engine; 0 means 4
+	Threshold  int          // BGW threshold t; 0 means floor((P-1)/2)
+	Seed       uint64       // reproducibility seed
+	Recorder   obs.Recorder // telemetry sink for engine and mesh; nil disables
+	Fault      FaultConfig  // deadlines and dial budget of the abort model (zero value: none)
 	// Trace attaches distributed tracing: the engine's events are
 	// stamped into the coordinator stream's flight recorder, and — when
 	// the context carries one stream per party — the mesh propagates
@@ -157,11 +156,10 @@ type FaultConfig struct {
 	// a hang. 0 keeps receives blocking.
 	RecvTimeout time.Duration
 	// DialRetries is the attempt budget for the TCP mesh's pair dials
-	// (EngineActorBGWNet); values below 1 mean a single attempt.
+	// (EngineActorBGWNet); values below 1 mean a single attempt. The
+	// backoff between attempts is the retry package's default, doubled
+	// per retry with seeded jitter.
 	DialRetries int
-	// DialBackoff is the base backoff between dial attempts (doubled per
-	// retry, seeded jitter); 0 means the retry package default.
-	DialBackoff time.Duration
 }
 
 func (p *Params) normalize(cols int) error {
@@ -188,9 +186,6 @@ func (p *Params) normalize(cols int) error {
 	if p.Trace != nil && p.Trace.Parties() != 0 && p.Engine.IsMPC() && p.Trace.Parties() != p.Parties {
 		return fmt.Errorf("core: trace context has %d party streams, engine has %d parties",
 			p.Trace.Parties(), p.Parties)
-	}
-	if p.Latency == 0 {
-		p.Latency = bgw.DefaultLatency
 	}
 	return nil
 }
@@ -265,7 +260,6 @@ func (p *Params) newEvaluator(seedXor uint64) (bgw.Evaluator, error) {
 	case EngineActorBGWNet:
 		meshOpts = append(meshOpts, transport.WithDialRetry(retry.Policy{
 			Attempts: p.Fault.DialRetries,
-			Base:     p.Fault.DialBackoff,
 			Jitter:   0.5,
 			Seed:     p.Seed ^ 0xd1a1,
 			Recorder: rec,
@@ -288,10 +282,9 @@ func errUnknownEngine(k EngineKind) error {
 // output, the applied down-scaling, and the cost model inputs used by
 // the timing experiments (Tables II, IV, V).
 type Trace struct {
-	Scaled []int64       // ŷ before the server's down-scaling
-	Scale  float64       // the divisor (γ^{λ+1}, or γ^λ for Algorithm 1)
-	Stats  bgw.Stats     // protocol counters (zero for EnginePlain)
-	Lat    time.Duration // per-round latency used for simulated time
+	Scaled []int64   // ŷ before the server's down-scaling
+	Scale  float64   // the divisor (γ^{λ+1}, or γ^λ for Algorithm 1)
+	Stats  bgw.Stats // protocol counters (zero for EnginePlain)
 
 	Compute time.Duration // wall-clock of the full evaluation
 	// NoiseCompute is the wall-clock of noise sampling + aggregation. The
@@ -301,10 +294,10 @@ type Trace struct {
 }
 
 // TotalTime is the modeled end-to-end cost: measured computation plus
-// simulated network latency (rounds × Latency), the paper's timing
-// model.
+// simulated network latency (rounds × bgw.DefaultLatency), the paper's
+// timing model.
 func (t *Trace) TotalTime() time.Duration {
-	return t.Compute + time.Duration(t.Stats.Rounds)*t.Lat
+	return t.Compute + t.Stats.NetTime(bgw.DefaultLatency)
 }
 
 // NoiseTime is the part of TotalTime attributable to enforcing DP: the
@@ -326,7 +319,7 @@ type release struct {
 
 // begin starts the clock of one release over the clients' streams.
 func (p *Params) begin(rngs []*randx.RNG) *release {
-	return &release{p: p, rngs: rngs, tr: &Trace{Lat: p.Latency}, start: time.Now()}
+	return &release{p: p, rngs: rngs, tr: &Trace{}, start: time.Now()}
 }
 
 // noiseTime books the time since t0 as spent enforcing DP.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"sqm/internal/bgw"
 	"sqm/internal/linalg"
 	"sqm/internal/poly"
 	"sqm/internal/randx"
@@ -273,7 +274,7 @@ func TestTraceTimeModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.TotalTime() < tr.Stats.NetTime(tr.Lat) {
+	if tr.TotalTime() < tr.Stats.NetTime(bgw.DefaultLatency) {
 		t.Fatal("total time must include simulated network time")
 	}
 	if tr.NoiseTime() > tr.TotalTime() {

@@ -339,7 +339,6 @@ func addStep(rec, step *core.Trace) {
 	s.Messages += d.Messages
 	s.Bytes += d.Bytes
 	s.FieldOps += d.FieldOps
-	rec.Lat = step.Lat
 	rec.Compute += step.Compute
 	rec.NoiseCompute += step.NoiseCompute
 }

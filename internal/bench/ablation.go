@@ -141,7 +141,7 @@ func AblationNoiseTransport(o Options) *Table {
 		fmt.Sprint(ust.Messages), fmt.Sprint(ust.Bytes), equalInt64(res.OpenedVec(out), want),
 	})
 	tbl.Notes = append(tbl.Notes,
-		"BGW inputs send one share vector per dealer and unseeded peer — the dealer's t next parties draw theirs from a stream they share with it — (per client pair when every client is a party, per hosting-party pair when a party deals the sum of the clients it hosts) and open the sum only inside the release; the unshared addend sends nothing of its own — its messages are the release's opening, which is itself a pairwise-masked sum (Bonawitz et al.), so the noise total stays inside the release at the price of one masked vector per party")
+		"BGW inputs send one share vector per dealer and unseeded peer — the dealer's t next parties draw theirs from a stream they share with it — (per client pair when every client is a party, per hosting-party pair when a party deals the sum of the clients it hosts) and open the sum only inside the release; the unshared addend sends nothing of its own — its messages are the release's opening, which is itself a pairwise-masked sum (Bonawitz et al.), so the noise total stays inside the release at the price of one masked vector per party but the decoding one")
 	return tbl
 }
 

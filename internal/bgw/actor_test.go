@@ -130,8 +130,8 @@ func TestActorFieldOpsMatchMonolithic(t *testing.T) {
 
 // TestActorStatsMeasured: the chan mesh counts real traffic; for the
 // simple ops the measured counts coincide with the monolithic model
-// (P−1−t messages per input, P(P−1−t) per resharing, P(P−1) per
-// opening).
+// (P−1−t messages per input, P(P−1−t) per resharing, P−1 per
+// opening: one row into party 0 from each peer).
 func TestActorStatsMeasured(t *testing.T) {
 	cfg := Config{Parties: 3, Seed: 9}
 	eng := newActorChan(t, cfg)
@@ -142,7 +142,7 @@ func TestActorStatsMeasured(t *testing.T) {
 	}
 	st := eng.Stats()
 	p, unseeded := int64(cfg.Parties), int64(cfg.Parties-1-eng.Threshold())
-	wantMsgs := 2*unseeded + p*unseeded + p*(p-1) // 2 inputs + 1 resharing + 1 opening
+	wantMsgs := 2*unseeded + p*unseeded + (p - 1) // 2 inputs + 1 resharing + 1 opening
 	if st.Messages != wantMsgs {
 		t.Errorf("Messages = %d, want %d", st.Messages, wantMsgs)
 	}

@@ -145,7 +145,8 @@ func TestInnerProductSingleResharing(t *testing.T) {
 // TestStatsMetering drives Input, Mul and Open gate by gate: a bare Input
 // always shares and a bare Mul always reduces — 3 rounds, whatever a plan
 // would make of the leaves and the level. At P = 4, t = 1 a dealing
-// sends P − 1 − t = 2 messages and an opening P(P−1) = 12.
+// sends P − 1 − t = 2 messages and an opening P − 1 = 3, one row into
+// party 0 from each peer.
 func TestStatsMetering(t *testing.T) {
 	e := newTestEngine(t, 4)
 	e.ResetStats()
@@ -154,10 +155,10 @@ func TestStatsMetering(t *testing.T) {
 	e.AdvanceRound()   // input round
 	c := e.Mul(a, b)   // 4 dealers × 2 messages
 	e.AdvanceRound()   // multiplication round
-	e.Open(c)          // 12 messages
+	e.Open(c)          // 3 messages
 	e.AdvanceRound()   // output round
 	st := e.Stats()
-	if st.Messages != 2+2+8+12 {
+	if st.Messages != 2+2+8+3 {
 		t.Fatalf("Messages = %d", st.Messages)
 	}
 	if st.Rounds != 3 {
@@ -192,7 +193,9 @@ func TestUnreducedLevelMetering(t *testing.T) {
 	if want := []int64{-42, 36 + 49, 14}; !equalInt64(got, want) {
 		t.Fatalf("opened %v, want %v", got, want)
 	}
-	if st := e.Stats(); st != (Stats{Frames: 12, Messages: 36, Bytes: 288, FieldOps: 4*6 + 4*3}) {
+	// The opening's three elements travel as one row from each of the
+	// P − 1 = 3 peers into party 0: 3 frames, 9 messages, 72 bytes.
+	if st := e.Stats(); st != (Stats{Frames: 3, Messages: 9, Bytes: 72, FieldOps: 4*6 + 4*3}) {
 		t.Fatalf("after the opening %+v", st)
 	}
 	// A reduced product of the same inputs draws from the sharing streams
@@ -445,9 +448,9 @@ func TestBytesMetering(t *testing.T) {
 	e.ResetStats()
 	a := e.Input(0, 2)                   // P − 1 − t = 2 messages x 8 bytes
 	v := e.InputVec(1, []int64{1, 2, 3}) // 2 messages x 24 bytes
-	e.Open(a)                            // 12 messages x 8 bytes
-	e.OpenVec(v)                         // 12 messages x 24 bytes
-	want := int64(2*8 + 2*24 + 12*8 + 12*24)
+	e.Open(a)                            // P − 1 = 3 messages x 8 bytes
+	e.OpenVec(v)                         // 3 messages x 24 bytes
+	want := int64(2*8 + 2*24 + 3*8 + 3*24)
 	if got := e.Stats().Bytes; got != want {
 		t.Fatalf("Bytes = %d, want %d", got, want)
 	}

@@ -698,7 +698,8 @@ func (e *Engine) reusedDotSlots(muls []mulDesc) []int {
 	return slots
 }
 
-// Open reveals the signed secret to all parties: an OpenBatch of one.
+// Open reveals the signed secret to party 0, which decodes it for the
+// caller: an OpenBatch of one.
 // Returns 0 after a failure (see Err).
 func (e *Engine) Open(s Val) int64 { return e.OpenBatch([]Val{s})[0] }
 
@@ -715,9 +716,10 @@ func (e *Engine) OpenBatch(vals []Val) []int64 {
 
 // OpenVec reveals every element as one batched opening: every party
 // publishes its additive share of each under the pairwise zero mask
-// (actorParty.publish), one frame per ordered party pair, each sums the
-// rows, and party 0 reports the values to the caller. Returns zeros
-// after a failure (see Err).
+// (actorParty.publish), every other party sends its row to party 0 in
+// one frame, and party 0 sums the P rows and reports the values to the
+// caller — n·(P−1) elements on the wire. Returns zeros after a failure
+// (see Err).
 func (e *Engine) OpenVec(v Vec) []int64 {
 	replies, ok := e.call(actorCmd{op: opOpenVec, a: e.sharedVec(v).ref, x: &cmdPayload{}})
 	if !ok || e.err != nil || replies[0].vals == nil {

@@ -16,8 +16,9 @@
 //     "Multiply the degree you hold"),
 //  3. outputs are opened by interpolating at 0 over all P points, which
 //     is right at any degree up to P−1: every party publishes its
-//     Lagrange-weighted share under a pairwise zero mask and sums the
-//     published rows (PRIVACY.md "Open the degree you hold").
+//     Lagrange-weighted share under a pairwise zero mask, and party 0,
+//     the one party that decodes, is sent the other P−1 rows and sums
+//     them with its own (PRIVACY.md "Open the degree you hold").
 //
 // There is one implementation of a party (actorParty) and one Engine
 // that drives P of them, inline in the caller's goroutine or as
@@ -208,7 +209,7 @@ type Evaluator interface {
 	// InnerProduct returns a sharing of Σ_k a[k]·b[k] with the fused
 	// gate (one resharing total).
 	InnerProduct(as, bs []Val) Val
-	// Open reveals the signed secret to all parties.
+	// Open reveals the signed secret to the caller.
 	Open(s Val) int64
 
 	// At extracts element k of a vector as a scalar; local.
@@ -246,8 +247,9 @@ type Evaluator interface {
 	// later gate needs at degree t.
 	MulBatchUnreduced(items []MulItem) []Val
 	// OpenBatch reveals many shared scalars in one batched opening
-	// round (one frame per ordered party pair carrying every share): an
-	// OpenVec of the scalars packed with FromScalars.
+	// round (one frame from every other party to the decoding one,
+	// carrying every share): an OpenVec of the scalars packed with
+	// FromScalars.
 	OpenBatch(vals []Val) []int64
 	// FromScalars packs scalar shares into a vector; local.
 	FromScalars(xs []Val) Vec

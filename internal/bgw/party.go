@@ -137,7 +137,7 @@ type actorParty struct {
 	sh       shareScratch // working memory of the sharing sites
 	drawn    []field.Elem // a seeded row drawn for a fold (grow-only)
 	pub      []field.Elem // the row an OpenVec publishes (grow-only)
-	acc      []field.Elem // the sum of an opening's rows (grow-only)
+	acc      []field.Elem // party 0's sum of an opening's rows (grow-only)
 	fieldOps int64
 	err      error
 }
@@ -270,9 +270,12 @@ func (a *actorParty) send(c *actorCmd) error {
 			return nil
 		})
 	case opOpenVec:
+		// Only party 0 decodes, so only party 0 is sent the rows.
 		a.pub = growElems(a.pub, len(a.vc[c.a]))
 		a.pend = a.publish(a.pub, a.vc[c.a])
-		return a.broadcast(a.pend)
+		if a.id != 0 {
+			return a.link.send(0, a.pend)
+		}
 	}
 	return nil
 }
@@ -393,23 +396,20 @@ func (a *actorParty) recv(c *actorCmd) error {
 		// This party's slice of the resharing cost model.
 		a.fieldOps += int64(c.a * (a.p + a.t + 1))
 	case opOpenVec:
-		// Every party reconstructs — the published rows sum to the
-		// secrets — and only party 0 decodes for the caller.
-		a.acc = growElems(a.acc, len(a.pend))
-		vals := a.acc
-		copy(vals, a.pend)
-		for j := 0; j < a.p; j++ {
-			if j == a.id {
-				continue
-			}
-			row, err := a.link.recv(j, len(vals))
-			if err != nil {
-				return err
-			}
-			field.AddVec(vals, vals, row)
-		}
+		// Party 0 reconstructs and decodes for the caller: the published
+		// rows sum to the secrets. Every other party's row is out.
 		r := actorReply{party: a.id}
 		if a.id == 0 {
+			a.acc = growElems(a.acc, len(a.pend))
+			vals := a.acc
+			copy(vals, a.pend)
+			for j := 1; j < a.p; j++ {
+				row, err := a.link.recv(j, len(vals))
+				if err != nil {
+					return err
+				}
+				field.AddVec(vals, vals, row)
+			}
 			r.vals = make([]int64, len(vals))
 			for k, v := range vals {
 				r.vals[k] = field.ToInt64(v)
@@ -464,19 +464,6 @@ func (a *actorParty) dealt(j, n int) ([]field.Elem, error) {
 		return a.drawn, nil
 	}
 	return a.link.recv(j, n)
-}
-
-// broadcast sends every peer the same row.
-func (a *actorParty) broadcast(row []field.Elem) error {
-	for j := 0; j < a.p; j++ {
-		if j == a.id {
-			continue
-		}
-		if err := a.link.send(j, row); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // fold takes one row of len(dst) elements from every peer, drawn or

@@ -126,7 +126,9 @@ func TestOwnerScalarsDealtTogetherAcrossEngines(t *testing.T) {
 			return map[string]Evaluator{"bgw": Eval(mono), "actor": newActorChan(t, cfg), "actor-net": newActorTCP(t, cfg)}
 		}
 
-		// At P = 5, t = 2 every dealing reaches P − 1 − t = 2 peers by frame.
+		// At P = 5, t = 2 every dealing reaches P − 1 − t = 2 peers by frame,
+		// and the opening is one frame into party 0 from each of its P − 1
+		// peers.
 		const unseeded = p - 1 - 2
 		var ref Stats
 		for name, ev := range engines() {
@@ -139,8 +141,8 @@ func TestOwnerScalarsDealtTogetherAcrossEngines(t *testing.T) {
 				t.Fatalf("trial %d %s: opened %v, want %v", trial, name, got, want)
 			}
 			st := ev.Stats()
-			if wantFrames := int64(len(distinct)*unseeded + p*(p-1)); st.Frames != wantFrames {
-				t.Errorf("trial %d %s: %d frames, want %d owners·(P−1−t) + P(P−1) = %d",
+			if wantFrames := int64(len(distinct)*unseeded + p - 1); st.Frames != wantFrames {
+				t.Errorf("trial %d %s: %d frames, want %d owners·(P−1−t) + P−1 = %d",
 					trial, name, st.Frames, len(distinct), wantFrames)
 			}
 			if ref == (Stats{}) {
@@ -162,7 +164,7 @@ func TestOwnerScalarsDealtTogetherAcrossEngines(t *testing.T) {
 				t.Errorf("trial %d %s: per-scalar Input moved %d messages / %d bytes / %d field ops, one vector per owner %d / %d / %d",
 					trial, name, st.Messages, st.Bytes, st.FieldOps, ref.Messages, ref.Bytes, ref.FieldOps)
 			}
-			if wantFrames := int64(len(owners)*unseeded + p*(p-1)); st.Frames != wantFrames {
+			if wantFrames := int64(len(owners)*unseeded + p - 1); st.Frames != wantFrames {
 				t.Errorf("trial %d %s: per-scalar Input sent %d frames, want %d", trial, name, st.Frames, wantFrames)
 			}
 		}

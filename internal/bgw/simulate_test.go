@@ -2,6 +2,7 @@ package bgw
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"sqm/internal/field"
@@ -16,13 +17,15 @@ import (
 // (2, 2), so a view that depends on the output alone is the same
 // distribution in both worlds.
 //
-// What a coalition of t parties sees of the opening is the row every
-// honest party publishes. The marginal of a row is uniform with or
-// without the zero mask — a Shamir share is — so the residues of the rows
-// alone cannot tell a leak; the leak of a bare degree-2t polynomial is
-// in the rows taken together with what the coalition already holds: its
-// t points of each honest input's polynomial and the polynomials it
-// dealt itself. From those, two bare rows are two linear equations in a
+// What a coalition of t parties with party 0 sees of the opening is the
+// row every honest party publishes; only party 0 is sent rows, so a
+// coalition without it sees nothing of the opening, and the test holds
+// every coalition to the view it would have with party 0. The marginal
+// of a row is uniform with or without the zero mask — a Shamir share
+// is — so the residues of the rows alone cannot tell a leak; the leak of
+// a bare degree-2t polynomial is in the rows taken together with what
+// the coalition already holds: its t points of each honest input's
+// polynomial and the polynomials it dealt itself. From those, two bare rows are two linear equations in a
 // and b, and the coalition solves them. coalitionGuess is that solver,
 // and the test holds both the rows' residues and the guess's to a
 // two-sample χ² between the worlds: under the mask every statistic is
@@ -68,11 +71,13 @@ func viewEngine(t *testing.T, cfg Config, coalition []int, bare bool) (e *Engine
 }
 
 // terminalOpenView runs the circuit for honest inputs (a, b) on a fresh
-// inline engine and returns what the coalition sees of the opening — the
-// rows the honest parties publish — and coalitionGuess's answer for a.
-func terminalOpenView(t *testing.T, cfg Config, coalition []int, a, b int64, bare bool) (rows []field.Elem, guess field.Elem) {
+// inline engine and returns what a coalition with party 0 sees of the
+// opening — the rows the honest parties publish — coalitionGuess's
+// answer for a, and how many opening rows reached the coalition.
+func terminalOpenView(t *testing.T, cfg Config, coalition []int, a, b int64, bare bool) (rows []field.Elem, guess field.Elem, received int) {
 	t.Helper()
 	e, honest := viewEngine(t, cfg, coalition, bare)
+	log := logRows(e)
 	// What Plan.Execute issues for a terminal level: the inputs, the
 	// products unreduced, the linear gate, the opening.
 	dealer := coalition[0]
@@ -81,13 +86,21 @@ func terminalOpenView(t *testing.T, cfg Config, coalition []int, a, b int64, bar
 		{Kind: MulScalar, A: ins[0], B: ins[2]},
 		{Kind: MulScalar, A: ins[1], B: ins[3]},
 	})
-	if got := e.Open(e.Add(prods[0], prods[1])); got != a+2*b {
+	sum := e.Add(prods[0], prods[1])
+	before := log.clone()
+	if got := e.Open(sum); got != a+2*b {
 		t.Fatalf("opened %d, want %d", got, a+2*b)
 	}
 	for _, h := range honest {
 		rows = append(rows, e.parties[h].pend[0])
 	}
-	return rows, coalitionGuess(e, coalition, honest, ins)
+	opened := log.since(before)
+	for _, c := range coalition {
+		for i := range opened {
+			received += len(opened[i][c])
+		}
+	}
+	return rows, coalitionGuess(e, coalition, honest, ins), received
 }
 
 // coalitionGuess is the coalition's attack on a bare opening. A degree-t
@@ -155,9 +168,19 @@ func TestTerminalOpenViewIsSimulatedFromTheOutput(t *testing.T) {
 			var rowsA, rowsB, guessA, guessB []field.Elem
 			for s := uint64(0); s < seeds; s++ {
 				cfg := Config{Parties: c.parties, Seed: 0x51b0 + s}
-				ra, ga := terminalOpenView(t, cfg, c.coalition, 4, 1, bare)
+				ra, ga, na := terminalOpenView(t, cfg, c.coalition, 4, 1, bare)
 				cfg.Seed += seeds
-				rb, gb := terminalOpenView(t, cfg, c.coalition, 2, 2, bare)
+				rb, gb, nb := terminalOpenView(t, cfg, c.coalition, 2, 2, bare)
+				// Only party 0 is sent opening rows, one from each peer: a
+				// coalition without it receives none, and the χ² below is
+				// the view of a coalition with it.
+				wantRows := 0
+				if slices.Contains(c.coalition, 0) {
+					wantRows = c.parties - 1
+				}
+				if na != wantRows || nb != wantRows {
+					t.Fatalf("P=%d coalition %v: received %d and %d opening rows, want %d", c.parties, c.coalition, na, nb, wantRows)
+				}
 				rowsA, rowsB = append(rowsA, ra...), append(rowsB, rb...)
 				guessA, guessB = append(guessA, ga), append(guessB, gb)
 			}

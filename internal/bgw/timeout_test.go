@@ -15,43 +15,47 @@ import (
 // set, a silently lossy link fails the starved party with a typed
 // transport.ErrTimeout instead of hanging the protocol forever.
 func TestActorRecvTimeoutSurfacesAsPartyFailure(t *testing.T) {
-	// Link 0→1 drops every message: party 1 starves waiting for party
-	// 0's input share while 0's send succeeds, the silent-loss shape a
-	// deadline exists to catch.
-	mesh := transport.NewFaultMesh(transport.NewChanMesh(3), transport.FaultProfile{
-		Seed:  1,
-		Links: map[[2]int]transport.LinkFault{{0, 1}: {DropProb: 1}},
-	})
-	// An info-level recorder: the engine's debug events stay off, its
-	// failure event does not.
-	var log bytes.Buffer
-	eng, err := NewActorEngine(Config{
-		Parties:     3,
-		Seed:        7,
-		RecvTimeout: 50 * time.Millisecond,
-		Recorder:    obs.NewLog(&log, "text", obs.LevelInfo),
-	}, mesh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
+	// Each link drops every message while its sender's sends succeed, the
+	// silent-loss shape a deadline exists to catch. At P = 3, t = 1 link
+	// 0→2 carries party 0's input share (party 1 draws its own), so party
+	// 2 starves in the input round; link 1→0 carries only party 1's
+	// opening row, so party 0 starves in the opening.
+	for _, link := range [][2]int{{0, 2}, {1, 0}} {
+		mesh := transport.NewFaultMesh(transport.NewChanMesh(3), transport.FaultProfile{
+			Seed:  1,
+			Links: map[[2]int]transport.LinkFault{link: {DropProb: 1}},
+		})
+		// An info-level recorder: the engine's debug events stay off, its
+		// failure event does not.
+		var log bytes.Buffer
+		eng, err := NewActorEngine(Config{
+			Parties:     3,
+			Seed:        7,
+			RecvTimeout: 50 * time.Millisecond,
+			Recorder:    obs.NewLog(&log, "text", obs.LevelInfo),
+		}, mesh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { eng.Close() })
 
-	done := make(chan int64, 1)
-	go func() { done <- eng.Open(eng.Input(0, 42)) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("protocol hung despite RecvTimeout")
-	}
-	if err := eng.Err(); !errors.Is(err, transport.ErrTimeout) {
-		t.Fatalf("engine error = %v, want errors.Is(err, transport.ErrTimeout)", err)
-	}
-	// The expiry is counted where it is latched: one bgw.party.failed.
-	if got := strings.Count(log.String(), "bgw.party.failed"); got != 1 || !strings.Contains(log.String(), transport.ErrTimeout.Error()) {
-		t.Fatalf("log has %d bgw.party.failed events, want 1 naming the timeout:\n%s", got, log.String())
-	}
-	if strings.Contains(log.String(), "bgw.round") {
-		t.Fatalf("debug-level bgw.round reached an info-level recorder:\n%s", log.String())
+		done := make(chan int64, 1)
+		go func() { done <- eng.Open(eng.Input(0, 42)) }()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("link %d→%d: protocol hung despite RecvTimeout", link[0], link[1])
+		}
+		if err := eng.Err(); !errors.Is(err, transport.ErrTimeout) {
+			t.Fatalf("link %d→%d: engine error = %v, want errors.Is(err, transport.ErrTimeout)", link[0], link[1], err)
+		}
+		// The expiry is counted where it is latched: one bgw.party.failed.
+		if got := strings.Count(log.String(), "bgw.party.failed"); got != 1 || !strings.Contains(log.String(), transport.ErrTimeout.Error()) {
+			t.Fatalf("link %d→%d: log has %d bgw.party.failed events, want 1 naming the timeout:\n%s", link[0], link[1], got, log.String())
+		}
+		if strings.Contains(log.String(), "bgw.round") {
+			t.Fatalf("link %d→%d: debug-level bgw.round reached an info-level recorder:\n%s", link[0], link[1], log.String())
+		}
 	}
 }
 

@@ -146,9 +146,11 @@ func (r *refWire) dotBatch(pairs [][2][][]field.Elem) [][]field.Elem {
 	return out
 }
 
-// open has every party broadcast its additive shares λ_i·s_i under the
-// telescoping mask: peer by peer, element by element, the pair's stream
-// added by the smaller index and subtracted by the larger.
+// open has every party but 0 send party 0, the one that decodes, its
+// additive shares λ_i·s_i under the telescoping mask: peer by peer,
+// element by element, the pair's stream added by the smaller index and
+// subtracted by the larger. Party 0 draws its own row's masks and sends
+// nothing.
 func (r *refWire) open(shares [][]field.Elem) {
 	for i := 0; i < r.p; i++ {
 		row := make([]field.Elem, len(shares[i]))
@@ -165,10 +167,8 @@ func (r *refWire) open(shares [][]field.Elem) {
 				}
 			}
 		}
-		for j := 0; j < r.p; j++ {
-			if j != i {
-				r.send(i, j, row)
-			}
+		if i != 0 {
+			r.send(i, 0, row)
 		}
 	}
 }

@@ -240,18 +240,18 @@ func TestBatchedLevelIsOneFrameExchange(t *testing.T) {
 		t.Errorf("eager rounds = %d, want %d", eRounds, plan.EagerRounds())
 	}
 	// Planned frames: a dealing is one frame per unseeded peer, an opening
-	// one per link. The n scalar inputs share as one InputVec per owner —
+	// one per link into party 0, the one that decodes. The n scalar inputs share as one InputVec per owner —
 	// each of the p owners deals once — then one reshare exchange for level 1, none
 	// for level 2, which is opened at the degree it has, then one batched
 	// opening.
 	const owners = p // n ≥ p inputs dealt round-robin: every party owns some
-	wantPlanned := int64(owners*unseeded + p*unseeded + p*(p-1))
+	wantPlanned := int64(owners*unseeded + p*unseeded + (p - 1))
 	if pFrames != wantPlanned {
 		t.Errorf("planned frames = %d, want %d", pFrames, wantPlanned)
 	}
 	// Eager frames: one Input per scalar, one reshare exchange per gate,
 	// one opening exchange per output.
-	wantEager := int64(n*unseeded + 2*n*p*unseeded + n*p*(p-1))
+	wantEager := int64(n*unseeded + 2*n*p*unseeded + n*(p-1))
 	if eFrames != wantEager {
 		t.Errorf("eager frames = %d, want %d", eFrames, wantEager)
 	}

@@ -340,10 +340,10 @@ func TestFoldExactCounts(t *testing.T) {
 	// Before the leaves went unshared this circuit measured {2, 48, 72,
 	// 576, 108}: the input round with its 24 frames, 36 messages and
 	// 12·P·(t+1) = 96 sharing operations is gone. What is left is the
-	// opening exchange of one scalar and one 2-vector — 2·P(P−1) frames,
-	// 3 elements to every peer, one field operation per element and party
-	// — and one λ⁻¹·x per input element at its owner.
-	want := bgw.Stats{Rounds: 1, Frames: 24, Messages: 36, Bytes: 288, FieldOps: 24}
+	// opening exchange of one scalar and one 2-vector — 2·(P−1) frames,
+	// 3 elements from every peer into party 0, one field operation per
+	// element and party — and one λ⁻¹·x per input element at its owner.
+	want := bgw.Stats{Rounds: 1, Frames: 6, Messages: 9, Bytes: 72, FieldOps: 24}
 	if got != want {
 		t.Fatalf("one leaf per owner: counters %+v, want %+v", got, want)
 	}

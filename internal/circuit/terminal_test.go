@@ -70,12 +70,13 @@ func TestTerminalLevelIsOpenedUnreduced(t *testing.T) {
 			}
 		}
 		// The two column dealers' input frames, one to each of the
-		// P − 1 − t = 2 unseeded peers, and one opening exchange; the 4 + 4
-		// column elements to those peers and the 3 opened ones to every
-		// peer. The noise costs nothing on the wire.
+		// P − 1 − t = 2 unseeded peers, and one opening exchange, a frame
+		// into party 0 from each of its P − 1 peers; the 4 + 4 column
+		// elements to those peers and the 3 opened ones from every peer
+		// into party 0. The noise costs nothing on the wire.
 		st := eng.Stats()
 		const unseeded = p - 1 - 1
-		wantFrames, wantMsgs := int64(2*unseeded+p*(p-1)), int64(8*unseeded+3*p*(p-1))
+		wantFrames, wantMsgs := int64(2*unseeded+(p-1)), int64(8*unseeded+3*(p-1))
 		if st.Rounds != 2 || st.Frames != wantFrames || st.Messages != wantMsgs {
 			t.Errorf("%s: %d rounds, %d frames, %d messages; want 2, %d, %d", name, st.Rounds, st.Frames, st.Messages, wantFrames, wantMsgs)
 		}

@@ -70,11 +70,13 @@ func TestOpenOnlyLeavesAreNotShared(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer actor.Close()
+		// Every opening exchange is one frame into party 0 from each of
+		// its P − 1 peers, carrying every opened element.
 		exp := bgw.Stats{
 			Rounds:   1,
-			Frames:   tc.openings * p * (p - 1),
-			Messages: tc.opened * p * (p - 1),
-			Bytes:    8 * tc.opened * p * (p - 1),
+			Frames:   tc.openings * (p - 1),
+			Messages: tc.opened * (p - 1),
+			Bytes:    8 * tc.opened * (p - 1),
 		}
 		for name, eng := range map[string]bgw.Evaluator{"mono": mono, "actor": actor} {
 			res, err := plan.Execute(eng, tc.bind)

@@ -78,15 +78,16 @@ func TestAbortIsTypedBookedAndLeakFree(t *testing.T) {
 	defer func(old func(int, ...transport.Option) transport.Mesh) { chanMesh = old }(chanMesh)
 	healthy := chanMesh
 
-	// At P = 3, t = 1 party 1 draws party 0's rows of every dealing and
-	// party 2 is sent them, so the link faults sit on 0→2: it carries
-	// party 0's input and reshare rows, and last its row of the opening.
-	link02 := func(f transport.LinkFault) transport.FaultProfile {
-		return transport.FaultProfile{Seed: 1, Links: map[[2]int]transport.LinkFault{{0, 2}: f}}
+	// At P = 3, t = 1 party 2 draws party 1's rows of every dealing and
+	// party 0 is sent them, and only party 0 is sent the opening's rows,
+	// so the link faults sit on 1→0: it carries party 1's input and
+	// reshare rows, and last its row of the opening.
+	link10 := func(f transport.LinkFault) transport.FaultProfile {
+		return transport.FaultProfile{Seed: 1, Links: map[[2]int]transport.LinkFault{{1, 0}: f}}
 	}
 	// links[i][j] is the number of frames a healthy run sends on the
-	// directed link i→j; the last frame on every link is the sender's row
-	// of the opening.
+	// directed link i→j; the last frame on every link into party 0 is the
+	// sender's row of the opening, and party 2's last send is that row.
 	positions := []struct {
 		name    string
 		reshare bool // only shapes with a resharing round
@@ -94,16 +95,16 @@ func TestAbortIsTypedBookedAndLeakFree(t *testing.T) {
 		hit     func(transport.FaultStats) bool
 	}{
 		{"input frame lost", false,
-			func(*linkFrames) transport.FaultProfile { return link02(transport.LinkFault{DropProb: 1}) },
+			func(*linkFrames) transport.FaultProfile { return link10(transport.LinkFault{DropProb: 1}) },
 			func(s transport.FaultStats) bool { return s.Drops >= 1 }},
 		{"reshare frame lost", true,
 			func(l *linkFrames) transport.FaultProfile {
-				return link02(transport.LinkFault{CutAfter: l.frames[0][2] - 2})
+				return link10(transport.LinkFault{CutAfter: l.frames[1][0] - 2})
 			},
 			func(s transport.FaultStats) bool { return s.Cuts >= 1 }},
 		{"opening row lost", false,
 			func(l *linkFrames) transport.FaultProfile {
-				return link02(transport.LinkFault{CutAfter: l.frames[0][2] - 1})
+				return link10(transport.LinkFault{CutAfter: l.frames[1][0] - 1})
 			},
 			func(s transport.FaultStats) bool { return s.Cuts == 1 }},
 		{"party 2 crashes before the opening", false,
@@ -112,7 +113,7 @@ func TestAbortIsTypedBookedAndLeakFree(t *testing.T) {
 				for _, n := range l.frames[2] {
 					sends += n
 				}
-				return transport.FaultProfile{CrashAfterSends: map[int]int{2: sends - (parties - 1)}}
+				return transport.FaultProfile{CrashAfterSends: map[int]int{2: sends - 1}}
 			},
 			func(s transport.FaultStats) bool { return s.Crashes == 1 }},
 	}

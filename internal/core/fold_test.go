@@ -71,11 +71,15 @@ func sessionStats(t *testing.T, clients int) (cov, lr, lr3 bgw.Stats) {
 // dealer's seeded peers draw instead of receive, and leaves FieldOps as
 // they are: the covariance's 6 data columns of 30 records lose 6·t frames
 // and 6·30·t messages, and each of LR3's lr3ReshareLevels resharings
-// P·t frames and B·P·t messages.
+// P·t frames and B·P·t messages. And since only party 0, which decodes,
+// is sent the opening's rows, every release's one opening keeps P − 1 of
+// its P(P−1) frames and loses (P−1)² frames and muls·(P−1)² messages,
+// leaving FieldOps as they are: every party still publishes its row.
 func TestOneClientPerPartyIsAFixedPoint(t *testing.T) {
 	const P, th, B = 4, 1, 8
 	reshared := int64(lr3ReshareLevels(P, th))
 	kept := 2 - reshared
+	const peers = (P - 1) * (P - 1) // links the opening no longer uses
 	cov, lr, lr3 := sessionStats(t, 4)
 	for _, c := range []struct {
 		name      string
@@ -83,17 +87,17 @@ func TestOneClientPerPartyIsAFixedPoint(t *testing.T) {
 	}{
 		{"covariance", cov, bgw.Stats{
 			Rounds:   3 - 1,
-			Frames:   54 - 12 - 12 - 6*th,
-			Messages: 1296 - 252 - 252 - 6*30*th,
-			Bytes:    10368 - 2016 - 2016 - 8*6*30*th,
+			Frames:   54 - 12 - 12 - 6*th - peers,
+			Messages: 1296 - 252 - 252 - 6*30*th - 21*peers,
+			Bytes:    10368 - 2016 - 2016 - 8*6*30*th - 8*21*peers,
 			FieldOps: 5220 - 504 - 588,
 		}},
-		{"lr", lr, bgw.Stats{Rounds: 3 - 1 - 1, Frames: 36 - 12 - 12, Messages: 180 - 60 - 60, Bytes: 1440 - 480 - 480, FieldOps: 652 - 120 - 140}},
+		{"lr", lr, bgw.Stats{Rounds: 3 - 1 - 1, Frames: 36 - 12 - 12 - peers, Messages: 180 - 60 - 60 - 5*peers, Bytes: 1440 - 480 - 480 - 8*5*peers, FieldOps: 652 - 120 - 140}},
 		{"lr3", lr3, bgw.Stats{
 			Rounds:   5 - 1 - 1 - kept,
-			Frames:   60 - 12 - 12 - kept*P*(P-1) - reshared*P*th,
-			Messages: 372 - 60 - 60 - kept*B*P*(P-1) - reshared*B*P*th,
-			Bytes:    2976 - 480 - 480 - 8*kept*B*P*(P-1) - 8*reshared*B*P*th,
+			Frames:   60 - 12 - 12 - kept*P*(P-1) - reshared*P*th - peers,
+			Messages: 372 - 60 - 60 - kept*B*P*(P-1) - reshared*B*P*th - 5*peers,
+			Bytes:    2976 - 480 - 480 - 8*kept*B*P*(P-1) - 8*reshared*B*P*th - 8*5*peers,
 			FieldOps: 1260 - 120 - 140 - kept*P*B*(P+th+1),
 		}},
 	} {

@@ -76,12 +76,13 @@ func TestGradientStepBitIdenticalAtBatchEdges(t *testing.T) {
 // which benchmark/replica.go still executes and compares from outside.
 // Every step moves
 //
-//	frames   (levels−1)·P·(P−1−t) + P·(P−1)
-//	messages muls·P·(P−1−t) + d·P·(P−1), 8 bytes each
+//	frames   (levels−1)·P·(P−1−t) + (P−1)
+//	messages muls·P·(P−1−t) + d·(P−1), 8 bytes each
 //
 // in levels rounds: the levels that reshare a product — every dealer
 // sends a row to its P−1−t unseeded peers, its t seeded peers draw theirs
-// — and the opening, a row over every link.
+// — and the opening, a row from every other party into party 0, the one
+// that decodes.
 // The noise reaches nothing but the opening, so no party shares it: there
 // is no input round and no input frame, and an LR step is the opening
 // round alone. The inner products, the last level, are opened at the
@@ -111,10 +112,10 @@ func TestGradientStepCountersClosedForm(t *testing.T) {
 		P, d, B, th := int64(c.P), int64(c.d), int64(c.B), int64(c.t)
 		reshare := P + th + 1
 		want := func(levels, muls, linTerms, mulOps int64) bgw.Stats {
-			msgs := muls*P*(P-1-th) + d*P*(P-1)
+			msgs := muls*P*(P-1-th) + d*(P-1)
 			return bgw.Stats{
 				Rounds:   levels,
-				Frames:   (levels-1)*P*(P-1-th) + P*(P-1),
+				Frames:   (levels-1)*P*(P-1-th) + (P - 1),
 				Messages: msgs,
 				Bytes:    8 * msgs,
 				FieldOps: P*linTerms*B + int64(o)*d + P*(mulOps+muls*reshare) + P*d,

@@ -15,9 +15,10 @@ import (
 // vectors of m elements, each dealt to the P−1−t peers that do not draw
 // their rows from a stream shared with the dealer, in one round — plus R
 // steps whose counters TestGradientStepCountersClosedForm (core) pins.
-// An order-1 step is the opening round, P·(P−1) frames of d elements; an
-// order-3 step at P = 4, t = 1 reshares the cube's B products in one level
-// first, 2 rounds and P·(P−1−t) + P·(P−1) frames. On the plain engine
+// An order-1 step is the opening round, P − 1 frames of d elements, one
+// into party 0 from each of its peers; an order-3 step at P = 4, t = 1
+// reshares the cube's B products in one level first, 2 rounds and
+// P·(P−1−t) + (P−1) frames. On the plain engine
 // the counters are zero and Mu is the calibrated μ.
 func TestTrainerRecordMatchesClosedForm(t *testing.T) {
 	const P, th = 4, 1
@@ -31,13 +32,13 @@ func TestTrainerRecordMatchesClosedForm(t *testing.T) {
 		sensitivity         func(gamma float64, d int) (delta2, delta1 float64)
 		wantR, wantF, wantB int64 // wantB 0: an order-3 step's bytes follow its batch size
 	}{
-		// 1 632 000 set-up bytes and 10 steps of 4 800.
-		{name: "lr_chan", fit: TrainSQM, m: 2000, d: 50, gamma: 18, q: 0.1, stepRounds: 1, stepFrames: P * (P - 1),
-			sensitivity: Sensitivities, wantR: 11, wantF: 222, wantB: 1680000},
-		{name: "lr3_tcp", fit: TrainSQMOrder3, m: 2000, d: 20, gamma: 8, q: 0.05, stepRounds: 2, stepFrames: P*(P-1-th) + P*(P-1),
+		// 1 632 000 set-up bytes and 10 steps of 8·d·(P−1) = 1 200.
+		{name: "lr_chan", fit: TrainSQM, m: 2000, d: 50, gamma: 18, q: 0.1, stepRounds: 1, stepFrames: P - 1,
+			sensitivity: Sensitivities, wantR: 11, wantF: 132, wantB: 1644000},
+		{name: "lr3_tcp", fit: TrainSQMOrder3, m: 2000, d: 20, gamma: 8, q: 0.05, stepRounds: 2, stepFrames: P*(P-1-th) + (P - 1),
 			sensitivity: func(gamma float64, d int) (float64, float64) {
 				return core.LR3Sensitivity(gamma, d, core.DefaultLR3Precision)
-			}, wantR: 41, wantF: 442},
+			}, wantR: 41, wantF: 262},
 	} {
 		for _, seed := range []uint64{1, 7} {
 			ds := smallTask(t, c.m, 1, c.d, seed)

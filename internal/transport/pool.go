@@ -36,6 +36,11 @@ var poolClasses = [...]int{64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 327
 
 var framePools [len(poolClasses)]sync.Pool
 
+// boxPool holds empty *[]byte headers. A pooled buffer travels in one of
+// them, and GetPayload hands the emptied header back here for the next
+// recycle, so a get/recycle round trip allocates nothing.
+var boxPool sync.Pool
+
 var (
 	poolHits   atomic.Int64 // GetPayload calls served from a pool
 	poolMisses atomic.Int64 // GetPayload calls that allocated
@@ -71,7 +76,11 @@ func GetPayload(n int) []byte {
 	}
 	if v := framePools[ci].Get(); v != nil {
 		poolHits.Add(1)
-		return (*v.(*[]byte))[:n]
+		box := v.(*[]byte)
+		b := (*box)[:n]
+		*box = nil
+		boxPool.Put(box)
+		return b
 	}
 	poolMisses.Add(1)
 	return make([]byte, n, poolClasses[ci])
@@ -87,8 +96,12 @@ func recycle(b []byte) {
 	c := cap(b)
 	for i, cs := range poolClasses {
 		if c == cs {
-			b = b[:0]
-			framePools[i].Put(&b)
+			box, _ := boxPool.Get().(*[]byte)
+			if box == nil {
+				box = new([]byte)
+			}
+			*box = b[:0]
+			framePools[i].Put(box)
 			return
 		}
 	}

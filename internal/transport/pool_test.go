@@ -44,6 +44,23 @@ func TestPoolRoundTrip(t *testing.T) {
 	recycle(make([]byte, 100)) // caller-allocated, cap not a class
 }
 
+// TestPoolRoundTripAllocatesNothing: a GetPayload → recycle round trip
+// at a class size allocates nothing once the pool is warm — the buffer
+// comes back from its class and the header that carries it through the
+// pool is reused, not boxed afresh.
+func TestPoolRoundTripAllocatesNothing(t *testing.T) {
+	for _, n := range []int{8, 200, 8 * 1000} {
+		allocs := testing.AllocsPerRun(100, func() {
+			b := GetPayload(n)
+			b[0] = 1
+			recycle(b)
+		})
+		if allocs != 0 {
+			t.Errorf("GetPayload(%d) → recycle: %v allocations per round trip, want 0", n, allocs)
+		}
+	}
+}
+
 // TestNetMeshRecvBufferReuse is the regression test for the TCP mesh
 // receive path: when the next frame's payload fits, Recv must decode it
 // into the link's existing buffer instead of allocating per frame —

@@ -1,5 +1,5 @@
 // Command sqmtrace merges the per-party flight-recorder dumps a traced
-// session leaves behind (sqmrun -trace-dir, protocol.WithTraceDir) into
+// run leaves behind (sqmrun -trace-dir, examples/vflsession -trace-dir) into
 // one causally ordered timeline: events sorted by Lamport stamp,
 // cross-party send/recv pairs matched by (link, lclock), per-link bytes,
 // messages, latency and straggler stats, count / total / mean / max

@@ -1,28 +1,23 @@
-// A complete VFL session over the wire protocol: three clients and a
-// coordinator exchange versioned binary frames through the session
-// layer — hello, parameters and their ack (each client quantizes its
-// column and samples its Skellam shares *before* any evaluation round,
-// as the DP analysis requires), then two evaluation rounds whose opened
-// results are broadcast back to every client.
+// A VFL run over real sockets: three clients each hold one column, and
+// two releases of the same polynomial aggregate are evaluated by three
+// BGW parties whose share frames cross a localhost TCP mesh
+// (EngineActorBGWNet). Each client quantizes its column and draws its
+// Skellam shares inside the release; party 0 alone decodes the opened
+// integers.
 //
-// Everything crosses real sockets: the session frames travel over
-// localhost TCP connections (RunVFLSessionTCP), and each round's MPC
-// runs the party-actor BGW engine whose share messages travel over
-// their own TCP mesh (EngineActorBGWNet).
-//
-// The run is instrumented: a telemetry recorder writes the session
-// lifecycle events on stderr, a privacy-budget ledger reports the
-// running ε(δ) after each noise release, and each round's MPC cost —
-// rounds, frames and bytes from the engine's own counters — is printed
-// at the end.
+// The run is instrumented: a telemetry recorder writes the engines'
+// events on stderr, a privacy-budget ledger reports the running ε(δ)
+// after each release, and each release's MPC cost — rounds, frames and
+// bytes from the engine's own counters — is printed at the end.
 //
 // Run with: go run ./examples/vflsession
 //
 // Pass -trace-dir to additionally record a distributed trace: the
-// session coordinator and all three mesh parties stamp their events
-// with a shared trace id and Lamport clocks, and dump per-party JSONL
-// flight-recorder files into the directory on exit. Merge them into
-// one causally ordered timeline with:
+// coordinator stream (with the ledger's events) and all three mesh
+// parties stamp their events with one trace id and Lamport clocks, and
+// dump per-party JSONL flight-recorder files into the directory on
+// exit, a failed run included. Merge them into one causally ordered
+// timeline with:
 //
 //	go run ./cmd/sqmtrace <trace-dir>
 package main
@@ -39,6 +34,12 @@ import (
 func main() {
 	traceDir := flag.String("trace-dir", "", "dump per-party trace JSONL into this directory")
 	flag.Parse()
+	if err := run(*traceDir); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(traceDir string) (err error) {
 	// The shared database: 200 records, one column per client.
 	x := sqm.NewMatrix(200, 3)
 	for i := 0; i < x.Rows; i++ {
@@ -58,93 +59,55 @@ func main() {
 		truth += r[0]*r[1] + 0.5*r[2]*r[2]
 	}
 
-	const gamma = 2048.0
+	const gamma, delta, seed, parties = 2048.0, 1e-5, 11, 3
 	delta2 := 1.5 * gamma * gamma * gamma // Σ|coef|·c^deg, scaled by γ^{λ+1}
-	mu, err := sqm.CalibrateSkellamMu(1.0, 1e-5, delta2*1.8, delta2, 1, 1)
+	mu, err := sqm.CalibrateSkellamMu(1.0, delta, delta2*1.8, delta2, 1, 1)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	params := sqm.SessionParams{
-		Gamma: gamma, Mu: mu, NumClients: 3, OutDim: 1, Rounds: 2, Seed: 11,
-	}
-
-	// Telemetry: structured events on stderr from the session
-	// coordinator and the BGW engines. The accountant ledger reports the
-	// running ε(δ) after each of the two per-round Skellam releases.
+	// One trace context spans both releases: the coordinator stream and
+	// the three mesh parties share the trace id, so sqmtrace can merge
+	// their dumps into one causal timeline. Wrapping the recorder routes
+	// the ledger's dp.release events into the coordinator stream.
 	var rec sqm.Recorder = sqm.NewLogRecorder(os.Stderr, "text", sqm.LevelInfo)
-
-	// One trace context spans the whole run: the session coordinator
-	// and the three BGW mesh parties share the trace id, so sqmtrace
-	// can merge their dumps into a single causal timeline. Wrapping the
-	// recorder up front also routes the ledger's dp.release events into
-	// the coordinator's flight recorder.
 	var tc *sqm.TraceContext
-	if *traceDir != "" {
-		tc = sqm.NewTraceContext(sqm.DeriveTraceID(params.Seed, 3), 3)
+	if traceDir != "" {
+		tc = sqm.NewTraceContext(sqm.DeriveTraceID(seed, parties), parties)
 		rec = tc.Coordinator().Wrap(rec)
+		defer func() {
+			if _, derr := tc.DumpAll(traceDir); derr != nil && err == nil {
+				err = derr
+			}
+		}()
 	}
-
-	const delta = 1e-5
 	acct := sqm.NewAccountant(0)
 	acct.Observe(rec, delta)
-	acct.SetBudget(2.5) // two rounds at eps=1 each compose below this
-	hooks := make([]sqm.SessionClientHooks, 3)
-	for i := range hooks {
-		id := i
-		hooks[i] = sqm.SessionClientHooks{
-			OnParams: func(p sqm.SessionParams) error {
-				fmt.Printf("client %d: committed quantization (γ=%g) and noise share Sk(μ/3)\n", id, p.Gamma)
-				return nil
-			},
-			OnEvalRequest: func(round uint32) error {
-				fmt.Printf("client %d: contributed shares for round %d\n", id, round)
-				return nil
-			},
-		}
-	}
+	acct.SetBudget(2.5) // two releases at ε = 1 each compose below this
 
-	var scale float64
+	fmt.Printf("true aggregate: %.4f\n", truth)
 	var costs []*sqm.Trace
-	outcomes, err := sqm.RunVFLSessionTCP(params, hooks, func(round uint32) ([]int64, error) {
-		_, tr, err := sqm.EvaluatePolynomialSum(f, x, sqm.Params{
-			Gamma: params.Gamma, Mu: params.Mu, NumClients: 3,
-			Engine: sqm.EngineActorBGWNet, Parties: 3,
-			Seed:     params.Seed + uint64(round),
+	for release := 0; release < 2; release++ {
+		est, tr, err := sqm.EvaluatePolynomialSum(f, x, sqm.Params{
+			Gamma: gamma, Mu: mu, NumClients: 3,
+			Engine: sqm.EngineActorBGWNet, Parties: parties,
+			Seed:     seed + uint64(release),
 			Recorder: rec,
 			Trace:    tc,
 		})
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("release %d: %w", release, err)
 		}
-		// One Skellam release per round enters the privacy ledger.
-		acct.AddSkellam(delta2*1.8, delta2, params.Mu)
-		scale = tr.Scale
+		acct.AddSkellam(delta2*1.8, delta2, mu)
+		fmt.Printf("release %d: %.4f\n", release, est[0])
 		costs = append(costs, tr)
-		return tr.Scaled, nil
-	}, sqm.WithSessionRecorder(rec), sqm.WithSessionTrace(tc), sqm.WithSessionTraceDir(*traceDir))
-	if err != nil {
-		log.Fatal(err)
 	}
-
-	fmt.Printf("\ntrue aggregate: %.4f\n", truth)
-	for _, o := range outcomes {
-		if o.Err != nil {
-			log.Fatalf("client %d failed: %v", o.Client, o.Err)
-		}
-		fmt.Printf("client %d received", o.Client)
-		for _, r := range o.Results {
-			fmt.Printf("  round %d: %.4f", r.Round, float64(r.Scaled[0])/scale)
-		}
-		fmt.Println()
-	}
-	fmt.Println("\nevery client saw the identical DP-protected aggregate; the session layer")
-	fmt.Println("enforces that every client samples its noise before any evaluation round.")
 
 	eps, alpha := acct.Epsilon(delta)
 	fmt.Printf("\nprivacy ledger: eps(delta=%g) = %.4f @ alpha=%d over %d release(s)\n",
 		delta, eps, alpha, acct.Releases())
 	for r, tr := range costs {
-		fmt.Printf("round %d MPC: %d rounds, %d frames, %d bytes\n", r, tr.Stats.Rounds, tr.Stats.Frames, tr.Stats.Bytes)
+		fmt.Printf("release %d MPC: %d rounds, %d frames, %d bytes\n", r, tr.Stats.Rounds, tr.Stats.Frames, tr.Stats.Bytes)
 	}
+	return nil
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // These tests exercise the extension surfaces of the public facade —
-// marginals, session layer, accountant, model persistence, activation
+// marginals, accountant, model persistence, activation
 // approximation — the way a downstream user would.
 
 func TestFacadeMarginals(t *testing.T) {
@@ -37,22 +37,6 @@ func TestFacadeMarginals(t *testing.T) {
 	for _, c := range r.Counts {
 		if c < 0 || c > 4 {
 			t.Fatalf("count %v escapes range", c)
-		}
-	}
-}
-
-func TestFacadeSession(t *testing.T) {
-	hooks := make([]sqm.SessionClientHooks, 2)
-	p := sqm.SessionParams{Gamma: 8, NumClients: 2, OutDim: 1, Rounds: 1, Seed: 3}
-	outcomes, err := sqm.RunVFLSession(p, hooks, func(round uint32) ([]int64, error) {
-		return []int64{77}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, o := range outcomes {
-		if o.Err != nil || len(o.Results) != 1 || o.Results[0].Scaled[0] != 77 {
-			t.Fatalf("outcome = %+v", o)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package cli
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"net/http/httptest"
@@ -10,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"sqm/internal/core"
 	"sqm/internal/csvio"
 	"sqm/internal/dataset"
 	"sqm/internal/dp"
@@ -253,23 +255,41 @@ func TestRunTelemetryFlags(t *testing.T) {
 	}
 }
 
+// TestRunTraceDir: -trace-dir dumps the coordinator stream and one per
+// mesh party on the way out — after a completed run, and after a run the
+// field bound refuses, whose error still leaves the dumps behind.
 func TestRunTraceDir(t *testing.T) {
 	data := writeTask(t, false)
-	dir := t.TempDir()
-	var out, errBuf bytes.Buffer
-	err := Run("covariance", []string{
-		"-data", data, "-header", "-engine", "actor", "-parties", "3", "-trace-dir", dir,
-	}, &out, &errBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(errBuf.String(), "trace dump") {
-		t.Fatalf("stderr missing trace dump report: %q", errBuf.String())
-	}
-	// Coordinator stream plus one per mesh party.
-	dumps, err := filepath.Glob(filepath.Join(dir, "trace-*.jsonl"))
-	if err != nil || len(dumps) != 4 {
-		t.Fatalf("trace dumps = %v (err %v), want 4", dumps, err)
+	for _, tc := range []struct {
+		name  string
+		extra []string
+		fails bool
+	}{
+		{"completed", nil, false},
+		{"refused", []string{"-gamma", "1e9"}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			var out, errBuf bytes.Buffer
+			args := append([]string{
+				"-data", data, "-header", "-engine", "actor", "-parties", "3", "-trace-dir", dir,
+			}, tc.extra...)
+			err := Run("covariance", args, &out, &errBuf)
+			if tc.fails && !errors.Is(err, core.ErrFieldOverflow) {
+				t.Fatalf("err = %v, want the field bound's refusal", err)
+			}
+			if !tc.fails && err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(errBuf.String(), "trace dump") {
+				t.Fatalf("stderr missing trace dump report: %q", errBuf.String())
+			}
+			// Coordinator stream plus one per mesh party.
+			dumps, err := filepath.Glob(filepath.Join(dir, "trace-*.jsonl"))
+			if err != nil || len(dumps) != 4 {
+				t.Fatalf("trace dumps = %v (err %v), want 4", dumps, err)
+			}
+		})
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"sqm/internal/circuit"
 	"sqm/internal/linalg"
 	"sqm/internal/obs"
+	"sqm/internal/poly"
 	"sqm/internal/randx"
 	"sqm/internal/transport"
 )
@@ -133,30 +134,87 @@ func (s *spanLog) Event(_ obs.Level, name string, attrs ...obs.Attr) {
 	s.spans[name] = append(s.spans[name], sp)
 }
 
-// TestNoiseSpanOverlapsTheEngine: a covariance release's core.noise span
-// runs from the draw's start to its join and so encloses the engine's
-// multiplicative level, on the inline parties and behind a mesh; the
-// draw's own wall-clock, written at the join, is Trace.NoiseCompute and
-// fits inside the span.
+// reset forgets the spans recorded so far.
+func (s *spanLog) reset() {
+	s.mu.Lock()
+	s.spans = nil
+	s.mu.Unlock()
+}
+
+// TestNoiseSpanOverlapsTheEngine: a release's core.noise span runs from
+// the draw's start to its join and so encloses every multiplicative
+// level of the engine, on the inline parties and behind a mesh — for a
+// covariance, a polynomial sum with degree-2 and degree-3 monomials, an
+// LR step and an LR3 step. No engine call waits on the noise before its
+// products are done, so the sampling's timing says nothing the circuit's
+// shape does not (PRIVACY.md §I). The draw's own wall-clock, written at
+// the join, is Trace.NoiseCompute and fits inside the span.
 func TestNoiseSpanOverlapsTheEngine(t *testing.T) {
 	x := randMatrix(40, 8, 0.3, 9)
-	for _, kind := range []EngineKind{EngineBGW, EngineActorBGW} {
-		rec := &spanLog{}
-		_, tr, err := Covariance(x, Params{Gamma: 16, Mu: 1e4, Engine: kind, Parties: 3, Seed: 4, Recorder: rec})
-		if err != nil {
-			t.Fatal(err)
+	f := poly.MustMulti(
+		poly.MustPolynomial(3,
+			poly.Monomial{Coef: 0.5, Exps: []int{1, 1, 0}},
+			poly.Monomial{Coef: -0.25, Exps: []int{1, 1, 1}},
+		),
+		poly.MustPolynomial(3, poly.Monomial{Coef: 1, Exps: []int{0, 0, 2}}),
+	)
+	feat, labels := lrTestData(24, 3, 11)
+	w := []float64{0.25, -0.5, 0.125}
+	batch := make([]int, feat.Rows)
+	for i := range batch {
+		batch[i] = i
+	}
+	// step runs one gradient step and, so that the set-up's input round
+	// is not counted as a level, records only the step.
+	step := func(order3 bool) func(Params, *spanLog) (*Trace, error) {
+		return func(p Params, rec *spanLog) (*Trace, error) {
+			proto, err := newGradientProtocol(order3, feat, labels, p)
+			if err != nil {
+				return nil, err
+			}
+			defer proto.Close()
+			rec.reset()
+			_, tr, err := proto.GradientSum(w, batch)
+			return tr, err
 		}
-		noise, levels := rec.spans["core.noise"], rec.spans["circuit.level"]
-		if len(noise) != 1 || len(levels) != 1 {
-			t.Fatalf("%v: %d core.noise and %d circuit.level spans, want one each", kind, len(noise), len(levels))
-		}
-		n, l := noise[0], levels[0]
-		if n.start.After(l.start) || l.end.After(n.end) {
-			t.Errorf("%v: core.noise [%v, %v] does not enclose circuit.level [%v, %v]", kind, n.start, n.end, l.start, l.end)
-		}
-		draw, _ := n.attrs["draw_seconds"].(float64)
-		if math.Abs(draw-tr.NoiseCompute.Seconds()) > 1e-9 || draw <= 0 || draw > n.attrs["seconds"].(float64) {
-			t.Errorf("%v: draw_seconds %v, Trace.NoiseCompute %v, span %v s", kind, draw, tr.NoiseCompute, n.attrs["seconds"])
+	}
+	rows := []struct {
+		name   string
+		levels int
+		run    func(Params, *spanLog) (*Trace, error)
+	}{
+		{"covariance", 1, func(p Params, _ *spanLog) (*Trace, error) {
+			_, tr, err := Covariance(x, p)
+			return tr, err
+		}},
+		{"polysum", 2, func(p Params, _ *spanLog) (*Trace, error) {
+			_, tr, err := EvaluatePolynomialSum(f, randMatrix(30, 3, 0.4, 5), p)
+			return tr, err
+		}},
+		{"lr", 1, step(false)},
+		{"lr3", 3, step(true)},
+	}
+	for _, row := range rows {
+		for _, kind := range []EngineKind{EngineBGW, EngineActorBGW} {
+			rec := &spanLog{}
+			tr, err := row.run(Params{Gamma: 16, Mu: 1e4, Engine: kind, Parties: 3, Seed: 4, Recorder: rec}, rec)
+			if err != nil {
+				t.Fatalf("%s on %v: %v", row.name, kind, err)
+			}
+			noise, levels := rec.spans["core.noise"], rec.spans["circuit.level"]
+			if len(noise) != 1 || len(levels) != row.levels {
+				t.Fatalf("%s on %v: %d core.noise and %d circuit.level spans, want 1 and %d", row.name, kind, len(noise), len(levels), row.levels)
+			}
+			n := noise[0]
+			for i, l := range levels {
+				if n.start.After(l.start) || l.end.After(n.end) {
+					t.Errorf("%s on %v: core.noise [%v, %v] does not enclose circuit.level %d [%v, %v]", row.name, kind, n.start, n.end, i, l.start, l.end)
+				}
+			}
+			draw, _ := n.attrs["draw_seconds"].(float64)
+			if math.Abs(draw-tr.NoiseCompute.Seconds()) > 1e-9 || draw <= 0 || draw > n.attrs["seconds"].(float64) {
+				t.Errorf("%s on %v: draw_seconds %v, Trace.NoiseCompute %v, span %v s", row.name, kind, draw, tr.NoiseCompute, n.attrs["seconds"])
+			}
 		}
 	}
 }

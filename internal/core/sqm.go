@@ -80,8 +80,8 @@ const (
 	// and bytes are the mesh's counters.
 	EngineActorBGW
 	// EngineActorBGWNet is EngineActorBGW with the share traffic
-	// carried over localhost TCP sockets using the session layer's
-	// framing.
+	// carried over localhost TCP sockets in internal/protocol's
+	// frames.
 	EngineActorBGWNet
 )
 
@@ -122,15 +122,23 @@ func ParseEngineKind(s string) (EngineKind, error) {
 
 // Params configures one SQM invocation.
 type Params struct {
-	Gamma      float64      // scaling parameter γ >= 1 (Algorithm 2)
-	Mu         float64      // aggregate Skellam parameter μ; clients sample Sk(μ/n)
-	NumClients int          // n, the noise-contributing clients; 0 means one per column
-	Engine     EngineKind   // evaluation backend
-	Parties    int          // parties P of every MPC engine; 0 means 4
-	Threshold  int          // BGW threshold t; 0 means floor((P-1)/2)
-	Seed       uint64       // reproducibility seed
-	Recorder   obs.Recorder // telemetry sink for engine and mesh; nil disables
-	Fault      FaultConfig  // deadlines and dial budget of the abort model (zero value: none)
+	Gamma      float64    // scaling parameter γ >= 1 (Algorithm 2)
+	Mu         float64    // aggregate Skellam parameter μ; clients sample Sk(μ/n)
+	NumClients int        // n, the noise-contributing clients; 0 means one per column
+	Engine     EngineKind // evaluation backend
+	Parties    int        // parties P of every MPC engine; 0 means 4
+	Threshold  int        // BGW threshold t; 0 means floor((P-1)/2)
+	// Seed keys all of the invocation's randomness: every client's
+	// rounding coins and Skellam shares (rngFamily, one stream per
+	// client) and, XORed with a per-protocol constant, the engine's
+	// share, mask and dealing streams. One seed that every participant
+	// knows simulates the trust model in one process; against a
+	// participant who knows it the delivered ε is not the booked one,
+	// since it can recompute every client's noise. No code path keys
+	// from randx.NewSecure or randx.NewFromOS yet.
+	Seed     uint64
+	Recorder obs.Recorder // telemetry sink for engine and mesh; nil disables
+	Fault    FaultConfig  // deadlines and dial budget of the abort model (zero value: none)
 	// Trace attaches distributed tracing: the engine's events are
 	// stamped into the coordinator stream's flight recorder, and — when
 	// the context carries one stream per party — the mesh propagates

@@ -5,8 +5,9 @@
 // panic policy, machine-checked by the sqmlint panicpolicy analyzer,
 // is that every panic outside this package must carry a payload built
 // by Violation, so intentional invariant panics are grep-able and
-// typed, and everything else must return an error. Exported API
-// surfaces (package sqm, internal/protocol, internal/cli) may not
+// typed, and everything else must return an error. The surfaces
+// untrusted input reaches (package sqm, internal/cli, and the frame
+// codec internal/protocol, which parses bytes off the network) may not
 // panic at all.
 package invariant
 

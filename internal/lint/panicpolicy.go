@@ -8,18 +8,20 @@ import (
 // invariantPkg is the designated invariant-helper package.
 const invariantPkg = "sqm/internal/invariant"
 
-// errorOnlyPkgs are the exported API surfaces: user input flows in
-// here, so failures must surface as returned errors, never panics —
-// not even invariant panics.
+// errorOnlyPkgs are the surfaces untrusted input flows into — the
+// public API, the CLI, and internal/protocol's frame codec, which
+// parses bytes off the network — so failures must surface as returned
+// errors, never panics, not even invariant panics.
 var errorOnlyPkgs = map[string]bool{
 	"sqm":                   true,
 	"sqm/internal/protocol": true,
 	"sqm/internal/cli":      true,
 }
 
-// AnalyzerPanicPolicy enforces the repo's panic policy: exported API
-// surfaces (package sqm, internal/protocol, internal/cli) return
-// errors and may not panic at all; internal library code may panic
+// AnalyzerPanicPolicy enforces the repo's panic policy: the surfaces
+// untrusted input reaches (package sqm, internal/cli, and the frame
+// codec internal/protocol, which reads the network) return errors and
+// may not panic at all; internal library code may panic
 // only on broken internal invariants, and must say so by building the
 // payload with invariant.Violation — panic(invariant.Violation(...)).
 // A bare panic("...") is indistinguishable from a leftover debug

@@ -1,6 +1,6 @@
 // Package obs is the repository's zero-dependency observability layer:
 // one stream of structured events. Every subsystem that does real work
-// — the BGW engines, the session layer, the DP accountant, and on a
+// — the BGW engines, the releases, the DP accountant, and on a
 // traced run the transport meshes — reports through it, and every number
 // is an attribute of the event that caused it: a duration is a
 // TracedSpan (its end event carries "seconds") or an event's "seconds"

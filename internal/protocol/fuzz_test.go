@@ -11,7 +11,7 @@ import (
 // never panic or over-allocate, only return errors.
 func FuzzReadMessage(f *testing.F) {
 	var good bytes.Buffer
-	_ = WriteMessage(&good, Message{Type: MsgParams, Session: 3, Payload: []byte("x")})
+	_ = WriteMessage(&good, Message{Type: MsgShare, Session: 3, Payload: []byte("x")})
 	f.Add(good.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
@@ -35,35 +35,6 @@ func FuzzReadMessage(f *testing.F) {
 	})
 }
 
-// FuzzDecodeResult hardens the Result payload parser.
-func FuzzDecodeResult(f *testing.F) {
-	f.Add(Result{Round: 1, Scaled: []int64{1, -2}}.Encode())
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := DecodeResult(data)
-		if err != nil {
-			return
-		}
-		if !bytes.Equal(r.Encode(), data) {
-			t.Fatal("valid Result payload must re-encode identically")
-		}
-	})
-}
-
-// FuzzDecodeParams hardens the Params payload parser.
-func FuzzDecodeParams(f *testing.F) {
-	f.Add(Params{Gamma: 2, Mu: 3, NumClients: 4, OutDim: 5, Rounds: 6, Seed: 7}.Encode())
-	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := DecodeParams(data)
-		if err != nil {
-			return
-		}
-		if !bytes.Equal(p.Encode(), data) {
-			t.Fatal("valid Params payload must re-encode identically")
-		}
-	})
-}
-
 // FuzzReadMessageInto drives the pooled receive path: a stream of
 // arbitrary bytes is read frame by frame through one reused buffer —
 // poisoned before every read, starting at an arbitrary and usually
@@ -80,9 +51,9 @@ func FuzzReadMessageInto(f *testing.F) {
 		_ = WriteMessage(&b, m)
 		return b.Bytes()
 	}
-	big := frame(Message{Type: MsgResult, Session: 9, Payload: bytes.Repeat([]byte{0xab}, 300)})
-	small := frame(Message{Type: MsgParams, Session: 3, Payload: []byte("x")})
-	empty := frame(Message{Type: MsgParams, Session: 4})
+	big := frame(Message{Type: MsgShare, Session: 9, Payload: bytes.Repeat([]byte{0xab}, 300)})
+	small := frame(Message{Type: MsgShare, Session: 3, Payload: []byte("x")})
+	empty := frame(Message{Type: MsgHello, Session: 4})
 	tooLarge := append([]byte(nil), small...)
 	binary.BigEndian.PutUint32(tooLarge[7:11], MaxPayload+1)
 	f.Add(append(append(append([]byte(nil), big...), small...), empty...), uint16(0))

@@ -1,17 +1,12 @@
-// Package protocol implements the session layer a deployed SQM system
-// speaks between the coordinator (server) and the clients: versioned,
-// length-prefixed binary messages for the protocol lifecycle —
-// parameter negotiation, per-round evaluation requests, scaled results
-// and errors — plus client/server session state machines that enforce
-// the message order the DP analysis assumes (noise is sampled before
-// any evaluation round, results only flow after every client acked the
-// parameters).
+// Package protocol is the frame codec the MPC parties speak over a
+// byte stream: versioned, length-prefixed binary frames, written by
+// WriteMessage and parsed by ReadMessage / ReadMessageInto. The TCP
+// mesh (internal/transport) opens each link with a MsgHello frame and
+// carries every share row in a MsgShare frame.
 //
-// The transport is abstracted as an io.ReadWriter; the tests and the
-// simulation drive it over in-memory pipes, a deployment would use TLS
-// connections. Payloads never contain raw data columns: clients only
-// ever transmit protocol control fields and (in the MPC engines)
-// secret shares.
+// The parser reads bytes off the network, so it never panics on them:
+// a malformed frame is an error (ErrVersionMismatch, ErrFrameTooLarge,
+// or the reader's own io error for a truncated one).
 package protocol
 
 import (
@@ -19,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 )
 
 // Version is the wire-format version; peers must match exactly.
@@ -28,25 +22,15 @@ const Version uint16 = 1
 // MsgType enumerates the protocol messages.
 type MsgType uint8
 
+// The wire values are fixed: a frame is byte-identical across
+// versions of this package as long as Version is.
 const (
-	// MsgHello opens a session: client -> server.
-	MsgHello MsgType = iota + 1
-	// MsgParams announces the agreed mechanism parameters: server -> clients.
-	MsgParams
-	// MsgParamsAck confirms quantization and noise sampling: client -> server.
-	MsgParamsAck
-	// MsgEvalRequest starts one evaluation round: server -> clients.
-	MsgEvalRequest
-	// MsgRoundDone signals a client finished its protocol round: client -> server.
-	MsgRoundDone
-	// MsgResult carries the scaled integer outputs: server -> clients (broadcast of the opened value).
-	MsgResult
-	// MsgError aborts the session with a reason.
-	MsgError
+	// MsgHello opens a mesh link: the dialer names itself in Session.
+	MsgHello MsgType = 1
 	// MsgShare carries secret-share traffic between MPC parties (the
 	// transport layer of the actor-BGW engine); Session holds the
-	// sender's party id. Control sessions never emit it.
-	MsgShare
+	// sender's party id.
+	MsgShare MsgType = 8
 )
 
 // String names the message type.
@@ -54,18 +38,6 @@ func (t MsgType) String() string {
 	switch t {
 	case MsgHello:
 		return "Hello"
-	case MsgParams:
-		return "Params"
-	case MsgParamsAck:
-		return "ParamsAck"
-	case MsgEvalRequest:
-		return "EvalRequest"
-	case MsgRoundDone:
-		return "RoundDone"
-	case MsgResult:
-		return "Result"
-	case MsgError:
-		return "Error"
 	case MsgShare:
 		return "Share"
 	default:
@@ -157,75 +129,4 @@ func ReadMessageInto(r io.Reader, buf []byte) (Message, []byte, error) {
 		}
 	}
 	return m, buf, nil
-}
-
-// Params is the negotiated mechanism configuration (MsgParams payload).
-type Params struct {
-	Gamma      float64
-	Mu         float64
-	NumClients uint32
-	OutDim     uint32
-	Rounds     uint32
-	Seed       uint64
-}
-
-// Encode serializes Params.
-func (p Params) Encode() []byte {
-	buf := make([]byte, 8+8+4+4+4+8)
-	binary.BigEndian.PutUint64(buf[0:], math.Float64bits(p.Gamma))
-	binary.BigEndian.PutUint64(buf[8:], math.Float64bits(p.Mu))
-	binary.BigEndian.PutUint32(buf[16:], p.NumClients)
-	binary.BigEndian.PutUint32(buf[20:], p.OutDim)
-	binary.BigEndian.PutUint32(buf[24:], p.Rounds)
-	binary.BigEndian.PutUint64(buf[28:], p.Seed)
-	return buf
-}
-
-// DecodeParams parses a Params payload.
-func DecodeParams(b []byte) (Params, error) {
-	if len(b) != 36 {
-		return Params{}, fmt.Errorf("protocol: Params payload is %d bytes, want 36", len(b))
-	}
-	return Params{
-		Gamma:      math.Float64frombits(binary.BigEndian.Uint64(b[0:])),
-		Mu:         math.Float64frombits(binary.BigEndian.Uint64(b[8:])),
-		NumClients: binary.BigEndian.Uint32(b[16:]),
-		OutDim:     binary.BigEndian.Uint32(b[20:]),
-		Rounds:     binary.BigEndian.Uint32(b[24:]),
-		Seed:       binary.BigEndian.Uint64(b[28:]),
-	}, nil
-}
-
-// Result is the MsgResult payload: the opened scaled integers of one
-// round.
-type Result struct {
-	Round  uint32
-	Scaled []int64
-}
-
-// Encode serializes a Result.
-func (r Result) Encode() []byte {
-	buf := make([]byte, 4+4+8*len(r.Scaled))
-	binary.BigEndian.PutUint32(buf[0:], r.Round)
-	binary.BigEndian.PutUint32(buf[4:], uint32(len(r.Scaled)))
-	for i, v := range r.Scaled {
-		binary.BigEndian.PutUint64(buf[8+8*i:], uint64(v))
-	}
-	return buf
-}
-
-// DecodeResult parses a Result payload.
-func DecodeResult(b []byte) (Result, error) {
-	if len(b) < 8 {
-		return Result{}, fmt.Errorf("protocol: Result payload too short (%d bytes)", len(b))
-	}
-	n := binary.BigEndian.Uint32(b[4:])
-	if uint64(len(b)) != 8+8*uint64(n) {
-		return Result{}, fmt.Errorf("protocol: Result payload length %d inconsistent with count %d", len(b), n)
-	}
-	r := Result{Round: binary.BigEndian.Uint32(b[0:]), Scaled: make([]int64, n)}
-	for i := range r.Scaled {
-		r.Scaled[i] = int64(binary.BigEndian.Uint64(b[8+8*i:]))
-	}
-	return r, nil
 }

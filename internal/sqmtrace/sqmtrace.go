@@ -269,12 +269,12 @@ type RoundStat struct {
 	Messages int64   `json:"messages,omitempty"`
 }
 
-// Rounds extracts the bgw.round and session.round boundaries from the
-// merged timeline, in causal order.
+// Rounds extracts the bgw.round boundaries from the merged timeline, in
+// causal order.
 func Rounds(merged []Event) []RoundStat {
 	var out []RoundStat
 	for _, ev := range merged {
-		if ev.Name != "bgw.round" && ev.Name != "session.round" {
+		if ev.Name != "bgw.round" {
 			continue
 		}
 		round, ok := attrInt(ev.Attrs, "round")
@@ -293,8 +293,8 @@ func Rounds(merged []Event) []RoundStat {
 }
 
 // SpanStat summarizes every event of one name that carries a "seconds"
-// attribute: the TracedSpans (circuit.exec|level|open, session.hello|
-// params) and the timed boundaries (bgw.round, session.round).
+// attribute: the TracedSpans (circuit.exec|level|open, core.noise) and
+// the timed round boundaries (bgw.round).
 type SpanStat struct {
 	Name  string  `json:"name"`
 	Count int     `json:"count"`
@@ -333,25 +333,22 @@ func Spans(events []Event) []SpanStat {
 // stream's round counters are nondecreasing — the acceptance check that
 // the Lamport merge reconstructed a consistent history. A drop back to
 // round 1 is not a violation: each engine numbers its rounds from 1, so
-// a session running several evaluations in sequence legitimately
-// restarts the counter. Returns the first violating event, if any.
+// a run of several releases in sequence legitimately restarts the
+// counter. Returns the first violating event, if any.
 func CheckRoundOrder(merged []Event) (Event, bool) {
-	last := make(map[[2]int]int64) // (party, kind) -> last round
-	kinds := map[string]int{"bgw.round": 0, "session.round": 1}
+	last := make(map[int]int64) // party -> last bgw.round
 	for _, ev := range merged {
-		kind, ok := kinds[ev.Name]
-		if !ok {
+		if ev.Name != "bgw.round" {
 			continue
 		}
 		round, ok := attrInt(ev.Attrs, "round")
 		if !ok {
 			continue
 		}
-		key := [2]int{ev.Party, kind}
-		if prev, seen := last[key]; seen && round < prev && round > 1 {
+		if prev, seen := last[ev.Party]; seen && round < prev && round > 1 {
 			return ev, false
 		}
-		last[key] = round
+		last[ev.Party] = round
 	}
 	return Event{}, true
 }

@@ -73,7 +73,6 @@ func TestCheckRoundOrder(t *testing.T) {
 	good := []Event{
 		ev(-1, 1, "bgw.round", map[string]any{"round": float64(1)}),
 		ev(-1, 2, "bgw.round", map[string]any{"round": float64(3)}),
-		ev(-1, 3, "session.round", map[string]any{"round": float64(0)}),
 		ev(0, 4, "bgw.round", map[string]any{"round": float64(1)}),
 		// A fresh engine restarts its counter at 1: not a violation.
 		ev(-1, 5, "bgw.round", map[string]any{"round": float64(1)}),

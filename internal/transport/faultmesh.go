@@ -12,11 +12,12 @@ import (
 
 // LinkFault describes the faults injected on one directed link.
 type LinkFault struct {
-	// Delay is added to every delivery on the link. It is applied on
-	// the send side by a per-link forwarder, so senders stay
-	// non-blocking, per-pair FIFO order is preserved, and the
-	// receiver's deadline machinery observes the delay as genuine
-	// in-flight latency.
+	// Delay is added to every delivery on the link: a frame reaches the
+	// wrapped mesh at its send time plus Delay. It is applied on the
+	// send side by a per-link forwarder, so senders stay non-blocking,
+	// per-pair FIFO order is preserved, frames sent back to back are in
+	// flight together, and the receiver's deadline machinery observes
+	// the delay as genuine in-flight latency.
 	Delay time.Duration
 	// DropProb drops each message independently with this probability,
 	// drawn from a per-link stream seeded by the profile — the drop
@@ -157,58 +158,83 @@ func (m *FaultMesh) Close() error {
 
 // faultLink is the per-directed-link fault state. Only the owning
 // sender goroutine touches sent/delivered/rng; the delay queue has its
-// own locking. delayMsgs mirrors the delay queue in lockstep (single
-// producer, single consumer), carrying each delayed frame's logical
-// message count to the eventual SendN.
+// own locking.
 type faultLink struct {
 	fault     LinkFault
-	rng       *randx.RNG // drop stream; nil when DropProb == 0
-	delivered int        // messages accepted for delivery (cut accounting)
-	delay     *queue     // pending delayed payloads; nil when Delay == 0
-	delayMsgs *msgQueue  // per-frame logical counts, FIFO with delay
+	rng       *randx.RNG  // drop stream; nil when DropProb == 0
+	delivered int         // messages accepted for delivery (cut accounting)
+	delay     *delayQueue // frames in flight; nil when Delay == 0
 	wg        sync.WaitGroup
 }
 
-// msgQueue is an unbounded FIFO of logical-message counts, popped in
-// lockstep with the payload queue by the single forwarder goroutine.
-type msgQueue struct {
-	mu     sync.Mutex
-	counts []int
+// inFlight is one delayed frame: its payload, its logical message
+// count and the time it is due at the wrapped mesh.
+type inFlight struct {
+	payload []byte
+	msgs    int
+	due     time.Time
 }
 
-func (q *msgQueue) push(n int) {
+// delayQueue is the unbounded FIFO of frames in flight on one delayed
+// link, filled by the sender and drained by the link's forwarder.
+type delayQueue struct {
+	mu     sync.Mutex
+	cond   sync.Cond
+	items  []inFlight
+	closed bool
+}
+
+func (q *delayQueue) push(f inFlight) error {
 	q.mu.Lock()
-	q.counts = append(q.counts, n)
+	defer q.mu.Unlock()
+	if q.closed {
+		return ErrClosed
+	}
+	q.items = append(q.items, f)
+	q.cond.Signal()
+	return nil
+}
+
+// pop waits for the next frame; it reports false once the queue is
+// closed and drained.
+func (q *delayQueue) pop() (inFlight, bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for len(q.items) == 0 && !q.closed {
+		q.cond.Wait()
+	}
+	if len(q.items) == 0 {
+		return inFlight{}, false
+	}
+	f := q.items[0]
+	q.items[0] = inFlight{}
+	q.items = q.items[1:]
+	return f, true
+}
+
+func (q *delayQueue) close() {
+	q.mu.Lock()
+	q.closed = true
+	q.cond.Broadcast()
 	q.mu.Unlock()
 }
 
-func (q *msgQueue) pop() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.counts) == 0 {
-		return 1
-	}
-	n := q.counts[0]
-	q.counts = q.counts[1:]
-	return n
-}
-
-// start launches the FIFO delay forwarder for the link towards peer to.
+// start launches the FIFO delay forwarder for the link towards peer to:
+// it hands each frame to the wrapped mesh at the frame's due time.
 func (l *faultLink) start(inner PartyConn, to int, m *FaultMesh) {
-	l.delay = newQueue()
-	l.delayMsgs = &msgQueue{}
+	l.delay = &delayQueue{}
+	l.delay.cond.L = &l.delay.mu
 	l.wg.Add(1)
 	go func() {
 		defer l.wg.Done()
 		for {
-			b, err := l.delay.pop()
-			if err != nil {
+			f, ok := l.delay.pop()
+			if !ok {
 				return
 			}
-			msgs := l.delayMsgs.pop()
-			time.Sleep(l.fault.Delay)
+			time.Sleep(time.Until(f.due))
 			m.stats.delays.Add(1)
-			if inner.SendN(to, b, msgs) != nil {
+			if inner.SendN(to, f.payload, f.msgs) != nil {
 				// The receiver (or this sender) died; later queued
 				// deliveries will fail the same way — keep draining so
 				// close() does not hang.
@@ -278,11 +304,7 @@ func (c *faultConn) SendN(to int, payload []byte, msgs int) error {
 	if l.delay != nil {
 		c.tr.fault(obs.LevelDebug, "transport.fault.delay",
 			obs.Int("peer", to), obs.Duration("delay", l.fault.Delay))
-		l.delayMsgs.push(msgs)
-		if err := l.delay.push(payload); err != nil {
-			return ErrClosed
-		}
-		return nil
+		return l.delay.push(inFlight{payload, msgs, time.Now().Add(l.fault.Delay)})
 	}
 	return c.inner.SendN(to, payload, msgs)
 }

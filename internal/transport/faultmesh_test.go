@@ -139,6 +139,28 @@ func TestFaultMeshDelay(t *testing.T) {
 	if s := fm.Injected(); s.Delays != 2 {
 		t.Fatalf("Delays = %d, want 2", s.Delays)
 	}
+
+	// Delay is latency, not bandwidth: k frames sent back to back are in
+	// flight together, so the last arrives about one Delay after the
+	// first was sent, not k Delays.
+	const k = 5
+	fm = NewFaultMesh(NewChanMesh(2), FaultProfile{
+		Links: map[[2]int]LinkFault{{0, 1}: {Delay: delay}},
+	})
+	defer fm.Close()
+	start = time.Now()
+	for i := 0; i < k; i++ {
+		fm.Conn(0).Send(1, []byte{byte(i)})
+	}
+	for i := 0; i < k; i++ {
+		b, err := fm.Conn(1).Recv(0)
+		if err != nil || len(b) != 1 || b[0] != byte(i) {
+			t.Fatalf("frame %d: got %v, %v", i, b, err)
+		}
+	}
+	if elapsed := time.Since(start); elapsed < delay || elapsed >= 2*delay {
+		t.Fatalf("%d back-to-back frames delivered after %v, want in [%v, %v)", k, elapsed, delay, 2*delay)
+	}
 }
 
 // TestFaultMeshCrash: a crashed party sees only ErrClosed and its

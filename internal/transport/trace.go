@@ -9,7 +9,7 @@ import (
 // Trace propagation: when a mesh is built WithTracer, every frame is
 // prefixed with a fixed 20-byte header carrying (trace id, sender,
 // Lamport stamp). The header travels inside the mesh payload — the
-// session layer's wire format is untouched — and is stripped before the
+// frame codec's wire format is untouched — and is stripped before the
 // payload reaches the caller, so engines never see it. Traffic counters
 // keep counting payload bytes: the header is telemetry, not data.
 //

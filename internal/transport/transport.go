@@ -3,7 +3,7 @@
 // between distrusting parties, so the share traffic itself must be able
 // to flow over a pluggable medium: an in-memory channel mesh for
 // simulation (fast, deterministic, race-clean) and a TCP mesh speaking
-// the session layer's length-prefixed framing for deployments.
+// internal/protocol's length-prefixed frames for deployments.
 //
 // A Mesh is a set of P pairwise-connected endpoints; party i drives its
 // PartyConn from its own goroutine. Sends never block the sender (each

@@ -48,7 +48,6 @@ import (
 	"sqm/internal/obs"
 	"sqm/internal/pca"
 	"sqm/internal/poly"
-	"sqm/internal/protocol"
 	"sqm/internal/vfl"
 )
 
@@ -190,11 +189,11 @@ func NewAccountant(maxAlpha int) *Accountant { return dp.NewAccountant(maxAlpha)
 
 // ---- Observability ----
 
-// Recorder is the telemetry sink threaded through the engines and
-// sessions: one stream of structured events (Enabled, Event), whose
-// attributes carry every number — a span's "seconds", a round's frame
-// deltas, a release's ε. Attach one via Params.Recorder or
-// WithSessionRecorder; a nil Recorder disables telemetry at zero cost.
+// Recorder is the telemetry sink threaded through the engines: one
+// stream of structured events (Enabled, Event), whose attributes carry
+// every number — a span's "seconds", a round's frame deltas, a
+// release's ε. Attach one via Params.Recorder; a nil Recorder disables
+// telemetry at zero cost.
 type Recorder = obs.Recorder
 
 // Log levels accepted by NewLogRecorder.
@@ -218,11 +217,11 @@ func NopRecorder() Recorder { return obs.Nop() }
 // every party).
 type TraceID = obs.TraceID
 
-// TraceContext is the per-session tracing root: one Lamport-clocked
-// event stream per party plus the coordinator, each backed by a bounded
-// flight recorder that dumps JSONL on session end (see
-// TraceContext.DumpAll). Attach via Params.Trace or WithSessionTrace;
-// merge the dumps with cmd/sqmtrace.
+// TraceContext is the per-run tracing root: one Lamport-clocked event
+// stream per party plus the coordinator, each backed by a bounded
+// flight recorder that dumps JSONL on demand (TraceContext.DumpAll).
+// Attach via Params.Trace — share one context across the releases of a
+// run — and merge the dumps with cmd/sqmtrace.
 type TraceContext = obs.TraceContext
 
 // NewTraceContext builds a tracing root for the given party count
@@ -465,61 +464,6 @@ type AuditResult = audit.Result
 // sensitivity underestimation).
 func AuditEpsilon(onX, onNeighbor AuditSampler, cfg AuditConfig) (*AuditResult, error) {
 	return audit.EstimateEpsilon(onX, onNeighbor, cfg)
-}
-
-// ---- Session layer ----
-
-// SessionParams is the negotiated configuration of one VFL session.
-type SessionParams = protocol.Params
-
-// SessionClientHooks is the work one client performs at each lifecycle
-// step (quantize and sample noise on params, then its share of each
-// round).
-type SessionClientHooks = protocol.ClientHooks
-
-// SessionOutcome is one client's view after a completed session.
-type SessionOutcome = protocol.SessionOutcome
-
-// SessionResult is one round's broadcast result.
-type SessionResult = protocol.Result
-
-// SessionOption configures RunVFLSession / RunVFLSessionTCP.
-type SessionOption = protocol.SessionOption
-
-// WithSessionRecorder attaches a telemetry recorder to the session run:
-// the coordinator emits structured lifecycle events (session.start,
-// session.hello / session.params spans, session.round with its
-// "seconds", session.done or session.abort).
-func WithSessionRecorder(rec Recorder) SessionOption { return protocol.WithRecorder(rec) }
-
-// WithSessionTrace attaches a distributed-tracing context: every
-// session event gains (trace, party, lclock) stamps and is captured by
-// the coordinator's flight recorder. Share the same context with the
-// per-round evaluation (Params.Trace) to stitch mesh traffic into the
-// same timeline.
-func WithSessionTrace(tc *TraceContext) SessionOption { return protocol.WithTrace(tc) }
-
-// WithSessionTraceDir makes the session dump every party's flight
-// recorder as JSONL into dir on the way out — completed or aborted.
-// When no WithSessionTrace context was given, a coordinator-only one is
-// derived from the session params. Merge the dumps with cmd/sqmtrace.
-func WithSessionTraceDir(dir string) SessionOption { return protocol.WithTraceDir(dir) }
-
-// RunVFLSession executes the full SQM session lifecycle — hello,
-// parameters and their ack, evaluation rounds, result broadcast — over the
-// versioned wire protocol (in-memory transport; a deployment would use
-// TLS connections). evaluate runs on the coordinator once per round
-// after every client finished its protocol work.
-func RunVFLSession(p SessionParams, hooks []SessionClientHooks, evaluate func(round uint32) ([]int64, error), opts ...SessionOption) ([]SessionOutcome, error) {
-	return protocol.RunSession(p, hooks, evaluate, opts...)
-}
-
-// RunVFLSessionTCP is RunVFLSession with every client connected to the
-// coordinator over a real localhost TCP socket, so the session frames
-// cross the loopback stack. Pair it with an EngineActorBGWNet evaluate
-// callback to run the whole pipeline over genuine network traffic.
-func RunVFLSessionTCP(p SessionParams, hooks []SessionClientHooks, evaluate func(round uint32) ([]int64, error), opts ...SessionOption) ([]SessionOutcome, error) {
-	return protocol.RunSessionTCP(p, hooks, evaluate, opts...)
 }
 
 // ---- Model persistence ----

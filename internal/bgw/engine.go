@@ -37,9 +37,11 @@ import (
 //
 // Behind a mesh every command reaches the parties the moment it is
 // issued, with one channel send per party: no gate waits for a later one.
-// The command itself is written into a slab of cmdChunk commands that
-// the parties read it from, so issuing one allocates nothing but, every
-// cmdChunk commands, the next slab. A workload's local gates are vector
+// What a gate leaves on the heap — the command the parties read, its
+// payload and operand lists, the caller's handle, and each party's
+// output slot — is carved from chunked arenas (arena) that live as long
+// as the engine, so issuing a local gate allocates nothing but, now and
+// then, the next chunk. A workload's local gates are vector
 // gates (AddVec, Gather, LinComb) and its products level-wide batches —
 // a per-element product is a MulHadamard item — so the commands of a
 // session are counted in levels and columns, not in records.
@@ -71,10 +73,16 @@ type Engine struct {
 	// round is the open input round: the vectors InputVec took since the
 	// last command was issued.
 	round []vecInput
-	// slab is the current command chunk: issue writes a command behind
-	// the last and hands the parties a pointer to it, so a sent command
-	// is never touched again.
-	slab []actorCmd
+	// The arenas of the caller's side (see Engine). issue writes a
+	// command into cmds and hands the parties a pointer to it, so a sent
+	// command is never touched again; payloads, idx and coefs hold what
+	// hangs off a command, scalars and vecs the handles.
+	cmds     arena[actorCmd]
+	payloads arena[cmdPayload]
+	idx      arena[int]
+	coefs    arena[int64]
+	scalars  arena[Shared]
+	vecs     arena[SharedVec]
 	// seen marks vector slots while reusedDotSlots scans a level; all
 	// false between levels (grow-only).
 	seen []bool
@@ -287,7 +295,6 @@ func (e *Engine) Close() error {
 	if e.mesh == nil {
 		return nil
 	}
-	e.slab = nil
 	e.mesh.Close()
 	for _, pa := range e.parties {
 		close(pa.cmds)
@@ -295,9 +302,6 @@ func (e *Engine) Close() error {
 	e.wg.Wait()
 	return nil
 }
-
-// cmdChunk is the capacity of one command slab.
-const cmdChunk = 256
 
 // dispatch issues one command to every party, after the open input
 // round, in issue order; reports false when the engine is failed or
@@ -317,7 +321,7 @@ func (e *Engine) issueRound() {
 	if len(e.round) == 0 {
 		return
 	}
-	c := actorCmd{op: opInputVecs, x: &cmdPayload{vecs: e.round}}
+	c := actorCmd{op: opInputVecs, x: e.payloads.put(cmdPayload{vecs: e.round})}
 	e.round = nil
 	if e.err == nil && !e.closed {
 		e.issue(c)
@@ -326,7 +330,7 @@ func (e *Engine) issueRound() {
 
 // issue hands one command to every party. Inline parties run it now,
 // half by half; party goroutines get it through their channels, written
-// into the slab (see Engine).
+// into the command arena (see Engine).
 func (e *Engine) issue(c actorCmd) {
 	if e.mesh == nil {
 		for _, pa := range e.parties {
@@ -337,11 +341,7 @@ func (e *Engine) issue(c actorCmd) {
 		}
 		return
 	}
-	if len(e.slab) == cap(e.slab) {
-		e.slab = make([]actorCmd, 0, cmdChunk)
-	}
-	e.slab = append(e.slab, c)
-	sent := &e.slab[len(e.slab)-1]
+	sent := e.cmds.put(c)
 	for _, pa := range e.parties {
 		pa.cmds <- sent
 	}
@@ -378,7 +378,7 @@ func (e *Engine) await(reply chan actorReply) []actorReply {
 // newVec issues the handle of the next vector slot.
 func (e *Engine) newVec(n, deg int) *SharedVec {
 	e.nextVec++
-	return &SharedVec{eng: e, ref: e.nextVec - 1, n: n, deg: deg}
+	return e.vecs.put(SharedVec{eng: e, ref: e.nextVec - 1, n: n, deg: deg})
 }
 
 // shared resolves a scalar handle this engine issued.
@@ -416,7 +416,7 @@ func (e *Engine) checkParty(i int) {
 // collectOps runs a barrier and sums the parties' cumulative local
 // field-operation counters.
 func (e *Engine) collectOps() int64 {
-	replies, ok := e.call(actorCmd{op: opBarrier, x: &cmdPayload{}})
+	replies, ok := e.call(actorCmd{op: opBarrier, x: e.payloads.put(cmdPayload{})})
 	if !ok {
 		return e.baseOps
 	}
@@ -433,7 +433,7 @@ func (e *Engine) collectOps() int64 {
 // reply and returns the slot's handle, a sharing of degree deg: a linear
 // gate's is its largest operand's.
 func (e *Engine) local(c actorCmd, deg int) Val {
-	h := &Shared{eng: e, ref: e.nextSc, deg: deg}
+	h := e.scalars.put(Shared{eng: e, ref: e.nextSc, deg: deg})
 	e.nextSc++
 	e.dispatch(c)
 	return h
@@ -484,7 +484,7 @@ func (e *Engine) embed(owner int, vs []int64) vecInput {
 func (e *Engine) InputUnshared(owner int, vs []int64) Vec {
 	in := e.embed(owner, vs)
 	out := e.newVec(len(vs), e.p-1)
-	e.dispatch(actorCmd{op: opInputUnshared, x: &cmdPayload{vecs: []vecInput{in}}})
+	e.dispatch(actorCmd{op: opInputUnshared, x: e.payloads.put(cmdPayload{vecs: []vecInput{in}})})
 	return out
 }
 
@@ -612,7 +612,7 @@ func (e *Engine) mulBatch(op actorOp, items []MulItem) []Val {
 		muls[i] = mulDesc{kind: MulDot, a: va.ref, b: vb.ref}
 	}
 	out := make([]Val, len(items))
-	hs := make([]Shared, len(items))
+	hs := e.scalars.take(len(items))
 	scalars, width := 0, 0
 	for i, it := range items {
 		deg, n := 0, 0
@@ -647,7 +647,7 @@ func (e *Engine) mulBatch(op actorOp, items []MulItem) []Val {
 		e.nextSc++
 		scalars++
 	}
-	e.dispatch(actorCmd{op: op, a: width, b: scalars, x: &cmdPayload{muls: muls, refs: e.reusedDotSlots(muls)}})
+	e.dispatch(actorCmd{op: op, a: width, b: scalars, x: e.payloads.put(cmdPayload{muls: muls, refs: e.reusedDotSlots(muls)})})
 	return out
 }
 
@@ -721,7 +721,7 @@ func (e *Engine) OpenBatch(vals []Val) []int64 {
 // caller — n·(P−1) elements on the wire. Returns zeros after a failure
 // (see Err).
 func (e *Engine) OpenVec(v Vec) []int64 {
-	replies, ok := e.call(actorCmd{op: opOpenVec, a: e.sharedVec(v).ref, x: &cmdPayload{}})
+	replies, ok := e.call(actorCmd{op: opOpenVec, a: e.sharedVec(v).ref, x: e.payloads.put(cmdPayload{})})
 	if !ok || e.err != nil || replies[0].vals == nil {
 		return make([]int64, v.Len())
 	}
@@ -760,10 +760,10 @@ func (e *Engine) Gather(v Vec, idx []int) Vec {
 	if e.mesh != nil {
 		// Party goroutines run behind the caller and need their own copy;
 		// inline parties are done with idx when dispatch returns.
-		idx = append([]int(nil), idx...)
+		idx = e.idx.clone(idx)
 	}
 	out := e.newVec(len(idx), sv.deg)
-	e.dispatch(actorCmd{op: opGather, a: sv.ref, x: &cmdPayload{refs: idx}})
+	e.dispatch(actorCmd{op: opGather, a: sv.ref, x: e.payloads.put(cmdPayload{refs: idx})})
 	return out
 }
 
@@ -773,7 +773,7 @@ func (e *Engine) LinComb(vs []Vec, cs []int64, c0 int64) Vec {
 	if len(vs) != len(cs) {
 		panic(invariant.Violation("bgw: LinComb has %d vectors for %d coefficients", len(vs), len(cs)))
 	}
-	refs := make([]int, len(vs))
+	refs := e.idx.take(len(vs))
 	n, deg := 0, 0
 	for k, v := range vs {
 		sv := e.sharedVec(v)
@@ -785,23 +785,23 @@ func (e *Engine) LinComb(vs []Vec, cs []int64, c0 int64) Vec {
 		}
 	}
 	if e.mesh != nil {
-		cs = append([]int64(nil), cs...)
+		cs = e.coefs.clone(cs)
 	}
 	out := e.newVec(n, deg)
-	e.dispatch(actorCmd{op: opLinComb, a: n, c: c0, x: &cmdPayload{refs: refs, ints: cs}})
+	e.dispatch(actorCmd{op: opLinComb, a: n, c: c0, x: e.payloads.put(cmdPayload{refs: refs, ints: cs})})
 	return out
 }
 
 // FromScalars packs scalar shares into a vector of the largest of their
 // degrees; local.
 func (e *Engine) FromScalars(xs []Val) Vec {
-	refs := make([]int, len(xs))
+	refs := e.idx.take(len(xs))
 	deg := 0
 	for i, x := range xs {
 		s := e.shared(x)
 		refs[i], deg = s.ref, max(deg, s.deg)
 	}
 	out := e.newVec(len(xs), deg)
-	e.dispatch(actorCmd{op: opFromScalars, x: &cmdPayload{refs: refs}})
+	e.dispatch(actorCmd{op: opFromScalars, x: e.payloads.put(cmdPayload{refs: refs})})
 	return out
 }

@@ -50,9 +50,9 @@ type mulDesc struct {
 	at int
 }
 
-// actorCmd is one command, kept by value in the engine's slab. Operand
-// fields are interpreted per opcode. Commands are read-only for the
-// parties — the engine never touches a command after it is issued.
+// actorCmd is one command, kept by value in the engine's command arena.
+// Operand fields are interpreted per opcode. Commands are read-only for
+// the parties — the engine never touches a command after it is issued.
 type actorCmd struct {
 	op actorOp
 	// a, b are slot operands. a is also the length of opLinComb and the
@@ -130,7 +130,11 @@ type actorParty struct {
 	// vc holds the vector share slots. No command writes a slot after the
 	// one that fills it, so slots may share backing arrays: every
 	// non-owner's slot of an unshared input is a view of zeros.
-	vc       [][]field.Elem
+	vc [][]field.Elem
+	// slots carves the outputs of the local vector gates (opAddVec,
+	// opGather, opLinComb, opFromScalars): a slot is never written after
+	// the command that fills it, so they pack into shared chunks.
+	slots    arena[field.Elem]
 	zeros    []field.Elem // never written (grow-only)
 	pairs    []field.Elem // PairProd of the vector slots a Gram batch reuses, by slot (grow-only)
 	pend     []field.Elem // this party's own row, kept between the halves
@@ -228,12 +232,12 @@ func (a *actorParty) send(c *actorCmd) error {
 		a.sc = append(a.sc, a.vc[c.a][c.b])
 	case opAddVec:
 		va, vb := a.vc[c.a], a.vc[c.b]
-		out := make([]field.Elem, len(va))
+		out := a.slots.take(len(va))
 		field.AddVec(out, va, vb)
 		a.vc = append(a.vc, out)
 	case opGather:
 		src := a.vc[c.a]
-		out := make([]field.Elem, len(c.x.refs))
+		out := a.slots.take(len(c.x.refs))
 		for k, i := range c.x.refs {
 			out[k] = src[i]
 		}
@@ -241,7 +245,7 @@ func (a *actorParty) send(c *actorCmd) error {
 	case opLinComb:
 		// c0 + Σ_k cs[k]·vs[k] on this party's shares: the constant is the
 		// constant polynomial, added to every share as opAddConst adds it.
-		out := make([]field.Elem, c.a)
+		out := a.slots.take(c.a)
 		c0 := field.FromInt64(c.c)
 		for k := range out {
 			out[k] = c0
@@ -422,9 +426,9 @@ func (a *actorParty) recv(c *actorCmd) error {
 	return nil
 }
 
-// gather copies the scalar slots refs name into a fresh row.
+// gather copies the scalar slots refs name into a fresh slot.
 func (a *actorParty) gather(refs []int) []field.Elem {
-	out := make([]field.Elem, len(refs))
+	out := a.slots.take(len(refs))
 	for k, r := range refs {
 		out[k] = a.sc[r]
 	}

@@ -2,8 +2,10 @@ package bgw
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
+	"sqm/internal/field"
 	"sqm/internal/randx"
 	"sqm/internal/transport"
 )
@@ -35,8 +37,8 @@ func TestActorCloseWithGatesInFlight(t *testing.T) {
 
 // localGateProgram opens one value, issues gates scalar local gates of
 // every kind, and opens the running results: with gates well past three
-// command slabs the engine fills several slabs and starts another
-// between the two openings.
+// of the largest command chunks the engine fills several chunks and
+// starts another between the two openings.
 func localGateProgram(ev Evaluator, gates int) []int64 {
 	a := ev.Input(0, 37)
 	b := ev.Input(1, -12)
@@ -63,11 +65,12 @@ func localGateProgram(ev Evaluator, gates int) []int64 {
 	return append(out, ev.OpenBatch([]Val{x, y, z})...)
 }
 
-// TestActorFullBatchesMatchMonolithic: the slab the commands are written
-// into is invisible in the outputs — several full slabs of gates between
+// TestActorFullBatchesMatchMonolithic: the arena the commands are written
+// into is invisible in the outputs — several full chunks of gates between
 // two openings open exactly what the monolithic engine opens.
 func TestActorFullBatchesMatchMonolithic(t *testing.T) {
-	const gates = 3*cmdChunk + 41
+	var cmds arena[actorCmd]
+	gates := 3*cmds.most() + 41
 	mono, err := NewEngine(Config{Parties: 4, Seed: 21})
 	if err != nil {
 		t.Fatal(err)
@@ -228,5 +231,75 @@ func BenchmarkActorLocalGates(b *testing.B) {
 	b.StopTimer()
 	if err := eng.Err(); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// TestLocalGatesAllocateChunksOnly: behind a mesh, a local vector gate
+// or an At costs no heap object of its own — not its command, payload,
+// index copy or handle on the caller, nor its output slot at any party.
+// After a warm-up of the same gates, 2 000 more cost only the next
+// arena chunks and slot-array growth, at most one allocation per 16
+// gates. Appending to one gate's output slot never reaches the next
+// gate's: every carved slot is full to its capacity.
+func TestLocalGatesAllocateChunksOnly(t *testing.T) {
+	const p, n, gates = 4, 8, 2000
+	eng := newActorChan(t, Config{Parties: p, Seed: 5})
+	xs, ys := make([]int64, n), make([]int64, n)
+	perm := make([]int, n)
+	for k := range xs {
+		xs[k], ys[k], perm[k] = int64(k*k-7), int64(3-2*k), (3*k+1)%n
+	}
+	x, y := eng.InputVec(0, xs), eng.InputVec(1, ys)
+	eng.AdvanceRound()
+	var g, s, l *SharedVec
+	terms, cs := make([]Vec, 2), []int64{2, -1}
+	run := func() {
+		for i := 0; i < gates; i++ {
+			switch i % 4 {
+			case 0:
+				g = eng.Gather(x, perm).(*SharedVec)
+			case 1:
+				s = eng.AddVec(g, y).(*SharedVec)
+			case 2:
+				terms[0], terms[1] = s, x
+				l = eng.LinComb(terms, cs, 3).(*SharedVec)
+			case 3:
+				eng.At(l, i%n)
+			}
+		}
+		eng.Stats() // a barrier: every party has run every gate
+	}
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	allocs := after.Mallocs - before.Mallocs
+	t.Logf("%d allocations for %d local gates at P = %d", allocs, gates, p)
+	if allocs > gates/16 {
+		t.Errorf("%d local gates cost %d allocations, want chunk growth only (<= %d)", gates, allocs, gates/16)
+	}
+
+	// g, s and l are the last three gates' outputs, carved one after
+	// another from every party's slot arena.
+	for _, pa := range eng.parties {
+		for _, pr := range [][2]*SharedVec{{g, s}, {s, l}} {
+			slot, next := pa.vc[pr[0].ref], pa.vc[pr[1].ref]
+			if len(slot) != cap(slot) {
+				t.Fatalf("party %d: slot %d has len %d, cap %d", pa.id, pr[0].ref, len(slot), cap(slot))
+			}
+			keep := append([]field.Elem(nil), next...)
+			_ = append(slot, 1, 2, 3)
+			if !slices.Equal(next, keep) {
+				t.Fatalf("party %d: appending to slot %d changed slot %d", pa.id, pr[0].ref, pr[1].ref)
+			}
+		}
+	}
+	want := make([]int64, n)
+	for k := range want {
+		want[k] = 2*(xs[perm[k]]+ys[k]) - xs[k] + 3
+	}
+	if got := eng.OpenVec(l); !equalInt64(got, want) {
+		t.Fatalf("opened %v, want %v", got, want)
 	}
 }

@@ -159,7 +159,8 @@ type Builder struct {
 	nodes []node
 	args  []int32      // operand lists of kInner, kFromScalars and kLinComb, index lists of kGather (and, compiled, the folded input sums' slots)
 	lits  [][]int64    // kInputVec literals and kLinComb coefficients, one private copy each
-	vals  []Val        // current chunk of the scalar-handle arena
+	vals  []Val        // current chunk of the scalar-handle arena (carve)
+	vecs  []Vec        // current chunk of the vector-handle arena (carve)
 	rec   obs.Recorder // optional; surfaced through Recorder()
 
 	limit    int  // largest id, offset or length the IR's int32 fields hold
@@ -198,25 +199,31 @@ func (b *Builder) add(n node) int32 {
 	return id
 }
 
-// handleChunk is how many scalar handles one arena chunk holds.
+// handleChunk is the length of the largest handle-arena chunk.
 const handleChunk = 1024
 
-// scalar records a scalar-producing node and returns its handle. The
-// handle is a pointer into a chunk, so boxing it into a bgw.Val does not
-// allocate per gate.
-func (b *Builder) scalar(n node) bgw.Val {
-	id := b.add(n)
-	if len(b.vals) == cap(b.vals) {
-		b.vals = make([]Val, 0, handleChunk)
+// carve writes h behind the last handle of the arena chunk *chunk and
+// returns a pointer to it, so boxing a handle into a bgw.Val or bgw.Vec
+// does not allocate per gate. A full chunk is followed by one twice its
+// length, from 16 up to handleChunk: a step's small circuit stays small.
+func carve[H any](chunk *[]H, h H) *H {
+	if len(*chunk) == cap(*chunk) {
+		*chunk = make([]H, 0, min(max(2*cap(*chunk), 16), handleChunk))
 	}
-	b.vals = append(b.vals, Val{b: b, id: id})
-	return &b.vals[len(b.vals)-1]
+	*chunk = append(*chunk, h)
+	return &(*chunk)[len(*chunk)-1]
 }
 
-// vector records a vector-producing node of length n.
+// scalar records a scalar-producing node and returns its handle.
+func (b *Builder) scalar(n node) bgw.Val {
+	return carve(&b.vals, Val{b: b, id: b.add(n)})
+}
+
+// vector records a vector-producing node of length n and returns its
+// handle.
 func (b *Builder) vector(nd node, n int) bgw.Vec {
 	nd.n = b.i32(n)
-	return &Vec{b: b, id: b.add(nd), n: n}
+	return carve(&b.vecs, Vec{b: b, id: b.add(nd), n: n})
 }
 
 func (b *Builder) val(x bgw.Val) int32 {

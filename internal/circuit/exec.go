@@ -267,25 +267,30 @@ func (p *Plan) inputElem(n *node, bind Bindings) field.Elem {
 
 // enterScalars enters the scalar input leaves ids through enter —
 // InputVec or InputUnshared — as one vector per owner, in owner order,
-// each holding the owner's leaves in id order, and returns the vectors
-// by owner (nil where an owner has none) for takeApart. Shared, an
-// owner's leaves are one dealing: one frame per unseeded peer whatever
-// their number.
+// each holding the owner's leaves in id order and sized by a first
+// counting pass, and returns the vectors by owner (nil where an owner
+// has none) for takeApart. Shared, an owner's leaves are one dealing:
+// one frame per unseeded peer whatever their number.
 func (p *Plan) enterScalars(eng bgw.Evaluator, bind Bindings, ids []int32, enter func(int, []int64) bgw.Vec) []bgw.Vec {
 	if len(ids) == 0 {
 		return nil
 	}
+	count := make([]int, p.p)
+	for _, id := range ids {
+		count[p.nodes[id].owner]++
+	}
 	owned := make([]bgw.Vec, p.p)
-	for owner := range owned {
-		var own []int64
+	for owner, n := range count {
+		if n == 0 {
+			continue
+		}
+		own := make([]int64, 0, n)
 		for _, id := range ids {
-			if n := &p.nodes[id]; int(n.owner) == owner {
-				own = append(own, field.ToInt64(p.inputElem(n, bind)))
+			if nd := &p.nodes[id]; int(nd.owner) == owner {
+				own = append(own, field.ToInt64(p.inputElem(nd, bind)))
 			}
 		}
-		if len(own) > 0 {
-			owned[owner] = enter(owner, own)
-		}
+		owned[owner] = enter(owner, own)
 	}
 	return owned
 }

@@ -48,10 +48,37 @@ func TestRecordingScalarGatesAllocatesChunksOnly(t *testing.T) {
 			acc = b.Add(acc, b.MulConst(x, int64(i)))
 		}
 	})
-	// ~10 handle chunks, ~25 doublings of the node slice, the builder.
+	// ~15 handle chunks, ~25 doublings of the node slice, the builder.
 	t.Logf("%.0f allocations for %d gates", allocs, gates)
 	if allocs > 60 {
 		t.Fatalf("recording %d scalar gates cost %.0f allocations, want chunk growth only (<= 60)", gates, allocs)
+	}
+}
+
+// TestRecordingVectorGatesAllocatesChunksOnly: the vector gates'
+// handles come from chunks too — recording costs the amortised growth
+// of the node slice and the index arena plus one handle chunk per
+// handleChunk gates, never an allocation per gate.
+func TestRecordingVectorGatesAllocatesChunksOnly(t *testing.T) {
+	const gates = 10000
+	idx := []int{3, 0, 2, 1}
+	allocs := testing.AllocsPerRun(5, func() {
+		b := NewBuilder(4, 0)
+		x := b.ExtVec(len(idx))
+		acc := x
+		for i := 0; i < gates/2; i++ {
+			if i%2 == 0 {
+				acc = b.AddVec(acc, b.Gather(x, idx))
+			} else {
+				acc = b.AddVec(acc, b.Hadamard(acc, x))
+			}
+		}
+	})
+	// ~15 handle chunks, ~25 doublings of the node slice, ~20 of the
+	// index arena, the builder.
+	t.Logf("%.0f allocations for %d gates", allocs, gates)
+	if allocs > 80 {
+		t.Fatalf("recording %d vector gates cost %.0f allocations, want chunk growth only (<= 80)", gates, allocs)
 	}
 }
 

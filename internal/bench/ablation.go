@@ -317,7 +317,7 @@ func AblationFusedGates(o Options) *Table {
 		for j := 0; j < n; j++ {
 			cols[j] = eng.InputVec(j%parties, qd.Col(j))
 		}
-		eng.ResetStats()
+		before := eng.Stats()
 		var out []int64
 		for a := 0; a < n; a++ {
 			for b := a; b < n; b++ {
@@ -332,7 +332,7 @@ func AblationFusedGates(o Options) *Table {
 				out = append(out, eng.Open(acc))
 			}
 		}
-		st := eng.Stats()
+		st := eng.Stats().Sub(before)
 		return st.Messages, st.FieldOps, out
 	}
 	fm, fo, fr := run(true)

@@ -132,9 +132,9 @@ func TestInnerProductSingleResharing(t *testing.T) {
 		as = append(as, e.Input(0, int64(i)))
 		bs = append(bs, e.Input(1, int64(i)))
 	}
-	e.ResetStats()
+	before := e.Stats()
 	e.InnerProduct(as, bs)
-	msgs := e.Stats().Messages
+	msgs := e.Stats().Sub(before).Messages
 	// One resharing: each of the P dealers sends its P − 1 − t unseeded
 	// peers one message.
 	if want := int64(4 * (4 - 1 - 1)); msgs != want {
@@ -149,7 +149,7 @@ func TestInnerProductSingleResharing(t *testing.T) {
 // party 0 from each peer.
 func TestStatsMetering(t *testing.T) {
 	e := newTestEngine(t, 4)
-	e.ResetStats()
+	before := e.Stats()
 	a := e.Input(0, 2) // 2 messages
 	b := e.Input(1, 3) // 2 messages
 	e.AdvanceRound()   // input round
@@ -157,7 +157,7 @@ func TestStatsMetering(t *testing.T) {
 	e.AdvanceRound()   // multiplication round
 	e.Open(c)          // 3 messages
 	e.AdvanceRound()   // output round
-	st := e.Stats()
+	st := e.Stats().Sub(before)
 	if st.Messages != 2+2+8+3 {
 		t.Fatalf("Messages = %d", st.Messages)
 	}
@@ -172,6 +172,24 @@ func TestStatsMetering(t *testing.T) {
 	}
 }
 
+// TestStatsAddSub: Add and Sub work field by field, and Sub undoes Add.
+func TestStatsAddSub(t *testing.T) {
+	a := Stats{Rounds: 1, Frames: 20, Messages: 300, Bytes: 4000, FieldOps: 50000}
+	b := Stats{Rounds: 6, Frames: 7, Messages: 8, Bytes: 9, FieldOps: 10}
+	if got, want := a.Add(b), (Stats{Rounds: 7, Frames: 27, Messages: 308, Bytes: 4009, FieldOps: 50010}); got != want {
+		t.Fatalf("Add = %+v, want %+v", got, want)
+	}
+	if got, want := a.Sub(b), (Stats{Rounds: -5, Frames: 13, Messages: 292, Bytes: 3991, FieldOps: 49990}); got != want {
+		t.Fatalf("Sub = %+v, want %+v", got, want)
+	}
+	if got := a.Add(b).Sub(b); got != a {
+		t.Fatalf("(a + b) − b = %+v, want %+v", got, a)
+	}
+	if got := a.Sub(a); got != (Stats{}) {
+		t.Fatalf("a − a = %+v, want zero", got)
+	}
+}
+
 // TestUnreducedLevelMetering: MulBatchUnreduced moves nothing and draws
 // nothing — no frame, no message, the sharing streams where they were —
 // meters the products alone, and the opening that follows charges each
@@ -180,13 +198,13 @@ func TestUnreducedLevelMetering(t *testing.T) {
 	e := newTestEngine(t, 4)
 	a, b := e.Input(0, 6), e.Input(1, -7)
 	v := e.InputVec(2, []int64{1, 2, 3})
-	e.ResetStats()
+	before := e.Stats()
 	outs := e.MulBatchUnreduced([]MulItem{
 		{Kind: MulScalar, A: a, B: b},
 		{Kind: MulInner, As: []Val{a, b}, Bs: []Val{a, b}},
 		{Kind: MulDot, VA: v, VB: v},
 	})
-	if st := e.Stats(); st != (Stats{FieldOps: 4 * (1 + 2 + 3)}) {
+	if st := e.Stats().Sub(before); st != (Stats{FieldOps: 4 * (1 + 2 + 3)}) {
 		t.Fatalf("unreduced level metered %+v, want only 4·6 field operations", st)
 	}
 	got := e.OpenBatch(outs)
@@ -195,7 +213,7 @@ func TestUnreducedLevelMetering(t *testing.T) {
 	}
 	// The opening's three elements travel as one row from each of the
 	// P − 1 = 3 peers into party 0: 3 frames, 9 messages, 72 bytes.
-	if st := e.Stats(); st != (Stats{Frames: 3, Messages: 9, Bytes: 72, FieldOps: 4*6 + 4*3}) {
+	if st := e.Stats().Sub(before); st != (Stats{Frames: 3, Messages: 9, Bytes: 72, FieldOps: 4*6 + 4*3}) {
 		t.Fatalf("after the opening %+v", st)
 	}
 	// A reduced product of the same inputs draws from the sharing streams
@@ -220,10 +238,10 @@ func TestUnreducedLevelMetering(t *testing.T) {
 func TestUnsharedInputMetering(t *testing.T) {
 	e := newTestEngine(t, 4)
 	v := e.InputVec(2, []int64{1, 2, 3})
-	e.ResetStats()
+	before := e.Stats()
 	xs := []int64{-5, 0, 1 << 40}
 	u := e.InputUnshared(1, xs)
-	if st := e.Stats(); st != (Stats{FieldOps: 3}) {
+	if st := e.Stats().Sub(before); st != (Stats{FieldOps: 3}) {
 		t.Fatalf("unshared input metered %+v, want only 3 field operations", st)
 	}
 	ref := e.sharedVec(u).ref
@@ -445,13 +463,13 @@ func sharesDegree(e *Engine, v Val) int {
 
 func TestBytesMetering(t *testing.T) {
 	e := newTestEngine(t, 4)
-	e.ResetStats()
+	before := e.Stats()
 	a := e.Input(0, 2)                   // P − 1 − t = 2 messages x 8 bytes
 	v := e.InputVec(1, []int64{1, 2, 3}) // 2 messages x 24 bytes
 	e.Open(a)                            // P − 1 = 3 messages x 8 bytes
 	e.OpenVec(v)                         // 3 messages x 24 bytes
 	want := int64(2*8 + 2*24 + 3*8 + 3*24)
-	if got := e.Stats().Bytes; got != want {
+	if got := e.Stats().Sub(before).Bytes; got != want {
 		t.Fatalf("Bytes = %d, want %d", got, want)
 	}
 }
@@ -675,12 +693,12 @@ func TestDotBatchMetersLikeSequential(t *testing.T) {
 	e := newTestEngine(t, 4)
 	a := e.InputVec(0, []int64{1, 2, 3})
 	b := e.InputVec(1, []int64{4, 5, 6})
-	e.ResetStats()
+	before := e.Stats()
 	e.Dot(a, b)
-	seq := e.Stats()
-	e.ResetStats()
+	mid := e.Stats()
+	seq := mid.Sub(before)
 	e.DotBatch([]VecPair{{A: a, B: b}}, 4)
-	par := e.Stats()
+	par := e.Stats().Sub(mid)
 	if seq.Messages != par.Messages || seq.FieldOps != par.FieldOps {
 		t.Fatalf("metering differs: seq %+v vs par %+v", seq, par)
 	}

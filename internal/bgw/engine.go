@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"sqm/internal/chunk"
 	"sqm/internal/field"
 	"sqm/internal/invariant"
 	"sqm/internal/obs"
@@ -39,9 +40,9 @@ import (
 // issued, with one channel send per party: no gate waits for a later one.
 // What a gate leaves on the heap — the command the parties read, its
 // payload and operand lists, the caller's handle, and each party's
-// output slot — is carved from chunked arenas (arena) that live as long
-// as the engine, so issuing a local gate allocates nothing but, now and
-// then, the next chunk. A workload's local gates are vector
+// output slot — is carved from chunked arenas (chunk.Arena) that live
+// as long as the engine, so issuing a local gate allocates nothing but,
+// now and then, the next chunk. A workload's local gates are vector
 // gates (AddVec, Gather, LinComb) and its products level-wide batches —
 // a per-element product is a MulHadamard item — so the commands of a
 // session are counted in levels and columns, not in records.
@@ -77,12 +78,12 @@ type Engine struct {
 	// command into cmds and hands the parties a pointer to it, so a sent
 	// command is never touched again; payloads, idx and coefs hold what
 	// hangs off a command, scalars and vecs the handles.
-	cmds     arena[actorCmd]
-	payloads arena[cmdPayload]
-	idx      arena[int]
-	coefs    arena[int64]
-	scalars  arena[Shared]
-	vecs     arena[SharedVec]
+	cmds     chunk.Arena[actorCmd]
+	payloads chunk.Arena[cmdPayload]
+	idx      chunk.Arena[int]
+	coefs    chunk.Arena[int64]
+	scalars  chunk.Arena[Shared]
+	vecs     chunk.Arena[SharedVec]
 	// seen marks vector slots while reusedDotSlots scans a level; all
 	// false between levels (grow-only).
 	seen []bool
@@ -91,8 +92,6 @@ type Engine struct {
 	rounds          int64
 	err             error
 	closed          bool
-
-	baseRounds, baseFrames, baseMsgs, baseBytes, baseOps int64
 
 	rec        obs.Recorder // never nil
 	lastRound  time.Time
@@ -260,26 +259,15 @@ func (e *Engine) AdvanceRound() {
 // mid-round, malformed frame, a missing row); nil while healthy.
 func (e *Engine) Err() error { return e.err }
 
-// Stats synchronizes with the parties and returns counters: rounds from
-// the protocol structure, frames/messages/bytes counted where each row
-// is sent, field operations summed over the parties' local work.
+// Stats synchronizes with the parties and returns the counters since
+// the engine started: rounds from the protocol structure,
+// frames/messages/bytes counted where each row is sent, field operations
+// summed over the parties' local work. A phase's counters are the
+// difference of two snapshots (Stats.Sub).
 func (e *Engine) Stats() Stats {
 	ops := e.collectOps()
 	frames, msgs, bytes := e.traffic()
-	return Stats{
-		Rounds:   e.rounds - e.baseRounds,
-		Frames:   frames - e.baseFrames,
-		Messages: msgs - e.baseMsgs,
-		Bytes:    bytes - e.baseBytes,
-		FieldOps: ops - e.baseOps,
-	}
-}
-
-// ResetStats zeroes the counters (between experiment phases).
-func (e *Engine) ResetStats() {
-	e.baseOps = e.collectOps()
-	e.baseFrames, e.baseMsgs, e.baseBytes = e.traffic()
-	e.baseRounds = e.rounds
+	return Stats{Rounds: e.rounds, Frames: frames, Messages: msgs, Bytes: bytes, FieldOps: ops}
 }
 
 // Close ends the engine; closing twice is harmless. Behind a mesh it
@@ -321,7 +309,7 @@ func (e *Engine) issueRound() {
 	if len(e.round) == 0 {
 		return
 	}
-	c := actorCmd{op: opInputVecs, x: e.payloads.put(cmdPayload{vecs: e.round})}
+	c := actorCmd{op: opInputVecs, x: e.payloads.Put(cmdPayload{vecs: e.round})}
 	e.round = nil
 	if e.err == nil && !e.closed {
 		e.issue(c)
@@ -341,7 +329,7 @@ func (e *Engine) issue(c actorCmd) {
 		}
 		return
 	}
-	sent := e.cmds.put(c)
+	sent := e.cmds.Put(c)
 	for _, pa := range e.parties {
 		pa.cmds <- sent
 	}
@@ -378,7 +366,7 @@ func (e *Engine) await(reply chan actorReply) []actorReply {
 // newVec issues the handle of the next vector slot.
 func (e *Engine) newVec(n, deg int) *SharedVec {
 	e.nextVec++
-	return e.vecs.put(SharedVec{eng: e, ref: e.nextVec - 1, n: n, deg: deg})
+	return e.vecs.Put(SharedVec{eng: e, ref: e.nextVec - 1, n: n, deg: deg})
 }
 
 // shared resolves a scalar handle this engine issued.
@@ -414,11 +402,11 @@ func (e *Engine) checkParty(i int) {
 }
 
 // collectOps runs a barrier and sums the parties' cumulative local
-// field-operation counters.
+// field-operation counters; 0 once the engine has failed or closed.
 func (e *Engine) collectOps() int64 {
-	replies, ok := e.call(actorCmd{op: opBarrier, x: e.payloads.put(cmdPayload{})})
+	replies, ok := e.call(actorCmd{op: opBarrier, x: e.payloads.Put(cmdPayload{})})
 	if !ok {
-		return e.baseOps
+		return 0
 	}
 	var sum int64
 	for _, r := range replies {
@@ -433,7 +421,7 @@ func (e *Engine) collectOps() int64 {
 // reply and returns the slot's handle, a sharing of degree deg: a linear
 // gate's is its largest operand's.
 func (e *Engine) local(c actorCmd, deg int) Val {
-	h := e.scalars.put(Shared{eng: e, ref: e.nextSc, deg: deg})
+	h := e.scalars.Put(Shared{eng: e, ref: e.nextSc, deg: deg})
 	e.nextSc++
 	e.dispatch(c)
 	return h
@@ -484,7 +472,7 @@ func (e *Engine) embed(owner int, vs []int64) vecInput {
 func (e *Engine) InputUnshared(owner int, vs []int64) Vec {
 	in := e.embed(owner, vs)
 	out := e.newVec(len(vs), e.p-1)
-	e.dispatch(actorCmd{op: opInputUnshared, x: e.payloads.put(cmdPayload{vecs: []vecInput{in}})})
+	e.dispatch(actorCmd{op: opInputUnshared, x: e.payloads.Put(cmdPayload{vecs: []vecInput{in}})})
 	return out
 }
 
@@ -612,7 +600,7 @@ func (e *Engine) mulBatch(op actorOp, items []MulItem) []Val {
 		muls[i] = mulDesc{kind: MulDot, a: va.ref, b: vb.ref}
 	}
 	out := make([]Val, len(items))
-	hs := e.scalars.take(len(items))
+	hs := e.scalars.Take(len(items))
 	scalars, width := 0, 0
 	for i, it := range items {
 		deg, n := 0, 0
@@ -647,7 +635,7 @@ func (e *Engine) mulBatch(op actorOp, items []MulItem) []Val {
 		e.nextSc++
 		scalars++
 	}
-	e.dispatch(actorCmd{op: op, a: width, b: scalars, x: e.payloads.put(cmdPayload{muls: muls, refs: e.reusedDotSlots(muls)})})
+	e.dispatch(actorCmd{op: op, a: width, b: scalars, x: e.payloads.Put(cmdPayload{muls: muls, refs: e.reusedDotSlots(muls)})})
 	return out
 }
 
@@ -721,7 +709,7 @@ func (e *Engine) OpenBatch(vals []Val) []int64 {
 // caller — n·(P−1) elements on the wire. Returns zeros after a failure
 // (see Err).
 func (e *Engine) OpenVec(v Vec) []int64 {
-	replies, ok := e.call(actorCmd{op: opOpenVec, a: e.sharedVec(v).ref, x: e.payloads.put(cmdPayload{})})
+	replies, ok := e.call(actorCmd{op: opOpenVec, a: e.sharedVec(v).ref, x: e.payloads.Put(cmdPayload{})})
 	if !ok || e.err != nil || replies[0].vals == nil {
 		return make([]int64, v.Len())
 	}
@@ -760,10 +748,10 @@ func (e *Engine) Gather(v Vec, idx []int) Vec {
 	if e.mesh != nil {
 		// Party goroutines run behind the caller and need their own copy;
 		// inline parties are done with idx when dispatch returns.
-		idx = e.idx.clone(idx)
+		idx = e.idx.Clone(idx)
 	}
 	out := e.newVec(len(idx), sv.deg)
-	e.dispatch(actorCmd{op: opGather, a: sv.ref, x: e.payloads.put(cmdPayload{refs: idx})})
+	e.dispatch(actorCmd{op: opGather, a: sv.ref, x: e.payloads.Put(cmdPayload{refs: idx})})
 	return out
 }
 
@@ -773,7 +761,7 @@ func (e *Engine) LinComb(vs []Vec, cs []int64, c0 int64) Vec {
 	if len(vs) != len(cs) {
 		panic(invariant.Violation("bgw: LinComb has %d vectors for %d coefficients", len(vs), len(cs)))
 	}
-	refs := e.idx.take(len(vs))
+	refs := e.idx.Take(len(vs))
 	n, deg := 0, 0
 	for k, v := range vs {
 		sv := e.sharedVec(v)
@@ -785,23 +773,23 @@ func (e *Engine) LinComb(vs []Vec, cs []int64, c0 int64) Vec {
 		}
 	}
 	if e.mesh != nil {
-		cs = e.coefs.clone(cs)
+		cs = e.coefs.Clone(cs)
 	}
 	out := e.newVec(n, deg)
-	e.dispatch(actorCmd{op: opLinComb, a: n, c: c0, x: e.payloads.put(cmdPayload{refs: refs, ints: cs})})
+	e.dispatch(actorCmd{op: opLinComb, a: n, c: c0, x: e.payloads.Put(cmdPayload{refs: refs, ints: cs})})
 	return out
 }
 
 // FromScalars packs scalar shares into a vector of the largest of their
 // degrees; local.
 func (e *Engine) FromScalars(xs []Val) Vec {
-	refs := e.idx.take(len(xs))
+	refs := e.idx.Take(len(xs))
 	deg := 0
 	for i, x := range xs {
 		s := e.shared(x)
 		refs[i], deg = s.ref, max(deg, s.deg)
 	}
 	out := e.newVec(len(xs), deg)
-	e.dispatch(actorCmd{op: opFromScalars, x: e.payloads.put(cmdPayload{refs: refs})})
+	e.dispatch(actorCmd{op: opFromScalars, x: e.payloads.Put(cmdPayload{refs: refs})})
 	return out
 }

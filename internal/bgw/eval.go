@@ -84,6 +84,29 @@ type Stats struct {
 	FieldOps int64
 }
 
+// Add returns the field-by-field sum s + o.
+func (s Stats) Add(o Stats) Stats {
+	return Stats{
+		Rounds:   s.Rounds + o.Rounds,
+		Frames:   s.Frames + o.Frames,
+		Messages: s.Messages + o.Messages,
+		Bytes:    s.Bytes + o.Bytes,
+		FieldOps: s.FieldOps + o.FieldOps,
+	}
+}
+
+// Sub returns the field-by-field difference s − o: the counters of what
+// ran between snapshot o and snapshot s.
+func (s Stats) Sub(o Stats) Stats {
+	return Stats{
+		Rounds:   s.Rounds - o.Rounds,
+		Frames:   s.Frames - o.Frames,
+		Messages: s.Messages - o.Messages,
+		Bytes:    s.Bytes - o.Bytes,
+		FieldOps: s.FieldOps - o.FieldOps,
+	}
+}
+
 // NetTime returns the simulated network time for the metered rounds at
 // the given per-round latency.
 func (s Stats) NetTime(latency time.Duration) time.Duration {
@@ -143,11 +166,14 @@ type MulItem struct {
 // input sharing, local linear algebra — scalar gates and the vector
 // gates AddVec, Gather and LinComb, which carry a whole column of a
 // vertically partitioned batch as one command — degree-reduction
-// multiplication, fused inner products and openings. Backends: the
-// Engine of this package with inline parties (NewEngine) or with party
-// goroutines over a pluggable transport (NewActorEngine), and — because
-// BGW computes exactly — the plaintext engine in internal/core that
-// bypasses sharing entirely.
+// multiplication, fused inner products and openings. Its one backend is
+// the Engine of this package, with inline parties (NewEngine) or with
+// party goroutines over a pluggable transport (NewActorEngine); the
+// other implementations are decorators that wrap an Engine for tests or
+// timing. Nothing plaintext implements it: because BGW computes exactly,
+// the plain engine is internal/core's int64 arithmetic in
+// release.evaluate, and a plan's plaintext interpreter is
+// circuit.Plan.Plain.
 //
 // All operations follow the semi-honest, synchronized-round model of the
 // concrete engines: structured protocols batch the independent messages
@@ -160,12 +186,11 @@ type Evaluator interface {
 	Parties() int
 	// Threshold returns t.
 	Threshold() int
-	// Stats returns a snapshot of the execution counters. For
-	// transport-backed evaluators the message/byte counts are measured
-	// from real traffic, not modeled.
+	// Stats returns a snapshot of the execution counters since the
+	// backend started; a phase's are the difference of two snapshots
+	// (Stats.Sub). For transport-backed evaluators the message/byte
+	// counts are measured from real traffic, not modeled.
 	Stats() Stats
-	// ResetStats zeroes the counters.
-	ResetStats()
 	// AdvanceRound accounts one communication round.
 	AdvanceRound()
 	// Recorder returns the backend's telemetry sink; never nil (the

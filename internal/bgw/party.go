@@ -3,6 +3,7 @@ package bgw
 import (
 	"fmt"
 
+	"sqm/internal/chunk"
 	"sqm/internal/field"
 	"sqm/internal/randx"
 	"sqm/internal/shamir"
@@ -134,7 +135,7 @@ type actorParty struct {
 	// slots carves the outputs of the local vector gates (opAddVec,
 	// opGather, opLinComb, opFromScalars): a slot is never written after
 	// the command that fills it, so they pack into shared chunks.
-	slots    arena[field.Elem]
+	slots    chunk.Arena[field.Elem]
 	zeros    []field.Elem // never written (grow-only)
 	pairs    []field.Elem // PairProd of the vector slots a Gram batch reuses, by slot (grow-only)
 	pend     []field.Elem // this party's own row, kept between the halves
@@ -232,12 +233,12 @@ func (a *actorParty) send(c *actorCmd) error {
 		a.sc = append(a.sc, a.vc[c.a][c.b])
 	case opAddVec:
 		va, vb := a.vc[c.a], a.vc[c.b]
-		out := a.slots.take(len(va))
+		out := a.slots.Take(len(va))
 		field.AddVec(out, va, vb)
 		a.vc = append(a.vc, out)
 	case opGather:
 		src := a.vc[c.a]
-		out := a.slots.take(len(c.x.refs))
+		out := a.slots.Take(len(c.x.refs))
 		for k, i := range c.x.refs {
 			out[k] = src[i]
 		}
@@ -245,7 +246,7 @@ func (a *actorParty) send(c *actorCmd) error {
 	case opLinComb:
 		// c0 + Σ_k cs[k]·vs[k] on this party's shares: the constant is the
 		// constant polynomial, added to every share as opAddConst adds it.
-		out := a.slots.take(c.a)
+		out := a.slots.Take(c.a)
 		c0 := field.FromInt64(c.c)
 		for k := range out {
 			out[k] = c0
@@ -286,12 +287,12 @@ func (a *actorParty) send(c *actorCmd) error {
 
 // products leaves in highs the local product of every gate: this
 // party's point of the degree-2t sharing of each. Op metering runs
-// serially (shape-only); the products split into chunks and carry no
-// randomness, so every chunk count computes identical highs. reused
-// lists the vector slots the level's dots share (Engine.reusedDotSlots):
-// when it is set, every listed slot's pair products are computed once,
-// serially, and every dot is a DotWinograd — the same element DotAcc
-// gives, from half the multiplications.
+// serially (shape-only); the products split into a.chunks chunks
+// (chunk.Run) and carry no randomness, so every chunk count computes
+// identical highs. reused lists the vector slots the level's dots share
+// (Engine.reusedDotSlots): when it is set, every listed slot's pair
+// products are computed once, serially, and every dot is a DotWinograd
+// — the same element DotAcc gives, from half the multiplications.
 func (a *actorParty) products(highs []field.Elem, muls []mulDesc, reused []int) {
 	if reused != nil {
 		a.pairs = growElems(a.pairs, len(a.vc))
@@ -302,7 +303,7 @@ func (a *actorParty) products(highs []field.Elem, muls []mulDesc, reused []int) 
 	for _, d := range muls {
 		a.fieldOps += int64(len(a.vc[d.a]))
 	}
-	parallelChunks(len(muls), a.chunks, func(start, end int) {
+	chunk.Run(len(muls), a.chunks, func(start, end int) {
 		for m := start; m < end; m++ {
 			switch d := muls[m]; d.kind {
 			case MulDot:
@@ -428,7 +429,7 @@ func (a *actorParty) recv(c *actorCmd) error {
 
 // gather copies the scalar slots refs name into a fresh slot.
 func (a *actorParty) gather(refs []int) []field.Elem {
-	out := a.slots.take(len(refs))
+	out := a.slots.Take(len(refs))
 	for k, r := range refs {
 		out[k] = a.sc[r]
 	}

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"sqm/internal/chunk"
 	"sqm/internal/field"
 	"sqm/internal/randx"
 	"sqm/internal/transport"
@@ -69,8 +70,8 @@ func localGateProgram(ev Evaluator, gates int) []int64 {
 // into is invisible in the outputs — several full chunks of gates between
 // two openings open exactly what the monolithic engine opens.
 func TestActorFullBatchesMatchMonolithic(t *testing.T) {
-	var cmds arena[actorCmd]
-	gates := 3*cmds.most() + 41
+	var cmds chunk.Arena[actorCmd]
+	gates := 3*cmds.Most() + 41
 	mono, err := NewEngine(Config{Parties: 4, Seed: 21})
 	if err != nil {
 		t.Fatal(err)

@@ -28,6 +28,7 @@ import (
 	"math"
 
 	"sqm/internal/bgw"
+	"sqm/internal/chunk"
 	"sqm/internal/field"
 	"sqm/internal/invariant"
 	"sqm/internal/obs"
@@ -157,11 +158,11 @@ type ConstID int
 type Builder struct {
 	p, t  int
 	nodes []node
-	args  []int32      // operand lists of kInner, kFromScalars and kLinComb, index lists of kGather (and, compiled, the folded input sums' slots)
-	lits  [][]int64    // kInputVec literals and kLinComb coefficients, one private copy each
-	vals  []Val        // current chunk of the scalar-handle arena (carve)
-	vecs  []Vec        // current chunk of the vector-handle arena (carve)
-	rec   obs.Recorder // optional; surfaced through Recorder()
+	args  []int32          // operand lists of kInner, kFromScalars and kLinComb, index lists of kGather (and, compiled, the folded input sums' slots)
+	lits  [][]int64        // kInputVec literals and kLinComb coefficients, one private copy each
+	vals  chunk.Arena[Val] // the scalar handles
+	vecs  chunk.Arena[Vec] // the vector handles
+	rec   obs.Recorder     // optional; surfaced through Recorder()
 
 	limit    int  // largest id, offset or length the IR's int32 fields hold
 	overflow bool // something exceeded limit; Compile reports it
@@ -199,31 +200,19 @@ func (b *Builder) add(n node) int32 {
 	return id
 }
 
-// handleChunk is the length of the largest handle-arena chunk.
-const handleChunk = 1024
-
-// carve writes h behind the last handle of the arena chunk *chunk and
-// returns a pointer to it, so boxing a handle into a bgw.Val or bgw.Vec
-// does not allocate per gate. A full chunk is followed by one twice its
-// length, from 16 up to handleChunk: a step's small circuit stays small.
-func carve[H any](chunk *[]H, h H) *H {
-	if len(*chunk) == cap(*chunk) {
-		*chunk = make([]H, 0, min(max(2*cap(*chunk), 16), handleChunk))
-	}
-	*chunk = append(*chunk, h)
-	return &(*chunk)[len(*chunk)-1]
-}
-
-// scalar records a scalar-producing node and returns its handle.
+// scalar records a scalar-producing node and returns its handle. The
+// handles are carved from the builder's arenas, so boxing one into a
+// bgw.Val or bgw.Vec does not allocate per gate; the chunks start at 16
+// handles, so a step's small circuit stays small.
 func (b *Builder) scalar(n node) bgw.Val {
-	return carve(&b.vals, Val{b: b, id: b.add(n)})
+	return b.vals.Put(Val{b: b, id: b.add(n)})
 }
 
 // vector records a vector-producing node of length n and returns its
 // handle.
 func (b *Builder) vector(nd node, n int) bgw.Vec {
 	nd.n = b.i32(n)
-	return carve(&b.vecs, Vec{b: b, id: b.add(nd), n: n})
+	return b.vecs.Put(Vec{b: b, id: b.add(nd), n: n})
 }
 
 func (b *Builder) val(x bgw.Val) int32 {

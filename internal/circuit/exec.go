@@ -167,10 +167,8 @@ func (p *Plan) Execute(eng bgw.Evaluator, bind Bindings) (*Result, error) {
 			return
 		}
 		s := eng.Stats()
-		sp.End(
-			obs.Int64("frames", s.Frames-prev.Frames),
-			obs.Int64("rounds", s.Rounds-prev.Rounds),
-			obs.Int64("bytes", s.Bytes-prev.Bytes))
+		d := s.Sub(prev)
+		sp.End(obs.Int64("frames", d.Frames), obs.Int64("rounds", d.Rounds), obs.Int64("bytes", d.Bytes))
 		prev = s
 	}
 	for lvl := 1; lvl <= p.depth; lvl++ {

@@ -36,8 +36,8 @@ func TestNodeIsCompactAndPointerFree(t *testing.T) {
 }
 
 // TestRecordingScalarGatesAllocatesChunksOnly: recording costs the
-// amortised growth of the node slice plus one handle chunk per
-// handleChunk gates — never an allocation per gate.
+// amortised growth of the node slice plus the handle arena's chunks,
+// which double up to 32 KB — never an allocation per gate.
 func TestRecordingScalarGatesAllocatesChunksOnly(t *testing.T) {
 	const gates = 10000
 	allocs := testing.AllocsPerRun(5, func() {
@@ -48,7 +48,7 @@ func TestRecordingScalarGatesAllocatesChunksOnly(t *testing.T) {
 			acc = b.Add(acc, b.MulConst(x, int64(i)))
 		}
 	})
-	// ~15 handle chunks, ~25 doublings of the node slice, the builder.
+	// ~11 handle chunks, ~25 doublings of the node slice, the builder.
 	t.Logf("%.0f allocations for %d gates", allocs, gates)
 	if allocs > 60 {
 		t.Fatalf("recording %d scalar gates cost %.0f allocations, want chunk growth only (<= 60)", gates, allocs)
@@ -57,8 +57,8 @@ func TestRecordingScalarGatesAllocatesChunksOnly(t *testing.T) {
 
 // TestRecordingVectorGatesAllocatesChunksOnly: the vector gates'
 // handles come from chunks too — recording costs the amortised growth
-// of the node slice and the index arena plus one handle chunk per
-// handleChunk gates, never an allocation per gate.
+// of the node slice and the index arena plus the handle arena's chunks,
+// never an allocation per gate.
 func TestRecordingVectorGatesAllocatesChunksOnly(t *testing.T) {
 	const gates = 10000
 	idx := []int{3, 0, 2, 1}
@@ -74,7 +74,7 @@ func TestRecordingVectorGatesAllocatesChunksOnly(t *testing.T) {
 			}
 		}
 	})
-	// ~15 handle chunks, ~25 doublings of the node slice, ~20 of the
+	// ~13 handle chunks, ~25 doublings of the node slice, ~20 of the
 	// index arena, the builder.
 	t.Logf("%.0f allocations for %d gates", allocs, gates)
 	if allocs > 80 {

@@ -81,7 +81,7 @@ func (b *Builder) take() (*Plan, error) {
 		opens: b.opens, openVecs: b.openVecs,
 		nConsts: b.nConsts, nInputs: b.nInputs, nVecParams: b.nVecParams, nExt: b.nExt, nExtVecs: b.nExtVecs,
 	}
-	b.spent, b.nodes, b.args, b.lits, b.vals = true, nil, nil, nil, nil
+	b.spent, b.nodes, b.args, b.lits = true, nil, nil, nil
 	return p, nil
 }
 

@@ -2,10 +2,12 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"time"
 
 	"sqm/internal/bgw"
+	"sqm/internal/chunk"
 	"sqm/internal/circuit"
 	"sqm/internal/linalg"
 	"sqm/internal/quant"
@@ -62,7 +64,7 @@ func (r *release) covariance(x *linalg.Matrix) (*linalg.Matrix, *Trace, error) {
 // accumulateGram adds the upper triangle of dataᵀ·data onto upper with
 // direct integer arithmetic. Row-major accumulation over records keeps
 // the inner loop cache friendly; large inputs split their records across
-// the cores (forChunks), each worker summing its own partial triangle,
+// the cores (chunk.Run), each worker summing its own partial triangle,
 // and the exact int64 partials are added in whatever order the workers
 // finish, so the result is independent of the schedule.
 func accumulateGram(qd *quant.IntMatrix, upper []int64) {
@@ -90,7 +92,7 @@ func accumulateGram(qd *quant.IntMatrix, upper []int64) {
 		return
 	}
 	var mu sync.Mutex
-	forChunks(qd.Rows, func(lo, hi int) {
+	chunk.Run(qd.Rows, runtime.GOMAXPROCS(0), func(lo, hi int) {
 		partial := make([]int64, len(upper))
 		accumulate(lo, hi, partial)
 		mu.Lock()
@@ -108,8 +110,10 @@ func accumulateGram(qd *quant.IntMatrix, upper []int64) {
 // table, on the stack), the values sampleNoise would add. It stays on
 // the caller's goroutine: sampleNoise splits the noise holders across
 // the cores, and the plain engine has one holder, whose one vector is
-// the triangle. Drawing the shares onto a noise vector first would hold
-// a second n(n+1)/2 triangle — GBs at the paper's n = 2 500.
+// the triangle. Drawing onto it in place spares a second n(n+1)/2
+// triangle and the pass that would add it: 3 126 250 int64s, about
+// 25 MB, at the paper's n = 2 500, and about 1.69 GB at the Gene shape's
+// n = 20 531 (bench scales it to n = 4 096, about 67 MB).
 func (r *release) drawNoiseOnto(upper []int64) {
 	defer r.noiseTime(time.Now())
 	s := randx.NewSkellamSampler(r.noiseShare())

@@ -400,14 +400,7 @@ func (s *lrShares) gradient(r *release, batch []int, noise *noiseDraw, u uGate) 
 	if err != nil {
 		return nil, err
 	}
-	r.tr.Stats = bgw.Stats{
-		Rounds:   after.Rounds - s.last.Rounds,
-		Frames:   after.Frames - s.last.Frames,
-		Messages: after.Messages - s.last.Messages,
-		Bytes:    after.Bytes - s.last.Bytes,
-		FieldOps: after.FieldOps - s.last.FieldOps,
-	}
-	s.last = after
+	r.tr.Stats, s.last = after.Sub(s.last), after
 	return res.OpenedVec(outIdx), nil
 }
 

@@ -9,7 +9,7 @@
 //
 //  1. every client quantizes its private column with Algorithm 2
 //     (up-scale by γ, stochastic rounding) — quantizeByClient, package
-//     quant — the clients split across the cores (forChunks);
+//     quant — the clients split across the cores (chunk.Run);
 //  2. the public polynomial's coefficients are pre-processed so that
 //     every monomial carries the same overall factor γ^{λ+1} — package
 //     poly, or the gradient protocol's link;
@@ -48,10 +48,10 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 	"time"
 
 	"sqm/internal/bgw"
+	"sqm/internal/chunk"
 	"sqm/internal/circuit"
 	"sqm/internal/dp"
 	"sqm/internal/field"
@@ -350,7 +350,7 @@ func (r *release) holders() int {
 // onto the vector of the noise holder hosting the client: out[h] is the
 // sum of the Sk(μ/n) shares of party h's clients on an MPC engine, and of
 // all n on the plaintext engine. The holders are split across the cores
-// (forChunks); each worker draws its holders' clients in client order,
+// (chunk.Run); each worker draws its holders' clients in client order,
 // each from its own private stream, through its own sampler of Sk(μ/n) —
 // one PTRS acceptance table per worker, on the worker's stack — so the
 // sums are those of the per-client vectors whatever the core count.
@@ -362,7 +362,7 @@ func (r *release) sampleNoise(dims int) [][]int64 {
 		out[h] = flat[h*dims : (h+1)*dims : (h+1)*dims]
 	}
 	mu := r.noiseShare()
-	forChunks(holders, func(lo, hi int) {
+	chunk.Run(holders, runtime.GOMAXPROCS(0), func(lo, hi int) {
 		s := randx.NewSkellamSampler(mu)
 		for j, g := range r.rngs {
 			if h := r.p.partyOf(j); h >= lo && h < hi {
@@ -579,12 +579,12 @@ func rngFamily(seed uint64, clients int) (pub *randx.RNG, clientRNGs []*randx.RN
 
 // quantizeByClient runs Algorithm 2 on every column using the owning
 // client's private randomness. The clients are split across the cores
-// (forChunks); a client's columns are rounded from its own stream in
+// (chunk.Run); a client's columns are rounded from its own stream in
 // column order, rows in order, so the integers and every stream's state
 // afterwards are the same whatever the core count.
 func quantizeByClient(x *linalg.Matrix, p *Params, clientRNGs []*randx.RNG) *quant.IntMatrix {
 	out := quant.NewIntMatrix(x.Rows, x.Cols)
-	forChunks(len(clientRNGs), func(lo, hi int) {
+	chunk.Run(len(clientRNGs), runtime.GOMAXPROCS(0), func(lo, hi int) {
 		for j := 0; j < x.Cols; j++ {
 			c := p.clientOf(j, x.Cols)
 			if c < lo || c >= hi {
@@ -597,29 +597,4 @@ func quantizeByClient(x *linalg.Matrix, p *Params, clientRNGs []*randx.RNG) *qua
 		}
 	})
 	return out
-}
-
-// forChunks splits [0, n) into min(n, GOMAXPROCS) contiguous chunks,
-// whose bounds depend only on n and their number, and runs fn(lo, hi) on
-// each: every chunk but the last on a goroutine of its own, the last on
-// the caller's, and returns when all have. As with bgw.parallelChunks,
-// writers must target disjoint ranges; fn may draw only from streams its
-// chunk owns, so what it computes does not depend on the schedule or on
-// the number of cores.
-func forChunks(n int, fn func(lo, hi int)) {
-	chunks := min(n, runtime.GOMAXPROCS(0))
-	if chunks < 1 {
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(chunks - 1)
-	for c := 0; c < chunks-1; c++ {
-		lo, hi := c*n/chunks, (c+1)*n/chunks
-		go func() {
-			defer wg.Done()
-			fn(lo, hi)
-		}()
-	}
-	fn((chunks-1)*n/chunks, n)
-	wg.Wait()
 }

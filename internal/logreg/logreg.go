@@ -333,12 +333,7 @@ func (c *Config) sgd(w []float64, m int, mu float64, setup bgw.Stats,
 
 // addStep adds one step's counters and clocks to the session record.
 func addStep(rec, step *core.Trace) {
-	s, d := &rec.Stats, step.Stats
-	s.Rounds += d.Rounds
-	s.Frames += d.Frames
-	s.Messages += d.Messages
-	s.Bytes += d.Bytes
-	s.FieldOps += d.FieldOps
+	rec.Stats = rec.Stats.Add(step.Stats)
 	rec.Compute += step.Compute
 	rec.NoiseCompute += step.NoiseCompute
 }

@@ -16,7 +16,7 @@ import (
 // delivery is deterministic per pair.
 type ChanMesh struct {
 	p        int
-	queues   [][]*queue // queues[from][to]
+	queues   [][]*queue[[]byte] // queues[from][to]
 	conns    []*chanConn
 	frames   atomic.Int64
 	messages atomic.Int64
@@ -24,25 +24,28 @@ type ChanMesh struct {
 	closed   atomic.Bool
 }
 
-// queue is an unbounded FIFO with close semantics. items[head:] are
-// waiting; a pop clears the slot it takes, so a delivered frame is the
-// receiver's alone, and a queue drained empty starts over at the front
-// of the same array, so steady bursts reuse it instead of regrowing it.
-type queue struct {
+// queue is the transport's one unbounded FIFO with close semantics:
+// a ChanMesh link, a TCP link's writer pump and a FaultMesh link's
+// frames in flight. items[head:] are waiting; a pop clears the slot it
+// takes, so a delivered item is the receiver's alone, and a queue
+// drained empty starts over at the front of the same array, so steady
+// bursts reuse it instead of regrowing it. A closed queue refuses
+// pushes but still delivers what it holds before it reports ErrClosed.
+type queue[T any] struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	items  [][]byte
+	items  []T
 	head   int
 	closed bool
 }
 
-func newQueue() *queue {
-	q := &queue{}
+func newQueue[T any]() *queue[T] {
+	q := &queue[T]{}
 	q.cond = sync.NewCond(&q.mu)
 	return q
 }
 
-func (q *queue) push(b []byte) error {
+func (q *queue[T]) push(b T) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
@@ -60,12 +63,12 @@ func (q *queue) push(b []byte) error {
 	return nil
 }
 
-func (q *queue) pop() ([]byte, error) { return q.popWait(0) }
+func (q *queue[T]) pop() (T, error) { return q.popWait(0) }
 
 // popWait pops the next item, waiting at most d (d <= 0 waits forever).
 // A message that is already queued when the deadline passes is still
 // delivered: timeout only fires on a genuinely empty queue.
-func (q *queue) popWait(d time.Duration) ([]byte, error) {
+func (q *queue[T]) popWait(d time.Duration) (T, error) {
 	var deadline time.Time
 	if d > 0 {
 		deadline = time.Now().Add(d)
@@ -81,24 +84,25 @@ func (q *queue) popWait(d time.Duration) ([]byte, error) {
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	var zero T
 	for q.head == len(q.items) && !q.closed {
 		if d > 0 && !time.Now().Before(deadline) {
-			return nil, ErrTimeout
+			return zero, ErrTimeout
 		}
 		q.cond.Wait()
 	}
 	if q.head == len(q.items) {
-		return nil, ErrClosed
+		return zero, ErrClosed
 	}
 	b := q.items[q.head]
-	q.items[q.head] = nil
+	q.items[q.head] = zero
 	if q.head++; q.head == len(q.items) {
 		q.items, q.head = q.items[:0], 0
 	}
 	return b, nil
 }
 
-func (q *queue) close() {
+func (q *queue[T]) close() {
 	q.mu.Lock()
 	q.closed = true
 	q.cond.Broadcast()
@@ -114,12 +118,12 @@ func NewChanMesh(p int, opts ...Option) *ChanMesh {
 	if o.trace != nil && o.trace.Parties() != p {
 		panic(invariant.Violation("transport: tracer has %d party streams, mesh has %d", o.trace.Parties(), p))
 	}
-	m := &ChanMesh{p: p, queues: make([][]*queue, p), conns: make([]*chanConn, p)}
+	m := &ChanMesh{p: p, queues: make([][]*queue[[]byte], p), conns: make([]*chanConn, p)}
 	for i := 0; i < p; i++ {
-		m.queues[i] = make([]*queue, p)
+		m.queues[i] = make([]*queue[[]byte], p)
 		for j := 0; j < p; j++ {
 			if i != j {
-				m.queues[i][j] = newQueue()
+				m.queues[i][j] = newQueue[[]byte]()
 			}
 		}
 	}

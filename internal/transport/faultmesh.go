@@ -161,9 +161,9 @@ func (m *FaultMesh) Close() error {
 // own locking.
 type faultLink struct {
 	fault     LinkFault
-	rng       *randx.RNG  // drop stream; nil when DropProb == 0
-	delivered int         // messages accepted for delivery (cut accounting)
-	delay     *delayQueue // frames in flight; nil when Delay == 0
+	rng       *randx.RNG       // drop stream; nil when DropProb == 0
+	delivered int              // messages accepted for delivery (cut accounting)
+	delay     *queue[inFlight] // frames in flight; nil when Delay == 0
 	wg        sync.WaitGroup
 }
 
@@ -175,62 +175,17 @@ type inFlight struct {
 	due     time.Time
 }
 
-// delayQueue is the unbounded FIFO of frames in flight on one delayed
-// link, filled by the sender and drained by the link's forwarder.
-type delayQueue struct {
-	mu     sync.Mutex
-	cond   sync.Cond
-	items  []inFlight
-	closed bool
-}
-
-func (q *delayQueue) push(f inFlight) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return ErrClosed
-	}
-	q.items = append(q.items, f)
-	q.cond.Signal()
-	return nil
-}
-
-// pop waits for the next frame; it reports false once the queue is
-// closed and drained.
-func (q *delayQueue) pop() (inFlight, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.items) == 0 && !q.closed {
-		q.cond.Wait()
-	}
-	if len(q.items) == 0 {
-		return inFlight{}, false
-	}
-	f := q.items[0]
-	q.items[0] = inFlight{}
-	q.items = q.items[1:]
-	return f, true
-}
-
-func (q *delayQueue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.cond.Broadcast()
-	q.mu.Unlock()
-}
-
 // start launches the FIFO delay forwarder for the link towards peer to:
 // it hands each frame to the wrapped mesh at the frame's due time.
 func (l *faultLink) start(inner PartyConn, to int, m *FaultMesh) {
-	l.delay = &delayQueue{}
-	l.delay.cond.L = &l.delay.mu
+	l.delay = newQueue[inFlight]()
 	l.wg.Add(1)
 	go func() {
 		defer l.wg.Done()
 		for {
-			f, ok := l.delay.pop()
-			if !ok {
-				return
+			f, err := l.delay.pop()
+			if err != nil {
+				return // closed and drained
 			}
 			time.Sleep(time.Until(f.due))
 			m.stats.delays.Add(1)

@@ -47,7 +47,7 @@ type netConn struct {
 // on the party goroutine, writes go through the pump queue.
 type link struct {
 	conn net.Conn
-	out  *queue
+	out  *queue[[]byte]
 	// rbuf is the link's receive buffer, reused across frames whenever
 	// the payload fits (the TCP-mesh half of the frame pool). Only the
 	// owning party goroutine reads this link, so no lock is needed; the
@@ -58,7 +58,7 @@ type link struct {
 }
 
 func newLink(conn net.Conn) *link {
-	l := &link{conn: conn, out: newQueue()}
+	l := &link{conn: conn, out: newQueue[[]byte]()}
 	l.wg.Add(1)
 	go func() {
 		defer l.wg.Done()

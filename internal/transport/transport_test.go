@@ -8,6 +8,7 @@ import (
 	"net"
 	"sync"
 	"testing"
+	"time"
 
 	"sqm/internal/obs"
 )
@@ -337,7 +338,7 @@ func TestWrapClosed(t *testing.T) {
 // still holds a frame the receiver has taken. A queue that never drains
 // moves its waiting frames down instead of growing past them.
 func TestQueueReusesItsArrayAndDropsPoppedFrames(t *testing.T) {
-	q := newQueue()
+	q := newQueue[[]byte]()
 	const burst = 40
 	var first *[]byte
 	for round := 0; round < 5; round++ {
@@ -392,5 +393,34 @@ func TestQueueReusesItsArrayAndDropsPoppedFrames(t *testing.T) {
 	}
 	if cap(q.items) != size {
 		t.Errorf("three frames waiting, and the array grew from %d to %d", size, cap(q.items))
+	}
+}
+
+// TestClosedQueueDeliversWhatItHolds: a closed queue refuses pushes but
+// hands out every item it held, in order, before it reports ErrClosed —
+// the frames of a TCP writer pump and a FaultMesh link's frames in
+// flight alike.
+func TestClosedQueueDeliversWhatItHolds(t *testing.T) {
+	q := newQueue[inFlight]()
+	for i := 1; i <= 3; i++ {
+		if err := q.push(inFlight{msgs: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q.close()
+	if err := q.push(inFlight{msgs: 4}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("push after close: %v, want ErrClosed", err)
+	}
+	for i := 1; i <= 3; i++ {
+		f, err := q.pop()
+		if err != nil || f.msgs != i {
+			t.Fatalf("pop %d after close: %+v, %v", i, f, err)
+		}
+	}
+	if f, err := q.pop(); !errors.Is(err, ErrClosed) || f.msgs != 0 {
+		t.Fatalf("pop of a drained closed queue: %+v, %v; want the zero item and ErrClosed", f, err)
+	}
+	if _, err := q.popWait(time.Millisecond); !errors.Is(err, ErrClosed) {
+		t.Fatalf("timed pop of a drained closed queue: %v, want ErrClosed", err)
 	}
 }

@@ -11,8 +11,8 @@
 //	sqmtrace [-format text|json] [-o file] <trace-dir | dump.jsonl...>
 //
 // The exit code is 0 on a consistent timeline, 1 when the merge finds
-// inconsistencies (unmatched receives or regressing round counters),
-// and 2 on usage or read errors.
+// inconsistencies (unmatched receives, or circuit.level spans whose
+// levels regress within a stream), and 2 on usage or read errors.
 package main
 
 import (

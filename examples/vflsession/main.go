@@ -71,9 +71,8 @@ func run(traceDir string) (err error) {
 	// their dumps into one causal timeline. Wrapping the recorder routes
 	// the ledger's dp.release events into the coordinator stream.
 	var rec sqm.Recorder = sqm.NewLogRecorder(os.Stderr, "text", sqm.LevelInfo)
-	var tc *sqm.TraceContext
 	if traceDir != "" {
-		tc = sqm.NewTraceContext(sqm.DeriveTraceID(seed, parties), parties)
+		tc := sqm.NewTraceContext(sqm.DeriveTraceID(seed, parties), parties)
 		rec = tc.Coordinator().Wrap(rec)
 		defer func() {
 			if _, derr := tc.DumpAll(traceDir); derr != nil && err == nil {
@@ -93,7 +92,6 @@ func run(traceDir string) (err error) {
 			Engine: sqm.EngineActorBGWNet, Parties: parties,
 			Seed:     seed + uint64(release),
 			Recorder: rec,
-			Trace:    tc,
 		})
 		if err != nil {
 			return fmt.Errorf("release %d: %w", release, err)

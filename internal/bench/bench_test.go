@@ -270,11 +270,14 @@ func TestTable4And5ShapeSmall(t *testing.T) {
 func TestFastAblations(t *testing.T) {
 	o := tiny()
 	fused := AblationFusedGates(o)
-	if len(fused.Rows) != 2 || fused.Rows[0][3] != "yes" {
+	if len(fused.Rows) != 2 || fused.Rows[0][4] != "yes" {
 		t.Fatalf("fused ablation = %+v", fused.Rows)
 	}
-	// Fusion must dominate on messages.
+	// Fusion must dominate on rounds and on messages.
 	if parse(t, fused.Rows[0][1]) >= parse(t, fused.Rows[1][1]) {
+		t.Fatal("fused gate should take fewer rounds")
+	}
+	if parse(t, fused.Rows[0][2]) >= parse(t, fused.Rows[1][2]) {
 		t.Fatal("fused gate should use fewer messages")
 	}
 	round := AblationRounding(o)

@@ -17,26 +17,22 @@ func evalProgram(t *testing.T, ev Evaluator) []int64 {
 	a := ev.Input(0, 37)
 	b := ev.Input(1, -12)
 	c := ev.Input(2, 1000003)
-	ev.AdvanceRound()
 
 	out = append(out, ev.Open(ev.Add(a, b)))
 	out = append(out, ev.Open(ev.Sub(a, c)))
 	out = append(out, ev.Open(ev.AddConst(b, 99)))
 	out = append(out, ev.Open(ev.MulConst(c, -3)))
 	out = append(out, ev.Open(ev.Mul(a, b)))
-	ev.AdvanceRound()
 	out = append(out, ev.Open(ev.Zero()))
 	out = append(out, ev.Open(ev.InnerProduct([]Val{a, b, c}, []Val{c, b, a})))
 
 	u := ev.InputVec(0, []int64{1, -2, 3, -4})
 	v := ev.InputVec(1, []int64{5, 6, -7, 8})
-	ev.AdvanceRound()
 	out = append(out, ev.Open(ev.Dot(u, v)))
 	out = append(out, ev.Open(ev.At(ev.AddVec(u, v), 2)))
 	out = append(out, ev.OpenVec(u)...)
 
 	dots := ev.DotBatch([]VecPair{{A: u, B: v}, {A: u, B: u}, {A: v, B: v}}, 2)
-	ev.AdvanceRound()
 	for _, d := range dots {
 		out = append(out, ev.Open(d))
 	}

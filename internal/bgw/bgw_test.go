@@ -109,7 +109,6 @@ func TestDeepMultiplicationChain(t *testing.T) {
 	s := x
 	for i := 0; i < 3; i++ {
 		s = e.Mul(s, s)
-		e.AdvanceRound()
 	}
 	if got := e.Open(s); got != 390625 {
 		t.Fatalf("5^8 = %d", got)
@@ -143,28 +142,27 @@ func TestInnerProductSingleResharing(t *testing.T) {
 }
 
 // TestStatsMetering drives Input, Mul and Open gate by gate: a bare Input
-// always shares and a bare Mul always reduces — 3 rounds, whatever a plan
-// would make of the leaves and the level. At P = 4, t = 1 a dealing
-// sends P − 1 − t = 2 messages and an opening P − 1 = 3, one row into
-// party 0 from each peer.
+// always shares and a bare Mul always reduces, whatever a plan would make
+// of the leaves and the level. Each is an exchange the engine issues: an
+// Input's At issues its dealing as an input round of its own, so the
+// two Inputs, the Mul and the Open are 4 rounds. At P = 4, t = 1 a
+// dealing sends P − 1 − t = 2 messages and an opening P − 1 = 3, one row
+// into party 0 from each peer.
 func TestStatsMetering(t *testing.T) {
 	e := newTestEngine(t, 4)
 	before := e.Stats()
-	a := e.Input(0, 2) // 2 messages
-	b := e.Input(1, 3) // 2 messages
-	e.AdvanceRound()   // input round
-	c := e.Mul(a, b)   // 4 dealers × 2 messages
-	e.AdvanceRound()   // multiplication round
-	e.Open(c)          // 3 messages
-	e.AdvanceRound()   // output round
+	a := e.Input(0, 2) // 2 messages, round 1
+	b := e.Input(1, 3) // 2 messages, round 2
+	c := e.Mul(a, b)   // 4 dealers × 2 messages, round 3
+	e.Open(c)          // 3 messages, round 4
 	st := e.Stats().Sub(before)
 	if st.Messages != 2+2+8+3 {
 		t.Fatalf("Messages = %d", st.Messages)
 	}
-	if st.Rounds != 3 {
+	if st.Rounds != 4 {
 		t.Fatalf("Rounds = %d", st.Rounds)
 	}
-	if st.NetTime(DefaultLatency) != 3*DefaultLatency {
+	if st.NetTime(DefaultLatency) != 4*DefaultLatency {
 		t.Fatalf("NetTime = %v", st.NetTime(DefaultLatency))
 	}
 	if st.FieldOps == 0 {
@@ -212,8 +210,9 @@ func TestUnreducedLevelMetering(t *testing.T) {
 		t.Fatalf("opened %v, want %v", got, want)
 	}
 	// The opening's three elements travel as one row from each of the
-	// P − 1 = 3 peers into party 0: 3 frames, 9 messages, 72 bytes.
-	if st := e.Stats().Sub(before); st != (Stats{Frames: 3, Messages: 9, Bytes: 72, FieldOps: 4*6 + 4*3}) {
+	// P − 1 = 3 peers into party 0: one round, 3 frames, 9 messages, 72
+	// bytes.
+	if st := e.Stats().Sub(before); st != (Stats{Rounds: 1, Frames: 3, Messages: 9, Bytes: 72, FieldOps: 4*6 + 4*3}) {
 		t.Fatalf("after the opening %+v", st)
 	}
 	// A reduced product of the same inputs draws from the sharing streams
@@ -552,7 +551,6 @@ func TestNoisyAggregateCircuit(t *testing.T) {
 	e := newTestEngine(t, 4)
 	col1 := e.InputVec(0, []int64{1, 2, 3})
 	col2 := e.InputVec(1, []int64{4, 5, 6})
-	e.AdvanceRound()
 	sum := e.Dot(col1, col2) // 4 + 10 + 18 = 32
 	// Each party adds its private noise share.
 	noise := []int64{3, -1, 2, -2} // aggregate 2
@@ -560,7 +558,6 @@ func TestNoisyAggregateCircuit(t *testing.T) {
 	for p, z := range noise {
 		acc = e.Add(acc, e.Input(p, z))
 	}
-	e.AdvanceRound()
 	if got := e.Open(acc); got != 34 {
 		t.Fatalf("noisy aggregate = %d, want 34", got)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"sqm/internal/chunk"
 	"sqm/internal/field"
@@ -54,10 +53,18 @@ import (
 // openings' pairwise mask streams.
 //
 // Input vectors travel as one round. InputVec adds its vector to the
-// open round, and the engine's next command of any other kind, or the
-// round's boundary (AdvanceRound), issues the round as one command
-// (issueRound): every party deals all the vectors it owns before it
-// waits on a peer's, so no party's dealing waits on another's.
+// open round, and the engine's next command of any other kind issues the
+// round as one command (issueRound): every party deals all the vectors
+// it owns before it waits on a peer's, so no party's dealing waits on
+// another's.
+//
+// The engine counts its own rounds, where it issues an exchange: the
+// input round, a MulBatch's resharing and an OpenVec's opening are one
+// round each (Open and OpenBatch are OpenVecs). Local gates,
+// InputUnshared, MulBatchUnreduced and any command a failed or closed
+// engine drops count none. An input round is issued by the next command,
+// so it is in the count once the caller's next synchronizing call (Stats
+// or an Open*) returns.
 //
 // The parties compute on vectors only (actorOp). The scalar gates are
 // lowerings onto the vector ones, with the shares, traffic and FieldOps
@@ -89,14 +96,11 @@ type Engine struct {
 	seen []bool
 
 	nextSc, nextVec int
-	rounds          int64
+	rounds          int64 // the exchanges issued (see Engine)
 	err             error
 	closed          bool
 
-	rec        obs.Recorder // never nil
-	lastRound  time.Time
-	lastFrames int64 // frame counter at the previous round boundary
-	lastMsgs   int64 // message counter at the previous round boundary
+	rec obs.Recorder // never nil
 }
 
 // Shared is an opaque handle to one secret-shared scalar: the slot in
@@ -170,9 +174,6 @@ func newEngine(cfg Config, mesh transport.Mesh) (*Engine, error) {
 			mesh.SetRecvTimeout(cfg.RecvTimeout)
 		}
 	}
-	if e.rec.Enabled(obs.LevelDebug) {
-		e.lastRound = time.Now()
-	}
 	weights := shamir.LagrangeAtZero(shamir.PartyPoints(cfg.Parties))
 	dealings := shamir.NewDealings(cfg.Parties, t)
 	for i := 0; i < cfg.Parties; i++ {
@@ -236,31 +237,12 @@ func (e *Engine) traffic() (frames, msgs, bytes int64) {
 	return e.hub.frames, e.hub.msgs, e.hub.bytes
 }
 
-// AdvanceRound accounts one communication round, after issuing the open
-// input round; when the recorder admits debug events, the wall-clock
-// since the previous boundary becomes one bgw.round event carrying
-// "seconds" and the round's frame/message deltas.
-func (e *Engine) AdvanceRound() {
-	e.issueRound()
-	e.rounds++
-	if e.rec.Enabled(obs.LevelDebug) {
-		now := time.Now()
-		secs := now.Sub(e.lastRound).Seconds()
-		e.lastRound = now
-		frames, msgs, _ := e.traffic()
-		e.rec.Event(obs.LevelDebug, "bgw.round",
-			obs.Int64("round", e.rounds), obs.Float64("seconds", secs),
-			obs.Int64("frames", frames-e.lastFrames), obs.Int64("messages", msgs-e.lastMsgs))
-		e.lastFrames, e.lastMsgs = frames, msgs
-	}
-}
-
 // Err returns the first failure any party hit (transport abort, EOF
 // mid-round, malformed frame, a missing row); nil while healthy.
 func (e *Engine) Err() error { return e.err }
 
 // Stats synchronizes with the parties and returns the counters since
-// the engine started: rounds from the protocol structure,
+// the engine started: rounds as the engine issued them (see Engine),
 // frames/messages/bytes counted where each row is sent, field operations
 // summed over the parties' local work. A phase's counters are the
 // difference of two snapshots (Stats.Sub).
@@ -313,6 +295,7 @@ func (e *Engine) issueRound() {
 	e.round = nil
 	if e.err == nil && !e.closed {
 		e.issue(c)
+		e.rounds++
 	}
 }
 
@@ -635,7 +618,9 @@ func (e *Engine) mulBatch(op actorOp, items []MulItem) []Val {
 		e.nextSc++
 		scalars++
 	}
-	e.dispatch(actorCmd{op: op, a: width, b: scalars, x: e.payloads.Put(cmdPayload{muls: muls, refs: e.reusedDotSlots(muls)})})
+	if e.dispatch(actorCmd{op: op, a: width, b: scalars, x: e.payloads.Put(cmdPayload{muls: muls, refs: e.reusedDotSlots(muls)})}) && op == opMulBatch {
+		e.rounds++
+	}
 	return out
 }
 
@@ -710,6 +695,9 @@ func (e *Engine) OpenBatch(vals []Val) []int64 {
 // (see Err).
 func (e *Engine) OpenVec(v Vec) []int64 {
 	replies, ok := e.call(actorCmd{op: opOpenVec, a: e.sharedVec(v).ref, x: e.payloads.Put(cmdPayload{})})
+	if ok {
+		e.rounds++
+	}
 	if !ok || e.err != nil || replies[0].vals == nil {
 		return make([]int64, v.Len())
 	}

@@ -28,7 +28,7 @@
 // Evaluator onto those shapes. Either way the share arithmetic
 // is performed faithfully (so outputs are bit-exact with the plaintext
 // computation) and the communication is metered: traffic is counted
-// where a row is sent, every resharing or opening round advances a
+// where a row is sent, every input, resharing or opening round advances a
 // round counter, and simulated network time is rounds × a per-round
 // latency the caller holds (Stats.NetTime), matching the paper's
 // experimental setup of a fixed 0.1 s message-passing cost.
@@ -176,8 +176,11 @@ type MulItem struct {
 // circuit.Plan.Plain.
 //
 // All operations follow the semi-honest, synchronized-round model of the
-// concrete engines: structured protocols batch the independent messages
-// of a phase into one round via AdvanceRound. The scalar forms — Input,
+// concrete engines, and the backend alone decides where a round ends:
+// every exchange it issues — an input round, a MulBatch, an opening — is
+// one round of Stats.Rounds, so a protocol batches the independent
+// messages of a phase into one round by issuing them as one batch. The
+// scalar forms — Input,
 // InputElem, Mul, InnerProduct, Open, OpenBatch and the MulScalar and
 // MulInner items — are the vector ones with one- or many-element vectors
 // packed and taken apart locally, at the same traffic and FieldOps.
@@ -188,11 +191,9 @@ type Evaluator interface {
 	Threshold() int
 	// Stats returns a snapshot of the execution counters since the
 	// backend started; a phase's are the difference of two snapshots
-	// (Stats.Sub). For transport-backed evaluators the message/byte
+	// (Stats.Sub). Rounds counts the exchanges the backend issued. For transport-backed evaluators the message/byte
 	// counts are measured from real traffic, not modeled.
 	Stats() Stats
-	// AdvanceRound accounts one communication round.
-	AdvanceRound()
 	// Recorder returns the backend's telemetry sink; never nil (the
 	// no-op recorder when telemetry is disabled).
 	Recorder() obs.Recorder

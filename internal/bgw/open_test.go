@@ -178,7 +178,7 @@ func TestOpeningReachesOnlyItsDecoder(t *testing.T) {
 				Bytes:    st.Bytes - st0.Bytes,
 				FieldOps: st.FieldOps - st0.FieldOps,
 			}
-			if wantDelta := (Stats{Frames: int64(p - 1), Messages: int64(n * (p - 1)), Bytes: int64(8 * n * (p - 1)), FieldOps: int64(n * p)}); delta != wantDelta {
+			if wantDelta := (Stats{Rounds: 1, Frames: int64(p - 1), Messages: int64(n * (p - 1)), Bytes: int64(8 * n * (p - 1)), FieldOps: int64(n * p)}); delta != wantDelta {
 				t.Errorf("%s: the opening metered %+v, want %+v", at, delta, wantDelta)
 			}
 		}

@@ -44,7 +44,6 @@ func localGateProgram(ev Evaluator, gates int) []int64 {
 	a := ev.Input(0, 37)
 	b := ev.Input(1, -12)
 	v := ev.InputVec(2, []int64{4, -9, 2})
-	ev.AdvanceRound()
 	out := []int64{ev.Open(ev.Add(a, b))}
 	x, y, z := a, b, ev.Zero()
 	for i := 0; i < gates; i++ {
@@ -251,7 +250,6 @@ func TestLocalGatesAllocateChunksOnly(t *testing.T) {
 		xs[k], ys[k], perm[k] = int64(k*k-7), int64(3-2*k), (3*k+1)%n
 	}
 	x, y := eng.InputVec(0, xs), eng.InputVec(1, ys)
-	eng.AdvanceRound()
 	var g, s, l *SharedVec
 	terms, cs := make([]Vec, 2), []int64{2, -1}
 	run := func() {

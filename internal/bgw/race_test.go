@@ -30,7 +30,6 @@ func bigBatch(t *testing.T, chunks int) (*Engine, []int64) {
 	}
 	u := ev.InputVec(0, []int64{3, -1, 4, 1, -5, 9, 2, -6})
 	v := ev.InputVec(1, []int64{-2, 7, 1, -8, 2, 8, -1, 8})
-	ev.AdvanceRound()
 
 	var items []MulItem
 	for i := 0; i < 64; i++ {
@@ -56,9 +55,7 @@ func bigBatch(t *testing.T, chunks int) (*Engine, []int64) {
 			outs = append(outs, out)
 		}
 	}
-	ev.AdvanceRound()
 	dots := ev.DotBatch([]VecPair{{A: u, B: v}, {A: u, B: u}, {A: v, B: v}}, 0)
-	ev.AdvanceRound()
 
 	res := ev.OpenBatch(outs)
 	for _, d := range dots {

@@ -110,10 +110,9 @@ func TestInputRoundDealsBeforeItWaits(t *testing.T) {
 				for j, col := range cols {
 					vecs[j] = eng.InputVec(j%parties, col) // columns dealt round-robin, as core places them
 					if perColumn {
-						eng.AdvanceRound() // issues the column as a command of its own
+						eng.At(vecs[j], 0) // a local gate issues the column as a command of its own
 					}
 				}
-				eng.AdvanceRound()
 				sum := vecs[0]
 				for _, v := range vecs[1:] {
 					sum = eng.AddVec(sum, v)
@@ -144,6 +143,101 @@ func TestInputRoundDealsBeforeItWaits(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestEngineCountsItsExchanges: the engine counts a round where it issues
+// an exchange, and nowhere else. InputVecs leave the input round open —
+// nothing is counted — until the next command, a local gate here, issues
+// it as one round; a MulBatch, an OpenVec, an OpenBatch and an Open are
+// one round each; MulBatchUnreduced, InputUnshared and the local gates
+// are none; and a command a failed or closed engine drops counts
+// nothing. On the inline parties and behind a channel and a TCP mesh.
+func TestEngineCountsItsExchanges(t *testing.T) {
+	cfg := Config{Parties: 4, Seed: 9}
+	drivers := map[string]func() *Engine{
+		"inline": func() *Engine {
+			e, err := NewEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return e
+		},
+		"chan": func() *Engine { return newActorChan(t, cfg) },
+		"tcp":  func() *Engine { return newActorTCP(t, cfg) },
+	}
+	for name, start := range drivers {
+		e := start()
+		// counts runs f between two Stats barriers and checks the rounds
+		// it added.
+		counts := func(what string, want int64, f func()) {
+			t.Helper()
+			before := e.Stats().Rounds
+			f()
+			if got := e.Stats().Rounds - before; got != want {
+				t.Errorf("%s: %s counted %d rounds, want %d", name, what, got, want)
+			}
+		}
+		var x, y, z Vec
+		counts("3 InputVecs and a local gate", 1, func() {
+			before := e.rounds
+			x, y = e.InputVec(0, []int64{1, 2, 3}), e.InputVec(1, []int64{4, 5, 6})
+			z = e.InputVec(3, []int64{7, 8, 9})
+			if e.rounds != before {
+				t.Errorf("%s: the open input round was counted before it was issued", name)
+			}
+			e.AddVec(x, z)
+			if e.rounds != before+1 {
+				t.Errorf("%s: the local gate after the InputVecs issued %d rounds, want 1", name, e.rounds-before)
+			}
+		})
+		var dot Val
+		counts("MulBatch", 1, func() {
+			dot = e.MulBatch([]MulItem{{Kind: MulDot, VA: x, VB: y}, {Kind: MulHadamard, VA: x, VB: z}})[0]
+		})
+		var kept []Val
+		counts("MulBatchUnreduced", 0, func() {
+			kept = e.MulBatchUnreduced([]MulItem{{Kind: MulDot, VA: y, VB: z}})
+		})
+		counts("InputUnshared", 0, func() { e.InputUnshared(2, []int64{1, 1, 1}) })
+		local := map[string]func(){
+			"AddVec":      func() { e.AddVec(x, y) },
+			"Gather":      func() { e.Gather(x, []int{2, 0}) },
+			"LinComb":     func() { e.LinComb([]Vec{x, y}, []int64{2, -1}, 5) },
+			"At":          func() { e.At(y, 1) },
+			"FromScalars": func() { e.FromScalars([]Val{dot, kept[0]}) },
+		}
+		for what, f := range local {
+			counts(what, 0, f)
+		}
+		counts("OpenVec", 1, func() { e.OpenVec(x) })
+		counts("OpenBatch", 1, func() { e.OpenBatch([]Val{dot, kept[0]}) })
+		counts("Open", 1, func() { e.Open(dot) })
+		if err := e.Err(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+
+		// An unshared operand fails the engine (ErrOpenOnly): the product
+		// is dropped, and so is everything after it.
+		counts("a refused MulBatch and what follows it", 0, func() {
+			e.MulBatch([]MulItem{{Kind: MulDot, VA: e.InputUnshared(0, []int64{1, 2, 3}), VB: y}})
+			e.OpenVec(e.AddVec(e.InputVec(1, []int64{1, 2, 3}), y))
+			e.Open(dot)
+		})
+		if !errors.Is(e.Err(), ErrOpenOnly) {
+			t.Fatalf("%s: engine error %v, want ErrOpenOnly", name, e.Err())
+		}
+
+		healthy := start()
+		healthy.InputVec(0, []int64{1})
+		if err := healthy.Close(); err != nil {
+			t.Fatal(err)
+		}
+		healthy.At(healthy.InputVec(2, []int64{4}), 0)
+		healthy.OpenVec(healthy.InputVec(1, []int64{5}))
+		if got := healthy.Stats().Rounds; got != 0 {
+			t.Errorf("%s: a closed engine counted %d rounds, want 0", name, got)
 		}
 	}
 }

@@ -34,7 +34,6 @@ func seamProgram(ev *Engine, seed uint64) []int64 {
 		}
 		vecs = append(vecs, ev.InputVec(g.IntN(p), vs))
 	}
-	ev.AdvanceRound()
 	pick := func() Val { return vals[g.IntN(len(vals))] }
 	pickVec := func() Vec { return vecs[g.IntN(len(vecs))] }
 	for level := 0; level < 2; level++ {
@@ -112,11 +111,9 @@ func seamProgram(ev *Engine, seed uint64) []int64 {
 			sum := ev.AddVec(ev.AddVec(vecs[len(vecs)-1], pickVec()), ev.InputUnshared(g.IntN(p), noise))
 			clear(noise) // as Gather's list: parties behind a mesh hold a copy
 			opened := append(ev.OpenBatch(outs), ev.OpenVec(sum)...)
-			ev.AdvanceRound()
 			return opened
 		}
 		outs := split(ev.MulBatch(muls))
-		ev.AdvanceRound()
 		// The second level multiplies the first one's outputs.
 		vals = append(vals, outs...)
 		packed := make([]Val, 11)

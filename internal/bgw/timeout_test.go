@@ -21,18 +21,20 @@ func TestActorRecvTimeoutSurfacesAsPartyFailure(t *testing.T) {
 	// 2 starves in the input round; link 1→0 carries only party 1's
 	// opening row, so party 0 starves in the opening.
 	for _, link := range [][2]int{{0, 2}, {1, 0}} {
-		mesh := transport.NewFaultMesh(transport.NewChanMesh(3), transport.FaultProfile{
+		// Traced as a session is: the mesh stamps every frame into the
+		// parties' streams, and the engine's recorder is an info-level log
+		// wrapped with the coordinator's stream.
+		tc := obs.NewTraceContext(1, 3)
+		mesh := transport.NewFaultMesh(transport.NewChanMesh(3, transport.WithTracer(tc)), transport.FaultProfile{
 			Seed:  1,
 			Links: map[[2]int]transport.LinkFault{link: {DropProb: 1}},
 		})
-		// An info-level recorder: the engine's debug events stay off, its
-		// failure event does not.
 		var log bytes.Buffer
 		eng, err := NewActorEngine(Config{
 			Parties:     3,
 			Seed:        7,
 			RecvTimeout: 50 * time.Millisecond,
-			Recorder:    obs.NewLog(&log, "text", obs.LevelInfo),
+			Recorder:    tc.Coordinator().Wrap(obs.NewLog(&log, "text", obs.LevelInfo)),
 		}, mesh)
 		if err != nil {
 			t.Fatal(err)
@@ -53,8 +55,18 @@ func TestActorRecvTimeoutSurfacesAsPartyFailure(t *testing.T) {
 		if got := strings.Count(log.String(), "bgw.party.failed"); got != 1 || !strings.Contains(log.String(), transport.ErrTimeout.Error()) {
 			t.Fatalf("link %d→%d: log has %d bgw.party.failed events, want 1 naming the timeout:\n%s", link[0], link[1], got, log.String())
 		}
-		if strings.Contains(log.String(), "bgw.round") {
-			t.Fatalf("link %d→%d: debug-level bgw.round reached an info-level recorder:\n%s", link[0], link[1], log.String())
+		// The run's debug-level transport.send events are in the streams,
+		// and not in the info-level log.
+		sends := 0
+		for _, pt := range tc.Streams() {
+			for _, ev := range pt.Flight().Events() {
+				if ev.Name == "transport.send" && ev.Level == int8(obs.LevelDebug) {
+					sends++
+				}
+			}
+		}
+		if sends == 0 || strings.Contains(log.String(), "transport.send") {
+			t.Fatalf("link %d→%d: %d debug-level transport.send events in the streams, want some, and none in the info-level log:\n%s", link[0], link[1], sends, log.String())
 		}
 	}
 }

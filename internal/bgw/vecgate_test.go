@@ -257,7 +257,6 @@ func TestHadamardMetersAsItsScalarProducts(t *testing.T) {
 		program := func(e *Engine, vector bool) []int64 {
 			xv, yv := e.InputVec(0, x), e.InputVec(sh.P-1, y)
 			s := e.Input(1, 6)
-			e.AdvanceRound()
 			hadamard := func(a, b Vec) []MulItem {
 				if vector {
 					return []MulItem{{Kind: MulHadamard, VA: a, VB: b}}
@@ -282,11 +281,9 @@ func TestHadamardMetersAsItsScalarProducts(t *testing.T) {
 			outs := e.MulBatch(items)
 			xy, at := result(outs, 2)
 			yy, _ := result(outs, at)
-			e.AdvanceRound()
 			opened := e.OpenBatch(outs[:2])
 			opened = append(opened, e.OpenVec(xy)...)
 			opened = append(opened, e.OpenVec(yy)...)
-			e.AdvanceRound()
 
 			// Kept at degree 2t, then — where 3t fits in P−1 — multiplied
 			// once more by a degree-t column.
@@ -295,7 +292,6 @@ func TestHadamardMetersAsItsScalarProducts(t *testing.T) {
 				opened = append(opened, e.OpenBatch(e.MulBatchUnreduced([]MulItem{{Kind: MulDot, VA: kept, VB: xv}}))...)
 			}
 			opened = append(opened, e.OpenVec(e.AddVec(kept, yv))...)
-			e.AdvanceRound()
 			return opened
 		}
 		var want []int64

@@ -6,8 +6,9 @@
 // level as at most ONE batched communication round — all of a level's
 // degree reductions travel in a single reshare exchange (one frame per
 // party and unseeded peer), a product is reduced only when a later gate needs
-// it at a lower degree (Plan.assignDegrees), and the round count derives
-// from the plan's structure instead of hand-placed AdvanceRound calls.
+// it at a lower degree (Plan.assignDegrees), and the round count the
+// engine reports for the exchanges it issues is predicted by the plan's
+// structure (Plan.Rounds).
 //
 // A plan runs one way — Plan.Execute — and Plan.Plain interprets it
 // without an engine as the differential oracle. A plan that is
@@ -31,7 +32,6 @@ import (
 	"sqm/internal/chunk"
 	"sqm/internal/field"
 	"sqm/internal/invariant"
-	"sqm/internal/obs"
 )
 
 // nodeKind enumerates the IR node types.
@@ -162,7 +162,6 @@ type Builder struct {
 	lits  [][]int64        // kInputVec literals and kLinComb coefficients, one private copy each
 	vals  chunk.Arena[Val] // the scalar handles
 	vecs  chunk.Arena[Vec] // the vector handles
-	rec   obs.Recorder     // optional; surfaced through Recorder()
 
 	limit    int  // largest id, offset or length the IR's int32 fields hold
 	overflow bool // something exceeded limit; Compile reports it
@@ -329,16 +328,6 @@ func (b *Builder) OpenVecIdx(v bgw.Vec) int {
 }
 
 // ---- the gate surface of bgw.Evaluator, recorded ----
-
-// SetRecorder attaches a telemetry recorder to the Builder (and to the
-// plans it compiles). Returns the Builder for construction chaining.
-func (b *Builder) SetRecorder(rec obs.Recorder) *Builder {
-	b.rec = rec
-	return b
-}
-
-// Recorder returns the attached recorder, or the no-op sink.
-func (b *Builder) Recorder() obs.Recorder { return obs.Or(b.rec) }
 
 // Input records a literal secret input.
 //

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"maps"
+	"slices"
 	"strings"
 	"testing"
 
@@ -28,7 +29,8 @@ func TestCompileLevels(t *testing.T) {
 	// and costs no round. Level 1's x·y has degree 2t, and level 2 takes
 	// it to 3t: at P = 3 that is above P−1 and level 1 reshares — input
 	// round, level 1's reduction, output round — while at P = 4 it fits
-	// and only the input and output rounds are left.
+	// and only the input and output rounds are left. Gate by gate the
+	// two Inputs are an input round each, and each Mul one exchange: 5.
 	for _, c := range []struct{ parties, rounds int }{{3, 3}, {4, 2}} {
 		b := NewBuilder(c.parties, 0)
 		buildPoly(b)
@@ -42,8 +44,8 @@ func TestCompileLevels(t *testing.T) {
 		if plan.Rounds() != c.rounds {
 			t.Fatalf("P=%d: rounds = %d, want %d", c.parties, plan.Rounds(), c.rounds)
 		}
-		if plan.EagerRounds() != 4 {
-			t.Fatalf("P=%d: eager rounds = %d, want 4", c.parties, plan.EagerRounds())
+		if plan.EagerRounds() != 5 {
+			t.Fatalf("P=%d: eager rounds = %d, want 5", c.parties, plan.EagerRounds())
 		}
 	}
 }
@@ -95,18 +97,16 @@ func TestExecuteMatchesPlainAcrossEngines(t *testing.T) {
 }
 
 // TestExecuteEmitsLevelSpans pins the executor's instrumentation: with
-// a debug-level recorder on the engine, every multiplicative level and
-// the open round produce span events carrying their "seconds" — Depth()
+// a debug-level recorder on the engine, the input round, every
+// multiplicative level and the open round produce span events carrying
+// their "seconds" — Depth()
 // level spans still, one that reshares nothing saying that it did not
 // reduce and moved nothing. At P = 3 the poly's first level reshares and
 // its second does not (TestCompileLevels).
 func TestExecuteEmitsLevelSpans(t *testing.T) {
 	var log bytes.Buffer
 	rec := obs.NewLog(&log, "json", obs.LevelDebug)
-	b := NewBuilder(3, 0).SetRecorder(rec)
-	if b.Recorder() != obs.Recorder(rec) {
-		t.Fatal("SetRecorder not surfaced through Recorder()")
-	}
+	b := NewBuilder(3, 0)
 	buildPoly(b)
 	plan := b.MustCompile()
 	eng, err := bgw.NewEngine(bgw.Config{Parties: 3, Seed: 11, Recorder: rec})
@@ -141,11 +141,52 @@ func TestExecuteEmitsLevelSpans(t *testing.T) {
 			t.Errorf("unreduced level span carries %d frames and %d rounds, want none", ev.Frames, ev.Rounds)
 		}
 	}
-	if want := map[string]int{"circuit.exec": 1, "circuit.level": plan.Depth(), "circuit.open": 1}; !maps.Equal(spans, want) {
+	if want := map[string]int{"circuit.exec": 1, "circuit.input": 1, "circuit.level": plan.Depth(), "circuit.open": 1}; !maps.Equal(spans, want) {
 		t.Fatalf("span events = %v, want %v", spans, want)
 	}
 	if len(reduced) != 2 || !reduced[0] || reduced[1] {
 		t.Fatalf("circuit.level spans reduced = %v, want [true false]", reduced)
+	}
+}
+
+// TestEachOpeningIsARound: the engine counts every exchange it issues,
+// and a plan's outputs open in one OpenBatch for the scalars and one
+// OpenVec per vector. A plan with one scalar and two vector outputs over
+// one reshared level takes the input round, the level's resharing and 3
+// openings, on both drivers, as Plan.Rounds predicts.
+func TestEachOpeningIsARound(t *testing.T) {
+	const p = 3
+	b := NewBuilder(p, 0)
+	x, y := b.InputVec(0, []int64{1, -2, 3}), b.InputVec(1, []int64{4, 5, -6})
+	xy := b.Hadamard(x, y)
+	b.OpenIdx(b.Dot(xy, x)) // 2t + t is above P − 1: the Hadamard reshares
+	b.OpenVecIdx(xy)
+	b.OpenVecIdx(b.AddVec(x, y))
+	plan := b.MustCompile()
+	if plan.Rounds() != 1+1+3 {
+		t.Fatalf("plan rounds = %d, want 5 (input, one reshared level, 3 openings)", plan.Rounds())
+	}
+	mono, err := bgw.NewEngine(bgw.Config{Parties: p, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	actor, err := bgw.NewActorEngine(bgw.Config{Parties: p, Seed: 4}, transport.NewChanMesh(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer actor.Close()
+	for name, eng := range map[string]bgw.Evaluator{"inline": mono, "actor": actor} {
+		before := eng.Stats().Rounds
+		res, err := plan.Execute(eng, Bindings{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := eng.Stats().Rounds - before; got != int64(plan.Rounds()) {
+			t.Errorf("%s: engine counted %d rounds, plan %d", name, got, plan.Rounds())
+		}
+		if res.Opened(0) != 4+20-54 || !slices.Equal(res.OpenedVec(0), []int64{4, -10, -18}) || !slices.Equal(res.OpenedVec(1), []int64{5, 3, -3}) {
+			t.Errorf("%s: opened %d %v %v", name, res.Opened(0), res.OpenedVec(0), res.OpenedVec(1))
+		}
 	}
 }
 
@@ -210,6 +251,11 @@ func TestBatchedLevelIsOneFrameExchange(t *testing.T) {
 	plan := build()
 	if plan.Depth() != 2 || plan.MulGates() != 2*n {
 		t.Fatalf("depth %d mulgates %d, want 2 and %d", plan.Depth(), plan.MulGates(), 2*n)
+	}
+	// Planned: the input round, level 1's resharing, the opening. Gate by
+	// gate: an input round per Input, an exchange per Mul and per Open.
+	if plan.Rounds() != 3 || plan.EagerRounds() != 4*n {
+		t.Fatalf("rounds %d, eager %d; want 3 and %d", plan.Rounds(), plan.EagerRounds(), 4*n)
 	}
 
 	run := func(exec func(bgw.Evaluator, Bindings) (*Result, error)) (rounds, frames int64, opened []int64) {

@@ -6,8 +6,9 @@ import "sqm/internal/bgw"
 // schedule driven through the engine's singleton gates, the way protocols
 // drove an engine before plans existed — one InputElem per scalar input
 // and one InputVec per vector, all up front, one Mul / InnerProduct / Dot
-// — or a MulBatch of one Hadamard — and one wire round per
-// multiplicative gate, one Open per scalar output.
+// — or a MulBatch of one Hadamard — per multiplicative gate, one Open
+// per scalar output and one OpenVec per vector output, each an exchange
+// the engine counts as a round of its own.
 // BGW computes exactly, so it must open what Execute opens, bit for bit,
 // in EagerRounds rounds. It reduces after every gate, whatever degree
 // the plan leaves it at, and it shares every input leaf — it finds them
@@ -46,16 +47,12 @@ func (p *Plan) runEager(eng bgw.Evaluator, bind Bindings) (*Result, error) {
 				case kHadamard:
 					r.vecs[id] = eng.MulBatch([]bgw.MulItem{{Kind: bgw.MulHadamard, VA: r.vecs[n.a], VB: r.vecs[n.b]}})[0].(bgw.Vec)
 				}
-				eng.AdvanceRound()
 			}
 		}
 		for _, id := range locals {
 			if err := p.evalLocal(eng, bind, r, id); err != nil {
 				return nil, err
 			}
-		}
-		if lvl == 0 && p.anyInput() {
-			eng.AdvanceRound()
 		}
 	}
 	for _, id := range p.late {
@@ -74,7 +71,6 @@ func (p *Plan) runEager(eng bgw.Evaluator, bind Bindings) (*Result, error) {
 		for i, id := range p.openVecs {
 			r.openedVecs[i] = eng.OpenVec(r.vecs[p.nodes[id].a])
 		}
-		eng.AdvanceRound()
 	}
 	return r, nil
 }
@@ -89,19 +85,25 @@ func (p *Plan) MulGates() int {
 	return n
 }
 
-// anyInput reports whether the plan has an input leaf, shared or not:
-// runEager shares them all and pays the input round for any.
-func (p *Plan) anyInput() bool { return p.hasInputs || p.nUnshared > 0 }
-
 // EagerRounds returns the wire rounds of runEager, the gate-by-gate
-// baseline the scheduler improves on: the input round, one per
-// multiplicative gate, the opening round.
+// baseline the scheduler improves on, by what it issues: every
+// InputElem is an input round of its own (its InputVec joins the vectors
+// dealt before it, and its At issues them all), the vector leaves after
+// the last scalar one are one more, and every multiplicative gate, Open
+// and OpenVec is one exchange.
 func (p *Plan) EagerRounds() int {
-	r := p.MulGates()
-	if p.anyInput() {
-		r++
+	r := p.MulGates() + len(p.opens) + len(p.openVecs)
+	pending := false // a vector leaf dealt since the last scalar one
+	for id := range p.nodes {
+		switch n := &p.nodes[id]; {
+		case n.kind.isScalarInput():
+			r++
+			pending = false
+		case n.kind.isInput():
+			pending = true
+		}
 	}
-	if p.hasOpens() {
+	if pending {
 		r++
 	}
 	return r

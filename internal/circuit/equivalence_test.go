@@ -407,7 +407,8 @@ func compileUnfolded(t *testing.T, b *Builder) *Plan {
 // oldRounds recomputes a plan's rounds under the rule the degree rule
 // replaced: every multiplicative level reshared but a terminal one, the
 // top level when something consumes every node on it — depth + shared
-// inputs + opens − terminal.
+// inputs + opening rounds − terminal. The openings are counted as
+// Plan.Rounds counts them, so the two differ in the reshared levels only.
 func oldRounds(p *Plan) int {
 	consumed := make([]bool, len(p.nodes))
 	for id := range p.nodes {
@@ -419,11 +420,8 @@ func oldRounds(p *Plan) int {
 			terminal = false
 		}
 	}
-	r := p.depth
+	r := p.depth + p.openRounds()
 	if p.hasInputs {
-		r++
-	}
-	if p.hasOpens() {
 		r++
 	}
 	if terminal {

@@ -108,19 +108,24 @@ func (p *Plan) validate(bind Bindings) error {
 // degree-reduction round (one MulBatch) and keeps the others at the
 // degree of their local products in their slots (one MulBatchUnreduced),
 // at the cost of no traffic and — when it reshares none — no round, and
-// all outputs open in one batched round: Stats.Rounds advances by
-// exactly Plan.Rounds().
+// the outputs open in one OpenBatch for the scalars and one OpenVec per
+// vector. The engine counts every exchange it issues as one round, so
+// Stats.Rounds advances by exactly Plan.Rounds(); the count is complete
+// once the caller's next synchronizing call (Stats or an Open*) returns,
+// since an input round that nothing follows is issued by that call.
 // The unshared input leaves (see schedule) enter unshared, at the cost
 // of no traffic and — when the plan shares no other leaf — no round,
 // after the last multiplicative level with the linear gates over them.
 //
 // When the engine's recorder admits debug events, the execution is
-// traced: one "circuit.exec" span for the whole run with one
-// "circuit.level" child per multiplicative level (reduced=false and no
-// frames on a level that reshares nothing) and a "circuit.open" child for the output
-// round, each carrying gate counts and the engine's frame/round deltas.
-// Disabled telemetry skips all of it (the spans are inert and Stats is
-// never read).
+// traced: one "circuit.exec" span for the whole run with a
+// "circuit.input" child for the input round (when the plan shares an
+// input), one "circuit.level" child per multiplicative level
+// (reduced=false and no frames on a level that reshares nothing) and a
+// "circuit.open" child for the openings, each carrying gate counts and
+// the engine's frame/round/byte deltas: every round the plan spends is
+// in exactly one child. Disabled telemetry skips all of it (the spans
+// are inert and Stats is never read).
 func (p *Plan) Execute(eng bgw.Evaluator, bind Bindings) (*Result, error) {
 	if err := p.validate(bind); err != nil {
 		return nil, err
@@ -138,10 +143,26 @@ func (p *Plan) Execute(eng bgw.Evaluator, bind Bindings) (*Result, error) {
 		vals: make([]bgw.Val, len(p.nodes)),
 		vecs: make([]bgw.Vec, len(p.nodes)),
 	}
+	// childDelta closes one child span with the engine's traffic deltas
+	// since the previous close.
+	childDelta := func(sp obs.TracedSpan) {
+		if !sp.Active() {
+			return
+		}
+		s := eng.Stats()
+		d := s.Sub(prev)
+		sp.End(obs.Int64("frames", d.Frames), obs.Int64("rounds", d.Rounds), obs.Int64("bytes", d.Bytes))
+		prev = s
+	}
 	// Level 0: the shared inputs, which depend on nothing — every owner's
 	// scalars as one vector, then the vector leaves, all one input round
-	// that the first At issues — then external bindings and the linear
-	// closure.
+	// that the engine's next command issues — then external bindings and
+	// the linear closure.
+	var in obs.TracedSpan
+	if p.hasInputs {
+		in = obs.StartTracedSpan(rec, "circuit.input", exec.ID(),
+			obs.Int("inputs", len(p.inputs)), obs.Int("input_vecs", len(p.vecInputs)))
+	}
 	owned := p.enterScalars(eng, bind, p.inputs, eng.InputVec)
 	for _, id := range p.vecInputs {
 		n := &p.nodes[id]
@@ -157,32 +178,18 @@ func (p *Plan) Execute(eng bgw.Evaluator, bind Bindings) (*Result, error) {
 			return nil, err
 		}
 	}
-	if p.hasInputs {
-		eng.AdvanceRound()
-	}
-	// levelDelta closes one child span with the engine's traffic deltas
-	// since the previous close.
-	levelDelta := func(sp obs.TracedSpan) {
-		if !sp.Active() {
-			return
-		}
-		s := eng.Stats()
-		d := s.Sub(prev)
-		sp.End(obs.Int64("frames", d.Frames), obs.Int64("rounds", d.Rounds), obs.Int64("bytes", d.Bytes))
-		prev = s
-	}
+	childDelta(in)
 	for lvl := 1; lvl <= p.depth; lvl++ {
 		ml := &p.muls[lvl-1]
 		sp := obs.StartTracedSpan(rec, "circuit.level", exec.ID(),
 			obs.Int("level", lvl), obs.Int("gates", len(ml.reshare)+len(ml.keep)), obs.Bool("reduced", len(ml.reshare) > 0))
 		if len(ml.reshare) > 0 {
 			p.mulGates(r, ml.reshare, eng.MulBatch)
-			eng.AdvanceRound()
 		}
 		if len(ml.keep) > 0 {
 			p.mulGates(r, ml.keep, eng.MulBatchUnreduced)
 		}
-		levelDelta(sp)
+		childDelta(sp)
 		for _, id := range p.locals[lvl] {
 			if err := p.evalLocal(eng, bind, r, id); err != nil {
 				return nil, err
@@ -212,8 +219,7 @@ func (p *Plan) Execute(eng bgw.Evaluator, bind Bindings) (*Result, error) {
 		for i, id := range p.openVecs {
 			r.openedVecs[i] = eng.OpenVec(r.vecs[p.nodes[id].a])
 		}
-		eng.AdvanceRound()
-		levelDelta(sp)
+		childDelta(sp)
 	}
 	exec.End()
 	return r, nil

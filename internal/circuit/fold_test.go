@@ -333,17 +333,18 @@ func TestFoldExactCounts(t *testing.T) {
 	if plan.folded != 0 || plan.Gates() != len(recorded) || !reflect.DeepEqual(unscheduled(plan.nodes), recorded) {
 		t.Fatalf("one leaf per owner: Compile rewrote the recording (%d folded, %d of %d nodes)", plan.folded, plan.Gates(), len(recorded))
 	}
-	if plan.nUnshared != 8 || plan.Rounds() != 1 {
-		t.Fatalf("one leaf per owner: %d unshared leaves in %d rounds, want all 8 in the opening round", plan.nUnshared, plan.Rounds())
+	if plan.nUnshared != 8 || plan.Rounds() != 2 {
+		t.Fatalf("one leaf per owner: %d unshared leaves in %d rounds, want all 8 in the two opening rounds", plan.nUnshared, plan.Rounds())
 	}
 	_, got := runInline(t, plan, Bindings{})
 	// Before the leaves went unshared this circuit measured {2, 48, 72,
 	// 576, 108}: the input round with its 24 frames, 36 messages and
 	// 12·P·(t+1) = 96 sharing operations is gone. What is left is the
-	// opening exchange of one scalar and one 2-vector — 2·(P−1) frames,
+	// opening exchanges of one scalar and one 2-vector — a round each
+	// (the engine counts every exchange it issues), 2·(P−1) frames,
 	// 3 elements from every peer into party 0, one field operation per
 	// element and party — and one λ⁻¹·x per input element at its owner.
-	want := bgw.Stats{Rounds: 1, Frames: 6, Messages: 9, Bytes: 72, FieldOps: 24}
+	want := bgw.Stats{Rounds: 2, Frames: 6, Messages: 9, Bytes: 72, FieldOps: 24}
 	if got != want {
 		t.Fatalf("one leaf per owner: counters %+v, want %+v", got, want)
 	}

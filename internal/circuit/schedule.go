@@ -422,16 +422,16 @@ func (p *Plan) Opens() int { return len(p.opens) }
 // hasOpens reports whether the plan ends with an opening round.
 func (p *Plan) hasOpens() bool { return len(p.opens) > 0 || len(p.openVecs) > 0 }
 
-// Rounds returns the wire rounds of one planned execution: one input
-// round (when the plan shares fresh inputs — an unshared leaf does not
-// count), one batched degree-reduction round per multiplicative level
-// that reshares a product (see assignDegrees) — a level whose products
-// all keep their degree costs none — and one batched opening round (when
-// the plan reveals outputs). This is the quantity the paper's cost model
-// charges 0.1 s for — planned execution makes it a function of the
-// levels, not of gate count.
+// Rounds returns the wire rounds of one planned execution, each an
+// exchange the engine issues: one input round (when the plan shares
+// fresh inputs — an unshared leaf does not count), one batched
+// degree-reduction round per multiplicative level that reshares a
+// product (see assignDegrees) — a level whose products all keep their
+// degree costs none — and the opening rounds (openRounds). This is the
+// quantity the paper's cost model charges 0.1 s for — planned execution
+// makes it a function of the levels and the outputs, not of gate count.
 func (p *Plan) Rounds() int {
-	r := 0
+	r := p.openRounds()
 	for _, ml := range p.muls {
 		if len(ml.reshare) > 0 {
 			r++
@@ -440,7 +440,14 @@ func (p *Plan) Rounds() int {
 	if p.hasInputs {
 		r++
 	}
-	if p.hasOpens() {
+	return r
+}
+
+// openRounds returns the exchanges the plan's outputs take: one for the
+// scalars (one OpenBatch) and one per vector (an OpenVec each).
+func (p *Plan) openRounds() int {
+	r := len(p.openVecs)
+	if len(p.opens) > 0 {
 		r++
 	}
 	return r

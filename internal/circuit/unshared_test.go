@@ -26,11 +26,12 @@ func TestOpenOnlyLeavesAreNotShared(t *testing.T) {
 		unshared int   // leaves left unshared, after folding
 		elems    int64 // their elements
 		opened   int64 // elements opened
-		openings int64 // opening exchanges
+		openings int64 // opening exchanges: the plan's rounds
+		eager    int64 // runEager's rounds: an input round per scalar leaf, one for the vector leaves after the last, the openings
 		record   func(b *Builder)
 		bind     Bindings
 	}{
-		{"every scalar kind, two owners", 3, 3, 1, 1, func(b *Builder) {
+		{"every scalar kind, two owners", 3, 3, 1, 1, 4, func(b *Builder) {
 			// Owner 1's literal and parameter fold into one kInputSum; owner
 			// 3's raw element and owner 1's second literal, consumed twice,
 			// stay as they are.
@@ -38,13 +39,13 @@ func TestOpenOnlyLeavesAreNotShared(t *testing.T) {
 			sum := b.Add(b.Add(b.Input(1, 5), b.InputParam(1)), b.InputElem(3, field.FromInt64(-2)))
 			b.OpenIdx(b.Sub(b.MulConst(b.Add(sum, twice), 3), b.AddConst(twice, 1)))
 		}, Bindings{Inputs: []int64{70}}},
-		{"vectors, a folded sum among them", 2, 6, 4, 2, func(b *Builder) {
+		{"vectors, a folded sum among them", 2, 6, 4, 2, 3, func(b *Builder) {
 			acc := b.AddVec(b.InputVec(2, []int64{1, 2, 3}), b.InputVec(0, []int64{7, 7, 7}))
 			acc = b.AddVec(acc, b.InputVec(2, []int64{100, 200, 300}))
 			b.OpenVecIdx(b.LinComb([]bgw.Vec{acc, b.Gather(acc, []int{2, 0, 0})}, []int64{2, -1}, 4))
 			b.OpenIdx(b.At(acc, 1))
 		}, Bindings{}},
-		{"scalars and a vector into one packed opening", 3, 4, 2, 1, func(b *Builder) {
+		{"scalars and a vector into one packed opening", 3, 4, 2, 1, 3, func(b *Builder) {
 			v := b.InputVec(0, []int64{-4, 6})
 			b.OpenVecIdx(b.AddVec(v, b.FromScalars([]bgw.Val{b.Input(0, 1), b.Input(3, 2)})))
 		}, Bindings{}},
@@ -58,8 +59,9 @@ func TestOpenOnlyLeavesAreNotShared(t *testing.T) {
 		b := NewBuilder(p, 0)
 		tc.record(b)
 		plan := b.MustCompile()
-		if plan.nUnshared != tc.unshared || plan.hasInputs || plan.Rounds() != 1 {
-			t.Fatalf("%s: %d unshared leaves, shared inputs %v, %d rounds; want %d, none, 1", tc.name, plan.nUnshared, plan.hasInputs, plan.Rounds(), tc.unshared)
+		if plan.nUnshared != tc.unshared || plan.hasInputs || plan.Rounds() != int(tc.openings) || plan.EagerRounds() != int(tc.eager) {
+			t.Fatalf("%s: %d unshared leaves, shared inputs %v, %d rounds (eager %d); want %d, none, %d (eager %d)",
+				tc.name, plan.nUnshared, plan.hasInputs, plan.Rounds(), plan.EagerRounds(), tc.unshared, tc.openings, tc.eager)
 		}
 		mono, err := bgw.NewEngine(bgw.Config{Parties: p, Seed: 5})
 		if err != nil {
@@ -73,7 +75,7 @@ func TestOpenOnlyLeavesAreNotShared(t *testing.T) {
 		// Every opening exchange is one frame into party 0 from each of
 		// its P − 1 peers, carrying every opened element.
 		exp := bgw.Stats{
-			Rounds:   1,
+			Rounds:   tc.openings,
 			Frames:   tc.openings * (p - 1),
 			Messages: tc.opened * (p - 1),
 			Bytes:    8 * tc.opened * (p - 1),
@@ -101,8 +103,8 @@ func TestOpenOnlyLeavesAreNotShared(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameOpened(eres, want) || eager.Stats().Rounds != 2 {
-			t.Errorf("%s: the all-sharing oracle opened %v %v in %d rounds, want %v %v in 2", tc.name, eres.opened, eres.openedVecs, eager.Stats().Rounds, want.opened, want.openedVecs)
+		if !sameOpened(eres, want) || eager.Stats().Rounds != tc.eager {
+			t.Errorf("%s: the all-sharing oracle opened %v %v in %d rounds, want %v %v in %d", tc.name, eres.opened, eres.openedVecs, eager.Stats().Rounds, want.opened, want.openedVecs, tc.eager)
 		}
 	}
 }

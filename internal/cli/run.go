@@ -103,13 +103,12 @@ func Run(cmd string, args []string, stdout, stderr io.Writer) error {
 	// context shared by the coordinator and (for MPC engines) every
 	// mesh party, dumped as per-party JSONL on the way out so crashes
 	// still leave evidence. sqmtrace merges the dumps.
-	var tc *obs.TraceContext
 	if *traceDir != "" {
 		parties := 0
 		if kind.IsMPC() {
 			parties = *nparty
 		}
-		tc = obs.NewTraceContext(obs.DeriveTraceID(*seed, uint64(parties)), parties)
+		tc := obs.NewTraceContext(obs.DeriveTraceID(*seed, uint64(parties)), parties)
 		rec = tc.Coordinator().Wrap(rec)
 		defer func() {
 			files, err := tc.DumpAll(*traceDir)
@@ -168,7 +167,7 @@ func Run(cmd string, args []string, stdout, stderr io.Writer) error {
 	case "pca":
 		r, err := pca.SQM(loaded.X, pca.Config{
 			K: *k, Eps: *eps, Delta: *delta, C: 1, Gamma: *gamma, Seed: *seed,
-			Engine: kind, Parties: *nparty, Recorder: rec, Trace: tc, Fault: fault,
+			Engine: kind, Parties: *nparty, Recorder: rec, Fault: fault,
 		})
 		if err != nil {
 			return err
@@ -185,7 +184,7 @@ func Run(cmd string, args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		cov, _, err := core.Covariance(loaded.X, core.Params{
-			Gamma: *gamma, Mu: mu, Seed: *seed, Engine: kind, Parties: *nparty, Recorder: rec, Trace: tc, Fault: fault,
+			Gamma: *gamma, Mu: mu, Seed: *seed, Engine: kind, Parties: *nparty, Recorder: rec, Fault: fault,
 			Acct: acct,
 		})
 		if err != nil {
@@ -202,7 +201,7 @@ func Run(cmd string, args []string, stdout, stderr io.Writer) error {
 		m, err := logreg.TrainSQM(loaded.X, loaded.Labels, logreg.Config{
 			Eps: *eps, Delta: *delta, Gamma: *gamma,
 			Epochs: *epochs, SampleRate: *q, Seed: *seed,
-			Engine: kind, Parties: *nparty, Recorder: rec, Trace: tc, Fault: fault,
+			Engine: kind, Parties: *nparty, Recorder: rec, Fault: fault,
 			Acct: acct,
 		})
 		if err != nil {
@@ -226,7 +225,7 @@ func Run(cmd string, args []string, stdout, stderr io.Writer) error {
 		}
 		m, err := linreg.SQM(loaded.X, loaded.Labels, linreg.Config{
 			Eps: *eps, Delta: *delta, C: 1, B: 1, Gamma: *gamma, Seed: *seed,
-			Engine: kind, Parties: *nparty, Recorder: rec, Trace: tc, Fault: fault,
+			Engine: kind, Parties: *nparty, Recorder: rec, Fault: fault,
 		})
 		if err != nil {
 			return err

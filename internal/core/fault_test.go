@@ -187,6 +187,32 @@ func TestAbortIsTypedBookedAndLeakFree(t *testing.T) {
 	}
 }
 
+// TestFailedLRSetupReturnsItsError: an LR set-up whose dealing is lost
+// fails NewLRProtocol itself with the typed transport error. The set-up
+// plan only deals, so the engine issues its input round at the Stats
+// barrier, which is also where a party's failure is latched: the error
+// must be read after it, not before.
+func TestFailedLRSetupReturnsItsError(t *testing.T) {
+	defer func(old func(int, ...transport.Option) transport.Mesh) { chanMesh = old }(chanMesh)
+	chanMesh = func(n int, opts ...transport.Option) transport.Mesh {
+		// At P = 3, t = 1 link 1→0 carries party 1's input rows.
+		return transport.NewFaultMesh(transport.NewChanMesh(n, opts...), transport.FaultProfile{
+			Seed: 1, Links: map[[2]int]transport.LinkFault{{1, 0}: {DropProb: 1}},
+		})
+	}
+	feat := randMatrix(8, 2, 0.5, 6)
+	labels := []float64{0, 1, 1, 0, 1, 0, 0, 1}
+	p := Params{Gamma: 16, Mu: 100, Engine: EngineActorBGW, Parties: 3, Seed: 3,
+		Fault: FaultConfig{RecvTimeout: 50 * time.Millisecond}}
+	lr, err := NewLRProtocol(feat, labels, p)
+	if lr != nil {
+		defer lr.Close()
+	}
+	if !errors.Is(err, transport.ErrTimeout) || lr != nil {
+		t.Fatalf("NewLRProtocol over a lost dealing: protocol %v, error %v; want none and a transport.ErrTimeout", lr != nil, err)
+	}
+}
+
 // linkFrames counts the frames every directed link carries, over every
 // mesh a run builds.
 type linkFrames struct {

@@ -225,7 +225,7 @@ type lrShares struct {
 // circuit through external bindings.
 func shareColumns(p *Params, feat *quant.IntMatrix, lab []int64, seedXor uint64) (*lrShares, error) {
 	d := feat.Cols
-	sb := circuit.NewBuilder(p.Parties, p.Threshold).SetRecorder(p.Recorder)
+	sb := circuit.NewBuilder(p.Parties, p.Threshold)
 	hs := append(p.inputColumns(sb, feat, d+1), sb.InputVec(p.partyOf(p.clientOf(d, d+1)), lab))
 	plan, err := sb.Compile()
 	if err != nil {
@@ -415,7 +415,7 @@ type uGate func(b *circuit.Builder, cols []bgw.Vec) bgw.Vec
 // recorded every step: the vector lengths are the realised Poisson batch
 // size, which rarely repeats, so there is nothing to cache.
 func recordGradient(p *Params, d, B, holders int, u uGate) (plan *circuit.Plan, outIdx int, err error) {
-	b := circuit.NewBuilder(p.Parties, p.Threshold).SetRecorder(p.Recorder)
+	b := circuit.NewBuilder(p.Parties, p.Threshold)
 	cols := make([]bgw.Vec, d+1)
 	for j := range cols {
 		cols[j] = b.ExtVec(B)

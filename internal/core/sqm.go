@@ -136,15 +136,16 @@ type Params struct {
 	// participant who knows it the delivered ε is not the booked one,
 	// since it can recompute every client's noise. No code path keys
 	// from randx.NewSecure or randx.NewFromOS yet.
-	Seed     uint64
-	Recorder obs.Recorder // telemetry sink for engine and mesh; nil disables
-	Fault    FaultConfig  // deadlines and dial budget of the abort model (zero value: none)
-	// Trace attaches distributed tracing: the engine's events are
-	// stamped into the coordinator stream's flight recorder, and — when
-	// the context carries one stream per party — the mesh propagates
-	// (trace, sender, lclock) in-band so per-party streams merge into
-	// one causal timeline. Nil disables tracing.
-	Trace *obs.TraceContext
+	Seed uint64
+	// Recorder is the telemetry sink of the engine, the mesh and the
+	// release's own spans; nil disables. A recorder wrapped with a trace
+	// context's coordinator stream (obs.PartyTrace.Wrap) also attaches
+	// distributed tracing: the engine's events are stamped into that
+	// stream's flight recorder, and — when the context carries one
+	// stream per party — the mesh propagates (trace, sender, lclock)
+	// in-band so per-party streams merge into one causal timeline.
+	Recorder obs.Recorder
+	Fault    FaultConfig // deadlines and dial budget of the abort model (zero value: none)
 	// Acct, when non-nil, receives the RDP curve of this invocation's
 	// Skellam release at the protocol's generic sensitivity bound
 	// (unit-norm records). Applications with tighter closed-form
@@ -191,9 +192,9 @@ func (p *Params) normalize(cols int) error {
 			return fmt.Errorf("core: BGW needs at least 3 parties, got %d", p.Parties)
 		}
 	}
-	if p.Trace != nil && p.Trace.Parties() != 0 && p.Engine.IsMPC() && p.Trace.Parties() != p.Parties {
+	if tc := obs.TraceOf(p.Recorder).Context(); tc != nil && tc.Parties() != 0 && p.Engine.IsMPC() && tc.Parties() != p.Parties {
 		return fmt.Errorf("core: trace context has %d party streams, engine has %d parties",
-			p.Trace.Parties(), p.Parties)
+			tc.Parties(), p.Parties)
 	}
 	return nil
 }
@@ -231,30 +232,18 @@ var chanMesh = func(parties int, opts ...transport.Option) transport.Mesh {
 	return transport.NewChanMesh(parties, opts...)
 }
 
-// recorder is the sink of a release's engine and of its own spans:
-// Params.Recorder, wrapped to stamp the coordinator stream when Trace is
-// set. Both run on the coordinator goroutine, so their events land on
-// that stream, stamped and flight-recorded.
-func (p *Params) recorder() obs.Recorder {
-	if p.Trace != nil && obs.TraceOf(p.Recorder) == nil {
-		return p.Trace.Coordinator().Wrap(p.Recorder)
-	}
-	return p.Recorder
-}
-
 // newEvaluator constructs the MPC backend selected by p.Engine. The
 // seed perturbation keeps each protocol's share randomness on its own
 // stream, as before the backends became pluggable. The caller owns the
 // evaluator and must Close it.
 func (p *Params) newEvaluator(seedXor uint64) (bgw.Evaluator, error) {
-	rec := p.recorder()
 	cfg := bgw.Config{
 		Parties: p.Parties, Threshold: p.Threshold,
-		Seed: p.Seed ^ seedXor, Recorder: rec, RecvTimeout: p.Fault.RecvTimeout,
+		Seed: p.Seed ^ seedXor, Recorder: p.Recorder, RecvTimeout: p.Fault.RecvTimeout,
 	}
 	var meshOpts []transport.Option
-	if p.Trace != nil && p.Trace.Parties() == p.Parties {
-		meshOpts = append(meshOpts, transport.WithTracer(p.Trace))
+	if tc := obs.TraceOf(p.Recorder).Context(); tc != nil && tc.Parties() == p.Parties {
+		meshOpts = append(meshOpts, transport.WithTracer(tc))
 	}
 	switch p.Engine {
 	case EngineBGW:
@@ -270,7 +259,7 @@ func (p *Params) newEvaluator(seedXor uint64) (bgw.Evaluator, error) {
 			Attempts: p.Fault.DialRetries,
 			Jitter:   0.5,
 			Seed:     p.Seed ^ 0xd1a1,
-			Recorder: rec,
+			Recorder: p.Recorder,
 			Name:     "core.dial",
 		}))
 		mesh, err := transport.NewTCPMesh(cfg.Parties, meshOpts...)
@@ -395,7 +384,7 @@ type noiseDraw struct {
 // clients' streams are the draw's until then.
 func (r *release) drawNoise(dims int) *noiseDraw {
 	d := &noiseDraw{r: r, holders: r.holders(), done: make(chan struct{})}
-	d.span = obs.StartTracedSpan(r.p.recorder(), "core.noise", 0, obs.Int("holders", d.holders), obs.Int("dims", dims))
+	d.span = obs.StartTracedSpan(r.p.Recorder, "core.noise", 0, obs.Int("holders", d.holders), obs.Int("dims", dims))
 	go func() {
 		defer close(d.done)
 		start := time.Now()
@@ -495,16 +484,19 @@ func (p *Params) inputNoise(b *circuit.Builder, acc bgw.Vec, h, n int) bgw.Vec {
 }
 
 // execute runs a plan on eng and returns its result with the engine's
-// counters as the run left them.
+// counters as the run left them. Stats comes before Err: it is the
+// barrier that latches a party's failure, and it issues an input round
+// that nothing in the plan followed (a set-up plan only deals).
 func execute(eng bgw.Evaluator, plan *circuit.Plan, bind circuit.Bindings) (*circuit.Result, bgw.Stats, error) {
 	res, err := plan.Execute(eng, bind)
-	if err == nil {
-		err = eng.Err()
-	}
 	if err != nil {
 		return nil, bgw.Stats{}, err
 	}
-	return res, eng.Stats(), nil
+	stats := eng.Stats()
+	if err := eng.Err(); err != nil {
+		return nil, bgw.Stats{}, err
+	}
+	return res, stats, nil
 }
 
 // runOnce compiles what b recorded and executes it with bind on a fresh

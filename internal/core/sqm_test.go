@@ -2,10 +2,12 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"sqm/internal/bgw"
 	"sqm/internal/linalg"
+	"sqm/internal/obs"
 	"sqm/internal/poly"
 	"sqm/internal/randx"
 )
@@ -34,6 +36,13 @@ func TestParamsValidation(t *testing.T) {
 	bad := poly.MustMulti(poly.MustPolynomial(3, poly.Monomial{Coef: 1, Exps: []int{1, 0, 0}}))
 	if _, _, err := EvaluatePolynomialSum(bad, x, Params{Gamma: 4}); err == nil {
 		t.Fatal("variable/column mismatch must be rejected")
+	}
+	// The trace context is read from the recorder it wraps, and its party
+	// streams must be the engine's parties.
+	traced := obs.NewTraceContext(1, 5).Coordinator().Wrap(nil)
+	if _, _, err := EvaluatePolynomialSum(f, x, Params{Gamma: 4, Engine: EngineBGW, Parties: 3, Recorder: traced}); err == nil ||
+		!strings.Contains(err.Error(), "trace context has 5 party streams, engine has 3 parties") {
+		t.Fatalf("a 5-stream trace on 3 parties: err = %v", err)
 	}
 }
 

@@ -46,13 +46,8 @@ type Config struct {
 	Fault core.FaultConfig
 
 	// Recorder is an optional telemetry sink threaded through to the
-	// MPC engine and transport (nil disables).
+	// MPC engine and transport (nil disables; see core.Params.Recorder).
 	Recorder obs.Recorder
-
-	// Trace is an optional distributed-tracing context: events gain
-	// (trace, party, lclock) stamps and land in per-party flight
-	// recorders (nil disables).
-	Trace *obs.TraceContext
 }
 
 func (c *Config) validate() error {
@@ -191,7 +186,6 @@ func SQM(x *linalg.Matrix, y []float64, cfg Config) (*Model, error) {
 		Parties:  cfg.Parties,
 		Seed:     cfg.Seed,
 		Recorder: cfg.Recorder,
-		Trace:    cfg.Trace,
 		Fault:    cfg.Fault,
 	})
 	if err != nil {

@@ -95,7 +95,6 @@ func TrainGLM(link *approx.Poly1, x *linalg.Matrix, y []float64, cfg Config) (*M
 			Parties:    cfg.Parties,
 			Seed:       cfg.Seed + uint64(r)*100003,
 			Recorder:   cfg.Recorder,
-			Trace:      cfg.Trace,
 			Fault:      cfg.Fault,
 		})
 	})

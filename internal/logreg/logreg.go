@@ -48,13 +48,8 @@ type Config struct {
 	Fault core.FaultConfig
 
 	// Recorder is an optional telemetry sink threaded through to the
-	// MPC engine and transport (nil disables).
+	// MPC engine and transport (nil disables; see core.Params.Recorder).
 	Recorder obs.Recorder
-
-	// Trace is an optional distributed-tracing context: events gain
-	// (trace, party, lclock) stamps and land in per-party flight
-	// recorders (nil disables).
-	Trace *obs.TraceContext
 
 	// Acct, when non-nil, receives the trainer's full subsampled
 	// Skellam composition (Δ from the trainer's own sensitivity
@@ -278,7 +273,6 @@ func trainSQM(x *linalg.Matrix, y []float64, cfg Config, trainerSeed uint64, del
 		Parties:  cfg.Parties,
 		Seed:     cfg.Seed,
 		Recorder: cfg.Recorder,
-		Trace:    cfg.Trace,
 		Fault:    cfg.Fault,
 	})
 	if err != nil {

@@ -170,6 +170,16 @@ func (pt *PartyTrace) Trace() TraceID {
 	return pt.tc.id
 }
 
+// Context returns the trace context the stream belongs to (nil on a nil
+// receiver), so that whoever holds a recorder Wrap decorated reaches
+// every stream of the session through TraceOf(rec).Context().
+func (pt *PartyTrace) Context() *TraceContext {
+	if pt == nil {
+		return nil
+	}
+	return pt.tc
+}
+
 // Party returns the stream's party index (CoordParty for the
 // coordinator).
 func (pt *PartyTrace) Party() int {

@@ -54,7 +54,7 @@ func TestPartyTraceNilSafe(t *testing.T) {
 	pt.Merge(5)
 	pt.Event(LevelInfo, "x", Int("k", 1))
 	pt.EventAt(1, LevelInfo, "x")
-	if pt.Trace() != 0 || pt.Clock() != 0 || pt.Flight() != nil || pt.NextSpanID() != 0 {
+	if pt.Trace() != 0 || pt.Clock() != 0 || pt.Flight() != nil || pt.NextSpanID() != 0 || pt.Context() != nil {
 		t.Fatal("nil PartyTrace must be inert")
 	}
 	if rec := pt.Wrap(nil); rec.Enabled(LevelWarn) {
@@ -97,8 +97,8 @@ func TestWrapStampsAndTees(t *testing.T) {
 	if !strings.Contains(out, "loud") || !strings.Contains(out, "lclock") {
 		t.Fatalf("info event missing from inner recorder: %s", out)
 	}
-	if TraceOf(rec) != pt {
-		t.Fatal("TraceOf must recover the wrapped PartyTrace")
+	if TraceOf(rec) != pt || TraceOf(rec).Context() != tc {
+		t.Fatal("TraceOf must recover the wrapped PartyTrace, and it its context")
 	}
 	if TraceOf(inner) != nil || TraceOf(Nop()) != nil {
 		t.Fatal("TraceOf must be nil for untraced recorders")

@@ -39,12 +39,8 @@ type Config struct {
 	// TopKIters bounds the subspace iteration for large n (0: 60).
 	TopKIters int
 	// Recorder is an optional telemetry sink threaded through to the
-	// MPC engine and transport (nil disables).
+	// MPC engine and transport (nil disables; see core.Params.Recorder).
 	Recorder obs.Recorder
-	// Trace is an optional distributed-tracing context: events gain
-	// (trace, party, lclock) stamps and land in per-party flight
-	// recorders (nil disables).
-	Trace *obs.TraceContext
 	// Engine selects the SQM evaluation backend (plain by default).
 	Engine core.EngineKind
 	// Parties is the BGW party count when Engine is EngineBGW.
@@ -176,7 +172,6 @@ func SQM(x *linalg.Matrix, cfg Config) (*Result, error) {
 		Parties:    cfg.Parties,
 		Seed:       cfg.Seed,
 		Recorder:   cfg.Recorder,
-		Trace:      cfg.Trace,
 		Fault:      cfg.Fault,
 	})
 	if err != nil {

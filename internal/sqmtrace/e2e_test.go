@@ -39,7 +39,7 @@ func TestE2ETimelineFromTCPLogregSession(t *testing.T) {
 		Engine:     core.EngineActorBGWNet,
 		Parties:    parties,
 		Seed:       17,
-		Trace:      tc,
+		Recorder:   tc.Coordinator().Wrap(nil),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -260,41 +260,10 @@ func MatchSendRecv(events []Event) MatchReport {
 	return r
 }
 
-// RoundStat is one communication round observed on a stream.
-type RoundStat struct {
-	Party    int     `json:"party"`
-	Round    int64   `json:"round"`
-	Seconds  float64 `json:"seconds"`
-	Frames   int64   `json:"frames,omitempty"`
-	Messages int64   `json:"messages,omitempty"`
-}
-
-// Rounds extracts the bgw.round boundaries from the merged timeline, in
-// causal order.
-func Rounds(merged []Event) []RoundStat {
-	var out []RoundStat
-	for _, ev := range merged {
-		if ev.Name != "bgw.round" {
-			continue
-		}
-		round, ok := attrInt(ev.Attrs, "round")
-		if !ok {
-			continue
-		}
-		rs := RoundStat{Party: ev.Party, Round: round}
-		if s, ok := ev.Attrs["seconds"].(float64); ok {
-			rs.Seconds = s
-		}
-		rs.Frames, _ = attrInt(ev.Attrs, "frames")
-		rs.Messages, _ = attrInt(ev.Attrs, "messages")
-		out = append(out, rs)
-	}
-	return out
-}
-
 // SpanStat summarizes every event of one name that carries a "seconds"
-// attribute: the TracedSpans (circuit.exec|level|open, core.noise) and
-// the timed round boundaries (bgw.round).
+// attribute: the TracedSpans (circuit.exec|input|level|open, core.noise).
+// The circuit.input, circuit.level and circuit.open spans are the record
+// of the rounds: each carries the rounds, frames and bytes it spent.
 type SpanStat struct {
 	Name  string  `json:"name"`
 	Count int     `json:"count"`
@@ -330,25 +299,25 @@ func Spans(events []Event) []SpanStat {
 }
 
 // CheckRoundOrder verifies that, within the merged causal order, every
-// stream's round counters are nondecreasing — the acceptance check that
-// the Lamport merge reconstructed a consistent history. A drop back to
-// round 1 is not a violation: each engine numbers its rounds from 1, so
-// a run of several releases in sequence legitimately restarts the
-// counter. Returns the first violating event, if any.
+// stream's circuit.level spans carry nondecreasing "level" attributes —
+// the acceptance check that the Lamport merge reconstructed a consistent
+// history. A drop back to level 1 is not a violation: each plan numbers
+// its levels from 1, so a run of several plans in sequence legitimately
+// restarts the counter. Returns the first violating event, if any.
 func CheckRoundOrder(merged []Event) (Event, bool) {
-	last := make(map[int]int64) // party -> last bgw.round
+	last := make(map[int]int64) // party -> last circuit.level
 	for _, ev := range merged {
-		if ev.Name != "bgw.round" {
+		if ev.Name != "circuit.level" {
 			continue
 		}
-		round, ok := attrInt(ev.Attrs, "round")
+		level, ok := attrInt(ev.Attrs, "level")
 		if !ok {
 			continue
 		}
-		if prev, seen := last[ev.Party]; seen && round < prev && round > 1 {
+		if prev, seen := last[ev.Party]; seen && level < prev && level > 1 {
 			return ev, false
 		}
-		last[ev.Party] = round
+		last[ev.Party] = level
 	}
 	return Event{}, true
 }
@@ -389,7 +358,6 @@ type Timeline struct {
 	Parties       []int         `json:"parties"`
 	Events        []Event       `json:"events"`
 	Match         MatchReport   `json:"match"`
-	Rounds        []RoundStat   `json:"rounds,omitempty"`
 	Spans         []SpanStat    `json:"spans,omitempty"`
 	Budget        []BudgetEvent `json:"budget,omitempty"`
 	CausalOrderOK bool          `json:"causal_order_ok"`
@@ -398,7 +366,7 @@ type Timeline struct {
 // Build merges the raw events and derives every report.
 func Build(events []Event, files []string) *Timeline {
 	merged := Merge(events)
-	tl := &Timeline{Files: files, Events: merged, Match: MatchSendRecv(merged), Rounds: Rounds(merged)}
+	tl := &Timeline{Files: files, Events: merged, Match: MatchSendRecv(merged)}
 	tl.Spans = Spans(merged)
 	tl.Budget = BudgetEvents(merged)
 	_, tl.CausalOrderOK = CheckRoundOrder(merged)
@@ -445,7 +413,7 @@ func (tl *Timeline) WriteText(w io.Writer) error {
 			st.Name, st.Count, st.Total*1e3, st.Mean*1e3, st.Max*1e3)
 	}
 	if !tl.CausalOrderOK {
-		fmt.Fprintf(bw, "WARNING: round counters regress within the merged order\n")
+		fmt.Fprintf(bw, "WARNING: circuit levels regress within the merged order\n")
 	}
 	for _, be := range tl.Budget {
 		mark := ""

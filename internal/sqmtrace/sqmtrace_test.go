@@ -56,12 +56,12 @@ func TestSpansSummarizeSeconds(t *testing.T) {
 	events := []Event{
 		ev(0, 1, "circuit.level", map[string]any{"seconds": 0.25}),
 		ev(1, 2, "circuit.level", map[string]any{"seconds": 0.75}),
-		ev(-1, 3, "bgw.round", map[string]any{"seconds": 0.5, "round": float64(1)}),
+		ev(-1, 3, "circuit.input", map[string]any{"seconds": 0.5, "rounds": float64(1)}),
 		ev(0, 4, "transport.send", map[string]any{"peer": float64(1)}),
 	}
 	got := Spans(events)
 	want := []SpanStat{
-		{Name: "bgw.round", Count: 1, Total: 0.5, Mean: 0.5, Max: 0.5},
+		{Name: "circuit.input", Count: 1, Total: 0.5, Mean: 0.5, Max: 0.5},
 		{Name: "circuit.level", Count: 2, Total: 1, Mean: 0.5, Max: 0.75},
 	}
 	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
@@ -71,20 +71,22 @@ func TestSpansSummarizeSeconds(t *testing.T) {
 
 func TestCheckRoundOrder(t *testing.T) {
 	good := []Event{
-		ev(-1, 1, "bgw.round", map[string]any{"round": float64(1)}),
-		ev(-1, 2, "bgw.round", map[string]any{"round": float64(3)}),
-		ev(0, 4, "bgw.round", map[string]any{"round": float64(1)}),
-		// A fresh engine restarts its counter at 1: not a violation.
-		ev(-1, 5, "bgw.round", map[string]any{"round": float64(1)}),
+		ev(-1, 1, "circuit.level", map[string]any{"level": float64(1)}),
+		ev(-1, 2, "circuit.level", map[string]any{"level": float64(3)}),
+		ev(0, 4, "circuit.level", map[string]any{"level": float64(1)}),
+		// A new plan restarts its levels at 1: not a violation.
+		ev(-1, 5, "circuit.level", map[string]any{"level": float64(1)}),
+		// Other events carry no level and are not read.
+		ev(-1, 6, "circuit.open", map[string]any{"rounds": float64(1)}),
 	}
 	if _, ok := CheckRoundOrder(good); !ok {
-		t.Fatal("consistent rounds rejected")
+		t.Fatal("consistent levels rejected")
 	}
-	bad := append(good, ev(-1, 6, "bgw.round", map[string]any{"round": float64(2)}),
-		ev(-1, 7, "bgw.round", map[string]any{"round": float64(4)}),
-		ev(-1, 8, "bgw.round", map[string]any{"round": float64(3)}))
-	if evt, ok := CheckRoundOrder(bad); ok || evt.LClock != 8 {
-		t.Fatalf("regressing round not flagged: %v %v", evt, ok)
+	bad := append(good, ev(-1, 7, "circuit.level", map[string]any{"level": float64(2)}),
+		ev(-1, 8, "circuit.level", map[string]any{"level": float64(4)}),
+		ev(-1, 9, "circuit.level", map[string]any{"level": float64(3)}))
+	if evt, ok := CheckRoundOrder(bad); ok || evt.LClock != 9 {
+		t.Fatalf("regressing level not flagged: %v %v", evt, ok)
 	}
 }
 

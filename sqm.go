@@ -220,7 +220,8 @@ type TraceID = obs.TraceID
 // TraceContext is the per-run tracing root: one Lamport-clocked event
 // stream per party plus the coordinator, each backed by a bounded
 // flight recorder that dumps JSONL on demand (TraceContext.DumpAll).
-// Attach via Params.Trace — share one context across the releases of a
+// Attach it by wrapping Params.Recorder with its coordinator stream
+// (Coordinator().Wrap) — share one context across the releases of a
 // run — and merge the dumps with cmd/sqmtrace.
 type TraceContext = obs.TraceContext
 

@@ -62,7 +62,6 @@ const accountantPkg = "sqm/internal/dp"
 var AnalyzerDPBudget = &Analyzer{
 	Name:      "dpbudget",
 	Doc:       "DP noise draws reaching transport/obs/CLI output or exported returns through no function that consults dp.Accountant",
-	Severity:  SeverityError,
 	RunModule: runDPBudget,
 	Explain: &Explanation{
 		Invariant: "A noise draw reaches a sink only through a function that consults the accountant: a value derived from a Skellam/discrete-Gaussian/discrete-Laplace draw may only escape the party (transport, obs, printed output, results files, exported facade returns) if a function on its dataflow path calls a dp.Accountant method. The check does not see whether the ledger is charged, or charged the right amount; TestAbortIsTypedBookedAndLeakFree (core) and TestTrainSQMOrder3ModelUnchangedBySingleBuild (logreg) fail when a release stops charging it.",

@@ -18,10 +18,9 @@ const fieldPkg = "sqm/internal/field"
 // the worst kind of MPC bug. Comparisons and conversions are fine;
 // arithmetic must use field.Add/Sub/Neg/Mul/Exp/Inv.
 var AnalyzerFieldOps = &Analyzer{
-	Name:     "fieldops",
-	Doc:      "raw arithmetic on field.Elem or the field modulus outside internal/field; use field.Add/Sub/Mul/... helpers",
-	Severity: SeverityError,
-	Run:      runFieldOps,
+	Name: "fieldops",
+	Doc:  "raw arithmetic on field.Elem or the field modulus outside internal/field; use field.Add/Sub/Mul/... helpers",
+	Run:  runFieldOps,
 }
 
 // arithmeticOps are the binary operators that perform arithmetic (as

@@ -16,10 +16,9 @@ import (
 // (tolerance zero is fine where bit-exactness is genuinely intended —
 // the helper makes that intent explicit and NaN-safe).
 var AnalyzerFloatEq = &Analyzer{
-	Name:     "floateq",
-	Doc:      "== or != between floating-point operands in non-test code; use mathx.EqualWithin",
-	Severity: SeverityError,
-	Run:      runFloatEq,
+	Name: "floateq",
+	Doc:  "== or != between floating-point operands in non-test code; use mathx.EqualWithin",
+	Run:  runFloatEq,
 }
 
 func runFloatEq(pass *Pass) {

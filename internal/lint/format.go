@@ -6,6 +6,10 @@ import (
 	"io"
 )
 
+// severity is the one severity every finding and check carries: each
+// check enforces a hard invariant. The version-1 report keeps the key.
+const severity = "error"
+
 // JSONDiagnostic is the wire form of one finding in -format json
 // output. The shape is stable: CI consumers and the artifact uploaded
 // next to the sqmbench run report parse it.
@@ -49,7 +53,7 @@ func toJSONDiagnostic(d Diagnostic, trimPrefix string) JSONDiagnostic {
 	}
 	return JSONDiagnostic{
 		Check:    d.Check,
-		Severity: string(d.Severity),
+		Severity: severity,
 		File:     file,
 		Line:     d.Pos.Line,
 		Column:   d.Pos.Column,
@@ -74,7 +78,7 @@ func WriteJSON(w io.Writer, res Result, analyzers []*Analyzer, trimPrefix string
 		Suppressed:  len(res.Suppressed),
 	}
 	for _, a := range analyzers {
-		rep.Checks = append(rep.Checks, JSONCheck{Name: a.Name, Doc: a.Doc, Severity: string(a.Severity)})
+		rep.Checks = append(rep.Checks, JSONCheck{Name: a.Name, Doc: a.Doc, Severity: severity})
 	}
 	for _, d := range res.Diagnostics {
 		rep.Diagnostics = append(rep.Diagnostics, toJSONDiagnostic(d, trimPrefix))

@@ -49,10 +49,9 @@ func parseIgnoreDirectives(pkgs []*Package) (directives []ignoreDirective, malfo
 					fields := strings.Fields(rest)
 					if len(fields) < 2 {
 						malformed = append(malformed, Diagnostic{
-							Check:    "lint",
-							Severity: SeverityError,
-							Pos:      pos,
-							Message:  "malformed //lint:ignore directive: want //lint:ignore <check> <reason>",
+							Check:   "lint",
+							Pos:     pos,
+							Message: "malformed //lint:ignore directive: want //lint:ignore <check> <reason>",
 						})
 						continue
 					}
@@ -142,10 +141,9 @@ func applyIgnores(diags []Diagnostic, directives []ignoreDirective) (kept, suppr
 	for i, dir := range directives {
 		if !used[i] {
 			kept = append(kept, Diagnostic{
-				Check:    "lint",
-				Severity: SeverityError,
-				Pos:      dir.pos,
-				Message:  "//lint:ignore " + strings.Join(dir.checks, ",") + " suppresses no finding; delete the stale directive",
+				Check:   "lint",
+				Pos:     dir.pos,
+				Message: "//lint:ignore " + strings.Join(dir.checks, ",") + " suppresses no finding; delete the stale directive",
 			})
 		}
 	}

@@ -28,20 +28,10 @@ import (
 	"sort"
 )
 
-// Severity classifies a diagnostic.
-type Severity string
-
-const (
-	// SeverityError marks a violation of a hard repo invariant.
-	SeverityError Severity = "error"
-)
-
 // Diagnostic is one finding, positioned in the loaded file set.
 type Diagnostic struct {
 	// Check is the name of the analyzer that produced the finding.
 	Check string
-	// Severity is the analyzer's severity class.
-	Severity Severity
 	// Pos locates the finding.
 	Pos token.Position
 	// Message describes the violation.
@@ -70,13 +60,12 @@ type Pass struct {
 	report   func(Diagnostic)
 }
 
-// Reportf records a diagnostic at pos with the analyzer's severity.
+// Reportf records a diagnostic at pos under the analyzer's name.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.report(Diagnostic{
-		Check:    p.analyzer.Name,
-		Severity: p.analyzer.Severity,
-		Pos:      p.Fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
+		Check:   p.analyzer.Name,
+		Pos:     p.Fset.Position(pos),
+		Message: fmt.Sprintf(format, args...),
 	})
 }
 
@@ -89,8 +78,6 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-line description shown by sqmlint -list.
 	Doc string
-	// Severity is attached to every diagnostic the check reports.
-	Severity Severity
 	// Run inspects one package and reports findings via pass.Reportf.
 	Run func(pass *Pass)
 	// RunModule inspects the whole loaded package set at once, with
@@ -125,13 +112,12 @@ type ModulePass struct {
 	report   func(Diagnostic)
 }
 
-// Reportf records a diagnostic at pos with the analyzer's severity.
+// Reportf records a diagnostic at pos under the analyzer's name.
 func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
 	p.report(Diagnostic{
-		Check:    p.analyzer.Name,
-		Severity: p.analyzer.Severity,
-		Pos:      p.Module.Fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
+		Check:   p.analyzer.Name,
+		Pos:     p.Module.Fset.Position(pos),
+		Message: fmt.Sprintf(format, args...),
 	})
 }
 

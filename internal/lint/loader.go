@@ -1,18 +1,17 @@
 package lint
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -76,9 +75,6 @@ func NewLoader(dir string) (*Loader, error) {
 	}, nil
 }
 
-// ModulePath returns the module's import path from go.mod.
-func (l *Loader) ModulePath() string { return l.modPath }
-
 // ModuleRoot returns the absolute directory containing go.mod.
 func (l *Loader) ModuleRoot() string { return l.modRoot }
 
@@ -127,11 +123,11 @@ func (l *Loader) Load(base string, patterns ...string) ([]*Package, error) {
 				return nil, err
 			}
 		} else {
-			ok, err := hasGoFiles(dir)
+			names, err := goFiles(dir)
 			if err != nil {
 				return nil, err
 			}
-			if !ok {
+			if len(names) == 0 {
 				return nil, fmt.Errorf("lint: no Go files in %s", dir)
 			}
 			dirs[dir] = true
@@ -177,7 +173,7 @@ func (l *Loader) dirImportPath(dir string) string {
 }
 
 // walkPackageDirs collects every directory at or below root that holds
-// at least one non-test Go file, skipping testdata, vendor, hidden
+// a Go file goFiles selects, skipping testdata, vendor, hidden
 // directories, and node_modules.
 func walkPackageDirs(root string, out map[string]bool) error {
 	return filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
@@ -191,157 +187,31 @@ func walkPackageDirs(root string, out map[string]bool) error {
 		if path != root && (name == "testdata" || name == "vendor" || name == "node_modules" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 			return filepath.SkipDir
 		}
-		ok, err := hasGoFiles(path)
+		names, err := goFiles(path)
 		if err != nil {
 			return err
 		}
-		if ok {
+		if len(names) > 0 {
 			out[path] = true
 		}
 		return nil
 	})
 }
 
-// hasGoFiles reports whether dir directly contains a non-test Go file
-// that matches the host's build configuration at the filename level.
-func hasGoFiles(dir string) (bool, error) {
-	entries, err := os.ReadDir(dir)
+// goFiles returns the non-test Go files of dir that a default `go build`
+// compiles, sorted by name: go/build applies the _GOOS/_GOARCH file
+// name suffixes and the //go:build (or legacy +build) lines. A
+// directory with no such file yields none and no error.
+func goFiles(dir string) ([]string, error) {
+	p, err := build.Default.ImportDir(dir, 0)
+	var noGo *build.NoGoError
+	if errors.As(err, &noGo) {
+		return nil, nil
+	}
 	if err != nil {
-		return false, err
+		return nil, err
 	}
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		if isCandidateGoFile(e.Name()) {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
-// isCandidateGoFile applies the filename-level filters: non-test Go
-// source, not hidden, and any _GOOS/_GOARCH suffix must match the host.
-func isCandidateGoFile(name string) bool {
-	if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") ||
-		strings.HasPrefix(name, "_") || strings.HasPrefix(name, ".") {
-		return false
-	}
-	return matchFileSuffix(name)
-}
-
-// knownOS and knownArch are the GOOS/GOARCH values that activate the
-// implicit filename build constraints (name_GOOS.go etc.). A suffix
-// outside these sets is just part of the name and never filters.
-var knownOS = map[string]bool{
-	"aix": true, "android": true, "darwin": true, "dragonfly": true,
-	"freebsd": true, "hurd": true, "illumos": true, "ios": true,
-	"js": true, "linux": true, "netbsd": true, "openbsd": true,
-	"plan9": true, "solaris": true, "wasip1": true, "windows": true,
-}
-
-var knownArch = map[string]bool{
-	"386": true, "amd64": true, "arm": true, "arm64": true,
-	"loong64": true, "mips": true, "mipsle": true, "mips64": true,
-	"mips64le": true, "ppc64": true, "ppc64le": true, "riscv64": true,
-	"s390x": true, "wasm": true,
-}
-
-// unixGOOS mirrors the set of GOOS values the "unix" build tag covers.
-var unixGOOS = map[string]bool{
-	"aix": true, "android": true, "darwin": true, "dragonfly": true,
-	"freebsd": true, "hurd": true, "illumos": true, "ios": true,
-	"linux": true, "netbsd": true, "openbsd": true, "solaris": true,
-}
-
-// matchFileSuffix evaluates the implicit filename constraints
-// name_GOOS.go, name_GOARCH.go, and name_GOOS_GOARCH.go against the
-// host. A bare "linux.go" carries no constraint: the suffix needs a
-// preceding name component to activate, exactly as in go/build.
-func matchFileSuffix(name string) bool {
-	parts := strings.Split(strings.TrimSuffix(name, ".go"), "_")
-	n := len(parts)
-	if n >= 2 && knownArch[parts[n-1]] {
-		if parts[n-1] != runtime.GOARCH {
-			return false
-		}
-		if n >= 3 && knownOS[parts[n-2]] {
-			return parts[n-2] == runtime.GOOS
-		}
-		return true
-	}
-	if n >= 2 && knownOS[parts[n-1]] {
-		return parts[n-1] == runtime.GOOS
-	}
-	return true
-}
-
-// goMinor is the running toolchain's minor version ("go1.24.3" → 24),
-// used to satisfy go1.N build tags; 0 when unparseable (devel builds),
-// which then satisfies every version tag.
-var goMinor = func() int {
-	rest, ok := strings.CutPrefix(runtime.Version(), "go1.")
-	if !ok {
-		return 0
-	}
-	if i := strings.IndexFunc(rest, func(r rune) bool { return r < '0' || r > '9' }); i >= 0 {
-		rest = rest[:i]
-	}
-	n, err := strconv.Atoi(rest)
-	if err != nil {
-		return 0
-	}
-	return n
-}()
-
-// tagSatisfied evaluates a //go:build expression against the host
-// configuration: GOOS, GOARCH, the "gc" compiler, the "unix" umbrella
-// tag, and go1.N version tags. Everything else (custom -tags values,
-// other compilers) is false, matching a default `go build`.
-func tagSatisfied(expr constraint.Expr) bool {
-	return expr.Eval(func(tag string) bool {
-		switch tag {
-		case runtime.GOOS, runtime.GOARCH, "gc":
-			return true
-		case "unix":
-			return unixGOOS[runtime.GOOS]
-		}
-		if rest, ok := strings.CutPrefix(tag, "go1."); ok {
-			n, err := strconv.Atoi(rest)
-			return err == nil && (goMinor == 0 || goMinor >= n)
-		}
-		return false
-	})
-}
-
-// buildConstraintOf returns the file's build constraint expression, or
-// nil when unconstrained. A //go:build line wins outright; otherwise
-// legacy // +build lines are ANDed together, as go/build does.
-func buildConstraintOf(f *ast.File) constraint.Expr {
-	var plus constraint.Expr
-	for _, cg := range f.Comments {
-		if cg.Pos() >= f.Package {
-			break
-		}
-		for _, c := range cg.List {
-			if constraint.IsGoBuild(c.Text) {
-				if expr, err := constraint.Parse(c.Text); err == nil {
-					return expr
-				}
-				continue
-			}
-			if constraint.IsPlusBuild(c.Text) {
-				if expr, err := constraint.Parse(c.Text); err == nil {
-					if plus == nil {
-						plus = expr
-					} else {
-						plus = &constraint.AndExpr{X: plus, Y: expr}
-					}
-				}
-			}
-		}
-	}
-	return plus
+	return p.GoFiles, nil
 }
 
 // Import implements types.Importer so the type-checker can resolve the
@@ -386,43 +256,25 @@ func (l *Loader) importPath(path string) (*Package, error) {
 // error spells out before eliding the rest.
 const maxTypeErrors = 5
 
-// checkDir parses and type-checks the non-test Go files of dir under
-// the import path asPath. Files excluded by their _GOOS/_GOARCH name
-// suffix or by a //go:build (or legacy +build) constraint are dropped
-// before type-checking, and a package that fails to type-check is
+// checkDir parses and type-checks the Go files goFiles selects in dir
+// under the import path asPath. A package that fails to type-check is
 // reported with up to maxTypeErrors collected errors rather than just
 // the first.
 func (l *Loader) checkDir(dir, asPath string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
+	names, err := goFiles(dir)
 	if err != nil {
 		return nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		if isCandidateGoFile(e.Name()) {
-			names = append(names, e.Name())
-		}
 	}
 	if len(names) == 0 {
 		return nil, fmt.Errorf("lint: no Go files in %s", dir)
 	}
-	sort.Strings(names)
 	var files []*ast.File
 	for _, n := range names {
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, n), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
-		if expr := buildConstraintOf(f); expr != nil && !tagSatisfied(expr) {
-			continue
-		}
 		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("lint: no Go files in %s match the host build constraints", dir)
 	}
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),

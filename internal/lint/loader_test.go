@@ -30,9 +30,9 @@ func TestLoaderFiltersBuildTaggedFiles(t *testing.T) {
 		t.Fatalf("LoadDir: %v", err)
 	}
 	// buildtags.go plus on_gc.go survive; off_never.go falls to its
-	// //go:build line and off_windows.go to its filename suffix. Any
-	// filtering failure would also fail type-checking outright, since
-	// every variant redeclares `marker`.
+	// //go:build line, and off_windows.go, off_sparc64.go and off_zos.go
+	// to their file name suffixes. Any filtering failure would also fail
+	// type-checking outright, since every variant redeclares `marker`.
 	if len(pkg.Files) != 2 {
 		t.Fatalf("loaded %d files, want 2 (common + gc variant)", len(pkg.Files))
 	}
@@ -64,38 +64,6 @@ func TestLoaderReportsBrokenPackage(t *testing.T) {
 	for _, frag := range []string{"missingIdent", "too many arguments"} {
 		if !strings.Contains(msg, frag) {
 			t.Errorf("error does not mention %q (multi-error collection broken):\n%s", frag, msg)
-		}
-	}
-}
-
-func TestFileSuffixMatching(t *testing.T) {
-	otherOS := "windows"
-	if runtime.GOOS == "windows" {
-		otherOS = "linux"
-	}
-	otherArch := "mips64"
-	if runtime.GOARCH == "mips64" {
-		otherArch = "amd64"
-	}
-	cases := []struct {
-		name string
-		want bool
-	}{
-		{"plain.go", true},
-		// A bare OS name with nothing before it is not a constraint.
-		{"linux.go", true},
-		{"x_" + runtime.GOOS + ".go", true},
-		{"x_" + runtime.GOARCH + ".go", true},
-		{"x_" + runtime.GOOS + "_" + runtime.GOARCH + ".go", true},
-		{"x_" + otherOS + ".go", false},
-		{"x_" + otherArch + ".go", false},
-		{"x_" + otherOS + "_" + runtime.GOARCH + ".go", false},
-		// An unknown trailing word is just part of the name.
-		{"x_helper.go", true},
-	}
-	for _, c := range cases {
-		if got := matchFileSuffix(c.name); got != c.want {
-			t.Errorf("matchFileSuffix(%q) = %v, want %v", c.name, got, c.want)
 		}
 	}
 }

@@ -29,10 +29,9 @@ var errorOnlyPkgs = map[string]bool{
 // error-path review that the distributed protocol's cleanup logic
 // depends on.
 var AnalyzerPanicPolicy = &Analyzer{
-	Name:     "panicpolicy",
-	Doc:      "panic outside the policy: exported API must return errors; library panics must carry an invariant.Violation payload",
-	Severity: SeverityError,
-	Run:      runPanicPolicy,
+	Name: "panicpolicy",
+	Doc:  "panic outside the policy: exported API must return errors; library panics must carry an invariant.Violation payload",
+	Run:  runPanicPolicy,
 }
 
 func runPanicPolicy(pass *Pass) {

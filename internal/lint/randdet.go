@@ -22,10 +22,9 @@ var rawRandImports = map[string]bool{
 // crypto/rand, unseedable entropy) that the replay and audit tooling
 // cannot reproduce.
 var AnalyzerRandDet = &Analyzer{
-	Name:     "randdet",
-	Doc:      "randomness outside internal/randx: math/rand, math/rand/v2 and crypto/rand may only be imported by the seeded sampler package",
-	Severity: SeverityError,
-	Run:      runRandDet,
+	Name: "randdet",
+	Doc:  "randomness outside internal/randx: math/rand, math/rand/v2 and crypto/rand may only be imported by the seeded sampler package",
+	Run:  runRandDet,
 }
 
 func runRandDet(pass *Pass) {

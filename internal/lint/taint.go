@@ -289,28 +289,6 @@ func (r *TaintResult) pathTo(n *node) []*node {
 	return path
 }
 
-// PathFuncs returns the declared functions traversed by the witness
-// path into n, including the seed's and n's own enclosing functions and
-// every callee a summary hop collapsed.
-func (r *TaintResult) PathFuncs(n *node) []*types.Func {
-	var fns []*types.Func
-	seen := make(map[*types.Func]bool)
-	add := func(f *types.Func) {
-		if f != nil && !seen[f] {
-			seen[f] = true
-			fns = append(fns, f)
-		}
-	}
-	for _, p := range r.pathTo(n) {
-		add(p.fn)
-		add(r.m.resultOwner[p])
-		if e, ok := r.parent[p]; ok {
-			add(e.via)
-		}
-	}
-	return fns
-}
-
 // Witness renders the call-path witness into n:
 //
 //	source (randx.RNG).Skellam (draw.go:9) → result 0 of draw (draw.go:9) → var v (run.go:70)
@@ -347,13 +325,4 @@ func (r *TaintResult) Witness(n *node) string {
 		}
 	}
 	return b.String()
-}
-
-// SeededBy returns the seed description for n's witness origin, or "".
-func (r *TaintResult) SeededBy(n *node) string {
-	path := r.pathTo(n)
-	if len(path) == 0 {
-		return ""
-	}
-	return r.seed[path[0]]
 }

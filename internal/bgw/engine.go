@@ -186,18 +186,31 @@ func newEngine(cfg Config, mesh transport.Mesh) (*Engine, error) {
 	// The pairwise mask streams of the openings come first, then every
 	// dealer's stream toward each of its seeded peers: separate keys, so
 	// no mask stream is ever drawn by a dealing (PRIVACY.md "Seeded
-	// dealing").
-	root := randx.New(cfg.Seed)
+	// dealing"). Every stream, the root's too, is seeded in place in one
+	// array: two ends of each pair's stream and of each seeded dealing.
+	seeded := 0
+	for _, pa := range e.parties {
+		seeded += len(pa.dealing.Peers)
+	}
+	rngs := make([]randx.RNG, 1+cfg.Parties*(cfg.Parties-1)+2*seeded)
+	root, rngs := &rngs[0], rngs[1:]
+	root.Seed(cfg.Seed)
+	ends := func() (*randx.RNG, *randx.RNG) {
+		key := root.Uint64()
+		a, b := &rngs[0], &rngs[1]
+		a.Seed(key)
+		b.Seed(key)
+		rngs = rngs[2:]
+		return a, b
+	}
 	for i, pa := range e.parties {
 		for j := i + 1; j < cfg.Parties; j++ {
-			key := root.Uint64()
-			pa.pair[j], e.parties[j].pair[i] = randx.New(key), randx.New(key)
+			pa.pair[j], e.parties[j].pair[i] = ends()
 		}
 	}
 	for o, pa := range e.parties {
 		for _, j := range pa.dealing.Peers {
-			key := root.Uint64()
-			pa.dealTo[j], e.parties[j].dealFrom[o] = randx.New(key), randx.New(key)
+			pa.dealTo[j], e.parties[j].dealFrom[o] = ends()
 		}
 	}
 	for i, pa := range e.parties {

@@ -25,8 +25,13 @@ type link interface {
 	// The row is read-only and valid until the next receive on the link.
 	recv(from, n int) ([]field.Elem, error)
 	// take takes the next row from the peer, a dealt one of n elements,
-	// as a row the caller keeps.
-	take(from, n int) ([]field.Elem, error)
+	// as a row the caller keeps: decoded into dst, n elements the caller
+	// set aside, or, on a link whose deal already hands the peer a copy
+	// (dealtCopies), that copy, with dst nil.
+	take(from, n int, dst []field.Elem) ([]field.Elem, error)
+	// dealtCopies reports whether take returns copies deal made, so that
+	// the caller sets no memory aside for a taken row.
+	dealtCopies() bool
 	// close tears this party's end down so that peers waiting on it
 	// fail instead of hanging.
 	close()
@@ -57,15 +62,16 @@ func (l *wireLink) recv(from, n int) ([]field.Elem, error) {
 	return l.dec, l.recvInto(from, l.dec)
 }
 
-// take makes the row before it waits, so the decode follows the frame's
-// arrival at once instead of an allocation and a copy.
-func (l *wireLink) take(from, n int) ([]field.Elem, error) {
-	row := make([]field.Elem, n)
-	if err := l.recvInto(from, row); err != nil {
+// take decodes into dst, which the caller made before it waits, so the
+// decode follows the frame's arrival at once.
+func (l *wireLink) take(from, n int, dst []field.Elem) ([]field.Elem, error) {
+	if err := l.recvInto(from, dst[:n]); err != nil {
 		return nil, err
 	}
-	return row, nil
+	return dst, nil
 }
+
+func (l *wireLink) dealtCopies() bool { return false }
 
 func (l *wireLink) recvInto(from int, dst []field.Elem) error {
 	buf, err := l.conn.Recv(from)
@@ -144,7 +150,9 @@ func (l memLink) recv(from, n int) ([]field.Elem, error) {
 }
 
 // take is recv: a dealt row is the peer's copy already.
-func (l memLink) take(from, n int) ([]field.Elem, error) { return l.recv(from, n) }
+func (l memLink) take(from, n int, _ []field.Elem) ([]field.Elem, error) { return l.recv(from, n) }
+
+func (l memLink) dealtCopies() bool { return true }
 
 // close is a no-op: a failed party sends nothing more, so its peers'
 // next recv finds its queue empty.

@@ -139,6 +139,7 @@ type actorParty struct {
 	zeros    []field.Elem // never written (grow-only)
 	pairs    []field.Elem // PairProd of the vector slots a Gram batch reuses, by slot (grow-only)
 	pend     []field.Elem // this party's own row, kept between the halves
+	highs    []field.Elem // a MulBatch level's local products, pend until the fold (grow-only)
 	sh       shareScratch // working memory of the sharing sites
 	drawn    []field.Elem // a seeded row drawn for a fold (grow-only)
 	pub      []field.Elem // the row an OpenVec publishes (grow-only)
@@ -261,11 +262,12 @@ func (a *actorParty) send(c *actorCmd) error {
 	case opMulBatch:
 		// One degree-reduction round: the local degree-2t value of every
 		// product, dealt in row order (mulDesc.at), one row of sub-shares
-		// to each unseeded peer; highs becomes this party's own row.
-		highs := make([]field.Elem, c.a)
-		a.products(highs, c.x.muls, c.x.refs)
-		a.pend = highs
-		return a.sendRows(a.sh.share(highs, a.dealing, a.dealTo), a.link.send)
+		// to each unseeded peer; highs becomes this party's own row, which
+		// the fold reads.
+		a.highs = growElems(a.highs, c.a)
+		a.products(a.highs, c.x.muls, c.x.refs)
+		a.pend = a.highs
+		return a.sendRows(a.sh.share(a.highs, a.dealing, a.dealTo), a.link.send)
 	case opMulUnreduced:
 		// The same local values, kept: the slots hold this party's point
 		// of a degree-2t sharing, no randomness is drawn and nothing is
@@ -332,7 +334,7 @@ func (a *actorParty) keep(c *actorCmd, fill func(row []field.Elem) error) error 
 		a.sc = append(a.sc, make([]field.Elem, c.b)...)
 		return fill(a.sc[base:])
 	}
-	row := make([]field.Elem, c.a)
+	row := a.slots.Take(c.a)
 	if err := fill(row); err != nil {
 		return err
 	}
@@ -376,19 +378,27 @@ func (a *actorParty) recv(c *actorCmd) error {
 	case opInputVecs:
 		// The peers' rows in item order, each kept as the slot it fills:
 		// drawn from the dealer's stream by a seeded peer, taken off the
-		// link by the others.
+		// link by the others. Every row drawn or decoded is carved from
+		// one array made for the round.
 		base := len(a.vc) - len(c.x.vecs)
+		rows := make([]field.Elem, a.roundLen(c.x.vecs))
 		for i, in := range c.x.vecs {
 			if in.owner == a.id {
 				continue
 			}
+			n := len(in.elems)
 			if s := a.dealFrom[in.owner]; s != nil {
-				row := make([]field.Elem, len(in.elems))
+				row := rows[:n:n]
+				rows = rows[n:]
 				shamir.Draw(row, s)
 				a.vc[base+i] = row
 				continue
 			}
-			row, err := a.link.take(in.owner, len(in.elems))
+			var dst []field.Elem
+			if !a.link.dealtCopies() {
+				dst, rows = rows[:n:n], rows[n:]
+			}
+			row, err := a.link.take(in.owner, n, dst)
 			if err != nil {
 				return err
 			}
@@ -425,6 +435,19 @@ func (a *actorParty) recv(c *actorCmd) error {
 		c.x.reply <- actorReply{party: a.id, ops: a.fieldOps}
 	}
 	return nil
+}
+
+// roundLen is the number of elements this party draws or decodes in an
+// input round of vecs: every peer's vector but those its link hands
+// over as copies.
+func (a *actorParty) roundLen(vecs []vecInput) int {
+	n := 0
+	for _, in := range vecs {
+		if in.owner != a.id && (a.dealFrom[in.owner] != nil || !a.link.dealtCopies()) {
+			n += len(in.elems)
+		}
+	}
+	return n
 }
 
 // gather copies the scalar slots refs name into a fresh slot.

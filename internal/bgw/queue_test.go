@@ -1,6 +1,7 @@
 package bgw
 
 import (
+	"math/bits"
 	"runtime"
 	"slices"
 	"testing"
@@ -300,5 +301,47 @@ func TestLocalGatesAllocateChunksOnly(t *testing.T) {
 	}
 	if got := eng.OpenVec(l); !equalInt64(got, want) {
 		t.Fatalf("opened %v, want %v", got, want)
+	}
+}
+
+// TestInputRoundAllocatesOneRowArray: behind a ChanMesh, every row a
+// party draws from a seeded dealer's stream or takes off its link in an
+// input round is carved from one array it makes for the round, so a
+// round of k vectors costs a party that array and now and then a growth
+// of its slot list, not k rows (3·8 here). The rest of the round's
+// allocations are the caller's: InputVec embeds each vector in the field
+// (k), the open round's list grows to k, and Stats makes its reply
+// channel and list.
+func TestInputRoundAllocatesOneRowArray(t *testing.T) {
+	const p, k, n = 4, 32, 16
+	eng := newActorChan(t, Config{Parties: p, Seed: 9})
+	vs := make([]int64, n)
+	round := func() {
+		for i := 0; i < k; i++ {
+			eng.InputVec(i%p, vs)
+		}
+		eng.Stats() // issues the round and waits for every party
+	}
+	round()
+	round()
+	// The fewest of five rounds: the party goroutines' wake-ups, or a
+	// collection that falls inside one, may add a handful to any one.
+	allocs := -1
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		round()
+		runtime.ReadMemStats(&after)
+		if n := int(after.Mallocs - before.Mallocs); allocs < 0 || n < allocs {
+			allocs = n
+		}
+	}
+	caller := k + bits.Len(k) + 2
+	t.Logf("an input round of %d vectors at P = %d: %d allocations, %d of them the caller's", k, p, allocs, caller)
+	if most := caller + 3*p; allocs > most {
+		t.Errorf("an input round of %d vectors cost %d allocations, want at most %d: the caller's %d and three per party", k, allocs, most, caller)
+	}
+	if err := eng.Err(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"io"
 	"sync"
 	"time"
+
+	"sqm/internal/chunk"
 )
 
 // DefaultFlightCapacity is the per-stream event bound of a trace
@@ -47,6 +49,10 @@ type FlightRecorder struct {
 	n       int // live entries
 	seq     uint64
 	dropped uint64 // evicted by the capacity bound
+	// attrs holds the entries' attribute copies, carved in chunks: the
+	// ring evicts oldest first, so a chunk is freed once the ring has
+	// moved past every entry carved from it.
+	attrs chunk.Arena[Attr]
 }
 
 // NewFlightRecorder builds a ring holding up to capacity events
@@ -75,7 +81,10 @@ func (f *FlightRecorder) Event(level Level, name string, attrs ...Attr) {
 		wall:  time.Now().UnixNano(),
 		level: level,
 		name:  name,
-		attrs: append([]Attr(nil), attrs...),
+	}
+	if len(attrs) > 0 {
+		e.attrs = f.attrs.Take(len(attrs))
+		copy(e.attrs, attrs)
 	}
 	if f.n == len(f.buf) {
 		f.buf[f.start] = e

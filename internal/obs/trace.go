@@ -63,6 +63,7 @@ const CoordParty = -1
 // PartyTrace per mesh party and one for the coordinator.
 type TraceContext struct {
 	id      TraceID
+	idStr   string // id.String(), which every event carries
 	coord   *PartyTrace
 	parties []*PartyTrace
 }
@@ -74,7 +75,7 @@ func NewTraceContext(id TraceID, parties int) *TraceContext {
 	if parties < 0 {
 		parties = 0
 	}
-	tc := &TraceContext{id: id}
+	tc := &TraceContext{id: id, idStr: id.String()}
 	tc.coord = &PartyTrace{tc: tc, party: CoordParty, flight: NewFlightRecorder(DefaultFlightCapacity)}
 	tc.parties = make([]*PartyTrace, parties)
 	for i := range tc.parties {
@@ -239,8 +240,10 @@ func (pt *PartyTrace) EventAt(lclock uint64, level Level, name string, attrs ...
 	if pt == nil {
 		return
 	}
-	all := make([]Attr, 0, len(attrs)+3)
-	all = append(all, attrs...)
+	// The flight recorder copies the attributes, so they are gathered
+	// on the stack: recording an event allocates nothing of its own.
+	var buf [8]Attr
+	all := append(buf[:0], attrs...)
 	all = pt.appendStamp(all, lclock)
 	pt.flight.Event(level, name, all...)
 }
@@ -256,7 +259,7 @@ func (pt *PartyTrace) Event(level Level, name string, attrs ...Attr) {
 // appendStamp appends the trace-context attributes of one event.
 func (pt *PartyTrace) appendStamp(dst []Attr, lclock uint64) []Attr {
 	return append(dst,
-		String("trace", pt.tc.id.String()),
+		String("trace", pt.tc.idStr),
 		Int("party", pt.party),
 		Int64("lclock", int64(lclock)))
 }

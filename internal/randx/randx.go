@@ -28,8 +28,8 @@ const PoissonExactMax = float64(1 << 51)
 const ptrsMin = 30
 
 // RNG is a seeded random source. The zero value is not usable; construct
-// with New. An RNG is used through its pointer and never copied: r draws
-// from pcg by address.
+// with New, or seed one in place with Seed. An RNG is used through its
+// pointer and never copied: r draws from pcg by address.
 type RNG struct {
 	r   rand.Rand
 	pcg rand.PCG // New's source; in place, so an RNG is one allocation
@@ -43,10 +43,16 @@ type RNG struct {
 // for reproducibility.
 func New(seed uint64) *RNG {
 	g := &RNG{}
+	g.Seed(seed)
+	return g
+}
+
+// Seed makes g, in place, the stream New(seed) returns, so that many
+// streams can live in one array: g must not move or be copied after.
+func (g *RNG) Seed(seed uint64) {
 	g.pcg.Seed(seed, seed^0x9e3779b97f4a7c15)
 	g.r = *rand.New(&g.pcg)
 	g.onPCG = true
-	return g
 }
 
 // NewSecure returns an RNG driven by the ChaCha8 cryptographic stream

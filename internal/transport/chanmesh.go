@@ -16,7 +16,7 @@ import (
 // delivery is deterministic per pair.
 type ChanMesh struct {
 	p        int
-	queues   [][]*queue[[]byte] // queues[from][to]
+	queues   []queue[[]byte] // queues[from*p+to]
 	conns    []*chanConn
 	frames   atomic.Int64
 	messages atomic.Int64
@@ -31,18 +31,32 @@ type ChanMesh struct {
 // drained empty starts over at the front of the same array, so steady
 // bursts reuse it instead of regrowing it. A closed queue refuses
 // pushes but still delivers what it holds before it reports ErrClosed.
+//
+// A queue is one allocation until it holds more than queueBurst items:
+// its condition variable and its first array are part of it.
 type queue[T any] struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
+	cond   sync.Cond
 	items  []T
 	head   int
 	closed bool
+	first  [queueBurst]T
 }
 
+// queueBurst is the length of a queue's first array: the rows one
+// dealing link carries in an input round of a P = 10 covariance.
+const queueBurst = 8
+
 func newQueue[T any]() *queue[T] {
-	q := &queue[T]{}
-	q.cond = sync.NewCond(&q.mu)
+	q := new(queue[T])
+	q.init()
 	return q
+}
+
+// init readies a zero queue in place; it must not move after.
+func (q *queue[T]) init() {
+	q.cond.L = &q.mu
+	q.items = q.first[:0]
 }
 
 func (q *queue[T]) push(b T) error {
@@ -51,12 +65,21 @@ func (q *queue[T]) push(b T) error {
 	if q.closed {
 		return ErrClosed
 	}
-	if q.head > 0 && len(q.items) == cap(q.items) {
-		// Full with taken slots at the front: move the waiting items
-		// down rather than grow.
-		n := copy(q.items, q.items[q.head:])
-		clear(q.items[n:])
-		q.items, q.head = q.items[:n], 0
+	if len(q.items) == cap(q.items) {
+		if q.head > 0 {
+			// Full with taken slots at the front: move the waiting items
+			// down rather than grow.
+			n := copy(q.items, q.items[q.head:])
+			clear(q.items[n:])
+			q.items, q.head = q.items[:n], 0
+		} else {
+			// Grow here rather than in append, so that the array left
+			// behind (the first array, say) keeps no item alive.
+			grown := make([]T, len(q.items), 2*cap(q.items))
+			copy(grown, q.items)
+			clear(q.items)
+			q.items = grown
+		}
 	}
 	q.items = append(q.items, b)
 	q.cond.Signal()
@@ -67,27 +90,30 @@ func (q *queue[T]) pop() (T, error) { return q.popWait(0) }
 
 // popWait pops the next item, waiting at most d (d <= 0 waits forever).
 // A message that is already queued when the deadline passes is still
-// delivered: timeout only fires on a genuinely empty queue.
+// delivered: timeout only fires on a genuinely empty queue, and only a
+// wait on one arms the deadline, so a pop that finds an item costs no
+// timer.
 func (q *queue[T]) popWait(d time.Duration) (T, error) {
-	var deadline time.Time
-	if d > 0 {
-		deadline = time.Now().Add(d)
-		// The condition variable has no timed wait; an AfterFunc
-		// broadcast wakes the waiters so the loop can re-check the
-		// clock.
-		t := time.AfterFunc(d, func() {
-			q.mu.Lock()
-			q.cond.Broadcast()
-			q.mu.Unlock()
-		})
-		defer t.Stop()
-	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	var zero T
+	var deadline time.Time
 	for q.head == len(q.items) && !q.closed {
-		if d > 0 && !time.Now().Before(deadline) {
-			return zero, ErrTimeout
+		if d > 0 {
+			if deadline.IsZero() {
+				// The condition variable has no timed wait; an AfterFunc
+				// broadcast wakes the waiters so the loop can re-check
+				// the clock.
+				deadline = time.Now().Add(d)
+				t := time.AfterFunc(d, func() {
+					q.mu.Lock()
+					q.cond.Broadcast()
+					q.mu.Unlock()
+				})
+				defer t.Stop()
+			} else if !time.Now().Before(deadline) {
+				return zero, ErrTimeout
+			}
 		}
 		q.cond.Wait()
 	}
@@ -118,20 +144,18 @@ func NewChanMesh(p int, opts ...Option) *ChanMesh {
 	if o.trace != nil && o.trace.Parties() != p {
 		panic(invariant.Violation("transport: tracer has %d party streams, mesh has %d", o.trace.Parties(), p))
 	}
-	m := &ChanMesh{p: p, queues: make([][]*queue[[]byte], p), conns: make([]*chanConn, p)}
-	for i := 0; i < p; i++ {
-		m.queues[i] = make([]*queue[[]byte], p)
-		for j := 0; j < p; j++ {
-			if i != j {
-				m.queues[i][j] = newQueue[[]byte]()
-			}
-		}
+	m := &ChanMesh{p: p, queues: make([]queue[[]byte], p*p), conns: make([]*chanConn, p)}
+	for i := range m.queues {
+		m.queues[i].init()
 	}
 	for i := 0; i < p; i++ {
 		m.conns[i] = &chanConn{mesh: m, id: i, tr: newConnTrace(o.trace, i), prev: make([][]byte, p)}
 	}
 	return m
 }
+
+// queueOf is the link from party from to party to.
+func (m *ChanMesh) queueOf(from, to int) *queue[[]byte] { return &m.queues[from*m.p+to] }
 
 // Parties returns P.
 func (m *ChanMesh) Parties() int { return m.p }
@@ -157,11 +181,7 @@ func (m *ChanMesh) Close() error {
 		return nil
 	}
 	for i := range m.queues {
-		for j, q := range m.queues[i] {
-			if i != j {
-				q.close()
-			}
-		}
+		m.queues[i].close()
 	}
 	return nil
 }
@@ -201,7 +221,7 @@ func (c *chanConn) SendN(to int, payload []byte, msgs int) error {
 		msgs = 1
 	}
 	wire, lc := c.tr.stampSend(payload)
-	if err := c.mesh.queues[c.id][to].push(wire); err != nil {
+	if err := c.mesh.queueOf(c.id, to).push(wire); err != nil {
 		return err
 	}
 	if c.tr != nil {
@@ -220,7 +240,7 @@ func (c *chanConn) Recv(from int) ([]byte, error) {
 	if from == c.id || from < 0 || from >= c.mesh.p {
 		return nil, fmt.Errorf("transport: party %d cannot receive from %d", c.id, from)
 	}
-	b, err := c.mesh.queues[from][c.id].popWait(time.Duration(c.timeout.Load()))
+	b, err := c.mesh.queueOf(from, c.id).popWait(time.Duration(c.timeout.Load()))
 	if err != nil {
 		return nil, err
 	}
@@ -240,8 +260,8 @@ func (c *chanConn) Close() error {
 		if other == c.id {
 			continue
 		}
-		c.mesh.queues[c.id][other].close()
-		c.mesh.queues[other][c.id].close()
+		c.mesh.queueOf(c.id, other).close()
+		c.mesh.queueOf(other, c.id).close()
 	}
 	return nil
 }

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sqm/internal/invariant"
 	"sqm/internal/protocol"
 	"sqm/internal/retry"
 )
@@ -47,18 +46,31 @@ type netConn struct {
 // on the party goroutine, writes go through the pump queue.
 type link struct {
 	conn net.Conn
-	out  *queue[[]byte]
+	out  queue[[]byte]
 	// rbuf is the link's receive buffer, reused across frames whenever
-	// the payload fits (the TCP-mesh half of the frame pool). Only the
-	// owning party goroutine reads this link, so no lock is needed; the
-	// Recv contract makes the previous frame dead before the next read.
-	rbuf []byte
-	wg   sync.WaitGroup
-	werr atomic.Value // error from the writer pump, if any
+	// the payload fits; it starts as rfirst, which holds a header. Only
+	// the owning party goroutine reads this link, so no lock is needed;
+	// the Recv contract makes the previous frame dead before the next
+	// read.
+	rbuf   []byte
+	rfirst [protocol.HeaderLen]byte
+	// The writer pump's own: the header it frames every payload with
+	// (type MsgShare, session = the sender's id) and the two buffers of
+	// the writev that sends header and payload together.
+	sender uint32
+	hdr    [protocol.HeaderLen]byte
+	iov    [2][]byte
+	bufs   net.Buffers
+	wg     sync.WaitGroup
+	werr   atomic.Value // error from the writer pump, if any
 }
 
-func newLink(conn net.Conn) *link {
-	l := &link{conn: conn, out: newQueue[[]byte]()}
+// start readies a zero link in place over conn, for party sender's end,
+// and starts its writer pump; the link must not move after.
+func (l *link) start(conn net.Conn, sender int) {
+	l.conn, l.sender = conn, uint32(sender)
+	l.out.init()
+	l.rbuf = l.rfirst[:0]
 	l.wg.Add(1)
 	go func() {
 		defer l.wg.Done()
@@ -67,9 +79,9 @@ func newLink(conn net.Conn) *link {
 			if err != nil {
 				return
 			}
-			_, werr := l.conn.Write(b)
-			// The frame buffer (pool-backed, built by encodeShareFrame)
-			// is dead once written.
+			werr := l.write(b)
+			// The payload (drawn from GetPayload, or the trace-stamped
+			// copy of one) is dead once written.
 			recycle(b)
 			if werr != nil {
 				l.werr.Store(werr)
@@ -78,7 +90,15 @@ func newLink(conn net.Conn) *link {
 			}
 		}
 	}()
-	return l
+}
+
+// write sends one frame, header and payload, in one writev: no framed
+// copy of the payload is made.
+func (l *link) write(payload []byte) error {
+	hdr := protocol.AppendHeader(l.hdr[:0], protocol.MsgShare, l.sender, len(payload))
+	l.bufs = append(l.iov[:0], hdr, payload)
+	_, err := l.bufs.WriteTo(l.conn)
+	return err
 }
 
 func (l *link) close() {
@@ -103,13 +123,18 @@ func NewNetMesh(p int, pair, peer [][]net.Conn, opts ...Option) (*NetMesh, error
 	for i := 0; i < p; i++ {
 		m.conns[i] = &netConn{mesh: m, id: i, links: make([]*link, p), tr: newConnTrace(o.trace, i)}
 	}
+	// Every link of the mesh lives in one array.
+	links := make([]link, p*(p-1))
 	for i := 0; i < p; i++ {
 		for j := i + 1; j < p; j++ {
 			if pair[i][j] == nil || peer[i][j] == nil {
 				return nil, fmt.Errorf("transport: missing connection for pair (%d,%d)", i, j)
 			}
-			m.conns[i].links[j] = newLink(pair[i][j])
-			m.conns[j].links[i] = newLink(peer[i][j])
+			ij, ji := &links[0], &links[1]
+			links = links[2:]
+			ij.start(pair[i][j], i)
+			ji.start(peer[i][j], j)
+			m.conns[i].links[j], m.conns[j].links[i] = ij, ji
 		}
 	}
 	return m, nil
@@ -160,15 +185,18 @@ func NewTCPMesh(p int, opts ...Option) (*NetMesh, error) {
 	}
 	// Party j dials party i's listener for every i < j and announces its
 	// id with a Hello frame; the accept side verifies it. Sequential
-	// setup keeps the pairing deterministic.
+	// setup keeps the pairing deterministic. One buffer frames and reads
+	// every Hello.
+	hello := make([]byte, 0, protocol.HeaderLen)
 	for i := 0; i < p; i++ {
+		addr := listeners[i].Addr().(*net.TCPAddr)
 		for j := i + 1; j < p; j++ {
-			dialed, err := dialRetry(o.dial, listeners[i].Addr().String())
+			dialed, err := dialRetry(o.dial, addr)
 			if err != nil {
 				closeAll()
 				return nil, fmt.Errorf("transport: dial %d->%d: %w", j, i, err)
 			}
-			if err := protocol.WriteMessage(dialed, protocol.Message{Type: protocol.MsgHello, Session: uint32(j)}); err != nil {
+			if _, err := dialed.Write(protocol.AppendHeader(hello[:0], protocol.MsgHello, uint32(j), 0)); err != nil {
 				dialed.Close()
 				closeAll()
 				return nil, fmt.Errorf("transport: hello %d->%d: %w", j, i, err)
@@ -179,8 +207,9 @@ func NewTCPMesh(p int, opts ...Option) (*NetMesh, error) {
 				closeAll()
 				return nil, fmt.Errorf("transport: accept on party %d: %w", i, err)
 			}
-			hello, err := protocol.ReadMessage(accepted)
-			if err != nil || hello.Type != protocol.MsgHello || hello.Session != uint32(j) {
+			var m protocol.Message
+			m, hello, err = protocol.ReadMessageInto(accepted, hello)
+			if err != nil || m.Type != protocol.MsgHello || m.Session != uint32(j) {
 				dialed.Close()
 				accepted.Close()
 				closeAll()
@@ -194,13 +223,17 @@ func NewTCPMesh(p int, opts ...Option) (*NetMesh, error) {
 }
 
 // dialRetry dials addr under the given retry policy; the zero policy
-// degenerates to a single plain net.Dial.
-func dialRetry(p retry.Policy, addr string) (net.Conn, error) {
+// degenerates to a single plain dial. The address is resolved already,
+// so a dial does not go through the resolver.
+func dialRetry(p retry.Policy, addr *net.TCPAddr) (net.Conn, error) {
 	var conn net.Conn
 	err := p.Do(func(int) error {
-		var err error
-		conn, err = net.Dial("tcp", addr)
-		return err
+		c, err := net.DialTCP("tcp", nil, addr)
+		if err != nil {
+			return err
+		}
+		conn = c
+		return nil
 	})
 	return conn, err
 }
@@ -249,8 +282,8 @@ func (c *netConn) SetRecvTimeout(d time.Duration) {
 	c.timeout.Store(int64(d))
 }
 
-// Send frames the payload (version/MsgShare/sender-id/length) and hands
-// it to the link's writer pump.
+// Send hands the payload to the link's writer pump, which frames it
+// (version/MsgShare/sender-id/length) as it writes it.
 func (c *netConn) Send(to int, payload []byte) error { return c.SendN(to, payload, 1) }
 
 // SendN sends one wire frame carrying msgs logical messages.
@@ -266,16 +299,18 @@ func (c *netConn) SendN(to int, payload []byte, msgs int) error {
 		return wrapClosed(err)
 	}
 	wire, lc := c.tr.stampSend(payload)
-	frame := encodeShareFrame(uint32(c.id), wire)
-	// Framing copied the wire bytes, so the wire buffer is dead — and
-	// when tracing stamped a copy, so is the original payload
-	// (transport-owned since the call). Untraced sends have wire ==
-	// payload, recycled once.
-	recycle(wire)
+	// When tracing stamped a copy, the original payload (transport-owned
+	// since the call) is dead; the writer pump recycles the wire buffer
+	// once it is written.
 	if c.tr != nil {
 		recycle(payload)
 	}
-	if err := l.out.push(frame); err != nil {
+	if len(wire) > protocol.MaxPayload {
+		recycle(wire)
+		return protocol.ErrFrameTooLarge
+	}
+	if err := l.out.push(wire); err != nil {
+		recycle(wire)
 		return err
 	}
 	c.mesh.frames.Add(1)
@@ -325,23 +360,4 @@ func (c *netConn) Close() error {
 		}
 	}
 	return nil
-}
-
-// encodeShareFrame builds one framed share message in a single
-// pool-backed buffer so the writer pump issues one Write per frame and
-// recycles the buffer afterwards.
-func encodeShareFrame(sender uint32, payload []byte) []byte {
-	buf := writerBuf(GetPayload(16 + len(payload))[:0])
-	if err := protocol.WriteMessage(&buf, protocol.Message{Type: protocol.MsgShare, Session: sender, Payload: payload}); err != nil {
-		panic(invariant.Violation("transport: framing failed: %v", err))
-	}
-	return buf
-}
-
-// writerBuf is a minimal io.Writer accumulating into a byte slice.
-type writerBuf []byte
-
-func (w *writerBuf) Write(p []byte) (int, error) {
-	*w = append(*w, p...)
-	return len(p), nil
 }

@@ -5,25 +5,31 @@ import (
 	"sync/atomic"
 )
 
-// Frame-buffer pooling. Every frame of a resharing round used to be a
-// fresh allocation — payload at the sender, trace wrapper, wire frame,
-// receive buffer — which made the allocator the hottest non-arithmetic
-// path of a protocol run. The transport now recycles frame buffers
-// through size-classed sync.Pools:
+// Frame buffers. Every frame of a round is a payload at the sender, a
+// trace-stamped copy when tracing is on, and a receive buffer; the
+// transport recycles them through one process-wide free list of
+// size-classed buffers:
 //
 //   - Senders draw payloads from GetPayload; after Send the transport
-//     owns them (that was already the contract) and routes them back to
-//     the pool once they are dead — after framing copies them (net
-//     mesh) or after the receiving endpoint moves past them (channel
-//     mesh).
+//     owns them and hands them back once they are dead — after the TCP
+//     writer pump has written them, or after the receiving ChanMesh
+//     endpoint has moved past them.
 //   - Receivers get buffers that are valid only until the next Recv
 //     from the same peer (the ownership rule documented on
 //     PartyConn.Recv); the endpoint recycles or overwrites them on that
 //     next call.
 //
+// The list is process-wide, not per link, because a mesh lives for one
+// session: a link's own list would start empty every session and pay
+// one buffer for every frame it ever has in flight. Each class is a
+// stack of buffers under a mutex, kept across garbage collections, and
+// holds at most freeBytes of them, so what the list keeps is bounded by
+// the largest burst of frames in flight at once, up to
+// len(poolClasses)·freeBytes.
+//
 // Buffers whose capacity does not exactly match a size class — e.g.
-// caller-allocated payloads — are silently dropped to the GC, so
-// recycling is always safe to attempt and never mixes classes.
+// caller-allocated payloads — are left to the GC, so recycling is
+// always safe to attempt and never mixes classes.
 
 // poolClasses are the frame-buffer size classes. Share traffic is 8
 // bytes per element, so the classes cover single scalars (with or
@@ -34,20 +40,26 @@ import (
 // 1 000-element row (8 016 bytes framed) would hold a 16 KB buffer.
 var poolClasses = [...]int{64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768, 65536, 131072, 262144}
 
-var framePools [len(poolClasses)]sync.Pool
+// freeBytes bounds the bytes one class keeps: 512 buffers of 8 KB,
+// against the ≈ 300 a P = 10 covariance session has in flight at once,
+// and 16 of the largest class.
+const freeBytes = 4 << 20
 
-// boxPool holds empty *[]byte headers. A pooled buffer travels in one of
-// them, and GetPayload hands the emptied header back here for the next
-// recycle, so a get/recycle round trip allocates nothing.
-var boxPool sync.Pool
+// freeList is one size class: a stack of buffers of that capacity.
+type freeList struct {
+	mu   sync.Mutex
+	bufs [][]byte
+}
+
+var free [len(poolClasses)]freeList
 
 var (
-	poolHits   atomic.Int64 // GetPayload calls served from a pool
+	poolHits   atomic.Int64 // GetPayload calls served from the free list
 	poolMisses atomic.Int64 // GetPayload calls that allocated
 )
 
 // PoolStats reports how many GetPayload calls were served from the
-// frame pool versus freshly allocated (cumulative, process-wide).
+// free list versus freshly allocated (cumulative, process-wide).
 func PoolStats() (hits, misses int64) {
 	return poolHits.Load(), poolMisses.Load()
 }
@@ -64,7 +76,7 @@ func classFor(n int) int {
 }
 
 // GetPayload returns a length-n byte slice for building one frame
-// payload, drawn from the frame pool when a size class fits. The
+// payload, drawn from the free list when a size class fits. The
 // contents are unspecified — callers must overwrite all n bytes. Hand
 // the buffer to Send/SendN and forget it: the transport owns it from
 // then on and recycles it when the frame is dead.
@@ -74,35 +86,44 @@ func GetPayload(n int) []byte {
 		poolMisses.Add(1)
 		return make([]byte, n)
 	}
-	if v := framePools[ci].Get(); v != nil {
+	if b := free[ci].pop(); b != nil {
 		poolHits.Add(1)
-		box := v.(*[]byte)
-		b := (*box)[:n]
-		*box = nil
-		boxPool.Put(box)
-		return b
+		return b[:n]
 	}
 	poolMisses.Add(1)
 	return make([]byte, n, poolClasses[ci])
 }
 
-// recycle returns a frame buffer to its pool. Buffers whose capacity is
-// not exactly a class size (caller-allocated payloads, protocol
-// fallbacks) are dropped to the GC. The caller must not touch b again.
+// recycle returns a frame buffer to its class. Buffers whose capacity
+// is not exactly a class size (caller-allocated payloads, protocol
+// fallbacks) are left to the GC, and so is a buffer its class has no
+// room for. The caller must not touch b again.
 func recycle(b []byte) {
-	if b == nil {
+	ci := classFor(cap(b))
+	if ci < 0 || poolClasses[ci] != cap(b) {
 		return
 	}
-	c := cap(b)
-	for i, cs := range poolClasses {
-		if c == cs {
-			box, _ := boxPool.Get().(*[]byte)
-			if box == nil {
-				box = new([]byte)
-			}
-			*box = b[:0]
-			framePools[i].Put(box)
-			return
-		}
+	free[ci].push(b[:0], freeBytes/poolClasses[ci])
+}
+
+func (l *freeList) pop() []byte {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.bufs)
+	if n == 0 {
+		return nil
 	}
+	b := l.bufs[n-1]
+	l.bufs[n-1] = nil
+	l.bufs = l.bufs[:n-1]
+	return b
+}
+
+// push keeps b unless the class already holds most buffers.
+func (l *freeList) push(b []byte, most int) {
+	l.mu.Lock()
+	if len(l.bufs) < most {
+		l.bufs = append(l.bufs, b)
+	}
+	l.mu.Unlock()
 }

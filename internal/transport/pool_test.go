@@ -8,12 +8,14 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"sqm/internal/obs"
 )
 
-// TestPoolRoundTrip: get/recycle cycles must be served from the pool
-// (not every call — GC may clear a sync.Pool — but a tight loop that
-// never hits would mean recycle is filing buffers under the wrong
-// class) and the hit/miss accounting must cover every call.
+// TestPoolRoundTrip: get/recycle cycles must be served from the free
+// list (a tight loop that never hits would mean recycle is filing
+// buffers under the wrong class) and the hit/miss accounting must cover
+// every call.
 func TestPoolRoundTrip(t *testing.T) {
 	h0, m0 := PoolStats()
 	const iters = 100
@@ -45,9 +47,9 @@ func TestPoolRoundTrip(t *testing.T) {
 }
 
 // TestPoolRoundTripAllocatesNothing: a GetPayload → recycle round trip
-// at a class size allocates nothing once the pool is warm — the buffer
-// comes back from its class and the header that carries it through the
-// pool is reused, not boxed afresh.
+// at a class size allocates nothing once the free list is warm — the
+// buffer comes back from its class, with no box around it — and nothing
+// after a garbage collection either: the free list keeps its buffers.
 func TestPoolRoundTripAllocatesNothing(t *testing.T) {
 	for _, n := range []int{8, 200, 8 * 1000} {
 		allocs := testing.AllocsPerRun(100, func() {
@@ -58,7 +60,93 @@ func TestPoolRoundTripAllocatesNothing(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("GetPayload(%d) → recycle: %v allocations per round trip, want 0", n, allocs)
 		}
+		if allocs := allocsAfterGC(10, func() {
+			b := GetPayload(n)
+			b[0] = 1
+			recycle(b)
+		}); allocs != 0 {
+			t.Errorf("GetPayload(%d) → recycle after two collections: %v allocations per round trip, want 0", n, allocs)
+		}
 	}
+}
+
+// TestFramesAllocateNothing: one frame — GetPayload, SendN, Recv —
+// costs no allocation once the free list and the link are warm, over a
+// ChanMesh and a TCP mesh with a receive deadline set, traced and
+// untraced, and none after garbage
+// collections either: the free list keeps its buffers through a GC.
+// (Traced, the flight recorders carve the events' attributes from
+// chunks: a frame's two events take about a fiftieth of one.)
+func TestFramesAllocateNothing(t *testing.T) {
+	const size = 8 * 1000 // one 1 000-element row
+	for _, c := range []struct {
+		name        string
+		tcp, traced bool
+	}{{"chan", false, false}, {"chan-traced", false, true}, {"tcp", true, false}, {"tcp-traced", true, true}} {
+		t.Run(c.name, func(t *testing.T) {
+			var opts []Option
+			if c.traced {
+				opts = append(opts, WithTracer(obs.NewTraceContext(7, 2)))
+			}
+			var m Mesh = NewChanMesh(2, opts...)
+			if c.tcp {
+				m.Close()
+				var err error
+				if m, err = NewTCPMesh(2, opts...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			defer m.Close()
+			// A receive deadline arms no timer for a frame already there.
+			m.SetRecvTimeout(time.Minute)
+			a, b := m.Conn(0), m.Conn(1)
+			var err error
+			frame := func() {
+				p := GetPayload(size)
+				p[0], p[size-1] = 1, 2
+				if err == nil {
+					err = a.SendN(1, p, size/8)
+				}
+				if err == nil {
+					var got []byte
+					if got, err = b.Recv(0); err == nil && (len(got) != size || got[0] != 1 || got[size-1] != 2) {
+						err = errors.New("frame corrupted")
+					}
+				}
+			}
+			for i := 0; i < 10; i++ {
+				frame()
+			}
+			warm := testing.AllocsPerRun(100, frame)
+			gc := allocsAfterGC(10, frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%s: %v allocations per frame warm, %v after two collections", c.name, warm, gc)
+			if warm != 0 || gc != 0 {
+				t.Errorf("%s: %v allocations per frame warm, %v after two collections; want 0", c.name, warm, gc)
+			}
+		})
+	}
+}
+
+// allocsAfterGC returns the allocations of f averaged over runs calls,
+// each the first call after two garbage collections (which allocate
+// themselves, so they are not counted). Like testing.AllocsPerRun it
+// runs at GOMAXPROCS 1 and rounds down to a whole number.
+func allocsAfterGC(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var total uint64
+	var before, after runtime.MemStats
+	for i := 0; i < runs; i++ {
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		total += after.Mallocs - before.Mallocs
+	}
+	return float64(total / uint64(runs))
 }
 
 // TestNetMeshRecvBufferReuse is the regression test for the TCP mesh

@@ -49,7 +49,10 @@ type PartyConn interface {
 	Parties() int
 	// Send enqueues payload for party to. It never blocks on the
 	// receiver and must not be called with to == ID(). The payload is
-	// owned by the transport after the call. A Send is metered as one
+	// owned by the transport after the call: a payload drawn from
+	// GetPayload goes back to the free list once the frame is dead (at
+	// the next Recv from the sender on a ChanMesh, once written on a TCP
+	// mesh), so a frame allocates nothing. A Send is metered as one
 	// frame carrying one logical message.
 	Send(to int, payload []byte) error
 	// SendN enqueues payload as a single frame carrying msgs logical
@@ -65,9 +68,10 @@ type PartyConn interface {
 	// satisfying errors.Is(err, ErrTimeout).
 	//
 	// Ownership: the returned slice is only valid until the next Recv
-	// from the same peer — implementations recycle or overwrite the
-	// backing buffer on that call (frame pooling). Callers must decode
-	// or copy the payload before receiving from that peer again.
+	// from the same peer — on that call a ChanMesh hands the buffer back
+	// to the free list and a TCP link reads the next frame into it.
+	// Callers must decode or copy the payload before receiving from that
+	// peer again.
 	Recv(from int) ([]byte, error)
 	// SetRecvTimeout bounds every subsequent Recv on this endpoint:
 	// when no message from the requested peer arrives within d, Recv

@@ -79,16 +79,21 @@ type Engine struct {
 	wg      sync.WaitGroup
 
 	// round is the open input round: the vectors InputVec took since the
-	// last command was issued.
+	// last command was issued. issueRound hands the command a copy and
+	// keeps the list's array for the next round.
 	round []vecInput
 	// The arenas of the caller's side (see Engine). issue writes a
 	// command into cmds and hands the parties a pointer to it, so a sent
-	// command is never touched again; payloads, idx and coefs hold what
-	// hangs off a command, scalars and vecs the handles.
+	// command is never touched again; payloads, idx, coefs and inputs
+	// hold what hangs off a command, scalars and vecs the handles, and
+	// elems the input vectors embedded in the field, which ReserveInputs
+	// sizes for a round.
 	cmds     chunk.Arena[actorCmd]
 	payloads chunk.Arena[cmdPayload]
 	idx      chunk.Arena[int]
 	coefs    chunk.Arena[int64]
+	inputs   chunk.Arena[vecInput]
+	elems    chunk.Arena[field.Elem]
 	scalars  chunk.Arena[Shared]
 	vecs     chunk.Arena[SharedVec]
 	// seen marks vector slots while reusedDotSlots scans a level; all
@@ -299,17 +304,25 @@ func (e *Engine) dispatch(c actorCmd) bool {
 }
 
 // issueRound issues the open input round, if there is one, as one
-// opInputVecs command; a failed or closed engine drops it.
+// opInputVecs command; a failed or closed engine drops it. Inline, the
+// hub first sets aside what the round's dealing puts on it.
 func (e *Engine) issueRound() {
 	if len(e.round) == 0 {
 		return
 	}
-	c := actorCmd{op: opInputVecs, x: e.payloads.Put(cmdPayload{vecs: e.round})}
-	e.round = nil
 	if e.err == nil && !e.closed {
-		e.issue(c)
+		vecs := e.round
+		if e.mesh != nil {
+			// Party goroutines read the list after issue returns; inline
+			// parties are done with it.
+			vecs = e.inputs.Clone(vecs)
+		} else {
+			e.hub.reserveRound(vecs, e.p-1-e.t)
+		}
+		e.issue(actorCmd{op: opInputVecs, x: e.payloads.Put(cmdPayload{vecs: vecs})})
 		e.rounds++
 	}
+	e.round = e.round[:0]
 }
 
 // issue hands one command to every party. Inline parties run it now,
@@ -444,11 +457,17 @@ func (e *Engine) InputVec(owner int, vs []int64) Vec {
 	return e.newVec(len(vs), e.t)
 }
 
+// ReserveInputs sets aside one array for the next elems elements that
+// InputVec or InputUnshared embeds, so that a round of many or long
+// vectors costs the caller's side one allocation for them.
+func (e *Engine) ReserveInputs(elems int) { e.elems.Reserve(elems) }
+
 // embed embeds owner's signed vector in the field, into the slot the
-// owner keeps, so that vs is the caller's again at once.
+// owner keeps — carved from the engine's elems — so that vs is the
+// caller's again at once.
 func (e *Engine) embed(owner int, vs []int64) vecInput {
 	e.checkParty(owner)
-	elems := make([]field.Elem, len(vs))
+	elems := e.elems.Take(len(vs))
 	for k, v := range vs {
 		elems[k] = field.FromInt64(v)
 	}
@@ -466,9 +485,10 @@ func (e *Engine) embed(owner int, vs []int64) vecInput {
 // (PRIVACY.md "Add what only you know at the opening"). circuit.Plan
 // issues this for an input leaf that reaches nothing but openings.
 func (e *Engine) InputUnshared(owner int, vs []int64) Vec {
-	in := e.embed(owner, vs)
+	in := e.inputs.Take(1)
+	in[0] = e.embed(owner, vs)
 	out := e.newVec(len(vs), e.p-1)
-	e.dispatch(actorCmd{op: opInputUnshared, x: e.payloads.Put(cmdPayload{vecs: []vecInput{in}})})
+	e.dispatch(actorCmd{op: opInputUnshared, x: e.payloads.Put(cmdPayload{vecs: in})})
 	return out
 }
 

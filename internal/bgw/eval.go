@@ -213,6 +213,11 @@ type Evaluator interface {
 	// vectors of consecutive calls are one input round: every owner
 	// deals all of its vectors before any party waits on a peer's.
 	InputVec(owner int, vs []int64) Vec
+	// ReserveInputs announces that the InputVec and InputUnshared calls
+	// before the next other gate enter elems elements in all, so that
+	// the backend can set their copies aside in one array. A hint only:
+	// entering more or fewer is correct.
+	ReserveInputs(elems int)
 	// InputUnshared enters party owner's signed vector vs without a
 	// sharing: no randomness, no traffic, no round. The result has degree
 	// P−1 and is good for linear gates and openings only, where the owner's published row

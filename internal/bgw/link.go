@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"sqm/internal/chunk"
 	"sqm/internal/field"
 	"sqm/internal/transport"
 )
@@ -100,9 +101,51 @@ type memHub struct {
 	p                   int
 	box                 []memQueue // box[from*p+to]
 	frames, msgs, bytes int64
+	// dealt holds the copies deal makes, queued the queues' arrays, and
+	// owns an input round's vectors per dealer (reserveRound).
+	dealt  chunk.Arena[field.Elem]
+	queued chunk.Arena[[]field.Elem]
+	owns   []int
 }
 
-func newMemHub(p int) *memHub { return &memHub{p: p, box: make([]memQueue, p*p)} }
+func newMemHub(p int) *memHub {
+	return &memHub{p: p, box: make([]memQueue, p*p), owns: make([]int, p)}
+}
+
+// reserveRound sets aside what dealing the input round vecs puts on the
+// hub, so that the round costs it two allocations whatever its size: one
+// array for the copies deal makes — every vector to each of its
+// dealer's unseeded peers — and one for the arrays of the queues that
+// have no room yet for a row per vector of their dealer. The queues keep
+// that room for later commands.
+func (h *memHub) reserveRound(vecs []vecInput, unseeded int) {
+	clear(h.owns)
+	elems := 0
+	for _, in := range vecs {
+		h.owns[in.owner]++
+		elems += len(in.elems)
+	}
+	h.dealt.Reserve(unseeded * elems)
+	// short is how many rows queue i needs room for: 0 when it has it
+	// already, or is a party's queue to itself, or still holds rows.
+	short := func(i int) int {
+		q, from := &h.box[i], i/h.p
+		if from == i%h.p || len(q.rows) > 0 || cap(q.rows) >= h.owns[from] {
+			return 0
+		}
+		return h.owns[from]
+	}
+	rows := 0
+	for i := range h.box {
+		rows += short(i)
+	}
+	h.queued.Reserve(rows)
+	for i := range h.box {
+		if k := short(i); k > 0 {
+			h.box[i].rows = h.queued.Take(k)[:0]
+		}
+	}
+}
 
 // memQueue is one ordered pair's rows in send order, rows[head] the next
 // to take. Every command receives what it sends, so a queue is empty
@@ -113,7 +156,7 @@ type memQueue struct {
 }
 
 // memLink is one party's end of a memHub. It hands a sent row over by
-// reference and a dealt one as a copy.
+// reference and a dealt one as a copy, carved from the hub's dealt.
 type memLink struct {
 	hub *memHub
 	id  int
@@ -130,7 +173,7 @@ func (l memLink) send(to int, row []field.Elem) error {
 }
 
 func (l memLink) deal(to int, row []field.Elem) error {
-	return l.send(to, append([]field.Elem(nil), row...))
+	return l.send(to, l.hub.dealt.Clone(row))
 }
 
 func (l memLink) recv(from, n int) ([]field.Elem, error) {

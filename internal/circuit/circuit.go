@@ -27,6 +27,7 @@ package circuit
 
 import (
 	"math"
+	"slices"
 
 	"sqm/internal/bgw"
 	"sqm/internal/chunk"
@@ -158,10 +159,11 @@ type ConstID int
 type Builder struct {
 	p, t  int
 	nodes []node
-	args  []int32          // operand lists of kInner, kFromScalars and kLinComb, index lists of kGather (and, compiled, the folded input sums' slots)
-	lits  [][]int64        // kInputVec literals and kLinComb coefficients, one private copy each
-	vals  chunk.Arena[Val] // the scalar handles
-	vecs  chunk.Arena[Vec] // the vector handles
+	args  []int32            // operand lists of kInner, kFromScalars and kLinComb, index lists of kGather (and, compiled, the folded input sums' slots)
+	lits  [][]int64          // kInputVec literals and kLinComb coefficients, one private copy each
+	vals  chunk.Arena[Val]   // the scalar handles
+	vecs  chunk.Arena[Vec]   // the vector handles
+	ints  chunk.Arena[int64] // the copies lits holds (ReserveInputs)
 
 	limit    int  // largest id, offset or length the IR's int32 fields hold
 	overflow bool // something exceeded limit; Compile reports it
@@ -234,6 +236,7 @@ func (b *Builder) vec(x bgw.Vec) *Vec {
 // its offset; the list's end must fit the id space too.
 func (b *Builder) operands(xs []bgw.Val) int32 {
 	off := len(b.args)
+	b.args = slices.Grow(b.args, len(xs))
 	for _, x := range xs {
 		b.args = append(b.args, b.val(x))
 	}
@@ -351,12 +354,18 @@ func (b *Builder) InputElem(owner int, e field.Elem) bgw.Val {
 }
 
 // InputVec records a literal secret vector input. It folds under the
-// rule stated on Input.
+// rule stated on Input. The builder keeps a copy of vs.
 func (b *Builder) InputVec(owner int, vs []int64) bgw.Vec {
 	nd := node{kind: kInputVec, owner: b.checkParty(owner), a: b.i32(len(b.lits))}
-	b.lits = append(b.lits, append([]int64(nil), vs...))
+	b.lits = append(b.lits, b.ints.Clone(vs))
 	return b.vector(nd, len(vs))
 }
+
+// ReserveInputs sets aside one array for the copies of the next elems
+// elements InputVec records, as bgw.Evaluator.ReserveInputs does for an
+// engine: a caller about to record many columns pays one allocation for
+// them.
+func (b *Builder) ReserveInputs(elems int) { b.ints.Reserve(elems) }
 
 // Zero records a trivial sharing of 0.
 func (b *Builder) Zero() bgw.Val { return b.scalar(node{kind: kZero}) }
@@ -453,7 +462,7 @@ func (b *Builder) LinComb(vs []bgw.Vec, cs []int64, c0 int64) bgw.Vec {
 	}
 	b.i32(len(b.args))
 	nd := node{kind: kLinComb, a: b.i32(off), b: b.i32(len(vs)), param: b.i32(len(b.lits)), c: c0}
-	b.lits = append(b.lits, append([]int64(nil), cs...))
+	b.lits = append(b.lits, b.ints.Clone(cs))
 	return b.vector(nd, n)
 }
 
@@ -475,6 +484,10 @@ func (b *Builder) Hadamard(a, c bgw.Vec) bgw.Vec {
 // gates of a level anyway, so the grouping hint is not kept.
 func (b *Builder) DotBatch(pairs []bgw.VecPair, workers int) []bgw.Val {
 	_ = workers
+	// A Gram level records a node and a handle per pair: room for all of
+	// them at once, so the level costs no growth per column pair.
+	b.nodes = slices.Grow(b.nodes, len(pairs))
+	b.vals.Reserve(len(pairs))
 	out := make([]bgw.Val, len(pairs))
 	for i, p := range pairs {
 		out[i] = b.Dot(p.A, p.B)

@@ -163,6 +163,7 @@ func (p *Plan) Execute(eng bgw.Evaluator, bind Bindings) (*Result, error) {
 		in = obs.StartTracedSpan(rec, "circuit.input", exec.ID(),
 			obs.Int("inputs", len(p.inputs)), obs.Int("input_vecs", len(p.vecInputs)))
 	}
+	eng.ReserveInputs(p.inputLen())
 	owned := p.enterScalars(eng, bind, p.inputs, eng.InputVec)
 	for _, id := range p.vecInputs {
 		n := &p.nodes[id]
@@ -297,6 +298,16 @@ func (p *Plan) enterScalars(eng bgw.Evaluator, bind Bindings, ids []int32, enter
 		owned[owner] = enter(owner, own)
 	}
 	return owned
+}
+
+// inputLen is the number of elements the input round enters: one per
+// shared scalar leaf and every shared vector leaf's.
+func (p *Plan) inputLen() int {
+	n := len(p.inputs)
+	for _, id := range p.vecInputs {
+		n += int(p.nodes[id].n)
+	}
+	return n
 }
 
 // takeApart files each leaf of ids, in id order, as its element of the

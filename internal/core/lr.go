@@ -226,6 +226,7 @@ type lrShares struct {
 func shareColumns(p *Params, feat *quant.IntMatrix, lab []int64, seedXor uint64) (*lrShares, error) {
 	d := feat.Cols
 	sb := circuit.NewBuilder(p.Parties, p.Threshold)
+	sb.ReserveInputs((d + 1) * len(lab))
 	hs := append(p.inputColumns(sb, feat, d+1), sb.InputVec(p.partyOf(p.clientOf(d, d+1)), lab))
 	plan, err := sb.Compile()
 	if err != nil {

@@ -452,8 +452,11 @@ func (r *release) addNoise(sum []int64, noise [][]int64) {
 // inputColumns records every column of data as an input vector dealt by
 // the party hosting the column's client, in a partition of total columns
 // (the LR label column is one more than data holds). The columns pass
-// through one buffer: the builder keeps a copy of each.
+// through one buffer: the builder keeps a copy of each, all carved from
+// one array (a caller that reserved more for columns of its own keeps
+// its reservation).
 func (p *Params) inputColumns(b *circuit.Builder, data *quant.IntMatrix, total int) []bgw.Vec {
+	b.ReserveInputs(data.Rows * data.Cols)
 	cols := make([]bgw.Vec, data.Cols)
 	col := make([]int64, data.Rows)
 	for j := range cols {
@@ -558,13 +561,18 @@ func checkFieldBound(bound float64) error {
 }
 
 // rngFamily derives the root, public-coin and per-client private
-// streams for one invocation.
+// streams for one invocation: each a Fork of the root, in that order,
+// all seeded in place in one array (RNG.Seed of the root's next draw is
+// what Fork returns), so the clients cost no allocation apiece.
 func rngFamily(seed uint64, clients int) (pub *randx.RNG, clientRNGs []*randx.RNG) {
-	root := randx.New(seed)
-	pub = root.Fork()
+	streams := make([]randx.RNG, 2+clients)
+	root, pub := &streams[0], &streams[1]
+	root.Seed(seed)
+	pub.Seed(root.Uint64())
 	clientRNGs = make([]*randx.RNG, clients)
 	for j := range clientRNGs {
-		clientRNGs[j] = root.Fork()
+		clientRNGs[j] = &streams[2+j]
+		clientRNGs[j].Seed(root.Uint64())
 	}
 	return pub, clientRNGs
 }

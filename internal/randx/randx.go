@@ -351,9 +351,15 @@ func (g *RNG) StochasticRound(v float64) int64 {
 
 // BernoulliSubset returns the indices i in [0, m) each independently
 // included with probability q (Poisson subsampling, used for the shared
-// batch sampling in the logistic-regression instantiation).
+// batch sampling in the logistic-regression instantiation). The result
+// is sized once, at the mean plus four standard deviations of its
+// length, so it grows only past that.
 func (g *RNG) BernoulliSubset(m int, q float64) []int {
 	var idx []int
+	if q := min(q, 1); q > 0 {
+		mean := float64(m) * q
+		idx = make([]int, 0, min(m, int(mean+4*math.Sqrt(mean*(1-q)))+1))
+	}
 	for i := 0; i < m; i++ {
 		if g.Bernoulli(q) {
 			idx = append(idx, i)

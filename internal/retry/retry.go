@@ -88,9 +88,10 @@ func (p Policy) Backoff(retry int, rng *randx.RNG) time.Duration {
 
 // Do runs op until it succeeds or the attempt budget is exhausted. op receives the 0-based attempt number.
 // On exhaustion the returned error matches both ErrBudgetExhausted and
-// the final attempt's error.
+// the final attempt's error. The jitter stream is built at the first
+// backoff, so an op that succeeds at once costs no allocation for it.
 func (p Policy) Do(op func(attempt int) error) error {
-	rng := randx.New(p.Seed ^ 0xbac0ff)
+	var rng *randx.RNG
 	sleep := p.Sleep
 	if sleep == nil {
 		sleep = time.Sleep
@@ -107,6 +108,9 @@ func (p Policy) Do(op func(attempt int) error) error {
 		}
 		if attempt == budget-1 {
 			break
+		}
+		if rng == nil {
+			rng = randx.New(p.Seed ^ 0xbac0ff)
 		}
 		backoff := p.Backoff(attempt, rng)
 		if p.Recorder != nil && p.Recorder.Enabled(obs.LevelWarn) {

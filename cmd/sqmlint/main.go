@@ -6,14 +6,11 @@
 //
 //	sqmlint [-format text|json] [-show-ignored] [packages...]
 //	sqmlint -list
-//	sqmlint -explain <check>
 //
 // Package patterns are directory-relative ("./...", "./internal/...",
 // "./internal/field"); the default is "./...". The exit code is 0 when
 // no findings survive //lint:ignore suppression, 1 when findings
-// remain, and 2 on usage or load errors. -explain prints the invariant
-// a check enforces and, for the dataflow checks, its source, sink, and
-// sanitizer registries plus an example witness path.
+// remain, and 2 on usage or load errors.
 package main
 
 import (
@@ -34,10 +31,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	format := fs.String("format", "text", "output format: text or json")
 	list := fs.Bool("list", false, "list registered checks and exit")
-	explain := fs.String("explain", "", "print the invariant, registries, and example witness of the named check and exit")
 	showIgnored := fs.Bool("show-ignored", false, "also print findings suppressed by //lint:ignore directives")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: sqmlint [-format text|json] [-show-ignored] [packages...]\n       sqmlint -list\n       sqmlint -explain <check>\n")
+		fmt.Fprintf(stderr, "usage: sqmlint [-format text|json] [-show-ignored] [packages...]\n       sqmlint -list\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -49,15 +45,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		for _, a := range analyzers {
 			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
 		}
-		return 0
-	}
-	if *explain != "" {
-		a := lint.Lookup(*explain)
-		if a == nil {
-			fmt.Fprintf(stderr, "sqmlint: unknown check %q; run sqmlint -list for the registry\n", *explain)
-			return 2
-		}
-		printExplanation(stdout, a)
 		return 0
 	}
 	if *format != "text" && *format != "json" {
@@ -108,32 +95,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// printExplanation renders an analyzer's -explain card: the one-line
-// doc, the invariant prose, the dataflow registries when the check has
-// them, and an example diagnostic with its witness path.
-func printExplanation(w io.Writer, a *lint.Analyzer) {
-	fmt.Fprintf(w, "%s — %s\n", a.Name, a.Doc)
-	if a.Explain == nil {
-		fmt.Fprintf(w, "\nNo extended explanation recorded for this check.\n")
-		return
-	}
-	fmt.Fprintf(w, "\nInvariant:\n  %s\n", a.Explain.Invariant)
-	section := func(title string, items []string) {
-		if len(items) == 0 {
-			return
-		}
-		fmt.Fprintf(w, "\n%s:\n", title)
-		for _, it := range items {
-			fmt.Fprintf(w, "  - %s\n", it)
-		}
-	}
-	section("Sources", a.Explain.Sources)
-	section("Sinks", a.Explain.Sinks)
-	section("Sanitizers", a.Explain.Sanitizers)
-	if a.Explain.Example != "" {
-		fmt.Fprintf(w, "\nExample finding:\n  %s\n", a.Explain.Example)
-	}
-	fmt.Fprintf(w, "\nSuppress a reviewed finding with:\n  //lint:ignore %s <reason>\non the line above it (multi-line statements are covered whole).\n", a.Name)
 }

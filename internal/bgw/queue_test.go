@@ -337,7 +337,7 @@ func TestInputRoundAllocatesOneRowArray(t *testing.T) {
 		}
 	}
 	caller := k + bits.Len(k) + 2
-	t.Logf("an input round of %d vectors at P = %d: %d allocations, %d of them the caller's", k, p, allocs, caller)
+	t.Logf("an input round of %d vectors at P = %d: %d allocations (bound %d: an allowance of %d for the caller and three per party)", k, p, allocs, caller+3*p, caller)
 	if most := caller + 3*p; allocs > most {
 		t.Errorf("an input round of %d vectors cost %d allocations, want at most %d: the caller's %d and three per party", k, allocs, most, caller)
 	}

@@ -3,23 +3,48 @@ package core
 import (
 	"runtime"
 	"testing"
+
+	"sqm/internal/poly"
 )
 
-// TestReleaseAllocationsIndependentOfColumns: a covariance release
-// allocates per round, not per column. The clients' streams are one
-// array, the builder's copies of the columns one, the engine's
-// embeddings of them one, and, inline, the rows the hub deals one, so 48
-// more columns cost fewer than 48 more allocations — less than one per
-// column — where each used to cost several. Each count is the fewest of
-// five releases, as in bgw's TestInputRoundAllocatesOneRowArray.
+// TestReleaseAllocationsIndependentOfColumns: a covariance release, and
+// a polynomial sum of the products of neighbouring columns, allocate per
+// round, not per column. The clients' streams are one array, the
+// builder's copies of the columns one, the engine's embeddings of them
+// one, and, inline, the rows the hub deals one, so 48 more columns cost
+// fewer than 48 more allocations — less than one per column — where each
+// used to cost several. Each count is the fewest of five releases, as in
+// bgw's TestInputRoundAllocatesOneRowArray.
 func TestReleaseAllocationsIndependentOfColumns(t *testing.T) {
 	const m, few, many = 200, 16, 64
-	for _, kind := range []EngineKind{EngineBGW, EngineActorBGW} {
+	pairs := func(n int) *poly.Multi {
+		monos := make([]poly.Monomial, n-1)
+		for j := range monos {
+			monos[j] = poly.Monomial{Coef: 1, Exps: make([]int, n)}
+			monos[j].Exps[j], monos[j].Exps[j+1] = 1, 1
+		}
+		return poly.MustMulti(poly.MustPolynomial(n, monos...))
+	}
+	for _, c := range []struct {
+		name string
+		kind EngineKind
+	}{
+		{"covariance", EngineBGW}, {"covariance", EngineActorBGW},
+		{"polynomial", EngineBGW}, {"polynomial", EngineActorBGW},
+	} {
+		kind := c.kind
 		allocs := func(n int) int {
 			x := randMatrix(m, n, 1/float64(n), 3)
 			p := Params{Gamma: 64, Mu: 100, Engine: kind, Parties: 4, Seed: 5}
+			f := pairs(n)
 			release := func() {
-				if _, _, err := Covariance(x, p); err != nil {
+				var err error
+				if c.name == "covariance" {
+					_, _, err = Covariance(x, p)
+				} else {
+					_, _, err = EvaluatePolynomialSum(f, x, p)
+				}
+				if err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -37,9 +62,9 @@ func TestReleaseAllocationsIndependentOfColumns(t *testing.T) {
 			return fewest
 		}
 		a, b := allocs(few), allocs(many)
-		t.Logf("%v at m = %d: %d allocations for %d columns, %d for %d", kind, m, a, few, b, many)
+		t.Logf("%s on %v at m = %d: %d allocations for %d columns, %d for %d", c.name, kind, m, a, few, b, many)
 		if b-a >= many-few {
-			t.Errorf("%v: %d columns cost %d allocations, %d columns %d: want fewer than %d more", kind, many, b, few, a, many-few)
+			t.Errorf("%s on %v: %d columns cost %d allocations, %d columns %d: want fewer than %d more", c.name, kind, many, b, few, a, many-few)
 		}
 	}
 }

@@ -9,9 +9,9 @@ import (
 	"sqm/internal/bgw"
 	"sqm/internal/chunk"
 	"sqm/internal/circuit"
+	"sqm/internal/dp"
 	"sqm/internal/linalg"
 	"sqm/internal/quant"
-	"sqm/internal/randx"
 )
 
 // CovarianceSensitivities returns Lemma 5's L2/L1 sensitivities of the
@@ -47,13 +47,13 @@ func (r *release) covariance(x *linalg.Matrix) (*linalg.Matrix, *Trace, error) {
 	// Lemma 5's closed form for unit-norm records.
 	maxAbs := float64(qd.MaxAbs())
 	upper, err := r.evaluate(maxAbs*maxAbs*float64(x.Rows), sens(CovarianceSensitivities(r.p.Gamma, 1, x.Cols)),
-		func() ([]int64, error) {
+		func(b dp.Booking) ([]int64, error) {
 			upper := make([]int64, x.Cols*(x.Cols+1)/2)
 			accumulateGram(qd, upper)
-			r.drawNoiseOnto(upper)
+			r.drawNoiseOnto(upper, b)
 			return upper, nil
 		},
-		func() ([]int64, error) { return r.mpcCovariance(qd) })
+		func(b dp.Booking) ([]int64, error) { return r.mpcCovariance(qd, b) })
 	if err != nil {
 		return nil, nil, err
 	}
@@ -103,35 +103,34 @@ func accumulateGram(qd *quant.IntMatrix, upper []int64) {
 	})
 }
 
-// drawNoiseOnto is the plain engine's covariance noise injection: every
-// client's Sk(μ/n) draws added onto the triangle in place, client by
-// client from its own stream through the release's one sampler
-// (randx.SkellamSampler: one set of PTRS constants and one acceptance
-// table, on the stack), the values sampleNoise would add. It stays on
-// the caller's goroutine: sampleNoise splits the noise holders across
-// the cores, and the plain engine has one holder, whose one vector is
-// the triangle. Drawing onto it in place spares a second n(n+1)/2
+// drawNoiseOnto is the plain engine's covariance noise injection, under
+// the release's booking: every client's Sk(μ/n) draws added onto the
+// triangle in place, client by client from its own stream through the
+// release's one sampler (dp.AddSkellamOnto: one set of PTRS constants and
+// one acceptance table, on the stack), the values sampleNoise would add.
+// It stays on the caller's goroutine: sampleNoise splits the noise
+// holders across the cores, and the plain engine has one holder, whose
+// one vector is the triangle. Drawing onto it in place spares a second n(n+1)/2
 // triangle and the pass that would add it: 3 126 250 int64s, about
 // 25 MB, at the paper's n = 2 500, and about 1.69 GB at the Gene shape's
 // n = 20 531 (bench scales it to n = 4 096, about 67 MB).
-func (r *release) drawNoiseOnto(upper []int64) {
+func (r *release) drawNoiseOnto(upper []int64, b dp.Booking) {
 	defer r.noiseTime(time.Now())
-	s := randx.NewSkellamSampler(r.noiseShare())
-	for _, g := range r.rngs {
-		upper = s.Add(g, upper)
-	}
+	dp.AddSkellamOnto(b, upper, r.noiseShare(), r.rngs)
 }
 
 // mpcCovariance runs the same computation over secret shares with the
 // selected Evaluator backend (recordCovariance). The draw starts here,
 // once the field bound is checked, and runs while the plan is recorded
 // and the engine deals and multiplies: the plan asks for the noise only
-// after its last multiplicative level.
-func (r *release) mpcCovariance(qd *quant.IntMatrix) ([]int64, error) {
+// after its last multiplicative level, and opens it to the release's
+// booking.
+func (r *release) mpcCovariance(qd *quant.IntMatrix, booking dp.Booking) ([]int64, error) {
 	draw := r.drawNoise(qd.Cols * (qd.Cols + 1) / 2)
 	defer draw.join()
+	draw.booking = booking
 	b, outIdx := r.p.recordCovariance(qd, draw.holders)
-	res, err := r.runOnce(b, 0x51c0, circuit.Bindings{InputVecs: draw.join})
+	res, err := r.runOnce(b, 0x51c0, circuit.Bindings{InputVecs: draw.vectors})
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 
 	"sqm/internal/bgw"
 	"sqm/internal/circuit"
+	"sqm/internal/dp"
 	"sqm/internal/linalg"
 	"sqm/internal/mathx"
 	"sqm/internal/quant"
@@ -348,8 +349,8 @@ func (lr *LRProtocol) GradientSum(w []float64, batch []int) ([]float64, *Trace, 
 	co := lr.link.coefficients(lr.pub, w)
 	noise := r.drawNoise(lr.d)
 	defer noise.join()
-	scaled, err := r.evaluate(lr.link.bound(co, lr.maxFeat, len(batch)), nil,
-		func() ([]int64, error) {
+	scaled, err := r.evaluate(lr.link.bound(co, lr.maxFeat, len(batch)), sens(lr.Sensitivity()),
+		func(b dp.Booking) ([]int64, error) {
 			// grad_t = Σ_{i∈batch} x̂_it·u_i.
 			grad := make([]int64, lr.d)
 			for _, i := range batch {
@@ -359,10 +360,13 @@ func (lr *LRProtocol) GradientSum(w []float64, batch []int) ([]float64, *Trace, 
 					grad[t] += xt * u
 				}
 			}
-			r.addNoise(grad, noise.join())
+			r.addNoise(grad, noise.join(), b)
 			return grad, nil
 		},
-		func() ([]int64, error) { return lr.mpc.gradient(r, batch, noise, co.gate) })
+		func(b dp.Booking) ([]int64, error) {
+			noise.booking = b
+			return lr.mpc.gradient(r, batch, noise, co.gate)
+		})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -397,7 +401,7 @@ func (s *lrShares) gradient(r *release, batch []int, noise *noiseDraw, u uGate) 
 	if err != nil {
 		return nil, err
 	}
-	res, after, err := execute(s.eng, plan, circuit.Bindings{ExtVecs: ext, InputVecs: noise.join})
+	res, after, err := execute(s.eng, plan, circuit.Bindings{ExtVecs: ext, InputVecs: noise.vectors})
 	if err != nil {
 		return nil, err
 	}

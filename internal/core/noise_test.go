@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"sqm/internal/dp"
 	"sqm/internal/linalg"
 	"sqm/internal/poly"
 )
@@ -33,7 +34,8 @@ func scaledDigest(traces ...*Trace) uint64 {
 // the plaintext engine — and each is the sum of its clients' SkellamVec
 // draws from an independent family of the same streams, with more
 // clients than parties, as many and fewer, on LR- and covariance-length
-// vectors.
+// vectors. The vectors are read through the booking an unmetered release
+// mints (Params.meter with a nil Acct).
 func TestNoiseHolderSums(t *testing.T) {
 	for _, c := range []struct {
 		engine           EngineKind
@@ -50,7 +52,7 @@ func TestNoiseHolderSums(t *testing.T) {
 				t.Fatal(err)
 			}
 			_, rngs := rngFamily(p.Seed, p.NumClients)
-			got := p.begin(rngs).sampleNoise(dims)
+			got := p.begin(rngs).sampleNoise(dims).Vectors(p.meter(1, 1))
 			holders := 1
 			if c.engine.IsMPC() {
 				holders = min(c.clients, c.parties)
@@ -142,7 +144,8 @@ func TestClientStagesIndependentOfGOMAXPROCS(t *testing.T) {
 			draw := r.drawNoise(dims)
 			_, others := rngFamily(p.Seed+1, p.NumClients)
 			quantizeByClient(x, &p, others)
-			noise := draw.join()
+			draw.booking = p.meter(1, 1)
+			noise := draw.vectors()
 			if r.tr.NoiseCompute <= 0 {
 				t.Errorf("%s: the join booked no noise time", name)
 			}
@@ -267,7 +270,7 @@ func BenchmarkSampleNoise(b *testing.B) {
 }
 
 // noiseSink keeps BenchmarkSampleNoise's vectors live.
-var noiseSink [][]int64
+var noiseSink dp.Noise
 
 // goldenScaled are scaledDigest of every release shape below, recorded at
 // 991df84, before a party drew its clients' noise onto one vector. Every

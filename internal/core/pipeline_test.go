@@ -62,6 +62,7 @@ func TestCovariancePlanTakesTheNoiseAfterTheProducts(t *testing.T) {
 	qd := quantizeByClient(x, &p, rngs)
 	draw := r.drawNoise(cols * (cols + 1) / 2)
 	defer draw.join()
+	draw.booking = p.meter(CovarianceSensitivities(p.Gamma, 1, cols))
 	b, outIdx := p.recordCovariance(qd, draw.holders)
 	plan := b.MustCompile()
 	eng, err := p.newEvaluator(0x51c0)
@@ -72,7 +73,7 @@ func TestCovariancePlanTakesTheNoiseAfterTheProducts(t *testing.T) {
 	ev := &callOrder{Evaluator: eng}
 	bind := circuit.Bindings{InputVecs: func() [][]int64 {
 		ev.calls = append(ev.calls, "join")
-		return draw.join()
+		return draw.vectors()
 	}}
 	res, err := plan.Execute(ev, bind)
 	if err == nil {

@@ -6,6 +6,7 @@ import (
 
 	"sqm/internal/bgw"
 	"sqm/internal/circuit"
+	"sqm/internal/dp"
 	"sqm/internal/invariant"
 	"sqm/internal/linalg"
 	"sqm/internal/poly"
@@ -72,19 +73,22 @@ func EvaluateMonomialSum(m poly.Monomial, x *linalg.Matrix, p Params) (float64, 
 // quantize their columns and draw their noise shares onto their noise
 // holders' vectors, the selected engine evaluates Σ_x q(x̂) plus the
 // noise, and the server divides by scale. s is what evaluate books.
-func (r *release) polySum(q *poly.Quantized, x *linalg.Matrix, scale float64, s *sensitivities) ([]float64, *Trace, error) {
+func (r *release) polySum(q *poly.Quantized, x *linalg.Matrix, scale float64, s sensitivities) ([]float64, *Trace, error) {
 	qd := quantizeByClient(x, r.p, r.rngs)
 	noise := r.drawNoise(q.Source.OutDim())
 	defer noise.join()
 	scaled, err := r.evaluate(polyBound(q, qd), s,
-		func() ([]int64, error) {
+		func(b dp.Booking) ([]int64, error) {
 			sum, err := q.EvalIntSum(qd)
 			if err == nil {
-				r.addNoise(sum, noise.join())
+				r.addNoise(sum, noise.join(), b)
 			}
 			return sum, err
 		},
-		func() ([]int64, error) { return r.mpcPolySum(q, qd, noise) })
+		func(b dp.Booking) ([]int64, error) {
+			noise.booking = b
+			return r.mpcPolySum(q, qd, noise)
+		})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -104,16 +108,23 @@ func (r *release) polySum(q *poly.Quantized, x *linalg.Matrix, scale float64, s 
 // outputs open in one batched round. A degree-1 monomial's column sum is
 // its owner's own integer sum, and the noise is one vector per holder
 // (inputNoise): both reach nothing but the opening and are added there
-// unshared, so a purely linear release is one masked-sum round.
+// unshared, so a purely linear release is one masked-sum round. The
+// dealt columns pass through one buffer, and the builder's copies of them
+// come from one reservation.
 func (r *release) mpcPolySum(q *poly.Quantized, data *quant.IntMatrix, noise *noiseDraw) ([]int64, error) {
 	p := r.p
 	n, m := data.Cols, data.Rows
 	owner := func(j int) int { return p.partyOf(p.clientOf(j, n)) }
 	b := circuit.NewBuilder(p.Parties, p.Threshold)
+	b.ReserveInputs(m * dealtColumns(q, n))
 	cols := make([]bgw.Vec, n)
+	buf := make([]int64, m)
 	col := func(j int) bgw.Vec {
 		if cols[j] == nil {
-			cols[j] = b.InputVec(owner(j), data.Col(j))
+			for i := range buf {
+				buf[i] = data.At(i, j)
+			}
+			cols[j] = b.InputVec(owner(j), buf)
 		}
 		return cols[j]
 	}
@@ -165,11 +176,32 @@ func (r *release) mpcPolySum(q *poly.Quantized, data *quant.IntMatrix, noise *no
 		out = p.inputNoise(b, out, h, d)
 	}
 	outIdx := b.OpenVecIdx(out)
-	res, err := r.runOnce(b, 0xb6d5, circuit.Bindings{InputVecs: noise.join})
+	res, err := r.runOnce(b, 0xb6d5, circuit.Bindings{InputVecs: noise.vectors})
 	if err != nil {
 		return nil, err
 	}
 	return res.OpenedVec(outIdx), nil
+}
+
+// dealtColumns counts the columns of n that a monomial of degree 2 or
+// more reads: the ones mpcPolySum deals.
+func dealtColumns(q *poly.Quantized, n int) int {
+	read := make([]bool, n)
+	count := 0
+	for _, pol := range q.Source.Dims {
+		for _, mono := range pol.Monomials {
+			if mono.Degree() < 2 {
+				continue
+			}
+			for j, e := range mono.Exps {
+				if e > 0 && !read[j] {
+					read[j] = true
+					count++
+				}
+			}
+		}
+	}
+	return count
 }
 
 // polyBound statically bounds the noiseless aggregate from the

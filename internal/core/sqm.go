@@ -38,9 +38,11 @@
 //     monomials of Algorithm 1 (Trace.estimate).
 //
 // Params.meter books a release with the accountant when an engine starts
-// (release.evaluate). The specialized protocols of §V — the covariance
-// matrix for PCA and the Taylor-approximated logistic-regression gradient
-// — live in covariance.go, stream.go and lr.go.
+// (release.evaluate), and the dp.Booking it returns is the only key to
+// the release's noise (dp.Noise). The specialized protocols of §V — the
+// covariance matrix for PCA and the Taylor-approximated
+// logistic-regression gradient — live in covariance.go, stream.go and
+// lr.go.
 package core
 
 import (
@@ -148,9 +150,10 @@ type Params struct {
 	Fault    FaultConfig // deadlines and dial budget of the abort model (zero value: none)
 	// Acct, when non-nil, receives the RDP curve of this invocation's
 	// Skellam release at the protocol's generic sensitivity bound
-	// (unit-norm records). Applications with tighter closed-form
-	// sensitivities (PCA, the LR trainers) account at their own layer
-	// and leave this nil to avoid double counting.
+	// (unit-norm records; a gradient step's at LRProtocol.Sensitivity).
+	// Applications with tighter closed-form sensitivities (PCA, the LR
+	// trainers) account at their own layer and leave this nil to avoid
+	// double counting.
 	Acct *dp.Accountant
 }
 
@@ -219,11 +222,10 @@ func (p *Params) partyOf(client int) int {
 
 // meter books one Skellam release at the given L2/L1 sensitivities — the
 // order every sensitivity function of this repository returns them in —
-// when the caller attached an accountant.
-func (p *Params) meter(delta2, delta1 float64) {
-	if p.Acct != nil {
-		p.Acct.AddSkellam(delta1, delta2, p.Mu)
-	}
+// with the caller's accountant, and returns the Booking the release's
+// noise opens to. A nil Acct records nothing and still mints one.
+func (p *Params) meter(delta2, delta1 float64) dp.Booking {
+	return p.Acct.AddSkellam(delta1, delta2, p.Mu)
 }
 
 // chanMesh builds EngineActorBGW's mesh. A variable so the fault tests can
@@ -336,26 +338,23 @@ func (r *release) holders() int {
 }
 
 // sampleNoise draws every client's share of the noise on dims outputs
-// onto the vector of the noise holder hosting the client: out[h] is the
-// sum of the Sk(μ/n) shares of party h's clients on an MPC engine, and of
-// all n on the plaintext engine. The holders are split across the cores
-// (chunk.Run); each worker draws its holders' clients in client order,
-// each from its own private stream, through its own sampler of Sk(μ/n) —
-// one PTRS acceptance table per worker, on the worker's stack — so the
-// sums are those of the per-client vectors whatever the core count.
-func (r *release) sampleNoise(dims int) [][]int64 {
+// onto the vector of the noise holder hosting the client: holder h's is
+// the sum of the Sk(μ/n) shares of party h's clients on an MPC engine,
+// and of all n on the plaintext engine. The holders are split across the
+// cores (chunk.Run); each worker draws its holders' clients in client
+// order, each from its own private stream, through its own sampler of
+// Sk(μ/n) — one PTRS acceptance table per worker, on the worker's stack
+// — so the sums are those of the per-client vectors whatever the core
+// count. The vectors open only to the release's dp.Booking.
+func (r *release) sampleNoise(dims int) dp.Noise {
 	holders := r.holders()
-	flat := make([]int64, holders*dims)
-	out := make([][]int64, holders)
-	for h := range out {
-		out[h] = flat[h*dims : (h+1)*dims : (h+1)*dims]
-	}
+	out := dp.NewNoise(holders, dims)
 	mu := r.noiseShare()
 	chunk.Run(holders, runtime.GOMAXPROCS(0), func(lo, hi int) {
 		s := randx.NewSkellamSampler(mu)
 		for j, g := range r.rngs {
 			if h := r.p.partyOf(j); h >= lo && h < hi {
-				out[h] = s.Add(g, out[h])
+				out.Draw(h, &s, g)
 			}
 		}
 	})
@@ -369,9 +368,12 @@ type noiseDraw struct {
 	holders int
 	span    obs.TracedSpan
 	done    chan struct{}
-	out     [][]int64     // the holders' vectors, set before done closes
+	noise   dp.Noise      // the holders' vectors, set before done closes
 	took    time.Duration // the draw's wall-clock, set before done closes
 	joined  bool
+	// booking is the release's, set by its MPC path before the plan
+	// enters the noise (vectors).
+	booking dp.Booking
 }
 
 // drawNoise starts sampleNoise(dims) on a goroutine of its own, which
@@ -388,65 +390,63 @@ func (r *release) drawNoise(dims int) *noiseDraw {
 	go func() {
 		defer close(d.done)
 		start := time.Now()
-		d.out = r.sampleNoise(dims)
+		d.noise = r.sampleNoise(dims)
 		d.took = time.Since(start)
 	}()
 	return d
 }
 
-// join waits for the draw and returns the holders' vectors, and so does
+// join waits for the draw and returns the holders' noise, and so does
 // every later call. The first books the draw's wall-clock in the
 // release's Trace.NoiseCompute and ends the core.noise span, which runs
 // from the draw's start to here, on the caller's goroutine.
-func (d *noiseDraw) join() [][]int64 {
+func (d *noiseDraw) join() dp.Noise {
 	if !d.joined {
 		<-d.done
 		d.joined = true
 		d.r.tr.NoiseCompute += d.took
 		d.span.End(obs.Float64("draw_seconds", d.took.Seconds()))
 	}
-	return d.out
+	return d.noise
 }
+
+// vectors joins the draw and opens its vectors to the release's booking:
+// the plan's Bindings.InputVecs.
+func (d *noiseDraw) vectors() [][]int64 { return d.join().Vectors(d.booking) }
 
 // sensitivities are a release's L2/L1 bounds, as meter takes them.
 type sensitivities struct{ delta2, delta1 float64 }
 
-func sens(delta2, delta1 float64) *sensitivities { return &sensitivities{delta2, delta1} }
+func sens(delta2, delta1 float64) sensitivities { return sensitivities{delta2, delta1} }
 
 // evaluate runs the aggregate on the engine Params selects. bound is the
 // static bound on the noiseless aggregate: it is checked with the noise
 // tail against the field's signed range before the engine is looked at,
 // so every engine refuses the same Params. The ledger is charged between
-// the two: refused parameters cost nothing, and once an engine starts the
-// release is booked whether or not the session completes — a session cut
-// in its opening round has shown up to P−1 parties the output. A nil s is
-// a release its caller booked before any engine started (the LR trainers'
-// subsampled composition).
-func (r *release) evaluate(bound float64, s *sensitivities, plain, mpc func() ([]int64, error)) ([]int64, error) {
+// the two, at s: refused parameters cost nothing, and once an engine
+// starts the release is booked whether or not the session completes — a
+// session cut in its opening round has shown up to P−1 parties the
+// output. The engine's path gets the Booking, which is what opens the
+// release's noise.
+func (r *release) evaluate(bound float64, s sensitivities, plain, mpc func(dp.Booking) ([]int64, error)) ([]int64, error) {
 	if err := checkFieldBound(bound + noiseMargin(r.p.Mu)); err != nil {
 		return nil, err
 	}
-	if s != nil {
-		r.p.meter(s.delta2, s.delta1)
-	}
+	b := r.p.meter(s.delta2, s.delta1)
 	switch {
 	case r.p.Engine == EnginePlain:
-		return plain()
+		return plain(b)
 	case r.p.Engine.IsMPC():
-		return mpc()
+		return mpc(b)
 	}
 	return nil, errUnknownEngine(r.p.Engine)
 }
 
-// addNoise is the plain engine's noise injection: the noise vector
-// sampleNoise drew added onto the aggregate.
-func (r *release) addNoise(sum []int64, noise [][]int64) {
+// addNoise is the plain engine's noise injection: the holders' vectors
+// sampleNoise drew added onto the aggregate, under the release's booking.
+func (r *release) addNoise(sum []int64, noise dp.Noise, b dp.Booking) {
 	defer r.noiseTime(time.Now())
-	for _, shares := range noise {
-		for t, z := range shares {
-			sum[t] += z
-		}
-	}
+	noise.AddTo(sum, b)
 }
 
 // inputColumns records every column of data as an input vector dealt by
@@ -471,7 +471,7 @@ func (p *Params) inputColumns(b *circuit.Builder, data *quant.IntMatrix, total i
 // inputNoise records party h's noise vector of n entries — the sum of
 // the shares its clients draw (drawNoise) — as a vector parameter of h,
 // added onto acc (nil starts the chain); the plan's Bindings.InputVecs is
-// the draw's join, with the holders declared in order. The chain reaches
+// the draw's vectors, with the holders declared in order. The chain reaches
 // nothing but the release's opening, so no party shares its vector: each
 // adds it to the row it publishes, under the opening's zero mask
 // (PRIVACY.md "Add what only you know at the opening"), and Execute

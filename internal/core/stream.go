@@ -74,9 +74,8 @@ func (s *CovarianceStream) Finalize() (*linalg.Matrix, *Trace, error) {
 	}
 	s.done = true
 	// Every batch passed Add's field-bound check: booked like Covariance,
-	// before the noise is drawn.
-	s.p.meter(CovarianceSensitivities(s.p.Gamma, 1, s.n))
-	s.r.drawNoiseOnto(s.upper)
+	// and the booking is what the noise is drawn under.
+	s.r.drawNoiseOnto(s.upper, s.p.meter(CovarianceSensitivities(s.p.Gamma, 1, s.n)))
 	out, tr := s.r.finishGram(s.upper, s.n)
 	return out, tr, nil
 }

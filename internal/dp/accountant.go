@@ -108,16 +108,24 @@ func (a *Accountant) record(curve Curve) {
 	}
 }
 
-// AddSkellam records one Skellam-mechanism release (Lemma 1).
-func (a *Accountant) AddSkellam(delta1, delta2, mu float64) {
-	a.record(func(alpha int) float64 { return SkellamRDP(alpha, delta1, delta2, mu) })
+// AddSkellam records one Skellam-mechanism release (Lemma 1) and returns
+// its Booking. A nil accountant records nothing and still mints one.
+func (a *Accountant) AddSkellam(delta1, delta2, mu float64) Booking {
+	if a != nil {
+		a.record(func(alpha int) float64 { return SkellamRDP(alpha, delta1, delta2, mu) })
+	}
+	return Booking{minted: true}
 }
 
 // AddSubsampledSkellam records R rounds of the Poisson-subsampled
-// Skellam mechanism (Lemma 7's server-side accounting).
-func (a *Accountant) AddSubsampledSkellam(delta1, delta2, mu, q float64, rounds int) {
-	base := func(l int) float64 { return SkellamRDP(l, delta1, delta2, mu) }
-	a.record(amplify(q, rounds, a.maxAlpha, base, nil).at)
+// Skellam mechanism (Lemma 7's server-side accounting) and returns their
+// Booking. A nil accountant records nothing and still mints one.
+func (a *Accountant) AddSubsampledSkellam(delta1, delta2, mu, q float64, rounds int) Booking {
+	if a != nil {
+		base := func(l int) float64 { return SkellamRDP(l, delta1, delta2, mu) }
+		a.record(amplify(q, rounds, a.maxAlpha, base, nil).at)
+	}
+	return Booking{minted: true}
 }
 
 // AddGaussian records one Gaussian-mechanism release.

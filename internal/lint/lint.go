@@ -4,13 +4,13 @@
 // zero-dependency rule). It exists because SQM's correctness claims
 // rest on invariants the Go compiler cannot check and no test catches
 // when they break: all randomness must flow through the seeded samplers
-// in internal/randx, a DP noise draw must not leave the party unless
-// the accountant was consulted on its way, modular arithmetic on
-// field.Elem must route through internal/field's Mersenne reduction,
-// floating-point calibration code must not compare with ==, and panics
-// are reserved for designated invariant helpers. Share secrecy is not
-// among them: the bgw package boundary keeps every share inside a party
-// (see TestEngineExportsNoShareMaterial).
+// in internal/randx, a release's DP noise must be drawn as a dp.Noise
+// (which opens only to a dp.Booking) rather than from randx directly,
+// modular arithmetic on field.Elem must route through internal/field's
+// Mersenne reduction, floating-point calibration code must not compare
+// with ==, and panics are reserved for designated invariant helpers.
+// Share secrecy is not among them: the bgw package boundary keeps every
+// share inside a party (see TestEngineExportsNoShareMaterial).
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis at
 // a fraction of the surface: an Analyzer holds a name, a doc string
@@ -69,9 +69,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Analyzer is one named check. Per-package checks set Run; whole-module
-// interprocedural checks set RunModule and are invoked once per load
-// with the module graph. Exactly one of the two must be non-nil.
+// Analyzer is one named per-package check.
 type Analyzer struct {
 	// Name identifies the check in diagnostics and //lint:ignore
 	// directives.
@@ -80,45 +78,6 @@ type Analyzer struct {
 	Doc string
 	// Run inspects one package and reports findings via pass.Reportf.
 	Run func(pass *Pass)
-	// RunModule inspects the whole loaded package set at once, with
-	// the interprocedural dataflow graph available.
-	RunModule func(mp *ModulePass)
-	// Explain documents the invariant for sqmlint -explain.
-	Explain *Explanation
-}
-
-// Explanation is the -explain text of one analyzer: the invariant it
-// enforces and, for dataflow checks, its registries and an example
-// witness path.
-type Explanation struct {
-	// Invariant is the prose statement of the rule.
-	Invariant string
-	// Sources, Sinks, Sanitizers list the registries (empty for purely
-	// syntactic checks).
-	Sources    []string
-	Sinks      []string
-	Sanitizers []string
-	// Example is a representative diagnostic, witness path included.
-	Example string
-}
-
-// ModulePass carries the whole-module view through a RunModule
-// analyzer.
-type ModulePass struct {
-	// Module is the interprocedural graph over every loaded package.
-	Module *Module
-
-	analyzer *Analyzer
-	report   func(Diagnostic)
-}
-
-// Reportf records a diagnostic at pos under the analyzer's name.
-func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
-	p.report(Diagnostic{
-		Check:   p.analyzer.Name,
-		Pos:     p.Module.Fset.Position(pos),
-		Message: fmt.Sprintf(format, args...),
-	})
 }
 
 // All returns the registered analyzer suite, sorted by name. Each
@@ -127,22 +86,12 @@ func All() []*Analyzer {
 	as := []*Analyzer{
 		AnalyzerRandDet,
 		AnalyzerFieldOps,
-		AnalyzerDPBudget,
+		AnalyzerNoiseDraw,
 		AnalyzerFloatEq,
 		AnalyzerPanicPolicy,
 	}
 	sort.Slice(as, func(i, j int) bool { return as[i].Name < as[j].Name })
 	return as
-}
-
-// Lookup returns the registered analyzer with the given name, or nil.
-func Lookup(name string) *Analyzer {
-	for _, a := range All() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
 }
 
 // sortDiagnostics orders findings by file, line, column, check name,

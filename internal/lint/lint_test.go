@@ -12,10 +12,10 @@ func TestRegistryHasTheInvariantSuite(t *testing.T) {
 	if len(as) != 5 {
 		t.Fatalf("registry has %d analyzers, want 5", len(as))
 	}
-	want := []string{"dpbudget", "fieldops", "floateq", "panicpolicy", "randdet"}
+	want := []string{"fieldops", "floateq", "noisedraw", "panicpolicy", "randdet"}
 	seen := make(map[string]bool)
 	for _, a := range as {
-		if a.Name == "" || a.Doc == "" || (a.Run == nil && a.RunModule == nil) {
+		if a.Name == "" || a.Doc == "" || a.Run == nil {
 			t.Errorf("analyzer %+v missing name, doc, or run", a)
 		}
 		if seen[a.Name] {
@@ -27,17 +27,11 @@ func TestRegistryHasTheInvariantSuite(t *testing.T) {
 		if !seen[name] {
 			t.Errorf("registry is missing %q", name)
 		}
-		if Lookup(name) == nil {
-			t.Errorf("Lookup(%q) = nil", name)
-		}
 	}
 	for i := 1; i < len(as); i++ {
 		if as[i-1].Name >= as[i].Name {
 			t.Errorf("registry not sorted: %q before %q", as[i-1].Name, as[i].Name)
 		}
-	}
-	if Lookup("nosuchcheck") != nil {
-		t.Error("Lookup of unknown check should be nil")
 	}
 }
 
@@ -133,13 +127,13 @@ func TestSortAndDedupDiagnostics(t *testing.T) {
 		mk("b.go", 2, 1, "floateq", "x"),
 		mk("a.go", 9, 1, "floateq", "x"),
 		mk("a.go", 3, 7, "randdet", "y"),
-		mk("a.go", 3, 7, "dpbudget", "z"),
+		mk("a.go", 3, 7, "noisedraw", "z"),
 		mk("a.go", 3, 7, "randdet", "y"), // exact duplicate
 	}
 	sortDiagnostics(ds)
 	ds = dedupDiagnostics(ds)
 	want := []Diagnostic{
-		mk("a.go", 3, 7, "dpbudget", "z"),
+		mk("a.go", 3, 7, "noisedraw", "z"),
 		mk("a.go", 3, 7, "randdet", "y"),
 		mk("a.go", 9, 1, "floateq", "x"),
 		mk("b.go", 2, 1, "floateq", "x"),

@@ -22,9 +22,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) Result {
 	var raw []Diagnostic
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
-			if a.Run == nil {
-				continue
-			}
 			pass := &Pass{
 				Fset:     pkg.Fset,
 				PkgPath:  pkg.Path,
@@ -36,23 +33,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) Result {
 			}
 			a.Run(pass)
 		}
-	}
-	// Interprocedural analyzers run once over the whole loaded set, on
-	// a shared module graph built on demand.
-	var mod *Module
-	for _, a := range analyzers {
-		if a.RunModule == nil {
-			continue
-		}
-		if mod == nil {
-			mod = BuildModule(pkgs)
-		}
-		mp := &ModulePass{
-			Module:   mod,
-			analyzer: a,
-			report:   func(d Diagnostic) { raw = append(raw, d) },
-		}
-		a.RunModule(mp)
 	}
 	directives, malformed := parseIgnoreDirectives(pkgs)
 	kept, suppressed := applyIgnores(raw, directives)

@@ -295,9 +295,7 @@ func (c *Config) calibrate(delta2, delta1 float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if c.Acct != nil {
-		c.Acct.AddSubsampledSkellam(delta1, delta2, mu, c.SampleRate, c.Rounds())
-	}
+	c.Acct.AddSubsampledSkellam(delta1, delta2, mu, c.SampleRate, c.Rounds())
 	return mu, nil
 }
 

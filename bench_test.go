@@ -103,24 +103,21 @@ func benchDot(b *testing.B, mk func() (bgw.Evaluator, error)) {
 	}
 }
 
-// BenchmarkDotTransport compares the monolithic single-goroutine BGW
-// engine against the party-actor engine whose share traffic crosses the
-// in-memory channel mesh — the overhead of real message passing versus
-// array indexing for the same arithmetic.
+// BenchmarkDotTransport compares the BGW parties' share traffic over
+// the in-memory channel mesh (NewEngine's) against the same traffic over
+// loopback TCP sockets, for the same arithmetic.
 func BenchmarkDotTransport(b *testing.B) {
 	cfg := bgw.Config{Parties: 4, Seed: 5}
-	b.Run("monolithic", func(b *testing.B) {
+	b.Run("chan", func(b *testing.B) {
+		benchDot(b, func() (bgw.Evaluator, error) { return bgw.NewEngine(cfg) })
+	})
+	b.Run("tcp", func(b *testing.B) {
 		benchDot(b, func() (bgw.Evaluator, error) {
-			eng, err := bgw.NewEngine(cfg)
+			mesh, err := transport.NewTCPMesh(cfg.Parties)
 			if err != nil {
 				return nil, err
 			}
-			return bgw.Eval(eng), nil
-		})
-	})
-	b.Run("actor-chan", func(b *testing.B) {
-		benchDot(b, func() (bgw.Evaluator, error) {
-			return bgw.NewActorEngine(cfg, transport.NewChanMesh(cfg.Parties))
+			return bgw.NewActorEngine(cfg, mesh)
 		})
 	})
 }

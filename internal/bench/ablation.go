@@ -90,6 +90,7 @@ func AblationNoiseTransport(o Options) *Table {
 		tbl.Notes = append(tbl.Notes, err.Error())
 		return tbl
 	}
+	defer eng.Close()
 	acc := sumInputs(eng, draw(), clients)
 	got := eng.OpenVec(acc)
 	bgwMatch := equalInt64(got, want)
@@ -103,6 +104,7 @@ func AblationNoiseTransport(o Options) *Table {
 		tbl.Notes = append(tbl.Notes, err.Error())
 		return tbl
 	}
+	defer heng.Close()
 	sums := make([][]int64, hosts)
 	for j, shares := range draw() {
 		if sums[j%hosts] == nil {
@@ -128,6 +130,7 @@ func AblationNoiseTransport(o Options) *Table {
 		tbl.Notes = append(tbl.Notes, err.Error())
 		return tbl
 	}
+	defer ueng.Close()
 	b := circuit.NewBuilder(hosts, 0)
 	out := b.OpenVecIdx(sumInputs(b, draw(), hosts))
 	res, err := b.MustCompile().Execute(ueng, circuit.Bindings{})
@@ -315,6 +318,7 @@ func AblationFusedGates(o Options) *Table {
 		if err != nil {
 			return bgw.Stats{}, nil
 		}
+		defer eng.Close()
 		cols := make([]bgw.Vec, n)
 		for j := 0; j < n; j++ {
 			cols[j] = eng.InputVec(j%parties, qd.Col(j))

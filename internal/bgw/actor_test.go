@@ -40,11 +40,13 @@ func evalProgram(t *testing.T, ev Evaluator) []int64 {
 	return out
 }
 
+// newActorChan starts a NewEngine — the parties behind a ChanMesh — that
+// the test closes when it ends.
 func newActorChan(t *testing.T, cfg Config) *Engine {
 	t.Helper()
-	eng, err := NewActorEngine(cfg, transport.NewChanMesh(cfg.Parties))
+	eng, err := NewEngine(cfg)
 	if err != nil {
-		t.Fatalf("NewActorEngine: %v", err)
+		t.Fatalf("NewEngine: %v", err)
 	}
 	t.Cleanup(func() { eng.Close() })
 	return eng
@@ -64,15 +66,13 @@ func newActorTCP(t *testing.T, cfg Config) *Engine {
 	return eng
 }
 
-// TestActorMatchesMonolithic checks that the party-actor engine opens
-// bit-identical values to the monolithic engine over both transports.
+// TestActorMatchesMonolithic checks that the parties open bit-identical
+// values behind NewEngine's mesh and behind a channel and a TCP mesh
+// handed to NewActorEngine.
 func TestActorMatchesMonolithic(t *testing.T) {
 	for _, parties := range []int{3, 5} {
 		cfg := Config{Parties: parties, Seed: 42}
-		mono, err := NewEngine(cfg)
-		if err != nil {
-			t.Fatalf("NewEngine: %v", err)
-		}
+		mono := newActorChan(t, cfg)
 		want := evalProgram(t, Eval(mono))
 
 		chanEng := newActorChan(t, cfg)
@@ -106,18 +106,15 @@ func TestActorSeedIndependence(t *testing.T) {
 }
 
 // TestActorFieldOpsMatchMonolithic: the per-party field-op counters are
-// sliced from the monolithic cost model, so their sum must agree.
+// slices of one cost model, so their sum must agree with NewEngine's.
 func TestActorFieldOpsMatchMonolithic(t *testing.T) {
 	cfg := Config{Parties: 5, Seed: 7}
-	mono, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
-	}
+	mono := newActorChan(t, cfg)
 	evalProgram(t, Eval(mono))
 	eng := newActorChan(t, cfg)
 	evalProgram(t, eng)
 	if got, want := eng.Stats().FieldOps, mono.Stats().FieldOps; got != want {
-		t.Errorf("FieldOps = %d, want %d (monolithic model)", got, want)
+		t.Errorf("FieldOps = %d, want %d (NewEngine)", got, want)
 	}
 	if got, want := eng.Stats().Rounds, mono.Stats().Rounds; got != want {
 		t.Errorf("Rounds = %d, want %d", got, want)
@@ -125,7 +122,7 @@ func TestActorFieldOpsMatchMonolithic(t *testing.T) {
 }
 
 // TestActorStatsMeasured: the chan mesh counts real traffic; for the
-// simple ops the measured counts coincide with the monolithic model
+// simple ops the measured counts coincide with the cost model
 // (P−1−t messages per input, P(P−1−t) per resharing, P−1 per
 // opening: one row into party 0 from each peer).
 func TestActorStatsMeasured(t *testing.T) {
@@ -215,26 +212,34 @@ func TestActorAbortTCP(t *testing.T) {
 	}
 }
 
-// TestActorCloseIdempotent: Close twice, then verify operations after
-// close return zero values without hanging.
+// TestActorCloseIdempotent: Close after a program, and Close twice, is
+// harmless, and operations after close return zero values without
+// hanging.
 func TestActorCloseIdempotent(t *testing.T) {
-	cfg := Config{Parties: 3, Seed: 1}
-	eng, err := NewActorEngine(cfg, transport.NewChanMesh(cfg.Parties))
-	if err != nil {
-		t.Fatalf("NewActorEngine: %v", err)
-	}
-	a := eng.Input(0, 4)
-	if got := eng.Open(a); got != 4 {
-		t.Fatalf("Open = %d, want 4", got)
-	}
-	if err := eng.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if err := eng.Close(); err != nil {
-		t.Fatalf("second Close: %v", err)
-	}
-	if got := eng.Open(eng.Input(0, 9)); got != 0 {
-		t.Errorf("Open after Close = %d, want 0", got)
+	for _, cfg := range []Config{{Parties: 3, Seed: 1}, {Parties: 5, Seed: 3}} {
+		eng, err := NewActorEngine(cfg, transport.NewChanMesh(cfg.Parties))
+		if err != nil {
+			t.Fatalf("NewActorEngine: %v", err)
+		}
+		evalProgram(t, eng)
+		a := eng.Input(0, 4)
+		if got := eng.Open(a); got != 4 {
+			t.Fatalf("P=%d: Open = %d, want 4", cfg.Parties, got)
+		}
+		for i := 0; i < 2; i++ {
+			if err := eng.Close(); err != nil {
+				t.Fatalf("P=%d: Close %d: %v", cfg.Parties, i+1, err)
+			}
+		}
+		if got := eng.Open(a); got != 0 {
+			t.Errorf("P=%d: Open after Close = %d, want 0", cfg.Parties, got)
+		}
+		if got := eng.Open(eng.Input(0, 9)); got != 0 {
+			t.Errorf("P=%d: Open of a new input after Close = %d, want 0", cfg.Parties, got)
+		}
+		if got := eng.OpenVec(eng.InputVec(1, []int64{1, 2})); !equalInt64(got, []int64{0, 0}) {
+			t.Errorf("P=%d: OpenVec after Close = %v, want zeros", cfg.Parties, got)
+		}
 	}
 }
 

@@ -15,11 +15,7 @@ import (
 
 func newTestEngine(t *testing.T, parties int) *Engine {
 	t.Helper()
-	e, err := NewEngine(Config{Parties: parties, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e
+	return newActorChan(t, Config{Parties: parties, Seed: 7})
 }
 
 func TestNewEngineValidation(t *testing.T) {
@@ -29,10 +25,7 @@ func TestNewEngineValidation(t *testing.T) {
 	if _, err := NewEngine(Config{Parties: 4, Threshold: 2}); err == nil {
 		t.Fatal("P < 2t+1 must be rejected")
 	}
-	e, err := NewEngine(Config{Parties: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newActorChan(t, Config{Parties: 5})
 	if e.Threshold() != 2 {
 		t.Fatalf("default threshold = %d, want 2", e.Threshold())
 	}
@@ -221,6 +214,9 @@ func TestUnreducedLevelMetering(t *testing.T) {
 	ra, rb := ref.Input(0, 6), ref.Input(1, -7)
 	ref.InputVec(2, []int64{1, 2, 3})
 	c, rc := e.Mul(a, b), ref.Mul(ra, rb)
+	// Stats is a barrier: the parties are idle and their slots safe to read.
+	e.Stats()
+	ref.Stats()
 	for i := range e.parties {
 		if e.parties[i].sc[e.shared(c).ref] != ref.parties[i].sc[ref.shared(rc).ref] {
 			t.Fatalf("party %d: the unreduced level moved a sharing stream", i)
@@ -270,6 +266,8 @@ func TestUnsharedInputMetering(t *testing.T) {
 	other := newTestEngine(t, 4)
 	other.InputVec(2, []int64{1, 2, 3})
 	a, ra := e.Input(0, 6), other.Input(0, 6)
+	e.Stats()
+	other.Stats()
 	for i := range e.parties {
 		if e.parties[i].sc[e.shared(a).ref] != other.parties[i].sc[other.shared(ra).ref] {
 			t.Fatalf("party %d: the unshared input moved a sharing stream", i)
@@ -280,7 +278,7 @@ func TestUnsharedInputMetering(t *testing.T) {
 // TestOpenOnlyOperandsFailTheEngine: a multiplication whose operand
 // degrees sum above P−1 would leave the P points an opening or a
 // resharing interpolates over, so the engine fails with ErrOpenOnly
-// instead of computing a wrong value, on both drivers, and opens zeros
+// instead of computing a wrong value, and opens zeros
 // from then on; one within P−1 is computed. The matrix: an unreduced
 // product (degree 2t), or a linear gate over one, times a degree-t share
 // is refused at P = 3, t = 1 and at P = 5, t = 2 and accepted at P = 4,
@@ -373,75 +371,66 @@ func TestOpenOnlyOperandsFailTheEngine(t *testing.T) {
 	}
 	for _, pt := range []struct{ p, t int }{{3, 1}, {4, 1}, {5, 2}, {7, 2}} {
 		cfg := Config{Parties: pt.p, Threshold: pt.t, Seed: 3}
-		for _, mesh := range []bool{false, true} {
-			for sname, src := range sources {
-				for gname, gate := range gates {
-					name := fmt.Sprintf("P=%d t=%d mesh=%v %s into %s", pt.p, pt.t, mesh, sname, gname)
-					var e *Engine
-					if mesh {
-						e = newActorChan(t, cfg)
-					} else {
-						var err error
-						if e, err = NewEngine(cfg); err != nil {
-							t.Fatal(err)
-						}
+		for sname, src := range sources {
+			for gname, gate := range gates {
+				name := fmt.Sprintf("P=%d t=%d %s into %s", pt.p, pt.t, sname, gname)
+				e := newActorChan(t, cfg)
+				c := env{e: e, x: e.Input(0, 6), v: e.InputVec(2, v)}
+				c.high, c.hvec = src.make(e, c.x, c.v)
+				// Linear gates and openings are what such a handle is for.
+				if got := e.OpenVec(e.AddVec(c.hvec, c.v)); e.Err() != nil || got[0] != src.vec[0]+1 || got[2] != src.vec[2]+3 {
+					t.Fatalf("%s: before the gate: opened %v, err %v", name, got, e.Err())
+				}
+				deg := src.deg(pt.p, pt.t)
+				other := pt.t
+				if gate.square {
+					other = deg
+				}
+				accept := deg+other <= pt.p-1
+				if sname == "unreduced product" && !gate.square && accept != (pt.p == 4 || pt.p == 7) {
+					t.Fatalf("%s: accepted %v, the matrix says otherwise", name, accept)
+				}
+				h, want := gate.run(c, src)
+				if !accept {
+					if err := e.Err(); !errors.Is(err, ErrOpenOnly) {
+						t.Errorf("%s: engine error %v, want ErrOpenOnly", name, err)
 					}
-					c := env{e: e, x: e.Input(0, 6), v: e.InputVec(2, v)}
-					c.high, c.hvec = src.make(e, c.x, c.v)
-					// Linear gates and openings are what such a handle is for.
-					if got := e.OpenVec(e.AddVec(c.hvec, c.v)); e.Err() != nil || got[0] != src.vec[0]+1 || got[2] != src.vec[2]+3 {
-						t.Fatalf("%s: before the gate: opened %v, err %v", name, got, e.Err())
+					if got := e.Open(c.x); got != 0 {
+						t.Errorf("%s: a failed engine opened %d", name, got)
 					}
-					deg := src.deg(pt.p, pt.t)
-					other := pt.t
-					if gate.square {
-						other = deg
+					continue
+				}
+				hdeg := e.shared(h).deg
+				if got := e.Open(h); e.Err() != nil || got != want {
+					t.Errorf("%s: opened %d, err %v; want %d", name, got, e.Err(), want)
+					continue
+				}
+				if sharesDegree(e, h) > hdeg {
+					t.Errorf("%s: the shares lie on a polynomial of degree %d, the handle says %d", name, sharesDegree(e, h), hdeg)
+				}
+				if gate.reduced {
+					// Readable: a degree-t sharing, good for any product.
+					if got := e.Open(e.Mul(h, h)); hdeg != pt.t || e.Err() != nil || got != want*want {
+						t.Errorf("%s: degree %d, squared to %d, err %v; want degree %d and %d", name, hdeg, got, e.Err(), pt.t, want*want)
 					}
-					accept := deg+other <= pt.p-1
-					if sname == "unreduced product" && !gate.square && accept != (pt.p == 4 || pt.p == 7) {
-						t.Fatalf("%s: accepted %v, the matrix says otherwise", name, accept)
-					}
-					h, want := gate.run(c, src)
-					if !accept {
-						if err := e.Err(); !errors.Is(err, ErrOpenOnly) {
-							t.Errorf("%s: engine error %v, want ErrOpenOnly", name, err)
-						}
-						if got := e.Open(c.x); got != 0 {
-							t.Errorf("%s: a failed engine opened %d", name, got)
-						}
-						continue
-					}
-					hdeg := e.shared(h).deg
-					if got := e.Open(h); e.Err() != nil || got != want {
-						t.Errorf("%s: opened %d, err %v; want %d", name, got, e.Err(), want)
-						continue
-					}
-					if !mesh && sharesDegree(e, h) > hdeg {
-						t.Errorf("%s: the shares lie on a polynomial of degree %d, the handle says %d", name, sharesDegree(e, h), hdeg)
-					}
-					if gate.reduced {
-						// Readable: a degree-t sharing, good for any product.
-						if got := e.Open(e.Mul(h, h)); hdeg != pt.t || e.Err() != nil || got != want*want {
-							t.Errorf("%s: degree %d, squared to %d, err %v; want degree %d and %d", name, hdeg, got, e.Err(), pt.t, want*want)
-						}
-						continue
-					}
-					if hdeg != pt.p-1 {
-						t.Errorf("%s: unreduced at degree %d, want P−1 = %d", name, hdeg, pt.p-1)
-					}
-					if e.Mul(h, c.x); !errors.Is(e.Err(), ErrOpenOnly) {
-						t.Errorf("%s: a share times the degree-(P−1) product: engine error %v, want ErrOpenOnly", name, e.Err())
-					}
+					continue
+				}
+				if hdeg != pt.p-1 {
+					t.Errorf("%s: unreduced at degree %d, want P−1 = %d", name, hdeg, pt.p-1)
+				}
+				if e.Mul(h, c.x); !errors.Is(e.Err(), ErrOpenOnly) {
+					t.Errorf("%s: a share times the degree-(P−1) product: engine error %v, want ErrOpenOnly", name, e.Err())
 				}
 			}
 		}
 	}
 }
 
-// sharesDegree returns the degree of the polynomial an inline engine's
-// shares of v lie on: the least d whose first d+1 points interpolate
-// every other.
+// sharesDegree returns the degree of the polynomial the parties' shares
+// of v lie on, read after a barrier: the least d whose first d+1 points
+// interpolate every other.
 func sharesDegree(e *Engine, v Val) int {
+	e.Stats()
 	points := shamir.PartyPoints(e.p)
 	ref := e.shared(v).ref
 	for d := 0; d < e.p-1; d++ {
@@ -480,6 +469,7 @@ func TestSharesLookRandom(t *testing.T) {
 	hits := 0
 	for trial := 0; trial < 200; trial++ {
 		ref := e.shared(e.Input(0, secret)).ref
+		e.Stats()
 		for _, pa := range e.parties {
 			if pa.sc[ref] == 424242 {
 				hits++
@@ -587,8 +577,7 @@ func TestDotBatchMatchesSequential(t *testing.T) {
 			want = append(want, dot)
 		}
 	}
-	// One batched round opens what one Dot per pair opens. (The pool
-	// width sweep lives in TestMonoWorkerPoolDifferentialRace.)
+	// One batched round opens what one Dot per pair opens.
 	got := e.OpenBatch(e.DotBatch(pairs, 0))
 	for i, pr := range pairs {
 		if v := e.Open(e.Dot(pr.A, pr.B)); v != want[i] || got[i] != want[i] {
@@ -710,10 +699,11 @@ func TestInputElemOpenElemRoundTrip(t *testing.T) {
 	}
 }
 
-// reconstructForTest interpolates a scalar handle of an inline engine from
-// every party's slot: a window onto the raw element, which no exported
-// method hands out (Open decodes to a signed int64).
+// reconstructForTest interpolates a scalar handle from every party's
+// slot, read after a barrier: a window onto the raw element, which no
+// exported method hands out (Open decodes to a signed int64).
 func reconstructForTest(e *Engine, v Val) field.Elem {
+	e.Stats()
 	ref := e.shared(v).ref
 	shares := make([]field.Elem, e.p)
 	for i, pa := range e.parties {
@@ -830,10 +820,7 @@ func TestForeignSharePanics(t *testing.T) {
 
 func TestMoreParties(t *testing.T) {
 	// 10 parties, threshold 4: deep arithmetic still exact.
-	e, err := NewEngine(Config{Parties: 10, Threshold: 4, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newActorChan(t, Config{Parties: 10, Threshold: 4, Seed: 1})
 	a := e.Input(3, 1234)
 	b := e.Input(7, -56)
 	c := e.Mul(e.Add(a, b), b) // (1234-56)·(-56)
@@ -844,21 +831,24 @@ func TestMoreParties(t *testing.T) {
 
 func BenchmarkMul4Parties(b *testing.B) {
 	e, _ := NewEngine(Config{Parties: 4, Seed: 1})
+	defer e.Close()
 	x := e.Input(0, 123)
 	y := e.Input(1, 456)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Mul(x, y)
 	}
+	e.Stats() // the parties run behind the caller: wait for the last level
 }
 
-// BenchmarkGramDotBatch is cov_mono's terminal level on the inline
-// engine: the 7 260 dots of all pairs of 120 columns of 1 000 shares, on
-// 4 parties, kept unreduced. Every party computes 120 pair products and
-// 7 260 Winograd dots per op.
+// BenchmarkGramDotBatch is cov_mono's terminal level on the engine: the
+// 7 260 dots of all pairs of 120 columns of 1 000 shares, on 4 parties,
+// kept unreduced. Every party computes 120 pair products and 7 260
+// Winograd dots per op, on its own goroutine.
 func BenchmarkGramDotBatch(b *testing.B) {
 	const cols, length = 120, 1000
 	e, _ := NewEngine(Config{Parties: 4, Seed: 1})
+	defer e.Close()
 	g := randx.New(2)
 	vs := make([]Vec, cols)
 	for i := range vs {
@@ -874,15 +864,18 @@ func BenchmarkGramDotBatch(b *testing.B) {
 			items = append(items, MulItem{Kind: MulDot, VA: vs[a], VB: vs[c]})
 		}
 	}
+	e.Stats() // the input round is dealt before the timer starts
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.MulBatchUnreduced(items)
+		e.Stats()
 	}
 }
 
 func BenchmarkDot1000(b *testing.B) {
 	e, _ := NewEngine(Config{Parties: 4, Seed: 1})
+	defer e.Close()
 	vs := make([]int64, 1000)
 	for i := range vs {
 		vs[i] = int64(i)
@@ -893,4 +886,5 @@ func BenchmarkDot1000(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.Dot(x, y)
 	}
+	e.Stats() // the parties run behind the caller: wait for the last level
 }

@@ -3,7 +3,6 @@ package bgw
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"sqm/internal/chunk"
@@ -16,27 +15,23 @@ import (
 )
 
 // Engine runs the BGW protocol as P parties, each owning only its
-// shares and its ends of the pairwise streams, and drives them one of
-// two ways.
-// NewEngine runs them inline: no goroutines, every command runs on the
-// parties in turn in the caller's goroutine — first every party's
-// sending half, then every party's receiving half — and rows change
-// hands by reference through an in-memory link that counts them.
-// NewActorEngine runs them as goroutines behind a transport mesh:
-// resharing and opening traffic crosses the transport as framed
-// messages and the traffic statistics are the mesh's own. The parties,
+// shares and its ends of the pairwise streams, and each run by its own
+// goroutine behind a transport mesh: resharing and opening traffic
+// crosses the transport as framed messages and the traffic statistics
+// are the mesh's own. NewEngine puts the parties behind an in-memory
+// ChanMesh, NewActorEngine behind the mesh it is given; the parties,
 // the seed tree and the command stream are the same, so for one seed
-// both drivers hold the same shares, move the same frames, messages and
-// bytes, and open the same values.
+// every mesh carries the same frames, messages and bytes, and the
+// parties hold the same shares and open the same values.
 //
 // The engine is driven by a single caller goroutine. Commands reach
 // every party in issue order, which keeps the pairwise streams and the
-// pairwise message sequences deterministic. Behind a mesh only
-// operations that reveal data (Open*, Stats)
-// synchronize the caller with the parties; everything else pipelines.
+// pairwise message sequences deterministic. Only operations that reveal
+// data (Open*, Stats) synchronize the caller with the parties;
+// everything else pipelines.
 //
-// Behind a mesh every command reaches the parties the moment it is
-// issued, with one channel send per party: no gate waits for a later one.
+// Every command reaches the parties the moment it is issued, with one
+// channel send per party: no gate waits for a later one.
 // What a gate leaves on the heap — the command the parties read, its
 // payload and operand lists, the caller's handle, and each party's
 // output slot — is carved from chunked arenas (chunk.Arena) that live
@@ -73,9 +68,8 @@ import (
 // (mulBatch), and OpenBatch is an OpenVec of the packed scalars.
 type Engine struct {
 	p, t    int
-	mesh    transport.Mesh // nil when the parties run inline
-	hub     *memHub        // the inline parties' exchange; nil behind a mesh
-	parties []*actorParty
+	mesh    transport.Mesh
+	parties []actorParty
 	wg      sync.WaitGroup
 
 	// round is the open input round: the vectors InputVec took since the
@@ -142,10 +136,14 @@ var ErrOpenOnly = errors.New("bgw: product of degree above P−1: an operand's s
 // Len returns the number of shared elements.
 func (v *SharedVec) Len() int { return v.n }
 
-// NewEngine validates the configuration and prepares an engine whose
-// parties run inline, in the caller's goroutine. Config.RecvTimeout
-// does not apply: nothing blocks.
-func NewEngine(cfg Config) (*Engine, error) { return newEngine(cfg, nil) }
+// NewEngine validates the configuration and starts one party goroutine
+// per endpoint of an in-memory transport.ChanMesh, which the engine owns.
+func NewEngine(cfg Config) (*Engine, error) {
+	if _, err := cfg.threshold(); err != nil {
+		return nil, err
+	}
+	return NewActorEngine(cfg, transport.NewChanMesh(cfg.Parties))
+}
 
 // NewActorEngine validates the configuration and starts one party
 // goroutine per mesh endpoint. The engine owns the mesh: Close tears
@@ -154,39 +152,27 @@ func NewActorEngine(cfg Config, mesh transport.Mesh) (*Engine, error) {
 	if mesh == nil {
 		return nil, fmt.Errorf("bgw: NewActorEngine needs a mesh")
 	}
-	return newEngine(cfg, mesh)
-}
-
-func newEngine(cfg Config, mesh transport.Mesh) (*Engine, error) {
-	if cfg.Parties < 3 {
-		return nil, fmt.Errorf("bgw: need at least 3 parties, got %d", cfg.Parties)
+	t, err := cfg.threshold()
+	if err != nil {
+		return nil, err
 	}
-	t := cfg.Threshold
-	if t == 0 {
-		t = (cfg.Parties - 1) / 2
+	if mesh.Parties() != cfg.Parties {
+		return nil, fmt.Errorf("bgw: mesh has %d endpoints for %d parties", mesh.Parties(), cfg.Parties)
 	}
-	if t < 1 || cfg.Parties < 2*t+1 {
-		return nil, fmt.Errorf("bgw: threshold %d invalid for %d parties (need P >= 2t+1, t >= 1)", t, cfg.Parties)
+	if cfg.RecvTimeout > 0 {
+		mesh.SetRecvTimeout(cfg.RecvTimeout)
 	}
-	e := &Engine{p: cfg.Parties, t: t, mesh: mesh, rec: obs.Or(cfg.Recorder)}
-	if mesh == nil {
-		e.hub = newMemHub(cfg.Parties)
-	} else {
-		if mesh.Parties() != cfg.Parties {
-			return nil, fmt.Errorf("bgw: mesh has %d endpoints for %d parties", mesh.Parties(), cfg.Parties)
-		}
-		if cfg.RecvTimeout > 0 {
-			mesh.SetRecvTimeout(cfg.RecvTimeout)
-		}
-	}
-	weights := shamir.LagrangeAtZero(shamir.PartyPoints(cfg.Parties))
-	dealings := shamir.NewDealings(cfg.Parties, t)
-	for i := 0; i < cfg.Parties; i++ {
-		streams := make([]*randx.RNG, 3*cfg.Parties)
-		pa := &actorParty{id: i, p: cfg.Parties, t: t, weights: weights, ownInv: field.Inv(weights[i]),
-			dealing: &dealings[i], pair: streams[:cfg.Parties:cfg.Parties],
-			dealTo: streams[cfg.Parties : 2*cfg.Parties : 2*cfg.Parties], dealFrom: streams[2*cfg.Parties:]}
-		e.parties = append(e.parties, pa)
+	p := cfg.Parties
+	e := &Engine{p: p, t: t, mesh: mesh, parties: make([]actorParty, p), rec: obs.Or(cfg.Recorder)}
+	weights := shamir.LagrangeAtZero(shamir.PartyPoints(p))
+	dealings := shamir.NewDealings(p, t)
+	// Every party's stream ends, three rows of P, come from one array.
+	streams := make([]*randx.RNG, 3*p*p)
+	for i := range e.parties {
+		ends := streams[3*p*i : 3*p*(i+1) : 3*p*(i+1)]
+		e.parties[i] = actorParty{id: i, p: p, t: t, weights: weights, ownInv: field.Inv(weights[i]),
+			dealing: &dealings[i], pair: ends[:p:p], dealTo: ends[p : 2*p : 2*p], dealFrom: ends[2*p:],
+			link: wireLink{conn: mesh.Conn(i)}}
 	}
 	// The pairwise mask streams of the openings come first, then every
 	// dealer's stream toward each of its seeded peers: separate keys, so
@@ -194,10 +180,10 @@ func newEngine(cfg Config, mesh transport.Mesh) (*Engine, error) {
 	// dealing"). Every stream, the root's too, is seeded in place in one
 	// array: two ends of each pair's stream and of each seeded dealing.
 	seeded := 0
-	for _, pa := range e.parties {
-		seeded += len(pa.dealing.Peers)
+	for i := range e.parties {
+		seeded += len(e.parties[i].dealing.Peers)
 	}
-	rngs := make([]randx.RNG, 1+cfg.Parties*(cfg.Parties-1)+2*seeded)
+	rngs := make([]randx.RNG, 1+p*(p-1)+2*seeded)
 	root, rngs := &rngs[0], rngs[1:]
 	root.Seed(cfg.Seed)
 	ends := func() (*randx.RNG, *randx.RNG) {
@@ -208,33 +194,43 @@ func newEngine(cfg Config, mesh transport.Mesh) (*Engine, error) {
 		rngs = rngs[2:]
 		return a, b
 	}
-	for i, pa := range e.parties {
-		for j := i + 1; j < cfg.Parties; j++ {
-			pa.pair[j], e.parties[j].pair[i] = ends()
+	for i := range e.parties {
+		for j := i + 1; j < p; j++ {
+			e.parties[i].pair[j], e.parties[j].pair[i] = ends()
 		}
 	}
-	for o, pa := range e.parties {
-		for _, j := range pa.dealing.Peers {
-			pa.dealTo[j], e.parties[j].dealFrom[o] = ends()
+	for o := range e.parties {
+		for _, j := range e.parties[o].dealing.Peers {
+			e.parties[o].dealTo[j], e.parties[j].dealFrom[o] = ends()
 		}
 	}
-	for i, pa := range e.parties {
-		if mesh == nil {
-			pa.link = memLink{hub: e.hub, id: i}
-			pa.chunks = runtime.GOMAXPROCS(0)
-			continue
-		}
-		pa.link = &wireLink{conn: mesh.Conn(i)}
-		pa.chunks = 1
+	e.wg.Add(p)
+	for i := range e.parties {
+		pa := &e.parties[i]
 		// The parties fall behind the caller by at most 256 commands.
 		pa.cmds = make(chan *actorCmd, 256)
-		e.wg.Add(1)
 		go func() {
 			defer e.wg.Done()
 			pa.run()
 		}()
 	}
 	return e, nil
+}
+
+// threshold validates the party count and returns t, the configured one
+// or the largest P admits.
+func (cfg Config) threshold() (int, error) {
+	if cfg.Parties < 3 {
+		return 0, fmt.Errorf("bgw: need at least 3 parties, got %d", cfg.Parties)
+	}
+	t := cfg.Threshold
+	if t == 0 {
+		t = (cfg.Parties - 1) / 2
+	}
+	if t < 1 || cfg.Parties < 2*t+1 {
+		return 0, fmt.Errorf("bgw: threshold %d invalid for %d parties (need P >= 2t+1, t >= 1)", t, cfg.Parties)
+	}
+	return t, nil
 }
 
 // Parties returns P.
@@ -246,17 +242,8 @@ func (e *Engine) Threshold() int { return e.t }
 // Recorder returns the engine's telemetry sink (never nil).
 func (e *Engine) Recorder() obs.Recorder { return e.rec }
 
-// traffic returns the frames, messages and bytes sent so far: the
-// mesh's counters, or the in-memory hub's for inline parties.
-func (e *Engine) traffic() (frames, msgs, bytes int64) {
-	if e.mesh != nil {
-		return e.mesh.Counters()
-	}
-	return e.hub.frames, e.hub.msgs, e.hub.bytes
-}
-
 // Err returns the first failure any party hit (transport abort, EOF
-// mid-round, malformed frame, a missing row); nil while healthy.
+// mid-round, malformed frame, a receive deadline); nil while healthy.
 func (e *Engine) Err() error { return e.err }
 
 // Stats synchronizes with the parties and returns the counters since
@@ -266,26 +253,23 @@ func (e *Engine) Err() error { return e.err }
 // difference of two snapshots (Stats.Sub).
 func (e *Engine) Stats() Stats {
 	ops := e.collectOps()
-	frames, msgs, bytes := e.traffic()
+	frames, msgs, bytes := e.mesh.Counters()
 	return Stats{Rounds: e.rounds, Frames: frames, Messages: msgs, Bytes: bytes, FieldOps: ops}
 }
 
-// Close ends the engine; closing twice is harmless. Behind a mesh it
-// joins the party goroutines and tears the mesh down: parties blocked
-// mid-round are unblocked by the teardown. An input round still open is
-// dropped — nothing can observe its results any more.
+// Close ends the engine; closing twice is harmless. It tears the mesh
+// down — parties blocked mid-round are unblocked by the teardown — and
+// joins the party goroutines. An input round still open is dropped —
+// nothing can observe its results any more.
 func (e *Engine) Close() error {
 	if e.closed {
 		return nil
 	}
 	e.closed = true
 	e.round = nil
-	if e.mesh == nil {
-		return nil
-	}
 	e.mesh.Close()
-	for _, pa := range e.parties {
-		close(pa.cmds)
+	for i := range e.parties {
+		close(e.parties[i].cmds)
 	}
 	e.wg.Wait()
 	return nil
@@ -304,43 +288,26 @@ func (e *Engine) dispatch(c actorCmd) bool {
 }
 
 // issueRound issues the open input round, if there is one, as one
-// opInputVecs command; a failed or closed engine drops it. Inline, the
-// hub first sets aside what the round's dealing puts on it.
+// opInputVecs command; a failed or closed engine drops it. The parties
+// read the list after issue returns, so the command carries a copy.
 func (e *Engine) issueRound() {
 	if len(e.round) == 0 {
 		return
 	}
 	if e.err == nil && !e.closed {
-		vecs := e.round
-		if e.mesh != nil {
-			// Party goroutines read the list after issue returns; inline
-			// parties are done with it.
-			vecs = e.inputs.Clone(vecs)
-		} else {
-			e.hub.reserveRound(vecs, e.p-1-e.t)
-		}
+		vecs := e.inputs.Clone(e.round)
 		e.issue(actorCmd{op: opInputVecs, x: e.payloads.Put(cmdPayload{vecs: vecs})})
 		e.rounds++
 	}
 	e.round = e.round[:0]
 }
 
-// issue hands one command to every party. Inline parties run it now,
-// half by half; party goroutines get it through their channels, written
+// issue hands one command to every party through its channel, written
 // into the command arena (see Engine).
 func (e *Engine) issue(c actorCmd) {
-	if e.mesh == nil {
-		for _, pa := range e.parties {
-			pa.begin(&c)
-		}
-		for _, pa := range e.parties {
-			pa.finish(&c)
-		}
-		return
-	}
 	sent := e.cmds.Put(c)
-	for _, pa := range e.parties {
-		pa.cmds <- sent
+	for i := range e.parties {
+		e.parties[i].cmds <- sent
 	}
 }
 
@@ -543,9 +510,10 @@ func (e *Engine) Dot(a, b Vec) Val {
 }
 
 // DotBatch evaluates many fused inner products in one batched resharing
-// round: a MulBatch of MulDot items. workers is ignored — the engine
-// picks its own width (see actorParty.chunks); the parameter stays
-// because decorators of Evaluator override the method with it.
+// round: a MulBatch of MulDot items. workers is ignored — each party
+// computes its products serially on its own goroutine (DESIGN.md "Worker
+// pools"); the parameter stays because decorators of Evaluator override
+// the method with it.
 func (e *Engine) DotBatch(pairs []VecPair, workers int) []Val {
 	_ = workers
 	items := make([]MulItem, len(pairs))
@@ -766,11 +734,8 @@ func (e *Engine) Gather(v Vec, idx []int) Vec {
 			panic(invariant.Violation("bgw: gather index %d out of range [0,%d)", i, sv.n))
 		}
 	}
-	if e.mesh != nil {
-		// Party goroutines run behind the caller and need their own copy;
-		// inline parties are done with idx when dispatch returns.
-		idx = e.idx.Clone(idx)
-	}
+	// The parties run behind the caller and need their own copy.
+	idx = e.idx.Clone(idx)
 	out := e.newVec(len(idx), sv.deg)
 	e.dispatch(actorCmd{op: opGather, a: sv.ref, x: e.payloads.Put(cmdPayload{refs: idx})})
 	return out
@@ -793,9 +758,7 @@ func (e *Engine) LinComb(vs []Vec, cs []int64, c0 int64) Vec {
 			panic(invariant.Violation("bgw: vector length mismatch"))
 		}
 	}
-	if e.mesh != nil {
-		cs = e.coefs.Clone(cs)
-	}
+	cs = e.coefs.Clone(cs)
 	out := e.newVec(n, deg)
 	e.dispatch(actorCmd{op: opLinComb, a: n, c: c0, x: e.payloads.Put(cmdPayload{refs: refs, ints: cs})})
 	return out

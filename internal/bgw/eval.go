@@ -21,11 +21,11 @@
 //     them with its own (PRIVACY.md "Open the degree you hold").
 //
 // There is one implementation of a party (actorParty) and one Engine
-// that drives P of them, inline in the caller's goroutine or as
-// goroutines behind a transport mesh. The party computes on vectors
-// only — it deals vectors, multiplies dots and element-wise products,
-// and opens vectors — and the Engine lowers every scalar gate of the
-// Evaluator onto those shapes. Either way the share arithmetic
+// that drives P of them, as goroutines behind a transport mesh. The party
+// computes on vectors only — it deals vectors, multiplies dots and
+// element-wise products, and opens vectors — and the Engine lowers every
+// scalar gate of the Evaluator onto those shapes. Over every mesh the
+// share arithmetic
 // is performed faithfully (so outputs are bit-exact with the plaintext
 // computation) and the communication is metered: traffic is counted
 // where a row is sent, every input, resharing or opening round advances a
@@ -51,11 +51,10 @@ type Config struct {
 	Threshold int          // t; 0 means floor((P-1)/2)
 	Seed      uint64       // keys the pairwise mask and dealing streams
 	Recorder  obs.Recorder // telemetry sink; nil disables at zero cost
-	// RecvTimeout bounds every blocking receive of parties behind a
-	// mesh: a peer that stays silent past the deadline surfaces as a
-	// transport.ErrTimeout party failure instead of a hung protocol.
+	// RecvTimeout bounds every blocking receive of the parties, over
+	// every mesh: a peer that stays silent past the deadline surfaces as
+	// a transport.ErrTimeout party failure instead of a hung protocol.
 	// 0 keeps receives blocking (the trusted-simulation default).
-	// Inline parties never block and ignore it.
 	RecvTimeout time.Duration
 }
 
@@ -167,8 +166,8 @@ type MulItem struct {
 // gates AddVec, Gather and LinComb, which carry a whole column of a
 // vertically partitioned batch as one command — degree-reduction
 // multiplication, fused inner products and openings. Its one backend is
-// the Engine of this package, with inline parties (NewEngine) or with
-// party goroutines over a pluggable transport (NewActorEngine); the
+// the Engine of this package, its party goroutines over an in-memory
+// ChanMesh (NewEngine) or any pluggable transport (NewActorEngine); the
 // other implementations are decorators that wrap an Engine for tests or
 // timing. Nothing plaintext implements it: because BGW computes exactly,
 // the plain engine is internal/core's int64 arithmetic in
@@ -289,6 +288,5 @@ type Evaluator interface {
 }
 
 // Eval returns the engine as an Evaluator. It is the identity: Engine
-// implements the interface itself, and the function stays for callers
-// written when the inline engine needed an adapter.
+// implements the interface itself.
 func Eval(e *Engine) Evaluator { return e }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"sqm/internal/field"
 	"sqm/internal/transport"
 )
 
@@ -42,30 +41,26 @@ func (l rowLog) clone() rowLog {
 	return out
 }
 
-// logLink is an inline party's link that writes the length of every row
-// it sends or deals into a rowLog.
-type logLink struct {
-	link
+// logConn is a party's endpoint that writes the length of every row it
+// sends into a rowLog. Party i writes only log[i], from its own goroutine.
+type logConn struct {
+	transport.PartyConn
 	id  int
 	log rowLog
 }
 
-func (l logLink) send(to int, row []field.Elem) error {
-	l.log[l.id][to] = append(l.log[l.id][to], len(row))
-	return l.link.send(to, row)
+func (c logConn) SendN(to int, payload []byte, msgs int) error {
+	c.log[c.id][to] = append(c.log[c.id][to], len(payload)/8)
+	return c.PartyConn.SendN(to, payload, msgs)
 }
 
-func (l logLink) deal(to int, row []field.Elem) error {
-	l.log[l.id][to] = append(l.log[l.id][to], len(row))
-	return l.link.deal(to, row)
-}
-
-// logRows has every party of an inline engine log its rows and returns
-// the log.
+// logRows has every party of an engine that has run no command yet log
+// its rows, and returns the log: read it after a barrier (Stats).
 func logRows(e *Engine) rowLog {
 	log := newRowLog(e.p)
-	for i, pa := range e.parties {
-		pa.link = logLink{link: pa.link, id: i, log: log}
+	for i := range e.parties {
+		pa := &e.parties[i]
+		pa.link.conn = logConn{PartyConn: pa.link.conn, id: i, log: log}
 	}
 	return log
 }
@@ -86,8 +81,8 @@ func meshRows(m *recMesh) rowLog {
 }
 
 // TestOpeningReachesOnlyItsDecoder: an OpenVec of n elements puts one
-// n-element row on every link i→0 and nothing on any other link, on the
-// inline driver and behind both meshes. The engine meters what was sent
+// n-element row on every link i→0 and nothing on any other link, as the
+// parties send it and as both meshes carry it. The engine meters what was sent
 // — P−1 frames, n·(P−1) messages, 8 bytes each — while every party still
 // publishes, one field multiplication per element and party, and the
 // opened values are the plaintext ones.
@@ -107,7 +102,7 @@ func TestOpeningReachesOnlyItsDecoder(t *testing.T) {
 		// Each driver returns its engine and a reader of what its links
 		// have carried so far.
 		drivers := map[string]func() (*Engine, func() rowLog){
-			"inline": func() (*Engine, func() rowLog) {
+			"parties": func() (*Engine, func() rowLog) {
 				e, err := NewEngine(cfg)
 				if err != nil {
 					t.Fatal(err)

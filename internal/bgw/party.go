@@ -90,19 +90,19 @@ type actorReply struct {
 	err   error
 }
 
-// actorParty is one BGW party: it owns its share slots and its ends of
-// the pairwise streams, and talks to its peers only through its link.
-// Every command has a sending half (local arithmetic, sharing, the rows that
-// leave) and a receiving half (the rows that arrive, the Lagrange fold
-// of a resharing or the sum of an opening, the slots filled, the reply).
-// A party goroutine runs the halves back to back; the inline driver runs
-// the first half on every party and then the second on every party.
+// actorParty is one BGW party, run by its own goroutine: it owns its
+// share slots and its ends of the pairwise streams, and talks to its peers
+// only through its link. Every command has a sending half (local
+// arithmetic, sharing, the rows that leave) and a receiving half (the rows
+// that arrive, the Lagrange fold of a resharing or the sum of an opening,
+// the slots filled, the reply), run back to back: sends never block, so no
+// party's sending half waits on another's.
 type actorParty struct {
 	id, p, t int
 	weights  []field.Elem
 	ownInv   field.Elem // 1/weights[id]: what publish's λ_id cancels on an unshared input
-	link     link
-	cmds     chan *actorCmd // the commands of a party goroutine; nil inline
+	link     wireLink
+	cmds     chan *actorCmd
 	// dealing is this party's seeded sharing: the t peers after it draw
 	// their rows of every sharing it deals, the others are sent theirs.
 	// dealTo[j] is its end of the stream toward seeded peer j, dealFrom[j]
@@ -121,11 +121,6 @@ type actorParty struct {
 	// bare publishes an opening without its zero mask. Test-only: the
 	// negative control of the simulator test.
 	bare bool
-	// chunks is how many goroutines a MulBatch's products split over.
-	// The driver that builds the party decides: inline parties run one
-	// after another and take every core, parties behind a mesh already
-	// run P at a time and stay serial (DESIGN.md "Worker pools").
-	chunks int
 
 	sc []field.Elem // scalar share slots, indexed by handle refs
 	// vc holds the vector share slots. No command writes a slot after the
@@ -148,27 +143,25 @@ type actorParty struct {
 	err      error
 }
 
+// run executes the party's commands in issue order until the engine
+// closes the stream, then closes the party's endpoint from the goroutine
+// that owns it, which hands back the frames it still holds.
 func (a *actorParty) run() {
 	for c := range a.cmds {
-		a.begin(c)
-		a.finish(c)
+		a.step(c)
 	}
+	a.link.close()
 }
 
-// begin runs the sending half of one command; a failed party skips it.
-func (a *actorParty) begin(c *actorCmd) {
+// step runs one command, its sending half and then its receiving half; a
+// failed party skips both and answers a synchronizing command with its
+// sticky error instead.
+func (a *actorParty) step(c *actorCmd) {
 	if a.err == nil {
-		if err := a.send(c); err != nil {
-			a.fail(err)
+		err := a.send(c)
+		if err == nil {
+			err = a.recv(c)
 		}
-	}
-}
-
-// finish runs the receiving half of one command; a failed party answers
-// synchronizing commands with its sticky error instead.
-func (a *actorParty) finish(c *actorCmd) {
-	if a.err == nil {
-		err := a.recv(c)
 		if err == nil {
 			return
 		}
@@ -267,7 +260,7 @@ func (a *actorParty) send(c *actorCmd) error {
 		a.highs = growElems(a.highs, c.a)
 		a.products(a.highs, c.x.muls, c.x.refs)
 		a.pend = a.highs
-		return a.sendRows(a.sh.share(a.highs, a.dealing, a.dealTo), a.link.send)
+		return a.sendRows(a.sh.share(a.highs, a.dealing, a.dealTo))
 	case opMulUnreduced:
 		// The same local values, kept: the slots hold this party's point
 		// of a degree-2t sharing, no randomness is drawn and nothing is
@@ -288,10 +281,7 @@ func (a *actorParty) send(c *actorCmd) error {
 }
 
 // products leaves in highs the local product of every gate: this
-// party's point of the degree-2t sharing of each. Op metering runs
-// serially (shape-only); the products split into a.chunks chunks
-// (chunk.Run) and carry no randomness, so every chunk count computes
-// identical highs. reused lists the vector slots the level's dots share
+// party's point of the degree-2t sharing of each. reused lists the vector slots the level's dots share
 // (Engine.reusedDotSlots): when it is set, every listed slot's pair
 // products are computed once, serially, and every dot is a DotWinograd
 // — the same element DotAcc gives, from half the multiplications.
@@ -304,22 +294,18 @@ func (a *actorParty) products(highs []field.Elem, muls []mulDesc, reused []int) 
 	}
 	for _, d := range muls {
 		a.fieldOps += int64(len(a.vc[d.a]))
-	}
-	chunk.Run(len(muls), a.chunks, func(start, end int) {
-		for m := start; m < end; m++ {
-			switch d := muls[m]; d.kind {
-			case MulDot:
-				if reused != nil {
-					highs[d.at] = field.DotWinograd(a.pairs[d.a], a.pairs[d.b], a.vc[d.a], a.vc[d.b])
-				} else {
-					highs[d.at] = field.DotAcc(0, a.vc[d.a], a.vc[d.b])
-				}
-			case MulHadamard:
-				va := a.vc[d.a]
-				field.MulVec(highs[d.at:d.at+len(va)], va, a.vc[d.b])
+		switch d.kind {
+		case MulDot:
+			if reused != nil {
+				highs[d.at] = field.DotWinograd(a.pairs[d.a], a.pairs[d.b], a.vc[d.a], a.vc[d.b])
+			} else {
+				highs[d.at] = field.DotAcc(0, a.vc[d.a], a.vc[d.b])
 			}
+		case MulHadamard:
+			va := a.vc[d.a]
+			field.MulVec(highs[d.at:d.at+len(va)], va, a.vc[d.b])
 		}
-	})
+	}
 }
 
 // keep gives the results of a multiplicative command their slots. fill
@@ -387,19 +373,11 @@ func (a *actorParty) recv(c *actorCmd) error {
 				continue
 			}
 			n := len(in.elems)
+			row := rows[:n:n]
+			rows = rows[n:]
 			if s := a.dealFrom[in.owner]; s != nil {
-				row := rows[:n:n]
-				rows = rows[n:]
 				shamir.Draw(row, s)
-				a.vc[base+i] = row
-				continue
-			}
-			var dst []field.Elem
-			if !a.link.dealtCopies() {
-				dst, rows = rows[:n:n], rows[n:]
-			}
-			row, err := a.link.take(in.owner, n, dst)
-			if err != nil {
+			} else if err := a.link.take(in.owner, row); err != nil {
 				return err
 			}
 			a.vc[base+i] = row
@@ -438,12 +416,11 @@ func (a *actorParty) recv(c *actorCmd) error {
 }
 
 // roundLen is the number of elements this party draws or decodes in an
-// input round of vecs: every peer's vector but those its link hands
-// over as copies.
+// input round of vecs: every peer's vector.
 func (a *actorParty) roundLen(vecs []vecInput) int {
 	n := 0
 	for _, in := range vecs {
-		if in.owner != a.id && (a.dealFrom[in.owner] != nil || !a.link.dealtCopies()) {
+		if in.owner != a.id {
 			n += len(in.elems)
 		}
 	}
@@ -465,17 +442,17 @@ func (a *actorParty) gather(refs []int) []field.Elem {
 // degree-t polynomial per element.
 func (a *actorParty) shareOut(elems []field.Elem) error {
 	a.fieldOps += int64(len(elems) * a.p * (a.t + 1))
-	return a.sendRows(a.sh.share(elems, a.dealing, a.dealTo), a.link.deal)
+	return a.sendRows(a.sh.share(elems, a.dealing, a.dealTo))
 }
 
-// sendRows hands every unseeded peer j the row rows[j] through put (the
-// link's send or deal); the seeded peers draw theirs.
-func (a *actorParty) sendRows(rows [][]field.Elem, put func(to int, row []field.Elem) error) error {
+// sendRows sends every unseeded peer j the row rows[j]; the seeded peers
+// draw theirs.
+func (a *actorParty) sendRows(rows [][]field.Elem) error {
 	for j, row := range rows {
 		if j == a.id || a.dealTo[j] != nil {
 			continue
 		}
-		if err := put(j, row); err != nil {
+		if err := a.link.send(j, row); err != nil {
 			return err
 		}
 	}

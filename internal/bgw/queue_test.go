@@ -68,15 +68,13 @@ func localGateProgram(ev Evaluator, gates int) []int64 {
 
 // TestActorFullBatchesMatchMonolithic: the arena the commands are written
 // into is invisible in the outputs — several full chunks of gates between
-// two openings open exactly what the monolithic engine opens.
+// two openings open exactly what a fresh NewEngine opens, behind a
+// channel and a TCP mesh.
 func TestActorFullBatchesMatchMonolithic(t *testing.T) {
 	var cmds chunk.Arena[actorCmd]
 	gates := 3*cmds.Most() + 41
-	mono, err := NewEngine(Config{Parties: 4, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := localGateProgram(Eval(mono), gates)
+	mono := newActorChan(t, Config{Parties: 4, Seed: 21})
+	want := localGateProgram(mono, gates)
 	for name, eng := range map[string]*Engine{
 		"actor":     newActorChan(t, Config{Parties: 4, Seed: 21}),
 		"actor-net": newActorTCP(t, Config{Parties: 4, Seed: 21}),
@@ -86,17 +84,17 @@ func TestActorFullBatchesMatchMonolithic(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if !equalInt64(got, want) {
-			t.Errorf("%s opened %v, monolithic %v", name, got, want)
+			t.Errorf("%s opened %v, NewEngine %v", name, got, want)
 		}
 		if ms, as := mono.Stats(), eng.Stats(); ms != as {
-			t.Errorf("%s stats %+v, monolithic %+v", name, as, ms)
+			t.Errorf("%s stats %+v, NewEngine %+v", name, as, ms)
 		}
 	}
 }
 
 // TestOwnerScalarsDealtTogetherAcrossEngines is the cross-engine
 // property of an owner's scalars dealt as one InputVec and taken apart
-// with At: for random owner assignments the monolithic, channel-actor
+// with At: for random owner assignments NewEngine and the channel-actor
 // and TCP-actor engines agree on every counter, the round costs one
 // frame per owner and unseeded peer, messages/bytes/FieldOps equal the
 // per-scalar Input path, and the opened values are the inputs.
@@ -123,10 +121,7 @@ func TestOwnerScalarsDealtTogetherAcrossEngines(t *testing.T) {
 		}
 		cfg := Config{Parties: p, Seed: uint64(trial)}
 		engines := func() map[string]Evaluator {
-			mono, err := NewEngine(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			mono := newActorChan(t, cfg)
 			return map[string]Evaluator{"bgw": Eval(mono), "actor": newActorChan(t, cfg), "actor-net": newActorTCP(t, cfg)}
 		}
 

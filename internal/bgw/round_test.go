@@ -153,17 +153,10 @@ func TestInputRoundDealsBeforeItWaits(t *testing.T) {
 // it as one round; a MulBatch, an OpenVec, an OpenBatch and an Open are
 // one round each; MulBatchUnreduced, InputUnshared and the local gates
 // are none; and a command a failed or closed engine drops counts
-// nothing. On the inline parties and behind a channel and a TCP mesh.
+// nothing. Behind a channel and a TCP mesh.
 func TestEngineCountsItsExchanges(t *testing.T) {
 	cfg := Config{Parties: 4, Seed: 9}
 	drivers := map[string]func() *Engine{
-		"inline": func() *Engine {
-			e, err := NewEngine(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return e
-		},
 		"chan": func() *Engine { return newActorChan(t, cfg) },
 		"tcp":  func() *Engine { return newActorTCP(t, cfg) },
 	}

@@ -4,8 +4,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
-	"sqm/internal/field"
 	"sqm/internal/randx"
 	"sqm/internal/transport"
 )
@@ -125,95 +125,70 @@ func seamProgram(ev *Engine, seed uint64) []int64 {
 	return nil
 }
 
-// TestInlineAndMeshPartiesHoldTheSameSlots: for the same seed the two
-// drivers are one engine — every party ends a random program with the
-// same scalar and vector slots, element for element, the same values
-// are opened, and Stats agree field for field (the in-memory link counts
-// what the mesh measures).
-func TestInlineAndMeshPartiesHoldTheSameSlots(t *testing.T) {
+// TestChanAndTCPPartiesHoldTheSameSlots: for the same seed the parties
+// are one engine over any mesh — every party ends a random program with
+// the same scalar and vector slots, element for element, the same values
+// are opened, and Stats agree field for field (each mesh counts what it
+// carries).
+func TestChanAndTCPPartiesHoldTheSameSlots(t *testing.T) {
 	for trial := uint64(0); trial < 8; trial++ {
 		cfg := Config{Parties: 3 + int(trial%3), Seed: 0x5ea0 + trial}
-		inline, err := NewEngine(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := seamProgram(inline, trial)
-		behind := newActorChan(t, cfg)
-		got := seamProgram(behind, trial)
-		for name, ev := range map[string]*Engine{"inline": inline, "mesh": behind} {
+		overChan := newActorChan(t, cfg)
+		want := seamProgram(overChan, trial)
+		overTCP := newActorTCP(t, cfg)
+		got := seamProgram(overTCP, trial)
+		for name, ev := range map[string]*Engine{"chan": overChan, "tcp": overTCP} {
 			if err := ev.Err(); err != nil {
 				t.Fatalf("trial %d %s: %v", trial, name, err)
 			}
 		}
 		if !equalInt64(got, want) {
-			t.Errorf("trial %d: mesh parties opened %v, inline %v", trial, got, want)
+			t.Errorf("trial %d: TCP parties opened %v, chan %v", trial, got, want)
 		}
 		// Stats runs a barrier, so the party goroutines are idle and
 		// their slots safe to read.
-		if is, ms := inline.Stats(), behind.Stats(); is != ms {
-			t.Errorf("trial %d: inline stats %+v, mesh %+v", trial, is, ms)
+		if cs, ts := overChan.Stats(), overTCP.Stats(); cs != ts {
+			t.Errorf("trial %d: chan stats %+v, TCP %+v", trial, cs, ts)
 		}
-		if diff := slotDiff(inline, behind); diff != "" {
-			t.Errorf("trial %d: inline vs mesh: %s", trial, diff)
+		if diff := slotDiff(overChan, overTCP); diff != "" {
+			t.Errorf("trial %d: chan vs TCP: %s", trial, diff)
 		}
 	}
 }
 
-// faultyLink tampers with what one party deals to one peer: it drops
+// faultyConn tampers with what one party sends to one peer: it drops
 // the row, or cuts its last element off.
-type faultyLink struct {
-	link
+type faultyConn struct {
+	transport.PartyConn
 	to       int
 	truncate bool
 }
 
-func (l faultyLink) deal(to int, row []field.Elem) error {
-	if to != l.to {
-		return l.link.deal(to, row)
+func (c faultyConn) SendN(to int, payload []byte, msgs int) error {
+	if to != c.to {
+		return c.PartyConn.SendN(to, payload, msgs)
 	}
-	if l.truncate {
-		return l.link.deal(to, row[:len(row)-1])
+	if c.truncate {
+		return c.PartyConn.SendN(to, payload[:len(payload)-8], msgs-1)
 	}
 	return nil
 }
 
-// TestMemLinkRefusesUnmatchedRecv: the in-memory link refuses a recv
-// with no matching send and one of the wrong length; through the engine
-// the refusal is a party failure that latches in Err and turns later
-// openings into zeros, as a transport failure does on a mesh.
-func TestMemLinkRefusesUnmatchedRecv(t *testing.T) {
-	hub := newMemHub(3)
-	a, b := memLink{hub: hub, id: 0}, memLink{hub: hub, id: 1}
-	if _, err := b.recv(0, 2); err == nil || !strings.Contains(err.Error(), "no row") {
-		t.Fatalf("recv without a send: err = %v", err)
-	}
-	if err := a.send(1, []field.Elem{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.recv(0, 2); err == nil || !strings.Contains(err.Error(), "bad row") {
-		t.Fatalf("recv of the wrong length: err = %v", err)
-	}
-	if _, err := b.recv(0, 3); err == nil {
-		t.Fatal("a refused row must not be delivered later")
-	}
-	if err := a.send(1, []field.Elem{}); err != nil {
-		t.Fatal(err)
-	}
-	if row, err := b.recv(0, 0); err != nil || len(row) != 0 {
-		t.Fatalf("empty row: %v, %v", row, err)
-	}
-	if hub.frames != 2 || hub.msgs != 3 || hub.bytes != 24 {
-		t.Fatalf("hub counted %d frames / %d messages / %d bytes, want 2 / 3 / 24", hub.frames, hub.msgs, hub.bytes)
-	}
-
+// TestDealtRowFaultLatches: a dealt row that never arrives (the
+// receive deadline passes) or arrives short is a party failure that
+// latches in Err and turns later openings into zeros.
+func TestDealtRowFaultLatches(t *testing.T) {
 	for name, truncate := range map[string]bool{"dropped row": false, "short row": true} {
-		eng := newTestEngine(t, 3)
+		eng := newActorChan(t, Config{Parties: 3, Seed: 7, RecvTimeout: 500 * time.Millisecond})
 		x := eng.Input(0, 6)
 		if got := eng.Open(eng.Mul(x, x)); got != 36 {
 			t.Fatalf("%s: healthy Open = %d, want 36", name, got)
 		}
-		// At P = 3, t = 1 party 1 draws party 0's rows; party 2 is sent them.
-		eng.parties[0].link = faultyLink{link: eng.parties[0].link, to: 2, truncate: truncate}
+		// At P = 3, t = 1 party 1 draws party 0's rows; party 2 is sent
+		// them. The parties are idle after the Open, and the next command
+		// reaches party 0 after the swap.
+		pa := &eng.parties[0]
+		pa.link.conn = faultyConn{PartyConn: pa.link.conn, to: 2, truncate: truncate}
 		y := eng.InputVec(0, []int64{1, 2, 3}) // party 2 is starved or short-changed
 		if got := eng.OpenVec(y); !equalInt64(got, []int64{0, 0, 0}) {
 			t.Errorf("%s: OpenVec after the fault = %v, want zeros", name, got)
@@ -234,43 +209,7 @@ func TestMemLinkRefusesUnmatchedRecv(t *testing.T) {
 	}
 }
 
-// TestInlineCloseIsIdempotentAndStartsNoGoroutine: the inline driver
-// owns no goroutine at any point between NewEngine and Close, Close
-// twice is harmless, and a closed engine answers with zeros.
-func TestInlineCloseIsIdempotentAndStartsNoGoroutine(t *testing.T) {
-	base := runtime.NumGoroutine()
-	eng, err := NewEngine(Config{Parties: 5, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pa := range eng.parties {
-		pa.chunks = 1 // the MulBatch pool's goroutines end before MulBatch returns; keep the count exact
-	}
-	if n := runtime.NumGoroutine(); n > base {
-		t.Fatalf("NewEngine started goroutines: %d live, %d before", n, base)
-	}
-	evalProgram(t, eng)
-	if n := runtime.NumGoroutine(); n > base {
-		t.Fatalf("a program left goroutines: %d live, %d before", n, base)
-	}
-	a := eng.Input(0, 4)
-	for i := 0; i < 2; i++ {
-		if err := eng.Close(); err != nil {
-			t.Fatalf("Close %d: %v", i+1, err)
-		}
-	}
-	if n := runtime.NumGoroutine(); n > base {
-		t.Fatalf("Close left goroutines: %d live, %d before", n, base)
-	}
-	if got := eng.Open(a); got != 0 {
-		t.Errorf("Open after Close = %d, want 0", got)
-	}
-	if got := eng.OpenVec(eng.InputVec(1, []int64{1, 2})); !equalInt64(got, []int64{0, 0}) {
-		t.Errorf("OpenVec after Close = %v, want zeros", got)
-	}
-}
-
-// TestNewActorEngineNeedsAMesh: a nil mesh is an error, not an inline
+// TestNewActorEngineNeedsAMesh: a nil mesh is an error, not a ChanMesh
 // engine under another name; a mesh of the wrong size is refused too.
 func TestNewActorEngineNeedsAMesh(t *testing.T) {
 	if _, err := NewActorEngine(Config{Parties: 3}, nil); err == nil {
@@ -280,5 +219,33 @@ func TestNewActorEngineNeedsAMesh(t *testing.T) {
 	defer mesh.Close()
 	if _, err := NewActorEngine(Config{Parties: 3}, mesh); err == nil {
 		t.Error("4-endpoint mesh accepted for 3 parties")
+	}
+}
+
+// TestInlineCloseIsIdempotentAndStartsNoGoroutine: an engine from
+// NewEngine leaves no goroutine behind once closed — Close joins every
+// party goroutine it started over its ChanMesh — Close twice is
+// harmless, and a closed engine answers with zeros. (The name dates from
+// the inline driver, which started none; the ChanMesh driver's party
+// goroutines must all be gone after Close.)
+func TestInlineCloseIsIdempotentAndStartsNoGoroutine(t *testing.T) {
+	base := runtime.NumGoroutine()
+	eng, err := NewEngine(Config{Parties: 5, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	evalProgram(t, eng)
+	a := eng.Input(0, 4)
+	for i := 0; i < 2; i++ {
+		if err := eng.Close(); err != nil {
+			t.Fatalf("Close %d: %v", i+1, err)
+		}
+	}
+	waitGoroutines(t, base)
+	if got := eng.Open(a); got != 0 {
+		t.Errorf("Open after Close = %d, want 0", got)
+	}
+	if got := eng.OpenVec(eng.InputVec(1, []int64{1, 2})); !equalInt64(got, []int64{0, 0}) {
+		t.Errorf("OpenVec after Close = %v, want zeros", got)
 	}
 }

@@ -49,20 +49,17 @@ func lagrangeAt(nodes []field.Elem, x field.Elem) []field.Elem {
 	return w
 }
 
-// viewEngine starts a fresh inline engine whose parties publish with or
+// viewEngine starts a fresh engine whose parties publish with or
 // without the zero mask, and lists the parties outside the coalition.
 func viewEngine(t *testing.T, cfg Config, coalition []int, bare bool) (e *Engine, honest []int) {
 	t.Helper()
-	e, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e = newActorChan(t, cfg)
 	in := make(map[int]bool)
 	for _, c := range coalition {
 		in[c] = true
 	}
-	for i, pa := range e.parties {
-		pa.bare = bare
+	for i := range e.parties {
+		e.parties[i].bare = bare
 		if !in[i] {
 			honest = append(honest, i)
 		}
@@ -71,7 +68,7 @@ func viewEngine(t *testing.T, cfg Config, coalition []int, bare bool) (e *Engine
 }
 
 // terminalOpenView runs the circuit for honest inputs (a, b) on a fresh
-// inline engine and returns what a coalition with party 0 sees of the
+// engine and returns what a coalition with party 0 sees of the
 // opening — the rows the honest parties publish — coalitionGuess's
 // answer for a, and how many opening rows reached the coalition.
 func terminalOpenView(t *testing.T, cfg Config, coalition []int, a, b int64, bare bool) (rows []field.Elem, guess field.Elem, received int) {
@@ -87,6 +84,7 @@ func terminalOpenView(t *testing.T, cfg Config, coalition []int, a, b int64, bar
 		{Kind: MulScalar, A: ins[1], B: ins[3]},
 	})
 	sum := e.Add(prods[0], prods[1])
+	e.Stats() // a barrier: the log holds every row of the input round
 	before := log.clone()
 	if got := e.Open(sum); got != a+2*b {
 		t.Fatalf("opened %d, want %d", got, a+2*b)
@@ -220,7 +218,7 @@ func TestTerminalOpenViewIsSimulatedFromTheOutput(t *testing.T) {
 // is uniform in both worlds; with the mask switched off it is η itself.
 
 // unsharedOpenView runs one of the two circuits for honest addends
-// (eta1, eta2) on a fresh inline engine and returns the rows the honest
+// (eta1, eta2) on a fresh engine and returns the rows the honest
 // parties publish and the coalition's guess for η₁.
 func unsharedOpenView(t *testing.T, cfg Config, coalition []int, eta1, eta2 int64, product, bare bool) (rows []field.Elem, guess field.Elem) {
 	t.Helper()
@@ -228,13 +226,14 @@ func unsharedOpenView(t *testing.T, cfg Config, coalition []int, eta1, eta2 int6
 	// What Plan.Execute issues: the coalition's part — two shared inputs
 	// and their unreduced product, or its own unshared addend — the honest
 	// addends unshared, the linear gates, the opening.
-	dealer, h := coalition[0], e.parties[honest[0]]
+	dealer, h := coalition[0], &e.parties[honest[0]]
 	var base Val
 	var known field.Elem // λ_h times honest[0]'s point of the coalition's part
 	own := int64(7)
 	if product {
 		ins := inputScalars(e, []int{dealer, dealer}, []int64{3, 2})
 		base = e.MulBatchUnreduced([]MulItem{{Kind: MulScalar, A: ins[0], B: ins[1]}})[0]
+		e.Stats() // a barrier: honest[0]'s slots are safe to read
 		// The sub-shares the dealer sent honest[0]: its own doing.
 		known = field.Mul(h.weights[h.id], field.Mul(h.sc[e.shared(ins[0]).ref], h.sc[e.shared(ins[1]).ref]))
 		own = 6
@@ -307,7 +306,7 @@ func TestUnsharedInputViewIsSimulatedFromTheOutput(t *testing.T) {
 // depends on the output alone is the same distribution in both worlds.
 
 // resharedView runs the circuit for honest inputs (a, b) on a fresh
-// inline engine and returns the coalition's view of the resharing: the
+// engine and returns the coalition's view of the resharing: the
 // sub-shares every honest party sent it, then its new shares.
 func resharedView(t *testing.T, cfg Config, coalition []int, a, b int64) []field.Elem {
 	t.Helper()
@@ -318,14 +317,15 @@ func resharedView(t *testing.T, cfg Config, coalition []int, a, b int64) []field
 	if e.shared(ab).deg+e.shared(ins[2]).deg != e.p-1 || e.Err() != nil {
 		t.Fatalf("reshared a point of degree %d, err %v; want P−1", e.shared(ab).deg+e.shared(ins[2]).deg, e.Err())
 	}
+	e.Stats() // a barrier: the parties' slots and scratch are safe to read
 	var view []field.Elem
 	for _, c := range coalition {
 		// The sub-shares are the rows the fold took: the new share is their
 		// Lagrange combination with every other party's, its own included.
-		pc := e.parties[c]
+		pc := &e.parties[c]
 		var fold field.Elem
-		for j, pj := range e.parties {
-			fold = field.Add(fold, field.Mul(pc.weights[j], pj.sh.rows[c][0]))
+		for j := range e.parties {
+			fold = field.Add(fold, field.Mul(pc.weights[j], e.parties[j].sh.rows[c][0]))
 		}
 		for _, h := range honest {
 			view = append(view, e.parties[h].sh.rows[c][0])
@@ -447,10 +447,7 @@ func coalitionsWithout(p, t, o int) [][]int {
 
 func TestSeededDealingViewIsUniform(t *testing.T) {
 	for _, c := range []struct{ p, t int }{{3, 1}, {4, 1}, {5, 2}, {10, 4}} {
-		e, err := NewEngine(Config{Parties: c.p, Threshold: c.t, Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := newActorChan(t, Config{Parties: c.p, Threshold: c.t, Seed: 1})
 		identity := make([][]field.Elem, c.t)
 		for m := range identity {
 			identity[m] = make([]field.Elem, c.t)

@@ -6,15 +6,11 @@ import (
 	"sqm/internal/randx"
 )
 
-// vecGateEngines is the inline driver and the party goroutines behind a
-// channel mesh, five parties each.
+// vecGateEngines is the party goroutines behind a channel mesh and
+// behind a TCP mesh, five parties each.
 func vecGateEngines(t *testing.T) map[string]*Engine {
 	cfg := Config{Parties: 5, Seed: 11}
-	inline, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string]*Engine{"inline": inline, "mesh": newActorChan(t, cfg)}
+	return map[string]*Engine{"chan": newActorChan(t, cfg), "tcp": newActorTCP(t, cfg)}
 }
 
 // TestGatherAndLinCombMatchPlaintext opens both vector gates against
@@ -315,16 +311,12 @@ func TestHadamardMetersAsItsScalarProducts(t *testing.T) {
 		for k := range x {
 			want = append(want, x[k]*y[k]+y[k])
 		}
-		for _, driver := range []string{"inline", "mesh"} {
+		for _, driver := range []string{"chan", "tcp"} {
 			newEng := func() *Engine {
-				if driver == "mesh" {
-					return newActorChan(t, cfg)
+				if driver == "tcp" {
+					return newActorTCP(t, cfg)
 				}
-				e, err := NewEngine(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return e
+				return newActorChan(t, cfg)
 			}
 			vec, ref := newEng(), newEng()
 			got, scalar := program(vec, true), program(ref, false)

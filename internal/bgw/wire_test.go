@@ -214,8 +214,8 @@ func nextDraws(pair, dealTo, dealFrom [][]*randx.RNG) []uint64 {
 	return out
 }
 
-// partyDraws is nextDraws over an engine's parties; behind a mesh the
-// engine must be closed, so that its party goroutines have ended.
+// partyDraws is nextDraws over an engine's parties; the engine must be
+// closed, so that its party goroutines have ended.
 func partyDraws(e *Engine) []uint64 {
 	var pair, dealTo, dealFrom [][]*randx.RNG
 	for _, pa := range e.parties {
@@ -226,13 +226,13 @@ func partyDraws(e *Engine) []uint64 {
 
 // TestVectorSharingPinsSharesAndWire runs one input round of three
 // vectors — party 0 deals two of them, P−1 the one between — then
-// DotBatch and OpenBatch, under both drivers and on the per-element
-// reference, which deals the vectors one after another. The inline
-// parties must hold exactly the reference's shares after the round and
-// after the resharing, the parties behind a mesh must put exactly the
-// reference's bytes on every link, frame for frame — none on a link
-// whose receiver draws the row — and every stream of either engine must
-// continue where the reference's does.
+// DotBatch and OpenBatch, on the engine and on the per-element
+// reference, which deals the vectors one after another. The parties must
+// hold exactly the reference's shares after the round and after the
+// resharing, put exactly the reference's bytes on every link, frame for
+// frame — none on a link whose receiver draws the row — and open the
+// plain dot products, and every stream must continue where the
+// reference's does.
 func TestVectorSharingPinsSharesAndWire(t *testing.T) {
 	u := make([]int64, 37)
 	v := make([]int64, 37)
@@ -262,14 +262,16 @@ func TestVectorSharingPinsSharesAndWire(t *testing.T) {
 			return ins, dots, e.OpenBatch(dots)
 		}
 
-		mono, err := NewEngine(cfg)
+		rec := &recMesh{Mesh: transport.NewChanMesh(cfg.Parties), frames: linkFrames(cfg.Parties)}
+		e, err := NewActorEngine(cfg, rec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ins, dots, want := program(mono)
-		for i, pa := range mono.parties {
+		ins, dots, got := program(e)
+		// OpenBatch synchronised with the parties: their slots are readable.
+		for i, pa := range e.parties {
 			for n, rs := range [][][]field.Elem{ru, rv, rw} {
-				got := pa.vc[mono.sharedVec(ins[n]).ref]
+				got := pa.vc[e.sharedVec(ins[n]).ref]
 				for k := range u {
 					if got[k] != rs[i][k] {
 						t.Fatalf("P=%d: share of element %d of input %d at party %d differs from the per-element dealing", cfg.Parties, k, n, i)
@@ -277,29 +279,25 @@ func TestVectorSharingPinsSharesAndWire(t *testing.T) {
 				}
 			}
 			for m, d := range dots {
-				if pa.sc[mono.shared(d).ref] != rd[i][m] {
+				if pa.sc[e.shared(d).ref] != rd[i][m] {
 					t.Fatalf("P=%d: reshared dot %d at party %d differs from the per-element dealing", cfg.Parties, m, i)
 				}
 			}
 		}
-		if got := partyDraws(mono); !slices.Equal(got, wantDraws) {
-			t.Fatalf("P=%d: inline streams continue with %x, the reference's with %x", cfg.Parties, got, wantDraws)
-		}
-
-		rec := &recMesh{Mesh: transport.NewChanMesh(cfg.Parties), frames: linkFrames(cfg.Parties)}
-		actor, err := NewActorEngine(cfg, rec)
-		if err != nil {
+		if err := e.Close(); err != nil {
 			t.Fatal(err)
 		}
-		_, _, got := program(actor)
-		if err := actor.Close(); err != nil {
-			t.Fatal(err)
+		var want [3]int64
+		for k := range u {
+			want[0] += u[k] * v[k]
+			want[1] += u[k] * w[k]
+			want[2] += v[k] * v[k]
 		}
-		if !equalInt64(got, want) {
-			t.Fatalf("P=%d: actor opened %v, monolithic %v", cfg.Parties, got, want)
+		if !equalInt64(got, want[:]) {
+			t.Fatalf("P=%d: opened %v, want %v", cfg.Parties, got, want)
 		}
-		if got := partyDraws(actor); !slices.Equal(got, wantDraws) {
-			t.Fatalf("P=%d: mesh parties' streams continue with %x, the reference's with %x", cfg.Parties, got, wantDraws)
+		if got := partyDraws(e); !slices.Equal(got, wantDraws) {
+			t.Fatalf("P=%d: the parties' streams continue with %x, the reference's with %x", cfg.Parties, got, wantDraws)
 		}
 		for i := range ref.frames {
 			for j := range ref.frames[i] {

@@ -79,8 +79,8 @@ func TestRunLastChunkOnCaller(t *testing.T) {
 	}
 }
 
-// TestRunOneChunkAllocatesNothing: one chunk is a plain call — a BGW
-// party behind a mesh runs every level's products through it.
+// TestRunOneChunkAllocatesNothing: one chunk is a plain call — what the
+// client stages run on one core.
 func TestRunOneChunkAllocatesNothing(t *testing.T) {
 	sum := 0
 	fn := func(lo, hi int) { sum += hi - lo }

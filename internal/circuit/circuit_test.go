@@ -175,7 +175,7 @@ func TestEachOpeningIsARound(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer actor.Close()
-	for name, eng := range map[string]bgw.Evaluator{"inline": mono, "actor": actor} {
+	for name, eng := range map[string]bgw.Evaluator{"engine": mono, "actor": actor} {
 		before := eng.Stats().Rounds
 		res, err := plan.Execute(eng, Bindings{})
 		if err != nil {

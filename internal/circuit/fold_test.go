@@ -14,13 +14,14 @@ import (
 	"sqm/internal/obs"
 )
 
-// runInline executes plan on a fresh inline 4-party engine.
-func runInline(t *testing.T, plan *Plan, bind Bindings) (*Result, bgw.Stats) {
+// runPlan executes plan on a fresh 4-party engine.
+func runPlan(t *testing.T, plan *Plan, bind Bindings) (*Result, bgw.Stats) {
 	t.Helper()
 	eng, err := bgw.NewEngine(bgw.Config{Parties: 4, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer eng.Close()
 	res, err := plan.Execute(eng, bind)
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +96,7 @@ func TestFoldedHandlesFailLoudly(t *testing.T) {
 	if plan.folded != 2 || plan.nUnshared != 0 {
 		t.Fatalf("folded %d input leaves and left %d unshared, want 2 and 0", plan.folded, plan.nUnshared)
 	}
-	res, _ := runInline(t, plan, Bindings{Inputs: []int64{40}})
+	res, _ := runPlan(t, plan, Bindings{Inputs: []int64{40}})
 	if got := res.Opened(0); got != 143 {
 		t.Fatalf("opened %d, want 143", got)
 	}
@@ -125,7 +126,7 @@ func TestUnconsumedLeavesNeverFold(t *testing.T) {
 	if plan.folded != 0 || !reflect.DeepEqual(unscheduled(plan.nodes), recorded) {
 		t.Fatalf("a plan of unconsumed leaves was rewritten (%d folded)", plan.folded)
 	}
-	res, _ := runInline(t, plan, Bindings{})
+	res, _ := runPlan(t, plan, Bindings{})
 	for i, c := range cols {
 		if res.VecOf(c) == nil {
 			t.Errorf("column %d does not resolve", i)
@@ -153,7 +154,7 @@ func TestSharedLeavesNeverFold(t *testing.T) {
 	if plan.folded != 1 {
 		t.Fatalf("folded %d input leaves, want 1 (s2 into s1)", plan.folded)
 	}
-	res, _ := runInline(t, plan, Bindings{})
+	res, _ := runPlan(t, plan, Bindings{})
 	if res.Opened(0) != 40 || res.Opened(1) != 240 {
 		t.Fatalf("opened %d and %d, want 40 and 240", res.Opened(0), res.Opened(1))
 	}
@@ -182,7 +183,7 @@ func TestVectorGateOperandsNeverFold(t *testing.T) {
 	if plan.folded != 1 {
 		t.Fatalf("folded %d input leaves, want 1 (s2 into s1)", plan.folded)
 	}
-	res, _ := runInline(t, plan, Bindings{})
+	res, _ := runPlan(t, plan, Bindings{})
 	for k, want := range [][]int64{{118, 230, 342}, {3, 3, 1}, {109, 219, 329}} {
 		if got := res.OpenedVec(k); !reflect.DeepEqual(got, want) {
 			t.Errorf("output %d opened %v, want %v", k, got, want)
@@ -259,7 +260,7 @@ func TestFoldShapes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, _ := runInline(t, plan, tc.bind)
+		res, _ := runPlan(t, plan, tc.bind)
 		for _, got := range []*Result{plain, res} {
 			if !sameOpened(got, want) {
 				t.Errorf("%s: opened %v %v, as recorded %v %v", tc.name, got.opened, got.openedVecs, want.opened, want.openedVecs)
@@ -308,7 +309,7 @@ func TestFoldExactCounts(t *testing.T) {
 		if want := 2 * (k - o); plan.folded != want {
 			t.Errorf("o=%d: folded %d leaves, want %d", o, plan.folded, want)
 		}
-		res, got := runInline(t, plan, Bindings{})
+		res, got := runPlan(t, plan, Bindings{})
 
 		// The hand-written circuit: owner j deals the sum of its leaves.
 		hb := NewBuilder(4, 0)
@@ -317,7 +318,7 @@ func TestFoldExactCounts(t *testing.T) {
 			sums[i%o] += val(i)
 		}
 		sumOf(hb, o, o, func(i int) int64 { return sums[i] }, false)
-		hres, want := runInline(t, hb.MustCompile(), Bindings{})
+		hres, want := runPlan(t, hb.MustCompile(), Bindings{})
 		if got.Messages != want.Messages || got.Bytes != want.Bytes || got.Frames != want.Frames || got.Rounds != want.Rounds {
 			t.Errorf("o=%d: %d leaves cost %+v, the %d-leaf circuit %+v", o, k, got, o, want)
 		}
@@ -336,7 +337,7 @@ func TestFoldExactCounts(t *testing.T) {
 	if plan.nUnshared != 8 || plan.Rounds() != 2 {
 		t.Fatalf("one leaf per owner: %d unshared leaves in %d rounds, want all 8 in the two opening rounds", plan.nUnshared, plan.Rounds())
 	}
-	_, got := runInline(t, plan, Bindings{})
+	_, got := runPlan(t, plan, Bindings{})
 	// Before the leaves went unshared this circuit measured {2, 48, 72,
 	// 576, 108}: the input round with its 24 frames, 36 messages and
 	// 12·P·(t+1) = 96 sharing operations is gone. What is left is the
@@ -389,8 +390,8 @@ func TestFoldWrapConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fr, _ := runInline(t, folded, Bindings{})
-		ur, _ := runInline(t, unfolded, Bindings{})
+		fr, _ := runPlan(t, folded, Bindings{})
+		ur, _ := runPlan(t, unfolded, Bindings{})
 		for name, got := range map[string]*Result{"folded on Plain": fp, "folded": fr, "unfolded": ur} {
 			if !sameOpened(got, want) {
 				t.Errorf("trial %d: %s opened %v %v, unfolded Plain %v %v", trial, name, got.opened, got.openedVecs, want.opened, want.openedVecs)

@@ -136,7 +136,7 @@ func TestMultipliedOrReadableLeavesStayShared(t *testing.T) {
 		if n := &plan.nodes[other.(*Val).id]; !n.late || plan.nUnshared != 1 || !plan.hasInputs {
 			t.Fatalf("%s: the leaf beside it: unshared %v of %d, shared inputs %v; want it alone unshared", tc.name, n.late, plan.nUnshared, plan.hasInputs)
 		}
-		res, st := runInline(t, plan, Bindings{})
+		res, st := runPlan(t, plan, Bindings{})
 		if !reflect.DeepEqual(res.opened, tc.opened) || st.Rounds != int64(plan.Rounds()) {
 			t.Fatalf("%s: opened %v in %d rounds, want %v in %d", tc.name, res.opened, st.Rounds, tc.opened, plan.Rounds())
 		}

@@ -11,10 +11,10 @@ import (
 // a polynomial sum of the products of neighbouring columns, allocate per
 // round, not per column. The clients' streams are one array, the
 // builder's copies of the columns one, the engine's embeddings of them
-// one, and, inline, the rows the hub deals one, so 48 more columns cost
-// fewer than 48 more allocations — less than one per column — where each
-// used to cost several. Each count is the fewest of five releases, as in
-// bgw's TestInputRoundAllocatesOneRowArray.
+// one, and every party's rows of an input round one, so 48 more columns
+// cost fewer than 48 more allocations — less than one per column — where
+// each used to cost several. Each count is the fewest of five releases,
+// as in bgw's TestInputRoundAllocatesOneRowArray.
 func TestReleaseAllocationsIndependentOfColumns(t *testing.T) {
 	const m, few, many = 200, 16, 64
 	pairs := func(n int) *poly.Multi {
@@ -29,8 +29,7 @@ func TestReleaseAllocationsIndependentOfColumns(t *testing.T) {
 		name string
 		kind EngineKind
 	}{
-		{"covariance", EngineBGW}, {"covariance", EngineActorBGW},
-		{"polynomial", EngineBGW}, {"polynomial", EngineActorBGW},
+		{"covariance", EngineBGW}, {"polynomial", EngineBGW},
 	} {
 		kind := c.kind
 		allocs := func(n int) int {

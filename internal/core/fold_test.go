@@ -11,7 +11,7 @@ import (
 )
 
 // sessionStats runs one covariance, one LR step and one LR3 step at the
-// given client count on four inline BGW parties and returns the three
+// given client count on four BGW parties and returns the three
 // traces' counters. Five feature columns plus the label make six
 // columns, so six clients is the one-client-per-column default.
 func sessionStats(t *testing.T, clients int) (cov, lr, lr3 bgw.Stats) {

@@ -144,7 +144,7 @@ func (s *spanLog) reset() {
 
 // TestNoiseSpanOverlapsTheEngine: a release's core.noise span runs from
 // the draw's start to its join and so encloses every multiplicative
-// level of the engine, on the inline parties and behind a mesh — for a
+// level of the engine, under both names of the channel-mesh engine — for a
 // covariance, a polynomial sum with degree-2 and degree-3 monomials, an
 // LR step and an LR3 step. No engine call waits on the noise before its
 // products are done, so the sampling's timing says nothing the circuit's

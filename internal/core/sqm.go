@@ -73,13 +73,12 @@ const (
 	// BGW computes exactly, the output distribution is identical to
 	// the MPC engines; this is the fast path for utility experiments.
 	EnginePlain EngineKind = iota
-	// EngineBGW runs the secret-shared protocol with the parties of
-	// the BGW engine inline in the caller's goroutine; shares change
-	// hands in memory and are counted where they are handed over.
+	// EngineBGW runs the secret-shared protocol: the parties of the BGW
+	// engine run as one goroutine each, exchanging framed shares over an
+	// in-memory channel mesh; messages and bytes are the mesh's counters.
 	EngineBGW
-	// EngineActorBGW runs the same parties as one goroutine each,
-	// exchanging framed shares over an in-memory channel mesh; messages
-	// and bytes are the mesh's counters.
+	// EngineActorBGW is EngineBGW under a second name: the same engine
+	// over the same mesh.
 	EngineActorBGW
 	// EngineActorBGWNet is EngineActorBGW with the share traffic
 	// carried over localhost TCP sockets in internal/protocol's
@@ -228,8 +227,8 @@ func (p *Params) meter(delta2, delta1 float64) dp.Booking {
 	return p.Acct.AddSkellam(delta1, delta2, p.Mu)
 }
 
-// chanMesh builds EngineActorBGW's mesh. A variable so the fault tests can
-// wrap it in a transport.FaultMesh.
+// chanMesh builds the mesh of EngineBGW and EngineActorBGW. A variable so
+// the fault tests can wrap it in a transport.FaultMesh.
 var chanMesh = func(parties int, opts ...transport.Option) transport.Mesh {
 	return transport.NewChanMesh(parties, opts...)
 }
@@ -248,13 +247,7 @@ func (p *Params) newEvaluator(seedXor uint64) (bgw.Evaluator, error) {
 		meshOpts = append(meshOpts, transport.WithTracer(tc))
 	}
 	switch p.Engine {
-	case EngineBGW:
-		eng, err := bgw.NewEngine(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return bgw.Eval(eng), nil
-	case EngineActorBGW:
+	case EngineBGW, EngineActorBGW:
 		return bgw.NewActorEngine(cfg, chanMesh(cfg.Parties, meshOpts...))
 	case EngineActorBGWNet:
 		meshOpts = append(meshOpts, transport.WithDialRetry(retry.Policy{

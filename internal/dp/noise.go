@@ -23,10 +23,15 @@ func (b Booking) check() {
 
 // Noise is a release's Skellam noise: one vector per noise holder, each
 // the sum of its clients' draws. Its integers are reachable only through
-// Vectors and AddTo, which take the release's Booking, and every fmt
-// verb that calls Format prints it redacted.
+// Vectors and AddTo, which take the release's Booking; every fmt verb
+// that calls Format prints it redacted.
 type Noise struct {
-	vecs [][]int64
+	// vecs returns the holders' vectors. A closure, not a slice or a
+	// pointer: where fmt prints a Noise by reflection — under %p, or in an
+	// unexported field of another struct, under any verb — a func value
+	// is a code address, and a pointer under a verb fmt does not expect
+	// is printed with what it points to.
+	vecs func() [][]int64
 }
 
 // NewNoise returns holders zero vectors of dims entries, carved from one
@@ -37,25 +42,25 @@ func NewNoise(holders, dims int) Noise {
 	for h := range vecs {
 		vecs[h] = flat[h*dims : (h+1)*dims : (h+1)*dims]
 	}
-	return Noise{vecs: vecs}
+	return Noise{vecs: func() [][]int64 { return vecs }}
 }
 
 // Draw adds one client's draws from g onto holder h's vector through s.
 // It allocates nothing, so a sampler on its caller's stack stays there.
 func (n Noise) Draw(h int, s *randx.SkellamSampler, g *randx.RNG) {
-	s.Add(g, n.vecs[h])
+	s.Add(g, n.vecs()[h])
 }
 
 // Vectors opens the holders' vectors to the release's booking.
 func (n Noise) Vectors(b Booking) [][]int64 {
 	b.check()
-	return n.vecs
+	return n.vecs()
 }
 
 // AddTo adds every holder's vector onto dst, under the release's booking.
 func (n Noise) AddTo(dst []int64, b Booking) {
 	b.check()
-	for _, v := range n.vecs {
+	for _, v := range n.vecs() {
 		for t, z := range v {
 			dst[t] += z
 		}
@@ -64,7 +69,8 @@ func (n Noise) AddTo(dst []int64, b Booking) {
 
 // Format prints the noise redacted, whatever the verb. fmt calls it
 // wherever it can call a method: not on a Noise in an unexported field of
-// another struct, nor under %p, where it prints by reflection.
+// another struct, nor under %p, where it prints by reflection and finds
+// only the closure that holds the vectors.
 func (n Noise) Format(f fmt.State, _ rune) {
 	fmt.Fprint(f, "dp.Noise(redacted)")
 }

@@ -2,6 +2,7 @@ package dp
 
 import (
 	"fmt"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -12,7 +13,9 @@ import (
 
 // TestNoiseIsRedactedAndOpensOnlyToABooking: a release's noise prints
 // redacted under every verb — as a value, behind a pointer, as a
-// struct's field and in a slice — each of its readers panics with an
+// struct's field and in a slice — and where fmt prints it by reflection,
+// under %p or in an unexported field, as an address; each of its readers
+// panics with an
 // invariant.Violation on the zero Booking, and the Booking a nil
 // accountant mints opens the holders' sums of their clients' draws while
 // the accountant records nothing.
@@ -31,6 +34,16 @@ func TestNoiseIsRedactedAndOpensOnlyToABooking(t *testing.T) {
 			if !strings.Contains(got, "redacted") || strings.ContainsAny(got, "0123456789") {
 				t.Errorf("Sprintf(%q) of a %T = %q, want it redacted", verb, arg, got)
 			}
+		}
+	}
+
+	// By reflection the vectors are a closure, printed as an address: strip
+	// the addresses and the closure's type, and no digit is left.
+	hidden := struct{ n Noise }{n}
+	addr := regexp.MustCompile(`0x[0-9a-f]+`)
+	for _, got := range []string{fmt.Sprintf("%p", n), fmt.Sprintf("%v", hidden), fmt.Sprintf("%+v", hidden), fmt.Sprintf("%s", hidden), fmt.Sprintf("%q", hidden)} {
+		if strings.ContainsAny(strings.ReplaceAll(addr.ReplaceAllString(got, ""), "int64", ""), "0123456789") {
+			t.Errorf("fmt printed the noise by reflection as %q, want only addresses", got)
 		}
 	}
 

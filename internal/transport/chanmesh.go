@@ -17,7 +17,7 @@ import (
 type ChanMesh struct {
 	p        int
 	queues   []queue[[]byte] // queues[from*p+to]
-	conns    []*chanConn
+	conns    []chanConn
 	frames   atomic.Int64
 	messages atomic.Int64
 	bytes    atomic.Int64
@@ -44,8 +44,9 @@ type queue[T any] struct {
 }
 
 // queueBurst is the length of a queue's first array: the rows one
-// dealing link carries in an input round of a P = 10 covariance.
-const queueBurst = 8
+// dealing link carries in an input round of a P = 4 covariance of 120
+// columns, 30 of them.
+const queueBurst = 32
 
 func newQueue[T any]() *queue[T] {
 	q := new(queue[T])
@@ -144,12 +145,16 @@ func NewChanMesh(p int, opts ...Option) *ChanMesh {
 	if o.trace != nil && o.trace.Parties() != p {
 		panic(invariant.Violation("transport: tracer has %d party streams, mesh has %d", o.trace.Parties(), p))
 	}
-	m := &ChanMesh{p: p, queues: make([]queue[[]byte], p*p), conns: make([]*chanConn, p)}
+	// Every per-party object is one array: the queues, the endpoints and
+	// the endpoints' held frames, so building a mesh costs the same
+	// allocations whatever p.
+	m := &ChanMesh{p: p, queues: make([]queue[[]byte], p*p), conns: make([]chanConn, p)}
 	for i := range m.queues {
 		m.queues[i].init()
 	}
-	for i := 0; i < p; i++ {
-		m.conns[i] = &chanConn{mesh: m, id: i, tr: newConnTrace(o.trace, i), prev: make([][]byte, p)}
+	prev := make([][]byte, p*p)
+	for i := range m.conns {
+		m.conns[i] = chanConn{mesh: m, id: i, tr: newConnTrace(o.trace, i), prev: prev[i*p : (i+1)*p : (i+1)*p]}
 	}
 	return m
 }
@@ -161,12 +166,12 @@ func (m *ChanMesh) queueOf(from, to int) *queue[[]byte] { return &m.queues[from*
 func (m *ChanMesh) Parties() int { return m.p }
 
 // Conn returns party i's endpoint.
-func (m *ChanMesh) Conn(party int) PartyConn { return m.conns[party] }
+func (m *ChanMesh) Conn(party int) PartyConn { return &m.conns[party] }
 
 // SetRecvTimeout applies a receive deadline to every endpoint.
 func (m *ChanMesh) SetRecvTimeout(d time.Duration) {
-	for _, c := range m.conns {
-		c.SetRecvTimeout(d)
+	for i := range m.conns {
+		m.conns[i].SetRecvTimeout(d)
 	}
 }
 
@@ -175,7 +180,9 @@ func (m *ChanMesh) Counters() (frames, messages, bytes int64) {
 	return m.frames.Load(), m.messages.Load(), m.bytes.Load()
 }
 
-// Close wakes every blocked receiver with ErrClosed.
+// Close wakes every blocked receiver with ErrClosed. It leaves the
+// frames the endpoints hold alone: a party may still be decoding one,
+// and its own endpoint's Close hands them back.
 func (m *ChanMesh) Close() error {
 	if m.closed.Swap(true) {
 		return nil
@@ -193,8 +200,9 @@ type chanConn struct {
 	tr   *connTrace // nil when tracing is disabled
 	// prev[from] is the wire buffer of the last frame received from
 	// that peer. The Recv contract makes it dead once the next Recv
-	// from the same peer is issued, so that call recycles it. Only the
-	// owning party goroutine touches it.
+	// from the same peer is issued, so that call recycles it, and Close
+	// recycles every one still held. Only the owning party goroutine
+	// touches it.
 	prev    [][]byte
 	timeout atomic.Int64 // receive deadline in nanoseconds; 0 blocks forever
 }
@@ -254,7 +262,10 @@ func (c *chanConn) Recv(from int) ([]byte, error) {
 
 // Close tears down every queue touching this party, so peers blocked on
 // its traffic fail fast instead of hanging — the abort path of a party
-// that died mid-round.
+// that died mid-round — and hands the frames it still holds back to the
+// free list: a mesh lives for one session and never sees the Recv that
+// would recycle the last frame from each peer. Like Recv it belongs to
+// the owning goroutine, which must be done with every received payload.
 func (c *chanConn) Close() error {
 	for other := 0; other < c.mesh.p; other++ {
 		if other == c.id {
@@ -262,6 +273,8 @@ func (c *chanConn) Close() error {
 		}
 		c.mesh.queueOf(c.id, other).close()
 		c.mesh.queueOf(other, c.id).close()
+		recycle(c.prev[other])
+		c.prev[other] = nil
 	}
 	return nil
 }

@@ -137,7 +137,9 @@ func (m *FaultMesh) Injected() FaultStats {
 // delayed deliveries are discarded, and every subsequent operation on
 // its conn fails with ErrClosed. Peers blocked on its traffic fail
 // (ErrClosed) or time out, which is the signal the engine aborts on.
-// Idempotent.
+// Idempotent. Closing the endpoint hands back the frames it holds, so
+// call Crash from party i's goroutine or while party i is not inside a
+// Recv, as PartyConn.Close.
 func (m *FaultMesh) Crash(party int) {
 	if party < 0 || party >= len(m.conns) {
 		panic(invariant.Violation("transport: crash of party %d out of range [0,%d)", party, len(m.conns)))

@@ -63,6 +63,7 @@ type link struct {
 	bufs   net.Buffers
 	wg     sync.WaitGroup
 	werr   atomic.Value // error from the writer pump, if any
+	shut   sync.Once    // close runs once: the mesh and the endpoint both close a link
 }
 
 // start readies a zero link in place over conn, for party sender's end,
@@ -101,10 +102,14 @@ func (l *link) write(payload []byte) error {
 	return err
 }
 
+// close stops the writer pump and closes the connection; a second call
+// waits for the first and costs nothing more.
 func (l *link) close() {
-	l.out.close()
-	l.conn.Close()
-	l.wg.Wait()
+	l.shut.Do(func() {
+		l.out.close()
+		l.conn.Close()
+		l.wg.Wait()
+	})
 }
 
 // NewNetMesh assembles a mesh from pre-established pair connections:

@@ -13,7 +13,7 @@ import (
 //   - Senders draw payloads from GetPayload; after Send the transport
 //     owns them and hands them back once they are dead — after the TCP
 //     writer pump has written them, or after the receiving ChanMesh
-//     endpoint has moved past them.
+//     endpoint has moved past them or closed.
 //   - Receivers get buffers that are valid only until the next Recv
 //     from the same peer (the ownership rule documented on
 //     PartyConn.Recv); the endpoint recycles or overwrites them on that
@@ -33,16 +33,20 @@ import (
 
 // poolClasses are the frame-buffer size classes. Share traffic is 8
 // bytes per element, so the classes cover single scalars (with or
-// without the 20-byte trace header) through whole-level batches; frames
-// beyond the largest class fall back to plain allocation. They double,
-// so a frame fills more than half of its buffer: an input round queues
-// every row a party deals at once, and with classes four times apart a
-// 1 000-element row (8 016 bytes framed) would hold a 16 KB buffer.
-var poolClasses = [...]int{64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768, 65536, 131072, 262144}
+// without the 20-byte trace header) through rows of 4 000 elements;
+// frames beyond the largest class fall back to plain allocation. They
+// double, so a frame fills more than half of its buffer: an input round
+// queues every row a party deals at once, and with classes four times
+// apart a 1 000-element row (8 016 bytes framed) would hold a 16 KB
+// buffer. They stop at 32 KB, where Go's large objects start: such a
+// buffer has pages of its own, and keeping it from session to session
+// cost more peak memory than the allocation it saves (DESIGN.md "One
+// driver").
+var poolClasses = [...]int{64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768}
 
 // freeBytes bounds the bytes one class keeps: 512 buffers of 8 KB,
 // against the ≈ 300 a P = 10 covariance session has in flight at once,
-// and 16 of the largest class.
+// and 128 of the largest class.
 const freeBytes = 4 << 20
 
 // freeList is one size class: a stack of buffers of that capacity.

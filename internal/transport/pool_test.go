@@ -231,7 +231,7 @@ func TestChanMeshRecvOwnership(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c := m.conns[1]
+	c := &m.conns[1]
 	b1, err := c.Recv(0)
 	if err != nil {
 		t.Fatal(err)
@@ -251,6 +251,51 @@ func TestChanMeshRecvOwnership(t *testing.T) {
 	}
 	if &c.prev[0][0] != &b2[0] {
 		t.Errorf("endpoint did not rotate the stashed frame on the next Recv")
+	}
+}
+
+// TestSessionsOnFreshChanMeshesStopMissing: a ChanMesh lives for one
+// session, and no endpoint ever makes the Recv that would recycle the
+// last frame it took from each peer, so each endpoint's Close hands
+// those frames back. Once one session has warmed the free list, every
+// later session on a fresh mesh draws its payloads from it: the misses
+// stop growing. The frames' class starts empty, so that what earlier
+// tests left there cannot hide a frame that is lost.
+func TestSessionsOnFreshChanMeshesStopMissing(t *testing.T) {
+	const p = 4
+	size := poolClasses[len(poolClasses)-1]
+	for free[classFor(size)].pop() != nil {
+	}
+	session := func() {
+		m := NewChanMesh(p)
+		for i := 0; i < p; i++ {
+			for j := 0; j < p; j++ {
+				if i != j {
+					if err := m.Conn(i).Send(j, GetPayload(size)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		for i := 0; i < p; i++ {
+			for j := 0; j < p; j++ {
+				if i != j {
+					if b, err := m.Conn(i).Recv(j); err != nil || len(b) != size {
+						t.Fatalf("party %d from %d: %d bytes, %v", i, j, len(b), err)
+					}
+				}
+			}
+			m.Conn(i).Close()
+		}
+		m.Close()
+	}
+	session()
+	_, before := PoolStats()
+	for k := 0; k < 3; k++ {
+		session()
+	}
+	if _, after := PoolStats(); after != before {
+		t.Errorf("three sessions on warm fresh meshes missed the free list %d times, want 0", after-before)
 	}
 }
 

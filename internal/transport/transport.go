@@ -68,8 +68,9 @@ type PartyConn interface {
 	// satisfying errors.Is(err, ErrTimeout).
 	//
 	// Ownership: the returned slice is only valid until the next Recv
-	// from the same peer — on that call a ChanMesh hands the buffer back
-	// to the free list and a TCP link reads the next frame into it.
+	// from the same peer or the endpoint's Close — on that call a
+	// ChanMesh hands the buffer back to the free list and a TCP link
+	// reads the next frame into it.
 	// Callers must decode or copy the payload before receiving from that
 	// peer again.
 	Recv(from int) ([]byte, error)
@@ -80,7 +81,9 @@ type PartyConn interface {
 	SetRecvTimeout(d time.Duration)
 	// Close tears down this endpoint; pending and future Recvs on any
 	// party blocked on this endpoint's traffic fail with an error
-	// satisfying errors.Is(err, ErrClosed).
+	// satisfying errors.Is(err, ErrClosed). It also ends the validity of
+	// every payload Recv returned (a ChanMesh hands those buffers back),
+	// so, like Recv, it belongs to the endpoint's goroutine.
 	Close() error
 }
 

@@ -332,6 +332,20 @@ func TestWrapClosed(t *testing.T) {
 	}
 }
 
+// TestChanMeshCostsTheSameAllocationsAtAnySize: the queues, the
+// endpoints and their held frames are one array each, so a mesh of ten
+// parties costs no more allocations than one of four.
+func TestChanMeshCostsTheSameAllocationsAtAnySize(t *testing.T) {
+	allocs := func(p int) float64 {
+		return testing.AllocsPerRun(20, func() { NewChanMesh(p) })
+	}
+	small, large := allocs(4), allocs(10)
+	t.Logf("NewChanMesh: %.0f allocations at P = 4, %.0f at P = 10", small, large)
+	if small != large {
+		t.Errorf("NewChanMesh costs %.0f allocations at P = 4 and %.0f at P = 10, want the same", small, large)
+	}
+}
+
 // TestQueueReusesItsArrayAndDropsPoppedFrames: the FIFO behind ChanMesh
 // and the NetMesh writers keeps one backing array across bursts — a
 // burst drained empty starts the next at the front — and no slot of it

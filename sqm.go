@@ -96,13 +96,11 @@ type EngineKind = core.EngineKind
 
 // Evaluation backends: EnginePlain computes the identical integers
 // without secret sharing; the three MPC kinds drive the same BGW
-// engine and the same parties three ways: EngineBGW runs the parties
-// inline in the caller's goroutine, handing shares over in memory;
-// EngineActorBGW runs one goroutine per party exchanging framed shares
-// over an in-memory message mesh; EngineActorBGWNet does the same over
-// localhost TCP sockets. All four open bit-identical results for the
-// same Params, and the three MPC kinds hold the same shares and count
-// the same rounds, frames and bytes.
+// engine, one goroutine per party exchanging framed shares: EngineBGW
+// and EngineActorBGW (two names for one backend) over an in-memory
+// message mesh, EngineActorBGWNet over localhost TCP sockets. All four
+// open bit-identical results for the same Params, and the MPC kinds hold
+// the same shares and count the same rounds, frames and bytes.
 const (
 	EnginePlain       = core.EnginePlain
 	EngineBGW         = core.EngineBGW

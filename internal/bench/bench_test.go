@@ -251,19 +251,23 @@ func TestTable4And5ShapeSmall(t *testing.T) {
 	if len(t4.Rows) != 8 {
 		t.Fatalf("table4 rows = %d", len(t4.Rows))
 	}
-	// Noise-injection time flat in m for LR (last four rows).
-	first := parse(t, t4.Rows[4][3])
-	last := parse(t, t4.Rows[7][3])
-	if last > first*2+0.05 {
-		t.Fatalf("LR noise time should be flat in m: %v -> %v", first, last)
+	// LR noise injection is flat in m (last four rows): asserted on the
+	// count behind the time, the clients' Skellam draws, which a few
+	// milliseconds of wall-clock cannot decide.
+	for _, row := range t4.Rows[5:8] {
+		if row[7] != t4.Rows[4][7] {
+			t.Fatalf("LR noise samples should not depend on m: m = %s draws %s, m = %s draws %s", t4.Rows[4][1], t4.Rows[4][7], row[1], row[7])
+		}
 	}
 	t5 := timingTiny()[2]
 	if len(t5.Rows) != 6 {
 		t.Fatalf("table5 rows = %d", len(t5.Rows))
 	}
-	// PCA total grows with P.
-	if parse(t, t5.Rows[2][2]) < parse(t, t5.Rows[0][2]) {
-		t.Fatalf("PCA time should grow with P: %v", t5.Rows)
+	// PCA cost grows with P: asserted on the parties' counted field
+	// operations at P = 20 against P = 4. The measured column is still
+	// printed (TestTimingRowsFollowTheModel reads it).
+	if p4, p20 := parse(t, t5.Rows[0][6]), parse(t, t5.Rows[2][6]); p20 <= p4 {
+		t.Fatalf("PCA field operations should grow with P: %v at P = 4, %v at P = 20", p4, p20)
 	}
 }
 

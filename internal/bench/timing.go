@@ -21,28 +21,34 @@ import (
 // wall-clock, which overlaps measured on the MPC engines; measured is the
 // wall-clock the protocol ran for on this machine, reported alongside so
 // modeled and measured time can be compared directly; rounds is the wire
-// rounds the modeled latency charges.
+// rounds the modeled latency charges. fieldOps and samples are the
+// counts the tables' claims rest on: the parties' field operations
+// (Stats.FieldOps) and the clients' Skellam draws (Trace.NoiseSamples).
 type timingResult struct {
-	total, noise time.Duration
-	measured     time.Duration
-	rounds       int64
+	total, noise      time.Duration
+	measured          time.Duration
+	rounds            int64
+	fieldOps, samples int64
 }
 
 // cells renders the result as the timing tables' value columns: overall,
-// noise injection, measured, rounds. measured prints to 0.1 ms, so that
-// a sub-millisecond cell does not read as an instant one.
+// noise injection, measured, rounds, field ops, noise samples. measured
+// prints to 0.1 ms, so that a sub-millisecond cell does not read as an
+// instant one.
 func (r timingResult) cells() []string {
 	return []string{
 		fmt.Sprintf("%.2f", r.total.Seconds()),
 		fmt.Sprintf("%.2f", r.noise.Seconds()),
 		fmt.Sprintf("%.4f", r.measured.Seconds()),
 		fmt.Sprint(r.rounds),
+		fmt.Sprint(r.fieldOps),
+		fmt.Sprint(r.samples),
 	}
 }
 
 // timingHeader is the timing tables' header after the task and the
 // swept parameter.
-var timingHeader = []string{"overall (s)", "noise injection (s)", "measured (s)", "rounds"}
+var timingHeader = []string{"overall (s)", "noise injection (s)", "measured (s)", "rounds", "field ops", "noise samples"}
 
 func timingData(m, n int, seed uint64) *linalg.Matrix {
 	return dataset.KDDCupLike(m, n, seed).X
@@ -64,12 +70,13 @@ func pcaTiming(o Options, m, n, parties int) (timingResult, error) {
 	if err != nil {
 		return timingResult{}, err
 	}
-	return timingResult{total: tr.TotalTime(), noise: tr.NoiseTime(), measured: tr.Compute, rounds: tr.Stats.Rounds}, nil
+	return timingResult{total: tr.TotalTime(), noise: tr.NoiseTime(), measured: tr.Compute, rounds: tr.Stats.Rounds,
+		fieldOps: tr.Stats.FieldOps, samples: tr.NoiseSamples}, nil
 }
 
 // lrTiming runs one LR cell: data sharing plus one full-batch gradient
-// round over m records and d = n−1 features. measured and rounds cover
-// set-up and step together.
+// round over m records and d = n−1 features. measured, rounds and the
+// field operations cover set-up and step together.
 func lrTiming(o Options, m, n, parties int) (timingResult, error) {
 	d := max(n-1, 1)
 	ds, err := dataset.ACSIncomeLike("CA", m, 1, d, o.Seed)
@@ -92,8 +99,9 @@ func lrTiming(o Options, m, n, parties int) (timingResult, error) {
 		return timingResult{}, err
 	}
 	measured := tr.Compute + setup
-	rounds := proto.SetupStats().Rounds + tr.Stats.Rounds
-	return timingResult{total: measured + time.Duration(rounds)*bgw.DefaultLatency, noise: tr.NoiseTime(), measured: measured, rounds: rounds}, nil
+	stats := proto.SetupStats().Add(tr.Stats)
+	return timingResult{total: measured + time.Duration(stats.Rounds)*bgw.DefaultLatency, noise: tr.NoiseTime(), measured: measured,
+		rounds: stats.Rounds, fieldOps: stats.FieldOps, samples: tr.NoiseSamples}, nil
 }
 
 // timingTable runs a PCA and an LR cell for each swept value x, whose
@@ -118,7 +126,9 @@ func timingTable(o Options, id, title, param, note string, xs []int, shape func(
 			r, err := task.run(o, m, n, parties)
 			cells := r.cells()
 			if err != nil {
-				cells = []string{"error", "error", "error", "error"}
+				for k := range cells {
+					cells[k] = "error"
+				}
 				tbl.Notes = append(tbl.Notes, fmt.Sprintf("%s %s=%d: %v", task.name, param, x, err))
 			}
 			tbl.Rows = append(tbl.Rows, append([]string{task.name, fmt.Sprint(x)}, cells...))

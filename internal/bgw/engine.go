@@ -36,8 +36,10 @@ import (
 // payload and operand lists, the caller's handle, and each party's
 // output slot — is carved from chunked arenas (chunk.Arena) that live
 // as long as the engine, so issuing a local gate allocates nothing but,
-// now and then, the next chunk. A workload's local gates are vector
-// gates (AddVec, Gather, LinComb) and its products level-wide batches —
+// now and then, the next chunk; a GatherBatch's rows go to one array per
+// party instead, which the next GatherBatch overwrites. A workload's
+// local gates are vector gates (AddVec, Gather, GatherBatch, LinComb)
+// and its products level-wide batches —
 // a per-element product is a MulHadamard item — so the commands of a
 // session are counted in levels and columns, not in records.
 //
@@ -95,9 +97,12 @@ type Engine struct {
 	seen []bool
 
 	nextSc, nextVec int
-	rounds          int64 // the exchanges issued (see Engine)
-	err             error
-	closed          bool
+	// batch numbers the GatherBatch calls: the vectors of the last one are
+	// the only batch vectors a gate may take (see GatherBatch).
+	batch  int
+	rounds int64 // the exchanges issued (see Engine)
+	err    error
+	closed bool
 
 	rec obs.Recorder // never nil
 }
@@ -124,6 +129,9 @@ type SharedVec struct {
 	ref int
 	n   int
 	deg int // as Shared.deg
+	// batch is the GatherBatch call that issued the handle, 0 for any
+	// other gate's: its slot lives until the next GatherBatch.
+	batch int
 }
 
 // ErrOpenOnly is the engine failure (see Err) of a multiplicative gate
@@ -354,11 +362,16 @@ func (e *Engine) shared(v Val) *Shared {
 	return s
 }
 
-// sharedVec resolves a vector handle this engine issued.
+// sharedVec resolves a vector handle this engine issued. A vector of a
+// batch before the last GatherBatch is refused like a foreign one: the
+// parties have written the next batch over its slot.
 func (e *Engine) sharedVec(v Vec) *SharedVec {
 	s, ok := v.(*SharedVec)
 	if !ok || s.eng != e {
 		panic(invariant.Violation("bgw: vector from a different engine"))
+	}
+	if s.batch != 0 && s.batch != e.batch {
+		panic(invariant.Violation("bgw: vector of batch %d used after batch %d was gathered", s.batch, e.batch))
 	}
 	return s
 }
@@ -726,19 +739,55 @@ func (e *Engine) AddVec(a, b Vec) Vec {
 }
 
 // Gather returns the vector v[idx[k]]; local. Like every vector command
-// it reaches the parties at once.
+// it reaches the parties at once, and its slot lives as long as the
+// engine.
 func (e *Engine) Gather(v Vec, idx []int) Vec {
 	sv := e.sharedVec(v)
-	for _, i := range idx {
-		if i < 0 || i >= sv.n {
-			panic(invariant.Violation("bgw: gather index %d out of range [0,%d)", i, sv.n))
-		}
-	}
+	checkGather(idx, sv.n)
 	// The parties run behind the caller and need their own copy.
 	idx = e.idx.Clone(idx)
 	out := e.newVec(len(idx), sv.deg)
 	e.dispatch(actorCmd{op: opGather, a: sv.ref, x: e.payloads.Put(cmdPayload{refs: idx})})
 	return out
+}
+
+// GatherBatch returns Gather(vs[j], idx) for every j as one command with
+// one index list: each party writes the rows into one grow-only array,
+// which the next GatherBatch overwrites. The vectors therefore live one
+// batch: handing one to any gate after the next GatherBatch panics with
+// an invariant.Violation, while what a gate derived from it before then
+// keeps its value. A batch vector cannot be gathered from again.
+func (e *Engine) GatherBatch(vs []Vec, idx []int) []Vec {
+	// refs lists the source slots, then the rows: the parties' copy of
+	// both, since they run behind the caller.
+	refs := e.idx.Take(len(vs) + len(idx))
+	for j, v := range vs {
+		sv := e.sharedVec(v)
+		if sv.batch != 0 {
+			panic(invariant.Violation("bgw: GatherBatch from a batch vector"))
+		}
+		checkGather(idx, sv.n)
+		refs[j] = sv.ref
+	}
+	copy(refs[len(vs):], idx)
+	e.batch++
+	out := make([]Vec, len(vs))
+	for j, v := range vs {
+		h := e.newVec(len(idx), e.sharedVec(v).deg)
+		h.batch = e.batch
+		out[j] = h
+	}
+	e.dispatch(actorCmd{op: opGatherBatch, a: len(vs), x: e.payloads.Put(cmdPayload{refs: refs})})
+	return out
+}
+
+// checkGather refuses an index outside a vector of n elements.
+func checkGather(idx []int, n int) {
+	for _, i := range idx {
+		if i < 0 || i >= n {
+			panic(invariant.Violation("bgw: gather index %d out of range [0,%d)", i, n))
+		}
+	}
 }
 
 // LinComb returns c0 + Σ_k cs[k]·vs[k] element-wise; local, one command

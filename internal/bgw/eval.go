@@ -164,7 +164,9 @@ type MulItem struct {
 // It captures exactly the share operations the paper's circuits need:
 // input sharing, local linear algebra — scalar gates and the vector
 // gates AddVec, Gather and LinComb, which carry a whole column of a
-// vertically partitioned batch as one command — degree-reduction
+// vertically partitioned batch as one command, and GatherBatch, which
+// carries every column's batch rows as one, into an array the next batch
+// reuses — degree-reduction
 // multiplication, fused inner products and openings. Its one backend is
 // the Engine of this package, its party goroutines over an in-memory
 // ChanMesh (NewEngine) or any pluggable transport (NewActorEngine); the
@@ -250,6 +252,13 @@ type Evaluator interface {
 	// field operations. Indices may repeat; the result has len(idx)
 	// elements.
 	Gather(v Vec, idx []int) Vec
+	// GatherBatch returns Gather(vs[j], idx) for every j as one command
+	// and one index list: an SGD step's batch rows of every resident
+	// column. The vectors live one batch — the backend writes the next
+	// GatherBatch's rows over theirs, and a gate handed one afterwards
+	// panics with an invariant.Violation — while what was derived from
+	// them keeps its value; Gather's vectors live as long as the backend.
+	GatherBatch(vs []Vec, idx []int) []Vec
 	// LinComb returns c0 + Σ_k cs[k]·vs[k] element-wise over vectors of
 	// one length: a single fused affine gate, local. It is metered as
 	// the scalar MulConst gates it stands for — len(vs)·n field

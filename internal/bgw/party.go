@@ -33,6 +33,7 @@ const (
 	opAt
 	opAddVec
 	opGather
+	opGatherBatch
 	opLinComb
 	opFromScalars
 	opMulBatch
@@ -56,9 +57,10 @@ type mulDesc struct {
 // the parties — the engine never touches a command after it is issued.
 type actorCmd struct {
 	op actorOp
-	// a, b are slot operands. a is also the length of opLinComb and the
-	// row length of a multiplicative level, b the element index of opAt
-	// and the level's scalar-valued items.
+	// a, b are slot operands. a is also the length of opLinComb, the
+	// vector count of opGatherBatch and the row length of a
+	// multiplicative level, b the element index of opAt and the level's
+	// scalar-valued items.
 	a, b int
 	c    int64       // public constant
 	x    *cmdPayload // set on commands that carry a list or await a reply
@@ -69,7 +71,7 @@ type actorCmd struct {
 type cmdPayload struct {
 	ints  []int64    // coefficients (opLinComb)
 	vecs  []vecInput // the input round's vectors (opInputVecs), the unshared vector (opInputUnshared)
-	refs  []int      // scalar slots (opFromScalars), element indices (opGather), vector slots (opLinComb; the reused dot operands of opMulBatch, opMulUnreduced)
+	refs  []int      // scalar slots (opFromScalars), element indices (opGather), vector slots (opLinComb; the reused dot operands of opMulBatch, opMulUnreduced), vector slots then element indices (opGatherBatch)
 	muls  []mulDesc  // gate list (opMulBatch, opMulUnreduced)
 	reply chan actorReply
 }
@@ -124,13 +126,18 @@ type actorParty struct {
 
 	sc []field.Elem // scalar share slots, indexed by handle refs
 	// vc holds the vector share slots. No command writes a slot after the
-	// one that fills it, so slots may share backing arrays: every
-	// non-owner's slot of an unshared input is a view of zeros.
+	// one that fills it, but for a batch's, so slots may share backing
+	// arrays: every non-owner's slot of an unshared input is a view of
+	// zeros, and every slot of a GatherBatch a view of batch.
 	vc [][]field.Elem
 	// slots carves the outputs of the local vector gates (opAddVec,
 	// opGather, opLinComb, opFromScalars): a slot is never written after
 	// the command that fills it, so they pack into shared chunks.
-	slots    chunk.Arena[field.Elem]
+	slots chunk.Arena[field.Elem]
+	// batch holds the rows of the last opGatherBatch, which the next one
+	// overwrites: the engine refuses the earlier batch's handles
+	// (grow-only, with a quarter to spare for the next batch's size).
+	batch    []field.Elem
 	zeros    []field.Elem // never written (grow-only)
 	pairs    []field.Elem // PairProd of the vector slots a Gram batch reuses, by slot (grow-only)
 	pend     []field.Elem // this party's own row, kept between the halves
@@ -231,12 +238,20 @@ func (a *actorParty) send(c *actorCmd) error {
 		field.AddVec(out, va, vb)
 		a.vc = append(a.vc, out)
 	case opGather:
-		src := a.vc[c.a]
 		out := a.slots.Take(len(c.x.refs))
-		for k, i := range c.x.refs {
-			out[k] = src[i]
-		}
+		gatherRows(out, a.vc[c.a], c.x.refs)
 		a.vc = append(a.vc, out)
+	case opGatherBatch:
+		srcs, idx := c.x.refs[:c.a], c.x.refs[c.a:]
+		n := len(idx)
+		if size := c.a * n; cap(a.batch) < size {
+			a.batch = make([]field.Elem, size+size/4)
+		}
+		for j, s := range srcs {
+			out := a.batch[j*n : (j+1)*n : (j+1)*n]
+			gatherRows(out, a.vc[s], idx)
+			a.vc = append(a.vc, out)
+		}
 	case opLinComb:
 		// c0 + Σ_k cs[k]·vs[k] on this party's shares: the constant is the
 		// constant polynomial, added to every share as opAddConst adds it.
@@ -425,6 +440,14 @@ func (a *actorParty) roundLen(vecs []vecInput) int {
 		}
 	}
 	return n
+}
+
+// gatherRows copies src[idx[k]] into dst[k]: the rows of a Gather or of
+// one vector of a GatherBatch.
+func gatherRows(dst, src []field.Elem, idx []int) {
+	for k, i := range idx {
+		dst[k] = src[i]
+	}
 }
 
 // gather copies the scalar slots refs name into a fresh slot.

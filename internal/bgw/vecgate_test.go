@@ -3,6 +3,7 @@ package bgw
 import (
 	"testing"
 
+	"sqm/internal/invariant"
 	"sqm/internal/randx"
 )
 
@@ -68,6 +69,70 @@ func TestGatherAndLinCombMatchPlaintext(t *testing.T) {
 		if got := e.Open(e.Dot(e.Gather(xv, []int{0, 1, 4}), u)); got != want {
 			t.Errorf("%s: ⟨x_B, u⟩ = %d, want %d", name, got, want)
 		}
+		if err := e.Err(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestGatherBatchLivesOneBatch: the vectors of a GatherBatch open to
+// the rows of their columns, and so does what a gate derives from them
+// before the next GatherBatch writes its rows over theirs — a smaller
+// batch, then a larger one that regrows the parties' array. Handed to any
+// gate afterwards, an earlier batch's vector panics with an
+// invariant.Violation, while the columns it was gathered from stay usable
+// for Gather, GatherBatch and every other gate.
+func TestGatherBatchLivesOneBatch(t *testing.T) {
+	x := []int64{7, -3, 0, 1 << 40, -9}
+	y := []int64{-1, 2, -4, 8, -16}
+	for name, e := range vecGateEngines(t) {
+		xv, yv := e.InputVec(0, x), e.InputVec(3, y)
+		check := func(what string, got []int64, want func(k int) int64) {
+			t.Helper()
+			for k := range got {
+				if got[k] != want(k) {
+					t.Errorf("%s: %s element %d = %d, want %d", name, what, k, got[k], want(k))
+				}
+			}
+		}
+		first := []int{4, 0, 2, 4}
+		b1 := e.GatherBatch([]Vec{xv, yv}, first)
+		check("first batch's x", e.OpenVec(b1[0]), func(k int) int64 { return x[first[k]] })
+		u := e.LinComb(b1, []int64{2, -1}, 3)
+		dot := e.Dot(b1[0], u)
+		var wantDot int64
+		for _, i := range first {
+			wantDot += x[i] * (3 + 2*x[i] - y[i])
+		}
+		for _, idx := range [][]int{{1, 3, 1}, {0, 1, 2, 3, 4, 0, 1, 2, 3, 4}} {
+			b := e.GatherBatch([]Vec{yv, xv}, idx)
+			check("derived LinComb", e.OpenVec(u), func(k int) int64 { return 3 + 2*x[first[k]] - y[first[k]] })
+			check("next batch's y", e.OpenVec(b[0]), func(k int) int64 { return y[idx[k]] })
+			check("next batch's x", e.OpenVec(b[1]), func(k int) int64 { return x[idx[k]] })
+		}
+		if got := e.Open(dot); got != wantDot {
+			t.Errorf("%s: a dot derived from the first batch opened %d, want %d", name, got, wantDot)
+		}
+		for what, op := range map[string]func(){
+			"OpenVec":     func() { e.OpenVec(b1[0]) },
+			"AddVec":      func() { e.AddVec(xv, b1[1]) },
+			"Dot":         func() { e.Dot(b1[0], b1[0]) },
+			"Gather":      func() { e.Gather(b1[0], []int{0}) },
+			"LinComb":     func() { e.LinComb(b1, []int64{1, 1}, 0) },
+			"At":          func() { e.At(b1[1], 0) },
+			"GatherBatch": func() { e.GatherBatch([]Vec{xv, b1[0]}, []int{0}) },
+		} {
+			func() {
+				defer func() {
+					if _, ok := recover().(*invariant.Error); !ok {
+						t.Errorf("%s: %s of an earlier batch's vector did not panic with an invariant violation", name, what)
+					}
+				}()
+				op()
+			}()
+		}
+		check("resident x", e.OpenVec(xv), func(k int) int64 { return x[k] })
+		check("Gather of resident y", e.OpenVec(e.Gather(yv, []int{4, 4})), func(k int) int64 { return y[4] })
 		if err := e.Err(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

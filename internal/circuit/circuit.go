@@ -160,10 +160,10 @@ type Builder struct {
 	p, t  int
 	nodes []node
 	args  []int32            // operand lists of kInner, kFromScalars and kLinComb, index lists of kGather (and, compiled, the folded input sums' slots)
-	lits  [][]int64          // kInputVec literals and kLinComb coefficients, one private copy each
+	lits  [][]int64          // kInputVec literals, the caller's own slices, and kLinComb coefficients, a private copy each
 	vals  chunk.Arena[Val]   // the scalar handles
 	vecs  chunk.Arena[Vec]   // the vector handles
-	ints  chunk.Arena[int64] // the copies lits holds (ReserveInputs)
+	ints  chunk.Arena[int64] // the LinComb coefficients' copies
 
 	limit    int  // largest id, offset or length the IR's int32 fields hold
 	overflow bool // something exceeded limit; Compile reports it
@@ -354,18 +354,14 @@ func (b *Builder) InputElem(owner int, e field.Elem) bgw.Val {
 }
 
 // InputVec records a literal secret vector input. It folds under the
-// rule stated on Input. The builder keeps a copy of vs.
+// rule stated on Input. The builder keeps vs itself, not a copy, and
+// never writes it (a folded sum goes to an array of its own): the caller
+// must leave vs as it is until the plan has executed for the last time.
 func (b *Builder) InputVec(owner int, vs []int64) bgw.Vec {
 	nd := node{kind: kInputVec, owner: b.checkParty(owner), a: b.i32(len(b.lits))}
-	b.lits = append(b.lits, b.ints.Clone(vs))
+	b.lits = append(b.lits, vs)
 	return b.vector(nd, len(vs))
 }
-
-// ReserveInputs sets aside one array for the copies of the next elems
-// elements InputVec records, as bgw.Evaluator.ReserveInputs does for an
-// engine: a caller about to record many columns pays one allocation for
-// them.
-func (b *Builder) ReserveInputs(elems int) { b.ints.Reserve(elems) }
 
 // Zero records a trivial sharing of 0.
 func (b *Builder) Zero() bgw.Val { return b.scalar(node{kind: kZero}) }

@@ -434,9 +434,10 @@ func oldRounds(p *Plan) int {
 // threshold th and demands bit-identical opened outputs from every
 // execution strategy: the plain interpreter over the circuit as recorded
 // (the oracle), then the compiled — folded — plan on the plain
-// interpreter, the planned executor on the monolithic and actor engines,
-// neither of which may report an error, and gate-by-gate execution
-// (runEager). Measured rounds must equal the plan's predictions, which
+// interpreter, the planned executor on two engines — the party
+// goroutines behind the ChanMesh NewEngine makes, and behind one handed
+// to NewActorEngine — neither of which may report an error, and
+// gate-by-gate execution (runEager). Measured rounds must equal the plan's predictions, which
 // may not exceed the rule the degree rule replaced.
 func checkEquivalence(t *testing.T, seed int64, P, th int) {
 	t.Helper()
@@ -481,9 +482,9 @@ func checkEquivalence(t *testing.T, seed int64, P, th int) {
 	}
 	check("plain", pres, int64(plan.Rounds()), plan.Rounds())
 
-	// Both drivers of the engine at their own pool widths (inline
-	// parties split a level's products over GOMAXPROCS chunks, parties
-	// behind a mesh run them serially; internal/bgw sweeps the width).
+	// The one engine twice, under two seeds: behind the ChanMesh
+	// NewEngine makes and behind one handed to NewActorEngine. The shares
+	// differ; the opened values and the rounds may not.
 	planned := func(name string, eng bgw.Evaluator) {
 		before := eng.Stats().Rounds
 		res, err := plan.Execute(eng, bind)
@@ -507,9 +508,9 @@ func checkEquivalence(t *testing.T, seed int64, P, th int) {
 	defer actor.Close()
 	planned("actor-planned", actor)
 
-	// The inline parties' link counts frames where a row is handed over,
-	// the mesh where a frame is sent: one frame per link and level, the
-	// batched input level included, or the two disagree.
+	// Both meshes count a frame where it is sent: one frame per link and
+	// level, the batched input level included, so two runs of one plan
+	// carry the same frames whatever their seeds.
 	if mf, af := mono.Stats().Frames, actor.Stats().Frames; mf != af {
 		t.Errorf("seed %d P=%d: planned frames: inline link counted %d, actor mesh carried %d", seed, P, mf, af)
 	}

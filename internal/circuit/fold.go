@@ -179,8 +179,14 @@ func (f *folder) group(owner int32) error {
 		f.use[l] = useNone
 		p.folded++
 	}
-	for k, e := range vec {
-		p.lits[sum.param][k] = field.ToInt64(e)
+	if vec != nil {
+		// The first literal is its caller's (Builder.InputVec): the sum
+		// goes to an array of its own.
+		lit := make([]int64, len(vec))
+		for k, e := range vec {
+			lit[k] = field.ToInt64(e)
+		}
+		p.lits[sum.param] = lit
 	}
 	if len(p.args) > f.limit {
 		return errIDSpace(f.limit)

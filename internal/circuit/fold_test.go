@@ -426,3 +426,47 @@ func TestExecSpanCarriesFoldedInputs(t *testing.T) {
 	}
 	t.Fatal("no circuit.exec span recorded")
 }
+
+// TestFoldLeavesTheCallersColumns: the builder keeps the slices InputVec
+// records, so a dealer's folded sum goes to an array of its own. Two
+// columns of one owner summed into a product, and two of another summed
+// onto it into the opening, are folded by Compile, executed and
+// interpreted; afterwards every column reads as recorded, and the opening
+// is the sums'.
+func TestFoldLeavesTheCallersColumns(t *testing.T) {
+	cols := [][]int64{{1, -2, 3}, {40, 50, -60}, {7, 8, 9}, {-1, -1, -1}}
+	kept := make([][]int64, len(cols))
+	for j, c := range cols {
+		kept[j] = append([]int64(nil), c...)
+	}
+	b := NewBuilder(4, 1)
+	sum := b.AddVec(b.InputVec(1, cols[0]), b.InputVec(1, cols[1]))
+	tail := b.AddVec(b.InputVec(2, cols[2]), b.InputVec(2, cols[3]))
+	out := b.OpenVecIdx(b.AddVec(b.Hadamard(sum, sum), tail))
+	plan, err := b.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.folded != 2 {
+		t.Fatalf("Compile folded %d leaves, want 2", plan.folded)
+	}
+	res, _ := runPlan(t, plan, Bindings{})
+	plain, err := plan.Plain(Bindings{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameOpened(res, plain) {
+		t.Errorf("executed %v, interpreted %v", res.openedVecs, plain.openedVecs)
+	}
+	for k, got := range res.OpenedVec(out) {
+		s := kept[0][k] + kept[1][k]
+		if want := s*s + kept[2][k] + kept[3][k]; got != want {
+			t.Errorf("element %d opened %d, want %d", k, got, want)
+		}
+	}
+	for j := range cols {
+		if !reflect.DeepEqual(cols[j], kept[j]) {
+			t.Errorf("column %d reads %v after Compile, recorded %v", j, cols[j], kept[j])
+		}
+	}
+}

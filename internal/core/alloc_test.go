@@ -67,3 +67,50 @@ func TestReleaseAllocationsIndependentOfColumns(t *testing.T) {
 		}
 	}
 }
+
+// TestLRStepAllocatesLessThanItsBatch: a warm gradient step gathers its
+// batch into the array the previous step used, so it allocates less than
+// half of the (d+1)·B·8·P bytes it took when every step copied the
+// batch's rows of every column into fresh slots that lived as long as the
+// engine. The shape is lr_chan's (m = 2 000, d = 50, P = 4 over a
+// ChanMesh) at a fixed batch of B = 200, so no step regrows the array;
+// the count is the fewest bytes of five runs of five steps each.
+func TestLRStepAllocatesLessThanItsBatch(t *testing.T) {
+	const m, d, B, P, steps = 2000, 50, 200, 4, 5
+	x, y := lrTestData(m, d, 17)
+	proto, err := NewLRProtocol(x, y, Params{Gamma: 18, Mu: 1e5, Engine: EngineActorBGW, Parties: P, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proto.Close()
+	w := make([]float64, d)
+	batch := make([]int, B)
+	for k := range batch {
+		batch[k] = k * (m / B)
+	}
+	step := func() {
+		if _, _, err := proto.GradientSum(w, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 3 {
+		step()
+	}
+	fewest := uint64(0)
+	for run := 0; run < 5; run++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range steps {
+			step()
+		}
+		runtime.ReadMemStats(&after)
+		if got := (after.TotalAlloc - before.TotalAlloc) / steps; run == 0 || got < fewest {
+			fewest = got
+		}
+	}
+	copyBytes := uint64((d + 1) * B * 8 * P)
+	t.Logf("one step at m = %d, d = %d, B = %d, P = %d: %d bytes; the batch copy is %d", m, d, B, P, fewest, copyBytes)
+	if fewest >= copyBytes/2 {
+		t.Errorf("a step allocates %d bytes, want fewer than half of the batch copy, %d", fewest, copyBytes/2)
+	}
+}

@@ -11,7 +11,6 @@ import (
 	"sqm/internal/circuit"
 	"sqm/internal/dp"
 	"sqm/internal/linalg"
-	"sqm/internal/quant"
 )
 
 // CovarianceSensitivities returns Lemma 5's L2/L1 sensitivities of the
@@ -45,7 +44,7 @@ func (r *release) covariance(x *linalg.Matrix) (*linalg.Matrix, *Trace, error) {
 	qd := quantizeByClient(x, r.p, r.rngs)
 	// Each Gram entry is at most m·maxAbs²; the release is metered at
 	// Lemma 5's closed form for unit-norm records.
-	maxAbs := float64(qd.MaxAbs())
+	maxAbs := float64(qd.maxAbs())
 	upper, err := r.evaluate(maxAbs*maxAbs*float64(x.Rows), sens(CovarianceSensitivities(r.p.Gamma, 1, x.Cols)),
 		func(b dp.Booking) ([]int64, error) {
 			upper := make([]int64, x.Cols*(x.Cols+1)/2)
@@ -62,37 +61,48 @@ func (r *release) covariance(x *linalg.Matrix) (*linalg.Matrix, *Trace, error) {
 }
 
 // accumulateGram adds the upper triangle of dataᵀ·data onto upper with
-// direct integer arithmetic. Row-major accumulation over records keeps
-// the inner loop cache friendly; large inputs split their records across
-// the cores (chunk.Run), each worker summing its own partial triangle,
-// and the exact int64 partials are added in whatever order the workers
-// finish, so the result is independent of the schedule.
-func accumulateGram(qd *quant.IntMatrix, upper []int64) {
-	n := qd.Cols
+// direct integer arithmetic. The records pass through a small row-major
+// block, so the triangle is summed a record at a time, cache friendly,
+// and a record's zero entries skip their products (sparse data); large
+// inputs split their records across the cores (chunk.Run), each worker
+// summing its own partial triangle, and the exact int64 partials are
+// added in whatever order the workers finish, so the result is
+// independent of the schedule.
+func accumulateGram(qd *quantized, upper []int64) {
+	n := qd.cols
 	accumulate := func(lo, hi int, dst []int64) {
-		for i := lo; i < hi; i++ {
-			row := qd.Row(i)
-			idx := 0
+		rows := make([]int64, max(1, gramBlock/n)*n)
+		for blo := lo; blo < hi; blo += len(rows) / n {
+			bhi := min(blo+len(rows)/n, hi)
 			for a := 0; a < n; a++ {
-				va := row[a]
-				if va == 0 {
-					idx += n - a
-					continue
+				for i, v := range qd.col(a)[blo:bhi] {
+					rows[i*n+a] = v
 				}
-				for b := a; b < n; b++ {
-					dst[idx] += va * row[b]
-					idx++
+			}
+			for i := 0; i < bhi-blo; i++ {
+				row := rows[i*n : (i+1)*n]
+				idx := 0
+				for a := 0; a < n; a++ {
+					va := row[a]
+					if va == 0 {
+						idx += n - a
+						continue
+					}
+					for b := a; b < n; b++ {
+						dst[idx] += va * row[b]
+						idx++
+					}
 				}
 			}
 		}
 	}
 	const parallelThreshold = 1 << 22 // ~4M multiply-adds
-	if qd.Rows*len(upper) < parallelThreshold || qd.Rows < 4 {
-		accumulate(0, qd.Rows, upper)
+	if qd.rows*len(upper) < parallelThreshold || qd.rows < 4 {
+		accumulate(0, qd.rows, upper)
 		return
 	}
 	var mu sync.Mutex
-	chunk.Run(qd.Rows, runtime.GOMAXPROCS(0), func(lo, hi int) {
+	chunk.Run(qd.rows, runtime.GOMAXPROCS(0), func(lo, hi int) {
 		partial := make([]int64, len(upper))
 		accumulate(lo, hi, partial)
 		mu.Lock()
@@ -102,6 +112,11 @@ func accumulateGram(qd *quant.IntMatrix, upper []int64) {
 		}
 	})
 }
+
+// gramBlock is the integers of accumulateGram's row-major block: 32 KB,
+// 34 records at the cov_mono shape's 120 columns, one record from 4 096
+// columns up.
+const gramBlock = 4096
 
 // drawNoiseOnto is the plain engine's covariance noise injection, under
 // the release's booking: every client's Sk(μ/n) draws added onto the
@@ -116,6 +131,7 @@ func accumulateGram(qd *quant.IntMatrix, upper []int64) {
 // n = 20 531 (bench scales it to n = 4 096, about 67 MB).
 func (r *release) drawNoiseOnto(upper []int64, b dp.Booking) {
 	defer r.noiseTime(time.Now())
+	r.tr.NoiseSamples += int64(len(r.rngs) * len(upper))
 	dp.AddSkellamOnto(b, upper, r.noiseShare(), r.rngs)
 }
 
@@ -125,8 +141,8 @@ func (r *release) drawNoiseOnto(upper []int64, b dp.Booking) {
 // and the engine deals and multiplies: the plan asks for the noise only
 // after its last multiplicative level, and opens it to the release's
 // booking.
-func (r *release) mpcCovariance(qd *quant.IntMatrix, booking dp.Booking) ([]int64, error) {
-	draw := r.drawNoise(qd.Cols * (qd.Cols + 1) / 2)
+func (r *release) mpcCovariance(qd *quantized, booking dp.Booking) ([]int64, error) {
+	draw := r.drawNoise(qd.cols * (qd.cols + 1) / 2)
 	defer draw.join()
 	draw.booking = booking
 	b, outIdx := r.p.recordCovariance(qd, draw.holders)
@@ -146,8 +162,8 @@ func (r *release) mpcCovariance(qd *quant.IntMatrix, booking dp.Booking) ([]int6
 // vector its clients draw their shares onto (inputNoise) to the row it
 // publishes, under the opening's zero mask. It returns the builder and
 // the index of the opened upper triangle.
-func (p *Params) recordCovariance(qd *quant.IntMatrix, holders int) (*circuit.Builder, int) {
-	n := qd.Cols
+func (p *Params) recordCovariance(qd *quantized, holders int) (*circuit.Builder, int) {
+	n := qd.cols
 	pairs := n * (n + 1) / 2
 	b := circuit.NewBuilder(p.Parties, p.Threshold)
 	cols := p.inputColumns(b, qd, n)

@@ -26,10 +26,10 @@ func allEngines() []struct {
 }
 
 // TestAllEnginesBitIdentical is the refactor's acceptance gate: for one
-// seeded SQM polynomial evaluation, the plaintext engine, the
-// monolithic BGW engine, the party-actor engine over the channel mesh
-// and the party-actor engine over TCP sockets must all open the exact
-// same integers. Shamir reconstruction cancels the share randomness, so
+// seeded SQM polynomial evaluation, the plaintext engine and the BGW
+// engine's party goroutines — over the channel mesh, under both of its
+// names (EngineBGW, EngineActorBGW), and over TCP sockets — must all open
+// the exact same integers. Shamir reconstruction cancels the share randomness, so
 // any divergence means an engine corrupted the arithmetic or consumed a
 // quantization/noise RNG stream out of order.
 func TestAllEnginesBitIdentical(t *testing.T) {

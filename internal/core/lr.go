@@ -9,7 +9,6 @@ import (
 	"sqm/internal/dp"
 	"sqm/internal/linalg"
 	"sqm/internal/mathx"
-	"sqm/internal/quant"
 	"sqm/internal/randx"
 )
 
@@ -35,9 +34,9 @@ type LRProtocol struct {
 	pub        *randx.RNG
 	clientRNGs []*randx.RNG
 
-	feat    *quant.IntMatrix // m × d quantized features
-	maxFeat float64          // feat.MaxAbs(), fixed at construction: the order-1 bound reads it every step
-	lab     []int64          // γ·y (exact for y ∈ {0,1})
+	feat    *quantized // m × d quantized features, column-major
+	maxFeat float64    // feat.maxAbs(), fixed at construction: the order-1 bound reads it every step
+	lab     []int64    // γ·y (exact for y ∈ {0,1})
 
 	mpc        *lrShares // MPC engine state; nil for EnginePlain
 	setupStats bgw.Stats
@@ -140,16 +139,34 @@ func (l link) bound(c coefs, maxFeat float64, batch int) float64 {
 	return maxFeat * u * float64(batch)
 }
 
-// u evaluates one record's u_i on the plain engine.
-func (c coefs) u(row []int64, lab int64) int64 {
-	var s, cu int64
-	for j, xj := range row {
-		s += c.lin[j] * xj
+// u evaluates every batch record's u_i on the plain engine, a column at
+// a time. The sums are int64, exact up to wrap-around in any order, so
+// they are the values a record at a time gives.
+func (c coefs) u(feat *quantized, lab []int64, batch []int) []int64 {
+	u := make([]int64, len(batch))
+	for k, i := range batch {
+		u[k] = c.half - c.label*lab[i]
 	}
-	for j, wc := range c.cube {
-		cu += wc * row[j]
+	for j, w := range c.lin {
+		col := feat.col(j)
+		for k, i := range batch {
+			u[k] += w * col[i]
+		}
 	}
-	return c.half + s - cu*cu*cu - c.label*lab
+	if c.cube == nil {
+		return u
+	}
+	cu := make([]int64, len(batch))
+	for j, w := range c.cube {
+		col := feat.col(j)
+		for k, i := range batch {
+			cu[k] += w * col[i]
+		}
+	}
+	for k, v := range cu {
+		u[k] -= v * v * v
+	}
+	return u
 }
 
 // gate records u over the batch's shared columns (the d feature columns,
@@ -224,10 +241,9 @@ type lrShares struct {
 // the one-time data-sharing phase, a single-round plan of its own. The
 // column handles persist inside the engine and feed every gradient
 // circuit through external bindings.
-func shareColumns(p *Params, feat *quant.IntMatrix, lab []int64, seedXor uint64) (*lrShares, error) {
-	d := feat.Cols
+func shareColumns(p *Params, feat *quantized, lab []int64, seedXor uint64) (*lrShares, error) {
+	d := feat.cols
 	sb := circuit.NewBuilder(p.Parties, p.Threshold)
-	sb.ReserveInputs((d + 1) * len(lab))
 	hs := append(p.inputColumns(sb, feat, d+1), sb.InputVec(p.partyOf(p.clientOf(d, d+1)), lab))
 	plan, err := sb.Compile()
 	if err != nil {
@@ -285,7 +301,7 @@ func newLRProtocol(features *linalg.Matrix, labels []float64, p Params, k int64,
 	lr := &LRProtocol{p: p, m: features.Rows, d: features.Cols, link: link{gamma: p.Gamma, k: k}}
 	lr.pub, lr.clientRNGs = rngFamily(p.Seed, p.NumClients)
 	lr.feat = quantizeByClient(features, &lr.p, lr.clientRNGs)
-	lr.maxFeat = float64(lr.feat.MaxAbs())
+	lr.maxFeat = float64(lr.feat.maxAbs())
 
 	g := lr.clientRNGs[p.clientOf(lr.d, lr.d+1)]
 	lr.lab = make([]int64, lr.m)
@@ -352,12 +368,12 @@ func (lr *LRProtocol) GradientSum(w []float64, batch []int) ([]float64, *Trace, 
 	scaled, err := r.evaluate(lr.link.bound(co, lr.maxFeat, len(batch)), sens(lr.Sensitivity()),
 		func(b dp.Booking) ([]int64, error) {
 			// grad_t = Σ_{i∈batch} x̂_it·u_i.
+			u := co.u(lr.feat, lr.lab, batch)
 			grad := make([]int64, lr.d)
-			for _, i := range batch {
-				row := lr.feat.Row(i)
-				u := co.u(row, lr.lab[i])
-				for t, xt := range row {
-					grad[t] += xt * u
+			for t := range grad {
+				col := lr.feat.col(t)
+				for k, i := range batch {
+					grad[t] += col[i] * u[k]
 				}
 			}
 			r.addNoise(grad, noise.join(), b)
@@ -387,16 +403,14 @@ func checkBatch(batch []int, m int) error {
 
 // gradient evaluates X_Bᵀ·u + noise for the batch B on the resident
 // shares and opens it: the batch's rows of every column are gathered on
-// the engine and bound to the step's circuit as its external vectors.
+// the engine as one batch, into the array the previous step's batch
+// used, and bound to the step's circuit as its external vectors.
 // The wire rounds are one resharing round per multiplicative level of u
 // and the opening: the inner products are opened unreduced, and the noise
 // is an input no party shares (inputNoise), so a step has no input round;
 // the circuit joins the draw only after its last multiplicative level.
 func (s *lrShares) gradient(r *release, batch []int, noise *noiseDraw, u uGate) ([]int64, error) {
-	ext := make([]bgw.Vec, len(s.cols))
-	for j, col := range s.cols {
-		ext[j] = s.eng.Gather(col, batch)
-	}
+	ext := s.eng.GatherBatch(s.cols, batch)
 	plan, outIdx, err := recordGradient(r.p, len(s.cols)-1, len(batch), noise.holders, u)
 	if err != nil {
 		return nil, err

@@ -112,7 +112,7 @@ func TestClientStagesIndependentOfGOMAXPROCS(t *testing.T) {
 		for j := 0; j < x.Cols; j++ {
 			g := ref[p.clientOf(j, x.Cols)]
 			for i := 0; i < x.Rows; i++ {
-				wantQ[i*x.Cols+j] = g.StochasticRound(p.Gamma * x.At(i, j))
+				wantQ[j*x.Rows+i] = g.StochasticRound(p.Gamma * x.At(i, j))
 			}
 		}
 		wantNoise := make([][]int64, 1)
@@ -137,7 +137,7 @@ func TestClientStagesIndependentOfGOMAXPROCS(t *testing.T) {
 			name := fmt.Sprintf("%v P=%d n=%d GOMAXPROCS=%d", c.engine, c.parties, c.clients, procs)
 			_, rngs := rngFamily(p.Seed, p.NumClients)
 			q := quantizeByClient(x, &p, rngs)
-			if !slices.Equal(q.Data, wantQ) {
+			if !slices.Equal(q.data, wantQ) {
 				t.Errorf("%s: quantized matrix differs from the serial loop's", name)
 			}
 			r := p.begin(rngs)

@@ -10,7 +10,6 @@ import (
 	"sqm/internal/invariant"
 	"sqm/internal/linalg"
 	"sqm/internal/poly"
-	"sqm/internal/quant"
 )
 
 // EvaluatePolynomialSum runs Algorithm 3: it estimates
@@ -79,7 +78,7 @@ func (r *release) polySum(q *poly.Quantized, x *linalg.Matrix, scale float64, s 
 	defer noise.join()
 	scaled, err := r.evaluate(polyBound(q, qd), s,
 		func(b dp.Booking) ([]int64, error) {
-			sum, err := q.EvalIntSum(qd)
+			sum, err := q.EvalIntSum(qd.rows, qd.col)
 			if err == nil {
 				r.addNoise(sum, noise.join(), b)
 			}
@@ -109,22 +108,16 @@ func (r *release) polySum(q *poly.Quantized, x *linalg.Matrix, scale float64, s 
 // its owner's own integer sum, and the noise is one vector per holder
 // (inputNoise): both reach nothing but the opening and are added there
 // unshared, so a purely linear release is one masked-sum round. The
-// dealt columns pass through one buffer, and the builder's copies of them
-// come from one reservation.
-func (r *release) mpcPolySum(q *poly.Quantized, data *quant.IntMatrix, noise *noiseDraw) ([]int64, error) {
+// builder keeps the dealt columns as they lie in data's one array.
+func (r *release) mpcPolySum(q *poly.Quantized, data *quantized, noise *noiseDraw) ([]int64, error) {
 	p := r.p
-	n, m := data.Cols, data.Rows
+	n, m := data.cols, data.rows
 	owner := func(j int) int { return p.partyOf(p.clientOf(j, n)) }
 	b := circuit.NewBuilder(p.Parties, p.Threshold)
-	b.ReserveInputs(m * dealtColumns(q, n))
 	cols := make([]bgw.Vec, n)
-	buf := make([]int64, m)
 	col := func(j int) bgw.Vec {
 		if cols[j] == nil {
-			for i := range buf {
-				buf[i] = data.At(i, j)
-			}
-			cols[j] = b.InputVec(owner(j), buf)
+			cols[j] = b.InputVec(owner(j), data.col(j))
 		}
 		return cols[j]
 	}
@@ -132,8 +125,8 @@ func (r *release) mpcPolySum(q *poly.Quantized, data *quant.IntMatrix, noise *no
 	colSum := func(j int) bgw.Val {
 		if sums[j] == nil {
 			var s int64
-			for i := 0; i < m; i++ {
-				s += data.At(i, j)
+			for _, v := range data.col(j) {
+				s += v
 			}
 			sums[j] = b.Input(owner(j), s)
 		}
@@ -183,31 +176,10 @@ func (r *release) mpcPolySum(q *poly.Quantized, data *quant.IntMatrix, noise *no
 	return res.OpenedVec(outIdx), nil
 }
 
-// dealtColumns counts the columns of n that a monomial of degree 2 or
-// more reads: the ones mpcPolySum deals.
-func dealtColumns(q *poly.Quantized, n int) int {
-	read := make([]bool, n)
-	count := 0
-	for _, pol := range q.Source.Dims {
-		for _, mono := range pol.Monomials {
-			if mono.Degree() < 2 {
-				continue
-			}
-			for j, e := range mono.Exps {
-				if e > 0 && !read[j] {
-					read[j] = true
-					count++
-				}
-			}
-		}
-	}
-	return count
-}
-
 // polyBound statically bounds the noiseless aggregate from the
 // per-record monomial bounds.
-func polyBound(q *poly.Quantized, data *quant.IntMatrix) float64 {
-	maxAbs := float64(data.MaxAbs())
+func polyBound(q *poly.Quantized, data *quantized) float64 {
+	maxAbs := float64(data.maxAbs())
 	var worst float64
 	for t, pol := range q.Source.Dims {
 		var bt float64
@@ -218,7 +190,7 @@ func polyBound(q *poly.Quantized, data *quant.IntMatrix) float64 {
 			worst = bt
 		}
 	}
-	return worst * float64(data.Rows)
+	return worst * float64(data.rows)
 }
 
 func singleVar(exps []int) int {

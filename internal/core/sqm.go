@@ -8,8 +8,9 @@
 // gradient are instantiations that plug their aggregate into it:
 //
 //  1. every client quantizes its private column with Algorithm 2
-//     (up-scale by γ, stochastic rounding) — quantizeByClient, package
-//     quant — the clients split across the cores (chunk.Run);
+//     (up-scale by γ, stochastic rounding) — quantizeByClient, into one
+//     column-major array whose columns the MPC plans record as they are
+//     — the clients split across the cores (chunk.Run);
 //  2. the public polynomial's coefficients are pre-processed so that
 //     every monomial carries the same overall factor γ^{λ+1} — package
 //     poly, or the gradient protocol's link;
@@ -59,7 +60,6 @@ import (
 	"sqm/internal/field"
 	"sqm/internal/linalg"
 	"sqm/internal/obs"
-	"sqm/internal/quant"
 	"sqm/internal/randx"
 	"sqm/internal/retry"
 	"sqm/internal/transport"
@@ -283,6 +283,9 @@ type Trace struct {
 	// sampling runs beside the engine (release.drawNoise), so on the BGW
 	// engines it overlaps the rest of Compute instead of adding to it.
 	NoiseCompute time.Duration
+	// NoiseSamples counts the Skellam draws behind the noise: every
+	// client draws one share per output, whatever the record count.
+	NoiseSamples int64
 }
 
 // TotalTime is the modeled end-to-end cost: measured computation plus
@@ -378,6 +381,7 @@ type noiseDraw struct {
 // (inputNoise). The caller must join the draw on every path: the
 // clients' streams are the draw's until then.
 func (r *release) drawNoise(dims int) *noiseDraw {
+	r.tr.NoiseSamples += int64(len(r.rngs) * dims)
 	d := &noiseDraw{r: r, holders: r.holders(), done: make(chan struct{})}
 	d.span = obs.StartTracedSpan(r.p.Recorder, "core.noise", 0, obs.Int("holders", d.holders), obs.Int("dims", dims))
 	go func() {
@@ -444,19 +448,12 @@ func (r *release) addNoise(sum []int64, noise dp.Noise, b dp.Booking) {
 
 // inputColumns records every column of data as an input vector dealt by
 // the party hosting the column's client, in a partition of total columns
-// (the LR label column is one more than data holds). The columns pass
-// through one buffer: the builder keeps a copy of each, all carved from
-// one array (a caller that reserved more for columns of its own keeps
-// its reservation).
-func (p *Params) inputColumns(b *circuit.Builder, data *quant.IntMatrix, total int) []bgw.Vec {
-	b.ReserveInputs(data.Rows * data.Cols)
-	cols := make([]bgw.Vec, data.Cols)
-	col := make([]int64, data.Rows)
+// (the LR label column is one more than data holds). The builder keeps
+// the columns as they lie in data's one array: none is copied.
+func (p *Params) inputColumns(b *circuit.Builder, data *quantized, total int) []bgw.Vec {
+	cols := make([]bgw.Vec, data.cols)
 	for j := range cols {
-		for i := range col {
-			col[i] = data.At(i, j)
-		}
-		cols[j] = b.InputVec(p.partyOf(p.clientOf(j, total)), col)
+		cols[j] = b.InputVec(p.partyOf(p.clientOf(j, total)), data.col(j))
 	}
 	return cols
 }
@@ -570,13 +567,36 @@ func rngFamily(seed uint64, clients int) (pub *randx.RNG, clientRNGs []*randx.RN
 	return pub, clientRNGs
 }
 
+// quantized is the clients' quantized data, column-major in one array:
+// col(j) is column j's rows integers, the slice the party hosting the
+// column's client deals and the builder keeps (inputColumns), and the
+// plain engine reads.
+type quantized struct {
+	rows, cols int
+	data       []int64
+}
+
+// col returns column j, a view of the one array.
+func (q *quantized) col(j int) []int64 {
+	return q.data[j*q.rows : (j+1)*q.rows : (j+1)*q.rows]
+}
+
+// maxAbs returns the largest |x̂| of the data.
+func (q *quantized) maxAbs() int64 {
+	var s int64
+	for _, v := range q.data {
+		s = max(s, v, -v)
+	}
+	return s
+}
+
 // quantizeByClient runs Algorithm 2 on every column using the owning
 // client's private randomness. The clients are split across the cores
 // (chunk.Run); a client's columns are rounded from its own stream in
 // column order, rows in order, so the integers and every stream's state
 // afterwards are the same whatever the core count.
-func quantizeByClient(x *linalg.Matrix, p *Params, clientRNGs []*randx.RNG) *quant.IntMatrix {
-	out := quant.NewIntMatrix(x.Rows, x.Cols)
+func quantizeByClient(x *linalg.Matrix, p *Params, clientRNGs []*randx.RNG) *quantized {
+	out := &quantized{rows: x.Rows, cols: x.Cols, data: make([]int64, x.Rows*x.Cols)}
 	chunk.Run(len(clientRNGs), runtime.GOMAXPROCS(0), func(lo, hi int) {
 		for j := 0; j < x.Cols; j++ {
 			c := p.clientOf(j, x.Cols)
@@ -584,8 +604,9 @@ func quantizeByClient(x *linalg.Matrix, p *Params, clientRNGs []*randx.RNG) *qua
 				continue
 			}
 			g := clientRNGs[c]
-			for i := 0; i < x.Rows; i++ {
-				out.Set(i, j, g.StochasticRound(p.Gamma*x.At(i, j)))
+			col := out.col(j)
+			for i := range col {
+				col[i] = g.StochasticRound(p.Gamma * x.At(i, j))
 			}
 		}
 	})

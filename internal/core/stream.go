@@ -53,7 +53,7 @@ func (s *CovarianceStream) Add(x *linalg.Matrix) error {
 		return fmt.Errorf("core: batch has %d columns, want %d", x.Cols, s.n)
 	}
 	qd := quantizeByClient(x, &s.p, s.r.rngs)
-	maxAbs := float64(qd.MaxAbs())
+	maxAbs := float64(qd.maxAbs())
 	newRows := s.rows + x.Rows
 	if err := checkFieldBound(maxAbs*maxAbs*float64(newRows) + noiseMargin(s.p.Mu)); err != nil {
 		return err

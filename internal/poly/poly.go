@@ -15,7 +15,6 @@ import (
 	"math"
 
 	"sqm/internal/invariant"
-	"sqm/internal/quant"
 	"sqm/internal/randx"
 )
 
@@ -260,11 +259,20 @@ func (q *Quantized) EvalInt(x []int64) ([]int64, error) {
 	return out, nil
 }
 
-// EvalIntSum evaluates Σ_i f̂(x̂_i) over the rows of a quantized matrix.
-func (q *Quantized) EvalIntSum(x *quant.IntMatrix) ([]int64, error) {
+// EvalIntSum evaluates Σ_i f̂(x̂_i) over rows quantized records held
+// column-major: col(j) is variable j's column, rows integers.
+func (q *Quantized) EvalIntSum(rows int, col func(j int) []int64) ([]int64, error) {
+	cols := make([][]int64, q.Source.NumVars())
+	for j := range cols {
+		cols[j] = col(j)
+	}
+	x := make([]int64, len(cols))
 	out := make([]int64, q.Source.OutDim())
-	for i := 0; i < x.Rows; i++ {
-		row, err := q.EvalInt(x.Row(i))
+	for i := 0; i < rows; i++ {
+		for j, c := range cols {
+			x[j] = c[i]
+		}
+		row, err := q.EvalInt(x)
 		if err != nil {
 			return nil, err
 		}

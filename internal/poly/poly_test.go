@@ -167,11 +167,8 @@ func TestEvalIntSum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := quant.NewIntMatrix(3, 1)
-	x.Set(0, 0, 2)
-	x.Set(1, 0, 4)
-	x.Set(2, 0, 6)
-	got, err := q.EvalIntSum(x)
+	x := []int64{2, 4, 6}
+	got, err := q.EvalIntSum(len(x), func(int) []int64 { return x })
 	if err != nil {
 		t.Fatal(err)
 	}

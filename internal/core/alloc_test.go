@@ -10,8 +10,9 @@ import (
 // TestReleaseAllocationsIndependentOfColumns: a covariance release, and
 // a polynomial sum of the products of neighbouring columns, allocate per
 // round, not per column. The clients' streams are one array, the
-// builder's copies of the columns one, the engine's embeddings of them
-// one, and every party's rows of an input round one, so 48 more columns
+// quantized columns one (the builder keeps them as they lie, uncopied),
+// the engine's embeddings of them one, and every party's rows of an
+// input round one, so 48 more columns
 // cost fewer than 48 more allocations — less than one per column — where
 // each used to cost several. Each count is the fewest of five releases,
 // as in bgw's TestInputRoundAllocatesOneRowArray.

@@ -4,12 +4,10 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"time"
 
 	"sqm/internal/bgw"
 	"sqm/internal/chunk"
 	"sqm/internal/circuit"
-	"sqm/internal/dp"
 	"sqm/internal/linalg"
 )
 
@@ -42,17 +40,16 @@ func Covariance(x *linalg.Matrix, p Params) (*linalg.Matrix, *Trace, error) {
 // covariance is Covariance over the release's clients.
 func (r *release) covariance(x *linalg.Matrix) (*linalg.Matrix, *Trace, error) {
 	qd := quantizeByClient(x, r.p, r.rngs)
-	// Each Gram entry is at most m·maxAbs²; the release is metered at
-	// Lemma 5's closed form for unit-norm records.
-	maxAbs := float64(qd.maxAbs())
-	upper, err := r.evaluate(maxAbs*maxAbs*float64(x.Rows), sens(CovarianceSensitivities(r.p.Gamma, 1, x.Cols)),
-		func(b dp.Booking) ([]int64, error) {
-			upper := make([]int64, x.Cols*(x.Cols+1)/2)
+	// The release is metered at Lemma 5's closed form for unit-norm
+	// records.
+	pairs := x.Cols * (x.Cols + 1) / 2
+	upper, err := r.evaluate(gramBound(qd.maxAbs(), x.Rows), sens(CovarianceSensitivities(r.p.Gamma, 1, x.Cols)), pairs,
+		func() ([]int64, error) {
+			upper := make([]int64, pairs)
 			accumulateGram(qd, upper)
-			r.drawNoiseOnto(upper, b)
 			return upper, nil
 		},
-		func(b dp.Booking) ([]int64, error) { return r.mpcCovariance(qd, b) })
+		func(draw *noiseDraw) ([]int64, error) { return r.mpcCovariance(qd, draw) })
 	if err != nil {
 		return nil, nil, err
 	}
@@ -118,33 +115,18 @@ func accumulateGram(qd *quantized, upper []int64) {
 // columns up.
 const gramBlock = 4096
 
-// drawNoiseOnto is the plain engine's covariance noise injection, under
-// the release's booking: every client's Sk(μ/n) draws added onto the
-// triangle in place, client by client from its own stream through the
-// release's one sampler (dp.AddSkellamOnto: one set of PTRS constants and
-// one acceptance table, on the stack), the values sampleNoise would add.
-// It stays on the caller's goroutine: sampleNoise splits the noise
-// holders across the cores, and the plain engine has one holder, whose
-// one vector is the triangle. Drawing onto it in place spares a second n(n+1)/2
-// triangle and the pass that would add it: 3 126 250 int64s, about
-// 25 MB, at the paper's n = 2 500, and about 1.69 GB at the Gene shape's
-// n = 20 531 (bench scales it to n = 4 096, about 67 MB).
-func (r *release) drawNoiseOnto(upper []int64, b dp.Booking) {
-	defer r.noiseTime(time.Now())
-	r.tr.NoiseSamples += int64(len(r.rngs) * len(upper))
-	dp.AddSkellamOnto(b, upper, r.noiseShare(), r.rngs)
+// gramBound bounds every entry of the Gram matrix of rows records whose
+// quantized entries are at most maxAbs in magnitude: rows·maxAbs².
+func gramBound(maxAbs int64, rows int) float64 {
+	m := float64(maxAbs)
+	return m * m * float64(rows)
 }
 
 // mpcCovariance runs the same computation over secret shares with the
-// selected Evaluator backend (recordCovariance). The draw starts here,
-// once the field bound is checked, and runs while the plan is recorded
-// and the engine deals and multiplies: the plan asks for the noise only
-// after its last multiplicative level, and opens it to the release's
-// booking.
-func (r *release) mpcCovariance(qd *quantized, booking dp.Booking) ([]int64, error) {
-	draw := r.drawNoise(qd.cols * (qd.cols + 1) / 2)
-	defer draw.join()
-	draw.booking = booking
+// selected Evaluator backend (recordCovariance). The noise draw runs
+// while the plan is recorded and the engine deals and multiplies: the
+// plan asks for the noise only after its last multiplicative level.
+func (r *release) mpcCovariance(qd *quantized, draw *noiseDraw) ([]int64, error) {
 	b, outIdx := r.p.recordCovariance(qd, draw.holders)
 	res, err := r.runOnce(b, 0x51c0, circuit.Bindings{InputVecs: draw.vectors})
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 
 	"sqm/internal/bgw"
 	"sqm/internal/circuit"
-	"sqm/internal/dp"
 	"sqm/internal/linalg"
 	"sqm/internal/mathx"
 	"sqm/internal/randx"
@@ -363,10 +362,8 @@ func (lr *LRProtocol) GradientSum(w []float64, batch []int) ([]float64, *Trace, 
 	}
 	r := lr.p.begin(lr.clientRNGs)
 	co := lr.link.coefficients(lr.pub, w)
-	noise := r.drawNoise(lr.d)
-	defer noise.join()
-	scaled, err := r.evaluate(lr.link.bound(co, lr.maxFeat, len(batch)), sens(lr.Sensitivity()),
-		func(b dp.Booking) ([]int64, error) {
+	scaled, err := r.evaluate(lr.link.bound(co, lr.maxFeat, len(batch)), sens(lr.Sensitivity()), lr.d,
+		func() ([]int64, error) {
 			// grad_t = Σ_{i∈batch} x̂_it·u_i.
 			u := co.u(lr.feat, lr.lab, batch)
 			grad := make([]int64, lr.d)
@@ -376,13 +373,9 @@ func (lr *LRProtocol) GradientSum(w []float64, batch []int) ([]float64, *Trace, 
 					grad[t] += col[i] * u[k]
 				}
 			}
-			r.addNoise(grad, noise.join(), b)
 			return grad, nil
 		},
-		func(b dp.Booking) ([]int64, error) {
-			noise.booking = b
-			return lr.mpc.gradient(r, batch, noise, co.gate)
-		})
+		func(noise *noiseDraw) ([]int64, error) { return lr.mpc.gradient(r, batch, noise, co.gate) })
 	if err != nil {
 		return nil, nil, err
 	}

@@ -29,7 +29,7 @@ func scaledDigest(traces ...*Trace) uint64 {
 	return h.Sum64()
 }
 
-// TestNoiseHolderSums: sampleNoise returns one vector per noise holder —
+// TestNoiseHolderSums: sampleNoise fills one vector per noise holder —
 // every party that hosts a client on an MPC engine, the one evaluator on
 // the plaintext engine — and each is the sum of its clients' SkellamVec
 // draws from an independent family of the same streams, with more
@@ -52,7 +52,10 @@ func TestNoiseHolderSums(t *testing.T) {
 				t.Fatal(err)
 			}
 			_, rngs := rngFamily(p.Seed, p.NumClients)
-			got := p.begin(rngs).sampleNoise(dims).Vectors(p.meter(1, 1))
+			r := p.begin(rngs)
+			noise := dp.NewNoise(r.holders(), dims)
+			r.sampleNoise(noise)
+			got := noise.Vectors(p.meter(1, 1))
 			holders := 1
 			if c.engine.IsMPC() {
 				holders = min(c.clients, c.parties)
@@ -265,7 +268,8 @@ func BenchmarkSampleNoise(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		noiseSink = r.sampleNoise(7260)
+		noiseSink = dp.NewNoise(r.holders(), 7260)
+		r.sampleNoise(noiseSink)
 	}
 }
 

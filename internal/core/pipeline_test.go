@@ -11,6 +11,7 @@ import (
 
 	"sqm/internal/bgw"
 	"sqm/internal/circuit"
+	"sqm/internal/dp"
 	"sqm/internal/linalg"
 	"sqm/internal/obs"
 	"sqm/internal/poly"
@@ -251,11 +252,11 @@ func nextOf(rngs []*randx.RNG) []uint64 {
 }
 
 // TestAbortJoinsNoiseDraw: a release joins its noise draw on every path —
-// a session that succeeds, a covariance the field-bound check refuses
-// before its draw starts, an LR3 step refused after it started, an LR3
-// step whose mesh is cut during the cube's products, and a three-step LR
-// run — so the goroutine count returns to its baseline and every client's
-// stream stands where the serial path leaves it.
+// a session that succeeds, a covariance and an LR3 step the field-bound
+// check refuses before their draws start, an LR3 step whose mesh is cut
+// during the cube's products, and a three-step LR run — so the goroutine
+// count returns to its baseline and every client's stream stands where
+// the serial path leaves it.
 func TestAbortJoinsNoiseDraw(t *testing.T) {
 	defer func(old func(int, ...transport.Option) transport.Mesh) { chanMesh = old }(chanMesh)
 	healthy := chanMesh
@@ -319,7 +320,7 @@ func TestAbortJoinsNoiseDraw(t *testing.T) {
 	if !errors.Is(err, ErrFieldOverflow) {
 		t.Fatalf("refused LR3 step: err = %v, want ErrFieldOverflow", err)
 	}
-	check("refused LR3 step", got, streamsAfter(np, feat, labels, 1, feat.Cols))
+	check("refused LR3 step", got, streamsAfter(np, feat, labels, 0, feat.Cols))
 
 	var mesh *transport.FaultMesh
 	chanMesh = func(n int, opts ...transport.Option) transport.Mesh {
@@ -345,4 +346,54 @@ func TestAbortJoinsNoiseDraw(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("three LR steps", got, streamsAfter(np, feat, labels, 3, feat.Cols))
+}
+
+// TestRefusedReleaseDrawsNoNoise: a polynomial sum and an LR step that
+// the field-bound check refuses draw nothing, on the plaintext engine and
+// an MPC one: afterwards every client's stream stands where quantizing
+// its columns (and, for the LR protocol, the labels) leaves it, and the
+// accountant holds no entry.
+func TestRefusedReleaseDrawsNoNoise(t *testing.T) {
+	x := randMatrix(10, 3, 0.5, 12)
+	f := poly.MustMulti(poly.MustPolynomial(3,
+		poly.Monomial{Coef: 0.5, Exps: []int{1, 1, 0}},
+		poly.Monomial{Coef: 1, Exps: []int{0, 0, 1}},
+	))
+	feat, labels := lrTestData(8, 2, 7)
+	for _, kind := range []EngineKind{EnginePlain, EngineActorBGW} {
+		p := Params{Gamma: 1 << 20, Mu: 100, Engine: kind, Parties: 3, Seed: 13, Acct: dp.NewAccountant(0)}
+		if err := p.normalize(x.Cols); err != nil {
+			t.Fatal(err)
+		}
+		pub, rngs := rngFamily(p.Seed, p.NumClients)
+		q, err := f.Quantize(p.Gamma, pub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := p.begin(rngs).polySum(q, x, q.Scale(), sens(q.SensitivityBound(1))); !errors.Is(err, ErrFieldOverflow) {
+			t.Fatalf("polynomial sum on %v: err = %v, want ErrFieldOverflow", kind, err)
+		}
+		if got, want := nextOf(rngs), streamsAfter(p, x, nil, 0, 0); !slices.Equal(got, want) {
+			t.Errorf("refused polynomial sum on %v: client streams continue with %x, after quantization %x", kind, got, want)
+		}
+		if n := p.Acct.Releases(); n != 0 {
+			t.Errorf("refused polynomial sum on %v: the accountant holds %d releases", kind, n)
+		}
+
+		lr, err := NewLRProtocol(feat, labels, Params{Gamma: 1 << 20, Mu: 100, Engine: kind, Parties: 3, Seed: 14, Acct: dp.NewAccountant(0)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = lr.GradientSum([]float64{0.25, -0.5}, []int{0, 1, 2, 3, 4, 5, 6, 7})
+		lr.Close()
+		if !errors.Is(err, ErrFieldOverflow) {
+			t.Fatalf("LR step on %v: err = %v, want ErrFieldOverflow", kind, err)
+		}
+		if got, want := nextOf(lr.clientRNGs), streamsAfter(lr.p, feat, labels, 0, 0); !slices.Equal(got, want) {
+			t.Errorf("refused LR step on %v: client streams continue with %x, after quantization %x", kind, got, want)
+		}
+		if n := lr.p.Acct.Releases(); n != 0 {
+			t.Errorf("refused LR step on %v: the accountant holds %d releases", kind, n)
+		}
+	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"sqm/internal/bgw"
 	"sqm/internal/circuit"
-	"sqm/internal/dp"
 	"sqm/internal/invariant"
 	"sqm/internal/linalg"
 	"sqm/internal/poly"
@@ -74,20 +73,9 @@ func EvaluateMonomialSum(m poly.Monomial, x *linalg.Matrix, p Params) (float64, 
 // noise, and the server divides by scale. s is what evaluate books.
 func (r *release) polySum(q *poly.Quantized, x *linalg.Matrix, scale float64, s sensitivities) ([]float64, *Trace, error) {
 	qd := quantizeByClient(x, r.p, r.rngs)
-	noise := r.drawNoise(q.Source.OutDim())
-	defer noise.join()
-	scaled, err := r.evaluate(polyBound(q, qd), s,
-		func(b dp.Booking) ([]int64, error) {
-			sum, err := q.EvalIntSum(qd.rows, qd.col)
-			if err == nil {
-				r.addNoise(sum, noise.join(), b)
-			}
-			return sum, err
-		},
-		func(b dp.Booking) ([]int64, error) {
-			noise.booking = b
-			return r.mpcPolySum(q, qd, noise)
-		})
+	scaled, err := r.evaluate(polyBound(q, qd), s, q.Source.OutDim(),
+		func() ([]int64, error) { return q.EvalIntSum(qd.rows, qd.col) },
+		func(noise *noiseDraw) ([]int64, error) { return r.mpcPolySum(q, qd, noise) })
 	if err != nil {
 		return nil, nil, err
 	}

@@ -14,33 +14,32 @@
 //  2. the public polynomial's coefficients are pre-processed so that
 //     every monomial carries the same overall factor γ^{λ+1} — package
 //     poly, or the gradient protocol's link;
-//  3. every client privately samples a share Sk(μ/n) of the Skellam
+//  3. the static bound on the aggregate is checked against the field,
+//     the release is booked (Params.meter), and only then is the noise
+//     drawn and the engine selected — release.evaluate, the one place
+//     Params.Engine forks and the one path every release's noise takes,
+//     so a refused release books nothing and draws nothing;
+//  4. every client privately samples a share Sk(μ/n) of the Skellam
 //     noise from its own stream, drawn onto the one vector of the noise
-//     holder hosting it — its party on the BGW engines, the evaluator on
-//     the plaintext one — the holders split across the cores, each
-//     worker drawing through its own sampler (release.sampleNoise,
-//     randx.SkellamSampler). The draw runs beside the rest of the release
-//     (release.drawNoise, span core.noise): the noise reaches nothing but
-//     the opening, so every plan joins it only when it enters the noise,
-//     after its last multiplicative level, while the plaintext engine
-//     joins it at once;
-//  4. the static bound on the aggregate is checked against the field,
-//     and only then is the engine selected — release.evaluate, the one
-//     place Params.Engine forks. The plaintext integer engine adds the
-//     noise onto the aggregate (release.addNoise); the BGW engines
-//     (package bgw) record the columns as inputs their parties deal and
-//     every party's noise vector as an input it adds at the opening
-//     (Params.inputColumns, inputNoise) and run the compiled plan on a
-//     fresh engine (release.runOnce): the parties deal the columns in one
-//     input round, multiply, and only then take the noise. The two are
-//     output-identical because BGW computes exactly;
+//     holder hosting it, the holders split across the cores, each worker
+//     drawing through its own sampler (release.sampleNoise,
+//     randx.SkellamSampler). The plaintext integer engine computes the
+//     aggregate, and its one holder's vector is that aggregate: the
+//     shares are drawn onto it in place (dp.NoiseOnto). On the BGW
+//     engines (package bgw) the draw runs beside the rest of the release
+//     (release.drawNoise, span core.noise): the plan records the columns
+//     as inputs their parties deal and every party's noise vector as an
+//     input it adds at the opening (Params.inputColumns, inputNoise), and
+//     runs on a fresh engine (release.runOnce): the parties deal the
+//     columns in one input round, multiply, and only then join the draw
+//     and take the noise. The two are output-identical because BGW
+//     computes exactly;
 //  5. the Trace is closed (release.finish) and the server down-scales
 //     the opened result by γ^{λ+1}, or γ^λ for the coefficient-1
 //     monomials of Algorithm 1 (Trace.estimate).
 //
-// Params.meter books a release with the accountant when an engine starts
-// (release.evaluate), and the dp.Booking it returns is the only key to
-// the release's noise (dp.Noise). The specialized protocols of §V — the
+// The dp.Booking that Params.meter returns is the only key to the
+// release's noise (dp.Noise). The specialized protocols of §V — the
 // covariance matrix for PCA and the Taylor-approximated
 // logistic-regression gradient — live in covariance.go, stream.go and
 // lr.go.
@@ -279,9 +278,9 @@ type Trace struct {
 	Stats  bgw.Stats // protocol counters (zero for EnginePlain)
 
 	Compute time.Duration // wall-clock of the full evaluation
-	// NoiseCompute is the wall-clock of noise sampling + aggregation. The
-	// sampling runs beside the engine (release.drawNoise), so on the BGW
-	// engines it overlaps the rest of Compute instead of adding to it.
+	// NoiseCompute is the wall-clock of the noise draw. On the BGW
+	// engines the draw runs beside the engine (release.drawNoise), so it
+	// overlaps the rest of Compute instead of adding to it.
 	NoiseCompute time.Duration
 	// NoiseSamples counts the Skellam draws behind the noise: every
 	// client draws one share per output, whatever the record count.
@@ -317,9 +316,6 @@ func (p *Params) begin(rngs []*randx.RNG) *release {
 	return &release{p: p, rngs: rngs, tr: &Trace{}, start: time.Now()}
 }
 
-// noiseTime books the time since t0 as spent enforcing DP.
-func (r *release) noiseTime(t0 time.Time) { r.tr.NoiseCompute += time.Since(t0) }
-
 // noiseShare is the Skellam parameter of one client's share, μ/n: the n
 // shares sum to the Sk(μ) the accountant is told about.
 func (r *release) noiseShare() float64 { return r.p.Mu / float64(len(r.rngs)) }
@@ -333,20 +329,18 @@ func (r *release) holders() int {
 	return 1
 }
 
-// sampleNoise draws every client's share of the noise on dims outputs
-// onto the vector of the noise holder hosting the client: holder h's is
-// the sum of the Sk(μ/n) shares of party h's clients on an MPC engine,
-// and of all n on the plaintext engine. The holders are split across the
-// cores (chunk.Run); each worker draws its holders' clients in client
-// order, each from its own private stream, through its own sampler of
-// Sk(μ/n) — one PTRS acceptance table per worker, on the worker's stack
-// — so the sums are those of the per-client vectors whatever the core
-// count. The vectors open only to the release's dp.Booking.
-func (r *release) sampleNoise(dims int) dp.Noise {
-	holders := r.holders()
-	out := dp.NewNoise(holders, dims)
+// sampleNoise draws every client's share of the noise onto the vector of
+// the noise holder hosting the client, in out: holder h's vector receives
+// the Sk(μ/n) shares of party h's clients on an MPC engine, and all n on
+// the plaintext engine. The holders are split across the cores
+// (chunk.Run; the plaintext engine's one holder stays on the caller's
+// goroutine); each worker draws its holders' clients in client order,
+// each from its own private stream, through its own sampler of Sk(μ/n) —
+// one PTRS acceptance table per worker, on the worker's stack — so the
+// sums are those of the per-client vectors whatever the core count.
+func (r *release) sampleNoise(out dp.Noise) {
 	mu := r.noiseShare()
-	chunk.Run(holders, runtime.GOMAXPROCS(0), func(lo, hi int) {
+	chunk.Run(r.holders(), runtime.GOMAXPROCS(0), func(lo, hi int) {
 		s := randx.NewSkellamSampler(mu)
 		for j, g := range r.rngs {
 			if h := r.p.partyOf(j); h >= lo && h < hi {
@@ -354,49 +348,59 @@ func (r *release) sampleNoise(dims int) dp.Noise {
 			}
 		}
 	})
-	return out
 }
 
-// noiseDraw is sampleNoise running beside the rest of a release
-// (release.drawNoise).
+// noiseDraw is a release's noise draw: sampleNoise onto the holders'
+// vectors, in the span core.noise, which runs from the draw's start to
+// its join.
 type noiseDraw struct {
 	r       *release
 	holders int
+	noise   dp.Noise // the holders' vectors, complete once done closes
 	span    obs.TracedSpan
 	done    chan struct{}
-	noise   dp.Noise      // the holders' vectors, set before done closes
 	took    time.Duration // the draw's wall-clock, set before done closes
 	joined  bool
-	// booking is the release's, set by its MPC path before the plan
+	// booking is the release's, set by release.evaluate before the plan
 	// enters the noise (vectors).
 	booking dp.Booking
 }
 
-// drawNoise starts sampleNoise(dims) on a goroutine of its own, which
-// splits the holders across the cores as sampleNoise always does. The
-// noise reaches nothing
-// but the opening, so whatever the release does before its opening —
-// record and compile its plan, build the engine, deal the columns,
-// multiply — overlaps the draw, if the noise leaves are bound to join
-// (inputNoise). The caller must join the draw on every path: the
-// clients' streams are the draw's until then.
-func (r *release) drawNoise(dims int) *noiseDraw {
+// startNoise opens the draw of every client's share of dims entries onto
+// noise's holders; run draws.
+func (r *release) startNoise(noise dp.Noise, dims int) *noiseDraw {
 	r.tr.NoiseSamples += int64(len(r.rngs) * dims)
-	d := &noiseDraw{r: r, holders: r.holders(), done: make(chan struct{})}
+	d := &noiseDraw{r: r, holders: r.holders(), noise: noise, done: make(chan struct{})}
 	d.span = obs.StartTracedSpan(r.p.Recorder, "core.noise", 0, obs.Int("holders", d.holders), obs.Int("dims", dims))
-	go func() {
-		defer close(d.done)
-		start := time.Now()
-		d.noise = r.sampleNoise(dims)
-		d.took = time.Since(start)
-	}()
+	return d
+}
+
+// run is the draw itself, timed.
+func (d *noiseDraw) run() {
+	defer close(d.done)
+	start := time.Now()
+	d.r.sampleNoise(d.noise)
+	d.took = time.Since(start)
+}
+
+// drawNoise starts the draw of dims entries onto fresh holder vectors on
+// a goroutine of its own, which splits the holders across the cores as
+// sampleNoise always does. The noise reaches nothing but the opening, so
+// whatever an MPC release does before its opening — record and compile
+// its plan, build the engine, deal the columns, multiply — overlaps the
+// draw, if the noise leaves are bound to join (inputNoise). The caller
+// must join the draw on every path: the clients' streams are the draw's
+// until then.
+func (r *release) drawNoise(dims int) *noiseDraw {
+	d := r.startNoise(dp.NewNoise(r.holders(), dims), dims)
+	go d.run()
 	return d
 }
 
 // join waits for the draw and returns the holders' noise, and so does
 // every later call. The first books the draw's wall-clock in the
-// release's Trace.NoiseCompute and ends the core.noise span, which runs
-// from the draw's start to here, on the caller's goroutine.
+// release's Trace.NoiseCompute and ends the core.noise span, on the
+// caller's goroutine.
 func (d *noiseDraw) join() dp.Noise {
 	if !d.joined {
 		<-d.done
@@ -416,34 +420,46 @@ type sensitivities struct{ delta2, delta1 float64 }
 
 func sens(delta2, delta1 float64) sensitivities { return sensitivities{delta2, delta1} }
 
-// evaluate runs the aggregate on the engine Params selects. bound is the
-// static bound on the noiseless aggregate: it is checked with the noise
-// tail against the field's signed range before the engine is looked at,
-// so every engine refuses the same Params. The ledger is charged between
-// the two, at s: refused parameters cost nothing, and once an engine
+// evaluate runs the aggregate on the engine Params selects, with its
+// noise of dims entries. bound is the static bound on the noiseless
+// aggregate: it is checked with the noise tail against the field's signed
+// range before the engine is looked at, so every engine refuses the same
+// Params. The ledger is charged between the two, at s, and only then is
+// the noise drawn, under the booking that charge returns: refused
+// parameters cost nothing and move no client's stream, and once an engine
 // starts the release is booked whether or not the session completes — a
 // session cut in its opening round has shown up to P−1 parties the
-// output. The engine's path gets the Booking, which is what opens the
-// release's noise.
-func (r *release) evaluate(bound float64, s sensitivities, plain, mpc func(dp.Booking) ([]int64, error)) ([]int64, error) {
+// output.
+//
+// plain returns the noiseless aggregate, and every client's share is
+// drawn onto it in place, on the caller's goroutine: the plaintext
+// engine's one noise holder is the aggregate itself, which spares a
+// covariance a second n(n+1)/2 triangle — about 25 MB at the paper's
+// n = 2 500, 1.69 GB at the Gene shape's n = 20 531. mpc receives the
+// draw already started beside it on fresh holder vectors that open to
+// the booking (noiseDraw.vectors), and the draw is joined on every path.
+func (r *release) evaluate(bound float64, s sensitivities, dims int, plain func() ([]int64, error), mpc func(*noiseDraw) ([]int64, error)) ([]int64, error) {
 	if err := checkFieldBound(bound + noiseMargin(r.p.Mu)); err != nil {
 		return nil, err
 	}
 	b := r.p.meter(s.delta2, s.delta1)
 	switch {
 	case r.p.Engine == EnginePlain:
-		return plain(b)
+		out, err := plain()
+		if err != nil {
+			return nil, err
+		}
+		d := r.startNoise(dp.NoiseOnto(b, out), dims)
+		d.run()
+		d.join()
+		return out, nil
 	case r.p.Engine.IsMPC():
-		return mpc(b)
+		d := r.drawNoise(dims)
+		defer d.join()
+		d.booking = b
+		return mpc(d)
 	}
 	return nil, errUnknownEngine(r.p.Engine)
-}
-
-// addNoise is the plain engine's noise injection: the holders' vectors
-// sampleNoise drew added onto the aggregate, under the release's booking.
-func (r *release) addNoise(sum []int64, noise dp.Noise, b dp.Booking) {
-	defer r.noiseTime(time.Now())
-	noise.AddTo(sum, b)
 }
 
 // inputColumns records every column of data as an input vector dealt by

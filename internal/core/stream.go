@@ -10,21 +10,24 @@ import (
 // batches, so databases too large for memory (the KDDCUP shape and
 // beyond) can be processed in passes: each batch is quantized with the
 // owning clients' randomness, folded into the integer Gram accumulator,
-// and discarded. Finalize injects the per-client Skellam shares and
-// applies the server's down-scaling with the stages Covariance's plain
-// path runs — the one-shot and the streamed version are
-// distribution-identical, leave the same ledger entry, and are
-// bit-identical when the same records arrive in the same order.
+// and discarded. Finalize is one more release (release.evaluate) over the
+// accumulated triangle: it checks the field bound, books and draws the
+// per-client Skellam shares onto it as Covariance's plain path does, and
+// applies the server's down-scaling — the one-shot and the streamed
+// version refuse the same records, are distribution-identical, leave the
+// same ledger entry, and are bit-identical when the same records arrive
+// in the same order.
 //
 // The plaintext engine only: streaming the BGW variant would require
 // retaining shares of every batch, which defeats the purpose.
 type CovarianceStream struct {
-	p     Params
-	r     *release // clocked from construction
-	n     int
-	rows  int
-	upper []int64
-	done  bool
+	p      Params
+	r      *release // clocked from construction
+	n      int
+	rows   int
+	maxAbs int64 // the largest |x̂| of every batch accumulated so far
+	upper  []int64
+	done   bool
 }
 
 // NewCovarianceStream prepares an accumulator for n attributes.
@@ -53,29 +56,35 @@ func (s *CovarianceStream) Add(x *linalg.Matrix) error {
 		return fmt.Errorf("core: batch has %d columns, want %d", x.Cols, s.n)
 	}
 	qd := quantizeByClient(x, &s.p, s.r.rngs)
-	maxAbs := float64(qd.maxAbs())
+	maxAbs := max(s.maxAbs, qd.maxAbs())
 	newRows := s.rows + x.Rows
-	if err := checkFieldBound(maxAbs*maxAbs*float64(newRows) + noiseMargin(s.p.Mu)); err != nil {
+	// Covariance's bound over every record so far: a batch of small
+	// entries after one of large entries is bounded by the large ones.
+	if err := checkFieldBound(gramBound(maxAbs, newRows) + noiseMargin(s.p.Mu)); err != nil {
 		return err
 	}
 	accumulateGram(qd, s.upper)
-	s.rows = newRows
+	s.rows, s.maxAbs = newRows, maxAbs
 	return nil
 }
 
 // Rows returns the records accumulated so far.
 func (s *CovarianceStream) Rows() int { return s.rows }
 
-// Finalize injects the Skellam noise and returns the covariance
-// estimate; the stream cannot be reused afterwards.
+// Finalize books the release, draws the Skellam noise onto the
+// accumulated triangle and returns the covariance estimate; the stream
+// cannot be reused afterwards.
 func (s *CovarianceStream) Finalize() (*linalg.Matrix, *Trace, error) {
 	if s.done {
 		return nil, nil, fmt.Errorf("core: stream already finalized")
 	}
 	s.done = true
-	// Every batch passed Add's field-bound check: booked like Covariance,
-	// and the booking is what the noise is drawn under.
-	s.r.drawNoiseOnto(s.upper, s.p.meter(CovarianceSensitivities(s.p.Gamma, 1, s.n)))
-	out, tr := s.r.finishGram(s.upper, s.n)
+	upper, err := s.r.evaluate(gramBound(s.maxAbs, s.rows), sens(CovarianceSensitivities(s.p.Gamma, 1, s.n)), len(s.upper),
+		func() ([]int64, error) { return s.upper, nil },
+		nil) // plain only: NewCovarianceStream refuses the MPC engines
+	if err != nil {
+		return nil, nil, err
+	}
+	out, tr := s.r.finishGram(upper, s.n)
 	return out, tr, nil
 }

@@ -134,3 +134,43 @@ func TestStreamOverflowGuardAccumulates(t *testing.T) {
 		t.Fatal("accumulated batches should eventually trip the field bound")
 	}
 }
+
+// TestStreamRefusesWhatOneShotRefuses: the field bound of a stream is
+// Covariance's over every record so far — rows · maxAbs², maxAbs over all
+// batches — not the current batch's maxAbs times the rows: at γ = 2²⁰ a
+// million records of 1.0 pass, and a million more of 0.5, each under the
+// bound on its own entries, take the Gram entry past the field's signed
+// range, as Covariance over the two million refuses. The stream refuses
+// the second batch and releases the first alone.
+func TestStreamRefusesWhatOneShotRefuses(t *testing.T) {
+	const rows = 1_000_000
+	p := Params{Gamma: 1 << 20, Seed: 3}
+	ones, halves := linalg.NewMatrix(rows, 1), linalg.NewMatrix(rows, 1)
+	for i := range rows {
+		ones.Data[i], halves.Data[i] = 1, 0.5
+	}
+	s, err := NewCovarianceStream(1, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Add(ones); err != nil {
+		t.Fatalf("first batch: %v", err)
+	}
+	if err := s.Add(halves); err != ErrFieldOverflow {
+		t.Fatalf("second batch: err = %v, want ErrFieldOverflow", err)
+	}
+	out, _, err := s.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out.At(0, 0); got != rows {
+		t.Fatalf("released %v, want the first batch's %v", got, float64(rows))
+	}
+
+	both := linalg.NewMatrix(2*rows, 1)
+	copy(both.Data, ones.Data)
+	copy(both.Data[rows:], halves.Data)
+	if _, _, err := Covariance(both, p); err != ErrFieldOverflow {
+		t.Fatalf("one-shot: err = %v, want ErrFieldOverflow", err)
+	}
+}

@@ -22,9 +22,10 @@ func (b Booking) check() {
 }
 
 // Noise is a release's Skellam noise: one vector per noise holder, each
-// the sum of its clients' draws. Its integers are reachable only through
-// Vectors and AddTo, which take the release's Booking; every fmt verb
-// that calls Format prints it redacted.
+// the sum of its clients' draws. The vectors are fresh (NewNoise) or the
+// caller's array (NoiseOnto, which only a Booking mints), and their
+// integers are reachable only through Vectors, which takes the release's
+// Booking; every fmt verb that calls Format prints it redacted.
 type Noise struct {
 	// vecs returns the holders' vectors. A closure, not a slice or a
 	// pointer: where fmt prints a Noise by reflection — under %p, or in an
@@ -45,6 +46,16 @@ func NewNoise(holders, dims int) Noise {
 	return Noise{vecs: func() [][]int64 { return vecs }}
 }
 
+// NoiseOnto returns the noise of a release with one holder whose vector
+// is dst, under the release's booking: every Draw adds onto dst in place,
+// so the aggregate the release opens holds its noise without a second
+// vector of its length.
+func NoiseOnto(b Booking, dst []int64) Noise {
+	b.check()
+	vecs := [][]int64{dst}
+	return Noise{vecs: func() [][]int64 { return vecs }}
+}
+
 // Draw adds one client's draws from g onto holder h's vector through s.
 // It allocates nothing, so a sampler on its caller's stack stays there.
 func (n Noise) Draw(h int, s *randx.SkellamSampler, g *randx.RNG) {
@@ -57,32 +68,10 @@ func (n Noise) Vectors(b Booking) [][]int64 {
 	return n.vecs()
 }
 
-// AddTo adds every holder's vector onto dst, under the release's booking.
-func (n Noise) AddTo(dst []int64, b Booking) {
-	b.check()
-	for _, v := range n.vecs() {
-		for t, z := range v {
-			dst[t] += z
-		}
-	}
-}
-
 // Format prints the noise redacted, whatever the verb. fmt calls it
 // wherever it can call a method: not on a Noise in an unexported field of
 // another struct, nor under %p, where it prints by reflection and finds
 // only the closure that holds the vectors.
 func (n Noise) Format(f fmt.State, _ rune) {
 	fmt.Fprint(f, "dp.Noise(redacted)")
-}
-
-// AddSkellamOnto adds Sk(mu) draws from every stream of rngs onto dst in
-// place, stream by stream, through one sampler: the noise of a release
-// with one holder, drawn straight onto the aggregate it opens, under the
-// release's booking.
-func AddSkellamOnto(b Booking, dst []int64, mu float64, rngs []*randx.RNG) {
-	b.check()
-	s := randx.NewSkellamSampler(mu) // on the stack: Add does not keep it
-	for _, g := range rngs {
-		s.Add(g, dst)
-	}
 }

@@ -14,10 +14,11 @@ import (
 // TestNoiseIsRedactedAndOpensOnlyToABooking: a release's noise prints
 // redacted under every verb — as a value, behind a pointer, as a
 // struct's field and in a slice — and where fmt prints it by reflection,
-// under %p or in an unexported field, as an address; each of its readers
-// panics with an
-// invariant.Violation on the zero Booking, and the Booking a nil
-// accountant mints opens the holders' sums of their clients' draws while
+// under %p or in an unexported field, as an address; every way to reach
+// its integers — Vectors, and NoiseOnto, which hands out a caller's array
+// — panics with an invariant.Violation on the zero Booking, and the
+// Booking a nil accountant mints opens the holders' sums of their
+// clients' draws, and draws in place onto the array it is handed, while
 // the accountant records nothing.
 func TestNoiseIsRedactedAndOpensOnlyToABooking(t *testing.T) {
 	const dims, mu = 8, 1e6
@@ -53,8 +54,7 @@ func TestNoiseIsRedactedAndOpensOnlyToABooking(t *testing.T) {
 		read func()
 	}{
 		{"Vectors", func() { n.Vectors(zero) }},
-		{"AddTo", func() { n.AddTo(make([]int64, dims), zero) }},
-		{"AddSkellamOnto", func() { AddSkellamOnto(zero, make([]int64, dims), mu, []*randx.RNG{randx.New(4)}) }},
+		{"NoiseOnto", func() { NoiseOnto(zero, make([]int64, dims)) }},
 	} {
 		func() {
 			defer func() {
@@ -77,11 +77,18 @@ func TestNoiseIsRedactedAndOpensOnlyToABooking(t *testing.T) {
 			t.Fatalf("a nil accountant's booking opened %v, the clients' draws sum to %v", got, want)
 		}
 		sum := make([]int64, dims)
-		AddSkellamOnto(b, sum, mu, []*randx.RNG{randx.New(1), randx.New(2), randx.New(3)})
-		n.AddTo(sum, b)
+		onto := NoiseOnto(b, sum)
+		for _, seed := range []uint64{1, 2, 3} {
+			onto.Draw(0, &s, randx.New(seed))
+		}
+		for _, v := range n.Vectors(b) {
+			for k, z := range v {
+				sum[k] += z
+			}
+		}
 		for k, v := range sum {
 			if v != 2*(want[0][k]+want[1][k]) {
-				t.Fatalf("entry %d: AddSkellamOnto then AddTo gave %d, want twice the holders' sum %d", k, v, want[0][k]+want[1][k])
+				t.Fatalf("entry %d: NoiseOnto's draws plus the holders' vectors gave %d, want twice the holders' sum %d", k, v, want[0][k]+want[1][k])
 			}
 		}
 	}

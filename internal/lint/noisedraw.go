@@ -15,8 +15,8 @@ var noiseDraws = map[string]map[string]bool{
 }
 
 // noiseDrawPkgs may draw DP noise directly: the samplers' own package,
-// the ledger's (dp.Noise, dp.AddSkellamOnto), the auditor that samples a
-// mechanism to test it, the ablation tables and the benchmark's replica.
+// the ledger's (dp.Noise.Draw), the auditor that samples a mechanism to
+// test it, the ablation tables and the benchmark's replica.
 var noiseDrawPkgs = map[string]bool{
 	randxPkg:             true,
 	"sqm/internal/dp":    true,

@@ -791,9 +791,10 @@ func checkGather(idx []int, n int) {
 }
 
 // LinComb returns c0 + Σ_k cs[k]·vs[k] element-wise; local, one command
-// whatever the number of terms.
+// whatever the number of terms. Nil coefficients are all 1: the plain
+// sum, which the parties add without a multiplication or a FieldOp.
 func (e *Engine) LinComb(vs []Vec, cs []int64, c0 int64) Vec {
-	if len(vs) != len(cs) {
+	if cs != nil && len(vs) != len(cs) {
 		panic(invariant.Violation("bgw: LinComb has %d vectors for %d coefficients", len(vs), len(cs)))
 	}
 	refs := e.idx.Take(len(vs))
@@ -807,7 +808,9 @@ func (e *Engine) LinComb(vs []Vec, cs []int64, c0 int64) Vec {
 			panic(invariant.Violation("bgw: vector length mismatch"))
 		}
 	}
-	cs = e.coefs.Clone(cs)
+	if cs != nil {
+		cs = e.coefs.Clone(cs)
+	}
 	out := e.newVec(n, deg)
 	e.dispatch(actorCmd{op: opLinComb, a: n, c: c0, x: e.payloads.Put(cmdPayload{refs: refs, ints: cs})})
 	return out

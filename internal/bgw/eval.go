@@ -263,7 +263,9 @@ type Evaluator interface {
 	// one length: a single fused affine gate, local. It is metered as
 	// the scalar MulConst gates it stands for — len(vs)·n field
 	// operations per party — and the constant is free, as AddConst is.
-	// With no terms the result is the empty vector.
+	// Nil coefficients mean the plain sum c0 + Σ_k vs[k], which is
+	// unmetered, as AddVec is. With no terms the result is the empty
+	// vector.
 	LinComb(vs []Vec, cs []int64, c0 int64) Vec
 	// Dot returns a sharing of the inner product ⟨a, b⟩ (fused gate).
 	Dot(a, b Vec) Val

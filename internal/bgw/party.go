@@ -255,16 +255,24 @@ func (a *actorParty) send(c *actorCmd) error {
 	case opLinComb:
 		// c0 + Σ_k cs[k]·vs[k] on this party's shares: the constant is the
 		// constant polynomial, added to every share as opAddConst adds it.
+		// Without coefficients it is the plain sum, which adds, never
+		// multiplies, and meters nothing, as opAddVec.
 		out := a.slots.Take(c.a)
 		c0 := field.FromInt64(c.c)
 		for k := range out {
 			out[k] = c0
 		}
 		for k, r := range c.x.refs {
-			field.MulAddVec(out, a.vc[r], field.FromInt64(c.x.ints[k]))
+			if c.x.ints == nil {
+				field.AddVec(out, out, a.vc[r])
+			} else {
+				field.MulAddVec(out, a.vc[r], field.FromInt64(c.x.ints[k]))
+			}
 		}
 		a.vc = append(a.vc, out)
-		a.fieldOps += int64(len(c.x.refs) * c.a)
+		if c.x.ints != nil {
+			a.fieldOps += int64(len(c.x.refs) * c.a)
+		}
 	case opFromScalars:
 		a.vc = append(a.vc, a.gather(c.x.refs))
 	case opMulBatch:

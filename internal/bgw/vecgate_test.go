@@ -16,8 +16,9 @@ func vecGateEngines(t *testing.T) map[string]*Engine {
 
 // TestGatherAndLinCombMatchPlaintext opens both vector gates against
 // integer arithmetic on the edge cases: repeated and no indices, negative
-// and zero coefficients, a constant on its own, one vector listed twice,
-// and no terms at all.
+// and zero coefficients, a constant on its own, no coefficients (the
+// plain sum, which meters no FieldOps), one vector listed twice, and no
+// terms at all.
 func TestGatherAndLinCombMatchPlaintext(t *testing.T) {
 	x := []int64{7, -3, 0, 1 << 40, -9}
 	y := []int64{-1, 2, -4, 8, -16}
@@ -43,10 +44,20 @@ func TestGatherAndLinCombMatchPlaintext(t *testing.T) {
 			{[]int64{-1, 0}, 11},
 			{[]int64{0, 0}, -6},
 			{[]int64{1 << 20, -(1 << 20)}, 1},
+			{nil, 4},
 		} {
-			got := e.OpenVec(e.LinComb([]Vec{xv, yv}, c.cs, c.c0))
+			before := e.Stats().FieldOps
+			sum := e.LinComb([]Vec{xv, yv}, c.cs, c.c0)
+			if ops := e.Stats().FieldOps - before; c.cs == nil && ops != 0 {
+				t.Errorf("%s: the plain sum metered %d FieldOps, want none", name, ops)
+			}
+			cx, cy := int64(1), int64(1)
+			if c.cs != nil {
+				cx, cy = c.cs[0], c.cs[1]
+			}
+			got := e.OpenVec(sum)
 			for k := range x {
-				if want := c.c0 + c.cs[0]*x[k] + c.cs[1]*y[k]; got[k] != want {
+				if want := c.c0 + cx*x[k] + cy*y[k]; got[k] != want {
 					t.Errorf("%s: LinComb%v+%d element %d = %d, want %d", name, c.cs, c.c0, k, got[k], want)
 				}
 			}

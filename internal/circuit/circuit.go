@@ -119,7 +119,7 @@ type node struct {
 	level int32 // multiplicative level, assigned by Compile
 	a, b  int32 // operand node ids; b is the element index of kAt; a is the args offset of kInner/kFromScalars operands and the lits index of a kInputVec literal; args[a:a+b] are the parameter slots a kInputSum adds and the operands of a kLinComb
 	owner int32 // input owner party
-	param int32 // parameter slot (const/input/vector/ext params); lits index of a kInputVecSum's summed literals and of a kLinComb's coefficients; args offset of a kGather's n element indices
+	param int32 // parameter slot (const/input/vector/ext params); lits index of a kInputVecSum's summed literals and of a kLinComb's coefficients (−1: none, the plain sum); args offset of a kGather's n element indices
 	n     int32 // vector length of vector-producing nodes; operand count of kInner (list B follows list A in args)
 	// deg is the degree of the sharing Execute leaves here (schedule):
 	// above t, the node is open-only — its handle does not resolve, and
@@ -160,7 +160,7 @@ type Builder struct {
 	p, t  int
 	nodes []node
 	args  []int32            // operand lists of kInner, kFromScalars and kLinComb, index lists of kGather (and, compiled, the folded input sums' slots)
-	lits  [][]int64          // kInputVec literals, the caller's own slices, and kLinComb coefficients, a private copy each
+	lits  [][]int64          // kInputVec literals, the caller's own slices, and kLinComb coefficients, a private copy each (a plain sum has none)
 	vals  chunk.Arena[Val]   // the scalar handles
 	vecs  chunk.Arena[Vec]   // the vector handles
 	ints  chunk.Arena[int64] // the LinComb coefficients' copies
@@ -419,7 +419,10 @@ func (b *Builder) sameLen(a, c bgw.Vec) (ca, cc *Vec) {
 	return ca, cc
 }
 
-// AddVec records the element-wise sum a + b.
+// AddVec records the element-wise sum a + b. Compile computes a tree of
+// AddVec gates whose interior gates have one consumer each as one plain
+// LinComb over its leaves (see foldSums): Result.VecOf on an interior
+// gate is then an invariant violation, and the root keeps its handle.
 func (b *Builder) AddVec(a, c bgw.Vec) bgw.Vec {
 	ca, cc := b.sameLen(a, c)
 	return b.vector(node{kind: kAddVec, a: ca.id, b: cc.id}, ca.n)
@@ -441,9 +444,10 @@ func (b *Builder) Gather(v bgw.Vec, idx []int) bgw.Vec {
 
 // LinComb records the fused affine gate c0 + Σ_k cs[k]·vs[k]. The
 // coefficients are literals: a circuit whose coefficients change is
-// recorded again.
+// recorded again. Nil coefficients are all 1: the plain sum, which
+// meters no field operations (bgw.Evaluator.LinComb).
 func (b *Builder) LinComb(vs []bgw.Vec, cs []int64, c0 int64) bgw.Vec {
-	if len(vs) != len(cs) {
+	if cs != nil && len(vs) != len(cs) {
 		panic(invariant.Violation("circuit: LinComb has %d vectors for %d coefficients", len(vs), len(cs)))
 	}
 	off, n := len(b.args), 0
@@ -457,8 +461,11 @@ func (b *Builder) LinComb(vs []bgw.Vec, cs []int64, c0 int64) bgw.Vec {
 		b.args = append(b.args, cv.id)
 	}
 	b.i32(len(b.args))
-	nd := node{kind: kLinComb, a: b.i32(off), b: b.i32(len(vs)), param: b.i32(len(b.lits)), c: c0}
-	b.lits = append(b.lits, b.ints.Clone(cs))
+	nd := node{kind: kLinComb, a: b.i32(off), b: b.i32(len(vs)), param: -1, c: c0}
+	if cs != nil {
+		nd.param = b.i32(len(b.lits))
+		b.lits = append(b.lits, b.ints.Clone(cs))
+	}
 	return b.vector(nd, n)
 }
 

@@ -21,10 +21,10 @@ import (
 // in a terminalTail, which decides whether the last multiplicative level
 // is opened unreduced, and three in four in an unsharedTail after it,
 // which decides whether one more input leaf is shared; last come a
-// gramTail on one seed in three, a lowTail on two in three and a
-// chainTail on one in two. The shape is fully determined by rng and the
-// builder's P, so the same seed rebuilds the same circuit for every
-// backend; the returned bindings fill the scalar trees' and the lowTail's
+// gramTail on one seed in three, a lowTail on two in three, a chainTail
+// on one in two and a mixedSumTail on one in two. The shape is fully
+// determined by rng and the builder's P, so the same seed rebuilds the
+// same circuit for every backend; the returned bindings fill the scalar trees' and the lowTail's
 // parameter leaves, and the tails say what the seed ended in.
 func randomCircuit(b *Builder, rng *rand.Rand) (Bindings, circuitTails) {
 	p := b.p
@@ -148,7 +148,40 @@ func randomCircuit(b *Builder, rng *rand.Rand) (Bindings, circuitTails) {
 	if rng.Intn(2) == 0 {
 		chainTail(b, rng, vals)
 	}
+	if rng.Intn(2) == 0 {
+		mixedSumTail(b, rng)
+	}
 	return bind, tails
+}
+
+// mixedSumTail records a vector sum tree of 3–6 leaves of one fresh
+// length that mixes what a release's opening adds up — a shared vector
+// (also squared into a Dot), a product only the sum reads (a Hadamard,
+// open-only) and 1–4 input vectors only the sum reads (unshared; two of
+// one owner fold into one) — combined in random order, chains and bushy
+// trees both, and opens the root. Compile computes the tree as one plain
+// LinComb over its leaves.
+func mixedSumTail(b *Builder, rng *rand.Rand) {
+	n := 1 + rng.Intn(4)
+	fresh := func() bgw.Vec {
+		vs := make([]int64, n)
+		for k := range vs {
+			vs[k] = int64(rng.Intn(201) - 100)
+		}
+		return b.InputVec(rng.Intn(b.p), vs)
+	}
+	shared := fresh()
+	b.OpenIdx(b.Dot(shared, shared))
+	terms := []bgw.Vec{shared, b.Hadamard(fresh(), fresh())}
+	for i, k := 0, 1+rng.Intn(4); i < k; i++ {
+		terms = append(terms, fresh())
+	}
+	rng.Shuffle(len(terms), func(i, j int) { terms[i], terms[j] = terms[j], terms[i] })
+	for len(terms) > 1 {
+		i := rng.Intn(len(terms) - 1)
+		terms = append(append(terms[:i:i], b.AddVec(terms[i], terms[i+1])), terms[i+2:]...)
+	}
+	b.OpenVecIdx(terms[0])
 }
 
 // chainTail records a product chain over earlier values: 2 to P links,
@@ -512,7 +545,7 @@ func checkEquivalence(t *testing.T, seed int64, P, th int) {
 	// level, the batched input level included, so two runs of one plan
 	// carry the same frames whatever their seeds.
 	if mf, af := mono.Stats().Frames, actor.Stats().Frames; mf != af {
-		t.Errorf("seed %d P=%d: planned frames: inline link counted %d, actor mesh carried %d", seed, P, mf, af)
+		t.Errorf("seed %d P=%d: planned frames: NewEngine's ChanMesh carried %d, the one handed to NewActorEngine %d", seed, P, mf, af)
 	}
 
 	eager, err := bgw.NewEngine(bgw.Config{Parties: P, Threshold: th, Seed: uint64(seed) ^ 0x2c85})
@@ -579,8 +612,9 @@ func (d *dotReuse) MulBatchUnreduced(items []bgw.MulItem) []bgw.Val {
 // TestRandomCircuitsReachGramTails keeps TestPlanEquivalenceRandomCircuits
 // honest about the engine's Winograd path: executed on the engine, some
 // of its seeds must hand it a level whose dots reuse their vectors, which
-// holds that path to the same bits on the inline parties' chunked
-// products and the serial ones behind the mesh.
+// holds that path to the same bits behind both ChanMesh engines of
+// checkEquivalence — NewEngine's own and the one handed to
+// NewActorEngine — as the plain interpreter's dot products.
 func TestRandomCircuitsReachGramTails(t *testing.T) {
 	reused := 0
 	for seed := int64(0); seed < 25; seed++ {
@@ -693,9 +727,12 @@ func TestFuzzCorpusReachesUnreducedChains(t *testing.T) {
 // TestFuzzCorpusReachesVectorGates keeps the corpus honest when
 // randomCircuit's draws shift: its seeds must still record a Gather, a
 // Gather of nothing, a LinComb of several terms, and Hadamard products —
-// compiled, one Execute reshares and one it keeps at its degree.
+// compiled, one Execute reshares and one it keeps at its degree — and
+// compile an AddVec tree of three leaves or more into one plain LinComb
+// whose leaves mix a shared vector, an open-only product and an unshared
+// input leaf.
 func TestFuzzCorpusReachesVectorGates(t *testing.T) {
-	var gathers, empty, combs, reshared, kept int
+	var gathers, empty, combs, reshared, kept, mixed int
 	for _, seed := range fuzzSeeds {
 		b := NewBuilder(4, 0)
 		randomCircuit(b, rand.New(rand.NewSource(seed)))
@@ -709,19 +746,39 @@ func TestFuzzCorpusReachesVectorGates(t *testing.T) {
 				combs++
 			}
 		}
-		for _, n := range b.MustCompile().nodes {
-			switch {
+		plan := b.MustCompile()
+		for i := range plan.nodes {
+			switch n := &plan.nodes[i]; {
 			case n.kind == kHadamard && n.reshare:
 				reshared++
 			case n.kind == kHadamard:
 				kept++
+			case n.kind == kLinComb && n.param < 0 && n.b >= 3 && plan.mixesSumLeaves(n):
+				mixed++
 			}
 		}
 	}
-	if gathers == 0 || empty == 0 || combs == 0 || reshared == 0 || kept == 0 {
-		t.Fatalf("corpus records %d Gather, %d empty Gather, %d multi-term LinComb gates, %d reshared and %d kept Hadamards; want each",
-			gathers, empty, combs, reshared, kept)
+	if gathers == 0 || empty == 0 || combs == 0 || reshared == 0 || kept == 0 || mixed == 0 {
+		t.Fatalf("corpus records %d Gather, %d empty Gather, %d multi-term LinComb gates, %d reshared and %d kept Hadamards, and compiles %d mixed sum trees; want each",
+			gathers, empty, combs, reshared, kept, mixed)
 	}
+}
+
+// mixesSumLeaves reports whether the compiled sum n reads a shared
+// vector, a product left at the degree it has and an unshared input leaf.
+func (p *Plan) mixesSumLeaves(n *node) bool {
+	var shared, product, unshared bool
+	for _, op := range p.operands(n.a, n.b) {
+		switch l := &p.nodes[op]; {
+		case l.kind.isMul():
+			product = product || !l.reshare
+		case l.kind.isInput() && l.late:
+			unshared = true
+		case l.deg == int32(p.t):
+			shared = true
+		}
+	}
+	return shared && product && unshared
 }
 
 // FuzzPlanEquivalence lets the fuzzer hunt for circuit shapes where

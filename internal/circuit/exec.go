@@ -2,6 +2,7 @@ package circuit
 
 import (
 	"fmt"
+	"slices"
 
 	"sqm/internal/bgw"
 	"sqm/internal/field"
@@ -34,6 +35,13 @@ type Result struct {
 	vecArgs    [][]int64 // what Bindings.InputVecs returned; nil until asked
 	opened     []int64
 	openedVecs [][]int64
+
+	// The operand lists of evalLocal's list gates (LinComb, Gather,
+	// FromScalars), reused from gate to gate: bgw.Engine copies what it
+	// keeps of them.
+	opVecs []bgw.Vec
+	opVals []bgw.Val
+	opIdx  []int
 }
 
 // Opened returns the k-th scalar output (the index OpenIdx returned).
@@ -60,7 +68,9 @@ func (r *Result) ValOf(h bgw.Val) bgw.Val {
 }
 
 // VecOf returns the engine handle for a recorded vector, under ValOf's
-// rule for folded and open-only handles.
+// rule for folded and open-only handles. A vector sum tree's interior
+// gates are folded too: Compile computes the tree as one gate (see
+// Builder.AddVec), so only its root resolves.
 func (r *Result) VecOf(h bgw.Vec) bgw.Vec {
 	v, ok := h.(*Vec)
 	if !ok {
@@ -73,7 +83,7 @@ func (r *Result) VecOf(h bgw.Vec) bgw.Vec {
 func (p *Plan) checkReadable(id int32) {
 	n := &p.nodes[id]
 	if n.folded {
-		panic(invariant.Violation("circuit: node %d was folded into its dealer's input sum by Compile and has no sharing of its own; give the leaf a second consumer or read the sum tree's root", id))
+		panic(invariant.Violation("circuit: node %d was folded by Compile, into its dealer's input sum or its vector sum tree's one gate, and has no sharing of its own; give it a second consumer or read the sum tree's root", id))
 	}
 	if n.deg > int32(p.t) {
 		panic(invariant.Violation("circuit: node %d reads a product Execute did not reshare or an input leaf it did not share: its sharing has degree %d, above t = %d; record a handle nothing consumes over it to have the products reshared and the leaf shared", id, n.deg, p.t))
@@ -391,19 +401,23 @@ func (p *Plan) evalLocal(eng bgw.Evaluator, bind Bindings, r *Result, id int32) 
 	case kAddVec:
 		r.vecs[id] = eng.AddVec(r.vecs[n.a], r.vecs[n.b])
 	case kGather:
-		idx := make([]int, n.n)
-		for k, i := range p.operands(n.param, n.n) {
-			idx[k] = int(i)
+		r.opIdx = slices.Grow(r.opIdx[:0], int(n.n))
+		for _, i := range p.operands(n.param, n.n) {
+			r.opIdx = append(r.opIdx, int(i))
 		}
-		r.vecs[id] = eng.Gather(r.vecs[n.a], idx)
+		r.vecs[id] = eng.Gather(r.vecs[n.a], r.opIdx)
 	case kLinComb:
-		vs := make([]bgw.Vec, n.b)
-		for k, op := range p.operands(n.a, n.b) {
-			vs[k] = r.vecs[op]
+		r.opVecs = slices.Grow(r.opVecs[:0], int(n.b))
+		for _, op := range p.operands(n.a, n.b) {
+			r.opVecs = append(r.opVecs, r.vecs[op])
 		}
-		r.vecs[id] = eng.LinComb(vs, p.lits[n.param], n.c)
+		r.vecs[id] = eng.LinComb(r.opVecs, p.coefs(n), n.c)
 	case kFromScalars:
-		r.vecs[id] = eng.FromScalars(gather(r.vals, p.operands(n.a, n.n)))
+		r.opVals = slices.Grow(r.opVals[:0], int(n.n))
+		for _, op := range p.operands(n.a, n.n) {
+			r.opVals = append(r.opVals, r.vals[op])
+		}
+		r.vecs[id] = eng.FromScalars(r.opVals)
 	default:
 		return fmt.Errorf("circuit: node %d kind %d is not local", id, n.kind)
 	}

@@ -31,38 +31,53 @@ type folder struct {
 }
 
 // foldSums is Compile's first pass: a dealer shares the sum of what it
-// deals. It finds every maximal sum tree — kAdd (or kAddVec) gates whose
-// interior gates have exactly one consumer — groups the tree's input
-// leaves that have exactly one consumer by owner, and replaces each group
-// of two or more by one kInputSum / kInputVecSum leaf sharing the group's
-// sum: literals summed here, scalar parameters at execution, always in
-// field arithmetic. Additions left with one operand forward it, kZero
-// operands of a rewritten tree drop out as the identity, and removed nodes
-// become kFolded. The root keeps its id and its value, so consumers never
-// move.
+// deals, and a sum of vectors takes one slot. It finds every maximal sum
+// tree — kAdd (or kAddVec) gates whose interior gates have exactly one
+// consumer — groups the tree's input leaves that have exactly one
+// consumer by owner, and replaces each group of two or more by one
+// kInputSum / kInputVecSum leaf sharing the group's sum: literals summed
+// here, scalar parameters at execution, always in field arithmetic.
+// Additions left with one operand forward it, kZero operands of a
+// rewritten tree drop out as the identity, and removed nodes become
+// kFolded. Then a vector tree still of two gates or more becomes one
+// kLinComb over its leaves without coefficients (sum): the plain sum,
+// unmetered as kAddVec is, for which every party fills one output slot
+// instead of one per gate. The root keeps its id and its value, so
+// consumers never move.
 //
 // The opened outputs are unchanged (Shamir sharing is linear: the sum of
-// the sharings and a sharing of the sum reconstruct to the same element).
-// Leaves with no consumer (handles read back through Result.VecOf) or with
-// several are never touched, and a tree in which every owner deals at most
-// one leaf — any circuit recorded for one client per party — is left
-// exactly as recorded.
+// the sharings and a sharing of the sum reconstruct to the same element,
+// and field addition is associative), and so is every counter. Leaves
+// with no consumer (handles read back through Result.VecOf) or with
+// several are never touched. A scalar tree in which every owner deals at
+// most one leaf — any circuit recorded for one client per party — is
+// left exactly as recorded, and so is a vector tree of one gate.
 //
 // Cost: one walk over the nodes for the use counts and one visit per
-// addition gate, over flat scratch.
+// addition gate (two per vector one), over flat scratch.
 func (p *Plan) foldSums(limit int) error {
 	f := folder{p: p, limit: limit, use: make([]int32, len(p.nodes)), count: make([]int32, p.p)}
 	for i := range f.use {
 		f.use[i] = useNone
 	}
 	var id int32
-	byAdd := false
+	byAdd, adds := false, 0
 	consume := func(op int32) { f.consume(id, op, byAdd) }
 	for i := range p.nodes {
 		n := &p.nodes[i]
 		id, byAdd = int32(i), n.kind == kAdd || n.kind == kAddVec
+		if byAdd {
+			adds++
+		}
 		p.eachOperand(n, consume)
 	}
+	if adds == 0 {
+		return nil
+	}
+	// A tree of g gates has g + 1 operands that are not its gates, and
+	// neither walk holds more than that: one array for the three lists.
+	buf := make([]int32, 3*adds+2)
+	f.inner, f.leaves, f.stack = buf[:0:adds], buf[adds:adds:2*adds+1], buf[2*adds+1:2*adds+1]
 	for id := range p.nodes {
 		if k := p.nodes[id].kind; (k == kAdd || k == kAddVec) && f.use[id] < 0 {
 			if err := f.tree(int32(id)); err != nil {
@@ -127,6 +142,46 @@ func (f *folder) tree(root int32) error {
 	if len(f.leaves) > 0 {
 		clear(f.count)
 	}
+	if kind == kAddVec && nodes[root].kind == kAddVec {
+		return f.sum(root)
+	}
+	return nil
+}
+
+// sum rewrites what is left of a vector sum tree — the kAddVec gates from
+// root down through gates of one consumer — into one kLinComb over the
+// tree's leaves, left to right, with unit coefficients (no coefficient
+// list: param −1). Each kAddVec fills an output slot per party, so a
+// chain over k leaves held k − 1 copies of its output; the kLinComb holds
+// one. The interior gates become kFolded; a tree of one gate is left as
+// it is.
+func (f *folder) sum(root int32) error {
+	p := f.p
+	nodes := p.nodes
+	f.inner, f.leaves = f.inner[:0], f.leaves[:0]
+	f.stack = append(f.stack[:0], root)
+	for len(f.stack) > 0 {
+		x := f.stack[len(f.stack)-1]
+		f.stack = f.stack[:len(f.stack)-1]
+		if n := &nodes[x]; x == root || n.kind == kAddVec && f.use[x] >= 0 {
+			f.inner = append(f.inner, x)
+			f.stack = append(f.stack, n.b, n.a)
+			continue
+		}
+		f.leaves = append(f.leaves, x)
+	}
+	if len(f.inner) < 2 {
+		return nil
+	}
+	off := len(p.args)
+	p.args = append(p.args, f.leaves...)
+	if len(p.args) > f.limit {
+		return errIDSpace(f.limit)
+	}
+	for _, x := range f.inner[1:] {
+		nodes[x] = node{kind: kFolded, folded: true}
+	}
+	nodes[root] = node{kind: kLinComb, a: int32(off), b: int32(len(f.leaves)), param: -1, n: nodes[root].n}
 	return nil
 }
 

@@ -295,10 +295,11 @@ func sumOf(b *Builder, k, o int, val func(i int) int64, spoil bool) {
 
 // TestFoldExactCounts: k leaves dealt by o owners into one sum put
 // exactly the traffic of a hand-written o-leaf circuit on the wire, and
-// when every owner deals one leaf (o = k) the fold pass changes nothing:
+// when every owner deals one leaf (o = k) the fold pass folds no leaf:
 // the nodes are the recording but for the open-only flag schedule sets —
-// a pure sum into an opening shares no leaf — and the counters are those
-// of one masked-sum round.
+// a pure sum into an opening shares no leaf — and for the vector chain,
+// which is one plain LinComb over its leaves in the root's slot, its
+// interior gates folded; the counters are those of one masked-sum round.
 func TestFoldExactCounts(t *testing.T) {
 	const k = 12
 	val := func(i int) int64 { return int64(3*i - 7) }
@@ -329,10 +330,26 @@ func TestFoldExactCounts(t *testing.T) {
 
 	b := NewBuilder(4, 0)
 	sumOf(b, 4, 4, val, false)
-	recorded := append([]node(nil), b.nodes...)
+	compiled := append([]node(nil), b.nodes...)
+	var leaves []int32
+	root, interior := -1, 0
+	for id, n := range compiled {
+		switch n.kind {
+		case kInputVec:
+			leaves = append(leaves, int32(id))
+		case kAddVec:
+			if root >= 0 {
+				compiled[root] = node{kind: kFolded, folded: true}
+				interior++
+			}
+			root = id
+		}
+	}
+	compiled[root] = node{kind: kLinComb, a: int32(len(b.args)), b: int32(len(leaves)), param: -1, n: compiled[root].n}
 	plan := b.MustCompile()
-	if plan.folded != 0 || plan.Gates() != len(recorded) || !reflect.DeepEqual(unscheduled(plan.nodes), recorded) {
-		t.Fatalf("one leaf per owner: Compile rewrote the recording (%d folded, %d of %d nodes)", plan.folded, plan.Gates(), len(recorded))
+	if plan.folded != 0 || plan.Gates() != len(compiled)-interior || !reflect.DeepEqual(unscheduled(plan.nodes), compiled) ||
+		!reflect.DeepEqual(plan.operands(compiled[root].a, compiled[root].b), leaves) {
+		t.Fatalf("one leaf per owner: Compile rewrote the recording but for the vector chain (%d folded, %d of %d nodes)", plan.folded, plan.Gates(), len(compiled))
 	}
 	if plan.nUnshared != 8 || plan.Rounds() != 2 {
 		t.Fatalf("one leaf per owner: %d unshared leaves in %d rounds, want all 8 in the two opening rounds", plan.nUnshared, plan.Rounds())

@@ -89,8 +89,13 @@ func (p *Plan) Plain(bind Bindings) (*Result, error) {
 			for k := range out {
 				out[k] = c0
 			}
+			cs := p.coefs(n)
 			for k, op := range p.operands(n.a, n.b) {
-				ck := field.FromInt64(p.lits[n.param][k])
+				if cs == nil {
+					field.AddVec(out, out, vecs[op])
+					continue
+				}
+				ck := field.FromInt64(cs[k])
 				for e, x := range vecs[op] {
 					out[e] = field.Add(out[e], field.Mul(ck, x))
 				}

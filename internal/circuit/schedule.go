@@ -42,8 +42,17 @@ type mulLevel struct {
 // operands returns the n-element operand list at offset off.
 func (p *Plan) operands(off, n int32) []int32 { return p.args[off : off+n] }
 
-// Compile folds same-dealer inputs of sums (foldSums), levels the
-// recorded DAG by multiplicative depth and returns the execution plan.
+// coefs returns a kLinComb's coefficients: nil for the plain sum.
+func (p *Plan) coefs(n *node) []int64 {
+	if n.param < 0 {
+		return nil
+	}
+	return p.lits[n.param]
+}
+
+// Compile folds same-dealer inputs of sums and every vector sum tree
+// into one gate (foldSums), levels the recorded DAG by multiplicative
+// depth and returns the execution plan.
 //
 // The plan takes the recording over instead of copying it: the Builder
 // is spent, and recording into it again is an invariant violation.

@@ -483,7 +483,10 @@ func (p *Params) inputColumns(b *circuit.Builder, data *quantized, total int) []
 // (PRIVACY.md "Add what only you know at the opening"), and Execute
 // enters it after the last multiplicative level, which the draw overlaps.
 // The noise costs no frame and no round, and the opened integers are the
-// same as if every client's vector had been shared.
+// same as if every client's vector had been shared. Compile computes the
+// chain — the holders' vectors and what they are added to — as one plain
+// LinComb (circuit.Builder.AddVec), so every party fills one output slot
+// for it, not one per holder.
 func (p *Params) inputNoise(b *circuit.Builder, acc bgw.Vec, h, n int) bgw.Vec {
 	v := b.InputVecParam(h, n)
 	if acc == nil {

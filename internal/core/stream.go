@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"sqm/internal/linalg"
+	"sqm/internal/randx"
 )
 
 // CovarianceStream accumulates the quantized covariance over record
@@ -28,6 +29,7 @@ type CovarianceStream struct {
 	maxAbs int64 // the largest |x̂| of every batch accumulated so far
 	upper  []int64
 	done   bool
+	marks  []randx.Mark // the client streams where a batch found them: a refused batch rewinds them
 }
 
 // NewCovarianceStream prepares an accumulator for n attributes.
@@ -55,12 +57,22 @@ func (s *CovarianceStream) Add(x *linalg.Matrix) error {
 	if x.Cols != s.n {
 		return fmt.Errorf("core: batch has %d columns, want %d", x.Cols, s.n)
 	}
+	// Quantizing draws from every client's stream, and the bound is known
+	// only after: a refused batch rewinds them, so that Finalize is still
+	// Covariance over the records accepted.
+	s.marks = s.marks[:0]
+	for _, g := range s.r.rngs {
+		s.marks = append(s.marks, g.Mark())
+	}
 	qd := quantizeByClient(x, &s.p, s.r.rngs)
 	maxAbs := max(s.maxAbs, qd.maxAbs())
 	newRows := s.rows + x.Rows
 	// Covariance's bound over every record so far: a batch of small
 	// entries after one of large entries is bounded by the large ones.
 	if err := checkFieldBound(gramBound(maxAbs, newRows) + noiseMargin(s.p.Mu)); err != nil {
+		for j, g := range s.r.rngs {
+			g.Rewind(s.marks[j])
+		}
 		return err
 	}
 	accumulateGram(qd, s.upper)

@@ -174,3 +174,39 @@ func TestStreamRefusesWhatOneShotRefuses(t *testing.T) {
 		t.Fatalf("one-shot: err = %v, want ErrFieldOverflow", err)
 	}
 }
+
+// TestRefusedBatchLeavesTheStreamsAsTheyStood: quantizing a batch draws
+// from every client's stream, so a batch the field bound refuses must put
+// them back — else Finalize's noise, drawn from the streams afterwards,
+// is no longer the one-shot release's over the records accepted.
+func TestRefusedBatchLeavesTheStreamsAsTheyStood(t *testing.T) {
+	p := Params{Gamma: 1 << 20, Mu: 1e4, Seed: 5}
+	x := randMatrix(10, 2, 0.6, 51)
+	oneShot, _, err := Covariance(x, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := linalg.NewMatrix(3_000_000, 2)
+	for i := range big.Data {
+		big.Data[i] = 0.7
+	}
+	s, err := NewCovarianceStream(2, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Add(x); err != nil {
+		t.Fatalf("first batch: %v", err)
+	}
+	if err := s.Add(big); err != ErrFieldOverflow {
+		t.Fatalf("second batch: err = %v, want ErrFieldOverflow", err)
+	}
+	streamed, _, err := s.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range oneShot.Data {
+		if oneShot.Data[i] != streamed.Data[i] {
+			t.Errorf("entry %d: one-shot %v, streamed after a refused batch %v", i, oneShot.Data[i], streamed.Data[i])
+		}
+	}
+}

@@ -74,6 +74,22 @@ func NewFromOS() (*RNG, error) {
 	return NewSecure(key), nil
 }
 
+// Mark is a position in a seeded stream, for Rewind.
+type Mark struct{ pcg rand.PCG }
+
+// Mark returns g's position in its stream. Only the streams New and Seed
+// make have one: a ChaCha8 stream panics with an invariant.Violation.
+func (g *RNG) Mark() Mark {
+	if !g.onPCG {
+		panic(invariant.Violation("randx: only a seeded PCG stream can be marked"))
+	}
+	return Mark{g.pcg}
+}
+
+// Rewind puts g back at m, a Mark it returned: what g drew since is
+// drawn again.
+func (g *RNG) Rewind(m Mark) { g.pcg = m.pcg }
+
 // Fork derives an independent RNG from the current stream. Useful for
 // giving each simulated client its own private randomness.
 func (g *RNG) Fork() *RNG {

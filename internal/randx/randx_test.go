@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
+
+	"sqm/internal/invariant"
 )
 
 func TestNewIsDeterministic(t *testing.T) {
@@ -676,4 +678,27 @@ func TestHostedSkellamSumsAreTheAccountedDistribution(t *testing.T) {
 		}
 		checkSkellam(t, fmt.Sprintf("share %v, opened noise", share), total, share*clients)
 	}
+}
+
+// TestRewindDrawsAgain: a seeded stream rewound to a Mark draws what it
+// drew after the mark, through every draw path; a ChaCha8 stream has no
+// mark to take.
+func TestRewindDrawsAgain(t *testing.T) {
+	g := New(17)
+	g.Uint64()
+	m := g.Mark()
+	draw := func() [4]float64 {
+		return [4]float64{float64(g.Uint64()), g.Float64(), float64(g.StochasticRound(2.5)), float64(g.Skellam(40))}
+	}
+	first := draw()
+	g.Rewind(m)
+	if again := draw(); again != first {
+		t.Fatalf("rewound stream drew %v, first %v", again, first)
+	}
+	defer func() {
+		if _, ok := recover().(*invariant.Error); !ok {
+			t.Fatal("marking a ChaCha8 stream did not panic with an invariant.Violation")
+		}
+	}()
+	NewSecure([32]byte{1}).Mark()
 }

@@ -313,7 +313,7 @@ func TestOpenOnlyOperandsFailTheEngine(t *testing.T) {
 		"linear gates over an unreduced product": {func(e *Engine, x Val, v Vec) (Val, Vec) {
 			sq := e.MulBatchUnreduced([]MulItem{{Kind: MulScalar, A: x, B: x}})[0]
 			s := e.MulConst(e.AddConst(e.Sub(e.Add(x, sq), x), 3), 2)
-			return s, e.LinComb([]Vec{v, e.Gather(e.FromScalars([]Val{sq, x, s}), []int{2, 1, 0})}, []int64{1, 1}, 0)
+			return s, e.LinComb([]Vec{v, e.GatherBatch([]Vec{e.FromScalars([]Val{sq, x, s})}, []int{2, 1, 0})[0]}, []int64{1, 1}, 0)
 		}, 78, []int64{79, 8, 39}, product},
 		"unshared input": {func(e *Engine, x Val, v Vec) (Val, Vec) {
 			u := e.InputUnshared(1, []int64{4, 5, 6})
@@ -322,7 +322,7 @@ func TestOpenOnlyOperandsFailTheEngine(t *testing.T) {
 		"linear gates over one": {func(e *Engine, x Val, v Vec) (Val, Vec) {
 			u := e.InputUnshared(0, []int64{4, 5, 6})
 			s := e.MulConst(e.AddConst(e.Sub(e.Add(x, e.At(u, 0)), x), 3), 2)
-			return s, e.LinComb([]Vec{v, e.Gather(e.AddVec(u, v), []int{2, 1, 0})}, []int64{1, 1}, 0)
+			return s, e.LinComb([]Vec{v, e.GatherBatch([]Vec{e.AddVec(u, v)}, []int{2, 1, 0})[0]}, []int64{1, 1}, 0)
 		}, 14, []int64{10, 9, 8}, unshared},
 	}
 	dot := func(a, b []int64) (s int64) {
@@ -763,8 +763,8 @@ func containsTypeForTest(t, want reflect.Type, seen map[reflect.Type]bool) bool 
 }
 
 // TestForeignSharePanics: every operation that takes a handle refuses
-// one issued by another engine, At and Gather refuse an index out of
-// range and LinComb refuses terms that do not line up, with an
+// one issued by another engine, At and GatherBatch refuse an index out
+// of range and LinComb refuses terms that do not line up, with an
 // invariant.Violation rather than computing on foreign slots or
 // a raw runtime panic.
 func TestForeignSharePanics(t *testing.T) {
@@ -773,29 +773,29 @@ func TestForeignSharePanics(t *testing.T) {
 	a, av := e1.Input(0, 1), e1.InputVec(0, []int64{1, 2})
 	b, bv := e2.Input(0, 2), e2.InputVec(0, []int64{3, 4})
 	for name, op := range map[string]func(){
-		"Add":                func() { e1.Add(a, b) },
-		"Sub":                func() { e1.Sub(b, a) },
-		"Mul":                func() { e1.Mul(a, b) },
-		"AddConst":           func() { e1.AddConst(b, 1) },
-		"MulConst":           func() { e1.MulConst(b, 2) },
-		"InnerProduct":       func() { e1.InnerProduct([]Val{a}, []Val{b}) },
-		"FromScalars":        func() { e1.FromScalars([]Val{a, b}) },
-		"Open":               func() { e1.Open(b) },
-		"OpenBatch":          func() { e1.OpenBatch([]Val{a, b}) },
-		"At":                 func() { e1.At(bv, 0) },
-		"AddVec":             func() { e1.AddVec(av, bv) },
-		"Dot":                func() { e1.Dot(bv, av) },
-		"OpenVec":            func() { e1.OpenVec(bv) },
-		"Gather":             func() { e1.Gather(bv, []int{0}) },
-		"LinComb":            func() { e1.LinComb([]Vec{av, bv}, []int64{1, 1}, 0) },
-		"At index = len":     func() { e1.At(av, 2) },
-		"At index = -1":      func() { e1.At(av, -1) },
-		"Gather index = len": func() { e1.Gather(av, []int{0, 2}) },
-		"Gather index = -1":  func() { e1.Gather(av, []int{-1}) },
-		"LinComb lengths":    func() { e1.LinComb([]Vec{av, e1.InputVec(0, []int64{1})}, []int64{1, 1}, 0) },
-		"LinComb term count": func() { e1.LinComb([]Vec{av}, []int64{1, 1}, 0) },
-		"nil scalar":         func() { e1.Add(a, nil) },
-		"foreign type":       func() { e1.Add(a, 7) },
+		"Add":                     func() { e1.Add(a, b) },
+		"Sub":                     func() { e1.Sub(b, a) },
+		"Mul":                     func() { e1.Mul(a, b) },
+		"AddConst":                func() { e1.AddConst(b, 1) },
+		"MulConst":                func() { e1.MulConst(b, 2) },
+		"InnerProduct":            func() { e1.InnerProduct([]Val{a}, []Val{b}) },
+		"FromScalars":             func() { e1.FromScalars([]Val{a, b}) },
+		"Open":                    func() { e1.Open(b) },
+		"OpenBatch":               func() { e1.OpenBatch([]Val{a, b}) },
+		"At":                      func() { e1.At(bv, 0) },
+		"AddVec":                  func() { e1.AddVec(av, bv) },
+		"Dot":                     func() { e1.Dot(bv, av) },
+		"OpenVec":                 func() { e1.OpenVec(bv) },
+		"GatherBatch":             func() { e1.GatherBatch([]Vec{av, bv}, []int{0}) },
+		"LinComb":                 func() { e1.LinComb([]Vec{av, bv}, []int64{1, 1}, 0) },
+		"At index = len":          func() { e1.At(av, 2) },
+		"At index = -1":           func() { e1.At(av, -1) },
+		"GatherBatch index = len": func() { e1.GatherBatch([]Vec{av}, []int{0, 2}) },
+		"GatherBatch index = -1":  func() { e1.GatherBatch([]Vec{av}, []int{-1}) },
+		"LinComb lengths":         func() { e1.LinComb([]Vec{av, e1.InputVec(0, []int64{1})}, []int64{1, 1}, 0) },
+		"LinComb term count":      func() { e1.LinComb([]Vec{av}, []int64{1, 1}, 0) },
+		"nil scalar":              func() { e1.Add(a, nil) },
+		"foreign type":            func() { e1.Add(a, 7) },
 	} {
 		func() {
 			defer func() {

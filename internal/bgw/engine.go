@@ -38,8 +38,8 @@ import (
 // as long as the engine, so issuing a local gate allocates nothing but,
 // now and then, the next chunk; a GatherBatch's rows go to one array per
 // party instead, which the next GatherBatch overwrites. A workload's
-// local gates are vector gates (AddVec, Gather, GatherBatch, LinComb)
-// and its products level-wide batches —
+// local gates are vector gates (AddVec, GatherBatch, LinComb) and its
+// products level-wide batches —
 // a per-element product is a MulHadamard item — so the commands of a
 // session are counted in levels and columns, not in records.
 //
@@ -49,11 +49,12 @@ import (
 // are keyed at set-up from Config.Seed, after and apart from the
 // openings' pairwise mask streams.
 //
-// Input vectors travel as one round. InputVec adds its vector to the
-// open round, and the engine's next command of any other kind issues the
-// round as one command (issueRound): every party deals all the vectors
-// it owns before it waits on a peer's, so no party's dealing waits on
-// another's.
+// Input vectors travel as one round. InputVec adds its owner and vector
+// to the open round, and the engine's next command of any other kind
+// issues the round as one command (issueRound), embedding every vector
+// in the field into one array carved for the round: every party deals
+// all the vectors it owns before it waits on a peer's, so no party's
+// dealing waits on another's.
 //
 // The engine counts its own rounds, where it issues an exchange: the
 // input round, a MulBatch's resharing and an OpenVec's opening are one
@@ -74,16 +75,16 @@ type Engine struct {
 	parties []actorParty
 	wg      sync.WaitGroup
 
-	// round is the open input round: the vectors InputVec took since the
-	// last command was issued. issueRound hands the command a copy and
+	// round is the open input round: the owners and vectors InputVec
+	// took since the last command was issued. issueRound embeds them and
 	// keeps the list's array for the next round.
-	round []vecInput
+	round []roundVec
 	// The arenas of the caller's side (see Engine). issue writes a
 	// command into cmds and hands the parties a pointer to it, so a sent
 	// command is never touched again; payloads, idx, coefs and inputs
 	// hold what hangs off a command, scalars and vecs the handles, and
-	// elems the input vectors embedded in the field, which ReserveInputs
-	// sizes for a round.
+	// elems the input vectors embedded in the field: one run per input
+	// round, however many vectors it holds.
 	cmds     chunk.Arena[actorCmd]
 	payloads chunk.Arena[cmdPayload]
 	idx      chunk.Arena[int]
@@ -296,17 +297,30 @@ func (e *Engine) dispatch(c actorCmd) bool {
 }
 
 // issueRound issues the open input round, if there is one, as one
-// opInputVecs command; a failed or closed engine drops it. The parties
-// read the list after issue returns, so the command carries a copy.
+// opInputVecs command; a failed or closed engine drops it. Every vector
+// is embedded in the field here, into one run of elems carved for the
+// whole round, and each owner keeps its part as its slot: the callers'
+// vectors are theirs again once the round is issued.
 func (e *Engine) issueRound() {
 	if len(e.round) == 0 {
 		return
 	}
 	if e.err == nil && !e.closed {
-		vecs := e.inputs.Clone(e.round)
+		total := 0
+		for _, in := range e.round {
+			total += len(in.vs)
+		}
+		elems := e.elems.Take(total)
+		vecs := e.inputs.Take(len(e.round))
+		for i, in := range e.round {
+			n := len(in.vs)
+			vecs[i] = vecInput{owner: in.owner, elems: embed(elems[:n:n], in.vs)}
+			elems = elems[n:]
+		}
 		e.issue(actorCmd{op: opInputVecs, x: e.payloads.Put(cmdPayload{vecs: vecs})})
 		e.rounds++
 	}
+	clear(e.round) // the callers' vectors are not held past their round
 	e.round = e.round[:0]
 }
 
@@ -431,27 +445,28 @@ func (e *Engine) InputElem(owner int, el field.Elem) Val {
 // InputVec has party owner secret-share the signed vector vs, one frame
 // per unseeded peer, as part of the open input round: the engine issues the
 // vectors InputVec takes between two of its other commands as one
-// command (see Engine). vs is the caller's again when InputVec returns.
+// command (see Engine). vs is read when the round is issued — by the
+// engine's next command of another kind — and is the caller's again
+// after that.
 func (e *Engine) InputVec(owner int, vs []int64) Vec {
-	e.round = append(e.round, e.embed(owner, vs))
+	e.checkParty(owner)
+	e.round = append(e.round, roundVec{owner: owner, vs: vs})
 	return e.newVec(len(vs), e.t)
 }
 
-// ReserveInputs sets aside one array for the next elems elements that
-// InputVec or InputUnshared embeds, so that a round of many or long
-// vectors costs the caller's side one allocation for them.
-func (e *Engine) ReserveInputs(elems int) { e.elems.Reserve(elems) }
+// roundVec is one vector of the open input round, as InputVec took it.
+type roundVec struct {
+	owner int
+	vs    []int64
+}
 
-// embed embeds owner's signed vector in the field, into the slot the
-// owner keeps — carved from the engine's elems — so that vs is the
-// caller's again at once.
-func (e *Engine) embed(owner int, vs []int64) vecInput {
-	e.checkParty(owner)
-	elems := e.elems.Take(len(vs))
+// embed writes the signed vector vs into dst, embedded in the field, and
+// returns dst.
+func embed(dst []field.Elem, vs []int64) []field.Elem {
 	for k, v := range vs {
-		elems[k] = field.FromInt64(v)
+		dst[k] = field.FromInt64(v)
 	}
-	return vecInput{owner: owner, elems: elems}
+	return dst
 }
 
 // InputUnshared enters party owner's signed vector vs without sharing
@@ -465,8 +480,9 @@ func (e *Engine) embed(owner int, vs []int64) vecInput {
 // (PRIVACY.md "Add what only you know at the opening"). circuit.Plan
 // issues this for an input leaf that reaches nothing but openings.
 func (e *Engine) InputUnshared(owner int, vs []int64) Vec {
+	e.checkParty(owner)
 	in := e.inputs.Take(1)
-	in[0] = e.embed(owner, vs)
+	in[0] = vecInput{owner: owner, elems: embed(e.elems.Take(len(vs)), vs)}
 	out := e.newVec(len(vs), e.p-1)
 	e.dispatch(actorCmd{op: opInputUnshared, x: e.payloads.Put(cmdPayload{vecs: in})})
 	return out
@@ -738,25 +754,13 @@ func (e *Engine) AddVec(a, b Vec) Vec {
 	return out
 }
 
-// Gather returns the vector v[idx[k]]; local. Like every vector command
-// it reaches the parties at once, and its slot lives as long as the
-// engine.
-func (e *Engine) Gather(v Vec, idx []int) Vec {
-	sv := e.sharedVec(v)
-	checkGather(idx, sv.n)
-	// The parties run behind the caller and need their own copy.
-	idx = e.idx.Clone(idx)
-	out := e.newVec(len(idx), sv.deg)
-	e.dispatch(actorCmd{op: opGather, a: sv.ref, x: e.payloads.Put(cmdPayload{refs: idx})})
-	return out
-}
-
-// GatherBatch returns Gather(vs[j], idx) for every j as one command with
-// one index list: each party writes the rows into one grow-only array,
-// which the next GatherBatch overwrites. The vectors therefore live one
-// batch: handing one to any gate after the next GatherBatch panics with
-// an invariant.Violation, while what a gate derived from it before then
-// keeps its value. A batch vector cannot be gathered from again.
+// GatherBatch returns the vector vs[j][idx[k]] for every j as one command
+// with one index list; local. Each party writes the rows into one
+// grow-only array, which the next GatherBatch overwrites. The vectors
+// therefore live one batch: handing one to any gate after the next
+// GatherBatch panics with an invariant.Violation, while what a gate
+// derived from it before then keeps its value. A batch vector cannot be
+// gathered from again.
 func (e *Engine) GatherBatch(vs []Vec, idx []int) []Vec {
 	// refs lists the source slots, then the rows: the parties' copy of
 	// both, since they run behind the caller.

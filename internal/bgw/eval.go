@@ -163,11 +163,10 @@ type MulItem struct {
 // Evaluator is the abstract MPC backend the SQM protocols run against.
 // It captures exactly the share operations the paper's circuits need:
 // input sharing, local linear algebra — scalar gates and the vector
-// gates AddVec, Gather and LinComb, which carry a whole column of a
-// vertically partitioned batch as one command, and GatherBatch, which
-// carries every column's batch rows as one, into an array the next batch
-// reuses — degree-reduction
-// multiplication, fused inner products and openings. Its one backend is
+// gates AddVec and LinComb, which carry a whole column of a vertically
+// partitioned batch as one command, and GatherBatch, which carries every
+// column's batch rows as one, into an array the next batch reuses —
+// degree-reduction multiplication, fused inner products and openings. Its one backend is
 // the Engine of this package, its party goroutines over an in-memory
 // ChanMesh (NewEngine) or any pluggable transport (NewActorEngine); the
 // other implementations are decorators that wrap an Engine for tests or
@@ -212,13 +211,10 @@ type Evaluator interface {
 	InputElem(owner int, e field.Elem) Val
 	// InputVec has party owner secret-share the signed vector vs. The
 	// vectors of consecutive calls are one input round: every owner
-	// deals all of its vectors before any party waits on a peer's.
+	// deals all of its vectors before any party waits on a peer's. vs is
+	// read when the round is issued, which is the backend's next command
+	// of another kind: the caller leaves it as it is until then.
 	InputVec(owner int, vs []int64) Vec
-	// ReserveInputs announces that the InputVec and InputUnshared calls
-	// before the next other gate enter elems elements in all, so that
-	// the backend can set their copies aside in one array. A hint only:
-	// entering more or fewer is correct.
-	ReserveInputs(elems int)
 	// InputUnshared enters party owner's signed vector vs without a
 	// sharing: no randomness, no traffic, no round. The result has degree
 	// P−1 and is good for linear gates and openings only, where the owner's published row
@@ -248,16 +244,13 @@ type Evaluator interface {
 	At(v Vec, k int) Val
 	// AddVec returns the element-wise sum a + b; local.
 	AddVec(a, b Vec) Vec
-	// Gather returns the vector whose element k is v[idx[k]]; local, no
-	// field operations. Indices may repeat; the result has len(idx)
-	// elements.
-	Gather(v Vec, idx []int) Vec
-	// GatherBatch returns Gather(vs[j], idx) for every j as one command
-	// and one index list: an SGD step's batch rows of every resident
-	// column. The vectors live one batch — the backend writes the next
-	// GatherBatch's rows over theirs, and a gate handed one afterwards
-	// panics with an invariant.Violation — while what was derived from
-	// them keeps its value; Gather's vectors live as long as the backend.
+	// GatherBatch returns, for every j, the vector whose element k is
+	// vs[j][idx[k]], as one command with one index list: an SGD step's
+	// batch rows of every resident column. Local, no field operations;
+	// indices may repeat. The vectors live one batch — the backend writes
+	// the next GatherBatch's rows over theirs, and a gate handed one
+	// afterwards panics with an invariant.Violation — while what was
+	// derived from them keeps its value.
 	GatherBatch(vs []Vec, idx []int) []Vec
 	// LinComb returns c0 + Σ_k cs[k]·vs[k] element-wise over vectors of
 	// one length: a single fused affine gate, local. It is metered as

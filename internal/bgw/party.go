@@ -32,7 +32,6 @@ const (
 	opMulConst
 	opAt
 	opAddVec
-	opGather
 	opGatherBatch
 	opLinComb
 	opFromScalars
@@ -71,7 +70,7 @@ type actorCmd struct {
 type cmdPayload struct {
 	ints  []int64    // coefficients (opLinComb)
 	vecs  []vecInput // the input round's vectors (opInputVecs), the unshared vector (opInputUnshared)
-	refs  []int      // scalar slots (opFromScalars), element indices (opGather), vector slots (opLinComb; the reused dot operands of opMulBatch, opMulUnreduced), vector slots then element indices (opGatherBatch)
+	refs  []int      // scalar slots (opFromScalars), vector slots (opLinComb; the reused dot operands of opMulBatch, opMulUnreduced), vector slots then element indices (opGatherBatch)
 	muls  []mulDesc  // gate list (opMulBatch, opMulUnreduced)
 	reply chan actorReply
 }
@@ -131,21 +130,23 @@ type actorParty struct {
 	// zeros, and every slot of a GatherBatch a view of batch.
 	vc [][]field.Elem
 	// slots carves the outputs of the local vector gates (opAddVec,
-	// opGather, opLinComb, opFromScalars): a slot is never written after
-	// the command that fills it, so they pack into shared chunks.
+	// opLinComb, opFromScalars): a slot is never written after the command
+	// that fills it, so they pack into shared chunks.
 	slots chunk.Arena[field.Elem]
 	// batch holds the rows of the last opGatherBatch, which the next one
 	// overwrites: the engine refuses the earlier batch's handles
 	// (grow-only, with a quarter to spare for the next batch's size).
-	batch    []field.Elem
-	zeros    []field.Elem // never written (grow-only)
-	pairs    []field.Elem // PairProd of the vector slots a Gram batch reuses, by slot (grow-only)
-	pend     []field.Elem // this party's own row, kept between the halves
-	highs    []field.Elem // a MulBatch level's local products, pend until the fold (grow-only)
+	batch []field.Elem
+	zeros []field.Elem // never written (grow-only)
+	pairs []field.Elem // PairProd of the vector slots a Gram batch reuses, by slot (grow-only)
+	// row is this party's own row of a command, kept between its halves:
+	// a MulBatch level's local products until the fold, the row an
+	// OpenVec publishes, and on party 0 the sum of the opening's rows. The
+	// halves of one command run back to back (step), so one grow-only
+	// row serves them all.
+	row      []field.Elem
 	sh       shareScratch // working memory of the sharing sites
 	drawn    []field.Elem // a seeded row drawn for a fold (grow-only)
-	pub      []field.Elem // the row an OpenVec publishes (grow-only)
-	acc      []field.Elem // party 0's sum of an opening's rows (grow-only)
 	fieldOps int64
 	err      error
 }
@@ -237,10 +238,6 @@ func (a *actorParty) send(c *actorCmd) error {
 		out := a.slots.Take(len(va))
 		field.AddVec(out, va, vb)
 		a.vc = append(a.vc, out)
-	case opGather:
-		out := a.slots.Take(len(c.x.refs))
-		gatherRows(out, a.vc[c.a], c.x.refs)
-		a.vc = append(a.vc, out)
 	case opGatherBatch:
 		srcs, idx := c.x.refs[:c.a], c.x.refs[c.a:]
 		n := len(idx)
@@ -278,12 +275,11 @@ func (a *actorParty) send(c *actorCmd) error {
 	case opMulBatch:
 		// One degree-reduction round: the local degree-2t value of every
 		// product, dealt in row order (mulDesc.at), one row of sub-shares
-		// to each unseeded peer; highs becomes this party's own row, which
-		// the fold reads.
-		a.highs = growElems(a.highs, c.a)
-		a.products(a.highs, c.x.muls, c.x.refs)
-		a.pend = a.highs
-		return a.sendRows(a.sh.share(a.highs, a.dealing, a.dealTo))
+		// to each unseeded peer; row becomes this party's own row of
+		// sub-shares, which the fold reads.
+		a.row = growElems(a.row, c.a)
+		a.products(a.row, c.x.muls, c.x.refs)
+		return a.sendRows(a.sh.share(a.row, a.dealing, a.dealTo))
 	case opMulUnreduced:
 		// The same local values, kept: the slots hold this party's point
 		// of a degree-2t sharing, no randomness is drawn and nothing is
@@ -294,10 +290,9 @@ func (a *actorParty) send(c *actorCmd) error {
 		})
 	case opOpenVec:
 		// Only party 0 decodes, so only party 0 is sent the rows.
-		a.pub = growElems(a.pub, len(a.vc[c.a]))
-		a.pend = a.publish(a.pub, a.vc[c.a])
+		a.row = a.publish(growElems(a.row, len(a.vc[c.a])), a.vc[c.a])
 		if a.id != 0 {
-			return a.link.send(0, a.pend)
+			return a.link.send(0, a.row)
 		}
 	}
 	return nil
@@ -406,19 +401,18 @@ func (a *actorParty) recv(c *actorCmd) error {
 			a.vc[base+i] = row
 		}
 	case opMulBatch:
-		if err := a.keep(c, func(row []field.Elem) error { return a.fold(row, a.pend) }); err != nil {
+		if err := a.keep(c, func(row []field.Elem) error { return a.fold(row, a.row) }); err != nil {
 			return err
 		}
 		// This party's slice of the resharing cost model.
 		a.fieldOps += int64(c.a * (a.p + a.t + 1))
 	case opOpenVec:
 		// Party 0 reconstructs and decodes for the caller: the published
-		// rows sum to the secrets. Every other party's row is out.
+		// rows sum to the secrets, which it adds into its own row in place.
+		// Every other party's row is out.
 		r := actorReply{party: a.id}
 		if a.id == 0 {
-			a.acc = growElems(a.acc, len(a.pend))
-			vals := a.acc
-			copy(vals, a.pend)
+			vals := a.row
 			for j := 1; j < a.p; j++ {
 				row, err := a.link.recv(j, len(vals))
 				if err != nil {
@@ -450,8 +444,8 @@ func (a *actorParty) roundLen(vecs []vecInput) int {
 	return n
 }
 
-// gatherRows copies src[idx[k]] into dst[k]: the rows of a Gather or of
-// one vector of a GatherBatch.
+// gatherRows copies src[idx[k]] into dst[k]: the rows of one vector of a
+// GatherBatch.
 func gatherRows(dst, src []field.Elem, idx []int) {
 	for k, i := range idx {
 		dst[k] = src[i]

@@ -232,7 +232,7 @@ func BenchmarkActorLocalGates(b *testing.B) {
 
 // TestLocalGatesAllocateChunksOnly: behind a mesh, a local vector gate
 // or an At costs no heap object of its own — not its command, payload,
-// index copy or handle on the caller, nor its output slot at any party.
+// operand copy or handle on the caller, nor its output slot at any party.
 // After a warm-up of the same gates, 2 000 more cost only the next
 // arena chunks and slot-array growth, at most one allocation per 16
 // gates. Appending to one gate's output slot never reaches the next
@@ -246,13 +246,18 @@ func TestLocalGatesAllocateChunksOnly(t *testing.T) {
 		xs[k], ys[k], perm[k] = int64(k*k-7), int64(3-2*k), (3*k+1)%n
 	}
 	x, y := eng.InputVec(0, xs), eng.InputVec(1, ys)
+	// x's elements in perm's order, which FromScalars packs.
+	xp := make([]Val, n)
+	for k, i := range perm {
+		xp[k] = eng.At(x, i)
+	}
 	var g, s, l *SharedVec
 	terms, cs := make([]Vec, 2), []int64{2, -1}
 	run := func() {
 		for i := 0; i < gates; i++ {
 			switch i % 4 {
 			case 0:
-				g = eng.Gather(x, perm).(*SharedVec)
+				g = eng.FromScalars(xp).(*SharedVec)
 			case 1:
 				s = eng.AddVec(g, y).(*SharedVec)
 			case 2:
@@ -304,9 +309,10 @@ func TestLocalGatesAllocateChunksOnly(t *testing.T) {
 // input round is carved from one array it makes for the round, so a
 // round of k vectors costs a party that array and now and then a growth
 // of its slot list, not k rows (3·8 here). The rest of the round's
-// allocations are the caller's: InputVec embeds each vector in the field
-// (k), the open round's list grows to k, and Stats makes its reply
-// channel and list.
+// allocations are the caller's: the open round's list grows to k, the
+// engine embeds the round's vectors in the field as one run of its
+// arena when it issues the round, and Stats makes its reply channel and
+// list.
 func TestInputRoundAllocatesOneRowArray(t *testing.T) {
 	const p, k, n = 4, 32, 16
 	eng := newActorChan(t, Config{Parties: p, Seed: 9})
@@ -344,9 +350,9 @@ func TestInputRoundAllocatesOneRowArray(t *testing.T) {
 // TestInputRoundAllocationsIndependentOfVectors: what an input round
 // behind a ChanMesh allocates — the caller's embeddings, round list and
 // handles, and the parties' rows — does not grow with the number of
-// vectors. The caller reserves the round's elements, as Plan.Execute
-// does, so the embeddings are one array; the round list keeps its array
-// from round to round and the command's copy and the handles come from
+// vectors. The engine embeds the round's vectors into one array it
+// carves when it issues the round; the round list keeps its array from
+// round to round and the command's list and the handles come from
 // arenas. Rounds of 32 and 128 vectors differ by at most 3 allocations,
 // where they used to differ by several per vector.
 func TestInputRoundAllocationsIndependentOfVectors(t *testing.T) {
@@ -355,7 +361,6 @@ func TestInputRoundAllocationsIndependentOfVectors(t *testing.T) {
 		eng := newActorChan(t, Config{Parties: p, Seed: 9})
 		vs := make([]int64, n)
 		round := func() {
-			eng.ReserveInputs(k * n)
 			for i := 0; i < k; i++ {
 				eng.InputVec(i%p, vs)
 			}
@@ -383,5 +388,29 @@ func TestInputRoundAllocationsIndependentOfVectors(t *testing.T) {
 	t.Logf("an input round at P = %d: %d allocations for 32 vectors, %d for 128", p, few, many)
 	if many-few > 3 {
 		t.Errorf("an input round of 128 vectors cost %d allocations, of 32 vectors %d: want a difference of at most 3", many, few)
+	}
+}
+
+// TestInputVecIsTheCallersOnceTheRoundIsIssued: InputVec reads vs when
+// the round is issued, by the engine's next command of another kind —
+// here Stats — and not after: writing over vs then leaves what the
+// parties hold as it was, on both drivers.
+func TestInputVecIsTheCallersOnceTheRoundIsIssued(t *testing.T) {
+	for name, e := range vecGateEngines(t) {
+		x, y := []int64{7, -3, 0, 1 << 40}, []int64{-1, 2, -4, 8}
+		want := [][]int64{slices.Clone(x), slices.Clone(y)}
+		vs := []Vec{e.InputVec(0, x), e.InputVec(3, y)}
+		e.Stats() // issues the round
+		for k := range x {
+			x[k], y[k] = 99, -99
+		}
+		for i, v := range vs {
+			if got := e.OpenVec(v); !equalInt64(got, want[i]) {
+				t.Errorf("%s: vector %d opened %v after its caller wrote over it, want %v", name, i, got, want[i])
+			}
+		}
+		if err := e.Err(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 	}
 }

@@ -196,7 +196,7 @@ func TestEngineCountsItsExchanges(t *testing.T) {
 		counts("InputUnshared", 0, func() { e.InputUnshared(2, []int64{1, 1, 1}) })
 		local := map[string]func(){
 			"AddVec":      func() { e.AddVec(x, y) },
-			"Gather":      func() { e.Gather(x, []int{2, 0}) },
+			"GatherBatch": func() { e.GatherBatch([]Vec{x, y}, []int{2, 0}) },
 			"LinComb":     func() { e.LinComb([]Vec{x, y}, []int64{2, -1}, 5) },
 			"At":          func() { e.At(y, 1) },
 			"FromScalars": func() { e.FromScalars([]Val{dot, kept[0]}) },

@@ -12,7 +12,7 @@ import (
 
 // seamProgram runs a seeded random program over every command that has
 // two halves or fills a slot: scalar and vector inputs, local gates
-// (vector ones keep length 11: Gather draws 11 indices), a MulBatch and
+// (vector ones keep length 11: GatherBatch draws 11 indices), a MulBatch and
 // a MulBatchUnreduced level of all four kinds, an unshared input, an
 // OpenBatch and an OpenVec.
 func seamProgram(ev *Engine, seed uint64) []int64 {
@@ -56,7 +56,10 @@ func seamProgram(ev *Engine, seed uint64) []int64 {
 				for k := range idx {
 					idx[k] = g.IntN(11)
 				}
-				vecs = append(vecs, ev.Gather(pickVec(), idx))
+				// A batch vector lives until the next GatherBatch: the plain
+				// sum of one keeps its rows.
+				rows := ev.GatherBatch([]Vec{pickVec()}, idx)
+				vecs = append(vecs, ev.LinComb(rows, nil, 0))
 				clear(idx) // the caller's list is its own again: parties behind a mesh hold a copy
 			case 7:
 				vs, cs := make([]Vec, g.IntN(4)+1), make([]int64, 4)
@@ -109,7 +112,7 @@ func seamProgram(ev *Engine, seed uint64) []int64 {
 				noise[k] = small()
 			}
 			sum := ev.AddVec(ev.AddVec(vecs[len(vecs)-1], pickVec()), ev.InputUnshared(g.IntN(p), noise))
-			clear(noise) // as Gather's list: parties behind a mesh hold a copy
+			clear(noise) // as GatherBatch's list: parties behind a mesh hold a copy
 			opened := append(ev.OpenBatch(outs), ev.OpenVec(sum)...)
 			return opened
 		}

@@ -90,7 +90,7 @@ func terminalOpenView(t *testing.T, cfg Config, coalition []int, a, b int64, bar
 		t.Fatalf("opened %d, want %d", got, a+2*b)
 	}
 	for _, h := range honest {
-		rows = append(rows, e.parties[h].pend[0])
+		rows = append(rows, published(e, h))
 	}
 	opened := log.since(before)
 	for _, c := range coalition {
@@ -99,6 +99,19 @@ func terminalOpenView(t *testing.T, cfg Config, coalition []int, a, b int64, bar
 		}
 	}
 	return rows, coalitionGuess(e, coalition, honest, ins), received
+}
+
+// published returns the first element of the row party h published in
+// the engine's last opening. Party 0 sums the opening's rows into its own
+// in place, so its row is that sum less every other party's.
+func published(e *Engine, h int) field.Elem {
+	row := e.parties[h].row[0]
+	if h == 0 {
+		for j := 1; j < e.p; j++ {
+			row = field.Sub(row, e.parties[j].row[0])
+		}
+	}
+	return row
 }
 
 // coalitionGuess is the coalition's attack on a bare opening. A degree-t
@@ -125,7 +138,7 @@ func coalitionGuess(e *Engine, coalition, honest []int, ins []Val) field.Elem {
 			knownA = field.Add(knownA, field.Mul(w[1+j], slot(c, ins[0])))
 			knownB = field.Add(knownB, field.Mul(w[1+j], slot(c, ins[1])))
 		}
-		row := field.Mul(e.parties[h].pend[0], field.Inv(e.parties[h].weights[h]))
+		row := field.Mul(published(e, h), field.Inv(e.parties[h].weights[h]))
 		row = field.Sub(row, field.Add(field.Mul(f1[i], knownA), field.Mul(f2[i], knownB)))
 		k[i] = field.Mul(row, field.Inv(w[0]))
 	}
@@ -246,7 +259,7 @@ func unsharedOpenView(t *testing.T, cfg Config, coalition []int, eta1, eta2 int6
 		t.Fatalf("opened %d, want %d", got, own+eta1+eta2)
 	}
 	for _, i := range honest {
-		rows = append(rows, e.parties[i].pend[0])
+		rows = append(rows, published(e, i))
 	}
 	return rows, field.Sub(rows[0], known)
 }

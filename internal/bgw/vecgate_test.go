@@ -14,11 +14,11 @@ func vecGateEngines(t *testing.T) map[string]*Engine {
 	return map[string]*Engine{"chan": newActorChan(t, cfg), "tcp": newActorTCP(t, cfg)}
 }
 
-// TestGatherAndLinCombMatchPlaintext opens both vector gates against
-// integer arithmetic on the edge cases: repeated and no indices, negative
-// and zero coefficients, a constant on its own, no coefficients (the
-// plain sum, which meters no FieldOps), one vector listed twice, and no
-// terms at all.
+// TestGatherAndLinCombMatchPlaintext opens GatherBatch and LinComb
+// against integer arithmetic on the edge cases: repeated and no indices,
+// negative and zero coefficients, a constant on its own, no coefficients
+// (the plain sum, which meters no FieldOps), one vector listed twice, and
+// no terms at all.
 func TestGatherAndLinCombMatchPlaintext(t *testing.T) {
 	x := []int64{7, -3, 0, 1 << 40, -9}
 	y := []int64{-1, 2, -4, 8, -16}
@@ -26,14 +26,14 @@ func TestGatherAndLinCombMatchPlaintext(t *testing.T) {
 		xv, yv := e.InputVec(0, x), e.InputVec(3, y)
 
 		idx := []int{4, 4, 0, 2, 4, 1}
-		got := e.OpenVec(e.Gather(xv, idx))
+		got := e.OpenVec(e.GatherBatch([]Vec{xv}, idx)[0])
 		for k, i := range idx {
 			if got[k] != x[i] {
-				t.Errorf("%s: Gather element %d = %d, want x[%d] = %d", name, k, got[k], i, x[i])
+				t.Errorf("%s: GatherBatch element %d = %d, want x[%d] = %d", name, k, got[k], i, x[i])
 			}
 		}
-		if v := e.Gather(xv, nil); v.Len() != 0 {
-			t.Errorf("%s: Gather of no indices has %d elements", name, v.Len())
+		if v := e.GatherBatch([]Vec{xv}, nil)[0]; v.Len() != 0 {
+			t.Errorf("%s: GatherBatch of no indices has %d elements", name, v.Len())
 		}
 
 		for _, c := range []struct {
@@ -62,7 +62,7 @@ func TestGatherAndLinCombMatchPlaintext(t *testing.T) {
 				}
 			}
 		}
-		got = e.OpenVec(e.LinComb([]Vec{xv, xv, e.Gather(yv, []int{0, 0, 0, 0, 0})}, []int64{2, -3, 1}, 0))
+		got = e.OpenVec(e.LinComb([]Vec{xv, xv, e.GatherBatch([]Vec{yv}, []int{0, 0, 0, 0, 0})[0]}, []int64{2, -3, 1}, 0))
 		for k := range x {
 			if want := -x[k] + y[0]; got[k] != want {
 				t.Errorf("%s: a vector listed twice: element %d = %d, want %d", name, k, got[k], want)
@@ -72,12 +72,13 @@ func TestGatherAndLinCombMatchPlaintext(t *testing.T) {
 			t.Errorf("%s: LinComb of no terms has %d elements, want the empty vector", name, v.Len())
 		}
 		// A dot with a gathered, combined column: the LR step's shape.
-		u := e.LinComb([]Vec{e.Gather(xv, []int{0, 1, 4}), e.Gather(yv, []int{0, 1, 4})}, []int64{2, -1}, 3)
+		rows := e.GatherBatch([]Vec{xv, yv}, []int{0, 1, 4})
+		u := e.LinComb(rows, []int64{2, -1}, 3)
 		want := int64(0)
 		for _, i := range []int{0, 1, 4} {
 			want += x[i] * (3 + 2*x[i] - y[i])
 		}
-		if got := e.Open(e.Dot(e.Gather(xv, []int{0, 1, 4}), u)); got != want {
+		if got := e.Open(e.Dot(rows[0], u)); got != want {
 			t.Errorf("%s: ⟨x_B, u⟩ = %d, want %d", name, got, want)
 		}
 		if err := e.Err(); err != nil {
@@ -92,7 +93,7 @@ func TestGatherAndLinCombMatchPlaintext(t *testing.T) {
 // batch, then a larger one that regrows the parties' array. Handed to any
 // gate afterwards, an earlier batch's vector panics with an
 // invariant.Violation, while the columns it was gathered from stay usable
-// for Gather, GatherBatch and every other gate.
+// for GatherBatch and every other gate.
 func TestGatherBatchLivesOneBatch(t *testing.T) {
 	x := []int64{7, -3, 0, 1 << 40, -9}
 	y := []int64{-1, 2, -4, 8, -16}
@@ -128,7 +129,6 @@ func TestGatherBatchLivesOneBatch(t *testing.T) {
 			"OpenVec":     func() { e.OpenVec(b1[0]) },
 			"AddVec":      func() { e.AddVec(xv, b1[1]) },
 			"Dot":         func() { e.Dot(b1[0], b1[0]) },
-			"Gather":      func() { e.Gather(b1[0], []int{0}) },
 			"LinComb":     func() { e.LinComb(b1, []int64{1, 1}, 0) },
 			"At":          func() { e.At(b1[1], 0) },
 			"GatherBatch": func() { e.GatherBatch([]Vec{xv, b1[0]}, []int{0}) },
@@ -143,7 +143,7 @@ func TestGatherBatchLivesOneBatch(t *testing.T) {
 			}()
 		}
 		check("resident x", e.OpenVec(xv), func(k int) int64 { return x[k] })
-		check("Gather of resident y", e.OpenVec(e.Gather(yv, []int{4, 4})), func(k int) int64 { return y[4] })
+		check("GatherBatch of resident y", e.OpenVec(e.GatherBatch([]Vec{yv}, []int{4, 4})[0]), func(k int) int64 { return y[4] })
 		if err := e.Err(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -151,7 +151,7 @@ func TestGatherBatchLivesOneBatch(t *testing.T) {
 }
 
 // TestUnsharedZerosStayZero runs random programs of unshared and shared
-// input vectors under the vector gates — AddVec, Gather, LinComb, a dot
+// input vectors under the vector gates — AddVec, GatherBatch, LinComb, a dot
 // of shared columns, openings — on both drivers. Every opening matches
 // integer arithmetic, and afterwards every party's zero buffer, whose
 // views are the non-owners' slots of every unshared input, still holds
@@ -217,7 +217,9 @@ func TestUnsharedZerosStayZero(t *testing.T) {
 						idx[k] = g.IntN(len(a.plain))
 						out[k] = a.plain[idx[k]]
 					}
-					vecs = append(vecs, vec{e.Gather(a.h, idx), out, a.unshared})
+					// The plain sum of one keeps the rows past the next batch.
+					rows := e.GatherBatch([]Vec{a.h}, idx)
+					vecs = append(vecs, vec{e.LinComb(rows, nil, 0), out, a.unshared})
 				case r == 4:
 					a := vecs[g.IntN(len(vecs))]
 					cands := like(len(a.plain))
@@ -271,8 +273,8 @@ func TestUnsharedZerosStayZero(t *testing.T) {
 
 // TestGatherAndLinCombMetering: LinComb costs every party one field
 // operation per term and element — what the MulConst gates it stands for
-// cost — whatever the coefficients; Gather costs none; neither moves a
-// round, a frame, a message or a byte.
+// cost — whatever the coefficients; GatherBatch costs none; neither moves
+// a round, a frame, a message or a byte.
 func TestGatherAndLinCombMetering(t *testing.T) {
 	for name, e := range vecGateEngines(t) {
 		const n = 9
@@ -286,9 +288,9 @@ func TestGatherAndLinCombMetering(t *testing.T) {
 			vs[k] = e.InputVec(k, col)
 		}
 		before := e.Stats()
-		e.Gather(vs[0], []int{1, 1, 8, 0})
+		e.GatherBatch(vs[:2], []int{1, 1, 8, 0})
 		if after := e.Stats(); after != before {
-			t.Errorf("%s: Gather moved the counters %+v → %+v", name, before, after)
+			t.Errorf("%s: GatherBatch moved the counters %+v → %+v", name, before, after)
 		}
 		for terms := 0; terms <= len(vs); terms++ {
 			before := e.Stats()
@@ -305,7 +307,7 @@ func TestGatherAndLinCombMetering(t *testing.T) {
 		e.AddConst(e.Add(e.MulConst(a, 3), e.MulConst(b, -1)), 7)
 		scalar := e.Stats().FieldOps - before.FieldOps
 		before = e.Stats()
-		e.LinComb([]Vec{e.Gather(vs[0], []int{0}), e.Gather(vs[1], []int{0})}, []int64{3, -1}, 7)
+		e.LinComb(e.GatherBatch(vs[:2], []int{0}), []int64{3, -1}, 7)
 		if vec := e.Stats().FieldOps - before.FieldOps; vec != scalar {
 			t.Errorf("%s: one-element LinComb metered %d field ops, its scalar gates %d", name, vec, scalar)
 		}
@@ -418,7 +420,7 @@ func TestHadamardMetersAsItsScalarProducts(t *testing.T) {
 func TestEmptyHadamardTakesItsSlot(t *testing.T) {
 	for name, e := range vecGateEngines(t) {
 		xv := e.InputVec(0, []int64{3, -1})
-		empty := e.Gather(xv, nil)
+		empty := e.GatherBatch([]Vec{xv}, nil)[0]
 		outs := e.MulBatch([]MulItem{{Kind: MulHadamard, VA: empty, VB: empty}, {Kind: MulDot, VA: xv, VB: xv}})
 		if h := outs[0].(Vec); h.Len() != 0 {
 			t.Errorf("%s: Hadamard of empty vectors has %d elements", name, h.Len())

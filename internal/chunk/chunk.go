@@ -61,29 +61,14 @@ const (
 type Arena[T any] struct {
 	free []T // the rest of the current chunk
 	size int // the current chunk's length
-	held []T // the rest of the array Reserve set aside
 }
 
-// Reserve sets aside one array of n values, unless what is left of the
-// last one holds n already. Takes carve from it first, whatever their
-// length, so an owner that knows what a round will take — an input
-// round's columns, however many and however long — pays one allocation
-// for all of it instead of a chunk per few runs.
-func (a *Arena[T]) Reserve(n int) {
-	if len(a.held) < n {
-		a.held = make([]T, n)
-	}
-}
-
-// Take returns n zero values, len == cap: from the reserved array while
-// it holds n, else from the chunks. A run longer than a quarter of the
-// largest chunk gets an array of its own.
+// Take returns n zero values, len == cap, from the chunks. A run longer
+// than a quarter of the largest chunk gets an array of its own, so an
+// owner that carves what a round takes as one run — an input round's
+// columns, however many and however long — pays one allocation for all
+// of it.
 func (a *Arena[T]) Take(n int) []T {
-	if n <= len(a.held) {
-		s := a.held[:n:n]
-		a.held = a.held[n:]
-		return s
-	}
 	most := a.Most()
 	if n > most/4 {
 		return make([]T, n)

@@ -163,32 +163,3 @@ func TestArenaChunksGrow(t *testing.T) {
 		t.Fatalf("an arena of 64 KB values holds chunks of %d, want %d", got, first)
 	}
 }
-
-// TestArenaReserve: the runs taken after a Reserve are neighbours in the
-// one array it set aside, a run longer than a quarter chunk included;
-// a Reserve that what is left already covers allocates nothing, and
-// once the array is used up Take is back on the chunks.
-func TestArenaReserve(t *testing.T) {
-	var a Arena[int64]
-	long := a.Most()/4 + 1
-	a.Reserve(2*long + 3)
-	x, y, z := a.Take(long), a.Take(3), a.Take(long)
-	if unsafe.Pointer(&y[0]) != unsafe.Add(unsafe.Pointer(&x[0]), long*8) ||
-		unsafe.Pointer(&z[0]) != unsafe.Add(unsafe.Pointer(&y[0]), 3*8) {
-		t.Fatal("the runs after a Reserve are not neighbours in one array")
-	}
-	if cap(x) != long || cap(y) != 3 || cap(z) != long {
-		t.Fatalf("caps %d, %d, %d, want %d, 3, %d", cap(x), cap(y), cap(z), long, long)
-	}
-	if a.size != 0 {
-		t.Fatalf("reserved runs opened a chunk of %d", a.size)
-	}
-	a.Reserve(8)
-	if n := testing.AllocsPerRun(10, func() { a.Reserve(1) }); n != 0 {
-		t.Fatalf("a Reserve the rest covers allocated %v times", n)
-	}
-	a.Take(8)
-	if s := a.Take(2); len(s) != 2 || a.size != first {
-		t.Fatalf("after the reservation Take gave len %d from a chunk of %d, want 2 from %d", len(s), a.size, first)
-	}
-}

@@ -31,7 +31,6 @@ import (
 
 	"sqm/internal/bgw"
 	"sqm/internal/chunk"
-	"sqm/internal/field"
 	"sqm/internal/invariant"
 )
 
@@ -41,7 +40,6 @@ type nodeKind uint8
 const (
 	kZero nodeKind = iota
 	kInput
-	kInputElem
 	kInputVec
 	kInputParam
 	kInputVecParam
@@ -59,7 +57,6 @@ const (
 	kHadamard
 	kAt
 	kAddVec
-	kGather
 	kLinComb
 	kFromScalars
 	kOpen
@@ -75,7 +72,7 @@ func (k nodeKind) isMul() bool { return k == kMul || k == kInner || k == kDot ||
 // isInput reports whether the node costs the input sharing round.
 func (k nodeKind) isInput() bool {
 	switch k {
-	case kInput, kInputElem, kInputVec, kInputParam, kInputVecParam, kInputSum, kInputVecSum:
+	case kInput, kInputVec, kInputParam, kInputVecParam, kInputSum, kInputVecSum:
 		return true
 	}
 	return false
@@ -91,13 +88,13 @@ func (k nodeKind) folds() bool { return k.isInput() && k != kInputVecParam }
 // plan's input round, or unshared for the open-only ones — and takes
 // that vector apart with At.
 func (k nodeKind) isScalarInput() bool {
-	return k == kInput || k == kInputElem || k == kInputParam || k == kInputSum
+	return k == kInput || k == kInputParam || k == kInputSum
 }
 
 // isVec reports whether the node produces a vector handle.
 func (k nodeKind) isVec() bool {
 	switch k {
-	case kInputVec, kInputVecParam, kInputVecSum, kExtVec, kAddVec, kGather, kLinComb, kFromScalars, kHadamard:
+	case kInputVec, kInputVecParam, kInputVecSum, kExtVec, kAddVec, kLinComb, kFromScalars, kHadamard:
 		return true
 	}
 	return false
@@ -119,13 +116,13 @@ type node struct {
 	level int32 // multiplicative level, assigned by Compile
 	a, b  int32 // operand node ids; b is the element index of kAt; a is the args offset of kInner/kFromScalars operands and the lits index of a kInputVec literal; args[a:a+b] are the parameter slots a kInputSum adds and the operands of a kLinComb
 	owner int32 // input owner party
-	param int32 // parameter slot (const/input/vector/ext params); lits index of a kInputVecSum's summed literals and of a kLinComb's coefficients (−1: none, the plain sum); args offset of a kGather's n element indices
+	param int32 // parameter slot (const/input/vector/ext params); lits index of a kInputVecSum's summed literals and of a kLinComb's coefficients (−1: none, the plain sum)
 	n     int32 // vector length of vector-producing nodes; operand count of kInner (list B follows list A in args)
 	// deg is the degree of the sharing Execute leaves here (schedule):
 	// above t, the node is open-only — its handle does not resolve, and
 	// on an input leaf it means the leaf is not shared at all.
 	deg int32
-	c   int64 // public constant (kInput, kAddConst, kMulConst, kLinComb's c0) or raw field input (kInputElem, and the summed literals of a kInputSum)
+	c   int64 // public constant (kInput, kAddConst, kMulConst, kLinComb's c0) or the raw field sum of a kInputSum's literals
 }
 
 // Val is a handle to one recorded scalar node; it is passed around as a
@@ -159,7 +156,7 @@ type ConstID int
 type Builder struct {
 	p, t  int
 	nodes []node
-	args  []int32            // operand lists of kInner, kFromScalars and kLinComb, index lists of kGather (and, compiled, the folded input sums' slots)
+	args  []int32            // operand lists of kInner, kFromScalars and kLinComb (and, compiled, the folded input sums' slots)
 	lits  [][]int64          // kInputVec literals, the caller's own slices, and kLinComb coefficients, a private copy each (a plain sum has none)
 	vals  chunk.Arena[Val]   // the scalar handles
 	vecs  chunk.Arena[Vec]   // the vector handles
@@ -338,19 +335,13 @@ func (b *Builder) OpenVecIdx(v bgw.Vec) int {
 // the sum of what a dealer deals. A leaf whose only consumer is an
 // Add/AddVec gate of a sum tree is merged with the same owner's other
 // such leaves of that tree into one sharing of their sum, so it — and
-// every partial sum over it — no longer exists on its own: Result.ValOf /
-// VecOf on those handles is an invariant violation. A leaf with no
-// consumer (shared to be read back through ValOf / VecOf) or with two or
-// more consumers is never folded, and the root of a sum tree keeps its
-// handle and its value.
+// every partial sum over it — no longer exists on its own: Result.VecOf
+// on those handles is an invariant violation. A leaf with no consumer
+// (a vector shared to be read back through VecOf) or with two or more
+// consumers is never folded, and the root of a sum tree keeps its handle
+// and its value.
 func (b *Builder) Input(owner int, v int64) bgw.Val {
 	return b.scalar(node{kind: kInput, owner: b.checkParty(owner), c: v})
-}
-
-// InputElem records a literal raw-field input. It folds under the rule
-// stated on Input.
-func (b *Builder) InputElem(owner int, e field.Elem) bgw.Val {
-	return b.scalar(node{kind: kInputElem, owner: b.checkParty(owner), c: int64(e)})
 }
 
 // InputVec records a literal secret vector input. It folds under the
@@ -428,20 +419,6 @@ func (b *Builder) AddVec(a, c bgw.Vec) bgw.Vec {
 	return b.vector(node{kind: kAddVec, a: ca.id, b: cc.id}, ca.n)
 }
 
-// Gather records the vector v[idx[k]].
-func (b *Builder) Gather(v bgw.Vec, idx []int) bgw.Vec {
-	cv := b.vec(v)
-	off := len(b.args)
-	for _, i := range idx {
-		if i < 0 || i >= cv.n {
-			panic(invariant.Violation("circuit: gather index %d out of range [0,%d)", i, cv.n))
-		}
-		b.args = append(b.args, int32(i))
-	}
-	b.i32(len(b.args))
-	return b.vector(node{kind: kGather, a: cv.id, param: b.i32(off)}, len(idx))
-}
-
 // LinComb records the fused affine gate c0 + Σ_k cs[k]·vs[k]. The
 // coefficients are literals: a circuit whose coefficients change is
 // recorded again. Nil coefficients are all 1: the plain sum, which
@@ -470,9 +447,12 @@ func (b *Builder) LinComb(vs []bgw.Vec, cs []int64, c0 int64) bgw.Vec {
 }
 
 // Dot records the fused inner product ⟨a, b⟩.
-func (b *Builder) Dot(a, c bgw.Vec) bgw.Val {
+func (b *Builder) Dot(a, c bgw.Vec) bgw.Val { return b.scalar(b.dot(a, c)) }
+
+// dot returns the node of the fused inner product ⟨a, b⟩.
+func (b *Builder) dot(a, c bgw.Vec) node {
 	ca, cc := b.sameLen(a, c)
-	return b.scalar(node{kind: kDot, a: ca.id, b: cc.id})
+	return node{kind: kDot, a: ca.id, b: cc.id}
 }
 
 // Hadamard records the element-wise product a ⊙ b, a vector: one
@@ -490,10 +470,11 @@ func (b *Builder) DotBatch(pairs []bgw.VecPair, workers int) []bgw.Val {
 	// A Gram level records a node and a handle per pair: room for all of
 	// them at once, so the level costs no growth per column pair.
 	b.nodes = slices.Grow(b.nodes, len(pairs))
-	b.vals.Reserve(len(pairs))
+	hs := b.vals.Take(len(pairs))
 	out := make([]bgw.Val, len(pairs))
 	for i, p := range pairs {
-		out[i] = b.Dot(p.A, p.B)
+		hs[i] = Val{b: b, id: b.add(b.dot(p.A, p.B))}
+		out[i] = &hs[i]
 	}
 	return out
 }

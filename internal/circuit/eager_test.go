@@ -1,10 +1,13 @@
 package circuit
 
-import "sqm/internal/bgw"
+import (
+	"sqm/internal/bgw"
+	"sqm/internal/field"
+)
 
 // runEager is the reference Plan.Execute is held to: the plan's own
 // schedule driven through the engine's singleton gates, the way protocols
-// drove an engine before plans existed — one InputElem per scalar input
+// drove an engine before plans existed — one Input per scalar input
 // and one InputVec per vector, all up front, one Mul / InnerProduct / Dot
 // — or a MulBatch of one Hadamard — per multiplicative gate, one Open
 // per scalar output and one OpenVec per vector output, each an exchange
@@ -23,7 +26,7 @@ func (p *Plan) runEager(eng bgw.Evaluator, bind Bindings) (*Result, error) {
 	for id := range p.nodes {
 		switch n := &p.nodes[id]; {
 		case n.kind.isScalarInput():
-			r.vals[id] = eng.InputElem(int(n.owner), p.inputElem(n, bind))
+			r.vals[id] = eng.Input(int(n.owner), field.ToInt64(p.inputElem(n, bind)))
 		case n.kind.isInput():
 			vs, err := p.inputLit(n, bind, r)
 			if err != nil {
@@ -87,7 +90,7 @@ func (p *Plan) MulGates() int {
 
 // EagerRounds returns the wire rounds of runEager, the gate-by-gate
 // baseline the scheduler improves on, by what it issues: every
-// InputElem is an input round of its own (its InputVec joins the vectors
+// Input is an input round of its own (its InputVec joins the vectors
 // dealt before it, and its At issues them all), the vector leaves after
 // the last scalar one are one more, and every multiplicative gate, Open
 // and OpenVec is one exchange.

@@ -5,14 +5,13 @@ import (
 	"testing"
 
 	"sqm/internal/bgw"
-	"sqm/internal/field"
 	"sqm/internal/transport"
 )
 
 // randomCircuit records a random DAG into b: literal inputs, the full
-// linear gate surface — the vector gates Gather and LinComb included —
-// scalar and fused multiplications, and a few opened outputs. Scalar
-// inputs (signed and raw) and input vectors keep arriving between the
+// linear gate surface — the vector gate LinComb included — scalar and
+// fused multiplications, and a few opened outputs. Scalar inputs and
+// input vectors keep arriving between the
 // gates, so the executor's hoisting of every scalar input into one
 // leading InputVec per owner — ahead of locals and InputVecs recorded
 // before it — is exercised on every seed. Sum trees over inputs
@@ -57,7 +56,7 @@ func randomCircuit(b *Builder, rng *rand.Rand) (Bindings, circuitTails) {
 		return v1, pickVecLike(v1)
 	}
 	for i, ops := 0, 5+rng.Intn(20); i < ops; i++ {
-		switch rng.Intn(18) {
+		switch rng.Intn(16) {
 		case 0:
 			vals = append(vals, b.Add(pick(), pick()))
 		case 1:
@@ -93,36 +92,23 @@ func randomCircuit(b *Builder, rng *rand.Rand) (Bindings, circuitTails) {
 		case 10:
 			vals = append(vals, b.Input(rng.Intn(p), int64(rng.Intn(2001)-1000)))
 		case 11:
-			vals = append(vals, b.InputElem(rng.Intn(p), field.FromInt64(int64(rng.Intn(2001)-1000))))
-		case 12:
 			vs := make([]int64, vecs[rng.Intn(len(vecs))].Len())
 			for k := range vs {
 				vs[k] = int64(rng.Intn(201) - 100)
 			}
 			vecs = append(vecs, b.InputVec(rng.Intn(p), vs))
-		case 13:
+		case 12:
 			vals = append(vals, sumTree(b, rng, &bind, pick)...)
-		case 14:
+		case 13:
 			vecs = append(vecs, sumTreeVec(b, rng, vecs[rng.Intn(len(vecs))]))
-		case 15:
-			v := vecs[rng.Intn(len(vecs))]
-			idx := make([]int, rng.Intn(5))
-			for k := range idx {
-				idx[k] = rng.Intn(v.Len())
-			}
-			// An empty Gather is recorded and executed but not kept: every
-			// later pick may index or open its vector.
-			if g := b.Gather(v, idx); len(idx) > 0 {
-				vecs = append(vecs, g)
-			}
-		case 16:
+		case 14:
 			vs, cs := make([]bgw.Vec, 1+rng.Intn(3)), make([]int64, 3)
 			like := vecs[rng.Intn(len(vecs))]
 			for k := range vs {
 				vs[k], cs[k] = pickVecLike(like), int64(rng.Intn(21)-10)
 			}
 			vecs = append(vecs, b.LinComb(vs, cs[:len(vs)], int64(rng.Intn(101)-50)))
-		case 17:
+		case 15:
 			v1, v2 := pickVecPair()
 			vecs = append(vecs, b.Hadamard(v1, v2))
 		}
@@ -216,7 +202,7 @@ func chainTail(b *Builder, rng *rand.Rand, vals []bgw.Val) {
 // parameter or a literal, and adds each to low (a level-0 input, maybe
 // below the circuit's top) and opens the sum: an open-only leaf whose
 // linear gate sits below the top level, which Execute must still enter
-// after the last one. One in three leaves also gets a Gather nothing
+// after the last one. One in three leaves also gets a LinComb nothing
 // reads, a handle a later plan could bind, so it stays shared. The
 // parameters' values go into bind.InputVecs. It returns how many leaves
 // it left open-only.
@@ -237,7 +223,7 @@ func lowTail(b *Builder, rng *rand.Rand, bind *Bindings, low bgw.Vec) int {
 		}
 		b.OpenVecIdx(b.AddVec(low, leaf))
 		if rng.Intn(3) == 0 {
-			b.Gather(leaf, []int{0})
+			b.LinComb([]bgw.Vec{leaf}, []int64{2}, 0)
 		} else {
 			openOnly++
 		}
@@ -347,13 +333,13 @@ func unsharedTail(b *Builder, rng *rand.Rand, shape int) int32 {
 	case multipliedTail:
 		b.OpenIdx(b.Dot(v, v))
 	case readableTail:
-		b.Gather(lin, []int{1, 0})
+		b.LinComb([]bgw.Vec{lin}, []int64{-1}, 0)
 	}
 	return v.(*Vec).id
 }
 
 // sumTree records a sum of 2–7 scalar leaves dealt by at most two
-// owners — literal, raw and parameter inputs mixed, now and then a Zero
+// owners — literal and parameter inputs mixed, now and then a Zero
 // or an arbitrary earlier value among them — combined in random order, so
 // chains and bushy trees both occur. It returns the handles the rest of
 // the circuit may go on to use: always the root (which a later gate may
@@ -374,10 +360,8 @@ func sumTree(b *Builder, rng *rand.Rand, bind *Bindings, pick func() bgw.Val) []
 		case 1:
 			terms[i] = pick()
 			continue
-		case 2, 3:
+		case 2, 3, 4:
 			terms[i] = b.Input(owner, v)
-		case 4:
-			terms[i] = b.InputElem(owner, field.FromInt64(v))
 		default:
 			terms[i] = b.InputParam(owner)
 			bind.Inputs = append(bind.Inputs, v)
@@ -635,9 +619,9 @@ func TestRandomCircuitsReachGramTails(t *testing.T) {
 	}
 }
 
-// fuzzSeeds is FuzzPlanEquivalence's seed corpus. 19, 43 and 51 are
-// there for the vector gates: each records Gather (an empty one too) and
-// LinComb several times over.
+// fuzzSeeds is FuzzPlanEquivalence's seed corpus. 19, 43 and 51 joined it
+// for the vector gates; TestFuzzCorpusReachesVectorGates says what the
+// corpus must reach.
 var fuzzSeeds = []int64{0, 1, 2, 3, 4, 5, 6, 7, 19, 43, 51}
 
 // TestFuzzCorpusReachesTerminalShapes keeps the corpus honest about the
@@ -725,24 +709,19 @@ func TestFuzzCorpusReachesUnreducedChains(t *testing.T) {
 }
 
 // TestFuzzCorpusReachesVectorGates keeps the corpus honest when
-// randomCircuit's draws shift: its seeds must still record a Gather, a
-// Gather of nothing, a LinComb of several terms, and Hadamard products —
+// randomCircuit's draws shift: its seeds must still record a LinComb of
+// several terms, and Hadamard products —
 // compiled, one Execute reshares and one it keeps at its degree — and
 // compile an AddVec tree of three leaves or more into one plain LinComb
 // whose leaves mix a shared vector, an open-only product and an unshared
 // input leaf.
 func TestFuzzCorpusReachesVectorGates(t *testing.T) {
-	var gathers, empty, combs, reshared, kept, mixed int
+	var combs, reshared, kept, mixed int
 	for _, seed := range fuzzSeeds {
 		b := NewBuilder(4, 0)
 		randomCircuit(b, rand.New(rand.NewSource(seed)))
 		for _, n := range b.nodes {
-			switch {
-			case n.kind == kGather && n.n == 0:
-				empty++
-			case n.kind == kGather:
-				gathers++
-			case n.kind == kLinComb && n.b > 1:
+			if n.kind == kLinComb && n.b > 1 {
 				combs++
 			}
 		}
@@ -758,9 +737,9 @@ func TestFuzzCorpusReachesVectorGates(t *testing.T) {
 			}
 		}
 	}
-	if gathers == 0 || empty == 0 || combs == 0 || reshared == 0 || kept == 0 || mixed == 0 {
-		t.Fatalf("corpus records %d Gather, %d empty Gather, %d multi-term LinComb gates, %d reshared and %d kept Hadamards, and compiles %d mixed sum trees; want each",
-			gathers, empty, combs, reshared, kept, mixed)
+	if combs == 0 || reshared == 0 || kept == 0 || mixed == 0 {
+		t.Fatalf("corpus records %d multi-term LinComb gates, %d reshared and %d kept Hadamards, and compiles %d mixed sum trees; want each",
+			combs, reshared, kept, mixed)
 	}
 }
 

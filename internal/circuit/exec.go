@@ -36,12 +36,11 @@ type Result struct {
 	opened     []int64
 	openedVecs [][]int64
 
-	// The operand lists of evalLocal's list gates (LinComb, Gather,
+	// The operand lists of evalLocal's list gates (LinComb,
 	// FromScalars), reused from gate to gate: bgw.Engine copies what it
 	// keeps of them.
 	opVecs []bgw.Vec
 	opVals []bgw.Val
-	opIdx  []int
 }
 
 // Opened returns the k-th scalar output (the index OpenIdx returned).
@@ -50,27 +49,16 @@ func (r *Result) Opened(k int) int64 { return r.opened[k] }
 // OpenedVec returns the k-th vector output.
 func (r *Result) OpenedVec(k int) []int64 { return r.openedVecs[k] }
 
-// ValOf returns the engine handle the execution produced for a
-// recorded scalar, for use as an ExtVal binding of a later plan. Two
-// kinds of handle do not resolve, and asking for one is an invariant
-// violation: a handle Compile folded into its dealer's sum (see
-// Builder.Input) has no sharing of its own, and an open-only node — a
-// product Execute did not reshare, an input it did not share, or a
-// linear gate over either (see Plan.assignDegrees) — holds a sharing of
-// degree above t, which a later plan's multiplication may not assume.
-func (r *Result) ValOf(h bgw.Val) bgw.Val {
-	v, ok := h.(*Val)
-	if !ok {
-		panic(invariant.Violation("circuit: ValOf needs a circuit handle"))
-	}
-	r.plan.checkReadable(v.id)
-	return r.vals[v.id]
-}
-
-// VecOf returns the engine handle for a recorded vector, under ValOf's
-// rule for folded and open-only handles. A vector sum tree's interior
-// gates are folded too: Compile computes the tree as one gate (see
-// Builder.AddVec), so only its root resolves.
+// VecOf returns the engine handle the execution produced for a recorded
+// vector, for use as an ExtVec binding of a later plan. Two kinds of
+// handle do not resolve, and asking for one is an invariant violation: a
+// handle Compile folded — into its dealer's input sum (see
+// Builder.Input), or as an interior gate of a vector sum tree, which
+// Compile computes as one gate (see Builder.AddVec) — has no sharing of
+// its own, and an open-only node — a product Execute did not reshare, an
+// input it did not share, or a linear gate over either (see
+// Plan.assignDegrees) — holds a sharing of degree above t, which a later
+// plan's multiplication may not assume.
 func (r *Result) VecOf(h bgw.Vec) bgw.Vec {
 	v, ok := h.(*Vec)
 	if !ok {
@@ -173,7 +161,6 @@ func (p *Plan) Execute(eng bgw.Evaluator, bind Bindings) (*Result, error) {
 		in = obs.StartTracedSpan(rec, "circuit.input", exec.ID(),
 			obs.Int("inputs", len(p.inputs)), obs.Int("input_vecs", len(p.vecInputs)))
 	}
-	eng.ReserveInputs(p.inputLen())
 	owned := p.enterScalars(eng, bind, p.inputs, eng.InputVec)
 	for _, id := range p.vecInputs {
 		n := &p.nodes[id]
@@ -266,8 +253,6 @@ func (p *Plan) mulGates(r *Result, gates []int32, mul func([]bgw.MulItem) []bgw.
 // inputElem returns the field element a scalar input leaf shares.
 func (p *Plan) inputElem(n *node, bind Bindings) field.Elem {
 	switch n.kind {
-	case kInputElem:
-		return field.Elem(n.c)
 	case kInputParam:
 		return field.FromInt64(bind.Inputs[n.param])
 	case kInputSum:
@@ -308,16 +293,6 @@ func (p *Plan) enterScalars(eng bgw.Evaluator, bind Bindings, ids []int32, enter
 		owned[owner] = enter(owner, own)
 	}
 	return owned
-}
-
-// inputLen is the number of elements the input round enters: one per
-// shared scalar leaf and every shared vector leaf's.
-func (p *Plan) inputLen() int {
-	n := len(p.inputs)
-	for _, id := range p.vecInputs {
-		n += int(p.nodes[id].n)
-	}
-	return n
 }
 
 // takeApart files each leaf of ids, in id order, as its element of the
@@ -400,12 +375,6 @@ func (p *Plan) evalLocal(eng bgw.Evaluator, bind Bindings, r *Result, id int32) 
 		r.vals[id] = eng.At(r.vecs[n.a], int(n.b))
 	case kAddVec:
 		r.vecs[id] = eng.AddVec(r.vecs[n.a], r.vecs[n.b])
-	case kGather:
-		r.opIdx = slices.Grow(r.opIdx[:0], int(n.n))
-		for _, i := range p.operands(n.param, n.n) {
-			r.opIdx = append(r.opIdx, int(i))
-		}
-		r.vecs[id] = eng.Gather(r.vecs[n.a], r.opIdx)
 	case kLinComb:
 		r.opVecs = slices.Grow(r.opVecs[:0], int(n.b))
 		for _, op := range p.operands(n.a, n.b) {

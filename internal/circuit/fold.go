@@ -201,8 +201,6 @@ func (f *folder) group(owner int32) error {
 		switch n.kind {
 		case kInput:
 			lit = field.Add(lit, field.FromInt64(n.c))
-		case kInputElem:
-			lit = field.Add(lit, field.Elem(n.c))
 		case kInputParam:
 			p.args = append(p.args, n.param)
 		case kInputVec:

@@ -66,6 +66,11 @@ func unscheduled(nodes []node) []node {
 	return out
 }
 
+// scalarFolded reports whether Compile folded the recorded scalar h, into
+// its dealer's input sum or a partial sum over one: it has no sharing of
+// its own.
+func scalarFolded(p *Plan, h bgw.Val) bool { return p.nodes[h.(*Val).id].folded }
+
 // mustNameTheFold demands the violation of a folded handle.
 func mustNameTheFold(t *testing.T, what string, fn func()) {
 	t.Helper()
@@ -73,9 +78,9 @@ func mustNameTheFold(t *testing.T, what string, fn func()) {
 }
 
 // TestFoldedHandlesFailLoudly: a leaf folded into its dealer's sum and a
-// partial sum over one have no sharing of their own, so their handles
-// must not resolve — to nil or to anything else. The root keeps both its
-// handle and its value. (Both roots are also multiplied: a sum that only
+// partial sum over one have no sharing of their own, so a vector's handle
+// must not resolve — to nil or to anything else — and a scalar's node is
+// marked folded. The root keeps both its handle and its value. (Both roots are also multiplied: a sum that only
 // reached its opening would not be shared at all, and refused for that.)
 func TestFoldedHandlesFailLoudly(t *testing.T) {
 	b := NewBuilder(4, 0)
@@ -103,24 +108,28 @@ func TestFoldedHandlesFailLoudly(t *testing.T) {
 	if got := res.OpenedVec(0); !reflect.DeepEqual(got, []int64{16, 27}) {
 		t.Fatalf("opened %v, want [16 27]", got)
 	}
-	mustNameTheFold(t, "ValOf a folded leaf", func() { res.ValOf(a1) })
-	mustNameTheFold(t, "ValOf another folded leaf", func() { res.ValOf(a2) })
-	mustNameTheFold(t, "ValOf a partial sum over a folded leaf", func() { res.ValOf(part) })
+	for what, h := range map[string]bgw.Val{"a folded leaf": a1, "another folded leaf": a2, "a partial sum over a folded leaf": part} {
+		if !scalarFolded(plan, h) {
+			t.Errorf("%s is not marked folded", what)
+		}
+	}
 	mustNameTheFold(t, "VecOf a folded leaf", func() { res.VecOf(v1) })
 	mustNameTheFold(t, "VecOf another folded leaf", func() { res.VecOf(v2) })
 	mustNameTheFold(t, "VecOf a partial sum over a folded leaf", func() { res.VecOf(vpart) })
-	if res.ValOf(root) == nil || res.ValOf(c1) == nil || res.VecOf(vroot) == nil || res.VecOf(w) == nil {
+	if scalarFolded(plan, root) || scalarFolded(plan, c1) || res.VecOf(vroot) == nil || res.VecOf(w) == nil {
 		t.Fatal("the root or an unfolded leaf no longer resolves")
 	}
 }
 
 // TestUnconsumedLeavesNeverFold: inputs shared only to be read back
-// through VecOf / ValOf — the LR set-up plan's feature and label columns
-// — have no consumer and stay one sharing each, same owner or not.
+// through VecOf — the LR set-up plan's feature and label columns — and
+// scalar inputs nothing reads have no consumer and stay one sharing
+// each, same owner or not.
 func TestUnconsumedLeavesNeverFold(t *testing.T) {
 	b := NewBuilder(4, 0)
 	cols := []bgw.Vec{b.InputVec(1, []int64{4, -2}), b.InputVec(1, []int64{7, 7}), b.InputVec(1, []int64{1, 1})}
-	xs := []bgw.Val{b.Input(2, 9), b.Input(2, 11)}
+	b.Input(2, 9)
+	b.Input(2, 11)
 	recorded := append([]node(nil), b.nodes...)
 	plan := b.MustCompile()
 	if plan.folded != 0 || !reflect.DeepEqual(unscheduled(plan.nodes), recorded) {
@@ -130,11 +139,6 @@ func TestUnconsumedLeavesNeverFold(t *testing.T) {
 	for i, c := range cols {
 		if res.VecOf(c) == nil {
 			t.Errorf("column %d does not resolve", i)
-		}
-	}
-	for i, x := range xs {
-		if res.ValOf(x) == nil {
-			t.Errorf("scalar %d does not resolve", i)
 		}
 	}
 }
@@ -158,25 +162,27 @@ func TestSharedLeavesNeverFold(t *testing.T) {
 	if res.Opened(0) != 40 || res.Opened(1) != 240 {
 		t.Fatalf("opened %d and %d, want 40 and 240", res.Opened(0), res.Opened(1))
 	}
-	if res.ValOf(shared) == nil || res.ValOf(twice) == nil {
-		t.Fatal("a leaf with two consumers no longer resolves")
+	if scalarFolded(plan, shared) || scalarFolded(plan, twice) {
+		t.Fatal("a leaf with two consumers is marked folded")
 	}
-	mustNameTheFold(t, "ValOf a folded sibling", func() { res.ValOf(s2) })
+	if !scalarFolded(plan, s2) {
+		t.Fatal("the folded sibling is not marked folded")
+	}
 }
 
-// TestVectorGateOperandsNeverFold: Gather and LinComb read their operands
-// as any consumer does, so an input vector one of them reads beside an
-// AddVec keeps its own sharing — were the gate's read not counted, the
+// TestVectorGateOperandsNeverFold: LinComb and Hadamard read their
+// operands as any consumer does, so an input vector one of them reads
+// beside an AddVec keeps its own sharing — were the gate's read not counted, the
 // leaf would fold into its dealer's sum and the gate read a removed node —
 // while the same dealer's other leaves of that sum still fold.
 func TestVectorGateOperandsNeverFold(t *testing.T) {
 	b := NewBuilder(4, 0)
-	gathered := b.InputVec(2, []int64{1, 2, 3})
+	squared := b.InputVec(2, []int64{1, 2, 3})
 	combined := b.InputVec(2, []int64{7, 8, 9})
 	s1, s2 := b.InputVec(2, []int64{10, 20, 30}), b.InputVec(2, []int64{100, 200, 300})
-	sum := b.AddVec(b.AddVec(b.AddVec(gathered, s1), combined), s2)
+	sum := b.AddVec(b.AddVec(b.AddVec(squared, s1), combined), s2)
 	b.OpenVecIdx(sum)
-	b.OpenVecIdx(b.Gather(gathered, []int{2, 2, 0}))
+	b.OpenVecIdx(b.Hadamard(squared, squared))
 	b.OpenVecIdx(b.LinComb([]bgw.Vec{combined, sum}, []int64{-2, 1}, 5))
 	b.OpenIdx(b.Dot(sum, sum)) // multiplied, so the sum's leaves are shared
 	plan := b.MustCompile()
@@ -184,12 +190,12 @@ func TestVectorGateOperandsNeverFold(t *testing.T) {
 		t.Fatalf("folded %d input leaves, want 1 (s2 into s1)", plan.folded)
 	}
 	res, _ := runPlan(t, plan, Bindings{})
-	for k, want := range [][]int64{{118, 230, 342}, {3, 3, 1}, {109, 219, 329}} {
+	for k, want := range [][]int64{{118, 230, 342}, {1, 4, 9}, {109, 219, 329}} {
 		if got := res.OpenedVec(k); !reflect.DeepEqual(got, want) {
 			t.Errorf("output %d opened %v, want %v", k, got, want)
 		}
 	}
-	if res.VecOf(gathered) == nil || res.VecOf(combined) == nil {
+	if res.VecOf(squared) == nil || res.VecOf(combined) == nil {
 		t.Fatal("a leaf a vector gate reads no longer resolves")
 	}
 	mustNameTheFold(t, "VecOf a folded sibling", func() { res.VecOf(s2) })
@@ -211,7 +217,7 @@ func TestFoldShapes(t *testing.T) {
 		bind   Bindings
 	}{
 		{"root becomes the sum leaf", 2, 2, func(b *Builder) {
-			b.OpenIdx(b.Add(b.Add(b.Input(1, 5), b.InputParam(1)), b.InputElem(1, field.FromInt64(-9))))
+			b.OpenIdx(b.Add(b.Add(b.Input(1, 5), b.InputParam(1)), b.Input(1, -9)))
 		}, Bindings{Inputs: []int64{70}}},
 		{"root takes over an interior gate", 2, 6, func(b *Builder) {
 			x := b.Mul(b.Input(2, 3), b.Input(3, 4))

@@ -57,25 +57,24 @@ func TestRecordingScalarGatesAllocatesChunksOnly(t *testing.T) {
 
 // TestRecordingVectorGatesAllocatesChunksOnly: the vector gates'
 // handles come from chunks too — recording costs the amortised growth
-// of the node slice and the index arena plus the handle arena's chunks,
-// never an allocation per gate.
+// of the node slice and the operand arena plus the handle arena's
+// chunks, never an allocation per gate.
 func TestRecordingVectorGatesAllocatesChunksOnly(t *testing.T) {
 	const gates = 10000
-	idx := []int{3, 0, 2, 1}
 	allocs := testing.AllocsPerRun(5, func() {
 		b := NewBuilder(4, 0)
-		x := b.ExtVec(len(idx))
-		acc := x
+		x := b.ExtVec(4)
+		acc, terms := x, []bgw.Vec{x, x}
 		for i := 0; i < gates/2; i++ {
 			if i%2 == 0 {
-				acc = b.AddVec(acc, b.Gather(x, idx))
+				acc = b.AddVec(acc, b.LinComb(terms, nil, 0))
 			} else {
 				acc = b.AddVec(acc, b.Hadamard(acc, x))
 			}
 		}
 	})
 	// ~13 handle chunks, ~25 doublings of the node slice, ~20 of the
-	// index arena, the builder.
+	// operand arena, the builder.
 	t.Logf("%.0f allocations for %d gates", allocs, gates)
 	if allocs > 80 {
 		t.Fatalf("recording %d vector gates cost %.0f allocations, want chunk growth only (<= 80)", gates, allocs)
@@ -96,18 +95,18 @@ func mustViolate(t *testing.T, what string, fn func()) {
 
 // TestBuilderIsSpentAfterCompile: Compile hands the recording to the
 // plan instead of copying it, so the builder must refuse further use —
-// while handles it issued stay valid for Result.ValOf.
+// while handles it issued stay valid for Result.VecOf.
 func TestBuilderIsSpentAfterCompile(t *testing.T) {
 	b := NewBuilder(4, 0)
-	x := b.Input(0, 6)
-	y := b.Input(1, 7)
-	prod := b.Mul(x, y)
+	x := b.InputVec(0, []int64{6})
+	y := b.InputVec(1, []int64{7})
+	prod := b.Dot(x, y)
 	b.OpenIdx(prod)
 	plan := b.MustCompile()
 
-	mustViolate(t, "Add after Compile", func() { b.Add(x, y) })
+	mustViolate(t, "AddVec after Compile", func() { b.AddVec(x, y) })
 	mustViolate(t, "InputVec after Compile", func() { b.InputVec(0, []int64{1}) })
-	mustViolate(t, "OpenIdx after Compile", func() { b.OpenIdx(x) })
+	mustViolate(t, "OpenIdx after Compile", func() { b.OpenIdx(prod) })
 	if _, err := b.Compile(); err == nil {
 		t.Fatal("second Compile succeeded")
 	}
@@ -125,22 +124,18 @@ func TestBuilderIsSpentAfterCompile(t *testing.T) {
 	}
 	// x, not prod: only the opening reads the product, which keeps degree
 	// 2t and does not resolve (TestTerminalLevelHandlesDoNotResolve).
-	if res.ValOf(x) == nil {
+	if res.VecOf(x) == nil {
 		t.Fatal("handle of a spent builder no longer resolves")
 	}
 }
 
 // TestVectorGatesAreCheckedWhenRecorded: the Builder refuses what the
-// engine would — a Gather index outside the vector, LinComb terms of
-// unlike lengths or without a coefficient each, a foreign handle — at
-// the call that records it.
+// engine would — LinComb terms of unlike lengths or without a
+// coefficient each, a foreign handle — at the call that records it.
 func TestVectorGatesAreCheckedWhenRecorded(t *testing.T) {
 	b, other := NewBuilder(4, 0), NewBuilder(4, 0)
 	v, w := b.InputVec(0, []int64{1, 2, 3}), b.InputVec(1, []int64{4, 5})
 	foreign := other.InputVec(0, []int64{1, 2, 3})
-	mustViolate(t, "Gather index = len", func() { b.Gather(v, []int{0, 3}) })
-	mustViolate(t, "Gather index = -1", func() { b.Gather(v, []int{-1}) })
-	mustViolate(t, "Gather of a foreign vector", func() { b.Gather(foreign, []int{0}) })
 	mustViolate(t, "LinComb of unlike lengths", func() { b.LinComb([]bgw.Vec{v, w}, []int64{1, 1}, 0) })
 	mustViolate(t, "LinComb short of coefficients", func() { b.LinComb([]bgw.Vec{v, v}, []int64{1}, 0) })
 	mustViolate(t, "LinComb of a foreign vector", func() { b.LinComb([]bgw.Vec{v, foreign}, []int64{1, 1}, 0) })
@@ -171,7 +166,6 @@ func TestIDSpaceOverflowIsAnError(t *testing.T) {
 			b.InnerProduct(xs, xs) // 24 operands end past the limit; 13 nodes do not
 		}},
 		{"vector length", func(b *Builder) { b.InputVec(0, make([]int64, 17)) }},
-		{"gather index list", func(b *Builder) { b.Gather(b.InputVec(0, []int64{1}), make([]int, 17)) }},
 		{"lincomb operand list", func(b *Builder) {
 			v := b.InputVec(0, []int64{1})
 			vs := make([]bgw.Vec, 17)

@@ -27,7 +27,7 @@ func (p *Plan) Plain(bind Bindings) (*Result, error) {
 		switch n.kind {
 		case kZero, kFolded:
 			vals[id] = 0
-		case kInput, kInputElem, kInputParam, kInputSum:
+		case kInput, kInputParam, kInputSum:
 			vals[id] = p.inputElem(n, bind)
 		case kInputVec, kInputVecParam, kInputVecSum:
 			vs, err := p.inputLit(n, bind, r)
@@ -74,13 +74,6 @@ func (p *Plan) Plain(bind Bindings) (*Result, error) {
 			out := make([]field.Elem, len(va))
 			for k := range out {
 				out[k] = field.Add(va[k], vb[k])
-			}
-			vecs[id] = out
-		case kGather:
-			src := vecs[n.a]
-			out := make([]field.Elem, n.n)
-			for k, i := range p.operands(n.param, n.n) {
-				out[k] = src[i]
 			}
 			vecs[id] = out
 		case kLinComb:

@@ -99,12 +99,12 @@ func (b *Builder) take() (*Plan, error) {
 func (p *Plan) eachOperand(n *node, visit func(op int32)) bool {
 	var list []int32
 	switch n.kind {
-	case kZero, kInput, kInputElem, kInputVec, kInputParam, kInputVecParam, kInputSum, kInputVecSum, kExtVal, kExtVec, kFolded:
+	case kZero, kInput, kInputVec, kInputParam, kInputVecParam, kInputSum, kInputVecSum, kExtVal, kExtVec, kFolded:
 		// leaves (and removed nodes)
 	case kAdd, kSub, kAddVec, kMul, kDot, kHadamard:
 		visit(n.a)
 		visit(n.b)
-	case kAddConst, kMulConst, kAddConstP, kMulConstP, kAt, kGather, kOpen, kOpenVec:
+	case kAddConst, kMulConst, kAddConstP, kMulConstP, kAt, kOpen, kOpenVec:
 		visit(n.a)
 	case kLinComb:
 		list = p.operands(n.a, n.b)
@@ -134,7 +134,7 @@ func (p *Plan) eachOperand(n *node, visit func(op int32)) bool {
 // An input leaf is shared when something needs it as a degree-t
 // sharing: a backward sweep marks the operands of a multiplication, a
 // node nothing consumes (its handle may be read back through
-// Result.ValOf / VecOf and bound into a later plan, which may multiply
+// Result.VecOf and bound into a later plan, which may multiply
 // it), and the operands of a linear gate so marked. A leaf left unmarked
 // reaches nothing but openings, through linear gates only, and Execute
 // does not share it (bgw.Evaluator.InputUnshared): its owner adds it

@@ -101,14 +101,14 @@ func TestTerminalLevelIsOpenedUnreduced(t *testing.T) {
 }
 
 // TestTerminalLevelHandlesDoNotResolve: a degree-2t sharing must not
-// leave the plan that made it. ValOf / VecOf refuse every node of a level
-// that reshares nothing and go on resolving the levels below.
+// leave the plan that made it. VecOf refuses every vector of a level that
+// reshares nothing and goes on resolving the levels below.
 func TestTerminalLevelHandlesDoNotResolve(t *testing.T) {
 	b := NewBuilder(4, 0)
-	x := b.Input(0, 6)
-	low := b.MulConst(x, 2) // level 0, and squared below: still a degree-t sharing
+	x := b.InputVec(0, []int64{6})
+	low := b.LinComb([]bgw.Vec{x}, []int64{2}, 0) // level 0, and squared below: still a degree-t sharing
 	prod, packed := releaseShape(b)
-	b.OpenIdx(b.Add(prod, b.Mul(low, low)))
+	b.OpenIdx(b.Add(prod, b.Dot(low, low)))
 	plan := b.MustCompile()
 	if !plan.topKept() {
 		t.Fatal("the level reshares a product")
@@ -121,9 +121,8 @@ func TestTerminalLevelHandlesDoNotResolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustViolate(t, "ValOf of a terminal product", func() { res.ValOf(prod) })
 	mustViolate(t, "VecOf of a terminal linear gate", func() { res.VecOf(packed) })
-	if res.ValOf(low) == nil || res.ValOf(x) == nil {
+	if res.VecOf(low) == nil || res.VecOf(x) == nil {
 		t.Fatal("a handle below the terminal level no longer resolves")
 	}
 }
@@ -136,14 +135,14 @@ func TestTerminalLevelHandlesDoNotResolve(t *testing.T) {
 func TestDanglingTopLevelHandleKeepsTheLevelReduced(t *testing.T) {
 	for _, linear := range []bool{false, true} {
 		b := NewBuilder(4, 0)
-		x, y := b.Input(0, 6), b.Input(1, -7)
-		keep := b.Mul(x, y)
+		x, y := b.InputVec(0, []int64{6}), b.InputVec(1, []int64{-7})
+		keep := b.Hadamard(x, y)
 		if linear {
 			// The product feeds an opening and a handle nothing reads.
-			b.OpenIdx(keep)
-			keep = b.AddConst(keep, 2)
+			b.OpenVecIdx(keep)
+			keep = b.LinComb([]bgw.Vec{keep}, []int64{1}, 2)
 		} else {
-			b.OpenIdx(b.Mul(y, y))
+			b.OpenIdx(b.Dot(y, y))
 		}
 		plan := b.MustCompile()
 		if plan.topKept() || plan.Rounds() != 3 {
@@ -162,9 +161,9 @@ func TestDanglingTopLevelHandleKeepsTheLevelReduced(t *testing.T) {
 		}
 
 		next := NewBuilder(4, 0)
-		ext := next.ExtVal()
-		next.OpenIdx(next.Mul(ext, ext))
-		nres, err := next.MustCompile().Execute(eng, Bindings{Ext: []bgw.Val{res.ValOf(keep)}})
+		ext := next.ExtVec(1)
+		next.OpenIdx(next.Dot(ext, ext))
+		nres, err := next.MustCompile().Execute(eng, Bindings{ExtVecs: []bgw.Vec{res.VecOf(keep)}})
 		if err != nil {
 			t.Fatal(err)
 		}

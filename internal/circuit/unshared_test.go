@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"sqm/internal/bgw"
-	"sqm/internal/field"
 	"sqm/internal/obs"
 	"sqm/internal/transport"
 )
@@ -33,16 +32,16 @@ func TestOpenOnlyLeavesAreNotShared(t *testing.T) {
 	}{
 		{"every scalar kind, two owners", 3, 3, 1, 1, 4, func(b *Builder) {
 			// Owner 1's literal and parameter fold into one kInputSum; owner
-			// 3's raw element and owner 1's second literal, consumed twice,
-			// stay as they are.
+			// 3's literal and owner 1's second literal, consumed twice, stay
+			// as they are.
 			twice := b.Input(1, 9)
-			sum := b.Add(b.Add(b.Input(1, 5), b.InputParam(1)), b.InputElem(3, field.FromInt64(-2)))
+			sum := b.Add(b.Add(b.Input(1, 5), b.InputParam(1)), b.Input(3, -2))
 			b.OpenIdx(b.Sub(b.MulConst(b.Add(sum, twice), 3), b.AddConst(twice, 1)))
 		}, Bindings{Inputs: []int64{70}}},
 		{"vectors, a folded sum among them", 2, 6, 4, 2, 3, func(b *Builder) {
 			acc := b.AddVec(b.InputVec(2, []int64{1, 2, 3}), b.InputVec(0, []int64{7, 7, 7}))
 			acc = b.AddVec(acc, b.InputVec(2, []int64{100, 200, 300}))
-			b.OpenVecIdx(b.LinComb([]bgw.Vec{acc, b.Gather(acc, []int{2, 0, 0})}, []int64{2, -1}, 4))
+			b.OpenVecIdx(b.LinComb([]bgw.Vec{acc, b.LinComb([]bgw.Vec{acc}, nil, 1)}, []int64{2, -1}, 4))
 			b.OpenIdx(b.At(acc, 1))
 		}, Bindings{}},
 		{"scalars and a vector into one packed opening", 3, 4, 2, 1, 3, func(b *Builder) {
@@ -140,9 +139,6 @@ func TestMultipliedOrReadableLeavesStayShared(t *testing.T) {
 		if !reflect.DeepEqual(res.opened, tc.opened) || st.Rounds != int64(plan.Rounds()) {
 			t.Fatalf("%s: opened %v in %d rounds, want %v in %d", tc.name, res.opened, st.Rounds, tc.opened, plan.Rounds())
 		}
-		if res.ValOf(x) == nil || res.ValOf(lin) == nil {
-			t.Fatalf("%s: a shared leaf's handles no longer resolve", tc.name)
-		}
 	}
 }
 
@@ -154,10 +150,10 @@ func mustNameTheOpening(t *testing.T, what string, fn func()) {
 }
 
 // TestUnsharedLeafHandlesDoNotResolve: a sharing of degree P−1 must not
-// leave the plan that made it. ValOf / VecOf refuse an unshared leaf and
-// everything downstream of it, as they refuse an unreduced product, and go on
-// resolving what is shared. A dangling handle over the same leaf keeps it
-// shared, and a later plan multiplies it correctly.
+// leave the plan that made it. VecOf refuses an unshared leaf and
+// everything downstream of it, as it refuses an unreduced product. A
+// dangling handle over the same kind of leaf keeps it shared, readable,
+// and a later plan multiplies it correctly.
 func TestUnsharedLeafHandlesDoNotResolve(t *testing.T) {
 	b := NewBuilder(4, 0)
 	x, y := b.Input(0, 6), b.Input(1, -7)
@@ -178,20 +174,15 @@ func TestUnsharedLeafHandlesDoNotResolve(t *testing.T) {
 	if got := res.OpenedVec(0); !reflect.DeepEqual(got, []int64{14, -40}) {
 		t.Fatalf("opened %v, want [14 -40]", got)
 	}
-	mustNameTheOpening(t, "ValOf an unshared scalar leaf", func() { res.ValOf(eta) })
 	mustNameTheOpening(t, "VecOf an unshared vector leaf", func() { res.VecOf(noise) })
-	mustNameTheOpening(t, "ValOf a linear gate over an unshared leaf", func() { res.ValOf(shifted) })
 	mustNameTheOpening(t, "VecOf the opened sum", func() { res.VecOf(out) })
-	if res.ValOf(x) == nil || res.ValOf(y) == nil {
-		t.Fatal("a multiplied leaf no longer resolves")
-	}
 
-	// The same addend with a handle nothing consumes: shared, readable,
-	// and good for a later plan's multiplication.
+	// An addend with a handle nothing consumes: shared, readable, and good
+	// for a later plan's multiplication.
 	kb := NewBuilder(4, 0)
-	keta := kb.Input(2, 3)
-	keep := kb.AddConst(keta, 10)
-	kb.OpenIdx(kb.MulConst(keta, 2))
+	keta := kb.InputVec(2, []int64{3})
+	keep := kb.LinComb([]bgw.Vec{keta}, []int64{1}, 10)
+	kb.OpenVecIdx(kb.LinComb([]bgw.Vec{keta}, []int64{2}, 0))
 	kplan := kb.MustCompile()
 	if kplan.nUnshared != 0 || kplan.Rounds() != 2 {
 		t.Fatalf("dangling handle: %d unshared leaves in %d rounds, want 0 in 2", kplan.nUnshared, kplan.Rounds())
@@ -201,9 +192,9 @@ func TestUnsharedLeafHandlesDoNotResolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	next := NewBuilder(4, 0)
-	ext := next.ExtVal()
-	next.OpenIdx(next.Mul(ext, ext))
-	nres, err := next.MustCompile().Execute(eng, Bindings{Ext: []bgw.Val{kres.ValOf(keep)}})
+	ext := next.ExtVec(1)
+	next.OpenIdx(next.Dot(ext, ext))
+	nres, err := next.MustCompile().Execute(eng, Bindings{ExtVecs: []bgw.Vec{kres.VecOf(keep)}})
 	if err != nil || eng.Err() != nil {
 		t.Fatal(err, eng.Err())
 	}

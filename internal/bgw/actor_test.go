@@ -121,7 +121,7 @@ func TestActorFieldOpsMatchMonolithic(t *testing.T) {
 	}
 }
 
-// TestActorStatsMeasured: the chan mesh counts real traffic; for the
+// TestActorStatsMeasured: the links count the real traffic; for the
 // simple ops the measured counts coincide with the cost model
 // (P−1−t messages per input, P(P−1−t) per resharing, P−1 per
 // opening: one row into party 0 from each peer).

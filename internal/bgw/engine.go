@@ -17,8 +17,8 @@ import (
 // Engine runs the BGW protocol as P parties, each owning only its
 // shares and its ends of the pairwise streams, and each run by its own
 // goroutine behind a transport mesh: resharing and opening traffic
-// crosses the transport as framed messages and the traffic statistics
-// are the mesh's own. NewEngine puts the parties behind an in-memory
+// crosses the transport as framed messages, which each party's link
+// counts as it sends them. NewEngine puts the parties behind an in-memory
 // ChanMesh, NewActorEngine behind the mesh it is given; the parties,
 // the seed tree and the command stream are the same, so for one seed
 // every mesh carries the same frames, messages and bytes, and the
@@ -102,8 +102,11 @@ type Engine struct {
 	// the only batch vectors a gate may take (see GatherBatch).
 	batch  int
 	rounds int64 // the exchanges issued (see Engine)
-	err    error
-	closed bool
+	// counted is the parties' traffic and FieldOps summed at the last
+	// barrier that every party answered (see Stats).
+	counted Stats
+	err     error
+	closed  bool
 
 	rec obs.Recorder // never nil
 }
@@ -168,6 +171,13 @@ func NewActorEngine(cfg Config, mesh transport.Mesh) (*Engine, error) {
 	if mesh.Parties() != cfg.Parties {
 		return nil, fmt.Errorf("bgw: mesh has %d endpoints for %d parties", mesh.Parties(), cfg.Parties)
 	}
+	// A recorder wrapped with a trace context of one stream per party
+	// traces every party's link; a context with the coordinator's stream
+	// only traces no link.
+	tc := obs.TraceOf(cfg.Recorder).Context()
+	if tc != nil && tc.Parties() != 0 && tc.Parties() != cfg.Parties {
+		return nil, fmt.Errorf("bgw: trace context has %d party streams, engine has %d parties", tc.Parties(), cfg.Parties)
+	}
 	if cfg.RecvTimeout > 0 {
 		mesh.SetRecvTimeout(cfg.RecvTimeout)
 	}
@@ -182,6 +192,9 @@ func NewActorEngine(cfg Config, mesh transport.Mesh) (*Engine, error) {
 		e.parties[i] = actorParty{id: i, p: p, t: t, weights: weights, ownInv: field.Inv(weights[i]),
 			dealing: &dealings[i], pair: ends[:p:p], dealTo: ends[p : 2*p : 2*p], dealFrom: ends[2*p:],
 			link: wireLink{conn: mesh.Conn(i)}}
+		if tc != nil {
+			e.parties[i].link.tr = tc.Party(i)
+		}
 	}
 	// The pairwise mask streams of the openings come first, then every
 	// dealer's stream toward each of its seeded peers: separate keys, so
@@ -256,14 +269,24 @@ func (e *Engine) Recorder() obs.Recorder { return e.rec }
 func (e *Engine) Err() error { return e.err }
 
 // Stats synchronizes with the parties and returns the counters since
-// the engine started: rounds as the engine issued them (see Engine),
-// frames/messages/bytes counted where each row is sent, field operations
-// summed over the parties' local work. A phase's counters are the
-// difference of two snapshots (Stats.Sub).
+// the engine started: rounds as the engine issued them (see Engine), and
+// frames/messages/bytes and field operations summed over what each
+// party's link sent and what it computed (see wireLink). Once the engine
+// has failed or closed there is no barrier to sum them at, and they stay
+// at the last one's. A phase's counters are the difference of two
+// snapshots (Stats.Sub).
 func (e *Engine) Stats() Stats {
-	ops := e.collectOps()
-	frames, msgs, bytes := e.mesh.Counters()
-	return Stats{Rounds: e.rounds, Frames: frames, Messages: msgs, Bytes: bytes, FieldOps: ops}
+	replies, ok := e.call(actorCmd{op: opBarrier, x: e.payloads.Put(cmdPayload{})})
+	if ok && e.err == nil {
+		var sum Stats
+		for _, r := range replies {
+			sum = sum.Add(r.stats)
+		}
+		e.counted = sum
+	}
+	s := e.counted
+	s.Rounds = e.rounds
+	return s
 }
 
 // Close ends the engine; closing twice is harmless. It tears the mesh
@@ -402,20 +425,6 @@ func (e *Engine) checkParty(i int) {
 	if i < 0 || i >= e.p {
 		panic(invariant.Violation("bgw: party %d out of range [0,%d)", i, e.p))
 	}
-}
-
-// collectOps runs a barrier and sums the parties' cumulative local
-// field-operation counters; 0 once the engine has failed or closed.
-func (e *Engine) collectOps() int64 {
-	replies, ok := e.call(actorCmd{op: opBarrier, x: e.payloads.Put(cmdPayload{})})
-	if !ok {
-		return 0
-	}
-	var sum int64
-	for _, r := range replies {
-		sum += r.ops
-	}
-	return sum
 }
 
 // ---- Evaluator operations ----

@@ -87,7 +87,7 @@ type vecInput struct {
 type actorReply struct {
 	party int
 	vals  []int64
-	ops   int64
+	stats Stats // a barrier's: the party's traffic and FieldOps (no Rounds)
 	err   error
 }
 
@@ -427,7 +427,9 @@ func (a *actorParty) recv(c *actorCmd) error {
 		}
 		c.x.reply <- r
 	case opBarrier:
-		c.x.reply <- actorReply{party: a.id, ops: a.fieldOps}
+		st := a.link.sent
+		st.FieldOps = a.fieldOps
+		c.x.reply <- actorReply{party: a.id, stats: st}
 	}
 	return nil
 }

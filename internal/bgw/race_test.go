@@ -49,7 +49,7 @@ func TestActorWorkerPoolChaosRace(t *testing.T) {
 	mesh := transport.NewFaultMesh(transport.NewChanMesh(4), transport.FaultProfile{
 		Seed: 5,
 		All:  transport.LinkFault{Delay: 50 * time.Microsecond},
-	})
+	}, nil)
 	eng, err := NewActorEngine(Config{Parties: 4, Seed: 123}, mesh)
 	if err != nil {
 		t.Fatalf("NewActorEngine: %v", err)
@@ -81,7 +81,7 @@ func TestActorCloseNoGoroutineLeak(t *testing.T) {
 		mesh := transport.NewFaultMesh(transport.NewChanMesh(4), transport.FaultProfile{
 			Seed: uint64(iter),
 			All:  transport.LinkFault{Delay: 20 * time.Microsecond},
-		})
+		}, nil)
 		eng, err := NewActorEngine(Config{Parties: 4, Seed: uint64(iter)}, mesh)
 		if err != nil {
 			t.Fatalf("NewActorEngine: %v", err)

@@ -131,8 +131,8 @@ func seamProgram(ev *Engine, seed uint64) []int64 {
 // TestChanAndTCPPartiesHoldTheSameSlots: for the same seed the parties
 // are one engine over any mesh — every party ends a random program with
 // the same scalar and vector slots, element for element, the same values
-// are opened, and Stats agree field for field (each mesh counts what it
-// carries).
+// are opened, and Stats agree field for field (each party's link counts
+// what it sends, over either mesh).
 func TestChanAndTCPPartiesHoldTheSameSlots(t *testing.T) {
 	for trial := uint64(0); trial < 8; trial++ {
 		cfg := Config{Parties: 3 + int(trial%3), Seed: 0x5ea0 + trial}

@@ -21,14 +21,15 @@ func TestActorRecvTimeoutSurfacesAsPartyFailure(t *testing.T) {
 	// 2 starves in the input round; link 1→0 carries only party 1's
 	// opening row, so party 0 starves in the opening.
 	for _, link := range [][2]int{{0, 2}, {1, 0}} {
-		// Traced as a session is: the mesh stamps every frame into the
-		// parties' streams, and the engine's recorder is an info-level log
-		// wrapped with the coordinator's stream.
+		// Traced as a session is: the engine's recorder is an info-level
+		// log wrapped with the coordinator's stream, so every party's link
+		// stamps its frames into the party's stream, where the mesh
+		// records the faults it injects.
 		tc := obs.NewTraceContext(1, 3)
-		mesh := transport.NewFaultMesh(transport.NewChanMesh(3, transport.WithTracer(tc)), transport.FaultProfile{
+		mesh := transport.NewFaultMesh(transport.NewChanMesh(3), transport.FaultProfile{
 			Seed:  1,
 			Links: map[[2]int]transport.LinkFault{link: {DropProb: 1}},
-		})
+		}, tc)
 		var log bytes.Buffer
 		eng, err := NewActorEngine(Config{
 			Parties:     3,
@@ -68,6 +69,14 @@ func TestActorRecvTimeoutSurfacesAsPartyFailure(t *testing.T) {
 		if sends == 0 || strings.Contains(log.String(), "transport.send") {
 			t.Fatalf("link %d→%d: %d debug-level transport.send events in the streams, want some, and none in the info-level log:\n%s", link[0], link[1], sends, log.String())
 		}
+		// The sender's stream holds the drop, and a survivor's the rows it
+		// took: with 1→0 lossy, party 2 still took party 0's input row.
+		if !hasEvent(tc.Party(link[0]), "transport.fault.drop", link[1]) {
+			t.Errorf("link %d→%d: party %d's stream has no transport.fault.drop", link[0], link[1], link[0])
+		}
+		if link == [2]int{1, 0} && !hasEvent(tc.Party(2), "transport.recv", 0) {
+			t.Errorf("link 1→0: survivor party 2's stream has no transport.recv from party 0")
+		}
 	}
 }
 
@@ -106,7 +115,7 @@ func TestActorCutWithGatesInFlightLatchesErr(t *testing.T) {
 	mesh := transport.NewFaultMesh(transport.NewChanMesh(3), transport.FaultProfile{
 		Seed:  1,
 		Links: map[[2]int]transport.LinkFault{{0, 2}: {CutAfter: 1}},
-	})
+	}, nil)
 	// An info-level recorder: the engine's debug events stay off, its
 	// failure event does not.
 	var log bytes.Buffer

@@ -78,7 +78,7 @@ func faultShapes() []faultShape {
 // nothing, and so is not booked.
 func TestAbortIsTypedBookedAndLeakFree(t *testing.T) {
 	const parties = 3
-	defer func(old func(int, ...transport.Option) transport.Mesh) { chanMesh = old }(chanMesh)
+	defer func(old func(int) transport.Mesh) { chanMesh = old }(chanMesh)
 	healthy := chanMesh
 
 	// At P = 3, t = 1 party 2 draws party 1's rows of every dealing and
@@ -135,8 +135,8 @@ func TestAbortIsTypedBookedAndLeakFree(t *testing.T) {
 		for i := range links.frames {
 			links.frames[i] = make([]int, parties)
 		}
-		chanMesh = func(n int, opts ...transport.Option) transport.Mesh {
-			return &countingMesh{Mesh: healthy(n, opts...), links: links}
+		chanMesh = func(n int) transport.Mesh {
+			return &countingMesh{Mesh: healthy(n), links: links}
 		}
 		_, frames, err := shape.run(params())
 		if err != nil {
@@ -153,8 +153,8 @@ func TestAbortIsTypedBookedAndLeakFree(t *testing.T) {
 			t.Run(shape.name+"/"+pos.name, func(t *testing.T) {
 				base := runtime.NumGoroutine()
 				var mesh *transport.FaultMesh
-				chanMesh = func(n int, opts ...transport.Option) transport.Mesh {
-					mesh = transport.NewFaultMesh(transport.NewChanMesh(n, opts...), pos.profile(links))
+				chanMesh = func(n int) transport.Mesh {
+					mesh = transport.NewFaultMesh(transport.NewChanMesh(n), pos.profile(links), nil)
 					return mesh
 				}
 				p := params()
@@ -203,12 +203,12 @@ func TestAbortIsTypedBookedAndLeakFree(t *testing.T) {
 // barrier, which is also where a party's failure is latched: the error
 // must be read after it, not before.
 func TestFailedLRSetupReturnsItsError(t *testing.T) {
-	defer func(old func(int, ...transport.Option) transport.Mesh) { chanMesh = old }(chanMesh)
-	chanMesh = func(n int, opts ...transport.Option) transport.Mesh {
+	defer func(old func(int) transport.Mesh) { chanMesh = old }(chanMesh)
+	chanMesh = func(n int) transport.Mesh {
 		// At P = 3, t = 1 link 1→0 carries party 1's input rows.
-		return transport.NewFaultMesh(transport.NewChanMesh(n, opts...), transport.FaultProfile{
+		return transport.NewFaultMesh(transport.NewChanMesh(n), transport.FaultProfile{
 			Seed: 1, Links: map[[2]int]transport.LinkFault{{1, 0}: {DropProb: 1}},
-		})
+		}, nil)
 	}
 	feat := randMatrix(8, 2, 0.5, 6)
 	labels := []float64{0, 1, 1, 0, 1, 0, 0, 1}

@@ -258,7 +258,7 @@ func nextOf(rngs []*randx.RNG) []uint64 {
 // count returns to its baseline and every client's stream stands where
 // the serial path leaves it.
 func TestAbortJoinsNoiseDraw(t *testing.T) {
-	defer func(old func(int, ...transport.Option) transport.Mesh) { chanMesh = old }(chanMesh)
+	defer func(old func(int) transport.Mesh) { chanMesh = old }(chanMesh)
 	healthy := chanMesh
 	base := runtime.NumGoroutine()
 	check := func(name string, got, want []uint64) {
@@ -323,12 +323,12 @@ func TestAbortJoinsNoiseDraw(t *testing.T) {
 	check("refused LR3 step", got, streamsAfter(np, feat, labels, 0, feat.Cols))
 
 	var mesh *transport.FaultMesh
-	chanMesh = func(n int, opts ...transport.Option) transport.Mesh {
+	chanMesh = func(n int) transport.Mesh {
 		// Link 0→2 carries the set-up's input row and then nothing: the
 		// step's first resharing frame is lost. (At P = 3, t = 1 party 1
 		// draws party 0's rows, so link 0→1 carries none of them.)
-		mesh = transport.NewFaultMesh(transport.NewChanMesh(n, opts...), transport.FaultProfile{
-			Seed: 1, Links: map[[2]int]transport.LinkFault{{0, 2}: {CutAfter: 1}}})
+		mesh = transport.NewFaultMesh(transport.NewChanMesh(n), transport.FaultProfile{
+			Seed: 1, Links: map[[2]int]transport.LinkFault{{0, 2}: {CutAfter: 1}}}, nil)
 		return mesh
 	}
 	np, got, err = step(true, lrParams(8), 1)

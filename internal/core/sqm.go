@@ -74,7 +74,8 @@ const (
 	EnginePlain EngineKind = iota
 	// EngineBGW runs the secret-shared protocol: the parties of the BGW
 	// engine run as one goroutine each, exchanging framed shares over an
-	// in-memory channel mesh; messages and bytes are the mesh's counters.
+	// in-memory channel mesh; messages and bytes are what the parties'
+	// links counted as they sent them.
 	EngineBGW
 	// EngineActorBGW is EngineBGW under a second name: the same engine
 	// over the same mesh.
@@ -137,13 +138,14 @@ type Params struct {
 	// since it can recompute every client's noise. No code path keys
 	// from randx.NewSecure or randx.NewFromOS yet.
 	Seed uint64
-	// Recorder is the telemetry sink of the engine, the mesh and the
-	// release's own spans; nil disables. A recorder wrapped with a trace
-	// context's coordinator stream (obs.PartyTrace.Wrap) also attaches
-	// distributed tracing: the engine's events are stamped into that
-	// stream's flight recorder, and — when the context carries one
-	// stream per party — the mesh propagates (trace, sender, lclock)
-	// in-band so per-party streams merge into one causal timeline.
+	// Recorder is the telemetry sink of the engine, the mesh dials and
+	// the release's own spans; nil disables. A recorder wrapped with a
+	// trace context's coordinator stream (obs.PartyTrace.Wrap) also
+	// attaches distributed tracing: the engine's events are stamped into
+	// that stream's flight recorder, and — when the context carries one
+	// stream per party — every party's link propagates (trace, sender,
+	// lclock) in-band so per-party streams merge into one causal
+	// timeline.
 	Recorder obs.Recorder
 	Fault    FaultConfig // deadlines and dial budget of the abort model (zero value: none)
 	// Acct, when non-nil, receives the RDP curve of this invocation's
@@ -228,8 +230,8 @@ func (p *Params) meter(delta2, delta1 float64) dp.Booking {
 
 // chanMesh builds the mesh of EngineBGW and EngineActorBGW. A variable so
 // the fault tests can wrap it in a transport.FaultMesh.
-var chanMesh = func(parties int, opts ...transport.Option) transport.Mesh {
-	return transport.NewChanMesh(parties, opts...)
+var chanMesh = func(parties int) transport.Mesh {
+	return transport.NewChanMesh(parties)
 }
 
 // newEvaluator constructs the MPC backend selected by p.Engine. The
@@ -241,22 +243,17 @@ func (p *Params) newEvaluator(seedXor uint64) (bgw.Evaluator, error) {
 		Parties: p.Parties, Threshold: p.Threshold,
 		Seed: p.Seed ^ seedXor, Recorder: p.Recorder, RecvTimeout: p.Fault.RecvTimeout,
 	}
-	var meshOpts []transport.Option
-	if tc := obs.TraceOf(p.Recorder).Context(); tc != nil && tc.Parties() == p.Parties {
-		meshOpts = append(meshOpts, transport.WithTracer(tc))
-	}
 	switch p.Engine {
 	case EngineBGW, EngineActorBGW:
-		return bgw.NewActorEngine(cfg, chanMesh(cfg.Parties, meshOpts...))
+		return bgw.NewActorEngine(cfg, chanMesh(cfg.Parties))
 	case EngineActorBGWNet:
-		meshOpts = append(meshOpts, transport.WithDialRetry(retry.Policy{
+		mesh, err := transport.NewTCPMesh(cfg.Parties, transport.WithDialRetry(retry.Policy{
 			Attempts: p.Fault.DialRetries,
 			Jitter:   0.5,
 			Seed:     p.Seed ^ 0xd1a1,
 			Recorder: p.Recorder,
 			Name:     "core.dial",
 		}))
-		mesh, err := transport.NewTCPMesh(cfg.Parties, meshOpts...)
 		if err != nil {
 			return nil, err
 		}

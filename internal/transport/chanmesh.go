@@ -15,13 +15,10 @@ import (
 // the queue locks, so the mesh is race-clean under `go test -race` and
 // delivery is deterministic per pair.
 type ChanMesh struct {
-	p        int
-	queues   []queue[[]byte] // queues[from*p+to]
-	conns    []chanConn
-	frames   atomic.Int64
-	messages atomic.Int64
-	bytes    atomic.Int64
-	closed   atomic.Bool
+	p      int
+	queues []queue[[]byte] // queues[from*p+to]
+	conns  []chanConn
+	closed atomic.Bool
 }
 
 // queue is the transport's one unbounded FIFO with close semantics:
@@ -137,13 +134,9 @@ func (q *queue[T]) close() {
 }
 
 // NewChanMesh builds a fully connected in-memory mesh of p parties.
-func NewChanMesh(p int, opts ...Option) *ChanMesh {
+func NewChanMesh(p int) *ChanMesh {
 	if p < 2 {
 		panic(invariant.Violation("transport: mesh needs at least 2 parties, got %d", p))
-	}
-	o := applyOptions(opts)
-	if o.trace != nil && o.trace.Parties() != p {
-		panic(invariant.Violation("transport: tracer has %d party streams, mesh has %d", o.trace.Parties(), p))
 	}
 	// Every per-party object is one array: the queues, the endpoints and
 	// the endpoints' held frames, so building a mesh costs the same
@@ -154,7 +147,7 @@ func NewChanMesh(p int, opts ...Option) *ChanMesh {
 	}
 	prev := make([][]byte, p*p)
 	for i := range m.conns {
-		m.conns[i] = chanConn{mesh: m, id: i, tr: newConnTrace(o.trace, i), prev: prev[i*p : (i+1)*p : (i+1)*p]}
+		m.conns[i] = chanConn{mesh: m, id: i, prev: prev[i*p : (i+1)*p : (i+1)*p]}
 	}
 	return m
 }
@@ -175,11 +168,6 @@ func (m *ChanMesh) SetRecvTimeout(d time.Duration) {
 	}
 }
 
-// Counters returns the cumulative traffic.
-func (m *ChanMesh) Counters() (frames, messages, bytes int64) {
-	return m.frames.Load(), m.messages.Load(), m.bytes.Load()
-}
-
 // Close wakes every blocked receiver with ErrClosed. It leaves the
 // frames the endpoints hold alone: a party may still be decoding one,
 // and its own endpoint's Close hands them back.
@@ -197,7 +185,6 @@ func (m *ChanMesh) Close() error {
 type chanConn struct {
 	mesh *ChanMesh
 	id   int
-	tr   *connTrace // nil when tracing is disabled
 	// prev[from] is the wire buffer of the last frame received from
 	// that peer. The Recv contract makes it dead once the next Recv
 	// from the same peer is issued, so that call recycles it, and Close
@@ -218,31 +205,21 @@ func (c *chanConn) SetRecvTimeout(d time.Duration) {
 	c.timeout.Store(int64(d))
 }
 
-func (c *chanConn) Send(to int, payload []byte) error { return c.SendN(to, payload, 1) }
-
-// SendN enqueues one frame carrying msgs logical messages.
-func (c *chanConn) SendN(to int, payload []byte, msgs int) error {
+// Send enqueues one frame; a refused one's payload is dead at once.
+func (c *chanConn) Send(to int, payload []byte) error {
 	if to == c.id || to < 0 || to >= c.mesh.p {
+		recycle(payload)
 		return fmt.Errorf("transport: party %d cannot send to %d", c.id, to)
 	}
-	if msgs < 1 {
-		msgs = 1
-	}
-	wire, lc := c.tr.stampSend(payload)
-	if err := c.mesh.queueOf(c.id, to).push(wire); err != nil {
+	if err := c.mesh.queueOf(c.id, to).push(payload); err != nil {
+		recycle(payload)
 		return err
 	}
-	if c.tr != nil {
-		// Stamping copied the payload into the wire buffer; the
-		// original — transport-owned since the call — is already dead.
-		recycle(payload)
-	}
-	c.mesh.frames.Add(1)
-	c.mesh.messages.Add(int64(msgs))
-	c.mesh.bytes.Add(int64(len(payload)))
-	c.tr.sent(lc, to, len(payload), msgs)
 	return nil
 }
+
+// SendN is Send (see PartyConn.SendN).
+func (c *chanConn) SendN(to int, payload []byte, _ int) error { return c.Send(to, payload) }
 
 func (c *chanConn) Recv(from int) ([]byte, error) {
 	if from == c.id || from < 0 || from >= c.mesh.p {
@@ -253,11 +230,10 @@ func (c *chanConn) Recv(from int) ([]byte, error) {
 		return nil, err
 	}
 	// The previous frame from this peer is dead by the Recv contract;
-	// recycle its wire buffer before stashing the new one (stashed whole,
-	// before the trace header is stripped).
+	// recycle its buffer before stashing the new one.
 	recycle(c.prev[from])
 	c.prev[from] = b
-	return c.tr.received(from, b), nil
+	return b, nil
 }
 
 // Close tears down every queue touching this party, so peers blocked on

@@ -71,17 +71,20 @@ type FaultMesh struct {
 	closed  atomic.Bool
 }
 
-// NewFaultMesh wraps inner with the scripted faults. Pass WithTracer to
-// record the injected faults (drop, cut, delay, crash) as warn/debug
-// events on the affected party's flight-recorder stream; the tracer is
-// normally the same context the inner mesh was built with, so fault
-// events interleave with the send/recv events they explain.
-func NewFaultMesh(inner Mesh, profile FaultProfile, opts ...Option) *FaultMesh {
+// NewFaultMesh wraps inner with the scripted faults. A non-nil tc
+// records the injected faults (drop, cut, delay, crash) as warn/debug
+// events on the affected party's stream of it (a party the context has
+// no stream for records none); it is normally the session's context,
+// whose streams the engine's links stamp, so fault events interleave
+// with the send/recv events they explain.
+func NewFaultMesh(inner Mesh, profile FaultProfile, tc *obs.TraceContext) *FaultMesh {
 	p := inner.Parties()
-	o := applyOptions(opts)
 	m := &FaultMesh{inner: inner, profile: profile, conns: make([]*faultConn, p)}
 	for i := 0; i < p; i++ {
-		fc := &faultConn{mesh: m, id: i, inner: inner.Conn(i), links: make([]*faultLink, p), tr: newConnTrace(o.trace, i)}
+		fc := &faultConn{mesh: m, id: i, inner: inner.Conn(i), links: make([]*faultLink, p)}
+		if tc != nil {
+			fc.tr = tc.Party(i)
+		}
 		crashAfter := 0
 		if profile.CrashAfterSends != nil {
 			crashAfter = profile.CrashAfterSends[i]
@@ -118,10 +121,6 @@ func (m *FaultMesh) Conn(party int) PartyConn { return m.conns[party] }
 // SetRecvTimeout applies a receive deadline to every endpoint of the
 // wrapped mesh.
 func (m *FaultMesh) SetRecvTimeout(d time.Duration) { m.inner.SetRecvTimeout(d) }
-
-// Counters returns the wrapped mesh's traffic counters (frames that
-// were dropped or cut never reach the inner mesh and are not counted).
-func (m *FaultMesh) Counters() (frames, messages, bytes int64) { return m.inner.Counters() }
 
 // Injected reports the faults injected so far.
 func (m *FaultMesh) Injected() FaultStats {
@@ -169,11 +168,10 @@ type faultLink struct {
 	wg        sync.WaitGroup
 }
 
-// inFlight is one delayed frame: its payload, its logical message
-// count and the time it is due at the wrapped mesh.
+// inFlight is one delayed frame: its payload and the time it is due at
+// the wrapped mesh.
 type inFlight struct {
 	payload []byte
-	msgs    int
 	due     time.Time
 }
 
@@ -191,12 +189,11 @@ func (l *faultLink) start(inner PartyConn, to int, m *FaultMesh) {
 			}
 			time.Sleep(time.Until(f.due))
 			m.stats.delays.Add(1)
-			if inner.SendN(to, f.payload, f.msgs) != nil {
-				// The receiver (or this sender) died; later queued
-				// deliveries will fail the same way — keep draining so
-				// close() does not hang.
-				continue
-			}
+			// A refusal means the receiver (or this sender) died: the
+			// wrapped mesh owns the payload either way and has recycled
+			// it, and later deliveries fail the same way — keep draining
+			// so close() does not hang.
+			_ = inner.Send(to, f.payload)
 		}
 	}()
 }
@@ -214,9 +211,9 @@ type faultConn struct {
 	id         int
 	inner      PartyConn
 	links      []*faultLink
-	tr         *connTrace // nil when tracing is disabled
-	sends      int        // accepted sends across all links (crash accounting)
-	crashAfter int        // profile budget; 0 means never
+	tr         *obs.PartyTrace // fault events' stream; nil records none
+	sends      int             // accepted sends across all links (crash accounting)
+	crashAfter int             // profile budget; 0 means never
 	crashed    atomic.Bool
 }
 
@@ -228,42 +225,60 @@ func (c *faultConn) SetRecvTimeout(d time.Duration) { c.inner.SetRecvTimeout(d) 
 
 // Send applies the scripted faults in order: crash (the party is gone),
 // cut (the route is gone), drop (this message is gone), delay (the
-// message is late), and otherwise forwards to the wrapped endpoint.
-func (c *faultConn) Send(to int, payload []byte) error { return c.SendN(to, payload, 1) }
-
-// SendN applies the same fault script to one frame of msgs logical
-// messages; injected faults act on whole frames.
-func (c *faultConn) SendN(to int, payload []byte, msgs int) error {
+// message is late), and otherwise forwards to the wrapped endpoint. A
+// frame that dies here — the party crashed, the route is cut, the
+// message dropped — hands its payload back to the free list.
+func (c *faultConn) Send(to int, payload []byte) error {
 	if c.crashed.Load() {
+		recycle(payload)
 		return ErrClosed
 	}
 	if c.crashAfter > 0 && c.sends >= c.crashAfter {
 		c.crash()
+		recycle(payload)
 		return ErrClosed
 	}
 	c.sends++
 	l := c.links[to]
 	if l == nil {
 		// Self/out-of-range sends: let the inner mesh report them.
-		return c.inner.SendN(to, payload, msgs)
+		return c.inner.Send(to, payload)
 	}
 	if l.fault.CutAfter > 0 && l.delivered >= l.fault.CutAfter {
 		c.mesh.stats.cuts.Add(1)
-		c.tr.fault(obs.LevelWarn, "transport.fault.cut", obs.Int("peer", to), obs.Int("bytes", len(payload)))
+		c.fault(obs.LevelWarn, "transport.fault.cut", obs.Int("peer", to), obs.Int("bytes", len(payload)))
+		recycle(payload)
 		return nil
 	}
 	if l.rng != nil && l.rng.Float64() < l.fault.DropProb {
 		c.mesh.stats.drops.Add(1)
-		c.tr.fault(obs.LevelWarn, "transport.fault.drop", obs.Int("peer", to), obs.Int("bytes", len(payload)))
+		c.fault(obs.LevelWarn, "transport.fault.drop", obs.Int("peer", to), obs.Int("bytes", len(payload)))
+		recycle(payload)
 		return nil
 	}
 	l.delivered++
 	if l.delay != nil {
-		c.tr.fault(obs.LevelDebug, "transport.fault.delay",
+		c.fault(obs.LevelDebug, "transport.fault.delay",
 			obs.Int("peer", to), obs.Duration("delay", l.fault.Delay))
-		return l.delay.push(inFlight{payload, msgs, time.Now().Add(l.fault.Delay)})
+		if err := l.delay.push(inFlight{payload, time.Now().Add(l.fault.Delay)}); err != nil {
+			recycle(payload)
+			return err
+		}
+		return nil
 	}
-	return c.inner.SendN(to, payload, msgs)
+	return c.inner.Send(to, payload)
+}
+
+// SendN is Send (see PartyConn.SendN): injected faults act on whole
+// frames.
+func (c *faultConn) SendN(to int, payload []byte, _ int) error { return c.Send(to, payload) }
+
+// fault records a fault-injection event on this party's stream — a
+// local event, so it ticks the clock like any other.
+func (c *faultConn) fault(level obs.Level, name string, attrs ...obs.Attr) {
+	if c.tr != nil {
+		c.tr.Event(level, name, attrs...)
+	}
 }
 
 // Recv forwards to the wrapped endpoint; a crashed party only sees
@@ -287,7 +302,7 @@ func (c *faultConn) crash() {
 		return
 	}
 	c.mesh.stats.crashes.Add(1)
-	c.tr.fault(obs.LevelWarn, "transport.fault.crash", obs.Int("sends", c.sends))
+	c.fault(obs.LevelWarn, "transport.fault.crash", obs.Int("sends", c.sends))
 	c.stopLinks()
 	_ = c.inner.Close()
 }

@@ -24,12 +24,9 @@ import (
 // all-send-then-all-receive pattern can never deadlock on a full kernel
 // buffer.
 type NetMesh struct {
-	p        int
-	conns    []*netConn
-	frames   atomic.Int64
-	messages atomic.Int64
-	bytes    atomic.Int64
-	closed   atomic.Bool
+	p      int
+	conns  []*netConn
+	closed atomic.Bool
 }
 
 // netConn is one party's endpoint: links[j] is the connection to party
@@ -38,7 +35,6 @@ type netConn struct {
 	mesh    *NetMesh
 	id      int
 	links   []*link
-	tr      *connTrace   // nil when tracing is disabled
 	timeout atomic.Int64 // receive deadline in nanoseconds; 0 blocks forever
 }
 
@@ -81,8 +77,7 @@ func (l *link) start(conn net.Conn, sender int) {
 				return
 			}
 			werr := l.write(b)
-			// The payload (drawn from GetPayload, or the trace-stamped
-			// copy of one) is dead once written.
+			// The payload is dead once written.
 			recycle(b)
 			if werr != nil {
 				l.werr.Store(werr)
@@ -116,17 +111,13 @@ func (l *link) close() {
 // pair[i][j] (i < j) is the connection between parties i and j, with
 // party i holding pair[i][j] locally and party j the peer end given in
 // peer[i][j]. Both halves must be non-nil for every i < j.
-func NewNetMesh(p int, pair, peer [][]net.Conn, opts ...Option) (*NetMesh, error) {
+func NewNetMesh(p int, pair, peer [][]net.Conn) (*NetMesh, error) {
 	if p < 2 {
 		return nil, fmt.Errorf("transport: mesh needs at least 2 parties, got %d", p)
 	}
-	o := applyOptions(opts)
-	if o.trace != nil && o.trace.Parties() != p {
-		return nil, fmt.Errorf("transport: tracer has %d party streams, mesh has %d", o.trace.Parties(), p)
-	}
 	m := &NetMesh{p: p, conns: make([]*netConn, p)}
 	for i := 0; i < p; i++ {
-		m.conns[i] = &netConn{mesh: m, id: i, links: make([]*link, p), tr: newConnTrace(o.trace, i)}
+		m.conns[i] = &netConn{mesh: m, id: i, links: make([]*link, p)}
 	}
 	// Every link of the mesh lives in one array.
 	links := make([]link, p*(p-1))
@@ -224,7 +215,7 @@ func NewTCPMesh(p int, opts ...Option) (*NetMesh, error) {
 			peer[i][j] = dialed
 		}
 	}
-	return NewNetMesh(p, pair, peer, opts...)
+	return NewNetMesh(p, pair, peer)
 }
 
 // dialRetry dials addr under the given retry policy; the zero policy
@@ -256,11 +247,6 @@ func (m *NetMesh) SetRecvTimeout(d time.Duration) {
 	}
 }
 
-// Counters returns the cumulative traffic.
-func (m *NetMesh) Counters() (frames, messages, bytes int64) {
-	return m.frames.Load(), m.messages.Load(), m.bytes.Load()
-}
-
 // Close tears down every link.
 func (m *NetMesh) Close() error {
 	if m.closed.Swap(true) {
@@ -288,42 +274,34 @@ func (c *netConn) SetRecvTimeout(d time.Duration) {
 }
 
 // Send hands the payload to the link's writer pump, which frames it
-// (version/MsgShare/sender-id/length) as it writes it.
-func (c *netConn) Send(to int, payload []byte) error { return c.SendN(to, payload, 1) }
+// (version/MsgShare/sender-id/length) as it writes it and then recycles
+// it; a refused frame's payload is recycled at once.
+func (c *netConn) Send(to int, payload []byte) error {
+	if err := c.enqueue(to, payload); err != nil {
+		recycle(payload)
+		return err
+	}
+	return nil
+}
 
-// SendN sends one wire frame carrying msgs logical messages.
-func (c *netConn) SendN(to int, payload []byte, msgs int) error {
+// enqueue hands the payload to the link's writer pump, or says why it
+// cannot.
+func (c *netConn) enqueue(to int, payload []byte) error {
 	if to == c.id || to < 0 || to >= c.mesh.p {
 		return fmt.Errorf("transport: party %d cannot send to %d", c.id, to)
-	}
-	if msgs < 1 {
-		msgs = 1
 	}
 	l := c.links[to]
 	if err, ok := l.werr.Load().(error); ok {
 		return wrapClosed(err)
 	}
-	wire, lc := c.tr.stampSend(payload)
-	// When tracing stamped a copy, the original payload (transport-owned
-	// since the call) is dead; the writer pump recycles the wire buffer
-	// once it is written.
-	if c.tr != nil {
-		recycle(payload)
-	}
-	if len(wire) > protocol.MaxPayload {
-		recycle(wire)
+	if len(payload) > protocol.MaxPayload {
 		return protocol.ErrFrameTooLarge
 	}
-	if err := l.out.push(wire); err != nil {
-		recycle(wire)
-		return err
-	}
-	c.mesh.frames.Add(1)
-	c.mesh.messages.Add(int64(msgs))
-	c.mesh.bytes.Add(int64(len(payload)))
-	c.tr.sent(lc, to, len(payload), msgs)
-	return nil
+	return l.out.push(payload)
 }
+
+// SendN is Send (see PartyConn.SendN).
+func (c *netConn) SendN(to int, payload []byte, _ int) error { return c.Send(to, payload) }
 
 // Recv reads the next frame from the pair connection and validates the
 // sender id carried in the session field. Peer-teardown errors (EOF,
@@ -354,7 +332,7 @@ func (c *netConn) Recv(from int) ([]byte, error) {
 	if m.Session != uint32(from) {
 		return nil, fmt.Errorf("transport: party %d expected sender %d, frame claims %d", c.id, from, m.Session)
 	}
-	return c.tr.received(from, m.Payload), nil
+	return m.Payload, nil
 }
 
 // Close tears down this party's links, cascading EOFs to its peers.

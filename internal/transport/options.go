@@ -7,26 +7,14 @@ import (
 	"os"
 	"syscall"
 
-	"sqm/internal/obs"
 	"sqm/internal/retry"
 )
 
-// Option configures a mesh at construction time.
+// Option configures NewTCPMesh at construction time.
 type Option func(*options)
 
 type options struct {
-	dial  retry.Policy
-	trace *obs.TraceContext
-}
-
-// WithTracer attaches a session trace context: every frame is prefixed
-// with a TraceHeaderLen-byte header carrying (trace, sender, Lamport
-// stamp), and each endpoint records transport.send/transport.recv
-// events into its party's flight recorder. The context must carry
-// exactly one stream per mesh party. A nil context disables tracing at
-// zero cost.
-func WithTracer(tc *obs.TraceContext) Option {
-	return func(o *options) { o.trace = tc }
+	dial retry.Policy
 }
 
 // WithDialRetry retries the TCP mesh's pair dials under the given

@@ -5,15 +5,15 @@ import (
 	"sync/atomic"
 )
 
-// Frame buffers. Every frame of a round is a payload at the sender, a
-// trace-stamped copy when tracing is on, and a receive buffer; the
-// transport recycles them through one process-wide free list of
-// size-classed buffers:
+// Frame buffers. Every frame of a round is a payload at the sender and a
+// receive buffer; the transport recycles them through one process-wide
+// free list of size-classed buffers:
 //
 //   - Senders draw payloads from GetPayload; after Send the transport
 //     owns them and hands them back once they are dead — after the TCP
-//     writer pump has written them, or after the receiving ChanMesh
-//     endpoint has moved past them or closed.
+//     writer pump has written them, after the receiving ChanMesh
+//     endpoint has moved past them or closed, or at once when the send
+//     is refused or a FaultMesh drops or cuts the frame.
 //   - Receivers get buffers that are valid only until the next Recv
 //     from the same peer (the ownership rule documented on
 //     PartyConn.Recv); the endpoint recycles or overwrites them on that
@@ -33,7 +33,7 @@ import (
 
 // poolClasses are the frame-buffer size classes. Share traffic is 8
 // bytes per element, so the classes cover single scalars (with or
-// without the 20-byte trace header) through rows of 4 000 elements;
+// without bgw's 20-byte trace header) through rows of 4 000 elements;
 // frames beyond the largest class fall back to plain allocation. They
 // double, so a frame fills more than half of its buffer: an input round
 // queues every row a party deals at once, and with classes four times

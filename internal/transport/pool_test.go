@@ -8,8 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"sqm/internal/obs"
 )
 
 // TestPoolRoundTrip: get/recycle cycles must be served from the free
@@ -72,27 +70,21 @@ func TestPoolRoundTripAllocatesNothing(t *testing.T) {
 
 // TestFramesAllocateNothing: one frame — GetPayload, SendN, Recv —
 // costs no allocation once the free list and the link are warm, over a
-// ChanMesh and a TCP mesh with a receive deadline set, traced and
-// untraced, and none after garbage
-// collections either: the free list keeps its buffers through a GC.
-// (Traced, the flight recorders carve the events' attributes from
-// chunks: a frame's two events take about a fiftieth of one.)
+// ChanMesh and a TCP mesh with a receive deadline set, and none after
+// garbage collections either: the free list keeps its buffers through a
+// GC. (bgw's TestFramesAllocateNothing runs a traced row over both.)
 func TestFramesAllocateNothing(t *testing.T) {
 	const size = 8 * 1000 // one 1 000-element row
 	for _, c := range []struct {
-		name        string
-		tcp, traced bool
-	}{{"chan", false, false}, {"chan-traced", false, true}, {"tcp", true, false}, {"tcp-traced", true, true}} {
+		name string
+		tcp  bool
+	}{{"chan", false}, {"tcp", true}} {
 		t.Run(c.name, func(t *testing.T) {
-			var opts []Option
-			if c.traced {
-				opts = append(opts, WithTracer(obs.NewTraceContext(7, 2)))
-			}
-			var m Mesh = NewChanMesh(2, opts...)
+			var m Mesh = NewChanMesh(2)
 			if c.tcp {
 				m.Close()
 				var err error
-				if m, err = NewTCPMesh(2, opts...); err != nil {
+				if m, err = NewTCPMesh(2); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -311,7 +303,7 @@ func TestPooledFramesChaosRace(t *testing.T) {
 	fm := NewFaultMesh(NewChanMesh(p), FaultProfile{
 		Seed: 11,
 		All:  LinkFault{Delay: 100 * time.Microsecond, DropProb: 0.1},
-	})
+	}, nil)
 	defer fm.Close()
 
 	pattern := func(from, to, round, i int) byte {
@@ -413,7 +405,7 @@ func TestFaultMeshCloseNoGoroutineLeak(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewTCPMesh: %v", err)
 	}
-	fm := NewFaultMesh(inner, FaultProfile{All: LinkFault{Delay: 100 * time.Microsecond}})
+	fm := NewFaultMesh(inner, FaultProfile{All: LinkFault{Delay: 100 * time.Microsecond}}, nil)
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
 			if i == j {

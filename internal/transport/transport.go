@@ -19,6 +19,11 @@
 // session never needs to know which fabric it runs over.
 // NewFaultMesh wraps any Mesh with seeded, reproducible fault injection
 // (delay, drop, link cut, party crash) for fault testing.
+//
+// A mesh carries opaque payloads and nothing else: what a frame holds,
+// what it costs and how it is traced are the sender's and the receiver's
+// business (internal/bgw's link counts its frames and stamps its trace
+// header into the payload it encodes).
 package transport
 
 import (
@@ -52,14 +57,13 @@ type PartyConn interface {
 	// owned by the transport after the call: a payload drawn from
 	// GetPayload goes back to the free list once the frame is dead (at
 	// the next Recv from the sender on a ChanMesh, once written on a TCP
-	// mesh), so a frame allocates nothing. A Send is metered as one
-	// frame carrying one logical message.
+	// mesh), so a frame allocates nothing. That holds when Send fails
+	// too: a refused, dropped or cut frame's payload goes back to the
+	// free list as well.
 	Send(to int, payload []byte) error
-	// SendN enqueues payload as a single frame carrying msgs logical
-	// messages — the batched-round shape in which one wire frame folds
-	// the independent per-value messages of a whole level. Counting the
-	// two separately keeps batching honest in telemetry: frames drop
-	// with batching, logical messages do not. msgs < 1 counts as 1.
+	// SendN is Send. msgs is not read: the sender counts its own
+	// messages. The method stays because the benchmark's timed mesh
+	// overrides it.
 	SendN(to int, payload []byte, msgs int) error
 	// Recv blocks until the next payload from party from arrives.
 	// Messages from one sender are delivered in send order (per-pair
@@ -87,8 +91,8 @@ type PartyConn interface {
 	Close() error
 }
 
-// Mesh is a set of P pairwise-connected party endpoints plus traffic
-// counters, so protocol statistics are measured rather than modeled.
+// Mesh is a set of P pairwise-connected party endpoints. It carries
+// bytes and counts none: protocol statistics are the senders' own.
 type Mesh interface {
 	// Parties returns P.
 	Parties() int
@@ -97,10 +101,6 @@ type Mesh interface {
 	// SetRecvTimeout applies a receive deadline to every endpoint (see
 	// PartyConn.SetRecvTimeout).
 	SetRecvTimeout(d time.Duration)
-	// Counters returns the cumulative traffic since the mesh was
-	// created: frames (physical sends), logical messages (a batched
-	// frame may carry many; see PartyConn.SendN) and payload bytes.
-	Counters() (frames, messages, bytes int64)
 	// Close tears down every endpoint.
 	Close() error
 }

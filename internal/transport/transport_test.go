@@ -4,13 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"maps"
 	"net"
 	"sync"
 	"testing"
 	"time"
-
-	"sqm/internal/obs"
 )
 
 // meshes returns one fresh instance of every Mesh implementation,
@@ -68,16 +65,6 @@ func TestMeshExchange(t *testing.T) {
 				if err != nil {
 					t.Errorf("party %d: %v", i, err)
 				}
-			}
-			frames, msgs, bytes := mesh.Counters()
-			if want := int64(p * (p - 1)); msgs != want {
-				t.Errorf("messages = %d, want %d", msgs, want)
-			}
-			if frames != msgs {
-				t.Errorf("frames = %d, want %d (unbatched sends)", frames, msgs)
-			}
-			if bytes <= 0 {
-				t.Errorf("bytes = %d, want > 0", bytes)
 			}
 		})
 	}
@@ -188,95 +175,6 @@ func TestChanMeshClosedErrIsErrClosed(t *testing.T) {
 	}
 	if err := mesh.Conn(0).Send(1, []byte("x")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
-	}
-}
-
-func TestMeshCountersMeasureBytes(t *testing.T) {
-	for name, mesh := range meshes(t, 3) {
-		t.Run(name, func(t *testing.T) {
-			defer mesh.Close()
-			if err := mesh.Conn(0).Send(1, make([]byte, 48)); err != nil {
-				t.Fatal(err)
-			}
-			if err := mesh.Conn(2).Send(1, make([]byte, 16)); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := mesh.Conn(1).Recv(0); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := mesh.Conn(1).Recv(2); err != nil {
-				t.Fatal(err)
-			}
-			frames, msgs, bytes := mesh.Counters()
-			if frames != 2 || msgs != 2 || bytes != 64 {
-				t.Fatalf("counters = (%d frames, %d msgs, %d bytes), want (2, 2, 64)", frames, msgs, bytes)
-			}
-		})
-	}
-}
-
-// TestMeshTelemetry: on a traced mesh the per-link traffic is the
-// transport.send events of the sender's stream (peer, bytes, msgs), and
-// summed over the links it is the mesh's own Counters.
-func TestMeshTelemetry(t *testing.T) {
-	const p = 3
-	for _, name := range []string{"chan", "tcp"} {
-		t.Run(name, func(t *testing.T) {
-			tc := obs.NewTraceContext(obs.DeriveTraceID(9), p)
-			var mesh Mesh
-			if name == "chan" {
-				mesh = NewChanMesh(p, WithTracer(tc))
-			} else {
-				m, err := NewTCPMesh(p, WithTracer(tc))
-				if err != nil {
-					t.Fatal(err)
-				}
-				mesh = m
-			}
-			defer mesh.Close()
-			for k := 0; k < 5; k++ {
-				if err := mesh.Conn(0).Send(1, make([]byte, 24)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := mesh.Conn(2).SendN(0, make([]byte, 8), 3); err != nil {
-				t.Fatal(err)
-			}
-			for k := 0; k < 5; k++ {
-				if _, err := mesh.Conn(1).Recv(0); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if _, err := mesh.Conn(0).Recv(2); err != nil {
-				t.Fatal(err)
-			}
-			type link struct{ frames, msgs, bytes int64 }
-			links := map[[2]int]link{}
-			for from := 0; from < p; from++ {
-				for _, ev := range tc.Party(from).Flight().Events() {
-					if ev.Name != "transport.send" {
-						continue
-					}
-					k := [2]int{from, int(attr(t, ev, "peer"))}
-					l := links[k]
-					l.frames++
-					l.msgs += attr(t, ev, "msgs")
-					l.bytes += attr(t, ev, "bytes")
-					links[k] = l
-				}
-			}
-			want := map[[2]int]link{{0, 1}: {5, 5, 5 * 24}, {2, 0}: {1, 3, 8}}
-			if !maps.Equal(links, want) {
-				t.Fatalf("per-link sends = %v, want %v", links, want)
-			}
-			var sum link
-			for _, l := range links {
-				sum = link{sum.frames + l.frames, sum.msgs + l.msgs, sum.bytes + l.bytes}
-			}
-			if f, m, b := mesh.Counters(); (link{f, m, b}) != sum {
-				t.Fatalf("Counters = (%d, %d, %d), events sum to %+v", f, m, b, sum)
-			}
-		})
 	}
 }
 
@@ -417,21 +315,21 @@ func TestQueueReusesItsArrayAndDropsPoppedFrames(t *testing.T) {
 func TestClosedQueueDeliversWhatItHolds(t *testing.T) {
 	q := newQueue[inFlight]()
 	for i := 1; i <= 3; i++ {
-		if err := q.push(inFlight{msgs: i}); err != nil {
+		if err := q.push(inFlight{payload: []byte{byte(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	q.close()
-	if err := q.push(inFlight{msgs: 4}); !errors.Is(err, ErrClosed) {
+	if err := q.push(inFlight{payload: []byte{4}}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("push after close: %v, want ErrClosed", err)
 	}
 	for i := 1; i <= 3; i++ {
 		f, err := q.pop()
-		if err != nil || f.msgs != i {
+		if err != nil || len(f.payload) != 1 || f.payload[0] != byte(i) {
 			t.Fatalf("pop %d after close: %+v, %v", i, f, err)
 		}
 	}
-	if f, err := q.pop(); !errors.Is(err, ErrClosed) || f.msgs != 0 {
+	if f, err := q.pop(); !errors.Is(err, ErrClosed) || f.payload != nil {
 		t.Fatalf("pop of a drained closed queue: %+v, %v; want the zero item and ErrClosed", f, err)
 	}
 	if _, err := q.popWait(time.Millisecond); !errors.Is(err, ErrClosed) {

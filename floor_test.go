@@ -27,10 +27,10 @@ type floorShape struct {
 var raceBuild bool
 
 var floorShapes = []floorShape{
-	{name: "cov_mono", engine: sqm.EngineBGW, parties: 4, m: 1000, n: 120, gamma: 18, bound: 1.98},
-	{name: "cov_tcp_p10", engine: sqm.EngineActorBGWNet, parties: 10, m: 1000, n: 80, gamma: 18, bound: 1.66},
-	{name: "lr_chan", engine: sqm.EngineActorBGW, parties: 4, m: 2000, n: 50, gamma: 18, epochs: 1, q: 0.1, bound: 1.47},
-	{name: "lr3_tcp", lr3: true, engine: sqm.EngineActorBGWNet, parties: 4, m: 2000, n: 20, gamma: 8, epochs: 1, q: 0.05, bound: 1.92},
+	{name: "cov_mono", engine: sqm.EngineBGW, parties: 4, m: 1000, n: 120, gamma: 18, bound: 1.63},
+	{name: "cov_tcp_p10", engine: sqm.EngineActorBGWNet, parties: 10, m: 1000, n: 80, gamma: 18, bound: 1.53},
+	{name: "lr_chan", engine: sqm.EngineActorBGW, parties: 4, m: 2000, n: 50, gamma: 18, epochs: 1, q: 0.1, bound: 1.45},
+	{name: "lr3_tcp", lr3: true, engine: sqm.EngineActorBGWNet, parties: 4, m: 2000, n: 20, gamma: 8, epochs: 1, q: 0.05, bound: 1.87},
 }
 
 // floorBytes is the least a session of the shape can allocate, 8 bytes
@@ -85,8 +85,9 @@ func (s floorShape) session(t *testing.T, x *sqm.Matrix, y []float64, mu float64
 // workloads' shapes, the bytes one session allocates (the harness's
 // alloc_mb_per_session, fewest of three sessions after a warm one) over
 // the session's byte floor in closed form (floorBytes), and holds each
-// ratio to the value the column-keeping builder, the one-batch gather
-// and the one-slot vector sum (a release's noise) reach. What is above the floor is copies and scratch: the engine's
+// ratio to the value the column-keeping builder, the one-batch gather,
+// the one-slot vector sum (a release's noise) and the one-product dot
+// level (a Gram, a gradient) reach. What is above the floor is copies and scratch: the engine's
 // embedding arrays, frames, plan recording, and each step's gates.
 func TestReleaseBytesOverTheirFloor(t *testing.T) {
 	if testing.Short() {

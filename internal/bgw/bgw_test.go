@@ -842,9 +842,9 @@ func BenchmarkMul4Parties(b *testing.B) {
 }
 
 // BenchmarkGramDotBatch is cov_mono's terminal level on the engine: the
-// 7 260 dots of all pairs of 120 columns of 1 000 shares, on 4 parties,
-// kept unreduced. Every party computes 120 pair products and 7 260
-// Winograd dots per op, on its own goroutine.
+// 7 260 dots of all pairs of 120 columns of 1 000 shares as one MulDots
+// item, on 4 parties, kept unreduced. Every party computes 120 pair
+// products and 7 260 Winograd dots per op, on its own goroutine.
 func BenchmarkGramDotBatch(b *testing.B) {
 	const cols, length = 120, 1000
 	e, _ := NewEngine(Config{Parties: 4, Seed: 1})
@@ -858,12 +858,13 @@ func BenchmarkGramDotBatch(b *testing.B) {
 		}
 		vs[i] = e.InputVec(i%4, col)
 	}
-	var items []MulItem
-	for a := 0; a < cols; a++ {
+	var pairs []int32
+	for a := int32(0); a < cols; a++ {
 		for c := a; c < cols; c++ {
-			items = append(items, MulItem{Kind: MulDot, VA: vs[a], VB: vs[c]})
+			pairs = append(pairs, a, c)
 		}
 	}
+	items := []MulItem{{Kind: MulDots, Vecs: vs, Pairs: pairs}}
 	e.Stats() // the input round is dealt before the timer starts
 	b.ReportAllocs()
 	b.ResetTimer()

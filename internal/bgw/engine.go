@@ -40,8 +40,9 @@ import (
 // party instead, which the next GatherBatch overwrites. A workload's
 // local gates are vector gates (AddVec, GatherBatch, LinComb) and its
 // products level-wide batches —
-// a per-element product is a MulHadamard item — so the commands of a
-// session are counted in levels and columns, not in records.
+// a per-element product is a MulHadamard item, a Gram level one MulDots
+// item — so the commands of a session are counted in levels and columns,
+// not in records.
 //
 // Every sharing is a seeded dealing: the t parties after the dealer
 // draw their shares from a stream each shares with it (shamir.Dealing),
@@ -585,8 +586,9 @@ func (e *Engine) MulBatchUnreduced(items []MulItem) []Val {
 // item whose operand degrees sum above P−1 fails the engine instead: the
 // handles are still returned, and every opening from here on reports
 // zeros. The scalar-valued items take the next scalar slots in item
-// order, and the MulHadamard items the next vector slots; in the parties'
-// row every item takes its width in item order (mulDesc.at).
+// order, and the MulHadamard and MulDots items the next vector slots; in
+// the parties' row every item takes its width in item order
+// (mulDesc.at).
 //
 // A MulScalar or MulInner item is a MulDot over its operands packed with
 // FromScalars. Its degree is still its largest pair's, not the packed
@@ -636,6 +638,9 @@ func (e *Engine) mulBatch(op actorOp, items []MulItem) []Val {
 			}
 			muls[i] = mulDesc{kind: it.Kind, a: a.ref, b: b.ref}
 			deg, n = a.deg+b.deg, a.n
+		case MulDots:
+			muls[i], deg = e.dots(it)
+			n = len(muls[i].pairs) / 2
 		default:
 			panic(invariant.Violation("bgw: unknown MulKind %d", it.Kind))
 		}
@@ -646,7 +651,7 @@ func (e *Engine) mulBatch(op actorOp, items []MulItem) []Val {
 			deg = e.t
 		}
 		muls[i].at = width
-		if it.Kind == MulHadamard {
+		if it.Kind == MulHadamard || it.Kind == MulDots {
 			width += n
 			out[i] = e.newVec(n, deg)
 			continue
@@ -661,6 +666,33 @@ func (e *Engine) mulBatch(op actorOp, items []MulItem) []Val {
 		e.rounds++
 	}
 	return out
+}
+
+// dots resolves a MulDots item's vectors, once each, into the slot list
+// the parties index, and checks its pairs, which the parties read as the
+// caller's (MulDots). It returns the item's descriptor and its degree,
+// the largest pair's.
+func (e *Engine) dots(it MulItem) (mulDesc, int) {
+	if len(it.Pairs)%2 != 0 {
+		panic(invariant.Violation("bgw: MulDots has %d pair indices, an odd number", len(it.Pairs)))
+	}
+	slots := e.idx.Take(len(it.Vecs))
+	for k, v := range it.Vecs {
+		slots[k] = e.sharedVec(v).ref
+	}
+	deg := 0
+	for i := 0; i < len(it.Pairs); i += 2 {
+		ia, ib := int(it.Pairs[i]), int(it.Pairs[i+1])
+		if ia < 0 || ia >= len(slots) || ib < 0 || ib >= len(slots) {
+			panic(invariant.Violation("bgw: MulDots pair (%d, %d) outside its %d vectors", ia, ib, len(slots)))
+		}
+		a, b := e.sharedVec(it.Vecs[ia]), e.sharedVec(it.Vecs[ib])
+		if a.n != b.n {
+			panic(invariant.Violation("bgw: vector length mismatch"))
+		}
+		deg = max(deg, a.deg+b.deg)
+	}
+	return mulDesc{kind: MulDots, slots: slots, pairs: it.Pairs}, deg
 }
 
 // reusedDotSlots returns the distinct vector slots of the level's MulDot

@@ -149,15 +149,29 @@ const (
 	// more in FieldOps' model — and the vector carries one degree, the
 	// sum of its operands'.
 	MulHadamard
+	// MulDots is a vector of fused inner products, element i the dot
+	// ⟨Vecs[Pairs[2i]], Vecs[Pairs[2i+1]]⟩: a Gram level as one item. Its
+	// result is a vector, as MulHadamard's is, and each of its elements
+	// costs what a MulDot item would — one element in every reshare
+	// frame, one field multiplication per vector element — while the
+	// engine resolves each of Vecs once and issues no handle per dot. Its
+	// degree is its largest pair's. Dots that outnumber their vectors are
+	// computed by Winograd's pairing. The parties read Pairs itself,
+	// behind the caller, so the caller leaves it as it is while the
+	// engine runs (circuit.Plan hands over its own, which it never
+	// writes).
+	MulDots
 )
 
 // MulItem describes one multiplicative gate of a batched round. Only
 // the fields selected by Kind are read.
 type MulItem struct {
 	Kind   MulKind
-	A, B   Val   // MulScalar operands
-	As, Bs []Val // MulInner operand lists
-	VA, VB Vec   // MulDot and MulHadamard operands
+	A, B   Val     // MulScalar operands
+	As, Bs []Val   // MulInner operand lists
+	VA, VB Vec     // MulDot and MulHadamard operands
+	Vecs   []Vec   // MulDots operand vectors
+	Pairs  []int32 // MulDots index pairs into Vecs, two per dot
 }
 
 // Evaluator is the abstract MPC backend the SQM protocols run against.
@@ -268,10 +282,11 @@ type Evaluator interface {
 	DotBatch(pairs []VecPair, workers int) []Val
 	// MulBatch evaluates one whole level of independent multiplicative
 	// gates (scalar products, fused inner products, vector dots,
-	// element-wise vector products) in a single degree-reduction round:
-	// all sub-shares travel in one frame per party and unseeded peer.
-	// Results are returned in item order: a Val per scalar-valued item,
-	// and in a MulHadamard item's slot its vector, a Vec.
+	// element-wise vector products, vectors of dots) in a single
+	// degree-reduction round: all sub-shares travel in one frame per
+	// party and unseeded peer. Results are returned in item order: a Val
+	// per scalar-valued item, and in a MulHadamard or MulDots item's slot
+	// its vector, a Vec.
 	MulBatch(items []MulItem) []Val
 	// MulBatchUnreduced evaluates one level of multiplicative gates
 	// without the degree reduction: no traffic, no round. A result's

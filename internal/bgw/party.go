@@ -44,11 +44,27 @@ const (
 // mulDesc is the party-side form of one MulBatch item: operand slots
 // resolved by the engine so the parties only index their share arrays.
 type mulDesc struct {
-	kind MulKind // MulDot or MulHadamard
-	a, b int     // vector slots
+	kind MulKind // MulDot, MulHadamard or MulDots
+	a, b int     // vector slots (MulDot, MulHadamard)
 	// at is where the item's products start in the level's row, which
-	// holds every item's in item order: one element, or a MulHadamard's n.
+	// holds every item's in item order: one element, a MulHadamard's n
+	// or a MulDots item's one per dot.
 	at int
+	// A MulDots item's vector slots, each once, and its dots as index
+	// pairs into them.
+	slots []int
+	pairs []int32
+}
+
+// width returns how many elements of the level's row the item fills.
+func (d *mulDesc) width(a *actorParty) int {
+	switch d.kind {
+	case MulHadamard:
+		return len(a.vc[d.a])
+	case MulDots:
+		return len(d.pairs) / 2
+	}
+	return 1
 }
 
 // actorCmd is one command, kept by value in the engine's command arena.
@@ -139,6 +155,7 @@ type actorParty struct {
 	batch []field.Elem
 	zeros []field.Elem // never written (grow-only)
 	pairs []field.Elem // PairProd of the vector slots a Gram batch reuses, by slot (grow-only)
+	gram  []field.Elem // PairProd of a MulDots item's vectors, in its slot order (grow-only)
 	// row is this party's own row of a command, kept between its halves:
 	// a MulBatch level's local products until the fold, the row an
 	// OpenVec publishes, and on party 0 the sum of the opening's rows. The
@@ -310,10 +327,11 @@ func (a *actorParty) products(highs []field.Elem, muls []mulDesc, reused []int) 
 			a.pairs[s] = field.PairProd(a.vc[s])
 		}
 	}
-	for _, d := range muls {
-		a.fieldOps += int64(len(a.vc[d.a]))
+	for i := range muls {
+		d := &muls[i]
 		switch d.kind {
 		case MulDot:
+			a.fieldOps += int64(len(a.vc[d.a]))
 			if reused != nil {
 				highs[d.at] = field.DotWinograd(a.pairs[d.a], a.pairs[d.b], a.vc[d.a], a.vc[d.b])
 			} else {
@@ -321,7 +339,35 @@ func (a *actorParty) products(highs []field.Elem, muls []mulDesc, reused []int) 
 			}
 		case MulHadamard:
 			va := a.vc[d.a]
+			a.fieldOps += int64(len(va))
 			field.MulVec(highs[d.at:d.at+len(va)], va, a.vc[d.b])
+		case MulDots:
+			a.dots(highs[d.at:d.at+d.width(a)], d)
+		}
+	}
+}
+
+// dots leaves in out the local products of a MulDots item, one per pair.
+// When its dots outnumber its vectors — a Gram level — every vector's pair
+// product is computed once and each dot is a DotWinograd, as for a level
+// reusedDotSlots lists; otherwise each is a DotAcc. FieldOps counts one
+// multiplication per element of every dot either way, as for MulDot.
+func (a *actorParty) dots(out []field.Elem, d *mulDesc) {
+	winograd := len(d.slots) < len(out)
+	if winograd {
+		a.gram = growElems(a.gram, len(d.slots))
+		for k, s := range d.slots {
+			a.gram[k] = field.PairProd(a.vc[s])
+		}
+	}
+	for i := range out {
+		ia, ib := d.pairs[2*i], d.pairs[2*i+1]
+		va, vb := a.vc[d.slots[ia]], a.vc[d.slots[ib]]
+		a.fieldOps += int64(len(va))
+		if winograd {
+			out[i] = field.DotWinograd(a.gram[ia], a.gram[ib], va, vb)
+		} else {
+			out[i] = field.DotAcc(0, va, vb)
 		}
 	}
 }
@@ -329,9 +375,9 @@ func (a *actorParty) products(highs []field.Elem, muls []mulDesc, reused []int) 
 // keep gives the results of a multiplicative command their slots. fill
 // leaves the level's row — c.a elements, laid out by mulDesc.at — in the
 // slice it is handed; every scalar-valued result takes the next scalar
-// slot and every MulHadamard's elements a vector slot of their own. A
-// level of c.b scalar-valued items and nothing else is filled straight
-// into the scalar slots.
+// slot and the elements of every MulHadamard or MulDots item a vector
+// slot of their own, a view of the row. A level of c.b scalar-valued
+// items and nothing else is filled straight into the scalar slots.
 func (a *actorParty) keep(c *actorCmd, fill func(row []field.Elem) error) error {
 	if c.b == len(c.x.muls) {
 		base := len(a.sc)
@@ -342,13 +388,14 @@ func (a *actorParty) keep(c *actorCmd, fill func(row []field.Elem) error) error 
 	if err := fill(row); err != nil {
 		return err
 	}
-	for _, d := range c.x.muls {
-		if d.kind != MulHadamard {
+	for i := range c.x.muls {
+		d := &c.x.muls[i]
+		if d.kind == MulDot {
 			a.sc = append(a.sc, row[d.at])
 			continue
 		}
-		n := len(a.vc[d.a])
-		a.vc = append(a.vc, row[d.at:d.at+n:d.at+n])
+		end := d.at + d.width(a)
+		a.vc = append(a.vc, row[d.at:end:end])
 	}
 	return nil
 }

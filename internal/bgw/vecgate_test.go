@@ -436,3 +436,97 @@ func TestEmptyHadamardTakesItsSlot(t *testing.T) {
 		}
 	}
 }
+
+// TestMulDotsIsItsDots issues one MulDots item — a Gram shape, all pairs
+// of 7 columns of odd length 33 (Winograd's pairing), and an LR shape, 6
+// dots of 6 columns against one more (DotAcc) — reduced and unreduced, on
+// both meshes, and the same dots as MulDot items on engines of the same
+// seed. Every opened element is the plain inner product, both engines
+// meter the same rounds, frames, messages, bytes and FieldOps, and only
+// the Gram item has the parties take pair products. An odd index list, a
+// pair index outside Vecs and a pair of two lengths panic with an
+// invariant violation.
+func TestMulDotsIsItsDots(t *testing.T) {
+	const cols, length = 7, 33
+	raw := make([][]int64, cols)
+	for i := range raw {
+		raw[i] = make([]int64, length)
+		for k := range raw[i] {
+			raw[i][k] = int64((i+3)*(k+7)%101) - 50
+		}
+	}
+	dot := func(a, b int) int64 {
+		var s int64
+		for k := range raw[a] {
+			s += raw[a][k] * raw[b][k]
+		}
+		return s
+	}
+	var gram, lr []int32
+	for a := int32(0); a < cols; a++ {
+		for b := a; b < cols; b++ {
+			gram = append(gram, a, b)
+		}
+		if a < cols-1 {
+			lr = append(lr, a, cols-1)
+		}
+	}
+	dotted, items := vecGateEngines(t), vecGateEngines(t)
+	for name, e := range dotted {
+		f := items[name]
+		vs, ws := make([]Vec, cols), make([]Vec, cols)
+		for i := range vs {
+			vs[i], ws[i] = e.InputVec(i%e.Parties(), raw[i]), f.InputVec(i%f.Parties(), raw[i])
+		}
+		for _, shape := range []struct {
+			name     string
+			pairs    []int32
+			winograd bool
+		}{{"lr", lr, false}, {"gram", gram, true}} {
+			for _, unreduced := range []bool{false, true} {
+				batchE, batchF := e.MulBatch, f.MulBatch
+				if unreduced {
+					batchE, batchF = e.MulBatchUnreduced, f.MulBatchUnreduced
+				}
+				got := e.OpenVec(batchE([]MulItem{{Kind: MulDots, Vecs: vs, Pairs: shape.pairs}})[0].(Vec))
+				var its []MulItem
+				for i := 0; i < len(shape.pairs); i += 2 {
+					its = append(its, MulItem{Kind: MulDot, VA: ws[shape.pairs[i]], VB: ws[shape.pairs[i+1]]})
+				}
+				f.OpenBatch(batchF(its))
+				for i := range got {
+					if want := dot(int(shape.pairs[2*i]), int(shape.pairs[2*i+1])); got[i] != want {
+						t.Fatalf("%s/%s unreduced=%v: dot %d = %d, want %d", shape.name, name, unreduced, i, got[i], want)
+					}
+				}
+				if se, sf := e.Stats(), f.Stats(); se != sf {
+					t.Errorf("%s/%s unreduced=%v: one MulDots item metered %+v, its dots as MulDot items %+v", shape.name, name, unreduced, se, sf)
+				}
+				for i, pa := range e.parties {
+					if paired := pa.gram != nil; paired != shape.winograd {
+						t.Fatalf("%s/%s: party %d computed pair products: %v, want %v", shape.name, name, i, paired, shape.winograd)
+					}
+				}
+			}
+		}
+		for what, it := range map[string]MulItem{
+			"odd index list":  {Kind: MulDots, Vecs: vs, Pairs: []int32{0, 1, 2}},
+			"index outside":   {Kind: MulDots, Vecs: vs[:2], Pairs: []int32{0, 2}},
+			"negative index":  {Kind: MulDots, Vecs: vs, Pairs: []int32{-1, 0}},
+			"two lengths":     {Kind: MulDots, Vecs: []Vec{vs[0], e.InputVec(0, []int64{1})}, Pairs: []int32{0, 1}},
+			"foreign handles": {Kind: MulDots, Vecs: []Vec{ws[0]}, Pairs: []int32{0, 0}},
+		} {
+			func() {
+				defer func() {
+					if _, ok := recover().(*invariant.Error); !ok {
+						t.Errorf("%s: a MulDots item with %s did not panic with an invariant violation", name, what)
+					}
+				}()
+				e.MulBatch([]MulItem{it})
+			}()
+		}
+		if err := e.Err(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+}

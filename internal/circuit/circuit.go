@@ -63,11 +63,14 @@ const (
 	kOpenVec
 	kInputSum    // one dealer's folded scalar inputs (see foldSums)
 	kInputVecSum // one dealer's folded vector inputs
-	kFolded      // removed by foldSums; computes nothing
+	kDots        // a FromScalars of one level's dots, as one vector-valued product (see foldDots)
+	kFolded      // removed by foldSums or foldDots; computes nothing
 )
 
 // isMul reports whether the node costs a degree-reduction resharing.
-func (k nodeKind) isMul() bool { return k == kMul || k == kInner || k == kDot || k == kHadamard }
+func (k nodeKind) isMul() bool {
+	return k == kMul || k == kInner || k == kDot || k == kHadamard || k == kDots
+}
 
 // isInput reports whether the node costs the input sharing round.
 func (k nodeKind) isInput() bool {
@@ -94,7 +97,7 @@ func (k nodeKind) isScalarInput() bool {
 // isVec reports whether the node produces a vector handle.
 func (k nodeKind) isVec() bool {
 	switch k {
-	case kInputVec, kInputVecParam, kInputVecSum, kExtVec, kAddVec, kLinComb, kFromScalars, kHadamard:
+	case kInputVec, kInputVecParam, kInputVecSum, kExtVec, kAddVec, kLinComb, kFromScalars, kHadamard, kDots:
 		return true
 	}
 	return false
@@ -114,10 +117,10 @@ type node struct {
 	// one — entered after the last multiplicative level (schedule).
 	late  bool
 	level int32 // multiplicative level, assigned by Compile
-	a, b  int32 // operand node ids; b is the element index of kAt; a is the args offset of kInner/kFromScalars operands and the lits index of a kInputVec literal; args[a:a+b] are the parameter slots a kInputSum adds and the operands of a kLinComb
+	a, b  int32 // operand node ids; b is the element index of kAt; a is the args offset of kInner/kFromScalars operands and the lits index of a kInputVec literal; args[a:a+b] are the parameter slots a kInputSum adds, the operands of a kLinComb and the distinct vectors of a kDots, whose n index pairs into them follow
 	owner int32 // input owner party
 	param int32 // parameter slot (const/input/vector/ext params); lits index of a kInputVecSum's summed literals and of a kLinComb's coefficients (−1: none, the plain sum)
-	n     int32 // vector length of vector-producing nodes; operand count of kInner (list B follows list A in args)
+	n     int32 // vector length of vector-producing nodes (a kDots's dot count); operand count of kInner (list B follows list A in args)
 	// deg is the degree of the sharing Execute leaves here (schedule):
 	// above t, the node is open-only — its handle does not resolve, and
 	// on an input leaf it means the leaf is not shared at all.
@@ -464,7 +467,9 @@ func (b *Builder) Hadamard(a, c bgw.Vec) bgw.Vec {
 }
 
 // DotBatch records one Dot gate per pair; the scheduler re-batches all
-// gates of a level anyway, so the grouping hint is not kept.
+// gates of a level anyway, so the grouping hint is not kept. Packed
+// with FromScalars and read by nothing else, the dots compile to one
+// vector-valued product (see FromScalars).
 func (b *Builder) DotBatch(pairs []bgw.VecPair, workers int) []bgw.Val {
 	_ = workers
 	// A Gram level records a node and a handle per pair: room for all of
@@ -479,7 +484,11 @@ func (b *Builder) DotBatch(pairs []bgw.VecPair, workers int) []bgw.Val {
 	return out
 }
 
-// FromScalars records the packing of scalars into a vector.
+// FromScalars records the packing of scalars into a vector. Compile
+// computes a packing of Dot gates of one level, each read by nothing
+// else, as one vector-valued product in the packing's slot — one
+// bgw.MulDots item — and folds the dots (see foldDots); the packing
+// keeps its handle and its value.
 func (b *Builder) FromScalars(xs []bgw.Val) bgw.Vec {
 	return b.vector(node{kind: kFromScalars, a: b.operands(xs)}, len(xs))
 }

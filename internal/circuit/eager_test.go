@@ -1,6 +1,8 @@
 package circuit
 
 import (
+	"slices"
+
 	"sqm/internal/bgw"
 	"sqm/internal/field"
 )
@@ -49,6 +51,11 @@ func (p *Plan) runEager(eng bgw.Evaluator, bind Bindings) (*Result, error) {
 					r.vals[id] = eng.Dot(r.vecs[n.a], r.vecs[n.b])
 				case kHadamard:
 					r.vecs[id] = eng.MulBatch([]bgw.MulItem{{Kind: bgw.MulHadamard, VA: r.vecs[n.a], VB: r.vecs[n.b]}})[0].(bgw.Vec)
+				case kDots:
+					// The dots as recorded: one Dot each, then the packing.
+					var dots []bgw.Val
+					p.eachPair(n, func(a, b int32) { dots = append(dots, eng.Dot(r.vecs[a], r.vecs[b])) })
+					r.vecs[id] = eng.FromScalars(dots)
 				}
 			}
 		}
@@ -78,12 +85,18 @@ func (p *Plan) runEager(eng bgw.Evaluator, bind Bindings) (*Result, error) {
 	return r, nil
 }
 
-// MulGates returns the number of multiplicative gates: each costs one
-// degree-reduction resharing, and runEager pays one round for each.
+// MulGates returns the number of multiplicative gates as recorded — a
+// kDots is its dots — each of which runEager pays one round for.
 func (p *Plan) MulGates() int {
 	n := 0
 	for _, ml := range p.muls {
-		n += len(ml.reshare) + len(ml.keep)
+		for _, id := range append(slices.Clip(ml.reshare), ml.keep...) {
+			if nd := &p.nodes[id]; nd.kind == kDots {
+				n += int(nd.n)
+			} else {
+				n++
+			}
+		}
 	}
 	return n
 }

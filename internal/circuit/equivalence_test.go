@@ -412,8 +412,12 @@ func sumTreeVec(b *Builder, rng *rand.Rand, like bgw.Vec) bgw.Vec {
 func compileUnfolded(t *testing.T, b *Builder) *Plan {
 	t.Helper()
 	p, err := b.take()
+	var uses []uint8
 	if err == nil {
-		err = p.schedule()
+		uses, err = p.level()
+	}
+	if err == nil {
+		err = p.schedule(uses)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -594,13 +598,15 @@ func (d *dotReuse) MulBatchUnreduced(items []bgw.MulItem) []bgw.Val {
 }
 
 // TestRandomCircuitsReachGramTails keeps TestPlanEquivalenceRandomCircuits
-// honest about the engine's Winograd path: executed on the engine, some
-// of its seeds must hand it a level whose dots reuse their vectors, which
-// holds that path to the same bits behind both ChanMesh engines of
+// honest about the engine's two Winograd paths: executed on the engine,
+// some of its seeds must hand it a level of MulDot items whose dots reuse
+// their vectors, and compiled, some must hold a kDots — one MulDots item
+// — whose dots outnumber its vectors (a Gram tail, folded). That holds
+// both paths to the same bits behind both ChanMesh engines of
 // checkEquivalence — NewEngine's own and the one handed to
 // NewActorEngine — as the plain interpreter's dot products.
 func TestRandomCircuitsReachGramTails(t *testing.T) {
-	reused := 0
+	reused, grams := 0, 0
 	for seed := int64(0); seed < 25; seed++ {
 		b := NewBuilder(4, 0)
 		bind, _ := randomCircuit(b, rand.New(rand.NewSource(seed)))
@@ -609,13 +615,22 @@ func TestRandomCircuitsReachGramTails(t *testing.T) {
 			t.Fatal(err)
 		}
 		ev := &dotReuse{Evaluator: eng}
-		if _, err := b.MustCompile().Execute(ev, bind); err != nil {
+		plan := b.MustCompile()
+		if _, err := plan.Execute(ev, bind); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		reused += ev.levels
+		for i := range plan.nodes {
+			if n := &plan.nodes[i]; n.kind == kDots && n.b < n.n {
+				grams++
+			}
+		}
 	}
 	if reused == 0 {
 		t.Fatal("no seed hands the engine a level of dots that reuse their vectors")
+	}
+	if grams == 0 {
+		t.Fatal("no seed compiles a kDots whose dots outnumber its vectors")
 	}
 }
 

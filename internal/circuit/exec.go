@@ -239,10 +239,13 @@ func (p *Plan) mulGates(r *Result, gates []int32, mul func([]bgw.MulItem) []bgw.
 			items[i] = bgw.MulItem{Kind: bgw.MulDot, VA: r.vecs[n.a], VB: r.vecs[n.b]}
 		case kHadamard:
 			items[i] = bgw.MulItem{Kind: bgw.MulHadamard, VA: r.vecs[n.a], VB: r.vecs[n.b]}
+		case kDots:
+			vecs, pairs := p.dots(n)
+			items[i] = bgw.MulItem{Kind: bgw.MulDots, Vecs: gather(r.vecs, vecs), Pairs: pairs}
 		}
 	}
 	for i, out := range mul(items) {
-		if p.nodes[gates[i]].kind == kHadamard {
+		if p.nodes[gates[i]].kind.isVec() {
 			r.vecs[gates[i]] = out.(bgw.Vec)
 		} else {
 			r.vals[gates[i]] = out
@@ -398,10 +401,11 @@ func (p *Plan) innerOperands(r *Result, n *node) (as, bs []bgw.Val) {
 	return gather(r.vals, p.operands(n.a, n.n)), gather(r.vals, p.operands(n.a+n.n, n.n))
 }
 
-func gather(vals []bgw.Val, ids []int32) []bgw.Val {
-	out := make([]bgw.Val, len(ids))
+// gather returns the handles of the nodes ids, in order.
+func gather[H any](hs []H, ids []int32) []H {
+	out := make([]H, len(ids))
 	for i, id := range ids {
-		out[i] = vals[id]
+		out[i] = hs[id]
 	}
 	return out
 }

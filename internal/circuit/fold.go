@@ -1,6 +1,8 @@
 package circuit
 
 import (
+	"slices"
+
 	"sqm/internal/field"
 	"sqm/internal/invariant"
 )
@@ -299,4 +301,82 @@ func (f *folder) survivor(c int32) int32 {
 		return useNone
 	}
 	return c
+}
+
+// foldDots is Compile's second fold, which runs on the levels and the
+// consumer counts uses of level: a Gram level is one product. A
+// kFromScalars whose every operand is a kDot of one multiplicative level
+// that it alone consumes — a covariance's DotBatch packed for its
+// opening, an LR step's gradient dots — becomes one vector-valued
+// multiplicative node, kDots, in its own slot and at its own level (the
+// dots'), so its consumers do not move. Its distinct operand vectors, in
+// first-use order, and the index pairs of its dots into them go to args
+// once, here, and the dots become kFolded. Execute issues the node as one
+// bgw.MulDots item: the engine resolves a handle per vector instead of
+// one per dot, and every party computes the dots straight into the
+// level's row, whose part a vector slot then views, instead of filing a
+// scalar slot per dot and copying them into a vector.
+//
+// The opened outputs, the frames and every counter are unchanged: the
+// elements are the dots', in the same order, the level's row is as wide
+// as before, and FieldOps counts every dot as a MulDot. Left as recorded:
+// a FromScalars that packs anything but such dots — polysum's
+// accumulators of dots — and every dot with a second consumer.
+//
+// Cost: two visits per dot of a packing that folds, over one scratch
+// array made for the first.
+func (p *Plan) foldDots(uses []uint8, limit int) error {
+	var pos []int32 // 1 + a vector's index in the current packing's list; 0: not listed
+	for i := range p.nodes {
+		n := &p.nodes[i]
+		if n.kind != kFromScalars || !p.packsDotsOnly(n, uses) {
+			continue
+		}
+		if pos == nil {
+			pos = make([]int32, len(p.nodes))
+		}
+		ops := p.operands(n.a, n.n)
+		vecs := int32(0)
+		for _, d := range ops {
+			for _, v := range [2]int32{p.nodes[d].a, p.nodes[d].b} {
+				if pos[v] == 0 {
+					vecs++
+					pos[v] = vecs
+				}
+			}
+		}
+		// The vectors, each at its index, then the pairs: one growth.
+		off := len(p.args)
+		p.args = slices.Grow(p.args, int(vecs)+2*len(ops))[:off+int(vecs)]
+		for _, d := range ops {
+			dot := &p.nodes[d]
+			p.args[off+int(pos[dot.a])-1], p.args[off+int(pos[dot.b])-1] = dot.a, dot.b
+			p.args = append(p.args, pos[dot.a]-1, pos[dot.b]-1)
+			*dot = node{kind: kFolded, folded: true}
+		}
+		if len(p.args) > limit {
+			return errIDSpace(limit)
+		}
+		for _, v := range p.args[off : off+int(vecs)] {
+			pos[v] = 0
+		}
+		*n = node{kind: kDots, a: int32(off), b: vecs, n: n.n, level: n.level}
+	}
+	return nil
+}
+
+// packsDotsOnly reports whether every operand of the kFromScalars n is a
+// kDot of one level that n alone consumes.
+func (p *Plan) packsDotsOnly(n *node, uses []uint8) bool {
+	ops := p.operands(n.a, n.n)
+	if len(ops) == 0 {
+		return false
+	}
+	lvl := p.nodes[ops[0]].level
+	for _, d := range ops {
+		if dot := &p.nodes[d]; dot.kind != kDot || uses[d] != 1 || dot.level != lvl {
+			return false
+		}
+	}
+	return true
 }

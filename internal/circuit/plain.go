@@ -67,6 +67,16 @@ func (p *Plan) Plain(bind Bindings) (*Result, error) {
 			out := make([]field.Elem, n.n)
 			field.MulVec(out, vecs[n.a], vecs[n.b])
 			vecs[id] = out
+		case kDots:
+			out := make([]field.Elem, 0, n.n)
+			p.eachPair(n, func(a, b int32) {
+				var acc field.Elem
+				for k, x := range vecs[a] {
+					acc = field.Add(acc, field.Mul(x, vecs[b][k]))
+				}
+				out = append(out, acc)
+			})
+			vecs[id] = out
 		case kAt:
 			vals[id] = vecs[n.a][n.b]
 		case kAddVec:

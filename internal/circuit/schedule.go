@@ -42,6 +42,12 @@ type mulLevel struct {
 // operands returns the n-element operand list at offset off.
 func (p *Plan) operands(off, n int32) []int32 { return p.args[off : off+n] }
 
+// dots returns a kDots's distinct operand vectors and its index pairs
+// into them, two per dot.
+func (p *Plan) dots(n *node) (vecs, pairs []int32) {
+	return p.operands(n.a, n.b), p.operands(n.a+n.b, 2*n.n)
+}
+
 // coefs returns a kLinComb's coefficients: nil for the plain sum.
 func (p *Plan) coefs(n *node) []int64 {
 	if n.param < 0 {
@@ -52,7 +58,8 @@ func (p *Plan) coefs(n *node) []int64 {
 
 // Compile folds same-dealer inputs of sums and every vector sum tree
 // into one gate (foldSums), levels the recorded DAG by multiplicative
-// depth and returns the execution plan.
+// depth, folds every packing of one level's dots into one product
+// (foldDots) and returns the execution plan.
 //
 // The plan takes the recording over instead of copying it: the Builder
 // is spent, and recording into it again is an invariant violation.
@@ -64,7 +71,14 @@ func (b *Builder) Compile() (*Plan, error) {
 	if err := p.foldSums(b.limit); err != nil {
 		return nil, err
 	}
-	if err := p.schedule(); err != nil {
+	uses, err := p.level()
+	if err != nil {
+		return nil, err
+	}
+	if err := p.foldDots(uses, b.limit); err != nil {
+		return nil, err
+	}
+	if err := p.schedule(uses); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -106,7 +120,7 @@ func (p *Plan) eachOperand(n *node, visit func(op int32)) bool {
 		visit(n.b)
 	case kAddConst, kMulConst, kAddConstP, kMulConstP, kAt, kOpen, kOpenVec:
 		visit(n.a)
-	case kLinComb:
+	case kLinComb, kDots:
 		list = p.operands(n.a, n.b)
 	case kInner:
 		list = p.operands(n.a, 2*n.n)
@@ -121,15 +135,44 @@ func (p *Plan) eachOperand(n *node, visit func(op int32)) bool {
 	return true
 }
 
-// schedule assigns levels and degrees and lists every level's gates.
+// level assigns every node its multiplicative level, and the plan its
+// depth, and returns how many gates read each node, counted up to two.
 // The leveling rule: inputs, external bindings and constants sit at
 // level 0; local (linear) operations inherit the maximum level of their
-// operands; multiplicative gates (Mul, InnerProduct, Dot, Hadamard) take
-// the maximum operand level plus one. All gates of a level are independent
-// by construction and execute as one batched communication round — or
-// none, when none of them is reshared (see assignDegrees); the shared
-// input leaves, which depend on nothing, are listed apart so they share
-// in one batched round too.
+// operands; multiplicative gates (Mul, InnerProduct, Dot, Hadamard and
+// foldDots' vectors of dots) take the maximum operand level plus one.
+// All gates of a level are independent by construction.
+func (p *Plan) level() ([]uint8, error) {
+	uses := make([]uint8, len(p.nodes))
+	var lvl int32
+	maxLevel := func(op int32) {
+		uses[op] = min(uses[op]+1, 2)
+		if l := p.nodes[op].level; l > lvl {
+			lvl = l
+		}
+	}
+	for id := range p.nodes {
+		n := &p.nodes[id]
+		lvl = 0
+		if !p.eachOperand(n, maxLevel) {
+			return nil, fmt.Errorf("circuit: unknown node kind %d", n.kind)
+		}
+		if n.kind.isMul() {
+			lvl++
+		}
+		n.level = lvl
+		if int(lvl) > p.depth {
+			p.depth = int(lvl)
+		}
+	}
+	return uses, nil
+}
+
+// schedule assigns degrees and lists every level's gates, given the
+// levels and the consumer counts uses of level. A level's gates execute
+// as one batched communication round — or none, when none of them is
+// reshared (see assignDegrees); the shared input leaves, which depend on
+// nothing, are listed apart so they share in one batched round too.
 //
 // An input leaf is shared when something needs it as a degree-t
 // sharing: a backward sweep marks the operands of a multiplication, a
@@ -145,29 +188,7 @@ func (p *Plan) eachOperand(n *node, visit func(op int32)) bool {
 // apart and Execute enters them after the last multiplicative level,
 // whatever their level — an owner may still be computing an unshared
 // vector while the engine multiplies (Bindings.InputVecs).
-func (p *Plan) schedule() error {
-	used := make([]bool, len(p.nodes))
-	var lvl int32
-	maxLevel := func(op int32) {
-		used[op] = true
-		if l := p.nodes[op].level; l > lvl {
-			lvl = l
-		}
-	}
-	for id := range p.nodes {
-		n := &p.nodes[id]
-		lvl = 0
-		if !p.eachOperand(n, maxLevel) {
-			return fmt.Errorf("circuit: unknown node kind %d", n.kind)
-		}
-		if n.kind.isMul() {
-			lvl++
-		}
-		n.level = lvl
-		if int(lvl) > p.depth {
-			p.depth = int(lvl)
-		}
-	}
+func (p *Plan) schedule(uses []uint8) error {
 	// Backward: who needs a degree-t sharing of an input leaf.
 	strict := make([]bool, len(p.nodes))
 	need := func(op int32) { strict[op] = true }
@@ -176,14 +197,14 @@ func (p *Plan) schedule() error {
 		if n.kind == kFolded || n.kind == kOpen || n.kind == kOpenVec {
 			continue
 		}
-		if !used[id] {
+		if uses[id] == 0 {
 			strict[id] = true
 		}
 		if strict[id] || n.kind.isMul() {
 			p.eachOperand(n, need)
 		}
 	}
-	if err := p.assignDegrees(used, strict); err != nil {
+	if err := p.assignDegrees(uses, strict); err != nil {
 		return err
 	}
 	// One counting pass sizes every schedule list; a last pass fills
@@ -263,7 +284,8 @@ func (p *Plan) schedule() error {
 // reshares. The degree rule: a shared input leaf and an external binding
 // have degree t, an unshared leaf P−1, Zero 0, a linear gate the largest
 // of its operands', a reshared product t and any other product the sum
-// of its operands' degrees (the largest pair's, for an inner product).
+// of its operands' degrees (the largest pair's, for an inner product and
+// a vector of dots).
 // Every degree up to P−1 opens, so a product stays at the degree it has
 // unless
 //
@@ -278,7 +300,7 @@ func (p *Plan) schedule() error {
 // lowers degrees, so the walk in id order rewinds to the first product
 // it marks and goes on from there; it ends, because every rewind marks a
 // product that stays marked.
-func (p *Plan) assignDegrees(used, strict []bool) error {
+func (p *Plan) assignDegrees(uses []uint8, strict []bool) error {
 	t, top := int32(p.t), int32(p.p-1)
 	low := lowering{plan: p}
 	for id := 0; id < len(p.nodes); id++ {
@@ -314,7 +336,7 @@ func (p *Plan) assignDegrees(used, strict []bool) error {
 				n.deg, n.late = max(n.deg, o.deg), n.late || o.late
 			})
 		}
-		if !used[id] && n.deg > t {
+		if uses[id] == 0 && n.deg > t {
 			if from := low.lower(int32(id), t); from >= 0 {
 				id = int(from) - 1
 			}
@@ -356,16 +378,22 @@ func (p *Plan) fitProduct(n *node, low *lowering) (int32, error) {
 }
 
 // eachPair calls visit with the operand ids of every product the
-// multiplicative node n sums: one pair for Mul, Dot and Hadamard, one per
-// term for InnerProduct.
+// multiplicative node n sums or lists: one pair for Mul, Dot and
+// Hadamard, one per term for InnerProduct and one per dot for a kDots.
 func (p *Plan) eachPair(n *node, visit func(a, b int32)) {
-	if n.kind != kInner {
+	switch n.kind {
+	case kInner:
+		as, bs := p.operands(n.a, n.n), p.operands(n.a+n.n, n.n)
+		for k := range as {
+			visit(as[k], bs[k])
+		}
+	case kDots:
+		vecs, pairs := p.dots(n)
+		for k := 0; k < len(pairs); k += 2 {
+			visit(vecs[pairs[k]], vecs[pairs[k+1]])
+		}
+	default:
 		visit(n.a, n.b)
-		return
-	}
-	as, bs := p.operands(n.a, n.n), p.operands(n.a+n.n, n.n)
-	for k := range as {
-		visit(as[k], bs[k])
 	}
 }
 

@@ -43,7 +43,7 @@ func (r *release) covariance(x *linalg.Matrix) (*linalg.Matrix, *Trace, error) {
 	// The release is metered at Lemma 5's closed form for unit-norm
 	// records.
 	pairs := x.Cols * (x.Cols + 1) / 2
-	upper, err := r.evaluate(gramBound(qd.maxAbs(), x.Rows), sens(CovarianceSensitivities(r.p.Gamma, 1, x.Cols)), pairs,
+	upper, err := r.evaluate(gramBound(float64(qd.maxAbs()), x.Rows), sens(CovarianceSensitivities(r.p.Gamma, 1, x.Cols)), pairs,
 		func() ([]int64, error) {
 			upper := make([]int64, pairs)
 			accumulateGram(qd, upper)
@@ -117,10 +117,7 @@ const gramBlock = 4096
 
 // gramBound bounds every entry of the Gram matrix of rows records whose
 // quantized entries are at most maxAbs in magnitude: rows·maxAbs².
-func gramBound(maxAbs int64, rows int) float64 {
-	m := float64(maxAbs)
-	return m * m * float64(rows)
-}
+func gramBound(maxAbs float64, rows int) float64 { return maxAbs * maxAbs * float64(rows) }
 
 // mpcCovariance runs the same computation over secret shares with the
 // selected Evaluator backend (recordCovariance). The noise draw runs

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"sqm/internal/linalg"
 	"sqm/internal/randx"
@@ -57,19 +58,25 @@ func (s *CovarianceStream) Add(x *linalg.Matrix) error {
 	if x.Cols != s.n {
 		return fmt.Errorf("core: batch has %d columns, want %d", x.Cols, s.n)
 	}
-	// Quantizing draws from every client's stream, and the bound is known
-	// only after: a refused batch rewinds them, so that Finalize is still
-	// Covariance over the records accepted.
+	newRows := s.rows + x.Rows
+	// Every rounded entry is at least ⌊γ·|x|⌋ in magnitude, and the bound
+	// grows with the largest: a batch that fails it even rounded down is
+	// refused before it is rounded, and its draws are never made.
+	if err := checkFieldBound(gramBound(max(float64(s.maxAbs), leastAbs(x, s.p.Gamma)), newRows) + noiseMargin(s.p.Mu)); err != nil {
+		return err
+	}
+	// Otherwise quantizing draws from every client's stream, and the bound
+	// is known only after: a refused batch rewinds them, so that Finalize
+	// is still Covariance over the records accepted.
 	s.marks = s.marks[:0]
 	for _, g := range s.r.rngs {
 		s.marks = append(s.marks, g.Mark())
 	}
 	qd := quantizeByClient(x, &s.p, s.r.rngs)
 	maxAbs := max(s.maxAbs, qd.maxAbs())
-	newRows := s.rows + x.Rows
 	// Covariance's bound over every record so far: a batch of small
 	// entries after one of large entries is bounded by the large ones.
-	if err := checkFieldBound(gramBound(maxAbs, newRows) + noiseMargin(s.p.Mu)); err != nil {
+	if err := checkFieldBound(gramBound(float64(maxAbs), newRows) + noiseMargin(s.p.Mu)); err != nil {
 		for j, g := range s.r.rngs {
 			g.Rewind(s.marks[j])
 		}
@@ -78,6 +85,16 @@ func (s *CovarianceStream) Add(x *linalg.Matrix) error {
 	accumulateGram(qd, s.upper)
 	s.rows, s.maxAbs = newRows, maxAbs
 	return nil
+}
+
+// leastAbs returns the largest ⌊γ·|x|⌋ over the entries of x: the least
+// that the largest of their stochastic roundings can be.
+func leastAbs(x *linalg.Matrix, gamma float64) float64 {
+	var m float64
+	for _, v := range x.Data {
+		m = max(m, math.Floor(math.Abs(gamma*v)))
+	}
+	return m
 }
 
 // Rows returns the records accumulated so far.
@@ -91,7 +108,7 @@ func (s *CovarianceStream) Finalize() (*linalg.Matrix, *Trace, error) {
 		return nil, nil, fmt.Errorf("core: stream already finalized")
 	}
 	s.done = true
-	upper, err := s.r.evaluate(gramBound(s.maxAbs, s.rows), sens(CovarianceSensitivities(s.p.Gamma, 1, s.n)), len(s.upper),
+	upper, err := s.r.evaluate(gramBound(float64(s.maxAbs), s.rows), sens(CovarianceSensitivities(s.p.Gamma, 1, s.n)), len(s.upper),
 		func() ([]int64, error) { return s.upper, nil },
 		nil) // plain only: NewCovarianceStream refuses the MPC engines
 	if err != nil {

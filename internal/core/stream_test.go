@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"sqm/internal/dp"
@@ -207,6 +208,67 @@ func TestRefusedBatchLeavesTheStreamsAsTheyStood(t *testing.T) {
 	for i := range oneShot.Data {
 		if oneShot.Data[i] != streamed.Data[i] {
 			t.Errorf("entry %d: one-shot %v, streamed after a refused batch %v", i, oneShot.Data[i], streamed.Data[i])
+		}
+	}
+}
+
+// TestStreamRefusesBeforeRounding: every rounded entry is at least
+// ⌊γ·|x|⌋ in magnitude, so a batch the field bound refuses even rounded
+// down is refused before it is rounded. Add returns the error the one-shot
+// release returns for it, leaves every client stream where a fresh
+// stream's stands — it drew nothing — and allocates less than the batch's
+// quantized copy; and a batch accepted afterwards is released as a fresh
+// stream releases it.
+func TestStreamRefusesBeforeRounding(t *testing.T) {
+	p := Params{Gamma: 1 << 26, Mu: 1e4, Seed: 5}
+	big := linalg.NewMatrix(10_000, 2) // 10 000 · (2²⁶)² ≈ 2⁶⁵, past the signed range
+	for i := range big.Data {
+		big.Data[i] = 1
+	}
+	_, _, want := Covariance(big, p)
+	if want != ErrFieldOverflow {
+		t.Fatalf("one-shot: err = %v, want ErrFieldOverflow", want)
+	}
+	s, err := NewCovarianceStream(2, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewCovarianceStream(2, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = s.Add(big)
+	runtime.ReadMemStats(&after)
+	if err != want {
+		t.Fatalf("Add: err = %v, want the one-shot's %v", err, want)
+	}
+	if got, batch := after.TotalAlloc-before.TotalAlloc, uint64(len(big.Data)*8); got >= batch {
+		t.Errorf("the refusal allocated %d B, want less than the batch's quantized %d B", got, batch)
+	}
+	for j, g := range s.r.rngs {
+		if g.Mark() != fresh.r.rngs[j].Mark() {
+			t.Fatalf("client %d's stream moved on a refused batch", j)
+		}
+	}
+	x := randMatrix(10, 2, 0.6, 51)
+	for _, st := range []*CovarianceStream{s, fresh} {
+		if err := st.Add(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, _, err := s.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantOut, _, err := fresh.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range wantOut.Data {
+		if got.Data[i] != wantOut.Data[i] {
+			t.Errorf("entry %d: %v after a refused batch, %v on a fresh stream", i, got.Data[i], wantOut.Data[i])
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // TestPoolRoundTrip: get/recycle cycles must be served from the free
@@ -42,6 +43,35 @@ func TestPoolRoundTrip(t *testing.T) {
 	recycle(big)
 	recycle(nil)
 	recycle(make([]byte, 100)) // caller-allocated, cap not a class
+}
+
+// TestFreeListNeverHoldsAnArrayTwice: Send owns the payload it is
+// handed and files it on the free list once the frame is dead, so a
+// caller that sends one array twice files it twice, and two later
+// GetPayload calls hand out the same array. After the mesh behaviour
+// tests' sends, over both meshes, no class may hold an array twice.
+func TestFreeListNeverHoldsAnArrayTwice(t *testing.T) {
+	TestMeshExchange(t)
+	TestMeshFIFOPerPair(t)
+	TestMeshSendNeverBlocks(t)
+	for ci := range free {
+		l := &free[ci]
+		l.mu.Lock()
+		seen := make(map[*byte]bool, len(l.bufs))
+		dups := 0
+		for _, b := range l.bufs {
+			a := unsafe.SliceData(b)
+			if seen[a] {
+				dups++
+			}
+			seen[a] = true
+		}
+		held := len(l.bufs)
+		l.mu.Unlock()
+		if dups > 0 {
+			t.Errorf("class %d B holds %d buffers, %d of them an array it already holds", poolClasses[ci], held, dups)
+		}
+	}
 }
 
 // TestPoolRoundTripAllocatesNothing: a GetPayload → recycle round trip

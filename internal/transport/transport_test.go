@@ -106,14 +106,14 @@ func TestMeshFIFOPerPair(t *testing.T) {
 
 func TestMeshSendNeverBlocks(t *testing.T) {
 	// The deadlock-freedom contract: a party may send arbitrarily far
-	// ahead of a receiver that has not started reading.
+	// ahead of a receiver that has not started reading. Send owns what it
+	// is handed, so every frame is a payload of its own.
 	for name, mesh := range meshes(t, 3) {
 		t.Run(name, func(t *testing.T) {
 			defer mesh.Close()
 			conn := mesh.Conn(0)
-			payload := make([]byte, 1024)
 			for k := 0; k < 500; k++ {
-				if err := conn.Send(1, payload); err != nil {
+				if err := conn.Send(1, GetPayload(1024)); err != nil {
 					t.Fatal(err)
 				}
 			}
